@@ -28,6 +28,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -95,6 +96,10 @@ var ctx context.Context
 // budget blown, livelock, or quarantined cells. It maps to exit code 3.
 var errGovernor = errors.New("run governor tripped")
 
+// errUsage marks a malformed flag value discovered after flag.Parse; it maps
+// to exit code 2 like every other usage error.
+var errUsage = errors.New("usage")
+
 // errDegraded marks a sweep that completed but holds degraded-fidelity
 // (fluid-computed) cells: the numbers are vouched for by the analytic model
 // yet below packet fidelity, so scripts get exit code 5 to tell "clean"
@@ -117,13 +122,15 @@ func flagRetry() runner.Retry {
 	return runner.Retry{Max: *retries, BackoffBase: *retryBackoff}
 }
 
-// exitCode maps an error to the process exit status: 0 ok, 4 interrupted,
-// 3 governor-tripped, 5 degraded-fidelity cells, 1 anything else (2, usage,
-// is handled inline).
+// exitCode maps an error to the process exit status: 0 ok, 2 usage,
+// 4 interrupted, 3 governor-tripped, 5 degraded-fidelity cells, 1 anything
+// else.
 func exitCode(err error) int {
 	switch {
 	case err == nil:
 		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	case errors.Is(err, context.Canceled):
 		return 4
 	case errors.Is(err, errGovernor):
@@ -568,14 +575,28 @@ func runVictim() error {
 	return nil
 }
 
-func runSweep(which string) error {
+// parseScales parses the -scales list. Every entry must be an integer: a
+// token that is skipped instead of rejected silently drops a scale from the
+// table (or prints an empty one).
+func parseScales(list string) ([]int, error) {
 	var ks []int
-	for _, s := range splitComma(*scales) {
-		var k int
-		fmt.Sscanf(s, "%d", &k)
-		if k > 0 {
-			ks = append(ks, k)
+	for _, tok := range splitComma(list) {
+		k, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err != nil {
+			return nil, fmt.Errorf("%w: -scales %q: entry %q is not an integer", errUsage, list, tok)
 		}
+		ks = append(ks, k)
+	}
+	if len(ks) == 0 {
+		return nil, fmt.Errorf("%w: -scales %q names no fat-tree arity", errUsage, list)
+	}
+	return ks, nil
+}
+
+func runSweep(which string) error {
+	ks, err := parseScales(*scales)
+	if err != nil {
+		return err
 	}
 	switch *table1Scale {
 	case "", "full":

@@ -49,3 +49,44 @@ func TestSplitComma(t *testing.T) {
 		}
 	}
 }
+
+// TestScalesRejectsGarbage pins that -scales never silently drops an entry:
+// a token that is not an integer (or a list naming no arity at all) is a
+// usage error naming the bad token, before any sweep runs.
+func TestScalesRejectsGarbage(t *testing.T) {
+	for _, ok := range []struct {
+		in   string
+		want []int
+	}{
+		{"4,8", []int{4, 8}},
+		{"4, 8,", []int{4, 8}},
+		{"16", []int{16}},
+	} {
+		got, err := parseScales(ok.in)
+		if err != nil || len(got) != len(ok.want) {
+			t.Errorf("parseScales(%q) = %v, %v; want %v", ok.in, got, err, ok.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != ok.want[i] {
+				t.Errorf("parseScales(%q) = %v, want %v", ok.in, got, ok.want)
+			}
+		}
+	}
+	for in, token := range map[string]string{
+		"4,x8": `"x8"`,
+		"abc":  `"abc"`,
+		"4,,8": `""`,
+		"4.5":  `"4.5"`,
+		"":     "no fat-tree arity",
+	} {
+		old := *scales
+		*scales = in
+		err := runSweep("table1")
+		*scales = old
+		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), token) {
+			t.Errorf("-scales %q: err = %v (exit %d), want a usage error naming %s",
+				in, err, exitCode(err), token)
+		}
+	}
+}

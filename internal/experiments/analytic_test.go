@@ -65,24 +65,6 @@ func TestSweepConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSweepKeyAnalyticSuffix pins checkpoint-key separation: enabling the
-// analytic checker must never replay results recorded without it.
-func TestSweepKeyAnalyticSuffix(t *testing.T) {
-	cfg := resumeSweepConfig()
-	plain := SweepKey(PFC, cfg)
-	cfg.Analytic = true
-	checked := SweepKey(PFC, cfg)
-	if plain == checked {
-		t.Fatal("Analytic does not change the sweep key")
-	}
-	if !strings.HasSuffix(checked, "/analytic=1") {
-		t.Fatalf("analytic key %q missing the /analytic=1 suffix", checked)
-	}
-	if strings.Contains(plain, "analytic") {
-		t.Fatalf("legacy key %q mentions analytic (old checkpoints would invalidate)", plain)
-	}
-}
-
 // analyticHash folds the per-repeat checker participation into the aggregate
 // hash, so resume/worker comparisons cover the analytic verdicts too.
 func analyticHash(res *SweepResult) uint64 {

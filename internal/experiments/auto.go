@@ -7,7 +7,6 @@ import (
 
 	"github.com/gfcsim/gfc/internal/analytic"
 	"github.com/gfcsim/gfc/internal/fluid"
-	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -27,8 +26,9 @@ import (
 // which must never under-estimate occupancy.
 var fluidSweepBackend = scenario.FluidBackend{RenderGenerator: true}
 
-// Escalation reasons, pinned by the golden escalation test: each names the
-// analytic boundary that forced the packet re-run.
+// Triage reasons, pinned by the golden escalation test: each names the
+// analytic boundary that forces a packet re-run in auto mode and, prefixed
+// with "cannot degrade: ", refuses the degraded-fidelity fallback.
 const (
 	escalateUnsupported = "fluid-unsupported scheme"
 	escalateCyclic      = "deadlock-capable scheme on cyclic CBD"
@@ -52,86 +52,81 @@ func cellBand(topo *topology.Topology) units.Size {
 	return fluid.Band(maxCap, 1500*units.Byte)
 }
 
-// buildFluidRepeat compiles one repeat for the fluid solver and returns the
-// runner plus its analytic prediction (computable before the run).
-func buildFluidRepeat(topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (scenario.Runner, *analytic.Prediction, error) {
+// buildFluidRepeat compiles one repeat for the fluid solver.
+func buildFluidRepeat(topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (scenario.Runner, error) {
 	spec := sweepSpec(fc, cfg, repeatSeed)
 	// Triage integrates at 2 µs: the sweep dynamics (τ ≥ 12 µs) are far
 	// slower, and any cell the coarse step puts near the envelope is
 	// re-run at packet fidelity anyway.
 	spec.Sim.FluidStepNs = 2 * units.Microsecond
-	if err := fluidSweepBackend.Supports(&spec); err != nil {
-		return nil, nil, err
-	}
-	reg := metrics.New(metrics.Options{})
-	cyclic := true // every simulated cell passed the CBD pre-filter
-	r, err := fluidSweepBackend.Build(spec, &scenario.Overrides{
-		Topo: topo, Table: tab, Metrics: reg, CBDCyclic: &cyclic,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	pred, err := r.(scenario.Predictor).Predict()
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, pred, nil
-}
-
-// finishFluidRepeat runs a compiled fluid repeat and translates the result
-// into sweep terms. Slowdown samples stay empty (the stand-in's flows are
-// unbounded, so there are no completion times) and FeedbackFraction stays
-// zero (the solver models feedback as a latency, not as wire bytes) —
-// documented in EXPERIMENTS.md alongside the aggregates that therefore only
-// cover packet-produced repeats.
-func finishFluidRepeat(ctx context.Context, r scenario.Runner, pred *analytic.Prediction, topo *topology.Topology, cfg SweepConfig) (*ScenarioResult, error) {
-	sres, err := r.RunBounded(ctx, cfg.Budget)
-	if err != nil {
-		return nil, err
-	}
-	res := &ScenarioResult{
-		Backend:    "fluid",
-		Deadlocked: sres.Deadlocked,
-		DeadlockAt: sres.DeadlockAt,
-		Drops:      sres.Drops,
-		HighWater:  sres.HighWater,
-	}
-	hosts := len(topo.Hosts())
-	if hosts > 0 {
-		res.HostBandwidth = units.RateOf(sres.Delivered, cfg.Duration) / units.Rate(hosts)
-	}
-	if cfg.Analytic {
-		if sres.Analytic == nil {
-			return nil, fmt.Errorf("fluid repeat carried no analytic check")
-		}
-		if sres.Analytic.Err != nil {
-			return res, fmt.Errorf("analytic check: %w", sres.Analytic.Err)
-		}
-		res.Analytic = &AnalyticVerdict{
-			DeadlockFree: pred.DeadlockFree,
-			Lossless:     pred.Lossless,
-			MaxOccupancy: pred.MaxOccupancy,
-			HighWater:    sres.HighWater,
-			MaxDelivered: pred.MaxDelivered,
-			Delivered:    sres.Delivered,
-		}
-	}
-	return res, nil
+	return fluidSweepBackend.Build(spec, repeatOverrides(topo, tab))
 }
 
 // RunScenarioFluid executes one workload repetition on the fluid backend —
 // the pure-fluid counterpart of RunScenario. The scheme must be
 // fluid-representable (RunSweep pre-checks this for fluid-mode sweeps).
+// Slowdown samples stay empty (the stand-in's flows are unbounded, so there
+// are no completion times) and FeedbackFraction stays zero (the solver
+// models feedback as a latency, not as wire bytes) — documented in
+// EXPERIMENTS.md alongside the aggregates that therefore only cover
+// packet-produced repeats.
 func RunScenarioFluid(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
-	r, pred, err := buildFluidRepeat(topo, tab, fc, cfg, repeatSeed)
+	r, err := buildFluidRepeat(topo, tab, fc, cfg, repeatSeed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishFluidRepeat(ctx, r, pred, topo, cfg)
+	res, err := runRepeat(ctx, r, topo, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// triageRepeat runs one repeat on the fluid solver and decides whether its
+// verdict can stand on its own. A non-empty reason names the analytic
+// boundary the cell sits at — the fluid result there cannot be trusted
+// without packet fidelity: the scheme has no fluid rendition, the analytic
+// model says it can deadlock on this (cyclic) CBD, the fluid run
+// contradicts an analytic guarantee, or the occupancy is within the
+// differential tolerance band of the envelope. fres is the fluid result when
+// the run got far enough to produce one; err reports a fluid run that failed
+// outright. Auto mode escalates on a reason, degraded mode refuses on it.
+func triageRepeat(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (fres *ScenarioResult, reason string, err error) {
+	var pred *analytic.Prediction
+	r, err := buildFluidRepeat(topo, tab, fc, cfg, repeatSeed)
+	if err == nil {
+		pred, err = r.Predict()
+	}
+	if err != nil {
+		return nil, escalateUnsupported + ": " + err.Error(), nil
+	}
+	if !pred.DeadlockFree {
+		// Deadlock formation is a packet-granular phenomenon (HOL
+		// blocking, pause cascades); the fluid solver's proportional
+		// sharing cannot decide it.
+		return nil, escalateCyclic, nil
+	}
+	fres, err = runRepeat(ctx, r, topo, cfg)
+	if err != nil {
+		return fres, "", err
+	}
+	return fres, verdictBoundary(pred, fres, cellBand(topo)), nil
+}
+
+// verdictBoundary names the analytic boundary a completed fluid repeat sits
+// at, or "" when its verdict stands: pred is deadlock-free here, so a fluid
+// deadlock or (on a lossless prediction) a fluid drop contradicts the model,
+// and an occupancy within band of the envelope is too close to call.
+func verdictBoundary(pred *analytic.Prediction, fres *ScenarioResult, band units.Size) string {
+	switch {
+	case fres.Deadlocked:
+		return escalateDeadlock
+	case fres.Drops > 0 && pred.Lossless:
+		return escalateLoss
+	case pred.MaxOccupancy > 0 && pred.MaxOccupancy-fres.HighWater <= band:
+		return escalateBoundary
+	}
+	return ""
 }
 
 // runAutoRepeat is the adaptive-fidelity repeat: fluid triage, escalated to
@@ -142,58 +137,35 @@ func RunScenarioFluid(ctx context.Context, topo *topology.Topology, tab *routing
 // violation means the two engines disagree about the same network and
 // quarantines the cell rather than aggregating either answer.
 func runAutoRepeat(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
-	escalate := func(reason string, fres *ScenarioResult) (*ScenarioResult, error) {
-		pres, err := RunScenario(ctx, topo, tab, fc, cfg, repeatSeed)
-		if err != nil {
-			return nil, err
-		}
-		pres.Backend = "packet"
-		pres.Escalation = reason
-		if fres != nil {
-			band := cellBand(topo)
-			if pres.HighWater > fres.HighWater+band {
-				return nil, fmt.Errorf(
-					"backend divergence on escalation %q: packet high-water %v exceeds fluid %v by more than the tolerance band %v",
-					reason, pres.HighWater, fres.HighWater, band)
-			}
-			if pres.Deadlocked && !fres.Deadlocked && reason == escalateBoundary {
-				return nil, fmt.Errorf(
-					"backend divergence on escalation %q: packet deadlocked at %v but fluid saw progress",
-					reason, pres.DeadlockAt)
-			}
-		}
-		return pres, nil
-	}
-
-	r, pred, err := buildFluidRepeat(topo, tab, fc, cfg, repeatSeed)
-	if err != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return escalate(escalateUnsupported+": "+err.Error(), nil)
-	}
-	if !pred.DeadlockFree {
-		// The analytic model says this scheme can deadlock on a cyclic
-		// CBD. Deadlock formation is a packet-granular phenomenon (HOL
-		// blocking, pause cascades); the fluid solver's proportional
-		// sharing cannot decide it, so the repeat runs at full fidelity.
-		return escalate(escalateCyclic, nil)
-	}
-	fres, ferr := finishFluidRepeat(ctx, r, pred, topo, cfg)
-	if ferr != nil {
-		if errors.Is(ferr, context.Canceled) || errors.Is(ferr, context.DeadlineExceeded) {
-			return nil, ferr
-		}
-		return escalate(escalateFailed+": "+ferr.Error(), fres)
-	}
-	band := cellBand(topo)
+	fres, reason, ferr := triageRepeat(ctx, topo, tab, fc, cfg, repeatSeed)
 	switch {
-	case fres.Deadlocked:
-		return escalate(escalateDeadlock, fres)
-	case fres.Drops > 0 && pred.Lossless:
-		return escalate(escalateLoss, fres)
-	case pred.MaxOccupancy > 0 && pred.MaxOccupancy-fres.HighWater <= band:
-		return escalate(escalateBoundary, fres)
+	case errors.Is(ferr, context.Canceled) || errors.Is(ferr, context.DeadlineExceeded):
+		return nil, ferr
+	case ferr != nil:
+		reason = escalateFailed + ": " + ferr.Error()
+	case reason == "":
+		return fres, nil
 	}
-	return fres, nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pres, err := RunScenario(ctx, topo, tab, fc, cfg, repeatSeed)
+	if err != nil {
+		return nil, err
+	}
+	pres.Escalation = reason
+	if fres != nil {
+		band := cellBand(topo)
+		if pres.HighWater > fres.HighWater+band {
+			return nil, fmt.Errorf(
+				"backend divergence on escalation %q: packet high-water %v exceeds fluid %v by more than the tolerance band %v",
+				reason, pres.HighWater, fres.HighWater, band)
+		}
+		if pres.Deadlocked && !fres.Deadlocked && reason == escalateBoundary {
+			return nil, fmt.Errorf(
+				"backend divergence on escalation %q: packet deadlocked at %v but fluid saw progress",
+				reason, pres.DeadlockAt)
+		}
+	}
+	return pres, nil
 }

@@ -8,9 +8,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/gfcsim/gfc/internal/analytic"
 	"github.com/gfcsim/gfc/internal/runner"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -349,6 +351,82 @@ func TestAutoSweepKillResumeBitIdentical(t *testing.T) {
 		if resProv[i] != fullProv[i] {
 			t.Errorf("provenance diverged at %d: resumed %+v vs uninterrupted %+v",
 				i, resProv[i], fullProv[i])
+		}
+	}
+}
+
+// TestTriageBoundaries drives each of the five analytic boundaries through
+// the one triage function and pins that both consumers carry its reason
+// verbatim: auto mode as the packet re-run's Escalation, degraded mode as
+// the "cannot degrade: " refusal. Unsupported, cyclic-CBD and within-band
+// are real cells of the escalation golden's sweep; a GFC fluid run never
+// deadlocks or drops, so those two contradictions are fed to the verdict
+// function directly.
+func TestTriageBoundaries(t *testing.T) {
+	pred := &analytic.Prediction{DeadlockFree: true, Lossless: true, MaxOccupancy: 100 * units.KB}
+	lossy := &analytic.Prediction{DeadlockFree: true, MaxOccupancy: 100 * units.KB}
+	band := 10 * units.KB
+	for _, tc := range []struct {
+		name string
+		pred *analytic.Prediction
+		fres ScenarioResult
+		want string
+	}{
+		{"fluid deadlock", pred, ScenarioResult{Deadlocked: true}, escalateDeadlock},
+		{"fluid loss", pred, ScenarioResult{Drops: 1}, escalateLoss},
+		{"loss not predicted lossless", lossy, ScenarioResult{Drops: 1}, ""},
+		{"within band", pred, ScenarioResult{HighWater: 90 * units.KB}, escalateBoundary},
+		{"clear of the envelope", pred, ScenarioResult{HighWater: 89 * units.KB}, ""},
+	} {
+		if got := verdictBoundary(tc.pred, &tc.fres, band); got != tc.want {
+			t.Errorf("%s: boundary %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
+	cfg := autoSweepConfig()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		fc   FC
+		job  int
+		want string // reason prefix; "" means the fluid verdict stands
+	}{
+		{CBFC, 0, escalateUnsupported + ": "},
+		{PFC, 0, escalateCyclic},
+		{GFCBuf, 5, escalateBoundary},
+		{GFCBuf, 0, ""},
+	} {
+		topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(tc.job))
+		if !prone {
+			t.Fatalf("%s cell %d is not CBD-prone", tc.fc, tc.job)
+		}
+		seed := cfg.Seed*1000 + int64(tc.job)
+		_, reason, err := triageRepeat(ctx, topo, tab, tc.fc, cfg, seed)
+		if err != nil {
+			t.Fatalf("%s cell %d: %v", tc.fc, tc.job, err)
+		}
+		if (reason == "") != (tc.want == "") || !strings.HasPrefix(reason, tc.want) {
+			t.Fatalf("%s cell %d: triage reason %q, want prefix %q", tc.fc, tc.job, reason, tc.want)
+		}
+		ares, err := runAutoRepeat(ctx, topo, tab, tc.fc, cfg, seed)
+		if err != nil {
+			t.Fatalf("%s cell %d auto: %v", tc.fc, tc.job, err)
+		}
+		dres, derr := runDegradedRepeat(ctx, topo, tab, tc.fc, cfg, seed)
+		if reason == "" {
+			if ares.Backend != "fluid" || ares.Escalation != "" {
+				t.Errorf("%s cell %d: auto did not keep the fluid verdict: %+v", tc.fc, tc.job, ares)
+			}
+			if derr != nil || dres.Escalation != DegradedEscalation {
+				t.Errorf("%s cell %d: degrade refused a standing verdict: %v", tc.fc, tc.job, derr)
+			}
+			continue
+		}
+		if ares.Backend != "packet" || ares.Escalation != reason {
+			t.Errorf("%s cell %d: auto escalation %q on %q, want %q on packet",
+				tc.fc, tc.job, ares.Escalation, ares.Backend, reason)
+		}
+		if derr == nil || derr.Error() != "cannot degrade: "+reason {
+			t.Errorf("%s cell %d: degrade refusal %v, want %q", tc.fc, tc.job, derr, "cannot degrade: "+reason)
 		}
 	}
 }

@@ -51,70 +51,24 @@ func ClassifyCellFailure(err error) runner.FailureClass {
 // across resumes regardless of how the original failure rendered.
 const DegradedEscalation = "degraded-fidelity fallback"
 
-// Degradation refusal reasons: each names the invariant that forbids
-// trusting a fluid-only result for the cell, mirroring the auto-mode
-// escalation taxonomy — but where auto escalates to packet fidelity, a
-// degrading cell has already lost packet fidelity, so the cell quarantines.
-const (
-	degradeUnsupported = "cannot degrade: scheme not fluid-representable"
-	degradeCyclic      = "cannot degrade: deadlock-capable scheme on cyclic CBD needs packet fidelity"
-	degradeDeadlock    = "cannot degrade: fluid deadlock contradicts analytic deadlock-freedom"
-	degradeLoss        = "cannot degrade: fluid loss contradicts analytic losslessness"
-	degradeBoundary    = "cannot degrade: occupancy within tolerance band of analytic envelope"
-)
-
 // runDegradedRepeat recomputes one repeat on the fluid backend after the
-// packet path exhausted its retry budget. The PR 9 differential tolerance
-// band is enforced as a runtime invariant from the fluid side: the fallback
-// result stands only where the analytic model vouches for the fluid verdict
-// on its own — the scheme is provably deadlock-free on this cell, the fluid
-// run contradicts no analytic prediction, and the occupancy sits clear of
-// the envelope boundary (within the band, only a packet re-run could decide,
-// and packet fidelity is exactly what this cell cannot afford).
+// packet path exhausted its retry budget. The fallback result stands only
+// where the analytic model vouches for the fluid verdict on its own — no
+// triage boundary applies (see triageRepeat). Where auto mode would escalate
+// to packet fidelity, a degrading cell has already lost packet fidelity, so
+// it refuses with the same reason and the cell quarantines. The
+// failure-injection hook deliberately does not apply here: it models
+// primary-path host trouble.
 func runDegradedRepeat(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
-	r, pred, err := buildFluidRepeat(topo, tab, fc, cfg, repeatSeed)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", degradeUnsupported, err)
-	}
-	if !pred.DeadlockFree {
-		return nil, errors.New(degradeCyclic)
-	}
-	fres, err := finishFluidRepeat(ctx, r, pred, topo, cfg)
+	fres, reason, err := triageRepeat(ctx, topo, tab, fc, cfg, repeatSeed)
 	if err != nil {
 		return nil, err
 	}
-	band := cellBand(topo)
-	switch {
-	case fres.Deadlocked:
-		return nil, errors.New(degradeDeadlock)
-	case fres.Drops > 0 && pred.Lossless:
-		return nil, errors.New(degradeLoss)
-	case pred.MaxOccupancy > 0 && pred.MaxOccupancy-fres.HighWater <= band:
-		return nil, errors.New(degradeBoundary)
+	if reason != "" {
+		return nil, errors.New("cannot degrade: " + reason)
 	}
 	fres.Escalation = DegradedEscalation
 	return fres, nil
-}
-
-// runDegradedCell is the Options.Degrade hook of a sweep: it recomputes the
-// whole cell (every repeat) at fluid fidelity with the same seeds the
-// packet path used, so a degraded cell is deterministic for its
-// (seed, config) like any other. The failure-injection hook deliberately
-// does not apply here: it models primary-path host trouble.
-func runDegradedCell(ctx context.Context, fc FC, cfg SweepConfig, job int) (*scenarioOutcome, error) {
-	topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(job))
-	if !prone {
-		return nil, nil
-	}
-	sc := &scenarioOutcome{Repeats: make([]*ScenarioResult, cfg.Repeats)}
-	for r := 0; r < cfg.Repeats; r++ {
-		res, err := runDegradedRepeat(ctx, topo, tab, fc, cfg, cfg.Seed*1000+int64(job*cfg.Repeats+r))
-		if err != nil {
-			return nil, fmt.Errorf("repeat %d: %w", r, err)
-		}
-		sc.Repeats[r] = res
-	}
-	return sc, nil
 }
 
 // CellRetries is one cell's absorbed-retry record, folded from the runner's

@@ -86,8 +86,8 @@ type FaultMatrixConfig struct {
 	// with Refresh 0 so it matches the golden fig9 traces. Default τ
 	// (90 µs), bounding feedback staleness at roughly one reaction budget.
 	Refresh units.Time
-	// Ctx and Budget govern each cell's run (see RingConfig); left zero,
-	// cells run ungoverned as they always have.
+	// Ctx and Budget govern each cell's run (see RingConfig): a nil Ctx
+	// means context.Background(), the zero Budget imposes no bounds.
 	Ctx    context.Context
 	Budget netsim.Budget
 	// Retry is the transient-failure retry policy applied per cell under
@@ -124,6 +124,9 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	if cfg.Refresh == 0 {
 		cfg.Refresh = 90 * units.Microsecond
 	}
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background()
+	}
 	topo := RingTopology(cfg.HostsPerSwitch)
 
 	var cells []FaultCell
@@ -140,17 +143,13 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 			}
 		}
 		for si, fc := range cfg.Schemes {
-			ctx := cfg.Ctx
-			if ctx == nil {
-				ctx = context.Background()
-			}
 			// Each attempt rebuilds its registry and simulation from
 			// scratch, so a retried cell is bit-identical to a clean
 			// first run; the backoff seed is the cell's position, making
 			// retry sequencing reproducible across runs.
 			var reg *metrics.Registry
 			cellSeed := cfg.Seed*1000 + int64(len(cells))*10 + int64(si)
-			res, prov, err := runner.Supervise(ctx, cellSeed, cfg.Retry, ClassifyCellFailure,
+			res, prov, err := runner.Supervise(cfg.Ctx, cellSeed, cfg.Retry, ClassifyCellFailure,
 				func(ctx context.Context) (*RingResult, error) {
 					reg = metrics.New(metrics.Options{})
 					ring := RingConfig{

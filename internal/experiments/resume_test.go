@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -162,5 +163,74 @@ func TestSweepQuarantinesBudgetBlownCells(t *testing.T) {
 	}
 	if res2.FailureSummary() != sum {
 		t.Fatal("failure summary not deterministic across runs")
+	}
+}
+
+// sweepRuntimeKnobs are the SweepConfig fields that change how cells run,
+// not what they compute, and therefore stay out of SweepKey. Every other
+// field is result-determining and must be rendered in the key.
+var sweepRuntimeKnobs = map[string]bool{
+	"Workers": true, "Budget": true, "JobTimeout": true,
+	"Checkpoint": true, "Retry": true, "failInject": true,
+}
+
+// perturb changes v to a different valid value of its type.
+func perturb(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 0.125)
+	case reflect.String:
+		v.SetString(v.String() + "fluid")
+	case reflect.Struct:
+		perturb(t, v.Field(0))
+	default:
+		t.Fatalf("perturb: no rule for kind %v; teach the test about the new field type", v.Kind())
+	}
+}
+
+// TestSweepKeyCoversEveryField walks SweepConfig by reflection: changing a
+// result-determining field must change the checkpoint key (a sweep must never
+// replay cells computed under a different configuration — the analytic
+// checker on vs off, a degrading vs a strict sweep, another backend), and
+// changing a runtime knob must not (retrying or re-budgeting recomputes the
+// same deterministic values, so it must not split the checkpoint namespace).
+// A new field lands on one side or the other, or this test fails.
+func TestSweepKeyCoversEveryField(t *testing.T) {
+	base := resumeSweepConfig()
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		t.Run(name, func(t *testing.T) {
+			cfg := base
+			if name == "failInject" { // unexported: reflection may not set it
+				cfg.failInject = func(int, int) error { return nil }
+			} else {
+				perturb(t, reflect.ValueOf(&cfg).Elem().Field(i))
+			}
+			changed := SweepKey(PFC, cfg) != SweepKey(PFC, base)
+			if knob := sweepRuntimeKnobs[name]; changed == knob {
+				t.Errorf("runtime knob = %v but changing the field changes the key = %v:\n%s\n%s",
+					knob, changed, SweepKey(PFC, base), SweepKey(PFC, cfg))
+			}
+		})
+	}
+	for name := range sweepRuntimeKnobs {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("runtime-knob list names %q, which SweepConfig no longer has", name)
+		}
+	}
+	if SweepKey(PFC, base) == SweepKey(GFCBuf, base) {
+		t.Error("the scheme is not part of the key")
+	}
+	packet := base
+	packet.Backend = "packet"
+	if SweepKey(PFC, base) != SweepKey(PFC, packet) {
+		t.Error(`Backend "" and "packet" are the same engine but key differently`)
 	}
 }

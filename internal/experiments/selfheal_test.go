@@ -249,7 +249,7 @@ func TestSweepDegradeQuarantinesUnsupported(t *testing.T) {
 		if !strings.Contains(f.Err, "injected host stall") {
 			t.Fatalf("cell %d failure %q lost the original cause", f.Job, f.Err)
 		}
-		if !strings.Contains(f.Err, "not fluid-representable") {
+		if !strings.Contains(f.Err, "cannot degrade: "+escalateUnsupported) {
 			t.Fatalf("cell %d failure %q does not name the degradation refusal", f.Job, f.Err)
 		}
 	}
@@ -260,24 +260,44 @@ func TestSweepDegradeQuarantinesUnsupported(t *testing.T) {
 	}
 }
 
-// TestSweepKeyDegradeDistinct pins that degrading changes the checkpoint
-// identity: degraded cells hold fluid-computed values, so a degrading sweep
-// must never replay a non-degrading sweep's checkpoint (and vice versa).
-func TestSweepKeyDegradeDistinct(t *testing.T) {
+// TestTransientQuarantineRecomputesOnResume pins that a host-condition
+// quarantine is not durable: budgets and deadlines are not part of the sweep
+// key, so a cell that exhausted its retries on transient failures must be
+// recomputed — not replayed as a failure — when the sweep is resumed under
+// better conditions.
+func TestTransientQuarantineRecomputesOnResume(t *testing.T) {
 	cfg := selfHealSweepConfig()
-	plain := SweepKey(GFCBuf, cfg)
-	cfg.Degrade = true
-	degraded := SweepKey(GFCBuf, cfg)
-	if plain == degraded {
-		t.Fatal("SweepKey ignores Degrade")
+	cfg.Networks = 6
+	ref, err := RunSweep(context.Background(), PFC, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(degraded, "degrade=1") {
-		t.Fatalf("degrading key %q does not mark the fallback", degraded)
+
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "sweep.ckpt")
+	cfg.failInject = func(job, attempt int) error {
+		if job%3 == 1 {
+			return fmt.Errorf("injected host stall on cell %d attempt %d: %w",
+				job, attempt, context.DeadlineExceeded)
+		}
+		return nil
 	}
-	// Retry, by contrast, is a runtime knob: retrying recomputes the same
-	// deterministic value, so it must NOT split the checkpoint namespace.
-	cfg.Retry.Max = 99
-	if got := SweepKey(GFCBuf, cfg); got != degraded {
-		t.Fatalf("SweepKey depends on the retry policy: %q != %q", got, degraded)
+	res, err := RunSweep(context.Background(), PFC, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 2 {
+		t.Fatalf("%d cells quarantined, want the 2 afflicted ones: %s", len(res.Failures), res.FailureSummary())
+	}
+
+	cfg.failInject = nil
+	resumed, err := RunSweep(context.Background(), PFC, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed.Failures) != 0 {
+		t.Fatalf("resume replayed transient quarantines instead of recomputing:\n%s", resumed.FailureSummary())
+	}
+	if a, b := aggHash(resumed), aggHash(ref); a != b {
+		t.Fatalf("resumed aggregate %016x != clean run %016x", a, b)
 	}
 }

@@ -67,7 +67,7 @@ type SweepConfig struct {
 	// occupancy within the differential tolerance band of its envelope, a
 	// deadlock/loss verdict the analytic model contradicts, or a scheme
 	// whose cyclic-CBD behaviour fluid cannot represent. Part of the
-	// SweepKey for the non-packet engines: fluid and packet cells never
+	// SweepKey ("" keyed as packet): sweeps on different engines never
 	// share a checkpoint.
 	Backend string
 	// Retry is the transient-failure retry policy: cells that trip a
@@ -166,11 +166,11 @@ type ScenarioResult struct {
 	// HighWater is the repeat's maximum switch-channel occupancy — the
 	// signal auto-mode triage compares against the analytic envelope.
 	HighWater units.Size `json:"high_water,omitempty"`
-	// Backend records which engine produced the repeat: "" (historic
-	// checkpoints) and "packet" mean netsim, "fluid" the network-of-queues
-	// solver. Riding the checkpoint entry is what keeps an auto-mode
-	// resume bit-identical: a replayed cell keeps the provenance of the
-	// run that computed it rather than re-triaging.
+	// Backend records which engine produced the repeat: "packet" (netsim)
+	// or "fluid" (the network-of-queues solver). Riding the checkpoint
+	// entry is what keeps an auto-mode resume bit-identical: a replayed
+	// cell keeps the provenance of the run that computed it rather than
+	// re-triaging.
 	Backend string `json:"backend,omitempty"`
 	// Escalation, set only on auto-mode packet re-runs, names the analytic
 	// boundary that forced the escalation.
@@ -289,40 +289,67 @@ func sweepSpec(fc FC, cfg SweepConfig, repeatSeed int64) scenario.Spec {
 	}
 }
 
-// RunScenario executes one workload repetition on a prepared scenario. The
-// topology and routing table are supplied prebuilt (sweeps reuse them across
-// repeats), so the Spec's topology section is documentation only. The run is
-// governed: ctx cancellation and cfg.Budget are enforced via
-// netsim.RunBounded, and a tripped governor surfaces as a *netsim.RunError.
-func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
-	spec := sweepSpec(fc, cfg, repeatSeed)
-	// The metrics registry supplies the feedback-byte accounting the
-	// bespoke Trace closure used to keep.
-	reg := metrics.New(metrics.Options{})
-	// Every simulated cell passed the CBD pre-filter, so the dependency
-	// verdict is cyclic by construction — hand it to the analytic
-	// predictor instead of recomputing the all-pairs graph per repeat.
+// repeatOverrides are the runtime hooks every sweep repeat builds with: the
+// prebuilt topology and routing table (sweeps reuse them across repeats, so
+// the Spec's topology section is documentation only), a fresh registry, and
+// the CBD verdict — every simulated cell passed the pre-filter, so it is
+// cyclic by construction and the analytic predictor need not recompute the
+// all-pairs graph per repeat.
+func repeatOverrides(topo *topology.Topology, tab *routing.Table) *scenario.Overrides {
 	cyclic := true
-	sim, err := scenario.Build(spec, &scenario.Overrides{
-		Topo: topo, Table: tab, Metrics: reg, CBDCyclic: &cyclic,
-	})
+	return &scenario.Overrides{
+		Topo: topo, Table: tab, Metrics: metrics.New(metrics.Options{}), CBDCyclic: &cyclic,
+	}
+}
+
+// runRepeat runs a built repeat on either backend under the governor (ctx
+// cancellation and cfg.Budget; a trip surfaces as a *netsim.RunError) and
+// translates its scenario.Result into sweep terms. An analytic violation
+// returns the translated result alongside the error, so auto-mode triage
+// can still compare occupancies.
+func runRepeat(ctx context.Context, r scenario.Runner, topo *topology.Topology, cfg SweepConfig) (*ScenarioResult, error) {
+	run, err := r.RunBounded(ctx, cfg.Budget)
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
-	gen := sim.Gen
-	if err := net.RunBounded(ctx, cfg.Duration, cfg.Budget); err != nil {
+	res := &ScenarioResult{
+		Backend:       run.Backend,
+		Deadlocked:    run.Deadlocked,
+		DeadlockAt:    run.DeadlockAt,
+		Drops:         run.Drops,
+		HighWater:     run.HighWater,
+		HostBandwidth: units.RateOf(run.Delivered, cfg.Duration) / units.Rate(len(topo.Hosts())),
+	}
+	if cfg.Analytic {
+		if run.Analytic.Err != nil {
+			return res, fmt.Errorf("analytic check: %w", run.Analytic.Err)
+		}
+		pred := run.Analytic.Prediction
+		res.Analytic = &AnalyticVerdict{
+			DeadlockFree: pred.DeadlockFree,
+			Lossless:     pred.Lossless,
+			MaxOccupancy: pred.MaxOccupancy,
+			HighWater:    run.HighWater,
+			MaxDelivered: pred.MaxDelivered,
+			Delivered:    run.Delivered,
+		}
+	}
+	return res, nil
+}
+
+// RunScenario executes one workload repetition on a prepared scenario at
+// packet fidelity, adding what only the packet engine observes: per-flow
+// slowdowns and the feedback share of fabric capacity.
+func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
+	sim, err := scenario.Build(sweepSpec(fc, cfg, repeatSeed), repeatOverrides(topo, tab))
+	if err != nil {
 		return nil, err
 	}
-
-	res := &ScenarioResult{Drops: net.Drops()}
-	if rep := sim.Detector.Deadlocked(); rep != nil {
-		res.Deadlocked = true
-		res.DeadlockAt = rep.At
+	res, err := runRepeat(ctx, sim, topo, cfg)
+	if err != nil {
+		return nil, err
 	}
-	hosts := len(topo.Hosts())
-	res.HostBandwidth = units.RateOf(net.TotalDelivered(), cfg.Duration) / units.Rate(hosts)
-	for _, f := range gen.Completed {
+	for _, f := range sim.Gen.Completed {
 		ideal := routing.PathLatency(f.Path, 1500*units.Byte) +
 			units.TransmissionTime(f.Size, 10*units.Gbps)
 		res.Slowdowns = append(res.Slowdowns, stats.Slowdown(f.FCT(), ideal))
@@ -336,26 +363,7 @@ func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Tabl
 		}
 	}
 	if capBits > 0 {
-		res.FeedbackFraction = float64(reg.Summary().FeedbackWire.Bits()) / capBits
-	}
-	res.HighWater = reg.SwitchHighWater()
-	if cfg.Analytic {
-		pred, verr := sim.VerifyAnalytic(&scenario.Result{
-			End:        net.Now(),
-			Delivered:  net.TotalDelivered(),
-			Deadlocked: res.Deadlocked,
-		})
-		if verr != nil {
-			return nil, fmt.Errorf("analytic check: %w", verr)
-		}
-		res.Analytic = &AnalyticVerdict{
-			DeadlockFree: pred.DeadlockFree,
-			Lossless:     pred.Lossless,
-			MaxOccupancy: pred.MaxOccupancy,
-			HighWater:    reg.SwitchHighWater(),
-			MaxDelivered: pred.MaxDelivered,
-			Delivered:    net.TotalDelivered(),
-		}
+		res.FeedbackFraction = float64(sim.Metrics.Summary().FeedbackWire.Bits()) / capBits
 	}
 	return res, nil
 }
@@ -373,32 +381,49 @@ type scenarioOutcome struct {
 // SweepKey identifies the result-determining configuration of a sweep — the
 // spec hash written into every checkpoint entry. Two sweeps share a key iff
 // their job lists compute the same results, which is what makes a recorded
-// cell safe to replay. Runtime knobs (workers, budgets, checkpoint path)
-// deliberately stay out: they change how cells run, not what they compute.
+// cell safe to replay. Every result-determining field is rendered
+// unconditionally; runtime knobs (workers, budgets, retry policy, checkpoint
+// path) deliberately stay out: they change how cells run, not what they
+// compute. TestSweepKeyCoversEveryField holds every SweepConfig field to one
+// side or the other.
 func SweepKey(fc FC, cfg SweepConfig) string {
-	key := fmt.Sprintf("table1/fc=%v/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/sched=%s/fph=%d",
+	backend := cfg.Backend
+	if backend == "" {
+		backend = "packet"
+	}
+	return fmt.Sprintf("table1/fc=%v/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/sched=%s/fph=%d/analytic=%t/backend=%s/degrade=%t",
 		fc, cfg.K, cfg.Networks, cfg.Repeats, cfg.FailureProb,
-		int64(cfg.Duration), cfg.Seed, cfg.Scheduling.String(), cfg.FlowsPerHost)
-	if cfg.Analytic {
-		// Appended only when on, so checkpoints recorded before the
-		// checker existed keep their identity for plain sweeps.
-		key += "/analytic=1"
-	}
-	if cfg.Backend != "" && cfg.Backend != "packet" {
-		// Same append-only convention: packet sweeps keep their historic
-		// identity, fluid/auto sweeps get their own.
-		key += "/backend=" + cfg.Backend
-	}
-	if cfg.Degrade {
-		// Degraded cells carry fluid-computed values, so a degrading sweep
-		// must not replay (or be replayed by) a strict one.
-		key += "/degrade=1"
-	}
-	return key
+		int64(cfg.Duration), cfg.Seed, cfg.Scheduling.String(), cfg.FlowsPerHost,
+		cfg.Analytic, backend, cfg.Degrade)
 }
 
 // seedOf is the base RNG seed of scenario i, recorded in checkpoint entries.
 func (cfg SweepConfig) seedOf(i int) int64 { return cfg.Seed + int64(i) }
+
+// repeatFunc runs one workload repetition of a sweep cell: RunScenario,
+// RunScenarioFluid, runAutoRepeat or runDegradedRepeat.
+type repeatFunc func(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error)
+
+// runCell computes sweep cell job: generate the topology, skip it (nil
+// outcome) unless CBD-prone, then run every repeat through repeat. Repeat
+// seeds are a function of (sweep seed, job, repeat) alone, so whichever
+// repeat function recomputes a cell — the primary path, a retry, or the
+// degraded-fidelity fallback — sees the same workloads.
+func runCell(ctx context.Context, fc FC, cfg SweepConfig, job int, repeat repeatFunc) (*scenarioOutcome, error) {
+	topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(job))
+	if !prone {
+		return nil, nil
+	}
+	sc := &scenarioOutcome{Repeats: make([]*ScenarioResult, cfg.Repeats)}
+	for r := 0; r < cfg.Repeats; r++ {
+		res, err := repeat(ctx, topo, tab, fc, cfg, cfg.Seed*1000+int64(job*cfg.Repeats+r))
+		if err != nil {
+			return nil, fmt.Errorf("repeat %d: %w", r, err)
+		}
+		sc.Repeats[r] = res
+	}
+	return sc, nil
+}
 
 // RunSweep executes the Table 1 experiment for one scheme at one scale.
 // Scenario generation is shared across schemes via the seed, so — like the
@@ -428,15 +453,12 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 			return nil, err
 		}
 	}
-	runRepeat := func(ctx context.Context, topo *topology.Topology, tab *routing.Table, seed int64) (*ScenarioResult, error) {
-		switch cfg.Backend {
-		case "fluid":
-			return RunScenarioFluid(ctx, topo, tab, fc, cfg, seed)
-		case "auto":
-			return runAutoRepeat(ctx, topo, tab, fc, cfg, seed)
-		default:
-			return RunScenario(ctx, topo, tab, fc, cfg, seed)
-		}
+	repeat := RunScenario
+	switch cfg.Backend {
+	case "fluid":
+		repeat = RunScenarioFluid
+	case "auto":
+		repeat = runAutoRepeat
 	}
 	jobs := make([]runner.Job[*scenarioOutcome], cfg.Networks)
 	for i := 0; i < cfg.Networks; i++ {
@@ -449,19 +471,7 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 					return nil, err
 				}
 			}
-			topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(i))
-			if !prone {
-				return nil, nil
-			}
-			sc := &scenarioOutcome{Repeats: make([]*ScenarioResult, cfg.Repeats)}
-			for r := 0; r < cfg.Repeats; r++ {
-				res, err := runRepeat(ctx, topo, tab, cfg.Seed*1000+int64(i*cfg.Repeats+r))
-				if err != nil {
-					return nil, fmt.Errorf("repeat %d: %w", r, err)
-				}
-				sc.Repeats[r] = res
-			}
-			return sc, nil
+			return runCell(ctx, fc, cfg, i, repeat)
 		}
 	}
 	opts := runner.Options[*scenarioOutcome]{
@@ -474,7 +484,7 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 	if cfg.Degrade && cfg.Backend != "fluid" {
 		// A pure-fluid sweep has nothing lower-fidelity to fall back to.
 		opts.Degrade = func(ctx context.Context, job int, _ error) (*scenarioOutcome, error) {
-			return runDegradedCell(ctx, fc, cfg, job)
+			return runCell(ctx, fc, cfg, job, runDegradedRepeat)
 		}
 	}
 	out := &SweepResult{FC: fc, K: cfg.K}

@@ -946,3 +946,21 @@ func TestRateLimiterNeverBoundary(t *testing.T) {
 		t.Fatalf("in-range countdown = %v, want 2400", got)
 	}
 }
+
+// TestControlFrameIsEthernetMinimum pins the frame size the §4.2 overhead
+// analysis (m = 64 B) and the Figure 19 feedback-bandwidth accounting rest
+// on. The Figure 7 PFC layout — destination and source addresses, MAC-control
+// EtherType, opcode, class-enable vector, eight 16-bit Time fields, which GFC
+// repurposes as per-priority stage IDs (§5.1) — is 34 bytes, so every control
+// frame travels padded to the 64-byte Ethernet minimum, whatever it carries.
+func TestControlFrameIsEthernetMinimum(t *testing.T) {
+	const ethernetMin = 64 * units.Byte
+	if MessageSize != ethernetMin {
+		t.Fatalf("MessageSize = %v, want the %v Ethernet minimum", MessageSize, ethernetMin)
+	}
+	for k := KindPause; k <= KindQueueResume; k++ {
+		if got := (Message{Kind: k, Stage: 7, FCCL: 1 << 40, Queue: units.MB}).Wire(); got != MessageSize {
+			t.Errorf("%v frame is %v on the wire, want %v", k, got, MessageSize)
+		}
+	}
+}

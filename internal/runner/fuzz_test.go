@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,13 +10,15 @@ import (
 
 // FuzzCheckpointStore throws arbitrary bytes at OpenStore: whatever a crash,
 // a disk hiccup or a hostile editor left in the checkpoint file, reopening
-// must never panic or error, must salvage only CRC-clean entries, and must
-// leave the file appendable — a subsequent Record followed by a reopen sees
-// both the salvaged prefix and the new entry.
+// must never panic. Below the v2 header line it must never error either: it
+// salvages only CRC-clean entries and leaves the file appendable — a
+// subsequent Record followed by a reopen sees both the salvaged prefix and
+// the new entry. Anything else either opens (an empty file, a torn header)
+// or is refused with ErrCheckpointFormat and left byte-identical.
 //
 // The seed corpus covers the interesting shapes: a clean v2 file, a torn
-// tail, a mid-file bit flip, a legacy v1 file, and plain garbage. The fuzzer
-// mutates from there (truncations, splices, flips).
+// tail, a mid-file bit flip, a headerless v1 file, and plain garbage. The
+// fuzzer mutates from there (truncations, splices, flips).
 func FuzzCheckpointStore(f *testing.F) {
 	mk := func(build func(st *Store)) []byte {
 		path := filepath.Join(f.TempDir(), "seed.ckpt")
@@ -42,7 +46,7 @@ func FuzzCheckpointStore(f *testing.F) {
 	flipped := append([]byte(nil), clean...)
 	flipped[len(flipped)/2] ^= 0x20 // mid-file bit flip
 	f.Add(flipped)
-	f.Add([]byte(`{"job":0,"key":"k","seed":1,"value":{"n":0}}` + "\n")) // legacy v1
+	f.Add([]byte(`{"job":0,"key":"k","seed":1,"value":{"n":0}}` + "\n")) // headerless v1
 	f.Add([]byte("\x00\xff garbage\nmore garbage"))
 	f.Add([]byte(`{"gfc_checkpoint":2,"crc":"ieee"}` + "\n"))
 	f.Add([]byte{})
@@ -54,7 +58,13 @@ func FuzzCheckpointStore(f *testing.F) {
 		}
 		st, err := OpenStore(path, "k")
 		if err != nil {
-			t.Fatalf("OpenStore errored on corrupt input: %v", err)
+			if bytes.HasPrefix(data, []byte(storeHeader)) || !errors.Is(err, ErrCheckpointFormat) {
+				t.Fatalf("OpenStore errored on corrupt input: %v", err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+				t.Fatalf("refused file was modified: %q, was %q", got, data)
+			}
+			return
 		}
 		salvaged := st.Done()
 		// The store must stay usable: record a fresh cell on top of

@@ -26,7 +26,9 @@ const (
 	ClassDeterministic FailureClass = iota
 	// ClassTransient failures are host-condition verdicts — wall-clock
 	// budget trips, per-job deadlines, OOM-guard trips — that a retry
-	// under lighter load may clear.
+	// under lighter load may clear. A cell quarantined on one is not
+	// checkpointed, so a resume (perhaps with a larger budget) recomputes
+	// it.
 	ClassTransient
 	// ClassSkip marks outcomes that are not verdicts on the cell at all
 	// (context cancellation): no retry, no checkpoint record, so a

@@ -85,8 +85,8 @@ type Options[T any] struct {
 	JobTimeout time.Duration
 	// Checkpoint, when non-nil, is consulted before each job (a recorded
 	// cell is replayed, not recomputed) and appended to as cells complete.
-	// Jobs skipped by cancellation are NOT recorded, so a resumed sweep
-	// re-runs them.
+	// Jobs skipped by cancellation or quarantined on a transient failure
+	// are NOT recorded, so a resumed sweep re-runs them.
 	Checkpoint *Store
 	// Seed, when non-nil, supplies the seed recorded in checkpoint
 	// entries for job i; it also derives the cell's backoff jitter, which
@@ -189,7 +189,13 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 	if res.Err != nil {
 		res.Err = fmt.Errorf("job %d: %w", i, res.Err)
 	}
-	if cp := opts.Checkpoint; cp != nil && !skipRecord(res.Err) {
+	// Only verdicts on the cell are durable: successes (however many
+	// retries or whatever fidelity they took) and deterministic failures,
+	// which would reproduce. A cancellation is no verdict, and a transient
+	// quarantine is a verdict on the host — budgets are not part of the
+	// sweep key, so recording it would make a resume with a larger budget
+	// replay the failure instead of recomputing the cell.
+	if cp := opts.Checkpoint; cp != nil && (res.Err == nil || classify(res.Err) == ClassDeterministic) {
 		// A failed write must not corrupt the in-memory result; the
 		// checkpoint is best-effort durability, not the source of truth.
 		_ = cp.Record(i, seed, res.Value, res.Err, res.Prov)
@@ -235,14 +241,6 @@ func degradeJob[T any](ctx context.Context, i int, cause error, prov *Provenance
 		Err:  fmt.Errorf("%w; degraded-fidelity fallback failed: %v", cause, dres.Err),
 		Prov: prov,
 	}
-}
-
-// skipRecord reports whether a job outcome must stay out of the checkpoint:
-// a cancellation skip is not a verdict on the cell, so a resumed sweep has
-// to re-run it. Per-job deadline blows are real verdicts
-// (context.DeadlineExceeded, not Canceled) and are recorded.
-func skipRecord(err error) bool {
-	return err != nil && errors.Is(err, context.Canceled)
 }
 
 // replay converts a checkpoint entry back into a Result. The recorded error

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,20 +23,21 @@ import (
 // valid prefix: scanning stops at the first corrupt line, everything after
 // it is truncated away (those cells recompute, which is cheap and always
 // correct), and the damage is reported via Salvage instead of crashing.
-// Headerless v1 files (written before the CRC format) still load with the
-// old tolerant scan and keep appending v1 lines, so existing checkpoints
-// stay resumable.
+// Salvage only ever applies below a valid header: a file whose first line is
+// anything else is not ours to repair, and OpenStore refuses it untouched
+// with ErrCheckpointFormat.
 
-// storeVersion is the checkpoint format this build writes.
-const storeVersion = 2
+// storeHeader is the exact first line of every checkpoint file: format
+// version 2, the one this build reads and writes. The field name doubles as
+// the magic.
+const storeHeader = `{"gfc_checkpoint":2,"crc":"ieee"}` + "\n"
 
-// storeHeader is the first line of a v2+ checkpoint file. The field name
-// doubles as the magic: v1 files start with an entry object that has no
-// "gfc_checkpoint" key.
-type storeHeader struct {
-	Version int    `json:"gfc_checkpoint"`
-	CRC     string `json:"crc,omitempty"`
-}
+// ErrCheckpointFormat is returned (wrapped) by OpenStore for a non-empty
+// file that does not start with this build's header line: a headerless v1
+// checkpoint, a future format version, a header damaged on disk, or simply
+// the wrong file. The file is left byte-identical — delete it or pick
+// another path to start the sweep fresh.
+var ErrCheckpointFormat = errors.New("not a v2 checkpoint file")
 
 // envelope is one v2 entry line: the entry's JSON plus its CRC32-IEEE.
 // The CRC covers the exact bytes of E as written, so any mutation — a bit
@@ -78,22 +80,20 @@ type Salvage struct {
 // Store is a checkpoint file opened for resume-and-append. Record is safe
 // for concurrent use by pool workers.
 type Store struct {
-	mu   sync.Mutex
-	f    *os.File
-	key  string
-	done map[int]Entry
-	// legacy marks a headerless v1 file: appends stay in v1 format so the
-	// whole file remains consistently parseable by either reader.
-	legacy  bool
+	mu      sync.Mutex
+	f       *os.File
+	key     string
+	done    map[int]Entry
 	salvage Salvage
 }
 
 // OpenStore opens (creating if absent) the checkpoint at path for the sweep
 // identified by key. Existing entries with a matching key become replayable
-// via Lookup. Corruption never fails the open: a torn final line, a CRC
-// mismatch or an unparseable line drops the damaged suffix (v2) or line
-// (v1), the store truncates to the salvaged prefix so appends stay
-// parseable, and Salvage reports what was lost.
+// via Lookup. Below a valid header, corruption never fails the open: a torn
+// final line, a CRC mismatch or an unparseable line drops the damaged
+// suffix, the store truncates to the salvaged prefix so appends stay
+// parseable, and Salvage reports what was lost. A file that does not start
+// with the v2 header fails with ErrCheckpointFormat and is not modified.
 func OpenStore(path, key string) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -104,14 +104,22 @@ func OpenStore(path, key string) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("runner: reading checkpoint %s: %w", path, err)
 	}
+	header := []byte(storeHeader)
+	// A kill during the very first write can leave a torn header; anything
+	// else that is not the header line is somebody else's file.
+	if !bytes.HasPrefix(data, header) && !bytes.HasPrefix(header, data) {
+		f.Close()
+		return nil, fmt.Errorf("runner: checkpoint %s: %w (first line is not %s)",
+			path, ErrCheckpointFormat, bytes.TrimSpace(header))
+	}
 	s := &Store{f: f, key: key, done: make(map[int]Entry)}
 	// Anything after the last newline is a torn write from a killed sweep.
 	valid := bytes.LastIndexByte(data, '\n') + 1
 	if valid != len(data) {
 		s.noteDrop("torn final line (mid-write kill)")
 	}
-	valid = s.scan(data[:valid])
-	if int64(valid) != int64(len(data)) || s.salvage.Dropped > 0 {
+	valid = s.scan(data[:valid], len(header))
+	if valid != len(data) {
 		if err := f.Truncate(int64(valid)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("runner: trimming corrupt checkpoint tail: %w", err)
@@ -121,8 +129,8 @@ func OpenStore(path, key string) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	if !s.legacy && valid == 0 {
-		if err := s.writeHeader(); err != nil {
+	if valid == 0 {
+		if _, err := f.Write(header); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -130,25 +138,15 @@ func OpenStore(path, key string) (*Store, error) {
 	return s, nil
 }
 
-// scan parses the whole-line region of the file, fills done, and returns
-// the byte length of the valid prefix to keep. Headerless non-empty files
-// are v1: every line is scanned and bad ones are skipped (there is no
-// integrity information to trust a prefix by). v2 files stop at the first
-// corrupt line — the CRC makes "valid so far" meaningful — and count the
-// dropped suffix.
-func (s *Store) scan(data []byte) int {
+// scan parses the entry lines of the whole-line region of the file (data,
+// whose first off bytes are the header), fills done, and returns the byte
+// length of the valid prefix to keep. It stops at the first corrupt line —
+// the CRC makes "valid so far" meaningful — and counts the dropped suffix.
+func (s *Store) scan(data []byte, off int) int {
 	if len(data) == 0 {
 		return 0
 	}
-	var hdr storeHeader
-	firstLen := bytes.IndexByte(data, '\n') + 1
-	if json.Unmarshal(data[:firstLen-1], &hdr) != nil || hdr.Version < storeVersion {
-		s.legacy = true
-		s.scanLegacy(data)
-		return len(data)
-	}
-	off := firstLen
-	end := firstLen
+	end := off
 	line := 1
 	for off < len(data) {
 		line++
@@ -183,43 +181,12 @@ func (s *Store) scan(data []byte) int {
 	return end
 }
 
-// scanLegacy is the v1 tolerant scan: skip (and count) unparseable lines,
-// ignore key mismatches, last entry per job wins.
-func (s *Store) scanLegacy(data []byte) {
-	line := 0
-	for _, raw := range bytes.Split(data, []byte{'\n'}) {
-		line++
-		if len(raw) == 0 {
-			continue
-		}
-		var e Entry
-		if json.Unmarshal(raw, &e) != nil || e.Job < 0 {
-			s.noteDrop(fmt.Sprintf("line %d: unparseable v1 entry", line))
-			continue
-		}
-		if e.Key != s.key {
-			continue
-		}
-		s.done[e.Job] = e
-	}
-}
-
 // noteDrop counts one discarded line, keeping the first reason.
 func (s *Store) noteDrop(reason string) {
 	if s.salvage.Dropped == 0 {
 		s.salvage.Reason = reason
 	}
 	s.salvage.Dropped++
-}
-
-// writeHeader stamps a fresh (or fully-salvaged-away) file as v2.
-func (s *Store) writeHeader() error {
-	line, err := json.Marshal(storeHeader{Version: storeVersion, CRC: "ieee"})
-	if err != nil {
-		return err
-	}
-	_, err = s.f.Write(append(line, '\n'))
-	return err
 }
 
 // Salvage reports what the open discarded; Dropped == 0 means the
@@ -264,12 +231,9 @@ func (s *Store) Record(job int, seed int64, value any, jobErr error, prov *Prove
 	if err != nil {
 		return err
 	}
-	line := raw
-	if !s.legacy {
-		line, err = json.Marshal(envelope{CRC: crc32.ChecksumIEEE(raw), E: raw})
-		if err != nil {
-			return err
-		}
+	line, err := json.Marshal(envelope{CRC: crc32.ChecksumIEEE(raw), E: raw})
+	if err != nil {
+		return err
 	}
 	line = append(line, '\n')
 	s.mu.Lock()

@@ -206,6 +206,44 @@ func TestCheckpointSkipsCancelledCells(t *testing.T) {
 	}
 }
 
+// TestCheckpointSkipsTransientQuarantines pins which outcomes are durable:
+// successes (first-try or retried) and deterministic failures are recorded;
+// a cell that exhausted its retries on transient failures is a verdict on
+// the host, not on the cell, and must be recomputed by a resume.
+func TestCheckpointSkipsTransientQuarantines(t *testing.T) {
+	st, err := OpenStore(filepath.Join(t.TempDir(), "sweep.ckpt"), "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	attempts := make([]int, 4)
+	jobs := make([]Job[int], 4)
+	for i := range jobs {
+		i := i
+		jobs[i] = func(context.Context) (int, error) {
+			attempts[i]++
+			switch {
+			case i == 1: // never stops stalling
+				return 0, fmt.Errorf("host stall: %w", context.DeadlineExceeded)
+			case i == 2 && attempts[i] == 1: // one stall, absorbed by the retry
+				return 0, fmt.Errorf("host stall: %w", context.DeadlineExceeded)
+			case i == 3:
+				return 0, errors.New("invariant violated")
+			}
+			return i, nil
+		}
+	}
+	res := RunWith(context.Background(), jobs, Options[int]{Workers: 1, Checkpoint: st, Retry: Retry{Max: 1}})
+	if res[1].Err == nil || res[3].Err == nil || res[2].Err != nil {
+		t.Fatalf("unexpected outcomes: %+v", res)
+	}
+	for i, want := range []bool{true, false, true, true} {
+		if _, ok := st.Lookup(i); ok != want {
+			t.Errorf("job %d recorded = %v, want %v", i, ok, want)
+		}
+	}
+}
+
 func TestCheckpointDeterministicAcrossWorkers(t *testing.T) {
 	// Same checkpoint state + same jobs must give the same result slice at
 	// any worker count, including the replayed-vs-computed partition.
@@ -297,8 +335,10 @@ func TestCheckpointV2HeaderAndEnvelope(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("file has %d lines, want header + 1 entry", len(lines))
 	}
-	var hdr storeHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil || hdr.Version != storeVersion {
+	var hdr struct {
+		Version int `json:"gfc_checkpoint"`
+	}
+	if err := json.Unmarshal(lines[0], &hdr); err != nil || hdr.Version != 2 {
 		t.Fatalf("header %s parses to %+v (err %v)", lines[0], hdr, err)
 	}
 	var env envelope
@@ -417,52 +457,54 @@ func TestCheckpointGarbageLineSalvagesPrefix(t *testing.T) {
 	}
 }
 
-func TestCheckpointLegacyV1StillLoads(t *testing.T) {
+// TestCheckpointForeignFileRefusedUntouched pins the one thing the store will
+// not repair: a non-empty file that does not start with the v2 header — a
+// headerless v1 checkpoint, a future format, a damaged header, the wrong
+// file — fails the open with ErrCheckpointFormat and keeps every byte.
+func TestCheckpointForeignFileRefusedUntouched(t *testing.T) {
+	for name, content := range map[string]string{
+		"v1 checkpoint":    `{"job":0,"key":"k","seed":10,"value":{"mean":0.5,"p99":0,"n":0}}` + "\n",
+		"future version":   `{"gfc_checkpoint":3,"crc":"ieee"}` + "\n" + `{"crc":1,"e":{}}` + "\n",
+		"damaged header":   `{"gfc_checkpoint":2,"crc":"iede"}` + "\n",
+		"text file":        "Table 1: deadlock cases\nPFC 12\n",
+		"unterminated":     "notes to self",
+		"header then junk": `{"gfc_checkpoint":2,"crc":"ieee"} trailing` + "\n",
+	} {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStore(path, "k")
+		if !errors.Is(err, ErrCheckpointFormat) {
+			if st != nil {
+				st.Close()
+			}
+			t.Fatalf("%s: OpenStore = %v, want ErrCheckpointFormat", name, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != content {
+			t.Fatalf("%s: refused file was modified:\n%q\nwas\n%q", name, got, content)
+		}
+	}
+}
+
+// TestCheckpointTornHeaderStartsFresh pins the one headerless file that is
+// ours: a kill during the very first write leaves a prefix of the header
+// line, which is a torn tail like any other.
+func TestCheckpointTornHeaderStartsFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	// A v1 checkpoint: bare entry lines, no header, one of them mangled.
-	v1 := `{"job":0,"key":"k","seed":10,"value":{"mean":0.5,"p99":0,"n":0}}
-{"job":1,"key":"k","seed":11,"value":{"mean":1.5,"p99":0,"n":1}}
-not json
-{"job":2,"key":"k","seed":12,"err":"job 2: budget blown"}
-`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(storeHeader[:11]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenStore(path, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done() != 3 {
-		t.Fatalf("legacy store loaded %d cells, want 3", st.Done())
-	}
-	sv := st.Salvage()
-	if sv.Dropped != 1 || !strings.Contains(sv.Reason, "v1") {
-		t.Fatalf("legacy salvage = %+v", sv)
-	}
-	if e, _ := st.Lookup(2); e.Err != "job 2: budget blown" {
-		t.Fatalf("entry 2 = %+v", e)
-	}
-	// Appends to a legacy file stay v1 so the whole file keeps one format.
-	if err := st.Record(3, 13, cell{N: 3}, nil, &Provenance{Attempts: 2}); err != nil {
+	if err := st.Record(0, 0, cell{N: 0}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	lines := readLines(t, path)
-	last := lines[len(lines)-1]
-	var e Entry
-	if err := json.Unmarshal(last, &e); err != nil || e.Job != 3 {
-		t.Fatalf("legacy append is not a bare v1 entry: %s", last)
-	}
-	if e.Prov == nil || e.Prov.Attempts != 2 {
-		t.Fatalf("provenance lost on legacy append: %+v", e.Prov)
-	}
-	st2, err := OpenStore(path, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Done() != 4 {
-		t.Fatalf("reopened legacy store has %d cells, want 4", st2.Done())
+	if lines := readLines(t, path); len(lines) != 2 || string(lines[0])+"\n" != storeHeader {
+		t.Fatalf("file after a torn-header recovery: %q", lines)
 	}
 }
 

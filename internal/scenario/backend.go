@@ -8,85 +8,35 @@ import (
 	"github.com/gfcsim/gfc/internal/netsim"
 )
 
-// Runner is a built, ready-to-run scenario under any backend. *Sim (the
-// packet path) satisfies it directly; the fluid backend returns its own
+// Runner is a built, ready-to-run scenario under either engine. *Sim (the
+// packet path) satisfies it directly; FluidBackend.Build returns the fluid
 // implementation. RunBounded composes the spec's Limits with the caller's
-// extra budget and honours ctx cancellation.
+// extra budget and honours ctx cancellation; Predict is the compiled spec's
+// analytic prediction, available before (or after) the run — auto-mode sweep
+// triage uses it to decide escalation without running anything.
 type Runner interface {
 	RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error)
-}
-
-// Predictor is the optional Runner facet exposing the compiled spec's
-// analytic prediction before (or after) the run. Both backends implement
-// it; auto-mode sweep triage uses it to decide escalation without running
-// anything.
-type Predictor interface {
 	Predict() (*analytic.Prediction, error)
 }
 
-// Backend compiles Specs for one simulation engine. Build compiles the Spec
-// once; the returned Runner is single-use, like *Sim.
-type Backend interface {
-	Name() string
-	// Supports reports nil when the backend can faithfully simulate spec,
-	// or an error naming the unsupported feature (the conformance suite
-	// asserts these reasons).
-	Supports(spec *Spec) error
-	Build(spec Spec, ov *Overrides) (Runner, error)
-}
-
-// PacketBackend is the netsim path behind the Backend interface: a pure
-// wrapper over Build, so selecting it is byte-identical to calling Build
-// directly (the golden trace hashes pin this).
-type PacketBackend struct{}
-
-// Name implements Backend.
-func (PacketBackend) Name() string { return "packet" }
-
-// Supports implements Backend: netsim simulates every valid Spec.
-func (PacketBackend) Supports(*Spec) error { return nil }
-
-// Build implements Backend.
-func (PacketBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
-	return Build(spec, ov)
-}
-
-// autoBackend resolves to fluid when the spec is fluid-representable and to
+// BuildBackend compiles spec for the engine its Sim.Backend field selects:
+// "" or "packet" is Build itself, "fluid" the network-of-queues solver, and
+// "auto" resolves to fluid when the spec is fluid-representable and to
 // packet otherwise — the per-spec flavour of the sweeps' adaptive-fidelity
 // triage (which additionally escalates on analytic-boundary proximity).
-type autoBackend struct{}
-
-func (autoBackend) Name() string { return "auto" }
-
-func (autoBackend) Supports(*Spec) error { return nil }
-
-func (autoBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
-	var fl FluidBackend
-	if fl.Supports(&spec) == nil {
-		return fl.Build(spec, ov)
-	}
-	return Build(spec, ov)
-}
-
-// BackendFor resolves a Spec.Sim.Backend value ("" means packet).
-func BackendFor(name string) (Backend, error) {
-	switch name {
-	case "", "packet":
-		return PacketBackend{}, nil
-	case "fluid":
-		return FluidBackend{}, nil
-	case "auto":
-		return autoBackend{}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown backend %q (want packet, fluid or auto)", name)
-	}
-}
-
-// BuildBackend compiles spec with the backend its Sim.Backend field selects.
 func BuildBackend(spec Spec, ov *Overrides) (Runner, error) {
-	be, err := BackendFor(spec.Sim.Backend)
-	if err != nil {
-		return nil, err
+	var fl FluidBackend
+	switch spec.Sim.Backend {
+	case "", "packet":
+		return Build(spec, ov)
+	case "fluid":
+		return fl.Build(spec, ov)
+	case "auto":
+		if fl.Supports(&spec) == nil {
+			return fl.Build(spec, ov)
+		}
+		return Build(spec, ov)
+	default:
+		return nil, fmt.Errorf("scenario: unknown backend %q (want packet, fluid or auto)", spec.Sim.Backend)
 	}
-	return be.Build(spec, ov)
 }

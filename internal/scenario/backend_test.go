@@ -11,20 +11,25 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-func TestBackendFor(t *testing.T) {
-	for name, want := range map[string]string{
-		"": "packet", "packet": "packet", "fluid": "fluid", "auto": "auto",
-	} {
-		be, err := BackendFor(name)
+// TestBuildBackendSelection pins the three-way switch: the packet names
+// compile onto netsim, "fluid" onto the solver, and an unknown name is an
+// error that names it ("auto" is TestAutoBackendDispatch's).
+func TestBuildBackendSelection(t *testing.T) {
+	for name, wantPacket := range map[string]bool{"": true, "packet": true, "fluid": false} {
+		spec := twoToOne(GFCBuf)
+		spec.Sim.Backend = name
+		r, err := BuildBackend(spec, nil)
 		if err != nil {
-			t.Fatalf("BackendFor(%q): %v", name, err)
+			t.Fatalf("BuildBackend(%q): %v", name, err)
 		}
-		if be.Name() != want {
-			t.Errorf("BackendFor(%q).Name() = %q, want %q", name, be.Name(), want)
+		if _, isPacket := r.(*Sim); isPacket != wantPacket {
+			t.Errorf("BuildBackend(%q) built %T", name, r)
 		}
 	}
-	if _, err := BackendFor("quantum"); err == nil || !strings.Contains(err.Error(), "quantum") {
-		t.Errorf("BackendFor(quantum) = %v, want error naming it", err)
+	spec := twoToOne(GFCBuf)
+	spec.Sim.Backend = "quantum"
+	if _, err := BuildBackend(spec, nil); err == nil || !strings.Contains(err.Error(), "quantum") {
+		t.Errorf("BuildBackend(quantum) = %v, want error naming it", err)
 	}
 }
 

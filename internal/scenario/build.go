@@ -246,10 +246,10 @@ type Result struct {
 	// (zero when no registry was attached).
 	Violations int64
 	FaultStats faults.Stats
-	// Stopped is the governor verdict when a RunBounded run was ended by
-	// a budget, the stall watchdog or cancellation; nil for a run that
-	// reached its declared end. The summary fields above still describe
-	// the partial run up to the stop point.
+	// Stopped is the governor verdict when the run was ended by a budget,
+	// the stall watchdog or cancellation; nil for a run that reached its
+	// declared end. The summary fields above still describe the partial
+	// run up to the stop point.
 	Stopped *netsim.RunError
 	// Analytic carries the network-wide analytic verdict when
 	// Run.Analytic was set (nil otherwise). Run and RunBounded fill it
@@ -258,9 +258,23 @@ type Result struct {
 	Analytic *AnalyticCheck
 }
 
-// Run executes the built scenario to its declared duration (honouring
-// StopOnDeadlock and Quiesce) and collects the summary verdict.
+// Run executes the built scenario to its declared duration under the run
+// governor with no caller budget or cancellation: the spec's declared Limits
+// still apply, and a trip is reported in Result.Stopped.
 func (s *Sim) Run() *Result {
+	res, _ := s.RunBounded(context.Background(), netsim.Budget{})
+	return res
+}
+
+// RunBounded executes the built scenario to its declared duration under the
+// netsim run governor: ctx cancellation, event/wall/heap budgets and the
+// stall watchdog all apply, composed from the spec's Limits block overlaid
+// with the caller's extra budget (non-zero caller fields win). A tripped
+// governor returns the partial Result — with Result.Stopped set — alongside
+// the *netsim.RunError. With StopOnDeadlock the run ends at the detector's
+// first report; Quiesce specs run without the horizon heartbeat, so draining
+// the queue ends the run early. No event past the horizon fires either way.
+func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error) {
 	d := s.Spec.Run.DurationNs
 	eng := s.Net.Engine()
 	if p := s.probe(); s.Spec.Run.StopOnDeadlock && p != nil {
@@ -276,58 +290,18 @@ func (s *Sim) Run() *Result {
 		}
 		eng.After(p.PollInterval(), watch)
 	}
-	if s.Spec.Run.Quiesce {
-		for eng.Pending() > 0 && s.Net.Now() < d {
-			if !eng.Step() {
-				break
-			}
-		}
-	} else {
+	if !s.Spec.Run.Quiesce {
 		// A heartbeat pins the horizon so the clock reaches d even if
 		// the event queue drains early (deadlock, finished workload).
-		eng.Schedule(d, func() {})
-		s.Net.Run(d)
-	}
-
-	return s.finish(s.summarise())
-}
-
-// RunBounded is Run under the netsim run governor: ctx cancellation,
-// event/wall budgets and the stall watchdog all apply, composed from the
-// spec's Limits block overlaid with the caller's extra budget (non-zero
-// caller fields win). A tripped governor returns the partial Result — with
-// Result.Stopped set — alongside the *netsim.RunError. Quiesce specs run
-// without the horizon heartbeat, so draining the queue still ends the run
-// early; StopOnDeadlock watching works as in Run.
-func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error) {
-	d := s.Spec.Run.DurationNs
-	eng := s.Net.Engine()
-	if p := s.probe(); s.Spec.Run.StopOnDeadlock && p != nil {
-		var watch func()
-		watch = func() {
-			if p.Deadlocked() != nil {
-				eng.Stop()
-				return
-			}
-			eng.After(p.PollInterval(), watch)
-		}
-		eng.After(p.PollInterval(), watch)
-	}
-	if !s.Spec.Run.Quiesce {
-		// As in Run: pin the horizon so the clock reaches d even if the
-		// event queue drains early.
 		eng.Schedule(d, func() {})
 	}
 	err := s.Net.RunBounded(ctx, d, s.Spec.Limits.Budget().Overlay(extra))
 	res := s.summarise()
-	if err != nil {
-		var re *netsim.RunError
-		if errors.As(err, &re) {
-			res.Stopped = re
-		}
-		return s.finish(res), err
+	var re *netsim.RunError
+	if errors.As(err, &re) {
+		res.Stopped = re
 	}
-	return s.finish(res), nil
+	return s.finish(res), err
 }
 
 // summarise collects the run's verdict from the network and subsystems.

@@ -34,12 +34,9 @@ type FluidBackend struct {
 	RenderGenerator bool
 }
 
-// Name implements Backend.
-func (FluidBackend) Name() string { return "fluid" }
-
-// Supports implements Backend: nil when spec is fluid-representable, else
-// an error naming the packet-granular feature. The conformance suite
-// asserts these reasons, so keep them stable.
+// Supports reports nil when spec is fluid-representable, else an error
+// naming the packet-granular feature. The conformance suite asserts these
+// reasons, so keep them stable.
 func (b FluidBackend) Supports(spec *Spec) error {
 	if spec.Faults != nil {
 		return fmt.Errorf("scenario: fluid backend: fault injection is event-granular (feedback loss, flaps)")
@@ -73,9 +70,10 @@ func (b FluidBackend) Supports(spec *Spec) error {
 	return nil
 }
 
-// Build implements Backend. The construction order mirrors the packet
-// Build — topology, routing, workload validation, config, registry — so the
-// two backends compile a Spec into directly comparable networks.
+// Build compiles spec once into a single-use Runner. The construction order
+// mirrors the packet Build — topology, routing, workload validation, config,
+// registry — so the two backends compile a Spec into directly comparable
+// networks.
 func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if err := b.Supports(&spec); err != nil {
 		return nil, err
@@ -407,12 +405,12 @@ func pickDst(rng *rand.Rand, tab *routing.Table, racks workload.RackOf, hosts []
 // fluidSim is the fluid backend's Runner: a compiled NetConfig plus the
 // context the analytic checker needs.
 type fluidSim struct {
-	spec Spec
-	topo *topology.Topology
-	tab  *routing.Table
-	reg  *metrics.Registry
-	cfg  netsim.Config
-	fp   FCParams
+	spec   Spec
+	topo   *topology.Topology
+	tab    *routing.Table
+	reg    *metrics.Registry
+	cfg    netsim.Config
+	fp     FCParams
 	netcfg fluid.NetConfig
 	// paths back the CBD verdict; genUnion folds in the all-inter-rack-
 	// pairs union when the workload is a rendered generator.
