@@ -215,8 +215,31 @@ func stopProfiles() error {
 // (and inert) otherwise.
 var sink *metricsSink
 
+// validateFlags rejects enum and range flags no driver could honour, before
+// anything runs or prints.
+func validateFlags() error {
+	switch *backendName {
+	case "", "packet", "fluid", "auto":
+	default:
+		return fmt.Errorf("%w: unknown -backend %q (want packet, fluid or auto)", errUsage, *backendName)
+	}
+	switch *table1Scale {
+	case "", "ci", "full":
+	default:
+		return fmt.Errorf("%w: unknown -table1-scale %q (want \"ci\" or \"full\")", errUsage, *table1Scale)
+	}
+	if *duration < 0 {
+		return fmt.Errorf("%w: negative -duration %v", errUsage, *duration)
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
+	if err := validateFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(exitCode(err))
+	}
 	if *listScenarios {
 		fmt.Println("Registered scenarios (run with -scenario <name>):")
 		for _, name := range scenario.Names() {
@@ -598,12 +621,8 @@ func runSweep(which string) error {
 	if err != nil {
 		return err
 	}
-	switch *table1Scale {
-	case "", "full":
-	case "ci":
+	if *table1Scale == "ci" {
 		ks = []int{4}
-	default:
-		return fmt.Errorf("unknown -table1-scale %q (want \"ci\" or \"full\")", *table1Scale)
 	}
 	results := make(map[int]map[experiments.FC]*experiments.SweepResult)
 	quarantined, degradedCells := 0, 0

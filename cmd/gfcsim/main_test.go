@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/gfcsim/gfc/internal/scenario"
 )
@@ -87,6 +89,47 @@ func TestScalesRejectsGarbage(t *testing.T) {
 		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), token) {
 			t.Errorf("-scales %q: err = %v (exit %d), want a usage error naming %s",
 				in, err, exitCode(err), token)
+		}
+	}
+}
+
+// TestEnumFlagsAreUsageErrors pins that a bad -backend, -table1-scale or
+// -duration is refused up front as a usage error (exit 2) naming the value,
+// instead of surfacing after the first sweep has started printing.
+func TestEnumFlagsAreUsageErrors(t *testing.T) {
+	if err := validateFlags(); err != nil {
+		t.Fatalf("default flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		set  func()
+		want string
+	}{
+		{func() { *backendName = "bogus" }, `-backend "bogus"`},
+		{func() { *table1Scale = "huge" }, `-table1-scale "huge"`},
+		{func() { *duration = -5 * time.Millisecond }, "-duration -5ms"},
+	} {
+		oldBackend, oldScale, oldDuration := *backendName, *table1Scale, *duration
+		tc.set()
+		err := validateFlags()
+		*backendName, *table1Scale, *duration = oldBackend, oldScale, oldDuration
+		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v (exit %d), want a usage error naming %s", err, exitCode(err), tc.want)
+		}
+	}
+}
+
+// TestScenarioWallBudgetExits3 pins that -budget-wall stops a -scenario run
+// with the governor's exit code under either backend; the fluid runner used
+// to ignore the budget and exit 0.
+func TestScenarioWallBudgetExits3(t *testing.T) {
+	oldName, oldBackend, oldWall := *scenarioName, *backendName, *budgetWall
+	defer func() { *scenarioName, *backendName, *budgetWall = oldName, oldBackend, oldWall }()
+	ctx = context.Background()
+	*scenarioName, *budgetWall = "ring-steady-gfcbuf", time.Nanosecond
+	for _, backend := range []string{"packet", "fluid"} {
+		*backendName = backend
+		if err := runScenario(); exitCode(err) != 3 {
+			t.Errorf("-backend %s -budget-wall 1ns: err = %v (exit %d), want exit 3", backend, err, exitCode(err))
 		}
 	}
 }

@@ -1,64 +1,24 @@
-// Mini Table 1: generate random fat-tree failure scenarios, pre-filter the
-// CBD-prone ones statically, drive them with the enterprise workload and
-// count deadlock cases per flow-control scheme. A reduced-scale version of
-// the paper's §6.2.3 sweep; cmd/gfcsim runs the full one.
+// Mini Table 1 through the library sweep: scan random fat-tree failure
+// scenarios, keep the CBD-prone ones, drive them with the enterprise workload
+// and count deadlock cases per flow-control scheme — a reduced-scale §6.2.3.
 //
-// Scenarios are simulated in parallel (-workers); each is a share-nothing
-// Network seeded from its index and results are folded in scenario order,
-// so the output is byte-identical for every worker count.
+// This is gfc.RunSweep, the same sweep cmd/gfcsim -exp table1 runs, once per
+// scheme. Every scenario is a share-nothing simulation seeded from its index
+// and results fold in scenario order, so the output is byte-identical for
+// every -workers count. Checkpoints, budgets, fault injection, metrics reports
+// and single declarative scenarios are cmd/gfcsim's job (-checkpoint,
+// -budget-*, -exp faults, -metrics-out, -scenario).
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/signal"
 	"runtime"
-	"strings"
-	"syscall"
 
 	gfc "github.com/gfcsim/gfc"
-	"github.com/gfcsim/gfc/internal/runner"
 )
-
-// runScenario resolves ref against the scenario registry (or loads it from a
-// JSON file when it looks like a path), runs it once with an attached metrics
-// registry and prints the verdict — the same declarative path cmd/gfcsim
-// -scenario takes, here through the public facade.
-func runScenario(ref string) {
-	var spec gfc.Scenario
-	if strings.ContainsAny(ref, "./\\") {
-		loaded, err := gfc.LoadScenario(ref)
-		if err != nil {
-			panic(err)
-		}
-		spec = *loaded
-	} else {
-		var ok bool
-		if spec, ok = gfc.GetScenario(ref); !ok {
-			panic(fmt.Sprintf("unknown scenario %q; registered: %s",
-				ref, strings.Join(gfc.ScenarioNames(), ", ")))
-		}
-	}
-	reg := gfc.NewMetricsRegistry(gfc.MetricsOptions{})
-	sim, err := gfc.BuildScenario(spec, &gfc.ScenarioOverrides{Metrics: reg})
-	if err != nil {
-		panic(err)
-	}
-	res := sim.Run()
-	fmt.Printf("scenario %s (%s): ran to %v\n", res.Name, res.FC, res.End)
-	if res.Deadlocked {
-		fmt.Printf("  DEADLOCK (%v) at %v\n", res.DeadlockKind, res.DeadlockAt)
-	} else if sim.Detector != nil {
-		fmt.Println("  no deadlock")
-	}
-	fmt.Printf("  delivered %v, drops %d, violations %d\n",
-		res.Delivered, res.Drops, res.Violations)
-}
 
 func main() {
 	k := flag.Int("k", 4, "fat-tree arity")
@@ -66,213 +26,31 @@ func main() {
 	repeats := flag.Int("repeats", 2, "workload repeats per prone scenario")
 	seed := flag.Int64("seed", 1, "base seed")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scenarios simulated concurrently")
-	metricsOut := flag.String("metrics-out", "", "write per-scheme merged metrics summaries (JSON)")
-	faultsFlag := flag.String("faults", "", "fault scenario: a preset name or a JSON spec file path,\ninjected into every simulated run (deterministic per -seed)")
-	scenarioFlag := flag.String("scenario", "", "run one declarative scenario instead of the sweep:\na registered name or a JSON spec file path")
-	ckptPath := flag.String("checkpoint", "", "JSONL checkpoint file: cells flush as they finish and a\nrerun with the same flags resumes instead of recomputing")
-	budgetEvents := flag.Uint64("budget-events", 0, "quarantine any cell whose run exceeds this many events (0 = unlimited)")
-	budgetWall := flag.Duration("budget-wall", 0, "quarantine any cell whose run exceeds this wall-clock time (0 = unlimited)")
 	flag.Parse()
 
-	// ^C / SIGTERM cancels the sweep at the next governor check; finished
-	// cells are already in the checkpoint, and we exit with code 4.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	cfg := gfc.DefaultSweep(*k)
+	cfg.Networks, cfg.Repeats, cfg.Seed, cfg.Workers = *networks, *repeats, *seed, *workers
 
-	if *scenarioFlag != "" {
-		runScenario(*scenarioFlag)
-		return
-	}
+	fmt.Printf("Deadlock cases over %d random k=%d scenarios × %d repeats (any repeat deadlocked):\n",
+		*networks, *k, *repeats)
+	fmt.Print(gfc.Table1Rows(map[int]map[gfc.FC]*gfc.SweepResult{*k: sweepAll(cfg)}, []int{*k}).String())
+}
 
-	var faultSpec *gfc.FaultSpec
-	if *faultsFlag != "" {
-		var err error
-		if strings.ContainsAny(*faultsFlag, "./\\") {
-			faultSpec, err = gfc.LoadFaultSpec(*faultsFlag)
-		} else {
-			faultSpec, err = gfc.FaultPreset(*faultsFlag)
-		}
+// sweepAll runs the library sweep once per scheme of the paper's comparison;
+// a quarantined cell (a panicked or runaway scenario) ends the program.
+func sweepAll(cfg gfc.SweepConfig) map[gfc.FC]*gfc.SweepResult {
+	results := make(map[gfc.FC]*gfc.SweepResult)
+	for _, fc := range gfc.AllFCs() {
+		res, err := gfc.RunSweep(context.Background(), fc, cfg)
 		if err != nil {
-			panic(err)
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
 		}
-	}
-
-	type scheme struct {
-		name    string
-		factory gfc.FlowControlFactory
-	}
-	schemes := []scheme{
-		{"PFC", gfc.NewPFC(gfc.PFCConfig{XOFF: 280 * gfc.KB, XON: 277 * gfc.KB})},
-		{"GFC-buffer", gfc.NewGFCBuffer(gfc.GFCBufferConfig{B1: 275 * gfc.KB, Bm: 294 * gfc.KB})},
-		{"CBFC", gfc.NewCBFC(gfc.CBFCConfig{Period: 52400 * gfc.Nanosecond})},
-		{"GFC-time", gfc.NewGFCTime(gfc.GFCTimeConfig{Period: 52400 * gfc.Nanosecond, B0: 153 * gfc.KB, Bm: 294 * gfc.KB})},
-	}
-
-	// outcome is one scenario's result: whether it was CBD-prone and, if
-	// so, which schemes deadlocked on any repeat. Per-scheme metrics
-	// summaries ride along so the fold below can merge them in scenario
-	// order, keeping the aggregate deterministic across worker counts.
-	// Fields are exported so a checkpointed cell JSON-round-trips exactly.
-	type outcome struct {
-		Prone   bool                 `json:"prone,omitempty"`
-		Dead    []bool               `json:"dead,omitempty"`
-		Metrics []gfc.MetricsSummary `json:"metrics,omitempty"`
-	}
-	budget := gfc.Budget{MaxEvents: *budgetEvents, MaxWall: *budgetWall}
-	wantMetrics := *metricsOut != ""
-	jobs := make([]runner.Job[outcome], *networks)
-	for i := 0; i < *networks; i++ {
-		i := i
-		jobs[i] = func(jctx context.Context) (outcome, error) {
-			topo := gfc.FatTree(*k, gfc.DefaultLinkParams())
-			rng := rand.New(rand.NewSource(*seed + int64(i)))
-			topo.FailRandomLinks(rng, 0.05)
-			tab := gfc.NewSPF(topo)
-			if !gfc.CBDFromAllPairs(topo, tab, gfc.EdgeRacks(topo)).HasCycle() {
-				return outcome{}, nil // statically CBD-free: cannot deadlock
-			}
-			// Compile the fault scenario against this scenario's topology
-			// (the failed-link sets differ), once for all schemes/repeats.
-			var faultPlan *gfc.FaultPlan
-			if faultSpec != nil {
-				var err error
-				if faultPlan, err = faultSpec.Compile(topo); err != nil {
-					return outcome{}, err
-				}
-			}
-			out := outcome{
-				Prone:   true,
-				Dead:    make([]bool, len(schemes)),
-				Metrics: make([]gfc.MetricsSummary, len(schemes)),
-			}
-			for si, s := range schemes {
-				for r := 0; r < *repeats && !out.Dead[si]; r++ {
-					var reg *gfc.MetricsRegistry
-					if wantMetrics {
-						reg = gfc.NewMetricsRegistry(gfc.MetricsOptions{})
-					}
-					opt := gfc.Options{
-						BufferSize:  300 * gfc.KB,
-						FlowControl: s.factory,
-						Metrics:     reg,
-					}
-					if faultPlan != nil {
-						opt.Faults = faultPlan.NewInjector(*seed*1000 + int64(i*(*repeats)+r))
-					}
-					sim, err := gfc.NewSimulation(topo, opt)
-					if err != nil {
-						return outcome{}, err
-					}
-					gen := gfc.NewTrafficGenerator(sim, tab,
-						gfc.EnterpriseWorkload(), gfc.EdgeRacks(topo),
-						*seed*1000+int64(i*(*repeats)+r))
-					if err := gen.Start(); err != nil {
-						return outcome{}, err
-					}
-					det := gfc.NewDeadlockDetector(sim)
-					det.Install()
-					if err := sim.RunBounded(jctx, 20*gfc.Millisecond, budget); err != nil {
-						return outcome{}, fmt.Errorf("scheme %s repeat %d: %w", s.name, r, err)
-					}
-					if det.Deadlocked() != nil {
-						out.Dead[si] = true
-					}
-					if reg != nil {
-						out.Metrics[si].Merge(reg.Summary())
-					}
-				}
-			}
-			return out, nil
+		if len(res.Failures) > 0 {
+			fmt.Fprint(os.Stderr, res.FailureSummary())
+			os.Exit(3)
 		}
+		results[fc] = res
 	}
-	opts := runner.Options[outcome]{
-		Workers: *workers,
-		Seed:    func(job int) int64 { return *seed + int64(job) },
-	}
-	if *ckptPath != "" {
-		key := fmt.Sprintf("examples/sweep/k=%d/n=%d/r=%d/seed=%d/faults=%s",
-			*k, *networks, *repeats, *seed, *faultsFlag)
-		store, err := gfc.OpenCheckpoint(*ckptPath, key)
-		if err != nil {
-			panic(err)
-		}
-		opts.Checkpoint = store
-	}
-	results := runner.RunWith(ctx, jobs, opts)
-	if opts.Checkpoint != nil {
-		if err := opts.Checkpoint.Close(); err != nil {
-			panic(err)
-		}
-	}
-
-	// Quarantine-and-continue: a cell that blew its budget (or was replayed
-	// as failed from the checkpoint) is reported and skipped; cancelled
-	// cells mean the sweep was interrupted.
-	deadlocks := make([]int, len(schemes))
-	merged := make([]gfc.MetricsSummary, len(schemes))
-	prone, quarantined, interrupted := 0, 0, false
-	for i, res := range results {
-		if err := res.Err; err != nil {
-			if errors.Is(err, context.Canceled) {
-				interrupted = true
-				continue
-			}
-			quarantined++
-			fmt.Fprintf(os.Stderr, "quarantined %v\n", err)
-			continue
-		}
-		if !res.Value.Prone {
-			continue
-		}
-		prone++
-		for si, d := range res.Value.Dead {
-			if d {
-				deadlocks[si]++
-			}
-			if wantMetrics {
-				merged[si].Merge(res.Value.Metrics[si])
-			}
-		}
-		fmt.Printf("scenario %d/%d is CBD-prone (%d so far)\n", i+1, *networks, prone)
-	}
-	if interrupted {
-		fmt.Fprintln(os.Stderr, "interrupted; finished cells are checkpointed, rerun to resume")
-		os.Exit(4)
-	}
-	fmt.Printf("\nk=%d: %d scenarios scanned, %d CBD-prone\n", *k, *networks, prone)
-	if faultSpec != nil {
-		fmt.Printf("injected faults: %s\n", faultSpec.Name)
-	}
-	fmt.Println("Deadlock cases (any repeat deadlocked):")
-	for si, s := range schemes {
-		fmt.Printf("  %-12s %d\n", s.name, deadlocks[si])
-	}
-
-	if wantMetrics {
-		type schemeSummary struct {
-			Scheme  string             `json:"scheme"`
-			Summary gfc.MetricsSummary `json:"summary"`
-		}
-		out := make([]schemeSummary, len(schemes))
-		for si, s := range schemes {
-			out[si] = schemeSummary{Scheme: s.name, Summary: merged[si]}
-		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			panic(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-		fmt.Printf("metrics: wrote per-scheme summaries to %s\n", *metricsOut)
-	}
-	if quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "%d cells quarantined by the run governor\n", quarantined)
-		os.Exit(3)
-	}
+	return results
 }

@@ -52,9 +52,10 @@ const (
 )
 
 // Params carries the scheme thresholds of the run under analysis — the same
-// quantities as scenario.FCParams. Zero fields are derived exactly as the
-// flowcontrol factories derive them, so a preset that leaves a threshold to
-// the factory is analysed with the value the factory will actually install.
+// quantities as scenario.FCParams. Zero fields are resolved by the
+// flowcontrol package's own Resolve functions, the ones its factories call, so
+// a preset that leaves a threshold to the factory is analysed with the value
+// the factory will actually install.
 type Params struct {
 	XOFF   units.Size
 	XON    units.Size
@@ -72,7 +73,7 @@ type Input struct {
 	Scheme Scheme
 	// Cfg is the resolved simulator configuration (buffer size, MTU,
 	// τ override, processing delay, feedback jitter). BufferSize is
-	// required; the other fields default as netsim defaults them.
+	// required; netsim's own filler defaults the rest.
 	Cfg netsim.Config
 	// Params are the resolved scheme thresholds.
 	Params Params
@@ -145,68 +146,60 @@ func Predict(in Input) (*Prediction, error) {
 		return nil, fmt.Errorf("analytic: duration %d must be positive", in.Duration)
 	}
 	cfg := in.Cfg
-	if cfg.MTU == 0 {
-		cfg.MTU = 1500 * units.Byte
-	}
-	if cfg.ProcDelay == 0 {
-		cfg.ProcDelay = 3 * units.Microsecond
-	}
+	cfg.FillDefaults()
 	if cfg.BufferSize <= 0 {
 		return nil, errors.New("analytic: buffer size is required")
 	}
 
-	// Worst-case feedback latency and line rate over the live links.
-	var tauDerived units.Time
-	var maxCap units.Rate
-	live := 0
-	for i := 0; i < in.Topo.NumLinks(); i++ {
-		l := in.Topo.Link(topology.LinkID(i))
-		if l.Failed {
-			continue
-		}
-		live++
-		if l.Capacity > maxCap {
-			maxCap = l.Capacity
-		}
-		if t := core.Tau(l.Capacity, cfg.MTU, l.Delay, cfg.ProcDelay); t > tauDerived {
-			tauDerived = t
-		}
-	}
-	if live == 0 || maxCap <= 0 {
-		return nil, errors.New("analytic: topology has no live links")
-	}
+	// Worst-case line rate and feedback latencies over the live links.
 	// tauActual bounds what the simulated feedback path can actually take
 	// (equation 6 plus jitter); tauBudget is what the factories sized the
 	// thresholds for (the configured override, or the same derivation).
 	// The envelope must absorb tauActual; the losslessness claims require
 	// the budget to cover it.
-	tauActual := tauDerived + cfg.FeedbackJitter
-	tauBudget := cfg.Tau
-	if tauBudget <= 0 {
-		tauBudget = tauDerived
+	var tauActual, tauBudget units.Time
+	var maxCap units.Rate
+	for i := 0; i < in.Topo.NumLinks(); i++ {
+		l := in.Topo.Link(topology.LinkID(i))
+		if l.Failed {
+			continue
+		}
+		maxCap = max(maxCap, l.Capacity)
+		tauActual = max(tauActual, core.Tau(l.Capacity, cfg.MTU, l.Delay, cfg.ProcDelay)+cfg.FeedbackJitter)
+		tauBudget = max(tauBudget, cfg.ChannelTau(l))
+	}
+	if maxCap <= 0 {
+		return nil, errors.New("analytic: topology has no live links")
 	}
 
 	p := &Prediction{
 		Scheme: in.Scheme, CBDKnown: in.CBDKnown, CBDCyclic: in.CBDCyclic,
-		Tau: maxTime(tauActual, tauBudget),
+		Tau: max(tauActual, tauBudget),
 	}
 	B := cfg.BufferSize
 	mtu := cfg.MTU
 	inflight := units.BytesIn(maxCap, tauActual)
 	acyclic := !in.Faulted && in.CBDKnown && !in.CBDCyclic
+	// The worst-case channel as the factories see it and as the wire
+	// behaves. Per scheme, th is what the factory installs (resolved at the
+	// budget) and safe the largest threshold that is still safe at the
+	// actual latency (the same Resolve with the threshold left unset).
+	budget := flowcontrol.Params{Capacity: maxCap, Buffer: B, MTU: mtu, Tau: tauBudget}
+	actual := budget
+	actual.Tau = tauActual
 
 	switch in.Scheme {
 	case PFC:
-		if x := in.Params.XOFF; x > 0 && !in.Faulted {
+		if th := (flowcontrol.PFCConfig{XOFF: in.Params.XOFF}); th.XOFF > 0 && !in.Faulted {
 			// Overshoot past XOFF is bounded by one feedback latency of
 			// line-rate arrivals plus the packet in flight when PAUSE
 			// lands. A faulted feedback path voids the bound (a delayed
 			// PAUSE admits arbitrarily more), so faulted runs fall back
 			// to the physical buffer.
-			p.MaxOccupancy = minSize(x+inflight+2*mtu, B)
-			p.Lossless = B-x >= inflight
+			p.MaxOccupancy = min(th.XOFF+inflight+2*mtu, B)
+			p.Lossless = th.CoversInflight(actual)
 		} else {
-			// Factory-derived thresholds (RecommendedPFC) leave exactly
+			// Factory-derived thresholds (PFCConfig.Resolve) leave exactly
 			// C·τ_budget headroom per channel, so the envelope is the
 			// buffer itself and losslessness needs the budget to cover
 			// the actual latency.
@@ -229,79 +222,35 @@ func Predict(in Input) (*Prediction, error) {
 		p.Lossless = !in.Faulted && tauBudget >= tauActual
 		p.DeadlockFree = acyclic
 	case GFCBuffer:
-		bm := in.Params.Bm
-		if bm == 0 {
-			bm = B - 4*mtu
-		}
-		// The installed runtime ceiling: B_m plus the four-MTU headroom
-		// the factories budget for the deepest stage's positive trickle
-		// during one feedback latency, clamped to the buffer. A faulted
-		// feedback path (lost or forged stage updates) voids the ceiling,
-		// leaving only the physical buffer.
-		p.MaxOccupancy = B
-		if !in.Faulted {
-			p.MaxOccupancy = minSize(bm+4*mtu, B)
-		}
-		b1 := in.Params.B1
-		if b1 == 0 {
-			b1 = core.BufferBasedB1Bound(bm, maxCap, tauBudget)
-		}
-		safeB1 := core.BufferBasedB1Bound(bm, maxCap, tauActual)
-		p.Lossless = !in.Faulted && bm+4*mtu <= B && b1 > 0 && b1 <= safeB1
-		if bm > 0 && b1 > 0 && b1 < bm {
-			if st, err := core.NewStageTableRatio(maxCap, bm, b1, 0.5); err == nil {
-				p.FloorRate = st.StageRate(st.Stages())
-			}
+		th, _ := flowcontrol.GFCBufferConfig{B1: in.Params.B1, Bm: in.Params.Bm}.Resolve(budget)
+		safe, _ := flowcontrol.GFCBufferConfig{Bm: th.Bm}.Resolve(actual)
+		ceil, fits := flowcontrol.OccupancyCeiling(th.Bm, B, mtu)
+		p.MaxOccupancy = gfcEnvelope(ceil, B, in.Faulted)
+		p.Lossless = !in.Faulted && fits && th.B1 > 0 && th.B1 <= safe.B1
+		if st, err := core.NewStageTableRatio(maxCap, th.Bm, th.B1, th.Ratio); err == nil {
+			p.FloorRate = st.StageRate(st.Stages())
 		}
 		// The stage table's deepest rate is positive by construction, so
 		// every dependency cycle keeps draining (Bouillard stability).
 		p.DeadlockFree = true
 	case GFCTime:
-		bm := in.Params.Bm
-		if bm == 0 {
-			bm = B - 4*mtu
-		}
-		// As with GFC-buffer: the ceiling holds only while rate feedback
-		// arrives intact.
-		p.MaxOccupancy = B
-		if !in.Faulted {
-			p.MaxOccupancy = minSize(bm+4*mtu, B)
-		}
-		period := in.Params.Period
-		if period <= 0 {
-			period = flowcontrol.RecommendedCBFCPeriod(maxCap)
-		}
-		b0 := in.Params.B0
-		if b0 == 0 && bm > 0 {
-			b0 = core.TimeBasedB0Bound(bm, maxCap, tauBudget, period)
-		}
-		safeB0 := units.Size(0)
-		if bm > 0 {
-			safeB0 = core.TimeBasedB0Bound(bm, maxCap, tauActual, period)
-		}
-		p.Lossless = !in.Faulted && bm+4*mtu <= B && b0 > 0 && b0 <= safeB0
+		th, _ := flowcontrol.GFCTimeConfig{Period: in.Params.Period, B0: in.Params.B0, Bm: in.Params.Bm}.Resolve(budget)
+		safe, _ := flowcontrol.GFCTimeConfig{Period: th.Period, Bm: th.Bm}.Resolve(actual)
+		ceil, fits := flowcontrol.OccupancyCeiling(th.Bm, B, mtu)
+		p.MaxOccupancy = gfcEnvelope(ceil, B, in.Faulted)
+		p.Lossless = !in.Faulted && fits && th.B0 > 0 && th.B0 <= safe.B0
 		// The Rate Adjuster clamps at a positive minimum rate instead of
-		// zero (flowcontrol's 8 Kb/s default).
-		p.FloorRate = 8 * units.Kbps
+		// zero.
+		p.FloorRate = th.MinRate
 		p.DeadlockFree = true
 	case GFCConceptual:
-		bm := in.Params.Bm
-		if bm == 0 {
-			bm = B // the conceptual factory's default
-		}
+		th, _ := flowcontrol.GFCConceptualConfig{B0: in.Params.B0, Bm: in.Params.Bm}.Resolve(budget)
+		safe, _ := flowcontrol.GFCConceptualConfig{Bm: th.Bm}.Resolve(actual)
 		// The continuous mapping reaches rate zero at B_m, so the queue
-		// can overshoot it by a feedback latency of in-flight data (a
-		// faulted feedback path voids that bound).
-		p.MaxOccupancy = B
-		if !in.Faulted {
-			p.MaxOccupancy = minSize(bm+inflight+2*mtu, B)
-		}
-		b0 := in.Params.B0
-		if b0 == 0 && bm > 0 {
-			b0 = core.ConceptualB0Bound(bm, maxCap, tauBudget)
-		}
-		b0ok := b0 > 0 && b0 <= core.ConceptualB0Bound(bm, maxCap, tauActual)
-		p.Lossless = !in.Faulted && bm <= B && b0ok
+		// can overshoot it by a feedback latency of in-flight data.
+		p.MaxOccupancy = gfcEnvelope(min(th.Bm+inflight+2*mtu, B), B, in.Faulted)
+		b0ok := th.B0 > 0 && th.B0 <= safe.B0
+		p.Lossless = !in.Faulted && th.Bm <= B && b0ok
 		// Theorem 4.1: with B_0 ≤ B_m − 4Cτ the queue provably never
 		// reaches B_m, so the mapped rate never hits zero. Otherwise the
 		// scheme can stall a channel and only an acyclic CBD saves it.
@@ -332,16 +281,12 @@ func Predict(in Input) (*Prediction, error) {
 	return p, nil
 }
 
-func minSize(a, b units.Size) units.Size {
-	if a < b {
-		return a
+// gfcEnvelope is a GFC channel's occupancy envelope: the runtime ceiling while
+// rate feedback arrives intact, the physical buffer once a faulted feedback
+// path (lost or forged updates) voids it.
+func gfcEnvelope(ceil, buffer units.Size, faulted bool) units.Size {
+	if faulted {
+		return buffer
 	}
-	return b
-}
-
-func maxTime(a, b units.Time) units.Time {
-	if a > b {
-		return a
-	}
-	return b
+	return ceil
 }

@@ -77,13 +77,10 @@ func RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
-	net.Run(cfg.Duration)
-
-	res := &EvolutionResult{FC: cfg.FC, Throughput: tp, Drops: net.Drops()}
-	if rep := sim.Detector.Deadlocked(); rep != nil {
-		res.Deadlocked = true
-		res.DeadlockAt = rep.At
+	run := sim.Run()
+	res := &EvolutionResult{
+		FC: cfg.FC, Throughput: tp, Drops: run.Drops,
+		Deadlocked: run.Deadlocked, DeadlockAt: run.DeadlockAt,
 	}
 	// Final-quarter aggregate rate.
 	bins := tp.Bins()
@@ -93,7 +90,7 @@ func RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {
 		bytes += b
 	}
 	res.FinalRate = units.RateOf(bytes, units.Time(len(bins)-start)*tp.Width)
-	if err := sim.CheckAnalytic(); err != nil {
+	if err := run.Analytic.Err; err != nil {
 		return res, fmt.Errorf("fig18 %v: %w", cfg.FC, err)
 	}
 	return res, nil

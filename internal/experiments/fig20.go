@@ -99,10 +99,10 @@ func RunFig20(duration units.Time) (*Fig20Result, error) {
 		}
 	}
 	net.Engine().After(50*units.Microsecond, sample)
-	net.Run(duration)
+	run := sim.Run()
 	res.FinalDCQCN = units.Rate(res.DCQCNRate.MeanAfter(duration * 3 / 4))
-	res.Drops = net.Drops()
-	if err := sim.CheckAnalytic(); err != nil {
+	res.Drops = run.Drops
+	if err := run.Analytic.Err; err != nil {
 		return res, fmt.Errorf("fig20: %w", err)
 	}
 	return res, nil

@@ -90,14 +90,13 @@ func RunFig5(fc FC, duration units.Time) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
-	net.Run(duration)
+	run := sim.Run()
 	for i, r := range arrivals.Rates() {
 		res.Rate.Append(units.Time(i)*arrivals.Width, float64(r))
 	}
 	res.SteadyQueue = units.Size(res.Queue.MeanAfter(duration * 3 / 4))
-	res.Drops = net.Drops()
-	if err := sim.CheckAnalytic(); err != nil {
+	res.Drops = run.Drops
+	if err := run.Analytic.Err; err != nil {
 		return res, fmt.Errorf("fig5 %v: %w", fc, err)
 	}
 	return res, nil

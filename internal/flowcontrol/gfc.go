@@ -42,6 +42,54 @@ type GFCBufferConfig struct {
 	Refresh units.Time
 }
 
+// ceilingHeadroom is the buffer the practical GFC schemes keep above B_m: the
+// final stage (and the time-based minimum rate) stay positive, so under a
+// stopped drain the queue legitimately overshoots B_m by up to a feedback
+// latency's worth of minimum-rate trickle; four MTUs absorb exactly that.
+func ceilingHeadroom(mtu units.Size) units.Size { return 4 * mtu }
+
+// OccupancyCeiling is the runtime ingress-occupancy ceiling of a channel whose
+// rate mapping tops out at bm, in a buffer of the given size: B_m plus the
+// headroom, clamped to the buffer. fits is false when the buffer clamps it —
+// the losslessness argument then no longer holds.
+func OccupancyCeiling(bm, buffer, mtu units.Size) (ceil units.Size, fits bool) {
+	if ceil = bm + ceilingHeadroom(mtu); ceil > buffer {
+		return buffer, false
+	}
+	return ceil, true
+}
+
+// Resolve returns c with the thresholds NewGFCBuffer installs on a channel
+// with parameters p filled in — Bm (default: the buffer minus the
+// OccupancyCeiling headroom), Ratio (default 1/2), B1 (default: the safe
+// maximum of equation (1) generalised, Bm − Cτ/(1−r)) and MinRate — and an
+// error when B1 exceeds that maximum. The values are returned even then, so
+// analysis can reason about an unsafe configuration; resolving a resolved
+// config re-validates the same thresholds, e.g. against another τ. This is
+// the only place the defaults are decided: the factory, the fluid compiler
+// and the analytic predictor all call it.
+func (c GFCBufferConfig) Resolve(p Params) (GFCBufferConfig, error) {
+	if c.Bm == 0 {
+		c.Bm = p.Buffer - ceilingHeadroom(p.MTU)
+	}
+	if c.Ratio == 0 {
+		c.Ratio = 0.5
+	}
+	if c.MinRate <= 0 {
+		c.MinRate = DefaultMinRate
+	}
+	bound := c.Bm - units.Size(float64(units.BytesIn(p.Capacity, p.Tau))/(1-c.Ratio))
+	if c.B1 == 0 {
+		c.B1 = bound
+	}
+	if c.B1 > bound {
+		return c, fmt.Errorf(
+			"flowcontrol: B1 %v exceeds safe bound %v (Bm−Cτ/(1−r), r=%v, τ=%v)",
+			c.B1, bound, c.Ratio, p.Tau)
+	}
+	return c, nil
+}
+
 // stageTableKey identifies a stage-table construction; tables are pure
 // functions of it.
 type stageTableKey struct {
@@ -66,33 +114,16 @@ func NewGFCBuffer(cfg GFCBufferConfig) Factory {
 		if err := p.Validate(); err != nil {
 			return Controller{}, err
 		}
-		bm := cfg.Bm
-		if bm == 0 {
-			bm = p.Buffer - 4*p.MTU
+		cfg, err := cfg.Resolve(p)
+		if err != nil {
+			return Controller{}, err
 		}
-		ratio := cfg.Ratio
-		if ratio == 0 {
-			ratio = 0.5
-		}
-		// Equation (1) generalised: B1 ≤ Bm − Cτ/(1−ratio).
-		need := units.Size(float64(units.BytesIn(p.Capacity, p.Tau)) / (1 - ratio))
-		bound := bm - need
-		b1 := cfg.B1
-		if b1 == 0 {
-			b1 = bound
-		}
-		if b1 > bound {
-			return Controller{}, fmt.Errorf(
-				"flowcontrol: B1 %v exceeds safe bound %v (Bm−Cτ/(1−r), r=%v, τ=%v)",
-				b1, bound, ratio, p.Tau)
-		}
-		key := stageTableKey{c: p.Capacity, bm: bm, b1: b1, ratio: ratio}
+		key := stageTableKey{c: p.Capacity, bm: cfg.Bm, b1: cfg.B1, ratio: cfg.Ratio}
 		mu.Lock()
 		table, ok := tables[key]
 		mu.Unlock()
 		if !ok {
-			var err error
-			table, err = core.NewStageTableRatio(p.Capacity, bm, b1, ratio)
+			table, err = core.NewStageTableRatio(p.Capacity, cfg.Bm, cfg.B1, cfg.Ratio)
 			if err != nil {
 				return Controller{}, err
 			}
@@ -104,9 +135,7 @@ func NewGFCBuffer(cfg GFCBufferConfig) Factory {
 			mu.Unlock()
 		}
 		rl := NewRateLimiter(p.Capacity)
-		if cfg.MinRate > 0 {
-			rl.MinRate = cfg.MinRate
-		}
+		rl.MinRate = cfg.MinRate
 		if cfg.Slack > 0 {
 			rl.Slack = cfg.Slack
 		}
@@ -250,29 +279,40 @@ type GFCConceptualConfig struct {
 	MinRate units.Rate
 }
 
+// Resolve returns c with the thresholds NewGFCConceptual installs on a
+// channel with parameters p filled in — Bm (default: the buffer), B0 (default:
+// the Theorem 4.1 safe maximum Bm − 4Cτ) and MinRate — and an error unless
+// 0 < B0 < Bm. The values are returned even then; see GFCBufferConfig.Resolve.
+func (c GFCConceptualConfig) Resolve(p Params) (GFCConceptualConfig, error) {
+	if c.Bm == 0 {
+		c.Bm = p.Buffer
+	}
+	if c.B0 == 0 {
+		c.B0 = core.ConceptualB0Bound(c.Bm, p.Capacity, p.Tau)
+	}
+	if c.MinRate <= 0 {
+		c.MinRate = DefaultMinRate
+	}
+	if c.B0 <= 0 || c.B0 >= c.Bm {
+		return c, fmt.Errorf("flowcontrol: conceptual GFC needs 0 < B0 (%v) < Bm (%v); buffer too small for τ=%v",
+			c.B0, c.Bm, p.Tau)
+	}
+	return c, nil
+}
+
 // NewGFCConceptual returns a Factory for conceptual GFC.
 func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
 	return func(p Params, env Env) (Controller, error) {
 		if err := p.Validate(); err != nil {
 			return Controller{}, err
 		}
-		bm := cfg.Bm
-		if bm == 0 {
-			bm = p.Buffer
+		cfg, err := cfg.Resolve(p)
+		if err != nil {
+			return Controller{}, err
 		}
-		b0 := cfg.B0
-		if b0 == 0 {
-			b0 = core.ConceptualB0Bound(bm, p.Capacity, p.Tau)
-		}
-		if b0 <= 0 || b0 >= bm {
-			return Controller{}, fmt.Errorf("flowcontrol: conceptual GFC needs 0 < B0 (%v) < Bm (%v); buffer too small for τ=%v",
-				b0, bm, p.Tau)
-		}
-		m := core.ContinuousMapping{C: p.Capacity, B0: b0, Bm: bm}
+		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
 		rl := NewRateLimiter(p.Capacity)
-		if cfg.MinRate > 0 {
-			rl.MinRate = cfg.MinRate
-		}
+		rl.MinRate = cfg.MinRate
 		return Controller{
 			Sender:   &gfcContinuousSender{p: p, mapping: m, rl: rl, env: env},
 			Receiver: &gfcConceptualReceiver{p: p, env: env},

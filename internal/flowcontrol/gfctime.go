@@ -31,6 +31,32 @@ type GFCTimeConfig struct {
 	Slack float64
 }
 
+// Resolve returns c with the thresholds NewGFCTime installs on a channel with
+// parameters p filled in — Period (default: the InfiniBand recommendation for
+// the link capacity), Bm (default: the buffer minus the OccupancyCeiling
+// headroom), B0 (default: the Theorem 5.1 safe maximum) and MinRate — and an
+// error unless 0 < B0 < Bm. The values are returned even then; see
+// GFCBufferConfig.Resolve.
+func (c GFCTimeConfig) Resolve(p Params) (GFCTimeConfig, error) {
+	if c.Period <= 0 {
+		c.Period = RecommendedCBFCPeriod(p.Capacity)
+	}
+	if c.Bm == 0 {
+		c.Bm = p.Buffer - ceilingHeadroom(p.MTU)
+	}
+	if c.B0 == 0 {
+		c.B0 = core.TimeBasedB0Bound(c.Bm, p.Capacity, p.Tau, c.Period)
+	}
+	if c.MinRate <= 0 {
+		c.MinRate = DefaultMinRate
+	}
+	if c.B0 <= 0 || c.B0 >= c.Bm {
+		return c, fmt.Errorf("flowcontrol: time-based GFC needs 0 < B0 (%v) < Bm (%v); buffer too small for τ=%v, T=%v",
+			c.B0, c.Bm, p.Tau, c.Period)
+	}
+	return c, nil
+}
+
 // NewGFCTime returns a Factory for time-based GFC.
 //
 // Faithful to §5.2, the Rate Adjuster fully replaces CBFC's credit gate:
@@ -43,33 +69,19 @@ func NewGFCTime(cfg GFCTimeConfig) Factory {
 		if err := p.Validate(); err != nil {
 			return Controller{}, err
 		}
-		period := cfg.Period
-		if period == 0 {
-			period = RecommendedCBFCPeriod(p.Capacity)
+		cfg, err := cfg.Resolve(p)
+		if err != nil {
+			return Controller{}, err
 		}
-		bm := cfg.Bm
-		if bm == 0 {
-			bm = p.Buffer - 4*p.MTU
-		}
-		b0 := cfg.B0
-		if b0 == 0 {
-			b0 = core.TimeBasedB0Bound(bm, p.Capacity, p.Tau, period)
-		}
-		if b0 <= 0 || b0 >= bm {
-			return Controller{}, fmt.Errorf("flowcontrol: time-based GFC needs 0 < B0 (%v) < Bm (%v); buffer too small for τ=%v, T=%v",
-				b0, bm, p.Tau, period)
-		}
-		m := core.ContinuousMapping{C: p.Capacity, B0: b0, Bm: bm}
+		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
 		rl := NewRateLimiter(p.Capacity)
-		if cfg.MinRate > 0 {
-			rl.MinRate = cfg.MinRate
-		}
+		rl.MinRate = cfg.MinRate
 		if cfg.Slack > 0 {
 			rl.Slack = cfg.Slack
 		}
 		return Controller{
-			Sender:   &gfcTimeSender{p: p, mapping: m, bm: bm, rl: rl, env: env},
-			Receiver: &cbfcReceiver{p: p, cfg: CBFCConfig{Period: period}, env: env},
+			Sender:   &gfcTimeSender{p: p, mapping: m, bm: cfg.Bm, rl: rl, env: env},
+			Receiver: &cbfcReceiver{p: p, cfg: CBFCConfig{Period: cfg.Period}, env: env},
 		}, nil
 	}
 }

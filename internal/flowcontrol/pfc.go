@@ -65,20 +65,44 @@ func (c PFCConfig) Validate(p Params) error {
 	if c.XON <= 0 || c.XON > c.XOFF {
 		return fmt.Errorf("flowcontrol: XON %v outside (0, XOFF=%v]", c.XON, c.XOFF)
 	}
-	if head := p.Buffer - c.XOFF; head < units.BytesIn(p.Capacity, p.Tau) {
+	if !c.CoversInflight(p) {
 		return fmt.Errorf("flowcontrol: headroom %v below Cτ=%v; PAUSE cannot guarantee losslessness",
-			head, units.BytesIn(p.Capacity, p.Tau))
+			p.Buffer-c.XOFF, units.BytesIn(p.Capacity, p.Tau))
 	}
 	return nil
 }
 
-// NewPFC returns a Factory for PFC with explicit thresholds.
+// CoversInflight reports whether the buffer above XOFF absorbs the Cτ still
+// in flight when a PAUSE is emitted — PFC's losslessness condition.
+func (c PFCConfig) CoversInflight(p Params) bool {
+	return p.Buffer-c.XOFF >= units.BytesIn(p.Capacity, p.Tau)
+}
+
+// Resolve returns the thresholds NewPFC installs on a channel with parameters
+// p — c itself, or RecommendedPFC's derivation when XOFF is unset (the timer
+// settings carry over) — and their validity for p. This is the only place
+// that decision is made: the factory, the fluid compiler and the analytic
+// predictor all call it.
+func (c PFCConfig) Resolve(p Params) (PFCConfig, error) {
+	if c.XOFF == 0 {
+		rec, err := RecommendedPFC(p)
+		if err != nil {
+			return c, err
+		}
+		c.XOFF, c.XON = rec.XOFF, rec.XON
+	}
+	return c, c.Validate(p)
+}
+
+// NewPFC returns a Factory for PFC with cfg's thresholds; a zero XOFF derives
+// them per channel (see Resolve).
 func NewPFC(cfg PFCConfig) Factory {
 	return func(p Params, env Env) (Controller, error) {
 		if err := p.Validate(); err != nil {
 			return Controller{}, err
 		}
-		if err := cfg.Validate(p); err != nil {
+		cfg, err := cfg.Resolve(p)
+		if err != nil {
 			return Controller{}, err
 		}
 		return Controller{
@@ -89,15 +113,7 @@ func NewPFC(cfg PFCConfig) Factory {
 }
 
 // NewPFCDefault returns a PFC Factory with RecommendedPFC thresholds.
-func NewPFCDefault() Factory {
-	return func(p Params, env Env) (Controller, error) {
-		cfg, err := RecommendedPFC(p)
-		if err != nil {
-			return Controller{}, err
-		}
-		return NewPFC(cfg)(p, env)
-	}
-}
+func NewPFCDefault() Factory { return NewPFC(PFCConfig{}) }
 
 type pfcSender struct {
 	p   Params

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/metrics"
@@ -14,11 +15,6 @@ import (
 // hosts consume packets immediately, so the buffer only needs to be
 // nominally unoverflowable.
 const hostBuffer = 1 << 40 * units.Byte
-
-// HostIngressBuffer exposes the host receive-side allocation so alternate
-// simulation backends can bind a metrics.Registry with netsim's exact
-// channel layout and per-port buffer values.
-const HostIngressBuffer = hostBuffer
 
 // Config parameterises a simulation.
 type Config struct {
@@ -110,7 +106,12 @@ type Config struct {
 	Faults *faults.Injector
 }
 
-func (c *Config) fillDefaults() {
+// FillDefaults sets every unset field that has a default. New applies it; the
+// scenario compiler applies it once up front so that everything reasoning
+// about a configured network — the fluid solver, the analytic predictor —
+// reads the values the packet engine will run with instead of re-deriving
+// them. Idempotent.
+func (c *Config) FillDefaults() {
 	if c.MTU == 0 {
 		c.MTU = 1500 * units.Byte
 	}
@@ -128,6 +129,39 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FlowQueues > 0 {
 		c.Scheduling = SchedFIFO
+	}
+}
+
+// ingressBuffer is the per-priority ingress allocation of a port on a node of
+// the given kind.
+func (c *Config) ingressBuffer(kind topology.Kind) units.Size {
+	if kind == topology.Host {
+		return hostBuffer
+	}
+	return c.BufferSize
+}
+
+// ChannelTau is the worst-case feedback latency τ that flow control budgets
+// for on the channel over link l: the configured override, else equation (6)
+// for that link. c must be default-filled.
+func (c *Config) ChannelTau(l *topology.Link) units.Time {
+	if c.Tau > 0 {
+		return c.Tau
+	}
+	return core.Tau(l.Capacity, c.MTU, l.Delay, c.ProcDelay)
+}
+
+// ChannelParams are the flow-control parameters of the channel over link l
+// into a node of the given kind, at priority prio — what New hands the
+// FlowControl factory for that channel, and what any other model of the same
+// network must resolve thresholds from. c must be default-filled.
+func (c *Config) ChannelParams(l *topology.Link, kind topology.Kind, prio int) flowcontrol.Params {
+	return flowcontrol.Params{
+		Capacity: l.Capacity,
+		Buffer:   c.ingressBuffer(kind),
+		MTU:      c.MTU,
+		Tau:      c.ChannelTau(l),
+		Priority: prio,
 	}
 }
 

@@ -81,7 +81,6 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		}
 		if f.Done() && f.Finished == 0 {
 			f.Finished = now
-			n.cfg.Trace.flowDone(now, f)
 			if f.OnDone != nil {
 				f.OnDone(f)
 			}
@@ -105,7 +104,6 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 	if occ > ing.buffer {
 		// A lossless fabric must never get here; record and drop.
 		n.drops++
-		n.cfg.Trace.drop(now, nd.id, pkt)
 		if reg := n.metrics; reg != nil {
 			reg.OnDrop(ch, now, pkt.Size, occ)
 		}

@@ -31,9 +31,8 @@ type Flow struct {
 	Path []routing.Hop
 	// Pacer optionally rate-limits the flow at the source (DCQCN).
 	Pacer Pacer
-	// OnDone, if set, is called once when the flow completes (in
-	// addition to any Trace.OnFlowDone hook); workload generators use it
-	// to chain successor flows.
+	// OnDone, if set, is called once when the flow completes; workload
+	// generators use it to chain successor flows.
 	OnDone func(*Flow)
 	// OnPacket, if set, is called for every packet delivered to Dst;
 	// congestion controls use it as their notification point (e.g.

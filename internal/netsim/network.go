@@ -102,7 +102,7 @@ type Network struct {
 // New builds a simulation of topo under cfg. Every live channel direction
 // gets an independent flow controller per priority.
 func New(topo *topology.Topology, cfg Config) (*Network, error) {
-	cfg.fillDefaults()
+	cfg.FillDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -178,14 +178,11 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 				kickAt:   units.Never,
 				sched:    cfg.Scheduling,
 				cb:       cb, voqBase: vb, slots: slots, fedBase: fb,
-				buffer: cfg.BufferSize,
+				buffer: cfg.ingressBuffer(tn.Kind),
 			}
 			cb += k
 			vb += k * slots
 			fb += k * len(ats)
-			if tn.Kind == topology.Host {
-				p.buffer = hostBuffer
-			}
 			if k > 1 {
 				p.prioScratch = make([]int, 0, k)
 			}
@@ -222,13 +219,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			}
 			up := n.nodes[p.peer].ports[p.peerPort] // upstream egress port
 			for prio := 0; prio < k; prio++ {
-				params := flowcontrol.Params{
-					Capacity: p.capacity,
-					Buffer:   p.buffer,
-					MTU:      cfg.MTU,
-					Tau:      n.tauFor(p),
-					Priority: prio,
-				}
+				params := cfg.ChannelParams(p.link, nd.kind, prio)
 				env := &fcEnv{n: n, down: p, up: up, prio: prio}
 				ctl, err := cfg.FlowControl(params, env)
 				if err != nil {
@@ -264,53 +255,21 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	// flowcontrol.Bounded / flowcontrol.Staged interfaces.
 	if reg := cfg.Metrics; reg != nil {
 		n.metrics = reg
-		infos := make([]metrics.NodeInfo, len(n.nodes))
-		for id, nd := range n.nodes {
-			info := metrics.NodeInfo{
-				ID: nd.id, Name: topo.Node(nd.id).Name,
-				Host:  nd.kind == topology.Host,
-				Ports: make([]metrics.PortInfo, len(nd.ports)),
+		BindRegistry(reg, topo, cfg, func(node topology.NodeID, port, prio int) (bm units.Size, table *core.StageTable) {
+			p := n.nodes[node].ports[port]
+			s := n.senders[n.nodes[p.peer].ports[p.peerPort].cb+prio]
+			if b, ok := s.(flowcontrol.Bounded); ok {
+				bm = b.Ceiling()
 			}
-			for i, p := range nd.ports {
-				info.Ports[i] = metrics.PortInfo{
-					Peer: p.peer, PeerName: topo.Node(p.peer).Name,
-					Buffer: p.buffer,
-				}
+			if st, ok := s.(flowcontrol.Staged); ok {
+				table = st.StageTable()
 			}
-			infos[id] = info
-		}
-		reg.Bind(infos, k)
-		for _, nd := range n.nodes {
-			for _, p := range nd.ports {
-				if got := reg.ChannelIndex(nd.id, p.local, 0); got != p.cb {
-					panic(fmt.Sprintf("netsim: channel index desync: node %d port %d: netsim %d, metrics %d",
-						nd.id, p.local, p.cb, got))
-				}
-				if p.link.Failed {
-					continue
-				}
-				up := n.nodes[p.peer].ports[p.peerPort]
-				for prio := 0; prio < k; prio++ {
-					s := n.senders[up.cb+prio]
-					if s == nil {
-						continue
-					}
-					if b, ok := s.(flowcontrol.Bounded); ok {
-						// The final GFC stage keeps a positive rate, so
-						// under a stopped drain the queue legitimately
-						// overshoots B_m by up to the feedback latency's
-						// worth of minimum-rate trickle; four MTUs is the
-						// headroom the factories budget for exactly that.
-						ceil := b.Ceiling() + 4*cfg.MTU
-						if ceil > p.buffer {
-							ceil = p.buffer
-						}
-						reg.SetCeiling(p.cb+prio, ceil)
-					}
-					if st, ok := s.(flowcontrol.Staged); ok {
-						reg.CheckStageTable(p.cb+prio, st.StageTable())
-					}
-				}
+			return bm, table
+		})
+		for _, p := range n.ports {
+			if got := reg.ChannelIndex(p.owner.id, p.local, 0); got != p.cb {
+				panic(fmt.Sprintf("netsim: channel index desync: node %d port %d: netsim %d, metrics %d",
+					p.owner.id, p.local, p.cb, got))
 			}
 		}
 	}
@@ -379,14 +338,6 @@ func (n *Network) arriveBatch(p *port) {
 		}
 		n.arrive(nd, ent.p.local, ent.p.popInFlight())
 	}
-}
-
-// tauFor bounds the feedback latency of channel into p per equation (6).
-func (n *Network) tauFor(p *port) units.Time {
-	if n.cfg.Tau > 0 {
-		return n.cfg.Tau
-	}
-	return core.Tau(p.capacity, n.cfg.MTU, p.link.Delay, n.cfg.ProcDelay)
 }
 
 // fcEnv is the flowcontrol.Env for the receiver at downstream port `down`;

@@ -21,14 +21,10 @@ type Trace struct {
 	OnTransmit func(t units.Time, node topology.NodeID, port int, pkt *Packet)
 	// OnDeliver fires when the destination host receives a packet.
 	OnDeliver func(t units.Time, f *Flow, pkt *Packet)
-	// OnFlowDone fires when a finite flow completes.
-	OnFlowDone func(t units.Time, f *Flow)
 	// OnFeedback fires when a flow-control message is sent from the
 	// ingress side at node `from` back to the egress side at node `to`;
 	// wire is the frame size (the Figure 19 overhead accounting).
 	OnFeedback func(t units.Time, from, to topology.NodeID, prio int, wire units.Size)
-	// OnDrop fires on a (never expected) packet drop.
-	OnDrop func(t units.Time, node topology.NodeID, pkt *Packet)
 }
 
 func (tr *Trace) queue(t units.Time, n topology.NodeID, port, prio int, q units.Size) {
@@ -55,20 +51,8 @@ func (tr *Trace) deliver(t units.Time, f *Flow, pkt *Packet) {
 	}
 }
 
-func (tr *Trace) flowDone(t units.Time, f *Flow) {
-	if tr != nil && tr.OnFlowDone != nil {
-		tr.OnFlowDone(t, f)
-	}
-}
-
 func (tr *Trace) feedback(t units.Time, from, to topology.NodeID, prio int, wire units.Size) {
 	if tr != nil && tr.OnFeedback != nil {
 		tr.OnFeedback(t, from, to, prio, wire)
-	}
-}
-
-func (tr *Trace) drop(t units.Time, n topology.NodeID, pkt *Packet) {
-	if tr != nil && tr.OnDrop != nil {
-		tr.OnDrop(t, n, pkt)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/gfcsim/gfc/internal/analytic"
 	"github.com/gfcsim/gfc/internal/deadlock"
 	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
@@ -65,14 +66,9 @@ type Sim struct {
 	Injector *faults.Injector
 	Metrics  *metrics.Registry
 
-	// cfg and fp are the resolved simulator configuration and scheme
-	// thresholds Build compiled the network from — the analytic
-	// predictor's input.
-	cfg netsim.Config
-	fp  FCParams
-	// cbdCyclic caches the dependency-graph verdict (from the override or
-	// a lazy computation in Predict).
-	cbdCyclic *bool
+	// compiled is the resolution of Spec the network was wired from; the
+	// analytic predictor reads the same one.
+	*compiled
 }
 
 // probe returns the detector driving the run's stop condition and summary
@@ -88,108 +84,48 @@ func (s *Sim) probe() deadlock.Probe {
 }
 
 // Build compiles a Spec (plus optional Overrides) into a runnable Sim. The
-// construction order is fixed — topology, routing, config, faults, network,
-// flows, generator, detector — because it is the order every hand-written
-// driver used, and event determinism (the golden trace hashes) depends on
-// subsystems consuming their private random sources in that order.
+// construction order is fixed — the shared compile step (topology, routing,
+// config, faults), then network, flows, generator, detector — because it is
+// the order every hand-written driver used, and event determinism (the golden
+// trace hashes) depends on subsystems consuming their private random sources
+// in that order.
 func Build(spec Spec, ov *Overrides) (*Sim, error) {
 	if ov == nil {
 		ov = &Overrides{}
 	}
-
-	topo := ov.Topo
-	if topo == nil {
-		if err := spec.Topology.validate(); err != nil {
-			return nil, err
-		}
-		var err error
-		if topo, err = buildTopology(spec.Topology); err != nil {
-			return nil, err
-		}
-	}
-
-	tab := ov.Table
-	if tab == nil {
-		if err := spec.Routing.validate(); err != nil {
-			return nil, err
-		}
-		var err error
-		if tab, err = buildRouting(spec, topo); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := spec.Workload.validate(); err != nil {
-		return nil, err
-	}
-	cfg, fp, err := spec.simConfig()
+	c, err := compile(spec, ov)
 	if err != nil {
 		return nil, err
 	}
+	cfg := c.cfg
 	if ov.Trace != nil {
-		cfg.Trace = ov.Trace(topo)
+		cfg.Trace = ov.Trace(c.topo)
 	}
-	cfg.Metrics = ov.Metrics
-	if spec.Run.Analytic && cfg.Metrics == nil {
-		// The analytic checker consumes end-of-run registry aggregates;
-		// attach a counters-only registry when the caller brought none.
-		// Registries are passive observers, so this cannot change the
-		// event sequence.
-		cfg.Metrics = metrics.New(metrics.Options{})
+	sim := &Sim{Spec: spec, Topo: c.topo, Table: c.table, Metrics: c.reg, compiled: c}
+	if c.plan != nil {
+		sim.Injector = c.plan.NewInjector(c.faultSeed)
+		cfg.Faults = sim.Injector
 	}
-
-	plan := ov.FaultPlan
-	faultSeed := ov.FaultSeed
-	if plan == nil && spec.Faults != nil {
-		if err := spec.Faults.validate(); err != nil {
-			return nil, err
-		}
-		fs := spec.Faults.Inline
-		if fs == nil {
-			if fs, err = faults.Preset(spec.Faults.Preset); err != nil {
+	if sim.Net, err = netsim.New(c.topo, cfg); err != nil {
+		return nil, err
+	}
+	for _, rf := range c.flows {
+		if ov.OnFlow != nil {
+			if err := ov.OnFlow(rf.flow, sim.Net); err != nil {
 				return nil, err
 			}
 		}
-		if plan, err = fs.Compile(topo); err != nil {
-			return nil, fmt.Errorf("scenario: compiling faults: %w", err)
+		if err := sim.Net.AddFlow(rf.flow, rf.start); err != nil {
+			return nil, err
 		}
-		faultSeed = spec.Faults.Seed
-		if faultSeed == 0 {
-			faultSeed = spec.Seed
-		}
-	}
-	var inj *faults.Injector
-	if plan != nil {
-		inj = plan.NewInjector(faultSeed)
-		cfg.Faults = inj
-	}
-
-	net, err := netsim.New(topo, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sim := &Sim{
-		Spec: spec, Topo: topo, Table: tab, Net: net,
-		Injector: inj, Metrics: cfg.Metrics,
-		cfg: cfg, fp: fp, cbdCyclic: ov.CBDCyclic,
-	}
-
-	if err := sim.addFlows(ov); err != nil {
-		return nil, err
+		sim.Flows = append(sim.Flows, rf.flow)
 	}
 	if g := spec.Workload.Generator; g != nil {
-		if tab == nil {
-			return nil, fmt.Errorf("scenario: workload generator needs a routing table (set routing policy spf)")
-		}
 		dist, err := buildDist(g)
 		if err != nil {
 			return nil, err
 		}
-		seed := g.Seed
-		if seed == 0 {
-			seed = spec.Seed
-		}
-		gen := workload.NewGenerator(net, tab, dist, workload.EdgeRacks(topo), seed)
+		gen := workload.NewGenerator(sim.Net, c.table, dist, workload.EdgeRacks(c.topo), c.generatorSeed())
 		gen.FlowsPerHost = g.FlowsPerHost
 		gen.Think = g.ThinkNs
 		gen.Priority = g.Priority
@@ -207,14 +143,12 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 			dcfit = true
 		}
 		if global {
-			det := deadlock.NewDetector(net)
-			det.Install()
-			sim.Detector = det
+			sim.Detector = deadlock.NewDetector(sim.Net)
+			sim.Detector.Install()
 		}
 		if dcfit {
-			d := deadlock.NewDCFIT(net)
-			d.Install()
-			sim.DCFIT = d
+			sim.DCFIT = deadlock.NewDCFIT(sim.Net)
+			sim.DCFIT.Install()
 		}
 	}
 	return sim, nil
@@ -307,8 +241,6 @@ func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, err
 // summarise collects the run's verdict from the network and subsystems.
 func (s *Sim) summarise() *Result {
 	res := &Result{
-		Name:      s.Spec.Name,
-		FC:        s.Spec.Scheme.FC,
 		Backend:   "packet",
 		End:       s.Net.Now(),
 		Drops:     s.Net.Drops(),
@@ -328,7 +260,6 @@ func (s *Sim) summarise() *Result {
 		}
 	}
 	if s.Metrics != nil {
-		res.Violations = s.Metrics.Summary().Violations
 		res.HighWater = s.Metrics.SwitchHighWater()
 	}
 	if s.Injector != nil {
@@ -337,14 +268,24 @@ func (s *Sim) summarise() *Result {
 	return res
 }
 
-// finish attaches the analytic verdict once res is complete (Stopped set),
-// when the spec asked for it and a registry is bound.
-func (s *Sim) finish(res *Result) *Result {
-	if s.Spec.Run.Analytic && s.Metrics != nil {
-		res.Analytic = s.analyticCheck(res)
-	}
-	return res
-}
+// Predict computes the analytic prediction for this built scenario
+// (internal/analytic, DESIGN.md §3.8) from the configuration and thresholds
+// the network was wired with. The cyclic-buffer-dependency verdict comes from
+// Overrides.CBDCyclic when supplied; otherwise it is derived once from the
+// workload's routes and cached.
+func (s *Sim) Predict() (*analytic.Prediction, error) { return s.predict() }
+
+// VerifyAnalytic checks res against this scenario's analytic prediction,
+// returning the prediction and the verdict: nil when every network-wide
+// bound held, a *metrics.InvariantError otherwise. A run that was stopped
+// early (res.Stopped != nil) drops the progress floor.
+func (s *Sim) VerifyAnalytic(res *Result) (*analytic.Prediction, error) { return s.verify(res) }
+
+// CheckAnalytic runs the network-wide analytic check against the network's
+// current state — the entry point for drivers that step the engine
+// themselves instead of calling Run/RunBounded. It returns nil when every
+// bound held.
+func (s *Sim) CheckAnalytic() error { return s.check(s.summarise()).Err }
 
 func buildTopology(t TopologySpec) (*topology.Topology, error) {
 	p := topology.DefaultLinkParams()
@@ -585,33 +526,6 @@ func resolveFlows(spec Spec, topo *topology.Topology, tab *routing.Table) ([]res
 		out = append(out, resolvedFlow{flow: f, start: fs.StartNs})
 	}
 	return out, nil
-}
-
-// addFlows instantiates the pattern or declared flows, in order.
-func (s *Sim) addFlows(ov *Overrides) error {
-	flows, err := resolveFlows(s.Spec, s.Topo, s.Table)
-	if err != nil {
-		return err
-	}
-	for _, rf := range flows {
-		if err := s.add(rf.flow, rf.start, ov); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Sim) add(f *netsim.Flow, at units.Time, ov *Overrides) error {
-	if ov.OnFlow != nil {
-		if err := ov.OnFlow(f, s.Net); err != nil {
-			return err
-		}
-	}
-	if err := s.Net.AddFlow(f, at); err != nil {
-		return err
-	}
-	s.Flows = append(s.Flows, f)
-	return nil
 }
 
 func buildDist(g *GeneratorSpec) (*workload.SizeDist, error) {

@@ -59,23 +59,12 @@ func requireListedSkip(t *testing.T, name, reason string) {
 
 // conformanceBand is the fluid-vs-packet occupancy tolerance for a compiled
 // spec: fluid.Band at the topology's fastest link and the configured MTU.
-func conformanceBand(t *testing.T, spec Spec, topo *topology.Topology) units.Size {
-	t.Helper()
-	cfg, _, err := spec.simConfig()
-	if err != nil {
-		t.Fatalf("simConfig: %v", err)
-	}
-	mtu := cfg.MTU
-	if mtu == 0 {
-		mtu = 1500 * units.Byte
-	}
+func conformanceBand(sim *Sim) units.Size {
 	var maxCap units.Rate
-	for i := 0; i < topo.NumLinks(); i++ {
-		if c := topo.Link(topology.LinkID(i)).Capacity; c > maxCap {
-			maxCap = c
-		}
+	for i := 0; i < sim.Topo.NumLinks(); i++ {
+		maxCap = max(maxCap, sim.Topo.Link(topology.LinkID(i)).Capacity)
 	}
-	return fluid.Band(maxCap, mtu)
+	return fluid.Band(maxCap, sim.cfg.MTU)
 }
 
 // TestBackendConformance runs every registered scenario the fluid backend
@@ -108,7 +97,7 @@ func TestBackendConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("packet build: %v", err)
 			}
-			if known, cyclic := psim.cbdVerdict(); known && cyclic {
+			if psim.cbdVerdict() {
 				requireListedSkip(t, name, "cyclic CBD: fluid proportional sharing is not a faithful model")
 				return
 			}
@@ -116,7 +105,7 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatalf("scenario is listed as skipped (%q) but both backends can compare it — drop the entry", want)
 			}
 
-			band := conformanceBand(t, spec, psim.Topo)
+			band := conformanceBand(psim)
 
 			pres, err := psim.RunBounded(context.Background(), netsim.Budget{})
 			if err != nil {

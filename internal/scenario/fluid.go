@@ -6,13 +6,10 @@ import (
 	"math/rand"
 
 	"github.com/gfcsim/gfc/internal/analytic"
-	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/fluid"
-	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
-	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 	"github.com/gfcsim/gfc/internal/workload"
@@ -70,10 +67,10 @@ func (b FluidBackend) Supports(spec *Spec) error {
 	return nil
 }
 
-// Build compiles spec once into a single-use Runner. The construction order
-// mirrors the packet Build — topology, routing, workload validation, config,
-// registry — so the two backends compile a Spec into directly comparable
-// networks.
+// Build compiles spec once into a single-use Runner from the same compile step
+// the packet Build uses, so the two backends turn a Spec into directly
+// comparable networks: same topology, routes, configuration, thresholds and
+// registry binding.
 func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if err := b.Supports(&spec); err != nil {
 		return nil, err
@@ -84,278 +81,145 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if ov.Trace != nil || ov.OnFlow != nil || ov.FaultPlan != nil {
 		return nil, fmt.Errorf("scenario: fluid backend: Trace/OnFlow/FaultPlan overrides are packet-only")
 	}
-
-	topo := ov.Topo
-	if topo == nil {
-		if err := spec.Topology.validate(); err != nil {
-			return nil, err
-		}
-		var err error
-		if topo, err = buildTopology(spec.Topology); err != nil {
-			return nil, err
-		}
-	}
-	tab := ov.Table
-	if tab == nil {
-		if err := spec.Routing.validate(); err != nil {
-			return nil, err
-		}
-		var err error
-		if tab, err = buildRouting(spec, topo); err != nil {
-			return nil, err
-		}
-	}
-	if err := spec.Workload.validate(); err != nil {
-		return nil, err
-	}
-	cfg, fp, err := spec.simConfig()
+	c, err := compile(spec, ov)
 	if err != nil {
 		return nil, err
 	}
-	// The defaults netsim.New would fill; the fluid model needs the same
-	// values for threshold derivation.
-	if cfg.MTU == 0 {
-		cfg.MTU = 1500 * units.Byte
-	}
-	if cfg.ProcDelay == 0 {
-		cfg.ProcDelay = 3 * units.Microsecond
-	}
-	if cfg.Priorities == 0 {
-		cfg.Priorities = 1
-	}
-	if cfg.BufferSize <= 0 {
+	if c.cfg.BufferSize <= 0 {
 		return nil, fmt.Errorf("scenario: fluid backend: BufferSize must be positive")
 	}
-
-	reg := ov.Metrics
-	if spec.Run.Analytic && reg == nil {
-		reg = metrics.New(metrics.Options{})
-	}
-	if reg != nil {
-		bindRegistry(reg, topo, cfg)
-	}
-
-	channels, err := fluidChannels(spec.Scheme.FC, topo, cfg, fp)
+	channels, laws, err := c.fluidChannels()
 	if err != nil {
 		return nil, err
 	}
-
-	s := &fluidSim{
-		spec: spec, topo: topo, tab: tab, reg: reg, cfg: cfg, fp: fp,
-		cbdCyclic: ov.CBDCyclic,
+	if c.reg != nil {
+		netsim.BindRegistry(c.reg, c.topo, c.cfg, func(node topology.NodeID, port, _ int) (units.Size, *core.StageTable) {
+			return laws[node][port].bm, laws[node][port].table
+		})
 	}
+
 	var netFlows []fluid.NetFlow
 	if spec.Workload.Generator != nil {
-		netFlows, err = renderGeneratorFlows(spec, topo, tab)
-		if err != nil {
+		if netFlows, err = c.renderGeneratorFlows(); err != nil {
 			return nil, err
 		}
-		s.genUnion = true
-	} else {
-		resolved, err := resolveFlows(spec, topo, tab)
-		if err != nil {
-			return nil, err
+		for _, f := range netFlows {
+			c.rendered = append(c.rendered, f.Path)
 		}
-		for _, rf := range resolved {
-			netFlows = append(netFlows, fluid.NetFlow{
-				Path:  rf.flow.Path,
-				Size:  rf.flow.Size,
-				Start: rf.start,
-			})
-		}
+	}
+	for _, rf := range c.flows {
+		netFlows = append(netFlows, fluid.NetFlow{Path: rf.flow.Path, Size: rf.flow.Size, Start: rf.start})
 	}
 	if len(netFlows) == 0 {
 		return nil, fmt.Errorf("scenario: fluid backend: workload resolved to no flows")
 	}
-	for _, f := range netFlows {
-		s.paths = append(s.paths, f.Path)
-	}
-	s.netcfg = fluid.NetConfig{
+	return &fluidSim{compiled: c, netcfg: fluid.NetConfig{
 		Channels: channels,
 		Flows:    netFlows,
 		Horizon:  spec.Run.DurationNs,
 		Step:     spec.Sim.FluidStepNs,
-		MTU:      cfg.MTU,
-		Metrics:  reg,
-	}
-	return s, nil
+		MTU:      c.cfg.MTU,
+		Metrics:  c.reg,
+	}}, nil
 }
 
-// bindRegistry gives reg the exact channel layout netsim.New would: every
-// node, every port (failed links included), in (node, port, priority) order,
-// with netsim's buffer values. Anything consuming ChannelIndex or the
-// export/report paths then behaves identically across backends.
-func bindRegistry(reg *metrics.Registry, topo *topology.Topology, cfg netsim.Config) {
-	infos := make([]metrics.NodeInfo, topo.NumNodes())
-	for n := 0; n < topo.NumNodes(); n++ {
-		id := topology.NodeID(n)
-		node := topo.Node(id)
-		info := metrics.NodeInfo{
-			ID: id, Name: node.Name,
-			Host: node.Kind == topology.Host,
-		}
-		buf := cfg.BufferSize
-		if info.Host {
-			buf = netsim.HostIngressBuffer
-		}
-		for _, at := range topo.Ports(id) {
-			info.Ports = append(info.Ports, metrics.PortInfo{
-				Peer: at.Peer, PeerName: topo.Node(at.Peer).Name,
-				Buffer: buf,
-			})
-		}
-		infos[n] = info
-	}
-	reg.Bind(infos, cfg.Priorities)
+// fluidLaw is one channel's resolved flow control as the fluid compiler
+// renders it: the queue-to-rate law and feedback period for the solver, and
+// what netsim reads off its wired senders for the registry — the mapping
+// ceiling B_m (0: the scheme has none) and the stage table (nil: not staged).
+type fluidLaw struct {
+	mapping fluid.Mapping
+	period  units.Time
+	bm      units.Size
+	table   *core.StageTable
 }
 
 // fluidChannels lists every live ingress channel with its queue-to-rate law,
-// mirroring the flowcontrol factory derivations exactly (same thresholds
-// from the same FCParams and per-link τ), so the fluid dynamics obey the
-// parameters the packet network would install.
-func fluidChannels(fc FC, topo *topology.Topology, cfg netsim.Config, fp FCParams) ([]fluid.NetChannel, error) {
+// built from the thresholds the flowcontrol factories would install on the
+// same channel (same ChannelParams, same FCParams, same Resolve), so the fluid
+// dynamics obey the parameters the packet network runs with. Host ingress
+// consumes on arrival and stays uncontrolled; laws carries every live
+// channel's resolution, indexed [node][port], for the registry binding.
+func (c *compiled) fluidChannels() ([]fluid.NetChannel, [][]fluidLaw, error) {
 	var out []fluid.NetChannel
-	for n := 0; n < topo.NumNodes(); n++ {
-		id := topology.NodeID(n)
-		host := topo.Node(id).Kind == topology.Host
-		for _, at := range topo.Ports(id) {
+	laws := make([][]fluidLaw, c.topo.NumNodes())
+	for n := range laws {
+		node := c.topo.Node(topology.NodeID(n))
+		ports := c.topo.Ports(node.ID)
+		laws[n] = make([]fluidLaw, len(ports))
+		for _, at := range ports {
 			if at.Link.Failed {
 				continue
 			}
-			ch := fluid.NetChannel{
-				Node: id, Port: at.Port,
-				Capacity: at.Link.Capacity,
-				Buffer:   cfg.BufferSize,
-				Host:     host,
+			p := c.cfg.ChannelParams(at.Link, node.Kind, 0)
+			law, err := c.fluidLaw(p)
+			if err != nil {
+				return nil, nil, fmt.Errorf("scenario: fluid backend: %s ingress from %s: %w",
+					node.Name, c.topo.Node(at.Peer).Name, err)
 			}
-			if host {
-				ch.Buffer = netsim.HostIngressBuffer
-			} else {
-				// Threshold derivation uses the worst-case budget τ
-				// (config override, else equation (6) per link), exactly
-				// like netsim.Network.tauFor.
-				tau := cfg.Tau
-				if tau <= 0 {
-					tau = core.Tau(at.Link.Capacity, cfg.MTU, at.Link.Delay, cfg.ProcDelay)
-				}
-				m, period, err := fluidMapping(fc, fp, cfg, at.Link.Capacity, tau)
-				if err != nil {
-					return nil, fmt.Errorf("scenario: fluid backend: %s ingress from %s: %w",
-						topo.Node(id).Name, topo.Node(at.Peer).Name, err)
-				}
-				ch.Mapping = m
-				ch.Period = period
+			laws[n][at.Port] = law
+			ch := fluid.NetChannel{
+				Node: node.ID, Port: at.Port,
+				Capacity: p.Capacity,
+				Buffer:   p.Buffer,
+				Host:     node.Kind == topology.Host,
+			}
+			if !ch.Host {
+				ch.Mapping, ch.Period = law.mapping, law.period
 				// The dynamics lag is the physical feedback latency the
 				// packet network actually exhibits — equation (6) plus a
 				// few packets of serialisation the fluid model elides
 				// (calibrated by the differential harness).
-				ch.Tau = core.Tau(at.Link.Capacity, cfg.MTU, at.Link.Delay, cfg.ProcDelay) +
-					4*units.TransmissionTime(cfg.MTU, at.Link.Capacity)
+				ch.Tau = core.Tau(p.Capacity, p.MTU, at.Link.Delay, c.cfg.ProcDelay) +
+					4*units.TransmissionTime(p.MTU, p.Capacity)
 			}
 			out = append(out, ch)
 		}
 	}
-	return out, nil
+	return out, laws, nil
 }
 
-// fluidMapping derives one channel's queue-to-rate law from the same
-// parameters the flowcontrol factories use. Any change to a factory's
-// derivation must be mirrored here — the conformance suite catches drift.
-func fluidMapping(fc FC, fp FCParams, cfg netsim.Config, capacity units.Rate, tau units.Time) (fluid.Mapping, units.Time, error) {
-	buffer := cfg.BufferSize
-	mtu := cfg.MTU
-	switch fc {
+// fluidLaw resolves the scheme's thresholds for one channel — with the
+// flowcontrol Resolve function the scheme's factory itself calls, so an
+// invalid threshold is refused with the factory's message — and renders them
+// as the channel's law.
+func (c *compiled) fluidLaw(p flowcontrol.Params) (fluidLaw, error) {
+	continuous := func(b0, bm units.Size, floor units.Rate) fluid.Mapping {
+		m := core.ContinuousMapping{C: p.Capacity, B0: b0, Bm: bm}
+		return fluid.Floored{M: fluid.Continuous{M: m}, Min: floor}
+	}
+	switch fc := c.spec.Scheme.FC; fc {
 	case PFC:
-		xoff, xon := fp.XOFF, fp.XON
-		if xoff <= 0 {
-			pc, err := flowcontrol.RecommendedPFC(flowcontrol.Params{
-				Capacity: capacity, Buffer: buffer, MTU: mtu, Tau: tau,
-			})
-			if err != nil {
-				return nil, 0, err
-			}
-			xoff, xon = pc.XOFF, pc.XON
-		}
-		if xon <= 0 || xon > xoff || buffer-xoff < units.BytesIn(capacity, tau) {
-			return nil, 0, fmt.Errorf("fluid: PFC thresholds XOFF=%v XON=%v invalid for buffer %v, τ=%v",
-				xoff, xon, buffer, tau)
-		}
-		return &fluid.OnOff{C: capacity, XOFF: xoff, XON: xon}, 0, nil
+		th, err := c.fp.pfc().Resolve(p)
+		return fluidLaw{mapping: &fluid.OnOff{C: p.Capacity, XOFF: th.XOFF, XON: th.XON}}, err
 	case GFCBuf:
-		bm := fp.Bm
-		if bm <= 0 {
-			bm = buffer - 4*mtu
-		}
-		const ratio = 0.5
-		need := units.Size(float64(units.BytesIn(capacity, tau)) / (1 - ratio))
-		bound := bm - need
-		b1 := fp.B1
-		if b1 <= 0 {
-			b1 = bound
-		}
-		if b1 > bound {
-			return nil, 0, fmt.Errorf("fluid: B1 %v above the safe bound %v (Bm − Cτ/(1−r))", b1, bound)
-		}
-		st, err := core.NewStageTableRatio(capacity, bm, b1, ratio)
+		th, err := c.fp.gfcBuffer().Resolve(p)
 		if err != nil {
-			return nil, 0, err
+			return fluidLaw{}, err
 		}
-		return fluid.Staged{T: st}, 0, nil
+		st, err := core.NewStageTableRatio(p.Capacity, th.Bm, th.B1, th.Ratio)
+		return fluidLaw{mapping: fluid.Staged{T: st}, bm: th.Bm, table: st}, err
 	case GFCTime:
-		period := fp.Period
-		if period <= 0 {
-			period = flowcontrol.RecommendedCBFCPeriod(capacity)
-		}
-		bm := fp.Bm
-		if bm <= 0 {
-			bm = buffer - 4*mtu
-		}
-		b0 := fp.B0
-		if b0 <= 0 {
-			b0 = core.TimeBasedB0Bound(bm, capacity, tau, period)
-		}
-		if b0 <= 0 || b0 >= bm {
-			return nil, 0, fmt.Errorf("fluid: time-based B0 %v outside (0, Bm=%v)", b0, bm)
-		}
-		m := core.ContinuousMapping{C: capacity, B0: b0, Bm: bm}
-		return fluid.Floored{M: fluid.Continuous{M: m}, Min: flowcontrol.DefaultMinRate}, period, nil
+		th, err := c.fp.gfcTime().Resolve(p)
+		return fluidLaw{mapping: continuous(th.B0, th.Bm, th.MinRate), period: th.Period, bm: th.Bm}, err
 	case GFCConceptual:
-		bm := fp.Bm
-		if bm <= 0 {
-			bm = buffer
-		}
-		b0 := fp.B0
-		if b0 <= 0 {
-			b0 = core.ConceptualB0Bound(bm, capacity, tau)
-		}
-		if b0 <= 0 || b0 >= bm {
-			return nil, 0, fmt.Errorf("fluid: conceptual B0 %v outside (0, Bm=%v)", b0, bm)
-		}
-		m := core.ContinuousMapping{C: capacity, B0: b0, Bm: bm}
-		return fluid.Floored{M: fluid.Continuous{M: m}, Min: flowcontrol.DefaultMinRate}, 0, nil
+		th, err := c.fp.gfcConceptual().Resolve(p)
+		return fluidLaw{mapping: continuous(th.B0, th.Bm, th.MinRate), bm: th.Bm}, err
 	default:
-		return nil, 0, fmt.Errorf("fluid: no mapping for scheme %q", fc)
+		return fluidLaw{}, fmt.Errorf("fluid: no mapping for scheme %q", fc)
 	}
 }
 
 // renderGeneratorFlows builds the saturating generator stand-in: for every
 // host, FlowsPerHost unbounded flows toward seeded uniformly-random
-// inter-rack reachable destinations (the generator's own destination rule).
-// Deterministic per (spec, seed); hosts with no reachable inter-rack peer
-// stay idle, exactly like workload.Generator.
-func renderGeneratorFlows(spec Spec, topo *topology.Topology, tab *routing.Table) ([]fluid.NetFlow, error) {
-	g := spec.Workload.Generator
-	if tab == nil {
-		return nil, fmt.Errorf("scenario: workload generator needs a routing table (set routing policy spf)")
-	}
-	seed := g.Seed
-	if seed == 0 {
-		seed = spec.Seed
-	}
-	rng := rand.New(rand.NewSource(seed))
-	racks := workload.EdgeRacks(topo)
-	hosts := topo.Hosts()
-	k := g.FlowsPerHost
+// inter-rack reachable destinations (workload.PickDst, the generator's own
+// destination rule). Deterministic per (spec, seed); hosts with no reachable
+// inter-rack peer stay idle, exactly like workload.Generator.
+func (c *compiled) renderGeneratorFlows() ([]fluid.NetFlow, error) {
+	rng := rand.New(rand.NewSource(c.generatorSeed()))
+	racks := workload.EdgeRacks(c.topo)
+	hosts := c.topo.Hosts()
+	k := c.spec.Workload.Generator.FlowsPerHost
 	if k < 1 {
 		k = 1
 	}
@@ -363,13 +227,13 @@ func renderGeneratorFlows(spec Spec, topo *topology.Topology, tab *routing.Table
 	id := 0
 	for _, h := range hosts {
 		for i := 0; i < k; i++ {
-			dst, ok := pickDst(rng, tab, racks, hosts, h)
+			dst, ok := workload.PickDst(rng, c.table, racks, hosts, h)
 			if !ok {
 				break // no reachable inter-rack destination: host idle
 			}
 			id++
 			key := uint64(id)*1315423911 ^ uint64(h)<<24 ^ uint64(dst)
-			path, err := tab.Path(h, dst, key)
+			path, err := c.table.Path(h, dst, key)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: fluid backend: routing stand-in flow %d: %w", id, err)
 			}
@@ -382,71 +246,36 @@ func renderGeneratorFlows(spec Spec, topo *topology.Topology, tab *routing.Table
 	return out, nil
 }
 
-// pickDst mirrors workload.Generator.pickDst: rejection-sample, then scan.
-func pickDst(rng *rand.Rand, tab *routing.Table, racks workload.RackOf, hosts []topology.NodeID, src topology.NodeID) (topology.NodeID, bool) {
-	for try := 0; try < 16; try++ {
-		d := hosts[rng.Intn(len(hosts))]
-		if d != src && racks(d) != racks(src) && tab.Reachable(src, d) {
-			return d, true
-		}
-	}
-	var candidates []topology.NodeID
-	for _, d := range hosts {
-		if d != src && racks(d) != racks(src) && tab.Reachable(src, d) {
-			candidates = append(candidates, d)
-		}
-	}
-	if len(candidates) == 0 {
-		return topology.None, false
-	}
-	return candidates[rng.Intn(len(candidates))], true
-}
-
-// fluidSim is the fluid backend's Runner: a compiled NetConfig plus the
-// context the analytic checker needs.
+// fluidSim is the fluid backend's Runner: the shared compilation plus the
+// solver configuration built from it.
 type fluidSim struct {
-	spec   Spec
-	topo   *topology.Topology
-	tab    *routing.Table
-	reg    *metrics.Registry
-	cfg    netsim.Config
-	fp     FCParams
+	*compiled
 	netcfg fluid.NetConfig
-	// paths back the CBD verdict; genUnion folds in the all-inter-rack-
-	// pairs union when the workload is a rendered generator.
-	paths     [][]routing.Hop
-	genUnion  bool
-	cbdCyclic *bool
-	ran       bool
+	ran    bool
 }
 
-// RunBounded implements Runner. Event budgets do not apply to a rate
-// integrator; the horizon is the spec's duration and ctx cancellation is
-// honoured mid-integration.
-func (s *fluidSim) RunBounded(ctx context.Context, _ netsim.Budget) (*Result, error) {
+// RunBounded implements Runner. The horizon is the spec's duration. Of the
+// budget (the spec's Limits overlaid with extra) only MaxWall applies — event
+// budgets and the event-stall watchdog have no meaning for a rate integrator,
+// whose step count is fixed by the horizon — and a trip is reported like the
+// packet engine's: the partial Result with Stopped set, alongside the
+// *netsim.RunError (StopWallBudget, or StopCancelled wrapping ctx's error).
+func (s *fluidSim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("scenario: fluid runner is single-use")
 	}
 	s.ran = true
 	s.netcfg.Ctx = ctx
+	if wall := s.spec.Limits.Budget().Overlay(extra).MaxWall; wall > 0 {
+		var cancel context.CancelFunc
+		s.netcfg.Ctx, cancel = context.WithTimeout(ctx, wall)
+		defer cancel()
+	}
 	nres, err := fluid.RunNet(s.netcfg)
-	if err != nil {
-		if nres == nil {
-			return nil, err
-		}
-		return s.summarise(nres), err
+	if nres == nil {
+		return nil, err
 	}
-	res := s.summarise(nres)
-	if s.spec.Run.Analytic && s.reg != nil {
-		res.Analytic = s.analyticCheck(res)
-	}
-	return res, nil
-}
-
-func (s *fluidSim) summarise(nres *fluid.NetResult) *Result {
 	res := &Result{
-		Name:       s.spec.Name,
-		FC:         s.spec.Scheme.FC,
 		Backend:    "fluid",
 		End:        nres.End,
 		Deadlocked: nres.Deadlocked,
@@ -455,59 +284,23 @@ func (s *fluidSim) summarise(nres *fluid.NetResult) *Result {
 		Delivered:  nres.Delivered,
 		HighWater:  nres.HighWater,
 	}
-	if s.reg != nil {
-		res.Violations = s.reg.Summary().Violations
-	}
-	return res
-}
-
-// Predict mirrors Sim.Predict on the fluid compilation: the same
-// analytic.Input from the same resolved config and thresholds.
-func (s *fluidSim) Predict() (*analytic.Prediction, error) {
-	known, cyclic := s.cbdVerdict()
-	return analytic.Predict(analytic.Input{
-		Topo:   s.topo,
-		Scheme: analytic.Scheme(s.spec.Scheme.FC),
-		Cfg:    s.cfg,
-		Params: analytic.Params{
-			XOFF:   s.fp.XOFF,
-			XON:    s.fp.XON,
-			B1:     s.fp.B1,
-			Bm:     s.fp.Bm,
-			B0:     s.fp.B0,
-			Period: s.fp.Period,
-		},
-		CBDKnown:  known,
-		CBDCyclic: cyclic,
-		Duration:  s.spec.Run.DurationNs,
-	})
-}
-
-func (s *fluidSim) cbdVerdict() (known, cyclic bool) {
-	if s.cbdCyclic != nil {
-		return true, *s.cbdCyclic
-	}
-	g := cbd.NewGraph(s.topo)
-	for _, p := range s.paths {
-		g.AddPath(p)
-	}
-	c := g.HasCycle()
-	if s.genUnion && s.tab != nil {
-		union := cbd.FromAllPairs(s.topo, s.tab, workload.EdgeRacks(s.topo))
-		c = c || union.HasCycle()
-	}
-	s.cbdCyclic = &c
-	return true, c
-}
-
-func (s *fluidSim) analyticCheck(res *Result) *AnalyticCheck {
-	pred, err := s.Predict()
 	if err != nil {
-		return &AnalyticCheck{Err: err}
+		// RunNet only stops mid-run on its context: the caller's, or the
+		// wall budget's deadline layered on it.
+		re := &netsim.RunError{
+			Reason: netsim.StopWallBudget,
+			Snapshot: &netsim.Snapshot{
+				At: nres.End, Events: uint64(nres.Steps),
+				Delivered: nres.Delivered, Drops: nres.Drops,
+			},
+		}
+		if cause := ctx.Err(); cause != nil {
+			re.Reason, re.Cause = netsim.StopCancelled, cause
+		}
+		res.Stopped, err = re, re
 	}
-	b := pred.Bounds()
-	if ierr := s.reg.CheckNetwork(b, res.End, res.Delivered, res.Deadlocked); ierr != nil {
-		return &AnalyticCheck{Prediction: pred, Err: ierr}
-	}
-	return &AnalyticCheck{Prediction: pred}
+	return s.finish(res), err
 }
+
+// Predict implements Runner.
+func (s *fluidSim) Predict() (*analytic.Prediction, error) { return s.predict() }

@@ -93,22 +93,38 @@ func (p FCParams) merge(o FCParams) FCParams {
 	return p
 }
 
+// The per-scheme flowcontrol configurations p describes. Zero thresholds stay
+// zero here: the configs' own Resolve methods decide the defaults per channel,
+// for the factory, the fluid compiler and the analytic predictor alike.
+func (p FCParams) pfc() flowcontrol.PFCConfig {
+	return flowcontrol.PFCConfig{XOFF: p.XOFF, XON: p.XON}
+}
+
+func (p FCParams) gfcBuffer() flowcontrol.GFCBufferConfig {
+	return flowcontrol.GFCBufferConfig{B1: p.B1, Bm: p.Bm, Refresh: p.Refresh}
+}
+
+func (p FCParams) gfcTime() flowcontrol.GFCTimeConfig {
+	return flowcontrol.GFCTimeConfig{Period: p.Period, B0: p.B0, Bm: p.Bm}
+}
+
+func (p FCParams) gfcConceptual() flowcontrol.GFCConceptualConfig {
+	return flowcontrol.GFCConceptualConfig{B0: p.B0, Bm: p.Bm}
+}
+
 // Factory returns the flowcontrol.Factory for scheme fc under params p.
 func (p FCParams) Factory(fc FC) flowcontrol.Factory {
 	switch fc {
 	case PFC:
-		if p.XOFF > 0 {
-			return flowcontrol.NewPFC(flowcontrol.PFCConfig{XOFF: p.XOFF, XON: p.XON})
-		}
-		return flowcontrol.NewPFCDefault()
+		return flowcontrol.NewPFC(p.pfc())
 	case CBFC:
 		return flowcontrol.NewCBFC(flowcontrol.CBFCConfig{Period: p.Period})
 	case GFCBuf:
-		return flowcontrol.NewGFCBuffer(flowcontrol.GFCBufferConfig{B1: p.B1, Bm: p.Bm, Refresh: p.Refresh})
+		return flowcontrol.NewGFCBuffer(p.gfcBuffer())
 	case GFCTime:
-		return flowcontrol.NewGFCTime(flowcontrol.GFCTimeConfig{Period: p.Period, B0: p.B0, Bm: p.Bm})
+		return flowcontrol.NewGFCTime(p.gfcTime())
 	case GFCConceptual:
-		return flowcontrol.NewGFCConceptual(flowcontrol.GFCConceptualConfig{B0: p.B0, Bm: p.Bm})
+		return flowcontrol.NewGFCConceptual(p.gfcConceptual())
 	case BFC:
 		return flowcontrol.NewBFCQueues(p.Queues)
 	default:

@@ -94,11 +94,9 @@ func (g *Generator) validate() error {
 }
 
 // Start launches the first flow on every host at time 0. Each completion
-// triggers the next flow from the same host. The simulation's Trace hook
-// OnFlowDone must be free for the generator's use (it installs its own
-// chaining through AddFlow callbacks instead — completion is observed via
-// per-flow goroutine-free scheduling below). FlowsPerHost values <= 0 mean
-// the paper's default of one flow in flight per host.
+// triggers the next flow from the same host (chained through Flow.OnDone).
+// FlowsPerHost values <= 0 mean the paper's default of one flow in flight per
+// host.
 func (g *Generator) Start() error {
 	if err := g.validate(); err != nil {
 		return err
@@ -120,7 +118,7 @@ func (g *Generator) Start() error {
 
 // launch starts one flow from src at time at and schedules its successor.
 func (g *Generator) launch(src topology.NodeID, at units.Time) error {
-	dst, ok := g.pickDst(src)
+	dst, ok := PickDst(g.Rng, g.Table, g.Racks, g.Net.Topology().Hosts(), src)
 	if !ok {
 		return nil // no reachable inter-rack destination: host stays idle
 	}
@@ -151,24 +149,28 @@ func (g *Generator) launch(src topology.NodeID, at units.Time) error {
 	return g.Net.AddFlow(f, at)
 }
 
-// pickDst chooses a uniformly random reachable host in a different rack.
-func (g *Generator) pickDst(src topology.NodeID) (topology.NodeID, bool) {
-	hosts := g.Net.Topology().Hosts()
-	// Rejection-sample a bounded number of times, then scan.
+// PickDst chooses a uniformly random host in a different rack that src can
+// reach — the generator's destination rule (§6.2.3), shared with backends
+// that render the generator's workload without running it. It
+// rejection-samples a bounded number of times, then scans; ok is false when
+// no such host exists.
+func PickDst(rng *rand.Rand, tab *routing.Table, racks RackOf, hosts []topology.NodeID, src topology.NodeID) (dst topology.NodeID, ok bool) {
+	eligible := func(d topology.NodeID) bool {
+		return d != src && racks(d) != racks(src) && tab.Reachable(src, d)
+	}
 	for try := 0; try < 16; try++ {
-		d := hosts[g.Rng.Intn(len(hosts))]
-		if d != src && g.Racks(d) != g.Racks(src) && g.Table.Reachable(src, d) {
+		if d := hosts[rng.Intn(len(hosts))]; eligible(d) {
 			return d, true
 		}
 	}
 	var candidates []topology.NodeID
 	for _, d := range hosts {
-		if d != src && g.Racks(d) != g.Racks(src) && g.Table.Reachable(src, d) {
+		if eligible(d) {
 			candidates = append(candidates, d)
 		}
 	}
 	if len(candidates) == 0 {
 		return topology.None, false
 	}
-	return candidates[g.Rng.Intn(len(candidates))], true
+	return candidates[rng.Intn(len(candidates))], true
 }
