@@ -23,72 +23,73 @@ type Channel struct {
 
 func (c Channel) String() string { return fmt.Sprintf("%d->%d", c.From, c.To) }
 
-// Graph is a buffer-dependency graph.
+// Graph is a buffer-dependency graph. Vertices are numbered in the order
+// their channels are first recorded.
 type Graph struct {
-	topo  *topology.Topology
-	verts map[Channel]int
+	topo *topology.Topology
+	// vert maps a channel's dense id (2*Link.ID, +1 for the B -> A
+	// direction) to its vertex number + 1; 0 means not yet seen.
+	vert  []int32
 	names []Channel
+	// succ[u] lists u's successors once each, in the order first recorded.
+	// Out-degree is bounded by the radix of the switch the channel enters,
+	// so duplicates are found by scanning and each list is carved at that
+	// capacity from arena, a chunk shared by many vertices.
 	succ  [][]int
-	edges map[[2]int]bool
+	arena []int
 }
 
 // NewGraph returns an empty dependency graph over t.
 func NewGraph(t *topology.Topology) *Graph {
-	return &Graph{
-		topo:  t,
-		verts: make(map[Channel]int),
-		edges: make(map[[2]int]bool),
-	}
+	return &Graph{topo: t, vert: make([]int32, 2*t.NumLinks())}
 }
 
-func (g *Graph) vertex(c Channel) int {
-	if v, ok := g.verts[c]; ok {
-		return v
+// vertex returns the vertex of the channel leaving from over l, adding it on
+// first sight.
+func (g *Graph) vertex(from topology.NodeID, l *topology.Link) int {
+	id := 2 * int(l.ID)
+	if from != l.A {
+		id++
 	}
-	v := len(g.names)
-	g.verts[c] = v
-	g.names = append(g.names, c)
-	g.succ = append(g.succ, nil)
-	return v
+	if v := g.vert[id]; v > 0 {
+		return int(v) - 1
+	}
+	to := l.Other(from)
+	deg := len(g.topo.Ports(to))
+	if cap(g.arena)-len(g.arena) < deg {
+		g.arena = make([]int, 0, max(deg, 1024))
+	}
+	n := len(g.arena)
+	g.arena = g.arena[:n+deg]
+	g.names = append(g.names, Channel{From: from, To: to})
+	g.succ = append(g.succ, g.arena[n:n:n+deg])
+	g.vert[id] = int32(len(g.names))
+	return len(g.names) - 1
 }
 
-// addEdge records the dependency u -> v once.
-func (g *Graph) addEdge(u, v int) {
-	k := [2]int{u, v}
-	if g.edges[k] {
-		return
+func (g *Graph) hasEdge(u, v int) bool {
+	for _, w := range g.succ[u] {
+		if w == v {
+			return true
+		}
 	}
-	g.edges[k] = true
-	g.succ[u] = append(g.succ[u], v)
-}
-
-// switchOnly reports whether both endpoints of c are switches. Host-attached
-// channels cannot participate in a cycle (hosts sink or source traffic), so
-// the dependency graph only tracks switch-to-switch buffers.
-func (g *Graph) switchOnly(c Channel) bool {
-	return g.topo.Node(c.From).Kind == topology.Switch &&
-		g.topo.Node(c.To).Kind == topology.Switch
+	return false
 }
 
 // AddPath records the buffer dependencies induced by one forwarding path.
+// Host-attached channels cannot participate in a cycle (hosts sink or source
+// traffic), so the dependency graph only tracks switch-to-switch buffers.
 func (g *Graph) AddPath(path []routing.Hop) {
-	var prev = -1
-	for i := 0; i < len(path); i++ {
-		h := path[i]
-		var to topology.NodeID
-		if i+1 < len(path) {
-			to = path[i+1].Node
-		} else {
-			to = h.Link.Other(h.Node)
-		}
-		c := Channel{From: h.Node, To: to}
-		if !g.switchOnly(c) {
+	prev := -1
+	for _, h := range path {
+		if g.topo.Node(h.Node).Kind != topology.Switch ||
+			g.topo.Node(h.Link.Other(h.Node)).Kind != topology.Switch {
 			prev = -1
 			continue
 		}
-		v := g.vertex(c)
-		if prev >= 0 {
-			g.addEdge(prev, v)
+		v := g.vertex(h.Node, h.Link)
+		if prev >= 0 && !g.hasEdge(prev, v) {
+			g.succ[prev] = append(g.succ[prev], v)
 		}
 		prev = v
 	}
@@ -201,7 +202,7 @@ func (g *Graph) StronglyConnected() [][]Channel {
 			}
 			keep := len(comp) >= 2
 			if !keep && len(comp) == 1 {
-				keep = g.edges[[2]int{comp[0], comp[0]}]
+				keep = g.hasEdge(comp[0], comp[0])
 			}
 			if keep {
 				chans := make([]Channel, len(comp))
@@ -228,32 +229,48 @@ func (g *Graph) StronglyConnected() [][]Channel {
 
 // FromAllPairs builds the dependency graph induced by routing every
 // inter-rack host pair of t under tab (the union over the workload's
-// possible flows). Pairs whose destination is unreachable are skipped.
-// rackOf groups hosts; pass nil to consider all ordered host pairs.
+// possible flows), each pair keyed by FlowKey. Pairs whose route does not
+// resolve end to end (destination unrouted or unreachable) contribute
+// nothing. rackOf groups hosts; pass nil to consider all ordered host pairs.
+//
+// The walk is destination-major — ascending destination, then ascending
+// source, then path order — so the next-hop rows toward a destination are
+// built once and shared by every source; that order is also the graph's
+// vertex numbering.
 func FromAllPairs(t *topology.Topology, tab *routing.Table, rackOf func(topology.NodeID) int) *Graph {
 	g := NewGraph(t)
 	hosts := t.Hosts()
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src == dst {
+	rows := tab.Rows()
+	var (
+		path []routing.Hop
+		ok   bool
+	)
+	for _, dst := range hosts {
+		if !rows.Toward(dst) {
+			continue
+		}
+		for _, src := range hosts {
+			if src == dst || (rackOf != nil && rackOf(src) == rackOf(dst)) {
 				continue
 			}
-			if rackOf != nil && rackOf(src) == rackOf(dst) {
-				continue
+			if path, ok = rows.AppendPath(path[:0], src, FlowKey(src, dst)); ok {
+				g.AddPath(path)
 			}
-			path, err := tab.Path(src, dst, FlowKey(src, dst))
-			if err != nil {
-				continue
-			}
-			g.AddPath(path)
 		}
 	}
 	return g
 }
 
-// FlowKey derives the deterministic ECMP key used for the (src, dst) pair
-// throughout the sweeps, so the static analysis and the simulator route
-// flows identically.
+// FlowKey is the ECMP key FromAllPairs routes the (src, dst) pair under. It
+// makes the analysis one deterministic sample of the equal-cost choices, not
+// the simulator's: workload.Generator keys every flow
+// id*1315423911 ^ src<<24 ^ dst, so a simulated flow may take a different
+// shortest path than the one analysed for its pair. The sample is also
+// narrower than it looks: Table.NextHop hashes flowKey ^ n<<32 ^ dst, and
+// the dst in this key's low word cancels that term, so at node n a source's
+// hash is the same toward every destination. Both behaviours are pinned by
+// the Table 1 goldens and TestClos1024Golden; ROADMAP's correctness item (b)
+// records the conservative alternative (the union of all shortest paths).
 func FlowKey(src, dst topology.NodeID) uint64 {
 	return uint64(src)<<32 | uint64(uint32(dst))
 }

@@ -145,9 +145,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		q := &n.inq[ch]
-		q.push(pkt)
-		if q.len() == 1 {
+		if n.pushInq(ch, pkt) {
 			n.kick(out)
 		}
 		return
@@ -157,7 +155,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		n.inq[ch].push(pkt)
+		n.pushInq(ch, pkt)
 		n.forward(nd, prio)
 		return
 	}

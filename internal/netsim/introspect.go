@@ -216,11 +216,10 @@ func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool 
 	}
 	ing := nd.ports[portIdx]
 	ch := ing.cb + prio
-	q := &n.inq[ch]
-	if q.empty() {
+	if n.inq[ch].empty() {
 		return false
 	}
-	pkt := q.pop()
+	pkt := n.popInq(ch)
 	n.occupancy[ch] -= pkt.Size
 	n.progress[ch].departed += pkt.Size
 	n.drops++
@@ -236,9 +235,8 @@ func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool 
 	}
 	n.recyclePacket(pkt)
 	// The freed head may expose a packet for an idle egress.
-	if !q.empty() {
-		head := q.front()
-		n.kick(nd.ports[head.Path[head.hop].Port])
+	if out := n.inqOut[ch]; out >= 0 {
+		n.kick(nd.ports[out])
 	}
 	return true
 }

@@ -58,6 +58,7 @@ type Network struct {
 	receivers   []flowcontrol.Receiver
 	rrVoq       []int32    // round-robin cursor over VOQs / input ports
 	inq         []pktQueue // ingress FIFOs (SchedInputQueued/SchedBlocking)
+	inqOut      []int16    // egress port of each ingress FIFO's head, -1 when empty (pushInq/popInq)
 	// voqs and fedBytes have port-dependent strides; see port.voqBase and
 	// port.fedBase.
 	voqs     []voq
@@ -140,6 +141,10 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	n.receivers = make([]flowcontrol.Receiver, chans)
 	n.rrVoq = make([]int32, chans)
 	n.inq = make([]pktQueue, chans)
+	n.inqOut = make([]int16, chans)
+	for ch := range n.inqOut {
+		n.inqOut[ch] = -1
+	}
 	n.voqs = make([]voq, totalVoqs)
 	n.fedBytes = make([]units.Size, totalFed)
 	n.fwdCursor = make([]int32, nn*k)

@@ -126,7 +126,7 @@ func (n *Network) kick(p *port) {
 				}
 				continue
 			}
-			n.inq[in.cb+prio].pop()
+			n.popInq(in.cb + prio)
 			n.rrVoq[p.cb+prio] = int32((in.local + 1) % len(p.owner.ports))
 			pkt, freed = head, in
 		} else if n.fq > 0 {
@@ -168,9 +168,8 @@ func (n *Network) kick(p *port) {
 		n.eng.After(dur, p.txDoneFn)
 		if freed != nil {
 			// The freed input's new head may target an idle egress.
-			if q := &n.inq[freed.cb+prio]; !q.empty() {
-				head := q.front()
-				n.kick(p.owner.ports[head.Path[head.hop].Port])
+			if out := n.inqOut[freed.cb+prio]; out >= 0 {
+				n.kick(p.owner.ports[out])
 			}
 		}
 		return
@@ -231,7 +230,7 @@ func (n *Network) forward(nd *node, prio int) {
 			n.fwdBlocked[fi] = out // stall switch-wide
 			return
 		}
-		n.inq[in.cb+prio].pop()
+		n.popInq(in.cb + prio)
 		n.fwdCursor[fi] = int32((in.local + 1) % len(nd.ports))
 		n.enqueue(out, head)
 		n.kick(out)
@@ -314,6 +313,32 @@ func (n *Network) nextQueued(p *port, prio int) (*Packet, int, units.Time) {
 	return nil, -1, minWake
 }
 
+// pushInq appends pkt to ingress FIFO ch and reports whether it became the
+// head. inqOut[ch] caches the head's egress port so nextFromInputs compares
+// one dense int16 per input instead of chasing head.Path[head.hop].
+func (n *Network) pushInq(ch int, pkt *Packet) bool {
+	q := &n.inq[ch]
+	q.push(pkt)
+	if q.len() > 1 {
+		return false
+	}
+	n.inqOut[ch] = int16(pkt.Path[pkt.hop].Port)
+	return true
+}
+
+// popInq removes and returns the head of ingress FIFO ch, publishing the new
+// head's egress port.
+func (n *Network) popInq(ch int) *Packet {
+	q := &n.inq[ch]
+	pkt := q.pop()
+	n.inqOut[ch] = -1
+	if !q.empty() {
+		head := q.front()
+		n.inqOut[ch] = int16(head.Path[head.hop].Port)
+	}
+	return pkt
+}
+
 // nextFromInputs scans the owner's ingress FIFOs round-robin for a head
 // packet bound for egress p at the given priority that flow control permits.
 // It returns the packet and its input port, or (nil, nil, wake) where wake
@@ -323,14 +348,10 @@ func (n *Network) nextFromInputs(p *port, prio int) (*Packet, *port, units.Time)
 	minWake := units.Never
 	for j := 0; j < len(ports); j++ {
 		in := ports[(int(n.rrVoq[p.cb+prio])+j)%len(ports)]
-		q := &n.inq[in.cb+prio]
-		if q.empty() {
-			continue
+		if int(n.inqOut[in.cb+prio]) != p.local {
+			continue // empty, or head-of-line: only the head is eligible
 		}
-		head := q.front()
-		if head.Path[head.hop].Port != p.local {
-			continue // head-of-line: only the head is eligible
-		}
+		head := n.inq[in.cb+prio].front()
 		ok, wake := n.senders[p.cb+prio].TrySend(head.Size)
 		if !ok {
 			// Flow control gates the whole egress for this

@@ -7,7 +7,6 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -19,67 +18,70 @@ import (
 type Table struct {
 	topo *topology.Topology
 	// dist[dst][n] is the hop distance from n to dst over live links, or
-	// unreachable.
-	dist map[topology.NodeID][]int32
+	// unreachable; dist[dst] is nil when dst is not a routed destination.
+	// The rows are slices of one flat backing array.
+	dist [][]int32
 }
 
 const unreachable int32 = 1 << 30
 
 // NewSPF computes shortest-path routing toward every host in t.
-func NewSPF(t *topology.Topology) *Table {
-	tab := &Table{topo: t, dist: make(map[topology.NodeID][]int32)}
-	for _, h := range t.Hosts() {
-		tab.dist[h] = bfsFrom(t, h)
-	}
-	return tab
-}
+func NewSPF(t *topology.Topology) *Table { return NewSPFToward(t, t.Hosts()) }
 
 // NewSPFToward computes routing toward only the given destinations; cheaper
 // than NewSPF when few hosts receive traffic.
 func NewSPFToward(t *topology.Topology, dsts []topology.NodeID) *Table {
-	tab := &Table{topo: t, dist: make(map[topology.NodeID][]int32)}
+	n := t.NumNodes()
+	tab := &Table{topo: t, dist: make([][]int32, n)}
+	flat := make([]int32, len(dsts)*n)
+	queue := make([]topology.NodeID, 0, n)
 	for _, d := range dsts {
-		if _, done := tab.dist[d]; !done {
-			tab.dist[d] = bfsFrom(t, d)
+		if tab.dist[d] == nil {
+			tab.dist[d], flat = flat[:n:n], flat[n:]
+			bfsFrom(t, d, tab.dist[d], queue)
 		}
 	}
 	return tab
 }
 
-func bfsFrom(t *topology.Topology, src topology.NodeID) []int32 {
-	dist := make([]int32, t.NumNodes())
+// bfsFrom fills dist with the hop distance of every node to src. queue is
+// scratch with capacity for every node (each is enqueued at most once).
+func bfsFrom(t *topology.Topology, src topology.NodeID, dist []int32, queue []topology.NodeID) {
 	for i := range dist {
 		dist[i] = unreachable
 	}
 	dist[src] = 0
-	queue := []topology.NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		// Hosts do not forward transit traffic: only the BFS source (the
+		// destination host) may expand through a host node.
+		if t.Node(n).Kind == topology.Host && n != src {
+			continue
+		}
 		for _, at := range t.Ports(n) {
-			if at.Link.Failed {
-				continue
-			}
-			// Hosts do not forward transit traffic: only the BFS
-			// source (the destination host) may expand through a
-			// host node.
-			if t.Node(n).Kind == topology.Host && n != src {
-				continue
-			}
-			if dist[at.Peer] > dist[n]+1 {
+			if !at.Link.Failed && dist[at.Peer] > dist[n]+1 {
 				dist[at.Peer] = dist[n] + 1
 				queue = append(queue, at.Peer)
 			}
 		}
 	}
-	return dist
+}
+
+// toward returns dst's distance row, nil when dst is not a routed
+// destination.
+func (tab *Table) toward(dst topology.NodeID) []int32 {
+	if uint(dst) >= uint(len(tab.dist)) {
+		return nil
+	}
+	return tab.dist[dst]
 }
 
 // Distance reports the hop count from n to dst, with ok=false when dst is
 // unreachable (or not a routed destination).
 func (tab *Table) Distance(n, dst topology.NodeID) (int, bool) {
-	d, known := tab.dist[dst]
-	if !known || d[n] >= unreachable {
+	d := tab.toward(dst)
+	if d == nil || d[n] >= unreachable {
 		return 0, false
 	}
 	return int(d[n]), true
@@ -91,89 +93,109 @@ func (tab *Table) Reachable(n, dst topology.NodeID) bool {
 	return ok
 }
 
+// appendNextHops appends to out the attachments of n on shortest paths
+// toward dst — live links to a peer one hop closer that is a switch or dst
+// itself — ordered by ascending peer NodeID (then port). It is the one
+// statement of the next-hop eligibility-and-order rule: NextHops, NextHop and
+// Rows all read it. Port fan-out is the switch radix and builders attach
+// peers in nearly ascending order, so the insertion sort is close to linear.
+func (tab *Table) appendNextHops(out []topology.Attachment, n, dst topology.NodeID) []topology.Attachment {
+	d := tab.toward(dst)
+	if d == nil || d[n] >= unreachable || n == dst {
+		return out
+	}
+	base, closer := len(out), d[n]-1
+	for _, at := range tab.topo.Ports(n) {
+		if d[at.Peer] != closer || at.Link.Failed {
+			continue
+		}
+		if at.Peer != dst && tab.topo.Node(at.Peer).Kind == topology.Host {
+			continue
+		}
+		i := len(out)
+		out = append(out, at)
+		for ; i > base && (out[i-1].Peer > at.Peer || out[i-1].Peer == at.Peer && out[i-1].Port > at.Port); i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = at
+	}
+	return out
+}
+
+// pick is the ECMP choice among count equal-cost next hops of n toward dst.
+// A single candidate (every downward hop of a fat-tree) needs no hash and no
+// divide, which is a quarter of the k=16 all-pairs walk.
+func pick(flowKey uint64, n, dst topology.NodeID, count int) int {
+	if count == 1 {
+		return 0
+	}
+	return int(mix(flowKey^uint64(n)<<32^uint64(dst)) % uint64(count))
+}
+
 // NextHops returns the attachments of n on shortest paths toward dst,
 // ordered by ascending peer NodeID (then port). The ordering is a semantic
 // guarantee, not an iteration accident: ECMP selection indexes into this
 // slice, so it must not depend on the order links were inserted into the
 // topology. Empty when dst is unreachable.
 func (tab *Table) NextHops(n, dst topology.NodeID) []topology.Attachment {
-	d, known := tab.dist[dst]
-	if !known || d[n] >= unreachable || n == dst {
-		return nil
-	}
-	var out []topology.Attachment
-	for _, at := range tab.topo.Ports(n) {
-		if at.Link.Failed {
-			continue
-		}
-		if tab.topo.Node(at.Peer).Kind == topology.Host && at.Peer != dst {
-			continue
-		}
-		if d[at.Peer] == d[n]-1 {
-			out = append(out, at)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Peer != out[j].Peer {
-			return out[i].Peer < out[j].Peer
-		}
-		return out[i].Port < out[j].Port
-	})
-	return out
+	return tab.appendNextHops(nil, n, dst)
 }
 
 // NextHop picks one next hop toward dst deterministically from flowKey
-// (ECMP by flow hash). It selects the same attachment NextHops-then-index
-// would, but by rank counting over the (unsorted) port list: this runs once
-// per hop of every path the all-pairs CBD analysis traces, and the
-// slice-plus-sort version dominated full-scale sweep setup time.
+// (ECMP by flow hash): NextHops-then-index, without the allocation.
 func (tab *Table) NextHop(n, dst topology.NodeID, flowKey uint64) (topology.Attachment, bool) {
-	d, known := tab.dist[dst]
-	if !known || d[n] >= unreachable || n == dst {
+	var buf [32]topology.Attachment
+	row := tab.appendNextHops(buf[:0], n, dst)
+	if len(row) == 0 {
 		return topology.Attachment{}, false
 	}
-	ports := tab.topo.Ports(n)
-	eligible := func(at topology.Attachment) bool {
-		if at.Link.Failed {
-			return false
-		}
-		if tab.topo.Node(at.Peer).Kind == topology.Host && at.Peer != dst {
-			return false
-		}
-		return d[at.Peer] == d[n]-1
+	return row[pick(flowKey, n, dst, len(row))], true
+}
+
+// Rows is reusable scratch holding every node's NextHops toward one
+// destination at a time, for walks that route many sources to the same
+// destination (the all-pairs CBD analysis): the eligible hops are found once
+// per (node, destination) instead of once per hop of every path. Not safe
+// for concurrent use; the Table it reads is.
+type Rows struct {
+	tab  *Table
+	dst  topology.NodeID
+	off  []int32 // node n's row is hops[off[n]:off[n+1]]
+	hops []topology.Attachment
+}
+
+// Rows returns empty scratch over tab; call Toward before walking.
+func (tab *Table) Rows() *Rows {
+	return &Rows{tab: tab, dst: topology.None, off: make([]int32, len(tab.dist)+1)}
+}
+
+// Toward rebuilds the rows for dst and reports whether dst is a routed
+// destination.
+func (r *Rows) Toward(dst topology.NodeID) bool {
+	r.dst, r.hops = dst, r.hops[:0]
+	for n := range r.tab.dist {
+		r.off[n] = int32(len(r.hops))
+		r.hops = r.tab.appendNextHops(r.hops, topology.NodeID(n), dst)
 	}
-	count := 0
-	for _, at := range ports {
-		if eligible(at) {
-			count++
+	r.off[len(r.tab.dist)] = int32(len(r.hops))
+	return r.tab.toward(dst) != nil
+}
+
+// AppendPath appends to path the route a flow keyed by flowKey takes from src
+// to the current destination — hop for hop what Table.Path returns — and
+// reports whether the whole route resolved; on false the appended hops are a
+// dead-ended prefix.
+func (r *Rows) AppendPath(path []Hop, src topology.NodeID, flowKey uint64) ([]Hop, bool) {
+	for n := src; n != r.dst; {
+		row := r.hops[r.off[n]:r.off[n+1]]
+		if len(row) == 0 {
+			return path, false
 		}
+		at := row[pick(flowKey, n, r.dst, len(row))]
+		path = append(path, Hop{Node: n, Port: at.Port, Link: at.Link})
+		n = at.Peer
 	}
-	if count == 0 {
-		return topology.Attachment{}, false
-	}
-	h := mix(flowKey ^ uint64(n)<<32 ^ uint64(dst))
-	want := int(h % uint64(count))
-	// Return the want-th eligible attachment in the (peer, port) order
-	// NextHops guarantees. Port fan-out is the switch radix, so the
-	// quadratic rank count stays cheaper than sorting an allocated slice.
-	for _, at := range ports {
-		if !eligible(at) {
-			continue
-		}
-		rank := 0
-		for _, o := range ports {
-			if !eligible(o) {
-				continue
-			}
-			if o.Peer < at.Peer || (o.Peer == at.Peer && o.Port < at.Port) {
-				rank++
-			}
-		}
-		if rank == want {
-			return at, true
-		}
-	}
-	return topology.Attachment{}, false
+	return path, true
 }
 
 // Hop is one forwarding step of a path: the node, the local egress port used

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/topology"
@@ -91,6 +93,73 @@ func TestNextHopsInsertionOrderIndependent(t *testing.T) {
 			if got.paths[key] != p {
 				t.Fatalf("order %v key %d: path %q, want %q (insertion order leaked into ECMP)",
 					order, key, got.paths[key], p)
+			}
+		}
+	}
+}
+
+// TestRowsWalkMatchesPath pins the three readers of the next-hop rule to one
+// another on random failed fat-trees (k=4 and some k=8, three failure
+// probabilities, full and partial tables): Rows.AppendPath returns Table.Path
+// hop for hop and fails exactly when Path does, NextHop is NextHops-then-index,
+// and NextHops is in strictly ascending (peer, port) order.
+func TestRowsWalkMatchesPath(t *testing.T) {
+	probs := []float64{0.05, 0.15, 0.25}
+	for seed := int64(0); seed < 228; seed++ {
+		k := 4
+		if seed >= 216 {
+			k = 8
+		}
+		rng := rand.New(rand.NewSource(seed))
+		topo := topology.FatTree(k, topology.DefaultLinkParams())
+		topo.FailRandomLinks(rng, probs[seed%3])
+		hosts := topo.Hosts()
+		tab := NewSPF(topo)
+		if seed%4 == 3 {
+			// Some destinations unrouted.
+			tab = NewSPFToward(topo, hosts[:len(hosts)/2])
+		}
+		if seed%8 == 5 {
+			// A stale table: routes dead-end at a link that failed
+			// after it was built.
+			topo.FailRandomLinks(rng, 0.1)
+		}
+		rows := tab.Rows()
+		var walk []Hop
+		for _, dst := range hosts {
+			routed := rows.Toward(dst)
+			for n := 0; n < topo.NumNodes(); n++ {
+				n := topology.NodeID(n)
+				nh := tab.NextHops(n, dst)
+				for i := 1; i < len(nh); i++ {
+					a, b := nh[i-1], nh[i]
+					if a.Peer > b.Peer || (a.Peer == b.Peer && a.Port >= b.Port) {
+						t.Fatalf("seed %d: NextHops(%d,%d) out of (peer, port) order", seed, n, dst)
+					}
+				}
+				key := rng.Uint64()
+				at, ok := tab.NextHop(n, dst, key)
+				if ok != (len(nh) > 0) {
+					t.Fatalf("seed %d: NextHop(%d,%d) ok=%v with %d next hops", seed, n, dst, ok, len(nh))
+				}
+				if ok && at != nh[mix(key^uint64(n)<<32^uint64(dst))%uint64(len(nh))] {
+					t.Fatalf("seed %d: NextHop(%d,%d) is not NextHops-then-index", seed, n, dst)
+				}
+			}
+			for _, src := range hosts {
+				if src == dst {
+					continue
+				}
+				key := rng.Uint64()
+				want, err := tab.Path(src, dst, key)
+				var ok bool
+				walk, ok = rows.AppendPath(walk[:0], src, key)
+				if ok != (err == nil) || (!routed && ok) {
+					t.Fatalf("seed %d %d->%d: walk ok=%v, Path err=%v", seed, src, dst, ok, err)
+				}
+				if ok && !slices.Equal(walk, want) {
+					t.Fatalf("seed %d %d->%d: walk %v, Path %v", seed, src, dst, walk, want)
+				}
 			}
 		}
 	}

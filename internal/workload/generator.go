@@ -19,7 +19,7 @@ type RackOf func(topology.NodeID) int
 // topology.FatTree: hosts under the same edge switch form a rack. For other
 // topologies it falls back to per-host racks (all pairs allowed).
 func EdgeRacks(t *topology.Topology) RackOf {
-	rack := make(map[topology.NodeID]int)
+	rack := make([]int, t.NumNodes()) // by NodeID; switches stay 0
 	for _, h := range t.Hosts() {
 		ports := t.Ports(h)
 		if len(ports) == 1 {
@@ -54,6 +54,7 @@ type Generator struct {
 	// flow-arrival transients.
 	Think units.Time
 
+	hosts  []topology.NodeID // the destination candidates, resolved by Start
 	nextID int
 	// Completed accumulates finished flows for analysis.
 	Completed []*netsim.Flow
@@ -105,8 +106,8 @@ func (g *Generator) Start() error {
 	if k < 1 {
 		k = 1
 	}
-	hosts := g.Net.Topology().Hosts()
-	for _, h := range hosts {
+	g.hosts = g.Net.Topology().Hosts()
+	for _, h := range g.hosts {
 		for i := 0; i < k; i++ {
 			if err := g.launch(h, 0); err != nil {
 				return err
@@ -118,7 +119,7 @@ func (g *Generator) Start() error {
 
 // launch starts one flow from src at time at and schedules its successor.
 func (g *Generator) launch(src topology.NodeID, at units.Time) error {
-	dst, ok := PickDst(g.Rng, g.Table, g.Racks, g.Net.Topology().Hosts(), src)
+	dst, ok := PickDst(g.Rng, g.Table, g.Racks, g.hosts, src)
 	if !ok {
 		return nil // no reachable inter-rack destination: host stays idle
 	}
