@@ -3,12 +3,13 @@
 // callbacks. Events that share a timestamp fire in the order they were
 // scheduled, which makes every run deterministic.
 //
-// The queue is an index-addressed 4-ary heap over a pool of event records.
-// The wider node fans out the tree to a quarter of the binary depth and keeps
-// each node's children in one or two cache lines, which is measurably faster
-// on deep queues; because the comparator (time, sequence) is a total order,
-// the pop sequence — and therefore every simulation result — is identical to
-// the binary heap's.
+// The queue is a 4-ary heap whose entries carry their own (time, sequence)
+// key next to the id of a pooled event record. The wider node fans out the
+// tree to a quarter of the binary depth, and because the keys are inline a
+// sift compares the four contiguous children (96 bytes) without touching a
+// record; because the comparator (time, sequence) is a total order, the pop
+// sequence — and therefore every simulation result — is identical to the
+// binary heap's, whatever the entry layout.
 // Records are recycled through a free list and addressed by stable ids, so
 // the steady state of a simulation — schedule, fire, schedule again —
 // allocates nothing. Handles returned by Schedule carry a generation
@@ -43,15 +44,28 @@ func (e Event) At() units.Time { return e.at }
 // only distinguishable by that generation check.
 func (e Event) Slot() int { return int(e.id) }
 
-// record is one pooled event. pos is its index in Engine.heap, -1 while the
-// record sits on the free list. gen starts at 1 so the zero Event handle
-// (gen 0) never matches a live record.
+// record is one pooled event: what Cancel and Step need once the heap has
+// picked it. pos is its index in Engine.heap, -1 while the record sits on the
+// free list. gen starts at 1 so the zero Event handle (gen 0) never matches a
+// live record.
 type record struct {
-	at  units.Time
-	seq uint64
 	fn  func()
 	gen uint32
 	pos int32
+}
+
+// entry is one heap slot. The ordering key lives here and nowhere else, so
+// siftUp and siftDown never load a record to compare.
+type entry struct {
+	at  units.Time
+	seq uint64
+	id  int32
+}
+
+// before reports whether a fires before b: earlier time, then earlier
+// schedule order.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
@@ -59,7 +73,7 @@ type record struct {
 type Engine struct {
 	records []record
 	free    []int32 // recycled record ids
-	heap    []int32 // record ids ordered by (at, seq)
+	heap    []entry // 4-ary heap ordered by (at, seq)
 	now     units.Time
 	seq     uint64
 	fired   uint64
@@ -124,11 +138,10 @@ func (e *Engine) Schedule(at units.Time, fn func()) Event {
 	}
 	id := e.alloc()
 	r := &e.records[id]
-	r.at, r.seq, r.fn = at, e.seq, fn
+	r.fn = fn
+	e.heap = append(e.heap, entry{at: at, seq: e.seq, id: id})
 	e.seq++
-	r.pos = int32(len(e.heap))
-	e.heap = append(e.heap, id)
-	e.siftUp(r.pos)
+	e.siftUp(int32(len(e.heap) - 1))
 	return Event{id: id, gen: r.gen, at: at}
 }
 
@@ -184,11 +197,10 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	id := e.heap[0]
+	id := e.heap[0].id
+	e.now = e.heap[0].at
 	e.removeAt(0)
-	r := &e.records[id]
-	fn := r.fn
-	e.now = r.at
+	fn := e.records[id].fn
 	e.fired++
 	// Release before running so a Cancel of this event from inside its
 	// own callback is already a stale-generation no-op.
@@ -203,9 +215,8 @@ func (e *Engine) Peek() (Event, bool) {
 	if len(e.heap) == 0 {
 		return Event{}, false
 	}
-	id := e.heap[0]
-	r := &e.records[id]
-	return Event{id: id, gen: r.gen, at: r.at}, true
+	top := &e.heap[0]
+	return Event{id: top.id, gen: e.records[top.id].gen, at: top.at}, true
 }
 
 // Absorb removes ev from the queue and credits it to the fired counter
@@ -220,9 +231,8 @@ func (e *Engine) Absorb(ev Event) bool {
 	if ev.gen == 0 || len(e.heap) == 0 {
 		return false
 	}
-	id := e.heap[0]
-	r := &e.records[id]
-	if id != ev.id || r.gen != ev.gen || r.at != e.now {
+	id := e.heap[0].id
+	if id != ev.id || e.records[id].gen != ev.gen || e.heap[0].at != e.now {
 		return false
 	}
 	e.removeAt(0)
@@ -240,7 +250,7 @@ func (e *Engine) Run(until units.Time) units.Time {
 	defer func() { e.stopped = false }()
 	for !e.stopped && len(e.heap) > 0 {
 		// Peek: do not advance past the horizon.
-		if e.records[e.heap[0]].at > until {
+		if e.heap[0].at > until {
 			break
 		}
 		e.Step()
@@ -257,45 +267,32 @@ func (e *Engine) Run(until units.Time) units.Time {
 // RunAll executes events until the queue is empty or Stop is called.
 func (e *Engine) RunAll() units.Time { return e.Run(units.Never) }
 
-// less orders record ids by (time, sequence).
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.records[a], &e.records[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
-	}
-	return ra.seq < rb.seq
-}
-
 // Heap layout: 4-ary, node i has parent (i-1)/4 and children 4i+1..4i+4.
 
-// siftUp restores heap order from position i toward the root. The moving
-// element's key is loaded once; each level costs a single record fetch.
+// siftUp restores heap order from position i toward the root. Only the
+// entries that move have their record's pos rewritten.
 func (e *Engine) siftUp(i int32) {
 	h, recs := e.heap, e.records
-	id := h[i]
-	at, seq := recs[id].at, recs[id].seq
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := &recs[h[parent]]
-		if at > p.at || (at == p.at && seq > p.seq) {
+		if !x.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		p.pos = i
+		recs[h[i].id].pos = i
 		i = parent
 	}
-	h[i] = id
-	recs[id].pos = i
+	h[i] = x
+	recs[x.id].pos = i
 }
 
 // siftDown restores heap order from position i toward the leaves and reports
-// whether the element moved. The winning child's key is kept in registers
-// across the up-to-4-way scan so each child costs one record fetch.
+// whether the element moved.
 func (e *Engine) siftDown(i int32) bool {
 	h, recs := e.heap, e.records
 	n := int32(len(h))
-	id := h[i]
-	at, seq := recs[id].at, recs[id].seq
+	x := h[i]
 	start := i
 	for {
 		c := 4*i + 1
@@ -303,26 +300,24 @@ func (e *Engine) siftDown(i int32) bool {
 			break
 		}
 		// Smallest of the up-to-4 children.
-		m := &recs[h[c]]
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		for k := c + 1; k < end; k++ {
-			r := &recs[h[k]]
-			if r.at < m.at || (r.at == m.at && r.seq < m.seq) {
-				c, m = k, r
+			if h[k].before(&h[c]) {
+				c = k
 			}
 		}
-		if at < m.at || (at == m.at && seq < m.seq) {
+		if x.before(&h[c]) {
 			break
 		}
 		h[i] = h[c]
-		m.pos = i
+		recs[h[i].id].pos = i
 		i = c
 	}
-	h[i] = id
-	recs[id].pos = i
+	h[i] = x
+	recs[x.id].pos = i
 	return i != start
 }
 
@@ -330,13 +325,12 @@ func (e *Engine) siftDown(i int32) bool {
 func (e *Engine) removeAt(i int32) {
 	h := e.heap
 	n := int32(len(h)) - 1
-	e.records[h[i]].pos = -1
+	e.records[h[i].id].pos = -1
 	if i == n {
 		e.heap = h[:n]
 		return
 	}
 	h[i] = h[n]
-	e.records[h[i]].pos = i
 	e.heap = h[:n]
 	if !e.siftDown(i) {
 		e.siftUp(i)

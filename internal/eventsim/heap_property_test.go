@@ -20,9 +20,54 @@ type refEvent struct {
 	seq int // insertion order, the FIFO tie-break
 }
 
+// checkHeap asserts the engine's internal consistency: the inline keys obey
+// the 4-ary heap order, every entry's record points back at its slot, free
+// records point nowhere, and — given the live handles in schedule order — each
+// handle's slot carries exactly the time it was scheduled for, with sequence
+// numbers rising in schedule order. The key lives only in the heap entry, so
+// this is the check that a sift never separates a key from its id.
+func checkHeap(t *testing.T, e *Engine, live []Event) {
+	t.Helper()
+	for i := range e.heap {
+		if i > 0 && e.heap[i].before(&e.heap[(i-1)>>2]) {
+			t.Fatalf("heap order broken at %d: %+v before its parent %+v", i, e.heap[i], e.heap[(i-1)>>2])
+		}
+		if pos := e.records[e.heap[i].id].pos; pos != int32(i) {
+			t.Fatalf("heap[%d] holds record %d, whose pos says %d", i, e.heap[i].id, pos)
+		}
+	}
+	for _, id := range e.free {
+		if e.records[id].pos != -1 || e.records[id].fn != nil {
+			t.Fatalf("free record %d still has pos %d / a callback", id, e.records[id].pos)
+		}
+	}
+	if live == nil {
+		return
+	}
+	if len(e.heap) != len(live) {
+		t.Fatalf("%d heap entries for %d live handles", len(e.heap), len(live))
+	}
+	lastSeq := uint64(0)
+	for i, ev := range live {
+		r := e.records[ev.id]
+		if r.gen != ev.gen || r.pos < 0 {
+			t.Fatalf("live handle %+v: record gen %d pos %d", ev, r.gen, r.pos)
+		}
+		ent := e.heap[r.pos]
+		if ent.id != ev.id || ent.at != ev.at {
+			t.Fatalf("live handle %+v sits at heap[%d] = %+v", ev, r.pos, ent)
+		}
+		if i > 0 && ent.seq <= lastSeq {
+			t.Fatalf("handle %d (schedule order) has seq %d, not above its predecessor's %d", i, ent.seq, lastSeq)
+		}
+		lastSeq = ent.seq
+	}
+}
+
 // runModelComparison drives an engine and a reference model through a random
-// interleaving of Schedule, After, Cancel (live and stale handles) and Step,
-// then drains both and compares the complete fire order.
+// interleaving of Schedule, After, Cancel (live and stale handles), Step and
+// Absorb, checking the heap's consistency after every operation, then drains
+// both and compares the complete fire order.
 func runModelComparison(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -70,8 +115,24 @@ func runModelComparison(t *testing.T, seed int64) {
 			if len(stale) > 0 {
 				e.Cancel(stale[rng.Intn(len(stale))])
 			}
-		default: // Step: fire the earliest pending event
-			if e.Step() {
+		default: // Step — or Absorb the head when it is due now — fires
+			// the earliest pending event
+			stepped := false
+			if top, ok := e.Peek(); ok && top.At() == e.Now() && rng.Intn(2) == 0 {
+				if !e.Absorb(top) {
+					t.Fatalf("seed %d: Absorb refused the due head %+v", seed, top)
+				}
+				// Absorb skips the callback: do its work inline.
+				for _, l := range pending {
+					if l.ev == top {
+						fired = append(fired, l.ref)
+					}
+				}
+				stepped = true
+			} else {
+				stepped = e.Step()
+			}
+			if stepped {
 				// The fired event leaves pending; find it by the
 				// engine-reported order later. Remove the model's
 				// minimum (at, seq) — that is what must have fired.
@@ -88,6 +149,11 @@ func runModelComparison(t *testing.T, seed int64) {
 				pending = append(pending[:min], pending[min+1:]...)
 			}
 		}
+		handles := make([]Event, len(pending))
+		for i, l := range pending {
+			handles[i] = l.ev
+		}
+		checkHeap(t, e, handles)
 	}
 
 	// Drain: everything still pending fires in (at, seq) order.
@@ -143,7 +209,10 @@ func TestCancelAtEveryHeapPosition(t *testing.T) {
 			evs[i] = e.Schedule(units.Time(times[i]), func() { fired = append(fired, times[i]) })
 		}
 		e.Cancel(evs[victim])
-		e.RunAll()
+		checkHeap(t, e, append(append([]Event{}, evs[:victim]...), evs[victim+1:]...))
+		for e.Step() {
+			checkHeap(t, e, nil)
+		}
 		if len(fired) != n-1 {
 			t.Fatalf("victim %d: fired %d events, want %d", victim, len(fired), n-1)
 		}

@@ -110,7 +110,6 @@ func NewBFCDefault() Factory { return NewBFCQueues(DefaultBFCQueues) }
 type bfcSender struct {
 	p   Params
 	cfg BFCConfig
-	env Env
 
 	paused  []bool
 	npaused int

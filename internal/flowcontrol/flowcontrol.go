@@ -83,11 +83,20 @@ type Message struct {
 // Wire reports the frame's size on the wire.
 func (m Message) Wire() units.Size { return MessageSize }
 
+// Clock is the simulation clock.
+type Clock interface {
+	Now() units.Time
+}
+
 // Env is the runtime a controller executes in: the simulation clock, timer
 // service and the feedback path back to the paired Sender. Implementations
 // of Emit must apply the physical feedback latency.
+//
+// Clock returns one clock shared by every controller of the network, and a
+// Sender keeps that rather than its Env: TrySend and OnSent run per packet,
+// and reading the time must not cost a load of per-channel state first.
 type Env interface {
-	Now() units.Time
+	Clock() Clock
 	After(d units.Time, fn func())
 	Emit(m Message)
 }

@@ -21,6 +21,7 @@ type fakeEnv struct {
 func newFakeEnv() *fakeEnv { return &fakeEnv{eng: eventsim.New()} }
 
 func (e *fakeEnv) Now() units.Time               { return e.eng.Now() }
+func (e *fakeEnv) Clock() Clock                  { return e.eng }
 func (e *fakeEnv) After(d units.Time, fn func()) { e.eng.After(d, fn) }
 func (e *fakeEnv) Emit(m Message)                { e.sent = append(e.sent, m); e.deliver(m) }
 func (e *fakeEnv) deliver(m Message) {

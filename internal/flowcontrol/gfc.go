@@ -134,36 +134,38 @@ func NewGFCBuffer(cfg GFCBufferConfig) Factory {
 			tables[key] = table
 			mu.Unlock()
 		}
-		rl := NewRateLimiter(p.Capacity)
+		rl := *NewRateLimiter(p.Capacity)
 		rl.MinRate = cfg.MinRate
 		if cfg.Slack > 0 {
 			rl.Slack = cfg.Slack
 		}
 		return Controller{
-			Sender:   &gfcBufferSender{p: p, table: table, rl: rl, env: env},
+			Sender:   &gfcBufferSender{rl: rl, clock: env.Clock(), table: table},
 			Receiver: &gfcBufferReceiver{p: p, table: table, env: env, refresh: cfg.Refresh},
 		}, nil
 	}
 }
 
+// The rate limiter is held by value and leads the struct, next to the clock:
+// the per-packet path (TrySend, OnSent) then stays inside the sender's first
+// cache line.
 type gfcBufferSender struct {
-	p     Params
+	rl    RateLimiter
+	clock Clock
 	table *core.StageTable
-	rl    *RateLimiter
-	env   Env
 	stage int
 }
 
 func (s *gfcBufferSender) TrySend(units.Size) (bool, units.Time) {
 	next := s.rl.NextAllowed()
-	if now := s.env.Now(); next > now {
+	if now := s.clock.Now(); next > now {
 		return false, next
 	}
 	return true, 0
 }
 
 func (s *gfcBufferSender) OnSent(_ units.Size, dur units.Time) {
-	s.rl.OnSent(s.env.Now(), dur)
+	s.rl.OnSent(s.clock.Now(), dur)
 }
 
 func (s *gfcBufferSender) OnFeedback(m Message) {
@@ -239,7 +241,7 @@ func (r *gfcBufferReceiver) observe(q units.Size) {
 	if st == r.sent {
 		return
 	}
-	now := r.env.Now()
+	now := r.env.Clock().Now()
 	if r.started && now-r.lastEmit < r.gap() {
 		r.pending = true
 		r.env.After(r.lastEmit+r.gap()-now, r.flush)
@@ -258,7 +260,7 @@ func (r *gfcBufferReceiver) flush() {
 func (r *gfcBufferReceiver) emit(st int) {
 	r.sent = st
 	r.started = true
-	r.lastEmit = r.env.Now()
+	r.lastEmit = r.env.Clock().Now()
 	r.env.Emit(Message{Kind: KindStage, Priority: r.p.Priority, Stage: st})
 }
 
@@ -311,10 +313,10 @@ func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
 			return Controller{}, err
 		}
 		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
-		rl := NewRateLimiter(p.Capacity)
+		rl := *NewRateLimiter(p.Capacity)
 		rl.MinRate = cfg.MinRate
 		return Controller{
-			Sender:   &gfcContinuousSender{p: p, mapping: m, rl: rl, env: env},
+			Sender:   &gfcContinuousSender{rl: rl, clock: env.Clock(), mapping: m},
 			Receiver: &gfcConceptualReceiver{p: p, env: env},
 		}, nil
 	}
@@ -324,22 +326,21 @@ func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
 // mapping function; shared by conceptual GFC (signal = reported queue) and
 // time-based GFC (signal = Bm − remaining credit).
 type gfcContinuousSender struct {
-	p       Params
+	rl      RateLimiter
+	clock   Clock
 	mapping core.ContinuousMapping
-	rl      *RateLimiter
-	env     Env
 }
 
 func (s *gfcContinuousSender) TrySend(units.Size) (bool, units.Time) {
 	next := s.rl.NextAllowed()
-	if now := s.env.Now(); next > now {
+	if now := s.clock.Now(); next > now {
 		return false, next
 	}
 	return true, 0
 }
 
 func (s *gfcContinuousSender) OnSent(_ units.Size, dur units.Time) {
-	s.rl.OnSent(s.env.Now(), dur)
+	s.rl.OnSent(s.clock.Now(), dur)
 }
 
 func (s *gfcContinuousSender) OnFeedback(m Message) {

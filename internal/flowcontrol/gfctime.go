@@ -74,28 +74,28 @@ func NewGFCTime(cfg GFCTimeConfig) Factory {
 			return Controller{}, err
 		}
 		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
-		rl := NewRateLimiter(p.Capacity)
+		rl := *NewRateLimiter(p.Capacity)
 		rl.MinRate = cfg.MinRate
 		if cfg.Slack > 0 {
 			rl.Slack = cfg.Slack
 		}
 		return Controller{
-			Sender:   &gfcTimeSender{p: p, mapping: m, bm: cfg.Bm, rl: rl, env: env},
+			Sender:   &gfcTimeSender{rl: rl, clock: env.Clock(), mapping: m, bm: cfg.Bm},
 			Receiver: &cbfcReceiver{p: p, cfg: CBFCConfig{Period: cfg.Period}, env: env},
 		}, nil
 	}
 }
 
 type gfcTimeSender struct {
-	p       Params
-	mapping core.ContinuousMapping
-	bm      units.Size
-	rl      *RateLimiter
-	env     Env
+	rl    RateLimiter // by value and leading, as in gfcBufferSender
+	clock Clock
 
 	fctbs int64
 	fccl  int64
 	init  bool
+
+	mapping core.ContinuousMapping
+	bm      units.Size
 }
 
 func (s *gfcTimeSender) TrySend(sz units.Size) (bool, units.Time) {
@@ -103,7 +103,7 @@ func (s *gfcTimeSender) TrySend(sz units.Size) (bool, units.Time) {
 		return false, units.Never
 	}
 	next := s.rl.NextAllowed()
-	if now := s.env.Now(); next > now {
+	if now := s.clock.Now(); next > now {
 		return false, next
 	}
 	return true, 0
@@ -111,7 +111,7 @@ func (s *gfcTimeSender) TrySend(sz units.Size) (bool, units.Time) {
 
 func (s *gfcTimeSender) OnSent(sz units.Size, dur units.Time) {
 	s.fctbs += Blocks(sz)
-	s.rl.OnSent(s.env.Now(), dur)
+	s.rl.OnSent(s.clock.Now(), dur)
 }
 
 func (s *gfcTimeSender) OnFeedback(m Message) {

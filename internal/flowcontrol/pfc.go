@@ -106,7 +106,7 @@ func NewPFC(cfg PFCConfig) Factory {
 			return Controller{}, err
 		}
 		return Controller{
-			Sender:   &pfcSender{p: p, cfg: cfg, env: env},
+			Sender:   &pfcSender{p: p, cfg: cfg, clock: env.Clock()},
 			Receiver: &pfcReceiver{p: p, cfg: cfg, env: env},
 		}, nil
 	}
@@ -116,9 +116,9 @@ func NewPFC(cfg PFCConfig) Factory {
 func NewPFCDefault() Factory { return NewPFC(PFCConfig{}) }
 
 type pfcSender struct {
-	p   Params
-	cfg PFCConfig
-	env Env
+	p     Params
+	cfg   PFCConfig
+	clock Clock
 
 	paused bool
 	// expiry is when a quanta-limited pause runs out; Never for the
@@ -130,7 +130,7 @@ func (s *pfcSender) isPaused() bool {
 	if !s.paused {
 		return false
 	}
-	if s.cfg.PauseQuanta > 0 && s.env.Now() >= s.expiry {
+	if s.cfg.PauseQuanta > 0 && s.clock.Now() >= s.expiry {
 		s.paused = false // timer ran out without a refresh
 	}
 	return s.paused
@@ -153,7 +153,7 @@ func (s *pfcSender) OnFeedback(m Message) {
 	case KindPause:
 		s.paused = true
 		if s.cfg.PauseQuanta > 0 {
-			s.expiry = s.env.Now() + quantaDuration(s.cfg.PauseQuanta, s.p.Capacity)
+			s.expiry = s.clock.Now() + quantaDuration(s.cfg.PauseQuanta, s.p.Capacity)
 		} else {
 			s.expiry = units.Never
 		}

@@ -18,24 +18,24 @@ import (
 // control, releases ingress accounting at the transmitting switch,
 // propagates the packet and restarts the transmitter.
 func (n *Network) completeTx(p *port) {
-	pkt, prio, dur := p.txPkt, p.txPrio, p.txDur
+	pkt, prio, dur := p.txPkt, int(p.txPrio), p.txDur
 	p.txPkt = nil
 	now := n.eng.Now()
 	p.busy = false
 	n.senders[p.cb+prio].OnSent(pkt.Size, dur)
 	n.txBytes[p.cb+prio] += pkt.Size
-	n.cfg.Trace.transmit(now, p.owner.id, p.local, pkt)
+	nd := p.owner
+	n.cfg.Trace.transmit(now, nd.id, p.local, pkt)
 
-	switch p.owner.kind {
+	switch nd.kind {
 	case topology.Switch:
 		// The packet leaves this switch: release the ingress buffer
 		// of the port it arrived on.
-		ing := p.owner.ports[pkt.arrivalPort]
-		ch := ing.cb + prio
+		ch := n.channel(nd, pkt.arrivalPort, prio)
 		n.occupancy[ch] -= pkt.Size
 		n.progress[ch].departed += pkt.Size
 		n.progress[ch].lastDepart = now
-		n.cfg.Trace.queue(now, p.owner.id, ing.local, prio, n.occupancy[ch])
+		n.cfg.Trace.queue(now, nd.id, pkt.arrivalPort, prio, n.occupancy[ch])
 		if reg := n.metrics; reg != nil {
 			reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
 		}
@@ -50,30 +50,32 @@ func (n *Network) completeTx(p *port) {
 	case topology.Host:
 		pkt.Flow.sent += pkt.Size
 		pkt.sentAt = now
-		n.refill(p.owner)
+		n.refill(nd)
 	}
 
-	rp := n.nodes[p.peer].ports[p.peerPort]
+	rp := p.peer
 	if reg := n.metrics; reg != nil {
 		reg.OnTx(rp.cb+prio, pkt.Size)
 	}
 	rp.pushInFlight(pkt)
-	n.noteArrival(n.eng.After(p.link.Delay, rp.arriveFn), rp)
+	n.noteArrival(n.eng.After(p.delay, rp.arriveFn), rp)
 	n.kick(p)
 }
 
-// arrive admits a fully received packet at nd via local port idx.
-func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
+// arrive admits a fully received packet at the node owning ingress port ing.
+func (n *Network) arrive(ing *port, pkt *Packet) {
+	nd, idx := ing.owner, ing.local
 	now := n.eng.Now()
 	n.cfg.Trace.arrival(now, nd.id, pkt)
 
 	if nd.kind == topology.Host {
 		f := pkt.Flow
 		f.Delivered += pkt.Size
+		n.delivered += pkt.Size
 		if reg := n.metrics; reg != nil {
 			// Hosts consume on arrival; account the delivery with a
 			// permanently empty ingress.
-			reg.OnAdmit(nd.ports[idx].cb+pkt.Priority, now, pkt.Size, 0)
+			reg.OnAdmit(ing.cb+pkt.Priority, now, pkt.Size, 0)
 		}
 		n.cfg.Trace.deliver(now, f, pkt)
 		if f.OnPacket != nil {
@@ -98,7 +100,6 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		pkt.Priority = np
 	}
 	prio := pkt.Priority
-	ing := nd.ports[idx]
 	ch := ing.cb + prio
 	occ := n.occupancy[ch] + pkt.Size
 	if occ > ing.buffer {
@@ -137,7 +138,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		panic(fmt.Sprintf("netsim: packet path desync: at node %d, path says %d (t=%v event=%d)",
 			nd.id, hop.Node, now, n.eng.Fired()))
 	}
-	out := nd.ports[hop.Port]
+	out := &nd.ports[hop.Port]
 	switch n.cfg.Scheduling {
 	case SchedInputQueued:
 		// Input-queued switching: the packet waits in the ingress
@@ -145,7 +146,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		if n.pushInq(ch, pkt) {
+		if n.pushInq(nd, idx, prio, pkt) {
 			n.kick(out)
 		}
 		return
@@ -155,7 +156,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		n.pushInq(ch, pkt)
+		n.pushInq(nd, idx, prio, pkt)
 		n.forward(nd, prio)
 		return
 	}

@@ -64,7 +64,7 @@ func (n *Network) recordFault(ev metrics.FaultEvent) {
 // linkPorts returns the two port instances attached to link id.
 func (n *Network) linkPorts(id topology.LinkID) (*port, *port) {
 	l := n.topo.Link(id)
-	return n.nodes[l.A].ports[l.PortA], n.nodes[l.B].ports[l.PortB]
+	return &n.nodes[l.A].ports[l.PortA], &n.nodes[l.B].ports[l.PortB]
 }
 
 // SetLinkAdminState takes the link administratively down or up. Down: both
@@ -90,11 +90,9 @@ func (n *Network) SetLinkAdminState(id topology.LinkID, down bool) {
 		if nd.kind != topology.Switch {
 			continue
 		}
-		for _, p := range nd.ports {
-			for prio := 0; prio < n.cfg.Priorities; prio++ {
-				if n.occupancy[p.cb+prio] > 0 {
-					n.progress[p.cb+prio].occupiedSince = now
-				}
+		for ch := nd.cb; ch < nd.cb+len(nd.ports)*n.cfg.Priorities; ch++ {
+			if n.occupancy[ch] > 0 {
+				n.progress[ch].occupiedSince = now
 			}
 		}
 	}

@@ -238,7 +238,8 @@ func (n *Network) Snapshot() *Snapshot {
 		Drops:        n.drops,
 	}
 	for _, nd := range n.nodes {
-		for _, p := range nd.ports {
+		for i := range nd.ports {
+			p := &nd.ports[i]
 			if p.txPkt != nil {
 				s.Packets.Transmitting++
 			}

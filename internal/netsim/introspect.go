@@ -37,14 +37,15 @@ type ChannelState struct {
 func (n *Network) ChannelStates() []ChannelState {
 	var out []ChannelState
 	for _, nd := range n.nodes {
-		for _, p := range nd.ports {
-			if p.link.Failed {
+		for i := range nd.ports {
+			p := &nd.ports[i]
+			if p.failed {
 				continue
 			}
 			for prio := 0; prio < n.cfg.Priorities; prio++ {
 				cs := ChannelState{
 					Node: nd.id, Port: p.local, Prio: prio,
-					Peer: p.peer, PeerPort: p.peerPort,
+					Peer: p.peer.owner.id, PeerPort: p.peer.local,
 					QueuedBytes: n.queuedBytes[p.cb+prio],
 					TxBytes:     n.txBytes[p.cb+prio],
 				}
@@ -111,30 +112,30 @@ func (n *Network) IngressStates() []IngressState {
 		if nd.kind != topology.Switch {
 			continue
 		}
-		for _, p := range nd.ports {
-			if p.link.Failed {
+		for i := range nd.ports {
+			p := &nd.ports[i]
+			if p.failed {
 				continue
 			}
 			for prio := 0; prio < n.cfg.Priorities; prio++ {
 				ch := p.cb + prio
 				is := IngressState{
 					Node: nd.id, Port: p.local, Prio: prio,
-					From:          p.peer,
+					From:          p.peer.owner.id,
 					Occupancy:     n.occupancy[ch],
 					Departed:      n.progress[ch].departed,
 					LastDepartAt:  n.progress[ch].lastDepart,
 					OccupiedSince: n.progress[ch].occupiedSince,
 				}
 				addWait := func(eg *port) {
-					is.WaitsOn = append(is.WaitsOn, eg.peer)
+					is.WaitsOn = append(is.WaitsOn, eg.peer.owner.id)
 					is.WaitRates = append(is.WaitRates, n.egressRate(eg, prio))
 					is.WaitsDown = append(is.WaitsDown, eg.adminDown)
 				}
 				switch n.cfg.Scheduling {
 				case SchedInputQueued:
-					if q := &n.inq[ch]; !q.empty() {
-						head := q.front()
-						addWait(nd.ports[head.Path[head.hop].Port])
+					if out := n.inqOut[ch]; out >= 0 {
+						addWait(&nd.ports[out])
 					}
 				case SchedBlocking:
 					// Backlog already in TX rings waits on
@@ -142,22 +143,21 @@ func (n *Network) IngressStates() []IngressState {
 					// the ingress FIFO wait on whatever the
 					// forwarding core is stalled on (or on
 					// their own head's egress).
-					for _, eg := range nd.ports {
-						if n.fedBytes[eg.fedBase+prio*len(nd.ports)+p.local] > 0 {
+					for e := range nd.ports {
+						if eg := &nd.ports[e]; n.fedBytes[eg.fedBase+prio*len(nd.ports)+p.local] > 0 {
 							addWait(eg)
 						}
 					}
-					if !n.inq[ch].empty() {
+					if out := n.inqOut[ch]; out >= 0 {
 						if b := n.fwdBlocked[nd.nb+prio]; b != nil {
 							addWait(b)
 						} else {
-							head := n.inq[ch].front()
-							addWait(nd.ports[head.Path[head.hop].Port])
+							addWait(&nd.ports[out])
 						}
 					}
 				default:
-					for _, eg := range nd.ports {
-						if n.fedBytes[eg.fedBase+prio*len(nd.ports)+p.local] > 0 {
+					for e := range nd.ports {
+						if eg := &nd.ports[e]; n.fedBytes[eg.fedBase+prio*len(nd.ports)+p.local] > 0 {
 							addWait(eg)
 						}
 					}
@@ -214,12 +214,11 @@ func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool 
 	if nd.kind != topology.Switch || portIdx >= len(nd.ports) {
 		return false
 	}
-	ing := nd.ports[portIdx]
-	ch := ing.cb + prio
+	ch := n.channel(nd, portIdx, prio)
 	if n.inq[ch].empty() {
 		return false
 	}
-	pkt := n.popInq(ch)
+	pkt := n.popInq(nd, portIdx, prio)
 	n.occupancy[ch] -= pkt.Size
 	n.progress[ch].departed += pkt.Size
 	n.drops++
@@ -236,16 +235,10 @@ func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool 
 	n.recyclePacket(pkt)
 	// The freed head may expose a packet for an idle egress.
 	if out := n.inqOut[ch]; out >= 0 {
-		n.kick(nd.ports[out])
+		n.kick(&nd.ports[out])
 	}
 	return true
 }
 
 // TotalDelivered reports the sum of bytes delivered across all flows.
-func (n *Network) TotalDelivered() units.Size {
-	var total units.Size
-	for _, f := range n.flows {
-		total += f.Delivered
-	}
-	return total
-}
+func (n *Network) TotalDelivered() units.Size { return n.delivered }

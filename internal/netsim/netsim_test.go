@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/flowcontrol"
@@ -255,6 +256,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(topo, Config{BufferSize: units.MB, FlowControl: pfcFactory(), Priorities: 9}); err == nil {
 		t.Error("9 priorities accepted")
+	}
+	// A ready-mask word covers maxRadix ports (the masks tests build that
+	// width): a wider node is an ordinary error under every discipline that
+	// picks by mask, and fine under plain FIFO, which never scans ports.
+	wide := topology.New("wide")
+	sw := wide.AddSwitch("S")
+	lp := topology.DefaultLinkParams()
+	for i := 0; i <= maxRadix; i++ {
+		wide.AddLink(wide.AddHost(fmt.Sprintf("H%d", i)), sw, lp.Capacity, lp.Delay)
+	}
+	for _, sched := range []Scheduling{SchedInputQueued, SchedVOQ, SchedBlocking, SchedFIFO} {
+		cfg := baseConfig(pfcFactory())
+		cfg.Scheduling = sched
+		_, err := New(wide, cfg)
+		if wantErr := sched != SchedFIFO; (err != nil) != wantErr {
+			t.Errorf("%d-port switch under %s scheduling: err = %v, want error: %v", maxRadix+1, sched, err, wantErr)
+		}
 	}
 }
 

@@ -41,6 +41,7 @@ type Network struct {
 	faults *faults.Injector
 
 	feedbackBytes units.Size // total feedback wire bytes, all channels
+	delivered     units.Size // total bytes delivered to hosts, credited beside Flow.Delivered
 
 	// Struct-of-arrays hot-path state. Per-channel arrays are indexed by
 	// the dense channel index cb+prio (port.cb), which by construction
@@ -49,7 +50,7 @@ type Network struct {
 	// arrays keep each iteration's working set contiguous and make the
 	// per-port construction cost a handful of bulk allocations instead of
 	// ~10 small slices per port.
-	ports       []port            // arena; node.ports points into it
+	ports       []port            // arena; node.ports are runs of it
 	occupancy   []units.Size      // ingress buffer occupancy
 	progress    []ingressProgress // ingress forwarding-progress records
 	queuedBytes []units.Size      // egress backlog
@@ -59,6 +60,12 @@ type Network struct {
 	rrVoq       []int32    // round-robin cursor over VOQs / input ports
 	inq         []pktQueue // ingress FIFOs (SchedInputQueued/SchedBlocking)
 	inqOut      []int16    // egress port of each ingress FIFO's head, -1 when empty (pushInq/popInq)
+	// Ready masks, one word per egress channel; see scheduler.go. inReady bit
+	// i: the owner's input i has its FIFO head bound for this egress
+	// (pushInq/popInq). slotReady bit s: queue slot s of this egress is
+	// non-empty (enqueue/dequeue).
+	inReady   []uint64
+	slotReady []uint64
 	// voqs and fedBytes have port-dependent strides; see port.voqBase and
 	// port.fedBase.
 	voqs     []voq
@@ -82,8 +89,10 @@ type Network struct {
 	// the emitting (downstream) node, to the paused/credited (upstream)
 	// node.
 	fbObs func(from, to topology.NodeID, prio int, m flowcontrol.Message)
-	// Per-(node, priority) SchedBlocking forwarding state, indexed
-	// node.nb+prio.
+	// Per-(node, priority) state, indexed node.nb+prio: inBusy bit i says
+	// the node's ingress FIFO i is non-empty (pushInq/popInq); the rest is
+	// the SchedBlocking forwarding core's.
+	inBusy     []uint64
 	fwdCursor  []int32
 	fwdBlocked []*port // egress whose full TX ring stalls forwarding
 	forwarding []bool  // re-entrancy guard
@@ -120,6 +129,10 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	totalPorts, totalVoqs, totalFed := 0, 0, 0
 	for id := 0; id < nn; id++ {
 		ats := topo.Ports(topology.NodeID(id))
+		if len(ats) > maxRadix && cfg.Scheduling != SchedFIFO {
+			return nil, fmt.Errorf("netsim: node %s has %d ports; %s scheduling supports at most %d per node",
+				topo.Node(topology.NodeID(id)).Name, len(ats), cfg.Scheduling, maxRadix)
+		}
 		totalPorts += len(ats)
 		slots := 1
 		if cfg.Scheduling == SchedVOQ {
@@ -145,6 +158,9 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	for ch := range n.inqOut {
 		n.inqOut[ch] = -1
 	}
+	n.inReady = make([]uint64, chans)
+	n.slotReady = make([]uint64, chans)
+	n.inBusy = make([]uint64, nn*k)
 	n.voqs = make([]voq, totalVoqs)
 	n.fedBytes = make([]units.Size, totalFed)
 	n.fwdCursor = make([]int32, nn*k)
@@ -163,9 +179,9 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	pb, cb, vb, fb := 0, 0, 0, 0
 	for id := range n.nodes {
 		tn := topo.Node(topology.NodeID(id))
-		nd := &node{id: tn.ID, kind: tn.Kind, nb: id * k, refillAt: units.Never}
+		nd := &node{id: tn.ID, kind: tn.Kind, cb: cb, nb: id * k, refillAt: units.Never}
 		ats := topo.Ports(tn.ID)
-		nd.ports = make([]*port, len(ats))
+		nd.ports = n.ports[pb : pb+len(ats) : pb+len(ats)]
 		slots := 1
 		if cfg.Scheduling == SchedVOQ {
 			slots = len(ats)
@@ -177,12 +193,11 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			p := &n.ports[pb]
 			pb++
 			*p = port{
-				owner: nd, local: i, link: at.Link, peer: at.Peer,
-				peerPort: at.Link.PortOn(at.Peer),
-				capacity: at.Link.Capacity,
-				kickAt:   units.Never,
-				sched:    cfg.Scheduling,
-				cb:       cb, voqBase: vb, slots: slots, fedBase: fb,
+				owner: nd, local: i, link: at.Link, failed: at.Link.Failed,
+				delay: at.Link.Delay, capacity: at.Link.Capacity,
+				kickAt: units.Never,
+				sched:  cfg.Scheduling,
+				cb:     cb, voqBase: vb, slots: slots, fedBase: fb,
 				buffer: cfg.ingressBuffer(tn.Kind),
 			}
 			cb += k
@@ -191,9 +206,14 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			if k > 1 {
 				p.prioScratch = make([]int, 0, k)
 			}
-			nd.ports[i] = p
 		}
 		n.nodes[id] = nd
+	}
+	// Resolve each port's peer now that every node has its ports.
+	for i := range n.ports {
+		p := &n.ports[i]
+		far := p.link.Other(p.owner.id)
+		p.peer = &n.nodes[far].ports[p.link.PortOn(far)]
 	}
 	// Bind the per-node and per-port event callbacks once: the hot path
 	// (kick retries, transmission completions, link arrivals, host
@@ -205,8 +225,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			nd.refillAt = units.Never
 			n.refill(nd)
 		}
-		for _, p := range nd.ports {
-			p := p
+		for i := range nd.ports {
+			p := &nd.ports[i]
 			p.kickFn = func() {
 				p.kickAt = units.Never
 				n.kick(p)
@@ -218,18 +238,20 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	// Wire controllers: for channel u→v, the Sender lives on u's port
 	// and the Receiver on v's port.
 	for _, nd := range n.nodes {
-		for _, p := range nd.ports {
-			if p.link.Failed {
+		for i := range nd.ports {
+			p := &nd.ports[i]
+			if p.failed {
 				continue
 			}
-			up := n.nodes[p.peer].ports[p.peerPort] // upstream egress port
+			up := p.peer // upstream egress port
+			upName := topo.Node(up.owner.id).Name
 			for prio := 0; prio < k; prio++ {
 				params := cfg.ChannelParams(p.link, nd.kind, prio)
 				env := &fcEnv{n: n, down: p, up: up, prio: prio}
 				ctl, err := cfg.FlowControl(params, env)
 				if err != nil {
 					return nil, fmt.Errorf("netsim: channel %s->%s prio %d: %w",
-						topo.Node(p.peer).Name, topo.Node(nd.id).Name, prio, err)
+						upName, topo.Node(nd.id).Name, prio, err)
 				}
 				n.receivers[p.cb+prio] = ctl.Receiver
 				n.senders[up.cb+prio] = ctl.Sender
@@ -237,7 +259,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 					qs, ok := ctl.Sender.(flowcontrol.QueueSender)
 					if !ok {
 						return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s prio %d sender is not queue-aware",
-							n.fq, topo.Node(p.peer).Name, topo.Node(nd.id).Name, prio)
+							n.fq, upName, topo.Node(nd.id).Name, prio)
 					}
 					if qs.Queues() != n.fq {
 						return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme has %d queues",
@@ -246,7 +268,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 					qr, ok := ctl.Receiver.(flowcontrol.QueueReceiver)
 					if !ok {
 						return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s prio %d receiver is not queue-aware",
-							n.fq, topo.Node(p.peer).Name, topo.Node(nd.id).Name, prio)
+							n.fq, upName, topo.Node(nd.id).Name, prio)
 					}
 					n.queueSenders[up.cb+prio] = qs
 					n.queueReceivers[p.cb+prio] = qr
@@ -261,8 +283,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	if reg := cfg.Metrics; reg != nil {
 		n.metrics = reg
 		BindRegistry(reg, topo, cfg, func(node topology.NodeID, port, prio int) (bm units.Size, table *core.StageTable) {
-			p := n.nodes[node].ports[port]
-			s := n.senders[n.nodes[p.peer].ports[p.peerPort].cb+prio]
+			s := n.senders[n.nodes[node].ports[port].peer.cb+prio]
 			if b, ok := s.(flowcontrol.Bounded); ok {
 				bm = b.Ceiling()
 			}
@@ -271,7 +292,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			}
 			return bm, table
 		})
-		for _, p := range n.ports {
+		for i := range n.ports {
+			p := &n.ports[i]
 			if got := reg.ChannelIndex(p.owner.id, p.local, 0); got != p.cb {
 				panic(fmt.Sprintf("netsim: channel index desync: node %d port %d: netsim %d, metrics %d",
 					p.owner.id, p.local, p.cb, got))
@@ -291,13 +313,9 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		}
 	}
 	// Start receivers (periodic feedback, initial credit adverts).
-	for _, nd := range n.nodes {
-		for _, p := range nd.ports {
-			for prio := 0; prio < k; prio++ {
-				if r := n.receivers[p.cb+prio]; r != nil {
-					r.Start()
-				}
-			}
+	for _, r := range n.receivers {
+		if r != nil {
+			r.Start()
 		}
 	}
 	return n, nil
@@ -323,7 +341,7 @@ func (n *Network) noteArrival(ev eventsim.Event, p *port) {
 // the heap traffic is saved. Deliveries to other nodes, or any interleaved
 // non-arrival event, stop the batch by failing the head comparison.
 func (n *Network) arriveBatch(p *port) {
-	n.arrive(p.owner, p.local, p.popInFlight())
+	n.arrive(p, p.popInFlight())
 	nd := p.owner
 	for {
 		top, ok := n.eng.Peek()
@@ -341,7 +359,7 @@ func (n *Network) arriveBatch(p *port) {
 		if !n.eng.Absorb(top) {
 			return
 		}
-		n.arrive(nd, ent.p.local, ent.p.popInFlight())
+		n.arrive(ent.p, ent.p.popInFlight())
 	}
 }
 
@@ -354,7 +372,7 @@ type fcEnv struct {
 	prio int
 }
 
-func (e *fcEnv) Now() units.Time               { return e.n.eng.Now() }
+func (e *fcEnv) Clock() flowcontrol.Clock      { return e.n.eng }
 func (e *fcEnv) After(d units.Time, fn func()) { e.n.eng.After(d, fn) }
 
 // Emit schedules delivery of one feedback message. The closure here is
@@ -549,9 +567,10 @@ func (n *Network) SenderRate(node topology.NodeID, portIdx, prio int) units.Rate
 // PortFor returns the local port index on `node` of its link toward peer,
 // or -1.
 func (n *Network) PortFor(node, peer topology.NodeID) int {
-	for _, p := range n.nodes[node].ports {
-		if p.peer == peer && !p.link.Failed {
-			return p.local
+	ports := n.nodes[node].ports
+	for i := range ports {
+		if p := &ports[i]; !p.failed && p.peer.owner.id == peer {
+			return i
 		}
 	}
 	return -1

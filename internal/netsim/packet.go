@@ -49,6 +49,8 @@ type Packet struct {
 	Last bool
 
 	sentAt units.Time // when the source host finished serialising it
+
+	next *Packet // link of the one pktQueue holding the packet, if any
 }
 
 // pktChunk is how many packets a Network's arena grows by at a time. The

@@ -6,9 +6,9 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// Hot-path state does not live on the port: it lives in dense struct-of-
-// arrays on the Network, indexed by the dense channel index cb+prio (see
-// Network's state block). The port keeps only identity, the precomputed
+// Per-channel hot-path state does not live on the port: it lives in dense
+// struct-of-arrays on the Network, indexed by the dense channel index cb+prio
+// (see Network's state block). The port keeps only identity, the precomputed
 // index bases, and the per-port scalars (busy flag, in-flight transmission,
 // timers). This mirrors the metrics registry's channel indexing, so one
 // index addresses a channel's occupancy, backlog, controllers and counters
@@ -24,30 +24,56 @@ type voq struct {
 }
 
 // port is one attachment point of a node: egress transmitter plus ingress
-// buffer accounting for the attached channel.
+// buffer accounting for the attached channel. Ports live by value in one
+// arena (Network.ports) and are 256 bytes — four cache lines, the first two of
+// which hold everything an arrival, a transmission completion or a kick
+// reads, so a Clos-scale event pays one or two lines per port it touches.
+// TestPortLayout pins the split.
 type port struct {
-	owner    *node
-	local    int // port index on owner
-	link     *topology.Link
-	peer     topology.NodeID
-	peerPort int
-	capacity units.Rate
-	// adminDown marks the attached link administratively down (fault
-	// injection): the transmitter stops, feedback is lost, but unlike
-	// link.Failed the state is dynamic and the wired controllers stay in
-	// place for the link's return.
-	adminDown bool
-
-	sched Scheduling
-
-	// Dense index bases into the Network's struct-of-arrays state.
-	//
+	// Line 0 — identity and the receiving side: what arriveBatch reads, and
+	// what the peer's completeTx writes when it puts a packet on the wire.
+	owner *node
+	local int // port index on owner
 	// cb is the channel base: the index of (this port, priority 0) in
 	// every per-channel array (occupancy, queuedBytes, txBytes, progress,
-	// senders, receivers, rrVoq, inq) — and, by construction, the metrics
-	// registry's ChannelIndex for the same channel, so cb+prio also
-	// addresses the registry.
-	cb int
+	// senders, receivers, rrVoq, inq, the ready masks) — and, by
+	// construction, the metrics registry's ChannelIndex for the same
+	// channel, so cb+prio also addresses the registry. A node's ports are
+	// consecutive, so the channel of (sibling port i, prio) is
+	// owner.cb + i*Priorities + prio without loading that port.
+	cb       int
+	buffer   units.Size // ingress allocation per priority
+	prop     pktQueue   // packets in flight *toward* this port, FIFO
+	arriveFn func()     // link-delay arrival at the *receiving* end (this port)
+
+	// Line 1 — the transmitter: what kick and completeTx read and write.
+	busy bool
+	// adminDown marks the attached link administratively down (fault
+	// injection): the transmitter stops, feedback is lost, but unlike
+	// failed the state is dynamic and the wired controllers stay in place
+	// for the link's return.
+	adminDown bool
+	// failed caches link.Failed, which is fixed once a Network is built: a
+	// failed link gets no controllers, so it could not carry traffic later.
+	failed   bool
+	sched    Scheduling
+	txPrio   int32 // with txPkt and txDur: the single in-flight transmission (guarded by busy)
+	rr       int   // priority round-robin cursor
+	txPkt    *Packet
+	txDur    units.Time
+	txDoneFn func()     // transmission completion for the in-flight packet
+	peer     *port      // the port at the other end of link
+	delay    units.Time // link.Delay
+	capacity units.Rate
+
+	// Cold: construction-time bases, retry timer, multi-class scratch.
+	link *topology.Link
+	// Pre-bound wake-up timer (retry a flow-control-blocked egress): created
+	// once at construction, like txDoneFn and arriveFn, so the hot path
+	// schedules stored funcs instead of allocating a closure per event.
+	kickFn func()
+	kickAt units.Time // when the pending kick timer fires; Never if none
+	kickEv eventsim.Event
 	// voqBase and slots address Network.voqs: the egress queue for
 	// (prio, slot) is voqs[voqBase + prio*slots + slot]. slots is the
 	// owner's port count under SchedVOQ and 1 otherwise.
@@ -55,32 +81,14 @@ type port struct {
 	slots   int
 	// fedBase addresses Network.fedBytes: the per-input backlog of
 	// (prio, arrival key) is fedBytes[fedBase + prio*len(owner.ports) + key].
-	fedBase int
-
-	// Egress scalars.
+	fedBase    int
 	queuedPkts int
-	busy       bool
-	rr         int
 	wrrCredit  []int // weighted-RR packet credits per priority (nil: equal)
 	// prioScratch is the reusable buffer prioOrder fills when the network
 	// runs more than one priority class; nil in the single-class case.
 	prioScratch []int
 
-	// Pre-bound event callbacks, created once at network construction so
-	// the hot path schedules stored funcs instead of allocating a fresh
-	// closure per kick, transmission and arrival.
-	kickFn   func()     // wake-up timer: retry a flow-control-blocked egress
-	txDoneFn func()     // transmission completion for the in-flight packet
-	arriveFn func()     // link-delay arrival at the *receiving* end (this port)
-	kickAt   units.Time // when the pending kick timer fires; Never if none
-	kickEv   eventsim.Event
-	txPkt    *Packet // the single in-flight transmission (guarded by busy)
-	txPrio   int
-	txDur    units.Time
-	prop     pktQueue // packets in flight *toward* this port, FIFO
-
-	// Ingress scalars.
-	buffer units.Size
+	_ [8]byte // pad to four whole cache lines, so arena ports never straddle one
 }
 
 // ingressProgress is one priority's forwarding-progress record: cumulative
@@ -184,6 +192,7 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	v := &n.voqs[p.voqBase+pkt.Priority*p.slots+slot]
 	v.q.push(pkt)
 	v.bytes += pkt.Size
+	n.slotReady[p.cb+pkt.Priority] |= 1 << uint(slot)
 	n.fedBytes[p.fedBase+pkt.Priority*len(p.owner.ports)+key] += pkt.Size
 	n.queuedBytes[p.cb+pkt.Priority] += pkt.Size
 	p.queuedPkts++
@@ -193,20 +202,13 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 // priority on p and its queue slot, or nil: the global head in FIFO mode,
 // the round-robin VOQ head in VOQ mode.
 func (n *Network) nextPacket(p *port, prio int) (*Packet, int) {
-	base := p.voqBase + prio*p.slots
-	if p.slots == 1 {
-		if v := &n.voqs[base]; !v.q.empty() {
-			return v.q.front(), 0
-		}
+	ch := p.cb + prio
+	m := n.slotReady[ch]
+	if m == 0 {
 		return nil, -1
 	}
-	for i := 0; i < p.slots; i++ {
-		k := (int(n.rrVoq[p.cb+prio]) + i) % p.slots
-		if v := &n.voqs[base+k]; !v.q.empty() {
-			return v.q.front(), k
-		}
-	}
-	return nil, -1
+	slot := nextBit(m, int(n.rrVoq[ch]))
+	return n.voqs[p.voqBase+prio*p.slots+slot].q.front(), slot
 }
 
 // dequeue removes the head of p's queue slot for prio and advances the
@@ -215,10 +217,13 @@ func (n *Network) dequeue(p *port, prio, slot int) *Packet {
 	v := &n.voqs[p.voqBase+prio*p.slots+slot]
 	pkt := v.q.pop()
 	v.bytes -= pkt.Size
+	if v.q.empty() {
+		n.slotReady[p.cb+prio] &^= 1 << uint(slot)
+	}
 	n.fedBytes[p.fedBase+prio*len(p.owner.ports)+arrivalKey(pkt)] -= pkt.Size
 	n.queuedBytes[p.cb+prio] -= pkt.Size
 	p.queuedPkts--
-	n.rrVoq[p.cb+prio] = int32((slot + 1) % p.slots)
+	n.rrVoq[p.cb+prio] = int32(succ(slot, p.slots))
 	if n.fq > 0 {
 		n.releaseSlot(p, prio, pkt)
 	}
@@ -227,12 +232,16 @@ func (n *Network) dequeue(p *port, prio, slot int) *Packet {
 
 // node is a host or switch instance.
 type node struct {
-	id    topology.NodeID
-	kind  topology.Kind
-	ports []*port
-	// nb is the node base into the per-(node, priority) forwarding arrays
-	// (Network.fwdCursor/fwdBlocked/forwarding): nb+prio addresses this
-	// node's entry.
+	id   topology.NodeID
+	kind topology.Kind
+	// ports is the node's run of the Network.ports arena, by value: port i
+	// is &ports[i], one address computation and no pointer table.
+	ports []port
+	// cb is ports[0].cb, the node's channel base.
+	cb int
+	// nb is the node base into the per-(node, priority) arrays
+	// (Network.fwdCursor/fwdBlocked/forwarding/inBusy): nb+prio addresses
+	// this node's entry.
 	nb int
 
 	// Host state.

@@ -1,52 +1,46 @@
 package netsim
 
-// pktQueue is a head-indexed packet FIFO with a reusable backing array. The
-// naive `q = append(q, pkt)` / `q = q[1:]` FIFO consumes its backing array
-// from the front, so append reallocates roughly once per packet — that
-// pattern was 80%+ of the forwarding path's steady-state allocations. This
-// queue instead advances a head index on pop and, when the array fills while
-// a consumed prefix exists, compacts the live suffix back to the front in
-// place. Steady state (bounded depth) therefore allocates nothing.
+// pktQueue is an intrusive packet FIFO: the links run through Packet.next, so
+// a queue is three words and push, pop and front touch only the queue and the
+// packets themselves — there is no backing array to allocate, compact or miss
+// on. A packet sits in at most one queue at a time (a host or egress queue,
+// the wire toward a port, or an ingress FIFO), which is what lets one link
+// field serve them all.
 //
 // The zero value is an empty queue, ready to use.
 type pktQueue struct {
-	buf  []*Packet
-	head int
+	head, tail *Packet
+	n          int
 }
 
 // len reports the number of queued packets.
-func (q *pktQueue) len() int { return len(q.buf) - q.head }
+func (q *pktQueue) len() int { return q.n }
 
 // empty reports whether the queue holds no packets.
-func (q *pktQueue) empty() bool { return len(q.buf) == q.head }
+func (q *pktQueue) empty() bool { return q.head == nil }
 
-// front returns the head packet without removing it. The queue must not be
-// empty.
-func (q *pktQueue) front() *Packet { return q.buf[q.head] }
+// front returns the head packet without removing it, nil when empty.
+func (q *pktQueue) front() *Packet { return q.head }
 
-// push appends pkt at the tail.
+// push appends pkt at the tail. pkt must not be in any queue.
 func (q *pktQueue) push(pkt *Packet) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		// Full, but with dead space before head: compact in place
-		// instead of letting append abandon the array.
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf = q.buf[:n]
-		q.head = 0
+	if q.tail == nil {
+		q.head = pkt
+	} else {
+		q.tail.next = pkt
 	}
-	q.buf = append(q.buf, pkt)
+	q.tail = pkt
+	q.n++
 }
 
-// pop removes and returns the head packet. The queue must not be empty. The
-// vacated slot is cleared so a recycled packet is not pinned by dead queue
-// space.
+// pop removes and returns the head packet. The queue must not be empty.
 func (q *pktQueue) pop() *Packet {
-	pkt := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+	pkt := q.head
+	q.head = pkt.next
+	if q.head == nil {
+		q.tail = nil
 	}
+	pkt.next = nil
+	q.n--
 	return pkt
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/bits"
+
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -23,7 +25,7 @@ func (n *Network) refill(h *node) {
 	if h.kind != topology.Host || len(h.ports) == 0 {
 		return
 	}
-	p := h.ports[0]
+	p := &h.ports[0]
 	now := n.eng.Now()
 	for p.totalQueued() < n.cfg.HostQueueDepth {
 		f, wake := n.nextFlow(h, now)
@@ -66,8 +68,9 @@ func (n *Network) refill(h *node) {
 // eligible it returns the earliest pacer wake time.
 func (n *Network) nextFlow(h *node, now units.Time) (*Flow, units.Time) {
 	wake := units.Never
-	for i := 0; i < len(h.flows); i++ {
-		f := h.flows[(h.rrFlow+i)%len(h.flows)]
+	nf := len(h.flows)
+	for i, j := 0, h.rrFlow; i < nf; i, j = i+1, succ(j, nf) {
+		f := h.flows[j]
 		if !f.active || f.remaining(n.cfg.MTU) == 0 {
 			continue
 		}
@@ -85,7 +88,7 @@ func (n *Network) nextFlow(h *node, now units.Time) (*Flow, units.Time) {
 				continue
 			}
 		}
-		h.rrFlow = (h.rrFlow + i + 1) % len(h.flows)
+		h.rrFlow = succ(j, nf)
 		return f, 0
 	}
 	return nil, wake
@@ -108,16 +111,19 @@ func (n *Network) scheduleRefill(h *node, at units.Time) {
 // queued priority, it schedules a retry at the earliest wake time (feedback
 // events also re-kick).
 func (n *Network) kick(p *port) {
-	if p.busy || p.adminDown || p.link.Failed {
+	if p.busy || p.adminDown || p.failed {
 		return
 	}
 	now := n.eng.Now()
 	minWake := units.Never
-	inputQueued := p.sched == SchedInputQueued && p.owner.kind == topology.Switch
+	nd := p.owner
+	onSwitch := nd.kind == topology.Switch
+	inputQueued := p.sched == SchedInputQueued && onSwitch
 	k := n.cfg.Priorities
 	for _, prio := range n.prioOrder(p) {
 		var pkt *Packet
-		var freed *port // input whose FIFO head we consumed
+		freed := -1         // input port whose FIFO head we consumed
+		fromTxRing := false // the packet left a SchedBlocking TX ring
 		if inputQueued {
 			head, in, wake := n.nextFromInputs(p, prio)
 			if head == nil {
@@ -126,8 +132,8 @@ func (n *Network) kick(p *port) {
 				}
 				continue
 			}
-			n.popInq(in.cb + prio)
-			n.rrVoq[p.cb+prio] = int32((in.local + 1) % len(p.owner.ports))
+			n.popInq(nd, in, prio)
+			n.rrVoq[p.cb+prio] = int32(succ(in, len(nd.ports)))
 			pkt, freed = head, in
 		} else if n.fq > 0 {
 			head, slot, wake := n.nextQueued(p, prio)
@@ -151,26 +157,27 @@ func (n *Network) kick(p *port) {
 				continue
 			}
 			pkt = n.dequeue(p, prio, slot)
-			if p.sched == SchedBlocking && p.owner.kind == topology.Switch {
-				// TX-ring space freed: resume a stalled
-				// forwarding core (no-op when not stalled or
-				// re-entered from forward itself).
-				defer n.forward(p.owner, prio)
-			}
+			fromTxRing = p.sched == SchedBlocking && onSwitch
 		}
-		p.rr = (prio + 1) % k
-		if p.wrrCredit != nil && p.wrrCredit[prio] > 0 {
+		p.rr = succ(prio, k)
+		// k == 1 never allocates wrrCredit (prioOrder returns first).
+		if k > 1 && p.wrrCredit != nil && p.wrrCredit[prio] > 0 {
 			p.wrrCredit[prio]--
 		}
 		p.busy = true
 		dur := units.TransmissionTime(pkt.Size, p.capacity)
-		p.txPkt, p.txPrio, p.txDur = pkt, prio, dur
+		p.txPkt, p.txPrio, p.txDur = pkt, int32(prio), dur
 		n.eng.After(dur, p.txDoneFn)
-		if freed != nil {
+		if freed >= 0 {
 			// The freed input's new head may target an idle egress.
-			if out := n.inqOut[freed.cb+prio]; out >= 0 {
-				n.kick(p.owner.ports[out])
+			if out := n.inqOut[n.channel(nd, freed, prio)]; out >= 0 {
+				n.kick(&nd.ports[out])
 			}
+		}
+		if fromTxRing {
+			// TX-ring space freed: resume a stalled forwarding core
+			// (no-op when not stalled or re-entered from forward itself).
+			n.forward(nd, prio)
 		}
 		return
 	}
@@ -213,28 +220,30 @@ func (n *Network) forward(nd *node, prio int) {
 			}
 			n.fwdBlocked[fi] = nil
 		}
-		var in *port
-		for j := 0; j < len(nd.ports); j++ {
-			c := nd.ports[(int(n.fwdCursor[fi])+j)%len(nd.ports)]
-			if !n.inq[c.cb+prio].empty() {
-				in = c
-				break
-			}
-		}
-		if in == nil {
+		in := n.nextIngress(nd, prio)
+		if in < 0 {
 			return
 		}
-		head := n.inq[in.cb+prio].front()
-		out := nd.ports[head.Path[head.hop].Port]
+		out := &nd.ports[n.inqOut[n.channel(nd, in, prio)]]
 		if n.voqs[out.voqBase+prio*out.slots].q.len() >= n.cfg.TxRing {
 			n.fwdBlocked[fi] = out // stall switch-wide
 			return
 		}
-		n.popInq(in.cb + prio)
-		n.fwdCursor[fi] = int32((in.local + 1) % len(nd.ports))
+		head := n.popInq(nd, in, prio)
+		n.fwdCursor[fi] = int32(succ(in, len(nd.ports)))
 		n.enqueue(out, head)
 		n.kick(out)
 	}
+}
+
+// nextIngress picks, round-robin from the forwarding cursor, the next of
+// nd's non-empty ingress FIFOs at prio; -1 when all are empty.
+func (n *Network) nextIngress(nd *node, prio int) int {
+	m := n.inBusy[nd.nb+prio]
+	if m == 0 {
+		return -1
+	}
+	return nextBit(m, int(n.fwdCursor[nd.nb+prio]))
 }
 
 // prioOrder returns the order in which p's priorities are offered the
@@ -254,8 +263,8 @@ func (n *Network) prioOrder(p *port) []int {
 	}
 	order := p.prioScratch[:0]
 	if n.cfg.PriorityWeights == nil {
-		for i := 0; i < k; i++ {
-			order = append(order, (p.rr+i)%k)
+		for i, pr := 0, p.rr; i < k; i, pr = i+1, succ(pr, k) {
+			order = append(order, pr)
 		}
 		return order
 	}
@@ -269,13 +278,13 @@ func (n *Network) prioOrder(p *port) []int {
 	if total == 0 {
 		copy(p.wrrCredit, n.cfg.PriorityWeights)
 	}
-	for i := 0; i < k; i++ {
-		if pr := (p.rr + i) % k; p.wrrCredit[pr] > 0 {
+	for i, pr := 0, p.rr; i < k; i, pr = i+1, succ(pr, k) {
+		if p.wrrCredit[pr] > 0 {
 			order = append(order, pr)
 		}
 	}
-	for i := 0; i < k; i++ {
-		if pr := (p.rr + i) % k; p.wrrCredit[pr] == 0 {
+	for i, pr := 0, p.rr; i < k; i, pr = i+1, succ(pr, k) {
+		if p.wrrCredit[pr] == 0 {
 			order = append(order, pr)
 		}
 	}
@@ -285,80 +294,130 @@ func (n *Network) prioOrder(p *port) []int {
 // oneZero avoids allocating for the ubiquitous single-priority case.
 var oneZero = []int{0}
 
-// nextQueued scans p's physical queues round-robin (FlowQueues > 0) for a
-// head packet the per-queue flow controller permits. A paused queue blocks
-// only its own flows; the scan moves on to the next backlogged queue — the
-// HoL-blocking elimination that is BFC's whole point. Returns the packet and
-// its queue, or (nil, -1, wake) with the earliest retry time.
+// nextQueued scans p's backlogged physical queues round-robin (FlowQueues >
+// 0) for a head packet the per-queue flow controller permits. A paused queue
+// blocks only its own flows; the scan moves on to the next backlogged queue —
+// the HoL-blocking elimination that is BFC's whole point. Returns the packet
+// and its queue, or (nil, -1, wake) with the earliest retry time.
 func (n *Network) nextQueued(p *port, prio int) (*Packet, int, units.Time) {
-	qs := n.queueSenders[p.cb+prio]
+	ch := p.cb + prio
+	qs := n.queueSenders[ch]
 	base := p.voqBase + prio*p.slots
 	minWake := units.Never
-	for i := 0; i < p.slots; i++ {
-		k := (int(n.rrVoq[p.cb+prio]) + i) % p.slots
-		v := &n.voqs[base+k]
-		if v.q.empty() {
-			continue
-		}
-		head := v.q.front()
-		ok, wake := qs.TrySendQueue(k, head.Size)
-		if !ok {
-			if wake < minWake {
-				minWake = wake
+	m := n.slotReady[ch]
+	// Queues at or after the cursor first, then the ones before it.
+	before := uint64(1)<<uint(n.rrVoq[ch]) - 1
+	for _, part := range [2]uint64{m &^ before, m & before} {
+		for ; part != 0; part &= part - 1 {
+			slot := bits.TrailingZeros64(part)
+			head := n.voqs[base+slot].q.front()
+			ok, wake := qs.TrySendQueue(slot, head.Size)
+			if !ok {
+				if wake < minWake {
+					minWake = wake
+				}
+				continue
 			}
-			continue
+			return head, slot, 0
 		}
-		return head, k, 0
 	}
 	return nil, -1, minWake
 }
 
-// pushInq appends pkt to ingress FIFO ch and reports whether it became the
-// head. inqOut[ch] caches the head's egress port so nextFromInputs compares
-// one dense int16 per input instead of chasing head.Path[head.hop].
-func (n *Network) pushInq(ch int, pkt *Packet) bool {
+// Ready masks. Every round-robin pick in this file — an input for an egress
+// (nextFromInputs), the next ingress FIFO for the forwarding core (forward),
+// the next backlogged queue of an egress (nextPacket, nextQueued) — reads one
+// uint64 whose bit i says "candidate i has a packet", and takes the first set
+// bit at or after the cursor, wrapping: the order of the (cursor+j)%n walk it
+// replaces, without visiting the empty candidates. Two pairs of helpers are
+// the only writers: pushInq/popInq own inReady and inBusy (beside inqOut),
+// enqueue/dequeue own slotReady.
+
+// maxRadix is the widest node a mask word covers: candidates are a node's
+// ports (or an egress's FlowQueues), one bit each. netsim.New refuses wider
+// nodes under any discipline that picks by mask; it also keeps a port index
+// inside inqOut's int16.
+const maxRadix = 64
+
+// nextBit returns the position of the first set bit of m at or after from,
+// wrapping to the lowest set bit. m must be non-zero and from below maxRadix.
+func nextBit(m uint64, from int) int {
+	if hi := m >> uint(from); hi != 0 {
+		return from + bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(m)
+}
+
+// succ is (i+1)%n for 0 <= i < n, without the divide.
+func succ(i, n int) int {
+	if i+1 >= n {
+		return 0
+	}
+	return i + 1
+}
+
+// channel is the dense channel index of (nd's port i, prio) — ports[i].cb+prio
+// without loading the port: a node's ports are consecutive in the arena.
+func (n *Network) channel(nd *node, i, prio int) int {
+	return nd.cb + i*n.cfg.Priorities + prio
+}
+
+// pushInq appends pkt to the ingress FIFO of nd's port in at prio and reports
+// whether it became the head.
+func (n *Network) pushInq(nd *node, in, prio int, pkt *Packet) bool {
+	ch := n.channel(nd, in, prio)
 	q := &n.inq[ch]
 	q.push(pkt)
 	if q.len() > 1 {
 		return false
 	}
-	n.inqOut[ch] = int16(pkt.Path[pkt.hop].Port)
+	n.inBusy[nd.nb+prio] |= 1 << uint(in)
+	n.publishHead(nd, in, prio, ch, pkt)
 	return true
 }
 
-// popInq removes and returns the head of ingress FIFO ch, publishing the new
-// head's egress port.
-func (n *Network) popInq(ch int) *Packet {
+// popInq removes and returns the head of the ingress FIFO of nd's port in at
+// prio, publishing the new head.
+func (n *Network) popInq(nd *node, in, prio int) *Packet {
+	ch := n.channel(nd, in, prio)
 	q := &n.inq[ch]
 	pkt := q.pop()
-	n.inqOut[ch] = -1
-	if !q.empty() {
-		head := q.front()
-		n.inqOut[ch] = int16(head.Path[head.hop].Port)
+	n.inReady[n.channel(nd, int(n.inqOut[ch]), prio)] &^= 1 << uint(in)
+	if q.empty() {
+		n.inqOut[ch] = -1
+		n.inBusy[nd.nb+prio] &^= 1 << uint(in)
+	} else {
+		n.publishHead(nd, in, prio, ch, q.front())
 	}
 	return pkt
 }
 
-// nextFromInputs scans the owner's ingress FIFOs round-robin for a head
-// packet bound for egress p at the given priority that flow control permits.
-// It returns the packet and its input port, or (nil, nil, wake) where wake
-// is the earliest retry time (units.Never to wait for feedback).
-func (n *Network) nextFromInputs(p *port, prio int) (*Packet, *port, units.Time) {
-	ports := p.owner.ports
-	minWake := units.Never
-	for j := 0; j < len(ports); j++ {
-		in := ports[(int(n.rrVoq[p.cb+prio])+j)%len(ports)]
-		if int(n.inqOut[in.cb+prio]) != p.local {
-			continue // empty, or head-of-line: only the head is eligible
-		}
-		head := n.inq[in.cb+prio].front()
-		ok, wake := n.senders[p.cb+prio].TrySend(head.Size)
-		if !ok {
-			// Flow control gates the whole egress for this
-			// priority; no other input can do better.
-			return nil, nil, wake
-		}
-		return head, in, 0
+// publishHead records head as the head of ingress FIFO ch: its egress port
+// in inqOut[ch], and input in's bit in that egress's inReady word, so the
+// egress finds its candidates without chasing head.Path[head.hop] per input.
+func (n *Network) publishHead(nd *node, in, prio, ch int, head *Packet) {
+	out := head.Path[head.hop].Port
+	n.inqOut[ch] = int16(out)
+	n.inReady[n.channel(nd, out, prio)] |= 1 << uint(in)
+}
+
+// nextFromInputs picks, round-robin over the owner's ingress FIFOs, a head
+// packet bound for egress p at the given priority. Only FIFO heads are
+// eligible (head-of-line blocking), and flow control gates the whole egress
+// for the priority, so when it refuses the first candidate no other input can
+// do better. Returns the packet and its input port index, or (nil, -1, wake)
+// where wake is the retry time (units.Never to wait for feedback or traffic).
+func (n *Network) nextFromInputs(p *port, prio int) (*Packet, int, units.Time) {
+	ch := p.cb + prio
+	m := n.inReady[ch]
+	if m == 0 {
+		return nil, -1, units.Never
 	}
-	return nil, nil, minWake
+	in := nextBit(m, int(n.rrVoq[ch]))
+	head := n.inq[n.channel(p.owner, in, prio)].front()
+	ok, wake := n.senders[ch].TrySend(head.Size)
+	if !ok {
+		return nil, -1, wake
+	}
+	return head, in, 0
 }

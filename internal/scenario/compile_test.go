@@ -25,6 +25,7 @@ type probeEnv struct {
 }
 
 func (e *probeEnv) Now() units.Time              { return 0 }
+func (e *probeEnv) Clock() flowcontrol.Clock     { return e }
 func (e *probeEnv) After(d units.Time, _ func()) { e.delays = append(e.delays, d) }
 func (e *probeEnv) Emit(m flowcontrol.Message)   { e.msgs = append(e.msgs, m) }
 

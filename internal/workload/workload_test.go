@@ -219,6 +219,42 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestTotalDeliveredMatchesFlowSum: the network's running delivery total is
+// the sum over every flow ever added — completed ones and the ones a stopped
+// run leaves in flight.
+func TestTotalDeliveredMatchesFlowSum(t *testing.T) {
+	topo := topology.FatTree(4, topology.DefaultLinkParams())
+	net, err := netsim.New(topo, netsim.Config{
+		BufferSize:  300 * units.KB,
+		FlowControl: flowcontrol.NewGFCBuffer(flowcontrol.GFCBufferConfig{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(net, routing.NewSPF(topo), Enterprise(), EdgeRacks(topo), 7)
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(units.Millisecond)
+	var sum units.Size
+	done, inFlight := 0, 0
+	for _, f := range net.Flows() {
+		sum += f.Delivered
+		switch {
+		case f.Done():
+			done++
+		case f.Delivered > 0:
+			inFlight++
+		}
+	}
+	if done == 0 || inFlight == 0 {
+		t.Fatalf("want completed and partly delivered flows, got %d and %d", done, inFlight)
+	}
+	if got := net.TotalDelivered(); got != sum || sum == 0 {
+		t.Fatalf("TotalDelivered = %v, flows sum to %v", got, sum)
+	}
+}
+
 func TestGeneratorDisconnected(t *testing.T) {
 	// Hosts with no inter-rack reachable destination stay idle rather
 	// than erroring.
