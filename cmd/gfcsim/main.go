@@ -50,7 +50,7 @@ var (
 	repeats    = flag.Int("repeats", 3, "table1: workload repeats per scenario")
 	scales     = flag.String("scales", "4,8", "table1: comma-separated fat-tree arities")
 	seed       = flag.Int64("seed", 1, "base random seed")
-	workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "table1/fig16/fig17: scenarios simulated concurrently")
+	workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "sweeps and the fault matrix: cells simulated concurrently (0 = GOMAXPROCS)")
 	series     = flag.Bool("series", false, "print raw time-series data points")
 	chart      = flag.Bool("chart", false, "render time series as ASCII charts")
 	metricsOut = flag.String("metrics-out", "",
@@ -142,6 +142,24 @@ func exitCode(err error) int {
 	}
 }
 
+// governed maps a run's error onto the exit vocabulary. A tripped governor
+// (*netsim.RunError) prints its flight-recorder snapshot to stderr and becomes
+// errGovernor (exit 3), except a cancellation, which stays context.Canceled
+// (exit 4); any other error passes through.
+func governed(err error) error {
+	var re *netsim.RunError
+	if !errors.As(err, &re) {
+		return err
+	}
+	if re.Snapshot != nil {
+		fmt.Fprint(os.Stderr, re.Snapshot.String())
+	}
+	if errors.Is(err, context.Canceled) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", errGovernor, err)
+}
+
 // finish flushes the metrics sink (even after a failed run, so an interrupted
 // sweep still writes its partial report), stops any requested profiles —
 // finish may os.Exit, so deferred stops would be skipped — and exits
@@ -230,6 +248,15 @@ func validateFlags() error {
 	}
 	if *duration < 0 {
 		return fmt.Errorf("%w: negative -duration %v", errUsage, *duration)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("%w: negative -workers %d (0 means GOMAXPROCS)", errUsage, *workers)
+	}
+	if *expName == "faults" && *faultSpec != "" {
+		// The matrix compiles its columns from presets by name.
+		if _, err := faults.Preset(*faultSpec); err != nil {
+			return fmt.Errorf("%w: -exp faults wants a preset name in -faults: %v", errUsage, err)
+		}
 	}
 	return nil
 }
@@ -361,16 +388,7 @@ func runScenario() error {
 	if s := res.FaultStats; s != (faults.Stats{}) {
 		fmt.Printf("  faults: feedback dropped=%d delayed=%d\n", s.FeedbackDropped, s.FeedbackDelayed)
 	}
-	if rerr != nil {
-		if re := res.Stopped; re != nil && re.Snapshot != nil {
-			fmt.Fprint(os.Stderr, re.Snapshot.String())
-		}
-		if errors.Is(rerr, context.Canceled) {
-			return rerr
-		}
-		return fmt.Errorf("%w: %v", errGovernor, rerr)
-	}
-	return nil
+	return governed(rerr)
 }
 
 func dur(def units.Time) units.Time {
@@ -444,9 +462,10 @@ func runRing(pause, gentle experiments.FC) error {
 		res, err := experiments.RunRing(experiments.RingConfig{
 			FC: fc, Duration: d, HostsPerSwitch: 2, Metrics: reg,
 			Faults: plan, FaultSeed: *seed,
+			Ctx: ctx, Budget: flagBudget(),
 		})
 		if err != nil {
-			return err
+			return governed(err)
 		}
 		sink.record("ring-formation-"+string(fc), reg, d)
 		verdict := "no deadlock"
@@ -465,6 +484,7 @@ func runRing(pause, gentle experiments.FC) error {
 		cfg := experiments.RingConfig{
 			FC: fc, Duration: d, Metrics: reg,
 			Faults: plan, FaultSeed: *seed,
+			Ctx: ctx, Budget: flagBudget(),
 		}
 		if plan != nil && fc == experiments.GFCBuf {
 			// Loss repair under faulted feedback, as in the matrix.
@@ -472,7 +492,7 @@ func runRing(pause, gentle experiments.FC) error {
 		}
 		res, err := experiments.RunRing(cfg)
 		if err != nil {
-			return err
+			return governed(err)
 		}
 		sink.record("ring-steady-"+string(fc), reg, d)
 		fmt.Printf("  %-12s steady queue %-9v steady rate %-9v (paper GFC: ≈840KB/5G buffer-based, ≈745KB/5G time-based)%s\n",
@@ -510,18 +530,16 @@ func runFaultMatrix() error {
 		Ctx:      ctx,
 		Budget:   flagBudget(),
 		Retry:    flagRetry(),
+		Workers:  *workers,
 	}
 	if *faultSpec != "" {
-		// The matrix compiles presets by name; restrict the columns to the
-		// requested scenario (plus the clean baseline for contrast).
-		if _, err := faults.Preset(*faultSpec); err != nil {
-			return fmt.Errorf("-exp faults wants a preset name in -faults: %w", err)
-		}
+		// Restrict the columns to the requested preset (validateFlags
+		// vetted the name), plus the clean baseline for contrast.
 		cfg.Scenarios = []string{experiments.CleanScenario, *faultSpec}
 	}
 	cells, err := experiments.RunFaultMatrix(cfg)
 	if err != nil {
-		return err
+		return governed(err)
 	}
 	fmt.Println("Fault matrix: scheme × scenario on the critically loaded fig9 ring")
 	fmt.Print(experiments.FaultMatrixRows(cells).String())

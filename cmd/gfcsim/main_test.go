@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gfcsim/gfc/internal/experiments"
 	"github.com/gfcsim/gfc/internal/scenario"
 )
 
@@ -93,8 +94,9 @@ func TestScalesRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestEnumFlagsAreUsageErrors pins that a bad -backend, -table1-scale or
-// -duration is refused up front as a usage error (exit 2) naming the value,
+// TestEnumFlagsAreUsageErrors pins that a bad -backend, -table1-scale,
+// -duration or -workers — and, for -exp faults, a -faults value that is not a
+// preset — is refused up front as a usage error (exit 2) naming the value,
 // instead of surfacing after the first sweep has started printing.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if err := validateFlags(); err != nil {
@@ -107,13 +109,66 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		{func() { *backendName = "bogus" }, `-backend "bogus"`},
 		{func() { *table1Scale = "huge" }, `-table1-scale "huge"`},
 		{func() { *duration = -5 * time.Millisecond }, "-duration -5ms"},
+		{func() { *workers = -3 }, "-workers -3"},
+		{func() { *expName, *faultSpec = "faults", "nope" }, `unknown preset "nope"`},
 	} {
 		oldBackend, oldScale, oldDuration := *backendName, *table1Scale, *duration
+		oldWorkers, oldExp, oldFaults := *workers, *expName, *faultSpec
 		tc.set()
 		err := validateFlags()
 		*backendName, *table1Scale, *duration = oldBackend, oldScale, oldDuration
+		*workers, *expName, *faultSpec = oldWorkers, oldExp, oldFaults
 		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v (exit %d), want a usage error naming %s", err, exitCode(err), tc.want)
+		}
+	}
+}
+
+// TestFaultPresetVettedOnlyForTheMatrix pins the scope of the -faults preset
+// check: fig9/fig10 also take a spec file there, and -workers 0 keeps meaning
+// GOMAXPROCS, so neither may trip validateFlags.
+func TestFaultPresetVettedOnlyForTheMatrix(t *testing.T) {
+	oldWorkers, oldExp, oldFaults := *workers, *expName, *faultSpec
+	defer func() { *workers, *expName, *faultSpec = oldWorkers, oldExp, oldFaults }()
+	*workers, *expName, *faultSpec = 0, "fig9", "my-faults.json"
+	if err := validateFlags(); err != nil {
+		t.Errorf("-exp fig9 -faults my-faults.json -workers 0 rejected: %v", err)
+	}
+	*expName, *faultSpec = "faults", "resume-loss"
+	if err := validateFlags(); err != nil {
+		t.Errorf("-exp faults -faults resume-loss rejected: %v", err)
+	}
+}
+
+// TestRingDriversHonourTheGovernor pins that fig9/fig10 and the fault matrix
+// run under the governor like -scenario does: a blown -budget-events exits 3
+// and a cancelled context exits 4. runRing used to drop both on the floor
+// (exit 0) and the matrix reported a budget trip as a plain failure (exit 1).
+func TestRingDriversHonourTheGovernor(t *testing.T) {
+	oldCtx, oldEvents, oldDuration, oldWorkers := ctx, *budgetEvents, *duration, *workers
+	defer func() { ctx, *budgetEvents, *duration, *workers = oldCtx, oldEvents, oldDuration, oldWorkers }()
+	*duration, *workers = 5*time.Millisecond, 2
+	drivers := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig9", func() error { return runRing(experiments.PFC, experiments.GFCBuf) }},
+		{"faults", runFaultMatrix},
+	}
+
+	ctx, *budgetEvents = context.Background(), 5000
+	for _, d := range drivers {
+		if err := d.run(); exitCode(err) != 3 {
+			t.Errorf("-exp %s -budget-events 5000: err = %v (exit %d), want exit 3", d.name, err, exitCode(err))
+		}
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx, *budgetEvents = cancelled, 0
+	for _, d := range drivers {
+		if err := d.run(); exitCode(err) != 4 {
+			t.Errorf("-exp %s interrupted: err = %v (exit %d), want exit 4", d.name, err, exitCode(err))
 		}
 	}
 }

@@ -71,7 +71,7 @@ type FaultCell struct {
 
 // FaultMatrixConfig parameterises RunFaultMatrix.
 type FaultMatrixConfig struct {
-	Schemes   []FC       // default AllFCs()
+	Schemes   []FC       // default MatrixSchemes()
 	Scenarios []string   // default FaultScenarios()
 	Duration  units.Time // default 60 ms
 	// HostsPerSwitch defaults to 1: the critically loaded ring where every
@@ -95,6 +95,11 @@ type FaultMatrixConfig struct {
 	// backoff; deterministic failures and deadlock verdicts do not). The
 	// zero value disables retrying.
 	Retry runner.Retry
+	// Workers is the number of cells simulated concurrently, as in
+	// SweepConfig.Workers: 0 means runtime.GOMAXPROCS(0), 1 runs the cells
+	// inline in table order. Every cell is share-nothing and seeded from
+	// its position, so the matrix is bit-identical for every worker count.
+	Workers int
 }
 
 // RunFaultMatrix runs the scheme × scenario robustness matrix on the fig9
@@ -105,6 +110,11 @@ type FaultMatrixConfig struct {
 // under every scenario with no losses and no invariant violations. Every
 // cell also runs the in-data-plane DCFIT detector alongside the global one;
 // its columns expose what delivery-time pause tracking can and cannot see.
+//
+// The cells are one job list on the runner pool (cfg.Workers), assembled in
+// job order. A failing cell does not cancel the rest: the matrix returns the
+// lowest-index failing cell's error, so the report is the same at every
+// worker count; a cancelled cfg.Ctx surfaces as context.Canceled.
 func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	if cfg.Schemes == nil {
 		cfg.Schemes = MatrixSchemes()
@@ -129,51 +139,53 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	}
 	topo := RingTopology(cfg.HostsPerSwitch)
 
-	var cells []FaultCell
-	for _, scenario := range cfg.Scenarios {
-		var plan *faults.Plan
-		if scenario != CleanScenario {
-			spec, err := faults.Preset(scenario)
-			if err != nil {
-				return nil, err
-			}
-			plan, err = spec.Compile(topo)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: compiling %q: %w", scenario, err)
-			}
+	// One compiled plan per scenario, shared read-only by that column's
+	// cells; nil for the clean column.
+	plans := make([]*faults.Plan, len(cfg.Scenarios))
+	for i, scenario := range cfg.Scenarios {
+		if scenario == CleanScenario {
+			continue
 		}
-		for si, fc := range cfg.Schemes {
-			// Each attempt rebuilds its registry and simulation from
-			// scratch, so a retried cell is bit-identical to a clean
-			// first run; the backoff seed is the cell's position, making
-			// retry sequencing reproducible across runs.
-			var reg *metrics.Registry
-			cellSeed := cfg.Seed*1000 + int64(len(cells))*10 + int64(si)
-			res, prov, err := runner.Supervise(cfg.Ctx, cellSeed, cfg.Retry, ClassifyCellFailure,
-				func(ctx context.Context) (*RingResult, error) {
-					reg = metrics.New(metrics.Options{})
-					ring := RingConfig{
-						FC:             fc,
-						Duration:       cfg.Duration,
-						HostsPerSwitch: cfg.HostsPerSwitch,
-						Metrics:        reg,
-						Faults:         plan,
-						FaultSeed:      cfg.Seed,
-						// Both detectors report in every cell; the global
-						// verdict is the row's, DCFIT's fills its own columns.
-						Detector: "both",
-						Ctx:      ctx,
-						Budget:   cfg.Budget,
-					}
-					if fc == GFCBuf && plan != nil {
-						ring.Refresh = cfg.Refresh
-					}
-					return RunRing(ring)
-				})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s under %q: %w", fc, scenario, err)
+		spec, err := faults.Preset(scenario)
+		if err != nil {
+			return nil, err
+		}
+		if plans[i], err = spec.Compile(topo); err != nil {
+			return nil, fmt.Errorf("experiments: compiling %q: %w", scenario, err)
+		}
+	}
+
+	// Job j is cell (Scenarios[j/len(Schemes)], Schemes[j%len(Schemes)]):
+	// scenario-major, the order the table prints.
+	nfc := len(cfg.Schemes)
+	jobs := make([]runner.Job[FaultCell], len(cfg.Scenarios)*nfc)
+	for j := range jobs {
+		scenario, plan, fc := cfg.Scenarios[j/nfc], plans[j/nfc], cfg.Schemes[j%nfc]
+		// Each attempt rebuilds its registry and simulation from scratch,
+		// so a retried cell is bit-identical to a clean first run.
+		jobs[j] = func(ctx context.Context) (FaultCell, error) {
+			reg := metrics.New(metrics.Options{})
+			ring := RingConfig{
+				FC:             fc,
+				Duration:       cfg.Duration,
+				HostsPerSwitch: cfg.HostsPerSwitch,
+				Metrics:        reg,
+				Faults:         plan,
+				FaultSeed:      cfg.Seed,
+				// Both detectors report in every cell; the global
+				// verdict is the row's, DCFIT's fills its own columns.
+				Detector: "both",
+				Ctx:      ctx,
+				Budget:   cfg.Budget,
 			}
-			cell := FaultCell{
+			if fc == GFCBuf && plan != nil {
+				ring.Refresh = cfg.Refresh
+			}
+			res, err := RunRing(ring)
+			if err != nil {
+				return FaultCell{}, err
+			}
+			return FaultCell{
 				FC: fc, Scenario: scenario,
 				Deadlocked: res.Deadlocked, DeadlockAt: res.DeadlockAt,
 				DeadlockKind:    res.DeadlockKind,
@@ -181,16 +193,32 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 				DCFITAt:         res.DCFITAt,
 				Drops:           res.Drops,
 				Violations:      reg.Summary().Violations,
+				FaultsInjected:  reg.FaultsInjected(),
+				FeedbackDropped: res.FaultStats.FeedbackDropped,
+				FeedbackDelayed: res.FaultStats.FeedbackDelayed,
 				Delivered:       res.Delivered, MinFlow: res.MinFlow,
 				SteadyRate: res.SteadyRate,
-			}
-			cell.FaultsInjected = reg.FaultsInjected()
-			cell.FeedbackDropped = res.FaultStats.FeedbackDropped
-			cell.FeedbackDelayed = res.FaultStats.FeedbackDelayed
-			if prov != nil {
-				cell.Retries = len(prov.Retries)
-			}
-			cells = append(cells, cell)
+			}, nil
+		}
+	}
+	results := runner.RunWith(cfg.Ctx, jobs, runner.Options[FaultCell]{
+		Workers: cfg.Workers,
+		// The backoff seed is the cell's position, making retry sequencing
+		// reproducible across runs and worker counts.
+		Seed:     func(j int) int64 { return cfg.Seed*1000 + int64(j)*10 + int64(j%nfc) },
+		Retry:    cfg.Retry,
+		Classify: ClassifyCellFailure,
+	})
+
+	// Job order, so the first error is the one a serial run would have hit.
+	cells := make([]FaultCell, len(results))
+	for j, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("experiments: %s under %q: %w", cfg.Schemes[j%nfc], cfg.Scenarios[j/nfc], r.Err)
+		}
+		cells[j] = r.Value
+		if r.Prov != nil {
+			cells[j].Retries = len(r.Prov.Retries)
 		}
 	}
 	return cells, nil

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/deadlock"
@@ -182,6 +186,95 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("cell %d differs across identical runs:\n  %+v\n  %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestFaultMatrixWorkerIndependence pins the pool contract on a reduced
+// matrix: every scheme under the clean column and the two scenarios that
+// break the on/off schemes, with cells long enough for the resume-loss
+// squeeze to bite. The cells and the rendered table must be identical for
+// every worker count — 1 is the inline serial order.
+func TestFaultMatrixWorkerIndependence(t *testing.T) {
+	cfg := FaultMatrixConfig{
+		Scenarios: []string{CleanScenario, "resume-loss", "feedback-loss"},
+		Duration:  12 * units.Millisecond,
+		Workers:   1,
+	}
+	serial, err := RunFaultMatrix(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := MatrixSchemes()
+	if want := len(schemes) * len(cfg.Scenarios); len(serial) != want {
+		t.Fatalf("got %d cells, want %d", len(serial), want)
+	}
+	for i, c := range serial {
+		wantFC, wantSc := schemes[i%len(schemes)], cfg.Scenarios[i/len(schemes)]
+		if c.FC != wantFC || c.Scenario != wantSc {
+			t.Fatalf("cell %d is (%s, %s), want (%s, %s): not scenario-major table order",
+				i, c.FC, c.Scenario, wantFC, wantSc)
+		}
+	}
+	if c := serial[len(schemes)]; c.FeedbackDropped == 0 {
+		t.Errorf("PFC resume-loss cell dropped no feedback in %v — cells too short to prove anything", cfg.Duration)
+	}
+	table := FaultMatrixRows(serial).String()
+	for _, workers := range []int{2, 4} {
+		cfg.Workers = workers
+		got, err := RunFaultMatrix(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("workers=%d: cells differ from the serial run:\n  %+v\n  %+v", workers, got, serial)
+		}
+		if gotTable := FaultMatrixRows(got).String(); gotTable != table {
+			t.Errorf("workers=%d: table differs from the serial run:\n%s\n%s", workers, gotTable, table)
+		}
+	}
+}
+
+// TestFaultMatrixFirstErrorIsDeterministic pins error reporting on the pool:
+// with a bad scheme in the middle of the list, every column has a failing
+// cell, and the matrix must report the lowest-index one — the cell a serial
+// run hits first — with the same text at every worker count.
+func TestFaultMatrixFirstErrorIsDeterministic(t *testing.T) {
+	cfg := FaultMatrixConfig{
+		Schemes:   []FC{GFCBuf, FC("warp-drive"), PFC},
+		Scenarios: []string{"flap", CleanScenario},
+		Duration:  2 * units.Millisecond,
+	}
+	var want string
+	for _, workers := range []int{1, 2, 4} {
+		cfg.Workers = workers
+		cells, err := RunFaultMatrix(cfg)
+		if err == nil || cells != nil {
+			t.Fatalf("workers=%d: unknown scheme accepted (cells=%v, err=%v)", workers, cells, err)
+		}
+		if workers == 1 {
+			want = err.Error()
+			if !strings.HasPrefix(want, `experiments: warp-drive under "flap":`) {
+				t.Fatalf("serial error %q does not name the first failing cell (warp-drive, flap)", want)
+			}
+		} else if err.Error() != want {
+			t.Errorf("workers=%d: error %q, want the serial run's %q", workers, err, want)
+		}
+	}
+}
+
+// TestFaultMatrixCancelled pins that a cancelled context is reported as
+// such — not as a verdict on a cell — and that no partial matrix escapes.
+func TestFaultMatrixCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		cells, err := RunFaultMatrix(FaultMatrixConfig{Ctx: ctx, Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if cells != nil {
+			t.Errorf("workers=%d: cancelled matrix returned %d cells", workers, len(cells))
 		}
 	}
 }

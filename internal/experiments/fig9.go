@@ -157,6 +157,15 @@ func RunRing(cfg RingConfig) (*RingResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The S1←H1 queue changes at most about twice per MTU serialisation time
+	// on the host link (one arrival, one departure), so size the trace for
+	// the horizon Build just validated instead of re-growing a
+	// megabyte-scale slice pair by doubling in every cell.
+	simCfg, _ := TestbedParams()
+	simCfg.FillDefaults()
+	points := int(2 * cfg.Duration / units.TransmissionTime(simCfg.MTU, topology.DefaultLinkParams().Capacity))
+	res.Queue.T = make([]units.Time, 0, points)
+	res.Queue.V = make([]float64, 0, points)
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()

@@ -144,10 +144,10 @@ type Provenance struct {
 	Degraded string `json:"degraded,omitempty"`
 }
 
-// Supervise runs fn under the classified-retry policy outside a pool: the
-// single-call form of the Retry/Classify options, shared by drivers (the
-// fault matrix) that run cells serially. Transient failures retry with the
-// seed-derived backoff; the returned Provenance is nil when fn succeeded
+// Supervise runs fn under the classified-retry policy: the single-call form
+// of the Retry/Classify options, which RunWith applies to every job and a
+// caller outside a pool can apply to one run. Transient failures retry with
+// the seed-derived backoff; the returned Provenance is nil when fn succeeded
 // on its first attempt. A cancellation during backoff returns the context
 // error (class skip: no verdict).
 func Supervise[T any](ctx context.Context, seed int64, r Retry, classify func(error) FailureClass, fn Job[T]) (T, *Provenance, error) {
