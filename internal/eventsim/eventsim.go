@@ -3,23 +3,43 @@
 // callbacks. Events that share a timestamp fire in the order they were
 // scheduled, which makes every run deterministic.
 //
-// The queue is a 4-ary heap whose entries carry their own (time, sequence)
-// key next to the id of a pooled event record. The wider node fans out the
-// tree to a quarter of the binary depth, and because the keys are inline a
-// sift compares the four contiguous children (96 bytes) without touching a
-// record; because the comparator (time, sequence) is a total order, the pop
-// sequence — and therefore every simulation result — is identical to the
-// binary heap's, whatever the entry layout.
+// The queue is a 4-ary heap with a few constant-delay FIFO lanes beside it.
+// Every queued entry carries its own (time, sequence) key next to the id of a
+// pooled event record; the sequence comes from one counter at schedule time,
+// and the engine always fires the (time, sequence)-minimum of everything
+// queued. Because that comparator is a total order, the pop sequence — and
+// therefore every simulation result — does not depend on where an entry
+// waits.
+//
+// The heap takes Schedule's absolute times. Its wide node fans the tree out
+// to a quarter of the binary depth, and because the keys are inline a sift
+// compares the four contiguous children (96 bytes) without touching a record.
+//
+// The lanes take After's relative delays. A packet simulation schedules
+// almost everything After one of two constants (link propagation, full-MTU
+// serialisation), and the clock never runs backwards, so events scheduled
+// After the same delay are already in (time, sequence) order when they are
+// scheduled. A lane is a ring buffer holding one delay at a time — it takes
+// another only while empty — and is therefore sorted by construction: After
+// appends, Step reads the head. The minimum over the heap root and the heads
+// of the busy lanes is the minimum of the whole queue, so nothing is sifted
+// that arrived sorted. After falls back to the heap when every lane is busy
+// with another delay; which side an event waits on is decided from its delay
+// alone and is not observable.
+//
 // Records are recycled through a free list and addressed by stable ids, so
 // the steady state of a simulation — schedule, fire, schedule again —
 // allocates nothing. Handles returned by Schedule carry a generation
 // counter: recycling a record bumps its generation, which makes Cancel of a
 // stale handle (already fired or already cancelled) a safe no-op without any
-// queue scan.
+// queue scan. Cancel removes a heap entry in place; a laned entry cannot
+// leave the middle of its ring, so Cancel leaves it as a tombstone that is
+// skipped, and its record recycled, when it reaches the lane head.
 package eventsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -36,26 +56,25 @@ type Event struct {
 // At reports when the event was scheduled to fire.
 func (e Event) At() units.Time { return e.at }
 
-// Slot reports the event's pooled-record index: a small, dense, non-negative
-// integer that is stable for the event's lifetime and recycled after it fires
-// or is cancelled. Callers using Slot to index side tables must validate the
-// stored handle against the full Event (which carries the generation) before
-// trusting the entry — see Peek/Absorb. The zero Event's slot is 0 and is
-// only distinguishable by that generation check.
-func (e Event) Slot() int { return int(e.id) }
+// Values of record.pos below zero.
+const (
+	posFree  = -1 // on the free list
+	posLaned = -2 // queued in a lane, live or tombstoned
+)
 
-// record is one pooled event: what Cancel and Step need once the heap has
-// picked it. pos is its index in Engine.heap, -1 while the record sits on the
-// free list. gen starts at 1 so the zero Event handle (gen 0) never matches a
-// live record.
+// record is one pooled event: what Cancel and Step need once the queue has
+// picked it. pos is its index in Engine.heap, posLaned while it waits in a
+// lane, posFree while the record sits on the free list. gen starts at 1 so
+// the zero Event handle (gen 0) never matches a live record.
 type record struct {
 	fn  func()
 	gen uint32
 	pos int32
 }
 
-// entry is one heap slot. The ordering key lives here and nowhere else, so
-// siftUp and siftDown never load a record to compare.
+// entry is one queue slot, in the heap or in a lane. The ordering key lives
+// here and nowhere else, so siftUp, siftDown and the head comparison never
+// load a record to compare.
 type entry struct {
 	at  units.Time
 	seq uint64
@@ -66,6 +85,24 @@ type entry struct {
 // schedule order.
 func (a *entry) before(b *entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// numLanes is how many distinct After delays can be in flight off the heap
+// at once. The two delays that make up 91–100 % of a packet run's After calls
+// need two; the rest cover the periodic timers (feedback refresh, credit
+// period, detector and governor polls) that would otherwise take those two.
+// scenario.TestLaneShareAcrossCatalogue is what says whether it is enough.
+const numLanes = 4
+
+// lane is a FIFO of entries scheduled After the same delay d: a ring buffer
+// whose capacity is a power of two, oldest entry at buf[head]. Appended under
+// a monotone clock with a rising seq, it is strictly (at, seq)-sorted. d may
+// change only while the lane is empty.
+type lane struct {
+	buf  []entry
+	head uint32
+	n    uint32
+	d    units.Time
 }
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
@@ -79,12 +116,22 @@ type Engine struct {
 	fired   uint64
 	stopped bool
 
+	// busy has bit i set while lanes[i] is non-empty: a queue with nothing
+	// laned costs Step one zero test.
+	busy  uint8
+	lanes [numLanes]lane
+	// tombs counts cancelled entries still waiting in a lane; Pending
+	// subtracts them.
+	tombs int
+	// After calls that went to a lane, and all After calls (LaneStats).
+	laned, afters uint64
+
 	// Run-governor hook (SetHook): hookFn is consulted roughly every
 	// hookEvery fired events during Run; nil when no governor is attached,
 	// so the ungoverned hot path pays a single nil check per event. The
-	// check is a fired-counter threshold rather than a modulo so that
-	// Absorb — which credits events without a Step — cannot jump the
-	// counter over an exact boundary and silently skip a governor check.
+	// check is a fired-counter threshold, armed by SetHook and re-armed
+	// after each call, so the interval is counted from where the hook was
+	// installed, not on multiples of the lifetime counter.
 	hookFn    func() bool
 	hookEvery uint64
 	nextHook  uint64
@@ -100,7 +147,18 @@ func (e *Engine) Now() units.Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	n := len(e.heap) - e.tombs
+	for i := range e.lanes {
+		n += int(e.lanes[i].n)
+	}
+	return n
+}
+
+// LaneStats reports how many After calls were queued in a constant-delay
+// lane rather than the heap, and how many After calls there were in all.
+// The ratio is a property of the program's delays, not of its results.
+func (e *Engine) LaneStats() (laned, after uint64) { return e.laned, e.afters }
 
 // Stopped reports whether a Stop is pending, i.e. Stop was called and no Run
 // has consumed it yet.
@@ -113,7 +171,7 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		return id
 	}
-	e.records = append(e.records, record{gen: 1, pos: -1})
+	e.records = append(e.records, record{gen: 1, pos: posFree})
 	return int32(len(e.records) - 1)
 }
 
@@ -123,7 +181,7 @@ func (e *Engine) release(id int32) {
 	r := &e.records[id]
 	r.gen++
 	r.fn = nil
-	r.pos = -1
+	r.pos = posFree
 	e.free = append(e.free, id)
 }
 
@@ -145,12 +203,61 @@ func (e *Engine) Schedule(at units.Time, fn func()) Event {
 	return Event{id: id, gen: r.gen, at: at}
 }
 
-// After runs fn after delay d from the current time.
+// After runs fn after delay d from the current time. It is Schedule(Now()+d,
+// fn) in every observable respect; the event waits in the lane holding delay
+// d when there is one or an empty lane to start one, in the heap otherwise.
 func (e *Engine) After(d units.Time, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))
 	}
-	return e.Schedule(e.now+d, fn)
+	at := e.now + d
+	if at < e.now || fn == nil {
+		return e.Schedule(at, fn) // which panics
+	}
+	e.afters++
+	i := e.laneFor(d)
+	if i < 0 {
+		return e.Schedule(at, fn)
+	}
+	e.laned++
+	id := e.alloc()
+	r := &e.records[id]
+	r.fn = fn
+	r.pos = posLaned
+	l := &e.lanes[i]
+	if int(l.n) == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&uint32(len(l.buf)-1)] = entry{at: at, seq: e.seq, id: id}
+	l.n++
+	e.busy |= 1 << i
+	e.seq++
+	return Event{id: id, gen: r.gen, at: at}
+}
+
+// laneFor returns the index of the lane an event After delay d belongs in:
+// the one holding d, else an empty one, which takes d. It returns -1 when
+// every lane is busy with another delay.
+func (e *Engine) laneFor(d units.Time) int {
+	for i := range e.lanes {
+		if e.lanes[i].d == d {
+			return i
+		}
+	}
+	if idle := ^e.busy & (1<<numLanes - 1); idle != 0 {
+		i := bits.TrailingZeros8(idle)
+		e.lanes[i].d = d
+		return i
+	}
+	return -1
+}
+
+// grow doubles a full ring, unwrapping it so the oldest entry is at index 0.
+func (l *lane) grow() {
+	buf := make([]entry, max(16, 2*len(l.buf)))
+	k := copy(buf, l.buf[l.head:])
+	copy(buf[k:], l.buf[:l.head])
+	l.buf, l.head = buf, 0
 }
 
 // Cancel prevents ev from firing. Cancelling the zero Event, an
@@ -161,11 +268,20 @@ func (e *Engine) Cancel(ev Event) {
 		return
 	}
 	r := &e.records[ev.id]
-	if r.gen != ev.gen || r.pos < 0 {
+	if r.gen != ev.gen {
 		return
 	}
-	e.removeAt(r.pos)
-	e.release(ev.id)
+	if r.pos >= 0 {
+		e.removeAt(r.pos)
+		e.release(ev.id)
+		return
+	}
+	// Laned: the entry stays where it is as a tombstone. The handle dies
+	// and the callback is dropped now; the record stays off the free list
+	// until fire meets the entry at its lane's head.
+	r.gen++
+	r.fn = nil
+	e.tombs++
 }
 
 // Stop makes Run return after the currently executing event completes. When
@@ -193,52 +309,54 @@ func (e *Engine) SetHook(every uint64, fn func() bool) {
 func (e *Engine) ClearHook() { e.hookFn = nil }
 
 // Step executes the next pending event, if any, and reports whether one ran.
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
-	}
-	id := e.heap[0].id
-	e.now = e.heap[0].at
-	e.removeAt(0)
-	fn := e.records[id].fn
-	e.fired++
-	// Release before running so a Cancel of this event from inside its
-	// own callback is already a stale-generation no-op.
-	e.release(id)
-	fn()
-	return true
-}
+func (e *Engine) Step() bool { return e.fire(units.Never) }
 
-// Peek returns a handle to the next event that would fire — the head of the
-// queue — without running or removing it, and reports whether one exists.
-func (e *Engine) Peek() (Event, bool) {
-	if len(e.heap) == 0 {
-		return Event{}, false
+// fire executes the (at, seq)-minimum of the heap root and the busy lanes'
+// heads when it is due by until, and reports whether it did. Tombstones met
+// on the way are discarded without touching the clock.
+func (e *Engine) fire(until units.Time) bool {
+	for {
+		var top *entry
+		if len(e.heap) > 0 {
+			top = &e.heap[0]
+		}
+		from := -1
+		for m := e.busy; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros8(m)
+			l := &e.lanes[i]
+			if h := &l.buf[l.head]; top == nil || h.before(top) {
+				top, from = h, i
+			}
+		}
+		if top == nil || top.at > until {
+			return false
+		}
+		id, at := top.id, top.at
+		if from < 0 {
+			e.removeAt(0)
+		} else {
+			l := &e.lanes[from]
+			l.head = (l.head + 1) & uint32(len(l.buf)-1)
+			if l.n--; l.n == 0 {
+				e.busy &^= 1 << from
+			}
+		}
+		r := &e.records[id]
+		fn := r.fn
+		if fn == nil {
+			// A tombstone surfaced: only now is its record free to reuse.
+			e.release(id)
+			e.tombs--
+			continue
+		}
+		e.now = at
+		e.fired++
+		// Release before running so a Cancel of this event from inside its
+		// own callback is already a stale-generation no-op.
+		e.release(id)
+		fn()
+		return true
 	}
-	top := &e.heap[0]
-	return Event{id: top.id, gen: e.records[top.id].gen, at: top.at}, true
-}
-
-// Absorb removes ev from the queue and credits it to the fired counter
-// WITHOUT invoking its callback, and reports whether it did so. It succeeds
-// only when ev is exactly the queue head (same record and generation, per
-// Peek) and is due at the current clock — i.e. when ev is provably the very
-// next event the engine would fire, so performing its work inline cannot
-// reorder anything. The caller assumes responsibility for doing that work.
-// This is how netsim drains a burst of same-timestamp deliveries in one
-// callback instead of N heap pops.
-func (e *Engine) Absorb(ev Event) bool {
-	if ev.gen == 0 || len(e.heap) == 0 {
-		return false
-	}
-	id := e.heap[0].id
-	if id != ev.id || e.records[id].gen != ev.gen || e.heap[0].at != e.now {
-		return false
-	}
-	e.removeAt(0)
-	e.fired++
-	e.release(id)
-	return true
 }
 
 // Run executes events until the queue drains, the clock passes until, or
@@ -248,12 +366,7 @@ func (e *Engine) Absorb(ev Event) bool {
 // observably resumes on the next Run.
 func (e *Engine) Run(until units.Time) units.Time {
 	defer func() { e.stopped = false }()
-	for !e.stopped && len(e.heap) > 0 {
-		// Peek: do not advance past the horizon.
-		if e.heap[0].at > until {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.fire(until) {
 		if e.hookFn != nil && e.fired >= e.nextHook {
 			e.nextHook = e.fired + e.hookEvery
 			if !e.hookFn() {

@@ -11,14 +11,19 @@ import (
 
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
-	ran := false
-	e.Schedule(5, func() { ran = true })
-	e.RunAll()
-	if !ran {
-		t.Fatal("event did not run")
+	var order []int
+	e.Schedule(5, func() { order = append(order, 2) })
+	e.After(7, func() { order = append(order, 3) }) // a lane's first entry
+	e.After(0, func() { order = append(order, 1) })
+	if e.Pending() != 3 {
+		t.Fatalf("Pending() = %d, want 3", e.Pending())
 	}
-	if e.Now() != 5 {
-		t.Fatalf("Now() = %v, want 5", e.Now())
+	e.RunAll()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("order = %v, want [1 2 3]", order)
+	}
+	if e.Now() != 7 {
+		t.Fatalf("Now() = %v, want 7", e.Now())
 	}
 }
 
@@ -345,6 +350,30 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 	// Exactly one event fires per op; the explicit metric lets benchjson
 	// derive ns/event uniformly across eventsim and netsim benchmarks.
+	b.ReportMetric(1, "events/op")
+}
+
+// BenchmarkAfterHold is the lane-side twin of BenchmarkScheduleRun: a hold
+// model driven by After with the two delays a packet run is made of (link
+// propagation, full-MTU serialisation), so every pop and every push is a
+// ring-buffer step and the heap stays empty.
+func BenchmarkAfterHold(b *testing.B) {
+	e := New()
+	fn := func() {}
+	delays := [2]units.Time{1000, 1200}
+	for i := 0; i < 64; i++ {
+		e.After(delays[i&1], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+		e.After(delays[i&1], fn)
+	}
+	b.StopTimer()
+	if laned, after := e.LaneStats(); laned != after {
+		b.Fatalf("%d of %d After calls laned; the benchmark means to measure the lanes", laned, after)
+	}
 	b.ReportMetric(1, "events/op")
 }
 

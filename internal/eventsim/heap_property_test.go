@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,11 +9,13 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// This file property-tests the 4-ary heap against a reference model: a plain
-// list of pending (time, insertion-sequence) pairs whose expected fire order
-// is a stable sort by time. Any heap bug — wrong parent/child arithmetic,
-// broken removeAt hole-filling, pos corruption — shows up as a divergence
-// between the engine's fire order and the model's.
+// This file property-tests the queue — the 4-ary heap and the constant-delay
+// lanes beside it — against a reference model: a plain list of pending (time,
+// insertion-sequence) pairs whose expected fire order is a stable sort by
+// time. Any queue bug — wrong parent/child arithmetic, broken removeAt
+// hole-filling, pos corruption, a lane out of order, a ring that wraps or
+// grows wrongly, a tombstone that fires or is recycled twice — shows up as a
+// divergence between the engine's fire order and the model's, or in checkHeap.
 
 // refEvent is one scheduled event in the reference model.
 type refEvent struct {
@@ -20,12 +23,22 @@ type refEvent struct {
 	seq int // insertion order, the FIFO tie-break
 }
 
-// checkHeap asserts the engine's internal consistency: the inline keys obey
-// the 4-ary heap order, every entry's record points back at its slot, free
-// records point nowhere, and — given the live handles in schedule order — each
-// handle's slot carries exactly the time it was scheduled for, with sequence
-// numbers rising in schedule order. The key lives only in the heap entry, so
-// this is the check that a sift never separates a key from its id.
+func (a refEvent) before(b refEvent) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// checkHeap asserts the engine's internal consistency. Heap: the inline keys
+// obey the 4-ary heap order and every entry's record points back at its slot.
+// Lanes: each is strictly (at, seq)-sorted from its head, every record it
+// holds carries the lane marker, the busy mask says exactly which are
+// non-empty, and the tombstone count is the number of laned records without a
+// callback. Records: free ones are detached and listed once, and every record
+// is in exactly one place — heap, lane or free list — so a recycled tombstone
+// cannot have been freed twice or lost. Given the live handles in schedule
+// order: Pending() is their count, each one's entry carries exactly the time
+// it was scheduled for, and sequence numbers rise in schedule order. The key
+// lives only in the entry, so this is the check that a sift never separates a
+// key from its id.
 func checkHeap(t *testing.T, e *Engine, live []Event) {
 	t.Helper()
 	for i := range e.heap {
@@ -36,26 +49,75 @@ func checkHeap(t *testing.T, e *Engine, live []Event) {
 			t.Fatalf("heap[%d] holds record %d, whose pos says %d", i, e.heap[i].id, pos)
 		}
 	}
+	laned := map[int32]entry{}
+	tombs := 0
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if busy := e.busy&(1<<i) != 0; busy != (l.n > 0) {
+			t.Fatalf("lane %d holds %d entries but its busy bit is %v", i, l.n, busy)
+		}
+		if len(l.buf)&(len(l.buf)-1) != 0 || int(l.n) > len(l.buf) {
+			t.Fatalf("lane %d: %d entries in a ring of %d", i, l.n, len(l.buf))
+		}
+		for k := uint32(0); k < l.n; k++ {
+			ent := l.buf[(l.head+k)&uint32(len(l.buf)-1)]
+			if k > 0 {
+				if prev := l.buf[(l.head+k-1)&uint32(len(l.buf)-1)]; !prev.before(&ent) {
+					t.Fatalf("lane %d not sorted at %d: %+v then %+v", i, k, prev, ent)
+				}
+			}
+			if _, dup := laned[ent.id]; dup {
+				t.Fatalf("record %d is laned twice", ent.id)
+			}
+			laned[ent.id] = ent
+			r := e.records[ent.id]
+			if r.pos != posLaned {
+				t.Fatalf("lane %d holds record %d, whose pos says %d", i, ent.id, r.pos)
+			}
+			if r.fn == nil {
+				tombs++
+			}
+		}
+	}
+	if tombs != e.tombs {
+		t.Fatalf("%d tombstones in the lanes, engine counts %d", tombs, e.tombs)
+	}
+	free := map[int32]bool{}
 	for _, id := range e.free {
-		if e.records[id].pos != -1 || e.records[id].fn != nil {
+		if e.records[id].pos != posFree || e.records[id].fn != nil {
 			t.Fatalf("free record %d still has pos %d / a callback", id, e.records[id].pos)
 		}
+		if free[id] {
+			t.Fatalf("record %d is on the free list twice", id)
+		}
+		free[id] = true
+	}
+	if len(e.heap)+len(laned)+len(free) != len(e.records) {
+		t.Fatalf("%d records, but %d in the heap + %d laned + %d free",
+			len(e.records), len(e.heap), len(laned), len(free))
 	}
 	if live == nil {
 		return
 	}
-	if len(e.heap) != len(live) {
-		t.Fatalf("%d heap entries for %d live handles", len(e.heap), len(live))
+	if e.Pending() != len(live) {
+		t.Fatalf("Pending() = %d for %d live handles", e.Pending(), len(live))
 	}
 	lastSeq := uint64(0)
 	for i, ev := range live {
 		r := e.records[ev.id]
-		if r.gen != ev.gen || r.pos < 0 {
-			t.Fatalf("live handle %+v: record gen %d pos %d", ev, r.gen, r.pos)
+		var ent entry
+		switch {
+		case r.gen != ev.gen || r.fn == nil:
+			t.Fatalf("live handle %+v: record gen %d, callback set: %v", ev, r.gen, r.fn != nil)
+		case r.pos >= 0:
+			ent = e.heap[r.pos]
+		case r.pos == posLaned:
+			ent = laned[ev.id]
+		default:
+			t.Fatalf("live handle %+v: record is on the free list", ev)
 		}
-		ent := e.heap[r.pos]
 		if ent.id != ev.id || ent.at != ev.at {
-			t.Fatalf("live handle %+v sits at heap[%d] = %+v", ev, r.pos, ent)
+			t.Fatalf("live handle %+v is queued as %+v", ev, ent)
 		}
 		if i > 0 && ent.seq <= lastSeq {
 			t.Fatalf("handle %d (schedule order) has seq %d, not above its predecessor's %d", i, ent.seq, lastSeq)
@@ -64,11 +126,21 @@ func checkHeap(t *testing.T, e *Engine, live []Event) {
 	}
 }
 
+// modelCoverage counts the lane situations runModelComparison reached, so the
+// test can insist the random program really went there.
+type modelCoverage struct {
+	laned, fallback      int // After calls that took a lane / fell back to the heap
+	cancelHead, cancelIn int // Cancel of a lane's head / of an entry behind it
+	grewWrapped          int // a ring grew while its head was not at index 0
+	skipped              int // tombstones stepped past
+}
+
 // runModelComparison drives an engine and a reference model through a random
-// interleaving of Schedule, After, Cancel (live and stale handles), Step and
-// Absorb, checking the heap's consistency after every operation, then drains
-// both and compares the complete fire order.
-func runModelComparison(t *testing.T, seed int64) {
+// interleaving of Schedule, After (single and in bursts, from a set of delays
+// larger than the lane count), Cancel (live and stale handles), Step and
+// Run(until), checking the queue's consistency after every operation, then
+// drains both and compares the complete fire order.
+func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	e := New()
@@ -81,7 +153,7 @@ func runModelComparison(t *testing.T, seed int64) {
 		pending []live     // scheduled, not yet fired or cancelled
 		stale   []Event    // handles whose events fired or were cancelled
 		fired   []refEvent // engine fire order
-		model   []refEvent // expected: filled at drain time
+		model   []refEvent // expected fire order
 		seq     int
 	)
 	schedule := func(at units.Time) {
@@ -90,64 +162,120 @@ func runModelComparison(t *testing.T, seed int64) {
 		ev := e.Schedule(at, func() { fired = append(fired, re) })
 		pending = append(pending, live{ev: ev, ref: re})
 	}
+	// More delays than lanes, so some After calls find every lane taken.
+	delays := [...]units.Time{0, 2, 2, 5, 5, 5, 9, 14, 30}
+	after := func(d units.Time) {
+		re := refEvent{at: e.Now() + d, seq: seq}
+		seq++
+		before, _ := e.LaneStats()
+		var wrapped [numLanes]bool
+		for i := range e.lanes {
+			l := &e.lanes[i]
+			wrapped[i] = l.head != 0 && int(l.n) == len(l.buf)
+		}
+		ev := e.After(d, func() { fired = append(fired, re) })
+		if now, _ := e.LaneStats(); now > before {
+			cov.laned++
+		} else {
+			cov.fallback++
+		}
+		for i := range e.lanes {
+			if wrapped[i] && e.lanes[i].head == 0 && int(e.lanes[i].n) > 1 {
+				cov.grewWrapped++
+			}
+		}
+		if ev.At() != re.at {
+			t.Fatalf("seed %d: After(%v) at %v returned a handle for %v", seed, d, e.Now(), ev.At())
+		}
+		pending = append(pending, live{ev: ev, ref: re})
+	}
+	// modelPop moves the model's minimum, which is what the engine must fire
+	// next, to the expected fire order.
+	modelPop := func() {
+		min := 0
+		for i := 1; i < len(pending); i++ {
+			if pending[i].ref.before(pending[min].ref) {
+				min = i
+			}
+		}
+		l := pending[min]
+		model = append(model, l.ref)
+		stale = append(stale, l.ev)
+		pending = append(pending[:min], pending[min+1:]...)
+	}
 
-	const ops = 400
+	const ops = 500
 	for op := 0; op < ops; op++ {
-		switch k := rng.Intn(10); {
-		case k < 4: // Schedule at an absolute time, ties likely
+		switch k := rng.Intn(20); {
+		case k < 5: // Schedule at an absolute time, ties likely
 			schedule(e.Now() + units.Time(rng.Intn(16)))
-		case k < 6: // After, including zero delay
-			at := e.Now() + units.Time(rng.Intn(8))
-			re := refEvent{at: at, seq: seq}
-			seq++
-			ev := e.After(at-e.Now(), func() { fired = append(fired, re) })
-			pending = append(pending, live{ev: ev, ref: re})
-		case k < 8: // Cancel a random live handle: removeAt at a random
+		case k < 9: // After, including zero delay
+			after(delays[rng.Intn(len(delays))])
+		case k < 10: // a burst After one delay: fills a ring until it grows
+			d := delays[rng.Intn(len(delays))]
+			for n := 1 + rng.Intn(24); n > 0; n-- {
+				after(d)
+			}
+		case k < 14: // Cancel a random live handle: removeAt at a random
 			// heap position — over many ops this hits leaf, root and
-			// interior nodes.
+			// interior nodes — or a tombstone at a lane's head or inside.
 			if len(pending) > 0 {
 				i := rng.Intn(len(pending))
-				e.Cancel(pending[i].ev)
-				stale = append(stale, pending[i].ev)
+				ev := pending[i].ev
+				if e.records[ev.id].pos == posLaned {
+					head := false
+					for j := range e.lanes {
+						if l := &e.lanes[j]; l.n > 0 && l.buf[l.head].id == ev.id {
+							head = true
+						}
+					}
+					if head {
+						cov.cancelHead++
+					} else {
+						cov.cancelIn++
+					}
+				}
+				e.Cancel(ev)
+				stale = append(stale, ev)
 				pending = append(pending[:i], pending[i+1:]...)
 			}
-		case k < 9: // Cancel a stale handle: must be a no-op
+		case k < 15: // Cancel a stale handle: must be a no-op
 			if len(stale) > 0 {
 				e.Cancel(stale[rng.Intn(len(stale))])
 			}
-		default: // Step — or Absorb the head when it is due now — fires
-			// the earliest pending event
-			stepped := false
-			if top, ok := e.Peek(); ok && top.At() == e.Now() && rng.Intn(2) == 0 {
-				if !e.Absorb(top) {
-					t.Fatalf("seed %d: Absorb refused the due head %+v", seed, top)
-				}
-				// Absorb skips the callback: do its work inline.
+		case k < 16: // Run to a horizon: everything due by then, in order
+			until := e.Now() + units.Time(rng.Intn(6))
+			tombs := e.tombs
+			for {
+				min, any := refEvent{}, false
 				for _, l := range pending {
-					if l.ev == top {
-						fired = append(fired, l.ref)
+					if !any || l.ref.before(min) {
+						min, any = l.ref, true
 					}
 				}
-				stepped = true
-			} else {
-				stepped = e.Step()
-			}
-			if stepped {
-				// The fired event leaves pending; find it by the
-				// engine-reported order later. Remove the model's
-				// minimum (at, seq) — that is what must have fired.
-				min := 0
-				for i := 1; i < len(pending); i++ {
-					if pending[i].ref.at < pending[min].ref.at ||
-						(pending[i].ref.at == pending[min].ref.at &&
-							pending[i].ref.seq < pending[min].ref.seq) {
-						min = i
-					}
+				if !any || min.at > until {
+					break
 				}
-				model = append(model, pending[min].ref)
-				stale = append(stale, pending[min].ev)
-				pending = append(pending[:min], pending[min+1:]...)
+				modelPop()
 			}
+			e.Run(until)
+			cov.skipped += tombs - e.tombs
+		default: // Step fires the earliest pending event
+			tombs := e.tombs
+			if stepped := e.Step(); stepped != (len(pending) > 0) {
+				t.Fatalf("seed %d: Step = %v with %d events pending", seed, stepped, len(pending))
+			} else if stepped {
+				modelPop()
+			}
+			cov.skipped += tombs - e.tombs
+		}
+		if len(fired) != len(model) {
+			t.Fatalf("seed %d op %d: engine fired %d events, model %d", seed, op, len(fired), len(model))
+		}
+		// The clock is the last fired event's time: a tombstone stepped
+		// past must not have moved it.
+		if len(model) > 0 && e.Now() != model[len(model)-1].at {
+			t.Fatalf("seed %d op %d: clock at %v, last event fired at %v", seed, op, e.Now(), model[len(model)-1].at)
 		}
 		handles := make([]Event, len(pending))
 		for i, l := range pending {
@@ -157,18 +285,11 @@ func runModelComparison(t *testing.T, seed int64) {
 	}
 
 	// Drain: everything still pending fires in (at, seq) order.
-	rest := make([]refEvent, 0, len(pending))
-	for _, l := range pending {
-		rest = append(rest, l.ref)
+	for len(pending) > 0 {
+		modelPop()
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].at != rest[j].at {
-			return rest[i].at < rest[j].at
-		}
-		return rest[i].seq < rest[j].seq
-	})
-	model = append(model, rest...)
 	e.RunAll()
+	checkHeap(t, e, []Event{})
 
 	if len(fired) != len(model) {
 		t.Fatalf("seed %d: engine fired %d events, model expects %d", seed, len(fired), len(model))
@@ -179,14 +300,104 @@ func runModelComparison(t *testing.T, seed int64) {
 				seed, i, fired[i], model[i])
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("seed %d: %d events left pending after drain", seed, e.Pending())
+	if e.Pending() != 0 || len(e.free) != len(e.records) {
+		t.Fatalf("seed %d: after the drain %d events pending, %d of %d records free",
+			seed, e.Pending(), len(e.free), len(e.records))
 	}
 }
 
 func TestHeapAgainstReferenceModel(t *testing.T) {
+	var cov modelCoverage
 	for seed := int64(0); seed < 50; seed++ {
-		runModelComparison(t, seed)
+		runModelComparison(t, seed, &cov)
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.laned == 0 || cov.fallback == 0 || cov.cancelHead == 0 || cov.cancelIn == 0 ||
+		cov.grewWrapped == 0 || cov.skipped == 0 {
+		t.Fatalf("the random program missed a lane situation: %+v", cov)
+	}
+}
+
+// TestAfterEqualsSchedule runs one seeded program twice — once scheduling its
+// events with After(d), once with Schedule(Now()+d), which never leaves the
+// heap — and requires the identical transcript: every fired id with its
+// instant and the Pending() it saw, every governor-hook call, and the clock
+// and Pending() each Run returned with. The program has same-instant ties,
+// After(0), cancels, a Stop from inside a callback, and Run horizons placed
+// exactly on a pending event's time.
+func TestAfterEqualsSchedule(t *testing.T) {
+	type scheduler func(e *Engine, d units.Time, fn func()) Event
+	program := func(seed int64, sched scheduler) (log []string, e *Engine) {
+		rng := rand.New(rand.NewSource(seed))
+		e = New()
+		delays := [...]units.Time{0, 1, 1, 4, 4, 4, 11, 37, 90}
+		var handles []Event
+		const total = 1500
+		next := 0
+		var spawn func()
+		spawn = func() {
+			if next == total {
+				return
+			}
+			id := next
+			next++
+			handles = append(handles, sched(e, delays[rng.Intn(len(delays))], func() {
+				log = append(log, fmt.Sprintf("fire %d at %v pending %d", id, e.Now(), e.Pending()))
+				for n := rng.Intn(4); n > 0; n-- {
+					spawn()
+				}
+				switch rng.Intn(12) {
+				case 0:
+					e.Cancel(handles[rng.Intn(len(handles))])
+				case 1:
+					e.Stop()
+				}
+			}))
+		}
+		e.SetHook(7, func() bool {
+			log = append(log, fmt.Sprintf("hook at fired %d", e.Fired()))
+			return rng.Intn(10) > 0
+		})
+		until := units.Time(0)
+		for next < total || e.Pending() > 0 {
+			for e.Pending() < 8 && next < total {
+				spawn()
+			}
+			// Stop exactly on a recent handle's time when that is ahead of
+			// the last horizon, a few ticks past it otherwise.
+			if at := handles[len(handles)-1-rng.Intn(min(len(handles), 16))].At(); at > until {
+				until = at
+			} else {
+				until += units.Time(rng.Intn(6))
+			}
+			end := e.Run(until)
+			log = append(log, fmt.Sprintf("run to %v ended at %v, pending %d", until, end, e.Pending()))
+		}
+		return log, e
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		viaAfter, ea := program(seed, func(e *Engine, d units.Time, fn func()) Event { return e.After(d, fn) })
+		viaSchedule, es := program(seed, func(e *Engine, d units.Time, fn func()) Event { return e.Schedule(e.Now()+d, fn) })
+		for i := range viaAfter {
+			if i >= len(viaSchedule) || viaAfter[i] != viaSchedule[i] {
+				t.Fatalf("seed %d: transcripts part at line %d:\n  After:    %s\n  Schedule: %s",
+					seed, i, viaAfter[i], append(viaSchedule, "<end>")[min(i, len(viaSchedule))])
+			}
+		}
+		if len(viaAfter) != len(viaSchedule) {
+			t.Fatalf("seed %d: After transcript has %d lines, Schedule %d", seed, len(viaAfter), len(viaSchedule))
+		}
+		if ea.Fired() != es.Fired() || ea.Now() != es.Now() {
+			t.Fatalf("seed %d: After fired %d to %v, Schedule %d to %v", seed, ea.Fired(), ea.Now(), es.Fired(), es.Now())
+		}
+		// Both sides of the queue must have been in play on the After run,
+		// and only the heap on the other.
+		if laned, after := ea.LaneStats(); laned == 0 || laned == after {
+			t.Fatalf("seed %d: %d of %d After calls laned; want some, not all", seed, laned, after)
+		}
+		if laned, after := es.LaneStats(); laned != 0 || after != 0 {
+			t.Fatalf("seed %d: Schedule-only run reports LaneStats %d, %d", seed, laned, after)
+		}
 	}
 }
 
@@ -248,129 +459,5 @@ func TestFIFOTiesSurviveCancels(t *testing.T) {
 		if i%3 == 0 {
 			t.Fatalf("cancelled event %d fired", i)
 		}
-	}
-}
-
-func TestPeek(t *testing.T) {
-	e := New()
-	if _, ok := e.Peek(); ok {
-		t.Fatal("Peek on empty queue reported an event")
-	}
-	e.Schedule(20, func() {})
-	first := e.Schedule(10, func() {})
-	top, ok := e.Peek()
-	if !ok || top != first || top.At() != 10 {
-		t.Fatalf("Peek = %+v, %v; want the t=10 event", top, ok)
-	}
-	if e.Pending() != 2 {
-		t.Fatal("Peek consumed an event")
-	}
-}
-
-func TestAbsorb(t *testing.T) {
-	e := New()
-	ran := false
-	later := e.Schedule(10, func() { ran = true })
-
-	// Not due yet: the head is at t=10 but the clock is at 0.
-	if e.Absorb(later) {
-		t.Fatal("Absorb succeeded for an event not due at the current clock")
-	}
-
-	e.Schedule(5, func() {
-		// Inside the t=5 callback, head is the t=10 event: still not due.
-		if e.Absorb(later) {
-			t.Fatal("Absorb succeeded at t=5 for a t=10 head")
-		}
-	})
-	e.Run(5)
-
-	// A due event that is not the head must not absorb; the head must.
-	e.Schedule(10, func() {
-		// Clock is 10. Both x and y are due now, but only x is the head.
-		x := e.Schedule(10, func() { t.Error("absorbed event x ran") })
-		y := e.Schedule(10, func() {})
-		if e.Absorb(y) {
-			t.Fatal("Absorb succeeded for a due but non-head event")
-		}
-		if !e.Absorb(x) {
-			t.Fatal("Absorb of the due head failed")
-		}
-	})
-	e.RunAll()
-	if !ran {
-		t.Fatal("t=10 event did not run")
-	}
-
-	// Absorb exactly at the due instant, from inside a same-time callback.
-	e2 := New()
-	count := 0
-	var absorbable Event
-	e2.Schedule(1, func() {
-		if !e2.Absorb(absorbable) {
-			t.Fatal("Absorb of the due head failed")
-		}
-		// Absorbing credits the fired counter without running the fn.
-		if e2.Fired() != 2 {
-			t.Fatalf("Fired = %d after absorb, want 2", e2.Fired())
-		}
-		// A second absorb of the same handle is stale.
-		if e2.Absorb(absorbable) {
-			t.Fatal("double Absorb succeeded")
-		}
-	})
-	absorbable = e2.Schedule(1, func() { count++ })
-	e2.RunAll()
-	if count != 0 {
-		t.Fatal("absorbed event's callback ran")
-	}
-	if e2.Absorb(Event{}) {
-		t.Fatal("Absorb of the zero Event succeeded")
-	}
-}
-
-// Absorbed events must not let the governor hook skip its check: the hook
-// fires on a fired-counter threshold, not an exact multiple.
-func TestHookSurvivesAbsorb(t *testing.T) {
-	e := New()
-	var chain func()
-	n := 0
-	chain = func() {
-		n++
-		// Schedule two same-time events and absorb one, jumping the
-		// fired counter by 2 per callback.
-		tw := e.Schedule(e.Now(), func() {})
-		if !e.Absorb(tw) {
-			t.Fatal("absorb of just-scheduled due head failed")
-		}
-		e.After(1, chain)
-	}
-	e.Schedule(0, chain)
-	calls := 0
-	e.SetHook(3, func() bool { calls++; return calls < 5 })
-	e.RunAll()
-	if calls != 5 {
-		t.Fatalf("hook ran %d times, want 5 (run must end on the 5th)", calls)
-	}
-}
-
-// Slot must be a stable dense index for a live event and recycle afterwards.
-func TestSlotRecycling(t *testing.T) {
-	e := New()
-	a := e.Schedule(1, func() {})
-	slot := a.Slot()
-	if slot < 0 {
-		t.Fatalf("Slot = %d, want non-negative", slot)
-	}
-	e.RunAll()
-	b := e.Schedule(2, func() {})
-	if b.Slot() != slot {
-		t.Fatalf("freed slot %d not recycled, got %d", slot, b.Slot())
-	}
-	// The recycled slot's new handle differs (generation), so a Peek
-	// comparison distinguishes them.
-	top, ok := e.Peek()
-	if !ok || top != b || top == a {
-		t.Fatalf("Peek = %+v; must match the live handle only", top)
 	}
 }

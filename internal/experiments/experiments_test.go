@@ -8,6 +8,7 @@ import (
 
 	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/routing"
+	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -328,6 +329,38 @@ func TestRunScenarioSmoke(t *testing.T) {
 	}
 	if res.FeedbackFraction < 0 || res.FeedbackFraction > 0.05 {
 		t.Errorf("feedback fraction %v out of range", res.FeedbackFraction)
+	}
+}
+
+// TestLaneShareOfSweepCell is scenario.TestLaneShareAcrossCatalogue for the
+// cell the Table 1 sweep is made of: on one CBD-prone k=4 topology, each sweep
+// scheme must keep at least 0.90 of its Engine.After calls in the engine's
+// constant-delay lanes, with every tap a sweep repeat builds with attached.
+func TestLaneShareOfSweepCell(t *testing.T) {
+	topo, tab, prone := GenerateScenario(4, 0.05, 35)
+	if !prone {
+		t.Skip("seed no longer prone")
+	}
+	cfg := DefaultSweep(4)
+	cfg.Duration = 5 * units.Millisecond
+	cfg.Analytic = true
+	for _, fc := range []FC{PFC, GFCBuf, GFCTime} {
+		sim, err := scenario.Build(sweepSpec(fc, cfg, 7), repeatOverrides(topo, tab))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runRepeat(context.Background(), sim, topo, cfg); err != nil {
+			t.Fatalf("%s: %v", fc, err)
+		}
+		laned, after := sim.Net.Engine().LaneStats()
+		if after == 0 {
+			t.Fatalf("%s: the cell made no After call", fc)
+		}
+		share := float64(laned) / float64(after)
+		t.Logf("%s: %d of %d After calls laned: %.3f", fc, laned, after, share)
+		if share < 0.90 {
+			t.Errorf("%s: lane share %.3f is under 0.90", fc, share)
+		}
 	}
 }
 

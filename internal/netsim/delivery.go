@@ -11,8 +11,10 @@ import (
 // pre-bound callbacks — the in-flight transmission lives in the port's
 // txPkt/txPrio/txDur slots (a port serialises transmissions via busy), and
 // packets propagating on a channel sit in the receiving port's FIFO, popped
-// in order because a link's arrivals cannot overtake one another. Arrival
-// callbacks batch: see Network.arriveBatch.
+// in order because a link's arrivals cannot overtake one another. Every
+// arrival is its own event: scheduled After the link's constant delay it
+// waits in one of the engine's FIFO lanes, where a pop is a ring-buffer step
+// and there is nothing left for batching to save.
 
 // completeTx finishes the port's in-flight transmission: notifies flow
 // control, releases ingress accounting at the transmitting switch,
@@ -58,7 +60,7 @@ func (n *Network) completeTx(p *port) {
 		reg.OnTx(rp.cb+prio, pkt.Size)
 	}
 	rp.pushInFlight(pkt)
-	n.noteArrival(n.eng.After(p.delay, rp.arriveFn), rp)
+	n.eng.After(p.delay, rp.arriveFn)
 	n.kick(p)
 }
 

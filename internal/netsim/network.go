@@ -13,15 +13,6 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// arrivalEntry maps a pending link-arrival event to the port it will deliver
-// to, indexed by the event's Slot. Entries go stale when their event fires or
-// is absorbed; staleness is detected by comparing the stored handle (which
-// carries the generation) against the engine's head, never by clearing.
-type arrivalEntry struct {
-	ev eventsim.Event
-	p  *port
-}
-
 // Network is a runnable simulation instance. Each Network owns its own
 // event engine and shares no mutable state with any other, so independent
 // instances may run concurrently on different goroutines (the
@@ -96,11 +87,6 @@ type Network struct {
 	fwdCursor  []int32
 	fwdBlocked []*port // egress whose full TX ring stalls forwarding
 	forwarding []bool  // re-entrancy guard
-
-	// arrEv maps pending arrival events to their ports (by event Slot)
-	// so a delivery callback can absorb same-timestamp deliveries for
-	// the same node straight off the head of the event queue.
-	arrEv []arrivalEntry
 
 	// Packet free list, per network: deterministic (unlike a sync.Pool,
 	// which drains on GC) and allocated in arena chunks so a run costs a
@@ -232,7 +218,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 				n.kick(p)
 			}
 			p.txDoneFn = func() { n.completeTx(p) }
-			p.arriveFn = func() { n.arriveBatch(p) }
+			p.arriveFn = func() { n.arrive(p, p.popInFlight()) }
 		}
 	}
 	// Wire controllers: for channel u→v, the Sender lives on u's port
@@ -319,48 +305,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		}
 	}
 	return n, nil
-}
-
-// noteArrival records ev as the pending arrival delivering to p, keyed by
-// the event's slot, so arriveBatch can recognise it at the queue head.
-func (n *Network) noteArrival(ev eventsim.Event, p *port) {
-	s := ev.Slot()
-	for s >= len(n.arrEv) {
-		n.arrEv = append(n.arrEv, make([]arrivalEntry, s+1-len(n.arrEv))...)
-	}
-	n.arrEv[s] = arrivalEntry{ev: ev, p: p}
-}
-
-// arriveBatch is the pre-bound arrival callback for port p: it admits p's
-// oldest in-flight packet, then keeps absorbing further arrival events for
-// the *same node* that are due at this exact instant and sit at the head of
-// the event queue. Each absorbed event is provably the very next event the
-// engine would fire (same head, same timestamp — the engine's Absorb
-// enforces both), so draining the burst inline executes the identical
-// admission sequence the engine would have produced with N heap pops; only
-// the heap traffic is saved. Deliveries to other nodes, or any interleaved
-// non-arrival event, stop the batch by failing the head comparison.
-func (n *Network) arriveBatch(p *port) {
-	n.arrive(p, p.popInFlight())
-	nd := p.owner
-	for {
-		top, ok := n.eng.Peek()
-		if !ok || top.At() != n.eng.Now() {
-			return
-		}
-		s := top.Slot()
-		if s >= len(n.arrEv) {
-			return
-		}
-		ent := n.arrEv[s]
-		if ent.ev != top || ent.p.owner != nd {
-			return
-		}
-		if !n.eng.Absorb(top) {
-			return
-		}
-		n.arrive(ent.p, ent.p.popInFlight())
-	}
 }
 
 // fcEnv is the flowcontrol.Env for the receiver at downstream port `down`;

@@ -30,7 +30,7 @@ type voq struct {
 // reads, so a Clos-scale event pays one or two lines per port it touches.
 // TestPortLayout pins the split.
 type port struct {
-	// Line 0 — identity and the receiving side: what arriveBatch reads, and
+	// Line 0 — identity and the receiving side: what an arrival reads, and
 	// what the peer's completeTx writes when it puts a packet on the wire.
 	owner *node
 	local int // port index on owner
