@@ -1,7 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation.
+// Benchmarks regenerating every table and figure of the paper's evaluation,
+// through the same drivers `gfcsim -exp` dispatches to (experiments.Drivers).
 // Each benchmark runs one experiment per iteration and reports the headline
 // quantities as custom metrics; run with -v to get the full rows via b.Log.
-// EXPERIMENTS.md records paper-vs-measured values produced by this harness.
+//
+// This is the reproduction harness, not the performance one. What is
+// regenerated from it: the paper-vs-measured tables of EXPERIMENTS.md
+// (Figures 5–20, Table 1 at reduced scale: `go test -bench Fig9 -benchtime 1x
+// -v .`) and its ablation sections (BenchmarkAblation*, BenchmarkOverheadModel),
+// whose rows exist nowhere else. Wall-clock, allocation and per-layer numbers
+// come from benchmark/ (BENCHMARK.json, `bash benchmark/run.sh`) and are not
+// to be read off the ns/op printed here.
 package gfc_test
 
 import (
@@ -16,6 +24,7 @@ import (
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/routing"
+	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -25,11 +34,11 @@ import (
 // queue sits at B_s = 75 KB.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pfc, err := experiments.RunFig5(experiments.PFC, 20*units.Millisecond)
+		pfc, err := experiments.RunFig5(experiments.PFC, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		gfc, err := experiments.RunFig5(experiments.GFCConceptual, 20*units.Millisecond)
+		gfc, err := experiments.RunFig5(experiments.GFCConceptual, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,15 +53,13 @@ func BenchmarkFig5(b *testing.B) {
 
 func benchRing(b *testing.B, pause, gentle experiments.FC) {
 	for i := 0; i < b.N; i++ {
-		dead, err := experiments.RunRing(experiments.RingConfig{
-			FC: pause, Duration: 150 * units.Millisecond, HostsPerSwitch: 2,
-		})
+		dead, err := experiments.RunRing(experiments.RingConfig{FC: pause, HostsPerSwitch: 2},
+			experiments.RunOptions{Duration: 150 * units.Millisecond})
 		if err != nil {
 			b.Fatal(err)
 		}
-		steady, err := experiments.RunRing(experiments.RingConfig{
-			FC: gentle, Duration: 50 * units.Millisecond,
-		})
+		steady, err := experiments.RunRing(experiments.RingConfig{FC: gentle},
+			experiments.RunOptions{Duration: 50 * units.Millisecond})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,15 +87,12 @@ func BenchmarkFig10(b *testing.B) { benchRing(b, experiments.CBFC, experiments.G
 
 func benchCaseStudy(b *testing.B, pause, gentle experiments.FC) {
 	for i := 0; i < b.N; i++ {
-		dead, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: pause, Duration: 40 * units.Millisecond, WithCross: true,
-		})
+		o := experiments.RunOptions{Duration: 40 * units.Millisecond}
+		dead, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{FC: pause, WithCross: true}, o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		steady, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: gentle, Duration: 40 * units.Millisecond,
-		})
+		steady, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{FC: gentle}, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,17 +130,16 @@ func BenchmarkFig14(b *testing.B) {
 		// up in the final measurement window (packet gaps reach ~100 ms
 		// at the deepest stage). Deadlocked/trickling simulations have
 		// very sparse event queues, so this is cheap.
-		pfc, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: experiments.PFC, Duration: 600 * units.Millisecond,
-			WithCross: true, WithVictim: true,
-		})
+		o := experiments.RunOptions{Duration: 600 * units.Millisecond}
+		pfc, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
+			FC: experiments.PFC, WithCross: true, WithVictim: true,
+		}, o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		gfc, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: experiments.GFCBuf, Duration: 600 * units.Millisecond,
-			WithCross: true, WithVictim: true,
-		})
+		gfc, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
+			FC: experiments.GFCBuf, WithCross: true, WithVictim: true,
+		}, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,11 +249,11 @@ func BenchmarkFig17(b *testing.B) { BenchmarkFig16(b) }
 // moving.
 func BenchmarkFig18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pfc, err := experiments.RunEvolution(experiments.DefaultEvolution(experiments.PFC))
+		pfc, err := experiments.RunEvolution(experiments.PFC, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		gfc, err := experiments.RunEvolution(experiments.DefaultEvolution(experiments.GFCBuf))
+		gfc, err := experiments.RunEvolution(experiments.GFCBuf, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,9 +274,7 @@ func BenchmarkFig18(b *testing.B) {
 // feedback bandwidth (paper: mean 0.21%, p99 < 0.4%, max 0.49%).
 func BenchmarkFig19(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			K: 4, Duration: 10 * units.Millisecond, Seed: 3,
-		})
+		res, err := experiments.RunOverhead(experiments.OverheadConfig{K: 4, Seed: 3}, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,7 +291,7 @@ func BenchmarkFig19(b *testing.B) {
 // BenchmarkFig20 regenerates the Figure 20 interaction study.
 func BenchmarkFig20(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig20(20 * units.Millisecond)
+		res, err := experiments.RunFig20(experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,13 +331,16 @@ func BenchmarkAblationScheduling(b *testing.B) {
 		for _, sched := range []netsim.Scheduling{
 			netsim.SchedInputQueued, netsim.SchedFIFO, netsim.SchedVOQ,
 		} {
-			res, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-				FC: experiments.PFC, Scheduling: sched,
-				Duration: 40 * units.Millisecond,
-			})
+			// The ablation is a spec overlay on the figure's declaration,
+			// not a driver knob.
+			spec := scenario.CaseStudy(scenario.PFC, false, false)
+			spec.Sim.Scheduling = sched.String()
+			spec.Run.DurationNs = 40 * units.Millisecond
+			sim, err := scenario.Build(spec, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
+			res := sim.Run()
 			row += sched.String() + "="
 			if res.Deadlocked {
 				row += "deadlock "
@@ -360,9 +364,8 @@ func BenchmarkAblationTau(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var prev units.Size
 		for j, tau := range taus {
-			res, err := experiments.RunRing(experiments.RingConfig{
-				FC: experiments.GFCBuf, Duration: 30 * units.Millisecond, Tau: tau,
-			})
+			res, err := experiments.RunRing(experiments.RingConfig{FC: experiments.GFCBuf, Tau: tau},
+				experiments.RunOptions{Duration: 30 * units.Millisecond})
 			if err != nil {
 				b.Fatal(err)
 			}

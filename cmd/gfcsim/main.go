@@ -24,10 +24,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -38,13 +40,11 @@ import (
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/runner"
 	"github.com/gfcsim/gfc/internal/scenario"
-	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/units"
-	"github.com/gfcsim/gfc/internal/viz"
 )
 
 var (
-	expName    = flag.String("exp", "", "experiment to run (fig5, fig9, ..., table1)")
+	expName    = flag.String("exp", "", "experiment to run: "+strings.Join(experiments.Names(), ", "))
 	duration   = flag.Duration("duration", 0, "override simulated duration (e.g. 50ms)")
 	networks   = flag.Int("networks", 300, "table1/fig16/fig17: scenarios to scan per scale")
 	repeats    = flag.Int("repeats", 3, "table1: workload repeats per scenario")
@@ -54,7 +54,7 @@ var (
 	series     = flag.Bool("series", false, "print raw time-series data points")
 	chart      = flag.Bool("chart", false, "render time series as ASCII charts")
 	metricsOut = flag.String("metrics-out", "",
-		"write per-channel metrics reports (JSON, or CSV when the path ends in .csv)\nand fail on invariant violations; supported by fig9/fig10/fig12/fig13/fig14")
+		"write per-channel metrics reports, one per simulated run (JSON, or CSV when\nthe path ends in .csv), and fail on invariant violations")
 	faultSpec = flag.String("faults", "",
 		"fault scenario: a preset name (resume-loss, feedback-loss, feedback-delay,\nflap, degrade) or a path to a JSON spec file; applies to fig9/fig10 and the\nfaults matrix (deterministic per -seed)")
 	scenarioName = flag.String("scenario", "",
@@ -88,38 +88,48 @@ var (
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 )
 
-// ctx is cancelled on SIGINT/SIGTERM so runs stop at the next governor check,
-// checkpoints flush, and the process exits with code 4.
-var ctx context.Context
-
-// errGovernor marks a run (or sweep cell) stopped by the run governor:
-// budget blown, livelock, or quarantined cells. It maps to exit code 3.
-var errGovernor = errors.New("run governor tripped")
-
 // errUsage marks a malformed flag value discovered after flag.Parse; it maps
 // to exit code 2 like every other usage error.
-var errUsage = errors.New("usage")
+var errUsage = experiments.ErrUsage
 
-// errDegraded marks a sweep that completed but holds degraded-fidelity
-// (fluid-computed) cells: the numbers are vouched for by the analytic model
-// yet below packet fidelity, so scripts get exit code 5 to tell "clean"
-// from "self-healed". Quarantined cells (exit 3) take precedence.
-var errDegraded = errors.New("sweep completed with degraded-fidelity cells")
-
-// flagBudget assembles the per-run Budget from the -budget-* / -stall-events
-// flags; it overlays (and so overrides) any limits block in a scenario spec.
-func flagBudget() netsim.Budget {
-	return netsim.Budget{
-		MaxEvents:   *budgetEvents,
-		MaxWall:     *budgetWall,
-		MaxHeap:     *budgetHeap,
-		StallEvents: *stallEvents,
+// options assembles what the drivers read from the flags. ctx is cancelled on
+// SIGINT/SIGTERM so runs stop at the next governor check, checkpoints flush,
+// and the process exits with code 4; the budget overlays (and so overrides)
+// any limits block in a scenario spec.
+func options(ctx context.Context) (*experiments.Options, error) {
+	ks, err := parseScales(*scales)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// flagRetry assembles the sweep retry policy from -retries/-retry-backoff.
-func flagRetry() runner.Retry {
-	return runner.Retry{Max: *retries, BackoffBase: *retryBackoff}
+	return &experiments.Options{
+		RunOptions: experiments.RunOptions{
+			Ctx: ctx,
+			Budget: netsim.Budget{
+				MaxEvents:   *budgetEvents,
+				MaxWall:     *budgetWall,
+				MaxHeap:     *budgetHeap,
+				StallEvents: *stallEvents,
+			},
+			Duration: units.Time(*duration),
+		},
+		Seed:        *seed,
+		Workers:     *workers,
+		Series:      *series,
+		Chart:       *chart,
+		Faults:      *faultSpec,
+		Sink:        sink,
+		Stderr:      os.Stderr,
+		Networks:    *networks,
+		Repeats:     *repeats,
+		Scales:      ks,
+		Table1Scale: *table1Scale,
+		JobTimeout:  *jobTimeout,
+		Checkpoint:  *checkpoint,
+		Analytic:    *analytic,
+		Backend:     *backendName,
+		Retry:       runner.Retry{Max: *retries, BackoffBase: *retryBackoff},
+		Degrade:     *degrade,
+	}, nil
 }
 
 // exitCode maps an error to the process exit status: 0 ok, 2 usage,
@@ -133,9 +143,9 @@ func exitCode(err error) int {
 		return 2
 	case errors.Is(err, context.Canceled):
 		return 4
-	case errors.Is(err, errGovernor):
+	case errors.Is(err, experiments.ErrGovernor):
 		return 3
-	case errors.Is(err, errDegraded):
+	case errors.Is(err, experiments.ErrDegraded):
 		return 5
 	default:
 		return 1
@@ -144,7 +154,7 @@ func exitCode(err error) int {
 
 // governed maps a run's error onto the exit vocabulary. A tripped governor
 // (*netsim.RunError) prints its flight-recorder snapshot to stderr and becomes
-// errGovernor (exit 3), except a cancellation, which stays context.Canceled
+// ErrGovernor (exit 3), except a cancellation, which stays context.Canceled
 // (exit 4); any other error passes through.
 func governed(err error) error {
 	var re *netsim.RunError
@@ -157,7 +167,7 @@ func governed(err error) error {
 	if errors.Is(err, context.Canceled) {
 		return err
 	}
-	return fmt.Errorf("%w: %v", errGovernor, err)
+	return fmt.Errorf("%w: %v", experiments.ErrGovernor, err)
 }
 
 // finish flushes the metrics sink (even after a failed run, so an interrupted
@@ -165,7 +175,7 @@ func governed(err error) error {
 // finish may os.Exit, so deferred stops would be skipped — and exits
 // accordingly.
 func finish(err error) {
-	if ferr := sink.flush(); err == nil {
+	if ferr := sink.Flush(); err == nil {
 		err = ferr
 	}
 	if perr := stopProfiles(); err == nil {
@@ -200,8 +210,7 @@ func startProfiles() error {
 }
 
 // stopProfiles stops the CPU profile and snapshots the heap (after a GC, so
-// the profile reflects live memory, not garbage). Idempotent: finish may run
-// on both the scenario and the experiment path.
+// the profile reflects live memory, not garbage).
 func stopProfiles() error {
 	var err error
 	if cpuProfileFile != nil {
@@ -231,39 +240,64 @@ func stopProfiles() error {
 
 // sink gathers the per-run metrics registries when -metrics-out is set; nil
 // (and inert) otherwise.
-var sink *metricsSink
+var sink *experiments.MetricsSink
 
-// validateFlags rejects enum and range flags no driver could honour, before
-// anything runs or prints.
-func validateFlags() error {
+// scenarioDriver is -scenario in the dispatch table's terms; of the optional
+// flags it reads -backend.
+var scenarioDriver = experiments.Driver{Name: "-scenario", Flags: []string{"backend"}, Run: runScenario}
+
+// validateFlags resolves what to run and rejects what it could not honour,
+// before anything runs or prints: enum and range flags outside their domain,
+// an unknown experiment, and — given the names of the flags set explicitly —
+// a flag that some driver reads but the selected one does not.
+func validateFlags(set []string) (*experiments.Driver, error) {
 	switch *backendName {
 	case "", "packet", "fluid", "auto":
 	default:
-		return fmt.Errorf("%w: unknown -backend %q (want packet, fluid or auto)", errUsage, *backendName)
+		return nil, fmt.Errorf("%w: unknown -backend %q (want packet, fluid or auto)", errUsage, *backendName)
 	}
 	switch *table1Scale {
 	case "", "ci", "full":
 	default:
-		return fmt.Errorf("%w: unknown -table1-scale %q (want \"ci\" or \"full\")", errUsage, *table1Scale)
+		return nil, fmt.Errorf("%w: unknown -table1-scale %q (want \"ci\" or \"full\")", errUsage, *table1Scale)
 	}
 	if *duration < 0 {
-		return fmt.Errorf("%w: negative -duration %v", errUsage, *duration)
+		return nil, fmt.Errorf("%w: negative -duration %v", errUsage, *duration)
 	}
 	if *workers < 0 {
-		return fmt.Errorf("%w: negative -workers %d (0 means GOMAXPROCS)", errUsage, *workers)
+		return nil, fmt.Errorf("%w: negative -workers %d (0 means GOMAXPROCS)", errUsage, *workers)
 	}
-	if *expName == "faults" && *faultSpec != "" {
-		// The matrix compiles its columns from presets by name.
-		if _, err := faults.Preset(*faultSpec); err != nil {
-			return fmt.Errorf("%w: -exp faults wants a preset name in -faults: %v", errUsage, err)
+	if *expName != "" && *scenarioName != "" {
+		return nil, fmt.Errorf("%w: give -exp or -scenario, not both", errUsage)
+	}
+	d := &scenarioDriver
+	if *expName != "" {
+		var err error
+		if d, err = experiments.Lookup(*expName); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	for _, name := range set {
+		var readers []string
+		for _, r := range append(experiments.Drivers, scenarioDriver) {
+			if slices.Contains(r.Flags, name) {
+				readers = append(readers, r.Name)
+			}
+		}
+		if len(readers) > 0 && !slices.Contains(d.Flags, name) {
+			return nil, fmt.Errorf("%w: -%s is not read by %s (honoured by: %s)",
+				errUsage, name, d.Name, strings.Join(readers, ", "))
+		}
+	}
+	return d, nil
 }
 
 func main() {
 	flag.Parse()
-	if err := validateFlags(); err != nil {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	driver, err := validateFlags(set)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(exitCode(err))
 	}
@@ -283,58 +317,23 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *expName != "" && *scenarioName != "" {
-		fmt.Fprintln(os.Stderr, "give -exp or -scenario, not both")
-		os.Exit(2)
-	}
-	var stop context.CancelFunc
-	ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sink = newMetricsSink(*metricsOut)
-	if err := startProfiles(); err != nil {
+	sink = experiments.NewMetricsSink(*metricsOut)
+	opts, err := options(ctx)
+	if err == nil {
+		err = startProfiles()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
-	if *scenarioName != "" {
-		finish(runScenario())
-		return
-	}
-	var err error
-	switch *expName {
-	case "fig5":
-		err = runFig5()
-	case "fig9":
-		err = runRing(experiments.PFC, experiments.GFCBuf)
-	case "fig10":
-		err = runRing(experiments.CBFC, experiments.GFCTime)
-	case "fig12":
-		err = runCaseStudy(experiments.PFC, experiments.GFCBuf)
-	case "fig13":
-		err = runCaseStudy(experiments.CBFC, experiments.GFCTime)
-	case "fig14":
-		err = runVictim()
-	case "fig15":
-		fmt.Print(experiments.Fig15Rows().String())
-	case "table1", "fig16", "fig17":
-		err = runSweep(*expName)
-	case "fig18":
-		err = runEvolution()
-	case "fig19":
-		err = runOverhead()
-	case "fig20":
-		err = runFig20()
-	case "faults":
-		err = runFaultMatrix()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *expName)
-		os.Exit(2)
-	}
-	finish(err)
+	finish(governed(driver.Run(os.Stdout, opts)))
 }
 
 // runScenario resolves -scenario (registry name or spec file), applies the
-// -duration override and runs it to completion.
-func runScenario() error {
+// -duration and -backend overrides and runs it to completion.
+func runScenario(w io.Writer, o *experiments.Options) error {
 	var spec scenario.Spec
 	if strings.ContainsAny(*scenarioName, "./\\") {
 		s, err := scenario.Load(*scenarioName)
@@ -350,29 +349,29 @@ func runScenario() error {
 		}
 		spec = s
 	}
-	if *duration > 0 {
-		spec.Run.DurationNs = units.Time(*duration)
+	if o.Duration > 0 {
+		spec.Run.DurationNs = o.Duration
 	}
-	if *backendName != "" {
-		spec.Sim.Backend = *backendName
+	if o.Backend != "" {
+		spec.Sim.Backend = o.Backend
 	}
-	reg := sink.registry()
+	reg := o.Sink.Registry()
 	sim, err := scenario.BuildBackend(spec, &scenario.Overrides{Metrics: reg})
 	if err != nil {
 		return err
 	}
-	res, rerr := sim.RunBounded(ctx, flagBudget())
+	res, rerr := sim.RunBounded(o.Ctx, o.Budget)
 	if res == nil {
 		return rerr
 	}
-	sink.record(spec.Name, reg, res.End)
+	o.Sink.Record(spec.Name, reg, res.End)
 
-	fmt.Printf("scenario %s (%s)\n", spec.Name, spec.Scheme.FC)
+	fmt.Fprintf(w, "scenario %s (%s)\n", spec.Name, spec.Scheme.FC)
 	if spec.Description != "" {
-		fmt.Printf("  %s\n", spec.Description)
+		fmt.Fprintf(w, "  %s\n", spec.Description)
 	}
 	if res.Backend != "" && res.Backend != "packet" {
-		fmt.Printf("  backend: %s\n", res.Backend)
+		fmt.Fprintf(w, "  backend: %s\n", res.Backend)
 	}
 	verdict := "no deadlock"
 	if res.Deadlocked {
@@ -380,240 +379,15 @@ func runScenario() error {
 	} else if ps, ok := sim.(*scenario.Sim); ok && ps.Detector == nil {
 		verdict = "deadlock detection off"
 	}
-	fmt.Printf("  ran to %v: %s\n", res.End, verdict)
-	fmt.Printf("  delivered %v, drops %d\n", res.Delivered, res.Drops)
+	fmt.Fprintf(w, "  ran to %v: %s\n", res.End, verdict)
+	fmt.Fprintf(w, "  delivered %v, drops %d\n", res.Delivered, res.Drops)
 	if reg != nil {
-		fmt.Printf("  invariant violations: %d\n", res.Violations)
+		fmt.Fprintf(w, "  invariant violations: %d\n", res.Violations)
 	}
 	if s := res.FaultStats; s != (faults.Stats{}) {
-		fmt.Printf("  faults: feedback dropped=%d delayed=%d\n", s.FeedbackDropped, s.FeedbackDelayed)
+		fmt.Fprintf(w, "  faults: feedback dropped=%d delayed=%d\n", s.FeedbackDropped, s.FeedbackDelayed)
 	}
-	return governed(rerr)
-}
-
-func dur(def units.Time) units.Time {
-	if *duration > 0 {
-		return units.Time(*duration)
-	}
-	return def
-}
-
-func printSeries(name string, s *stats.Series, max int) {
-	if *chart {
-		c := viz.DefaultChart(name)
-		switch {
-		case strings.Contains(name, "rate"):
-			c.FormatY = viz.FormatRate
-		case strings.Contains(name, "queue"):
-			c.FormatY = viz.FormatSize
-		}
-		fmt.Print(c.Render(s))
-	}
-	if !*series {
-		return
-	}
-	d := s.Downsample(max)
-	fmt.Printf("# %s\n", name)
-	for i := range d.T {
-		fmt.Printf("%.3f\t%.0f\n", d.T[i].Millis(), d.V[i])
-	}
-}
-
-func runFig5() error {
-	fmt.Println("Figure 5: input rate and queue evolution, 2-to-1 congestion (C=10G, τ=25µs)")
-	for _, fc := range []experiments.FC{experiments.PFC, experiments.GFCConceptual} {
-		res, err := experiments.RunFig5(fc, dur(20*units.Millisecond))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-16s steady queue %-8v (paper: PFC saws at XON/XOFF=77/80KB; GFC settles at B_s=75KB) drops=%d\n",
-			res.FC, res.SteadyQueue, res.Drops)
-		printSeries(string(res.FC)+" queue (bytes)", res.Queue, 60)
-		printSeries(string(res.FC)+" rate (bps)", res.Rate, 60)
-	}
-	return nil
-}
-
-func runRing(pause, gentle experiments.FC) error {
-	spec, err := loadFaultSpec()
-	if err != nil {
-		return err
-	}
-	// ringFaults compiles the -faults scenario against the exact ring the
-	// section simulates; nil when no scenario was requested.
-	ringFaults := func(hostsPerSwitch int) (*faults.Plan, error) {
-		if spec == nil {
-			return nil, nil
-		}
-		return spec.Compile(experiments.RingTopology(hostsPerSwitch))
-	}
-	fmt.Printf("Figures 9/10: 3-switch ring, testbed parameters (1MB buffers, τ=90µs)\n")
-	if spec != nil {
-		fmt.Printf("with injected faults: %s (seed %d)\n", spec.Name, *seed)
-	}
-	fmt.Println("\n(a) deadlock formation regime (2 hosts/switch):")
-	plan, err := ringFaults(2)
-	if err != nil {
-		return err
-	}
-	for _, fc := range []experiments.FC{pause, gentle} {
-		reg := sink.registry()
-		d := dur(200 * units.Millisecond)
-		res, err := experiments.RunRing(experiments.RingConfig{
-			FC: fc, Duration: d, HostsPerSwitch: 2, Metrics: reg,
-			Faults: plan, FaultSeed: *seed,
-			Ctx: ctx, Budget: flagBudget(),
-		})
-		if err != nil {
-			return governed(err)
-		}
-		sink.record("ring-formation-"+string(fc), reg, d)
-		verdict := "no deadlock"
-		if res.Deadlocked {
-			verdict = fmt.Sprintf("DEADLOCK (%v) at %v", res.DeadlockKind, res.DeadlockAt)
-		}
-		fmt.Printf("  %-12s %-34s drops=%d%s\n", fc, verdict, res.Drops, faultNote(res))
-	}
-	fmt.Println("\n(b) steady state, critically loaded (1 host/switch):")
-	if plan, err = ringFaults(1); err != nil {
-		return err
-	}
-	for _, fc := range []experiments.FC{pause, gentle} {
-		reg := sink.registry()
-		d := dur(60 * units.Millisecond)
-		cfg := experiments.RingConfig{
-			FC: fc, Duration: d, Metrics: reg,
-			Faults: plan, FaultSeed: *seed,
-			Ctx: ctx, Budget: flagBudget(),
-		}
-		if plan != nil && fc == experiments.GFCBuf {
-			// Loss repair under faulted feedback, as in the matrix.
-			cfg.Refresh = 90 * units.Microsecond
-		}
-		res, err := experiments.RunRing(cfg)
-		if err != nil {
-			return governed(err)
-		}
-		sink.record("ring-steady-"+string(fc), reg, d)
-		fmt.Printf("  %-12s steady queue %-9v steady rate %-9v (paper GFC: ≈840KB/5G buffer-based, ≈745KB/5G time-based)%s\n",
-			fc, res.SteadyQueue, res.SteadyRate, faultNote(res))
-		printSeries(string(fc)+" queue", res.Queue, 60)
-	}
-	return nil
-}
-
-// loadFaultSpec resolves the -faults flag: empty means none, a value with
-// path-ish characters is a JSON spec file, anything else a preset name.
-func loadFaultSpec() (*faults.Spec, error) {
-	if *faultSpec == "" {
-		return nil, nil
-	}
-	if strings.ContainsAny(*faultSpec, "./\\") {
-		return faults.Load(*faultSpec)
-	}
-	return faults.Preset(*faultSpec)
-}
-
-// faultNote renders a run's injected-fault counters; empty for clean runs.
-func faultNote(res *experiments.RingResult) string {
-	s := res.FaultStats
-	if s == (faults.Stats{}) {
-		return ""
-	}
-	return fmt.Sprintf("  [feedback dropped=%d delayed=%d]", s.FeedbackDropped, s.FeedbackDelayed)
-}
-
-func runFaultMatrix() error {
-	cfg := experiments.FaultMatrixConfig{
-		Duration: dur(60 * units.Millisecond),
-		Seed:     *seed,
-		Ctx:      ctx,
-		Budget:   flagBudget(),
-		Retry:    flagRetry(),
-		Workers:  *workers,
-	}
-	if *faultSpec != "" {
-		// Restrict the columns to the requested preset (validateFlags
-		// vetted the name), plus the clean baseline for contrast.
-		cfg.Scenarios = []string{experiments.CleanScenario, *faultSpec}
-	}
-	cells, err := experiments.RunFaultMatrix(cfg)
-	if err != nil {
-		return governed(err)
-	}
-	fmt.Println("Fault matrix: scheme × scenario on the critically loaded fig9 ring")
-	fmt.Print(experiments.FaultMatrixRows(cells).String())
-	fmt.Println("(resume-loss wedges the on/off schemes shut — one lost RESUME/QRESUME is a permanent")
-	fmt.Println(" pause for PFC and BFC alike — while both GFC variants keep every flow progressing,")
-	fmt.Println(" lossless, under every scenario; DCFIT convicts only where pause edges close a cycle)")
-	return nil
-}
-
-func runCaseStudy(pause, gentle experiments.FC) error {
-	fmt.Println("Figures 12/13: k=4 fat-tree with failed links, CBD C1→A3→C2→A7→C1")
-	fmt.Println("\n(a) deadlock formation (with cross-flow squeeze):")
-	for _, fc := range []experiments.FC{pause, gentle} {
-		reg := sink.registry()
-		d := dur(60 * units.Millisecond)
-		res, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: fc, Duration: d, WithCross: true, Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		sink.record("casestudy-formation-"+string(fc), reg, d)
-		verdict := "no deadlock"
-		if res.Deadlocked {
-			verdict = fmt.Sprintf("DEADLOCK at %v", res.DeadlockAt)
-		}
-		fmt.Printf("  %-12s %-22s drops=%d\n", fc, verdict, res.Drops)
-	}
-	fmt.Println("\n(b) steady state (the paper's four flows):")
-	for _, fc := range []experiments.FC{pause, gentle} {
-		reg := sink.registry()
-		d := dur(60 * units.Millisecond)
-		res, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: fc, Duration: d, Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		sink.record("casestudy-steady-"+string(fc), reg, d)
-		fmt.Printf("  %-12s per-flow rates:", fc)
-		for _, r := range res.FlowRates {
-			fmt.Printf(" %v", r)
-		}
-		fmt.Printf("  (paper: 5G each under GFC)\n")
-	}
-	return nil
-}
-
-func runVictim() error {
-	fmt.Println("Figure 14: victim flow H12→H4 (shares switches with the CBD, avoids its channels)")
-	for _, fc := range experiments.AllFCs() {
-		reg := sink.registry()
-		d := dur(60 * units.Millisecond)
-		res, _, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: fc, Duration: d,
-			WithCross: true, WithVictim: true, Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		sink.record("victim-"+string(fc), reg, d)
-		verdict := "alive"
-		if res.Deadlocked {
-			verdict = "DEADLOCK"
-		}
-		progress := "frozen"
-		if res.VictimProgressed {
-			progress = "progressing"
-		}
-		fmt.Printf("  %-12s %-9s victim: %v delivered, %s\n",
-			fc, verdict, res.VictimTotal, progress)
-	}
-	fmt.Println("(paper: the victim freezes once PFC/CBFC deadlock; under GFC it keeps moving)")
-	return nil
+	return rerr
 }
 
 // parseScales parses the -scales list. Every entry must be an integer: a
@@ -632,136 +406,6 @@ func parseScales(list string) ([]int, error) {
 		return nil, fmt.Errorf("%w: -scales %q names no fat-tree arity", errUsage, list)
 	}
 	return ks, nil
-}
-
-func runSweep(which string) error {
-	ks, err := parseScales(*scales)
-	if err != nil {
-		return err
-	}
-	if *table1Scale == "ci" {
-		ks = []int{4}
-	}
-	results := make(map[int]map[experiments.FC]*experiments.SweepResult)
-	quarantined, degradedCells := 0, 0
-	for _, k := range ks {
-		results[k] = make(map[experiments.FC]*experiments.SweepResult)
-		cfg := experiments.DefaultSweep(k)
-		cfg.Networks = *networks
-		cfg.Repeats = *repeats
-		cfg.Seed = *seed
-		cfg.Duration = dur(cfg.Duration)
-		cfg.Workers = *workers
-		cfg.Budget = flagBudget()
-		cfg.JobTimeout = *jobTimeout
-		cfg.Checkpoint = *checkpoint
-		cfg.Analytic = *analytic
-		cfg.Backend = *backendName
-		cfg.Retry = flagRetry()
-		cfg.Degrade = *degrade && *backendName != "fluid"
-		switch *table1Scale {
-		case "ci":
-			// The CI gate: a k=4 slice with the checker enforced, small
-			// enough to kill and resume inside a CI step.
-			cfg.Networks, cfg.Repeats, cfg.Analytic = 200, 1, true
-		case "full":
-			// §6.2.3 paper scale. Resumable: run with -checkpoint and the
-			// governor flags; see EXPERIMENTS.md for the overnight recipe.
-			cfg.Networks, cfg.Repeats = 10000, 100
-			cfg.FlowsPerHost, cfg.Analytic = 1, true
-		}
-		for _, fc := range experiments.AllFCs() {
-			fmt.Fprintf(os.Stderr, "sweep k=%d %s...\n", k, fc)
-			res, err := experiments.RunSweep(ctx, fc, cfg)
-			if err != nil {
-				// Interrupted: the checkpoint has every finished cell, so
-				// skip the (partial) tables and report the resume path.
-				if *checkpoint != "" && errors.Is(err, context.Canceled) {
-					fmt.Fprintf(os.Stderr, "interrupted; rerun with -checkpoint %s to resume\n", *checkpoint)
-				}
-				return err
-			}
-			if sum := res.ResilienceSummary(); sum != "" {
-				fmt.Fprintf(os.Stderr, "self-healing report (k=%d %s):\n%s", k, fc, sum)
-			}
-			if len(res.Failures) > 0 {
-				fmt.Fprintln(os.Stderr, res.FailureSummary())
-				quarantined += len(res.Failures)
-			}
-			degradedCells += len(res.Degraded)
-			results[k][fc] = res
-		}
-	}
-	switch which {
-	case "table1":
-		fmt.Println("Table 1: deadlock cases (paper: PFC=CBFC>0 and falling with scale; GFC=0)")
-		fmt.Print(experiments.Table1Rows(results, ks).String())
-	case "fig16":
-		fmt.Println("Figure 16: average available bandwidth over deadlock-free runs")
-		fmt.Print(experiments.Fig16Rows(results, ks).String())
-	case "fig17":
-		fmt.Println("Figure 17: average slowdown (normalised to the per-scale minimum)")
-		fmt.Print(experiments.Fig17Rows(results, ks).String())
-	}
-	if quarantined > 0 {
-		return fmt.Errorf("%w: %d sweep cells quarantined", errGovernor, quarantined)
-	}
-	if degradedCells > 0 {
-		return fmt.Errorf("%w: %d", errDegraded, degradedCells)
-	}
-	return nil
-}
-
-func runEvolution() error {
-	fmt.Println("Figure 18: network throughput evolution on a deadlock-prone scenario")
-	for _, fc := range []experiments.FC{experiments.PFC, experiments.GFCBuf} {
-		cfg := experiments.DefaultEvolution(fc)
-		cfg.Duration = dur(cfg.Duration)
-		res, err := experiments.RunEvolution(cfg)
-		if err != nil {
-			return err
-		}
-		verdict := "no deadlock"
-		if res.Deadlocked {
-			verdict = fmt.Sprintf("DEADLOCK at %v", res.DeadlockAt)
-		}
-		fmt.Printf("  %-12s %-22s final aggregate %-10v drops=%d\n",
-			fc, verdict, res.FinalRate, res.Drops)
-		if *series {
-			for i, r := range res.Throughput.Rates() {
-				fmt.Printf("%.1f\t%.0f\n", (units.Time(i) * res.Throughput.Width).Millis(), float64(r))
-			}
-		}
-	}
-	return nil
-}
-
-func runOverhead() error {
-	res, err := experiments.RunOverhead(experiments.OverheadConfig{
-		Seed: *seed, Duration: dur(10 * units.Millisecond),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Figure 19: buffer-based GFC feedback bandwidth per port (fraction of 10G)")
-	fmt.Printf("  mean %.4f%%  p99 %.4f%%  max %.4f%%\n",
-		res.Mean*100, res.P99*100, res.Max*100)
-	fmt.Println("  (paper: mean 0.21%, 99% of ports < 0.4%, max 0.49%)")
-	return nil
-}
-
-func runFig20() error {
-	res, err := experiments.RunFig20(dur(20 * units.Millisecond))
-	if err != nil {
-		return err
-	}
-	fmt.Println("Figure 20: GFC + DCQCN interaction (8:1 incast, ECN K=40KB)")
-	fmt.Printf("  max ingress queue %v (buffer 300KB), final DCQCN rate %v (fair share 1.25G), drops=%d\n",
-		res.MaxQueue, res.FinalDCQCN, res.Drops)
-	printSeries("queue", res.Queue, 60)
-	printSeries("dcqcn-rate", res.DCQCNRate, 60)
-	printSeries("gfc-rate", res.GFCRate, 60)
-	return nil
 }
 
 func splitComma(s string) []string {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,19 @@ import (
 	"github.com/gfcsim/gfc/internal/scenario"
 )
 
+// run drives d the way main does — options from the flags, the error mapped
+// through governed — and returns the exit code.
+func run(t *testing.T, ctx context.Context, d *experiments.Driver) (int, error) {
+	t.Helper()
+	o, err := options(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Stderr = io.Discard
+	err = governed(d.Run(io.Discard, o))
+	return exitCode(err), err
+}
+
 // TestUnknownScenarioListsNames pins the -scenario error UX: a typo'd name
 // must come back with the full registry so the user can pick without a
 // second -list invocation.
@@ -17,7 +32,7 @@ func TestUnknownScenarioListsNames(t *testing.T) {
 	old := *scenarioName
 	defer func() { *scenarioName = old }()
 	*scenarioName = "definitely-not-registered"
-	err := runScenario()
+	_, err := run(t, context.Background(), &scenarioDriver)
 	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
@@ -85,7 +100,7 @@ func TestScalesRejectsGarbage(t *testing.T) {
 	} {
 		old := *scales
 		*scales = in
-		err := runSweep("table1")
+		_, err := options(context.Background())
 		*scales = old
 		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), token) {
 			t.Errorf("-scales %q: err = %v (exit %d), want a usage error naming %s",
@@ -95,80 +110,110 @@ func TestScalesRejectsGarbage(t *testing.T) {
 }
 
 // TestEnumFlagsAreUsageErrors pins that a bad -backend, -table1-scale,
-// -duration or -workers — and, for -exp faults, a -faults value that is not a
-// preset — is refused up front as a usage error (exit 2) naming the value,
-// instead of surfacing after the first sweep has started printing.
+// -duration or -workers, an unknown experiment, and an explicitly set flag the
+// selected driver does not read are refused up front as usage errors (exit 2)
+// naming the value and, for a flag, the drivers that honour it — instead of
+// surfacing after the first sweep has started printing, or (the flags) being
+// dropped in silence: -exp fig12 -faults nosuch, -exp fig18 -faults flap and
+// -exp fig18 -backend fluid -checkpoint x.ck all used to exit 0.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
-	if err := validateFlags(); err != nil {
+	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
 	}
 	for _, tc := range []struct {
-		set  func()
+		set  func() []string
 		want string
 	}{
-		{func() { *backendName = "bogus" }, `-backend "bogus"`},
-		{func() { *table1Scale = "huge" }, `-table1-scale "huge"`},
-		{func() { *duration = -5 * time.Millisecond }, "-duration -5ms"},
-		{func() { *workers = -3 }, "-workers -3"},
-		{func() { *expName, *faultSpec = "faults", "nope" }, `unknown preset "nope"`},
+		{func() []string { *backendName = "bogus"; return nil }, `-backend "bogus"`},
+		{func() []string { *table1Scale = "huge"; return nil }, `-table1-scale "huge"`},
+		{func() []string { *duration = -5 * time.Millisecond; return nil }, "-duration -5ms"},
+		{func() []string { *workers = -3; return nil }, "-workers -3"},
+		{func() []string { *expName = "fig21"; return nil }, `unknown experiment "fig21" (want one of fig5, fig9,`},
+		{func() []string { *expName, *scenarioName = "fig5", "incast-gfcbuf"; return nil }, "not both"},
+		{func() []string { *expName = "fig12"; return []string{"exp", "faults"} },
+			"-faults is not read by fig12 (honoured by: fig9, fig10, faults)"},
+		{func() []string { *expName = "fig18"; return []string{"backend", "checkpoint"} },
+			"-backend is not read by fig18 (honoured by: table1, fig16, fig17, -scenario)"},
+		{func() []string { *expName = "fig9"; return []string{"faults", "checkpoint"} },
+			"-checkpoint is not read by fig9 (honoured by: table1, fig16, fig17)"},
+		{func() []string { *expName = "faults"; return []string{"retries", "networks"} },
+			"-networks is not read by faults"},
+		{func() []string { *scenarioName = "incast-gfcbuf"; return []string{"backend", "faults"} },
+			"-faults is not read by -scenario"},
 	} {
 		oldBackend, oldScale, oldDuration := *backendName, *table1Scale, *duration
-		oldWorkers, oldExp, oldFaults := *workers, *expName, *faultSpec
-		tc.set()
-		err := validateFlags()
+		oldWorkers, oldExp, oldScenario := *workers, *expName, *scenarioName
+		_, err := validateFlags(tc.set())
 		*backendName, *table1Scale, *duration = oldBackend, oldScale, oldDuration
-		*workers, *expName, *faultSpec = oldWorkers, oldExp, oldFaults
+		*workers, *expName, *scenarioName = oldWorkers, oldExp, oldScenario
 		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v (exit %d), want a usage error naming %s", err, exitCode(err), tc.want)
 		}
 	}
+
+	// Every flag a driver lists exists, and the flags every packet driver
+	// honours are accepted everywhere.
+	for _, d := range append(experiments.Drivers, scenarioDriver) {
+		for _, name := range d.Flags {
+			if flag.Lookup(name) == nil {
+				t.Errorf("%s lists -%s, which is not a flag", d.Name, name)
+			}
+		}
+		old := *expName
+		*expName = strings.TrimPrefix(d.Name, "-scenario")
+		set := append([]string{"exp", "duration", "metrics-out", "budget-events", "stall-events", "seed", "workers"}, d.Flags...)
+		if got, err := validateFlags(set); err != nil || got.Name != d.Name {
+			t.Errorf("%s with its own flags: driver %v, err %v", d.Name, got, err)
+		}
+		*expName = old
+	}
 }
 
 // TestFaultPresetVettedOnlyForTheMatrix pins the scope of the -faults preset
-// check: fig9/fig10 also take a spec file there, and -workers 0 keeps meaning
-// GOMAXPROCS, so neither may trip validateFlags.
+// check: the matrix compiles its columns from presets by name and refuses
+// anything else as a usage error before it prints; fig9/fig10 also take a
+// spec file there, and -workers 0 keeps meaning GOMAXPROCS.
 func TestFaultPresetVettedOnlyForTheMatrix(t *testing.T) {
 	oldWorkers, oldExp, oldFaults := *workers, *expName, *faultSpec
 	defer func() { *workers, *expName, *faultSpec = oldWorkers, oldExp, oldFaults }()
 	*workers, *expName, *faultSpec = 0, "fig9", "my-faults.json"
-	if err := validateFlags(); err != nil {
+	if _, err := validateFlags([]string{"exp", "faults", "workers"}); err != nil {
 		t.Errorf("-exp fig9 -faults my-faults.json -workers 0 rejected: %v", err)
 	}
 	*expName, *faultSpec = "faults", "resume-loss"
-	if err := validateFlags(); err != nil {
-		t.Errorf("-exp faults -faults resume-loss rejected: %v", err)
+	matrix, err := validateFlags([]string{"exp", "faults"})
+	if err != nil {
+		t.Fatalf("-exp faults -faults resume-loss rejected: %v", err)
+	}
+	*faultSpec = "nope"
+	if code, err := run(t, context.Background(), matrix); code != 2 || !strings.Contains(err.Error(), `unknown preset "nope"`) {
+		t.Errorf("-exp faults -faults nope: err = %v (exit %d), want a usage error naming the preset", err, code)
 	}
 }
 
-// TestRingDriversHonourTheGovernor pins that fig9/fig10 and the fault matrix
-// run under the governor like -scenario does: a blown -budget-events exits 3
-// and a cancelled context exits 4. runRing used to drop both on the floor
-// (exit 0) and the matrix reported a budget trip as a plain failure (exit 1).
+// TestRingDriversHonourTheGovernor pins the exit codes of a governed driver:
+// a blown -budget-events exits 3 and a cancelled context exits 4, for a
+// single-run driver (fig9) and for one whose cells run on the runner pool and
+// come back wrapped (faults). That every driver of the table returns such an
+// error is experiments.TestEveryDriverIsGoverned; this is the mapping.
 func TestRingDriversHonourTheGovernor(t *testing.T) {
-	oldCtx, oldEvents, oldDuration, oldWorkers := ctx, *budgetEvents, *duration, *workers
-	defer func() { ctx, *budgetEvents, *duration, *workers = oldCtx, oldEvents, oldDuration, oldWorkers }()
+	oldEvents, oldDuration, oldWorkers := *budgetEvents, *duration, *workers
+	defer func() { *budgetEvents, *duration, *workers = oldEvents, oldDuration, oldWorkers }()
 	*duration, *workers = 5*time.Millisecond, 2
-	drivers := []struct {
-		name string
-		run  func() error
-	}{
-		{"fig9", func() error { return runRing(experiments.PFC, experiments.GFCBuf) }},
-		{"faults", runFaultMatrix},
-	}
-
-	ctx, *budgetEvents = context.Background(), 5000
-	for _, d := range drivers {
-		if err := d.run(); exitCode(err) != 3 {
-			t.Errorf("-exp %s -budget-events 5000: err = %v (exit %d), want exit 3", d.name, err, exitCode(err))
-		}
-	}
-
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	ctx, *budgetEvents = cancelled, 0
-	for _, d := range drivers {
-		if err := d.run(); exitCode(err) != 4 {
-			t.Errorf("-exp %s interrupted: err = %v (exit %d), want exit 4", d.name, err, exitCode(err))
+	for _, name := range []string{"fig9", "faults"} {
+		d, err := experiments.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*budgetEvents = 5000
+		if code, err := run(t, context.Background(), d); code != 3 {
+			t.Errorf("-exp %s -budget-events 5000: err = %v (exit %d), want exit 3", name, err, code)
+		}
+		*budgetEvents = 0
+		if code, err := run(t, cancelled, d); code != 4 {
+			t.Errorf("-exp %s interrupted: err = %v (exit %d), want exit 4", name, err, code)
 		}
 	}
 }
@@ -179,12 +224,11 @@ func TestRingDriversHonourTheGovernor(t *testing.T) {
 func TestScenarioWallBudgetExits3(t *testing.T) {
 	oldName, oldBackend, oldWall := *scenarioName, *backendName, *budgetWall
 	defer func() { *scenarioName, *backendName, *budgetWall = oldName, oldBackend, oldWall }()
-	ctx = context.Background()
 	*scenarioName, *budgetWall = "ring-steady-gfcbuf", time.Nanosecond
 	for _, backend := range []string{"packet", "fluid"} {
 		*backendName = backend
-		if err := runScenario(); exitCode(err) != 3 {
-			t.Errorf("-backend %s -budget-wall 1ns: err = %v (exit %d), want exit 3", backend, err, exitCode(err))
+		if code, err := run(t, context.Background(), &scenarioDriver); code != 3 {
+			t.Errorf("-backend %s -budget-wall 1ns: err = %v (exit %d), want exit 3", backend, err, code)
 		}
 	}
 }

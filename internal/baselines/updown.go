@@ -31,7 +31,6 @@ type UpDown struct {
 	// level[n] is the BFS tree depth of node n from the root; up moves
 	// strictly decrease (level, id) lexicographically.
 	level []int
-	root  topology.NodeID
 }
 
 // NewUpDown builds the orientation for t over its live links.
@@ -51,7 +50,7 @@ func NewUpDown(t *topology.Topology) (*UpDown, error) {
 			root = s
 		}
 	}
-	u := &UpDown{topo: t, root: root, level: make([]int, t.NumNodes())}
+	u := &UpDown{topo: t, level: make([]int, t.NumNodes())}
 	for i := range u.level {
 		u.level[i] = -1
 	}
@@ -69,9 +68,6 @@ func NewUpDown(t *topology.Topology) (*UpDown, error) {
 	}
 	return u, nil
 }
-
-// Root returns the spanning-tree root.
-func (u *UpDown) Root() topology.NodeID { return u.root }
 
 // isUp reports whether moving a→b is an "up" move: toward the root in
 // (level, id) lexicographic order. Every link has exactly one up direction,

@@ -9,7 +9,6 @@ package cbd
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -155,76 +154,6 @@ func (g *Graph) FindCycle() []Channel {
 		out = append(out, rev[i])
 	}
 	return out
-}
-
-// StronglyConnected returns the nontrivial strongly connected components of
-// the dependency graph (size >= 2, or a single vertex with a self-loop),
-// each sorted for determinism. Every CBD lies inside one of these.
-func (g *Graph) StronglyConnected() [][]Channel {
-	n := len(g.names)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var next int
-	var comps [][]Channel
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range g.succ[v] {
-			if index[w] < 0 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			keep := len(comp) >= 2
-			if !keep && len(comp) == 1 {
-				keep = g.hasEdge(comp[0], comp[0])
-			}
-			if keep {
-				chans := make([]Channel, len(comp))
-				for i, u := range comp {
-					chans[i] = g.names[u]
-				}
-				sort.Slice(chans, func(i, j int) bool {
-					if chans[i].From != chans[j].From {
-						return chans[i].From < chans[j].From
-					}
-					return chans[i].To < chans[j].To
-				})
-				comps = append(comps, chans)
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if index[v] < 0 {
-			strongconnect(v)
-		}
-	}
-	return comps
 }
 
 // FromAllPairs builds the dependency graph induced by routing every

@@ -222,11 +222,6 @@ func (t *StageTable) RateFor(q units.Size) units.Rate {
 	return t.StageRate(t.StageFor(q))
 }
 
-// MinBuffer reports the minimum buffer the table requires, B_m − B_1 ≥ 2Cτ
-// worth of headroom above B_1 plus B_1 itself — i.e. simply B_m. Provided
-// for symmetry with PFC headroom sizing in experiment setups.
-func (t *StageTable) MinBuffer() units.Size { return t.Bm }
-
 // OverheadModel quantifies the feedback bandwidth GFC consumes (§4.2).
 type OverheadModel struct {
 	MessageSize units.Size // feedback frame size m (64 B on Ethernet)
@@ -244,6 +239,3 @@ func (o OverheadModel) WorstCase() units.Rate {
 func (o OverheadModel) Steady() units.Rate {
 	return units.RateOf(o.MessageSize, 8*o.Tau)
 }
-
-// Fraction reports r as a fraction of capacity c.
-func Fraction(r, c units.Rate) float64 { return float64(r) / float64(c) }

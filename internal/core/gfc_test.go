@@ -255,7 +255,7 @@ func TestOverheadModelPaperValues(t *testing.T) {
 	if math.Abs(float64(s)-8.65e6) > 0.2e6 {
 		t.Errorf("Steady = %v, want ≈8.6Mbps", s)
 	}
-	if f := Fraction(w, 10*units.Gbps); math.Abs(f-0.0069) > 0.0002 {
+	if f := float64(w) / float64(10*units.Gbps); math.Abs(f-0.0069) > 0.0002 {
 		t.Errorf("worst fraction = %v, want ≈0.0069", f)
 	}
 }

@@ -127,9 +127,6 @@ func Attach(net *netsim.Network, f *netsim.Flow, cfg Config) *RP {
 // Rate reports the current sending rate R_C.
 func (rp *RP) Rate() units.Rate { return rp.rc }
 
-// Alpha reports the congestion estimate α.
-func (rp *RP) Alpha() float64 { return rp.alpha }
-
 // NextAllowed implements netsim.Pacer.
 func (rp *RP) NextAllowed(now units.Time, _ units.Size) units.Time { return rp.next }
 

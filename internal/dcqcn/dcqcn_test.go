@@ -103,16 +103,16 @@ func TestDCQCNConvergesNearFairShare(t *testing.T) {
 func TestDCQCNAlphaDynamics(t *testing.T) {
 	net, rps, _ := buildIncast(t, 8)
 	rp := rps[0]
-	if got := rp.Alpha(); got != 0.5 {
+	if got := rp.alpha; got != 0.5 {
 		t.Fatalf("initial alpha = %v", got)
 	}
 	net.Run(2 * units.Millisecond)
 	// Under persistent marking alpha should have moved from its seed.
-	if rp.Alpha() == 0.5 {
+	if rp.alpha == 0.5 {
 		t.Error("alpha never updated under congestion")
 	}
-	if rp.Alpha() < 0 || rp.Alpha() > 1 {
-		t.Errorf("alpha = %v outside [0,1]", rp.Alpha())
+	if rp.alpha < 0 || rp.alpha > 1 {
+		t.Errorf("alpha = %v outside [0,1]", rp.alpha)
 	}
 	_ = net
 }

@@ -140,9 +140,6 @@ func (d *DCFIT) Deadlocked() *Report { return d.report }
 // PollInterval implements Probe.
 func (d *DCFIT) PollInterval() units.Time { return d.Interval }
 
-// Edges reports the number of live pause-dependency edges (diagnostic).
-func (d *DCFIT) Edges() int { return len(d.edges) }
-
 // onDeliver is the feedback observer: it runs at the instant a message
 // reaches its sender, after fault loss/delay.
 func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Message) {

@@ -150,8 +150,8 @@ func TestDCFITQueueScopedEdges(t *testing.T) {
 	qpause(2, 3, 1)
 	qpause(3, 1, 5)
 	qresume(1, 2, 4) // different queue: edge (1,2,q3) must survive
-	if d.Edges() != 3 {
-		t.Fatalf("edges = %d after unrelated-queue resume, want 3", d.Edges())
+	if len(d.edges) != 3 {
+		t.Fatalf("edges = %d after unrelated-queue resume, want 3", len(d.edges))
 	}
 	d.Check()
 	f.now += d.Window
@@ -169,8 +169,8 @@ func TestDCFITIgnoresNonPauseFeedback(t *testing.T) {
 	} {
 		f.obs(2, 1, 0, flowcontrol.Message{Kind: k})
 	}
-	if d.Edges() != 0 {
-		t.Fatalf("edges = %d from non-pause feedback, want 0", d.Edges())
+	if len(d.edges) != 0 {
+		t.Fatalf("edges = %d from non-pause feedback, want 0", len(d.edges))
 	}
 }
 

@@ -121,10 +121,6 @@ func TestFlapRecoversWithoutDeadlock(t *testing.T) {
 	if rep := d.Deadlocked(); rep != nil {
 		t.Fatalf("deadlock reported during the outage: %+v", rep)
 	}
-	link := topo.LinkBetween(topo.MustLookup("S1"), topo.MustLookup("S2"))
-	if n.LinkAdminDown(link.ID) {
-		t.Fatal("link still down at UpAt")
-	}
 	before := make([]units.Size, len(flows))
 	for i, f := range flows {
 		before[i] = f.Delivered

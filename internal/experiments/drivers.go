@@ -1,0 +1,468 @@
+package experiments
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"time"
+
+	"github.com/gfcsim/gfc/internal/faults"
+	"github.com/gfcsim/gfc/internal/runner"
+	"github.com/gfcsim/gfc/internal/scenario"
+	"github.com/gfcsim/gfc/internal/stats"
+	"github.com/gfcsim/gfc/internal/units"
+	"github.com/gfcsim/gfc/internal/viz"
+)
+
+// This file is the -exp side of cmd/gfcsim: one ordered dispatch table, and
+// per experiment the section that runs its drivers and prints the paper's
+// expected values beside the measured ones. Sections write to an io.Writer
+// so the narrative is testable; they return a run's error as the driver
+// produced it (a *netsim.RunError for a tripped governor) and leave the
+// mapping onto exit codes to the CLI.
+
+// ErrUsage marks a request no driver could honour (an unknown experiment);
+// ErrGovernor a sweep that completed with quarantined cells; ErrDegraded a
+// sweep that completed but holds degraded-fidelity (fluid-computed) cells —
+// vouched for by the analytic model yet below packet fidelity, so scripts can
+// tell "clean" from "self-healed". Quarantine takes precedence.
+var (
+	ErrUsage    = errors.New("usage")
+	ErrGovernor = errors.New("run governor tripped")
+	ErrDegraded = errors.New("sweep completed with degraded-fidelity cells")
+)
+
+// Options are the CLI's settings as the sections read them.
+type Options struct {
+	// RunOptions governs every run of the section: context, budget and the
+	// -duration override. Its Metrics stays nil; each sub-run draws a
+	// registry of its own from Sink.
+	RunOptions
+	Seed    int64
+	Workers int
+	// Series prints raw time-series points, Chart renders them as ASCII.
+	Series, Chart bool
+	// Faults is the -faults value: a preset name or a JSON spec file.
+	Faults string
+	// Sink gathers one metrics report per sub-run; nil (inert) without
+	// -metrics-out.
+	Sink *MetricsSink
+	// Stderr receives sweep progress and self-healing reports.
+	Stderr io.Writer
+
+	// The sweep settings (table1, fig16, fig17; Retry also the fault matrix).
+	Networks, Repeats int
+	Scales            []int
+	Table1Scale       string
+	JobTimeout        time.Duration
+	Checkpoint        string
+	Analytic          bool
+	Backend           string
+	Retry             runner.Retry
+	Degrade           bool
+}
+
+// sub returns the run options of one sub-run: the section's, with a fresh
+// registry from the sink.
+func (o *Options) sub() RunOptions {
+	ro := o.RunOptions
+	ro.Metrics = o.Sink.Registry()
+	return ro
+}
+
+// Driver is one -exp experiment.
+type Driver struct {
+	Name string
+	// Flags names the optional CLI flags the driver reads. -duration,
+	// -metrics-out, the -budget-* family, -stall-events and ^C reach every
+	// packet driver through RunOptions and need no entry; a flag listed by
+	// some driver and set for one that does not list it is a usage error.
+	Flags []string
+	Run   func(w io.Writer, o *Options) error
+}
+
+var (
+	faultFlags = []string{"faults"}
+	sweepFlags = []string{
+		"networks", "repeats", "scales", "table1-scale", "backend", "analytic",
+		"checkpoint", "job-timeout", "retries", "retry-backoff", "degrade",
+	}
+)
+
+// Drivers is the dispatch table, in the paper's order.
+var Drivers = []Driver{
+	{"fig5", nil, fig5Section},
+	{"fig9", faultFlags, ringSection(PFC, GFCBuf)},
+	{"fig10", faultFlags, ringSection(CBFC, GFCTime)},
+	{"fig12", nil, caseStudySection(PFC, GFCBuf)},
+	{"fig13", nil, caseStudySection(CBFC, GFCTime)},
+	{"fig14", nil, victimSection},
+	{"fig15", nil, func(w io.Writer, _ *Options) error {
+		_, err := fmt.Fprint(w, Fig15Rows().String())
+		return err
+	}},
+	{"table1", sweepFlags, sweepSection(
+		"Table 1: deadlock cases (paper: PFC=CBFC>0 and falling with scale; GFC=0)", Table1Rows)},
+	{"fig16", sweepFlags, sweepSection(
+		"Figure 16: average available bandwidth over deadlock-free runs", Fig16Rows)},
+	{"fig17", sweepFlags, sweepSection(
+		"Figure 17: average slowdown (normalised to the per-scale minimum)", Fig17Rows)},
+	{"fig18", nil, evolutionSection},
+	{"fig19", nil, overheadSection},
+	{"fig20", nil, fig20Section},
+	{"faults", []string{"faults", "retries", "retry-backoff"}, faultMatrixSection},
+}
+
+// Names lists the table's experiments, in order.
+func Names() []string {
+	names := make([]string, len(Drivers))
+	for i, d := range Drivers {
+		names[i] = d.Name
+	}
+	return names
+}
+
+// Lookup resolves an -exp name.
+func Lookup(name string) (*Driver, error) {
+	for i := range Drivers {
+		if Drivers[i].Name == name {
+			return &Drivers[i], nil
+		}
+	}
+	return nil, fmt.Errorf("%w: unknown experiment %q (want one of %s)", ErrUsage, name, strings.Join(Names(), ", "))
+}
+
+func (o *Options) printSeries(w io.Writer, name string, s *stats.Series, max int) {
+	if o.Chart {
+		c := viz.DefaultChart(name)
+		switch {
+		case strings.Contains(name, "rate"):
+			c.FormatY = viz.FormatRate
+		case strings.Contains(name, "queue"):
+			c.FormatY = viz.FormatSize
+		}
+		fmt.Fprint(w, c.Render(s))
+	}
+	if !o.Series {
+		return
+	}
+	d := s.Downsample(max)
+	fmt.Fprintf(w, "# %s\n", name)
+	for i := range d.T {
+		fmt.Fprintf(w, "%.3f\t%.0f\n", d.T[i].Millis(), d.V[i])
+	}
+}
+
+func fig5Section(w io.Writer, o *Options) error {
+	fmt.Fprintln(w, "Figure 5: input rate and queue evolution, 2-to-1 congestion (C=10G, τ=25µs)")
+	for _, fc := range []FC{PFC, GFCConceptual} {
+		ro := o.sub()
+		res, err := RunFig5(fc, ro)
+		if err != nil {
+			return err
+		}
+		o.Sink.Record(res.Name, ro.Metrics, res.End)
+		fmt.Fprintf(w, "%-16s steady queue %-8v (paper: PFC saws at XON/XOFF=77/80KB; GFC settles at B_s=75KB) drops=%d\n",
+			res.FC, res.SteadyQueue, res.Drops)
+		o.printSeries(w, string(res.FC)+" queue (bytes)", res.Queue, 60)
+		o.printSeries(w, string(res.FC)+" rate (bps)", res.Rate, 60)
+	}
+	return nil
+}
+
+// loadFaultSpec resolves the -faults value: empty means none, a value with
+// path-ish characters is a JSON spec file, anything else a preset name.
+func loadFaultSpec(value string) (*faults.Spec, error) {
+	switch {
+	case value == "":
+		return nil, nil
+	case strings.ContainsAny(value, "./\\"):
+		return faults.Load(value)
+	default:
+		return faults.Preset(value)
+	}
+}
+
+// verdict renders a run's deadlock verdict; the ring panels also name the
+// kind (a fault can wedge a channel without a circular wait).
+func verdict(res *scenario.Result, kind bool) string {
+	switch {
+	case !res.Deadlocked:
+		return "no deadlock"
+	case kind:
+		return fmt.Sprintf("DEADLOCK (%v) at %v", res.DeadlockKind, res.DeadlockAt)
+	default:
+		return fmt.Sprintf("DEADLOCK at %v", res.DeadlockAt)
+	}
+}
+
+func ringSection(pause, gentle FC) func(io.Writer, *Options) error {
+	return func(w io.Writer, o *Options) error {
+		spec, err := loadFaultSpec(o.Faults)
+		if err != nil {
+			return err
+		}
+		// run simulates one panel row: the -faults scenario, if any, is
+		// compiled against the exact ring the row simulates.
+		run := func(fc FC, hostsPerSwitch int, name string) (*RingResult, string, error) {
+			cfg := RingConfig{FC: fc, HostsPerSwitch: hostsPerSwitch, FaultSeed: o.Seed}
+			if spec != nil {
+				plan, err := spec.Compile(RingTopology(hostsPerSwitch))
+				if err != nil {
+					return nil, "", err
+				}
+				cfg.Faults = plan
+				if fc == GFCBuf && hostsPerSwitch == 1 {
+					// Loss repair under faulted feedback, as in the matrix.
+					cfg.Refresh = faultedRefresh
+				}
+			}
+			ro := o.sub()
+			res, err := RunRing(cfg, ro)
+			if err != nil {
+				return nil, "", err
+			}
+			o.Sink.Record(name+string(fc), ro.Metrics, res.End)
+			note := ""
+			if s := res.FaultStats; s != (faults.Stats{}) {
+				note = fmt.Sprintf("  [feedback dropped=%d delayed=%d]", s.FeedbackDropped, s.FeedbackDelayed)
+			}
+			return res, note, nil
+		}
+		fmt.Fprintf(w, "Figures 9/10: 3-switch ring, testbed parameters (1MB buffers, τ=90µs)\n")
+		if spec != nil {
+			fmt.Fprintf(w, "with injected faults: %s (seed %d)\n", spec.Name, o.Seed)
+		}
+		fmt.Fprintln(w, "\n(a) deadlock formation regime (2 hosts/switch):")
+		for _, fc := range []FC{pause, gentle} {
+			res, note, err := run(fc, 2, "ring-formation-")
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "  %-12s %-34s drops=%d%s\n", fc, verdict(res.Result, true), res.Drops, note)
+		}
+		fmt.Fprintln(w, "\n(b) steady state, critically loaded (1 host/switch):")
+		for _, fc := range []FC{pause, gentle} {
+			res, note, err := run(fc, 1, "ring-steady-")
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "  %-12s steady queue %-9v steady rate %-9v (paper GFC: ≈840KB/5G buffer-based, ≈745KB/5G time-based)%s\n",
+				fc, res.SteadyQueue, res.SteadyRate, note)
+			o.printSeries(w, string(fc)+" queue", res.Queue, 60)
+		}
+		return nil
+	}
+}
+
+func faultMatrixSection(w io.Writer, o *Options) error {
+	cfg := FaultMatrixConfig{
+		Duration: o.Duration,
+		Seed:     o.Seed,
+		Ctx:      o.Ctx,
+		Budget:   o.Budget,
+		Retry:    o.Retry,
+		Workers:  o.Workers,
+	}
+	if o.Faults != "" {
+		// The matrix compiles its columns from presets by name: restrict
+		// them to the requested one, plus the clean baseline for contrast.
+		if _, err := faults.Preset(o.Faults); err != nil {
+			return fmt.Errorf("%w: -exp faults wants a preset name in -faults: %v", ErrUsage, err)
+		}
+		cfg.Scenarios = []string{CleanScenario, o.Faults}
+	}
+	cells, err := RunFaultMatrix(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "Fault matrix: scheme × scenario on the critically loaded fig9 ring")
+	fmt.Fprint(w, FaultMatrixRows(cells).String())
+	fmt.Fprintln(w, "(resume-loss wedges the on/off schemes shut — one lost RESUME/QRESUME is a permanent")
+	fmt.Fprintln(w, " pause for PFC and BFC alike — while both GFC variants keep every flow progressing,")
+	fmt.Fprintln(w, " lossless, under every scenario; DCFIT convicts only where pause edges close a cycle)")
+	return nil
+}
+
+// caseStudy runs one named case-study sub-run.
+func (o *Options) caseStudy(name string, cfg CaseStudyConfig) (*CaseStudyResult, error) {
+	ro := o.sub()
+	res, err := RunCaseStudy(cfg, ro)
+	if err != nil {
+		return nil, err
+	}
+	o.Sink.Record(name+string(cfg.FC), ro.Metrics, res.End)
+	return res, nil
+}
+
+func caseStudySection(pause, gentle FC) func(io.Writer, *Options) error {
+	return func(w io.Writer, o *Options) error {
+		fmt.Fprintln(w, "Figures 12/13: k=4 fat-tree with failed links, CBD C1→A3→C2→A7→C1")
+		fmt.Fprintln(w, "\n(a) deadlock formation (with cross-flow squeeze):")
+		for _, fc := range []FC{pause, gentle} {
+			res, err := o.caseStudy("casestudy-formation-", CaseStudyConfig{FC: fc, WithCross: true})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "  %-12s %-22s drops=%d\n", fc, verdict(res.Result, false), res.Drops)
+		}
+		fmt.Fprintln(w, "\n(b) steady state (the paper's four flows):")
+		for _, fc := range []FC{pause, gentle} {
+			res, err := o.caseStudy("casestudy-steady-", CaseStudyConfig{FC: fc})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "  %-12s per-flow rates:", fc)
+			for _, r := range res.FlowRates {
+				fmt.Fprintf(w, " %v", r)
+			}
+			fmt.Fprintf(w, "  (paper: 5G each under GFC)\n")
+		}
+		return nil
+	}
+}
+
+func victimSection(w io.Writer, o *Options) error {
+	fmt.Fprintln(w, "Figure 14: victim flow H12→H4 (shares switches with the CBD, avoids its channels)")
+	for _, fc := range AllFCs() {
+		res, err := o.caseStudy("victim-", CaseStudyConfig{FC: fc, WithCross: true, WithVictim: true})
+		if err != nil {
+			return err
+		}
+		fabric, progress := "alive", "frozen"
+		if res.Deadlocked {
+			fabric = "DEADLOCK"
+		}
+		if res.VictimProgressed {
+			progress = "progressing"
+		}
+		fmt.Fprintf(w, "  %-12s %-9s victim: %v delivered, %s\n",
+			fc, fabric, res.VictimTotal, progress)
+	}
+	fmt.Fprintln(w, "(paper: the victim freezes once PFC/CBFC deadlock; under GFC it keeps moving)")
+	return nil
+}
+
+func evolutionSection(w io.Writer, o *Options) error {
+	fmt.Fprintln(w, "Figure 18: network throughput evolution on a deadlock-prone scenario")
+	for _, fc := range []FC{PFC, GFCBuf} {
+		ro := o.sub()
+		res, err := RunEvolution(fc, ro)
+		if err != nil {
+			return err
+		}
+		o.Sink.Record(res.Name, ro.Metrics, res.End)
+		fmt.Fprintf(w, "  %-12s %-22s final aggregate %-10v drops=%d\n",
+			fc, verdict(res.Result, false), res.FinalRate, res.Drops)
+		if o.Series {
+			for i, r := range res.Throughput.Rates() {
+				fmt.Fprintf(w, "%.1f\t%.0f\n", (units.Time(i) * res.Throughput.Width).Millis(), float64(r))
+			}
+		}
+	}
+	return nil
+}
+
+func overheadSection(w io.Writer, o *Options) error {
+	ro := o.sub()
+	res, err := RunOverhead(OverheadConfig{Seed: o.Seed}, ro)
+	if err != nil {
+		return err
+	}
+	o.Sink.Record(res.Name, ro.Metrics, res.End)
+	fmt.Fprintln(w, "Figure 19: buffer-based GFC feedback bandwidth per port (fraction of 10G)")
+	fmt.Fprintf(w, "  mean %.4f%%  p99 %.4f%%  max %.4f%%\n",
+		res.Mean*100, res.P99*100, res.Max*100)
+	fmt.Fprintln(w, "  (paper: mean 0.21%, 99% of ports < 0.4%, max 0.49%)")
+	return nil
+}
+
+func fig20Section(w io.Writer, o *Options) error {
+	ro := o.sub()
+	res, err := RunFig20(ro)
+	if err != nil {
+		return err
+	}
+	o.Sink.Record(res.Name, ro.Metrics, res.End)
+	fmt.Fprintln(w, "Figure 20: GFC + DCQCN interaction (8:1 incast, ECN K=40KB)")
+	fmt.Fprintf(w, "  max ingress queue %v (buffer 300KB), final DCQCN rate %v (fair share 1.25G), drops=%d\n",
+		res.MaxQueue, res.FinalDCQCN, res.Drops)
+	o.printSeries(w, "queue", res.Queue, 60)
+	o.printSeries(w, "dcqcn-rate", res.DCQCNRate, 60)
+	o.printSeries(w, "gfc-rate", res.GFCRate, 60)
+	return nil
+}
+
+// sweepSection runs the §6.2.3 sweep — every scheme at every scale — and
+// prints one of the three tables it feeds, under title.
+func sweepSection(title string, rows func(map[int]map[FC]*SweepResult, []int) *stats.Table) func(io.Writer, *Options) error {
+	return func(w io.Writer, o *Options) error {
+		ks := o.Scales
+		if o.Table1Scale == "ci" {
+			ks = []int{4}
+		}
+		results := make(map[int]map[FC]*SweepResult)
+		quarantined, degradedCells := 0, 0
+		for _, k := range ks {
+			results[k] = make(map[FC]*SweepResult)
+			cfg := DefaultSweep(k)
+			cfg.Networks = o.Networks
+			cfg.Repeats = o.Repeats
+			cfg.Seed = o.Seed
+			if o.Duration > 0 {
+				cfg.Duration = o.Duration
+			}
+			cfg.Workers = o.Workers
+			cfg.Budget = o.Budget
+			cfg.JobTimeout = o.JobTimeout
+			cfg.Checkpoint = o.Checkpoint
+			cfg.Analytic = o.Analytic
+			cfg.Backend = o.Backend
+			cfg.Retry = o.Retry
+			cfg.Degrade = o.Degrade && o.Backend != "fluid"
+			switch o.Table1Scale {
+			case "ci":
+				// The CI gate: a k=4 slice with the checker enforced, small
+				// enough to kill and resume inside a CI step.
+				cfg.Networks, cfg.Repeats, cfg.Analytic = 200, 1, true
+			case "full":
+				// §6.2.3 paper scale. Resumable: run with -checkpoint and the
+				// governor flags; see EXPERIMENTS.md for the overnight recipe.
+				cfg.Networks, cfg.Repeats = 10000, 100
+				cfg.FlowsPerHost, cfg.Analytic = 1, true
+			}
+			for _, fc := range AllFCs() {
+				fmt.Fprintf(o.Stderr, "sweep k=%d %s...\n", k, fc)
+				res, err := RunSweep(o.ctx(), fc, cfg)
+				if err != nil {
+					// Interrupted: the checkpoint has every finished cell, so
+					// skip the (partial) tables and report the resume path.
+					if o.Checkpoint != "" && errors.Is(err, context.Canceled) {
+						fmt.Fprintf(o.Stderr, "interrupted; rerun with -checkpoint %s to resume\n", o.Checkpoint)
+					}
+					return err
+				}
+				if sum := res.ResilienceSummary(); sum != "" {
+					fmt.Fprintf(o.Stderr, "self-healing report (k=%d %s):\n%s", k, fc, sum)
+				}
+				if len(res.Failures) > 0 {
+					fmt.Fprintln(o.Stderr, res.FailureSummary())
+					quarantined += len(res.Failures)
+				}
+				degradedCells += len(res.Degraded)
+				results[k][fc] = res
+			}
+		}
+		fmt.Fprintln(w, title)
+		fmt.Fprint(w, rows(results, ks).String())
+		if quarantined > 0 {
+			return fmt.Errorf("%w: %d sweep cells quarantined", ErrGovernor, quarantined)
+		}
+		if degradedCells > 0 {
+			return fmt.Errorf("%w: %d", ErrDegraded, degradedCells)
+		}
+		return nil
+	}
+}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestFCFactoryAndNames(t *testing.T) {
-	_, fp := TestbedParams()
+	_, fp := scenario.TestbedParams()
 	for _, fc := range AllFCs() {
 		if fp.Factory(fc) == nil {
 			t.Errorf("no factory for %s", fc)
@@ -30,11 +30,21 @@ func TestFCFactoryAndNames(t *testing.T) {
 	fp.Factory(FC("bogus"))
 }
 
+// caseStudySim builds the case study with the paper's four flows only.
+func caseStudySim(t *testing.T) *scenario.Sim {
+	t.Helper()
+	sim, err := RunOptions{}.build(scenario.CaseStudy(PFC, false, false), scenario.Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
 func TestFatTreeScenarioHasCBD(t *testing.T) {
-	sc := NewFatTreeDeadlock()
-	g := cbd.NewGraph(sc.Topo)
-	for _, p := range sc.Paths {
-		g.AddPath(p)
+	sim := caseStudySim(t)
+	g := cbd.NewGraph(sim.Topo)
+	for _, f := range sim.Flows {
+		g.AddPath(f.Path)
 	}
 	if !g.HasCycle() {
 		t.Fatal("case-study flows do not form a CBD")
@@ -43,15 +53,25 @@ func TestFatTreeScenarioHasCBD(t *testing.T) {
 	if len(cyc) != 4 {
 		t.Fatalf("cycle length %d, want the 4 core-agg channels", len(cyc))
 	}
-	// The cycle must be exactly the documented one.
-	want := map[string]bool{}
-	for _, pair := range sc.CBD {
-		want[pair[0]+">"+pair[1]] = true
-	}
+	// The cycle must be exactly the documented one: C1→A3→C2→A7→C1.
+	want := map[string]bool{"C1>A3": true, "A3>C2": true, "C2>A7": true, "A7>C1": true}
+	name := func(c cbd.Channel) string { return sim.Topo.Node(c.From).Name + ">" + sim.Topo.Node(c.To).Name }
 	for _, c := range cyc {
-		key := sc.Topo.Node(c.From).Name + ">" + sc.Topo.Node(c.To).Name
-		if !want[key] {
-			t.Errorf("unexpected cycle member %s", key)
+		if !want[name(c)] {
+			t.Errorf("unexpected cycle member %s", name(c))
+		}
+	}
+	// The Figure 14 victim shares switches with the cycle but rides none of
+	// its channels.
+	withVictim, err := RunOptions{}.build(scenario.CaseStudy(PFC, true, true), scenario.Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := withVictim.Flows[len(withVictim.Flows)-1]
+	for _, h := range victim.Path {
+		hop := sim.Topo.Node(h.Node).Name + ">" + sim.Topo.Node(h.Link.Other(h.Node)).Name
+		if want[hop] {
+			t.Errorf("victim flow %d rides the cyclic channel %s", victim.ID, hop)
 		}
 	}
 }
@@ -59,17 +79,15 @@ func TestFatTreeScenarioHasCBD(t *testing.T) {
 func TestFatTreeScenarioPathsAreShortest(t *testing.T) {
 	// The explicit paths must not be longer than SPF distances on the
 	// failed topology — they are legitimate routes, not contrivances.
-	sc := NewFatTreeDeadlock()
-	tab := routing.NewSPF(sc.Topo)
-	for i, p := range sc.Paths {
-		src := p[0].Node
-		dst := p[len(p)-1].Link.Other(p[len(p)-1].Node)
-		d, ok := tab.Distance(src, dst)
+	sim := caseStudySim(t)
+	tab := routing.NewSPF(sim.Topo)
+	for _, f := range sim.Flows {
+		d, ok := tab.Distance(f.Src, f.Dst)
 		if !ok {
-			t.Fatalf("flow %d: dst unreachable", i+1)
+			t.Fatalf("flow %d: dst unreachable", f.ID)
 		}
-		if len(p) != d {
-			t.Errorf("flow %d: explicit path %d hops, SPF %d", i+1, len(p), d)
+		if len(f.Path) != d {
+			t.Errorf("flow %d: explicit path %d hops, SPF %d", f.ID, len(f.Path), d)
 		}
 	}
 }
@@ -77,9 +95,7 @@ func TestFatTreeScenarioPathsAreShortest(t *testing.T) {
 func TestCaseStudySteadyState(t *testing.T) {
 	// Figure 12(b)/13(b): under GFC the four flows share 5 Gb/s each.
 	for _, fc := range []FC{GFCBuf, GFCTime} {
-		res, _, err := RunCaseStudy(CaseStudyConfig{
-			FC: fc, Duration: 40 * units.Millisecond,
-		})
+		res, err := RunCaseStudy(CaseStudyConfig{FC: fc}, RunOptions{Duration: 40 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +123,8 @@ func TestCaseStudyDeadlockFormation(t *testing.T) {
 	}{
 		{PFC, true}, {CBFC, true}, {GFCBuf, false}, {GFCTime, false},
 	} {
-		res, _, err := RunCaseStudy(CaseStudyConfig{
-			FC: tc.fc, Duration: 40 * units.Millisecond, WithCross: true,
-		})
+		res, err := RunCaseStudy(CaseStudyConfig{FC: tc.fc, WithCross: true},
+			RunOptions{Duration: 40 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,32 +141,29 @@ func TestCaseStudyVictim(t *testing.T) {
 	// Figure 14: after PFC deadlocks, the victim flow (which avoids the
 	// CBD channels) starves; under GFC it keeps its full share in the
 	// critical configuration.
-	res, victim, err := RunCaseStudy(CaseStudyConfig{
-		FC: PFC, Duration: 40 * units.Millisecond, WithCross: true, WithVictim: true,
-	})
+	o := RunOptions{Duration: 40 * units.Millisecond}
+	res, err := RunCaseStudy(CaseStudyConfig{FC: PFC, WithCross: true, WithVictim: true}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Deadlocked {
 		t.Fatal("PFC did not deadlock")
 	}
-	if victim != 0 {
-		t.Errorf("PFC victim rate %v, want 0 (starved)", victim)
+	if res.VictimRate != 0 {
+		t.Errorf("PFC victim rate %v, want 0 (starved)", res.VictimRate)
 	}
-	_, victim, err = RunCaseStudy(CaseStudyConfig{
-		FC: GFCBuf, Duration: 40 * units.Millisecond, WithVictim: true,
-	})
+	res, err = RunCaseStudy(CaseStudyConfig{FC: GFCBuf, WithVictim: true}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if victim < 4*units.Gbps {
-		t.Errorf("GFC victim rate %v, want ≈5G", victim)
+	if res.VictimRate < 4*units.Gbps {
+		t.Errorf("GFC victim rate %v, want ≈5G", res.VictimRate)
 	}
 }
 
 func TestRunFig5(t *testing.T) {
 	// Conceptual GFC: queue converges to B_s = 75KB, rate to 5G.
-	res, err := RunFig5(GFCConceptual, 20*units.Millisecond)
+	res, err := RunFig5(GFCConceptual, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +179,7 @@ func TestRunFig5(t *testing.T) {
 
 	// PFC: queue saws between XON/XOFF; the rate trace must contain
 	// both line-rate and zero bins (ON/OFF alternation).
-	pfc, err := RunFig5(PFC, 20*units.Millisecond)
+	pfc, err := RunFig5(PFC, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +210,7 @@ func TestRunFig5(t *testing.T) {
 func TestRunRingMatchesPaper(t *testing.T) {
 	// Figure 9(b): buffer-based GFC settles with the host queue in the
 	// first stage band and the input rate at 5G.
-	res, err := RunRing(RingConfig{FC: GFCBuf, Duration: 40 * units.Millisecond})
+	res, err := RunRing(RingConfig{FC: GFCBuf}, RunOptions{Duration: 40 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +225,7 @@ func TestRunRingMatchesPaper(t *testing.T) {
 	}
 
 	// Figure 9(a): PFC deadlocks in the 2-host formation regime.
-	pfc, err := RunRing(RingConfig{FC: PFC, Duration: 60 * units.Millisecond, HostsPerSwitch: 2})
+	pfc, err := RunRing(RingConfig{FC: PFC, HostsPerSwitch: 2}, RunOptions{Duration: 60 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +236,7 @@ func TestRunRingMatchesPaper(t *testing.T) {
 
 func TestRunFig10Shapes(t *testing.T) {
 	// Figure 10(b): time-based GFC settles near 745 KB at 5G.
-	res, err := RunRing(RingConfig{FC: GFCTime, Duration: 40 * units.Millisecond})
+	res, err := RunRing(RingConfig{FC: GFCTime}, RunOptions{Duration: 40 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +247,7 @@ func TestRunFig10Shapes(t *testing.T) {
 		t.Errorf("steady queue %v, paper ≈745KB", q)
 	}
 	// Figure 10(a): CBFC deadlocks in the formation regime.
-	cb, err := RunRing(RingConfig{FC: CBFC, Duration: 200 * units.Millisecond, HostsPerSwitch: 2})
+	cb, err := RunRing(RingConfig{FC: CBFC, HostsPerSwitch: 2}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +257,7 @@ func TestRunFig10Shapes(t *testing.T) {
 }
 
 func TestRunFig20Interaction(t *testing.T) {
-	res, err := RunFig20(15 * units.Millisecond)
+	res, err := RunFig20(RunOptions{Duration: 15 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +289,7 @@ func TestRunFig20Interaction(t *testing.T) {
 }
 
 func TestRunOverheadFig19(t *testing.T) {
-	res, err := RunOverhead(OverheadConfig{K: 4, Duration: 10 * units.Millisecond, Seed: 3})
+	res, err := RunOverhead(OverheadConfig{K: 4, Seed: 3}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,15 +414,14 @@ func TestRunEvolutionPFCCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	cfg := DefaultEvolution(PFC)
-	res, err := RunEvolution(cfg)
+	res, err := RunEvolution(PFC, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Deadlocked {
 		t.Skip("selected seed no longer deadlocks under PFC; Figure 18 bench scans seeds")
 	}
-	gfc, err := RunEvolution(DefaultEvolution(GFCBuf))
+	gfc, err := RunEvolution(GFCBuf, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,20 +73,11 @@ type FaultCell struct {
 type FaultMatrixConfig struct {
 	Schemes   []FC       // default MatrixSchemes()
 	Scenarios []string   // default FaultScenarios()
-	Duration  units.Time // default 60 ms
-	// HostsPerSwitch defaults to 1: the critically loaded ring where every
-	// scheme is clean without faults, so any deadlock in a faulted column
-	// is attributable to the injected scenario.
-	HostsPerSwitch int
+	Duration  units.Time // default: the steady ring's 60 ms
 	// Seed seeds each cell's injector (per-cell injectors keep cells
 	// independent and individually replayable). Default 1.
 	Seed int64
-	// Refresh is applied to buffer-based GFC in every faulted cell (loss
-	// repair; see GFCBufferConfig.Refresh). The clean column always runs
-	// with Refresh 0 so it matches the golden fig9 traces. Default τ
-	// (90 µs), bounding feedback staleness at roughly one reaction budget.
-	Refresh units.Time
-	// Ctx and Budget govern each cell's run (see RingConfig): a nil Ctx
+	// Ctx and Budget govern each cell's run (see RunOptions): a nil Ctx
 	// means context.Background(), the zero Budget imposes no bounds.
 	Ctx    context.Context
 	Budget netsim.Budget
@@ -102,8 +93,16 @@ type FaultMatrixConfig struct {
 	Workers int
 }
 
+// faultedRefresh is the stage re-advertisement period buffer-based GFC runs
+// with under faulted feedback (loss repair; see GFCBufferConfig.Refresh): τ,
+// bounding feedback staleness at roughly one reaction budget. Clean runs keep
+// Refresh 0 so they match the golden fig9 traces.
+const faultedRefresh = 90 * units.Microsecond
+
 // RunFaultMatrix runs the scheme × scenario robustness matrix on the fig9
-// ring. The headline contrast: "resume-loss" permanently pauses a hop the
+// steady ring — one host per switch, critically loaded, where every scheme is
+// clean without faults, so any deadlock in a faulted column is attributable
+// to the injected scenario. The headline contrast: "resume-loss" permanently pauses a hop the
 // moment one RESUME frame is lost, so PFC — and BFC, whose per-queue
 // QRESUME is just as losable — wedge shut (the detector fires) while both
 // GFC variants, whose rates never reach zero, keep every flow progressing
@@ -122,22 +121,13 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	if cfg.Scenarios == nil {
 		cfg.Scenarios = FaultScenarios()
 	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 60 * units.Millisecond
-	}
-	if cfg.HostsPerSwitch == 0 {
-		cfg.HostsPerSwitch = 1
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Refresh == 0 {
-		cfg.Refresh = 90 * units.Microsecond
 	}
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	topo := RingTopology(cfg.HostsPerSwitch)
+	topo := RingTopology(1)
 
 	// One compiled plan per scenario, shared read-only by that column's
 	// cells; nil for the clean column.
@@ -166,22 +156,19 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 		jobs[j] = func(ctx context.Context) (FaultCell, error) {
 			reg := metrics.New(metrics.Options{})
 			ring := RingConfig{
-				FC:             fc,
-				Duration:       cfg.Duration,
-				HostsPerSwitch: cfg.HostsPerSwitch,
-				Metrics:        reg,
-				Faults:         plan,
-				FaultSeed:      cfg.Seed,
+				FC:        fc,
+				Faults:    plan,
+				FaultSeed: cfg.Seed,
 				// Both detectors report in every cell; the global
 				// verdict is the row's, DCFIT's fills its own columns.
 				Detector: "both",
-				Ctx:      ctx,
-				Budget:   cfg.Budget,
 			}
 			if fc == GFCBuf && plan != nil {
-				ring.Refresh = cfg.Refresh
+				ring.Refresh = faultedRefresh
 			}
-			res, err := RunRing(ring)
+			res, err := RunRing(ring, RunOptions{
+				Ctx: ctx, Budget: cfg.Budget, Duration: cfg.Duration, Metrics: reg,
+			})
 			if err != nil {
 				return FaultCell{}, err
 			}

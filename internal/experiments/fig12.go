@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
@@ -11,162 +8,92 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// CaseStudyResult is the outcome of one Figure 12/13 run: per-flow
-// throughput series and the deadlock verdict.
+// CaseStudyResult is the outcome of one Figure 12/13 run: the deadlock
+// verdict and per-flow goodput over the final quarter of the run, the
+// measurement window.
 type CaseStudyResult struct {
-	FC         FC
-	Deadlocked bool
-	DeadlockAt units.Time
-	// FlowRates[i] is flow i+1's average goodput over the final
-	// measurement window.
+	*scenario.Result
+	// FlowRates lists each flow's average goodput over the window, in
+	// declaration order: F1..F4, then the cross flow when present. The
+	// victim is reported below instead.
 	FlowRates []units.Rate
 	// Throughput is the aggregate goodput, binned at 100 µs (§6.2.3).
 	Throughput *stats.BinCounter
-	Drops      int64
 
-	// Victim statistics (WithVictim only). VictimRate is the final
-	// window's goodput; VictimTotal the cumulative delivery;
-	// VictimProgressed whether any victim byte arrived during the final
-	// window — the deadlock-starvation discriminator (under a squeezed
-	// but alive GFC fabric the rate can quantise to zero packets per
-	// window while progress continues over longer spans).
+	// Victim statistics (WithVictim only). VictimRate is the window's
+	// goodput; VictimTotal the cumulative delivery; VictimProgressed
+	// whether any victim byte arrived during the window — the
+	// deadlock-starvation discriminator (under a squeezed but alive GFC
+	// fabric the rate can quantise to zero packets per window while
+	// progress continues over longer spans).
 	VictimRate       units.Rate
 	VictimTotal      units.Size
 	VictimProgressed bool
 }
 
-// CaseStudyConfig parameterises the Figures 12–14 runs.
+// CaseStudyConfig selects the Figures 12–14 variant (scenario.CaseStudy).
 type CaseStudyConfig struct {
-	FC         FC
-	Scheduling netsim.Scheduling
-	Duration   units.Time // default 100 ms
-	WithVictim bool       // add the Figure 14 victim flow
-	// Oversubscribed adds the sibling flows, doubling CBD load.
-	Oversubscribed bool
-	// WithCross adds the CrossFlow squeeze trigger; with it, the CBD
-	// fills and PFC/CBFC deadlock even under fair input-queued
-	// switching.
+	FC FC
+	// WithCross adds the cross-flow squeeze trigger; with it, the CBD
+	// fills and PFC/CBFC deadlock even under fair input-queued switching.
 	WithCross bool
-	// Metrics, when non-nil, is attached to the simulation (fresh,
-	// unbound) and collects per-channel counters and invariant verdicts
-	// alongside the case study's own traces.
-	Metrics *metrics.Registry
-}
-
-// caseStudySpec assembles the Figure 12–14 flow set (see
-// FatTreeDeadlockScenario for the path derivations) as a Spec literal.
-func caseStudySpec(cfg CaseStudyConfig) scenario.Spec {
-	flows := []scenario.FlowSpec{
-		{ID: 1, Path: []string{"H0", "E1", "A1", "C1", "A3", "C2", "A5", "E5", "H8"}},
-		{ID: 2, Path: []string{"H4", "E3", "A3", "C2", "A7", "E7", "H12"}},
-		{ID: 3, Path: []string{"H9", "E5", "A5", "C2", "A7", "C1", "A1", "E1", "H1"}},
-		{ID: 4, Path: []string{"H13", "E7", "A7", "C1", "A3", "E3", "H5"}},
-	}
-	if cfg.Oversubscribed {
-		flows = append(flows,
-			scenario.FlowSpec{ID: 5, Path: []string{"H1", "E1", "A1", "C1", "A3", "C2", "A5", "E5", "H9"}},
-			scenario.FlowSpec{ID: 6, Path: []string{"H5", "E3", "A3", "C2", "A7", "E7", "H13"}},
-			scenario.FlowSpec{ID: 7, Path: []string{"H8", "E5", "A5", "C2", "A7", "C1", "A1", "E1", "H0"}},
-			scenario.FlowSpec{ID: 8, Path: []string{"H12", "E7", "A7", "C1", "A3", "E3", "H4"}},
-		)
-	}
-	if cfg.WithCross {
-		flows = append(flows,
-			scenario.FlowSpec{ID: 50, Path: []string{"H6", "E4", "A3", "C2", "A7", "E8", "H14"}})
-	}
-	if cfg.WithVictim {
-		flows = append(flows,
-			scenario.FlowSpec{ID: 99, Path: []string{"H12", "E7", "A7", "C2", "A3", "E3", "H4"}})
-	}
-	return scenario.Spec{
-		Name: "fig12-casestudy",
-		Topology: scenario.TopologySpec{
-			Builder:   "fat-tree",
-			K:         4,
-			FailLinks: []string{"C1-A5", "A1-C2", "E1-A2", "E5-A6"},
-		},
-		Workload: scenario.WorkloadSpec{Flows: flows},
-		Scheme:   scenario.SchemeSpec{FC: cfg.FC, Preset: "sim"},
-		Sim:      scenario.SimSpec{Scheduling: cfg.Scheduling.String()},
-		Run: scenario.RunSpec{
-			DurationNs: cfg.Duration, DetectDeadlock: true, Analytic: true,
-		},
-	}
+	// WithVictim adds the Figure 14 victim flow.
+	WithVictim bool
 }
 
 // RunCaseStudy executes the fat-tree deadlock case study (Figures 12, 13
 // and, with WithVictim, 14) under one flow-control scheme.
-func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, units.Rate, error) {
-	if cfg.Duration == 0 {
-		cfg.Duration = 100 * units.Millisecond
-	}
-	tp := stats.NewBinCounter(100 * units.Microsecond)
-	sim, err := scenario.Build(caseStudySpec(cfg), &scenario.Overrides{
-		Metrics: cfg.Metrics,
+func RunCaseStudy(cfg CaseStudyConfig, o RunOptions) (*CaseStudyResult, error) {
+	res := &CaseStudyResult{Throughput: stats.NewBinCounter(100 * units.Microsecond)}
+	// opened is each flow's delivered bytes when the measurement window
+	// opened, taken at the first delivery past the opening instant (less that
+	// packet): a packet delivered at the instant itself is before the window,
+	// as it was when the run paused there. It stays nil when nothing is
+	// delivered inside the window.
+	var (
+		sim         *scenario.Sim
+		windowStart units.Time
+		opened      []units.Size
+	)
+	sim, err := o.build(scenario.CaseStudy(cfg.FC, cfg.WithCross, cfg.WithVictim), scenario.Overrides{
 		Trace: func(*topology.Topology) *netsim.Trace {
 			return &netsim.Trace{
-				OnDeliver: func(t units.Time, _ *netsim.Flow, pkt *netsim.Packet) {
-					tp.Add(t, pkt.Size)
+				OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
+					res.Throughput.Add(t, pkt.Size)
+					if opened != nil || t <= windowStart {
+						return
+					}
+					for _, fl := range sim.Flows {
+						opened = append(opened, fl.Delivered)
+						if fl == f {
+							opened[len(opened)-1] -= pkt.Size
+						}
+					}
 				},
 			}
 		},
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	net := sim.Net
-	flows := sim.Flows
-	var victim *netsim.Flow
-	if cfg.WithVictim {
-		victim = flows[len(flows)-1]
-		flows = flows[:len(flows)-1]
+	d := sim.Spec.Run.DurationNs
+	windowStart = d * 3 / 4
+	if res.Result, err = o.run(sim); err != nil {
+		return nil, err
 	}
-
-	// Run to the measurement window, snapshot, then finish. A heartbeat
-	// keeps the clock advancing through deadlocked (event-free) phases.
-	windowStart := cfg.Duration * 3 / 4
-	hb := windowStart / 2
-	for net.Now() < windowStart {
-		at := net.Now() + hb
-		if at > windowStart {
-			at = windowStart
+	for i, f := range sim.Flows {
+		inWindow := units.Size(0)
+		if opened != nil {
+			inWindow = f.Delivered - opened[i]
 		}
-		net.Engine().Schedule(at, func() {})
-		net.Run(at)
+		rate := units.RateOf(inWindow, d-windowStart)
+		if cfg.WithVictim && i == len(sim.Flows)-1 { // scenario.CaseStudy declares it last
+			res.VictimRate = rate
+			res.VictimTotal = f.Delivered
+			res.VictimProgressed = inWindow > 0
+			break
+		}
+		res.FlowRates = append(res.FlowRates, rate)
 	}
-	base := make([]units.Size, len(flows))
-	for i, f := range flows {
-		base[i] = f.Delivered
-	}
-	var victimBase units.Size
-	if victim != nil {
-		victimBase = victim.Delivered
-	}
-	net.Engine().Schedule(cfg.Duration, func() {})
-	net.Run(cfg.Duration)
-	window := cfg.Duration - windowStart
-
-	res := &CaseStudyResult{
-		FC:         cfg.FC,
-		Throughput: tp,
-		Drops:      net.Drops(),
-	}
-	if rep := sim.Detector.Deadlocked(); rep != nil {
-		res.Deadlocked = true
-		res.DeadlockAt = rep.At
-	}
-	for i, f := range flows {
-		res.FlowRates = append(res.FlowRates, units.RateOf(f.Delivered-base[i], window))
-	}
-	var victimRate units.Rate
-	if victim != nil {
-		victimRate = units.RateOf(victim.Delivered-victimBase, window)
-		res.VictimRate = victimRate
-		res.VictimTotal = victim.Delivered
-		res.VictimProgressed = victim.Delivered > victimBase
-	}
-	if err := sim.CheckAnalytic(); err != nil {
-		return res, victimRate, fmt.Errorf("fig12 %v: %w", cfg.FC, err)
-	}
-	return res, victimRate, nil
+	return res, nil
 }

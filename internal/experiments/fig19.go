@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
-	"github.com/gfcsim/gfc/internal/metrics"
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
+	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -14,87 +13,76 @@ import (
 // as a fraction of link capacity. The paper reports mean 0.21%, p99 < 0.4%,
 // max 0.49%.
 type OverheadResult struct {
+	*scenario.Result
 	// CDF holds one sample per (port, bin): feedback bandwidth fraction.
 	CDF *stats.CDF
 	// Mean, P99 and Max are fractions of link capacity.
 	Mean, P99, Max float64
-	Drops          int64
 }
 
-// OverheadConfig parameterises RunOverhead.
+// OverheadConfig parameterises RunOverhead (scenario.Overhead).
 type OverheadConfig struct {
-	K        int // fat-tree arity (paper: 16; default 8 for CI budgets)
-	Seed     int64
-	Duration units.Time
-	FC       FC // default GFCBuf (the paper's subject); CBFC for contrast
+	K    int // fat-tree arity (paper: 16; default 8 for CI budgets)
+	Seed int64
+	FC   FC // default GFCBuf (the paper's subject); CBFC for contrast
 }
 
 // RunOverhead measures feedback bandwidth on a healthy fat-tree under the
 // random enterprise workload.
-func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
+func RunOverhead(cfg OverheadConfig, o RunOptions) (*OverheadResult, error) {
 	if cfg.K == 0 {
 		cfg.K = 8
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = 10 * units.Millisecond
 	}
 	if cfg.FC == "" {
 		cfg.FC = GFCBuf
 	}
-	spec := scenario.Spec{
-		Name:     "fig19-overhead",
-		Topology: scenario.TopologySpec{Builder: "fat-tree", K: cfg.K},
-		Routing:  scenario.RoutingSpec{Policy: "spf"},
-		Workload: scenario.WorkloadSpec{Generator: &scenario.GeneratorSpec{Dist: "enterprise", Seed: cfg.Seed}},
-		Scheme:   scenario.SchemeSpec{FC: cfg.FC, Preset: "sim"},
-		Run:      scenario.RunSpec{DurationNs: cfg.Duration, Analytic: true},
-	}
-	// Per-channel feedback wire bytes come straight off the metrics
-	// registry: the run is stepped one bin at a time and each channel's
-	// cumulative FeedbackWire counter is differenced per step.
+	// Feedback wire bytes per channel in 500 µs bins, keyed by the channel's
+	// (receiver, sender) node pair and kept in (node, port) order — the order
+	// the samples enter the CDF in. A message emitted at a bin's closing
+	// instant counts in that bin, hence t-1.
 	const bin = 500 * units.Microsecond
-	reg := metrics.New(metrics.Options{})
-	sim, err := scenario.Build(spec, &scenario.Overrides{Metrics: reg})
+	var wire []*stats.BinCounter
+	channel := map[[2]topology.NodeID]int{}
+	sim, err := o.build(scenario.Overhead(cfg.FC, cfg.K, cfg.Seed), scenario.Overrides{
+		Trace: func(topo *topology.Topology) *netsim.Trace {
+			for n := 0; n < topo.NumNodes(); n++ {
+				for _, at := range topo.Ports(topology.NodeID(n)) {
+					channel[[2]topology.NodeID{topology.NodeID(n), at.Peer}] = len(wire)
+					wire = append(wire, stats.NewBinCounter(bin))
+				}
+			}
+			return &netsim.Trace{
+				OnFeedback: func(t units.Time, from, to topology.NodeID, _ int, w units.Size) {
+					wire[channel[[2]topology.NodeID{from, to}]].Add(t-1, w)
+				},
+			}
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
-	nBins := int(cfg.Duration / bin)
-	nc := reg.NumChannels()
-	prev := make([]units.Size, nc)
-	binWire := make([][]units.Size, nc)
-	for c := range binWire {
-		binWire[c] = make([]units.Size, nBins)
+	res := &OverheadResult{CDF: &stats.CDF{}}
+	if res.Result, err = o.run(sim); err != nil {
+		return nil, err
 	}
-	for b := 0; b < nBins; b++ {
-		net.Run(bin * units.Time(b+1))
-		for c := 0; c < nc; c++ {
-			w := reg.Counter(c).FeedbackWire
-			binWire[c][b] = w - prev[c]
-			prev[c] = w
-		}
-	}
-	net.Run(cfg.Duration) // tail when Duration is not a whole bin count
-
-	res := &OverheadResult{CDF: &stats.CDF{}, Drops: net.Drops()}
+	// Only the whole bins of the horizon are sampled and, as in the paper's
+	// measurement, only channels that carried any feedback in them (idle
+	// ports would swamp the CDF with zeros).
+	nBins := int(sim.Spec.Run.DurationNs / bin)
 	cap10G := float64(10 * units.Gbps)
-	for c := 0; c < nc; c++ {
-		// As in the paper's measurement, only channels that carried any
-		// feedback contribute samples (idle ports would swamp the CDF
-		// with zeros).
-		if prev[c] == 0 {
-			continue
+	for _, w := range wire {
+		var total units.Size
+		for b, bytes := range w.Bins() {
+			if b < nBins {
+				total += bytes
+			}
 		}
-		for _, w := range binWire[c] {
-			rate := units.RateOf(w, bin)
-			res.CDF.Add(float64(rate) / cap10G)
+		for b := 0; b < nBins && total > 0; b++ {
+			res.CDF.Add(float64(w.Rate(b)) / cap10G)
 		}
 	}
 	res.Mean = res.CDF.Mean()
 	res.P99 = res.CDF.Quantile(0.99)
 	res.Max = res.CDF.Max()
-	if err := sim.CheckAnalytic(); err != nil {
-		return res, fmt.Errorf("fig19 %v: %w", cfg.FC, err)
-	}
 	return res, nil
 }

@@ -90,7 +90,7 @@ func (g *hasher) cell(c FaultCell) {
 // the exact event sequence.
 var goldenRuns = map[string]func(t *testing.T) uint64{
 	"fig9-ring-gfcbuf": func(t *testing.T) uint64 {
-		res, err := RunRing(RingConfig{FC: GFCBuf, Duration: 30 * units.Millisecond})
+		res, err := RunRing(RingConfig{FC: GFCBuf}, RunOptions{Duration: 30 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,14 +111,11 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		}
 		g := newHasher()
 		for _, fc := range []FC{PFC, GFCBuf} {
-			cfg := RingConfig{
-				FC: fc, Duration: 30 * units.Millisecond,
-				Faults: plan, FaultSeed: 1,
-			}
+			cfg := RingConfig{FC: fc, Faults: plan, FaultSeed: 1}
 			if fc == GFCBuf {
 				cfg.Refresh = 90 * units.Microsecond
 			}
-			res, err := RunRing(cfg)
+			res, err := RunRing(cfg, RunOptions{Duration: 30 * units.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,9 +124,8 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		return g.sum()
 	},
 	"fig12-casestudy-pfc": func(t *testing.T) uint64 {
-		res, _, err := RunCaseStudy(CaseStudyConfig{
-			FC: PFC, Duration: 30 * units.Millisecond, WithCross: true,
-		})
+		res, err := RunCaseStudy(CaseStudyConfig{FC: PFC, WithCross: true},
+			RunOptions{Duration: 30 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,9 +143,7 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		return g.sum()
 	},
 	"fig19-overhead": func(t *testing.T) uint64 {
-		res, err := RunOverhead(OverheadConfig{
-			K: 4, Seed: 1, Duration: 5 * units.Millisecond,
-		})
+		res, err := RunOverhead(OverheadConfig{K: 4, Seed: 1}, RunOptions{Duration: 5 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

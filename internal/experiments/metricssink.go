@@ -1,4 +1,4 @@
-package main
+package experiments
 
 import (
 	"encoding/json"
@@ -10,11 +10,11 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// metricsSink collects one metrics registry per sub-run of an experiment and
+// MetricsSink collects one metrics registry per sub-run of an experiment and
 // writes them all to -metrics-out at exit. A nil sink (flag unset) is fully
-// inert: registry() hands experiments a nil *metrics.Registry, which keeps
-// the simulator's observability hooks disabled.
-type metricsSink struct {
+// inert: Registry hands drivers a nil *metrics.Registry, which keeps the
+// simulator's observability hooks disabled.
+type MetricsSink struct {
 	path string
 	csv  bool
 	runs []metricsRun
@@ -26,35 +26,37 @@ type metricsRun struct {
 	err  error
 }
 
-func newMetricsSink(path string) *metricsSink {
+// NewMetricsSink returns the sink writing to path (JSON, or CSV when the path
+// ends in .csv); nil for an empty path.
+func NewMetricsSink(path string) *MetricsSink {
 	if path == "" {
 		return nil
 	}
-	return &metricsSink{path: path, csv: strings.HasSuffix(path, ".csv")}
+	return &MetricsSink{path: path, csv: strings.HasSuffix(path, ".csv")}
 }
 
-// registry returns a fresh registry for one simulation run, or nil when the
+// Registry returns a fresh registry for one simulation run, or nil when the
 // sink is disabled. Each run gets its own instance — a registry binds to
 // exactly one network.
-func (s *metricsSink) registry() *metrics.Registry {
+func (s *MetricsSink) Registry() *metrics.Registry {
 	if s == nil {
 		return nil
 	}
 	return metrics.New(metrics.Options{SeriesCap: 2048})
 }
 
-// record snapshots reg after the named run finished at simulated time at.
-func (s *metricsSink) record(name string, reg *metrics.Registry, at units.Time) {
+// Record snapshots reg after the named run finished at simulated time at.
+func (s *MetricsSink) Record(name string, reg *metrics.Registry, at units.Time) {
 	if s == nil || reg == nil {
 		return
 	}
 	s.runs = append(s.runs, metricsRun{name: name, rep: reg.Report(at), err: reg.Err()})
 }
 
-// flush writes the collected reports and then returns the first invariant
+// Flush writes the collected reports and then returns the first invariant
 // violation (the report is written first so a failing run still leaves its
 // evidence on disk).
-func (s *metricsSink) flush() error {
+func (s *MetricsSink) Flush() error {
 	if s == nil || len(s.runs) == 0 {
 		return nil
 	}
@@ -80,7 +82,7 @@ func (s *metricsSink) flush() error {
 	return nil
 }
 
-func (s *metricsSink) writeJSON(f *os.File) error {
+func (s *MetricsSink) writeJSON(f *os.File) error {
 	type namedReport struct {
 		Run    string          `json:"run"`
 		Report *metrics.Report `json:"report"`
@@ -94,7 +96,7 @@ func (s *metricsSink) writeJSON(f *os.File) error {
 	return enc.Encode(out)
 }
 
-func (s *metricsSink) writeCSV(f *os.File) error {
+func (s *MetricsSink) writeCSV(f *os.File) error {
 	row := func(cells []string) error {
 		_, err := fmt.Fprintln(f, strings.Join(cells, ","))
 		return err

@@ -5,22 +5,19 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+
+	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
-	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/scenario"
-	"github.com/gfcsim/gfc/internal/topology"
+	"github.com/gfcsim/gfc/internal/units"
 )
 
-// FC, FCParams and the paper's parameter presets live in internal/scenario
-// (the declarative layer every driver compiles through); the aliases below
-// keep this package's historical API intact.
-type (
-	// FC names a flow-control scheme under evaluation.
-	FC = scenario.FC
-	// FCParams carries the per-scheme parameters of one experimental
-	// setup.
-	FCParams = scenario.FCParams
-)
+// FC names a flow-control scheme under evaluation; schemes and the paper's
+// parameter presets live in internal/scenario, the declarative layer every
+// driver compiles through.
+type FC = scenario.FC
 
 // The four schemes of the paper's comparison, plus the conceptual design of
 // §4.1 (continuous feedback; used by the Figure 5 illustration only) and BFC
@@ -37,117 +34,53 @@ const (
 // AllFCs lists the four schemes in the paper's presentation order.
 var AllFCs = scenario.AllFCs
 
-// TestbedParams are the §6.1 software-testbed settings: 1 MB buffers,
-// τ = 90 µs, XOFF/XON = 800/797 KB, B1 = 750 KB, T = 52.4 µs, B0 = 492 KB.
-func TestbedParams() (netsim.Config, FCParams) { return scenario.TestbedParams() }
-
-// SimParams are the §6.2.2 packet-level simulation settings: 300 KB buffers,
-// 10 Gb/s, 1 µs propagation, XOFF/XON = 280/277 KB (see
-// scenario.SimParams for the B_m headroom rationale).
-func SimParams() (netsim.Config, FCParams) { return scenario.SimParams() }
-
-// FatTreeDeadlockScenario is the Figure 11/12 case study: a k=4 fat-tree
-// with link failures that force shortest paths into a 4-channel cyclic
-// buffer dependency C1→A3→C2→A7→C1, exercised by the paper's four flows
-// F1: H0→H8, F2: H4→H12, F3: H9→H1, F4: H13→H5.
-//
-// The paper marks three failed links in its Figure 11; the exact count
-// needed depends on the (unpublished) wiring of their drawing. On the
-// canonical fat-tree wiring used here, four failures produce the identical
-// CBD: C1–A5 and E5–A6 force F3's up-down-up detour, A1–C2 and E1–A2 force
-// F1's.
-type FatTreeDeadlockScenario struct {
-	Topo  *topology.Topology
-	Paths [][]routing.Hop // F1..F4 in order
-	// CBD lists the four cyclic channels for verification.
-	CBD [][2]string
+// RunOptions is what the caller of any single-run driver decides about the
+// run itself, as opposed to what the figure declares: every driver overlays
+// it on its scenario and ends in Sim.RunBounded, so budgets, cancellation and
+// -metrics-out reach every figure the same way.
+type RunOptions struct {
+	// Ctx is polled and Budget enforced by the run governor; a trip
+	// surfaces as a *netsim.RunError. A nil Ctx means context.Background(),
+	// the zero Budget imposes no bounds.
+	Ctx    context.Context
+	Budget netsim.Budget
+	// Duration overrides the figure's own horizon when positive.
+	Duration units.Time
+	// Metrics, when non-nil, is attached to the simulation (fresh, unbound)
+	// and collects per-channel counters, occupancy series and invariant
+	// verdicts alongside the figure's own traces.
+	Metrics *metrics.Registry
 }
 
-// NewFatTreeDeadlock builds the scenario.
-func NewFatTreeDeadlock() *FatTreeDeadlockScenario {
-	topo := topology.FatTree(4, topology.DefaultLinkParams())
-	for _, pair := range [][2]string{
-		{"C1", "A5"}, {"A1", "C2"}, {"E1", "A2"}, {"E5", "A6"},
-	} {
-		topo.FailLinkBetween(pair[0], pair[1])
+func (o RunOptions) ctx() context.Context {
+	if o.Ctx == nil {
+		return context.Background()
 	}
-	s := &FatTreeDeadlockScenario{Topo: topo}
-	s.Paths = [][]routing.Hop{
-		routing.MustExplicitPath(topo, "H0", "E1", "A1", "C1", "A3", "C2", "A5", "E5", "H8"),
-		routing.MustExplicitPath(topo, "H4", "E3", "A3", "C2", "A7", "E7", "H12"),
-		routing.MustExplicitPath(topo, "H9", "E5", "A5", "C2", "A7", "C1", "A1", "E1", "H1"),
-		routing.MustExplicitPath(topo, "H13", "E7", "A7", "C1", "A3", "E3", "H5"),
-	}
-	s.CBD = [][2]string{{"C1", "A3"}, {"A3", "C2"}, {"C2", "A7"}, {"A7", "C1"}}
-	return s
+	return o.Ctx
 }
 
-// Flows instantiates the four unbounded flows of the case study.
-func (s *FatTreeDeadlockScenario) Flows() []*netsim.Flow {
-	out := make([]*netsim.Flow, len(s.Paths))
-	for i, p := range s.Paths {
-		out[i] = &netsim.Flow{
-			ID:   i + 1,
-			Src:  p[0].Node,
-			Dst:  p[len(p)-1].Link.Other(p[len(p)-1].Node),
-			Path: p,
-		}
+// build overlays o on the figure's declaration — the horizon override and
+// the analytic self-check every driver runs under — and builds it with the
+// driver's hooks.
+func (o RunOptions) build(spec scenario.Spec, ov scenario.Overrides) (*scenario.Sim, error) {
+	if o.Duration > 0 {
+		spec.Run.DurationNs = o.Duration
 	}
-	return out
+	spec.Run.Analytic = true
+	ov.Metrics = o.Metrics
+	return scenario.Build(spec, &ov)
 }
 
-// SiblingFlows returns four additional flows from the sibling host under
-// each source edge switch, following the same fabric paths as F1..F4. Adding
-// them doubles the offered load on every CBD channel (2:1 persistent
-// oversubscription), which makes the cyclic buffers fill deterministically
-// under any switching discipline — the regime in which PFC/CBFC deadlock
-// while GFC keeps trickling.
-func (s *FatTreeDeadlockScenario) SiblingFlows() []*netsim.Flow {
-	specs := [][]string{
-		{"H1", "E1", "A1", "C1", "A3", "C2", "A5", "E5", "H9"},
-		{"H5", "E3", "A3", "C2", "A7", "E7", "H13"},
-		{"H8", "E5", "A5", "C2", "A7", "C1", "A1", "E1", "H0"},
-		{"H12", "E7", "A7", "C1", "A3", "E3", "H4"},
+// run executes a built figure under the governor. A tripped governor surfaces
+// as the *netsim.RunError, a violated network-wide analytic bound as the
+// *metrics.InvariantError, each in place of the result.
+func (o RunOptions) run(sim *scenario.Sim) (*scenario.Result, error) {
+	res, err := sim.RunBounded(o.ctx(), o.Budget)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]*netsim.Flow, len(specs))
-	for i, names := range specs {
-		p := routing.MustExplicitPath(s.Topo, names...)
-		out[i] = &netsim.Flow{
-			ID:   i + 5,
-			Src:  p[0].Node,
-			Dst:  p[len(p)-1].Link.Other(p[len(p)-1].Node),
-			Path: p,
-		}
+	if err := res.Analytic.Err; err != nil {
+		return nil, fmt.Errorf("%s: %w", res.Name, err)
 	}
-	return out
-}
-
-// CrossFlow returns the deadlock trigger: a fifth flow entering the CBD
-// switch A3 from the pod's other edge (E4) and sharing the cyclic channel
-// A3→C2. It gives the A3→C2 egress a third ingress claimant, squeezing
-// F1's transit service below its arrival rate; the ingress A3←C1 then fills,
-// pauses C1→A3, and the pause cascades around the cycle — the paper's
-// deadlock-formation mechanism ("deadlock pressures congestion back", §6.2).
-func (s *FatTreeDeadlockScenario) CrossFlow() *netsim.Flow {
-	p := routing.MustExplicitPath(s.Topo, "H6", "E4", "A3", "C2", "A7", "E8", "H14")
-	return &netsim.Flow{
-		ID:   50,
-		Src:  p[0].Node,
-		Dst:  p[len(p)-1].Link.Other(p[len(p)-1].Node),
-		Path: p,
-	}
-}
-
-// VictimFlow returns the Figure 14 victim: a flow that shares links with the
-// CBD flows' paths but never traverses a CBD channel. H12→H4 retraces F2's
-// path in reverse (E7→A7 up, C2 down to A3, E3), using only the reverse
-// directions of the cyclic channels.
-func (s *FatTreeDeadlockScenario) VictimFlow() *netsim.Flow {
-	p := routing.MustExplicitPath(s.Topo, "H12", "E7", "A7", "C2", "A3", "E3", "H4")
-	return &netsim.Flow{
-		ID:   99,
-		Src:  p[0].Node,
-		Dst:  p[len(p)-1].Link.Other(p[len(p)-1].Node),
-		Path: p,
-	}
+	return res, nil
 }

@@ -270,23 +270,17 @@ func GenerateScenario(k int, p float64, seed int64) (*topology.Topology, *routin
 	return topo, tab, g.HasCycle()
 }
 
-// sweepSpec is the per-repeat Spec both backends compile: the enterprise
-// generator workload at the sweep's intensity, seeded by the repeat.
+// sweepSpec is the per-repeat Spec both backends compile: the registered
+// sweep cell (scenario.SweepCell) at the sweep's scale, intensity and horizon,
+// seeded by the repeat.
 func sweepSpec(fc FC, cfg SweepConfig, repeatSeed int64) scenario.Spec {
-	return scenario.Spec{
-		Name:     "table1-repeat",
-		Topology: scenario.TopologySpec{Builder: "fat-tree", K: cfg.K},
-		Routing:  scenario.RoutingSpec{Policy: "spf"},
-		Workload: scenario.WorkloadSpec{Generator: &scenario.GeneratorSpec{
-			Dist: "enterprise", FlowsPerHost: cfg.FlowsPerHost, Seed: repeatSeed,
-		}},
-		Scheme: scenario.SchemeSpec{FC: fc, Preset: "sim"},
-		Sim:    scenario.SimSpec{Scheduling: cfg.Scheduling.String()},
-		Run: scenario.RunSpec{
-			DurationNs: cfg.Duration, DetectDeadlock: true,
-			Analytic: cfg.Analytic,
-		},
+	spec := scenario.SweepCell(fc, cfg.K, cfg.FlowsPerHost, repeatSeed)
+	if cfg.Scheduling != netsim.SchedInputQueued {
+		spec.Sim.Scheduling = cfg.Scheduling.String()
 	}
+	spec.Run.DurationNs = cfg.Duration
+	spec.Run.Analytic = cfg.Analytic
+	return spec
 }
 
 // repeatOverrides are the runtime hooks every sweep repeat builds with: the

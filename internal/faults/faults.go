@@ -391,15 +391,6 @@ func (s *Spec) Compile(topo *topology.Topology) (*Plan, error) {
 	return p, nil
 }
 
-// MustCompile is Compile panicking on error (static experiment setup).
-func (s *Spec) MustCompile(topo *topology.Topology) *Plan {
-	p, err := s.Compile(topo)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // resolveLinks expands a link pattern. "*" matches live switch-to-switch
 // links; "A-*" (or "*-A") every live link at A; "A-B" the live link between
 // A and B.
@@ -475,6 +466,3 @@ func resolveHosts(topo *topology.Topology, pattern string) ([]topology.NodeID, e
 
 // Events returns the compiled timeline (sorted by time).
 func (p *Plan) Events() []Event { return p.events }
-
-// HasFeedbackFaults reports whether any link carries feedback perturbation.
-func (p *Plan) HasFeedbackFaults() bool { return len(p.feedback) > 0 }

@@ -130,13 +130,23 @@ func TestCompileRejectsUnmatched(t *testing.T) {
 	}
 }
 
+// mustCompile compiles a spec the test wrote itself.
+func mustCompile(t *testing.T, s *Spec, topo *topology.Topology) *Plan {
+	t.Helper()
+	p, err := s.Compile(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestInjectorDeterminism(t *testing.T) {
 	topo := ringTopo(t)
 	spec, err := Preset("feedback-loss")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := spec.MustCompile(topo)
+	plan := mustCompile(t, spec, topo)
 	link := topo.LinkBetween(topo.MustLookup("S1"), topo.MustLookup("S2"))
 
 	type verdict struct {
@@ -174,10 +184,10 @@ func TestInjectorDeterminism(t *testing.T) {
 
 func TestFeedbackVerdictMaxBurst(t *testing.T) {
 	topo := ringTopo(t)
-	plan := (&Spec{Links: []LinkFault{{
+	plan := mustCompile(t, &Spec{Links: []LinkFault{{
 		Link:     "S1-S2",
 		Feedback: []FeedbackFault{{DropProb: 1.0, MaxBurst: 3}},
-	}}}).MustCompile(topo)
+	}}}, topo)
 	inj := plan.NewInjector(1)
 	link := topo.LinkBetween(topo.MustLookup("S1"), topo.MustLookup("S2"))
 
@@ -207,7 +217,7 @@ func TestFeedbackVerdictKindFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := spec.MustCompile(topo)
+	plan := mustCompile(t, spec, topo)
 	inj := plan.NewInjector(7)
 	link := topo.LinkBetween(topo.MustLookup("S1"), topo.MustLookup("S2"))
 
@@ -235,14 +245,14 @@ func TestFeedbackVerdictKindFilter(t *testing.T) {
 
 func TestFeedbackVerdictWindowAndDelay(t *testing.T) {
 	topo := ringTopo(t)
-	plan := (&Spec{Links: []LinkFault{{
+	plan := mustCompile(t, &Spec{Links: []LinkFault{{
 		Link: "S1-S2",
 		Feedback: []FeedbackFault{{
 			Delay: 5 * units.Microsecond,
 			From:  10 * units.Microsecond,
 			Until: 20 * units.Microsecond,
 		}},
-	}}}).MustCompile(topo)
+	}}}, topo)
 	inj := plan.NewInjector(1)
 	link := topo.LinkBetween(topo.MustLookup("S1"), topo.MustLookup("S2"))
 
@@ -264,10 +274,10 @@ func TestFeedbackVerdictWindowAndDelay(t *testing.T) {
 
 func TestFlowOnset(t *testing.T) {
 	topo := ringTopo(t)
-	plan := (&Spec{Hosts: []HostFault{{
+	plan := mustCompile(t, &Spec{Hosts: []HostFault{{
 		Host:   "H1",
 		Onsets: []Onset{{Flow: 5, At: 100}},
-	}}}).MustCompile(topo)
+	}}}, topo)
 	inj := plan.NewInjector(1)
 	if got := inj.FlowOnset(5, 10); got != 100 {
 		t.Errorf("FlowOnset(5, 10) = %v, want 100 (delayed)", got)
@@ -282,9 +292,9 @@ func TestFlowOnset(t *testing.T) {
 
 func TestBindOnce(t *testing.T) {
 	topo := ringTopo(t)
-	plan := (&Spec{Links: []LinkFault{{
+	plan := mustCompile(t, &Spec{Links: []LinkFault{{
 		Link: "S1-S2", Flaps: []Flap{{DownAt: 1}},
-	}}}).MustCompile(topo)
+	}}}, topo)
 	inj := plan.NewInjector(1)
 	inj.Bind()
 	defer func() {

@@ -101,10 +101,6 @@ func NewBFCQueues(queues int) Factory {
 	}
 }
 
-// NewBFCDefault returns a BFC Factory with RecommendedBFC thresholds and
-// DefaultBFCQueues queues.
-func NewBFCDefault() Factory { return NewBFCQueues(DefaultBFCQueues) }
-
 // bfcSender gates transmission per downstream queue: a queue is blocked
 // while a QPAUSE for it is outstanding, everything else moves at line rate.
 type bfcSender struct {
@@ -162,9 +158,6 @@ func (s *bfcSender) Rate() units.Rate {
 	}
 	return s.p.Capacity
 }
-
-// PausedQueues reports how many queues are currently paused (diagnostic).
-func (s *bfcSender) PausedQueues() int { return s.npaused }
 
 // bfcReceiver tracks per-queue ingress occupancy and emits QPAUSE/QRESUME
 // around the per-queue thresholds, mirroring pfcReceiver's believed-state

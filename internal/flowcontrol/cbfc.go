@@ -117,9 +117,6 @@ func (s *cbfcSender) Rate() units.Rate {
 	return 0
 }
 
-// Credits reports the available credit in blocks (diagnostic).
-func (s *cbfcSender) Credits() int64 { return s.fccl - s.fctbs }
-
 type cbfcReceiver struct {
 	p   Params
 	cfg CBFCConfig

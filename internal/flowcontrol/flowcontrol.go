@@ -207,15 +207,3 @@ type Controller struct {
 // Factory builds a Controller for a channel with the given parameters. The
 // env's Emit must deliver messages to the returned Sender.
 type Factory func(p Params, env Env) (Controller, error)
-
-// MustFactory wraps a Factory into one that panics on error; convenient in
-// experiment setup code where parameters are static.
-func MustFactory(f Factory) func(p Params, env Env) Controller {
-	return func(p Params, env Env) Controller {
-		c, err := f(p, env)
-		if err != nil {
-			panic(err)
-		}
-		return c
-	}
-}

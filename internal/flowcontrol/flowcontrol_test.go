@@ -784,15 +784,6 @@ func TestBFCRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestMustFactoryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustFactory did not panic on error")
-		}
-	}()
-	MustFactory(NewCBFC(CBFCConfig{}))(testParams(), newFakeEnv())
-}
-
 // Property: for any queue trajectory, buffer-based GFC's receiver emits a
 // message exactly when the stage changes, and the sender's rate equals the
 // stage rate of the last reported queue length.

@@ -49,17 +49,6 @@ func ConstantDrain(r units.Rate) Drain {
 	return func(units.Time) units.Rate { return r }
 }
 
-// StepDrain drains at `before` until t, then at `after` — the "downstream
-// stalls" scenarios of the proofs.
-func StepDrain(before, after units.Rate, at units.Time) Drain {
-	return func(t units.Time) units.Rate {
-		if t < at {
-			return before
-		}
-		return after
-	}
-}
-
 // Config parameterises one fluid run.
 type Config struct {
 	Mapping Mapping
@@ -166,41 +155,4 @@ func Run(cfg Config) (*Result, error) {
 	res.QMax = units.Size(qmax)
 	res.Steady = units.Size(res.Queue.MeanAfter(cfg.Horizon * 3 / 4))
 	return res, nil
-}
-
-// RequiredBuffer searches for the smallest mapping ceiling B_m that keeps
-// the conceptual queue below it for a stalled drain, given τ — the design
-// question behind Theorem 4.1. It returns the theorem's closed-form answer
-// alongside the empirical one from bisection on the fluid model, so the two
-// can be compared.
-func RequiredBuffer(c units.Rate, tau units.Time) (theorem, empirical units.Size) {
-	theorem = 4 * units.BytesIn(c, tau) // B_m − B_0 ≥ 4Cτ
-
-	ok := func(headroom units.Size) bool {
-		bm := 10 * headroom // generous ceiling; B0 = bm − headroom
-		m := core.ContinuousMapping{C: c, B0: bm - headroom, Bm: bm}
-		res, err := Run(Config{
-			Mapping: Continuous{m},
-			Drain:   ConstantDrain(0),
-			Tau:     tau,
-			Horizon: 100 * tau,
-		})
-		if err != nil {
-			return false
-		}
-		// At the theorem's exact bound the trajectory asymptotes to
-		// B_m (l = 4 is the tight root), so integration error needs a
-		// small allowance.
-		return res.QMax <= bm+units.KB
-	}
-	lo, hi := units.Size(1), 8*theorem
-	for hi-lo > theorem/128+1 {
-		mid := (lo + hi) / 2
-		if ok(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return theorem, hi
 }

@@ -150,8 +150,17 @@ type NetResult struct {
 	HighWater  units.Size
 	Deadlocked bool
 	DeadlockAt units.Time
-	Steps      int
+	// Steps is the number of steps actually integrated. It falls short of
+	// End/Step when the quasi-steady fast-forward extrapolated the rest of
+	// the horizon (End carries the horizon either way), or when the stall
+	// watch or the context ended the run early.
+	Steps int
 }
+
+// extrapolate is the quasi-steady fast-forward's switch. It is on; the
+// package's tests turn it off to integrate the same network in full and
+// bound what the extrapolation costs.
+var extrapolate = true
 
 // chanState is the per-channel integration state (struct-of-arrays would
 // buy little here: the step loop is dominated by the per-flow inner loop).
@@ -566,7 +575,7 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 			} else {
 				stableWins = 0
 			}
-			if stableWins >= 2 && rem > 0 {
+			if extrapolate && stableWins >= 2 && rem > 0 {
 				linear := true
 				for fi := range flows {
 					fs := &flows[fi]
@@ -615,7 +624,6 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 						delivered += add
 					}
 					res.End = units.Time(steps) * cfg.Step
-					res.Steps = steps
 					break
 				}
 			}

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 
 	"github.com/gfcsim/gfc/internal/units"
@@ -26,26 +24,6 @@ type Summary struct {
 	QueueMsgs      int64      `json:"queue_msgs"`
 	Violations     int64      `json:"violations"`
 	FaultsInjected int64      `json:"faults_injected,omitempty"`
-}
-
-// Merge folds o into s (channel counts add; occupancy takes the max).
-func (s *Summary) Merge(o Summary) {
-	s.Channels += o.Channels
-	s.BytesIn += o.BytesIn
-	s.BytesOut += o.BytesOut
-	s.Drops += o.Drops
-	if o.MaxOccupancy > s.MaxOccupancy {
-		s.MaxOccupancy = o.MaxOccupancy
-	}
-	s.FeedbackMsgs += o.FeedbackMsgs
-	s.FeedbackWire += o.FeedbackWire
-	s.PauseMsgs += o.PauseMsgs
-	s.ResumeMsgs += o.ResumeMsgs
-	s.StageMsgs += o.StageMsgs
-	s.CreditMsgs += o.CreditMsgs
-	s.QueueMsgs += o.QueueMsgs
-	s.Violations += o.Violations
-	s.FaultsInjected += o.FaultsInjected
 }
 
 // Summary rolls up the registry's counters.
@@ -200,13 +178,6 @@ func (r *Registry) Report(at units.Time) *Report {
 	return rep
 }
 
-// WriteJSON writes the report as indented JSON.
-func (rep *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // CSVHeader returns the column names of CSVRecords.
 func CSVHeader() []string {
 	return []string{
@@ -247,33 +218,6 @@ func (rep *Report) CSVRecords() [][]string {
 		})
 	}
 	return out
-}
-
-// WriteCSV writes a header plus the per-channel rows.
-func (rep *Report) WriteCSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeRow(CSVHeader()); err != nil {
-		return err
-	}
-	for _, rec := range rep.CSVRecords() {
-		if err := writeRow(rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // String summarises the report in one line (diagnostics).

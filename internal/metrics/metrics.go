@@ -211,9 +211,6 @@ func (r *Registry) ChannelIndex(node topology.NodeID, port, prio int) int {
 // NumChannels reports the number of bound channels.
 func (r *Registry) NumChannels() int { return len(r.chans) }
 
-// ChannelAt returns the static identity of channel idx.
-func (r *Registry) ChannelAt(idx int) Channel { return r.chans[idx] }
-
 // Counter returns a copy of the counter block of channel idx.
 func (r *Registry) Counter(idx int) Counters { return r.counters[idx] }
 

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -44,12 +43,12 @@ func TestBindIndexing(t *testing.T) {
 			t.Fatalf("ChannelIndex(%d,%d,%d) = %d (dup or out of range)", tc.node, tc.port, tc.prio, idx)
 		}
 		seen[idx] = true
-		ch := r.ChannelAt(idx)
+		ch := r.chans[idx]
 		if int(ch.Node) != tc.node || ch.Port != tc.port || ch.Prio != tc.prio {
-			t.Fatalf("ChannelAt(%d) = %+v, want node %d port %d prio %d", idx, ch, tc.node, tc.port, tc.prio)
+			t.Fatalf("channel %d = %+v, want node %d port %d prio %d", idx, ch, tc.node, tc.port, tc.prio)
 		}
 	}
-	if ch := r.ChannelAt(r.ChannelIndex(1, 1, 0)); ch.FromName != "h0" || ch.NodeName != "s1" || ch.Host {
+	if ch := r.chans[r.ChannelIndex(1, 1, 0)]; ch.FromName != "h0" || ch.NodeName != "s1" || ch.Host {
 		t.Errorf("channel identity = %+v", ch)
 	}
 	if got := r.Buffer(r.ChannelIndex(1, 1, 0)); got != 30000 {
@@ -287,12 +286,12 @@ func TestReportAndJSONRoundTrip(t *testing.T) {
 		t.Errorf("occupancy series = %+v", c.Occupancy)
 	}
 
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(rep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
 	if back.Totals.BytesIn != 1500 || back.Totals.FeedbackMsgs != 1 {
@@ -308,32 +307,15 @@ func TestReportCSV(t *testing.T) {
 	twoNodeLayout(r, 1)
 	idx := r.ChannelIndex(1, 1, 0)
 	r.OnAdmit(idx, 10, 1500, 1500)
-	var buf bytes.Buffer
-	if err := r.Report(0).WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	rows := r.Report(0).CSVRecords()
+	if len(rows) != 1 {
+		t.Fatalf("csv rows = %d: %v", len(rows), rows)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv lines = %d:\n%s", len(lines), buf.String())
-	}
-	header := strings.Split(lines[0], ",")
-	row := strings.Split(lines[1], ",")
-	if len(header) != len(CSVHeader()) || len(row) != len(header) {
+	header, row := CSVHeader(), rows[0]
+	if len(row) != len(header) {
 		t.Fatalf("column mismatch: %d header, %d row", len(header), len(row))
 	}
 	if row[0] != "s1" || row[1] != "1" {
 		t.Errorf("row = %v", row)
-	}
-}
-
-func TestSummaryMerge(t *testing.T) {
-	a := Summary{Channels: 2, BytesIn: 100, MaxOccupancy: 50, Drops: 1}
-	b := Summary{Channels: 3, BytesIn: 200, MaxOccupancy: 80, FeedbackMsgs: 4}
-	a.Merge(b)
-	if a.Channels != 5 || a.BytesIn != 300 || a.Drops != 1 || a.FeedbackMsgs != 4 {
-		t.Errorf("merged = %+v", a)
-	}
-	if a.MaxOccupancy != 80 {
-		t.Errorf("MaxOccupancy = %v, want max 80", a.MaxOccupancy)
 	}
 }

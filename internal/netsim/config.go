@@ -44,8 +44,9 @@ type Config struct {
 	// HostQueueDepth is how many packets a host NIC keeps queued;
 	// default 1 (release-gated, so flow pacers are precise).
 	HostQueueDepth int
-	// Scheduling is the switching discipline; default SchedBlocking,
-	// matching the paper's DPDK testbed switch.
+	// Scheduling is the switching discipline; the zero value is
+	// SchedInputQueued (input-queued with head-of-line blocking), the
+	// model of the paper's testbed switch every figure runs under.
 	Scheduling Scheduling
 	// FlowQueues, when positive, gives every egress channel that many
 	// physical queues with dynamic flow→queue assignment (BFC, Goyal et

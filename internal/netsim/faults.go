@@ -106,12 +106,6 @@ func (n *Network) SetLinkAdminState(id topology.LinkID, down bool) {
 	}
 }
 
-// LinkAdminDown reports whether link id is administratively down.
-func (n *Network) LinkAdminDown(id topology.LinkID) bool {
-	pa, _ := n.linkPorts(id)
-	return pa.adminDown
-}
-
 // scaleLinkRate runs both directions of the link at factor × the nominal
 // capacity. An in-flight transmission finishes at the old rate; the next
 // one serialises at the new. Flow controllers keep their construction-time

@@ -5,64 +5,6 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// ChannelState is a snapshot of one egress queue — the unit of progress the
-// deadlock detector reasons about. The channel is identified by the
-// transmitting node, its local port and the priority class; traffic flows
-// toward Peer.
-type ChannelState struct {
-	Node topology.NodeID
-	Port int
-	Prio int
-	Peer topology.NodeID
-	// PeerPort is the ingress port index this channel feeds on Peer.
-	PeerPort int
-
-	// QueuedBytes is the egress backlog awaiting transmission.
-	QueuedBytes units.Size
-	// TxBytes is the cumulative data serialised on this channel; a
-	// channel whose TxBytes has not advanced while QueuedBytes > 0 is
-	// stalled.
-	TxBytes units.Size
-	// FedBy lists the local arrival-port indices whose VOQs hold bytes
-	// on this egress — i.e. which ingress buffers this channel's backlog
-	// is charged to. The deadlock detector derives wait-for edges from
-	// it.
-	FedBy []int
-	// Rate is the flow-control permitted rate of this channel.
-	Rate units.Rate
-}
-
-// ChannelStates snapshots every egress queue in the network. The slice is
-// ordered deterministically (node, port, priority).
-func (n *Network) ChannelStates() []ChannelState {
-	var out []ChannelState
-	for _, nd := range n.nodes {
-		for i := range nd.ports {
-			p := &nd.ports[i]
-			if p.failed {
-				continue
-			}
-			for prio := 0; prio < n.cfg.Priorities; prio++ {
-				cs := ChannelState{
-					Node: nd.id, Port: p.local, Prio: prio,
-					Peer: p.peer.owner.id, PeerPort: p.peer.local,
-					QueuedBytes: n.queuedBytes[p.cb+prio],
-					TxBytes:     n.txBytes[p.cb+prio],
-				}
-				cs.Rate = n.egressRate(p, prio)
-				fed := n.fedBytes[p.fedBase+prio*len(nd.ports):]
-				for key := 0; key < len(nd.ports); key++ {
-					if fed[key] > 0 {
-						cs.FedBy = append(cs.FedBy, key)
-					}
-				}
-				out = append(out, cs)
-			}
-		}
-	}
-	return out
-}
-
 // IngressState is a snapshot of one ingress buffer — the vertex the
 // deadlock detector's wait-for graph is built on, matching the CBD
 // formalism: an ingress buffer (channel From→Node) waits on the downstream

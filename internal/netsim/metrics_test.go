@@ -11,11 +11,15 @@ import (
 
 // runCongested drives the 2:1 incast with GFC and the given registry
 // attached, returning the network after 5 ms of simulated time.
-func runCongested(t *testing.T, reg *metrics.Registry) *Network {
+func runCongested(t *testing.T, reg *metrics.Registry) (*Network, units.Size) {
 	t.Helper()
 	topo := topology.TwoToOne(topology.DefaultLinkParams())
 	cfg := baseConfig(gfcFactory())
 	cfg.Metrics = reg
+	var feedback units.Size
+	cfg.Trace = &Trace{
+		OnFeedback: func(_ units.Time, _, _ topology.NodeID, _ int, wire units.Size) { feedback += wire },
+	}
 	n, err := New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -26,12 +30,12 @@ func runCongested(t *testing.T, reg *metrics.Registry) *Network {
 		}
 	}
 	n.Run(5 * units.Millisecond)
-	return n
+	return n, feedback
 }
 
 func TestMetricsIntegration(t *testing.T) {
 	reg := metrics.New(metrics.Options{SeriesCap: 256})
-	n := runCongested(t, reg)
+	n, feedback := runCongested(t, reg)
 	if n.Metrics() != reg {
 		t.Fatal("Metrics() does not return the attached registry")
 	}
@@ -43,9 +47,9 @@ func TestMetricsIntegration(t *testing.T) {
 	if sum.Drops != 0 || n.Drops() != 0 {
 		t.Fatalf("drops: summary %d, network %d", sum.Drops, n.Drops())
 	}
-	// The registry's wire accounting must agree with the network's own.
-	if sum.FeedbackWire != n.FeedbackBytes() {
-		t.Fatalf("FeedbackWire %v != network FeedbackBytes %v", sum.FeedbackWire, n.FeedbackBytes())
+	// The registry's wire accounting must agree with the trace's.
+	if sum.FeedbackWire != feedback {
+		t.Fatalf("FeedbackWire %v != traced feedback bytes %v", sum.FeedbackWire, feedback)
 	}
 	if sum.FeedbackMsgs == 0 || sum.StageMsgs == 0 {
 		t.Fatalf("GFC run recorded no stage feedback: %+v", sum)
@@ -135,15 +139,15 @@ func TestMetricsSeededViolation(t *testing.T) {
 // Disabled metrics must stay invisible: identical delivery with and without
 // a registry attached.
 func TestMetricsDisabledParity(t *testing.T) {
-	without := runCongested(t, nil)
-	with := runCongested(t, metrics.New(metrics.Options{SeriesCap: 256}))
+	without, feedbackWithout := runCongested(t, nil)
+	with, feedbackWith := runCongested(t, metrics.New(metrics.Options{SeriesCap: 256}))
 	for i := range without.Flows() {
 		a, b := without.Flows()[i], with.Flows()[i]
 		if a.Delivered != b.Delivered {
 			t.Fatalf("flow %d delivered %v without metrics, %v with", i, a.Delivered, b.Delivered)
 		}
 	}
-	if without.FeedbackBytes() != with.FeedbackBytes() {
+	if feedbackWithout != feedbackWith {
 		t.Fatal("metrics changed feedback behaviour")
 	}
 }

@@ -357,14 +357,11 @@ func TestFeedbackAccounting(t *testing.T) {
 		}
 	}
 	n.Run(5 * units.Millisecond)
-	if n.FeedbackBytes() == 0 {
+	if traced == 0 {
 		t.Fatal("no feedback recorded under congestion")
 	}
-	if traced != n.FeedbackBytes() {
-		t.Fatalf("trace %v != network %v", traced, n.FeedbackBytes())
-	}
 	// GFC's overhead must be a tiny fraction of capacity (§4.2: <0.7%).
-	frac := float64(n.FeedbackBytes().Bits()) / (10e9 * (5 * units.Millisecond).Seconds())
+	frac := float64(traced.Bits()) / (10e9 * (5 * units.Millisecond).Seconds())
 	// Several channels share the accounting; even summed it stays small.
 	if frac > 0.05 {
 		t.Fatalf("feedback consumed %.2f%% of one link-interval", frac*100)
@@ -401,36 +398,6 @@ func TestMultiPriorityIsolation(t *testing.T) {
 		if r < 3*units.Gbps {
 			t.Errorf("flow %d rate %v, want fair share ≈5G", f.ID, r)
 		}
-	}
-}
-
-func TestChannelStates(t *testing.T) {
-	topo := topology.Linear(2, topology.DefaultLinkParams())
-	n, err := New(topo, baseConfig(pfcFactory()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := spfFlow(t, topo, 1, "H1", "H2", 0)
-	if err := n.AddFlow(fl, 0); err != nil {
-		t.Fatal(err)
-	}
-	n.Run(units.Millisecond)
-	states := n.ChannelStates()
-	// linear-2: links H1-S1, H2-S2, S1-S2 → 6 directed channels.
-	if len(states) != 6 {
-		t.Fatalf("channels = %d, want 6", len(states))
-	}
-	var progress int
-	for _, cs := range states {
-		if cs.TxBytes > 0 {
-			progress++
-		}
-	}
-	if progress < 3 {
-		t.Fatalf("only %d channels progressed; flow path has 3", progress)
-	}
-	if n.TotalDelivered() == 0 {
-		t.Fatal("TotalDelivered zero")
 	}
 }
 

@@ -31,8 +31,7 @@ type Network struct {
 	// faults is cfg.Faults, cached for the same single-nil-check reason.
 	faults *faults.Injector
 
-	feedbackBytes units.Size // total feedback wire bytes, all channels
-	delivered     units.Size // total bytes delivered to hosts, credited beside Flow.Delivered
+	delivered units.Size // total bytes delivered to hosts, credited beside Flow.Delivered
 
 	// Struct-of-arrays hot-path state. Per-channel arrays are indexed by
 	// the dense channel index cb+prio (port.cb), which by construction
@@ -326,7 +325,6 @@ func (e *fcEnv) After(d units.Time, fn func()) { e.n.eng.After(d, fn) }
 func (e *fcEnv) Emit(m flowcontrol.Message) {
 	n := e.n
 	wire := m.Wire()
-	n.feedbackBytes += wire
 	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id, e.prio, wire)
 	if reg := n.metrics; reg != nil {
 		reg.OnFeedback(e.down.cb+e.prio, n.eng.Now(), feedbackClass(m.Kind), m.Stage, wire)
@@ -433,9 +431,6 @@ func (n *Network) Run(until units.Time) { n.eng.Run(until) }
 // lossless fabric this must be zero.
 func (n *Network) Drops() int64 { return n.drops }
 
-// FeedbackBytes reports total flow-control message bytes emitted.
-func (n *Network) FeedbackBytes() units.Size { return n.feedbackBytes }
-
 // Flows returns all flows ever added.
 func (n *Network) Flows() []*Flow { return n.flows }
 
@@ -473,23 +468,6 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 		n.refill(src)
 	})
 	return nil
-}
-
-// StopFlow makes flow f stop offering new data at time at: the source
-// withdraws, already-released packets still drain. For finite flows the Size
-// is truncated to what was released so Done/FCT reflect the early end. This
-// models an application finishing or aborting — the event that naturally
-// dissolves a cyclic buffer dependency (§6.2.3).
-func (n *Network) StopFlow(f *Flow, at units.Time) {
-	n.eng.Schedule(at, func() {
-		f.active = false
-		if f.Size == 0 || f.Size > f.released {
-			f.Size = f.released
-		}
-		if f.Done() && f.Finished == 0 {
-			f.Finished = n.eng.Now()
-		}
-	})
 }
 
 // IngressQueue reports the ingress occupancy of the given node/port/priority

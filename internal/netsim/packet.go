@@ -86,7 +86,3 @@ func (n *Network) recyclePacket(pkt *Packet) {
 
 // CurrentHop returns the hop the packet is about to transmit over.
 func (p *Packet) CurrentHop() routing.Hop { return p.Path[p.hop] }
-
-// AtLastHop reports whether the next transmission delivers the packet to its
-// destination host.
-func (p *Packet) AtLastHop() bool { return p.hop == len(p.Path)-1 }

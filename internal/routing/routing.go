@@ -95,9 +95,12 @@ func (tab *Table) Reachable(n, dst topology.NodeID) bool {
 
 // appendNextHops appends to out the attachments of n on shortest paths
 // toward dst — live links to a peer one hop closer that is a switch or dst
-// itself — ordered by ascending peer NodeID (then port). It is the one
-// statement of the next-hop eligibility-and-order rule: NextHops, NextHop and
-// Rows all read it. Port fan-out is the switch radix and builders attach
+// itself — ordered by ascending peer NodeID (then port). The ordering is a
+// semantic guarantee, not an iteration accident: ECMP selection indexes into
+// this row, so it must not depend on the order links were inserted into the
+// topology. It is the one statement of the next-hop eligibility-and-order
+// rule: NextHop and Rows both read it. Empty when dst is unreachable. Port
+// fan-out is the switch radix and builders attach
 // peers in nearly ascending order, so the insertion sort is close to linear.
 func (tab *Table) appendNextHops(out []topology.Attachment, n, dst topology.NodeID) []topology.Attachment {
 	d := tab.toward(dst)
@@ -132,17 +135,9 @@ func pick(flowKey uint64, n, dst topology.NodeID, count int) int {
 	return int(mix(flowKey^uint64(n)<<32^uint64(dst)) % uint64(count))
 }
 
-// NextHops returns the attachments of n on shortest paths toward dst,
-// ordered by ascending peer NodeID (then port). The ordering is a semantic
-// guarantee, not an iteration accident: ECMP selection indexes into this
-// slice, so it must not depend on the order links were inserted into the
-// topology. Empty when dst is unreachable.
-func (tab *Table) NextHops(n, dst topology.NodeID) []topology.Attachment {
-	return tab.appendNextHops(nil, n, dst)
-}
-
 // NextHop picks one next hop toward dst deterministically from flowKey
-// (ECMP by flow hash): NextHops-then-index, without the allocation.
+// (ECMP by flow hash): the appendNextHops row, indexed, without the
+// allocation.
 func (tab *Table) NextHop(n, dst topology.NodeID, flowKey uint64) (topology.Attachment, bool) {
 	var buf [32]topology.Attachment
 	row := tab.appendNextHops(buf[:0], n, dst)

@@ -55,7 +55,7 @@ func TestNextHopsInsertionOrderIndependent(t *testing.T) {
 		h1 := topo.MustLookup("H1")
 		h2 := topo.MustLookup("H2")
 
-		nh := tab.NextHops(s1, h2)
+		nh := tab.appendNextHops(nil, s1, h2)
 		if len(nh) != 2 {
 			t.Fatalf("order %v: NextHops(S1,H2) has %d entries, want 2", order, len(nh))
 		}
@@ -130,7 +130,7 @@ func TestRowsWalkMatchesPath(t *testing.T) {
 			routed := rows.Toward(dst)
 			for n := 0; n < topo.NumNodes(); n++ {
 				n := topology.NodeID(n)
-				nh := tab.NextHops(n, dst)
+				nh := tab.appendNextHops(nil, n, dst)
 				for i := 1; i < len(nh); i++ {
 					a, b := nh[i-1], nh[i]
 					if a.Peer > b.Peer || (a.Peer == b.Peer && a.Port >= b.Port) {

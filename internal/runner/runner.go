@@ -276,17 +276,6 @@ func stack() []byte {
 	return buf[:runtime.Stack(buf, false)]
 }
 
-// FirstErr returns the error of the lowest-indexed failed job, or nil. Using
-// job order (not completion order) keeps error reporting deterministic too.
-func FirstErr[T any](results []Result[T]) error {
-	for i := range results {
-		if results[i].Err != nil {
-			return results[i].Err
-		}
-	}
-	return nil
-}
-
 // Failed returns the indices of failed jobs, in job order — the input to a
 // deterministic quarantine summary.
 func Failed[T any](results []Result[T]) []int {

@@ -82,9 +82,6 @@ func TestPanicCapture(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Fatal("no stack captured")
 	}
-	if FirstErr(res) != res[1].Err {
-		t.Fatal("FirstErr did not surface the panic")
-	}
 }
 
 func TestJobErrors(t *testing.T) {
@@ -101,11 +98,8 @@ func TestJobErrors(t *testing.T) {
 	if !strings.HasPrefix(res[1].Err.Error(), "job 1: ") {
 		t.Fatalf("err %q does not carry its job index", res[1].Err)
 	}
-	if !errors.Is(FirstErr(res), boom) {
-		t.Fatal("FirstErr missed the failure")
-	}
-	if FirstErr(res[:1]) != nil {
-		t.Fatal("FirstErr invented an error")
+	if !errors.Is(res[1].Err, boom) || res[0].Err != nil {
+		t.Fatalf("errors = %v, %v; want nil and boom", res[0].Err, res[1].Err)
 	}
 	if got := Failed(res); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Failed = %v, want [1]", got)

@@ -275,18 +275,6 @@ func (s *Sim) summarise() *Result {
 // workload's routes and cached.
 func (s *Sim) Predict() (*analytic.Prediction, error) { return s.predict() }
 
-// VerifyAnalytic checks res against this scenario's analytic prediction,
-// returning the prediction and the verdict: nil when every network-wide
-// bound held, a *metrics.InvariantError otherwise. A run that was stopped
-// early (res.Stopped != nil) drops the progress floor.
-func (s *Sim) VerifyAnalytic(res *Result) (*analytic.Prediction, error) { return s.verify(res) }
-
-// CheckAnalytic runs the network-wide analytic check against the network's
-// current state — the entry point for drivers that step the engine
-// themselves instead of calling Run/RunBounded. It returns nil when every
-// bound held.
-func (s *Sim) CheckAnalytic() error { return s.check(s.summarise()).Err }
-
 func buildTopology(t TopologySpec) (*topology.Topology, error) {
 	p := topology.DefaultLinkParams()
 	if t.CapacityBps != 0 {

@@ -51,7 +51,8 @@ func TestBackendsInstallSameCeilings(t *testing.T) {
 			spec, _ := Get("ring-steady-gfcbuf")
 			spec.Scheme.FC = fc
 			preg, freg := metrics.New(metrics.Options{}), metrics.New(metrics.Options{})
-			if _, err := Build(spec, &Overrides{Metrics: preg}); err != nil {
+			psim, err := Build(spec, &Overrides{Metrics: preg})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := (FluidBackend{}).Build(spec, &Overrides{Metrics: freg}); err != nil {
@@ -60,12 +61,17 @@ func TestBackendsInstallSameCeilings(t *testing.T) {
 			if preg.NumChannels() != freg.NumChannels() {
 				t.Fatalf("layouts differ: packet %d channels, fluid %d", preg.NumChannels(), freg.NumChannels())
 			}
-			for idx := 0; idx < preg.NumChannels(); idx++ {
-				ch := preg.ChannelAt(idx)
-				if p, f := preg.Ceiling(idx), freg.Ceiling(idx); p != f {
-					t.Errorf("%s<-%s: packet ceiling %v, fluid ceiling %v", ch.NodeName, ch.FromName, p, f)
-				} else if p == 0 && !ch.Host {
-					t.Errorf("%s<-%s: switch channel has no ceiling", ch.NodeName, ch.FromName)
+			topo := psim.Topo
+			for n := 0; n < topo.NumNodes(); n++ {
+				node := topo.Node(topology.NodeID(n))
+				for _, at := range topo.Ports(node.ID) {
+					idx := preg.ChannelIndex(node.ID, at.Port, 0)
+					from := topo.Node(at.Peer).Name
+					if p, f := preg.Ceiling(idx), freg.Ceiling(idx); p != f {
+						t.Errorf("%s<-%s: packet ceiling %v, fluid ceiling %v", node.Name, from, p, f)
+					} else if p == 0 && node.Kind != topology.Host {
+						t.Errorf("%s<-%s: switch channel has no ceiling", node.Name, from)
+					}
 				}
 			}
 		})

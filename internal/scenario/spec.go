@@ -5,11 +5,11 @@
 // and the run/stop conditions — and one Build call compiles it into a
 // ready-to-run netsim.Network.
 //
-// Every figure/table driver in internal/experiments is a thin Spec literal
-// over this layer, and the same Specs are exposed by name through a registry
-// (Register/Get/Names) consumed by cmd/gfcsim and examples/sweep; user
-// -scenario files parse with the same strict decoder as fault specs
-// (unknown fields rejected).
+// Every paper setup is declared once here (builtin.go), as a constructor that
+// its figure/table driver in internal/experiments calls and that the registry
+// (Register/Get/Names, consumed by cmd/gfcsim and benchmark/) exposes by
+// name; user -scenario files parse with the same strict decoder as fault
+// specs (unknown fields rejected).
 //
 // Build is deterministic: for one (Spec, seed) pair the constructed network
 // replays bit-identically. The only random sources are the topology's

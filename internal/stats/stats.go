@@ -22,9 +22,8 @@ type BinCounter struct {
 	Width units.Time
 	// MaxBins bounds sparse growth: zero means DefaultMaxBins, negative
 	// means unbounded (caller guarantees dense timestamps).
-	MaxBins   int
-	bins      []units.Size
-	saturated bool
+	MaxBins int
+	bins    []units.Size
 }
 
 // DefaultMaxBins caps a counter at 2^20 bins (8 MiB of counts) unless the
@@ -48,7 +47,6 @@ func (b *BinCounter) Add(t units.Time, s units.Size) {
 	idx := int(t / b.Width)
 	if max := b.maxBins(); max > 0 && idx >= max {
 		idx = max - 1
-		b.saturated = true
 	}
 	for len(b.bins) <= idx {
 		b.bins = append(b.bins, 0)
@@ -66,10 +64,6 @@ func (b *BinCounter) maxBins() int {
 		return DefaultMaxBins
 	}
 }
-
-// Saturated reports whether any sample was clamped into the final bin
-// because it fell at or beyond the MaxBins horizon.
-func (b *BinCounter) Saturated() bool { return b.saturated }
 
 // Bins returns the per-bin byte counts.
 func (b *BinCounter) Bins() []units.Size { return b.bins }

@@ -119,9 +119,6 @@ func FatTree(k int, p LinkParams) *Topology {
 	return t
 }
 
-// FatTreeHostCount reports the number of hosts in a k-ary fat-tree.
-func FatTreeHostCount(k int) int { return k * k * k / 4 }
-
 // Dumbbell builds the congestion-control topology of the Figure 20 study:
 // senders H1..Hn attached to switch S1, S1 joined to S2, and the single
 // receiver Hr attached to S2. All n senders share the S1→S2 bottleneck.

@@ -57,9 +57,9 @@ func TestBuilderParamValidation(t *testing.T) {
 func TestFatTreeHostCount(t *testing.T) {
 	for _, k := range []int{2, 4, 6, 8} {
 		topo := FatTree(k, DefaultLinkParams())
-		want := FatTreeHostCount(k)
+		want := k * k * k / 4
 		if got := len(topo.Hosts()); got != want {
-			t.Errorf("k=%d: built %d hosts, FatTreeHostCount says %d", k, got, want)
+			t.Errorf("k=%d: built %d hosts, k³/4 is %d", k, got, want)
 		}
 		// The switch census is pinned too: k²/2 edge + k²/2 agg + (k/2)²
 		// core.

@@ -226,11 +226,8 @@ func (t *Topology) LinkBetween(a, b NodeID) *Link {
 	return nil
 }
 
-// FailLink marks link id as failed. Routing and simulation ignore failed
-// links.
-func (t *Topology) FailLink(id LinkID) { t.links[id].Failed = true }
-
 // FailLinkBetween fails the link joining the named nodes and returns its ID.
+// Routing and simulation ignore failed links.
 func (t *Topology) FailLinkBetween(a, b string) LinkID {
 	l := t.LinkBetween(t.MustLookup(a), t.MustLookup(b))
 	if l == nil {
@@ -259,54 +256,4 @@ func (t *Topology) FailRandomLinks(rng *rand.Rand, prob float64) []LinkID {
 		}
 	}
 	return failed
-}
-
-// Connected reports whether all hosts can reach each other over non-failed
-// links.
-func (t *Topology) Connected() bool {
-	hosts := t.Hosts()
-	if len(hosts) <= 1 {
-		return true
-	}
-	seen := make([]bool, len(t.nodes))
-	queue := []NodeID{hosts[0]}
-	seen[hosts[0]] = true
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, p := range t.Neighbors(n) {
-			if !seen[p] {
-				seen[p] = true
-				queue = append(queue, p)
-			}
-		}
-	}
-	for _, h := range hosts {
-		if !seen[h] {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the topology, including failure state.
-func (t *Topology) Clone() *Topology {
-	c := New(t.Name)
-	c.nodes = append([]Node(nil), t.nodes...)
-	c.links = make([]*Link, len(t.links))
-	for i, l := range t.links {
-		cp := *l
-		c.links[i] = &cp
-	}
-	c.adj = make([][]Attachment, len(t.adj))
-	for n, ats := range t.adj {
-		c.adj[n] = make([]Attachment, len(ats))
-		for i, at := range ats {
-			c.adj[n][i] = Attachment{Link: c.links[at.Link.ID], Peer: at.Peer, Port: at.Port}
-		}
-	}
-	for name, id := range t.byNam {
-		c.byNam[name] = id
-	}
-	return c
 }

@@ -32,9 +32,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // Seconds reports t in seconds as a float.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros reports t in microseconds as a float.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Millis reports t in milliseconds as a float.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
@@ -53,8 +50,6 @@ const (
 	Byte Size = 1
 	KB   Size = 1000 * Byte // decimal kilobyte, as used in the paper
 	MB   Size = 1000 * KB
-	KiB  Size = 1024 * Byte
-	MiB  Size = 1024 * KiB
 )
 
 // Bits reports the size in bits.
@@ -76,10 +71,9 @@ type Rate float64
 
 // Common rate constants.
 const (
-	BitPerSecond Rate = 1
-	Kbps         Rate = 1e3
-	Mbps         Rate = 1e6
-	Gbps         Rate = 1e9
+	Kbps Rate = 1e3
+	Mbps Rate = 1e6
+	Gbps Rate = 1e9
 )
 
 // Gigabits reports the rate in Gb/s.

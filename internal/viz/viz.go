@@ -80,25 +80,6 @@ func (c Chart) Render(s *stats.Series) string {
 	return b.String()
 }
 
-// RenderCDF draws an empirical CDF as quantile rows.
-func RenderCDF(c *stats.CDF, label string, format func(float64) string) string {
-	if format == nil {
-		format = func(v float64) string { return fmt.Sprintf("%.4g", v) }
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d)\n", label, c.Len())
-	if c.Len() == 0 {
-		return b.String()
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		v := c.Quantile(q)
-		bar := int(q * 40)
-		fmt.Fprintf(&b, "  p%-5.3g %-10s |%s\n", q*100, format(v),
-			strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
 // RateSeries converts a BinCounter into a Series of rates for charting.
 func RateSeries(bc *stats.BinCounter) *stats.Series {
 	s := &stats.Series{}

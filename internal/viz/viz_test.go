@@ -66,24 +66,6 @@ func TestChartCustomFormat(t *testing.T) {
 	}
 }
 
-func TestRenderCDF(t *testing.T) {
-	var c stats.CDF
-	for i := 1; i <= 100; i++ {
-		c.Add(float64(i))
-	}
-	out := RenderCDF(&c, "slowdown", nil)
-	if !strings.Contains(out, "n=100") || !strings.Contains(out, "p50") {
-		t.Fatalf("CDF render:\n%s", out)
-	}
-	if !strings.Contains(out, "p99") {
-		t.Fatal("missing p99 row")
-	}
-	empty := RenderCDF(&stats.CDF{}, "empty", nil)
-	if !strings.Contains(empty, "n=0") {
-		t.Fatal("empty CDF header wrong")
-	}
-}
-
 func TestRateSeries(t *testing.T) {
 	bc := stats.NewBinCounter(units.Millisecond)
 	bc.Add(0, 1250) // 10 Mb/s in a 1ms bin... 1250B*8/1ms = 10Mbps
