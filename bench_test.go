@@ -25,8 +25,10 @@ import (
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/scenario"
+	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
+	"github.com/gfcsim/gfc/internal/viz"
 )
 
 // BenchmarkFig5 regenerates Figure 5: queue/rate evolution under PFC vs
@@ -361,23 +363,54 @@ func BenchmarkAblationTau(b *testing.B) {
 	taus := []units.Time{
 		10 * units.Microsecond, 45 * units.Microsecond, 90 * units.Microsecond,
 	}
+	const d = 30 * units.Millisecond
 	for i := 0; i < b.N; i++ {
 		var prev units.Size
 		for j, tau := range taus {
-			res, err := experiments.RunRing(experiments.RingConfig{FC: experiments.GFCBuf, Tau: tau},
-				experiments.RunOptions{Duration: 30 * units.Millisecond})
+			// The ablation is a spec overlay on the figure's declaration:
+			// the testbed preset pins B1/B0 for τ = 90 µs, so spell its
+			// parameters out with both left to the factory, which derives
+			// the safe bound (B1 ≤ Bm − 2Cτ) for the τ under test.
+			spec := scenario.Ring(scenario.GFCBuf, 1)
+			testbed, fp := scenario.TestbedParams()
+			fp.B1, fp.B0 = 0, 0
+			spec.Scheme = scenario.SchemeSpec{FC: scenario.GFCBuf, Params: fp}
+			spec.Sim.BufferBytes = testbed.BufferSize
+			spec.Sim.TauNs = tau
+			spec.Run.DurationNs = d
+			// The figure's probe: the S1 ingress fed by H1, and H1's
+			// arrivals there.
+			queue, arrivals := &stats.Series{}, stats.NewBinCounter(100*units.Microsecond)
+			sim, err := scenario.Build(spec, &scenario.Overrides{Trace: func(topo *topology.Topology) *netsim.Trace {
+				s1, h1 := topo.MustLookup("S1"), topo.MustLookup("H1")
+				return &netsim.Trace{
+					OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
+						if node == s1 && port == 0 {
+							queue.Append(t, float64(q))
+						}
+					},
+					OnArrival: func(t units.Time, node topology.NodeID, pkt *netsim.Packet) {
+						if node == s1 && pkt.Flow.Src == h1 {
+							arrivals.Add(t, pkt.Size)
+						}
+					},
+				}
+			}})
 			if err != nil {
 				b.Fatal(err)
 			}
+			sim.Run()
+			steadyQueue := units.Size(queue.MeanAfter(d * 3 / 4))
+			steadyRate := units.Rate(viz.RateSeries(arrivals).MeanAfter(d * 3 / 4))
 			if i == 0 {
-				b.Logf("τ=%v: steady queue %v, steady rate %v", tau, res.SteadyQueue, res.SteadyRate)
-				b.ReportMetric(float64(res.SteadyQueue)/1e3,
+				b.Logf("τ=%v: steady queue %v, steady rate %v", tau, steadyQueue, steadyRate)
+				b.ReportMetric(float64(steadyQueue)/1e3,
 					"steadyQ-KB-tau"+tau.String())
-				if j > 0 && res.SteadyQueue > prev {
+				if j > 0 && steadyQueue > prev {
 					b.Logf("note: steady queue did not shrink with larger τ")
 				}
 			}
-			prev = res.SteadyQueue
+			prev = steadyQueue
 		}
 	}
 }
@@ -409,17 +442,16 @@ func BenchmarkAblationBaselines(b *testing.B) {
 			delivered units.Size
 		}
 		var rows []outcome
-		run := func(name string, prios int, weights []int,
+		run := func(name string, prios int,
 			esc func(*netsim.Packet, topology.NodeID) int,
 			factory flowcontrol.Factory, withRecovery bool) {
 			topo := topology.RingHosts(3, 2, topology.DefaultLinkParams())
 			cfg := netsim.Config{
-				BufferSize:      1000 * units.KB,
-				Tau:             90 * units.Microsecond,
-				Priorities:      prios,
-				PriorityWeights: weights,
-				FlowControl:     factory,
-				Escalation:      esc,
+				BufferSize:  1000 * units.KB,
+				Tau:         90 * units.Microsecond,
+				Priorities:  prios,
+				FlowControl: factory,
+				Escalation:  esc,
 			}
 			n, err := netsim.New(topo, cfg)
 			if err != nil {
@@ -454,11 +486,11 @@ func BenchmarkAblationBaselines(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run("PFC", 1, nil, nil, pfc, false)
-		run("PFC+dateline", 2, nil, esc, pfc, false)
-		run("PFC+tagger", tg.Classes, nil, tg.Escalation(), pfc, false)
-		run("PFC+recovery", 1, nil, nil, pfc, true)
-		run("GFC", 1, nil, nil, gfc, false)
+		run("PFC", 1, nil, pfc, false)
+		run("PFC+dateline", 2, esc, pfc, false)
+		run("PFC+tagger", tg.Classes, tg.Escalation(), pfc, false)
+		run("PFC+recovery", 1, nil, pfc, true)
+		run("GFC", 1, nil, gfc, false)
 
 		if i == 0 {
 			b.Logf("Up*/Down* on 5-ring: mean stretch %.2f, %.0f%% of pairs inflated (CBD-free by construction)",

@@ -58,7 +58,6 @@ const (
 // the factory will actually install.
 type Params struct {
 	XOFF   units.Size
-	XON    units.Size
 	B1     units.Size
 	Bm     units.Size
 	B0     units.Size
@@ -93,7 +92,6 @@ type Input struct {
 // Prediction is the per-topology analytic verdict. Bounds() converts the
 // quantitative fields into the metrics-layer checker's input.
 type Prediction struct {
-	Scheme Scheme
 	// DeadlockFree: the analysis guarantees the run cannot deadlock
 	// (positive service rate on every dependency cycle, or no cycle to
 	// wait on).
@@ -101,9 +99,6 @@ type Prediction struct {
 	// Lossless: the scheme's thresholds leave enough reaction headroom
 	// that the analysis guarantees zero drops.
 	Lossless bool
-	// CBDKnown / CBDCyclic echo the dependency-graph verdict used.
-	CBDKnown  bool
-	CBDCyclic bool
 	// MaxOccupancy is the per-channel occupancy envelope in bytes.
 	MaxOccupancy units.Size
 	// MaxDelivered bounds aggregate delivered bytes over Duration.
@@ -172,10 +167,7 @@ func Predict(in Input) (*Prediction, error) {
 		return nil, errors.New("analytic: topology has no live links")
 	}
 
-	p := &Prediction{
-		Scheme: in.Scheme, CBDKnown: in.CBDKnown, CBDCyclic: in.CBDCyclic,
-		Tau: max(tauActual, tauBudget),
-	}
+	p := &Prediction{Tau: max(tauActual, tauBudget)}
 	B := cfg.BufferSize
 	mtu := cfg.MTU
 	inflight := units.BytesIn(maxCap, tauActual)

@@ -21,7 +21,6 @@ import (
 // limitation: if the traffic escapes the analysed routes, packets may need
 // a class that does not exist.
 type Tagger struct {
-	topo *topology.Topology
 	// bump[classless transition] — the set of (via, from, to) node
 	// triples at which a packet entering `via` from `from` and leaving
 	// toward `to` must move up one class.
@@ -38,7 +37,7 @@ type Tagger struct {
 // cut; Tagger proper exploits topology structure for minimality, which a
 // simulator does not need).
 func NewTagger(t *topology.Topology, paths [][]routing.Hop) (*Tagger, error) {
-	tg := &Tagger{topo: t, bump: make(map[[3]topology.NodeID]bool)}
+	tg := &Tagger{bump: make(map[[3]topology.NodeID]bool)}
 
 	// Iterate: build the class-0 dependency graph of path segments that
 	// have no bump yet; every cycle found gets its first edge bumped.

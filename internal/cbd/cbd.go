@@ -192,9 +192,9 @@ func FromAllPairs(t *topology.Topology, tab *routing.Table, rackOf func(topology
 
 // FlowKey is the ECMP key FromAllPairs routes the (src, dst) pair under. It
 // makes the analysis one deterministic sample of the equal-cost choices, not
-// the simulator's: workload.Generator keys every flow
-// id*1315423911 ^ src<<24 ^ dst, so a simulated flow may take a different
-// shortest path than the one analysed for its pair. The sample is also
+// the simulator's: workload.Generator keys every flow with
+// routing.GeneratedFlowKey, so a simulated flow may take a different shortest
+// path than the one analysed for its pair. The sample is also
 // narrower than it looks: Table.NextHop hashes flowKey ^ n<<32 ^ dst, and
 // the dst in this key's low word cancels that term, so at node n a source's
 // hash is the same toward every destination. Both behaviours are pinned by

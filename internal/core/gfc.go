@@ -72,17 +72,6 @@ type ContinuousMapping struct {
 	Bm units.Size // mapping ceiling (set to the buffer size B in practice)
 }
 
-// Validate reports an error when the mapping parameters are inconsistent.
-func (m ContinuousMapping) Validate() error {
-	if m.C <= 0 {
-		return fmt.Errorf("core: capacity %v must be positive", m.C)
-	}
-	if m.B0 < 0 || m.Bm <= m.B0 {
-		return fmt.Errorf("core: need 0 <= B0 (%v) < Bm (%v)", m.B0, m.Bm)
-	}
-	return nil
-}
-
 // Rate maps an ingress queue length to the upstream sending rate.
 func (m ContinuousMapping) Rate(q units.Size) units.Rate {
 	switch {

@@ -83,9 +83,6 @@ func TestTimeBasedB0BoundBadPeriod(t *testing.T) {
 
 func TestContinuousMapping(t *testing.T) {
 	m := ContinuousMapping{C: 10 * units.Gbps, B0: 50 * units.KB, Bm: 100 * units.KB}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := m.Rate(0); got != 10*units.Gbps {
 		t.Errorf("Rate(0) = %v", got)
 	}
@@ -100,20 +97,6 @@ func TestContinuousMapping(t *testing.T) {
 	}
 	if got := m.Rate(200 * units.KB); got != 0 {
 		t.Errorf("Rate(>Bm) = %v, want 0", got)
-	}
-}
-
-func TestContinuousMappingValidate(t *testing.T) {
-	bad := []ContinuousMapping{
-		{C: 0, B0: 1, Bm: 2},
-		{C: units.Gbps, B0: -1, Bm: 2},
-		{C: units.Gbps, B0: 5, Bm: 5},
-		{C: units.Gbps, B0: 6, Bm: 5},
-	}
-	for i, m := range bad {
-		if m.Validate() == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, m)
-		}
 	}
 }
 

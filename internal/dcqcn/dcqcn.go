@@ -43,10 +43,6 @@ type Config struct {
 	RHAI units.Rate
 	// MinRate floors the sending rate.
 	MinRate units.Rate
-	// CNPDelay is the latency from the NP observing a mark to the RP
-	// reacting (reverse-path latency); zero derives ~1 RTT segment from
-	// the flow path at attach time.
-	CNPDelay units.Time
 }
 
 // DefaultConfig returns the paper's Figure 20 parameterisation for a line
@@ -99,10 +95,9 @@ func Attach(net *netsim.Network, f *netsim.Flow, cfg Config) *RP {
 		rt:    cfg.LineRate,
 		alpha: cfg.AlphaInit,
 	}
-	cnpDelay := cfg.CNPDelay
-	if cnpDelay == 0 {
-		cnpDelay = routing.PathLatency(f.Path, 64*units.Byte)
-	}
+	// The latency from the NP observing a mark to the RP reacting: about
+	// one RTT segment, the reverse path carrying a minimum-size frame.
+	cnpDelay := routing.PathLatency(f.Path, 64*units.Byte)
 	var lastEcho units.Time = -units.Never // NP state: last CNP emission
 	f.Pacer = rp
 	prev := f.OnPacket

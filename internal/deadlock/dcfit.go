@@ -9,14 +9,10 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// Probe is the pluggable detector interface the scenario layer drives: a
-// detector is installed on the network's engine, and reports at most one
-// permanent standstill. Both the global snapshot Detector and the
-// in-data-plane DCFIT implement it.
+// Probe is what the scenario layer asks of an installed detector, which
+// reports at most one permanent standstill. Both the global snapshot Detector
+// and the in-data-plane DCFIT implement it.
 type Probe interface {
-	// Install schedules the detector's periodic work on the network's
-	// engine.
-	Install()
 	// Deadlocked reports the detection result so far; nil when none.
 	Deadlocked() *Report
 	// PollInterval is the detector's polling period — the cadence
@@ -46,17 +42,11 @@ type EdgeKey struct {
 	Queue    int
 }
 
-// trigger is the initial-trigger tag a dependency edge carries: which node
-// minted the pause chain this edge belongs to, and a global mint sequence
-// number (older = smaller) that identifies the chain across inheritance.
-type trigger struct {
-	creator topology.NodeID
-	seq     int64
-}
-
-// dcfitEdge is the live state of one pause edge.
+// dcfitEdge is the live state of one pause edge. tag is its initial-trigger
+// tag: the global mint sequence number (older = smaller) of the pause chain
+// the edge belongs to, which identifies the chain across inheritance.
 type dcfitEdge struct {
-	tag   trigger
+	tag   int64
 	since units.Time
 }
 
@@ -78,10 +68,6 @@ type dcfitEdge struct {
 //     it (the global Detector's WedgedChannel verdict can). Conversely a
 //     lost PAUSE simply never creates the edge — consistent with the
 //     sender's view, since the observer taps delivery, not emission.
-//   - Pause-quanta expiry clears a pause sender-side without a RESUME
-//     frame; with PauseQuanta > 0 edges can go stale. The presets all use
-//     the pause-until-RESUME model (quanta 0), where every edge is closed
-//     by an observable RESUME.
 type DCFIT struct {
 	net FeedbackNetwork
 	// Window is how long a closed pause cycle must persist before it is
@@ -157,8 +143,8 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Mess
 		if _, ok := d.edges[key]; ok {
 			return // refresh of a held pause: dependency age unchanged
 		}
-		tag := trigger{creator: from, seq: d.seq}
-		if p := d.parentOf(from, prio); p != nil {
+		tag := d.seq
+		if _, p := d.parentOf(from, prio); p != nil {
 			// The pausing node is itself paused: this pause continues
 			// that chain, carrying its initial trigger downstream.
 			tag = p.tag
@@ -174,10 +160,10 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Mess
 	}
 }
 
-// parentOf returns the pause edge currently blocking node at prio — the
-// oldest edge whose Up side is node (ties broken by key order, so the choice
-// is deterministic regardless of map iteration) — or nil.
-func (d *DCFIT) parentOf(node topology.NodeID, prio int) *dcfitEdge {
+// parentOf returns the pause edge currently blocking node at prio and its key
+// — the oldest edge whose Up side is node (ties broken by key order, so the
+// choice is deterministic regardless of map iteration) — or a nil edge.
+func (d *DCFIT) parentOf(node topology.NodeID, prio int) (EdgeKey, *dcfitEdge) {
 	var bestKey EdgeKey
 	var best *dcfitEdge
 	for k, e := range d.edges {
@@ -189,23 +175,7 @@ func (d *DCFIT) parentOf(node topology.NodeID, prio int) *dcfitEdge {
 			best, bestKey = e, k
 		}
 	}
-	return best
-}
-
-// parentKeyOf is parentOf returning the key; ok is false when unblocked.
-func (d *DCFIT) parentKeyOf(node topology.NodeID, prio int) (EdgeKey, bool) {
-	var bestKey EdgeKey
-	var best *dcfitEdge
-	for k, e := range d.edges {
-		if k.Up != node || k.Prio != prio {
-			continue
-		}
-		if best == nil || e.since < best.since ||
-			(e.since == best.since && edgeLess(k, bestKey)) {
-			best, bestKey = e, k
-		}
-	}
-	return bestKey, best != nil
+	return bestKey, best
 }
 
 // Check confirms whether a closed pause cycle has persisted for the window,
@@ -224,9 +194,9 @@ func (d *DCFIT) Check() *Report {
 	// The cycle's initial trigger: the earliest-minted tag among its
 	// edges. Together with the anchor edge it is the cycle's identity
 	// across polls — a re-formed cycle restarts the persistence clock.
-	minSeq := d.edges[cycle[0]].tag.seq
+	minSeq := d.edges[cycle[0]].tag
 	for _, k := range cycle[1:] {
-		if s := d.edges[k].tag.seq; s < minSeq {
+		if s := d.edges[k].tag; s < minSeq {
 			minSeq = s
 		}
 	}
@@ -268,8 +238,8 @@ func (d *DCFIT) findCycle() []EdgeKey {
 		path := []EdgeKey{start}
 		cur := start
 		for range keys {
-			next, ok := d.parentKeyOf(cur.Down, cur.Prio)
-			if !ok {
+			next, parent := d.parentOf(cur.Down, cur.Prio)
+			if parent == nil {
 				path = nil
 				break
 			}

@@ -257,48 +257,3 @@ func TestDetectorManualCheck(t *testing.T) {
 		t.Fatalf("StallFor %v below window %v", rep.StallFor, d.Window)
 	}
 }
-
-// TestPauseQuantaWatchdog shows the 802.1Qbb timer semantics interacting
-// with deadlock: with receiver refresh (the default in real deployments)
-// the ring deadlock persists exactly as with pause-until-resume; without
-// refresh the pauses expire and the cycle trickles — the mechanism vendor
-// "PFC watchdog" mitigations exploit, at the price of making PFC behave
-// like a crude rate limiter rather than lossless backpressure.
-func TestPauseQuantaWatchdog(t *testing.T) {
-	run := func(noRefresh bool) (*netsim.Network, *Detector) {
-		topo := topology.RingHosts(3, 2, topology.DefaultLinkParams())
-		cfg := testbedConfig(flowcontrol.NewPFC(flowcontrol.PFCConfig{
-			XOFF: 800 * units.KB, XON: 797 * units.KB,
-			PauseQuanta: 2000, // 102.4 µs at 10G
-			NoRefresh:   noRefresh,
-		}))
-		n, err := netsim.New(topo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, path := range routing.RingHostsClockwisePaths(topo, 3, 2) {
-			f := &netsim.Flow{ID: i + 1, Src: path[0].Node,
-				Dst:  path[len(path)-1].Link.Other(path[len(path)-1].Node),
-				Path: path}
-			if err := n.AddFlow(f, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d := NewDetector(n)
-		d.Install()
-		n.Run(120 * units.Millisecond)
-		return n, d
-	}
-	refreshed, dRef := run(false)
-	if dRef.Deadlocked() == nil {
-		t.Error("refreshed quanta pauses did not deadlock")
-	}
-	expiring, dExp := run(true)
-	if dExp.Deadlocked() != nil {
-		t.Error("expiring pauses still deadlocked; watchdog effect missing")
-	}
-	if expiring.TotalDelivered() <= refreshed.TotalDelivered() {
-		t.Errorf("expiring pauses delivered %v, refreshed %v",
-			expiring.TotalDelivered(), refreshed.TotalDelivered())
-	}
-}

@@ -33,7 +33,7 @@ func ringStall(down [3]bool) *fakeNet {
 	for i := 0; i < 3; i++ {
 		prev, next := nodes[(i+2)%3], nodes[(i+1)%3]
 		states = append(states, netsim.IngressState{
-			Node: nodes[i], Port: 0, Prio: 0, From: prev,
+			Node: nodes[i], Prio: 0, From: prev,
 			Occupancy:     800 * units.KB,
 			OccupiedSince: units.Millisecond,
 			WaitsOn:       []topology.NodeID{next},

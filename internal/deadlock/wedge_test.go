@@ -18,7 +18,7 @@ func chainStall() *fakeNet {
 		now: 100 * units.Millisecond,
 		states: []netsim.IngressState{
 			{
-				Node: 2, Port: 0, Prio: 0, From: 1,
+				Node: 2, Prio: 0, From: 1,
 				Occupancy:     800 * units.KB,
 				OccupiedSince: units.Millisecond,
 				WaitsOn:       []topology.NodeID{3},
@@ -26,7 +26,7 @@ func chainStall() *fakeNet {
 				WaitsDown:     []bool{false},
 			},
 			{
-				Node: 3, Port: 0, Prio: 0, From: 2,
+				Node: 3, Prio: 0, From: 2,
 				Occupancy:    0,
 				LastDepartAt: units.Millisecond,
 			},

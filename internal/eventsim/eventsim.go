@@ -50,11 +50,7 @@ import (
 type Event struct {
 	id  int32
 	gen uint32
-	at  units.Time
 }
-
-// At reports when the event was scheduled to fire.
-func (e Event) At() units.Time { return e.at }
 
 // Values of record.pos below zero.
 const (
@@ -160,10 +156,6 @@ func (e *Engine) Pending() int {
 // The ratio is a property of the program's delays, not of its results.
 func (e *Engine) LaneStats() (laned, after uint64) { return e.laned, e.afters }
 
-// Stopped reports whether a Stop is pending, i.e. Stop was called and no Run
-// has consumed it yet.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // alloc returns a record id off the free list, growing the pool when empty.
 func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
@@ -200,7 +192,7 @@ func (e *Engine) Schedule(at units.Time, fn func()) Event {
 	e.heap = append(e.heap, entry{at: at, seq: e.seq, id: id})
 	e.seq++
 	e.siftUp(int32(len(e.heap) - 1))
-	return Event{id: id, gen: r.gen, at: at}
+	return Event{id: id, gen: r.gen}
 }
 
 // After runs fn after delay d from the current time. It is Schedule(Now()+d,
@@ -232,7 +224,7 @@ func (e *Engine) After(d units.Time, fn func()) Event {
 	l.n++
 	e.busy |= 1 << i
 	e.seq++
-	return Event{id: id, gen: r.gen, at: at}
+	return Event{id: id, gen: r.gen}
 }
 
 // laneFor returns the index of the lane an event After delay d belongs in:
@@ -285,8 +277,8 @@ func (e *Engine) Cancel(ev Event) {
 }
 
 // Stop makes Run return after the currently executing event completes. When
-// no Run is active the flag persists — observable via Stopped — and the next
-// Run consumes it, executing nothing.
+// no Run is active the flag persists and the next Run consumes it, executing
+// nothing.
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetHook installs a run-governor hook: during Run, fn is invoked after

@@ -255,8 +255,8 @@ func TestRandomCancel(t *testing.T) {
 	}
 }
 
-// Stop from inside an event must halt the run after that event, be
-// observable via Stopped until the next Run, and be consumed by it.
+// Stop from inside an event must halt the run after that event and be
+// consumed by it.
 func TestStopInsideEvent(t *testing.T) {
 	e := New()
 	count := 0
@@ -272,7 +272,7 @@ func TestStopInsideEvent(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("count = %d after in-event Stop, want 2", count)
 	}
-	if e.Stopped() {
+	if e.stopped {
 		t.Fatal("Run returned without clearing the stop flag")
 	}
 	e.Run(100)
@@ -281,21 +281,21 @@ func TestStopInsideEvent(t *testing.T) {
 	}
 }
 
-// Stop before Run persists (Stopped reports it), makes that Run execute
+// Stop before Run persists, makes that Run execute
 // nothing, and is consumed so the following Run proceeds.
 func TestStopBeforeRun(t *testing.T) {
 	e := New()
 	ran := 0
 	e.Schedule(1, func() { ran++ })
 	e.Stop()
-	if !e.Stopped() {
-		t.Fatal("Stopped() false right after Stop")
+	if !e.stopped {
+		t.Fatal("stop flag clear right after Stop")
 	}
 	e.RunAll()
 	if ran != 0 {
 		t.Fatal("stopped Run executed an event")
 	}
-	if e.Stopped() {
+	if e.stopped {
 		t.Fatal("Run did not consume the stop flag")
 	}
 	e.RunAll()
@@ -456,7 +456,7 @@ func TestHookStopsRun(t *testing.T) {
 	if n != 25 {
 		t.Fatalf("hook stopped after %d events, want 25", n)
 	}
-	if e.Stopped() {
+	if e.stopped {
 		t.Fatal("hook-ended run left a pending stop flag")
 	}
 	// The hook decision is per-Run: with the hook cleared, the chain

@@ -116,7 +116,7 @@ func checkHeap(t *testing.T, e *Engine, live []Event) {
 		default:
 			t.Fatalf("live handle %+v: record is on the free list", ev)
 		}
-		if ent.id != ev.id || ent.at != ev.at {
+		if ent.id != ev.id {
 			t.Fatalf("live handle %+v is queued as %+v", ev, ent)
 		}
 		if i > 0 && ent.seq <= lastSeq {
@@ -183,9 +183,6 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 			if wrapped[i] && e.lanes[i].head == 0 && int(e.lanes[i].n) > 1 {
 				cov.grewWrapped++
 			}
-		}
-		if ev.At() != re.at {
-			t.Fatalf("seed %d: After(%v) at %v returned a handle for %v", seed, d, e.Now(), ev.At())
 		}
 		pending = append(pending, live{ev: ev, ref: re})
 	}
@@ -332,6 +329,7 @@ func TestAfterEqualsSchedule(t *testing.T) {
 		e = New()
 		delays := [...]units.Time{0, 1, 1, 4, 4, 4, 11, 37, 90}
 		var handles []Event
+		var times []units.Time // times[i] is when handles[i] is due
 		const total = 1500
 		next := 0
 		var spawn func()
@@ -341,7 +339,9 @@ func TestAfterEqualsSchedule(t *testing.T) {
 			}
 			id := next
 			next++
-			handles = append(handles, sched(e, delays[rng.Intn(len(delays))], func() {
+			d := delays[rng.Intn(len(delays))]
+			times = append(times, e.Now()+d)
+			handles = append(handles, sched(e, d, func() {
 				log = append(log, fmt.Sprintf("fire %d at %v pending %d", id, e.Now(), e.Pending()))
 				for n := rng.Intn(4); n > 0; n-- {
 					spawn()
@@ -365,7 +365,7 @@ func TestAfterEqualsSchedule(t *testing.T) {
 			}
 			// Stop exactly on a recent handle's time when that is ahead of
 			// the last horizon, a few ticks past it otherwise.
-			if at := handles[len(handles)-1-rng.Intn(min(len(handles), 16))].At(); at > until {
+			if at := times[len(times)-1-rng.Intn(min(len(times), 16))]; at > until {
 				until = at
 			} else {
 				until += units.Time(rng.Intn(6))

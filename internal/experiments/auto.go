@@ -66,10 +66,8 @@ func buildFluidRepeat(topo *topology.Topology, tab *routing.Table, fc FC, cfg Sw
 // the pure-fluid counterpart of RunScenario. The scheme must be
 // fluid-representable (RunSweep pre-checks this for fluid-mode sweeps).
 // Slowdown samples stay empty (the stand-in's flows are unbounded, so there
-// are no completion times) and FeedbackFraction stays zero (the solver
-// models feedback as a latency, not as wire bytes) — documented in
-// EXPERIMENTS.md alongside the aggregates that therefore only cover
-// packet-produced repeats.
+// are no completion times) — documented in EXPERIMENTS.md alongside the
+// aggregates that therefore only cover packet-produced repeats.
 func RunScenarioFluid(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
 	r, err := buildFluidRepeat(topo, tab, fc, cfg, repeatSeed)
 	if err != nil {

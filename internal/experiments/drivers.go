@@ -214,10 +214,6 @@ func ringSection(pause, gentle FC) func(io.Writer, *Options) error {
 					return nil, "", err
 				}
 				cfg.Faults = plan
-				if fc == GFCBuf && hostsPerSwitch == 1 {
-					// Loss repair under faulted feedback, as in the matrix.
-					cfg.Refresh = faultedRefresh
-				}
 			}
 			ro := o.sub()
 			res, err := RunRing(cfg, ro)
@@ -403,6 +399,20 @@ func sweepSection(title string, rows func(map[int]map[FC]*SweepResult, []int) *s
 		if o.Table1Scale == "ci" {
 			ks = []int{4}
 		}
+		// A scheme the fluid solver cannot represent is left out before
+		// anything is swept — its column prints "-" — instead of failing the
+		// run after the schemes ahead of it have been computed.
+		schemes := AllFCs()
+		if o.Backend == "fluid" {
+			schemes = nil
+			for _, fc := range AllFCs() {
+				if err := fluidSweepSupports(fc); err != nil {
+					fmt.Fprintf(o.Stderr, "skipping %s: %v\n", fc, err)
+					continue
+				}
+				schemes = append(schemes, fc)
+			}
+		}
 		results := make(map[int]map[FC]*SweepResult)
 		quarantined, degradedCells := 0, 0
 		for _, k := range ks {
@@ -433,7 +443,7 @@ func sweepSection(title string, rows func(map[int]map[FC]*SweepResult, []int) *s
 				cfg.Networks, cfg.Repeats = 10000, 100
 				cfg.FlowsPerHost, cfg.Analytic = 1, true
 			}
-			for _, fc := range AllFCs() {
+			for _, fc := range schemes {
 				fmt.Fprintf(o.Stderr, "sweep k=%d %s...\n", k, fc)
 				res, err := RunSweep(o.ctx(), fc, cfg)
 				if err != nil {

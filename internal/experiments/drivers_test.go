@@ -144,6 +144,27 @@ func TestSectionsNarrate(t *testing.T) {
 	if len(Drivers) != 14 {
 		t.Errorf("the dispatch table has %d drivers; add the new one's narrative above", len(Drivers))
 	}
+	// -backend fluid: a sweep leaves out the scheme the solver cannot
+	// represent, says so once and prints "-" in its column. It used to sweep
+	// the schemes ahead of CBFC and then fail the whole table.
+	table1, err := Lookup("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := shortOptions()
+	o.Backend = "fluid"
+	var out, stderr bytes.Buffer
+	o.Stderr = &stderr
+	if err := table1.Run(&out, o); err != nil {
+		t.Fatalf("-exp table1 -backend fluid: %v", err)
+	}
+	_, counts, _ := strings.Cut(out.String(), "k=4") // CBD-prone, then one column per scheme
+	if row := strings.Fields(counts); len(row) < 5 || row[1] == "-" || row[2] == "-" || row[3] != "-" || row[4] == "-" {
+		t.Errorf("-exp table1 -backend fluid: want a count under PFC, GFC-buffer and GFC-time and \"-\" under CBFC:\n%s", out.String())
+	}
+	if n := strings.Count(stderr.String(), "skipping CBFC: "); n != 1 {
+		t.Errorf("-exp table1 -backend fluid: %d stderr lines skip CBFC, want 1:\n%s", n, stderr.String())
+	}
 	if _, err := Lookup("fig99"); err == nil || !strings.Contains(err.Error(), "fig5, fig9, fig10") {
 		t.Errorf("Lookup(fig99) = %v, want a usage error listing the table", err)
 	}

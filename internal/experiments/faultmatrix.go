@@ -62,11 +62,6 @@ type FaultCell struct {
 	Delivered  units.Size
 	MinFlow    units.Size
 	SteadyRate units.Rate
-
-	// Retries counts transient failures absorbed before this cell's run
-	// completed (0 for a clean first attempt). Not a printed column:
-	// FaultMatrixRows' output is golden-pinned.
-	Retries int
 }
 
 // FaultMatrixConfig parameterises RunFaultMatrix.
@@ -92,12 +87,6 @@ type FaultMatrixConfig struct {
 	// its position, so the matrix is bit-identical for every worker count.
 	Workers int
 }
-
-// faultedRefresh is the stage re-advertisement period buffer-based GFC runs
-// with under faulted feedback (loss repair; see GFCBufferConfig.Refresh): τ,
-// bounding feedback staleness at roughly one reaction budget. Clean runs keep
-// Refresh 0 so they match the golden fig9 traces.
-const faultedRefresh = 90 * units.Microsecond
 
 // RunFaultMatrix runs the scheme × scenario robustness matrix on the fig9
 // steady ring — one host per switch, critically loaded, where every scheme is
@@ -163,9 +152,6 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 				// verdict is the row's, DCFIT's fills its own columns.
 				Detector: "both",
 			}
-			if fc == GFCBuf && plan != nil {
-				ring.Refresh = faultedRefresh
-			}
 			res, err := RunRing(ring, RunOptions{
 				Ctx: ctx, Budget: cfg.Budget, Duration: cfg.Duration, Metrics: reg,
 			})
@@ -204,9 +190,6 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 			return nil, fmt.Errorf("experiments: %s under %q: %w", cfg.Schemes[j%nfc], cfg.Scenarios[j/nfc], r.Err)
 		}
 		cells[j] = r.Value
-		if r.Prov != nil {
-			cells[j].Retries = len(r.Prov.Retries)
-		}
 	}
 	return cells, nil
 }

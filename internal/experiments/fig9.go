@@ -35,19 +35,13 @@ type RingConfig struct {
 	// topology, where GFC settles at its steady state; 2 the
 	// deadlock-formation regime for PFC/CBFC.
 	HostsPerSwitch int
-	// Tau overrides the testbed's 90 µs worst-case feedback latency
-	// used for parameter derivation (ablations).
-	Tau units.Time
 	// Faults, when non-nil, injects the compiled fault plan: its timeline
 	// is scheduled on the run's engine and feedback emissions consult a
 	// fresh injector seeded with FaultSeed. The plan must be compiled on
-	// the same ring topology RunRing builds (RingTopology).
+	// the same ring topology RunRing builds (RingTopology). A faulted run
+	// simulates scenario.RingFaulted, a clean one scenario.Ring.
 	Faults    *faults.Plan
 	FaultSeed int64
-	// Refresh sets buffer-based GFC's periodic stage re-advertisement for
-	// this run (loss repair under faulted feedback); zero keeps the
-	// edge-triggered default and the clean-run traces.
-	Refresh units.Time
 	// Detector selects the deadlock detector(s), as in
 	// scenario.RunSpec.Detector: "" or "global", "dcfit", or "both".
 	Detector string
@@ -62,25 +56,15 @@ func RingTopology(hostsPerSwitch int) *topology.Topology {
 	return topology.RingHosts(3, hostsPerSwitch, topology.DefaultLinkParams())
 }
 
-// ringSpec overlays the ablation and fault-repair knobs of cfg on the
-// figure's declaration.
+// ringSpec is the figure's declaration for cfg: the clean ring, or the faulted
+// one when a fault plan is injected.
 func ringSpec(cfg RingConfig) scenario.Spec {
-	spec := scenario.Ring(cfg.FC, cfg.HostsPerSwitch)
-	spec.Scheme.Params.Refresh = cfg.Refresh
-	spec.Run.Detector = cfg.Detector
-	if cfg.Tau > 0 {
-		// Tau ablation: re-derive the GFC thresholds for the new τ so
-		// the safety bounds hold (B1 ≤ Bm − 2Cτ with Bm defaulted by
-		// the factory). The preset's B1/B0 are pinned for τ = 90 µs,
-		// so spell the params out instead of overlaying.
-		simCfg, fp := scenario.TestbedParams()
-		fp.B1 = 0
-		fp.B0 = 0
-		fp.Refresh = cfg.Refresh
-		spec.Scheme = scenario.SchemeSpec{FC: cfg.FC, Params: fp}
-		spec.Sim.BufferBytes = simCfg.BufferSize
-		spec.Sim.TauNs = cfg.Tau
+	ring := scenario.Ring
+	if cfg.Faults != nil {
+		ring = scenario.RingFaulted
 	}
+	spec := ring(cfg.FC, cfg.HostsPerSwitch)
+	spec.Run.Detector = cfg.Detector
 	return spec
 }
 

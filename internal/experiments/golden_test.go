@@ -100,7 +100,8 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 	},
 	"fig9-ring-faulted": func(t *testing.T) uint64 {
 		// The canonical faulted scenario: resume-loss on the fig9 ring,
-		// PFC (wedges) and buffer-based GFC with refresh (rides it out).
+		// PFC (wedges) and buffer-based GFC, which a faulted ring runs with
+		// refresh (rides it out).
 		spec, err := faults.Preset("resume-loss")
 		if err != nil {
 			t.Fatal(err)
@@ -111,11 +112,7 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		}
 		g := newHasher()
 		for _, fc := range []FC{PFC, GFCBuf} {
-			cfg := RingConfig{FC: fc, Faults: plan, FaultSeed: 1}
-			if fc == GFCBuf {
-				cfg.Refresh = 90 * units.Microsecond
-			}
-			res, err := RunRing(cfg, RunOptions{Duration: 30 * units.Millisecond})
+			res, err := RunRing(RingConfig{FC: fc, Faults: plan, FaultSeed: 1}, RunOptions{Duration: 30 * units.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,6 @@ type SweepConfig struct {
 	FailureProb float64 // per-link failure probability (paper: 0.05)
 	Duration    units.Time
 	Seed        int64
-	Scheduling  netsim.Scheduling
 	// FlowsPerHost scales workload intensity (default 1, the paper's).
 	// Budget-limited sweeps use 2–4 to compensate for running far fewer
 	// repeats than the paper's 100 per topology.
@@ -154,10 +153,7 @@ type ScenarioResult struct {
 	HostBandwidth units.Rate
 	// Slowdowns collects per-completed-flow slowdown samples (Fig 17).
 	Slowdowns []float64
-	// FeedbackFraction is total feedback bytes over total link capacity
-	// × time (one input to Figure 19).
-	FeedbackFraction float64
-	Drops            int64
+	Drops     int64
 	// Analytic is the network-wide analytic verdict of the repeat, present
 	// when the sweep ran with SweepConfig.Analytic. It round-trips through
 	// the checkpoint store like every other field, so resumed and replayed
@@ -275,9 +271,6 @@ func GenerateScenario(k int, p float64, seed int64) (*topology.Topology, *routin
 // seeded by the repeat.
 func sweepSpec(fc FC, cfg SweepConfig, repeatSeed int64) scenario.Spec {
 	spec := scenario.SweepCell(fc, cfg.K, cfg.FlowsPerHost, repeatSeed)
-	if cfg.Scheduling != netsim.SchedInputQueued {
-		spec.Sim.Scheduling = cfg.Scheduling.String()
-	}
 	spec.Run.DurationNs = cfg.Duration
 	spec.Run.Analytic = cfg.Analytic
 	return spec
@@ -333,7 +326,7 @@ func runRepeat(ctx context.Context, r scenario.Runner, topo *topology.Topology, 
 
 // RunScenario executes one workload repetition on a prepared scenario at
 // packet fidelity, adding what only the packet engine observes: per-flow
-// slowdowns and the feedback share of fabric capacity.
+// slowdowns.
 func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
 	sim, err := scenario.Build(sweepSpec(fc, cfg, repeatSeed), repeatOverrides(topo, tab))
 	if err != nil {
@@ -347,17 +340,6 @@ func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Tabl
 		ideal := routing.PathLatency(f.Path, 1500*units.Byte) +
 			units.TransmissionTime(f.Size, 10*units.Gbps)
 		res.Slowdowns = append(res.Slowdowns, stats.Slowdown(f.FCT(), ideal))
-	}
-	// Feedback fraction of total fabric capacity over the run.
-	var capBits float64
-	for i := 0; i < topo.NumLinks(); i++ {
-		l := topo.Link(topology.LinkID(i))
-		if !l.Failed {
-			capBits += 2 * float64(l.Capacity) * cfg.Duration.Seconds()
-		}
-	}
-	if capBits > 0 {
-		res.FeedbackFraction = float64(sim.Metrics.Summary().FeedbackWire.Bits()) / capBits
 	}
 	return res, nil
 }
@@ -385,10 +367,18 @@ func SweepKey(fc FC, cfg SweepConfig) string {
 	if backend == "" {
 		backend = "packet"
 	}
-	return fmt.Sprintf("table1/fc=%v/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/sched=%s/fph=%d/analytic=%t/backend=%s/degrade=%t",
+	return fmt.Sprintf("table1/fc=%v/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/fph=%d/analytic=%t/backend=%s/degrade=%t",
 		fc, cfg.K, cfg.Networks, cfg.Repeats, cfg.FailureProb,
-		int64(cfg.Duration), cfg.Seed, cfg.Scheduling.String(), cfg.FlowsPerHost,
+		int64(cfg.Duration), cfg.Seed, cfg.FlowsPerHost,
 		cfg.Analytic, backend, cfg.Degrade)
+}
+
+// fluidSweepSupports reports why a pure-fluid sweep of fc cannot run, nil when
+// it can: the fluid backend's verdict on the sweep's cell spec, which the
+// scheme alone decides.
+func fluidSweepSupports(fc FC) error {
+	probe := sweepSpec(fc, SweepConfig{}, 0)
+	return fluidSweepBackend.Supports(&probe)
 }
 
 // seedOf is the base RNG seed of scenario i, recorded in checkpoint entries.
@@ -442,8 +432,7 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 	if cfg.Backend == "fluid" {
 		// Fail fast rather than quarantining every cell: a pure-fluid
 		// sweep of a scheme the solver cannot represent computes nothing.
-		probe := sweepSpec(fc, cfg, 0)
-		if err := fluidSweepBackend.Supports(&probe); err != nil {
+		if err := fluidSweepSupports(fc); err != nil {
 			return nil, err
 		}
 	}

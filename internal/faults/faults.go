@@ -316,7 +316,6 @@ func (f *compiledFeedback) matches(k flowcontrol.Kind) bool {
 // across concurrently running networks; each network needs its own
 // Injector.
 type Plan struct {
-	Spec *Spec
 	// feedback[linkID] lists the feedback faults on that link.
 	feedback map[topology.LinkID][]compiledFeedback
 	events   []Event
@@ -330,7 +329,6 @@ func (s *Spec) Compile(topo *topology.Topology) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{
-		Spec:     s,
 		feedback: make(map[topology.LinkID][]compiledFeedback),
 		onsets:   make(map[int]units.Time),
 	}
@@ -463,6 +461,3 @@ func resolveHosts(topo *topology.Topology, pattern string) ([]topology.NodeID, e
 	}
 	return []topology.NodeID{id}, nil
 }
-
-// Events returns the compiled timeline (sorted by time).
-func (p *Plan) Events() []Event { return p.events }

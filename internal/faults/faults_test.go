@@ -95,7 +95,7 @@ func TestCompileResolvesPatterns(t *testing.T) {
 		}
 	}
 	// Events: 1 flap (down+up) + S1's 3 links degrade (2 each) + 3 host bursts.
-	if got, want := len(p.Events()), 2+6+3; got != want {
+	if got, want := len(p.events), 2+6+3; got != want {
 		t.Fatalf("compiled %d events, want %d", got, want)
 	}
 	for i := 1; i < len(p.events); i++ {
@@ -125,8 +125,8 @@ func TestCompileRejectsUnmatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Events()) != 1 {
-		t.Errorf("H1-* matched %d links, want 1", len(p.Events()))
+	if len(p.events) != 1 {
+		t.Errorf("H1-* matched %d links, want 1", len(p.events))
 	}
 }
 

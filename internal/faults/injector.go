@@ -24,7 +24,6 @@ type Stats struct {
 // many sibling networks run in parallel.
 type Injector struct {
 	plan  *Plan
-	seed  int64
 	rng   *rand.Rand
 	bound bool
 	// burstRun counts consecutive drops per feedback channel so MaxBurst
@@ -45,17 +44,10 @@ type burstKey struct {
 func (p *Plan) NewInjector(seed int64) *Injector {
 	return &Injector{
 		plan:     p,
-		seed:     seed,
 		rng:      rand.New(rand.NewSource(seed)),
 		burstRun: make(map[burstKey]int),
 	}
 }
-
-// Plan returns the immutable plan this injector executes.
-func (inj *Injector) Plan() *Plan { return inj.plan }
-
-// Seed returns the seed the injector was created with.
-func (inj *Injector) Seed() int64 { return inj.seed }
 
 // Bind marks the injector attached to a network; attaching one injector to
 // two networks would interleave their random draws and destroy replay

@@ -84,7 +84,7 @@ func NewBFC(cfg BFCConfig) Factory {
 		}
 		return Controller{
 			Sender:   &bfcSender{p: p, cfg: cfg, paused: make([]bool, cfg.Queues)},
-			Receiver: &bfcReceiver{p: p, cfg: cfg, env: env, qlen: make([]units.Size, cfg.Queues), paused: make([]bool, cfg.Queues)},
+			Receiver: &bfcReceiver{cfg: cfg, env: env, qlen: make([]units.Size, cfg.Queues), paused: make([]bool, cfg.Queues)},
 		}, nil
 	}
 }
@@ -163,7 +163,6 @@ func (s *bfcSender) Rate() units.Rate {
 // around the per-queue thresholds, mirroring pfcReceiver's believed-state
 // dedup so a queue bouncing inside (XON, XOFF) stays silent.
 type bfcReceiver struct {
-	p   Params
 	cfg BFCConfig
 	env Env
 
@@ -182,7 +181,7 @@ func (r *bfcReceiver) OnQueueArrival(qid int, s, _ units.Size) {
 	r.qlen[qid] += s
 	if !r.paused[qid] && r.qlen[qid] >= r.cfg.XOFF {
 		r.paused[qid] = true
-		r.env.Emit(Message{Kind: KindQueuePause, Priority: r.p.Priority, QueueID: qid})
+		r.env.Emit(Message{Kind: KindQueuePause, QueueID: qid})
 	}
 }
 
@@ -193,6 +192,6 @@ func (r *bfcReceiver) OnQueueDeparture(qid int, s, _ units.Size) {
 	}
 	if r.paused[qid] && r.qlen[qid] <= r.cfg.XON {
 		r.paused[qid] = false
-		r.env.Emit(Message{Kind: KindQueueResume, Priority: r.p.Priority, QueueID: qid})
+		r.env.Emit(Message{Kind: KindQueueResume, QueueID: qid})
 	}
 }

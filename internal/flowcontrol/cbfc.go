@@ -138,7 +138,7 @@ func (r *cbfcReceiver) tick() {
 
 func (r *cbfcReceiver) advertise() {
 	fccl := r.abr + int64(r.p.Buffer/CreditBlock)
-	r.env.Emit(Message{Kind: KindCredit, Priority: r.p.Priority, FCCL: fccl})
+	r.env.Emit(Message{Kind: KindCredit, FCCL: fccl})
 }
 
 func (r *cbfcReceiver) OnArrival(_, _ units.Size) {}

@@ -72,12 +72,11 @@ const MessageSize = 64 * units.Byte
 
 // Message is one feedback frame from a Receiver to its paired Sender.
 type Message struct {
-	Kind     Kind
-	Priority int
-	Stage    int        // KindStage
-	FCCL     int64      // KindCredit, in 64-byte blocks
-	Queue    units.Size // KindQueue
-	QueueID  int        // KindQueuePause / KindQueueResume
+	Kind    Kind
+	Stage   int        // KindStage
+	FCCL    int64      // KindCredit, in 64-byte blocks
+	Queue   units.Size // KindQueue
+	QueueID int        // KindQueuePause / KindQueueResume
 }
 
 // Wire reports the frame's size on the wire.
@@ -108,7 +107,6 @@ type Params struct {
 	Buffer   units.Size // ingress buffer allocation B for this priority
 	MTU      units.Size
 	Tau      units.Time // worst-case feedback latency, for safety bounds
-	Priority int
 }
 
 // Validate reports an error for inconsistent parameters.

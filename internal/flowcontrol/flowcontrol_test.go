@@ -117,30 +117,6 @@ func TestRecommendedPFCSmallBuffer(t *testing.T) {
 	}
 }
 
-// quantaDuration rounds half-up to the nanosecond clock: one quantum is
-// 51.2 ns at 10 Gb/s, 5.12 ns at 100 Gb/s and 1.28 ns at 400 Gb/s, so the
-// multi-quanta values below would drift under truncation.
-func TestQuantaDurationRounding(t *testing.T) {
-	cases := []struct {
-		q    int
-		c    units.Rate
-		want units.Time
-	}{
-		{1, 10 * units.Gbps, 51},     // 51.2
-		{100, 10 * units.Gbps, 5120}, // exact
-		{1, 100 * units.Gbps, 5},     // 5.12
-		{3, 100 * units.Gbps, 15},    // 15.36
-		{1, 400 * units.Gbps, 1},     // 1.28
-		{3, 400 * units.Gbps, 4},     // 3.84 → rounds up (trunc would give 3)
-		{100, 400 * units.Gbps, 128}, // exact
-	}
-	for _, c := range cases {
-		if got := quantaDuration(c.q, c.c); got != c.want {
-			t.Errorf("quantaDuration(%d, %v) = %v, want %v", c.q, c.c, got, c.want)
-		}
-	}
-}
-
 func TestPFCConfigValidate(t *testing.T) {
 	p := testParams()
 	bad := []PFCConfig{
@@ -810,61 +786,6 @@ func TestGFCBufferStageConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPFCQuantaExpiry(t *testing.T) {
-	env := newFakeEnv()
-	p := testParams()
-	cfg := PFCConfig{XOFF: 800 * units.KB, XON: 797 * units.KB,
-		PauseQuanta: 100, NoRefresh: true}
-	c, err := NewPFC(cfg)(p, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.forward = c.Sender
-	c.Receiver.OnArrival(1500, 800*units.KB)
-	env.eng.Run(0)
-	if ok, wake := c.Sender.TrySend(1500); ok || wake == units.Never {
-		t.Fatalf("quanta pause must expose a finite wake (ok=%v wake=%v)", ok, wake)
-	}
-	// 100 quanta at 10G = 100·512/10e9 s = 5.12µs; after expiry the
-	// sender resumes on its own (no RESUME frame).
-	env.eng.Schedule(6*units.Microsecond, func() {})
-	env.eng.RunAll()
-	if ok, _ := c.Sender.TrySend(1500); !ok {
-		t.Fatal("pause did not expire")
-	}
-	if c.Sender.Rate() != p.Capacity {
-		t.Fatal("rate not restored after expiry")
-	}
-}
-
-func TestPFCQuantaRefresh(t *testing.T) {
-	env := newFakeEnv()
-	p := testParams()
-	cfg := PFCConfig{XOFF: 800 * units.KB, XON: 797 * units.KB, PauseQuanta: 100}
-	c, err := NewPFC(cfg)(p, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.forward = c.Sender
-	c.Receiver.OnArrival(1500, 900*units.KB) // stays far above XON
-	// Run well past several quanta lifetimes: refreshes keep it paused.
-	// (The refresh chain is unbounded while congested, so use a bounded
-	// horizon rather than draining the queue.)
-	env.eng.Run(50 * units.Microsecond)
-	if ok, _ := c.Sender.TrySend(1500); ok {
-		t.Fatal("refreshed pause expired")
-	}
-	if len(env.sent) < 5 {
-		t.Fatalf("only %d PAUSE frames; refresh not happening", len(env.sent))
-	}
-	// Drain to XON: refresh chain stops, RESUME emitted.
-	c.Receiver.OnDeparture(1500, 797*units.KB)
-	env.eng.Run(env.eng.Now() + 50*units.Microsecond)
-	if ok, _ := c.Sender.TrySend(1500); !ok {
-		t.Fatal("sender still paused after drain")
 	}
 }
 

@@ -25,9 +25,6 @@ type GFCBufferConfig struct {
 	// MinRate is the rate-limiter granularity floor; zero means the
 	// commodity default of 8 Kb/s.
 	MinRate units.Rate
-	// Slack is the rate-limiter conservatism; zero means the limiter
-	// default (see RateLimiter.Slack).
-	Slack float64
 	// Ratio is the per-stage rate ratio R_k/R_{k−1}; zero means the
 	// paper's 1/2 (equation 4). Equation (3) requires ≤ 3/4.
 	Ratio float64
@@ -136,9 +133,6 @@ func NewGFCBuffer(cfg GFCBufferConfig) Factory {
 		}
 		rl := *NewRateLimiter(p.Capacity)
 		rl.MinRate = cfg.MinRate
-		if cfg.Slack > 0 {
-			rl.Slack = cfg.Slack
-		}
 		return Controller{
 			Sender:   &gfcBufferSender{rl: rl, clock: env.Clock(), table: table},
 			Receiver: &gfcBufferReceiver{p: p, table: table, env: env, refresh: cfg.Refresh},
@@ -153,7 +147,6 @@ type gfcBufferSender struct {
 	rl    RateLimiter
 	clock Clock
 	table *core.StageTable
-	stage int
 }
 
 func (s *gfcBufferSender) TrySend(units.Size) (bool, units.Time) {
@@ -172,14 +165,10 @@ func (s *gfcBufferSender) OnFeedback(m Message) {
 	if m.Kind != KindStage {
 		return
 	}
-	s.stage = m.Stage
 	s.rl.SetRate(s.table.StageRate(m.Stage))
 }
 
 func (s *gfcBufferSender) Rate() units.Rate { return s.rl.Rate() }
-
-// Stage reports the last stage ID received (diagnostic).
-func (s *gfcBufferSender) Stage() int { return s.stage }
 
 // Ceiling returns the stage table's mapping ceiling B_m (Bounded).
 func (s *gfcBufferSender) Ceiling() units.Size { return s.table.Bm }
@@ -261,7 +250,7 @@ func (r *gfcBufferReceiver) emit(st int) {
 	r.sent = st
 	r.started = true
 	r.lastEmit = r.env.Clock().Now()
-	r.env.Emit(Message{Kind: KindStage, Priority: r.p.Priority, Stage: st})
+	r.env.Emit(Message{Kind: KindStage, Stage: st})
 }
 
 func (r *gfcBufferReceiver) OnArrival(_, q units.Size)   { r.observe(q) }
@@ -317,7 +306,7 @@ func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
 		rl.MinRate = cfg.MinRate
 		return Controller{
 			Sender:   &gfcContinuousSender{rl: rl, clock: env.Clock(), mapping: m},
-			Receiver: &gfcConceptualReceiver{p: p, env: env},
+			Receiver: &gfcConceptualReceiver{env: env},
 		}, nil
 	}
 }
@@ -356,7 +345,6 @@ func (s *gfcContinuousSender) Rate() units.Rate { return s.rl.Rate() }
 func (s *gfcContinuousSender) Ceiling() units.Size { return s.mapping.Bm }
 
 type gfcConceptualReceiver struct {
-	p    Params
 	env  Env
 	last units.Size
 	sent bool
@@ -370,7 +358,7 @@ func (r *gfcConceptualReceiver) observe(q units.Size) {
 	}
 	r.sent = true
 	r.last = q
-	r.env.Emit(Message{Kind: KindQueue, Priority: r.p.Priority, Queue: q})
+	r.env.Emit(Message{Kind: KindQueue, Queue: q})
 }
 
 func (r *gfcConceptualReceiver) OnArrival(_, q units.Size)   { r.observe(q) }

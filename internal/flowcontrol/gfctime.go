@@ -26,9 +26,6 @@ type GFCTimeConfig struct {
 	Bm units.Size
 	// MinRate floors the mapped rate; zero means 8 Kb/s.
 	MinRate units.Rate
-	// Slack is the rate-limiter conservatism; zero means the limiter
-	// default.
-	Slack float64
 }
 
 // Resolve returns c with the thresholds NewGFCTime installs on a channel with
@@ -76,9 +73,6 @@ func NewGFCTime(cfg GFCTimeConfig) Factory {
 		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
 		rl := *NewRateLimiter(p.Capacity)
 		rl.MinRate = cfg.MinRate
-		if cfg.Slack > 0 {
-			rl.Slack = cfg.Slack
-		}
 		return Controller{
 			Sender:   &gfcTimeSender{rl: rl, clock: env.Clock(), mapping: m, bm: cfg.Bm},
 			Receiver: &cbfcReceiver{p: p, cfg: CBFCConfig{Period: cfg.Period}, env: env},

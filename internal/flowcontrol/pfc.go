@@ -2,7 +2,6 @@ package flowcontrol
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -14,29 +13,6 @@ import (
 type PFCConfig struct {
 	XOFF units.Size
 	XON  units.Size
-	// PauseQuanta, when positive, models the real 802.1Qbb timer: a
-	// PAUSE lasts PauseQuanta × 512 bit-times and then expires, and the
-	// receiver refreshes it at half-life while the queue remains above
-	// XON. Zero keeps the simpler pause-until-RESUME model (equivalent
-	// to a receiver that always refreshes in time, which is how
-	// deadlocks persist in practice).
-	//
-	// A finite timer without refresh would self-heal deadlocks — that
-	// behaviour is exactly what vendor "PFC watchdog" features exploit;
-	// set Refresh to false to model it.
-	PauseQuanta int
-	// Refresh controls whether the receiver re-arms an expiring pause
-	// while still congested. Only meaningful with PauseQuanta > 0;
-	// default true (set NoRefresh to disable).
-	NoRefresh bool
-}
-
-// quantaDuration converts pause quanta to time at capacity c: one quantum
-// is 512 bit-times, rounded half-up to the nanosecond clock. Truncation is
-// not good enough at high capacities — at 400 Gb/s a quantum is 1.28 ns and
-// every refresh cycle would otherwise shave the fraction off again.
-func quantaDuration(q int, c units.Rate) units.Time {
-	return units.Time(math.Round(float64(q) * 512 / float64(c) * 1e9))
 }
 
 // RecommendedPFC derives thresholds from the buffer size, capacity and
@@ -79,8 +55,8 @@ func (c PFCConfig) CoversInflight(p Params) bool {
 }
 
 // Resolve returns the thresholds NewPFC installs on a channel with parameters
-// p — c itself, or RecommendedPFC's derivation when XOFF is unset (the timer
-// settings carry over) — and their validity for p. This is the only place
+// p — c itself, or RecommendedPFC's derivation when XOFF is unset — and their
+// validity for p. This is the only place
 // that decision is made: the factory, the fluid compiler and the analytic
 // predictor all call it.
 func (c PFCConfig) Resolve(p Params) (PFCConfig, error) {
@@ -106,8 +82,8 @@ func NewPFC(cfg PFCConfig) Factory {
 			return Controller{}, err
 		}
 		return Controller{
-			Sender:   &pfcSender{p: p, cfg: cfg, clock: env.Clock()},
-			Receiver: &pfcReceiver{p: p, cfg: cfg, env: env},
+			Sender:   &pfcSender{capacity: p.Capacity},
+			Receiver: &pfcReceiver{cfg: cfg, env: env},
 		}, nil
 	}
 }
@@ -116,31 +92,12 @@ func NewPFC(cfg PFCConfig) Factory {
 func NewPFCDefault() Factory { return NewPFC(PFCConfig{}) }
 
 type pfcSender struct {
-	p     Params
-	cfg   PFCConfig
-	clock Clock
-
-	paused bool
-	// expiry is when a quanta-limited pause runs out; Never for the
-	// pause-until-RESUME model.
-	expiry units.Time
-}
-
-func (s *pfcSender) isPaused() bool {
-	if !s.paused {
-		return false
-	}
-	if s.cfg.PauseQuanta > 0 && s.clock.Now() >= s.expiry {
-		s.paused = false // timer ran out without a refresh
-	}
-	return s.paused
+	capacity units.Rate
+	paused   bool
 }
 
 func (s *pfcSender) TrySend(units.Size) (bool, units.Time) {
-	if s.isPaused() {
-		if s.cfg.PauseQuanta > 0 {
-			return false, s.expiry
-		}
+	if s.paused {
 		return false, units.Never // a RESUME will kick us
 	}
 	return true, 0
@@ -152,58 +109,36 @@ func (s *pfcSender) OnFeedback(m Message) {
 	switch m.Kind {
 	case KindPause:
 		s.paused = true
-		if s.cfg.PauseQuanta > 0 {
-			s.expiry = s.clock.Now() + quantaDuration(s.cfg.PauseQuanta, s.p.Capacity)
-		} else {
-			s.expiry = units.Never
-		}
 	case KindResume:
 		s.paused = false
 	}
 }
 
 func (s *pfcSender) Rate() units.Rate {
-	if s.isPaused() {
+	if s.paused {
 		return 0
 	}
-	return s.p.Capacity
+	return s.capacity
 }
 
 type pfcReceiver struct {
-	p      Params
 	cfg    PFCConfig
 	env    Env
 	paused bool // believed upstream state
-	lastQ  units.Size
 }
 
 func (r *pfcReceiver) Start() {}
 
-func (r *pfcReceiver) pause() {
-	r.paused = true
-	r.env.Emit(Message{Kind: KindPause, Priority: r.p.Priority})
-	if r.cfg.PauseQuanta > 0 && !r.cfg.NoRefresh {
-		// Re-arm at half-life while the queue has not drained to XON,
-		// as real receivers do.
-		r.env.After(quantaDuration(r.cfg.PauseQuanta, r.p.Capacity)/2, func() {
-			if r.paused && r.lastQ > r.cfg.XON {
-				r.pause()
-			}
-		})
-	}
-}
-
 func (r *pfcReceiver) OnArrival(_, q units.Size) {
-	r.lastQ = q
 	if !r.paused && q >= r.cfg.XOFF {
-		r.pause()
+		r.paused = true
+		r.env.Emit(Message{Kind: KindPause})
 	}
 }
 
 func (r *pfcReceiver) OnDeparture(_, q units.Size) {
-	r.lastQ = q
 	if r.paused && q <= r.cfg.XON {
 		r.paused = false
-		r.env.Emit(Message{Kind: KindResume, Priority: r.p.Priority})
+		r.env.Emit(Message{Kind: KindResume})
 	}
 }

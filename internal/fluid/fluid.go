@@ -56,11 +56,6 @@ type Config struct {
 	// Tau is the feedback latency: the sender's rate at time t follows
 	// the queue at t − Tau.
 	Tau units.Time
-	// Period, when positive, models time-based feedback: the queue is
-	// sampled every Period and each sample takes Tau to take effect
-	// (several samples can be in flight). Zero means continuous
-	// feedback (conceptual GFC / buffer-based stage crossings).
-	Period units.Time
 	// Step is the integration step; default 100 ns.
 	Step units.Time
 	// Horizon is the run length; default 5 ms.
@@ -90,8 +85,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Horizon == 0 {
 		cfg.Horizon = 5 * units.Millisecond
 	}
-	if cfg.Tau < 0 || cfg.Period < 0 {
-		return nil, fmt.Errorf("fluid: negative Tau or Period")
+	if cfg.Tau < 0 {
+		return nil, fmt.Errorf("fluid: negative Tau")
 	}
 	steps := int(cfg.Horizon / cfg.Step)
 	lag := int(cfg.Tau / cfg.Step)
@@ -104,42 +99,13 @@ func Run(cfg Config) (*Result, error) {
 	var q, qmax float64
 	rate := cfg.Mapping.LineRate()
 
-	// Time-based feedback pipeline. Samples are applied in FIFO order via a
-	// head index; the slice is reset (not re-sliced) once drained so the
-	// backing array is reused instead of leaking one element per update.
-	type update struct {
-		at units.Time
-		r  units.Rate
-	}
-	var pending []update
-	head := 0
-	nextReport := cfg.Period
-
 	for i := 0; i < steps; i++ {
 		now := units.Time(i) * cfg.Step
 		hist[i] = q
-		if cfg.Period > 0 {
-			for head < len(pending) && now >= pending[head].at {
-				rate = pending[head].r
-				head++
-			}
-			if head == len(pending) && head > 0 {
-				pending = pending[:0]
-				head = 0
-			}
-			if now >= nextReport {
-				pending = append(pending, update{
-					at: now + cfg.Tau,
-					r:  cfg.Mapping.RateAt(units.Size(q)),
-				})
-				nextReport += cfg.Period
-			}
+		if i <= lag {
+			rate = cfg.Mapping.LineRate()
 		} else {
-			if i <= lag {
-				rate = cfg.Mapping.LineRate()
-			} else {
-				rate = cfg.Mapping.RateAt(units.Size(hist[i-lag]))
-			}
+			rate = cfg.Mapping.RateAt(units.Size(hist[i-lag]))
 		}
 		rd := cfg.Drain(now)
 		q += (float64(rate) - float64(rd)) / 8 * cfg.Step.Seconds()

@@ -103,26 +103,8 @@ func TestStagedMapping(t *testing.T) {
 	if res.Steady < 270*units.KB || res.Steady > 295*units.KB {
 		t.Errorf("staged steady %v, want within stage 1", res.Steady)
 	}
-	if res.Rate.Last() != 5e9 {
-		t.Errorf("final rate %v, want 5G", units.Rate(res.Rate.Last()))
-	}
-}
-
-func TestTimeBasedFeedback(t *testing.T) {
-	m := core.ContinuousMapping{C: 10 * units.Gbps, B0: 400 * units.KB, Bm: 600 * units.KB}
-	res, err := Run(Config{
-		Mapping: Continuous{m},
-		Drain:   ConstantDrain(2.5 * units.Gbps),
-		Tau:     7 * units.Microsecond,
-		Period:  52 * units.Microsecond,
-		Horizon: 10 * units.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.SteadyQueue(2.5 * units.Gbps) // 550KB
-	if res.Steady < want-10*units.KB || res.Steady > want+10*units.KB {
-		t.Errorf("steady %v, want ≈%v", res.Steady, want)
+	if last := res.Rate.V[res.Rate.Len()-1]; last != 5e9 {
+		t.Errorf("final rate %v, want 5G", units.Rate(last))
 	}
 }
 
@@ -158,35 +140,9 @@ func TestRunHistBoundary(t *testing.T) {
 		// A lag at or beyond the horizon keeps the sender at line rate
 		// for the whole run — the warmup branch, never an out-of-range
 		// hist read.
-		if tau >= horizon && res.Rate.Last() != 1e10 {
-			t.Errorf("tau %v: final rate %v, want line rate", tau, res.Rate.Last())
+		if last := res.Rate.V[res.Rate.Len()-1]; tau >= horizon && last != 1e10 {
+			t.Errorf("tau %v: final rate %v, want line rate", tau, last)
 		}
-	}
-}
-
-// TestTimeBasedPipelineReuse pins the feedback-pipeline fix: a long
-// time-based run must drain its in-flight sample queue in place (head
-// index + reset) rather than re-slicing, so the backing array stops
-// growing once the pipeline depth stabilises.
-func TestTimeBasedPipelineReuse(t *testing.T) {
-	m := core.ContinuousMapping{C: 10 * units.Gbps, B0: 400 * units.KB, Bm: 600 * units.KB}
-	cfg := Config{
-		Mapping: Continuous{m},
-		Drain:   ConstantDrain(2.5 * units.Gbps),
-		Tau:     7 * units.Microsecond,
-		Period:  52 * units.Microsecond,
-		Horizon: 50 * units.Millisecond,
-	}
-	// ~960 samples cross the pipeline; with the head-index reuse the whole
-	// run costs a handful of allocations (series, hist, one pending grow).
-	// The old per-update re-slice allocated once per sample.
-	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 50 {
-		t.Errorf("Run allocated %.0f times; feedback pipeline is not reusing its backing array", allocs)
 	}
 }
 

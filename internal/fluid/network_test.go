@@ -17,7 +17,7 @@ import (
 // as a network.
 func twoToOne(t *testing.T) (*topology.Topology, *routing.Table, []NetFlow) {
 	t.Helper()
-	topo := topology.New("twotoone")
+	topo := topology.New()
 	h1 := topo.AddHost("H1")
 	h2 := topo.AddHost("H2")
 	s := topo.AddSwitch("S")
@@ -191,7 +191,7 @@ func TestRunNetFillsRegistry(t *testing.T) {
 		ni := metrics.NodeInfo{ID: id, Name: topo.Node(id).Name, Host: topo.Node(id).Kind == topology.Host}
 		for _, at := range topo.Ports(id) {
 			ni.Ports = append(ni.Ports, metrics.PortInfo{
-				Peer: at.Peer, PeerName: topo.Node(at.Peer).Name, Buffer: 300 * units.KB,
+				PeerName: topo.Node(at.Peer).Name, Buffer: 300 * units.KB,
 			})
 		}
 		nodes = append(nodes, ni)
@@ -232,7 +232,7 @@ func (zeroMapping) RateAt(units.Size) units.Rate { return 0 }
 func (zeroMapping) LineRate() units.Rate         { return 10 * units.Gbps }
 
 func TestRunNetDeadlockStall(t *testing.T) {
-	topo := topology.New("chain")
+	topo := topology.New()
 	h1 := topo.AddHost("H1")
 	s1 := topo.AddSwitch("S1")
 	s2 := topo.AddSwitch("S2")

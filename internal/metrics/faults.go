@@ -78,9 +78,6 @@ func (r *Registry) OnFault(ev FaultEvent) {
 // ones beyond the MaxFaults event cap).
 func (r *Registry) FaultsInjected() int64 { return r.faultCount }
 
-// Faults returns the recorded fault events (up to Options.MaxFaults).
-func (r *Registry) Faults() []FaultEvent { return r.faults }
-
 // FaultReport is the exported form of a FaultEvent.
 type FaultReport struct {
 	Kind string     `json:"kind"`

@@ -88,7 +88,6 @@ type Violation struct {
 	NodeName string
 	Port     int
 	Prio     int
-	From     topology.NodeID
 	FromName string
 	// Occupancy and Limit carry the violated quantity and its bound
 	// (for stage violations: the stage ID and table maximum).
@@ -96,9 +95,9 @@ type Violation struct {
 	Limit     units.Size
 	Detail    string
 	// FaultsSoFar is how many faults had been injected when the violation
-	// fired — zero means it happened on a clean network; otherwise
-	// Registry.Faults()[:FaultsSoFar] are the candidate triggers (the last
-	// of them the most likely one).
+	// fired — zero means it happened on a clean network; otherwise the
+	// first FaultsSoFar faults of the report are the candidate triggers (the
+	// last of them the most likely one).
 	FaultsSoFar int64
 }
 
@@ -145,21 +144,14 @@ func (e *InvariantError) Error() string {
 // violate records v against channel idx, filling in the channel identity.
 func (r *Registry) violate(v Violation, idx int) {
 	ch := r.chans[idx]
-	v.Node, v.NodeName, v.Port, v.Prio = ch.Node, ch.NodeName, ch.Port, ch.Prio
-	v.From, v.FromName = ch.From, ch.FromName
+	v.Node, v.NodeName, v.Port, v.Prio, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.Prio, ch.FromName
 	v.FaultsSoFar = r.faultCount
 	if len(r.violations) < r.opt.MaxViolations {
 		r.violations = append(r.violations, v)
 	} else {
 		r.truncated++
 	}
-	if r.opt.OnViolation != nil {
-		r.opt.OnViolation(v)
-	}
 }
-
-// Violations returns the recorded violations (up to Options.MaxViolations).
-func (r *Registry) Violations() []Violation { return r.violations }
 
 // Err returns nil when every invariant held, else an *InvariantError
 // carrying the recorded violations — the structured report a violated run
@@ -268,8 +260,7 @@ func (r *Registry) CheckNetwork(b NetworkBounds, at units.Time, delivered units.
 			Occupancy: c.HighWater, Limit: b.MaxOccupancy,
 			Detail: "high-water above analytic envelope",
 		}
-		v.Node, v.NodeName, v.Port, v.Prio = ch.Node, ch.NodeName, ch.Port, ch.Prio
-		v.From, v.FromName = ch.From, ch.FromName
+		v.Node, v.NodeName, v.Port, v.Prio, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.Prio, ch.FromName
 		e.Violations = append(e.Violations, v)
 	}
 	if b.MaxDelivered > 0 && delivered > b.MaxDelivered {

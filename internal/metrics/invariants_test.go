@@ -12,11 +12,11 @@ import (
 func netLayout(r *Registry, n int) []int {
 	ports := make([]PortInfo, n)
 	for i := range ports {
-		ports[i] = PortInfo{Peer: 0, PeerName: "h0", Buffer: 100 * units.KB}
+		ports[i] = PortInfo{PeerName: "h0", Buffer: 100 * units.KB}
 	}
 	r.Bind([]NodeInfo{
 		{ID: 0, Name: "h0", Host: true, Ports: []PortInfo{
-			{Peer: 1, PeerName: "s1", Buffer: 100 * units.KB},
+			{PeerName: "s1", Buffer: 100 * units.KB},
 		}},
 		{ID: 1, Name: "s1", Ports: ports},
 	}, 1)
@@ -68,7 +68,7 @@ func TestCheckNetworkOccupancyEnvelope(t *testing.T) {
 		t.Errorf("String() = %q, want the net-occupancy kind", v.String())
 	}
 	// The checker recorded nothing into the registry itself.
-	if r.Err() != nil || len(r.Violations()) != 0 {
+	if r.Err() != nil || len(r.violations) != 0 {
 		t.Fatal("CheckNetwork perturbed the registry's own verdicts")
 	}
 }

@@ -49,15 +49,11 @@ type Options struct {
 	// MaxFaults caps how many injected fault events are recorded in full
 	// (the count is always exact). Zero means 256.
 	MaxFaults int
-	// OnViolation, when non-nil, is called synchronously for every
-	// violation (including truncated ones) — e.g. to stop a run early.
-	OnViolation func(Violation)
 }
 
 // PortInfo describes one ingress attachment for Bind.
 type PortInfo struct {
-	Peer     topology.NodeID // upstream end of the channel into this port
-	PeerName string
+	PeerName string     // upstream end of the channel into this port
 	Buffer   units.Size // per-priority ingress allocation
 }
 
@@ -70,13 +66,12 @@ type NodeInfo struct {
 }
 
 // Channel is the static identity of one metrics channel: the directed
-// link From→Node at one priority, observed at Node's ingress port Port.
+// link FromName→Node at one priority, observed at Node's ingress port Port.
 type Channel struct {
 	Node     topology.NodeID
 	NodeName string
 	Port     int
 	Prio     int
-	From     topology.NodeID
 	FromName string
 	Host     bool // Node is a host (its ingress consumes immediately)
 }
@@ -188,7 +183,7 @@ func (r *Registry) Bind(nodes []NodeInfo, k int) {
 				idx := r.base[n.ID] + pi*k + prio
 				r.chans[idx] = Channel{
 					Node: n.ID, NodeName: n.Name, Port: pi, Prio: prio,
-					From: p.Peer, FromName: p.PeerName, Host: n.Host,
+					FromName: p.PeerName, Host: n.Host,
 				}
 				r.buffers[idx] = p.Buffer
 			}
@@ -208,14 +203,8 @@ func (r *Registry) ChannelIndex(node topology.NodeID, port, prio int) int {
 	return r.base[node] + port*r.k + prio
 }
 
-// NumChannels reports the number of bound channels.
-func (r *Registry) NumChannels() int { return len(r.chans) }
-
 // Counter returns a copy of the counter block of channel idx.
 func (r *Registry) Counter(idx int) Counters { return r.counters[idx] }
-
-// Buffer reports the ingress allocation of channel idx.
-func (r *Registry) Buffer(idx int) units.Size { return r.buffers[idx] }
 
 // OnAdmit records a packet of size s admitted to channel idx at time t,
 // bringing the ingress occupancy to occ. It updates the high-water mark and

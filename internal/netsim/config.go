@@ -75,12 +75,6 @@ type Config struct {
 	// JitterSeed seeds the jitter source; runs are reproducible per
 	// seed.
 	JitterSeed int64
-	// PriorityWeights assigns weighted-round-robin shares to the
-	// priority classes at every egress (§7: "the output queue scheduling
-	// should be enabled to assign minimal output bandwidth to each
-	// priority", preventing starvation that would exhaust a low class's
-	// buffers). Length must equal Priorities; nil means equal weights.
-	PriorityWeights []int
 	// Escalation, when non-nil, may raise a packet's priority class at
 	// switch admission — the hop-by-hop priority-increase family of
 	// deadlock avoidance schemes the paper's related work surveys
@@ -153,16 +147,15 @@ func (c *Config) ChannelTau(l *topology.Link) units.Time {
 }
 
 // ChannelParams are the flow-control parameters of the channel over link l
-// into a node of the given kind, at priority prio — what New hands the
-// FlowControl factory for that channel, and what any other model of the same
-// network must resolve thresholds from. c must be default-filled.
-func (c *Config) ChannelParams(l *topology.Link, kind topology.Kind, prio int) flowcontrol.Params {
+// into a node of the given kind — what New hands the FlowControl factory for
+// each priority of that channel, and what any other model of the same network
+// must resolve thresholds from. c must be default-filled.
+func (c *Config) ChannelParams(l *topology.Link, kind topology.Kind) flowcontrol.Params {
 	return flowcontrol.Params{
 		Capacity: l.Capacity,
 		Buffer:   c.ingressBuffer(kind),
 		MTU:      c.MTU,
 		Tau:      c.ChannelTau(l),
-		Priority: prio,
 	}
 }
 
@@ -178,17 +171,6 @@ func (c *Config) validate() error {
 	}
 	if c.FlowQueues < 0 || c.FlowQueues > 64 {
 		return fmt.Errorf("netsim: FlowQueues %d outside [0,64]", c.FlowQueues)
-	}
-	if c.PriorityWeights != nil {
-		if len(c.PriorityWeights) != c.Priorities {
-			return fmt.Errorf("netsim: %d priority weights for %d classes",
-				len(c.PriorityWeights), c.Priorities)
-		}
-		for i, w := range c.PriorityWeights {
-			if w < 1 {
-				return fmt.Errorf("netsim: priority %d weight %d must be >= 1", i, w)
-			}
-		}
 	}
 	return nil
 }

@@ -25,7 +25,6 @@ func (n *Network) completeTx(p *port) {
 	now := n.eng.Now()
 	p.busy = false
 	n.senders[p.cb+prio].OnSent(pkt.Size, dur)
-	n.txBytes[p.cb+prio] += pkt.Size
 	nd := p.owner
 	n.cfg.Trace.transmit(now, nd.id, p.local, pkt)
 
@@ -35,7 +34,6 @@ func (n *Network) completeTx(p *port) {
 		// of the port it arrived on.
 		ch := n.channel(nd, pkt.arrivalPort, prio)
 		n.occupancy[ch] -= pkt.Size
-		n.progress[ch].departed += pkt.Size
 		n.progress[ch].lastDepart = now
 		n.cfg.Trace.queue(now, nd.id, pkt.arrivalPort, prio, n.occupancy[ch])
 		if reg := n.metrics; reg != nil {
@@ -50,8 +48,6 @@ func (n *Network) completeTx(p *port) {
 			}
 		}
 	case topology.Host:
-		pkt.Flow.sent += pkt.Size
-		pkt.sentAt = now
 		n.refill(nd)
 	}
 

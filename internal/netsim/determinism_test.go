@@ -93,7 +93,7 @@ func TestTraceDeterminismUnderParallelRunner(t *testing.T) {
 			return traceHash(t, 200*units.KB), nil
 		}
 	}
-	for _, r := range runner.Run(context.Background(), jobs, 4) {
+	for _, r := range runner.RunWith(context.Background(), jobs, runner.Options[uint64]{Workers: 4}) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

@@ -16,10 +16,6 @@ import (
 // (flow control, metrics, the deadlock detector) observes faults exactly as
 // it would observe the real events.
 
-// Faults returns the bound fault injector, or nil when fault injection is
-// disabled.
-func (n *Network) Faults() *faults.Injector { return n.faults }
-
 // applyFault actuates one compiled timeline event.
 func (n *Network) applyFault(ev faults.Event) {
 	now := n.eng.Now()

@@ -41,7 +41,6 @@ type Flow struct {
 
 	// Runtime state, owned by the Network.
 	released  units.Size // bytes handed to the NIC queue
-	sent      units.Size // bytes fully serialised by the source NIC
 	Delivered units.Size // bytes received at Dst
 	Started   units.Time
 	Finished  units.Time // delivery time of the last byte; 0 while active

@@ -248,7 +248,7 @@ func (n *Network) Snapshot() *Snapshot {
 				ch := p.cb + prio
 				s.Packets.InputQueued += n.inq[ch].len()
 				for i := 0; i < p.slots; i++ {
-					s.Packets.EgressQueued += n.voqs[p.voqBase+prio*p.slots+i].q.len()
+					s.Packets.EgressQueued += n.voqs[p.voqBase+prio*p.slots+i].len()
 				}
 				occ := n.occupancy[ch]
 				queued := n.queuedBytes[ch]

@@ -11,15 +11,11 @@ import (
 // buffers its queued packets must enter next.
 type IngressState struct {
 	Node topology.NodeID // switch holding the buffer
-	Port int             // local ingress port index
 	Prio int
 	From topology.NodeID // upstream end of the channel
 
 	// Occupancy is the current buffer occupancy.
 	Occupancy units.Size
-	// Departed is the cumulative bytes that have left this buffer; an
-	// occupied buffer whose Departed does not advance is stalled.
-	Departed units.Size
 	// LastDepartAt is when the buffer last released a packet (zero if
 	// never), and OccupiedSince when it last went from empty to occupied.
 	// max(LastDepartAt, OccupiedSince) is the start of the buffer's
@@ -62,10 +58,9 @@ func (n *Network) IngressStates() []IngressState {
 			for prio := 0; prio < n.cfg.Priorities; prio++ {
 				ch := p.cb + prio
 				is := IngressState{
-					Node: nd.id, Port: p.local, Prio: prio,
+					Node: nd.id, Prio: prio,
 					From:          p.peer.owner.id,
 					Occupancy:     n.occupancy[ch],
-					Departed:      n.progress[ch].departed,
 					LastDepartAt:  n.progress[ch].lastDepart,
 					OccupiedSince: n.progress[ch].occupiedSince,
 				}
@@ -128,9 +123,9 @@ func (n *Network) egressRate(p *port, prio int) units.Rate {
 			base := p.voqBase + prio*p.slots
 			backlogged := false
 			for i := 0; i < p.slots; i++ {
-				if v := &n.voqs[base+i]; !v.q.empty() {
+				if q := &n.voqs[base+i]; !q.empty() {
 					backlogged = true
-					if ok, _ := qs.TrySendQueue(i, v.q.front().Size); ok {
+					if ok, _ := qs.TrySendQueue(i, q.front().Size); ok {
 						return p.capacity
 					}
 				}
@@ -162,7 +157,6 @@ func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool 
 	}
 	pkt := n.popInq(nd, portIdx, prio)
 	n.occupancy[ch] -= pkt.Size
-	n.progress[ch].departed += pkt.Size
 	n.drops++
 	now := n.eng.Now()
 	n.progress[ch].lastDepart = now

@@ -58,8 +58,8 @@ func refNextPacket(n *Network, p *port, prio int) (*Packet, int) {
 	base := p.voqBase + prio*p.slots
 	for i := 0; i < p.slots; i++ {
 		k := (int(n.rrVoq[p.cb+prio]) + i) % p.slots
-		if v := &n.voqs[base+k]; !v.q.empty() {
-			return v.q.front(), k
+		if v := &n.voqs[base+k]; !v.empty() {
+			return v.front(), k
 		}
 	}
 	return nil, -1
@@ -74,10 +74,10 @@ func refNextQueued(n *Network, p *port, prio int) (*Packet, int, units.Time) {
 	for i := 0; i < p.slots; i++ {
 		k := (int(n.rrVoq[p.cb+prio]) + i) % p.slots
 		v := &n.voqs[base+k]
-		if v.q.empty() {
+		if v.empty() {
 			continue
 		}
-		head := v.q.front()
+		head := v.front()
 		ok, wake := qs.TrySendQueue(k, head.Size)
 		if !ok {
 			if wake < minWake {
@@ -125,7 +125,7 @@ func (s *stubSender) reset(refuse bool, wake units.Time) { s.refuse, s.wake, s.c
 func star(t *testing.T, radix int, cfg Config) (*Network, *node) {
 	t.Helper()
 	lp := topology.DefaultLinkParams()
-	topo := topology.New(fmt.Sprintf("star%d", radix))
+	topo := topology.New()
 	sw := topo.AddSwitch("S")
 	for i := 0; i < radix; i++ {
 		topo.AddLink(topo.AddHost(fmt.Sprintf("H%d", i)), sw, lp.Capacity, lp.Delay)
@@ -188,7 +188,7 @@ func checkMasks(t *testing.T, n *Network, when string) {
 				}
 				var slots uint64
 				for s := 0; s < p.slots; s++ {
-					if !n.voqs[p.voqBase+prio*p.slots+s].q.empty() {
+					if !n.voqs[p.voqBase+prio*p.slots+s].empty() {
 						slots |= 1 << uint(s)
 					}
 				}
@@ -372,7 +372,7 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 				}
 			}
 			for q := 0; q < queues; q++ {
-				if !n.voqs[p.voqBase+q].q.empty() {
+				if !n.voqs[p.voqBase+q].empty() {
 					n.recyclePacket(n.dequeue(p, 0, q))
 				}
 			}

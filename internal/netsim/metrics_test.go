@@ -36,8 +36,8 @@ func runCongested(t *testing.T, reg *metrics.Registry) (*Network, units.Size) {
 func TestMetricsIntegration(t *testing.T) {
 	reg := metrics.New(metrics.Options{SeriesCap: 256})
 	n, feedback := runCongested(t, reg)
-	if n.Metrics() != reg {
-		t.Fatal("Metrics() does not return the attached registry")
+	if n.metrics != reg {
+		t.Fatal("the attached registry is not bound")
 	}
 
 	sum := reg.Summary()
@@ -63,8 +63,15 @@ func TestMetricsIntegration(t *testing.T) {
 	if c.BytesIn == 0 || c.Departed == 0 || c.Admits == 0 {
 		t.Fatalf("switch ingress counters empty: %+v", c)
 	}
-	if c.HighWater == 0 || c.HighWater > reg.Buffer(idx) {
-		t.Fatalf("HighWater %v outside (0, %v]", c.HighWater, reg.Buffer(idx))
+	rep := reg.Report(n.Now())
+	var ch metrics.ChannelReport
+	for _, cr := range rep.Channels {
+		if cr.Node == "S1" && cr.From == "H1" {
+			ch = cr
+		}
+	}
+	if c.HighWater == 0 || c.HighWater > ch.Buffer {
+		t.Fatalf("HighWater %v outside (0, %v]", c.HighWater, ch.Buffer)
 	}
 	if c.LastDepartAt == 0 {
 		t.Fatal("LastDepartAt never set")
@@ -78,15 +85,14 @@ func TestMetricsIntegration(t *testing.T) {
 		t.Fatalf("MaxStage = %d, want ≥ 1 under congestion", c.MaxStage)
 	}
 	// netsim derives the theorem ceiling from the sender's Bm.
-	if reg.Ceiling(idx) == 0 || reg.Ceiling(idx) > reg.Buffer(idx) {
-		t.Fatalf("ceiling %v not derived within buffer %v", reg.Ceiling(idx), reg.Buffer(idx))
+	if ch.Ceiling == 0 || ch.Ceiling > ch.Buffer {
+		t.Fatalf("ceiling %v not derived within buffer %v", ch.Ceiling, ch.Buffer)
 	}
 
 	// A clean lossless run reports no violations.
 	if err := reg.Err(); err != nil {
 		t.Fatalf("invariants violated on a clean run: %v", err)
 	}
-	rep := reg.Report(n.Now())
 	if len(rep.Channels) == 0 || rep.Totals.BytesIn != sum.BytesIn {
 		t.Fatalf("report inconsistent: %+v", rep.Totals)
 	}

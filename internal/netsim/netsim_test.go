@@ -260,7 +260,7 @@ func TestConfigValidation(t *testing.T) {
 	// A ready-mask word covers maxRadix ports (the masks tests build that
 	// width): a wider node is an ordinary error under every discipline that
 	// picks by mask, and fine under plain FIFO, which never scans ports.
-	wide := topology.New("wide")
+	wide := topology.New()
 	sw := wide.AddSwitch("S")
 	lp := topology.DefaultLinkParams()
 	for i := 0; i <= maxRadix; i++ {

@@ -44,7 +44,6 @@ type Network struct {
 	occupancy   []units.Size      // ingress buffer occupancy
 	progress    []ingressProgress // ingress forwarding-progress records
 	queuedBytes []units.Size      // egress backlog
-	txBytes     []units.Size      // cumulative egress bytes serialised
 	senders     []flowcontrol.Sender
 	receivers   []flowcontrol.Receiver
 	rrVoq       []int32    // round-robin cursor over VOQs / input ports
@@ -58,7 +57,7 @@ type Network struct {
 	slotReady []uint64
 	// voqs and fedBytes have port-dependent strides; see port.voqBase and
 	// port.fedBase.
-	voqs     []voq
+	voqs     []pktQueue
 	fedBytes []units.Size
 
 	// Per-flow queue state (Config.FlowQueues > 0, BFC). All nil/zero
@@ -134,7 +133,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	n.occupancy = make([]units.Size, chans)
 	n.progress = make([]ingressProgress, chans)
 	n.queuedBytes = make([]units.Size, chans)
-	n.txBytes = make([]units.Size, chans)
 	n.senders = make([]flowcontrol.Sender, chans)
 	n.receivers = make([]flowcontrol.Receiver, chans)
 	n.rrVoq = make([]int32, chans)
@@ -146,7 +144,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	n.inReady = make([]uint64, chans)
 	n.slotReady = make([]uint64, chans)
 	n.inBusy = make([]uint64, nn*k)
-	n.voqs = make([]voq, totalVoqs)
+	n.voqs = make([]pktQueue, totalVoqs)
 	n.fedBytes = make([]units.Size, totalFed)
 	n.fwdCursor = make([]int32, nn*k)
 	n.fwdBlocked = make([]*port, nn*k)
@@ -230,8 +228,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			}
 			up := p.peer // upstream egress port
 			upName := topo.Node(up.owner.id).Name
+			params := cfg.ChannelParams(p.link, nd.kind)
 			for prio := 0; prio < k; prio++ {
-				params := cfg.ChannelParams(p.link, nd.kind, prio)
 				env := &fcEnv{n: n, down: p, up: up, prio: prio}
 				ctl, err := cfg.FlowControl(params, env)
 				if err != nil {
@@ -414,9 +412,6 @@ func feedbackClass(k flowcontrol.Kind) metrics.FeedbackClass {
 
 // Engine exposes the event engine (for custom experiment events).
 func (n *Network) Engine() *eventsim.Engine { return n.eng }
-
-// Metrics returns the bound metrics registry, or nil when disabled.
-func (n *Network) Metrics() *metrics.Registry { return n.metrics }
 
 // Topology returns the simulated topology.
 func (n *Network) Topology() *topology.Topology { return n.topo }

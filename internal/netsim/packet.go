@@ -45,11 +45,6 @@ type Packet struct {
 	// exceeded the marking threshold (used by DCQCN).
 	ECN bool
 
-	// Last marks the final packet of a finite flow.
-	Last bool
-
-	sentAt units.Time // when the source host finished serialising it
-
 	next *Packet // link of the one pktQueue holding the packet, if any
 }
 

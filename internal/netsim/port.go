@@ -14,15 +14,6 @@ import (
 // index addresses a channel's occupancy, backlog, controllers and counters
 // across every array.
 
-// voq is one virtual output queue: the packets a single input port has
-// pending on an egress. In FIFO mode a port has one slot per priority and it
-// holds the mixed arrival-order queue; per-input byte accounting is kept
-// either way (Network.fedBytes) for the deadlock detector's FedBy edges.
-type voq struct {
-	q     pktQueue
-	bytes units.Size
-}
-
 // port is one attachment point of a node: egress transmitter plus ingress
 // buffer accounting for the attached channel. Ports live by value in one
 // arena (Network.ports) and are 256 bytes — four cache lines, the first two of
@@ -35,7 +26,7 @@ type port struct {
 	owner *node
 	local int // port index on owner
 	// cb is the channel base: the index of (this port, priority 0) in
-	// every per-channel array (occupancy, queuedBytes, txBytes, progress,
+	// every per-channel array (occupancy, queuedBytes, progress,
 	// senders, receivers, rrVoq, inq, the ready masks) — and, by
 	// construction, the metrics registry's ChannelIndex for the same
 	// channel, so cb+prio also addresses the registry. A node's ports are
@@ -76,29 +67,29 @@ type port struct {
 	kickEv eventsim.Event
 	// voqBase and slots address Network.voqs: the egress queue for
 	// (prio, slot) is voqs[voqBase + prio*slots + slot]. slots is the
-	// owner's port count under SchedVOQ and 1 otherwise.
+	// owner's port count under SchedVOQ — one virtual output queue per input
+	// port — and 1 otherwise, holding the mixed arrival-order queue;
+	// per-input byte accounting is kept either way (Network.fedBytes) for
+	// the deadlock detector's FedBy edges.
 	voqBase int
 	slots   int
 	// fedBase addresses Network.fedBytes: the per-input backlog of
 	// (prio, arrival key) is fedBytes[fedBase + prio*len(owner.ports) + key].
 	fedBase    int
 	queuedPkts int
-	wrrCredit  []int // weighted-RR packet credits per priority (nil: equal)
 	// prioScratch is the reusable buffer prioOrder fills when the network
 	// runs more than one priority class; nil in the single-class case.
 	prioScratch []int
 
-	_ [8]byte // pad to four whole cache lines, so arena ports never straddle one
+	_ [40]byte // pad to four whole cache lines, so arena ports never straddle one
 }
 
-// ingressProgress is one priority's forwarding-progress record: cumulative
-// bytes released, and the lastDepart / occupiedSince timestamps — when the
-// buffer last released a packet and when it last went from empty to
-// occupied. Together they let the deadlock detector decide "no progress for
-// a window" from one snapshot instead of keeping its own departure-delta
-// maps.
+// ingressProgress is one priority's forwarding-progress record: the
+// lastDepart / occupiedSince timestamps — when the buffer last released a
+// packet and when it last went from empty to occupied. Together they let the
+// deadlock detector decide "no progress for a window" from one snapshot
+// instead of keeping its own departure-delta maps.
 type ingressProgress struct {
-	departed      units.Size
 	lastDepart    units.Time
 	occupiedSince units.Time
 }
@@ -189,9 +180,7 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 		slot = n.assignSlot(p, pkt)
 		pkt.queue = int32(slot)
 	}
-	v := &n.voqs[p.voqBase+pkt.Priority*p.slots+slot]
-	v.q.push(pkt)
-	v.bytes += pkt.Size
+	n.voqs[p.voqBase+pkt.Priority*p.slots+slot].push(pkt)
 	n.slotReady[p.cb+pkt.Priority] |= 1 << uint(slot)
 	n.fedBytes[p.fedBase+pkt.Priority*len(p.owner.ports)+key] += pkt.Size
 	n.queuedBytes[p.cb+pkt.Priority] += pkt.Size
@@ -208,16 +197,15 @@ func (n *Network) nextPacket(p *port, prio int) (*Packet, int) {
 		return nil, -1
 	}
 	slot := nextBit(m, int(n.rrVoq[ch]))
-	return n.voqs[p.voqBase+prio*p.slots+slot].q.front(), slot
+	return n.voqs[p.voqBase+prio*p.slots+slot].front(), slot
 }
 
 // dequeue removes the head of p's queue slot for prio and advances the
 // round-robin cursor.
 func (n *Network) dequeue(p *port, prio, slot int) *Packet {
-	v := &n.voqs[p.voqBase+prio*p.slots+slot]
-	pkt := v.q.pop()
-	v.bytes -= pkt.Size
-	if v.q.empty() {
+	q := &n.voqs[p.voqBase+prio*p.slots+slot]
+	pkt := q.pop()
+	if q.empty() {
 		n.slotReady[p.cb+prio] &^= 1 << uint(slot)
 	}
 	n.fedBytes[p.fedBase+prio*len(p.owner.ports)+arrivalKey(pkt)] -= pkt.Size

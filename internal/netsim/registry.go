@@ -33,8 +33,8 @@ func BindRegistry(reg *metrics.Registry, topo *topology.Topology, cfg Config,
 		}
 		for i, at := range ats {
 			info.Ports[i] = metrics.PortInfo{
-				Peer: at.Peer, PeerName: topo.Node(at.Peer).Name,
-				Buffer: cfg.ingressBuffer(tn.Kind),
+				PeerName: topo.Node(at.Peer).Name,
+				Buffer:   cfg.ingressBuffer(tn.Kind),
 			}
 		}
 		infos[id] = info

@@ -56,7 +56,6 @@ func (n *Network) refill(h *node) {
 		pkt.arrivalPort = -1
 		f.seq++
 		if f.Size > 0 && f.released >= f.Size {
-			pkt.Last = true
 			f.active = false
 		}
 		n.enqueue(p, pkt)
@@ -160,10 +159,6 @@ func (n *Network) kick(p *port) {
 			fromTxRing = p.sched == SchedBlocking && onSwitch
 		}
 		p.rr = succ(prio, k)
-		// k == 1 never allocates wrrCredit (prioOrder returns first).
-		if k > 1 && p.wrrCredit != nil && p.wrrCredit[prio] > 0 {
-			p.wrrCredit[prio]--
-		}
 		p.busy = true
 		dur := units.TransmissionTime(pkt.Size, p.capacity)
 		p.txPkt, p.txPrio, p.txDur = pkt, int32(prio), dur
@@ -215,7 +210,7 @@ func (n *Network) forward(nd *node, prio int) {
 	for {
 		if b := n.fwdBlocked[fi]; b != nil {
 			// Still stalled: re-check the blocking ring.
-			if n.voqs[b.voqBase+prio*b.slots].q.len() >= n.cfg.TxRing {
+			if n.voqs[b.voqBase+prio*b.slots].len() >= n.cfg.TxRing {
 				return
 			}
 			n.fwdBlocked[fi] = nil
@@ -225,7 +220,7 @@ func (n *Network) forward(nd *node, prio int) {
 			return
 		}
 		out := &nd.ports[n.inqOut[n.channel(nd, in, prio)]]
-		if n.voqs[out.voqBase+prio*out.slots].q.len() >= n.cfg.TxRing {
+		if n.voqs[out.voqBase+prio*out.slots].len() >= n.cfg.TxRing {
 			n.fwdBlocked[fi] = out // stall switch-wide
 			return
 		}
@@ -246,47 +241,19 @@ func (n *Network) nextIngress(nd *node, prio int) int {
 	return nextBit(m, int(n.fwdCursor[nd.nb+prio]))
 }
 
-// prioOrder returns the order in which p's priorities are offered the
-// wire. Without configured weights it is plain round-robin from the cursor.
-// With weights it is packet-based weighted round-robin with a
-// work-conserving second phase: classes holding WRR credit are offered
-// first (cheapest classes refilled when all credits drain), then the rest,
-// so a weighted class can never be starved but spare capacity is never
-// wasted. The returned slice is p's reusable scratch buffer: valid until
-// the next prioOrder call for p, which is safe because kick finishes with
-// the order before any nested kick can touch a *different* port's scratch,
-// and a nested kick of p itself bails on the busy flag first.
+// prioOrder returns the order in which p's priorities are offered the wire:
+// round-robin from the cursor. The returned slice is p's reusable scratch
+// buffer: valid until the next prioOrder call for p, which is safe because
+// kick finishes with the order before any nested kick can touch a *different*
+// port's scratch, and a nested kick of p itself bails on the busy flag first.
 func (n *Network) prioOrder(p *port) []int {
 	k := n.cfg.Priorities
 	if k == 1 {
 		return oneZero
 	}
 	order := p.prioScratch[:0]
-	if n.cfg.PriorityWeights == nil {
-		for i, pr := 0, p.rr; i < k; i, pr = i+1, succ(pr, k) {
-			order = append(order, pr)
-		}
-		return order
-	}
-	if p.wrrCredit == nil {
-		p.wrrCredit = make([]int, k)
-	}
-	total := 0
-	for _, c := range p.wrrCredit {
-		total += c
-	}
-	if total == 0 {
-		copy(p.wrrCredit, n.cfg.PriorityWeights)
-	}
 	for i, pr := 0, p.rr; i < k; i, pr = i+1, succ(pr, k) {
-		if p.wrrCredit[pr] > 0 {
-			order = append(order, pr)
-		}
-	}
-	for i, pr := 0, p.rr; i < k; i, pr = i+1, succ(pr, k) {
-		if p.wrrCredit[pr] == 0 {
-			order = append(order, pr)
-		}
+		order = append(order, pr)
 	}
 	return order
 }
@@ -310,7 +277,7 @@ func (n *Network) nextQueued(p *port, prio int) (*Packet, int, units.Time) {
 	for _, part := range [2]uint64{m &^ before, m & before} {
 		for ; part != 0; part &= part - 1 {
 			slot := bits.TrailingZeros64(part)
-			head := n.voqs[base+slot].q.front()
+			head := n.voqs[base+slot].front()
 			ok, wake := qs.TrySendQueue(slot, head.Size)
 			if !ok {
 				if wake < minWake {

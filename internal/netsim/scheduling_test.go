@@ -62,7 +62,7 @@ func TestVOQFairness(t *testing.T) {
 	// Three senders into one sink: with VOQ each backlogged input gets
 	// 1/3 of the egress.
 	p := topology.DefaultLinkParams()
-	topo := topology.New("three-to-one")
+	topo := topology.New()
 	s := topo.AddSwitch("S1")
 	for _, h := range []string{"H1", "H2", "H3", "R"} {
 		topo.AddLink(topo.AddHost(h), s, p.Capacity, p.Delay)
@@ -99,7 +99,7 @@ func TestInputQueuedHOL(t *testing.T) {
 	// input-queued it is dragged down by HOL behind R1-bound packets.
 	p := topology.DefaultLinkParams()
 	build := func(sched Scheduling) units.Rate {
-		topo := topology.New("hol")
+		topo := topology.New()
 		s := topo.AddSwitch("S1")
 		for _, h := range []string{"H1", "R2"} {
 			topo.AddLink(topo.AddHost(h), s, p.Capacity, p.Delay)
@@ -180,7 +180,7 @@ func TestBlockingForwardingStallsSwitch(t *testing.T) {
 	// forwarding for that priority freezes once the TX ring fills —
 	// traffic to an unrelated idle port also stops.
 	p := topology.DefaultLinkParams()
-	topo := topology.New("blocking")
+	topo := topology.New()
 	s := topo.AddSwitch("S1")
 	for _, h := range []string{"H1", "H2", "R1", "R2"} {
 		topo.AddLink(topo.AddHost(h), s, p.Capacity, p.Delay)
@@ -215,61 +215,6 @@ func TestBlockingForwardingStallsSwitch(t *testing.T) {
 	}
 	if f3.Delivered == 0 {
 		t.Fatal("R2 flow fully starved under blocking forwarding")
-	}
-}
-
-func TestPriorityWeightsValidation(t *testing.T) {
-	topo := topology.Linear(2, topology.DefaultLinkParams())
-	cfg := baseConfig(pfcFactory())
-	cfg.Priorities = 2
-	cfg.PriorityWeights = []int{3} // wrong length
-	if _, err := New(topo, cfg); err == nil {
-		t.Error("mismatched weights accepted")
-	}
-	cfg.PriorityWeights = []int{3, 0} // zero weight
-	if _, err := New(topo, cfg); err == nil {
-		t.Error("zero weight accepted")
-	}
-}
-
-func TestWeightedPrioritySharing(t *testing.T) {
-	// Two saturating flows at different priorities through one
-	// bottleneck: a 3:1 weighting must show up in goodput.
-	topo := topology.TwoToOne(topology.DefaultLinkParams())
-	cfg := baseConfig(gfcFactory())
-	cfg.Priorities = 2
-	cfg.PriorityWeights = []int{3, 1}
-	n, err := New(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi := spfFlow(t, topo, 1, "H1", "H3", 0)
-	hi.Priority = 0
-	lo := spfFlow(t, topo, 2, "H2", "H3", 0)
-	lo.Priority = 1
-	for _, f := range []*Flow{hi, lo} {
-		if err := n.AddFlow(f, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const dur = 10 * units.Millisecond
-	n.Run(dur)
-	if n.Drops() != 0 {
-		t.Fatalf("drops = %d", n.Drops())
-	}
-	rHi := units.RateOf(hi.Delivered, dur)
-	rLo := units.RateOf(lo.Delivered, dur)
-	ratio := float64(rHi) / float64(rLo)
-	if ratio < 2.3 || ratio > 3.7 {
-		t.Errorf("weighted share ratio = %.2f (hi %v, lo %v), want ≈3", ratio, rHi, rLo)
-	}
-	// Work conservation: the bottleneck stays full.
-	if total := rHi + rLo; total < 9*units.Gbps {
-		t.Errorf("aggregate %v, want ≈10G", total)
-	}
-	// The low class is never starved (§7's requirement).
-	if rLo < units.Gbps {
-		t.Errorf("low class %v, starved", rLo)
 	}
 }
 

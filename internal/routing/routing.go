@@ -233,6 +233,14 @@ func (tab *Table) Path(src, dst topology.NodeID, flowKey uint64) ([]Hop, error) 
 	return path, nil
 }
 
+// GeneratedFlowKey is the ECMP key a generated flow is routed under: its
+// sequence number id spread over the key space, salted with its endpoints.
+// workload.Generator keys the flows it launches with it, and the fluid
+// backend's stand-in for a generator workload keys its flows the same way.
+func GeneratedFlowKey(id int, src, dst topology.NodeID) uint64 {
+	return uint64(id)*1315423911 ^ uint64(src)<<24 ^ uint64(dst)
+}
+
 // PathLatency reports the end-to-end serialization + propagation latency of
 // a path for one packet of the given size: the unloaded-network time a
 // same-sized packet needs, used for the slowdown metric of Figure 17.

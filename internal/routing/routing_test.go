@@ -82,7 +82,7 @@ func TestUnreachable(t *testing.T) {
 func TestHostsDoNotTransit(t *testing.T) {
 	// Linear topology: H1-S1-S2-H2, and a "shortcut" host X connected to
 	// both S1 and S2 must not carry transit traffic.
-	topo := topology.New("transit")
+	topo := topology.New()
 	s1 := topo.AddSwitch("S1")
 	s2 := topo.AddSwitch("S2")
 	s3 := topo.AddSwitch("S3")

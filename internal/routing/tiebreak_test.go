@@ -14,7 +14,7 @@ import (
 // hence every NodeID — is identical across permutations; only the adjacency
 // (port) order varies.
 func diamond(order []int) *topology.Topology {
-	topo := topology.New("diamond")
+	topo := topology.New()
 	h1 := topo.AddHost("H1")
 	s1 := topo.AddSwitch("S1")
 	s2 := topo.AddSwitch("S2")

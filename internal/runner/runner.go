@@ -109,21 +109,15 @@ type Options[T any] struct {
 	Degrade func(ctx context.Context, job int, cause error) (T, error)
 }
 
-// Run executes jobs on a pool of workers and returns their results in job
-// order. workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 runs the
-// jobs inline in order. Because jobs are share-nothing and results are
-// collected by index, the returned slice is identical for every worker
-// count. When ctx is cancelled, jobs not yet started report ctx's error;
+// RunWith executes jobs on a pool of workers and returns their results in job
+// order. opts.Workers <= 0 means runtime.GOMAXPROCS(0); 1 runs the jobs
+// inline in order. Because jobs are share-nothing and results are collected
+// by index, the returned slice is identical for every worker count — with the
+// sweep-resilience options too (per-job deadlines, checkpoint/resume,
+// classified retries, degraded-fidelity fallback): for a given (jobs,
+// checkpoint state, failure pattern) the results do not depend on the pool.
+// When ctx is cancelled, jobs not yet started report ctx's error;
 // already-running jobs finish normally.
-func Run[T any](ctx context.Context, jobs []Job[T], workers int) []Result[T] {
-	return RunWith(ctx, jobs, Options[T]{Workers: workers})
-}
-
-// RunWith is Run with sweep-resilience options: per-job deadlines,
-// checkpoint/resume, classified retries and degraded-fidelity fallback.
-// The determinism contract is unchanged — for a given (jobs, checkpoint
-// state, failure pattern) the result slice is identical for every worker
-// count.
 func RunWith[T any](ctx context.Context, jobs []Job[T], opts Options[T]) []Result[T] {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -274,16 +268,4 @@ func runOne[T any](ctx context.Context, job Job[T]) (res Result[T]) {
 func stack() []byte {
 	buf := make([]byte, 16<<10)
 	return buf[:runtime.Stack(buf, false)]
-}
-
-// Failed returns the indices of failed jobs, in job order — the input to a
-// deterministic quarantine summary.
-func Failed[T any](results []Result[T]) []int {
-	var idx []int
-	for i := range results {
-		if results[i].Err != nil {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }

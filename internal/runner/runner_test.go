@@ -12,6 +12,11 @@ import (
 	"time"
 )
 
+// run is RunWith with only a worker count.
+func run[T any](ctx context.Context, jobs []Job[T], workers int) []Result[T] {
+	return RunWith(ctx, jobs, Options[T]{Workers: workers})
+}
+
 func TestResultsInJobOrder(t *testing.T) {
 	const n = 100
 	jobs := make([]Job[int], n)
@@ -23,7 +28,7 @@ func TestResultsInJobOrder(t *testing.T) {
 			return i * i, nil
 		}
 	}
-	res := Run(context.Background(), jobs, 8)
+	res := run(context.Background(), jobs, 8)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -53,9 +58,9 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return jobs
 	}
-	base := Run(context.Background(), mkJobs(), 1)
+	base := run(context.Background(), mkJobs(), 1)
 	for _, workers := range []int{2, 3, 8, n + 5, 0} {
-		got := Run(context.Background(), mkJobs(), workers)
+		got := run(context.Background(), mkJobs(), workers)
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d results differ from serial", workers)
 		}
@@ -68,7 +73,7 @@ func TestPanicCapture(t *testing.T) {
 		func(context.Context) (int, error) { panic("scenario 1 exploded") },
 		func(context.Context) (int, error) { return 3, nil },
 	}
-	res := Run(context.Background(), jobs, 2)
+	res := run(context.Background(), jobs, 2)
 	if res[0].Value != 1 || res[2].Value != 3 {
 		t.Fatal("healthy jobs disturbed by a panicking sibling")
 	}
@@ -90,7 +95,7 @@ func TestJobErrors(t *testing.T) {
 		func(context.Context) (int, error) { return 0, nil },
 		func(context.Context) (int, error) { return 0, boom },
 	}
-	res := Run(context.Background(), jobs, 1)
+	res := run(context.Background(), jobs, 1)
 	if !errors.Is(res[1].Err, boom) {
 		t.Fatalf("err = %v, want boom", res[1].Err)
 	}
@@ -100,9 +105,6 @@ func TestJobErrors(t *testing.T) {
 	}
 	if !errors.Is(res[1].Err, boom) || res[0].Err != nil {
 		t.Fatalf("errors = %v, %v; want nil and boom", res[0].Err, res[1].Err)
-	}
-	if got := Failed(res); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Failed = %v, want [1]", got)
 	}
 }
 
@@ -121,7 +123,7 @@ func TestContextCancellation(t *testing.T) {
 			return 1, nil
 		}
 	}
-	res := Run(ctx, jobs, 2)
+	res := run(ctx, jobs, 2)
 	var done, skipped int
 	for _, r := range res {
 		switch {
@@ -142,7 +144,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestZeroJobs(t *testing.T) {
-	if res := Run[int](context.Background(), nil, 4); len(res) != 0 {
+	if res := run[int](context.Background(), nil, 4); len(res) != 0 {
 		t.Fatalf("len = %d", len(res))
 	}
 }
@@ -153,7 +155,7 @@ func TestDefaultWorkers(t *testing.T) {
 		i := i
 		jobs[i] = func(context.Context) (int, error) { return i, nil }
 	}
-	res := Run(context.Background(), jobs, 0) // GOMAXPROCS
+	res := run(context.Background(), jobs, 0) // GOMAXPROCS
 	for i, r := range res {
 		if r.Value != i {
 			t.Fatalf("result %d = %d", i, r.Value)

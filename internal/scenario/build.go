@@ -51,10 +51,9 @@ type Overrides struct {
 // Sim is a built, ready-to-run scenario: the network plus handles to every
 // subsystem the spec instantiated.
 type Sim struct {
-	Spec  Spec
-	Topo  *topology.Topology
-	Table *routing.Table
-	Net   *netsim.Network
+	Spec Spec
+	Topo *topology.Topology
+	Net  *netsim.Network
 	// Flows lists the declared flows in add order (pattern or Flows
 	// section; generator flows are not included).
 	Flows    []*netsim.Flow
@@ -101,7 +100,7 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 	if ov.Trace != nil {
 		cfg.Trace = ov.Trace(c.topo)
 	}
-	sim := &Sim{Spec: spec, Topo: c.topo, Table: c.table, Metrics: c.reg, compiled: c}
+	sim := &Sim{Spec: spec, Topo: c.topo, Metrics: c.reg, compiled: c}
 	if c.plan != nil {
 		sim.Injector = c.plan.NewInjector(c.faultSeed)
 		cfg.Faults = sim.Injector

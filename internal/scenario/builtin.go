@@ -31,6 +31,24 @@ func Ring(fc FC, hostsPerSwitch int) Spec {
 	return s
 }
 
+// RingFaulted returns Ring as every run that injects faults into its feedback
+// path declares it: the fault matrix's cells, `-exp fig9 -faults` and the
+// registry's ring-faulted-* entries. The one difference is buffer-based GFC on
+// the steady ring, which re-advertises its stage every τ (FCParams.Refresh):
+// stage feedback is edge-triggered, so one lost message would otherwise leave
+// the sender on a stale rate for good, and τ bounds the staleness at roughly
+// one reaction budget. Clean runs keep Refresh 0 — the paper's §5.1 feedback,
+// the golden fig9 traces and the Figure 19 overhead — and so does the
+// formation ring, whose panel has only ever been run edge-triggered.
+func RingFaulted(fc FC, hostsPerSwitch int) Spec {
+	s := Ring(fc, hostsPerSwitch)
+	if fc == GFCBuf && hostsPerSwitch <= 1 {
+		testbed, _ := TestbedParams()
+		s.Scheme.Params.Refresh = testbed.Tau
+	}
+	return s
+}
+
 // CaseStudy returns the Figure 11–14 case study: a k=4 fat-tree whose link
 // failures force shortest paths into the 4-channel cyclic buffer dependency
 // C1→A3→C2→A7→C1, exercised by the paper's four flows F1: H0→H8, F2: H4→H12,
@@ -292,7 +310,7 @@ func init() {
 	register(Ring(PFC, 2),
 		"fig9 deadlock formation: 2 hosts/switch ring squeezes transit until PFC wedges")
 	faulted := func(fc FC, wedged string) {
-		s := Ring(fc, 1)
+		s := RingFaulted(fc, 1)
 		s.Name = "ring-faulted-resume-loss-" + schemeSlug(fc)
 		s.Seed = 1
 		s.Faults = &FaultsSpec{Preset: "resume-loss"}

@@ -136,7 +136,6 @@ func (c *compiled) predict() (*analytic.Prediction, error) {
 		Cfg:    c.cfg,
 		Params: analytic.Params{
 			XOFF:   c.fp.XOFF,
-			XON:    c.fp.XON,
 			B1:     c.fp.B1,
 			Bm:     c.fp.Bm,
 			B0:     c.fp.B0,

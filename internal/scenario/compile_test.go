@@ -58,8 +58,8 @@ func TestBackendsInstallSameCeilings(t *testing.T) {
 			if _, err := (FluidBackend{}).Build(spec, &Overrides{Metrics: freg}); err != nil {
 				t.Fatal(err)
 			}
-			if preg.NumChannels() != freg.NumChannels() {
-				t.Fatalf("layouts differ: packet %d channels, fluid %d", preg.NumChannels(), freg.NumChannels())
+			if p, f := preg.Summary().Channels, freg.Summary().Channels; p != f {
+				t.Fatalf("layouts differ: packet %d channels, fluid %d", p, f)
 			}
 			topo := psim.Topo
 			for n := 0; n < topo.NumNodes(); n++ {
@@ -194,7 +194,7 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 	if fpred, err := fsim.Predict(); err != nil || !reflect.DeepEqual(pred, fpred) {
 		t.Errorf("predictions differ: packet %+v, fluid %+v (%v)", pred, fpred, err)
 	}
-	for idx := 0; idx < preg.NumChannels(); idx++ {
+	for idx := 0; idx < preg.Summary().Channels; idx++ {
 		if p, f := preg.Ceiling(idx), freg.Ceiling(idx); p != f {
 			t.Errorf("channel %d: packet ceiling %v, fluid ceiling %v", idx, p, f)
 		}
@@ -203,7 +203,7 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 	controller := func(ch fluid.NetChannel) (flowcontrol.Controller, *probeEnv) {
 		link := psim.Topo.Ports(ch.Node)[ch.Port].Link
 		env := &probeEnv{}
-		ctl, err := psim.cfg.FlowControl(psim.cfg.ChannelParams(link, topology.Switch, 0), env)
+		ctl, err := psim.cfg.FlowControl(psim.cfg.ChannelParams(link, topology.Switch), env)
 		if err != nil {
 			t.Fatalf("factory on a built channel: %v", err)
 		}

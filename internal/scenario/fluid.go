@@ -10,6 +10,7 @@ import (
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/fluid"
 	"github.com/gfcsim/gfc/internal/netsim"
+	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 	"github.com/gfcsim/gfc/internal/workload"
@@ -151,7 +152,7 @@ func (c *compiled) fluidChannels() ([]fluid.NetChannel, [][]fluidLaw, error) {
 			if at.Link.Failed {
 				continue
 			}
-			p := c.cfg.ChannelParams(at.Link, node.Kind, 0)
+			p := c.cfg.ChannelParams(at.Link, node.Kind)
 			law, err := c.fluidLaw(p)
 			if err != nil {
 				return nil, nil, fmt.Errorf("scenario: fluid backend: %s ingress from %s: %w",
@@ -232,8 +233,7 @@ func (c *compiled) renderGeneratorFlows() ([]fluid.NetFlow, error) {
 				break // no reachable inter-rack destination: host idle
 			}
 			id++
-			key := uint64(id)*1315423911 ^ uint64(h)<<24 ^ uint64(dst)
-			path, err := c.table.Path(h, dst, key)
+			path, err := c.table.Path(h, dst, routing.GeneratedFlowKey(id, h, dst))
 			if err != nil {
 				return nil, fmt.Errorf("scenario: fluid backend: routing stand-in flow %d: %w", id, err)
 			}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func TestLimitsParseAndRoundTrip(t *testing.T) {
 	if b.MaxEvents != 50000 || b.MaxWall.Milliseconds() != 2000 || b.StallEvents != 10000 {
 		t.Fatalf("budget = %+v", b)
 	}
-	data, err := spec.Marshal()
+	data, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func TestRegisteredRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("Get(%q) missing", name)
 			}
-			data, err := spec.Marshal()
+			data, err := json.Marshal(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -288,16 +288,6 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// Marshal encodes the spec as indented JSON (the worked-example format of
-// EXPERIMENTS.md).
-func (s *Spec) Marshal() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("scenario: encoding spec: %w", err)
-	}
-	return append(out, '\n'), nil
-}
-
 // Validate checks the whole spec. Build re-checks the sections it actually
 // uses, so override-driven builds (prebuilt topology/table) skip the parts
 // they replace.

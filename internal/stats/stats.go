@@ -15,21 +15,17 @@ import (
 
 // BinCounter accumulates byte counts into fixed-width time bins. Samples at
 // negative times clamp into the first bin, and samples at or beyond
-// MaxBins·Width clamp into the last — the bin slice grows with the largest
+// maxBins·Width clamp into the last — the bin slice grows with the largest
 // timestamp seen, so without the cap a single far-future sample would
 // allocate unboundedly.
 type BinCounter struct {
 	Width units.Time
-	// MaxBins bounds sparse growth: zero means DefaultMaxBins, negative
-	// means unbounded (caller guarantees dense timestamps).
-	MaxBins int
-	bins    []units.Size
+	bins  []units.Size
 }
 
-// DefaultMaxBins caps a counter at 2^20 bins (8 MiB of counts) unless the
-// caller chooses otherwise — far beyond any simulated duration at the 100 µs
-// and 500 µs widths the experiments use.
-const DefaultMaxBins = 1 << 20
+// maxBins caps a counter at 2^20 bins (8 MiB of counts) — far beyond any
+// simulated duration at the 100 µs and 500 µs widths the experiments use.
+const maxBins = 1 << 20
 
 // NewBinCounter returns a counter with the given bin width.
 func NewBinCounter(width units.Time) *BinCounter {
@@ -45,24 +41,13 @@ func (b *BinCounter) Add(t units.Time, s units.Size) {
 		t = 0 // pre-start samples land in the first bin
 	}
 	idx := int(t / b.Width)
-	if max := b.maxBins(); max > 0 && idx >= max {
-		idx = max - 1
+	if idx >= maxBins {
+		idx = maxBins - 1
 	}
 	for len(b.bins) <= idx {
 		b.bins = append(b.bins, 0)
 	}
 	b.bins[idx] += s
-}
-
-func (b *BinCounter) maxBins() int {
-	switch {
-	case b.MaxBins > 0:
-		return b.MaxBins
-	case b.MaxBins < 0:
-		return 0
-	default:
-		return DefaultMaxBins
-	}
 }
 
 // Bins returns the per-bin byte counts.
@@ -85,15 +70,6 @@ func (b *BinCounter) Rates() []units.Rate {
 	return out
 }
 
-// Total reports the total bytes recorded.
-func (b *BinCounter) Total() units.Size {
-	var t units.Size
-	for _, v := range b.bins {
-		t += v
-	}
-	return t
-}
-
 // Series is a time-stamped scalar series (queue lengths, rates).
 type Series struct {
 	T []units.Time
@@ -108,14 +84,6 @@ func (s *Series) Append(t units.Time, v float64) {
 
 // Len reports the number of points.
 func (s *Series) Len() int { return len(s.T) }
-
-// Last returns the final value, or 0 when empty.
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
 
 // Max returns the maximum value, or 0 when empty.
 func (s *Series) Max() float64 {
@@ -240,16 +208,6 @@ func (c *CDF) Stddev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(c.xs)-1))
-}
-
-// At reports the empirical P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.xs) == 0 {
-		return 0
-	}
-	c.sort()
-	i := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.xs))
 }
 
 // Slowdown computes the Figure 17 metric: actual flow completion time

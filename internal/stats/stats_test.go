@@ -26,9 +26,6 @@ func TestBinCounter(t *testing.T) {
 	if got := b.Rate(5); got != 0 {
 		t.Errorf("Rate out of range = %v", got)
 	}
-	if b.Total() != 1750 {
-		t.Errorf("Total = %v", b.Total())
-	}
 	if got := len(b.Rates()); got != 2 {
 		t.Errorf("Rates len = %d", got)
 	}
@@ -62,20 +59,13 @@ func TestBinCounterNegativeTime(t *testing.T) {
 // Regression: a single far-future timestamp used to grow the bin slice
 // unboundedly; it must clamp into the final bin.
 func TestBinCounterFarFutureCapped(t *testing.T) {
-	b := NewBinCounter(units.Millisecond)
-	b.MaxBins = 100
+	b := NewBinCounter(units.Nanosecond)
 	b.Add(units.Time(1e18), 7)
-	if got := len(b.Bins()); got != 100 {
-		t.Fatalf("bins = %d, want 100", got)
+	if got := len(b.Bins()); got != maxBins {
+		t.Fatalf("bins = %d, want %d", got, maxBins)
 	}
-	if got := b.Bins()[99]; got != 7 {
+	if got := b.Bins()[maxBins-1]; got != 7 {
 		t.Fatalf("final bin = %v, want 7", got)
-	}
-	// The default cap protects zero-value configs too.
-	d := NewBinCounter(units.Nanosecond)
-	d.Add(units.Time(1e18), 1)
-	if got := len(d.Bins()); got != DefaultMaxBins {
-		t.Fatalf("default-capped bins = %d, want %d", got, DefaultMaxBins)
 	}
 }
 
@@ -90,13 +80,13 @@ func TestBinCounterBadWidth(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	var s Series
-	if s.Last() != 0 || s.Max() != 0 {
+	if s.Max() != 0 {
 		t.Fatal("empty series not zero")
 	}
 	s.Append(1, 5)
 	s.Append(2, 9)
 	s.Append(3, 7)
-	if s.Len() != 3 || s.Last() != 7 || s.Max() != 9 {
+	if s.Len() != 3 || s.Max() != 9 {
 		t.Fatalf("series stats wrong: %+v", s)
 	}
 	if got := s.MeanAfter(2); got != 8 {
@@ -187,22 +177,6 @@ func TestCDFQuantiles(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	var c CDF
-	for _, x := range []float64{1, 2, 3, 4} {
-		c.Add(x)
-	}
-	if got := c.At(2); got != 0.5 {
-		t.Errorf("At(2) = %v, want 0.5", got)
-	}
-	if got := c.At(0.5); got != 0 {
-		t.Errorf("At(0.5) = %v, want 0", got)
-	}
-	if got := c.At(10); got != 1 {
-		t.Errorf("At(10) = %v, want 1", got)
-	}
-}
-
 func TestCDFStddev(t *testing.T) {
 	var c CDF
 	c.Add(5)
@@ -268,17 +242,25 @@ func TestCDFQuantileMonotone(t *testing.T) {
 	}
 }
 
-// Property: At and Quantile are approximate inverses.
+// Property: Quantile and the empirical P(X ≤ x) are approximate inverses.
 func TestCDFInverse(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var c CDF
+		var xs []float64
 		for i := 0; i < 100; i++ {
-			c.Add(rng.Float64() * 1000)
+			xs = append(xs, rng.Float64()*1000)
+			c.Add(xs[i])
 		}
 		for _, q := range []float64{0.1, 0.5, 0.9} {
 			x := c.Quantile(q)
-			p := c.At(x)
+			below := 0
+			for _, v := range xs {
+				if v <= x {
+					below++
+				}
+			}
+			p := float64(below) / float64(len(xs))
 			if math.Abs(p-q) > 0.05 {
 				return false
 			}
@@ -290,7 +272,7 @@ func TestCDFInverse(t *testing.T) {
 	}
 }
 
-// Property: BinCounter.Total equals the sum of added sizes regardless of
+// Property: the bins hold exactly the sum of added sizes regardless of
 // arrival order.
 func TestBinCounterTotal(t *testing.T) {
 	f := func(raw []uint16) bool {
@@ -301,7 +283,11 @@ func TestBinCounterTotal(t *testing.T) {
 			b.Add(units.Time(i%50)*units.Millisecond, s)
 			want += s
 		}
-		return b.Total() == want
+		var total units.Size
+		for _, v := range b.Bins() {
+			total += v
+		}
+		return total == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -36,11 +36,7 @@ func RingHosts(n, h int, p LinkParams) *Topology {
 	if h < 1 {
 		panic(fmt.Sprintf("topology: ring needs at least 1 host per switch, got h = %d", h))
 	}
-	name := fmt.Sprintf("ring-%d", n)
-	if h > 1 {
-		name = fmt.Sprintf("ring-%dx%d", n, h)
-	}
-	t := New(name)
+	t := New()
 	sw := make([]NodeID, n)
 	for i := 0; i < n; i++ {
 		sw[i] = t.AddSwitch(fmt.Sprintf("S%d", i+1))
@@ -73,7 +69,7 @@ func FatTree(k int, p LinkParams) *Topology {
 	if k < 2 || k%2 != 0 {
 		panic(fmt.Sprintf("topology: fat-tree arity must be even and >= 2, got k = %d", k))
 	}
-	t := New(fmt.Sprintf("fattree-%d", k))
+	t := New()
 	half := k / 2
 
 	cores := make([]NodeID, half*half)
@@ -126,7 +122,7 @@ func Dumbbell(n int, p LinkParams) *Topology {
 	if n < 1 {
 		panic(fmt.Sprintf("topology: dumbbell needs at least one sender, got n = %d", n))
 	}
-	t := New(fmt.Sprintf("dumbbell-%d", n))
+	t := New()
 	s1 := t.AddSwitch("S1")
 	s2 := t.AddSwitch("S2")
 	for i := 1; i <= n; i++ {
@@ -145,7 +141,7 @@ func Linear(n int, p LinkParams) *Topology {
 	if n < 1 {
 		panic(fmt.Sprintf("topology: linear chain needs at least one switch, got n = %d", n))
 	}
-	t := New(fmt.Sprintf("linear-%d", n))
+	t := New()
 	prev := None
 	for i := 1; i <= n; i++ {
 		s := t.AddSwitch(fmt.Sprintf("S%d", i))
@@ -162,7 +158,7 @@ func Linear(n int, p LinkParams) *Topology {
 // TwoToOne builds the 2-to-1 congestion scenario of Figure 5: two senders
 // and one receiver on a single switch.
 func TwoToOne(p LinkParams) *Topology {
-	t := New("two-to-one")
+	t := New()
 	s := t.AddSwitch("S1")
 	for _, n := range []string{"H1", "H2", "H3"} {
 		h := t.AddHost(n)

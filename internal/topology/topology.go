@@ -93,16 +93,15 @@ type Attachment struct {
 // Topology is a mutable network graph. Build it with AddHost / AddSwitch /
 // AddLink, or use one of the ready-made builders.
 type Topology struct {
-	Name  string
 	nodes []Node
 	links []*Link
 	adj   [][]Attachment // by node, indexed by local port
 	byNam map[string]NodeID
 }
 
-// New returns an empty topology with the given name.
-func New(name string) *Topology {
-	return &Topology{Name: name, byNam: make(map[string]NodeID)}
+// New returns an empty topology.
+func New() *Topology {
+	return &Topology{byNam: make(map[string]NodeID)}
 }
 
 func (t *Topology) addNode(kind Kind, name string) NodeID {

@@ -37,7 +37,7 @@ func (t *Topology) Connected() bool {
 }
 
 func TestAddNodesAndLinks(t *testing.T) {
-	topo := New("t")
+	topo := New()
 	a := topo.AddSwitch("S1")
 	b := topo.AddSwitch("S2")
 	h := topo.AddHost("H1")
@@ -63,7 +63,7 @@ func TestAddNodesAndLinks(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	topo := New("t")
+	topo := New()
 	s := topo.AddSwitch("S1")
 	if id, ok := topo.Lookup("S1"); !ok || id != s {
 		t.Fatal("Lookup failed")
@@ -83,7 +83,7 @@ func TestLookup(t *testing.T) {
 }
 
 func TestDuplicateNamePanics(t *testing.T) {
-	topo := New("t")
+	topo := New()
 	topo.AddSwitch("S1")
 	defer func() {
 		if recover() == nil {
@@ -94,7 +94,7 @@ func TestDuplicateNamePanics(t *testing.T) {
 }
 
 func TestBadLinkPanics(t *testing.T) {
-	topo := New("t")
+	topo := New()
 	a := topo.AddSwitch("S1")
 	b := topo.AddSwitch("S2")
 	for _, fn := range []func(){

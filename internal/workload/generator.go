@@ -125,8 +125,7 @@ func (g *Generator) launch(src topology.NodeID, at units.Time) error {
 	}
 	g.nextID++
 	id := g.nextID
-	key := uint64(id)*1315423911 ^ uint64(src)<<24 ^ uint64(dst)
-	path, err := g.Table.Path(src, dst, key)
+	path, err := g.Table.Path(src, dst, routing.GeneratedFlowKey(id, src, dst))
 	if err != nil {
 		return fmt.Errorf("workload: routing flow %d: %w", id, err)
 	}

@@ -150,12 +150,3 @@ func (d *SizeDist) CDFAt(s units.Size) float64 {
 	frac := (ls - s0) / (s1 - s0)
 	return p0 + frac*(p1-p0)
 }
-
-// Mean estimates the distribution's mean flow size by sampling.
-func (d *SizeDist) Mean(rng *rand.Rand, n int) units.Size {
-	var total units.Size
-	for i := 0; i < n; i++ {
-		total += d.Sample(rng)
-	}
-	return total / units.Size(n)
-}
