@@ -332,7 +332,9 @@ func main() {
 }
 
 // runScenario resolves -scenario (registry name or spec file), applies the
-// -duration and -backend overrides and runs it to completion.
+// -duration and -backend overrides and runs it to completion. A run the
+// analytic model contradicts — drops on a scheme predicted lossless, a violated
+// envelope — fails after its summary is printed.
 func runScenario(w io.Writer, o *experiments.Options) error {
 	var spec scenario.Spec
 	if strings.ContainsAny(*scenarioName, "./\\") {
@@ -355,6 +357,7 @@ func runScenario(w io.Writer, o *experiments.Options) error {
 	if o.Backend != "" {
 		spec.Sim.Backend = o.Backend
 	}
+	spec.Run.Analytic = true // as every -exp driver's run has it
 	reg := o.Sink.Registry()
 	sim, err := scenario.BuildBackend(spec, &scenario.Overrides{Metrics: reg})
 	if err != nil {
@@ -386,6 +389,9 @@ func runScenario(w io.Writer, o *experiments.Options) error {
 	}
 	if s := res.FaultStats; s != (faults.Stats{}) {
 		fmt.Fprintf(w, "  faults: feedback dropped=%d delayed=%d\n", s.FeedbackDropped, s.FeedbackDelayed)
+	}
+	if rerr == nil && res.Analytic.Err != nil {
+		return fmt.Errorf("%s: %w", spec.Name, res.Analytic.Err)
 	}
 	return rerr
 }

@@ -1,7 +1,8 @@
 package deadlock
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/gfcsim/gfc/internal/eventsim"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
@@ -76,8 +77,11 @@ type DCFIT struct {
 	// Interval is the confirmation polling period; default 1 ms.
 	Interval units.Time
 
-	edges map[EdgeKey]*dcfitEdge
+	edges map[EdgeKey]dcfitEdge
 	seq   int64
+	// keys and path are findCycle's scratch, kept so a poll over live pause
+	// edges allocates nothing.
+	keys, path []EdgeKey
 
 	// Candidate cycle awaiting persistence: the lowest-keyed edge on the
 	// cycle plus the cycle's initial-trigger mint sequence. A resumed edge
@@ -98,7 +102,7 @@ func NewDCFIT(n FeedbackNetwork) *DCFIT {
 		net:      n,
 		Window:   5 * units.Millisecond,
 		Interval: units.Millisecond,
-		edges:    make(map[EdgeKey]*dcfitEdge),
+		edges:    make(map[EdgeKey]dcfitEdge),
 	}
 }
 
@@ -144,14 +148,14 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Mess
 			return // refresh of a held pause: dependency age unchanged
 		}
 		tag := d.seq
-		if _, p := d.parentOf(from, prio); p != nil {
+		if _, p, ok := d.parentOf(from, prio); ok {
 			// The pausing node is itself paused: this pause continues
 			// that chain, carrying its initial trigger downstream.
 			tag = p.tag
 		} else {
 			d.seq++
 		}
-		d.edges[key] = &dcfitEdge{tag: tag, since: d.net.Now()}
+		d.edges[key] = dcfitEdge{tag: tag, since: d.net.Now()}
 	case flowcontrol.KindResume, flowcontrol.KindQueueResume:
 		delete(d.edges, key)
 		if d.hasCand && d.candKey == key {
@@ -162,20 +166,18 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Mess
 
 // parentOf returns the pause edge currently blocking node at prio and its key
 // — the oldest edge whose Up side is node (ties broken by key order, so the
-// choice is deterministic regardless of map iteration) — or a nil edge.
-func (d *DCFIT) parentOf(node topology.NodeID, prio int) (EdgeKey, *dcfitEdge) {
-	var bestKey EdgeKey
-	var best *dcfitEdge
+// choice is deterministic regardless of map iteration) — or ok false.
+func (d *DCFIT) parentOf(node topology.NodeID, prio int) (bestKey EdgeKey, best dcfitEdge, ok bool) {
 	for k, e := range d.edges {
 		if k.Up != node || k.Prio != prio {
 			continue
 		}
-		if best == nil || e.since < best.since ||
-			(e.since == best.since && edgeLess(k, bestKey)) {
-			best, bestKey = e, k
+		if !ok || e.since < best.since ||
+			(e.since == best.since && edgeCmp(k, bestKey) < 0) {
+			bestKey, best, ok = k, e, true
 		}
 	}
-	return bestKey, best
+	return bestKey, best, ok
 }
 
 // Check confirms whether a closed pause cycle has persisted for the window,
@@ -229,24 +231,23 @@ func (d *DCFIT) findCycle() []EdgeKey {
 	if len(d.edges) == 0 {
 		return nil
 	}
-	keys := make([]EdgeKey, 0, len(d.edges))
+	d.keys = d.keys[:0]
 	for k := range d.edges {
-		keys = append(keys, k)
+		d.keys = append(d.keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return edgeLess(keys[i], keys[j]) })
-	for _, start := range keys {
-		path := []EdgeKey{start}
+	slices.SortFunc(d.keys, edgeCmp)
+	for _, start := range d.keys {
+		d.path = append(d.path[:0], start)
 		cur := start
-		for range keys {
-			next, parent := d.parentOf(cur.Down, cur.Prio)
-			if parent == nil {
-				path = nil
+		for range d.keys {
+			next, _, ok := d.parentOf(cur.Down, cur.Prio)
+			if !ok {
 				break
 			}
 			if next == start {
-				return path // closed: the walk returned to its origin
+				return d.path // closed: the walk returned to its origin
 			}
-			path = append(path, next)
+			d.path = append(d.path, next)
 			cur = next
 		}
 		// The walk either dead-ended or entered a cycle not containing
@@ -255,15 +256,7 @@ func (d *DCFIT) findCycle() []EdgeKey {
 	return nil
 }
 
-func edgeLess(a, b EdgeKey) bool {
-	if a.Up != b.Up {
-		return a.Up < b.Up
-	}
-	if a.Down != b.Down {
-		return a.Down < b.Down
-	}
-	if a.Prio != b.Prio {
-		return a.Prio < b.Prio
-	}
-	return a.Queue < b.Queue
+func edgeCmp(a, b EdgeKey) int {
+	return cmp.Or(cmp.Compare(a.Up, b.Up), cmp.Compare(a.Down, b.Down),
+		cmp.Compare(a.Prio, b.Prio), cmp.Compare(a.Queue, b.Queue))
 }

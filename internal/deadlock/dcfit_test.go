@@ -181,9 +181,9 @@ func TestDCFITTriggerInheritance(t *testing.T) {
 	d, f := newFakeDCFIT()
 	f.pause(2, 3) // node 3 pauses its upstream 2: trigger minted by 3
 	f.pause(1, 2) // node 2 (itself paused) pauses 1: inherits 3's trigger
-	e12 := d.edges[EdgeKey{Up: 1, Down: 2, Prio: 0, Queue: -1}]
-	e23 := d.edges[EdgeKey{Up: 2, Down: 3, Prio: 0, Queue: -1}]
-	if e12 == nil || e23 == nil {
+	e12, ok12 := d.edges[EdgeKey{Up: 1, Down: 2, Prio: 0, Queue: -1}]
+	e23, ok23 := d.edges[EdgeKey{Up: 2, Down: 3, Prio: 0, Queue: -1}]
+	if !ok12 || !ok23 {
 		t.Fatal("edges missing")
 	}
 	if e12.tag != e23.tag {

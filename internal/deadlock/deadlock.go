@@ -22,7 +22,7 @@ import (
 // timing-dependent and near-impossible to stage reliably end-to-end).
 type Network interface {
 	Now() units.Time
-	IngressStates() []netsim.IngressState
+	AppendIngressStates(dst []netsim.IngressState) []netsim.IngressState
 	Engine() *eventsim.Engine
 }
 
@@ -101,6 +101,7 @@ type Detector struct {
 	Interval units.Time
 
 	report *Report
+	states []netsim.IngressState // the last snapshot; its arrays serve the next
 }
 
 // NewDetector returns a detector over n with default window and interval.
@@ -136,7 +137,8 @@ func (d *Detector) Check() *Report {
 		return d.report
 	}
 	now := d.net.Now()
-	states := d.net.IngressStates()
+	d.states = d.net.AppendIngressStates(d.states[:0])
+	states := d.states
 
 	// A buffer is deadlock-eligible only when it holds bytes, its own
 	// progress counters show no release for a full window (measured from
@@ -147,16 +149,17 @@ func (d *Detector) Check() *Report {
 	// administratively-down egress is likewise excluded: a link outage is
 	// a transient condition that resolves when the link returns, not a
 	// flow-control hold — counting it would report every flap on a ring
-	// as a deadlock.
-	stalled := make(map[ChannelKey]netsim.IngressState)
-	stallStart := make(map[ChannelKey]units.Time)
+	// as a deadlock. The maps are made at the first such buffer: a healthy
+	// poll touches none.
+	var stalled map[ChannelKey]netsim.IngressState
+	var stallStart map[ChannelKey]units.Time
 	for _, is := range states {
 		if is.Occupancy == 0 {
 			continue
 		}
-		blockedForever := len(is.WaitRates) > 0
-		for i, r := range is.WaitRates {
-			if r > 0 || is.WaitsDown[i] {
+		blockedForever := len(is.Waits) > 0
+		for _, w := range is.Waits {
+			if w.Rate > 0 || w.Down {
 				blockedForever = false
 				break
 			}
@@ -171,6 +174,10 @@ func (d *Detector) Check() *Report {
 		if now-start < d.Window {
 			continue
 		}
+		if stalled == nil {
+			stalled = make(map[ChannelKey]netsim.IngressState)
+			stallStart = make(map[ChannelKey]units.Time)
+		}
 		key := ChannelKey{From: is.From, Node: is.Node, Prio: is.Prio}
 		stalled[key] = is
 		stallStart[key] = start
@@ -183,8 +190,8 @@ func (d *Detector) Check() *Report {
 	// traffic held in (u→v) must next enter w's buffer fed by v.
 	adj := make(map[ChannelKey][]ChannelKey, len(stalled))
 	for key, is := range stalled {
-		for _, w := range is.WaitsOn {
-			next := ChannelKey{From: key.Node, Node: w, Prio: key.Prio}
+		for _, w := range is.Waits {
+			next := ChannelKey{From: key.Node, Node: w.On, Prio: key.Prio}
 			if _, ok := stalled[next]; ok {
 				adj[key] = append(adj[key], next)
 			}
@@ -272,11 +279,11 @@ func (d *Detector) checkWedge(
 	}
 	for _, key := range keys {
 		is := stalled[key]
-		for i, w := range is.WaitsOn {
-			if is.WaitRates[i] > 0 || is.WaitsDown[i] {
+		for _, w := range is.Waits {
+			if w.Rate > 0 || w.Down {
 				continue
 			}
-			holder, ok := byKey[ChannelKey{From: key.Node, Node: w, Prio: key.Prio}]
+			holder, ok := byKey[ChannelKey{From: key.Node, Node: w.On, Prio: key.Prio}]
 			if !ok || holder.Occupancy > 0 {
 				continue // host-facing or still legitimately held
 			}
@@ -290,7 +297,7 @@ func (d *Detector) checkWedge(
 			d.report = &Report{
 				At:       now,
 				Kind:     WedgedChannel,
-				Wedged:   &Wedge{Ingress: key, Via: w},
+				Wedged:   &Wedge{Ingress: key, Via: w.On},
 				StallFor: now - stallStart[key],
 			}
 			return d.report

@@ -19,9 +19,11 @@ type fakeNet struct {
 	states []netsim.IngressState
 }
 
-func (f *fakeNet) Now() units.Time                      { return f.now }
-func (f *fakeNet) IngressStates() []netsim.IngressState { return f.states }
-func (f *fakeNet) Engine() *eventsim.Engine             { panic("Check-only fake") }
+func (f *fakeNet) Now() units.Time          { return f.now }
+func (f *fakeNet) Engine() *eventsim.Engine { panic("Check-only fake") }
+func (f *fakeNet) AppendIngressStates(dst []netsim.IngressState) []netsim.IngressState {
+	return append(dst, f.states...)
+}
 
 // ringStall builds the canonical 3-cycle of mutually waiting ring buffers
 // (1→2 waits on 2→3 waits on 3→1 waits on 1→2), every buffer occupied and
@@ -36,9 +38,7 @@ func ringStall(down [3]bool) *fakeNet {
 			Node: nodes[i], Prio: 0, From: prev,
 			Occupancy:     800 * units.KB,
 			OccupiedSince: units.Millisecond,
-			WaitsOn:       []topology.NodeID{next},
-			WaitRates:     []units.Rate{0},
-			WaitsDown:     []bool{down[i]},
+			Waits:         []netsim.Wait{{On: next, Down: down[i]}},
 		})
 	}
 	return &fakeNet{now: 100 * units.Millisecond, states: states}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/netsim"
-	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -21,9 +20,7 @@ func chainStall() *fakeNet {
 				Node: 2, Prio: 0, From: 1,
 				Occupancy:     800 * units.KB,
 				OccupiedSince: units.Millisecond,
-				WaitsOn:       []topology.NodeID{3},
-				WaitRates:     []units.Rate{0},
-				WaitsDown:     []bool{false},
+				Waits:         []netsim.Wait{{On: 3}},
 			},
 			{
 				Node: 3, Prio: 0, From: 2,
@@ -71,9 +68,7 @@ func TestWedgeRequiresEmptyHolder(t *testing.T) {
 	f.states[1].Occupancy = 900 * units.KB
 	// Keep the holder itself out of the stalled set (it is draining),
 	// otherwise the scenario is just a stalled chain awaiting progress.
-	f.states[1].WaitsOn = []topology.NodeID{4}
-	f.states[1].WaitRates = []units.Rate{5 * units.Gbps}
-	f.states[1].WaitsDown = []bool{false}
+	f.states[1].Waits = []netsim.Wait{{On: 4, Rate: 5 * units.Gbps}}
 	if rep := NewDetector(f).Check(); rep != nil {
 		t.Fatalf("occupied holder reported as wedge: %+v", rep)
 	}
@@ -106,7 +101,7 @@ func TestWedgeSkipsMissingHolder(t *testing.T) {
 // buffer is not considered stalled at all.
 func TestWedgeExcludesAdminDownWait(t *testing.T) {
 	f := chainStall()
-	f.states[0].WaitsDown = []bool{true}
+	f.states[0].Waits[0].Down = true
 	if rep := NewDetector(f).Check(); rep != nil {
 		t.Fatalf("down-link wait reported as wedge: %+v", rep)
 	}
@@ -117,7 +112,7 @@ func TestWedgeExcludesAdminDownWait(t *testing.T) {
 // from the stalled set and no wedge exists.
 func TestWedgeRequiresZeroRate(t *testing.T) {
 	f := chainStall()
-	f.states[0].WaitRates = []units.Rate{units.Rate(1)}
+	f.states[0].Waits[0].Rate = 1
 	if rep := NewDetector(f).Check(); rep != nil {
 		t.Fatalf("positive-rate wait reported as wedge: %+v", rep)
 	}

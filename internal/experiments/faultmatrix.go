@@ -152,9 +152,9 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 				// verdict is the row's, DCFIT's fills its own columns.
 				Detector: "both",
 			}
-			res, err := RunRing(ring, RunOptions{
+			res, err := runRing(ring, RunOptions{
 				Ctx: ctx, Budget: cfg.Budget, Duration: cfg.Duration, Metrics: reg,
-			})
+			}, nil)
 			if err != nil {
 				return FaultCell{}, err
 			}

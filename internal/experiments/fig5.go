@@ -22,24 +22,27 @@ type Fig5Result struct {
 }
 
 // h1Probe returns the trace every two-sender figure reads (Figures 5, 9 and
-// 10): the occupancy of the S1 ingress fed by H1 (port 0 on S1) into queue,
-// and H1's arrival bytes at S1 into arrivals.
+// 10): the occupancy of the S1 ingress fed by H1 (port 0 on S1) into queue
+// when it is non-nil, and H1's arrival bytes at S1 into arrivals.
 func h1Probe(queue *stats.Series, arrivals *stats.BinCounter) func(*topology.Topology) *netsim.Trace {
 	return func(topo *topology.Topology) *netsim.Trace {
 		s1 := topo.MustLookup("S1")
 		h1 := topo.MustLookup("H1")
-		return &netsim.Trace{
-			OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
-				if node == s1 && port == 0 {
-					queue.Append(t, float64(q))
-				}
-			},
+		tr := &netsim.Trace{
 			OnArrival: func(t units.Time, node topology.NodeID, pkt *netsim.Packet) {
 				if node == s1 && pkt.Flow.Src == h1 {
 					arrivals.Add(t, pkt.Size)
 				}
 			},
 		}
+		if queue != nil {
+			tr.OnQueue = func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
+				if node == s1 && port == 0 {
+					queue.Append(t, float64(q))
+				}
+			}
+		}
+		return tr
 	}
 }
 

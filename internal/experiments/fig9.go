@@ -72,32 +72,42 @@ func ringSpec(cfg RingConfig) scenario.Spec {
 // testbed parameters (1 MB buffers, τ = 90 µs); only the figure's own trace
 // collection lives here.
 func RunRing(cfg RingConfig, o RunOptions) (*RingResult, error) {
-	res := &RingResult{Queue: &stats.Series{}}
+	return runRing(cfg, o, &stats.Series{})
+}
+
+// runRing is RunRing with the S1←H1 queue trace optional: a nil queue records
+// none and leaves Queue and SteadyQueue unset (the fault matrix reads neither).
+func runRing(cfg RingConfig, o RunOptions, queue *stats.Series) (*RingResult, error) {
+	res := &RingResult{Queue: queue}
 	arrivals := stats.NewBinCounter(100 * units.Microsecond)
 	sim, err := o.build(ringSpec(cfg), scenario.Overrides{
 		FaultPlan: cfg.Faults,
 		FaultSeed: cfg.FaultSeed,
-		Trace:     h1Probe(res.Queue, arrivals),
+		Trace:     h1Probe(queue, arrivals),
 	})
 	if err != nil {
 		return nil, err
 	}
 	d := sim.Spec.Run.DurationNs
-	// The S1←H1 queue changes at most about twice per MTU serialisation time
-	// on the host link (one arrival, one departure), so size the trace for
-	// the horizon instead of re-growing a megabyte-scale slice pair by
-	// doubling in every cell.
-	simCfg, _ := scenario.TestbedParams()
-	simCfg.FillDefaults()
-	points := int(2 * d / units.TransmissionTime(simCfg.MTU, topology.DefaultLinkParams().Capacity))
-	res.Queue.T = make([]units.Time, 0, points)
-	res.Queue.V = make([]float64, 0, points)
+	if queue != nil {
+		// The S1←H1 queue changes at most about twice per MTU serialisation
+		// time on the host link (one arrival, one departure), so size the
+		// trace for the horizon instead of re-growing a megabyte-scale slice
+		// pair by doubling.
+		simCfg, _ := scenario.TestbedParams()
+		simCfg.FillDefaults()
+		points := int(2 * d / units.TransmissionTime(simCfg.MTU, topology.DefaultLinkParams().Capacity))
+		queue.T = make([]units.Time, 0, points)
+		queue.V = make([]float64, 0, points)
+	}
 	if res.Result, err = o.run(sim); err != nil {
 		return nil, err
 	}
 
 	res.Rate = viz.RateSeries(arrivals)
-	res.SteadyQueue = units.Size(res.Queue.MeanAfter(d * 3 / 4))
+	if queue != nil {
+		res.SteadyQueue = units.Size(queue.MeanAfter(d * 3 / 4))
+	}
 	res.SteadyRate = units.Rate(res.Rate.MeanAfter(d * 3 / 4))
 	for i, f := range sim.Flows {
 		if i == 0 || f.Delivered < res.MinFlow {

@@ -118,22 +118,20 @@ func (s *cbfcSender) Rate() units.Rate {
 }
 
 type cbfcReceiver struct {
-	p   Params
-	cfg CBFCConfig
-	env Env
-	abr int64 // blocks released from the ingress buffer since link init
+	p    Params
+	cfg  CBFCConfig
+	env  Env
+	abr  int64  // blocks released from the ingress buffer since link init
+	tick func() // the periodic advertisement, bound once in Start
 }
 
 func (r *cbfcReceiver) Start() {
 	r.advertise()
-	r.tick()
-}
-
-func (r *cbfcReceiver) tick() {
-	r.env.After(r.cfg.Period, func() {
+	r.tick = func() {
 		r.advertise()
-		r.tick()
-	})
+		r.env.After(r.cfg.Period, r.tick)
+	}
+	r.env.After(r.cfg.Period, r.tick)
 }
 
 func (r *cbfcReceiver) advertise() {

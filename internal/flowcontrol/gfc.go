@@ -194,11 +194,15 @@ type gfcBufferReceiver struct {
 	lastEmit units.Time
 	started  bool
 	pending  bool
+	// tick and flush as func values, bound once each, on first use: a method
+	// value made at each After call would allocate per period and deferral.
+	tickFn, flushFn func()
 }
 
 func (r *gfcBufferReceiver) Start() {
 	if r.refresh > 0 {
-		r.env.After(r.refresh, r.tick)
+		r.tickFn = r.tick
+		r.env.After(r.refresh, r.tickFn)
 	}
 }
 
@@ -211,7 +215,7 @@ func (r *gfcBufferReceiver) tick() {
 	if r.started && !r.pending {
 		r.emit(r.table.StageFor(r.lastQ))
 	}
-	r.env.After(r.refresh, r.tick)
+	r.env.After(r.refresh, r.tickFn)
 }
 
 func (r *gfcBufferReceiver) gap() units.Time {
@@ -233,7 +237,10 @@ func (r *gfcBufferReceiver) observe(q units.Size) {
 	now := r.env.Clock().Now()
 	if r.started && now-r.lastEmit < r.gap() {
 		r.pending = true
-		r.env.After(r.lastEmit+r.gap()-now, r.flush)
+		if r.flushFn == nil {
+			r.flushFn = r.flush
+		}
+		r.env.After(r.lastEmit+r.gap()-now, r.flushFn)
 		return
 	}
 	r.emit(st)

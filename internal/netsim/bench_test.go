@@ -115,9 +115,12 @@ func BenchmarkLinearForwardingMetrics(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
-// TestAllocBudget is the allocation-regression gate: with metrics disabled,
-// the two hot-path benchmarks must not allocate more per iteration than the
-// budgets set from their measured baselines (144 and 133 allocs/op after the
+// TestAllocBudget is the whole-run allocation gate — set-up plus pool growth;
+// scenario.TestSteadyStateAllocs holds the warmed-up loop to zero. With metrics
+// disabled, the two hot-path benchmarks must not allocate more per iteration
+// than the budgets set from their measured baselines (143 and 132 allocs/op
+// with per-channel feedback delivery slots, the first of them inline in the
+// channel's env and every callback bound on first use; 144 and 133 after the
 // struct-of-arrays flattening, the per-network packet free-list, stage-table
 // memoization, intrusive packet FIFOs with no backing arrays to grow and no
 // per-arrival side table; 148 and 135 with that table, 158 with head-indexed
@@ -136,8 +139,8 @@ func TestAllocBudget(t *testing.T) {
 		bench  func(*testing.B)
 		budget int64
 	}{
-		{"LinearForwarding", BenchmarkLinearForwarding, 151},
-		{"CongestedFabric", BenchmarkCongestedFabric, 151},
+		{"LinearForwarding", BenchmarkLinearForwarding, 150},
+		{"CongestedFabric", BenchmarkCongestedFabric, 139},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := testing.Benchmark(tc.bench)

@@ -23,29 +23,33 @@ type IngressState struct {
 	// on, replacing per-poll departure deltas.
 	LastDepartAt  units.Time
 	OccupiedSince units.Time
-	// WaitsOn lists the next-hop nodes this buffer's traffic must reach:
-	// under input-queued switching, the head packet's next node (only
-	// the head can move); under output-queued disciplines, every next
-	// node with backlog from this ingress.
-	WaitsOn []topology.NodeID
-	// WaitRates[i] is the flow-control permitted rate of the egress
-	// channel toward WaitsOn[i]. A stalled buffer whose every wait rate
-	// is zero is blocked indefinitely (PFC pause, CBFC credit
-	// starvation); a positive rate means the buffer still trickles —
-	// GFC's hold-and-wait elimination in action.
-	WaitRates []units.Rate
-	// WaitsDown[i] reports that the egress toward WaitsOn[i] is
-	// administratively down. Such a wait is a transient outage, not
-	// hold-and-wait: the deadlock detector must not count it toward a
-	// circular-wait verdict (a flapped link would otherwise read as a
-	// ring deadlock).
-	WaitsDown []bool
+	// Waits lists the egress channels this buffer's traffic must take next:
+	// under input-queued switching, the head packet's (only the head can
+	// move); under output-queued disciplines, every one with backlog from
+	// this ingress. Empty for an empty buffer.
+	Waits []Wait
 }
 
-// IngressStates snapshots every switch ingress buffer, ordered (node, port,
-// priority).
-func (n *Network) IngressStates() []IngressState {
-	var out []IngressState
+// Wait is one egress channel an ingress buffer waits on.
+type Wait struct {
+	On topology.NodeID // the next-hop node
+	// Rate is the channel's flow-control permitted rate. A stalled buffer
+	// whose every wait rate is zero is blocked indefinitely (PFC pause,
+	// CBFC credit starvation); a positive rate means the buffer still
+	// trickles — GFC's hold-and-wait elimination in action.
+	Rate units.Rate
+	// Down reports that the egress is administratively down. Such a wait
+	// is a transient outage, not hold-and-wait: the deadlock detector must
+	// not count it toward a circular-wait verdict (a flapped link would
+	// otherwise read as a ring deadlock).
+	Down bool
+}
+
+// AppendIngressStates appends a snapshot of every switch ingress buffer,
+// ordered (node, port, priority), to dst and returns it. A state written into
+// dst's spare capacity reuses the Waits array of the element it replaces, so
+// passing the previous snapshot as dst[:0] polls without allocating.
+func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 	for _, nd := range n.nodes {
 		if nd.kind != topology.Switch {
 			continue
@@ -57,17 +61,25 @@ func (n *Network) IngressStates() []IngressState {
 			}
 			for prio := 0; prio < n.cfg.Priorities; prio++ {
 				ch := p.cb + prio
-				is := IngressState{
+				if len(dst) < cap(dst) {
+					dst = dst[:len(dst)+1]
+				} else {
+					dst = append(dst, IngressState{})
+				}
+				is := &dst[len(dst)-1]
+				*is = IngressState{
 					Node: nd.id, Prio: prio,
 					From:          p.peer.owner.id,
 					Occupancy:     n.occupancy[ch],
 					LastDepartAt:  n.progress[ch].lastDepart,
 					OccupiedSince: n.progress[ch].occupiedSince,
+					Waits:         is.Waits[:0],
+				}
+				if is.Occupancy == 0 {
+					continue
 				}
 				addWait := func(eg *port) {
-					is.WaitsOn = append(is.WaitsOn, eg.peer.owner.id)
-					is.WaitRates = append(is.WaitRates, n.egressRate(eg, prio))
-					is.WaitsDown = append(is.WaitsDown, eg.adminDown)
+					is.Waits = append(is.Waits, Wait{eg.peer.owner.id, n.egressRate(eg, prio), eg.adminDown})
 				}
 				switch n.cfg.Scheduling {
 				case SchedInputQueued:
@@ -99,11 +111,10 @@ func (n *Network) IngressStates() []IngressState {
 						}
 					}
 				}
-				out = append(out, is)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // egressRate reports the effective flow-control permitted rate of egress

@@ -231,6 +231,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			params := cfg.ChannelParams(p.link, nd.kind)
 			for prio := 0; prio < k; prio++ {
 				env := &fcEnv{n: n, down: p, up: up, prio: prio}
+				env.free = &env.first
 				ctl, err := cfg.FlowControl(params, env)
 				if err != nil {
 					return nil, fmt.Errorf("netsim: channel %s->%s prio %d: %w",
@@ -311,15 +312,25 @@ type fcEnv struct {
 	down *port // receiver side (ingress)
 	up   *port // sender side (upstream egress)
 	prio int
+	// free lists the channel's idle delivery slots, at first only the inline
+	// one: a channel with one message in flight never allocates a slot.
+	free  *fbSlot
+	first fbSlot
+}
+
+// fbSlot carries one in-flight feedback message from Emit, which takes it off
+// the channel's free list or makes one when all are in flight, to deliver,
+// which puts it back: each message waits out its own delay, in any order.
+type fbSlot struct {
+	m    flowcontrol.Message
+	fire func() // delivers this slot; bound on first use
+	next *fbSlot
 }
 
 func (e *fcEnv) Clock() flowcontrol.Clock      { return e.n.eng }
 func (e *fcEnv) After(d units.Time, fn func()) { e.n.eng.After(d, fn) }
 
-// Emit schedules delivery of one feedback message. The closure here is
-// deliberate: messages carry a payload and, under jitter, non-monotonic
-// delays, so a per-port FIFO of pre-bound callbacks (the packet-path trick)
-// would reorder them.
+// Emit schedules delivery of one feedback message.
 func (e *fcEnv) Emit(m flowcontrol.Message) {
 	n := e.n
 	wire := m.Wire()
@@ -370,19 +381,31 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 			}
 		}
 	}
-	sender := n.senders[e.up.cb+e.prio]
-	up := e.up
-	from, prio := e.down.owner.id, e.prio
-	n.eng.After(delay, func() {
-		sender.OnFeedback(m)
-		if obs := n.fbObs; obs != nil {
-			obs(from, up.owner.id, prio, m)
-		}
-		n.kick(up)
-		// A rate or credit change may also unblock the host refill
-		// path indirectly; kick handles the egress side, and refill
-		// is woken by its own timer.
-	})
+	s := e.free
+	if s == nil {
+		s = &fbSlot{}
+	} else {
+		e.free = s.next
+	}
+	if s.fire == nil {
+		s.fire = func() { e.deliver(s) }
+	}
+	s.m = m
+	n.eng.After(delay, s.fire)
+}
+
+// deliver hands slot s's message to the paired sender and frees the slot.
+func (e *fcEnv) deliver(s *fbSlot) {
+	m := s.m
+	s.next, e.free = e.free, s
+	e.n.senders[e.up.cb+e.prio].OnFeedback(m)
+	if obs := e.n.fbObs; obs != nil {
+		obs(e.down.owner.id, e.up.owner.id, e.prio, m)
+	}
+	// A rate or credit change may also unblock the host refill path
+	// indirectly; kick handles the egress side, and refill is woken by its
+	// own timer.
+	e.n.kick(e.up)
 }
 
 // SetFeedbackObserver installs fn to observe every feedback message at the

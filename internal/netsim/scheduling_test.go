@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/topology"
@@ -249,7 +250,7 @@ func TestIntrospectionAccessors(t *testing.T) {
 	if q := n.IngressQueue(s1, n.PortFor(s1, h1), 0); q < 0 {
 		t.Error("IngressQueue negative")
 	}
-	states := n.IngressStates()
+	states := n.AppendIngressStates(nil)
 	if len(states) == 0 {
 		t.Fatal("no ingress states for a switch")
 	}
@@ -257,9 +258,18 @@ func TestIntrospectionAccessors(t *testing.T) {
 		if topo.Node(is.Node).Kind != topology.Switch {
 			t.Error("ingress state on a host")
 		}
-		if len(is.WaitsOn) != len(is.WaitRates) {
-			t.Error("WaitsOn and WaitRates misaligned")
+		if is.Occupancy == 0 && len(is.Waits) != 0 {
+			t.Error("empty buffer carries wait edges")
 		}
+	}
+	// A second snapshot into the first's buffer is the same snapshot, taken
+	// without allocating.
+	want := fmt.Sprint(states)
+	if avg := testing.AllocsPerRun(10, func() { states = n.AppendIngressStates(states[:0]) }); avg != 0 {
+		t.Errorf("snapshot into a warm buffer allocates %v times", avg)
+	}
+	if got := fmt.Sprint(states); got != want {
+		t.Errorf("re-snapshot differs:\n%s\n%s", got, want)
 	}
 }
 
