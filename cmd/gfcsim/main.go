@@ -80,10 +80,8 @@ var (
 		"sweeps: re-run a cell this many times after a transient failure (wall or\nheap budget trip) with seed-derived backoff; deterministic failures —\npanics, invariant violations, event budgets — never retry (0 = off)")
 	retryBackoff = flag.Duration("retry-backoff", time.Second,
 		"sweeps: base backoff before the first retry; doubles per attempt with\nseed-derived jitter")
-	degrade = flag.Bool("degrade", true,
-		"sweeps: when a packet cell exhausts its retry budget on transient\nfailures, recompute it on the fluid backend where the analytic model\nvouches for the result (cells it cannot vouch for quarantine); degraded\ncells are marked in provenance and the checkpoint key, and a sweep with\ndegraded cells exits 5")
 	backendName = flag.String("backend", "",
-		"simulation backend for -scenario and the sweeps: \"packet\" (default;\nreplays every packet), \"fluid\" (network-of-queues rate integration —\norders of magnitude faster, rejects specs it cannot represent faithfully)\nor \"auto\" (fluid where faithful, packet otherwise; sweeps additionally\nre-run cells near the analytic envelope at packet fidelity)")
+		"simulation backend for -scenario, table1 and fig16: \"packet\" (default;\nreplays every packet) or \"fluid\" (network-of-queues rate integration: a\n25 ms k=4 sweep cell in a quarter to a sixth of the packet time; rejects\nspecs it cannot represent faithfully, and sweeps leave out the schemes\nwhose deadlocks it cannot decide — PFC, CBFC)")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 )
@@ -128,13 +126,11 @@ func options(ctx context.Context) (*experiments.Options, error) {
 		Analytic:    *analytic,
 		Backend:     *backendName,
 		Retry:       runner.Retry{Max: *retries, BackoffBase: *retryBackoff},
-		Degrade:     *degrade,
 	}, nil
 }
 
 // exitCode maps an error to the process exit status: 0 ok, 2 usage,
-// 4 interrupted, 3 governor-tripped, 5 degraded-fidelity cells, 1 anything
-// else.
+// 4 interrupted, 3 governor-tripped, 1 anything else.
 func exitCode(err error) int {
 	switch {
 	case err == nil:
@@ -145,8 +141,6 @@ func exitCode(err error) int {
 		return 4
 	case errors.Is(err, experiments.ErrGovernor):
 		return 3
-	case errors.Is(err, experiments.ErrDegraded):
-		return 5
 	default:
 		return 1
 	}
@@ -252,9 +246,9 @@ var scenarioDriver = experiments.Driver{Name: "-scenario", Flags: []string{"back
 // a flag that some driver reads but the selected one does not.
 func validateFlags(set []string) (*experiments.Driver, error) {
 	switch *backendName {
-	case "", "packet", "fluid", "auto":
+	case "", "packet", "fluid":
 	default:
-		return nil, fmt.Errorf("%w: unknown -backend %q (want packet, fluid or auto)", errUsage, *backendName)
+		return nil, fmt.Errorf("%w: unknown -backend %q (want packet or fluid)", errUsage, *backendName)
 	}
 	switch *table1Scale {
 	case "", "ci", "full":

@@ -115,7 +115,11 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // naming the value and, for a flag, the drivers that honour it — instead of
 // surfacing after the first sweep has started printing, or (the flags) being
 // dropped in silence: -exp fig12 -faults nosuch, -exp fig18 -faults flap and
-// -exp fig18 -backend fluid -checkpoint x.ck all used to exit 0.
+// -exp fig18 -backend fluid -checkpoint x.ck all used to exit 0. -backend auto,
+// the retired adaptive mode, is an unknown value naming the two engines; and
+// -exp fig17 -backend fluid is refused before a sweep starts — Figure 17 is
+// flow completion times, which a fluid cell does not have, so fig17 lists no
+// -backend (it used to run six sweeps and print an empty table, exit 0).
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
@@ -125,6 +129,9 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		want string
 	}{
 		{func() []string { *backendName = "bogus"; return nil }, `-backend "bogus"`},
+		{func() []string { *backendName = "auto"; return nil }, `unknown -backend "auto" (want packet or fluid)`},
+		{func() []string { *expName, *backendName = "fig17", "fluid"; return []string{"exp", "backend"} },
+			"-backend is not read by fig17 (honoured by: table1, fig16, -scenario)"},
 		{func() []string { *table1Scale = "huge"; return nil }, `-table1-scale "huge"`},
 		{func() []string { *duration = -5 * time.Millisecond; return nil }, "-duration -5ms"},
 		{func() []string { *workers = -3; return nil }, "-workers -3"},
@@ -133,7 +140,7 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		{func() []string { *expName = "fig12"; return []string{"exp", "faults"} },
 			"-faults is not read by fig12 (honoured by: fig9, fig10, faults)"},
 		{func() []string { *expName = "fig18"; return []string{"backend", "checkpoint"} },
-			"-backend is not read by fig18 (honoured by: table1, fig16, fig17, -scenario)"},
+			"-backend is not read by fig18 (honoured by: table1, fig16, -scenario)"},
 		{func() []string { *expName = "fig9"; return []string{"faults", "checkpoint"} },
 			"-checkpoint is not read by fig9 (honoured by: table1, fig16, fig17)"},
 		{func() []string { *expName = "faults"; return []string{"retries", "networks"} },
@@ -149,6 +156,10 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v (exit %d), want a usage error naming %s", err, exitCode(err), tc.want)
 		}
+	}
+
+	if flag.Lookup("degrade") != nil {
+		t.Error("-degrade is still a flag; the degraded-fidelity fallback is gone")
 	}
 
 	// Every flag a driver lists exists, and the flags every packet driver

@@ -36,6 +36,9 @@ func TestSweepConfigValidate(t *testing.T) {
 		{"failure prob above one", func(cfg *SweepConfig) { cfg.FailureProb = 1.01 }, "outside [0, 1]"},
 		{"no horizon", func(cfg *SweepConfig) { cfg.Duration = 0 }, "positive run horizon"},
 		{"negative horizon", func(cfg *SweepConfig) { cfg.Duration = -units.Millisecond }, "positive run horizon"},
+		{"backend packet", func(cfg *SweepConfig) { cfg.Backend = "packet" }, ""},
+		{"backend fluid", func(cfg *SweepConfig) { cfg.Backend = "fluid" }, ""},
+		{"backend auto", func(cfg *SweepConfig) { cfg.Backend = "auto" }, `unknown backend "auto" (want packet or fluid)`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultSweep(8)
@@ -62,6 +65,30 @@ func TestSweepConfigValidate(t *testing.T) {
 	if _, err := RunSweep(context.Background(), PFC, bad); err == nil ||
 		!strings.Contains(err.Error(), "workload repetition") {
 		t.Fatalf("RunSweep accepted an invalid config: %v", err)
+	}
+}
+
+// TestFluidSweepRefusesWhatItCannotDecide pins which schemes a fluid sweep
+// runs: deadlock formation is packet-granular, so a scheme the analytic model
+// does not predict deadlock-free on a cyclic CBD — every simulated cell is
+// one — is refused before a cell runs, as a scheme with no fluid rendition
+// is. A fluid PFC sweep used to run and count 0 deadlocks where the packet
+// sweep counts them.
+func TestFluidSweepRefusesWhatItCannotDecide(t *testing.T) {
+	cfg := DefaultSweep(4)
+	cfg.Networks, cfg.Backend = 2, "fluid"
+	for fc, want := range map[FC]string{
+		PFC:  "can deadlock on a cyclic CBD",
+		CBFC: "credit accounting is message-granular",
+	} {
+		if _, err := RunSweep(context.Background(), fc, cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("fluid sweep of %s: err = %v, want a refusal naming %q", fc, err, want)
+		}
+	}
+	for _, fc := range []FC{GFCBuf, GFCTime} {
+		if err := fluidSweepSupports(fc); err != nil {
+			t.Errorf("fluid sweep of %s refused: %v", fc, err)
+		}
 	}
 }
 

@@ -144,9 +144,11 @@ func TestSectionsNarrate(t *testing.T) {
 	if len(Drivers) != 14 {
 		t.Errorf("the dispatch table has %d drivers; add the new one's narrative above", len(Drivers))
 	}
-	// -backend fluid: a sweep leaves out the scheme the solver cannot
-	// represent, says so once and prints "-" in its column. It used to sweep
-	// the schemes ahead of CBFC and then fail the whole table.
+	// -backend fluid: a sweep leaves out the schemes the solver cannot decide
+	// — CBFC, which it cannot represent, and PFC, whose deadlocks on a cyclic
+	// CBD are packet-granular — says so once each and prints "-" in their
+	// columns. It used to print "PFC 0" where the packet sweep counts
+	// deadlocks.
 	table1, err := Lookup("table1")
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +160,14 @@ func TestSectionsNarrate(t *testing.T) {
 	if err := table1.Run(&out, o); err != nil {
 		t.Fatalf("-exp table1 -backend fluid: %v", err)
 	}
-	_, counts, _ := strings.Cut(out.String(), "k=4") // CBD-prone, then one column per scheme
-	if row := strings.Fields(counts); len(row) < 5 || row[1] == "-" || row[2] == "-" || row[3] != "-" || row[4] == "-" {
-		t.Errorf("-exp table1 -backend fluid: want a count under PFC, GFC-buffer and GFC-time and \"-\" under CBFC:\n%s", out.String())
+	_, counts, _ := strings.Cut(out.String(), "k=4") // CBD-prone, then PFC, GFC-buffer, CBFC, GFC-time
+	if row := strings.Fields(counts); len(row) < 5 || row[1] != "-" || row[2] == "-" || row[3] != "-" || row[4] == "-" {
+		t.Errorf("-exp table1 -backend fluid: want a count under GFC-buffer and GFC-time and \"-\" under PFC and CBFC:\n%s", out.String())
 	}
-	if n := strings.Count(stderr.String(), "skipping CBFC: "); n != 1 {
-		t.Errorf("-exp table1 -backend fluid: %d stderr lines skip CBFC, want 1:\n%s", n, stderr.String())
+	for _, fc := range []FC{PFC, CBFC} {
+		if n := strings.Count(stderr.String(), "skipping "+string(fc)+": "); n != 1 {
+			t.Errorf("-exp table1 -backend fluid: %d stderr lines skip %s, want 1:\n%s", n, fc, stderr.String())
+		}
 	}
 	if _, err := Lookup("fig99"); err == nil || !strings.Contains(err.Error(), "fig5, fig9, fig10") {
 		t.Errorf("Lookup(fig99) = %v, want a usage error listing the table", err)

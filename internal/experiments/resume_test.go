@@ -197,7 +197,7 @@ func perturb(t *testing.T, v reflect.Value) {
 // TestSweepKeyCoversEveryField walks SweepConfig by reflection: changing a
 // result-determining field must change the checkpoint key (a sweep must never
 // replay cells computed under a different configuration — the analytic
-// checker on vs off, a degrading vs a strict sweep, another backend), and
+// checker on vs off, another backend), and
 // changing a runtime knob must not (retrying or re-budgeting recomputes the
 // same deterministic values, so it must not split the checkpoint namespace).
 // A new field lands on one side or the other, or this test fails.

@@ -138,128 +138,6 @@ func TestSweepRetryProvenanceSurvivesResume(t *testing.T) {
 	}
 }
 
-// TestSweepDegradesToFluid pins the graceful-degradation path end to end: a
-// GFC-buffer sweep whose packet path never stops failing transiently falls
-// back to the fluid backend once the retry budget is spent, marks every
-// degraded cell in provenance, stamps the constant escalation marker on the
-// fluid-computed repeats, and stays deterministic across runs.
-func TestSweepDegradesToFluid(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates the sweep at fluid fidelity")
-	}
-	cfg := selfHealSweepConfig()
-	cfg.Retry.Max = 1
-	cfg.Degrade = true
-	// The primary path never succeeds: every attempt hits a host stall.
-	cfg.failInject = func(job, attempt int) error {
-		return fmt.Errorf("injected host stall on cell %d attempt %d: %w",
-			job, attempt, context.DeadlineExceeded)
-	}
-
-	res, err := RunSweep(context.Background(), GFCBuf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fallback partitions the sweep: cells the analytic model vouches
-	// for degrade to fluid values; cells within the tolerance band of the
-	// envelope (where only a packet re-run could decide) refuse and
-	// quarantine. Both sides must be accounted for — no cell vanishes.
-	if got := len(res.Degraded) + len(res.Failures); got != cfg.Networks {
-		t.Fatalf("%d degraded + %d quarantined != %d cells",
-			len(res.Degraded), len(res.Failures), cfg.Networks)
-	}
-	if len(res.Degraded) == 0 {
-		t.Fatalf("no cell degraded: %s", res.FailureSummary())
-	}
-	for _, d := range res.Degraded {
-		if !strings.Contains(d.Cause, "injected host stall") {
-			t.Fatalf("cell %d degraded cause %q does not name the transient", d.Job, d.Cause)
-		}
-	}
-	for _, f := range res.Failures {
-		if !strings.Contains(f.Err, "cannot degrade") {
-			t.Fatalf("cell %d quarantined without a degradation refusal: %q", f.Job, f.Err)
-		}
-	}
-	if res.CBDProne == 0 {
-		t.Fatal("no degraded cell aggregated (all reported non-prone?)")
-	}
-	sum := res.ResilienceSummary()
-	if !strings.Contains(sum, "degraded to fluid fidelity") {
-		t.Fatalf("resilience summary missing degradation:\n%s", sum)
-	}
-
-	// Determinism: degraded cells are computed from (seed, config) like any
-	// other, and the band refusal is a function of the fluid trajectory, so
-	// a second run reproduces aggregate, provenance and refusals exactly.
-	res2, err := RunSweep(context.Background(), GFCBuf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := aggHash(res2), aggHash(res); a != b {
-		t.Fatalf("degraded sweep not deterministic: %016x != %016x", a, b)
-	}
-	if !reflect.DeepEqual(res2.Degraded, res.Degraded) {
-		t.Fatal("degraded provenance not deterministic")
-	}
-	if res2.FailureSummary() != res.FailureSummary() {
-		t.Fatal("degradation refusals not deterministic")
-	}
-}
-
-// TestSweepDegradeQuarantinesUnsupported pins the refusal side: CBFC has no
-// fluid rendition, so a retry-exhausted CBFC cell cannot degrade — it
-// quarantines with both the original transient cause and the degradation
-// refusal in its report.
-func TestSweepDegradeQuarantinesUnsupported(t *testing.T) {
-	cfg := selfHealSweepConfig()
-	cfg.Networks = 4
-	cfg.Retry.Max = 1
-	cfg.Degrade = true
-	cfg.failInject = func(job, attempt int) error {
-		return fmt.Errorf("injected host stall on cell %d attempt %d: %w",
-			job, attempt, context.DeadlineExceeded)
-	}
-
-	// The prone cells are the ones that would simulate — only they need a
-	// fluid rendition; a non-prone cell's recomputation is the prone check
-	// itself, so it degrades to its (empty) value on any scheme.
-	prone := map[int]bool{}
-	for i := 0; i < cfg.Networks; i++ {
-		if _, _, p := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(i)); p {
-			prone[i] = true
-		}
-	}
-	if len(prone) == 0 {
-		t.Fatal("test sweep has no CBD-prone cell")
-	}
-
-	res, err := RunSweep(context.Background(), CBFC, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) != len(prone) {
-		t.Fatalf("%d cells quarantined, want the %d prone ones: %s",
-			len(res.Failures), len(prone), res.FailureSummary())
-	}
-	for _, f := range res.Failures {
-		if !prone[f.Job] {
-			t.Fatalf("non-prone cell %d quarantined: %q", f.Job, f.Err)
-		}
-		if !strings.Contains(f.Err, "injected host stall") {
-			t.Fatalf("cell %d failure %q lost the original cause", f.Job, f.Err)
-		}
-		if !strings.Contains(f.Err, "cannot degrade: "+escalateUnsupported) {
-			t.Fatalf("cell %d failure %q does not name the degradation refusal", f.Job, f.Err)
-		}
-	}
-	for _, d := range res.Degraded {
-		if prone[d.Job] {
-			t.Fatalf("prone CBFC cell %d claimed a degraded value", d.Job)
-		}
-	}
-}
-
 // TestTransientQuarantineRecomputesOnResume pins that a host-condition
 // quarantine is not durable: budgets and deadlines are not part of the sweep
 // key, so a cell that exhausted its retries on transient failures must be

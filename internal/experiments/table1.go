@@ -58,38 +58,24 @@ type SweepConfig struct {
 	// a violated repeat quarantines its cell. Part of the SweepKey: runs
 	// with and without the checker do not share checkpoints.
 	Analytic bool
-	// Backend selects the simulation engine per repeat: "" or "packet"
-	// runs everything on netsim; "fluid" integrates every repeat on the
-	// network-of-queues solver (the scheme must be fluid-representable);
-	// "auto" triages each repeat with the fluid model and re-runs it at
-	// packet level when the cell sits near an analytic boundary —
-	// occupancy within the differential tolerance band of its envelope, a
-	// deadlock/loss verdict the analytic model contradicts, or a scheme
-	// whose cyclic-CBD behaviour fluid cannot represent. Part of the
-	// SweepKey ("" keyed as packet): sweeps on different engines never
-	// share a checkpoint.
+	// Backend selects the simulation engine of every repeat: "" or "packet"
+	// runs on netsim; "fluid" integrates on the network-of-queues solver
+	// (the scheme must pass fluidSweepSupports). Part of the SweepKey (""
+	// keyed as packet): sweeps on different engines never share a
+	// checkpoint.
 	Backend string
 	// Retry is the transient-failure retry policy: cells that trip a
 	// host-condition guard (wall budget, heap guard, per-job deadline) are
 	// re-run up to Retry.Max times with seed-derived backoff before
-	// quarantining or degrading. Deterministic failures (panics, invariant
+	// quarantining. Deterministic failures (panics, invariant
 	// violations, event-budget trips) never retry. A runtime knob: not
 	// part of the SweepKey, since retrying cannot change what a cell
 	// computes — only whether it completes.
 	Retry runner.Retry
-	// Degrade enables the degraded-fidelity fallback: a packet-backend
-	// cell that exhausts its retry budget on a transient failure is
-	// recomputed on the fluid solver where the analytic model vouches for
-	// it (see runDegradedRepeat), with the cause recorded in the cell's
-	// provenance. Part of the SweepKey: degraded cells hold fluid-computed
-	// values, so degrading and non-degrading sweeps never share a
-	// checkpoint.
-	Degrade bool
 	// failInject, when non-nil, is consulted before generating job's
-	// scenario on each primary-path attempt (1-based) and its non-nil
-	// return fails the attempt — the deterministic stand-in for
-	// host-condition trouble in retry tests. Never applied to degraded
-	// fallback runs.
+	// scenario on each attempt (1-based) and its non-nil return fails the
+	// attempt — the deterministic stand-in for host-condition trouble in
+	// retry tests.
 	failInject func(job, attempt int) error
 }
 
@@ -121,9 +107,9 @@ func (cfg SweepConfig) Validate() error {
 		return fmt.Errorf("table1: Duration = %d; need a positive run horizon", cfg.Duration)
 	}
 	switch cfg.Backend {
-	case "", "packet", "fluid", "auto":
+	case "", "packet", "fluid":
 	default:
-		return fmt.Errorf("table1: unknown backend %q (want packet, fluid or auto)", cfg.Backend)
+		return fmt.Errorf("table1: unknown backend %q (want packet or fluid)", cfg.Backend)
 	}
 	return nil
 }
@@ -159,18 +145,12 @@ type ScenarioResult struct {
 	// the checkpoint store like every other field, so resumed and replayed
 	// cells carry the identical verdict.
 	Analytic *AnalyticVerdict `json:"analytic,omitempty"`
-	// HighWater is the repeat's maximum switch-channel occupancy — the
-	// signal auto-mode triage compares against the analytic envelope.
+	// HighWater is the repeat's maximum switch-channel occupancy: what the
+	// two engines are compared on, cell by cell, in units of fluid.Band.
 	HighWater units.Size `json:"high_water,omitempty"`
 	// Backend records which engine produced the repeat: "packet" (netsim)
-	// or "fluid" (the network-of-queues solver). Riding the checkpoint
-	// entry is what keeps an auto-mode resume bit-identical: a replayed
-	// cell keeps the provenance of the run that computed it rather than
-	// re-triaging.
+	// or "fluid" (the network-of-queues solver).
 	Backend string `json:"backend,omitempty"`
-	// Escalation, set only on auto-mode packet re-runs, names the analytic
-	// boundary that forced the escalation.
-	Escalation string `json:"escalation,omitempty"`
 }
 
 // AnalyticVerdict records what the analytic model predicted for one repeat
@@ -214,11 +194,9 @@ type SweepResult struct {
 	// and callers should exit non-zero after reporting it.
 	Failures []CellFailure
 	// Retried lists the cells whose transient failures were absorbed by
-	// the retry policy, in job order; Degraded the cells whose values came
-	// from the degraded-fidelity fallback. Both fold the runner's
-	// provenance, so resumes report the same history as the original run.
-	Retried  []CellRetries
-	Degraded []DegradedCell
+	// the retry policy, in job order. It folds the runner's provenance, so
+	// resumes report the same history as the original run.
+	Retried []CellRetries
 	// Salvage, when non-nil, reports checkpoint lines the resume had to
 	// discard (corrupt or torn); the dropped cells were recomputed.
 	Salvage *runner.Salvage
@@ -291,9 +269,7 @@ func repeatOverrides(topo *topology.Topology, tab *routing.Table) *scenario.Over
 
 // runRepeat runs a built repeat on either backend under the governor (ctx
 // cancellation and cfg.Budget; a trip surfaces as a *netsim.RunError) and
-// translates its scenario.Result into sweep terms. An analytic violation
-// returns the translated result alongside the error, so auto-mode triage
-// can still compare occupancies.
+// translates its scenario.Result into sweep terms.
 func runRepeat(ctx context.Context, r scenario.Runner, topo *topology.Topology, cfg SweepConfig) (*ScenarioResult, error) {
 	run, err := r.RunBounded(ctx, cfg.Budget)
 	if err != nil {
@@ -309,7 +285,7 @@ func runRepeat(ctx context.Context, r scenario.Runner, topo *topology.Topology, 
 	}
 	if cfg.Analytic {
 		if run.Analytic.Err != nil {
-			return res, fmt.Errorf("analytic check: %w", run.Analytic.Err)
+			return nil, fmt.Errorf("analytic check: %w", run.Analytic.Err)
 		}
 		pred := run.Analytic.Prediction
 		res.Analytic = &AnalyticVerdict{
@@ -344,6 +320,32 @@ func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Tabl
 	return res, nil
 }
 
+// fluidSweepBackend compiles sweep repeats for the fluid solver. The
+// generator stand-in is enabled: sweep workloads are random enterprise
+// traffic, and the stand-in's persistent saturating flows upper-bound the
+// congestion the generator can create.
+var fluidSweepBackend = scenario.FluidBackend{RenderGenerator: true}
+
+// buildFluidRepeat compiles one repeat for the fluid solver. It integrates
+// at 2 µs: the sweep dynamics (τ ≥ 12 µs) are far slower.
+func buildFluidRepeat(topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (scenario.Runner, error) {
+	spec := sweepSpec(fc, cfg, repeatSeed)
+	spec.Sim.FluidStepNs = 2 * units.Microsecond
+	return fluidSweepBackend.Build(spec, repeatOverrides(topo, tab))
+}
+
+// RunScenarioFluid executes one workload repetition on the fluid backend —
+// the counterpart of RunScenario. The scheme must be fluid-representable
+// (RunSweep pre-checks this for fluid sweeps). Slowdown samples stay empty:
+// the stand-in's flows are unbounded, so there are no completion times.
+func RunScenarioFluid(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
+	r, err := buildFluidRepeat(topo, tab, fc, cfg, repeatSeed)
+	if err != nil {
+		return nil, err
+	}
+	return runRepeat(ctx, r, topo, cfg)
+}
+
 // scenarioOutcome is one scenario's worth of sweep data: the per-repeat
 // results in repeat order, so the aggregation fold reproduces the serial
 // loop exactly. A nil outcome marks a scenario that was not CBD-prone. The
@@ -367,32 +369,46 @@ func SweepKey(fc FC, cfg SweepConfig) string {
 	if backend == "" {
 		backend = "packet"
 	}
-	return fmt.Sprintf("table1/fc=%v/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/fph=%d/analytic=%t/backend=%s/degrade=%t",
+	return fmt.Sprintf("table1/fc=%v/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/fph=%d/analytic=%t/backend=%s",
 		fc, cfg.K, cfg.Networks, cfg.Repeats, cfg.FailureProb,
 		int64(cfg.Duration), cfg.Seed, cfg.FlowsPerHost,
-		cfg.Analytic, backend, cfg.Degrade)
+		cfg.Analytic, backend)
 }
 
-// fluidSweepSupports reports why a pure-fluid sweep of fc cannot run, nil when
-// it can: the fluid backend's verdict on the sweep's cell spec, which the
-// scheme alone decides.
+// fluidSweepSupports reports why a fluid sweep of fc cannot run, nil when it
+// can. The scheme alone decides both halves, so one probe repeat (on the
+// unfailed tree the spec declares) answers for the sweep: the fluid backend
+// must be able to represent it, and the analytic model must predict it
+// deadlock-free on a cyclic CBD, which every simulated cell is by the
+// pre-filter. Deadlock formation is a packet-granular phenomenon (HOL
+// blocking, pause cascades); the fluid solver's proportional sharing cannot
+// decide it, so a scheme that can deadlock there would count no Table 1 cell.
 func fluidSweepSupports(fc FC) error {
-	probe := sweepSpec(fc, SweepConfig{}, 0)
-	return fluidSweepBackend.Supports(&probe)
+	probe, err := buildFluidRepeat(nil, nil, fc, SweepConfig{K: minSweepK, Duration: units.Millisecond}, 0)
+	if err != nil {
+		return err
+	}
+	pred, err := probe.Predict()
+	if err != nil {
+		return err
+	}
+	if !pred.DeadlockFree {
+		return fmt.Errorf("table1: fluid backend: %s can deadlock on a cyclic CBD, and deadlock formation is packet-granular (the fluid solver's proportional sharing cannot decide it)", fc)
+	}
+	return nil
 }
 
 // seedOf is the base RNG seed of scenario i, recorded in checkpoint entries.
 func (cfg SweepConfig) seedOf(i int) int64 { return cfg.Seed + int64(i) }
 
-// repeatFunc runs one workload repetition of a sweep cell: RunScenario,
-// RunScenarioFluid, runAutoRepeat or runDegradedRepeat.
+// repeatFunc runs one workload repetition of a sweep cell: RunScenario or
+// RunScenarioFluid.
 type repeatFunc func(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error)
 
 // runCell computes sweep cell job: generate the topology, skip it (nil
 // outcome) unless CBD-prone, then run every repeat through repeat. Repeat
-// seeds are a function of (sweep seed, job, repeat) alone, so whichever
-// repeat function recomputes a cell — the primary path, a retry, or the
-// degraded-fidelity fallback — sees the same workloads.
+// seeds are a function of (sweep seed, job, repeat) alone, so a retry sees
+// the same workloads.
 func runCell(ctx context.Context, fc FC, cfg SweepConfig, job int, repeat repeatFunc) (*scenarioOutcome, error) {
 	topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(job))
 	if !prone {
@@ -429,19 +445,14 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	repeat := RunScenario
 	if cfg.Backend == "fluid" {
 		// Fail fast rather than quarantining every cell: a pure-fluid
-		// sweep of a scheme the solver cannot represent computes nothing.
+		// sweep of a scheme the solver cannot decide computes nothing.
 		if err := fluidSweepSupports(fc); err != nil {
 			return nil, err
 		}
-	}
-	repeat := RunScenario
-	switch cfg.Backend {
-	case "fluid":
 		repeat = RunScenarioFluid
-	case "auto":
-		repeat = runAutoRepeat
 	}
 	jobs := make([]runner.Job[*scenarioOutcome], cfg.Networks)
 	for i := 0; i < cfg.Networks; i++ {
@@ -464,12 +475,6 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 		Retry:      cfg.Retry,
 		Classify:   ClassifyCellFailure,
 	}
-	if cfg.Degrade && cfg.Backend != "fluid" {
-		// A pure-fluid sweep has nothing lower-fidelity to fall back to.
-		opts.Degrade = func(ctx context.Context, job int, _ error) (*scenarioOutcome, error) {
-			return runCell(ctx, fc, cfg, job, runDegradedRepeat)
-		}
-	}
 	out := &SweepResult{FC: fc, K: cfg.K}
 	if cfg.Checkpoint != "" {
 		st, err := runner.OpenStore(cfg.Checkpoint, SweepKey(fc, cfg))
@@ -486,14 +491,9 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 
 	for job, jr := range results {
 		if prov := jr.Prov; prov != nil {
-			if len(prov.Retries) > 0 {
-				out.Retried = append(out.Retried, CellRetries{
-					Job: job, Attempts: prov.Attempts, Retries: prov.Retries,
-				})
-			}
-			if prov.Degraded != "" {
-				out.Degraded = append(out.Degraded, DegradedCell{Job: job, Cause: prov.Degraded})
-			}
+			out.Retried = append(out.Retried, CellRetries{
+				Job: job, Attempts: prov.Attempts, Retries: prov.Retries,
+			})
 		}
 		if err := jr.Err; err != nil {
 			if errors.Is(err, context.Canceled) {

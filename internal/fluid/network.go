@@ -71,8 +71,8 @@ func (f Floored) LineRate() units.Rate { return f.M.LineRate() }
 // the same channel: the bytes a line-rate sender emits during the ~3 µs of
 // feedback-latency ambiguity the fluid model elides (serialisation,
 // scheduler quantisation), plus four packets of discretisation slack. The
-// backend-conformance suite asserts it per scenario and auto-mode sweeps
-// enforce it as a runtime invariant on every escalation.
+// backend-conformance suite asserts it per registered scenario, and the
+// benchmark reports how far generated sweep cells sit from it.
 func Band(c units.Rate, mtu units.Size) units.Size {
 	return units.BytesIn(c, 3*units.Microsecond) + 4*mtu
 }

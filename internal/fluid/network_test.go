@@ -339,7 +339,7 @@ func fatTreeFlows(t *testing.T, seed int64, perHost int) (*topology.Topology, []
 // cell the fast-forward fires on) with and without the quasi-steady
 // extrapolation. It must fire — NetResult.Steps is what says so — and what
 // it costs is bounded: the projected peak does not fall below the fully
-// integrated one by a packet (a triage that compares occupancy with an
+// integrated one by a packet (a check that compares occupancy with an
 // envelope must not be told less; the window means average out a sub-MTU
 // ripple the full run rides), exceeds it by at most 5 × Band, and verdicts,
 // drops and delivered bytes stand. Measured here: it fires on 12 of these 14
@@ -358,7 +358,7 @@ func TestFastForwardFiresAndBoundsHighWater(t *testing.T) {
 			Channels: chansFor(t, topo, 300*units.KB, 16*units.Microsecond, 52400*units.Nanosecond, mk),
 			Flows:    flows,
 			Horizon:  25 * units.Millisecond,
-			Step:     2 * units.Microsecond, // the sweeps' triage step
+			Step:     2 * units.Microsecond, // the fluid sweeps' step
 		}
 		on, err := RunNet(cfg)
 		if err != nil {

@@ -129,19 +129,15 @@ type RetryRecord struct {
 }
 
 // Provenance records how a cell's value was obtained when the path was
-// anything other than "succeeded first try at full fidelity". It rides
+// anything other than "succeeded first try". It rides
 // both the in-memory Result and the checkpoint Entry, so replayed cells
 // report the same history as computed ones.
 type Provenance struct {
-	// Attempts counts primary-path attempts (1 + retries taken).
+	// Attempts counts attempts (1 + retries taken).
 	Attempts int `json:"attempts"`
 	// Retries lists the transient failures absorbed before the final
 	// attempt, in order.
 	Retries []RetryRecord `json:"retries,omitempty"`
-	// Degraded, when non-empty, is the transient cause that exhausted the
-	// retry budget and pushed the cell onto the degraded-fidelity
-	// fallback (Options.Degrade); the Value came from the fallback.
-	Degraded string `json:"degraded,omitempty"`
 }
 
 // Supervise runs fn under the classified-retry policy: the single-call form

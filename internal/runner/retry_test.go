@@ -214,73 +214,6 @@ func TestRetryProvenanceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestDegradeRunsOnlyOnTransientExhaustion(t *testing.T) {
-	transient := func(context.Context) (int, error) { return 0, transientErr(0, 0) }
-	deterministic := func(context.Context) (int, error) { return 0, errors.New("wedged") }
-	var degraded []int
-	opts := Options[int]{
-		Workers: 1,
-		Retry:   Retry{Max: 1},
-		Degrade: func(_ context.Context, job int, cause error) (int, error) {
-			degraded = append(degraded, job)
-			if !errors.Is(cause, context.DeadlineExceeded) {
-				t.Errorf("job %d degrade cause %v", job, cause)
-			}
-			return 777, nil
-		},
-	}
-	res := RunWith(context.Background(), []Job[int]{transient, deterministic}, opts)
-	if len(degraded) != 1 || degraded[0] != 0 {
-		t.Fatalf("degraded jobs = %v, want [0]", degraded)
-	}
-	if res[0].Err != nil || res[0].Value != 777 {
-		t.Fatalf("degraded cell = %+v", res[0])
-	}
-	if res[0].Prov == nil || res[0].Prov.Degraded == "" {
-		t.Fatalf("degraded cell provenance %+v", res[0].Prov)
-	}
-	if !strings.Contains(res[0].Prov.Degraded, "deadline") {
-		t.Fatalf("Degraded %q does not carry the cause", res[0].Prov.Degraded)
-	}
-	if res[1].Err == nil || res[1].Prov != nil {
-		t.Fatalf("deterministic cell = %+v", res[1])
-	}
-}
-
-func TestDegradeFailureKeepsBothErrors(t *testing.T) {
-	jobs := []Job[int]{func(context.Context) (int, error) { return 0, transientErr(0, 0) }}
-	opts := Options[int]{
-		Workers: 1,
-		Degrade: func(context.Context, int, error) (int, error) {
-			return 0, errors.New("fluid solver rejected the scheme")
-		},
-	}
-	res := RunWith(context.Background(), jobs, opts)
-	if res[0].Err == nil {
-		t.Fatal("failed degrade reported success")
-	}
-	// The original transient cause stays unwrappable (flight-recorder
-	// chains survive), and the fallback failure is in the message.
-	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("cause lost: %v", res[0].Err)
-	}
-	if !strings.Contains(res[0].Err.Error(), "fluid solver rejected") {
-		t.Fatalf("fallback failure lost: %v", res[0].Err)
-	}
-}
-
-func TestDegradePanicIsCaptured(t *testing.T) {
-	jobs := []Job[int]{func(context.Context) (int, error) { return 0, transientErr(0, 0) }}
-	opts := Options[int]{
-		Workers: 1,
-		Degrade: func(context.Context, int, error) (int, error) { panic("fallback exploded") },
-	}
-	res := RunWith(context.Background(), jobs, opts)
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "fallback exploded") {
-		t.Fatalf("degrade panic not captured: %v", res[0].Err)
-	}
-}
-
 func TestSuperviseCancelledDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0

@@ -18,15 +18,13 @@
 // RunWith layers sweep resilience on the same pool: per-job deadlines,
 // a checkpoint Store that records each completed cell as it finishes
 // so an interrupted sweep resumes by replaying recorded results instead of
-// recomputing them, classified retries with seed-derived backoff for
-// transient failures (retry.go), and a degraded-fidelity fallback hook for
-// cells that exhaust their retry budget.
+// recomputing them, and classified retries with seed-derived backoff for
+// transient failures (retry.go).
 package runner
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -47,9 +45,9 @@ type Result[T any] struct {
 	// case wrapped as "job %d: ..." so a failed sweep names the offending
 	// cell. errors.Is/As see through the wrapping.
 	Err error
-	// Prov records retry and degradation provenance; nil for cells that
-	// succeeded on their first attempt at full fidelity. It round-trips
-	// through the checkpoint, so replayed cells carry the same history.
+	// Prov records retry provenance; nil for cells that succeeded on their
+	// first attempt. It round-trips through the checkpoint, so replayed
+	// cells carry the same history.
 	Prov *Provenance
 }
 
@@ -71,8 +69,7 @@ type ReplayedError struct{ Msg string }
 
 func (e *ReplayedError) Error() string { return e.Msg }
 
-// Options configures RunWith. It is generic in the job result type so the
-// degraded-fidelity fallback can produce a typed value.
+// Options configures RunWith.
 type Options[T any] struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -99,14 +96,6 @@ type Options[T any] struct {
 	// DefaultClassify. Callers whose jobs surface richer error types
 	// (governor trips, invariant violations) install their own taxonomy.
 	Classify func(error) FailureClass
-	// Degrade, when non-nil, is consulted after a job exhausts its retry
-	// budget on a transient failure: it may recompute the cell at
-	// degraded fidelity (e.g. the fluid backend) and return the fallback
-	// value. On success the cell's Provenance records the causing error
-	// in Degraded; on failure the cell quarantines with both errors. It
-	// runs under a fresh JobTimeout deadline and with panic capture, like
-	// any attempt.
-	Degrade func(ctx context.Context, job int, cause error) (T, error)
 }
 
 // RunWith executes jobs on a pool of workers and returns their results in job
@@ -114,8 +103,8 @@ type Options[T any] struct {
 // inline in order. Because jobs are share-nothing and results are collected
 // by index, the returned slice is identical for every worker count — with the
 // sweep-resilience options too (per-job deadlines, checkpoint/resume,
-// classified retries, degraded-fidelity fallback): for a given (jobs,
-// checkpoint state, failure pattern) the results do not depend on the pool.
+// classified retries): for a given (jobs, checkpoint state, failure pattern)
+// the results do not depend on the pool.
 // When ctx is cancelled, jobs not yet started report ctx's error;
 // already-running jobs finish normally.
 func RunWith[T any](ctx context.Context, jobs []Job[T], opts Options[T]) []Result[T] {
@@ -154,8 +143,7 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], opts Options[T]) []Resul
 
 // runIndexed runs job i through the resilience pipeline: checkpoint replay,
 // cancellation skip, classified retries with per-attempt deadlines and
-// panic capture, degraded-fidelity fallback, job-index error wrapping, and
-// checkpoint recording.
+// panic capture, job-index error wrapping, and checkpoint recording.
 func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T]) Result[T] {
 	if cp := opts.Checkpoint; cp != nil {
 		if e, ok := cp.Lookup(i); ok {
@@ -177,14 +165,11 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 		return runAttempt(actx, job, opts.JobTimeout)
 	})
 	res := Result[T]{Value: val, Err: err, Prov: prov}
-	if err != nil && opts.Degrade != nil && classify(err) == ClassTransient {
-		res = degradeJob(ctx, i, err, prov, opts)
-	}
 	if res.Err != nil {
 		res.Err = fmt.Errorf("job %d: %w", i, res.Err)
 	}
 	// Only verdicts on the cell are durable: successes (however many
-	// retries or whatever fidelity they took) and deterministic failures,
+	// retries they took) and deterministic failures,
 	// which would reproduce. A cancellation is no verdict, and a transient
 	// quarantine is a verdict on the host — budgets are not part of the
 	// sweep key, so recording it would make a resume with a larger budget
@@ -197,7 +182,7 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 	return res
 }
 
-// runAttempt is one primary-path attempt: a fresh JobTimeout deadline (so
+// runAttempt is one attempt: a fresh JobTimeout deadline (so
 // retries are not charged for earlier attempts' time) around the job.
 // Panic capture happens in runOne, inside Supervise.
 func runAttempt[T any](ctx context.Context, job Job[T], timeout time.Duration) (T, error) {
@@ -209,39 +194,11 @@ func runAttempt[T any](ctx context.Context, job Job[T], timeout time.Duration) (
 	return job(ctx)
 }
 
-// degradeJob invokes the degraded-fidelity fallback for a job whose retry
-// budget was exhausted by the transient cause. A successful fallback value
-// carries the cause in its Provenance; a failed one quarantines the cell
-// with both errors, keeping the original cause unwrappable (errors.As
-// still finds its flight-recorder snapshot). A cancellation mid-fallback
-// is a skip, like any cancelled cell.
-func degradeJob[T any](ctx context.Context, i int, cause error, prov *Provenance, opts *Options[T]) Result[T] {
-	dres := runOne(ctx, func(dctx context.Context) (T, error) {
-		return runAttempt(dctx, func(actx context.Context) (T, error) {
-			return opts.Degrade(actx, i, cause)
-		}, opts.JobTimeout)
-	})
-	if prov == nil {
-		prov = &Provenance{Attempts: 1}
-	}
-	if dres.Err == nil {
-		prov.Degraded = cause.Error()
-		return Result[T]{Value: dres.Value, Prov: prov}
-	}
-	if errors.Is(dres.Err, context.Canceled) {
-		return Result[T]{Err: dres.Err, Prov: prov}
-	}
-	return Result[T]{
-		Err:  fmt.Errorf("%w; degraded-fidelity fallback failed: %v", cause, dres.Err),
-		Prov: prov,
-	}
-}
-
 // replay converts a checkpoint entry back into a Result. The recorded error
 // string (already carrying its "job %d:" prefix) comes back as a
 // *ReplayedError; values round-trip through JSON bit-identically (Go emits
-// the shortest float form that re-parses exactly), and retry/degradation
-// provenance rides along so a resumed sweep reports the same history.
+// the shortest float form that re-parses exactly), and retry provenance
+// rides along so a resumed sweep reports the same history.
 func replay[T any](e Entry) Result[T] {
 	res := Result[T]{Prov: e.Prov}
 	if e.Err != "" {

@@ -61,8 +61,8 @@ type Entry struct {
 	Value json.RawMessage `json:"value,omitempty"`
 	// Err is the cell's rendered error; empty when the cell succeeded.
 	Err string `json:"err,omitempty"`
-	// Prov records the cell's retry/degradation history; nil for cells
-	// that succeeded first try at full fidelity.
+	// Prov records the cell's retry history; nil for cells that succeeded
+	// first try.
 	Prov *Provenance `json:"prov,omitempty"`
 }
 
@@ -213,8 +213,7 @@ func (s *Store) Done() int {
 }
 
 // Record appends one completed cell. Exactly one of value (jobErr == nil)
-// or jobErr is recorded, along with the cell's retry/degradation
-// provenance. The line is written in a single Write call so a kill between
+// or jobErr is recorded, along with the cell's retry provenance. The line is written in a single Write call so a kill between
 // cells never tears more than the final line.
 func (s *Store) Record(job int, seed int64, value any, jobErr error, prov *Provenance) error {
 	e := Entry{Job: job, Key: s.key, Seed: seed, Prov: prov}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // TestBuildBackendSelection pins the three-way switch: the packet names
 // compile onto netsim, "fluid" onto the solver, and an unknown name is an
-// error that names it ("auto" is TestAutoBackendDispatch's).
+// error that names it.
 func TestBuildBackendSelection(t *testing.T) {
 	for name, wantPacket := range map[string]bool{"": true, "packet": true, "fluid": false} {
 		spec := twoToOne(GFCBuf)
@@ -26,29 +27,44 @@ func TestBuildBackendSelection(t *testing.T) {
 			t.Errorf("BuildBackend(%q) built %T", name, r)
 		}
 	}
-	spec := twoToOne(GFCBuf)
-	spec.Sim.Backend = "quantum"
-	if _, err := BuildBackend(spec, nil); err == nil || !strings.Contains(err.Error(), "quantum") {
-		t.Errorf("BuildBackend(quantum) = %v, want error naming it", err)
+	for _, name := range []string{"quantum", "auto"} {
+		spec := twoToOne(GFCBuf)
+		spec.Sim.Backend = name
+		if _, err := BuildBackend(spec, nil); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("BuildBackend(%s) = %v, want error naming it", name, err)
+		}
 	}
 }
 
+// TestSpecBackendValidation pins that a spec names one of the two engines:
+// anything else — "auto", the retired adaptive mode, included — fails Validate
+// and Parse with an error that lists them.
 func TestSpecBackendValidation(t *testing.T) {
 	spec := twoToOne(GFCBuf)
-	for _, ok := range []string{"", "packet", "fluid", "auto"} {
+	for _, ok := range []string{"", "packet", "fluid"} {
 		spec.Sim.Backend = ok
 		if err := spec.Validate(); err != nil {
 			t.Errorf("backend %q: %v", ok, err)
 		}
 	}
-	spec.Sim.Backend = "analog"
-	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "analog") {
-		t.Errorf("backend analog: err = %v, want unknown-backend error", err)
+	for _, bad := range []string{"analog", "auto"} {
+		spec.Sim.Backend = bad
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, perr := Parse(data)
+		for _, err := range []error{spec.Validate(), perr} {
+			if err == nil || !strings.Contains(err.Error(), `unknown backend "`+bad+`" (want packet or fluid)`) {
+				t.Errorf("backend %s: err = %v, want an unknown-backend error naming packet and fluid", bad, err)
+			}
+		}
 	}
 }
 
 // TestFluidSupportsReasons pins Supports' rejection reasons feature by
-// feature — the conformance suite and sweep triage both key off them.
+// feature — the conformance suite and the sweep drivers' skip lines both
+// carry them.
 func TestFluidSupportsReasons(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -83,38 +99,6 @@ func TestFluidSupportsReasons(t *testing.T) {
 				t.Fatalf("Supports = %v, want reason containing %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestAutoBackendDispatch checks the per-spec auto triage: fluid-capable
-// specs compile onto the fluid solver, everything else onto netsim.
-func TestAutoBackendDispatch(t *testing.T) {
-	spec := twoToOne(GFCBuf)
-	spec.Sim.Backend = "auto"
-	r, err := BuildBackend(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.RunBounded(context.Background(), netsim.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend != "fluid" {
-		t.Errorf("auto on a fluid-capable spec ran %q, want fluid", res.Backend)
-	}
-
-	spec = twoToOne(CBFC)
-	spec.Sim.Backend = "auto"
-	r, err = BuildBackend(spec, &Overrides{Metrics: metrics.New(metrics.Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = r.RunBounded(context.Background(), netsim.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend != "packet" {
-		t.Errorf("auto on a CBFC spec ran %q, want packet", res.Backend)
 	}
 }
 

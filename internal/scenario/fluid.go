@@ -25,10 +25,10 @@ type FluidBackend struct {
 	// RenderGenerator substitutes a deterministic saturating stand-in for
 	// generator workloads: FlowsPerHost unbounded flows per host toward
 	// seeded inter-rack destinations. The stand-in upper-bounds the
-	// generator's congestion (persistent sources never pause to think),
-	// which is what sweep triage wants — occupancy envelopes checked
-	// against the worst case — but it is not the generator's byte
-	// sequence, so it stays off outside experiments.RunSweep auto mode.
+	// generator's congestion (persistent sources never pause to think), so
+	// occupancy is checked against the worst case — but it is not the
+	// generator's byte sequence, so only fluid sweeps (experiments.RunSweep)
+	// turn it on.
 	RenderGenerator bool
 }
 

@@ -167,14 +167,12 @@ type SimSpec struct {
 	JitterSeed       int64      `json:"jitter_seed,omitempty"`
 	// Backend selects the simulation backend: "" or "packet" replays every
 	// packet through netsim; "fluid" integrates the network-of-queues rate
-	// model (orders of magnitude faster, subject to Supports); "auto" uses
-	// fluid when the spec is fluid-representable and falls back to packet
-	// otherwise.
+	// model (a few times faster, subject to FluidBackend.Supports).
 	Backend string `json:"backend,omitempty"`
 	// FluidStepNs overrides the fluid backend's integration step (default
 	// 500 ns). Coarser steps trade occupancy resolution — roughly one
 	// step's worth of line-rate bytes — for proportionally less work;
-	// sweep triage runs at 2 µs. Ignored by the packet backend.
+	// fluid sweeps run at 2 µs. Ignored by the packet backend.
 	FluidStepNs units.Time `json:"fluid_step_ns,omitempty"`
 }
 
@@ -482,9 +480,9 @@ func (m *SimSpec) validate() error {
 		return fmt.Errorf("scenario: sim: negative size or time field")
 	}
 	switch m.Backend {
-	case "", "packet", "fluid", "auto":
+	case "", "packet", "fluid":
 	default:
-		return fmt.Errorf("scenario: sim: unknown backend %q (want packet, fluid or auto)", m.Backend)
+		return fmt.Errorf("scenario: sim: unknown backend %q (want packet or fluid)", m.Backend)
 	}
 	return nil
 }
