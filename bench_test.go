@@ -17,7 +17,6 @@ import (
 
 	"testing"
 
-	"github.com/gfcsim/gfc/internal/baselines"
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/deadlock"
 	"github.com/gfcsim/gfc/internal/experiments"
@@ -384,7 +383,7 @@ func BenchmarkAblationTau(b *testing.B) {
 			sim, err := scenario.Build(spec, &scenario.Overrides{Trace: func(topo *topology.Topology) *netsim.Trace {
 				s1, h1 := topo.MustLookup("S1"), topo.MustLookup("H1")
 				return &netsim.Trace{
-					OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
+					OnQueue: func(t units.Time, node topology.NodeID, port int, q units.Size) {
 						if node == s1 && port == 0 {
 							queue.Append(t, float64(q))
 						}
@@ -415,17 +414,15 @@ func BenchmarkAblationTau(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBaselines compares GFC with the related-work families
-// (§8) on the deadlock ring: Up*/Down* routing (CBD-free by construction,
-// at a path-stretch cost), dateline priority escalation (deadlock-free with
-// an extra priority class) and detect-and-drop recovery (keeps moving at
-// the price of dropped packets). GFC is the only one that is simultaneously
-// deadlock-free, lossless, single-class and topology-agnostic.
+// BenchmarkAblationBaselines sets GFC beside PFC on the deadlock ring, with
+// the path-stretch price of Up*/Down* routing (§8; CBD-free by construction)
+// — the related-work family that needs no extra class and drops nothing. GFC
+// is the one that is deadlock-free, lossless and topology-agnostic at once.
 func BenchmarkAblationBaselines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		// Up*/Down* path stretch on a 5-ring and a healthy fat-tree.
+		// Up*/Down* path stretch on a 5-ring.
 		ring := topology.Ring(5, topology.DefaultLinkParams())
-		ud, err := baselines.NewUpDown(ring)
+		ud, err := routing.NewUpDown(ring)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -434,7 +431,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 			b.Fatal(err)
 		}
 
-		// Dateline vs plain PFC vs GFC vs recovery on the formation ring.
+		// Plain PFC vs GFC on the formation ring.
 		type outcome struct {
 			name      string
 			deadlock  bool
@@ -442,16 +439,12 @@ func BenchmarkAblationBaselines(b *testing.B) {
 			delivered units.Size
 		}
 		var rows []outcome
-		run := func(name string, prios int,
-			esc func(*netsim.Packet, topology.NodeID) int,
-			factory flowcontrol.Factory, withRecovery bool) {
+		run := func(name string, factory flowcontrol.Factory) {
 			topo := topology.RingHosts(3, 2, topology.DefaultLinkParams())
 			cfg := netsim.Config{
 				BufferSize:  1000 * units.KB,
 				Tau:         90 * units.Microsecond,
-				Priorities:  prios,
 				FlowControl: factory,
-				Escalation:  esc,
 			}
 			n, err := netsim.New(topo, cfg)
 			if err != nil {
@@ -467,30 +460,11 @@ func BenchmarkAblationBaselines(b *testing.B) {
 			}
 			det := deadlock.NewDetector(n)
 			det.Install()
-			if withRecovery {
-				rec := baselines.NewRecovery(n)
-				rec.Install()
-			}
 			n.Run(100 * units.Millisecond)
 			rows = append(rows, outcome{name, det.Deadlocked() != nil, n.Drops(), n.TotalDelivered()})
 		}
-		pfc := flowcontrol.NewPFC(flowcontrol.PFCConfig{XOFF: 800 * units.KB, XON: 797 * units.KB})
-		gfc := flowcontrol.NewGFCBuffer(flowcontrol.GFCBufferConfig{B1: 750 * units.KB})
-		topoRef := topology.RingHosts(3, 2, topology.DefaultLinkParams())
-		esc, err := baselines.Dateline(topoRef, "S3", "S1")
-		if err != nil {
-			b.Fatal(err)
-		}
-		tg, err := baselines.NewTagger(topoRef,
-			routing.RingHostsClockwisePaths(topoRef, 3, 2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		run("PFC", 1, nil, pfc, false)
-		run("PFC+dateline", 2, esc, pfc, false)
-		run("PFC+tagger", tg.Classes, tg.Escalation(), pfc, false)
-		run("PFC+recovery", 1, nil, pfc, true)
-		run("GFC", 1, nil, gfc, false)
+		run("PFC", flowcontrol.NewPFC(flowcontrol.PFCConfig{XOFF: 800 * units.KB, XON: 797 * units.KB}))
+		run("GFC", flowcontrol.NewGFCBuffer(flowcontrol.GFCBufferConfig{B1: 750 * units.KB}))
 
 		if i == 0 {
 			b.Logf("Up*/Down* on 5-ring: mean stretch %.2f, %.0f%% of pairs inflated (CBD-free by construction)",
@@ -536,7 +510,7 @@ func BenchmarkAblationStageRatio(b *testing.B) {
 			b.Fatalf("ratio %v dropped %d packets", ratio, n.Drops())
 		}
 		s1 := topo.MustLookup("S1")
-		q := n.IngressQueue(s1, 0, 0)
+		q := n.IngressQueue(s1, 0)
 		var total units.Size
 		for _, f := range flows {
 			total += f.Delivered

@@ -45,9 +45,9 @@ func main() {
 	sample = func() {
 		fmt.Printf("%5.1f   %-15v %-15v %v\n",
 			sim.Now().Millis(),
-			sim.SenderRate(h1, 0, 0),
+			sim.SenderRate(h1, 0),
 			rps[0].Rate(),
-			sim.IngressQueue(topo.MustLookup("S1"), 0, 0))
+			sim.IngressQueue(topo.MustLookup("S1"), 0))
 		if sim.Now() < 20*gfc.Millisecond {
 			sim.Engine().After(2*gfc.Millisecond, sample)
 		}

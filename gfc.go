@@ -14,8 +14,8 @@
 //   - topology builders (rings, fat-trees, dumbbells), shortest-path
 //     routing, cyclic-buffer-dependency analysis and a runtime deadlock
 //     detector;
-//   - the DCQCN congestion control and the related-work baselines
-//     (Up*/Down* routing, dateline escalation, Tagger, deadlock recovery);
+//   - the DCQCN congestion control and Up*/Down* routing, the CBD-free
+//     related-work baseline;
 //   - the §6.2.3 sweep behind Table 1.
 //
 // It is deliberately only as wide as its users: every name here is exercised
@@ -39,7 +39,6 @@
 package gfc
 
 import (
-	"github.com/gfcsim/gfc/internal/baselines"
 	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/dcqcn"
@@ -72,13 +71,8 @@ const (
 // RateOf reports the average rate delivering s bytes in d.
 var RateOf = units.RateOf
 
-// Topology modelling.
-type (
-	// Topology is a network graph of hosts, switches and links.
-	Topology = topology.Topology
-	// NodeID identifies a node in a Topology.
-	NodeID = topology.NodeID
-)
+// Topology is a network graph of hosts, switches and links.
+type Topology = topology.Topology
 
 // Topology constructors.
 var (
@@ -110,7 +104,7 @@ var (
 
 // Flow control.
 type (
-	// FlowControlFactory builds a controller per channel and priority.
+	// FlowControlFactory builds a controller per channel.
 	FlowControlFactory = flowcontrol.Factory
 	// PFCConfig holds PFC XOFF/XON thresholds.
 	PFCConfig = flowcontrol.PFCConfig
@@ -153,8 +147,6 @@ type (
 	Options = netsim.Config
 	// Flow is one transfer between hosts.
 	Flow = netsim.Flow
-	// Packet is one frame in flight.
-	Packet = netsim.Packet
 )
 
 // NewSimulation builds a simulation of a topology under the given options.
@@ -216,18 +208,5 @@ var (
 	DefaultDCQCNConfig = dcqcn.DefaultConfig
 )
 
-// DeadlockRecovery is the reactive detect-and-drop family (§8 of the paper).
-type DeadlockRecovery = baselines.Recovery
-
-// Related-work baseline constructors.
-var (
-	// NewUpDown orients a topology for Up*/Down* routing.
-	NewUpDown = baselines.NewUpDown
-	// DatelineEscalation builds the ring virtual-channel hook.
-	DatelineEscalation = baselines.Dateline
-	// NewDeadlockRecovery builds a detect-and-drop recovery agent.
-	NewDeadlockRecovery = baselines.NewRecovery
-	// NewTagger derives priority-escalation rules breaking all CBDs of
-	// the given routes.
-	NewTagger = baselines.NewTagger
-)
+// NewUpDown orients a topology for Up*/Down* routing (§8 of the paper).
+var NewUpDown = routing.NewUpDown

@@ -76,10 +76,7 @@ type Input struct {
 	Cfg netsim.Config
 	// Params are the resolved scheme thresholds.
 	Params Params
-	// CBDKnown reports whether the workload's cyclic-buffer-dependency
-	// verdict was computed; CBDCyclic is that verdict. Unknown is treated
-	// as cyclic (the conservative direction for every claim).
-	CBDKnown  bool
+	// CBDCyclic is the workload's cyclic-buffer-dependency verdict.
 	CBDCyclic bool
 	// Faulted marks a run with an attached fault injector: feedback may
 	// be lost, delayed or forged, so only fault-robust bounds are
@@ -171,7 +168,7 @@ func Predict(in Input) (*Prediction, error) {
 	B := cfg.BufferSize
 	mtu := cfg.MTU
 	inflight := units.BytesIn(maxCap, tauActual)
-	acyclic := !in.Faulted && in.CBDKnown && !in.CBDCyclic
+	acyclic := !in.Faulted && !in.CBDCyclic
 	// The worst-case channel as the factories see it and as the wire
 	// behaves. Per scheme, th is what the factory installs (resolved at the
 	// budget) and safe the largest threshold that is still safe at the

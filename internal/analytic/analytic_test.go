@@ -13,12 +13,15 @@ import (
 
 // ringInput is the baseline analysable scenario: the paper's 3-switch ring
 // with factory-derived thresholds and a horizon past the progress warmup.
+// ringInput is a ring under s with the conservative CBD verdict (cyclic, as
+// the clockwise workload on it is); tests of the acyclic claims clear it.
 func ringInput(s Scheme) Input {
 	return Input{
-		Topo:     topology.Ring(3, topology.DefaultLinkParams()),
-		Scheme:   s,
-		Cfg:      netsim.Config{BufferSize: 300 * units.KB},
-		Duration: 10 * units.Millisecond,
+		Topo:      topology.Ring(3, topology.DefaultLinkParams()),
+		Scheme:    s,
+		Cfg:       netsim.Config{BufferSize: 300 * units.KB},
+		CBDCyclic: true,
+		Duration:  10 * units.Millisecond,
 	}
 }
 
@@ -77,7 +80,7 @@ func TestPredictPFC(t *testing.T) {
 		t.Error("derived thresholds not lossless without jitter")
 	}
 	if p.DeadlockFree {
-		t.Error("deadlock-free with unknown CBD verdict")
+		t.Error("deadlock-free on a cyclic CBD")
 	}
 	if p.Tau <= 0 {
 		t.Errorf("Tau = %v, want positive", p.Tau)
@@ -114,9 +117,9 @@ func TestPredictPFC(t *testing.T) {
 		t.Error("not lossless despite τ override covering jitter")
 	}
 
-	// CBD verdicts: only a known-acyclic graph makes PFC deadlock-free.
+	// CBD verdicts: only an acyclic graph makes PFC deadlock-free.
 	in = ringInput(PFC)
-	in.CBDKnown, in.CBDCyclic = true, false
+	in.CBDCyclic = false
 	if p = mustPredict(t, in); !p.DeadlockFree {
 		t.Error("not deadlock-free on known-acyclic CBD")
 	}
@@ -137,7 +140,7 @@ func TestPredictFaulted(t *testing.T) {
 	for _, s := range allSchemes {
 		in := ringInput(s)
 		in.Faulted = true
-		in.CBDKnown, in.CBDCyclic = true, false // acyclic claim must not survive faults
+		in.CBDCyclic = false // acyclic claim must not survive faults
 		p := mustPredict(t, in)
 		if p.MaxOccupancy != B {
 			t.Errorf("%v faulted envelope = %v, want buffer %v", s, p.MaxOccupancy, B)
@@ -174,7 +177,6 @@ func TestPredictGFCBuffer(t *testing.T) {
 	}
 	// Deadlock freedom needs no CBD verdict: cyclic changes nothing.
 	in := ringInput(GFCBuffer)
-	in.CBDKnown, in.CBDCyclic = true, true
 	if p = mustPredict(t, in); !p.DeadlockFree {
 		t.Error("not deadlock-free on cyclic CBD")
 	}
@@ -218,14 +220,14 @@ func TestPredictGFCConceptual(t *testing.T) {
 		t.Errorf("envelope = %v, want clamp to buffer (B_m defaults to B)", p.MaxOccupancy)
 	}
 	// B0 above B_m − 4Cτ: the zero-rate point is reachable, so deadlock
-	// freedom falls back to the CBD verdict (here: unknown).
+	// freedom falls back to the CBD verdict (here: cyclic).
 	in := ringInput(GFCConceptual)
 	in.Params.B0 = 299 * units.KB
 	p = mustPredict(t, in)
 	if p.Lossless || p.DeadlockFree {
 		t.Errorf("oversized B0: lossless=%v deadlock-free=%v", p.Lossless, p.DeadlockFree)
 	}
-	in.CBDKnown = true
+	in.CBDCyclic = false
 	if p = mustPredict(t, in); !p.DeadlockFree {
 		t.Error("oversized B0 on acyclic CBD not deadlock-free")
 	}
@@ -253,10 +255,10 @@ func TestPredictCBFCAndBFC(t *testing.T) {
 			t.Errorf("%v not lossless unfaulted", s)
 		}
 		if p.DeadlockFree || p.FloorRate != 0 {
-			t.Errorf("%v: deadlock-free=%v floor-rate=%v on unknown CBD", s, p.DeadlockFree, p.FloorRate)
+			t.Errorf("%v: deadlock-free=%v floor-rate=%v on cyclic CBD", s, p.DeadlockFree, p.FloorRate)
 		}
 		in := ringInput(s)
-		in.CBDKnown = true
+		in.CBDCyclic = false
 		if p = mustPredict(t, in); !p.DeadlockFree {
 			t.Errorf("%v not deadlock-free on acyclic CBD", s)
 		}

@@ -203,7 +203,7 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 			return
 		}
 		for p := 0; p < 8; p++ {
-			if q := net.IngressQueue(s1, p, 0); q > maxQ {
+			if q := net.IngressQueue(s1, p); q > maxQ {
 				maxQ = q
 			}
 		}

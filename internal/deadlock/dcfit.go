@@ -30,16 +30,15 @@ func (d *Detector) PollInterval() units.Time { return d.Interval }
 type FeedbackNetwork interface {
 	Now() units.Time
 	Engine() *eventsim.Engine
-	SetFeedbackObserver(fn func(from, to topology.NodeID, prio int, m flowcontrol.Message))
+	SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message))
 }
 
 // EdgeKey identifies one pause-dependency edge in the data plane: the
 // channel Up→Down is held shut because Down delivered a PAUSE to Up. Queue
 // scopes the edge to one physical queue for per-flow-queue schemes (BFC
-// QPAUSE); -1 for class-scoped PFC PAUSE.
+// QPAUSE); -1 for channel-scoped PFC PAUSE.
 type EdgeKey struct {
 	Up, Down topology.NodeID
-	Prio     int
 	Queue    int
 }
 
@@ -132,7 +131,7 @@ func (d *DCFIT) PollInterval() units.Time { return d.Interval }
 
 // onDeliver is the feedback observer: it runs at the instant a message
 // reaches its sender, after fault loss/delay.
-func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Message) {
+func (d *DCFIT) onDeliver(from, to topology.NodeID, m flowcontrol.Message) {
 	queue := -1
 	switch m.Kind {
 	case flowcontrol.KindQueuePause, flowcontrol.KindQueueResume:
@@ -141,14 +140,14 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Mess
 	default:
 		return // credit/stage/queue-length feedback creates no pause edges
 	}
-	key := EdgeKey{Up: to, Down: from, Prio: prio, Queue: queue}
+	key := EdgeKey{Up: to, Down: from, Queue: queue}
 	switch m.Kind {
 	case flowcontrol.KindPause, flowcontrol.KindQueuePause:
 		if _, ok := d.edges[key]; ok {
 			return // refresh of a held pause: dependency age unchanged
 		}
 		tag := d.seq
-		if _, p, ok := d.parentOf(from, prio); ok {
+		if _, p, ok := d.parentOf(from); ok {
 			// The pausing node is itself paused: this pause continues
 			// that chain, carrying its initial trigger downstream.
 			tag = p.tag
@@ -164,12 +163,12 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Mess
 	}
 }
 
-// parentOf returns the pause edge currently blocking node at prio and its key
-// — the oldest edge whose Up side is node (ties broken by key order, so the
+// parentOf returns the pause edge currently blocking node and its key — the
+// oldest edge whose Up side is node (ties broken by key order, so the
 // choice is deterministic regardless of map iteration) — or ok false.
-func (d *DCFIT) parentOf(node topology.NodeID, prio int) (bestKey EdgeKey, best dcfitEdge, ok bool) {
+func (d *DCFIT) parentOf(node topology.NodeID) (bestKey EdgeKey, best dcfitEdge, ok bool) {
 	for k, e := range d.edges {
-		if k.Up != node || k.Prio != prio {
+		if k.Up != node {
 			continue
 		}
 		if !ok || e.since < best.since ||
@@ -212,7 +211,7 @@ func (d *DCFIT) Check() *Report {
 	}
 	keys := make([]ChannelKey, len(cycle))
 	for i, k := range cycle {
-		keys[i] = ChannelKey{From: k.Up, Node: k.Down, Prio: k.Prio}
+		keys[i] = ChannelKey{From: k.Up, Node: k.Down}
 	}
 	d.report = &Report{
 		At:       now,
@@ -240,7 +239,7 @@ func (d *DCFIT) findCycle() []EdgeKey {
 		d.path = append(d.path[:0], start)
 		cur := start
 		for range d.keys {
-			next, _, ok := d.parentOf(cur.Down, cur.Prio)
+			next, _, ok := d.parentOf(cur.Down)
 			if !ok {
 				break
 			}
@@ -258,5 +257,5 @@ func (d *DCFIT) findCycle() []EdgeKey {
 
 func edgeCmp(a, b EdgeKey) int {
 	return cmp.Or(cmp.Compare(a.Up, b.Up), cmp.Compare(a.Down, b.Down),
-		cmp.Compare(a.Prio, b.Prio), cmp.Compare(a.Queue, b.Queue))
+		cmp.Compare(a.Queue, b.Queue))
 }

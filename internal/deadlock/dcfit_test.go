@@ -13,12 +13,12 @@ import (
 // bookkeeping and cycle walk can be pinned without staging real traffic.
 type fakeFeedbackNet struct {
 	now units.Time
-	obs func(from, to topology.NodeID, prio int, m flowcontrol.Message)
+	obs func(from, to topology.NodeID, m flowcontrol.Message)
 }
 
 func (f *fakeFeedbackNet) Now() units.Time          { return f.now }
 func (f *fakeFeedbackNet) Engine() *eventsim.Engine { panic("Check-only fake") }
-func (f *fakeFeedbackNet) SetFeedbackObserver(fn func(from, to topology.NodeID, prio int, m flowcontrol.Message)) {
+func (f *fakeFeedbackNet) SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message)) {
 	f.obs = fn
 }
 
@@ -32,11 +32,11 @@ func newFakeDCFIT() (*DCFIT, *fakeFeedbackNet) {
 // pause delivers a PAUSE emitted by down to its upstream up, creating the
 // dependency edge up→down.
 func (f *fakeFeedbackNet) pause(up, down topology.NodeID) {
-	f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindPause})
+	f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindPause})
 }
 
 func (f *fakeFeedbackNet) resume(up, down topology.NodeID) {
-	f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindResume})
+	f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindResume})
 }
 
 // TestDCFITReportsCycleAfterWindow is the positive control: a closed
@@ -141,10 +141,10 @@ func TestDCFITResumeResetsPersistence(t *testing.T) {
 func TestDCFITQueueScopedEdges(t *testing.T) {
 	d, f := newFakeDCFIT()
 	qpause := func(up, down topology.NodeID, q int) {
-		f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindQueuePause, QueueID: q})
+		f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindQueuePause, QueueID: q})
 	}
 	qresume := func(up, down topology.NodeID, q int) {
-		f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindQueueResume, QueueID: q})
+		f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindQueueResume, QueueID: q})
 	}
 	qpause(1, 2, 3)
 	qpause(2, 3, 1)
@@ -167,7 +167,7 @@ func TestDCFITIgnoresNonPauseFeedback(t *testing.T) {
 	for _, k := range []flowcontrol.Kind{
 		flowcontrol.KindCredit, flowcontrol.KindStage, flowcontrol.KindQueue,
 	} {
-		f.obs(2, 1, 0, flowcontrol.Message{Kind: k})
+		f.obs(2, 1, flowcontrol.Message{Kind: k})
 	}
 	if len(d.edges) != 0 {
 		t.Fatalf("edges = %d from non-pause feedback, want 0", len(d.edges))
@@ -181,8 +181,8 @@ func TestDCFITTriggerInheritance(t *testing.T) {
 	d, f := newFakeDCFIT()
 	f.pause(2, 3) // node 3 pauses its upstream 2: trigger minted by 3
 	f.pause(1, 2) // node 2 (itself paused) pauses 1: inherits 3's trigger
-	e12, ok12 := d.edges[EdgeKey{Up: 1, Down: 2, Prio: 0, Queue: -1}]
-	e23, ok23 := d.edges[EdgeKey{Up: 2, Down: 3, Prio: 0, Queue: -1}]
+	e12, ok12 := d.edges[EdgeKey{Up: 1, Down: 2, Queue: -1}]
+	e23, ok23 := d.edges[EdgeKey{Up: 2, Down: 3, Queue: -1}]
 	if !ok12 || !ok23 {
 		t.Fatal("edges missing")
 	}
@@ -191,7 +191,7 @@ func TestDCFITTriggerInheritance(t *testing.T) {
 	}
 	// An unpaused node pausing someone mints fresh.
 	f.pause(5, 6)
-	e56 := d.edges[EdgeKey{Up: 5, Down: 6, Prio: 0, Queue: -1}]
+	e56 := d.edges[EdgeKey{Up: 5, Down: 6, Queue: -1}]
 	if e56.tag == e23.tag {
 		t.Fatal("independent pause inherited an unrelated trigger")
 	}

@@ -26,12 +26,10 @@ type Network interface {
 	Engine() *eventsim.Engine
 }
 
-// ChannelKey identifies one ingress buffer: the directed channel From→Node
-// at a priority.
+// ChannelKey identifies one ingress buffer: the directed channel From→Node.
 type ChannelKey struct {
 	From topology.NodeID
 	Node topology.NodeID
-	Prio int
 }
 
 // Kind distinguishes the two permanent-standstill shapes the detector
@@ -178,7 +176,7 @@ func (d *Detector) Check() *Report {
 			stalled = make(map[ChannelKey]netsim.IngressState)
 			stallStart = make(map[ChannelKey]units.Time)
 		}
-		key := ChannelKey{From: is.From, Node: is.Node, Prio: is.Prio}
+		key := ChannelKey{From: is.From, Node: is.Node}
 		stalled[key] = is
 		stallStart[key] = start
 	}
@@ -191,7 +189,7 @@ func (d *Detector) Check() *Report {
 	adj := make(map[ChannelKey][]ChannelKey, len(stalled))
 	for key, is := range stalled {
 		for _, w := range is.Waits {
-			next := ChannelKey{From: key.Node, Node: w.On, Prio: key.Prio}
+			next := ChannelKey{From: key.Node, Node: w.On}
 			if _, ok := stalled[next]; ok {
 				adj[key] = append(adj[key], next)
 			}
@@ -275,7 +273,7 @@ func (d *Detector) checkWedge(
 ) *Report {
 	byKey := make(map[ChannelKey]netsim.IngressState, len(states))
 	for _, is := range states {
-		byKey[ChannelKey{From: is.From, Node: is.Node, Prio: is.Prio}] = is
+		byKey[ChannelKey{From: is.From, Node: is.Node}] = is
 	}
 	for _, key := range keys {
 		is := stalled[key]
@@ -283,7 +281,7 @@ func (d *Detector) checkWedge(
 			if w.Rate > 0 || w.Down {
 				continue
 			}
-			holder, ok := byKey[ChannelKey{From: key.Node, Node: w.On, Prio: key.Prio}]
+			holder, ok := byKey[ChannelKey{From: key.Node, Node: w.On}]
 			if !ok || holder.Occupancy > 0 {
 				continue // host-facing or still legitimately held
 			}
@@ -310,8 +308,5 @@ func less(a, b ChannelKey) bool {
 	if a.From != b.From {
 		return a.From < b.From
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	return a.Prio < b.Prio
+	return a.Node < b.Node
 }

@@ -165,12 +165,12 @@ func TestGFCSteadyStateFig9(t *testing.T) {
 	n.Run(50 * units.Millisecond)
 	topo := n.Topology()
 	s1 := topo.MustLookup("S1")
-	q := n.IngressQueue(s1, 0, 0) // ingress from H1
+	q := n.IngressQueue(s1, 0) // ingress from H1
 	if q < 740*units.KB || q > 890*units.KB {
 		t.Errorf("steady host-facing queue %v, want within the stage-1/2 band (paper: ≈840KB)", q)
 	}
 	h1 := topo.MustLookup("H1")
-	if r := n.SenderRate(h1, 0, 0); r != 5*units.Gbps {
+	if r := n.SenderRate(h1, 0); r != 5*units.Gbps {
 		t.Errorf("steady H1 rate %v, want 5Gbps", r)
 	}
 	for _, f := range flows {
@@ -190,7 +190,7 @@ func TestGFCTimeSteadyStateFig10(t *testing.T) {
 	n, flows := buildRing(t, 1, gfcTimeTestbed())
 	n.Run(50 * units.Millisecond)
 	topo := n.Topology()
-	q := n.IngressQueue(topo.MustLookup("S1"), 0, 0)
+	q := n.IngressQueue(topo.MustLookup("S1"), 0)
 	if q < 650*units.KB || q > 800*units.KB {
 		t.Errorf("steady queue %v, want ≈745KB (paper)", q)
 	}

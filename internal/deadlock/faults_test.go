@@ -35,7 +35,7 @@ func ringStall(down [3]bool) *fakeNet {
 	for i := 0; i < 3; i++ {
 		prev, next := nodes[(i+2)%3], nodes[(i+1)%3]
 		states = append(states, netsim.IngressState{
-			Node: nodes[i], Prio: 0, From: prev,
+			Node: nodes[i], From: prev,
 			Occupancy:     800 * units.KB,
 			OccupiedSince: units.Millisecond,
 			Waits:         []netsim.Wait{{On: next, Down: down[i]}},

@@ -17,13 +17,13 @@ func chainStall() *fakeNet {
 		now: 100 * units.Millisecond,
 		states: []netsim.IngressState{
 			{
-				Node: 2, Prio: 0, From: 1,
+				Node: 2, From: 1,
 				Occupancy:     800 * units.KB,
 				OccupiedSince: units.Millisecond,
 				Waits:         []netsim.Wait{{On: 3}},
 			},
 			{
-				Node: 3, Prio: 0, From: 2,
+				Node: 3, From: 2,
 				Occupancy:    0,
 				LastDepartAt: units.Millisecond,
 			},
@@ -47,7 +47,7 @@ func TestCheckReportsWedgedChannel(t *testing.T) {
 	if rep.Wedged == nil {
 		t.Fatal("Wedged detail missing")
 	}
-	want := ChannelKey{From: 1, Node: 2, Prio: 0}
+	want := ChannelKey{From: 1, Node: 2}
 	if rep.Wedged.Ingress != want || rep.Wedged.Via != 3 {
 		t.Fatalf("Wedged = %+v, want ingress %v via 3", rep.Wedged, want)
 	}

@@ -1,5 +1,5 @@
 // Package eventsim provides the discrete-event simulation engine the whole
-// network simulator runs on: a virtual clock and a priority queue of timed
+// network simulator runs on: a virtual clock and a time-ordered queue of
 // callbacks. Events that share a timestamp fire in the order they were
 // scheduled, which makes every run deterministic.
 //

@@ -52,7 +52,7 @@ func RunOverhead(cfg OverheadConfig, o RunOptions) (*OverheadResult, error) {
 				}
 			}
 			return &netsim.Trace{
-				OnFeedback: func(t units.Time, from, to topology.NodeID, _ int, w units.Size) {
+				OnFeedback: func(t units.Time, from, to topology.NodeID, w units.Size) {
 					wire[channel[[2]topology.NodeID{from, to}]].Add(t-1, w)
 				},
 			}

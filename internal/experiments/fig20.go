@@ -36,7 +36,7 @@ func RunFig20(o RunOptions) (*Fig20Result, error) {
 		Trace: func(topo *topology.Topology) *netsim.Trace {
 			s1 := topo.MustLookup("S1")
 			return &netsim.Trace{
-				OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
+				OnQueue: func(t units.Time, node topology.NodeID, port int, q units.Size) {
 					if node == s1 && port == 0 {
 						res.Queue.Append(t, float64(q))
 					}
@@ -65,7 +65,7 @@ func RunFig20(o RunOptions) (*Fig20Result, error) {
 	h1 := sim.Topo.MustLookup("H1")
 	var sample func()
 	sample = func() {
-		res.GFCRate.Append(net.Now(), float64(net.SenderRate(h1, 0, 0)))
+		res.GFCRate.Append(net.Now(), float64(net.SenderRate(h1, 0)))
 		if net.Now() < d {
 			net.Engine().After(50*units.Microsecond, sample)
 		}

@@ -36,7 +36,7 @@ func h1Probe(queue *stats.Series, arrivals *stats.BinCounter) func(*topology.Top
 			},
 		}
 		if queue != nil {
-			tr.OnQueue = func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
+			tr.OnQueue = func(t units.Time, node topology.NodeID, port int, q units.Size) {
 				if node == s1 && port == 0 {
 					queue.Append(t, float64(q))
 				}

@@ -72,11 +72,11 @@ type LinkFault struct {
 type FeedbackFault struct {
 	// DropProb is the per-message drop probability in [0,1].
 	DropProb float64 `json:"drop_prob,omitempty"`
-	// MaxBurst bounds consecutive drops per (link, receiver, priority)
-	// channel: after MaxBurst drops in a row the next message is forced
-	// through. Zero means unbounded. A bound is what makes theorem-level
-	// safety statements under loss checkable: the effective feedback
-	// latency becomes τ + (MaxBurst+1)·(refresh or period).
+	// MaxBurst bounds consecutive drops per (link, receiver) channel:
+	// after MaxBurst drops in a row the next message is forced through.
+	// Zero means unbounded. A bound is what makes theorem-level safety
+	// statements under loss checkable: the effective feedback latency
+	// becomes τ + (MaxBurst+1)·(refresh or period).
 	MaxBurst int `json:"max_burst,omitempty"`
 	// Kinds restricts the fault to the named message kinds
 	// ("PAUSE", "RESUME", "STAGE", "CREDIT", "QUEUE"); empty means all.

@@ -157,7 +157,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		inj := plan.NewInjector(seed)
 		out := make([]verdict, 0, 200)
 		for i := 0; i < 200; i++ {
-			d, e := inj.FeedbackVerdict(link.ID, link.A, 0,
+			d, e := inj.FeedbackVerdict(link.ID, link.A,
 				flowcontrol.KindStage, units.Time(i)*units.Microsecond)
 			out = append(out, verdict{d, e})
 		}
@@ -193,7 +193,7 @@ func TestFeedbackVerdictMaxBurst(t *testing.T) {
 
 	run := 0
 	for i := 0; i < 40; i++ {
-		drop, _ := inj.FeedbackVerdict(link.ID, link.A, 0, flowcontrol.KindStage, units.Time(i))
+		drop, _ := inj.FeedbackVerdict(link.ID, link.A, flowcontrol.KindStage, units.Time(i))
 		if drop {
 			run++
 			if run > 3 {
@@ -226,14 +226,14 @@ func TestFeedbackVerdictKindFilter(t *testing.T) {
 			flowcontrol.KindPause, flowcontrol.KindStage,
 			flowcontrol.KindCredit, flowcontrol.KindQueue,
 		} {
-			if drop, _ := inj.FeedbackVerdict(link.ID, link.A, 0, k, units.Time(i)); drop {
+			if drop, _ := inj.FeedbackVerdict(link.ID, link.A, k, units.Time(i)); drop {
 				t.Fatalf("resume-loss dropped a %s message", k)
 			}
 		}
 	}
 	drops := 0
 	for i := 0; i < 400; i++ {
-		if drop, _ := inj.FeedbackVerdict(link.ID, link.A, 0, flowcontrol.KindResume, units.Time(i)); drop {
+		if drop, _ := inj.FeedbackVerdict(link.ID, link.A, flowcontrol.KindResume, units.Time(i)); drop {
 			drops++
 		}
 	}
@@ -258,7 +258,7 @@ func TestFeedbackVerdictWindowAndDelay(t *testing.T) {
 
 	check := func(at units.Time, want units.Time) {
 		t.Helper()
-		drop, extra := inj.FeedbackVerdict(link.ID, link.A, 0, flowcontrol.KindStage, at)
+		drop, extra := inj.FeedbackVerdict(link.ID, link.A, flowcontrol.KindStage, at)
 		if drop || extra != want {
 			t.Errorf("at %v: (drop=%v, extra=%v), want (false, %v)", at, drop, extra, want)
 		}

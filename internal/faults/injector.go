@@ -35,7 +35,6 @@ type Injector struct {
 type burstKey struct {
 	link topology.LinkID
 	node topology.NodeID // emitting (receiver) side
-	prio int
 }
 
 // NewInjector binds the plan for one run, seeding the injector's private
@@ -72,12 +71,12 @@ func (inj *Injector) FlowOnset(flowID int, at units.Time) units.Time {
 }
 
 // FeedbackVerdict decides the fate of one flow-control message about to
-// cross link from the receiver on node at priority prio: dropped, or
-// delivered with extra latency. Randomness is drawn in strict call order
-// from the injector's private source. When several fault windows match,
-// drop probabilities compound and delays add.
+// cross link from the receiver on node: dropped, or delivered with extra
+// latency. Randomness is drawn in strict call order from the injector's
+// private source. When several fault windows match, drop probabilities
+// compound and delays add.
 func (inj *Injector) FeedbackVerdict(
-	link topology.LinkID, node topology.NodeID, prio int,
+	link topology.LinkID, node topology.NodeID,
 	kind flowcontrol.Kind, now units.Time,
 ) (drop bool, extra units.Time) {
 	for i := range inj.plan.feedback[link] {
@@ -86,7 +85,7 @@ func (inj *Injector) FeedbackVerdict(
 			continue
 		}
 		if f.dropProb > 0 && !drop {
-			key := burstKey{link: link, node: node, prio: prio}
+			key := burstKey{link: link, node: node}
 			if f.maxBurst > 0 && inj.burstRun[key] >= f.maxBurst {
 				inj.burstRun[key] = 0 // forced delivery caps the loss burst
 			} else if inj.rng.Float64() < f.dropProb {

@@ -15,11 +15,11 @@ const DefaultBFCQueues = 8
 // BFCConfig configures Backpressure Flow Control (Goyal et al., NSDI 2022):
 // each ingress maintains a set of physical queues, flows are dynamically
 // assigned to queues at enqueue time, and pause/resume feedback is scoped to
-// one queue instead of a whole priority class. A paused queue stops only the
+// one queue instead of the whole channel. A paused queue stops only the
 // flows mapped to it — the victim flows of classic PFC head-of-line blocking
 // keep moving through the other queues.
 type BFCConfig struct {
-	// Queues is the number of physical queues per channel/priority.
+	// Queues is the number of physical queues per channel.
 	// Zero means DefaultBFCQueues.
 	Queues int
 	// XOFF pauses a queue when its occupancy reaches it; XON resumes at

@@ -3,13 +3,13 @@
 // credit-based flow control (CBFC), and the three Gentle Flow Control
 // variants (conceptual, buffer-based and time-based).
 //
-// Flow control operates per directed channel (one direction of a link) and
-// per priority class. The downstream ingress side is a Receiver that
-// observes its queue and emits feedback Messages; the upstream egress side
-// is a Sender that gates packet transmission. The simulator (package netsim)
-// carries Messages from Receiver to Sender with the physical feedback
-// latency and charges their wire size against the reverse channel, which is
-// what the Figure 19 overhead measurement counts.
+// Flow control operates per directed channel (one direction of a link; the
+// fabric carries one lossless class). The downstream ingress side is a
+// Receiver that observes its queue and emits feedback Messages; the upstream
+// egress side is a Sender that gates packet transmission. The simulator
+// (package netsim) carries Messages from Receiver to Sender with the
+// physical feedback latency and charges their wire size against the reverse
+// channel, which is what the Figure 19 overhead measurement counts.
 package flowcontrol
 
 import (
@@ -38,7 +38,7 @@ const (
 	KindQueue
 	// KindQueuePause / KindQueueResume are BFC's per-queue pause frames
 	// (Goyal et al.): like PFC PAUSE/RESUME but scoped to one physical
-	// queue (Message.QueueID) instead of a whole priority class. Appended
+	// queue (Message.QueueID) instead of the whole channel. Appended
 	// after the original kinds so existing golden traces keep their
 	// numeric values.
 	KindQueuePause
@@ -100,11 +100,10 @@ type Env interface {
 	Emit(m Message)
 }
 
-// Params configures one controller instance (one channel direction, one
-// priority).
+// Params configures one controller instance (one channel direction).
 type Params struct {
 	Capacity units.Rate // link rate C
-	Buffer   units.Size // ingress buffer allocation B for this priority
+	Buffer   units.Size // ingress buffer allocation B
 	MTU      units.Size
 	Tau      units.Time // worst-case feedback latency, for safety bounds
 }
@@ -196,7 +195,7 @@ type Staged interface {
 	StageTable() *core.StageTable
 }
 
-// Controller pairs the two halves for one channel/priority.
+// Controller pairs the two halves for one channel.
 type Controller struct {
 	Sender   Sender
 	Receiver Receiver

@@ -78,9 +78,8 @@ func Band(c units.Rate, mtu units.Size) units.Size {
 }
 
 // NetChannel is one directed ingress queue of the network model: traffic
-// arriving at Node through Port (priority 0 — the fluid model is
-// single-priority). The channel index space is whatever order the caller
-// lists them in; metrics mapping goes through Registry.ChannelIndex.
+// arriving at Node through Port. The channel index space is whatever order the
+// caller lists them in; metrics mapping goes through Registry.ChannelIndex.
 type NetChannel struct {
 	Node topology.NodeID
 	Port int
@@ -128,7 +127,7 @@ type NetConfig struct {
 	// via RecordContinuous — the solver tracks occupancy exactly, so
 	// streaming per-step events through the per-packet hooks would only be
 	// slower and lossier. The registry must already be bound with a layout
-	// whose ChannelIndex resolves every (Node, Port, 0) listed in Channels.
+	// whose ChannelIndex resolves every (Node, Port) listed in Channels.
 	Metrics *metrics.Registry
 	// StallWindow is how long the network must hold positive backlog with
 	// zero byte movement before RunNet declares deadlock; default 1 ms.
@@ -262,7 +261,7 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 		st.nextSamp = ch.Period
 		st.idx = -1
 		if cfg.Metrics != nil {
-			st.idx = cfg.Metrics.ChannelIndex(ch.Node, ch.Port, 0)
+			st.idx = cfg.Metrics.ChannelIndex(ch.Node, ch.Port)
 		}
 	}
 
@@ -524,7 +523,12 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 			}
 			st.hist[(i+1)%(st.lag+1)] = st.q
 		}
-		if backlog > mtu && moved < 1 {
+		// Deadlock is a standstill, not a trickle: nothing at all moved,
+		// which holds exactly when every channel with demand has a zero
+		// permitted rate — the packet detector's rule. A floor-rate GFC
+		// channel keeps moved positive, so the verdict cannot depend on
+		// the horizon.
+		if backlog > mtu && moved == 0 {
 			if stallStart < 0 {
 				stallStart = now
 			}

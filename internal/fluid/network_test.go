@@ -196,7 +196,7 @@ func TestRunNetFillsRegistry(t *testing.T) {
 		}
 		nodes = append(nodes, ni)
 	}
-	reg.Bind(nodes, 1)
+	reg.Bind(nodes)
 	res, err := RunNet(NetConfig{
 		Channels: chansFor(t, topo, 300*units.KB, 10*units.Microsecond, 0, stagedSim(t)),
 		Flows:    flows,

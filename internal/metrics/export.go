@@ -79,7 +79,6 @@ type SeriesDump struct {
 type ChannelReport struct {
 	Node    string     `json:"node"`
 	Port    int        `json:"port"`
-	Prio    int        `json:"prio"`
 	From    string     `json:"from"`
 	Host    bool       `json:"host,omitempty"`
 	Buffer  units.Size `json:"buffer_bytes"`
@@ -110,7 +109,6 @@ type ViolationReport struct {
 	At          units.Time `json:"at_ns"`
 	Node        string     `json:"node"`
 	Port        int        `json:"port"`
-	Prio        int        `json:"prio"`
 	From        string     `json:"from"`
 	Occupancy   units.Size `json:"occupancy"`
 	Limit       units.Size `json:"limit"`
@@ -121,7 +119,6 @@ type ViolationReport struct {
 // Report is a full point-in-time export of the registry.
 type Report struct {
 	At                  units.Time        `json:"at_ns"`
-	Priorities          int               `json:"priorities"`
 	Totals              Summary           `json:"totals"`
 	Channels            []ChannelReport   `json:"channels"`
 	Violations          []ViolationReport `json:"violations,omitempty"`
@@ -135,7 +132,6 @@ type Report struct {
 func (r *Registry) Report(at units.Time) *Report {
 	rep := &Report{
 		At:                  at,
-		Priorities:          r.k,
 		Totals:              r.Summary(),
 		ViolationsTruncated: r.truncated,
 	}
@@ -146,7 +142,7 @@ func (r *Registry) Report(at units.Time) *Report {
 		}
 		ch := r.chans[idx]
 		cr := ChannelReport{
-			Node: ch.NodeName, Port: ch.Port, Prio: ch.Prio,
+			Node: ch.NodeName, Port: ch.Port,
 			From: ch.FromName, Host: ch.Host,
 			Buffer: r.buffers[idx], Ceiling: r.ceilings[idx],
 			BytesIn: c.BytesIn, BytesOut: c.BytesOut,
@@ -166,7 +162,7 @@ func (r *Registry) Report(at units.Time) *Report {
 	for _, v := range r.violations {
 		rep.Violations = append(rep.Violations, ViolationReport{
 			Kind: v.Kind.String(), At: v.At, Node: v.NodeName,
-			Port: v.Port, Prio: v.Prio, From: v.FromName,
+			Port: v.Port, From: v.FromName,
 			Occupancy: v.Occupancy, Limit: v.Limit, Detail: v.Detail,
 			FaultsSoFar: v.FaultsSoFar,
 		})
@@ -181,7 +177,7 @@ func (r *Registry) Report(at units.Time) *Report {
 // CSVHeader returns the column names of CSVRecords.
 func CSVHeader() []string {
 	return []string{
-		"node", "port", "prio", "from", "host",
+		"node", "port", "from", "host",
 		"buffer_bytes", "ceiling_bytes",
 		"bytes_in", "bytes_out", "departed_bytes",
 		"occupancy_high_water", "admits", "drops",
@@ -196,7 +192,7 @@ func (rep *Report) CSVRecords() [][]string {
 	out := make([][]string, 0, len(rep.Channels))
 	for _, c := range rep.Channels {
 		out = append(out, []string{
-			c.Node, strconv.Itoa(c.Port), strconv.Itoa(c.Prio), c.From,
+			c.Node, strconv.Itoa(c.Port), c.From,
 			strconv.FormatBool(c.Host),
 			strconv.FormatInt(int64(c.Buffer), 10),
 			strconv.FormatInt(int64(c.Ceiling), 10),

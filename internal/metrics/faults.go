@@ -82,11 +82,10 @@ func (r *Registry) FaultsInjected() int64 { return r.faultCount }
 type FaultReport struct {
 	Kind string     `json:"kind"`
 	At   units.Time `json:"at_ns"`
-	// Node/Port/Prio/From name the channel for feedback faults; Node alone
+	// Node/Port/From name the channel for feedback faults; Node alone
 	// locates host bursts; Link locates link-level faults.
 	Node   string     `json:"node,omitempty"`
 	Port   int        `json:"port,omitempty"`
-	Prio   int        `json:"prio,omitempty"`
 	From   string     `json:"from,omitempty"`
 	Link   int        `json:"link"`
 	Factor float64    `json:"factor,omitempty"`
@@ -101,7 +100,7 @@ func (r *Registry) faultReport(ev FaultEvent) FaultReport {
 	}
 	if ev.Channel >= 0 && ev.Channel < len(r.chans) {
 		ch := r.chans[ev.Channel]
-		fr.Node, fr.Port, fr.Prio, fr.From = ch.NodeName, ch.Port, ch.Prio, ch.FromName
+		fr.Node, fr.Port, fr.From = ch.NodeName, ch.Port, ch.FromName
 	} else if id := int(ev.Node); id >= 0 && id < len(r.base) {
 		// Node-level fault: name the node via its first bound channel.
 		if ci := r.base[id]; ci < len(r.chans) && r.chans[ci].Node == ev.Node {

@@ -87,7 +87,6 @@ type Violation struct {
 	Node     topology.NodeID
 	NodeName string
 	Port     int
-	Prio     int
 	FromName string
 	// Occupancy and Limit carry the violated quantity and its bound
 	// (for stage violations: the stage ID and table maximum).
@@ -102,7 +101,7 @@ type Violation struct {
 }
 
 func (v Violation) String() string {
-	loc := fmt.Sprintf("%s port %d prio %d (from %s)", v.NodeName, v.Port, v.Prio, v.FromName)
+	loc := fmt.Sprintf("%s port %d (from %s)", v.NodeName, v.Port, v.FromName)
 	switch v.Kind {
 	case ViolationNetThroughput, ViolationNetProgress, ViolationNetLoss, ViolationNetDeadlock:
 		return fmt.Sprintf("%v %s network-wide: %s (%d vs bound %d)",
@@ -144,7 +143,7 @@ func (e *InvariantError) Error() string {
 // violate records v against channel idx, filling in the channel identity.
 func (r *Registry) violate(v Violation, idx int) {
 	ch := r.chans[idx]
-	v.Node, v.NodeName, v.Port, v.Prio, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.Prio, ch.FromName
+	v.Node, v.NodeName, v.Port, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.FromName
 	v.FaultsSoFar = r.faultCount
 	if len(r.violations) < r.opt.MaxViolations {
 		r.violations = append(r.violations, v)
@@ -260,7 +259,7 @@ func (r *Registry) CheckNetwork(b NetworkBounds, at units.Time, delivered units.
 			Occupancy: c.HighWater, Limit: b.MaxOccupancy,
 			Detail: "high-water above analytic envelope",
 		}
-		v.Node, v.NodeName, v.Port, v.Prio, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.Prio, ch.FromName
+		v.Node, v.NodeName, v.Port, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.FromName
 		e.Violations = append(e.Violations, v)
 	}
 	if b.MaxDelivered > 0 && delivered > b.MaxDelivered {

@@ -19,10 +19,10 @@ func netLayout(r *Registry, n int) []int {
 			{PeerName: "s1", Buffer: 100 * units.KB},
 		}},
 		{ID: 1, Name: "s1", Ports: ports},
-	}, 1)
+	})
 	idx := make([]int, n)
 	for i := range idx {
-		idx[i] = r.ChannelIndex(1, i, 0)
+		idx[i] = r.ChannelIndex(1, i)
 	}
 	return idx
 }
@@ -46,7 +46,7 @@ func TestCheckNetworkClean(t *testing.T) {
 func TestCheckNetworkOccupancyEnvelope(t *testing.T) {
 	r := New(Options{})
 	idx := netLayout(r, 2)
-	hostIdx := r.ChannelIndex(0, 0, 0)
+	hostIdx := r.ChannelIndex(0, 0)
 	// The host sink and one switch channel exceed the envelope; only the
 	// switch channel may be flagged.
 	r.OnAdmit(hostIdx, 10, 80*units.KB, 80*units.KB)

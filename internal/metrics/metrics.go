@@ -1,5 +1,5 @@
 // Package metrics is the simulation-wide observability layer: a registry of
-// per-channel (node, ingress port, priority) counters — bytes in/out,
+// per-channel (node, ingress port) counters — bytes in/out,
 // occupancy high-water marks, feedback-message accounting split by kind
 // (pause/resume, stage, credit, queue) — backed by preallocated ring-buffer
 // occupancy series, plus a runtime invariant checker that turns losslessness
@@ -54,7 +54,7 @@ type Options struct {
 // PortInfo describes one ingress attachment for Bind.
 type PortInfo struct {
 	PeerName string     // upstream end of the channel into this port
-	Buffer   units.Size // per-priority ingress allocation
+	Buffer   units.Size // ingress allocation
 }
 
 // NodeInfo describes one node for Bind.
@@ -66,12 +66,11 @@ type NodeInfo struct {
 }
 
 // Channel is the static identity of one metrics channel: the directed
-// link FromName→Node at one priority, observed at Node's ingress port Port.
+// link FromName→Node, observed at Node's ingress port Port.
 type Channel struct {
 	Node     topology.NodeID
 	NodeName string
 	Port     int
-	Prio     int
 	FromName string
 	Host     bool // Node is a host (its ingress consumes immediately)
 }
@@ -114,8 +113,7 @@ type Counters struct {
 type Registry struct {
 	opt   Options
 	bound bool
-	k     int   // priority classes
-	base  []int // per node, first channel index (ports*k channels follow)
+	base  []int // per node, first channel index (one channel per port follows)
 
 	chans    []Channel
 	counters []Counters
@@ -147,23 +145,19 @@ func New(opt Options) *Registry {
 	return &Registry{opt: opt}
 }
 
-// Bind allocates the counter storage for the given node/port layout with k
-// priority classes. netsim calls it once from New; binding twice panics
-// (a Registry serves exactly one Network).
-func (r *Registry) Bind(nodes []NodeInfo, k int) {
+// Bind allocates the counter storage for the given node/port layout, one
+// channel per port. netsim calls it once from New; binding twice panics (a
+// Registry serves exactly one Network).
+func (r *Registry) Bind(nodes []NodeInfo) {
 	if r.bound {
 		panic("metrics: registry already bound to a network")
 	}
-	if k < 1 {
-		panic("metrics: need at least one priority class")
-	}
 	r.bound = true
-	r.k = k
 	r.base = make([]int, len(nodes))
 	total := 0
 	for i, n := range nodes {
 		r.base[i] = total
-		total += len(n.Ports) * k
+		total += len(n.Ports)
 	}
 	r.chans = make([]Channel, total)
 	r.counters = make([]Counters, total)
@@ -179,14 +173,12 @@ func (r *Registry) Bind(nodes []NodeInfo, k int) {
 	}
 	for _, n := range nodes {
 		for pi, p := range n.Ports {
-			for prio := 0; prio < k; prio++ {
-				idx := r.base[n.ID] + pi*k + prio
-				r.chans[idx] = Channel{
-					Node: n.ID, NodeName: n.Name, Port: pi, Prio: prio,
-					FromName: p.PeerName, Host: n.Host,
-				}
-				r.buffers[idx] = p.Buffer
+			idx := r.base[n.ID] + pi
+			r.chans[idx] = Channel{
+				Node: n.ID, NodeName: n.Name, Port: pi,
+				FromName: p.PeerName, Host: n.Host,
 			}
+			r.buffers[idx] = p.Buffer
 		}
 	}
 	if r.opt.SeriesCap > 0 {
@@ -197,10 +189,10 @@ func (r *Registry) Bind(nodes []NodeInfo, k int) {
 	}
 }
 
-// ChannelIndex returns the dense index of (node, port, prio). The simulator
-// caches the prio-0 index per port so its hot path is a single add.
-func (r *Registry) ChannelIndex(node topology.NodeID, port, prio int) int {
-	return r.base[node] + port*r.k + prio
+// ChannelIndex returns the dense index of (node, port). The simulator keeps
+// the same index on each port, so its hot path never calls this.
+func (r *Registry) ChannelIndex(node topology.NodeID, port int) int {
+	return r.base[node] + port
 }
 
 // Counter returns a copy of the counter block of channel idx.

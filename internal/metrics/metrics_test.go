@@ -13,8 +13,8 @@ import (
 
 // twoNodeLayout binds r to a minimal two-node topology: node 0 (a host with
 // one port fed by node 1) and node 1 (a switch with two ports fed by nodes 0
-// and 0 again), k priorities.
-func twoNodeLayout(r *Registry, k int) {
+// and 0 again).
+func twoNodeLayout(r *Registry) {
 	r.Bind([]NodeInfo{
 		{ID: 0, Name: "h0", Host: true, Ports: []PortInfo{
 			{PeerName: "s1", Buffer: 10000},
@@ -23,35 +23,35 @@ func twoNodeLayout(r *Registry, k int) {
 			{PeerName: "h0", Buffer: 20000},
 			{PeerName: "h0", Buffer: 30000},
 		}},
-	}, k)
+	})
 }
 
 func TestBindIndexing(t *testing.T) {
 	r := New(Options{})
-	twoNodeLayout(r, 2)
-	if got := len(r.chans); got != 6 {
-		t.Fatalf("NumChannels = %d, want 6", got)
+	twoNodeLayout(r)
+	if got := len(r.chans); got != 3 {
+		t.Fatalf("NumChannels = %d, want 3", got)
 	}
-	// Dense layout: every (node, port, prio) maps to a distinct in-range
-	// index with the matching identity.
+	// Dense layout: every (node, port) maps to a distinct in-range index
+	// with the matching identity.
 	seen := make(map[int]bool)
 	for _, tc := range []struct {
-		node, port, prio int
-	}{{0, 0, 0}, {0, 0, 1}, {1, 0, 0}, {1, 0, 1}, {1, 1, 0}, {1, 1, 1}} {
-		idx := r.ChannelIndex(topology.NodeID(tc.node), tc.port, tc.prio)
-		if idx < 0 || idx >= 6 || seen[idx] {
-			t.Fatalf("ChannelIndex(%d,%d,%d) = %d (dup or out of range)", tc.node, tc.port, tc.prio, idx)
+		node, port int
+	}{{0, 0}, {1, 0}, {1, 1}} {
+		idx := r.ChannelIndex(topology.NodeID(tc.node), tc.port)
+		if idx < 0 || idx >= 3 || seen[idx] {
+			t.Fatalf("ChannelIndex(%d,%d) = %d (dup or out of range)", tc.node, tc.port, idx)
 		}
 		seen[idx] = true
 		ch := r.chans[idx]
-		if int(ch.Node) != tc.node || ch.Port != tc.port || ch.Prio != tc.prio {
-			t.Fatalf("channel %d = %+v, want node %d port %d prio %d", idx, ch, tc.node, tc.port, tc.prio)
+		if int(ch.Node) != tc.node || ch.Port != tc.port {
+			t.Fatalf("channel %d = %+v, want node %d port %d", idx, ch, tc.node, tc.port)
 		}
 	}
-	if ch := r.chans[r.ChannelIndex(1, 1, 0)]; ch.FromName != "h0" || ch.NodeName != "s1" || ch.Host {
+	if ch := r.chans[r.ChannelIndex(1, 1)]; ch.FromName != "h0" || ch.NodeName != "s1" || ch.Host {
 		t.Errorf("channel identity = %+v", ch)
 	}
-	if got := r.buffers[r.ChannelIndex(1, 1, 0)]; got != 30000 {
+	if got := r.buffers[r.ChannelIndex(1, 1)]; got != 30000 {
 		t.Errorf("Buffer = %v, want 30000", got)
 	}
 	defer func() {
@@ -59,13 +59,13 @@ func TestBindIndexing(t *testing.T) {
 			t.Error("second Bind did not panic")
 		}
 	}()
-	twoNodeLayout(r, 2)
+	twoNodeLayout(r)
 }
 
 func TestCountersAndHighWater(t *testing.T) {
 	r := New(Options{})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 0, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 	r.OnTx(idx, 1500)
 	r.OnAdmit(idx, 10, 1500, 1500)
 	r.OnTx(idx, 1500)
@@ -92,8 +92,8 @@ func TestCountersAndHighWater(t *testing.T) {
 
 func TestFeedbackClasses(t *testing.T) {
 	r := New(Options{})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 0, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 	r.OnFeedback(idx, 1, FeedbackPause, 0, 64)
 	r.OnFeedback(idx, 2, FeedbackResume, 0, 64)
 	r.OnFeedback(idx, 3, FeedbackStage, 2, 64)
@@ -114,8 +114,8 @@ func TestFeedbackClasses(t *testing.T) {
 
 func TestViolationsOverflowCeilingDrop(t *testing.T) {
 	r := New(Options{})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 0, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 
 	// Ceiling violation on a new high-water mark above the theorem bound.
 	r.SetCeiling(idx, 15000)
@@ -158,8 +158,8 @@ func TestViolationsOverflowCeilingDrop(t *testing.T) {
 
 func TestViolationTruncation(t *testing.T) {
 	r := New(Options{MaxViolations: 2})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 0, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 	for i := 0; i < 5; i++ {
 		r.OnDrop(idx, units.Time(i), 100, 100)
 	}
@@ -177,8 +177,8 @@ func TestViolationTruncation(t *testing.T) {
 
 func TestStageRangeViolation(t *testing.T) {
 	r := New(Options{})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 0, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 	tbl, err := core.NewStageTableRatio(100*units.Gbps, 18000, 10000, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestStageRangeViolation(t *testing.T) {
 		t.Fatalf("violations = %v", vs)
 	}
 	// Without an armed table, out-of-range stages are not checkable.
-	idx2 := r.ChannelIndex(1, 1, 0)
+	idx2 := r.ChannelIndex(1, 1)
 	r.OnFeedback(idx2, 4, FeedbackStage, 99, 64)
 	if got := len(r.violations); got != 2 {
 		t.Errorf("unarmed channel recorded stage violation (total %d)", got)
@@ -217,8 +217,8 @@ func TestValidateStageTable(t *testing.T) {
 
 func TestRingSeries(t *testing.T) {
 	r := New(Options{SeriesCap: 4, SeriesGap: 1})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 0, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 	if r.Series(idx) != nil {
 		t.Fatal("empty channel has a series")
 	}
@@ -237,8 +237,8 @@ func TestRingSeries(t *testing.T) {
 
 func TestSeriesGapRateLimit(t *testing.T) {
 	r := New(Options{SeriesCap: 16, SeriesGap: 100})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 0, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 	r.OnAdmit(idx, 0, 100, 100)   // sampled (first)
 	r.OnAdmit(idx, 50, 100, 200)  // suppressed: within gap
 	r.OnAdmit(idx, 100, 100, 300) // sampled
@@ -255,15 +255,15 @@ func TestSeriesGapRateLimit(t *testing.T) {
 
 func TestReportAndJSONRoundTrip(t *testing.T) {
 	r := New(Options{SeriesCap: 8, SeriesGap: 1})
-	twoNodeLayout(r, 2)
-	idx := r.ChannelIndex(1, 0, 1)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 0)
 	r.OnTx(idx, 1500)
 	r.OnAdmit(idx, 10, 1500, 1500)
 	r.OnRelease(idx, 20, 1500, 0)
 	r.OnFeedback(idx, 30, FeedbackStage, 1, 64)
 
 	rep := r.Report(1000)
-	if rep.At != 1000 || rep.Priorities != 2 {
+	if rep.At != 1000 {
 		t.Errorf("report header = %+v", rep)
 	}
 	// Idle channels are skipped.
@@ -271,7 +271,7 @@ func TestReportAndJSONRoundTrip(t *testing.T) {
 		t.Fatalf("channels = %d, want 1", len(rep.Channels))
 	}
 	c := rep.Channels[0]
-	if c.Node != "s1" || c.Port != 0 || c.Prio != 1 || c.From != "h0" {
+	if c.Node != "s1" || c.Port != 0 || c.From != "h0" {
 		t.Errorf("channel identity = %+v", c)
 	}
 	if c.Occupancy == nil || len(c.Occupancy.T) != 2 {
@@ -296,8 +296,8 @@ func TestReportAndJSONRoundTrip(t *testing.T) {
 
 func TestReportCSV(t *testing.T) {
 	r := New(Options{})
-	twoNodeLayout(r, 1)
-	idx := r.ChannelIndex(1, 1, 0)
+	twoNodeLayout(r)
+	idx := r.ChannelIndex(1, 1)
 	r.OnAdmit(idx, 10, 1500, 1500)
 	rows := r.Report(0).CSVRecords()
 	if len(rows) != 1 {

@@ -20,12 +20,9 @@ const hostBuffer = 1 << 40 * units.Byte
 type Config struct {
 	// MTU is the maximum packet size; default 1500 B (Ethernet).
 	MTU units.Size
-	// BufferSize is the per-ingress-port, per-priority buffer of every
-	// switch. Required.
+	// BufferSize is the per-ingress-port buffer of every switch (the
+	// paper's experiments use a single lossless class). Required.
 	BufferSize units.Size
-	// Priorities is the number of priority classes; default 1 (the
-	// paper's experiments use a single lossless class).
-	Priorities int
 	// ProcDelay is the feedback-message processing time t_r; default
 	// 3 µs (§5.4).
 	ProcDelay units.Time
@@ -34,8 +31,8 @@ type Config struct {
 	// equation (6). The testbed experiments set 90 µs to reflect
 	// software switching.
 	Tau units.Time
-	// FlowControl builds the controller for every channel direction and
-	// priority. Required.
+	// FlowControl builds the controller for every channel direction.
+	// Required.
 	FlowControl flowcontrol.Factory
 	// ECNThreshold enables DCQCN-style marking: packets enqueued to an
 	// egress queue holding at least this many bytes are ECN-marked.
@@ -75,13 +72,6 @@ type Config struct {
 	// JitterSeed seeds the jitter source; runs are reproducible per
 	// seed.
 	JitterSeed int64
-	// Escalation, when non-nil, may raise a packet's priority class at
-	// switch admission — the hop-by-hop priority-increase family of
-	// deadlock avoidance schemes the paper's related work surveys
-	// (virtual channels, dateline routing, Tagger). It is called before
-	// ingress accounting; returning the current priority is a no-op,
-	// and lowering or exceeding Priorities-1 panics (a scheme bug).
-	Escalation func(pkt *Packet, at topology.NodeID) int
 	// Trace receives observation callbacks; may be nil.
 	Trace *Trace
 	// Metrics, when non-nil, is bound to this network at construction and
@@ -110,9 +100,6 @@ func (c *Config) FillDefaults() {
 	if c.MTU == 0 {
 		c.MTU = 1500 * units.Byte
 	}
-	if c.Priorities == 0 {
-		c.Priorities = 1
-	}
 	if c.ProcDelay == 0 {
 		c.ProcDelay = 3 * units.Microsecond
 	}
@@ -127,8 +114,8 @@ func (c *Config) FillDefaults() {
 	}
 }
 
-// ingressBuffer is the per-priority ingress allocation of a port on a node of
-// the given kind.
+// ingressBuffer is the ingress allocation of a port on a node of the given
+// kind.
 func (c *Config) ingressBuffer(kind topology.Kind) units.Size {
 	if kind == topology.Host {
 		return hostBuffer
@@ -148,8 +135,8 @@ func (c *Config) ChannelTau(l *topology.Link) units.Time {
 
 // ChannelParams are the flow-control parameters of the channel over link l
 // into a node of the given kind — what New hands the FlowControl factory for
-// each priority of that channel, and what any other model of the same network
-// must resolve thresholds from. c must be default-filled.
+// that channel, and what any other model of the same network must resolve
+// thresholds from. c must be default-filled.
 func (c *Config) ChannelParams(l *topology.Link, kind topology.Kind) flowcontrol.Params {
 	return flowcontrol.Params{
 		Capacity: l.Capacity,
@@ -165,9 +152,6 @@ func (c *Config) validate() error {
 	}
 	if c.FlowControl == nil {
 		return fmt.Errorf("netsim: FlowControl factory is required")
-	}
-	if c.Priorities < 1 || c.Priorities > 8 {
-		return fmt.Errorf("netsim: Priorities %d outside [1,8]", c.Priorities)
 	}
 	if c.FlowQueues < 0 || c.FlowQueues > 64 {
 		return fmt.Errorf("netsim: FlowQueues %d outside [0,64]", c.FlowQueues)
@@ -185,8 +169,8 @@ const (
 	// FIFO ingress ring per input port, served round-robin by the
 	// forwarding path, with head-of-line blocking — a packet whose
 	// egress cannot transmit blocks everything behind it on the same
-	// input and priority. This is the discipline under which PFC/CBFC
-	// deadlock exactly as the paper reports, and it is the default.
+	// input. This is the discipline under which PFC/CBFC deadlock exactly
+	// as the paper reports, and it is the default.
 	SchedInputQueued Scheduling = iota
 	// SchedFIFO is a simple output-queued switch: each egress transmits
 	// in arrival order across all inputs. Under sustained

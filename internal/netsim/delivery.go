@@ -9,7 +9,7 @@ import (
 // This file is the wire half of the simulator: transmission completion at
 // the sending port and admission at the receiving node. Both run on
 // pre-bound callbacks — the in-flight transmission lives in the port's
-// txPkt/txPrio/txDur slots (a port serialises transmissions via busy), and
+// txPkt/txDur slots (a port serialises transmissions via busy), and
 // packets propagating on a channel sit in the receiving port's FIFO, popped
 // in order because a link's arrivals cannot overtake one another. Every
 // arrival is its own event: scheduled After the link's constant delay it
@@ -20,11 +20,11 @@ import (
 // control, releases ingress accounting at the transmitting switch,
 // propagates the packet and restarts the transmitter.
 func (n *Network) completeTx(p *port) {
-	pkt, prio, dur := p.txPkt, int(p.txPrio), p.txDur
+	pkt, dur := p.txPkt, p.txDur
 	p.txPkt = nil
 	now := n.eng.Now()
 	p.busy = false
-	n.senders[p.cb+prio].OnSent(pkt.Size, dur)
+	n.senders[p.cb].OnSent(pkt.Size, dur)
 	nd := p.owner
 	n.cfg.Trace.transmit(now, nd.id, p.local, pkt)
 
@@ -32,10 +32,10 @@ func (n *Network) completeTx(p *port) {
 	case topology.Switch:
 		// The packet leaves this switch: release the ingress buffer
 		// of the port it arrived on.
-		ch := n.channel(nd, pkt.arrivalPort, prio)
+		ch := nd.cb + pkt.arrivalPort
 		n.occupancy[ch] -= pkt.Size
 		n.progress[ch].lastDepart = now
-		n.cfg.Trace.queue(now, nd.id, pkt.arrivalPort, prio, n.occupancy[ch])
+		n.cfg.Trace.queue(now, nd.id, pkt.arrivalPort, n.occupancy[ch])
 		if reg := n.metrics; reg != nil {
 			reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
 		}
@@ -53,7 +53,7 @@ func (n *Network) completeTx(p *port) {
 
 	rp := p.peer
 	if reg := n.metrics; reg != nil {
-		reg.OnTx(rp.cb+prio, pkt.Size)
+		reg.OnTx(rp.cb, pkt.Size)
 	}
 	rp.pushInFlight(pkt)
 	n.eng.After(p.delay, rp.arriveFn)
@@ -73,7 +73,7 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 		if reg := n.metrics; reg != nil {
 			// Hosts consume on arrival; account the delivery with a
 			// permanently empty ingress.
-			reg.OnAdmit(ing.cb+pkt.Priority, now, pkt.Size, 0)
+			reg.OnAdmit(ing.cb, now, pkt.Size, 0)
 		}
 		n.cfg.Trace.deliver(now, f, pkt)
 		if f.OnPacket != nil {
@@ -89,16 +89,7 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 		return
 	}
 
-	if n.cfg.Escalation != nil {
-		np := n.cfg.Escalation(pkt, nd.id)
-		if np < pkt.Priority || np >= n.cfg.Priorities {
-			panic(fmt.Sprintf("netsim: escalation moved priority %d -> %d (classes: %d) at t=%v event=%d",
-				pkt.Priority, np, n.cfg.Priorities, now, n.eng.Fired()))
-		}
-		pkt.Priority = np
-	}
-	prio := pkt.Priority
-	ch := ing.cb + prio
+	ch := ing.cb
 	occ := n.occupancy[ch] + pkt.Size
 	if occ > ing.buffer {
 		// A lossless fabric must never get here; record and drop.
@@ -113,7 +104,7 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 		n.progress[ch].occupiedSince = now
 	}
 	n.occupancy[ch] = occ
-	n.cfg.Trace.queue(now, nd.id, idx, prio, occ)
+	n.cfg.Trace.queue(now, nd.id, idx, occ)
 	if reg := n.metrics; reg != nil {
 		reg.OnAdmit(ch, now, pkt.Size, occ)
 	}
@@ -144,7 +135,7 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		if n.pushInq(nd, idx, prio, pkt) {
+		if n.pushInq(nd, idx, pkt) {
 			n.kick(out)
 		}
 		return
@@ -154,11 +145,11 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		n.pushInq(nd, idx, prio, pkt)
-		n.forward(nd, prio)
+		n.pushInq(nd, idx, pkt)
+		n.forward(nd)
 		return
 	}
-	if n.cfg.ECNThreshold > 0 && n.queuedBytes[out.cb+prio] >= n.cfg.ECNThreshold {
+	if n.cfg.ECNThreshold > 0 && n.queuedBytes[out.cb] >= n.cfg.ECNThreshold {
 		pkt.ECN = true
 	}
 	n.enqueue(out, pkt)

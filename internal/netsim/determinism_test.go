@@ -28,8 +28,8 @@ func traceHash(t testing.TB, flowSize units.Size) uint64 {
 	}
 	cfg := baseConfig(gfcFactory())
 	cfg.Trace = &Trace{
-		OnQueue: func(at units.Time, node topology.NodeID, port, prio int, q units.Size) {
-			mix(1, uint64(at), uint64(node), uint64(port), uint64(prio), uint64(q))
+		OnQueue: func(at units.Time, node topology.NodeID, port int, q units.Size) {
+			mix(1, uint64(at), uint64(node), uint64(port), uint64(q))
 		},
 		OnArrival: func(at units.Time, node topology.NodeID, pkt *Packet) {
 			mix(2, uint64(at), uint64(node), uint64(pkt.Flow.ID), uint64(pkt.Seq))
@@ -40,8 +40,8 @@ func traceHash(t testing.TB, flowSize units.Size) uint64 {
 		OnDeliver: func(at units.Time, f *Flow, pkt *Packet) {
 			mix(4, uint64(at), uint64(f.ID), uint64(pkt.Seq))
 		},
-		OnFeedback: func(at units.Time, from, to topology.NodeID, prio int, wire units.Size) {
-			mix(5, uint64(at), uint64(from), uint64(to), uint64(prio), uint64(wire))
+		OnFeedback: func(at units.Time, from, to topology.NodeID, wire units.Size) {
+			mix(5, uint64(at), uint64(from), uint64(to), uint64(wire))
 		},
 	}
 	topo := topology.TwoToOne(topology.DefaultLinkParams())

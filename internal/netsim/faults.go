@@ -86,7 +86,7 @@ func (n *Network) SetLinkAdminState(id topology.LinkID, down bool) {
 		if nd.kind != topology.Switch {
 			continue
 		}
-		for ch := nd.cb; ch < nd.cb+len(nd.ports)*n.cfg.Priorities; ch++ {
+		for ch := nd.cb; ch < nd.cb+len(nd.ports); ch++ {
 			if n.occupancy[ch] > 0 {
 				n.progress[ch].occupiedSince = now
 			}

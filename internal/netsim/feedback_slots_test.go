@@ -18,7 +18,6 @@ import (
 type delivery struct {
 	at       units.Time
 	from, to topology.NodeID
-	prio     int
 	m        flowcontrol.Message
 }
 
@@ -41,10 +40,10 @@ func (e emitTap) Emit(m flowcontrol.Message) {
 		at += units.Time(e.jitter.Int63n(int64(n.cfg.FeedbackJitter)))
 	}
 	if e.twin != nil {
-		_, extra := e.twin.FeedbackVerdict(e.down.link.ID, e.down.owner.id, e.prio, m.Kind, now)
+		_, extra := e.twin.FeedbackVerdict(e.down.link.ID, e.down.owner.id, m.Kind, now)
 		at += extra
 	}
-	*e.want = append(*e.want, delivery{at, e.down.owner.id, e.up.owner.id, e.prio, m})
+	*e.want = append(*e.want, delivery{at, e.down.owner.id, e.up.owner.id, m})
 	e.fcEnv.Emit(m)
 }
 
@@ -86,8 +85,8 @@ func TestFeedbackSlotsUnderReordering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetFeedbackObserver(func(from, to topology.NodeID, prio int, m flowcontrol.Message) {
-			got = append(got, delivery{n.Now(), from, to, prio, m})
+		n.SetFeedbackObserver(func(from, to topology.NodeID, m flowcontrol.Message) {
+			got = append(got, delivery{n.Now(), from, to, m})
 		})
 		for i, pair := range [][2]string{{"H1", "H2"}, {"H2", "H3"}, {"H3", "H1"}} {
 			if err := n.AddFlow(spfFlow(t, topo, i+1, pair[0], pair[1], 0), 0); err != nil {

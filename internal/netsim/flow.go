@@ -25,8 +25,7 @@ type Flow struct {
 	// Size is the total bytes to transfer; 0 means unbounded (the flow
 	// never completes), the paper's "hosts generate packets at line
 	// rate" workload.
-	Size     units.Size
-	Priority int
+	Size units.Size
 	// Path is the source route; stamped on every packet.
 	Path []routing.Hop
 	// Pacer optionally rate-limits the flow at the source (DCQCN).

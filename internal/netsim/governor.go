@@ -147,7 +147,6 @@ func (c PacketCensus) Total() int {
 type ChannelDump struct {
 	Node string `json:"node"`
 	Port int    `json:"port"`
-	Prio int    `json:"prio"`
 
 	Occupancy   units.Size `json:"occupancy"`
 	QueuedBytes units.Size `json:"queued_bytes"`
@@ -190,7 +189,7 @@ type Snapshot struct {
 	Packets   PacketCensus `json:"packets"`
 
 	// Channels lists the non-idle channels (occupied ingress or backlogged
-	// egress), ordered by (node, port, priority) and capped at
+	// egress), ordered by (node, port) and capped at
 	// maxSnapshotChannels; ChannelsTruncated counts the omitted ones and
 	// ChannelsNonIdle the fabric-wide total, so a capped dump is never
 	// misread as the complete picture.
@@ -209,8 +208,8 @@ func (s *Snapshot) String() string {
 	fmt.Fprintf(&b, "  live packets: %d (ingress %d, egress %d, transmitting %d, on wire %d)\n",
 		c.Total(), c.InputQueued, c.EgressQueued, c.Transmitting, c.OnWire)
 	for _, ch := range s.Channels {
-		fmt.Fprintf(&b, "  %s port %d prio %d: occupancy=%v queued=%v rate=%v",
-			ch.Node, ch.Port, ch.Prio, ch.Occupancy, ch.QueuedBytes, ch.Rate)
+		fmt.Fprintf(&b, "  %s port %d: occupancy=%v queued=%v rate=%v",
+			ch.Node, ch.Port, ch.Occupancy, ch.QueuedBytes, ch.Rate)
 		if ch.HighWater > 0 {
 			fmt.Fprintf(&b, " highwater=%v", ch.HighWater)
 		}
@@ -244,38 +243,36 @@ func (n *Network) Snapshot() *Snapshot {
 				s.Packets.Transmitting++
 			}
 			s.Packets.OnWire += p.prop.len()
-			for prio := 0; prio < n.cfg.Priorities; prio++ {
-				ch := p.cb + prio
-				s.Packets.InputQueued += n.inq[ch].len()
-				for i := 0; i < p.slots; i++ {
-					s.Packets.EgressQueued += n.voqs[p.voqBase+prio*p.slots+i].len()
-				}
-				occ := n.occupancy[ch]
-				queued := n.queuedBytes[ch]
-				if occ == 0 && queued == 0 {
-					continue
-				}
-				s.ChannelsNonIdle++
-				if len(s.Channels) >= maxSnapshotChannels {
-					s.ChannelsTruncated++
-					continue
-				}
-				dump := ChannelDump{
-					Node: n.topo.Node(nd.id).Name, Port: p.local, Prio: prio,
-					Occupancy: occ, QueuedBytes: queued,
-					LastStage: -1, MaxStage: -1,
-				}
-				if snd := n.senders[ch]; snd != nil {
-					dump.Rate = snd.Rate()
-				}
-				if reg := n.metrics; reg != nil {
-					c := reg.Counter(ch)
-					dump.HighWater = c.HighWater
-					dump.LastStage = c.LastStage
-					dump.MaxStage = c.MaxStage
-				}
-				s.Channels = append(s.Channels, dump)
+			ch := p.cb
+			s.Packets.InputQueued += n.inq[ch].len()
+			for i := 0; i < p.slots; i++ {
+				s.Packets.EgressQueued += n.voqs[p.voqBase+i].len()
 			}
+			occ := n.occupancy[ch]
+			queued := n.queuedBytes[ch]
+			if occ == 0 && queued == 0 {
+				continue
+			}
+			s.ChannelsNonIdle++
+			if len(s.Channels) >= maxSnapshotChannels {
+				s.ChannelsTruncated++
+				continue
+			}
+			dump := ChannelDump{
+				Node: n.topo.Node(nd.id).Name, Port: p.local,
+				Occupancy: occ, QueuedBytes: queued,
+				LastStage: -1, MaxStage: -1,
+			}
+			if snd := n.senders[ch]; snd != nil {
+				dump.Rate = snd.Rate()
+			}
+			if reg := n.metrics; reg != nil {
+				c := reg.Counter(ch)
+				dump.HighWater = c.HighWater
+				dump.LastStage = c.LastStage
+				dump.MaxStage = c.MaxStage
+			}
+			s.Channels = append(s.Channels, dump)
 		}
 	}
 	return s

@@ -199,7 +199,7 @@ func TestSnapshotCensusAndMetrics(t *testing.T) {
 			sawHighWater = true
 		}
 		if ch.Occupancy == 0 && ch.QueuedBytes == 0 {
-			t.Fatalf("idle channel %s/%d/%d in snapshot", ch.Node, ch.Port, ch.Prio)
+			t.Fatalf("idle channel %s/%d in snapshot", ch.Node, ch.Port)
 		}
 	}
 	if !sawHighWater {

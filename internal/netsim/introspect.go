@@ -11,7 +11,6 @@ import (
 // buffers its queued packets must enter next.
 type IngressState struct {
 	Node topology.NodeID // switch holding the buffer
-	Prio int
 	From topology.NodeID // upstream end of the channel
 
 	// Occupancy is the current buffer occupancy.
@@ -46,8 +45,8 @@ type Wait struct {
 }
 
 // AppendIngressStates appends a snapshot of every switch ingress buffer,
-// ordered (node, port, priority), to dst and returns it. A state written into
-// dst's spare capacity reuses the Waits array of the element it replaces, so
+// ordered (node, port), to dst and returns it. A state written into dst's
+// spare capacity reuses the Waits array of the element it replaces, so
 // passing the previous snapshot as dst[:0] polls without allocating.
 func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 	for _, nd := range n.nodes {
@@ -59,56 +58,53 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 			if p.failed {
 				continue
 			}
-			for prio := 0; prio < n.cfg.Priorities; prio++ {
-				ch := p.cb + prio
-				if len(dst) < cap(dst) {
-					dst = dst[:len(dst)+1]
-				} else {
-					dst = append(dst, IngressState{})
+			ch := p.cb
+			if len(dst) < cap(dst) {
+				dst = dst[:len(dst)+1]
+			} else {
+				dst = append(dst, IngressState{})
+			}
+			is := &dst[len(dst)-1]
+			*is = IngressState{
+				Node:          nd.id,
+				From:          p.peer.owner.id,
+				Occupancy:     n.occupancy[ch],
+				LastDepartAt:  n.progress[ch].lastDepart,
+				OccupiedSince: n.progress[ch].occupiedSince,
+				Waits:         is.Waits[:0],
+			}
+			if is.Occupancy == 0 {
+				continue
+			}
+			addWait := func(eg *port) {
+				is.Waits = append(is.Waits, Wait{eg.peer.owner.id, n.egressRate(eg), eg.adminDown})
+			}
+			switch n.cfg.Scheduling {
+			case SchedInputQueued:
+				if out := n.inqOut[ch]; out >= 0 {
+					addWait(&nd.ports[out])
 				}
-				is := &dst[len(dst)-1]
-				*is = IngressState{
-					Node: nd.id, Prio: prio,
-					From:          p.peer.owner.id,
-					Occupancy:     n.occupancy[ch],
-					LastDepartAt:  n.progress[ch].lastDepart,
-					OccupiedSince: n.progress[ch].occupiedSince,
-					Waits:         is.Waits[:0],
+			case SchedBlocking:
+				// Backlog already in TX rings waits on those
+				// rings' peers; packets still in the ingress
+				// FIFO wait on whatever the forwarding core is
+				// stalled on (or on their own head's egress).
+				for e := range nd.ports {
+					if eg := &nd.ports[e]; n.fedBytes[eg.fedBase+p.local] > 0 {
+						addWait(eg)
+					}
 				}
-				if is.Occupancy == 0 {
-					continue
-				}
-				addWait := func(eg *port) {
-					is.Waits = append(is.Waits, Wait{eg.peer.owner.id, n.egressRate(eg, prio), eg.adminDown})
-				}
-				switch n.cfg.Scheduling {
-				case SchedInputQueued:
-					if out := n.inqOut[ch]; out >= 0 {
+				if out := n.inqOut[ch]; out >= 0 {
+					if b := n.fwdBlocked[nd.id]; b != nil {
+						addWait(b)
+					} else {
 						addWait(&nd.ports[out])
 					}
-				case SchedBlocking:
-					// Backlog already in TX rings waits on
-					// those rings' peers; packets still in
-					// the ingress FIFO wait on whatever the
-					// forwarding core is stalled on (or on
-					// their own head's egress).
-					for e := range nd.ports {
-						if eg := &nd.ports[e]; n.fedBytes[eg.fedBase+prio*len(nd.ports)+p.local] > 0 {
-							addWait(eg)
-						}
-					}
-					if out := n.inqOut[ch]; out >= 0 {
-						if b := n.fwdBlocked[nd.nb+prio]; b != nil {
-							addWait(b)
-						} else {
-							addWait(&nd.ports[out])
-						}
-					}
-				default:
-					for e := range nd.ports {
-						if eg := &nd.ports[e]; n.fedBytes[eg.fedBase+prio*len(nd.ports)+p.local] > 0 {
-							addWait(eg)
-						}
+				}
+			default:
+				for e := range nd.ports {
+					if eg := &nd.ports[e]; n.fedBytes[eg.fedBase+p.local] > 0 {
+						addWait(eg)
 					}
 				}
 			}
@@ -118,20 +114,20 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 }
 
 // egressRate reports the effective flow-control permitted rate of egress
-// channel p/prio. For channel-scoped schemes this is the sender's Rate().
+// channel p. For channel-scoped schemes this is the sender's Rate().
 // For per-flow-queue schemes (FlowQueues > 0) the channel-level Rate() stays
 // at capacity while any queue is unpaused, which would hide a stall whose
 // entire backlog sits in paused queues — so here the backlogged queues are
 // probed: any sendable backlog means line rate, all-paused backlog means 0,
 // and an idle channel falls back to Rate().
-func (n *Network) egressRate(p *port, prio int) units.Rate {
-	s := n.senders[p.cb+prio]
+func (n *Network) egressRate(p *port) units.Rate {
+	s := n.senders[p.cb]
 	if s == nil {
 		return 0
 	}
 	if n.fq > 0 {
-		if qs := n.queueSenders[p.cb+prio]; qs != nil {
-			base := p.voqBase + prio*p.slots
+		if qs := n.queueSenders[p.cb]; qs != nil {
+			base := p.voqBase
 			backlogged := false
 			for i := 0; i < p.slots; i++ {
 				if q := &n.voqs[base+i]; !q.empty() {
@@ -147,44 +143,6 @@ func (n *Network) egressRate(p *port, prio int) units.Rate {
 		}
 	}
 	return s.Rate()
-}
-
-// DropIngressHead forcibly removes the head packet of the given ingress
-// FIFO (SchedInputQueued only), releasing its buffer accounting as if it
-// had departed. This is the primitive deadlock *recovery* schemes use —
-// and the losslessness violation the paper criticises them for: the packet
-// is counted as a drop. Returns false when there is no such packet.
-func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool {
-	if n.cfg.Scheduling != SchedInputQueued {
-		return false
-	}
-	nd := n.nodes[node]
-	if nd.kind != topology.Switch || portIdx >= len(nd.ports) {
-		return false
-	}
-	ch := n.channel(nd, portIdx, prio)
-	if n.inq[ch].empty() {
-		return false
-	}
-	pkt := n.popInq(nd, portIdx, prio)
-	n.occupancy[ch] -= pkt.Size
-	n.drops++
-	now := n.eng.Now()
-	n.progress[ch].lastDepart = now
-	n.cfg.Trace.queue(now, node, portIdx, prio, n.occupancy[ch])
-	if reg := n.metrics; reg != nil {
-		reg.OnDrop(ch, now, pkt.Size, n.occupancy[ch]+pkt.Size)
-		reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
-	}
-	if r := n.receivers[ch]; r != nil {
-		r.OnDeparture(pkt.Size, n.occupancy[ch])
-	}
-	n.recyclePacket(pkt)
-	// The freed head may expose a packet for an idle egress.
-	if out := n.inqOut[ch]; out >= 0 {
-		n.kick(&nd.ports[out])
-	}
-	return true
 }
 
 // TotalDelivered reports the sum of bytes delivered across all flows.

@@ -8,10 +8,9 @@ import (
 // TestPortLayout pins the cache-line split port's comment promises: every
 // field an arrival, a transmission completion or a kick touches ends inside
 // the leading 128 bytes, the receiving-side fields inside the first 64, and a
-// port is a whole number of lines no larger than it was before the split
-// (280 B), so ports in the arena never share or straddle a line. A field
-// added in the wrong place fails here instead of silently pushing the hot
-// ones out.
+// port is exactly three lines (192 B), so ports in the arena never share or
+// straddle a line. A field added in the wrong place fails here instead of
+// silently pushing the hot ones out or growing the port to a fourth line.
 func TestPortLayout(t *testing.T) {
 	var p port
 	end := func(off, size uintptr) uintptr { return off + size }
@@ -33,8 +32,6 @@ func TestPortLayout(t *testing.T) {
 		"adminDown": end(unsafe.Offsetof(p.adminDown), unsafe.Sizeof(p.adminDown)),
 		"failed":    end(unsafe.Offsetof(p.failed), unsafe.Sizeof(p.failed)),
 		"sched":     end(unsafe.Offsetof(p.sched), unsafe.Sizeof(p.sched)),
-		"txPrio":    end(unsafe.Offsetof(p.txPrio), unsafe.Sizeof(p.txPrio)),
-		"rr":        end(unsafe.Offsetof(p.rr), unsafe.Sizeof(p.rr)),
 		"txPkt":     end(unsafe.Offsetof(p.txPkt), unsafe.Sizeof(p.txPkt)),
 		"txDur":     end(unsafe.Offsetof(p.txDur), unsafe.Sizeof(p.txDur)),
 		"txDoneFn":  end(unsafe.Offsetof(p.txDoneFn), unsafe.Sizeof(p.txDoneFn)),
@@ -47,7 +44,7 @@ func TestPortLayout(t *testing.T) {
 			t.Errorf("port.%s ends at byte %d, outside the transmitter's cache line (64, 128]", name, e)
 		}
 	}
-	if size := unsafe.Sizeof(p); size > 280 || size%64 != 0 {
-		t.Errorf("port is %d bytes; want a multiple of 64 no larger than 280", size)
+	if size := unsafe.Sizeof(p); size != 192 {
+		t.Errorf("port is %d bytes; want 192 (three cache lines)", size)
 	}
 }

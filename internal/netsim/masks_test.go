@@ -20,11 +20,11 @@ import (
 // refNextFromInputs is the linear scan nextFromInputs replaced: walk the
 // owner's inputs from the cursor; the first whose FIFO head is bound for p is
 // the only candidate, and flow control's verdict on it is final.
-func refNextFromInputs(n *Network, p *port, prio int) (*Packet, int, units.Time) {
+func refNextFromInputs(n *Network, p *port) (*Packet, int, units.Time) {
 	ports := p.owner.ports
 	for j := 0; j < len(ports); j++ {
-		in := &ports[(int(n.rrVoq[p.cb+prio])+j)%len(ports)]
-		q := &n.inq[in.cb+prio]
+		in := &ports[(int(n.rrVoq[p.cb])+j)%len(ports)]
+		q := &n.inq[in.cb]
 		if q.empty() {
 			continue
 		}
@@ -32,7 +32,7 @@ func refNextFromInputs(n *Network, p *port, prio int) (*Packet, int, units.Time)
 		if head.Path[head.hop].Port != p.local {
 			continue // head-of-line: only the head is eligible
 		}
-		ok, wake := n.senders[p.cb+prio].TrySend(head.Size)
+		ok, wake := n.senders[p.cb].TrySend(head.Size)
 		if !ok {
 			return nil, -1, wake
 		}
@@ -43,10 +43,10 @@ func refNextFromInputs(n *Network, p *port, prio int) (*Packet, int, units.Time)
 
 // refNextIngress is the forwarding core's linear scan: the first non-empty
 // ingress FIFO from the cursor.
-func refNextIngress(n *Network, nd *node, prio int) int {
+func refNextIngress(n *Network, nd *node) int {
 	for j := 0; j < len(nd.ports); j++ {
-		c := &nd.ports[(int(n.fwdCursor[nd.nb+prio])+j)%len(nd.ports)]
-		if !n.inq[c.cb+prio].empty() {
+		c := &nd.ports[(int(n.fwdCursor[nd.id])+j)%len(nd.ports)]
+		if !n.inq[c.cb].empty() {
 			return c.local
 		}
 	}
@@ -54,10 +54,10 @@ func refNextIngress(n *Network, nd *node, prio int) int {
 }
 
 // refNextPacket is nextPacket's linear scan over the egress's queue slots.
-func refNextPacket(n *Network, p *port, prio int) (*Packet, int) {
-	base := p.voqBase + prio*p.slots
+func refNextPacket(n *Network, p *port) (*Packet, int) {
+	base := p.voqBase
 	for i := 0; i < p.slots; i++ {
-		k := (int(n.rrVoq[p.cb+prio]) + i) % p.slots
+		k := (int(n.rrVoq[p.cb]) + i) % p.slots
 		if v := &n.voqs[base+k]; !v.empty() {
 			return v.front(), k
 		}
@@ -67,12 +67,12 @@ func refNextPacket(n *Network, p *port, prio int) (*Packet, int) {
 
 // refNextQueued is nextQueued's linear scan: paused queues are skipped and
 // the earliest of their wakes is returned when nothing may send.
-func refNextQueued(n *Network, p *port, prio int) (*Packet, int, units.Time) {
-	qs := n.queueSenders[p.cb+prio]
-	base := p.voqBase + prio*p.slots
+func refNextQueued(n *Network, p *port) (*Packet, int, units.Time) {
+	qs := n.queueSenders[p.cb]
+	base := p.voqBase
 	minWake := units.Never
 	for i := 0; i < p.slots; i++ {
-		k := (int(n.rrVoq[p.cb+prio]) + i) % p.slots
+		k := (int(n.rrVoq[p.cb]) + i) % p.slots
 		v := &n.voqs[base+k]
 		if v.empty() {
 			continue
@@ -153,48 +153,48 @@ func boundFor(n *Network, nd *node, in, out int, seq int64) *Packet {
 // against the egress queue slots, and no bit beyond the candidates.
 func checkMasks(t *testing.T, n *Network, when string) {
 	t.Helper()
-	k := n.cfg.Priorities
 	for _, nd := range n.nodes {
-		for prio := 0; prio < k; prio++ {
-			want := make([]uint64, len(nd.ports)) // per egress: inputs whose head is bound for it
-			var busy uint64
-			for i := range nd.ports {
-				ch := n.channel(nd, i, prio)
-				if ch != nd.ports[i].cb+prio {
-					t.Fatalf("%s: node %d port %d: channel arithmetic %d != cb+prio %d", when, nd.id, i, ch, nd.ports[i].cb+prio)
-				}
-				q := &n.inq[ch]
-				if q.empty() {
-					if n.inqOut[ch] != -1 {
-						t.Fatalf("%s: node %d in %d prio %d: empty FIFO but inqOut=%d", when, nd.id, i, prio, n.inqOut[ch])
-					}
-					continue
-				}
-				head := q.front()
-				out := head.Path[head.hop].Port
-				if int(n.inqOut[ch]) != out {
-					t.Fatalf("%s: node %d in %d prio %d: head bound for %d but inqOut=%d", when, nd.id, i, prio, out, n.inqOut[ch])
-				}
-				busy |= 1 << uint(i)
-				want[out] |= 1 << uint(i)
+		want := make([]uint64, len(nd.ports)) // per egress: inputs whose head is bound for it
+		var busy uint64
+		for i := range nd.ports {
+			ch := nd.cb + i
+			if ch != nd.ports[i].cb {
+				t.Fatalf("%s: node %d port %d: channel arithmetic %d != cb %d", when, nd.id, i, ch, nd.ports[i].cb)
 			}
-			if got := n.inBusy[nd.nb+prio]; got != busy {
-				t.Fatalf("%s: node %d prio %d: inBusy %#x, FIFOs say %#x", when, nd.id, prio, got, busy)
+			if &n.ports[ch] != &nd.ports[i] {
+				t.Fatalf("%s: node %d port %d: cb %d is not its arena index", when, nd.id, i, ch)
 			}
-			for e := range nd.ports {
-				p := &nd.ports[e]
-				if got := n.inReady[p.cb+prio]; got != want[e] {
-					t.Fatalf("%s: node %d egress %d prio %d: inReady %#x, FIFO heads say %#x", when, nd.id, e, prio, got, want[e])
+			q := &n.inq[ch]
+			if q.empty() {
+				if n.inqOut[ch] != -1 {
+					t.Fatalf("%s: node %d in %d: empty FIFO but inqOut=%d", when, nd.id, i, n.inqOut[ch])
 				}
-				var slots uint64
-				for s := 0; s < p.slots; s++ {
-					if !n.voqs[p.voqBase+prio*p.slots+s].empty() {
-						slots |= 1 << uint(s)
-					}
+				continue
+			}
+			head := q.front()
+			out := head.Path[head.hop].Port
+			if int(n.inqOut[ch]) != out {
+				t.Fatalf("%s: node %d in %d: head bound for %d but inqOut=%d", when, nd.id, i, out, n.inqOut[ch])
+			}
+			busy |= 1 << uint(i)
+			want[out] |= 1 << uint(i)
+		}
+		if got := n.inBusy[nd.id]; got != busy {
+			t.Fatalf("%s: node %d: inBusy %#x, FIFOs say %#x", when, nd.id, got, busy)
+		}
+		for e := range nd.ports {
+			p := &nd.ports[e]
+			if got := n.inReady[p.cb]; got != want[e] {
+				t.Fatalf("%s: node %d egress %d: inReady %#x, FIFO heads say %#x", when, nd.id, e, got, want[e])
+			}
+			var slots uint64
+			for s := 0; s < p.slots; s++ {
+				if !n.voqs[p.voqBase+s].empty() {
+					slots |= 1 << uint(s)
 				}
-				if got := n.slotReady[p.cb+prio]; got != slots {
-					t.Fatalf("%s: node %d egress %d prio %d: slotReady %#x, queues say %#x", when, nd.id, e, prio, got, slots)
-				}
+			}
+			if got := n.slotReady[p.cb]; got != slots {
+				t.Fatalf("%s: node %d egress %d: slotReady %#x, queues say %#x", when, nd.id, e, got, slots)
 			}
 		}
 	}
@@ -252,13 +252,13 @@ func TestInputPicksMatchReferenceScan(t *testing.T) {
 				}
 				for depth := 1 + rng.Intn(3); depth > 0; depth-- {
 					seq++
-					n.pushInq(nd, in, 0, boundFor(n, nd, in, rng.Intn(radix), seq))
+					n.pushInq(nd, in, boundFor(n, nd, in, rng.Intn(radix), seq))
 				}
 			}
 			checkMasks(t, n, fmt.Sprintf("radix %d pattern %d filled", radix, pattern))
 			for cursor := 0; cursor < radix; cursor++ {
-				n.fwdCursor[nd.nb] = int32(cursor)
-				if got, want := n.nextIngress(nd, 0), refNextIngress(n, nd, 0); got != want {
+				n.fwdCursor[nd.id] = int32(cursor)
+				if got, want := n.nextIngress(nd), refNextIngress(n, nd); got != want {
 					t.Fatalf("radix %d cursor %d: nextIngress = %d, scan says %d", radix, cursor, got, want)
 				}
 				for e := range nd.ports {
@@ -267,10 +267,10 @@ func TestInputPicksMatchReferenceScan(t *testing.T) {
 					for _, refuse := range []bool{false, true} {
 						wake := units.Time(1000 + cursor)
 						stub.reset(refuse, wake)
-						wantPkt, wantIn, wantWake := refNextFromInputs(n, p, 0)
+						wantPkt, wantIn, wantWake := refNextFromInputs(n, p)
 						refCalls := stub.calls
 						stub.reset(refuse, wake)
-						gotPkt, gotIn, gotWake := n.nextFromInputs(p, 0)
+						gotPkt, gotIn, gotWake := n.nextFromInputs(p)
 						if gotPkt != wantPkt || gotIn != wantIn || gotWake != wantWake {
 							t.Fatalf("radix %d egress %d cursor %d refuse %v: nextFromInputs = (%v, %d, %v), scan says (%v, %d, %v)",
 								radix, e, cursor, refuse, gotPkt, gotIn, gotWake, wantPkt, wantIn, wantWake)
@@ -284,12 +284,12 @@ func TestInputPicksMatchReferenceScan(t *testing.T) {
 			}
 			// Drain in random input order through the helper.
 			for {
-				n.fwdCursor[nd.nb] = int32(rng.Intn(radix))
-				in := n.nextIngress(nd, 0)
+				n.fwdCursor[nd.id] = int32(rng.Intn(radix))
+				in := n.nextIngress(nd)
 				if in < 0 {
 					break
 				}
-				n.recyclePacket(n.popInq(nd, in, 0))
+				n.recyclePacket(n.popInq(nd, in))
 			}
 			checkMasks(t, n, fmt.Sprintf("radix %d pattern %d drained", radix, pattern))
 		}
@@ -318,19 +318,19 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 			checkMasks(t, n, fmt.Sprintf("voq radix %d pattern %d", radix, pattern))
 			for cursor := 0; cursor < radix; cursor++ {
 				n.rrVoq[p.cb] = int32(cursor)
-				gotPkt, gotSlot := n.nextPacket(p, 0)
-				wantPkt, wantSlot := refNextPacket(n, p, 0)
+				gotPkt, gotSlot := n.nextPacket(p)
+				wantPkt, wantSlot := refNextPacket(n, p)
 				if gotPkt != wantPkt || gotSlot != wantSlot {
 					t.Fatalf("voq radix %d cursor %d: nextPacket = (%v, %d), scan says (%v, %d)",
 						radix, cursor, gotPkt, gotSlot, wantPkt, wantSlot)
 				}
 			}
 			for {
-				_, slot := n.nextPacket(p, 0)
+				_, slot := n.nextPacket(p)
 				if slot < 0 {
 					break
 				}
-				n.recyclePacket(n.dequeue(p, 0, slot))
+				n.recyclePacket(n.dequeue(p, slot))
 			}
 			checkMasks(t, n, fmt.Sprintf("voq radix %d pattern %d drained", radix, pattern))
 		}
@@ -353,7 +353,7 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 			fill := rng.Float64()
 			for q := 0; q < queues; q++ {
 				if rng.Float64() >= fill {
-					n.recyclePacket(n.dequeue(p, 0, q))
+					n.recyclePacket(n.dequeue(p, q))
 				}
 				stub.paused[q] = rng.Intn(3) == 0
 				stub.wakes[q] = units.Never
@@ -364,8 +364,8 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 			checkMasks(t, n, fmt.Sprintf("bfc %d queues pattern %d", queues, pattern))
 			for cursor := 0; cursor < queues; cursor++ {
 				n.rrVoq[p.cb] = int32(cursor)
-				gotPkt, gotSlot, gotWake := n.nextQueued(p, 0)
-				wantPkt, wantSlot, wantWake := refNextQueued(n, p, 0)
+				gotPkt, gotSlot, gotWake := n.nextQueued(p)
+				wantPkt, wantSlot, wantWake := refNextQueued(n, p)
 				if gotPkt != wantPkt || gotSlot != wantSlot || gotWake != wantWake {
 					t.Fatalf("bfc %d queues cursor %d: nextQueued = (%v, %d, %v), scan says (%v, %d, %v)",
 						queues, cursor, gotPkt, gotSlot, gotWake, wantPkt, wantSlot, wantWake)
@@ -373,7 +373,7 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 			}
 			for q := 0; q < queues; q++ {
 				if !n.voqs[p.voqBase+q].empty() {
-					n.recyclePacket(n.dequeue(p, 0, q))
+					n.recyclePacket(n.dequeue(p, q))
 				}
 			}
 			checkMasks(t, n, fmt.Sprintf("bfc %d queues pattern %d drained", queues, pattern))
@@ -384,8 +384,8 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 // TestMasksTrackQueuesUnderTraffic runs seeded congested fat-trees under every
 // discipline — input-queued, blocking with a 2-packet TX ring that keeps the
 // forwarding core stalling, VOQ, and BFC's per-flow queues — takes a link
-// administratively down and up mid-run, force-drops ingress heads, and checks
-// checkMasks over the whole network every few hundred events.
+// administratively down and up mid-run and checks checkMasks over the whole
+// network every few hundred events.
 func TestMasksTrackQueuesUnderTraffic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -405,11 +405,6 @@ func TestMasksTrackQueuesUnderTraffic(t *testing.T) {
 		{"flow-queues", func() Config {
 			c := baseConfig(flowcontrol.NewBFCQueues(4))
 			c.FlowQueues = 4
-			return c
-		}},
-		{"input-queued-2prio", func() Config {
-			c := baseConfig(gfcFactory())
-			c.Priorities = 2
 			return c
 		}},
 	} {
@@ -435,30 +430,20 @@ func TestMasksTrackQueuesUnderTraffic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f := &Flow{ID: id, Src: src, Dst: dst, Path: path, Priority: id % n.cfg.Priorities}
+				f := &Flow{ID: id, Src: src, Dst: dst, Path: path}
 				if err := n.AddFlow(f, units.Time(rng.Intn(20))*units.Microsecond); err != nil {
 					t.Fatal(err)
 				}
 			}
 			flap := topo.LinkBetween(topo.MustLookup("E1"), topo.MustLookup("A1")).ID
 			eng := n.Engine()
-			dropped, stalls := 0, 0
+			stalls := 0
 			for events := 1; eng.Now() < 400*units.Microsecond && eng.Step(); events++ {
-				switch {
-				case events == 10000:
+				switch events {
+				case 10000:
 					n.SetLinkAdminState(flap, true)
-				case events == 20000:
+				case 20000:
 					n.SetLinkAdminState(flap, false)
-				case events%1500 == 0:
-					// Drop the head of a random occupied ingress FIFO
-					// (a no-op outside SchedInputQueued).
-					for _, sw := range topo.Switches() {
-						nd := n.nodes[sw]
-						in := rng.Intn(len(nd.ports))
-						if n.DropIngressHead(sw, in, rng.Intn(n.cfg.Priorities)) {
-							dropped++
-						}
-					}
 				}
 				if events%300 == 0 {
 					checkMasks(t, n, fmt.Sprintf("%s after %d events", tc.name, events))
@@ -476,14 +461,11 @@ func TestMasksTrackQueuesUnderTraffic(t *testing.T) {
 			if n.TotalDelivered() == 0 {
 				t.Fatal("nothing delivered")
 			}
-			if n.cfg.Scheduling == SchedInputQueued && dropped == 0 {
-				t.Fatal("DropIngressHead never hit an occupied FIFO")
-			}
 			if n.cfg.Scheduling == SchedBlocking && stalls == 0 {
 				t.Fatal("the forwarding core never stalled on a full TX ring")
 			}
-			if got := n.Drops(); got != int64(dropped) {
-				t.Fatalf("%d drops recorded, %d forced", got, dropped)
+			if got := n.Drops(); got != 0 {
+				t.Fatalf("%d drops on a lossless fabric", got)
 			}
 		})
 	}

@@ -18,7 +18,7 @@ func runCongested(t *testing.T, reg *metrics.Registry) (*Network, units.Size) {
 	cfg.Metrics = reg
 	var feedback units.Size
 	cfg.Trace = &Trace{
-		OnFeedback: func(_ units.Time, _, _ topology.NodeID, _ int, wire units.Size) { feedback += wire },
+		OnFeedback: func(_ units.Time, _, _ topology.NodeID, wire units.Size) { feedback += wire },
 	}
 	n, err := New(topo, cfg)
 	if err != nil {
@@ -58,7 +58,7 @@ func TestMetricsIntegration(t *testing.T) {
 	// The congested switch ingress must have queued, stayed within its
 	// buffer, recorded progress, and produced an occupancy series.
 	sw, h1 := n.Topology().MustLookup("S1"), n.Topology().MustLookup("H1")
-	idx := reg.ChannelIndex(sw, n.PortFor(sw, h1), 0)
+	idx := reg.ChannelIndex(sw, n.Topology().LinkBetween(sw, h1).PortOn(sw))
 	c := reg.Counter(idx)
 	if c.BytesIn == 0 || c.Departed == 0 || c.Admits == 0 {
 		t.Fatalf("switch ingress counters empty: %+v", c)
@@ -111,7 +111,7 @@ func TestMetricsSeededViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw, h1 := topo.MustLookup("S1"), topo.MustLookup("H1")
-	idx := reg.ChannelIndex(sw, n.PortFor(sw, h1), 0)
+	idx := reg.ChannelIndex(sw, n.Topology().LinkBetween(sw, h1).PortOn(sw))
 	reg.SetCeiling(idx, 2*units.KB) // far below what 2:1 congestion queues
 	for i, src := range []string{"H1", "H2"} {
 		if err := n.AddFlow(spfFlow(t, topo, i+1, src, "H3", 0), 0); err != nil {

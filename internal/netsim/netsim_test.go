@@ -156,7 +156,7 @@ func TestGFCQueueStabilises(t *testing.T) {
 	cfg := baseConfig(gfcFactory())
 	var maxQ units.Size
 	cfg.Trace = &Trace{
-		OnQueue: func(_ units.Time, node topology.NodeID, _, _ int, q units.Size) {
+		OnQueue: func(_ units.Time, node topology.NodeID, _ int, q units.Size) {
 			if topo.Node(node).Kind == topology.Switch && q > maxQ {
 				maxQ = q
 			}
@@ -180,7 +180,7 @@ func TestGFCQueueStabilises(t *testing.T) {
 	}
 	// Upstream host senders must never be at rate 0 now.
 	h1 := topo.MustLookup("H1")
-	if r := n.SenderRate(h1, 0, 0); r <= 0 {
+	if r := n.SenderRate(h1, 0); r <= 0 {
 		t.Fatalf("H1 sender rate %v — hold and wait", r)
 	}
 }
@@ -203,7 +203,7 @@ func TestPFCPausesUpstream(t *testing.T) {
 	for i := 0; i < 2000 && !sawPause; i++ {
 		n.Run(n.Now() + 10*units.Microsecond)
 		h1 := topo.MustLookup("H1")
-		if n.SenderRate(h1, 0, 0) == 0 {
+		if n.SenderRate(h1, 0) == 0 {
 			sawPause = true
 		}
 	}
@@ -239,11 +239,6 @@ func TestAddFlowValidation(t *testing.T) {
 	if err := n.AddFlow(&bad2, 0); err == nil {
 		t.Error("non-host dst accepted")
 	}
-	bad3 := *good
-	bad3.Priority = 7
-	if err := n.AddFlow(&bad3, 0); err == nil {
-		t.Error("out-of-range priority accepted")
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -253,9 +248,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(topo, Config{BufferSize: units.KB}); err == nil {
 		t.Error("nil factory accepted")
-	}
-	if _, err := New(topo, Config{BufferSize: units.MB, FlowControl: pfcFactory(), Priorities: 9}); err == nil {
-		t.Error("9 priorities accepted")
 	}
 	// A ready-mask word covers maxRadix ports (the masks tests build that
 	// width): a wider node is an ordinary error under every discipline that
@@ -343,7 +335,7 @@ func TestFeedbackAccounting(t *testing.T) {
 	cfg := baseConfig(gfcFactory())
 	var traced units.Size
 	cfg.Trace = &Trace{
-		OnFeedback: func(_ units.Time, _, _ topology.NodeID, _ int, wire units.Size) {
+		OnFeedback: func(_ units.Time, _, _ topology.NodeID, wire units.Size) {
 			traced += wire
 		},
 	}
@@ -365,39 +357,6 @@ func TestFeedbackAccounting(t *testing.T) {
 	// Several channels share the accounting; even summed it stays small.
 	if frac > 0.05 {
 		t.Fatalf("feedback consumed %.2f%% of one link-interval", frac*100)
-	}
-}
-
-func TestMultiPriorityIsolation(t *testing.T) {
-	// Two priorities on the same bottleneck: each gets its own FC state
-	// and both make progress.
-	topo := topology.TwoToOne(topology.DefaultLinkParams())
-	cfg := baseConfig(gfcFactory())
-	cfg.Priorities = 2
-	n, err := New(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1 := spfFlow(t, topo, 1, "H1", "H3", 0)
-	f1.Priority = 0
-	f2 := spfFlow(t, topo, 2, "H2", "H3", 0)
-	f2.Priority = 1
-	if err := n.AddFlow(f1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddFlow(f2, 0); err != nil {
-		t.Fatal(err)
-	}
-	const dur = 10 * units.Millisecond
-	n.Run(dur)
-	if n.Drops() != 0 {
-		t.Fatalf("drops = %d", n.Drops())
-	}
-	for _, f := range []*Flow{f1, f2} {
-		r := units.RateOf(f.Delivered, dur)
-		if r < 3*units.Gbps {
-			t.Errorf("flow %d rate %v, want fair share ≈5G", f.ID, r)
-		}
 	}
 }
 

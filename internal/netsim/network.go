@@ -34,9 +34,9 @@ type Network struct {
 	delivered units.Size // total bytes delivered to hosts, credited beside Flow.Delivered
 
 	// Struct-of-arrays hot-path state. Per-channel arrays are indexed by
-	// the dense channel index cb+prio (port.cb), which by construction
-	// equals the metrics registry's ChannelIndex for the same (node,
-	// port, priority) — one index addresses a channel everywhere. Dense
+	// the dense channel index port.cb — a channel is a port — which by
+	// construction equals the metrics registry's ChannelIndex for the same
+	// (node, port): one index addresses a channel everywhere. Dense
 	// arrays keep each iteration's working set contiguous and make the
 	// per-port construction cost a handful of bulk allocations instead of
 	// ~10 small slices per port.
@@ -64,7 +64,7 @@ type Network struct {
 	// otherwise, so the disabled cost is one int compare on the hot path.
 	// fq is cfg.FlowQueues; qAssign maps flow ID → current assignment per
 	// channel; slotFlows counts assigned flows per physical queue with the
-	// same (voqBase + prio*slots + slot) indexing as voqs; queueSenders /
+	// same (voqBase + slot) indexing as voqs; queueSenders /
 	// queueReceivers are the wired controllers' per-queue interfaces.
 	fq             int
 	qAssign        []map[int]flowAssign
@@ -77,10 +77,10 @@ type Network struct {
 	// plane vantage point DCFIT-style deadlock detection needs. from is
 	// the emitting (downstream) node, to the paused/credited (upstream)
 	// node.
-	fbObs func(from, to topology.NodeID, prio int, m flowcontrol.Message)
-	// Per-(node, priority) state, indexed node.nb+prio: inBusy bit i says
-	// the node's ingress FIFO i is non-empty (pushInq/popInq); the rest is
-	// the SchedBlocking forwarding core's.
+	fbObs func(from, to topology.NodeID, m flowcontrol.Message)
+	// Per-node state, indexed by node id: inBusy bit i says the node's
+	// ingress FIFO i is non-empty (pushInq/popInq); the rest is the
+	// SchedBlocking forwarding core's.
 	inBusy     []uint64
 	fwdCursor  []int32
 	fwdBlocked []*port // egress whose full TX ring stalls forwarding
@@ -94,7 +94,7 @@ type Network struct {
 }
 
 // New builds a simulation of topo under cfg. Every live channel direction
-// gets an independent flow controller per priority.
+// gets an independent flow controller.
 func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	cfg.FillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -104,20 +104,18 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	if cfg.FeedbackJitter > 0 {
 		n.jitter = rand.New(rand.NewSource(cfg.JitterSeed))
 	}
-	k := cfg.Priorities
 	nn := topo.NumNodes()
 
 	// Pass 1: size the dense arrays. The channel index layout must match
-	// metrics.Registry.Bind exactly: channels in (node, port, priority)
-	// order.
-	totalPorts, totalVoqs, totalFed := 0, 0, 0
+	// metrics.Registry.Bind exactly: channels in (node, port) order.
+	chans, totalVoqs, totalFed := 0, 0, 0
 	for id := 0; id < nn; id++ {
 		ats := topo.Ports(topology.NodeID(id))
 		if len(ats) > maxRadix && cfg.Scheduling != SchedFIFO {
 			return nil, fmt.Errorf("netsim: node %s has %d ports; %s scheduling supports at most %d per node",
 				topo.Node(topology.NodeID(id)).Name, len(ats), cfg.Scheduling, maxRadix)
 		}
-		totalPorts += len(ats)
+		chans += len(ats)
 		slots := 1
 		if cfg.Scheduling == SchedVOQ {
 			slots = len(ats)
@@ -125,11 +123,10 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		if cfg.FlowQueues > 0 {
 			slots = cfg.FlowQueues
 		}
-		totalVoqs += len(ats) * k * slots
-		totalFed += len(ats) * k * len(ats)
+		totalVoqs += len(ats) * slots
+		totalFed += len(ats) * len(ats)
 	}
-	chans := totalPorts * k
-	n.ports = make([]port, totalPorts)
+	n.ports = make([]port, chans)
 	n.occupancy = make([]units.Size, chans)
 	n.progress = make([]ingressProgress, chans)
 	n.queuedBytes = make([]units.Size, chans)
@@ -143,12 +140,12 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	}
 	n.inReady = make([]uint64, chans)
 	n.slotReady = make([]uint64, chans)
-	n.inBusy = make([]uint64, nn*k)
+	n.inBusy = make([]uint64, nn)
 	n.voqs = make([]pktQueue, totalVoqs)
 	n.fedBytes = make([]units.Size, totalFed)
-	n.fwdCursor = make([]int32, nn*k)
-	n.fwdBlocked = make([]*port, nn*k)
-	n.forwarding = make([]bool, nn*k)
+	n.fwdCursor = make([]int32, nn)
+	n.fwdBlocked = make([]*port, nn)
+	n.forwarding = make([]bool, nn)
 	if cfg.FlowQueues > 0 {
 		n.fq = cfg.FlowQueues
 		n.qAssign = make([]map[int]flowAssign, chans)
@@ -159,12 +156,12 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 
 	// Pass 2: build nodes and ports, assigning each port its bases.
 	n.nodes = make([]*node, nn)
-	pb, cb, vb, fb := 0, 0, 0, 0
+	cb, vb, fb := 0, 0, 0
 	for id := range n.nodes {
 		tn := topo.Node(topology.NodeID(id))
-		nd := &node{id: tn.ID, kind: tn.Kind, cb: cb, nb: id * k, refillAt: units.Never}
+		nd := &node{id: tn.ID, kind: tn.Kind, cb: cb, refillAt: units.Never}
 		ats := topo.Ports(tn.ID)
-		nd.ports = n.ports[pb : pb+len(ats) : pb+len(ats)]
+		nd.ports = n.ports[cb : cb+len(ats) : cb+len(ats)]
 		slots := 1
 		if cfg.Scheduling == SchedVOQ {
 			slots = len(ats)
@@ -173,9 +170,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			slots = cfg.FlowQueues
 		}
 		for i, at := range ats {
-			p := &n.ports[pb]
-			pb++
-			*p = port{
+			n.ports[cb] = port{
 				owner: nd, local: i, link: at.Link, failed: at.Link.Failed,
 				delay: at.Link.Delay, capacity: at.Link.Capacity,
 				kickAt: units.Never,
@@ -183,12 +178,9 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 				cb:     cb, voqBase: vb, slots: slots, fedBase: fb,
 				buffer: cfg.ingressBuffer(tn.Kind),
 			}
-			cb += k
-			vb += k * slots
-			fb += k * len(ats)
-			if k > 1 {
-				p.prioScratch = make([]int, 0, k)
-			}
+			cb++
+			vb += slots
+			fb += len(ats)
 		}
 		n.nodes[id] = nd
 	}
@@ -229,34 +221,32 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			up := p.peer // upstream egress port
 			upName := topo.Node(up.owner.id).Name
 			params := cfg.ChannelParams(p.link, nd.kind)
-			for prio := 0; prio < k; prio++ {
-				env := &fcEnv{n: n, down: p, up: up, prio: prio}
-				env.free = &env.first
-				ctl, err := cfg.FlowControl(params, env)
-				if err != nil {
-					return nil, fmt.Errorf("netsim: channel %s->%s prio %d: %w",
-						upName, topo.Node(nd.id).Name, prio, err)
+			env := &fcEnv{n: n, down: p, up: up}
+			env.free = &env.first
+			ctl, err := cfg.FlowControl(params, env)
+			if err != nil {
+				return nil, fmt.Errorf("netsim: channel %s->%s: %w",
+					upName, topo.Node(nd.id).Name, err)
+			}
+			n.receivers[p.cb] = ctl.Receiver
+			n.senders[up.cb] = ctl.Sender
+			if n.fq > 0 {
+				qs, ok := ctl.Sender.(flowcontrol.QueueSender)
+				if !ok {
+					return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s sender is not queue-aware",
+						n.fq, upName, topo.Node(nd.id).Name)
 				}
-				n.receivers[p.cb+prio] = ctl.Receiver
-				n.senders[up.cb+prio] = ctl.Sender
-				if n.fq > 0 {
-					qs, ok := ctl.Sender.(flowcontrol.QueueSender)
-					if !ok {
-						return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s prio %d sender is not queue-aware",
-							n.fq, upName, topo.Node(nd.id).Name, prio)
-					}
-					if qs.Queues() != n.fq {
-						return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme has %d queues",
-							n.fq, qs.Queues())
-					}
-					qr, ok := ctl.Receiver.(flowcontrol.QueueReceiver)
-					if !ok {
-						return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s prio %d receiver is not queue-aware",
-							n.fq, upName, topo.Node(nd.id).Name, prio)
-					}
-					n.queueSenders[up.cb+prio] = qs
-					n.queueReceivers[p.cb+prio] = qr
+				if qs.Queues() != n.fq {
+					return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme has %d queues",
+						n.fq, qs.Queues())
 				}
+				qr, ok := ctl.Receiver.(flowcontrol.QueueReceiver)
+				if !ok {
+					return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s receiver is not queue-aware",
+						n.fq, upName, topo.Node(nd.id).Name)
+				}
+				n.queueSenders[up.cb] = qs
+				n.queueReceivers[p.cb] = qr
 			}
 		}
 	}
@@ -266,8 +256,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	// flowcontrol.Bounded / flowcontrol.Staged interfaces.
 	if reg := cfg.Metrics; reg != nil {
 		n.metrics = reg
-		BindRegistry(reg, topo, cfg, func(node topology.NodeID, port, prio int) (bm units.Size, table *core.StageTable) {
-			s := n.senders[n.nodes[node].ports[port].peer.cb+prio]
+		BindRegistry(reg, topo, cfg, func(node topology.NodeID, port int) (bm units.Size, table *core.StageTable) {
+			s := n.senders[n.nodes[node].ports[port].peer.cb]
 			if b, ok := s.(flowcontrol.Bounded); ok {
 				bm = b.Ceiling()
 			}
@@ -278,7 +268,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		})
 		for i := range n.ports {
 			p := &n.ports[i]
-			if got := reg.ChannelIndex(p.owner.id, p.local, 0); got != p.cb {
+			if got := reg.ChannelIndex(p.owner.id, p.local); got != p.cb {
 				panic(fmt.Sprintf("netsim: channel index desync: node %d port %d: netsim %d, metrics %d",
 					p.owner.id, p.local, p.cb, got))
 			}
@@ -311,7 +301,6 @@ type fcEnv struct {
 	n    *Network
 	down *port // receiver side (ingress)
 	up   *port // sender side (upstream egress)
-	prio int
 	// free lists the channel's idle delivery slots, at first only the inline
 	// one: a channel with one message in flight never allocates a slot.
 	free  *fbSlot
@@ -334,9 +323,9 @@ func (e *fcEnv) After(d units.Time, fn func()) { e.n.eng.After(d, fn) }
 func (e *fcEnv) Emit(m flowcontrol.Message) {
 	n := e.n
 	wire := m.Wire()
-	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id, e.prio, wire)
+	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id, wire)
 	if reg := n.metrics; reg != nil {
-		reg.OnFeedback(e.down.cb+e.prio, n.eng.Now(), feedbackClass(m.Kind), m.Stage, wire)
+		reg.OnFeedback(e.down.cb, n.eng.Now(), feedbackClass(m.Kind), m.Stage, wire)
 	}
 	delay := units.TransmissionTime(wire, e.down.capacity) +
 		e.down.link.Delay + n.cfg.ProcDelay
@@ -351,7 +340,7 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 		if reg := n.metrics; reg != nil {
 			reg.OnFault(metrics.FaultEvent{
 				Kind: metrics.FaultFeedbackDrop, At: now,
-				Channel: e.down.cb + e.prio, Link: e.down.link.ID,
+				Channel: e.down.cb, Link: e.down.link.ID,
 				Node: e.down.owner.id,
 			})
 		}
@@ -359,12 +348,12 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	}
 	if inj := n.faults; inj != nil {
 		drop, extra := inj.FeedbackVerdict(
-			e.down.link.ID, e.down.owner.id, e.prio, m.Kind, now)
+			e.down.link.ID, e.down.owner.id, m.Kind, now)
 		if drop {
 			if reg := n.metrics; reg != nil {
 				reg.OnFault(metrics.FaultEvent{
 					Kind: metrics.FaultFeedbackDrop, At: now,
-					Channel: e.down.cb + e.prio, Link: e.down.link.ID,
+					Channel: e.down.cb, Link: e.down.link.ID,
 					Node: e.down.owner.id,
 				})
 			}
@@ -375,7 +364,7 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 			if reg := n.metrics; reg != nil {
 				reg.OnFault(metrics.FaultEvent{
 					Kind: metrics.FaultFeedbackDelay, At: now,
-					Channel: e.down.cb + e.prio, Link: e.down.link.ID,
+					Channel: e.down.cb, Link: e.down.link.ID,
 					Node: e.down.owner.id,
 				})
 			}
@@ -398,9 +387,9 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 func (e *fcEnv) deliver(s *fbSlot) {
 	m := s.m
 	s.next, e.free = e.free, s
-	e.n.senders[e.up.cb+e.prio].OnFeedback(m)
+	e.n.senders[e.up.cb].OnFeedback(m)
 	if obs := e.n.fbObs; obs != nil {
-		obs(e.down.owner.id, e.up.owner.id, e.prio, m)
+		obs(e.down.owner.id, e.up.owner.id, m)
 	}
 	// A rate or credit change may also unblock the host refill path
 	// indirectly; kick handles the egress side, and refill is woken by its
@@ -413,7 +402,7 @@ func (e *fcEnv) deliver(s *fbSlot) {
 // messages are never observed, matching the sender's view of the world) and
 // after any delay. Used by in-data-plane deadlock detection (DCFIT); at most
 // one observer, nil uninstalls.
-func (n *Network) SetFeedbackObserver(fn func(from, to topology.NodeID, prio int, m flowcontrol.Message)) {
+func (n *Network) SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message)) {
 	n.fbObs = fn
 }
 
@@ -470,10 +459,6 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 	if n.nodes[f.Src].kind != topology.Host || n.nodes[f.Dst].kind != topology.Host {
 		return fmt.Errorf("netsim: flow %d endpoints must be hosts", f.ID)
 	}
-	if f.Priority < 0 || f.Priority >= n.cfg.Priorities {
-		return fmt.Errorf("netsim: flow %d priority %d outside [0,%d)",
-			f.ID, f.Priority, n.cfg.Priorities)
-	}
 	n.flows = append(n.flows, f)
 	if inj := n.faults; inj != nil {
 		at = inj.FlowOnset(f.ID, at)
@@ -488,30 +473,18 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 	return nil
 }
 
-// IngressQueue reports the ingress occupancy of the given node/port/priority
-// — what the flow-control Receiver observes.
-func (n *Network) IngressQueue(node topology.NodeID, portIdx, prio int) units.Size {
-	return n.occupancy[n.nodes[node].ports[portIdx].cb+prio]
+// IngressQueue reports the ingress occupancy of the given node/port — what
+// the flow-control Receiver observes.
+func (n *Network) IngressQueue(node topology.NodeID, portIdx int) units.Size {
+	return n.occupancy[n.nodes[node].ports[portIdx].cb]
 }
 
 // SenderRate reports the currently permitted rate of the egress flow
-// controller at node/port/priority.
-func (n *Network) SenderRate(node topology.NodeID, portIdx, prio int) units.Rate {
-	s := n.senders[n.nodes[node].ports[portIdx].cb+prio]
+// controller at node/port.
+func (n *Network) SenderRate(node topology.NodeID, portIdx int) units.Rate {
+	s := n.senders[n.nodes[node].ports[portIdx].cb]
 	if s == nil {
 		return 0
 	}
 	return s.Rate()
-}
-
-// PortFor returns the local port index on `node` of its link toward peer,
-// or -1.
-func (n *Network) PortFor(node, peer topology.NodeID) int {
-	ports := n.nodes[node].ports
-	for i := range ports {
-		if p := &ports[i]; !p.failed && p.peer.owner.id == peer {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,5 +1,5 @@
 // Package netsim is the packet-level discrete-event simulator of a lossless
-// switching fabric. It models input-buffered switches with per-priority
+// switching fabric. It models input-buffered switches with per-port
 // ingress accounting, egress schedulers gated by pluggable hop-by-hop flow
 // control (package flowcontrol), links with serialization and propagation
 // delay, and hosts that source and sink flows.
@@ -20,17 +20,16 @@ import (
 // full path is stamped at the sending host, mirroring the deterministic
 // per-flow ECMP decision the routing table makes.
 type Packet struct {
-	Flow     *Flow
-	Seq      int64
-	Size     units.Size
-	Priority int
+	Flow *Flow
+	Seq  int64
+	Size units.Size
 	// Path and hop index: Path[hop] is the node currently holding the
 	// packet (next to transmit it).
 	Path []routing.Hop
 	hop  int
 
-	// Ingress accounting at the current switch: which local port and
-	// priority the packet arrived on. -1 at the source host.
+	// Ingress accounting at the current switch: which local port the
+	// packet arrived on. -1 at the source host.
 	arrivalPort int
 
 	// Per-flow queue accounting (Config.FlowQueues > 0): queue is the
@@ -78,6 +77,3 @@ func (n *Network) recyclePacket(pkt *Packet) {
 	*pkt = Packet{}
 	n.freePkts = append(n.freePkts, pkt)
 }
-
-// CurrentHop returns the hop the packet is about to transmit over.
-func (p *Packet) CurrentHop() routing.Hop { return p.Path[p.hop] }

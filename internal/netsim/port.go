@@ -7,7 +7,7 @@ import (
 )
 
 // Per-channel hot-path state does not live on the port: it lives in dense
-// struct-of-arrays on the Network, indexed by the dense channel index cb+prio
+// struct-of-arrays on the Network, indexed by the dense channel index port.cb
 // (see Network's state block). The port keeps only identity, the precomputed
 // index bases, and the per-port scalars (busy flag, in-flight transmission,
 // timers). This mirrors the metrics registry's channel indexing, so one
@@ -16,8 +16,8 @@ import (
 
 // port is one attachment point of a node: egress transmitter plus ingress
 // buffer accounting for the attached channel. Ports live by value in one
-// arena (Network.ports) and are 256 bytes — four cache lines, the first two of
-// which hold everything an arrival, a transmission completion or a kick
+// arena (Network.ports) and are 192 bytes — three cache lines, the first two
+// of which hold everything an arrival, a transmission completion or a kick
 // reads, so a Clos-scale event pays one or two lines per port it touches.
 // TestPortLayout pins the split.
 type port struct {
@@ -25,15 +25,14 @@ type port struct {
 	// what the peer's completeTx writes when it puts a packet on the wire.
 	owner *node
 	local int // port index on owner
-	// cb is the channel base: the index of (this port, priority 0) in
-	// every per-channel array (occupancy, queuedBytes, progress,
-	// senders, receivers, rrVoq, inq, the ready masks) — and, by
-	// construction, the metrics registry's ChannelIndex for the same
-	// channel, so cb+prio also addresses the registry. A node's ports are
-	// consecutive, so the channel of (sibling port i, prio) is
-	// owner.cb + i*Priorities + prio without loading that port.
+	// cb is the channel index: this port's index in every per-channel
+	// array (occupancy, queuedBytes, progress, senders, receivers, rrVoq,
+	// inq, the ready masks) and in the Network.ports arena itself — and,
+	// by construction, the metrics registry's ChannelIndex for the same
+	// channel. A node's ports are consecutive, so the channel of sibling
+	// port i is owner.cb + i without loading that port.
 	cb       int
-	buffer   units.Size // ingress allocation per priority
+	buffer   units.Size // ingress allocation
 	prop     pktQueue   // packets in flight *toward* this port, FIFO
 	arriveFn func()     // link-delay arrival at the *receiving* end (this port)
 
@@ -48,16 +47,14 @@ type port struct {
 	// failed link gets no controllers, so it could not carry traffic later.
 	failed   bool
 	sched    Scheduling
-	txPrio   int32 // with txPkt and txDur: the single in-flight transmission (guarded by busy)
-	rr       int   // priority round-robin cursor
-	txPkt    *Packet
+	txPkt    *Packet // with txDur: the single in-flight transmission (guarded by busy)
 	txDur    units.Time
 	txDoneFn func()     // transmission completion for the in-flight packet
 	peer     *port      // the port at the other end of link
 	delay    units.Time // link.Delay
 	capacity units.Rate
 
-	// Cold: construction-time bases, retry timer, multi-class scratch.
+	// Cold: construction-time bases, retry timer.
 	link *topology.Link
 	// Pre-bound wake-up timer (retry a flow-control-blocked egress): created
 	// once at construction, like txDoneFn and arriveFn, so the hot path
@@ -65,26 +62,22 @@ type port struct {
 	kickFn func()
 	kickAt units.Time // when the pending kick timer fires; Never if none
 	kickEv eventsim.Event
-	// voqBase and slots address Network.voqs: the egress queue for
-	// (prio, slot) is voqs[voqBase + prio*slots + slot]. slots is the
-	// owner's port count under SchedVOQ — one virtual output queue per input
-	// port — and 1 otherwise, holding the mixed arrival-order queue;
-	// per-input byte accounting is kept either way (Network.fedBytes) for
-	// the deadlock detector's FedBy edges.
+	// voqBase and slots address Network.voqs: the egress queue for slot is
+	// voqs[voqBase + slot]. slots is the owner's port count under SchedVOQ —
+	// one virtual output queue per input port — and 1 otherwise, holding the
+	// mixed arrival-order queue; per-input byte accounting is kept either
+	// way (Network.fedBytes) for the deadlock detector's FedBy edges.
 	voqBase int
 	slots   int
-	// fedBase addresses Network.fedBytes: the per-input backlog of
-	// (prio, arrival key) is fedBytes[fedBase + prio*len(owner.ports) + key].
+	// fedBase addresses Network.fedBytes: the per-input backlog of an
+	// arrival key is fedBytes[fedBase + key].
 	fedBase    int
 	queuedPkts int
-	// prioScratch is the reusable buffer prioOrder fills when the network
-	// runs more than one priority class; nil in the single-class case.
-	prioScratch []int
 
-	_ [40]byte // pad to four whole cache lines, so arena ports never straddle one
+	_ [8]byte // pad to three whole cache lines, so arena ports never straddle one
 }
 
-// ingressProgress is one priority's forwarding-progress record: the
+// ingressProgress is one ingress buffer's forwarding-progress record: the
 // lastDepart / occupiedSince timestamps — when the buffer last released a
 // packet and when it last went from empty to occupied. Together they let the
 // deadlock detector decide "no progress for a window" from one snapshot
@@ -123,17 +116,16 @@ type flowAssign struct {
 	pkts int32
 }
 
-// assignSlot picks the physical queue for pkt on egress channel p/prio
+// assignSlot picks the physical queue for pkt on egress channel p
 // (Config.FlowQueues > 0): the flow's existing queue while it has packets
 // there, otherwise the lowest-indexed empty queue, otherwise the queue with
 // the fewest assigned flows (lowest index breaking ties). Deterministic by
 // construction — no map iteration, only keyed lookups and index-order scans.
 func (n *Network) assignSlot(p *port, pkt *Packet) int {
-	ch := p.cb + pkt.Priority
-	m := n.qAssign[ch]
+	m := n.qAssign[p.cb]
 	if m == nil {
 		m = make(map[int]flowAssign, n.fq)
-		n.qAssign[ch] = m
+		n.qAssign[p.cb] = m
 	}
 	id := pkt.Flow.ID
 	if a, ok := m[id]; ok {
@@ -141,7 +133,7 @@ func (n *Network) assignSlot(p *port, pkt *Packet) int {
 		m[id] = a
 		return int(a.slot)
 	}
-	base := p.voqBase + pkt.Priority*p.slots
+	base := p.voqBase
 	best, bestFlows := 0, n.slotFlows[base]
 	for i := 0; i < p.slots && bestFlows > 0; i++ {
 		if f := n.slotFlows[base+i]; f < bestFlows {
@@ -155,21 +147,20 @@ func (n *Network) assignSlot(p *port, pkt *Packet) int {
 
 // releaseSlot decrements the dequeued packet's flow assignment, freeing the
 // queue claim once its last queued packet leaves.
-func (n *Network) releaseSlot(p *port, prio int, pkt *Packet) {
-	ch := p.cb + prio
-	m := n.qAssign[ch]
+func (n *Network) releaseSlot(p *port, pkt *Packet) {
+	m := n.qAssign[p.cb]
 	id := pkt.Flow.ID
 	a := m[id]
 	a.pkts--
 	if a.pkts <= 0 {
 		delete(m, id)
-		n.slotFlows[p.voqBase+prio*p.slots+int(a.slot)]--
+		n.slotFlows[p.voqBase+int(a.slot)]--
 		return
 	}
 	m[id] = a
 }
 
-// enqueue appends pkt to p's egress for its priority.
+// enqueue appends pkt to p's egress.
 func (n *Network) enqueue(p *port, pkt *Packet) {
 	key := arrivalKey(pkt)
 	slot := key
@@ -180,40 +171,39 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 		slot = n.assignSlot(p, pkt)
 		pkt.queue = int32(slot)
 	}
-	n.voqs[p.voqBase+pkt.Priority*p.slots+slot].push(pkt)
-	n.slotReady[p.cb+pkt.Priority] |= 1 << uint(slot)
-	n.fedBytes[p.fedBase+pkt.Priority*len(p.owner.ports)+key] += pkt.Size
-	n.queuedBytes[p.cb+pkt.Priority] += pkt.Size
+	n.voqs[p.voqBase+slot].push(pkt)
+	n.slotReady[p.cb] |= 1 << uint(slot)
+	n.fedBytes[p.fedBase+key] += pkt.Size
+	n.queuedBytes[p.cb] += pkt.Size
 	p.queuedPkts++
 }
 
-// nextPacket returns (without removing) the next packet of the given
-// priority on p and its queue slot, or nil: the global head in FIFO mode,
-// the round-robin VOQ head in VOQ mode.
-func (n *Network) nextPacket(p *port, prio int) (*Packet, int) {
-	ch := p.cb + prio
-	m := n.slotReady[ch]
+// nextPacket returns (without removing) the next packet on p and its queue
+// slot, or nil: the global head in FIFO mode, the round-robin VOQ head in VOQ
+// mode.
+func (n *Network) nextPacket(p *port) (*Packet, int) {
+	m := n.slotReady[p.cb]
 	if m == 0 {
 		return nil, -1
 	}
-	slot := nextBit(m, int(n.rrVoq[ch]))
-	return n.voqs[p.voqBase+prio*p.slots+slot].front(), slot
+	slot := nextBit(m, int(n.rrVoq[p.cb]))
+	return n.voqs[p.voqBase+slot].front(), slot
 }
 
-// dequeue removes the head of p's queue slot for prio and advances the
-// round-robin cursor.
-func (n *Network) dequeue(p *port, prio, slot int) *Packet {
-	q := &n.voqs[p.voqBase+prio*p.slots+slot]
+// dequeue removes the head of p's queue slot and advances the round-robin
+// cursor.
+func (n *Network) dequeue(p *port, slot int) *Packet {
+	q := &n.voqs[p.voqBase+slot]
 	pkt := q.pop()
 	if q.empty() {
-		n.slotReady[p.cb+prio] &^= 1 << uint(slot)
+		n.slotReady[p.cb] &^= 1 << uint(slot)
 	}
-	n.fedBytes[p.fedBase+prio*len(p.owner.ports)+arrivalKey(pkt)] -= pkt.Size
-	n.queuedBytes[p.cb+prio] -= pkt.Size
+	n.fedBytes[p.fedBase+arrivalKey(pkt)] -= pkt.Size
+	n.queuedBytes[p.cb] -= pkt.Size
 	p.queuedPkts--
-	n.rrVoq[p.cb+prio] = int32(succ(slot, p.slots))
+	n.rrVoq[p.cb] = int32(succ(slot, p.slots))
 	if n.fq > 0 {
-		n.releaseSlot(p, prio, pkt)
+		n.releaseSlot(p, pkt)
 	}
 	return pkt
 }
@@ -225,12 +215,9 @@ type node struct {
 	// ports is the node's run of the Network.ports arena, by value: port i
 	// is &ports[i], one address computation and no pointer table.
 	ports []port
-	// cb is ports[0].cb, the node's channel base.
+	// cb is ports[0].cb, the node's channel base. The per-node arrays
+	// (Network.fwdCursor/fwdBlocked/forwarding/inBusy) are indexed by id.
 	cb int
-	// nb is the node base into the per-(node, priority) arrays
-	// (Network.fwdCursor/fwdBlocked/forwarding/inBusy): nb+prio addresses
-	// this node's entry.
-	nb int
 
 	// Host state.
 	flows    []*Flow

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the egress scheduling and host injection machinery: which
-// packet a transmitter picks next (kick, prioOrder, nextFromInputs), the
+// packet a transmitter picks next (kick, nextFromInputs, nextQueued), the
 // SchedBlocking forwarding core (forward), and the host NIC refill path
 // (refill, nextFlow).
 //
@@ -51,7 +51,7 @@ func (n *Network) refill(h *node) {
 		}
 		f.released += size
 		pkt := n.newPacket()
-		pkt.Flow, pkt.Seq, pkt.Size, pkt.Priority = f, f.seq, size, f.Priority
+		pkt.Flow, pkt.Seq, pkt.Size = f, f.seq, size
 		pkt.Path = f.Path
 		pkt.arrivalPort = -1
 		f.seq++
@@ -106,78 +106,56 @@ func (n *Network) scheduleRefill(h *node, at units.Time) {
 	h.refillEv = n.eng.Schedule(at, h.refillFn)
 }
 
-// kick tries to start a transmission on p. When flow control blocks every
-// queued priority, it schedules a retry at the earliest wake time (feedback
-// events also re-kick).
+// kick tries to start a transmission on p. When flow control blocks the
+// queued traffic, it schedules a retry at the wake time (feedback events also
+// re-kick).
 func (n *Network) kick(p *port) {
 	if p.busy || p.adminDown || p.failed {
 		return
 	}
-	now := n.eng.Now()
-	minWake := units.Never
 	nd := p.owner
 	onSwitch := nd.kind == topology.Switch
-	inputQueued := p.sched == SchedInputQueued && onSwitch
-	k := n.cfg.Priorities
-	for _, prio := range n.prioOrder(p) {
-		var pkt *Packet
-		freed := -1         // input port whose FIFO head we consumed
-		fromTxRing := false // the packet left a SchedBlocking TX ring
-		if inputQueued {
-			head, in, wake := n.nextFromInputs(p, prio)
-			if head == nil {
-				if wake < minWake {
-					minWake = wake
-				}
-				continue
-			}
-			n.popInq(nd, in, prio)
-			n.rrVoq[p.cb+prio] = int32(succ(in, len(nd.ports)))
-			pkt, freed = head, in
-		} else if n.fq > 0 {
-			head, slot, wake := n.nextQueued(p, prio)
-			if head == nil {
-				if wake < minWake {
-					minWake = wake
-				}
-				continue
-			}
-			pkt = n.dequeue(p, prio, slot)
-		} else {
-			head, slot := n.nextPacket(p, prio)
-			if head == nil {
-				continue
-			}
-			ok, wake := n.senders[p.cb+prio].TrySend(head.Size)
-			if !ok {
-				if wake < minWake {
-					minWake = wake
-				}
-				continue
-			}
-			pkt = n.dequeue(p, prio, slot)
+	var pkt *Packet
+	freed := -1         // input port whose FIFO head we consumed
+	fromTxRing := false // the packet left a SchedBlocking TX ring
+	wake := units.Never
+	if p.sched == SchedInputQueued && onSwitch {
+		if pkt, freed, wake = n.nextFromInputs(p); pkt != nil {
+			n.popInq(nd, freed)
+			n.rrVoq[p.cb] = int32(succ(freed, len(nd.ports)))
+		}
+	} else if n.fq > 0 {
+		var slot int
+		if pkt, slot, wake = n.nextQueued(p); pkt != nil {
+			pkt = n.dequeue(p, slot)
+		}
+	} else if head, slot := n.nextPacket(p); head != nil {
+		var ok bool
+		if ok, wake = n.senders[p.cb].TrySend(head.Size); ok {
+			pkt = n.dequeue(p, slot)
 			fromTxRing = p.sched == SchedBlocking && onSwitch
 		}
-		p.rr = succ(prio, k)
-		p.busy = true
-		dur := units.TransmissionTime(pkt.Size, p.capacity)
-		p.txPkt, p.txPrio, p.txDur = pkt, int32(prio), dur
-		n.eng.After(dur, p.txDoneFn)
-		if freed >= 0 {
-			// The freed input's new head may target an idle egress.
-			if out := n.inqOut[n.channel(nd, freed, prio)]; out >= 0 {
-				n.kick(&nd.ports[out])
-			}
-		}
-		if fromTxRing {
-			// TX-ring space freed: resume a stalled forwarding core
-			// (no-op when not stalled or re-entered from forward itself).
-			n.forward(nd, prio)
+	}
+	if pkt == nil {
+		if wake != units.Never && wake > n.eng.Now() {
+			n.scheduleKick(p, wake)
 		}
 		return
 	}
-	if minWake != units.Never && minWake > now {
-		n.scheduleKick(p, minWake)
+	p.busy = true
+	dur := units.TransmissionTime(pkt.Size, p.capacity)
+	p.txPkt, p.txDur = pkt, dur
+	n.eng.After(dur, p.txDoneFn)
+	if freed >= 0 {
+		// The freed input's new head may target an idle egress.
+		if out := n.inqOut[nd.cb+freed]; out >= 0 {
+			n.kick(&nd.ports[out])
+		}
+	}
+	if fromTxRing {
+		// TX-ring space freed: resume a stalled forwarding core
+		// (no-op when not stalled or re-entered from forward itself).
+		n.forward(nd)
 	}
 }
 
@@ -194,14 +172,13 @@ func (n *Network) scheduleKick(p *port, at units.Time) {
 	p.kickEv = n.eng.Schedule(at, p.kickFn)
 }
 
-// forward runs the switch's forwarding core for one priority under
-// SchedBlocking: serve ingress FIFO heads round-robin, moving each into its
-// egress TX ring. When the selected head's ring is full, the whole
-// forwarding path for this priority stalls until that ring drains — the
-// behaviour of a software switch retrying a full TX ring, and the coupling
-// that lets one paused port freeze a switch.
-func (n *Network) forward(nd *node, prio int) {
-	fi := nd.nb + prio
+// forward runs the switch's forwarding core under SchedBlocking: serve
+// ingress FIFO heads round-robin, moving each into its egress TX ring. When
+// the selected head's ring is full, the whole forwarding path stalls until
+// that ring drains — the behaviour of a software switch retrying a full TX
+// ring, and the coupling that lets one paused port freeze a switch.
+func (n *Network) forward(nd *node) {
+	fi := int(nd.id)
 	if n.forwarding[fi] {
 		return
 	}
@@ -210,21 +187,21 @@ func (n *Network) forward(nd *node, prio int) {
 	for {
 		if b := n.fwdBlocked[fi]; b != nil {
 			// Still stalled: re-check the blocking ring.
-			if n.voqs[b.voqBase+prio*b.slots].len() >= n.cfg.TxRing {
+			if n.voqs[b.voqBase].len() >= n.cfg.TxRing {
 				return
 			}
 			n.fwdBlocked[fi] = nil
 		}
-		in := n.nextIngress(nd, prio)
+		in := n.nextIngress(nd)
 		if in < 0 {
 			return
 		}
-		out := &nd.ports[n.inqOut[n.channel(nd, in, prio)]]
-		if n.voqs[out.voqBase+prio*out.slots].len() >= n.cfg.TxRing {
+		out := &nd.ports[n.inqOut[nd.cb+in]]
+		if n.voqs[out.voqBase].len() >= n.cfg.TxRing {
 			n.fwdBlocked[fi] = out // stall switch-wide
 			return
 		}
-		head := n.popInq(nd, in, prio)
+		head := n.popInq(nd, in)
 		n.fwdCursor[fi] = int32(succ(in, len(nd.ports)))
 		n.enqueue(out, head)
 		n.kick(out)
@@ -232,44 +209,24 @@ func (n *Network) forward(nd *node, prio int) {
 }
 
 // nextIngress picks, round-robin from the forwarding cursor, the next of
-// nd's non-empty ingress FIFOs at prio; -1 when all are empty.
-func (n *Network) nextIngress(nd *node, prio int) int {
-	m := n.inBusy[nd.nb+prio]
+// nd's non-empty ingress FIFOs; -1 when all are empty.
+func (n *Network) nextIngress(nd *node) int {
+	m := n.inBusy[nd.id]
 	if m == 0 {
 		return -1
 	}
-	return nextBit(m, int(n.fwdCursor[nd.nb+prio]))
+	return nextBit(m, int(n.fwdCursor[nd.id]))
 }
-
-// prioOrder returns the order in which p's priorities are offered the wire:
-// round-robin from the cursor. The returned slice is p's reusable scratch
-// buffer: valid until the next prioOrder call for p, which is safe because
-// kick finishes with the order before any nested kick can touch a *different*
-// port's scratch, and a nested kick of p itself bails on the busy flag first.
-func (n *Network) prioOrder(p *port) []int {
-	k := n.cfg.Priorities
-	if k == 1 {
-		return oneZero
-	}
-	order := p.prioScratch[:0]
-	for i, pr := 0, p.rr; i < k; i, pr = i+1, succ(pr, k) {
-		order = append(order, pr)
-	}
-	return order
-}
-
-// oneZero avoids allocating for the ubiquitous single-priority case.
-var oneZero = []int{0}
 
 // nextQueued scans p's backlogged physical queues round-robin (FlowQueues >
 // 0) for a head packet the per-queue flow controller permits. A paused queue
 // blocks only its own flows; the scan moves on to the next backlogged queue —
 // the HoL-blocking elimination that is BFC's whole point. Returns the packet
 // and its queue, or (nil, -1, wake) with the earliest retry time.
-func (n *Network) nextQueued(p *port, prio int) (*Packet, int, units.Time) {
-	ch := p.cb + prio
+func (n *Network) nextQueued(p *port) (*Packet, int, units.Time) {
+	ch := p.cb
 	qs := n.queueSenders[ch]
-	base := p.voqBase + prio*p.slots
+	base := p.voqBase
 	minWake := units.Never
 	m := n.slotReady[ch]
 	// Queues at or after the cursor first, then the ones before it.
@@ -323,65 +280,60 @@ func succ(i, n int) int {
 	return i + 1
 }
 
-// channel is the dense channel index of (nd's port i, prio) — ports[i].cb+prio
-// without loading the port: a node's ports are consecutive in the arena.
-func (n *Network) channel(nd *node, i, prio int) int {
-	return nd.cb + i*n.cfg.Priorities + prio
-}
-
-// pushInq appends pkt to the ingress FIFO of nd's port in at prio and reports
-// whether it became the head.
-func (n *Network) pushInq(nd *node, in, prio int, pkt *Packet) bool {
-	ch := n.channel(nd, in, prio)
+// pushInq appends pkt to the ingress FIFO of nd's port in and reports whether
+// it became the head.
+func (n *Network) pushInq(nd *node, in int, pkt *Packet) bool {
+	ch := nd.cb + in
 	q := &n.inq[ch]
 	q.push(pkt)
 	if q.len() > 1 {
 		return false
 	}
-	n.inBusy[nd.nb+prio] |= 1 << uint(in)
-	n.publishHead(nd, in, prio, ch, pkt)
+	n.inBusy[nd.id] |= 1 << uint(in)
+	n.publishHead(nd, in, pkt)
 	return true
 }
 
-// popInq removes and returns the head of the ingress FIFO of nd's port in at
-// prio, publishing the new head.
-func (n *Network) popInq(nd *node, in, prio int) *Packet {
-	ch := n.channel(nd, in, prio)
+// popInq removes and returns the head of the ingress FIFO of nd's port in,
+// publishing the new head.
+func (n *Network) popInq(nd *node, in int) *Packet {
+	ch := nd.cb + in
 	q := &n.inq[ch]
 	pkt := q.pop()
-	n.inReady[n.channel(nd, int(n.inqOut[ch]), prio)] &^= 1 << uint(in)
+	n.inReady[nd.cb+int(n.inqOut[ch])] &^= 1 << uint(in)
 	if q.empty() {
 		n.inqOut[ch] = -1
-		n.inBusy[nd.nb+prio] &^= 1 << uint(in)
+		n.inBusy[nd.id] &^= 1 << uint(in)
 	} else {
-		n.publishHead(nd, in, prio, ch, q.front())
+		n.publishHead(nd, in, q.front())
 	}
 	return pkt
 }
 
-// publishHead records head as the head of ingress FIFO ch: its egress port
-// in inqOut[ch], and input in's bit in that egress's inReady word, so the
-// egress finds its candidates without chasing head.Path[head.hop] per input.
-func (n *Network) publishHead(nd *node, in, prio, ch int, head *Packet) {
+// publishHead records head as the head of the ingress FIFO of nd's port in:
+// its egress port in inqOut, and input in's bit in that egress's inReady word,
+// so the egress finds its candidates without chasing head.Path[head.hop] per
+// input.
+func (n *Network) publishHead(nd *node, in int, head *Packet) {
 	out := head.Path[head.hop].Port
-	n.inqOut[ch] = int16(out)
-	n.inReady[n.channel(nd, out, prio)] |= 1 << uint(in)
+	n.inqOut[nd.cb+in] = int16(out)
+	n.inReady[nd.cb+out] |= 1 << uint(in)
 }
 
 // nextFromInputs picks, round-robin over the owner's ingress FIFOs, a head
-// packet bound for egress p at the given priority. Only FIFO heads are
-// eligible (head-of-line blocking), and flow control gates the whole egress
-// for the priority, so when it refuses the first candidate no other input can
-// do better. Returns the packet and its input port index, or (nil, -1, wake)
-// where wake is the retry time (units.Never to wait for feedback or traffic).
-func (n *Network) nextFromInputs(p *port, prio int) (*Packet, int, units.Time) {
-	ch := p.cb + prio
+// packet bound for egress p. Only FIFO heads are eligible (head-of-line
+// blocking), and flow control gates the whole egress, so when it refuses the
+// first candidate no other input can do better. Returns the packet and its
+// input port index, or (nil, -1, wake) where wake is the retry time
+// (units.Never to wait for feedback or traffic).
+func (n *Network) nextFromInputs(p *port) (*Packet, int, units.Time) {
+	ch := p.cb
 	m := n.inReady[ch]
 	if m == 0 {
 		return nil, -1, units.Never
 	}
 	in := nextBit(m, int(n.rrVoq[ch]))
-	head := n.inq[n.channel(p.owner, in, prio)].front()
+	head := n.inq[p.owner.cb+in].front()
 	ok, wake := n.senders[ch].TrySend(head.Size)
 	if !ok {
 		return nil, -1, wake

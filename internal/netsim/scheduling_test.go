@@ -241,13 +241,7 @@ func TestIntrospectionAccessors(t *testing.T) {
 	n.Run(units.Millisecond)
 	s1 := topo.MustLookup("S1")
 	h1 := topo.MustLookup("H1")
-	if p := n.PortFor(s1, h1); p < 0 {
-		t.Error("PortFor failed")
-	}
-	if p := n.PortFor(h1, topo.MustLookup("H2")); p >= 0 {
-		t.Error("PortFor found nonexistent link")
-	}
-	if q := n.IngressQueue(s1, n.PortFor(s1, h1), 0); q < 0 {
+	if q := n.IngressQueue(s1, topo.LinkBetween(s1, h1).PortOn(s1)); q < 0 {
 		t.Error("IngressQueue negative")
 	}
 	states := n.AppendIngressStates(nil)
@@ -273,44 +267,6 @@ func TestIntrospectionAccessors(t *testing.T) {
 	}
 }
 
-func TestDropIngressHead(t *testing.T) {
-	// Congested 2:1 so ingress FIFOs hold packets.
-	topo := topology.TwoToOne(topology.DefaultLinkParams())
-	n, err := New(topo, baseConfig(pfcFactory()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, src := range []string{"H1", "H2"} {
-		if err := n.AddFlow(spfFlow(t, topo, i+1, src, "H3", 0), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.Run(5 * units.Millisecond)
-	s1 := topo.MustLookup("S1")
-	h1 := topo.MustLookup("H1")
-	port := n.PortFor(s1, h1)
-	before := n.IngressQueue(s1, port, 0)
-	if before == 0 {
-		t.Fatal("ingress empty; cannot exercise drop")
-	}
-	if !n.DropIngressHead(s1, port, 0) {
-		t.Fatal("DropIngressHead failed on occupied buffer")
-	}
-	if n.Drops() != 1 {
-		t.Fatalf("drops = %d, want 1", n.Drops())
-	}
-	if after := n.IngressQueue(s1, port, 0); after >= before {
-		t.Error("occupancy did not fall")
-	}
-	// Dropping from a host or out-of-range port fails gracefully.
-	if n.DropIngressHead(h1, 0, 0) {
-		t.Error("dropped from a host")
-	}
-	if n.DropIngressHead(s1, 99, 0) {
-		t.Error("dropped from nonexistent port")
-	}
-}
-
 func TestPacketHelpers(t *testing.T) {
 	topo := topology.Linear(2, topology.DefaultLinkParams())
 	n, err := New(topo, baseConfig(pfcFactory()))
@@ -321,8 +277,8 @@ func TestPacketHelpers(t *testing.T) {
 	cfg := baseConfig(pfcFactory())
 	cfg.Trace = &Trace{
 		OnTransmit: func(_ units.Time, _ topology.NodeID, _ int, pkt *Packet) {
-			if pkt.CurrentHop().Link == nil {
-				t.Error("CurrentHop has nil link")
+			if pkt.Path[pkt.hop].Link == nil {
+				t.Error("current hop has nil link")
 			}
 			if pkt.hop == len(pkt.Path)-1 {
 				sawLastHop = true

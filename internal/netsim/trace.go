@@ -11,9 +11,9 @@ import (
 // callback: delivered and dropped packets return to a free list afterwards,
 // so hooks must copy the fields they need rather than retain the pointer.
 type Trace struct {
-	// OnQueue fires after an ingress queue changes: node, local port,
-	// priority, new occupancy.
-	OnQueue func(t units.Time, node topology.NodeID, port, prio int, q units.Size)
+	// OnQueue fires after an ingress queue changes: node, local port, new
+	// occupancy.
+	OnQueue func(t units.Time, node topology.NodeID, port int, q units.Size)
 	// OnArrival fires when a packet is fully received at a node (switch
 	// admission or host delivery).
 	OnArrival func(t units.Time, node topology.NodeID, pkt *Packet)
@@ -24,12 +24,12 @@ type Trace struct {
 	// OnFeedback fires when a flow-control message is sent from the
 	// ingress side at node `from` back to the egress side at node `to`;
 	// wire is the frame size (the Figure 19 overhead accounting).
-	OnFeedback func(t units.Time, from, to topology.NodeID, prio int, wire units.Size)
+	OnFeedback func(t units.Time, from, to topology.NodeID, wire units.Size)
 }
 
-func (tr *Trace) queue(t units.Time, n topology.NodeID, port, prio int, q units.Size) {
+func (tr *Trace) queue(t units.Time, n topology.NodeID, port int, q units.Size) {
 	if tr != nil && tr.OnQueue != nil {
-		tr.OnQueue(t, n, port, prio, q)
+		tr.OnQueue(t, n, port, q)
 	}
 }
 
@@ -51,8 +51,8 @@ func (tr *Trace) deliver(t units.Time, f *Flow, pkt *Packet) {
 	}
 }
 
-func (tr *Trace) feedback(t units.Time, from, to topology.NodeID, prio int, wire units.Size) {
+func (tr *Trace) feedback(t units.Time, from, to topology.NodeID, wire units.Size) {
 	if tr != nil && tr.OnFeedback != nil {
-		tr.OnFeedback(t, from, to, prio, wire)
+		tr.OnFeedback(t, from, to, wire)
 	}
 }

@@ -1,31 +1,19 @@
-// Package baselines implements the deadlock-handling alternatives the
-// paper's related work surveys (§8), so the evaluation can compare GFC
-// against them on equal footing:
-//
-//   - Up*/Down* routing (Autonet [51]): a CBD-free routing restriction —
-//     deadlock can never form, at the cost of longer paths and lost
-//     multipath diversity;
-//   - dateline priority escalation ([6, 20, 35] and, structurally, Tagger
-//     [25]): breaking circular wait by bumping packets into a higher
-//     priority class when they cross a cut of the cycle — deadlock-free
-//     within the queue budget, at the cost of extra priority queues;
-//   - deadlock recovery ([2, 3, 36, 38, 52]): detect the cycle at runtime
-//     and drop packets to break it — reactive, and violates losslessness.
-package baselines
+package routing
 
 import (
 	"fmt"
 	"sort"
 
-	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
 )
 
-// UpDown computes Up*/Down* routes: links are oriented toward a spanning
-// tree root (chosen as the first switch, or the lowest-ID switch with the
-// most ports), and a legal path is a sequence of zero or more "up" (toward
-// the root) links followed by zero or more "down" links. No legal set of
-// paths can form a cyclic buffer dependency.
+// UpDown computes Up*/Down* routes (Autonet), the CBD-free routing
+// restriction the paper's related work weighs GFC against (§8): deadlock can
+// never form, at the cost of longer paths and lost multipath diversity. Links
+// are oriented toward a spanning tree root (the switch with the most ports,
+// lowest ID on ties), and a legal path is a sequence of zero or more "up"
+// (toward the root) links followed by zero or more "down" links. No legal set
+// of paths can form a cyclic buffer dependency.
 type UpDown struct {
 	topo *topology.Topology
 	// level[n] is the BFS tree depth of node n from the root; up moves
@@ -37,7 +25,7 @@ type UpDown struct {
 func NewUpDown(t *topology.Topology) (*UpDown, error) {
 	switches := t.Switches()
 	if len(switches) == 0 {
-		return nil, fmt.Errorf("baselines: no switches")
+		return nil, fmt.Errorf("routing: no switches")
 	}
 	// Root: the switch with the highest degree, lowest ID on ties — the
 	// usual Autonet heuristic.
@@ -82,9 +70,9 @@ func (u *UpDown) isUp(a, b topology.NodeID) bool {
 // Path computes a shortest Up*/Down*-legal path from src to dst, or an
 // error when none exists (disconnected). Ties prefer fewer direction
 // changes, then lower node IDs — deterministic.
-func (u *UpDown) Path(src, dst topology.NodeID) ([]routing.Hop, error) {
+func (u *UpDown) Path(src, dst topology.NodeID) ([]Hop, error) {
 	if src == dst {
-		return nil, fmt.Errorf("baselines: src == dst")
+		return nil, fmt.Errorf("routing: src == dst")
 	}
 	t := u.topo
 	// BFS over (node, phase): phase 0 = still allowed to go up,
@@ -152,24 +140,24 @@ func (u *UpDown) Path(src, dst topology.NodeID) ([]routing.Hop, error) {
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("baselines: no up*/down* path %d -> %d",
+		return nil, fmt.Errorf("routing: no up*/down* path %d -> %d",
 			src, dst)
 	}
 	// Reconstruct.
-	var rev []routing.Hop
+	var rev []Hop
 	for s := goal; ; {
 		pi := prev[s]
 		if !pi.ok {
 			break
 		}
-		rev = append(rev, routing.Hop{
+		rev = append(rev, Hop{
 			Node: pi.prev.node,
 			Port: pi.at.Link.PortOn(pi.prev.node),
 			Link: pi.at.Link,
 		})
 		s = pi.prev
 	}
-	out := make([]routing.Hop, 0, len(rev))
+	out := make([]Hop, 0, len(rev))
 	for i := len(rev) - 1; i >= 0; i-- {
 		out = append(out, rev[i])
 	}
@@ -180,7 +168,7 @@ func (u *UpDown) Path(src, dst topology.NodeID) ([]routing.Hop, error) {
 // all ordered host pairs: it returns the mean stretch (UpDown length /
 // SPF length) and the fraction of pairs with stretch > 1 — the multipath /
 // path-length cost the paper cites against CBD-free routing.
-func (u *UpDown) AllPairsStretch(tab *routing.Table) (mean float64, inflated float64, err error) {
+func (u *UpDown) AllPairsStretch(tab *Table) (mean float64, inflated float64, err error) {
 	hosts := u.topo.Hosts()
 	var sum float64
 	var n, longer int
@@ -206,7 +194,7 @@ func (u *UpDown) AllPairsStretch(tab *routing.Table) (mean float64, inflated flo
 		}
 	}
 	if n == 0 {
-		return 0, 0, fmt.Errorf("baselines: no reachable pairs")
+		return 0, 0, fmt.Errorf("routing: no reachable pairs")
 	}
 	return sum / float64(n), float64(longer) / float64(n), nil
 }

@@ -78,7 +78,6 @@ func TestFluidSupportsReasons(t *testing.T) {
 		}, "generator"},
 		{"cbfc", func(s *Spec) { s.Scheme.FC = CBFC }, "credit"},
 		{"bfc", func(s *Spec) { s.Scheme.FC = BFC }, "per-flow queues"},
-		{"priorities", func(s *Spec) { s.Sim.Priorities = 2 }, "priority classes"},
 		{"jitter", func(s *Spec) { s.Sim.FeedbackJitterNs = units.Microsecond }, "jitter"},
 		{"scheduling", func(s *Spec) { s.Sim.Scheduling = "blocking" }, "packet-granular"},
 		{"dcfit", func(s *Spec) { s.Run.Detector = "dcfit" }, "DCFIT"},
@@ -157,5 +156,46 @@ func TestFluidAnalyticAttached(t *testing.T) {
 	}
 	if res.HighWater <= 0 {
 		t.Error("fluid run recorded no high-water occupancy")
+	}
+}
+
+// TestFluidVerdictHorizonStable: a fluid deadlock verdict is a property of
+// the scenario, not of how long it was watched. Every registered scenario the
+// fluid backend represents is run at 1×, 2× and 5× its registered horizon, and
+// the verdict and its time must agree — a conviction past the registered
+// horizon (casestudy-gfcbuf's floor-rate trickle, convicted at 3.18 ms by every
+// run longer than 60 ms while the stall watch took "under a byte per step" for
+// a standstill) or one a longer run retracts both fail here.
+func TestFluidVerdictHorizonStable(t *testing.T) {
+	for _, name := range Names() {
+		spec, _ := Get(name)
+		var fb FluidBackend
+		if fb.Supports(&spec) != nil {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var base *Result
+			for _, mult := range []units.Time{1, 2, 5} {
+				s := spec
+				s.Run.DurationNs = mult * spec.Run.DurationNs
+				r, err := fb.Build(s, nil)
+				if err != nil {
+					t.Fatalf("fluid build: %v", err)
+				}
+				res, err := r.RunBounded(context.Background(), netsim.Budget{})
+				if err != nil {
+					t.Fatalf("fluid run at %d×: %v", mult, err)
+				}
+				if base == nil {
+					base = res
+					continue
+				}
+				if res.Deadlocked != base.Deadlocked || res.DeadlockAt != base.DeadlockAt {
+					t.Errorf("at %d× the horizon: deadlocked=%v at %v; at 1×: deadlocked=%v at %v",
+						mult, res.Deadlocked, res.DeadlockAt, base.Deadlocked, base.DeadlockAt)
+				}
+			}
+		})
 	}
 }

@@ -127,7 +127,6 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 		gen := workload.NewGenerator(sim.Net, c.table, dist, workload.EdgeRacks(c.topo), c.generatorSeed())
 		gen.FlowsPerHost = g.FlowsPerHost
 		gen.Think = g.ThinkNs
-		gen.Priority = g.Priority
 		if err := gen.Start(); err != nil {
 			return nil, err
 		}
@@ -399,9 +398,6 @@ func (s *Spec) simConfig() (netsim.Config, FCParams, error) {
 	if m.MTUBytes != 0 {
 		cfg.MTU = m.MTUBytes
 	}
-	if m.Priorities != 0 {
-		cfg.Priorities = m.Priorities
-	}
 	if m.ProcDelayNs != 0 {
 		cfg.ProcDelay = m.ProcDelayNs
 	}
@@ -478,9 +474,8 @@ func resolveFlows(spec Spec, topo *topology.Topology, tab *routing.Table) ([]res
 			id = i + 1
 		}
 		f := &netsim.Flow{
-			ID:       id,
-			Size:     fs.SizeBytes,
-			Priority: fs.Priority,
+			ID:   id,
+			Size: fs.SizeBytes,
 		}
 		if len(fs.Path) > 0 {
 			path, err := routing.ExplicitPath(topo, fs.Path...)

@@ -141,7 +141,6 @@ func (c *compiled) predict() (*analytic.Prediction, error) {
 			B0:     c.fp.B0,
 			Period: c.fp.Period,
 		},
-		CBDKnown:  true,
 		CBDCyclic: c.cbdVerdict(),
 		Faulted:   c.plan != nil,
 		Duration:  c.spec.Run.DurationNs,

@@ -65,7 +65,7 @@ func TestBackendsInstallSameCeilings(t *testing.T) {
 			for n := 0; n < topo.NumNodes(); n++ {
 				node := topo.Node(topology.NodeID(n))
 				for _, at := range topo.Ports(node.ID) {
-					idx := preg.ChannelIndex(node.ID, at.Port, 0)
+					idx := preg.ChannelIndex(node.ID, at.Port)
 					from := topo.Node(at.Peer).Name
 					if p, f := preg.Ceiling(idx), freg.Ceiling(idx); p != f {
 						t.Errorf("%s<-%s: packet ceiling %v, fluid ceiling %v", node.Name, from, p, f)
@@ -213,7 +213,7 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 		if ch.Host {
 			continue
 		}
-		ceil := preg.Ceiling(preg.ChannelIndex(ch.Node, ch.Port, 0))
+		ceil := preg.Ceiling(preg.ChannelIndex(ch.Node, ch.Port))
 		switch m := ch.Mapping.(type) {
 		case *fluid.OnOff:
 			// The receiver must pause exactly at XOFF and resume exactly

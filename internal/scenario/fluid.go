@@ -51,9 +51,6 @@ func (b FluidBackend) Supports(spec *Spec) error {
 	default:
 		return fmt.Errorf("scenario: fluid backend: no fluid mapping for scheme %q", spec.Scheme.FC)
 	}
-	if spec.Sim.Priorities > 1 {
-		return fmt.Errorf("scenario: fluid backend: multiple priority classes are packet-granular")
-	}
 	if spec.Sim.FeedbackJitterNs > 0 {
 		return fmt.Errorf("scenario: fluid backend: feedback jitter is event-granular")
 	}
@@ -94,7 +91,7 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 		return nil, err
 	}
 	if c.reg != nil {
-		netsim.BindRegistry(c.reg, c.topo, c.cfg, func(node topology.NodeID, port, _ int) (units.Size, *core.StageTable) {
+		netsim.BindRegistry(c.reg, c.topo, c.cfg, func(node topology.NodeID, port int) (units.Size, *core.StageTable) {
 			return laws[node][port].bm, laws[node][port].table
 		})
 	}

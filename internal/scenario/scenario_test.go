@@ -75,6 +75,11 @@ func TestParseValidates(t *testing.T) {
 		{"small ring", `{"name":"x","topology":{"builder":"ring","n":2},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, "n >= 3"},
 		{"two sources", `{"name":"x","topology":{"builder":"ring"},"workload":{"pattern":"ring-clockwise","generator":{}},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, "mutually exclusive"},
 		{"uniform needs size", `{"name":"x","topology":{"builder":"fat-tree","k":4},"workload":{"generator":{"dist":"uniform"}},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, "uniform_bytes"},
+		// The fabric carries one lossless class: the class knobs are gone, and
+		// the strict decoder names the one a spec still carries.
+		{"sim priorities", `{"name":"x","topology":{"builder":"ring"},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"sim":{"priorities":2},"run":{"duration_ns":1}}`, `unknown field "priorities"`},
+		{"flow priority", `{"name":"x","topology":{"builder":"ring"},"workload":{"flows":[{"src":"H1","dst":"H2","priority":1}]},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown field "priority"`},
+		{"generator priority", `{"name":"x","topology":{"builder":"fat-tree","k":4},"workload":{"generator":{"priority":1}},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown field "priority"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -118,7 +118,6 @@ type FlowSpec struct {
 	Dst  string   `json:"dst,omitempty"`
 	// SizeBytes is the flow size; 0 means unbounded (runs forever).
 	SizeBytes units.Size `json:"size_bytes,omitempty"`
-	Priority  int        `json:"priority,omitempty"`
 	// StartNs delays the flow's first packet.
 	StartNs units.Time `json:"start_ns,omitempty"`
 }
@@ -136,8 +135,7 @@ type GeneratorSpec struct {
 	// A positive value turns the saturating workload into flow churn.
 	ThinkNs units.Time `json:"think_ns,omitempty"`
 	// Seed seeds the generator's private source; 0 uses Spec.Seed.
-	Seed     int64 `json:"seed,omitempty"`
-	Priority int   `json:"priority,omitempty"`
+	Seed int64 `json:"seed,omitempty"`
 }
 
 // SchemeSpec selects the flow-control scheme and its parameters.
@@ -154,7 +152,6 @@ type SchemeSpec struct {
 type SimSpec struct {
 	BufferBytes    units.Size `json:"buffer_bytes,omitempty"`
 	MTUBytes       units.Size `json:"mtu_bytes,omitempty"`
-	Priorities     int        `json:"priorities,omitempty"`
 	ProcDelayNs    units.Time `json:"proc_delay_ns,omitempty"`
 	TauNs          units.Time `json:"tau_ns,omitempty"`
 	ECNBytes       units.Size `json:"ecn_bytes,omitempty"`

@@ -39,8 +39,6 @@ type Generator struct {
 	Dist  *SizeDist
 	Racks RackOf
 	Rng   *rand.Rand
-	// Priority assigned to generated flows.
-	Priority int
 	// FlowsPerHost is how many flows each host keeps in flight
 	// concurrently; default 1 (the paper's workload). Higher values
 	// intensify transient convergence — useful to raise the deadlock
@@ -130,12 +128,11 @@ func (g *Generator) launch(src topology.NodeID, at units.Time) error {
 		return fmt.Errorf("workload: routing flow %d: %w", id, err)
 	}
 	f := &netsim.Flow{
-		ID:       id,
-		Src:      src,
-		Dst:      dst,
-		Size:     g.Dist.Sample(g.Rng),
-		Priority: g.Priority,
-		Path:     path,
+		ID:   id,
+		Src:  src,
+		Dst:  dst,
+		Size: g.Dist.Sample(g.Rng),
+		Path: path,
 	}
 	f.OnDone = func(done *netsim.Flow) {
 		g.Completed = append(g.Completed, done)
