@@ -197,15 +197,11 @@ func sweepHash(t *testing.T, workers int) uint64 {
 	return g.sum()
 }
 
-// TestGoldenTraces regression-pins the end-to-end event streams of the
-// paper's key experiments (fig9, fig12, fig19, table1) plus the canonical
-// faulted scenario against recorded FNV-1a hashes. A mismatch means the
-// simulation produced different results than the commit that recorded the
-// goldens — intended changes re-record with -update.
-func TestGoldenTraces(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs five experiments (~10 s)")
-	}
+// checkGolden compares got with the hash recorded under name in goldenPath,
+// or under -update records it there, keeping every other entry.
+func checkGolden(t *testing.T, name string, got uint64) {
+	t.Helper()
+	h := fmt.Sprintf("%016x", got)
 	want := map[string]string{}
 	data, err := os.ReadFile(goldenPath)
 	switch {
@@ -218,40 +214,76 @@ func TestGoldenTraces(t *testing.T) {
 	default:
 		t.Fatalf("reading %s: %v (run with -update to record)", goldenPath, err)
 	}
-
-	got := map[string]string{}
-	for name, run := range goldenRuns {
-		name, run := name, run
-		t.Run(name, func(t *testing.T) {
-			h := fmt.Sprintf("%016x", run(t))
-			got[name] = h
-			if *update {
-				return
-			}
-			w, ok := want[name]
-			if !ok {
-				t.Fatalf("no golden recorded for %s (run with -update)", name)
-			}
-			if h != w {
-				t.Errorf("trace hash %s, golden %s — simulation behaviour changed; "+
-					"re-record with -update if intended", h, w)
-			}
-		})
-	}
-
 	if *update {
+		want[name] = h
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		out, err := json.MarshalIndent(got, "", "  ")
+		out, err := json.MarshalIndent(want, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(goldenPath, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("recorded %d golden hashes to %s", len(got), goldenPath)
+		t.Logf("recorded %s = %s in %s", name, h, goldenPath)
+		return
 	}
+	w, ok := want[name]
+	if !ok {
+		t.Fatalf("no golden recorded for %s (run with -update)", name)
+	}
+	if h != w {
+		t.Errorf("trace hash %s, golden %s — simulation behaviour changed; "+
+			"re-record with -update if intended", h, w)
+	}
+}
+
+// TestGoldenTraces regression-pins the end-to-end event streams of the
+// paper's key experiments (fig9, fig12, fig19, table1) plus the canonical
+// faulted scenario against recorded FNV-1a hashes. A mismatch means the
+// simulation produced different results than the commit that recorded the
+// goldens — intended changes re-record with -update.
+func TestGoldenTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five experiments (~10 s)")
+	}
+	for name, run := range goldenRuns {
+		t.Run(name, func(t *testing.T) { checkGolden(t, name, run(t)) })
+	}
+}
+
+// TestFluidSweepGolden pins the fluid solver end to end on the slice the
+// table1_fluid benchmark sweeps (k=4, seed 3, 25 ms cells, analytic checker
+// on): the first repeat of the first 10 CBD-prone cells under both GFC
+// schemes, each ScenarioResult hashed as the JSON the checkpoint store
+// writes (its float encoding is exact).
+func TestFluidSweepGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 20 fluid cells")
+	}
+	cfg := DefaultSweep(4)
+	cfg.Seed, cfg.Repeats, cfg.Analytic, cfg.Backend = 3, 3, true, "fluid"
+	g := newHasher()
+	for i, found := 0, 0; found < 10; i++ {
+		topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(i))
+		if !prone {
+			continue
+		}
+		found++
+		for _, fc := range []FC{GFCBuf, GFCTime} {
+			res, err := RunScenarioFluid(context.Background(), topo, tab, fc, cfg, cfg.Seed*1000+int64(i*cfg.Repeats))
+			if err != nil {
+				t.Fatalf("cell %d %v: %v", i, fc, err)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.h.Write(data)
+		}
+	}
+	checkGolden(t, "table1-fluid-sweep", g.sum())
 }
 
 // TestSweepWorkerIndependence pins the share-nothing parallelism contract on

@@ -3,9 +3,11 @@
 // channel carries its own lagged queue signal and queue-to-rate law; flows
 // move bytes hop by hop, sharing each channel's admission budget
 // proportionally. Where netsim replays every packet, RunNet integrates rates
-// — orders of magnitude faster — and fills the same metrics.Registry
-// counters (bytes in/out, high-water occupancy, drops) so invariant
-// checking, CheckNetwork and report writers work unchanged.
+// — measured on 25 ms k=4 Table 1 cells at 4.6× the packet engine's speed
+// under GFC-buffer and 8.1× under GFC-time (EXPERIMENTS.md "Choosing a
+// backend") — and fills the same metrics.Registry counters (bytes in/out,
+// high-water occupancy, drops) so invariant checking, CheckNetwork and report
+// writers work unchanged.
 package fluid
 
 import (
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -161,20 +164,32 @@ type NetResult struct {
 // bound what the extrapolation costs.
 var extrapolate = true
 
-// chanState is the per-channel integration state (struct-of-arrays would
-// buy little here: the step loop is dominated by the per-flow inner loop).
+// hotChan is the part of a channel's state the per-flow transfer walk
+// touches: the demand gathered for the next step, this step's send and keep
+// scales, the bytes moved in and out, and whether the channel is a consuming
+// host ingress. It is split from chanState so every hop of the walk loads one
+// 48-byte record.
+type hotChan struct {
+	wantNext             float64
+	sendScale, keepScale float64
+	inflow, outflow      float64
+	host                 bool
+}
+
+// chanState is the rest of a channel's integration state, touched once per
+// channel per step.
 type chanState struct {
-	q        float64   // current queue, bytes
-	hist     []float64 // lagged-queue ring, len lag+1
-	lag      int
-	rate     units.Rate // current admission rate (Period channels)
-	pending  []rateUpdate
-	head     int
-	nextSamp units.Time
-	// Per-step scratch.
-	want, budget, inflow, outflow float64
-	sendScale, keepScale          float64
-	dropStep, capStep             float64
+	q       float64 // current queue, bytes
+	buffer  float64
+	capStep float64 // bytes per step at capacity: an uncontrolled channel's budget
+	mapping Mapping
+	table   *core.StageTable // the mapping's table when it is Staged, called directly
+	pipe    *sampler         // the feedback pipeline of a controlled Period channel
+	// hist is the lagged-queue ring, len lag+1, cut from one array for
+	// all channels. The slot a step reads (the queue lag steps ago) is the
+	// slot it then overwrites, so one cursor serves both.
+	hist     []float64
+	lag, pos int
 	// Fast-forward window accumulators: queue snapshot at the last window
 	// boundary, the previous window's queue delta, and in/out/dropped
 	// bytes since the boundary.
@@ -185,7 +200,20 @@ type chanState struct {
 	totalIn, totalOut, dropAcc float64
 	dropPkts                   int64
 	qmax                       float64
-	idx                        int // metrics channel index, -1 without registry
+}
+
+// sampler is a Period channel's feedback pipeline: the queue is sampled
+// every Period and each sample's rate takes effect Tau later. The samples in
+// flight sit in a ring, n of them from head on. A sample due at k·Period is
+// taken on the first step at or after it, one per step at most, so samples
+// are never more than a step late and never more frequent than one per
+// Period or per step, whichever is longer: ⌈Tau/Period⌉+1 entries hold
+// every sample still in flight.
+type sampler struct {
+	next    units.Time // the next sampling instant
+	rate    units.Rate // the rate in force
+	ring    []rateUpdate
+	head, n int
 }
 
 type rateUpdate struct {
@@ -193,15 +221,42 @@ type rateUpdate struct {
 	r  units.Rate
 }
 
-// flowState tracks one flow's backlog at each hop's ingress channel.
+// rateAt maps a queue through the channel's law.
+func (st *chanState) rateAt(q float64) units.Rate {
+	if st.table != nil {
+		return st.table.RateFor(units.Size(q))
+	}
+	return st.mapping.RateAt(units.Size(q))
+}
+
+// flowState is one flow's source and its hops [off, end) of the run's flat
+// hop arrays: the channel each hop feeds and the flow's backlog there.
 type flowState struct {
-	chans   []int // channel index per hop
-	backlog []float64
-	remain  float64 // source bytes left; +Inf for unbounded
-	srcCap  units.Rate
-	start   units.Time
-	done    bool
-	winDel  float64 // bytes delivered this fast-forward window
+	off, end int
+	remain   float64 // source bytes left; +Inf for unbounded
+	srcStep  float64 // bytes the source link carries per step
+	start    units.Time
+	done     bool
+	simple   bool    // no two hops feed the same channel
+	winDel   float64 // bytes delivered this fast-forward window
+}
+
+// srcAvail is what the source can send this step.
+func (fs *flowState) srcAvail() float64 {
+	if fs.remain > fs.srcStep {
+		return fs.srcStep
+	}
+	return fs.remain
+}
+
+// gather adds one flow's demand on its hops' channels for the coming step —
+// the source's step at the first hop, each backlog at the hop after it — in
+// hop order, so every channel sums its terms in flow order.
+func gather(hot []hotChan, hops []int32, backlog []float64, src float64) {
+	hot[hops[0]].wantNext += src
+	for h := 1; h < len(hops); h++ {
+		hot[hops[h]].wantNext += backlog[h-1]
+	}
 }
 
 // RunNet integrates the network model.
@@ -227,14 +282,19 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 	if cfg.Step < 0 || cfg.Horizon < 0 {
 		return nil, fmt.Errorf("fluid: negative Step or Horizon")
 	}
+	dt := cfg.Step.Seconds()
 
-	// Channel lookup by (node, port).
+	// Channel lookup by (node, port). One window spans the deepest feedback
+	// pipeline (lag ring plus any periodic sampler); see the fast-forward
+	// below.
 	type key struct {
 		n topology.NodeID
 		p int
 	}
 	byKey := make(map[key]int, len(cfg.Channels))
 	chans := make([]chanState, len(cfg.Channels))
+	hot := make([]hotChan, len(cfg.Channels))
+	window, nhist := 64, 0
 	for i := range cfg.Channels {
 		ch := &cfg.Channels[i]
 		if ch.Capacity <= 0 {
@@ -251,22 +311,49 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 			return nil, fmt.Errorf("fluid: duplicate channel for node %d port %d", ch.Node, ch.Port)
 		}
 		byKey[k] = i
+		hot[i].host = ch.Host
 		st := &chans[i]
+		st.buffer = float64(ch.Buffer)
+		st.capStep = float64(ch.Capacity) / 8 * dt
+		st.mapping = ch.Mapping
 		st.lag = int(ch.Tau / cfg.Step)
-		st.hist = make([]float64, st.lag+1)
-		st.rate = ch.Capacity
+		nhist += st.lag + 1
+		st.pos = 1 % (st.lag + 1)
 		if ch.Mapping != nil {
-			st.rate = ch.Mapping.LineRate()
+			if s, ok := ch.Mapping.(Staged); ok {
+				st.table = s.T
+			}
+			if ch.Period > 0 {
+				st.pipe = &sampler{
+					next: ch.Period, rate: ch.Mapping.LineRate(),
+					ring: make([]rateUpdate, (ch.Tau+ch.Period-1)/ch.Period+1),
+				}
+			}
 		}
-		st.nextSamp = ch.Period
-		st.idx = -1
-		if cfg.Metrics != nil {
-			st.idx = cfg.Metrics.ChannelIndex(ch.Node, ch.Port)
+		w := st.lag + 2
+		if p := ch.Period; p > 0 {
+			if pw := int(p/cfg.Step) + st.lag + 2; pw > w {
+				w = pw
+			}
 		}
+		if w > window {
+			window = w
+		}
+	}
+	hist := make([]float64, nhist)
+	for c := range chans {
+		st := &chans[c]
+		st.hist, hist = hist[:st.lag+1:st.lag+1], hist[st.lag+1:]
 	}
 
 	// Resolve flow paths to channel indices: hop h of a flow feeds the
-	// ingress channel of the node *after* the hop's link.
+	// ingress channel of the node *after* the hop's link. Every flow's hops
+	// sit in one flat array.
+	nhops := 0
+	for fi := range cfg.Flows {
+		nhops += len(cfg.Flows[fi].Path)
+	}
+	hopChan := make([]int32, 0, nhops)
 	flows := make([]flowState, len(cfg.Flows))
 	for fi := range cfg.Flows {
 		f := &cfg.Flows[fi]
@@ -277,14 +364,13 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 			return nil, fmt.Errorf("fluid: flow %d: negative start", fi)
 		}
 		fs := &flows[fi]
-		fs.chans = make([]int, len(f.Path))
-		fs.backlog = make([]float64, len(f.Path))
 		fs.start = f.Start
-		fs.srcCap = f.Path[0].Link.Capacity
+		fs.srcStep = float64(f.Path[0].Link.Capacity) / 8 * dt
 		fs.remain = math.Inf(1)
 		if f.Size > 0 {
 			fs.remain = float64(f.Size)
 		}
+		fs.off = len(hopChan)
 		for h, hop := range f.Path {
 			if hop.Link == nil {
 				return nil, fmt.Errorf("fluid: flow %d hop %d: nil link", fi, h)
@@ -298,12 +384,21 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 				return nil, fmt.Errorf("fluid: flow %d hop %d: no channel at node %d port %d",
 					fi, h, next, hop.Link.PortOn(next))
 			}
-			fs.chans[h] = ci
+			hopChan = append(hopChan, int32(ci))
+		}
+		fs.end = len(hopChan)
+		fs.simple = true
+		for a := fs.off; a < fs.end; a++ {
+			for b := a + 1; b < fs.end; b++ {
+				if hopChan[a] == hopChan[b] {
+					fs.simple = false
+				}
+			}
 		}
 	}
+	backlog := make([]float64, len(hopChan))
 
 	steps := int(cfg.Horizon / cfg.Step)
-	dt := cfg.Step.Seconds()
 	mtu := float64(cfg.MTU)
 	res := &NetResult{FlowDelivered: make([]units.Size, len(flows))}
 	flowDel := make([]float64, len(flows))
@@ -331,26 +426,24 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 	// extrapolation basis is not the tail of a transient, and a pending
 	// stall always blocks — the watch, not the extrapolation, owns the
 	// deadlock verdict.
-	window := 64
-	for c := range chans {
-		st := &chans[c]
-		st.capStep = float64(cfg.Channels[c].Capacity) / 8 * dt
-		w := st.lag + 2
-		if p := cfg.Channels[c].Period; p > 0 {
-			if pw := int(p/cfg.Step) + st.lag + 2; pw > w {
-				w = pw
-			}
-		}
-		if w > window {
-			window = w
-		}
-	}
 	const drainFrac = 1e-3 // tolerated drain, fraction of line rate
 	stableWins := 0
+	winLeft := window
+
+	// Demand is gathered one step ahead: each flow adds what it will bid in
+	// step i+1 from the stores its own transfer walk in step i leaves
+	// behind, in flow order, so every channel sums the same terms in the
+	// same order as a separate pass would. Step 0's bids are gathered here.
+	for fi := range flows {
+		if fs := &flows[fi]; fs.start <= 0 {
+			gather(hot, hopChan[fs.off:fs.end], backlog[fs.off:fs.end], fs.srcAvail())
+		}
+	}
 
 	for i := 0; i < steps; i++ {
 		now := units.Time(i) * cfg.Step
-		res.End = now + cfg.Step
+		next := now + cfg.Step
+		res.End = next
 		res.Steps = i + 1
 		if cfg.Ctx != nil && i&4095 == 0 {
 			if err := cfg.Ctx.Err(); err != nil {
@@ -359,70 +452,53 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 		}
 
 		// Phase A: per-channel admission budgets from the lagged queue
-		// signal (or the periodic-sample pipeline).
-		for c := range chans {
-			st := &chans[c]
-			ch := &cfg.Channels[c]
-			r := ch.Capacity
-			if ch.Mapping != nil {
-				if ch.Period > 0 {
-					for st.head < len(st.pending) && now >= st.pending[st.head].at {
-						st.rate = st.pending[st.head].r
-						st.head++
-					}
-					if st.head == len(st.pending) && st.head > 0 {
-						st.pending = st.pending[:0]
-						st.head = 0
-					}
-					if now >= st.nextSamp {
-						st.pending = append(st.pending, rateUpdate{
-							at: now + ch.Tau,
-							r:  ch.Mapping.RateAt(units.Size(st.q)),
-						})
-						st.nextSamp += ch.Period
-					}
-					r = st.rate
-				} else if i <= st.lag {
-					r = ch.Mapping.LineRate()
-				} else {
-					r = ch.Mapping.RateAt(units.Size(st.hist[(i-st.lag)%(st.lag+1)]))
-				}
-			}
-			if r > ch.Capacity {
-				r = ch.Capacity
-			}
-			st.budget = float64(r) / 8 * dt
-			st.want, st.inflow, st.outflow = 0, 0, 0
-		}
-
-		// Phase B: wants from start-of-step stores, then per-channel
-		// send/keep scales. A transfer leaves its upstream store at
+		// signal (or the periodic-sample pipeline), then send/keep scales
+		// for the gathered demand. A transfer leaves its upstream store at
 		// sendScale (admission budget) and survives into the queue at
 		// keepScale (buffer space); the difference is dropped bytes.
-		for fi := range flows {
-			fs := &flows[fi]
-			if fs.done || now < fs.start {
-				continue
-			}
-			src := fs.remain
-			if cap := float64(fs.srcCap) / 8 * dt; src > cap {
-				src = cap
-			}
-			chans[fs.chans[0]].want += src
-			for h := 1; h < len(fs.chans); h++ {
-				chans[fs.chans[h]].want += fs.backlog[h-1]
-			}
-		}
 		for c := range chans {
-			st := &chans[c]
-			ch := &cfg.Channels[c]
-			x := st.want
-			if x > st.budget {
-				x = st.budget
+			st, hc := &chans[c], &hot[c]
+			budget := st.capStep
+			if st.mapping != nil {
+				var r units.Rate
+				switch p := st.pipe; {
+				case p != nil:
+					for p.n > 0 && now >= p.ring[p.head].at {
+						p.rate = p.ring[p.head].r
+						if p.head++; p.head == len(p.ring) {
+							p.head = 0
+						}
+						p.n--
+					}
+					if now >= p.next {
+						tail := p.head + p.n
+						if tail >= len(p.ring) {
+							tail -= len(p.ring)
+						}
+						ch := &cfg.Channels[c]
+						p.ring[tail] = rateUpdate{at: now + ch.Tau, r: st.rateAt(st.q)}
+						p.n++
+						p.next += ch.Period
+					}
+					r = p.rate
+				case i <= st.lag:
+					r = st.mapping.LineRate()
+				default:
+					r = st.rateAt(st.hist[st.pos])
+				}
+				// Capped at the line rate: capStep is that rate's budget.
+				if b := float64(r) / 8 * dt; b < budget {
+					budget = b
+				}
+			}
+			want := hc.wantNext
+			x := want
+			if x > budget {
+				x = budget
 			}
 			fits := x
-			if !ch.Host {
-				free := float64(ch.Buffer) - st.q
+			if !hc.host {
+				free := st.buffer - st.q
 				if free < 0 {
 					free = 0
 				}
@@ -430,105 +506,137 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 					fits = free
 				}
 			}
-			st.sendScale, st.keepScale = 1, 1
-			if st.want > 0 {
-				st.sendScale = x / st.want
+			hc.sendScale, hc.keepScale = 1, 1
+			if want > 0 {
+				hc.sendScale = x / want
 			}
 			if x > 0 {
-				st.keepScale = fits / x
+				hc.keepScale = fits / x
 			}
-			st.dropStep = x - fits
-			st.dropAcc += st.dropStep
+			drop := x - fits
+			st.dropAcc += drop
+			st.winDrop += drop
+			hc.wantNext, hc.inflow, hc.outflow = 0, 0, 0
 		}
 
-		// Phase C: apply transfers. Hops are walked last-to-first so each
-		// upstream store is read (as this hop's avail) before its own
-		// earlier hop writes it — every move is computed from
-		// start-of-step state, keeping the step order-independent.
-		var moved float64
+		// Phase B: apply transfers and gather the next step's demand. Hops
+		// are walked last-to-first so each upstream store is read (as this
+		// hop's avail) before its own earlier hop writes it — every move is
+		// computed from start-of-step state, keeping the step
+		// order-independent. The store of the hop being walked rides in cur:
+		// the hop after it took its out, this hop adds its in, and it is
+		// written back once. A flow not yet started bids if it starts next
+		// step; a finished one no longer does.
+		moved := false
+		var sink hotChan
 		for fi := range flows {
 			fs := &flows[fi]
-			if fs.done || now < fs.start {
+			if fs.done {
 				continue
 			}
-			srcAvail := fs.remain
-			if cap := float64(fs.srcCap) / 8 * dt; srcAvail > cap {
-				srcAvail = cap
+			hops, bl := hopChan[fs.off:fs.end], backlog[fs.off:fs.end]
+			if now < fs.start {
+				if next >= fs.start {
+					gather(hot, hops, bl, fs.srcAvail())
+				}
+				continue
 			}
-			for h := len(fs.chans) - 1; h >= 0; h-- {
-				st := &chans[fs.chans[h]]
-				avail := srcAvail
+			src := fs.srcAvail()
+			// A flow whose source outlasts this step cannot finish in it,
+			// and if its hops feed distinct channels it bids on each channel
+			// once, so the order within the flow is moot: it bids on the
+			// hop after each store as the walk leaves that store. Any other
+			// flow bids after its walk, in hop order, unless it finished.
+			ahead := fs.simple && fs.remain > src
+			cur := bl[len(bl)-1]
+			below := &sink // the last hop's store is no channel's demand
+			for h := len(hops) - 1; h >= 0; h-- {
+				st := &hot[hops[h]]
+				avail, up := src, 0.0
 				if h > 0 {
-					avail = fs.backlog[h-1]
+					up = bl[h-1]
+					avail = up
 				}
-				out := avail * st.sendScale
-				if out <= 0 {
-					continue
+				if out := avail * st.sendScale; out > 0 {
+					in := out * st.keepScale
+					if h == 0 {
+						fs.remain -= out
+					} else {
+						up -= out
+						hot[hops[h-1]].outflow += out
+					}
+					if st.host {
+						flowDel[fi] += in
+						fs.winDel += in
+						delivered += in
+						st.inflow += in
+						st.outflow += in
+					} else {
+						cur += in
+						st.inflow += in
+					}
+					moved = true
 				}
-				in := out * st.keepScale
-				if h == 0 {
-					fs.remain -= out
-				} else {
-					fs.backlog[h-1] -= out
-					chans[fs.chans[h-1]].outflow += out
+				bl[h] = cur
+				if ahead {
+					below.wantNext += cur
+					below = st
 				}
-				if cfg.Channels[fs.chans[h]].Host {
-					flowDel[fi] += in
-					fs.winDel += in
-					delivered += in
-					st.inflow += in
-					st.outflow += in
-				} else {
-					fs.backlog[h] += in
-					st.inflow += in
-				}
-				moved += out
+				cur = up
+			}
+			if ahead {
+				below.wantNext += fs.srcAvail()
+				continue
 			}
 			if fs.remain <= 0 {
 				fs.remain = 0
-				var backlog float64
-				for _, b := range fs.backlog {
-					backlog += b
+				var left float64
+				for _, b := range bl {
+					left += b
 				}
-				if backlog < 1 { // fully drained: below one byte in flight
+				if left < 1 { // fully drained: below one byte in flight
 					fs.done = true
+					continue
 				}
 			}
+			gather(hot, hops, bl, fs.srcAvail())
 		}
 
-		// Phase D: queue updates, metrics, lag history, deadlock watch.
-		var backlog float64
+		// Phase C: queue updates, metrics, lag history, deadlock watch.
+		var queued float64
 		for c := range chans {
-			st := &chans[c]
-			st.q += st.inflow - st.outflow
+			st, hc := &chans[c], &hot[c]
+			st.q += hc.inflow - hc.outflow
 			if st.q < 0 {
 				st.q = 0
 			}
-			if !cfg.Channels[c].Host {
-				backlog += st.q
+			if !hc.host {
+				queued += st.q
 				if st.q > st.qmax {
 					st.qmax = st.q
 				}
 			}
-			st.totalIn += st.inflow
-			st.totalOut += st.outflow
-			st.winIn += st.inflow
-			st.winOut += st.outflow
-			st.winDrop += st.dropStep
+			st.totalIn += hc.inflow
+			st.totalOut += hc.outflow
+			st.winIn += hc.inflow
+			st.winOut += hc.outflow
 			if st.dropAcc >= mtu {
 				n := math.Floor(st.dropAcc / mtu)
 				st.dropAcc -= n * mtu
 				st.dropPkts += int64(n)
 				drops += int64(n)
 			}
-			st.hist[(i+1)%(st.lag+1)] = st.q
+			st.hist[st.pos] = st.q
+			if st.pos++; st.pos > st.lag {
+				st.pos = 0
+			}
 		}
 		// Deadlock is a standstill, not a trickle: nothing at all moved,
 		// which holds exactly when every channel with demand has a zero
 		// permitted rate — the packet detector's rule. A floor-rate GFC
-		// channel keeps moved positive, so the verdict cannot depend on
-		// the horizon.
-		if backlog > mtu && moved == 0 {
+		// channel keeps moved set, so the verdict cannot depend on the
+		// horizon.
+		if queued > mtu && !moved {
 			if stallStart < 0 {
 				stallStart = now
 			}
@@ -546,17 +654,17 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 		// stall must run its course (the watch, not the extrapolation,
 		// owns the deadlock verdict); bounded or not-yet-started flows
 		// make the future non-linear, so they block the fast-forward too.
-		if (i+1)%window == 0 {
+		if winLeft--; winLeft == 0 {
+			winLeft = window
 			w := float64(window)
 			rem := float64(steps - (i + 1))
 			calm := stallStart < 0
 			if calm {
 				for c := range chans {
 					st := &chans[c]
-					ch := &cfg.Channels[c]
 					dq := st.q - st.qSnap
 					var ok bool
-					if _, hyst := ch.Mapping.(*OnOff); hyst {
+					if _, hyst := st.mapping.(*OnOff); hyst {
 						ok = dq <= 1 && dq >= -1
 					} else if dq <= 0 {
 						ok = -dq <= st.capStep*drainFrac*w
@@ -566,7 +674,7 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 							curve = -curve
 						}
 						ok = curve*rem/w <= 4*mtu &&
-							st.q+dq/w*rem < float64(ch.Buffer)
+							st.q+dq/w*rem < st.buffer
 					}
 					if !ok {
 						calm = false
@@ -594,7 +702,6 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 				if linear {
 					for c := range chans {
 						st := &chans[c]
-						ch := &cfg.Channels[c]
 						st.totalIn += st.winIn / w * rem
 						st.totalOut += st.winOut / w * rem
 						st.dropAcc += st.winDrop / w * rem
@@ -604,15 +711,15 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 							st.dropPkts += int64(n)
 							drops += int64(n)
 						}
-						if ch.Host {
+						if hot[c].host {
 							continue
 						}
 						st.q += (st.q - st.qSnap) / w * rem
 						if st.q < 0 {
 							st.q = 0
 						}
-						if b := float64(ch.Buffer); st.q > b {
-							st.q = b
+						if st.q > st.buffer {
+							st.q = st.buffer
 						}
 						if st.q > st.qmax {
 							st.qmax = st.q
@@ -650,18 +757,15 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 	}
 	var hw float64
 	for c := range chans {
-		if !cfg.Channels[c].Host && chans[c].qmax > hw {
+		if !hot[c].host && chans[c].qmax > hw {
 			hw = chans[c].qmax
 		}
 	}
 	res.HighWater = units.Size(hw)
 	if cfg.Metrics != nil {
 		for c := range chans {
-			st := &chans[c]
-			if st.idx < 0 {
-				continue
-			}
-			cfg.Metrics.RecordContinuous(st.idx, res.End,
+			st, ch := &chans[c], &cfg.Channels[c]
+			cfg.Metrics.RecordContinuous(cfg.Metrics.ChannelIndex(ch.Node, ch.Port), res.End,
 				units.Size(st.totalIn), units.Size(st.totalOut),
 				units.Size(st.qmax), units.Size(st.q), st.dropPkts)
 		}

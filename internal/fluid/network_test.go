@@ -15,7 +15,7 @@ import (
 // twoToOne builds H1,H2 → S → H3 with 10G links everywhere: two senders
 // share one egress, so each converges to 5 Gb/s — the fig-5 congestion shape
 // as a network.
-func twoToOne(t *testing.T) (*topology.Topology, *routing.Table, []NetFlow) {
+func twoToOne(t testing.TB) (*topology.Topology, *routing.Table, []NetFlow) {
 	t.Helper()
 	topo := topology.New()
 	h1 := topo.AddHost("H1")
@@ -39,7 +39,7 @@ func twoToOne(t *testing.T) (*topology.Topology, *routing.Table, []NetFlow) {
 
 // chansFor lists every ingress channel of topo: switch ingress ports get the
 // given mapping factory's law, host ingress ports are consuming sinks.
-func chansFor(t *testing.T, topo *topology.Topology, buffer units.Size, tau units.Time, period units.Time, mk func() Mapping) []NetChannel {
+func chansFor(t testing.TB, topo *topology.Topology, buffer units.Size, tau units.Time, period units.Time, mk func() Mapping) []NetChannel {
 	t.Helper()
 	var out []NetChannel
 	for n := 0; n < topo.NumNodes(); n++ {
@@ -64,7 +64,7 @@ func chansFor(t *testing.T, topo *topology.Topology, buffer units.Size, tau unit
 	return out
 }
 
-func stagedSim(t *testing.T) func() Mapping {
+func stagedSim(t testing.TB) func() Mapping {
 	t.Helper()
 	return func() Mapping {
 		st, err := core.NewStageTableRatio(10*units.Gbps, 294*units.KB, 275*units.KB, 0.5)
@@ -310,7 +310,7 @@ func TestRunNetHonoursCancellation(t *testing.T) {
 // fatTreeFlows routes perHost unbounded flows from every host of a k=4
 // fat-tree (with a seeded 5 % of its fabric links failed, like a Table 1
 // cell) to seeded hosts under other edge switches.
-func fatTreeFlows(t *testing.T, seed int64, perHost int) (*topology.Topology, []NetFlow) {
+func fatTreeFlows(t testing.TB, seed int64, perHost int) (*topology.Topology, []NetFlow) {
 	t.Helper()
 	topo := topology.FatTree(4, topology.DefaultLinkParams())
 	rng := rand.New(rand.NewSource(seed))
@@ -399,4 +399,83 @@ func TestFastForwardFiresAndBoundsHighWater(t *testing.T) {
 		t.Errorf("the fast-forward fired on %d of %d networks; it used to fire on 12", fired, len(seeds))
 	}
 	t.Logf("fired on %d of %d networks, moved the high water on %d", fired, len(seeds), moved)
+}
+
+// TestRunNetAllocsFlatInHorizon holds RunNet to allocating at setup only:
+// the same count at 25 and 100 ms, for Period above Tau, below it (where the
+// pending-update queue used to gain an entry per period for the whole run)
+// and absent.
+func TestRunNetAllocsFlatInHorizon(t *testing.T) {
+	topo, flows := fatTreeFlows(t, 3, 1)
+	tau := 16 * units.Microsecond
+	// In full: the fast-forward would end both runs at the same step.
+	extrapolate = false
+	defer func() { extrapolate = true }()
+	for _, c := range []struct {
+		name   string
+		period units.Time
+		law    func() Mapping
+	}{
+		{"period-above-tau", 52400 * units.Nanosecond, continuousLaw},
+		{"period-below-tau", 4 * units.Microsecond, continuousLaw},
+		{"staged", 0, stagedSim(t)},
+		{"conceptual", 0, continuousLaw},
+	} {
+		cfg := NetConfig{
+			Channels: chansFor(t, topo, 300*units.KB, tau, c.period, c.law),
+			Flows:    flows,
+			Step:     2 * units.Microsecond,
+		}
+		// Two runs apiece: AllocsPerRun rounds the mean down, so a stray
+		// allocation elsewhere in the process cannot fail the comparison.
+		allocs := func(horizon units.Time) float64 {
+			cfg.Horizon = horizon
+			return testing.AllocsPerRun(2, func() {
+				if _, err := RunNet(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(25*units.Millisecond), allocs(100*units.Millisecond)
+		if short != long {
+			t.Errorf("%s: %v allocations at 25 ms, %v at 100 ms", c.name, short, long)
+		}
+	}
+}
+
+// BenchmarkRunNet times the integration loop alone: the k=4 fixture (64
+// unbounded flows) for 25 ms at the fluid sweeps' 2 µs step with the
+// fast-forward off, under GFC-buffer's stage table and under GFC-time's
+// sampled continuous law. ns/step is the figure to compare.
+func BenchmarkRunNet(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		period units.Time
+		law    func() Mapping
+	}{
+		{"staged", 0, stagedSim(b)},
+		{"time", 52400 * units.Nanosecond, continuousLaw},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			topo, flows := fatTreeFlows(b, 3, 4)
+			cfg := NetConfig{
+				Channels: chansFor(b, topo, 300*units.KB, 16*units.Microsecond, c.period, c.law),
+				Flows:    flows,
+				Horizon:  25 * units.Millisecond,
+				Step:     2 * units.Microsecond,
+			}
+			extrapolate = false
+			defer func() { extrapolate = true }()
+			steps := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := RunNet(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+		})
+	}
 }
