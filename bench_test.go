@@ -1,25 +1,19 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation,
-// through the same drivers `gfcsim -exp` dispatches to (experiments.Drivers).
-// Each benchmark runs one experiment per iteration and reports the headline
-// quantities as custom metrics; run with -v to get the full rows via b.Log.
-//
-// This is the reproduction harness, not the performance one. What is
-// regenerated from it: the paper-vs-measured tables of EXPERIMENTS.md
-// (Figures 5–20, Table 1 at reduced scale: `go test -bench Fig9 -benchtime 1x
-// -v .`) and its ablation sections (BenchmarkAblation*, BenchmarkOverheadModel),
-// whose rows exist nowhere else. Wall-clock, allocation and per-layer numbers
-// come from benchmark/ (BENCHMARK.json, `bash benchmark/run.sh`) and are not
-// to be read off the ns/op printed here.
+// Benchmarks for the results of EXPERIMENTS.md that gfcsim does not print:
+// the §4.2 overhead closed form (BenchmarkOverheadModel) and the ablations
+// (BenchmarkAblation*), whose rows exist nowhere else. Each runs its
+// experiment once per iteration and logs its rows; run with
+// `go test -run '^$' -bench 'Ablation|OverheadModel' -benchtime 1x -v .`.
+// Every paper figure and table is regenerated by `gfcsim -exp` alone, and
+// cmd/gfcsim's TestExperimentsDoc checks EXPERIMENTS.md against it.
+// Wall-clock, allocation and per-layer numbers come from benchmark/
+// (BENCHMARK.json, `bash benchmark/run.sh`), not from the ns/op printed here.
 package gfc_test
 
 import (
-	"context"
-
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/deadlock"
-	"github.com/gfcsim/gfc/internal/experiments"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/routing"
@@ -29,281 +23,6 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 	"github.com/gfcsim/gfc/internal/viz"
 )
-
-// BenchmarkFig5 regenerates Figure 5: queue/rate evolution under PFC vs
-// conceptual GFC in a 2-to-1 congestion scenario. Headline: GFC's steady
-// queue sits at B_s = 75 KB.
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pfc, err := experiments.RunFig5(experiments.PFC, experiments.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gfc, err := experiments.RunFig5(experiments.GFCConceptual, experiments.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(pfc.SteadyQueue)/1e3, "PFC-steadyQ-KB")
-			b.ReportMetric(float64(gfc.SteadyQueue)/1e3, "GFC-steadyQ-KB")
-			b.Logf("Fig5: PFC steady queue %v (saws at 77..80KB), GFC steady queue %v (paper: B_s=75KB)",
-				pfc.SteadyQueue, gfc.SteadyQueue)
-		}
-	}
-}
-
-func benchRing(b *testing.B, pause, gentle experiments.FC) {
-	for i := 0; i < b.N; i++ {
-		dead, err := experiments.RunRing(experiments.RingConfig{FC: pause, HostsPerSwitch: 2},
-			experiments.RunOptions{Duration: 150 * units.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steady, err := experiments.RunRing(experiments.RingConfig{FC: gentle},
-			experiments.RunOptions{Duration: 50 * units.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			deadAt := float64(-1)
-			if dead.Deadlocked {
-				deadAt = dead.DeadlockAt.Millis()
-			}
-			b.ReportMetric(deadAt, string(pause)+"-deadlock-ms")
-			b.ReportMetric(float64(steady.SteadyQueue)/1e3, string(gentle)+"-steadyQ-KB")
-			b.ReportMetric(steady.SteadyRate.Gigabits(), string(gentle)+"-rate-Gbps")
-			b.Logf("%s deadlocked=%v at %v; %s steady queue %v rate %v",
-				pause, dead.Deadlocked, dead.DeadlockAt, gentle, steady.SteadyQueue, steady.SteadyRate)
-		}
-	}
-}
-
-// BenchmarkFig9 regenerates Figure 9: PFC deadlocks on the ring while
-// buffer-based GFC stabilises (paper: queue ≈840 KB, rate 5 Gb/s).
-func BenchmarkFig9(b *testing.B) { benchRing(b, experiments.PFC, experiments.GFCBuf) }
-
-// BenchmarkFig10 regenerates Figure 10: CBFC deadlocks while time-based GFC
-// stabilises (paper: queue ≈745 KB, rate 5 Gb/s).
-func BenchmarkFig10(b *testing.B) { benchRing(b, experiments.CBFC, experiments.GFCTime) }
-
-func benchCaseStudy(b *testing.B, pause, gentle experiments.FC) {
-	for i := 0; i < b.N; i++ {
-		o := experiments.RunOptions{Duration: 40 * units.Millisecond}
-		dead, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{FC: pause, WithCross: true}, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steady, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{FC: gentle}, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			deadAt := float64(-1)
-			if dead.Deadlocked {
-				deadAt = dead.DeadlockAt.Millis()
-			}
-			var min units.Rate = 100 * units.Gbps
-			for _, r := range steady.FlowRates {
-				if r < min {
-					min = r
-				}
-			}
-			b.ReportMetric(deadAt, string(pause)+"-deadlock-ms")
-			b.ReportMetric(min.Gigabits(), string(gentle)+"-minflow-Gbps")
-			b.Logf("%s deadlocked=%v at %v; %s flow rates %v (paper: 5G each)",
-				pause, dead.Deadlocked, dead.DeadlockAt, gentle, steady.FlowRates)
-		}
-	}
-}
-
-// BenchmarkFig12 regenerates Figure 12: PFC deadlock vs buffer-based GFC
-// keeping 5 Gb/s per flow in the fat-tree case study.
-func BenchmarkFig12(b *testing.B) { benchCaseStudy(b, experiments.PFC, experiments.GFCBuf) }
-
-// BenchmarkFig13 regenerates Figure 13: CBFC vs time-based GFC.
-func BenchmarkFig13(b *testing.B) { benchCaseStudy(b, experiments.CBFC, experiments.GFCTime) }
-
-// BenchmarkFig14 regenerates Figure 14: the victim flow freezes under a
-// PFC deadlock but keeps progressing under GFC.
-func BenchmarkFig14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		// The long horizon lets the squeezed GFC fabric's trickle show
-		// up in the final measurement window (packet gaps reach ~100 ms
-		// at the deepest stage). Deadlocked/trickling simulations have
-		// very sparse event queues, so this is cheap.
-		o := experiments.RunOptions{Duration: 600 * units.Millisecond}
-		pfc, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: experiments.PFC, WithCross: true, WithVictim: true,
-		}, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gfc, err := experiments.RunCaseStudy(experiments.CaseStudyConfig{
-			FC: experiments.GFCBuf, WithCross: true, WithVictim: true,
-		}, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			frozen := 0.0
-			if !pfc.VictimProgressed {
-				frozen = 1
-			}
-			alive := 0.0
-			if gfc.VictimProgressed {
-				alive = 1
-			}
-			b.ReportMetric(frozen, "PFC-victim-frozen")
-			b.ReportMetric(alive, "GFC-victim-alive")
-			b.Logf("PFC victim total %v (frozen=%v); GFC victim total %v (progressing=%v)",
-				pfc.VictimTotal, !pfc.VictimProgressed, gfc.VictimTotal, gfc.VictimProgressed)
-		}
-	}
-}
-
-// BenchmarkFig15 regenerates the Figure 15 workload CDF.
-func BenchmarkFig15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig15Rows()
-		if i == 0 {
-			b.Logf("Fig15 enterprise flow-size CDF:\n%s", t.String())
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1 at reduced scale: deadlock cases per
-// scheme among CBD-prone random failure scenarios. Shape: PFC/CBFC > 0 and
-// GFC = 0.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultSweep(4)
-		results := map[int]map[experiments.FC]*experiments.SweepResult{4: {}}
-		for _, fc := range experiments.AllFCs() {
-			res, err := experiments.RunSweep(context.Background(), fc, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[4][fc] = res
-		}
-		if i == 0 {
-			b.ReportMetric(float64(results[4][experiments.PFC].DeadlockCases), "PFC-deadlocks")
-			b.ReportMetric(float64(results[4][experiments.CBFC].DeadlockCases), "CBFC-deadlocks")
-			b.ReportMetric(float64(results[4][experiments.GFCBuf].DeadlockCases), "GFCbuf-deadlocks")
-			b.ReportMetric(float64(results[4][experiments.GFCTime].DeadlockCases), "GFCtime-deadlocks")
-			b.Logf("Table 1 (k=4, %d scenarios, %d repeats):\n%s",
-				cfg.Networks, cfg.Repeats,
-				experiments.Table1Rows(results, []int{4}).String())
-			b.Logf("Fig 16 rows:\n%s", experiments.Fig16Rows(results, []int{4}).String())
-			b.Logf("Fig 17 rows:\n%s", experiments.Fig17Rows(results, []int{4}).String())
-		}
-	}
-}
-
-// BenchmarkFig16 regenerates Figure 16(a): average available bandwidth on
-// CBD-free scenarios is essentially identical across all four schemes.
-func BenchmarkFig16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results := map[int]map[experiments.FC]*experiments.SweepResult{4: {}}
-		cfg := experiments.DefaultSweep(4)
-		cfg.Networks = 12
-		cfg.Repeats = 1
-		// Use only CBD-free scenarios: shift seed space to a region and
-		// invert the filter by running all scenarios through RunScenario.
-		for _, fc := range experiments.AllFCs() {
-			out := &experiments.SweepResult{FC: fc, K: 4}
-			count := 0
-			for s := int64(0); count < cfg.Networks && s < 400; s++ {
-				topo, tab, prone := experiments.GenerateScenario(4, 0.05, 9000+s)
-				if prone {
-					continue // Figure 16(a) uses CBD-free cases
-				}
-				count++
-				res, err := experiments.RunScenario(context.Background(), topo, tab, fc, cfg, 100+s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out.Bandwidth.Add(float64(res.HostBandwidth))
-				for _, sl := range res.Slowdowns {
-					out.Slowdown.Add(sl)
-				}
-			}
-			results[4][fc] = out
-		}
-		if i == 0 {
-			b.ReportMetric(results[4][experiments.PFC].Bandwidth.Mean()/1e9, "PFC-BW-Gbps")
-			b.ReportMetric(results[4][experiments.GFCBuf].Bandwidth.Mean()/1e9, "GFCbuf-BW-Gbps")
-			b.Logf("Fig16(a) CBD-free bandwidth:\n%s",
-				experiments.Fig16Rows(results, []int{4}).String())
-			b.Logf("Fig17(a) CBD-free slowdown:\n%s",
-				experiments.Fig17Rows(results, []int{4}).String())
-		}
-	}
-}
-
-// BenchmarkFig17 is covered by the Fig16/Table1 harnesses (the slowdown
-// rows come from the same runs); this alias keeps one bench target per
-// figure as DESIGN.md promises.
-func BenchmarkFig17(b *testing.B) { BenchmarkFig16(b) }
-
-// BenchmarkFig18 regenerates Figure 18: throughput evolution on a
-// deadlock-prone scenario — PFC collapses mid-run, GFC keeps the network
-// moving.
-func BenchmarkFig18(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pfc, err := experiments.RunEvolution(experiments.PFC, experiments.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gfc, err := experiments.RunEvolution(experiments.GFCBuf, experiments.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			deadAt := float64(-1)
-			if pfc.Deadlocked {
-				deadAt = pfc.DeadlockAt.Millis()
-			}
-			b.ReportMetric(deadAt, "PFC-collapse-ms")
-			b.ReportMetric(gfc.FinalRate.Gigabits(), "GFC-final-Gbps")
-			b.Logf("Fig18: PFC deadlocked=%v at %v final %v; GFC deadlocked=%v final %v (paper: collapse at 8.5ms under PFC)",
-				pfc.Deadlocked, pfc.DeadlockAt, pfc.FinalRate, gfc.Deadlocked, gfc.FinalRate)
-		}
-	}
-}
-
-// BenchmarkFig19 regenerates Figure 19: the CDF of buffer-based GFC's
-// feedback bandwidth (paper: mean 0.21%, p99 < 0.4%, max 0.49%).
-func BenchmarkFig19(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunOverhead(experiments.OverheadConfig{K: 4, Seed: 3}, experiments.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Mean*100, "mean-%")
-			b.ReportMetric(res.P99*100, "p99-%")
-			b.ReportMetric(res.Max*100, "max-%")
-			b.Logf("Fig19: mean %.4f%% p99 %.4f%% max %.4f%% (paper: 0.21%% / <0.4%% / 0.49%%)",
-				res.Mean*100, res.P99*100, res.Max*100)
-		}
-	}
-}
-
-// BenchmarkFig20 regenerates the Figure 20 interaction study.
-func BenchmarkFig20(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig20(experiments.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(res.MaxQueue)/1e3, "maxQ-KB")
-			b.ReportMetric(res.FinalDCQCN.Gigabits(), "DCQCN-final-Gbps")
-			b.Logf("Fig20: max queue %v, final DCQCN rate %v (fair share 1.25G), drops=%d",
-				res.MaxQueue, res.FinalDCQCN, res.Drops)
-		}
-	}
-}
 
 // BenchmarkOverheadModel evaluates the closed-form §4.2 bandwidth model
 // (worst case m/τ and steady case m/8τ).

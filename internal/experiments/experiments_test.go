@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"context"
-
+	"fmt"
 	"strings"
 	"testing"
 
@@ -305,6 +305,11 @@ func TestRunOverheadFig19(t *testing.T) {
 	}
 	if res.CDF.Len() == 0 {
 		t.Fatal("no samples")
+	}
+	// The k=4 reading EXPERIMENTS.md quotes beside the CLI's k=8 one.
+	got := fmt.Sprintf("mean %.4f%% p99 %.4f%% max %.4f%%", res.Mean*100, res.P99*100, res.Max*100)
+	if want := "mean 0.0107% p99 0.2662% max 0.4506%"; got != want {
+		t.Errorf("k=4 seed 3 overhead: %s, want %s", got, want)
 	}
 }
 
