@@ -1,9 +1,8 @@
 // Package faults is a deterministic, seeded fault-injection layer for the
 // simulator. A Spec is a JSON-serialisable scenario description: per-link
-// fault plans (feedback-message drop/delay/reorder with bounded jitter,
-// link down/up flaps, transient rate degradation) and per-host arrival
-// perturbations (synchronised injection bursts, delayed flow onset). A Spec
-// is compiled once against a topology into an immutable Plan; each Network
+// fault plans: feedback-message drop/delay/reorder with bounded jitter,
+// link down/up flaps, transient rate degradation. A Spec is compiled once
+// against a topology into an immutable Plan; each Network
 // then gets its own Injector (Plan.NewInjector), which owns the scenario's
 // random source.
 //
@@ -28,9 +27,6 @@
 //     detection must not confuse the outage with circular wait.
 //   - Rate degradation: a link transiently runs at a fraction of its
 //     capacity (autoneg downshift, FEC retrain), squeezing drains.
-//   - Host bursts / onsets: synchronised pacer-bypass bursts and delayed
-//     flow starts create the pathological arrival patterns that fill
-//     cyclic buffers.
 package faults
 
 import (
@@ -54,9 +50,6 @@ type Spec struct {
 	// link between nodes A and B, "A-*" every live link at A, and "*"
 	// every live switch-to-switch link.
 	Links []LinkFault `json:"links,omitempty"`
-	// Hosts lists per-host arrival perturbations. Host patterns: a host
-	// name, or "*" for every host.
-	Hosts []HostFault `json:"hosts,omitempty"`
 }
 
 // LinkFault is the fault plan of one link pattern.
@@ -104,30 +97,6 @@ type Degrade struct {
 	From   units.Time `json:"from_ns"`
 	Until  units.Time `json:"until_ns,omitempty"`
 	Factor float64    `json:"factor"`
-}
-
-// HostFault is the perturbation plan of one host pattern.
-type HostFault struct {
-	Host   string  `json:"host"`
-	Bursts []Burst `json:"bursts,omitempty"`
-	Onsets []Onset `json:"onsets,omitempty"`
-}
-
-// Burst grants the host Bytes of pacer-bypass budget at time At: its active
-// flows release that much data at NIC speed regardless of their pacers —
-// a synchronised burst. Unpaced flows already inject at line rate, so
-// bursts only matter for paced (e.g. DCQCN-controlled) flows.
-type Burst struct {
-	At    units.Time `json:"at_ns"`
-	Bytes units.Size `json:"bytes"`
-}
-
-// Onset delays the start of flow Flow (by netsim flow ID) to time At when
-// At is later than the flow's scheduled start — the "victim flow arrives
-// late, after the cycle has formed" trigger.
-type Onset struct {
-	Flow int        `json:"flow"`
-	At   units.Time `json:"at_ns"`
 }
 
 // Parse decodes a Spec from JSON, rejecting unknown fields.
@@ -205,24 +174,6 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	for i, hf := range s.Hosts {
-		if hf.Host == "" {
-			return fmt.Errorf("faults: hosts[%d]: empty host pattern", i)
-		}
-		for j, b := range hf.Bursts {
-			if b.At < 0 || b.Bytes <= 0 {
-				return fmt.Errorf("faults: hosts[%d].bursts[%d]: need at_ns >= 0 and bytes > 0", i, j)
-			}
-		}
-		for j, o := range hf.Onsets {
-			if o.At < 0 {
-				return fmt.Errorf("faults: hosts[%d].onsets[%d]: negative at_ns", i, j)
-			}
-			if o.Flow <= 0 {
-				return fmt.Errorf("faults: hosts[%d].onsets[%d]: flow id must be positive", i, j)
-			}
-		}
-	}
 	return nil
 }
 
@@ -262,8 +213,6 @@ const (
 	// RateScale runs the link at Factor × nominal capacity
 	// (Factor 1 restores it).
 	RateScale
-	// HostBurst grants Node a pacer-bypass budget of Bytes.
-	HostBurst
 )
 
 func (k EventKind) String() string {
@@ -274,8 +223,6 @@ func (k EventKind) String() string {
 		return "link-up"
 	case RateScale:
 		return "rate-scale"
-	case HostBurst:
-		return "host-burst"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(k))
 	}
@@ -286,10 +233,8 @@ func (k EventKind) String() string {
 type Event struct {
 	At     units.Time
 	Kind   EventKind
-	Link   topology.LinkID // LinkDown / LinkUp / RateScale
-	Node   topology.NodeID // HostBurst
-	Factor float64         // RateScale
-	Bytes  units.Size      // HostBurst
+	Link   topology.LinkID
+	Factor float64 // RateScale
 }
 
 // compiledFeedback is one feedback fault bound to a concrete link.
@@ -311,15 +256,14 @@ func (f *compiledFeedback) matches(k flowcontrol.Kind) bool {
 	return f.kinds == 0 || f.kinds&(1<<uint(k)) != 0
 }
 
-// Plan is a Spec compiled against one topology: link and host patterns are
-// resolved, timeline events sorted. A Plan is immutable and may be shared
+// Plan is a Spec compiled against one topology: link patterns are resolved,
+// timeline events sorted. A Plan is immutable and may be shared
 // across concurrently running networks; each network needs its own
 // Injector.
 type Plan struct {
 	// feedback[linkID] lists the feedback faults on that link.
 	feedback map[topology.LinkID][]compiledFeedback
 	events   []Event
-	onsets   map[int]units.Time
 }
 
 // Compile resolves the spec against topo. Patterns that match nothing are
@@ -328,10 +272,7 @@ func (s *Spec) Compile(topo *topology.Topology) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{
-		feedback: make(map[topology.LinkID][]compiledFeedback),
-		onsets:   make(map[int]units.Time),
-	}
+	p := &Plan{feedback: make(map[topology.LinkID][]compiledFeedback)}
 	for i, lf := range s.Links {
 		links, err := resolveLinks(topo, lf.Link)
 		if err != nil {
@@ -362,25 +303,6 @@ func (s *Spec) Compile(topo *topology.Topology) (*Plan, error) {
 					})
 				}
 			}
-		}
-	}
-	for i, hf := range s.Hosts {
-		hosts, err := resolveHosts(topo, hf.Host)
-		if err != nil {
-			return nil, fmt.Errorf("faults: hosts[%d]: %w", i, err)
-		}
-		for _, h := range hosts {
-			for _, b := range hf.Bursts {
-				p.events = append(p.events, Event{
-					At: b.At, Kind: HostBurst, Node: h, Bytes: b.Bytes,
-				})
-			}
-		}
-		for _, o := range hf.Onsets {
-			if prev, dup := p.onsets[o.Flow]; dup && prev != o.At {
-				return nil, fmt.Errorf("faults: hosts[%d]: conflicting onsets for flow %d", i, o.Flow)
-			}
-			p.onsets[o.Flow] = o.At
 		}
 	}
 	// Stable sort keeps same-time events in spec order, so compilation is
@@ -441,23 +363,4 @@ func resolveLinks(topo *topology.Topology, pattern string) ([]*topology.Link, er
 		return nil, fmt.Errorf("link pattern %q: no live link between %s and %s", pattern, a, b)
 	}
 	return []*topology.Link{l}, nil
-}
-
-// resolveHosts expands a host pattern ("*" or a host name).
-func resolveHosts(topo *topology.Topology, pattern string) ([]topology.NodeID, error) {
-	if pattern == "*" {
-		hosts := topo.Hosts()
-		if len(hosts) == 0 {
-			return nil, fmt.Errorf("pattern %q: topology has no hosts", pattern)
-		}
-		return hosts, nil
-	}
-	id, found := topo.Lookup(pattern)
-	if !found {
-		return nil, fmt.Errorf("host pattern %q: no such node", pattern)
-	}
-	if topo.Node(id).Kind != topology.Host {
-		return nil, fmt.Errorf("host pattern %q names a switch", pattern)
-	}
-	return []topology.NodeID{id}, nil
 }

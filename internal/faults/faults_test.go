@@ -25,25 +25,18 @@ func TestParseRoundTrip(t *testing.T) {
 			 "flaps": [{"down_at_ns": 1000000, "up_at_ns": 2000000}],
 			 "degrade": [{"from_ns": 100, "until_ns": 200, "factor": 0.5}]},
 			{"link": "*", "feedback": [{"drop_prob": 0.1}]}
-		],
-		"hosts": [
-			{"host": "H1", "bursts": [{"at_ns": 5000, "bytes": 150000}],
-			 "onsets": [{"flow": 3, "at_ns": 250000}]}
 		]
 	}`
 	s, err := Parse([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "demo" || len(s.Links) != 2 || len(s.Hosts) != 1 {
+	if s.Name != "demo" || len(s.Links) != 2 {
 		t.Fatalf("unexpected spec shape: %+v", s)
 	}
 	fb := s.Links[0].Feedback[0]
 	if fb.DropProb != 0.5 || fb.MaxBurst != 2 || fb.Delay != 1000 || fb.Jitter != 500 {
 		t.Errorf("feedback fault mis-parsed: %+v", fb)
-	}
-	if s.Hosts[0].Bursts[0].Bytes != 150000 || s.Hosts[0].Onsets[0].Flow != 3 {
-		t.Errorf("host fault mis-parsed: %+v", s.Hosts[0])
 	}
 }
 
@@ -56,14 +49,18 @@ func TestParseRejects(t *testing.T) {
 		"empty window":     `{"links": [{"link": "A-B", "feedback": [{"drop_prob": 0.1, "from_ns": 10, "until_ns": 10}]}]}`,
 		"inverted flap":    `{"links": [{"link": "A-B", "flaps": [{"down_at_ns": 20, "up_at_ns": 10}]}]}`,
 		"degrade factor 1": `{"links": [{"link": "A-B", "degrade": [{"from_ns": 0, "factor": 1.0}]}]}`,
-		"zero-byte burst":  `{"hosts": [{"host": "H1", "bursts": [{"at_ns": 0, "bytes": 0}]}]}`,
 		"empty link":       `{"links": [{"link": ""}]}`,
-		"bad flow id":      `{"hosts": [{"host": "H1", "onsets": [{"flow": 0, "at_ns": 10}]}]}`,
 	}
 	for name, src := range cases {
 		if _, err := Parse([]byte(src)); err == nil {
 			t.Errorf("%s: Parse accepted %s", name, src)
 		}
+	}
+	// Host-side faults are not part of the format: the strict parser names
+	// the field.
+	_, err := Parse([]byte(`{"hosts": [{"host": "H1", "bursts": [{"at_ns": 0, "bytes": 1500}]}]}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "hosts"`) {
+		t.Errorf("a hosts section: err = %v, want an unknown-field error naming it", err)
 	}
 }
 
@@ -74,10 +71,6 @@ func TestCompileResolvesPatterns(t *testing.T) {
 			{Link: "*", Feedback: []FeedbackFault{{DropProb: 0.5}}},
 			{Link: "S1-S2", Flaps: []Flap{{DownAt: 10, UpAt: 20}}},
 			{Link: "S1-*", Degrade: []Degrade{{From: 5, Until: 15, Factor: 0.5}}},
-		},
-		Hosts: []HostFault{
-			{Host: "*", Bursts: []Burst{{At: 7, Bytes: 1500}}},
-			{Host: "H1", Onsets: []Onset{{Flow: 2, At: 99}}},
 		},
 	}
 	p, err := spec.Compile(topo)
@@ -94,17 +87,14 @@ func TestCompileResolvesPatterns(t *testing.T) {
 			t.Errorf("feedback compiled onto non switch-switch link %d", l.ID)
 		}
 	}
-	// Events: 1 flap (down+up) + S1's 3 links degrade (2 each) + 3 host bursts.
-	if got, want := len(p.events), 2+6+3; got != want {
+	// Events: 1 flap (down+up) + S1's 3 links degrade (2 each).
+	if got, want := len(p.events), 2+6; got != want {
 		t.Fatalf("compiled %d events, want %d", got, want)
 	}
 	for i := 1; i < len(p.events); i++ {
 		if p.events[i].At < p.events[i-1].At {
 			t.Fatalf("events not sorted by time: %+v", p.events)
 		}
-	}
-	if at, ok := p.onsets[2]; !ok || at != 99 {
-		t.Errorf("onset for flow 2 = (%v, %v), want (99, true)", at, ok)
 	}
 }
 
@@ -113,8 +103,6 @@ func TestCompileRejectsUnmatched(t *testing.T) {
 	for _, spec := range []*Spec{
 		{Links: []LinkFault{{Link: "S1-S9", Flaps: []Flap{{DownAt: 1}}}}},
 		{Links: []LinkFault{{Link: "bogus", Flaps: []Flap{{DownAt: 1}}}}},
-		{Hosts: []HostFault{{Host: "S1", Bursts: []Burst{{At: 1, Bytes: 10}}}}},
-		{Hosts: []HostFault{{Host: "H9", Bursts: []Burst{{At: 1, Bytes: 10}}}}},
 	} {
 		if _, err := spec.Compile(topo); err == nil {
 			t.Errorf("Compile accepted unresolvable spec %+v", spec)
@@ -269,24 +257,6 @@ func TestFeedbackVerdictWindowAndDelay(t *testing.T) {
 	check(20*units.Microsecond, 0)
 	if got := inj.Stats().FeedbackDelayed; got != 2 {
 		t.Errorf("FeedbackDelayed = %d, want 2", got)
-	}
-}
-
-func TestFlowOnset(t *testing.T) {
-	topo := ringTopo(t)
-	plan := mustCompile(t, &Spec{Hosts: []HostFault{{
-		Host:   "H1",
-		Onsets: []Onset{{Flow: 5, At: 100}},
-	}}}, topo)
-	inj := plan.NewInjector(1)
-	if got := inj.FlowOnset(5, 10); got != 100 {
-		t.Errorf("FlowOnset(5, 10) = %v, want 100 (delayed)", got)
-	}
-	if got := inj.FlowOnset(5, 200); got != 200 {
-		t.Errorf("FlowOnset(5, 200) = %v, want 200 (already later)", got)
-	}
-	if got := inj.FlowOnset(6, 10); got != 10 {
-		t.Errorf("FlowOnset(6, 10) = %v, want 10 (no onset)", got)
 	}
 }
 

@@ -7,7 +7,7 @@ package faults_test
 // the τ′ budget of the theorems made operational: MaxBurst 1 and a small
 // delay cap bound feedback staleness at one refresh period plus the cap,
 // and the run's Tau budgets for it, so losslessness must hold no matter
-// what else the fuzzer dreamed up (flaps, degrades, bursts, onsets).
+// what else the fuzzer dreamed up (flaps, degrades, feedback windows).
 
 import (
 	"testing"
@@ -92,8 +92,8 @@ func FuzzFaultPlan(f *testing.F) {
 	f.Add([]byte(`{"links":[{"link":"*","feedback":[{"delay_ns":10000,"jitter_ns":5000}]}]}`), int64(2))
 	f.Add([]byte(`{"links":[{"link":"S1-S2","flaps":[{"down_at_ns":1000000,"up_at_ns":2000000}]}]}`), int64(3))
 	f.Add([]byte(`{"links":[{"link":"*","degrade":[{"from_ns":500000,"until_ns":3000000,"factor":0.4}]}]}`), int64(4))
-	f.Add([]byte(`{"hosts":[{"host":"*","bursts":[{"at_ns":1000000,"bytes":30000}],"onsets":[{"flow":2,"at_ns":2000000}]}]}`), int64(5))
-	f.Add([]byte(`{"links":[{"link":"S1-*","feedback":[{"drop_prob":1,"kinds":["STAGE"],"max_burst":1}],"degrade":[{"from_ns":0,"factor":0.5}]}],"hosts":[{"host":"H1","onsets":[{"flow":1,"at_ns":500000}]}]}`), int64(6))
+	f.Add([]byte(`{"links":[{"link":"*","feedback":[{"drop_prob":0.5,"max_burst":1,"kinds":["STAGE"],"from_ns":1000000,"until_ns":2000000}]}]}`), int64(5))
+	f.Add([]byte(`{"links":[{"link":"S1-*","feedback":[{"drop_prob":1,"kinds":["STAGE"],"max_burst":1}],"degrade":[{"from_ns":0,"factor":0.5}]},{"link":"S2-S3","flaps":[{"down_at_ns":500000,"up_at_ns":1500000}]}]}`), int64(6))
 
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		spec, err := faults.Parse(data)

@@ -61,15 +61,6 @@ func (inj *Injector) Bind() {
 // Timeline returns the scheduled fault actuations, sorted by time.
 func (inj *Injector) Timeline() []Event { return inj.plan.events }
 
-// FlowOnset returns the (possibly delayed) start time for the flow: the
-// later of the scheduled time and any configured onset.
-func (inj *Injector) FlowOnset(flowID int, at units.Time) units.Time {
-	if onset, ok := inj.plan.onsets[flowID]; ok && onset > at {
-		return onset
-	}
-	return at
-}
-
 // FeedbackVerdict decides the fate of one flow-control message about to
 // cross link from the receiver on node: dropped, or delivered with extra
 // latency. Randomness is drawn in strict call order from the injector's

@@ -23,8 +23,6 @@ const (
 	FaultLinkUp
 	// FaultRateScale: a link's capacity was scaled by Factor.
 	FaultRateScale
-	// FaultBurst: a host received a pacer-bypass burst budget of Bytes.
-	FaultBurst
 )
 
 func (k FaultKind) String() string {
@@ -39,16 +37,14 @@ func (k FaultKind) String() string {
 		return "link-up"
 	case FaultRateScale:
 		return "rate-scale"
-	case FaultBurst:
-		return "burst"
 	default:
 		return fmt.Sprintf("fault(%d)", uint8(k))
 	}
 }
 
 // FaultEvent is one injected fault as the simulator reported it. Channel is
-// the dense channel index the fault acted on, or -1 for link/node-level
-// faults; Link and Node locate those.
+// the dense channel index the fault acted on, or -1 for a link-level fault;
+// Link locates the link and Node one of its ends.
 type FaultEvent struct {
 	Kind    FaultKind
 	At      units.Time
@@ -56,7 +52,6 @@ type FaultEvent struct {
 	Link    topology.LinkID
 	Node    topology.NodeID
 	Factor  float64
-	Bytes   units.Size
 }
 
 // OnFault records one injected fault. The full event list is bounded by
@@ -82,27 +77,26 @@ func (r *Registry) FaultsInjected() int64 { return r.faultCount }
 type FaultReport struct {
 	Kind string     `json:"kind"`
 	At   units.Time `json:"at_ns"`
-	// Node/Port/From name the channel for feedback faults; Node alone
-	// locates host bursts; Link locates link-level faults.
-	Node   string     `json:"node,omitempty"`
-	Port   int        `json:"port,omitempty"`
-	From   string     `json:"from,omitempty"`
-	Link   int        `json:"link"`
-	Factor float64    `json:"factor,omitempty"`
-	Bytes  units.Size `json:"bytes,omitempty"`
+	// Node/Port/From name the channel for feedback faults; Link locates
+	// link-level faults, and Node names one end of the link.
+	Node   string  `json:"node,omitempty"`
+	Port   int     `json:"port,omitempty"`
+	From   string  `json:"from,omitempty"`
+	Link   int     `json:"link"`
+	Factor float64 `json:"factor,omitempty"`
 }
 
 // faultReport resolves ev's channel identity for export.
 func (r *Registry) faultReport(ev FaultEvent) FaultReport {
 	fr := FaultReport{
 		Kind: ev.Kind.String(), At: ev.At,
-		Link: int(ev.Link), Factor: ev.Factor, Bytes: ev.Bytes,
+		Link: int(ev.Link), Factor: ev.Factor,
 	}
 	if ev.Channel >= 0 && ev.Channel < len(r.chans) {
 		ch := r.chans[ev.Channel]
 		fr.Node, fr.Port, fr.From = ch.NodeName, ch.Port, ch.FromName
 	} else if id := int(ev.Node); id >= 0 && id < len(r.base) {
-		// Node-level fault: name the node via its first bound channel.
+		// Link-level fault: name the node via its first bound channel.
 		if ci := r.base[id]; ci < len(r.chans) && r.chans[ci].Node == ev.Node {
 			fr.Node = r.chans[ci].NodeName
 		}

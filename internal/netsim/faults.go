@@ -11,8 +11,8 @@ import (
 // scheduled half of the fault model. The probabilistic half — per-message
 // feedback verdicts — lives inline in fcEnv.Emit. Faults never bypass the
 // normal machinery: a down link is a transmitter that refuses to start
-// (kick's adminDown guard), a degraded link is a smaller capacity, a burst
-// is a pacer bypass in the host refill path — so everything downstream
+// (kick's adminDown guard), a degraded link is a smaller capacity — so
+// everything downstream
 // (flow control, metrics, the deadlock detector) observes faults exactly as
 // it would observe the real events.
 
@@ -37,16 +37,6 @@ func (n *Network) applyFault(ev faults.Event) {
 		n.recordFault(metrics.FaultEvent{
 			Kind: metrics.FaultRateScale, At: now, Channel: -1,
 			Link: ev.Link, Node: n.topo.Link(ev.Link).A, Factor: ev.Factor,
-		})
-	case faults.HostBurst:
-		h := n.nodes[ev.Node]
-		if h.kind == topology.Host {
-			h.burstBytes += ev.Bytes
-			n.refill(h)
-		}
-		n.recordFault(metrics.FaultEvent{
-			Kind: metrics.FaultBurst, At: now, Channel: -1,
-			Link: -1, Node: ev.Node, Bytes: ev.Bytes,
 		})
 	}
 }

@@ -460,9 +460,6 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 		return fmt.Errorf("netsim: flow %d endpoints must be hosts", f.ID)
 	}
 	n.flows = append(n.flows, f)
-	if inj := n.faults; inj != nil {
-		at = inj.FlowOnset(f.ID, at)
-	}
 	src := n.nodes[f.Src]
 	n.eng.Schedule(at, func() {
 		f.Started = n.eng.Now()

@@ -225,8 +225,4 @@ type node struct {
 	refillAt units.Time
 	refillEv eventsim.Event
 	refillFn func() // pre-bound refill timer callback
-	// burstBytes is the remaining fault-injected burst budget: while
-	// positive, flow pacers are bypassed so the host injects at NIC speed
-	// (a synchronised burst), decremented per released packet.
-	burstBytes units.Size
 }

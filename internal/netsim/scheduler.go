@@ -42,13 +42,6 @@ func (n *Network) refill(h *node) {
 		if f.Pacer != nil {
 			f.Pacer.OnRelease(now, size)
 		}
-		if h.burstBytes > 0 {
-			if size >= h.burstBytes {
-				h.burstBytes = 0
-			} else {
-				h.burstBytes -= size
-			}
-		}
 		f.released += size
 		pkt := n.newPacket()
 		pkt.Flow, pkt.Seq, pkt.Size = f, f.seq, size
@@ -73,9 +66,7 @@ func (n *Network) nextFlow(h *node, now units.Time) (*Flow, units.Time) {
 		if !f.active || f.remaining(n.cfg.MTU) == 0 {
 			continue
 		}
-		// A fault-injected burst budget bypasses pacing: the host floods
-		// at NIC speed until the budget drains.
-		if f.Pacer != nil && h.burstBytes == 0 {
+		if f.Pacer != nil {
 			size := f.remaining(n.cfg.MTU)
 			if size > n.cfg.MTU {
 				size = n.cfg.MTU

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -19,7 +20,8 @@ import (
 // the next candidate for deletion; a new Spec field lands either in a
 // declaration or here, never silently.
 var specUserOnly = map[string]string{
-	"faults.inline":                    "a -scenario file's own fault timeline; the repo's faulted runs name presets",
+	"faults.inline.links[].feedback[].from_ns":  "starts a feedback fault after the run does: loss or delay confined to an epoch, where every preset's lasts the whole run",
+	"faults.inline.links[].feedback[].until_ns": "ends a feedback fault before the run does, so the run shows how each scheme recovers from it",
 	"faults.seed":                      "replays a fault scenario under another draw without moving the workload seed",
 	"limits.check_every":               "governor polling interval for a spec that bounds itself; the CLI's -budget-* flags set the other limits",
 	"routing.toward":                   "destinations of policy spf-toward, for a hand-written incast that wants a partial table",
@@ -44,8 +46,9 @@ var specUserOnly = map[string]string{
 
 // declaredSpecs is every Spec the repository itself builds: the registered
 // catalogue; each constructor of scenario/builtin.go over the arguments the
-// -exp drivers and sweeps pass it (they spell no setup of their own); and the
-// fields the drivers and the CLI overlay on a declaration before Build.
+// -exp drivers and sweeps pass it (they spell no setup of their own); the
+// fields the drivers and the CLI overlay on a declaration before Build; and
+// each fault preset, which the matrix and -faults compile, as an inline spec.
 func declaredSpecs() []scenario.Spec {
 	var specs []scenario.Spec
 	for _, name := range scenario.Names() {
@@ -75,18 +78,31 @@ func declaredSpecs() []scenario.Spec {
 	overlay.Run.Detector = "both"
 	overlay.Sim.Backend = "fluid"
 	overlay.Sim.FluidStepNs = 2 * units.Microsecond
-	return append(specs, overlay)
+	specs = append(specs, overlay)
+	for _, name := range faults.PresetNames() {
+		preset, err := faults.Preset(name)
+		if err != nil {
+			panic(err)
+		}
+		s := scenario.Ring(scenario.GFCBuf, 1)
+		s.Faults = &scenario.FaultsSpec{Inline: preset}
+		specs = append(specs, s)
+	}
+	return specs
 }
 
 // specKeys walks t's JSON shape and adds every key path under prefix to
-// into: "sim.tx_ring", "workload.flows[].src". Types of other packages (an
-// inline faults.Spec, the units scalars) are leaves.
+// into: "sim.tx_ring", "workload.flows[].src",
+// "faults.inline.links[].flaps[].down_at_ns". It descends into the structs of
+// the scenario and faults packages; everything else (the units scalars) is a
+// leaf.
 func specKeys(t reflect.Type, prefix string, into map[string]bool) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
 	ours := func(t reflect.Type) bool {
-		return t.Kind() == reflect.Struct && t.PkgPath() == reflect.TypeOf(scenario.Spec{}).PkgPath()
+		return t.Kind() == reflect.Struct &&
+			(t.PkgPath() == reflect.TypeOf(scenario.Spec{}).PkgPath() || t.PkgPath() == reflect.TypeOf(faults.Spec{}).PkgPath())
 	}
 	if t.Kind() == reflect.Slice && ours(t.Elem()) {
 		t, prefix = t.Elem(), prefix+"[]"
@@ -102,13 +118,10 @@ func specKeys(t reflect.Type, prefix string, into map[string]bool) {
 }
 
 // setKeys adds the key paths of every non-zero leaf of the decoded JSON value
-// v; inline faults specs are leaves, as in specKeys.
+// v.
 func setKeys(v any, prefix string, into map[string]bool) {
 	switch x := v.(type) {
 	case map[string]any:
-		if prefix == ".faults.inline" {
-			break
-		}
 		for k, e := range x {
 			setKeys(e, prefix+"."+k, into)
 		}
