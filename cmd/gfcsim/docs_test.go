@@ -236,3 +236,38 @@ func firstDifference(want, got string, first int) string {
 		}
 	}
 }
+
+// docsBudget caps DESIGN.md + EXPERIMENTS.md + CHANGES.md: what the repository
+// is and what it measures, not the history of each change, which git keeps.
+const (
+	docsBudget   = 134_000
+	changesEntry = 1_500
+)
+
+// TestDocsBudget holds the three narrative documents to docsBudget bytes
+// together, and CHANGES.md to one paragraph of at most changesEntry bytes per
+// entry: one line, starting "- ".
+func TestDocsBudget(t *testing.T) {
+	total := 0
+	for _, name := range []string{"DESIGN.md", "EXPERIMENTS.md", "CHANGES.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(data)
+		if name != "CHANGES.md" {
+			continue
+		}
+		for i, entry := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			if !strings.HasPrefix(entry, "- ") {
+				t.Errorf("CHANGES.md:%d is not an entry: each entry is one paragraph, one line starting \"- \"", i+1)
+			}
+			if len(entry) > changesEntry {
+				t.Errorf("CHANGES.md:%d: entry of %d bytes, over %d", i+1, len(entry), changesEntry)
+			}
+		}
+	}
+	if total > docsBudget {
+		t.Errorf("DESIGN.md + EXPERIMENTS.md + CHANGES.md = %d bytes, over the %d budget", total, docsBudget)
+	}
+}
