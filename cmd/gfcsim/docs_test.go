@@ -39,7 +39,10 @@ func parseDoc(lines []string) ([]docBlock, error) {
 	var blocks []docBlock
 	for i := 0; i < len(lines); i++ {
 		inner, ok := strings.CutPrefix(lines[i], "<!-- ")
-		if inner, ok = strings.CutSuffix(inner, " -->"); !ok {
+		if ok {
+			inner, ok = strings.CutSuffix(inner, " -->")
+		}
+		if !ok {
 			continue
 		}
 		fields := strings.Fields(inner)
@@ -119,16 +122,19 @@ func runCLI(args []string) (string, error) {
 	return out.String(), err
 }
 
-// isSweep reports whether the command would run a sweep: the drivers that
-// read -checkpoint. Under -short they are skipped.
-func isSweep(args []string) bool {
-	for i, a := range args {
-		if a == "-exp" && i+1 < len(args) {
-			d, err := experiments.Lookup(args[i+1])
-			return err == nil && slices.Contains(d.Flags, "checkpoint")
-		}
+// expOf returns the experiment a command line runs, "" for none.
+func expOf(args []string) string {
+	if i := slices.Index(args, "-exp"); i >= 0 && i+1 < len(args) {
+		return args[i+1]
 	}
-	return false
+	return ""
+}
+
+// isSweep reports whether the command would run a sweep: the drivers that
+// read -checkpoint. Under -short and -race they are skipped.
+func isSweep(args []string) bool {
+	d, err := experiments.Lookup(expOf(args))
+	return err == nil && slices.Contains(d.Flags, "checkpoint")
 }
 
 // TestExperimentsDoc re-runs every command whose output EXPERIMENTS.md shows
@@ -136,7 +142,7 @@ func isSweep(args []string) bool {
 // one the current build prints. Each file block (a user-authored scenario
 // spec) must parse and build, and a command naming it runs it from a
 // temporary copy. -update rewrites the output blocks instead; sweeps are
-// skipped under -short.
+// skipped under -short and -race.
 func TestExperimentsDoc(t *testing.T) {
 	data, err := os.ReadFile(experimentsDoc)
 	if err != nil {
@@ -168,9 +174,7 @@ func TestExperimentsDoc(t *testing.T) {
 			files[b.file] = path
 			continue
 		}
-		if i := slices.Index(b.args, "-exp"); i >= 0 && i+1 < len(b.args) {
-			shown[b.args[i+1]] = true
-		}
+		shown[expOf(b.args)] = true
 	}
 	for _, name := range experiments.Names() {
 		if !shown[name] {
@@ -185,8 +189,8 @@ func TestExperimentsDoc(t *testing.T) {
 			continue
 		}
 		cmd := "gfcsim " + strings.Join(b.args, " ")
-		if testing.Short() && isSweep(b.args) {
-			t.Logf("EXPERIMENTS.md:%d: %s: sweep skipped under -short", b.line, cmd)
+		if (testing.Short() || raceEnabled) && isSweep(b.args) {
+			t.Logf("EXPERIMENTS.md:%d: %s: sweep skipped under -short or -race", b.line, cmd)
 			continue
 		}
 		args := slices.Clone(b.args)

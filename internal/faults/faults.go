@@ -1,10 +1,9 @@
 // Package faults is a deterministic, seeded fault-injection layer for the
 // simulator. A Spec is a JSON-serialisable scenario description: per-link
-// fault plans: feedback-message drop/delay/reorder with bounded jitter,
-// link down/up flaps, transient rate degradation. A Spec is compiled once
-// against a topology into an immutable Plan; each Network
-// then gets its own Injector (Plan.NewInjector), which owns the scenario's
-// random source.
+// fault plans of feedback-message drop/delay/reorder with bounded jitter,
+// link down/up flaps and transient rate degradation. A Spec is compiled once
+// against a topology into an immutable Plan; each Network then gets its own
+// Injector (Plan.NewInjector), which owns the scenario's random source.
 //
 // The package deliberately does not import netsim — the dependency points
 // the other way, exactly like internal/metrics: netsim consults the
@@ -257,9 +256,8 @@ func (f *compiledFeedback) matches(k flowcontrol.Kind) bool {
 }
 
 // Plan is a Spec compiled against one topology: link patterns are resolved,
-// timeline events sorted. A Plan is immutable and may be shared
-// across concurrently running networks; each network needs its own
-// Injector.
+// timeline events sorted. A Plan is immutable and may be shared across
+// concurrently running networks; each network needs its own Injector.
 type Plan struct {
 	// feedback[linkID] lists the feedback faults on that link.
 	feedback map[topology.LinkID][]compiledFeedback

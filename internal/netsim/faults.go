@@ -12,9 +12,8 @@ import (
 // feedback verdicts — lives inline in fcEnv.Emit. Faults never bypass the
 // normal machinery: a down link is a transmitter that refuses to start
 // (kick's adminDown guard), a degraded link is a smaller capacity — so
-// everything downstream
-// (flow control, metrics, the deadlock detector) observes faults exactly as
-// it would observe the real events.
+// everything downstream (flow control, metrics, the deadlock detector)
+// observes faults exactly as it would observe the real events.
 
 // applyFault actuates one compiled timeline event.
 func (n *Network) applyFault(ev faults.Event) {
