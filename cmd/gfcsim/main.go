@@ -299,11 +299,7 @@ func main() {
 		fmt.Println("Registered scenarios (run with -scenario <name>):")
 		for _, name := range scenario.Names() {
 			s, _ := scenario.Get(name)
-			be := "packet"
-			if (scenario.FluidBackend{}).Supports(&s) == nil {
-				be = "packet+fluid"
-			}
-			fmt.Printf("  %-28s %5d hosts  %-12s  %s\n", name, s.Topology.HostCount(), be, s.Description)
+			fmt.Printf("  %-28s %5d hosts  %-12s  %s\n", name, s.Topology.HostCount(), backends(s), s.Description)
 		}
 		return
 	}
@@ -323,6 +319,17 @@ func main() {
 		os.Exit(exitCode(err))
 	}
 	finish(governed(driver.Run(os.Stdout, opts)))
+}
+
+// backends is -list's engine column: the packet engine runs every scenario,
+// the fluid solver those it builds — it refuses, naming the reason, what it
+// cannot represent or whose deadlocks it cannot decide, exactly as
+// `-scenario X -backend fluid` does.
+func backends(s scenario.Spec) string {
+	if _, err := (scenario.FluidBackend{}).Build(s, nil); err != nil {
+		return "packet"
+	}
+	return "packet+fluid"
 }
 
 // runScenario resolves -scenario (registry name or spec file), applies the

@@ -229,6 +229,25 @@ func TestRingDriversHonourTheGovernor(t *testing.T) {
 	}
 }
 
+// TestListBackendsColumn walks the registry and holds -list's engine column
+// to what the CLI does: a scenario is listed packet+fluid exactly when
+// `-scenario X -backend fluid` builds it and runs it clean (exit 0). -list
+// used to mark casestudy-pfc and ring-formation-pfc fluid, whose fluid runs
+// then failed their net-occupancy invariant.
+func TestListBackendsColumn(t *testing.T) {
+	oldName, oldBackend := *scenarioName, *backendName
+	defer func() { *scenarioName, *backendName = oldName, oldBackend }()
+	*backendName = "fluid"
+	for _, name := range scenario.Names() {
+		s, _ := scenario.Get(name)
+		*scenarioName = name
+		code, err := run(t, context.Background(), &scenarioDriver)
+		if col := backends(s); (col == "packet+fluid") != (code == 0) {
+			t.Errorf("%s: -list says %s, -scenario %s -backend fluid exits %d (%v)", name, col, name, code, err)
+		}
+	}
+}
+
 // TestScenarioWallBudgetExits3 pins that -budget-wall stops a -scenario run
 // with the governor's exit code under either backend; the fluid runner used
 // to ignore the budget and exit 0.

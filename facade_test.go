@@ -15,10 +15,10 @@ import (
 const facadeImport = "github.com/gfcsim/gfc"
 
 // TestFacadeExportsAreUsed keeps gfc.go from re-accreting: every exported
-// name of the facade must be referenced by a test or an example somewhere in
-// the module. A name nothing exercises is a name nothing checks — add the
-// example (or test) that needs it together with the re-export, or leave the
-// name in its internal package.
+// name of the facade must be referenced by a test or an Example function
+// somewhere in the module. A name nothing exercises is a name nothing checks
+// — add the Example (or test) that needs it together with the re-export, or
+// leave the name in its internal package.
 func TestFacadeExportsAreUsed(t *testing.T) {
 	fset := token.NewFileSet()
 	facade, err := parser.ParseFile(fset, "gfc.go", nil, parser.SkipObjectResolution)
@@ -56,12 +56,8 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 
 	users := 0
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return err
-		}
-		inExample, _ := filepath.Match(filepath.Join("examples", "*", "*.go"), path)
-		if !inExample && !strings.HasSuffix(path, "_test.go") {
-			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
@@ -94,7 +90,7 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if users == 0 {
-		t.Fatal("found no test or example importing the facade")
+		t.Fatal("found no test importing the facade")
 	}
 	names := make([]string, 0, len(unused))
 	for name := range unused {
@@ -102,7 +98,7 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 	}
 	sort.Strings(names)
 	if len(names) > 0 {
-		t.Errorf("%d facade names have no user in any *_test.go or examples/*/*.go — delete them from gfc.go or add the example that needs them:\n  %s",
+		t.Errorf("%d facade names have no user in any *_test.go — delete them from gfc.go or add the Example that needs them:\n  %s",
 			len(names), strings.Join(names, "\n  "))
 	}
 }

@@ -1,44 +1,60 @@
 package gfc_test
 
 import (
+	"reflect"
 	"testing"
 
 	gfc "github.com/gfcsim/gfc"
 )
 
-// TestPublicAPIQuickstart exercises the façade end to end the way the
-// README shows: build the Figure 1 ring, run GFC, observe no deadlock.
+// TestPublicAPIQuickstart exercises the façade end to end the way the README
+// describes running a registered figure by name: look up the Figure 9 steady
+// ring, build it, run GFC for 20 ms, observe no deadlock and no loss.
 func TestPublicAPIQuickstart(t *testing.T) {
-	topo := gfc.Ring(3, gfc.DefaultLinkParams())
-	sim, err := gfc.NewSimulation(topo, gfc.Options{
-		BufferSize:  1000 * gfc.KB,
-		Tau:         90 * gfc.Microsecond,
-		FlowControl: gfc.NewGFCBuffer(gfc.GFCBufferConfig{}),
-	})
+	spec, ok := gfc.Scenario("ring-steady-gfcbuf")
+	if !ok {
+		t.Fatal("ring-steady-gfcbuf is not registered")
+	}
+	spec.Run.DurationNs = 20 * gfc.Millisecond
+	sim, err := gfc.Build(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range gfc.RingClockwisePaths(topo, 3) {
-		f := &gfc.Flow{
-			Src:  path[0].Node,
-			Dst:  path[len(path)-1].Link.Other(path[len(path)-1].Node),
-			Path: path,
-		}
-		if err := sim.AddFlow(f, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	det := gfc.NewDeadlockDetector(sim)
-	det.Install()
-	sim.Run(20 * gfc.Millisecond)
-	if det.Deadlocked() != nil {
+	res := sim.Run()
+	if res.Deadlocked {
 		t.Fatal("GFC deadlocked")
 	}
-	if sim.Drops() != 0 {
-		t.Fatalf("drops = %d", sim.Drops())
+	if res.Drops != 0 {
+		t.Fatalf("drops = %d", res.Drops)
 	}
-	if sim.TotalDelivered() == 0 {
+	if res.Delivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// TestPublicAPIScenarios pins that a facade constructor declares exactly
+// what the registry holds under the same name, so a library user and
+// `gfcsim -scenario` run the same network at the same parameters.
+func TestPublicAPIScenarios(t *testing.T) {
+	for _, spec := range []gfc.Spec{
+		gfc.TestbedRing(gfc.GFCBuffer, 1),
+		gfc.TestbedRing(gfc.PFC, 2),
+		gfc.CaseStudy(gfc.PFC, true, false),
+		gfc.Incast(gfc.GFCBuffer),
+		gfc.Overhead(gfc.GFCBuffer, 8, 1),
+	} {
+		registered, ok := gfc.Scenario(spec.Name)
+		if !ok {
+			t.Errorf("%s is not registered", spec.Name)
+			continue
+		}
+		registered.Description = ""
+		if !reflect.DeepEqual(spec, registered) {
+			t.Errorf("%s: constructor and registry differ:\n %+v\n %+v", spec.Name, spec, registered)
+		}
+		if _, err := gfc.Build(spec, nil); err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
+		}
 	}
 }
 
@@ -75,22 +91,17 @@ func TestPublicAPICBD(t *testing.T) {
 	}
 }
 
-// TestPublicAPIWorkload drives the traffic generator through the façade.
+// TestPublicAPIWorkload drives the enterprise traffic generator through the
+// façade: the Figure 19 fabric at k=4 under PFC for 1 ms completes flows.
 func TestPublicAPIWorkload(t *testing.T) {
-	topo := gfc.FatTree(4, gfc.DefaultLinkParams())
-	sim, err := gfc.NewSimulation(topo, gfc.Options{
-		BufferSize:  300 * gfc.KB,
-		FlowControl: gfc.NewPFCDefault(),
-	})
+	spec := gfc.Overhead(gfc.PFC, 4, 11)
+	spec.Run.DurationNs = gfc.Millisecond
+	sim, err := gfc.Build(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := gfc.NewTrafficGenerator(sim, gfc.NewSPF(topo), gfc.EnterpriseWorkload(), gfc.EdgeRacks(topo), 11)
-	if err := gen.Start(); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(gfc.Millisecond)
-	if len(gen.Completed) == 0 {
+	sim.Run()
+	if len(sim.Gen.Completed) == 0 {
 		t.Fatal("no flows completed")
 	}
 }

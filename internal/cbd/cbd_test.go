@@ -13,7 +13,7 @@ import (
 func TestRingHasCBD(t *testing.T) {
 	topo := topology.Ring(3, topology.DefaultLinkParams())
 	g := NewGraph(topo)
-	for _, p := range routing.RingClockwisePaths(topo, 3) {
+	for _, p := range routing.RingHostsClockwisePaths(topo, 3, 1) {
 		g.AddPath(p)
 	}
 	if !g.HasCycle() {
@@ -161,7 +161,7 @@ func (g *Graph) StronglyConnected() [][]Channel {
 func TestStronglyConnected(t *testing.T) {
 	topo := topology.Ring(4, topology.DefaultLinkParams())
 	g := NewGraph(topo)
-	for _, p := range routing.RingClockwisePaths(topo, 4) {
+	for _, p := range routing.RingHostsClockwisePaths(topo, 4, 1) {
 		g.AddPath(p)
 	}
 	comps := g.StronglyConnected()
@@ -195,7 +195,7 @@ func TestRackFilter(t *testing.T) {
 func TestDuplicateEdgesIgnored(t *testing.T) {
 	topo := topology.Ring(3, topology.DefaultLinkParams())
 	g := NewGraph(topo)
-	paths := routing.RingClockwisePaths(topo, 3)
+	paths := routing.RingHostsClockwisePaths(topo, 3, 1)
 	for i := 0; i < 5; i++ { // add same paths repeatedly
 		for _, p := range paths {
 			g.AddPath(p)

@@ -119,9 +119,6 @@ func Attach(net *netsim.Network, f *netsim.Flow, cfg Config) *RP {
 	return rp
 }
 
-// Rate reports the current sending rate R_C.
-func (rp *RP) Rate() units.Rate { return rp.rc }
-
 // NextAllowed implements netsim.Pacer.
 func (rp *RP) NextAllowed(now units.Time, _ units.Size) units.Time { return rp.next }
 

@@ -67,8 +67,8 @@ func TestDCQCNReducesIncastRate(t *testing.T) {
 	// 8:1 incast on a 10G bottleneck: DCQCN must cut rates well below
 	// line rate; fair share is 1.25G.
 	for i, rp := range rps {
-		if rp.Rate() >= 10*units.Gbps {
-			t.Errorf("sender %d still at line rate %v", i+1, rp.Rate())
+		if rp.rc >= 10*units.Gbps {
+			t.Errorf("sender %d still at line rate %v", i+1, rp.rc)
 		}
 	}
 	if net.Drops() != 0 {
@@ -123,7 +123,7 @@ func TestDCQCNRecoversAfterCongestion(t *testing.T) {
 	topo := topology.Dumbbell(1, topology.DefaultLinkParams())
 	net, err := netsim.New(topo, netsim.Config{
 		BufferSize:  1000 * units.KB,
-		FlowControl: flowcontrol.NewPFCDefault(),
+		FlowControl: flowcontrol.NewPFC(flowcontrol.PFCConfig{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +143,13 @@ func TestDCQCNRecoversAfterCongestion(t *testing.T) {
 	// Inject one synthetic CNP at 1ms.
 	net.Engine().Schedule(units.Millisecond, rp.onCNP)
 	net.Run(2 * units.Millisecond)
-	cut := rp.Rate()
+	cut := rp.rc
 	if cut >= 10*units.Gbps {
 		t.Fatalf("CNP did not cut rate: %v", cut)
 	}
 	net.Run(30 * units.Millisecond)
-	if rp.Rate() < 9*units.Gbps {
-		t.Errorf("rate %v did not recover toward line rate", rp.Rate())
+	if rp.rc < 9*units.Gbps {
+		t.Errorf("rate %v did not recover toward line rate", rp.rc)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestDCQCNMinRateFloor(t *testing.T) {
 	topo := topology.Dumbbell(1, topology.DefaultLinkParams())
 	net, err := netsim.New(topo, netsim.Config{
 		BufferSize:  1000 * units.KB,
-		FlowControl: flowcontrol.NewPFCDefault(),
+		FlowControl: flowcontrol.NewPFC(flowcontrol.PFCConfig{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +182,8 @@ func TestDCQCNMinRateFloor(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		rp.onCNP()
 	}
-	if rp.Rate() < cfg.MinRate {
-		t.Fatalf("rate %v below floor %v", rp.Rate(), cfg.MinRate)
+	if rp.rc < cfg.MinRate {
+		t.Fatalf("rate %v below floor %v", rp.rc, cfg.MinRate)
 	}
 }
 
@@ -202,9 +202,9 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 		if done {
 			return
 		}
-		for p := 0; p < 8; p++ {
-			if q := net.IngressQueue(s1, p); q > maxQ {
-				maxQ = q
+		for _, is := range net.AppendIngressStates(nil) {
+			if is.Node == s1 && is.Occupancy > maxQ {
+				maxQ = is.Occupancy
 			}
 		}
 		if net.Now() < 2*units.Millisecond {
@@ -220,7 +220,7 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 	}
 	// DCQCN has engaged by now.
 	for _, rp := range rps {
-		if rp.Rate() == 10*units.Gbps {
+		if rp.rc == 10*units.Gbps {
 			t.Error("a sender never received congestion feedback")
 		}
 	}

@@ -65,6 +65,17 @@ func buildRing(t *testing.T, h int, factory flowcontrol.Factory) (*netsim.Networ
 	return n, flows
 }
 
+// hostIngress reads the occupancy of switch sw's ingress buffer fed by host.
+func hostIngress(n *netsim.Network, sw, host string) units.Size {
+	node, from := n.Topology().MustLookup(sw), n.Topology().MustLookup(host)
+	for _, is := range n.AppendIngressStates(nil) {
+		if is.Node == node && is.From == from {
+			return is.Occupancy
+		}
+	}
+	return 0
+}
+
 func runWithDetector(n *netsim.Network, until units.Time) *Detector {
 	d := NewDetector(n)
 	d.Install()
@@ -163,13 +174,11 @@ func TestGFCTimeRingNoDeadlock(t *testing.T) {
 func TestGFCSteadyStateFig9(t *testing.T) {
 	n, flows := buildRing(t, 1, gfcTestbed())
 	n.Run(50 * units.Millisecond)
-	topo := n.Topology()
-	s1 := topo.MustLookup("S1")
-	q := n.IngressQueue(s1, 0) // ingress from H1
+	q := hostIngress(n, "S1", "H1")
 	if q < 740*units.KB || q > 890*units.KB {
 		t.Errorf("steady host-facing queue %v, want within the stage-1/2 band (paper: ≈840KB)", q)
 	}
-	h1 := topo.MustLookup("H1")
+	h1 := n.Topology().MustLookup("H1")
 	if r := n.SenderRate(h1, 0); r != 5*units.Gbps {
 		t.Errorf("steady H1 rate %v, want 5Gbps", r)
 	}
@@ -189,8 +198,7 @@ func TestGFCSteadyStateFig9(t *testing.T) {
 func TestGFCTimeSteadyStateFig10(t *testing.T) {
 	n, flows := buildRing(t, 1, gfcTimeTestbed())
 	n.Run(50 * units.Millisecond)
-	topo := n.Topology()
-	q := n.IngressQueue(topo.MustLookup("S1"), 0)
+	q := hostIngress(n, "S1", "H1")
 	if q < 650*units.KB || q > 800*units.KB {
 		t.Errorf("steady queue %v, want ≈745KB (paper)", q)
 	}
@@ -211,7 +219,7 @@ func TestDetectorNoFalsePositive(t *testing.T) {
 	topo := topology.TwoToOne(topology.DefaultLinkParams())
 	n, err := netsim.New(topo, netsim.Config{
 		BufferSize:  300 * units.KB,
-		FlowControl: flowcontrol.NewPFCDefault(),
+		FlowControl: flowcontrol.NewPFC(flowcontrol.PFCConfig{}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -88,9 +88,6 @@ func NewPFC(cfg PFCConfig) Factory {
 	}
 }
 
-// NewPFCDefault returns a PFC Factory with RecommendedPFC thresholds.
-func NewPFCDefault() Factory { return NewPFC(PFCConfig{}) }
-
 type pfcSender struct {
 	capacity units.Rate
 	paused   bool

@@ -10,7 +10,7 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-func pfcFactory() flowcontrol.Factory { return flowcontrol.NewPFCDefault() }
+func pfcFactory() flowcontrol.Factory { return flowcontrol.NewPFC(flowcontrol.PFCConfig{}) }
 
 func gfcFactory() flowcontrol.Factory { return flowcontrol.NewGFCBuffer(flowcontrol.GFCBufferConfig{}) }
 

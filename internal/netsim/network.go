@@ -470,12 +470,6 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 	return nil
 }
 
-// IngressQueue reports the ingress occupancy of the given node/port — what
-// the flow-control Receiver observes.
-func (n *Network) IngressQueue(node topology.NodeID, portIdx int) units.Size {
-	return n.occupancy[n.nodes[node].ports[portIdx].cb]
-}
-
 // SenderRate reports the currently permitted rate of the egress flow
 // controller at node/port.
 func (n *Network) SenderRate(node topology.NodeID, portIdx int) units.Rate {

@@ -239,11 +239,6 @@ func TestIntrospectionAccessors(t *testing.T) {
 		t.Error("Flows accessor wrong")
 	}
 	n.Run(units.Millisecond)
-	s1 := topo.MustLookup("S1")
-	h1 := topo.MustLookup("H1")
-	if q := n.IngressQueue(s1, topo.LinkBetween(s1, h1).PortOn(s1)); q < 0 {
-		t.Error("IngressQueue negative")
-	}
 	states := n.AppendIngressStates(nil)
 	if len(states) == 0 {
 		t.Fatal("no ingress states for a switch")

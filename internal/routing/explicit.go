@@ -45,18 +45,12 @@ func MustExplicitPath(t *topology.Topology, names ...string) []Hop {
 	return p
 }
 
-// RingClockwisePaths returns the deadlock traffic pattern of Figure 1 on an
-// n-switch ring built by topology.Ring: host i sends to host i+2 (mod n),
-// routed clockwise through two inter-switch links. Every inter-switch
-// channel appears in exactly two paths and the induced buffer dependencies
-// form a cycle.
-func RingClockwisePaths(t *topology.Topology, n int) [][]Hop {
-	return RingHostsClockwisePaths(t, n, 1)
-}
-
-// RingHostsClockwisePaths is RingClockwisePaths for rings built by
-// topology.RingHosts with h hosts per switch: every host on switch i sends
-// to its counterpart on switch i+2 (mod n), clockwise.
+// RingHostsClockwisePaths returns the deadlock traffic pattern of Figure 1 on
+// an n-switch ring built by topology.RingHosts with h hosts per switch: every
+// host on switch i sends to its counterpart on switch i+2 (mod n), routed
+// clockwise through two inter-switch links. Every inter-switch channel
+// appears in exactly 2h paths and the induced buffer dependencies form a
+// cycle.
 func RingHostsClockwisePaths(t *topology.Topology, n, h int) [][]Hop {
 	paths := make([][]Hop, 0, n*h)
 	for i := 0; i < n; i++ {

@@ -65,7 +65,7 @@ func TestMustExplicitPathPanics(t *testing.T) {
 
 func TestRingClockwisePathsShape(t *testing.T) {
 	topo := topology.Ring(4, topology.DefaultLinkParams())
-	paths := RingClockwisePaths(topo, 4)
+	paths := RingHostsClockwisePaths(topo, 4, 1)
 	if len(paths) != 4 {
 		t.Fatalf("paths = %d", len(paths))
 	}

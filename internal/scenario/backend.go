@@ -4,19 +4,15 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/gfcsim/gfc/internal/analytic"
 	"github.com/gfcsim/gfc/internal/netsim"
 )
 
 // Runner is a built, ready-to-run scenario under either engine. *Sim (the
 // packet path) satisfies it directly; FluidBackend.Build returns the fluid
 // implementation. RunBounded composes the spec's Limits with the caller's
-// extra budget and honours ctx cancellation; Predict is the compiled spec's
-// analytic prediction, available without running anything — a fluid sweep asks
-// it whether the scheme's verdicts are the solver's to give.
+// extra budget and honours ctx cancellation.
 type Runner interface {
 	RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error)
-	Predict() (*analytic.Prediction, error)
 }
 
 // BuildBackend compiles spec for the engine its Sim.Backend field selects:

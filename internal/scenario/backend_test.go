@@ -101,7 +101,9 @@ func TestFluidSupportsReasons(t *testing.T) {
 	}
 }
 
-// TestFluidBuildRejections pins Build's own gates (beyond Supports).
+// TestFluidBuildRejections pins Build's own gates (beyond Supports): packet
+// hooks, and a deadlock-prone scheme on a cyclic CBD, whose verdict the
+// solver cannot give.
 func TestFluidBuildRejections(t *testing.T) {
 	spec := twoToOne(GFCBuf)
 	trace := func(*topology.Topology) *netsim.Trace { return &netsim.Trace{} }
@@ -113,6 +115,12 @@ func TestFluidBuildRejections(t *testing.T) {
 	if _, err := (FluidBackend{}).Build(cbfc, nil); err == nil ||
 		!strings.Contains(err.Error(), "credit") {
 		t.Errorf("CBFC build: err = %v, want Supports rejection", err)
+	}
+	for _, cyclic := range []Spec{Ring(PFC, 2), CaseStudy(PFC, true, false)} {
+		if _, err := (FluidBackend{}).Build(cyclic, nil); err == nil ||
+			!strings.Contains(err.Error(), "PFC can deadlock on a cyclic CBD") {
+			t.Errorf("%s build: err = %v, want the cyclic-CBD refusal", cyclic.Name, err)
+		}
 	}
 }
 
@@ -161,7 +169,7 @@ func TestFluidAnalyticAttached(t *testing.T) {
 
 // TestFluidVerdictHorizonStable: a fluid deadlock verdict is a property of
 // the scenario, not of how long it was watched. Every registered scenario the
-// fluid backend represents is run at 1×, 2× and 5× its registered horizon, and
+// fluid backend builds is run at 1×, 2× and 5× its registered horizon, and
 // the verdict and its time must agree — a conviction past the registered
 // horizon (casestudy-gfcbuf's floor-rate trickle, convicted at 3.18 ms by every
 // run longer than 60 ms while the stall watch took "under a byte per step" for
@@ -170,7 +178,7 @@ func TestFluidVerdictHorizonStable(t *testing.T) {
 	for _, name := range Names() {
 		spec, _ := Get(name)
 		var fb FluidBackend
-		if fb.Supports(&spec) != nil {
+		if _, err := fb.Build(spec, nil); err != nil {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {

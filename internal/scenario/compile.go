@@ -42,6 +42,10 @@ type compiled struct {
 	// the verdict, or carries the override.
 	rendered  [][]routing.Hop
 	cbdCyclic *bool
+	// pred is the prediction the fluid backend's refusal check made (nil on
+	// the packet engine); the end-of-run verdict reuses it, so a fluid sweep
+	// repeat predicts once.
+	pred *analytic.Prediction
 }
 
 // compile resolves spec once. The order — topology, routing, workload,
@@ -177,9 +181,12 @@ func (c *compiled) cbdVerdict() bool {
 // (res.Stopped != nil) drops the progress floor — the horizon the floor
 // reasons about was never reached.
 func (c *compiled) verify(res *Result) (*analytic.Prediction, error) {
-	pred, err := c.predict()
-	if err != nil {
-		return nil, err
+	pred := c.pred
+	if pred == nil {
+		var err error
+		if pred, err = c.predict(); err != nil {
+			return nil, err
+		}
 	}
 	if c.reg == nil {
 		return pred, fmt.Errorf("scenario: analytic check needs a metrics registry (set run.analytic or attach one via Overrides)")

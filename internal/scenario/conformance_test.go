@@ -70,10 +70,11 @@ func conformanceBand(sim *Sim) units.Size {
 // TestBackendConformance runs every registered scenario the fluid backend
 // can represent through both backends and asserts they agree: same deadlock
 // and loss verdicts, high-water occupancies within the differential
-// tolerance band, and both inside the analytic envelope. Scenarios fluid
-// cannot represent (or whose CBD is cyclic, where the proportional-share
-// solver is not a faithful model) must appear in conformanceSkips with the
-// right reason.
+// tolerance band, and both inside the analytic envelope. Scenarios the fluid
+// backend refuses to build (what it cannot represent, or whose deadlocks it
+// cannot decide), and GFC on a cyclic CBD, where the proportional-share
+// solver is not a faithful model of the occupancy, must appear in
+// conformanceSkips with the right reason.
 func TestBackendConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance suite runs full packet simulations")
@@ -86,8 +87,8 @@ func TestBackendConformance(t *testing.T) {
 			if !ok {
 				t.Fatalf("registered name %q not gettable", name)
 			}
-			var fb FluidBackend
-			if err := fb.Supports(&spec); err != nil {
+			fr, err := FluidBackend{}.Build(spec, nil)
+			if err != nil {
 				requireListedSkip(t, name, err.Error())
 				return
 			}
@@ -110,10 +111,6 @@ func TestBackendConformance(t *testing.T) {
 			pres, err := psim.RunBounded(context.Background(), netsim.Budget{})
 			if err != nil {
 				t.Fatalf("packet run: %v", err)
-			}
-			fr, err := fb.Build(spec, nil)
-			if err != nil {
-				t.Fatalf("fluid build: %v", err)
 			}
 			fres, err := fr.RunBounded(context.Background(), netsim.Budget{})
 			if err != nil {

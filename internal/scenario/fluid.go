@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/gfcsim/gfc/internal/analytic"
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/fluid"
@@ -19,8 +18,9 @@ import (
 // FluidBackend compiles a Spec onto the network-of-queues fluid solver
 // (fluid.RunNet): per-channel rate integration instead of per-packet events.
 // It binds the same metrics.Registry layout netsim does, so invariant
-// checking, CheckNetwork and report writers work unchanged; what it cannot
-// represent it rejects from Supports with the reason named.
+// checking, CheckNetwork and report writers work unchanged. What it cannot
+// represent it rejects from Supports with the reason named, and what it
+// cannot decide — a deadlock-prone scheme on a cyclic CBD — from Build.
 type FluidBackend struct {
 	// RenderGenerator substitutes a deterministic saturating stand-in for
 	// generator workloads: FlowsPerHost unbounded flows per host toward
@@ -111,6 +111,9 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if len(netFlows) == 0 {
 		return nil, fmt.Errorf("scenario: fluid backend: workload resolved to no flows")
 	}
+	if err := c.fluidDecides(); err != nil {
+		return nil, err
+	}
 	return &fluidSim{compiled: c, netcfg: fluid.NetConfig{
 		Channels: channels,
 		Flows:    netFlows,
@@ -119,6 +122,26 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 		MTU:      c.cfg.MTU,
 		Metrics:  c.reg,
 	}}, nil
+}
+
+// fluidDecides refuses a run whose deadlock verdict is not the solver's to
+// give: a scheme the analytic model does not call deadlock-free, on routes
+// (declared and rendered) that close a cyclic buffer dependency. Deadlock
+// formation there is packet-granular (head-of-line blocking, pause cascades),
+// and the solver's proportional sharing cannot decide it. The prediction is
+// kept for the end-of-run verdict.
+func (c *compiled) fluidDecides() error {
+	if !c.cbdVerdict() {
+		return nil
+	}
+	var err error
+	if c.pred, err = c.predict(); err != nil {
+		return err
+	}
+	if !c.pred.DeadlockFree {
+		return fmt.Errorf("scenario: fluid backend: %s can deadlock on a cyclic CBD, and deadlock formation is packet-granular (the fluid solver's proportional sharing cannot decide it)", c.spec.Scheme.FC)
+	}
+	return nil
 }
 
 // fluidLaw is one channel's resolved flow control as the fluid compiler
@@ -298,6 +321,3 @@ func (s *fluidSim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result
 	}
 	return s.finish(res), err
 }
-
-// Predict implements Runner.
-func (s *fluidSim) Predict() (*analytic.Prediction, error) { return s.predict() }

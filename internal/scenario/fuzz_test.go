@@ -1,0 +1,89 @@
+package scenario
+
+import (
+	"context"
+	"encoding/json"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/gfcsim/gfc/internal/netsim"
+	"github.com/gfcsim/gfc/internal/units"
+)
+
+// userSpecExample returns the body of EXPERIMENTS.md's first file block — the
+// spec the document teaches a user to write.
+func userSpecExample(t testing.TB) []byte {
+	data, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "<!-- file ")
+	if ok {
+		_, rest, ok = strings.Cut(rest, "```json\n")
+	}
+	body, _, closed := strings.Cut(rest, "```")
+	if !ok || !closed {
+		t.Fatal("EXPERIMENTS.md has no <!-- file --> json block")
+	}
+	return []byte(body)
+}
+
+// affordable reports whether one fuzz iteration can build and briefly run s:
+// every size knob within a few times the catalogue's k=8 scale. It bounds the
+// harness, not what a user may declare.
+func affordable(s *Spec) bool {
+	t := s.Topology
+	for _, n := range []int{t.K, t.N, t.HostsPerSwitch, s.Sim.TxRing, s.Sim.HostQueueDepth, s.Scheme.Params.Queues} {
+		if n > 64 {
+			return false
+		}
+	}
+	if t.HostCount() > 128 || len(s.Workload.Flows) > 256 {
+		return false
+	}
+	// The fluid solver keeps one history entry per step of feedback lag.
+	for _, d := range []units.Time{t.DelayNs, s.Sim.TauNs, s.Sim.ProcDelayNs, s.Scheme.Params.Period} {
+		if d > units.Millisecond {
+			return false
+		}
+	}
+	return s.Sim.FluidStepNs == 0 || s.Sim.FluidStepNs >= 100*units.Nanosecond
+}
+
+// FuzzSpec feeds arbitrary JSON through the public entry — Parse, then Build
+// on the engine the spec names, then a short governed run — which must end
+// in an error or a result, never a panic. The seeds are every registered
+// scenario and the user spec EXPERIMENTS.md documents.
+func FuzzSpec(f *testing.F) {
+	for _, name := range Names() {
+		s, _ := Get(name)
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(userSpecExample(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if !affordable(spec) {
+			t.Skip("too large for one fuzz iteration")
+		}
+		spec.Run.DurationNs = min(spec.Run.DurationNs, 200*units.Microsecond)
+		r, err := BuildBackend(*spec, nil)
+		if err != nil {
+			return
+		}
+		res, err := r.RunBounded(context.Background(), netsim.Budget{
+			MaxEvents: 200_000, MaxWall: 2 * time.Second, CheckEvery: 1000,
+		})
+		if res == nil && err == nil {
+			t.Fatal("RunBounded returned neither a result nor an error")
+		}
+	})
+}

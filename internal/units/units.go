@@ -76,9 +76,6 @@ const (
 	Gbps Rate = 1e9
 )
 
-// Gigabits reports the rate in Gb/s.
-func (r Rate) Gigabits() float64 { return float64(r) / float64(Gbps) }
-
 func (r Rate) String() string {
 	switch {
 	case r >= Gbps:

@@ -169,7 +169,7 @@ func TestGeneratorThinkTime(t *testing.T) {
 		topo := topology.FatTree(4, topology.DefaultLinkParams())
 		net, err := netsim.New(topo, netsim.Config{
 			BufferSize:  300 * units.KB,
-			FlowControl: flowcontrol.NewPFCDefault(),
+			FlowControl: flowcontrol.NewPFC(flowcontrol.PFCConfig{}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		topo := topology.FatTree(4, topology.DefaultLinkParams())
 		net, err := netsim.New(topo, netsim.Config{
 			BufferSize:  300 * units.KB,
-			FlowControl: flowcontrol.NewPFCDefault(),
+			FlowControl: flowcontrol.NewPFC(flowcontrol.PFCConfig{}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +275,7 @@ func TestGeneratorDisconnected(t *testing.T) {
 	}
 	net, err := netsim.New(topo, netsim.Config{
 		BufferSize:  300 * units.KB,
-		FlowControl: flowcontrol.NewPFCDefault(),
+		FlowControl: flowcontrol.NewPFC(flowcontrol.PFCConfig{}),
 	})
 	if err != nil {
 		t.Fatal(err)
