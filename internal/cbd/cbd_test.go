@@ -61,7 +61,7 @@ func TestLinearChainNoCBD(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			p, err := tab.Path(src, dst, FlowKey(src, dst))
+			p, err := tab.Path(src, dst, flowKey(src, dst))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,9 +264,9 @@ func TestFlowKeyDistinct(t *testing.T) {
 	seen := map[uint64]bool{}
 	for s := topology.NodeID(0); s < 50; s++ {
 		for d := topology.NodeID(0); d < 50; d++ {
-			k := FlowKey(s, d)
+			k := flowKey(s, d)
 			if seen[k] {
-				t.Fatalf("FlowKey collision at %d,%d", s, d)
+				t.Fatalf("flowKey collision at %d,%d", s, d)
 			}
 			seen[k] = true
 		}

@@ -233,8 +233,10 @@ func (s *SweepResult) FailureSummary() string {
 
 // GenerateScenario builds the i-th random failure scenario of a sweep:
 // a k-ary fat-tree with each fabric link failed with probability p. Returns
-// the topology, its routing table and whether all-pairs inter-rack routing
-// can form a CBD.
+// the topology, its routing table and whether the union of every shortest
+// path between inter-rack hosts (cbd.FromAllPairs) holds a CBD — the paths
+// generated flows may take under any ECMP key, so a scenario filtered out as
+// CBD-free cannot form one in the run.
 func GenerateScenario(k int, p float64, seed int64) (*topology.Topology, *routing.Table, bool) {
 	topo := topology.FatTree(k, topology.DefaultLinkParams())
 	rng := rand.New(rand.NewSource(seed))

@@ -1,8 +1,10 @@
 // Package routing computes shortest-path-first routes over a topology, the
 // routing discipline used throughout the paper's evaluation (§6.2.2). Ties
-// between equal-cost paths are broken by a deterministic per-flow hash, so
-// a given (source, destination) pair always follows the same path — which is
-// what lets the Table 1 sweep pre-filter CBD-prone cases.
+// between equal-cost paths are broken by a deterministic per-flow hash, so a
+// given flow key always follows the same path, while flows of one (source,
+// destination) pair may spread over all of the pair's shortest paths. The
+// Table 1 sweep's CBD pre-filter therefore reads the union of those paths
+// (Rows), not any one hashed choice.
 package routing
 
 import (
@@ -127,7 +129,7 @@ func (tab *Table) appendNextHops(out []topology.Attachment, n, dst topology.Node
 
 // pick is the ECMP choice among count equal-cost next hops of n toward dst.
 // A single candidate (every downward hop of a fat-tree) needs no hash and no
-// divide, which is a quarter of the k=16 all-pairs walk.
+// divide.
 func pick(flowKey uint64, n, dst topology.NodeID, count int) int {
 	if count == 1 {
 		return 0
@@ -148,26 +150,25 @@ func (tab *Table) NextHop(n, dst topology.NodeID, flowKey uint64) (topology.Atta
 }
 
 // Rows is reusable scratch holding every node's NextHops toward one
-// destination at a time, for walks that route many sources to the same
-// destination (the all-pairs CBD analysis): the eligible hops are found once
-// per (node, destination) instead of once per hop of every path. Not safe
-// for concurrent use; the Table it reads is.
+// destination at a time: the next-hop DAG toward that destination, for
+// analyses that read every shortest path to it at once (the all-pairs CBD
+// closure). The eligible hops are found once per (node, destination). Not
+// safe for concurrent use; the Table it reads is.
 type Rows struct {
 	tab  *Table
-	dst  topology.NodeID
 	off  []int32 // node n's row is hops[off[n]:off[n+1]]
 	hops []topology.Attachment
 }
 
-// Rows returns empty scratch over tab; call Toward before walking.
+// Rows returns empty scratch over tab; call Toward before reading a row.
 func (tab *Table) Rows() *Rows {
-	return &Rows{tab: tab, dst: topology.None, off: make([]int32, len(tab.dist)+1)}
+	return &Rows{tab: tab, off: make([]int32, len(tab.dist)+1)}
 }
 
 // Toward rebuilds the rows for dst and reports whether dst is a routed
 // destination.
 func (r *Rows) Toward(dst topology.NodeID) bool {
-	r.dst, r.hops = dst, r.hops[:0]
+	r.hops = r.hops[:0]
 	for n := range r.tab.dist {
 		r.off[n] = int32(len(r.hops))
 		r.hops = r.tab.appendNextHops(r.hops, topology.NodeID(n), dst)
@@ -176,21 +177,12 @@ func (r *Rows) Toward(dst topology.NodeID) bool {
 	return r.tab.toward(dst) != nil
 }
 
-// AppendPath appends to path the route a flow keyed by flowKey takes from src
-// to the current destination — hop for hop what Table.Path returns — and
-// reports whether the whole route resolved; on false the appended hops are a
-// dead-ended prefix.
-func (r *Rows) AppendPath(path []Hop, src topology.NodeID, flowKey uint64) ([]Hop, bool) {
-	for n := src; n != r.dst; {
-		row := r.hops[r.off[n]:r.off[n+1]]
-		if len(row) == 0 {
-			return path, false
-		}
-		at := row[pick(flowKey, n, r.dst, len(row))]
-		path = append(path, Hop{Node: n, Port: at.Port, Link: at.Link})
-		n = at.Peer
-	}
-	return path, true
+// Row returns n's next hops toward the current destination — what
+// appendNextHops lists, in its order; empty at the destination itself and
+// where it is unreachable. The slice is the scratch's own: valid until the
+// next Toward.
+func (r *Rows) Row(n topology.NodeID) []topology.Attachment {
+	return r.hops[r.off[n]:r.off[n+1]]
 }
 
 // Hop is one forwarding step of a path: the node, the local egress port used

@@ -98,11 +98,29 @@ func TestNextHopsInsertionOrderIndependent(t *testing.T) {
 	}
 }
 
+// appendRowsPath appends to path the route a flow keyed by flowKey takes from
+// src to dst over rows built Toward(dst), hashing each hop as NextHop does,
+// and reports whether the whole route resolved; on false the appended hops are
+// a dead-ended prefix.
+func appendRowsPath(rows *Rows, path []Hop, src, dst topology.NodeID, flowKey uint64) ([]Hop, bool) {
+	for n := src; n != dst; {
+		row := rows.Row(n)
+		if len(row) == 0 {
+			return path, false
+		}
+		at := row[pick(flowKey, n, dst, len(row))]
+		path = append(path, Hop{Node: n, Port: at.Port, Link: at.Link})
+		n = at.Peer
+	}
+	return path, true
+}
+
 // TestRowsWalkMatchesPath pins the three readers of the next-hop rule to one
 // another on random failed fat-trees (k=4 and some k=8, three failure
-// probabilities, full and partial tables): Rows.AppendPath returns Table.Path
-// hop for hop and fails exactly when Path does, NextHop is NextHops-then-index,
-// and NextHops is in strictly ascending (peer, port) order.
+// probabilities, full and partial tables): every Row is NextHops, a hashed
+// walk over Rows returns Table.Path hop for hop and fails exactly when Path
+// does, NextHop is NextHops-then-index, and NextHops is in strictly ascending
+// (peer, port) order.
 func TestRowsWalkMatchesPath(t *testing.T) {
 	probs := []float64{0.05, 0.15, 0.25}
 	for seed := int64(0); seed < 228; seed++ {
@@ -131,6 +149,9 @@ func TestRowsWalkMatchesPath(t *testing.T) {
 			for n := 0; n < topo.NumNodes(); n++ {
 				n := topology.NodeID(n)
 				nh := tab.appendNextHops(nil, n, dst)
+				if !slices.Equal(rows.Row(n), nh) {
+					t.Fatalf("seed %d: Row(%d) toward %d is not NextHops", seed, n, dst)
+				}
 				for i := 1; i < len(nh); i++ {
 					a, b := nh[i-1], nh[i]
 					if a.Peer > b.Peer || (a.Peer == b.Peer && a.Port >= b.Port) {
@@ -153,7 +174,7 @@ func TestRowsWalkMatchesPath(t *testing.T) {
 				key := rng.Uint64()
 				want, err := tab.Path(src, dst, key)
 				var ok bool
-				walk, ok = rows.AppendPath(walk[:0], src, key)
+				walk, ok = appendRowsPath(rows, walk[:0], src, dst, key)
 				if ok != (err == nil) || (!routed && ok) {
 					t.Fatalf("seed %d %d->%d: walk ok=%v, Path err=%v", seed, src, dst, ok, err)
 				}
