@@ -401,8 +401,12 @@ func runScenario(w io.Writer, o *experiments.Options) error {
 // token that is skipped instead of rejected silently drops a scale from the
 // table (or prints an empty one).
 func parseScales(list string) ([]int, error) {
+	toks := strings.Split(list, ",")
+	if toks[len(toks)-1] == "" {
+		toks = toks[:len(toks)-1] // a trailing comma, or an empty list, names nothing
+	}
 	var ks []int
-	for _, tok := range splitComma(list) {
+	for _, tok := range toks {
 		k, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil {
 			return nil, fmt.Errorf("%w: -scales %q: entry %q is not an integer", errUsage, list, tok)
@@ -413,21 +417,4 @@ func parseScales(list string) ([]int, error) {
 		return nil, fmt.Errorf("%w: -scales %q names no fat-tree arity", errUsage, list)
 	}
 	return ks, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == ',' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
 }

@@ -43,34 +43,10 @@ func TestUnknownScenarioListsNames(t *testing.T) {
 	}
 }
 
-func TestSplitComma(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"4,8", []string{"4", "8"}},
-		{"4", []string{"4"}},
-		{"", nil},
-		{"4,8,16", []string{"4", "8", "16"}},
-		{"4,", []string{"4"}},
-	}
-	for _, c := range cases {
-		got := splitComma(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("splitComma(%q) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("splitComma(%q) = %v, want %v", c.in, got, c.want)
-			}
-		}
-	}
-}
-
 // TestScalesRejectsGarbage pins that -scales never silently drops an entry:
 // a token that is not an integer (or a list naming no arity at all) is a
-// usage error naming the bad token, before any sweep runs.
+// usage error naming the bad token, before any sweep runs. A trailing comma
+// is the one empty entry accepted.
 func TestScalesRejectsGarbage(t *testing.T) {
 	for _, ok := range []struct {
 		in   string
@@ -78,7 +54,9 @@ func TestScalesRejectsGarbage(t *testing.T) {
 	}{
 		{"4,8", []int{4, 8}},
 		{"4, 8,", []int{4, 8}},
+		{"4,", []int{4}},
 		{"16", []int{16}},
+		{"4,8,16", []int{4, 8, 16}},
 	} {
 		got, err := parseScales(ok.in)
 		if err != nil || len(got) != len(ok.want) {
@@ -155,6 +133,45 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		*workers, *expName, *scenarioName = oldWorkers, oldExp, oldScenario
 		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v (exit %d), want a usage error naming %s", err, exitCode(err), tc.want)
+		}
+	}
+
+	// A sweep count or arity outside its range is refused as the
+	// configuration each scale would run, after -table1-scale's overrides,
+	// before any sweep prints: -scales 5, -networks 0 and -repeats -1 used to
+	// print "sweep k=… PFC..." and then exit 1. A context cancelled up front
+	// stops an accepted sweep at its first cell (exit 4).
+	table1, err := experiments.Lookup("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		set  func()
+		want string // what the usage error names; "" means accepted
+	}{
+		{func() { *scales = "5" }, "K = 5"},
+		{func() { *networks = 0 }, "Networks = 0"},
+		{func() { *repeats = -1 }, "Repeats = -1"},
+		{func() { *table1Scale, *networks = "ci", 0 }, ""}, // the preset overrides the count
+	} {
+		oldScales, oldNetworks, oldRepeats, oldScale := *scales, *networks, *repeats, *table1Scale
+		tc.set()
+		o, err := options(ctx)
+		var stdout, stderr strings.Builder
+		if err == nil {
+			o.Stderr = &stderr
+			err = governed(table1.Run(&stdout, o))
+		}
+		*scales, *networks, *repeats, *table1Scale = oldScales, oldNetworks, oldRepeats, oldScale
+		switch {
+		case tc.want == "" && exitCode(err) != 4:
+			t.Errorf("-table1-scale ci -networks 0: err = %v (exit %d), want the sweep to start", err, exitCode(err))
+		case tc.want != "" && (exitCode(err) != 2 || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("err = %v (exit %d), want a usage error naming %s", err, exitCode(err), tc.want)
+		case tc.want != "" && (stdout.Len() > 0 || strings.Contains(stderr.String(), "sweep k=")):
+			t.Errorf("%s: refused after printing: stdout %q, stderr %q", tc.want, stdout.String(), stderr.String())
 		}
 	}
 

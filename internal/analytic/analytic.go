@@ -230,7 +230,7 @@ func Predict(in Input) (*Prediction, error) {
 		p.Lossless = !in.Faulted && fits && th.B0 > 0 && th.B0 <= safe.B0
 		// The Rate Adjuster clamps at a positive minimum rate instead of
 		// zero.
-		p.FloorRate = th.MinRate
+		p.FloorRate = flowcontrol.DefaultMinRate
 		p.DeadlockFree = true
 	case GFCConceptual:
 		th, _ := flowcontrol.GFCConceptualConfig{B0: in.Params.B0, Bm: in.Params.Bm}.Resolve(budget)

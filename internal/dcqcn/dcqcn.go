@@ -18,56 +18,36 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// Config holds the DCQCN constants. The zero value is unusable; start from
-// DefaultConfig, whose values are the paper's Figure 20 settings (α=0.5,
-// g=1/256, N=50µs, K=55µs) with the DCQCN paper's defaults for the rest.
-type Config struct {
-	LineRate units.Rate
-	// AlphaInit seeds the congestion estimate α.
-	AlphaInit float64
-	// G is the α averaging gain g.
-	G float64
-	// CNPInterval is N: the NP sends at most one CNP per flow per N.
-	CNPInterval units.Time
-	// AlphaTimer is K: without CNPs for K, α decays by (1−g).
-	AlphaTimer units.Time
-	// IncreaseTimer is the RP rate-increase period.
-	IncreaseTimer units.Time
-	// IncreaseBytes is the byte-counter stage size (0 disables the byte
-	// counter).
-	IncreaseBytes units.Size
-	// F is the number of fast-recovery stages before additive increase.
-	F int
-	// RAI is the additive-increase step; RHAI the hyper-increase step.
-	RAI  units.Rate
-	RHAI units.Rate
-	// MinRate floors the sending rate.
-	MinRate units.Rate
-}
-
-// DefaultConfig returns the paper's Figure 20 parameterisation for a line
-// rate c.
-func DefaultConfig(c units.Rate) Config {
-	return Config{
-		LineRate:      c,
-		AlphaInit:     0.5,
-		G:             1.0 / 256,
-		CNPInterval:   50 * units.Microsecond,
-		AlphaTimer:    55 * units.Microsecond,
-		IncreaseTimer: 55 * units.Microsecond,
-		IncreaseBytes: 10 * units.MB,
-		F:             5,
-		RAI:           40 * units.Mbps,
-		RHAI:          400 * units.Mbps,
-		MinRate:       1 * units.Mbps,
-	}
-}
+// The DCQCN constants: the paper's Figure 20 settings (α=0.5, g=1/256,
+// N=50µs, K=55µs) with the DCQCN paper's defaults for the rest.
+const (
+	// alphaInit seeds the congestion estimate α.
+	alphaInit float64 = 0.5
+	// g is the α averaging gain.
+	g float64 = 1.0 / 256
+	// cnpInterval is N: the NP sends at most one CNP per flow per N.
+	cnpInterval = 50 * units.Microsecond
+	// alphaTimer is K: without CNPs for K, α decays by (1−g).
+	alphaTimer = 55 * units.Microsecond
+	// increaseTimer is the RP rate-increase period.
+	increaseTimer = 55 * units.Microsecond
+	// increaseBytes is the byte-counter stage size.
+	increaseBytes = 10 * units.MB
+	// fastRecovery is F, the number of fast-recovery stages before
+	// additive increase.
+	fastRecovery = 5
+	// rai is the additive-increase step; rhai the hyper-increase step.
+	rai  = 40 * units.Mbps
+	rhai = 400 * units.Mbps
+	// minRate floors the sending rate.
+	minRate = 1 * units.Mbps
+)
 
 // RP is the per-flow reaction point: a netsim.Pacer plus the DCQCN rate
 // state machine.
 type RP struct {
-	cfg Config
-	net *netsim.Network
+	lineRate units.Rate
+	net      *netsim.Network
 
 	rc, rt   units.Rate // current and target rate
 	alpha    float64
@@ -84,16 +64,16 @@ type RP struct {
 	RateLog func(units.Time, units.Rate)
 }
 
-// Attach installs DCQCN on flow f within network net: the flow is paced by
-// the RP, and the receiver-side NP hook echoes ECN marks as CNPs. Returns
-// the RP for inspection.
-func Attach(net *netsim.Network, f *netsim.Flow, cfg Config) *RP {
+// Attach installs DCQCN on flow f within network net, whose senders run at
+// lineRate: the flow is paced by the RP, and the receiver-side NP hook echoes
+// ECN marks as CNPs. Returns the RP for inspection.
+func Attach(net *netsim.Network, f *netsim.Flow, lineRate units.Rate) *RP {
 	rp := &RP{
-		cfg:   cfg,
-		net:   net,
-		rc:    cfg.LineRate,
-		rt:    cfg.LineRate,
-		alpha: cfg.AlphaInit,
+		lineRate: lineRate,
+		net:      net,
+		rc:       lineRate,
+		rt:       lineRate,
+		alpha:    alphaInit,
 	}
 	// The latency from the NP observing a mark to the RP reacting: about
 	// one RTT segment, the reverse path carrying a minimum-size frame.
@@ -109,7 +89,7 @@ func Attach(net *netsim.Network, f *netsim.Flow, cfg Config) *RP {
 			return
 		}
 		now := net.Now()
-		if lastEcho != -units.Never && now-lastEcho < cfg.CNPInterval {
+		if lastEcho != -units.Never && now-lastEcho < cnpInterval {
 			return // NP rate-limits CNPs to one per interval
 		}
 		lastEcho = now
@@ -130,13 +110,11 @@ func (rp *RP) OnRelease(now units.Time, size units.Size) {
 	}
 	rp.next += gap
 	// Byte-counter increase stages.
-	if rp.cfg.IncreaseBytes > 0 {
-		rp.bCounter += size
-		for rp.bCounter >= rp.cfg.IncreaseBytes {
-			rp.bCounter -= rp.cfg.IncreaseBytes
-			rp.bStage++
-			rp.increase()
-		}
+	rp.bCounter += size
+	for rp.bCounter >= increaseBytes {
+		rp.bCounter -= increaseBytes
+		rp.bStage++
+		rp.increase()
 	}
 }
 
@@ -145,10 +123,10 @@ func (rp *RP) onCNP() {
 	now := rp.net.Now()
 	rp.rt = rp.rc
 	rp.rc = units.Rate(float64(rp.rc) * (1 - rp.alpha/2))
-	if rp.rc < rp.cfg.MinRate {
-		rp.rc = rp.cfg.MinRate
+	if rp.rc < minRate {
+		rp.rc = minRate
 	}
-	rp.alpha = (1-rp.cfg.G)*rp.alpha + rp.cfg.G
+	rp.alpha = (1-g)*rp.alpha + g
 	rp.lastCNP = now
 	rp.everCNP = true
 	rp.tStage = 0
@@ -161,12 +139,12 @@ func (rp *RP) onCNP() {
 func (rp *RP) startTimers() {
 	var alphaTick func()
 	alphaTick = func() {
-		if rp.everCNP && rp.net.Now()-rp.lastCNP >= rp.cfg.AlphaTimer {
-			rp.alpha *= 1 - rp.cfg.G
+		if rp.everCNP && rp.net.Now()-rp.lastCNP >= alphaTimer {
+			rp.alpha *= 1 - g
 		}
-		rp.net.Engine().After(rp.cfg.AlphaTimer, alphaTick)
+		rp.net.Engine().After(alphaTimer, alphaTick)
 	}
-	rp.net.Engine().After(rp.cfg.AlphaTimer, alphaTick)
+	rp.net.Engine().After(alphaTimer, alphaTick)
 
 	var incTick func()
 	incTick = func() {
@@ -174,9 +152,9 @@ func (rp *RP) startTimers() {
 			rp.tStage++
 			rp.increase()
 		}
-		rp.net.Engine().After(rp.cfg.IncreaseTimer, incTick)
+		rp.net.Engine().After(increaseTimer, incTick)
 	}
-	rp.net.Engine().After(rp.cfg.IncreaseTimer, incTick)
+	rp.net.Engine().After(increaseTimer, incTick)
 }
 
 // increase runs one recovery/increase step, per the DCQCN RP state machine:
@@ -184,19 +162,19 @@ func (rp *RP) startTimers() {
 // both exceed F, additive increase otherwise.
 func (rp *RP) increase() {
 	switch {
-	case rp.tStage < rp.cfg.F && rp.bStage < rp.cfg.F:
+	case rp.tStage < fastRecovery && rp.bStage < fastRecovery:
 		// Fast recovery: close half the gap to the target.
-	case rp.tStage > rp.cfg.F && rp.bStage > rp.cfg.F:
-		rp.rt += rp.cfg.RHAI
+	case rp.tStage > fastRecovery && rp.bStage > fastRecovery:
+		rp.rt += rhai
 	default:
-		rp.rt += rp.cfg.RAI
+		rp.rt += rai
 	}
-	if rp.rt > rp.cfg.LineRate {
-		rp.rt = rp.cfg.LineRate
+	if rp.rt > rp.lineRate {
+		rp.rt = rp.lineRate
 	}
 	rp.rc = (rp.rc + rp.rt) / 2
-	if rp.rc > rp.cfg.LineRate {
-		rp.rc = rp.cfg.LineRate
+	if rp.rc > rp.lineRate {
+		rp.rc = rp.lineRate
 	}
 	rp.log()
 }

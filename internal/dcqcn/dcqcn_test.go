@@ -35,7 +35,7 @@ func buildIncast(t *testing.T, senders int) (*netsim.Network, []*RP, []*netsim.F
 			t.Fatal(err)
 		}
 		f := &netsim.Flow{ID: i, Src: src, Dst: recv, Path: path}
-		rp := Attach(net, f, DefaultConfig(10*units.Gbps))
+		rp := Attach(net, f, 10*units.Gbps)
 		if err := net.AddFlow(f, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestDCQCNRecoversAfterCongestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &netsim.Flow{ID: 1, Src: src, Dst: dst, Path: path}
-	rp := Attach(net, f, DefaultConfig(10*units.Gbps))
+	rp := Attach(net, f, 10*units.Gbps)
 	if err := net.AddFlow(f, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,6 @@ func TestDCQCNRateLog(t *testing.T) {
 }
 
 func TestDCQCNMinRateFloor(t *testing.T) {
-	cfg := DefaultConfig(10 * units.Gbps)
 	topo := topology.Dumbbell(1, topology.DefaultLinkParams())
 	net, err := netsim.New(topo, netsim.Config{
 		BufferSize:  1000 * units.KB,
@@ -177,13 +176,13 @@ func TestDCQCNMinRateFloor(t *testing.T) {
 	src, dst := topo.MustLookup("H1"), topo.MustLookup("H2")
 	path, _ := tab.Path(src, dst, 1)
 	f := &netsim.Flow{ID: 1, Src: src, Dst: dst, Path: path}
-	rp := Attach(net, f, cfg)
-	// Hammer CNPs directly: rate must never fall below MinRate.
+	rp := Attach(net, f, 10*units.Gbps)
+	// Hammer CNPs directly: rate must never fall below minRate.
 	for i := 0; i < 200; i++ {
 		rp.onCNP()
 	}
-	if rp.rc < cfg.MinRate {
-		t.Fatalf("rate %v below floor %v", rp.rc, cfg.MinRate)
+	if rp.rc < minRate {
+		t.Fatalf("rate %v below floor %v", rp.rc, minRate)
 	}
 }
 

@@ -16,13 +16,7 @@ import (
 type Probe interface {
 	// Deadlocked reports the detection result so far; nil when none.
 	Deadlocked() *Report
-	// PollInterval is the detector's polling period — the cadence
-	// StopOnDeadlock watchers should check Deadlocked at.
-	PollInterval() units.Time
 }
-
-// PollInterval implements Probe for the global Detector.
-func (d *Detector) PollInterval() units.Time { return d.Interval }
 
 // FeedbackNetwork is the observational slice of netsim.Network DCFIT needs:
 // unlike the global Detector it never snapshots buffer state — it taps the
@@ -69,13 +63,7 @@ type dcfitEdge struct {
 //     lost PAUSE simply never creates the edge — consistent with the
 //     sender's view, since the observer taps delivery, not emission.
 type DCFIT struct {
-	net FeedbackNetwork
-	// Window is how long a closed pause cycle must persist before it is
-	// reported; default 5 ms, matching the global Detector.
-	Window units.Time
-	// Interval is the confirmation polling period; default 1 ms.
-	Interval units.Time
-
+	net   FeedbackNetwork
 	edges map[EdgeKey]dcfitEdge
 	seq   int64
 	// keys and path are findCycle's scratch, kept so a poll over live pause
@@ -94,15 +82,9 @@ type DCFIT struct {
 	installed bool
 }
 
-// NewDCFIT returns a DCFIT detector over n with default window and interval.
-// Call Install to start observing.
+// NewDCFIT returns a DCFIT detector over n. Call Install to start observing.
 func NewDCFIT(n FeedbackNetwork) *DCFIT {
-	return &DCFIT{
-		net:      n,
-		Window:   5 * units.Millisecond,
-		Interval: units.Millisecond,
-		edges:    make(map[EdgeKey]dcfitEdge),
-	}
+	return &DCFIT{net: n, edges: make(map[EdgeKey]dcfitEdge)}
 }
 
 // Install taps the network's feedback plane and schedules periodic cycle
@@ -118,16 +100,13 @@ func (d *DCFIT) Install() {
 		if d.Check() != nil {
 			return // stop polling once detected
 		}
-		d.net.Engine().After(d.Interval, tick)
+		d.net.Engine().After(PollInterval, tick)
 	}
-	d.net.Engine().After(d.Interval, tick)
+	d.net.Engine().After(PollInterval, tick)
 }
 
 // Deadlocked reports the detection result so far; nil when none.
 func (d *DCFIT) Deadlocked() *Report { return d.report }
-
-// PollInterval implements Probe.
-func (d *DCFIT) PollInterval() units.Time { return d.Interval }
 
 // onDeliver is the feedback observer: it runs at the instant a message
 // reaches its sender, after fault loss/delay.
@@ -206,7 +185,7 @@ func (d *DCFIT) Check() *Report {
 		d.candKey, d.candSeq, d.candAt = cycle[0], minSeq, now
 		return nil
 	}
-	if now-d.candAt < d.Window {
+	if now-d.candAt < window {
 		return nil
 	}
 	keys := make([]ChannelKey, len(cycle))

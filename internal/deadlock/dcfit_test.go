@@ -49,7 +49,7 @@ func TestDCFITReportsCycleAfterWindow(t *testing.T) {
 	if rep := d.Check(); rep != nil {
 		t.Fatalf("cycle reported before the persistence window: %+v", rep)
 	}
-	f.now += d.Window
+	f.now += window
 	rep := d.Check()
 	if rep == nil {
 		t.Fatal("persistent pause cycle not reported")
@@ -66,7 +66,7 @@ func TestDCFITReportsCycleAfterWindow(t *testing.T) {
 			t.Fatalf("cycle does not chain: %v", rep.Cycle)
 		}
 	}
-	if rep.StallFor < d.Window {
+	if rep.StallFor < window {
 		t.Fatalf("StallFor = %v, want ≥ window", rep.StallFor)
 	}
 	// Detection latches.
@@ -88,7 +88,7 @@ func TestDCFITCycleAnyFormationOrder(t *testing.T) {
 			f.pause(edges[i][0], edges[i][1])
 		}
 		d.Check()
-		f.now += d.Window
+		f.now += window
 		if rep := d.Check(); rep == nil || len(rep.Cycle) != 3 {
 			t.Errorf("order %v: cycle not reported (rep=%+v)", p, rep)
 		}
@@ -103,7 +103,7 @@ func TestDCFITChainIsNotACycle(t *testing.T) {
 	f.pause(2, 3)
 	f.pause(3, 4) // node 4 is not paused by anyone: chain, not cycle
 	for i := 0; i < 5; i++ {
-		f.now += d.Window
+		f.now += window
 		if rep := d.Check(); rep != nil {
 			t.Fatalf("pause chain reported as deadlock: %+v", rep)
 		}
@@ -118,14 +118,14 @@ func TestDCFITResumeResetsPersistence(t *testing.T) {
 	f.pause(2, 3)
 	f.pause(3, 1)
 	d.Check() // candidate armed
-	f.now += d.Window / 2
+	f.now += window / 2
 	f.resume(3, 1) // cycle broken mid-window
 	if rep := d.Check(); rep != nil {
 		t.Fatalf("broken cycle reported: %+v", rep)
 	}
 	f.pause(3, 1) // re-formed: a new pause, so the clock restarts
 	d.Check()
-	f.now += d.Window - 1
+	f.now += window - 1
 	if rep := d.Check(); rep != nil {
 		t.Fatalf("re-formed cycle reported before a fresh full window: %+v", rep)
 	}
@@ -154,7 +154,7 @@ func TestDCFITQueueScopedEdges(t *testing.T) {
 		t.Fatalf("edges = %d after unrelated-queue resume, want 3", len(d.edges))
 	}
 	d.Check()
-	f.now += d.Window
+	f.now += window
 	if rep := d.Check(); rep == nil || len(rep.Cycle) != 3 {
 		t.Fatalf("per-queue pause cycle not reported (rep=%+v)", rep)
 	}
@@ -227,7 +227,7 @@ func TestDCFITRingAgreesWithGlobal(t *testing.T) {
 	if diff < 0 {
 		diff = -diff
 	}
-	if tol := 2 * g.Window; diff > tol {
+	if tol := 2 * window; diff > tol {
 		t.Errorf("onset disagreement: global %v vs dcfit %v (|Δ| = %v > %v)",
 			grep.At, drep.At, diff, tol)
 	}

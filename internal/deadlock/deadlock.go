@@ -16,6 +16,17 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
+// The persistence window and polling period of both detectors: DCFIT's 5 ms
+// design constant, checked every millisecond.
+const (
+	// window is how long a buffer (Detector) or a closed pause cycle (DCFIT)
+	// must stay stalled before it is reported.
+	window = 5 * units.Millisecond
+	// PollInterval is the detectors' polling period — the cadence
+	// StopOnDeadlock watchers check Deadlocked at.
+	PollInterval = units.Millisecond
+)
+
 // Network is the observational slice of netsim.Network the detector needs.
 // Taking an interface keeps the stall predicate unit-testable against
 // synthetic snapshots (the false-positive regressions around link flaps are
@@ -91,25 +102,13 @@ type Report struct {
 // counters the metrics registry exports), so a single snapshot decides
 // stall, in the spirit of counter-based in-network detection (DCFIT).
 type Detector struct {
-	net Network
-	// Window is how long a buffer must hold bytes without progress to
-	// count as stalled; default 5 ms.
-	Window units.Time
-	// Interval is the polling period; default 1 ms.
-	Interval units.Time
-
+	net    Network
 	report *Report
 	states []netsim.IngressState // the last snapshot; its arrays serve the next
 }
 
-// NewDetector returns a detector over n with default window and interval.
-func NewDetector(n Network) *Detector {
-	return &Detector{
-		net:      n,
-		Window:   5 * units.Millisecond,
-		Interval: units.Millisecond,
-	}
-}
+// NewDetector returns a detector over n.
+func NewDetector(n Network) *Detector { return &Detector{net: n} }
 
 // Install schedules periodic checks on the network's engine until a
 // deadlock is found.
@@ -119,9 +118,9 @@ func (d *Detector) Install() {
 		if d.Check() != nil {
 			return // stop polling once detected
 		}
-		d.net.Engine().After(d.Interval, tick)
+		d.net.Engine().After(PollInterval, tick)
 	}
-	d.net.Engine().After(d.Interval, tick)
+	d.net.Engine().After(PollInterval, tick)
 }
 
 // Deadlocked reports the detection result so far; nil when none.
@@ -169,7 +168,7 @@ func (d *Detector) Check() *Report {
 		if is.OccupiedSince > start {
 			start = is.OccupiedSince
 		}
-		if now-start < d.Window {
+		if now-start < window {
 			continue
 		}
 		if stalled == nil {
@@ -289,7 +288,7 @@ func (d *Detector) checkWedge(
 			if holder.OccupiedSince > idle {
 				idle = holder.OccupiedSince
 			}
-			if now-idle < d.Window {
+			if now-idle < window {
 				continue
 			}
 			d.report = &Report{

@@ -261,7 +261,7 @@ func TestDetectorManualCheck(t *testing.T) {
 	if again := d.Check(); again != rep {
 		t.Fatal("Check did not return the cached report")
 	}
-	if rep.StallFor < d.Window {
-		t.Fatalf("StallFor %v below window %v", rep.StallFor, d.Window)
+	if rep.StallFor < window {
+		t.Fatalf("StallFor %v below window %v", rep.StallFor, window)
 	}
 }

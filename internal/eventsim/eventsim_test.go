@@ -5,9 +5,19 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/gfcsim/gfc/internal/units"
 )
+
+// TestEngineFillsWholeLinePairs holds Engine to a multiple of 128 bytes, so
+// engines allocated side by side never share a prefetched line pair: resize
+// its pad when a field comes or goes.
+func TestEngineFillsWholeLinePairs(t *testing.T) {
+	if s := unsafe.Sizeof(Engine{}); s%128 != 0 {
+		t.Errorf("Engine is %d bytes; resize its pad to a multiple of 128", s)
+	}
+}
 
 func TestZeroValueReady(t *testing.T) {
 	var e Engine

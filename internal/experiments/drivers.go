@@ -135,7 +135,7 @@ func Lookup(name string) (*Driver, error) {
 
 func (o *Options) printSeries(w io.Writer, name string, s *stats.Series, max int) {
 	if o.Chart {
-		c := viz.DefaultChart(name)
+		c := viz.Chart{YLabel: name}
 		switch {
 		case strings.Contains(name, "rate"):
 			c.FormatY = viz.FormatRate
@@ -390,13 +390,57 @@ func fig20Section(w io.Writer, o *Options) error {
 	return nil
 }
 
+// sweepConfigs composes the configuration the sweep runs at each scale:
+// DefaultSweep, then the CLI's settings, then the -table1-scale preset's
+// overrides. One outside its range is a usage error, returned before any
+// scale runs.
+func (o *Options) sweepConfigs() ([]SweepConfig, error) {
+	ks := o.Scales
+	if o.Table1Scale == "ci" {
+		ks = []int{4}
+	}
+	cfgs := make([]SweepConfig, len(ks))
+	for i, k := range ks {
+		cfg := DefaultSweep(k)
+		cfg.Networks = o.Networks
+		cfg.Repeats = o.Repeats
+		cfg.Seed = o.Seed
+		if o.Duration > 0 {
+			cfg.Duration = o.Duration
+		}
+		cfg.Workers = o.Workers
+		cfg.Budget = o.Budget
+		cfg.JobTimeout = o.JobTimeout
+		cfg.Checkpoint = o.Checkpoint
+		cfg.Analytic = o.Analytic
+		cfg.Backend = o.Backend
+		cfg.Retry = o.Retry
+		switch o.Table1Scale {
+		case "ci":
+			// The CI gate: a k=4 slice with the checker enforced, small
+			// enough to kill and resume inside a CI step.
+			cfg.Networks, cfg.Repeats, cfg.Analytic = 200, 1, true
+		case "full":
+			// §6.2.3 paper scale. Resumable: run with -checkpoint and the
+			// governor flags; see EXPERIMENTS.md for the overnight recipe.
+			cfg.Networks, cfg.Repeats = 10000, 100
+			cfg.FlowsPerHost, cfg.Analytic = 1, true
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUsage, err)
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs, nil
+}
+
 // sweepSection runs the §6.2.3 sweep — every scheme at every scale — and
 // prints one of the three tables it feeds, under title.
 func sweepSection(title string, rows func(map[int]map[FC]*SweepResult, []int) *stats.Table) func(io.Writer, *Options) error {
 	return func(w io.Writer, o *Options) error {
-		ks := o.Scales
-		if o.Table1Scale == "ci" {
-			ks = []int{4}
+		cfgs, err := o.sweepConfigs()
+		if err != nil {
+			return err
 		}
 		// A scheme a fluid sweep cannot decide is left out before anything is
 		// swept — its column prints "-" — instead of failing the run after
@@ -413,34 +457,12 @@ func sweepSection(title string, rows func(map[int]map[FC]*SweepResult, []int) *s
 			}
 		}
 		results := make(map[int]map[FC]*SweepResult)
+		var ks []int
 		quarantined := 0
-		for _, k := range ks {
+		for _, cfg := range cfgs {
+			k := cfg.K
+			ks = append(ks, k)
 			results[k] = make(map[FC]*SweepResult)
-			cfg := DefaultSweep(k)
-			cfg.Networks = o.Networks
-			cfg.Repeats = o.Repeats
-			cfg.Seed = o.Seed
-			if o.Duration > 0 {
-				cfg.Duration = o.Duration
-			}
-			cfg.Workers = o.Workers
-			cfg.Budget = o.Budget
-			cfg.JobTimeout = o.JobTimeout
-			cfg.Checkpoint = o.Checkpoint
-			cfg.Analytic = o.Analytic
-			cfg.Backend = o.Backend
-			cfg.Retry = o.Retry
-			switch o.Table1Scale {
-			case "ci":
-				// The CI gate: a k=4 slice with the checker enforced, small
-				// enough to kill and resume inside a CI step.
-				cfg.Networks, cfg.Repeats, cfg.Analytic = 200, 1, true
-			case "full":
-				// §6.2.3 paper scale. Resumable: run with -checkpoint and the
-				// governor flags; see EXPERIMENTS.md for the overnight recipe.
-				cfg.Networks, cfg.Repeats = 10000, 100
-				cfg.FlowsPerHost, cfg.Analytic = 1, true
-			}
 			for _, fc := range schemes {
 				fmt.Fprintf(o.Stderr, "sweep k=%d %s...\n", k, fc)
 				res, err := RunSweep(o.ctx(), fc, cfg)

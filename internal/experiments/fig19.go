@@ -9,7 +9,7 @@ import (
 )
 
 // OverheadResult is the Figure 19 measurement: the distribution of per-port
-// feedback-message bandwidth under buffer-based GFC, counted in 500 µs bins
+// feedback-message bandwidth under buffer-based GFC (the paper's subject), counted in 500 µs bins
 // as a fraction of link capacity. The paper reports mean 0.21%, p99 < 0.4%,
 // max 0.49%.
 type OverheadResult struct {
@@ -24,7 +24,6 @@ type OverheadResult struct {
 type OverheadConfig struct {
 	K    int // fat-tree arity (paper: 16; default 8 for CI budgets)
 	Seed int64
-	FC   FC // default GFCBuf (the paper's subject); CBFC for contrast
 }
 
 // RunOverhead measures feedback bandwidth on a healthy fat-tree under the
@@ -33,9 +32,6 @@ func RunOverhead(cfg OverheadConfig, o RunOptions) (*OverheadResult, error) {
 	if cfg.K == 0 {
 		cfg.K = 8
 	}
-	if cfg.FC == "" {
-		cfg.FC = GFCBuf
-	}
 	// Feedback wire bytes per channel in 500 µs bins, keyed by the channel's
 	// (receiver, sender) node pair and kept in (node, port) order — the order
 	// the samples enter the CDF in. A message emitted at a bin's closing
@@ -43,7 +39,7 @@ func RunOverhead(cfg OverheadConfig, o RunOptions) (*OverheadResult, error) {
 	const bin = 500 * units.Microsecond
 	var wire []*stats.BinCounter
 	channel := map[[2]topology.NodeID]int{}
-	sim, err := o.build(scenario.Overhead(cfg.FC, cfg.K, cfg.Seed), scenario.Overrides{
+	sim, err := o.build(scenario.Overhead(GFCBuf, cfg.K, cfg.Seed), scenario.Overrides{
 		Trace: func(topo *topology.Topology) *netsim.Trace {
 			for n := 0; n < topo.NumNodes(); n++ {
 				for _, at := range topo.Ports(topology.NodeID(n)) {

@@ -47,7 +47,7 @@ func RunFig20(o RunOptions) (*Fig20Result, error) {
 			}
 		},
 		OnFlow: func(f *netsim.Flow, net *netsim.Network) error {
-			rp := dcqcn.Attach(net, f, dcqcn.DefaultConfig(10*units.Gbps))
+			rp := dcqcn.Attach(net, f, 10*units.Gbps)
 			if f.ID == 1 {
 				rp.RateLog = func(t units.Time, r units.Rate) {
 					res.DCQCNRate.Append(t, float64(r))

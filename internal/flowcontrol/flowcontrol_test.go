@@ -311,7 +311,6 @@ func TestCBFCBadPeriod(t *testing.T) {
 
 func TestRateLimiterBasics(t *testing.T) {
 	rl := NewRateLimiter(10 * units.Gbps)
-	rl.Slack = 0 // exercise the exact §5.3 arithmetic
 	if rl.Rate() != 10*units.Gbps {
 		t.Fatal("initial rate not line rate")
 	}
@@ -323,15 +322,11 @@ func TestRateLimiterBasics(t *testing.T) {
 	if got := rl.NextAllowed(); got != 1200 {
 		t.Fatalf("NextAllowed at line rate = %v", got)
 	}
-	// Halve the rate: R_c = (C−R)/R · R_l = 1·1200ns.
-	rl.SetRate(5 * units.Gbps)
-	if got := rl.NextAllowed(); got != 2400 {
-		t.Fatalf("NextAllowed at C/2 = %v, want 2400", got)
-	}
-	// Quarter rate: extra = 3·1200.
+	// Quarter rate: R_c = (C−R)/R · R_l = 3·1200ns, stretched by the 1 %
+	// slack (TestRateLimiterSlack) to 3636.
 	rl.SetRate(2.5 * units.Gbps)
-	if got := rl.NextAllowed(); got != 1200+3600 {
-		t.Fatalf("NextAllowed at C/4 = %v, want 4800", got)
+	if got := rl.NextAllowed(); got != 1200+3636 {
+		t.Fatalf("NextAllowed at C/4 = %v, want 4836", got)
 	}
 }
 
@@ -477,12 +472,10 @@ func TestGFCBufferPacing(t *testing.T) {
 
 func TestRateLimiterSlack(t *testing.T) {
 	rl := NewRateLimiter(10 * units.Gbps)
-	if rl.Slack != DefaultSlack {
-		t.Fatalf("default slack = %v", rl.Slack)
-	}
 	rl.SetRate(5 * units.Gbps)
 	rl.OnSent(1200, 1200)
-	// Countdown stretched by (1+Slack): 1200·1.01 = 1212 extra.
+	// Halve the rate: R_c = (C−R)/R · R_l = 1·1200ns, stretched by
+	// (1+DefaultSlack): 1200·1.01 = 1212 extra.
 	if got := rl.NextAllowed(); got != 1200+1212 {
 		t.Fatalf("NextAllowed with slack = %v, want 2412", got)
 	}
@@ -797,7 +790,6 @@ func TestRateLimiterNextAllowedProperties(t *testing.T) {
 	f := func(endRaw, durRaw uint64, rateRaw uint32) bool {
 		c := 100 * units.Gbps
 		rl := NewRateLimiter(c)
-		rl.MinRate = 1 // let assigned rates get arbitrarily slow
 		end := units.Time(endRaw % uint64(units.Never))
 		dur := units.Time(durRaw % uint64(units.Never))
 		if dur == 0 {
@@ -805,7 +797,7 @@ func TestRateLimiterNextAllowedProperties(t *testing.T) {
 		}
 		rl.OnSent(end, dur)
 
-		lo := units.Rate(rateRaw%1000) + 1 // down to 1 b/s
+		lo := units.Rate(rateRaw%1000+1) * DefaultMinRate // down to the floor
 		hi := lo * 1000
 		rl.SetRate(lo)
 		atLo := rl.NextAllowed()
@@ -835,10 +827,9 @@ func TestRateLimiterNextAllowedProperties(t *testing.T) {
 func TestRateLimiterNeverBoundary(t *testing.T) {
 	c := 100 * units.Gbps
 	rl := NewRateLimiter(c)
-	rl.MinRate = 1
-	rl.Slack = 0
 
-	// ~292 years of wire time at 1 b/s against 100 Gb/s: extra overflows.
+	// ~73 years of wire time at the 8 Kb/s floor against 100 Gb/s: extra
+	// overflows.
 	rl.OnSent(0, units.Time(math.MaxInt64/4))
 	rl.SetRate(1)
 	if got := rl.NextAllowed(); got != units.Never {
@@ -855,8 +846,8 @@ func TestRateLimiterNeverBoundary(t *testing.T) {
 	// Well inside the range the guard must not fire.
 	rl.OnSent(1200, 1200)
 	rl.SetRate(c / 2)
-	if got := rl.NextAllowed(); got != 2400 {
-		t.Fatalf("in-range countdown = %v, want 2400", got)
+	if got := rl.NextAllowed(); got != 2412 {
+		t.Fatalf("in-range countdown = %v, want 2412", got)
 	}
 }
 

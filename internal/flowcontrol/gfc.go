@@ -22,9 +22,6 @@ type GFCBufferConfig struct {
 	// queue can exceed B_m by a few packets before feedback bites — the
 	// small default headroom preserves strict losslessness there.
 	Bm units.Size
-	// MinRate is the rate-limiter granularity floor; zero means the
-	// commodity default of 8 Kb/s.
-	MinRate units.Rate
 	// Ratio is the per-stage rate ratio R_k/R_{k−1}; zero means the
 	// paper's 1/2 (equation 4). Equation (3) requires ≤ 3/4.
 	Ratio float64
@@ -59,8 +56,8 @@ func OccupancyCeiling(bm, buffer, mtu units.Size) (ceil units.Size, fits bool) {
 // Resolve returns c with the thresholds NewGFCBuffer installs on a channel
 // with parameters p filled in — Bm (default: the buffer minus the
 // OccupancyCeiling headroom), Ratio (default 1/2), B1 (default: the safe
-// maximum of equation (1) generalised, Bm − Cτ/(1−r)) and MinRate — and an
-// error when B1 exceeds that maximum. The values are returned even then, so
+// maximum of equation (1) generalised, Bm − Cτ/(1−r)) — and an error when B1
+// exceeds that maximum. The values are returned even then, so
 // analysis can reason about an unsafe configuration; resolving a resolved
 // config re-validates the same thresholds, e.g. against another τ. This is
 // the only place the defaults are decided: the factory, the fluid compiler
@@ -71,9 +68,6 @@ func (c GFCBufferConfig) Resolve(p Params) (GFCBufferConfig, error) {
 	}
 	if c.Ratio == 0 {
 		c.Ratio = 0.5
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = DefaultMinRate
 	}
 	bound := c.Bm - units.Size(float64(units.BytesIn(p.Capacity, p.Tau))/(1-c.Ratio))
 	if c.B1 == 0 {
@@ -131,10 +125,8 @@ func NewGFCBuffer(cfg GFCBufferConfig) Factory {
 			tables[key] = table
 			mu.Unlock()
 		}
-		rl := *NewRateLimiter(p.Capacity)
-		rl.MinRate = cfg.MinRate
 		return Controller{
-			Sender:   &gfcBufferSender{rl: rl, clock: env.Clock(), table: table},
+			Sender:   &gfcBufferSender{rl: *NewRateLimiter(p.Capacity), clock: env.Clock(), table: table},
 			Receiver: &gfcBufferReceiver{p: p, table: table, env: env, refresh: cfg.Refresh},
 		}, nil
 	}
@@ -273,23 +265,17 @@ type GFCConceptualConfig struct {
 	B0 units.Size
 	// Bm is the mapping ceiling; zero means the buffer size.
 	Bm units.Size
-	// MinRate floors the mapped rate; zero means 8 Kb/s.
-	MinRate units.Rate
 }
 
 // Resolve returns c with the thresholds NewGFCConceptual installs on a
 // channel with parameters p filled in — Bm (default: the buffer), B0 (default:
-// the Theorem 4.1 safe maximum Bm − 4Cτ) and MinRate — and an error unless
-// 0 < B0 < Bm. The values are returned even then; see GFCBufferConfig.Resolve.
+// the Theorem 4.1 safe maximum Bm − 4Cτ) — and an error unless 0 < B0 < Bm. The values are returned even then; see GFCBufferConfig.Resolve.
 func (c GFCConceptualConfig) Resolve(p Params) (GFCConceptualConfig, error) {
 	if c.Bm == 0 {
 		c.Bm = p.Buffer
 	}
 	if c.B0 == 0 {
 		c.B0 = core.ConceptualB0Bound(c.Bm, p.Capacity, p.Tau)
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = DefaultMinRate
 	}
 	if c.B0 <= 0 || c.B0 >= c.Bm {
 		return c, fmt.Errorf("flowcontrol: conceptual GFC needs 0 < B0 (%v) < Bm (%v); buffer too small for τ=%v",
@@ -309,10 +295,8 @@ func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
 			return Controller{}, err
 		}
 		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
-		rl := *NewRateLimiter(p.Capacity)
-		rl.MinRate = cfg.MinRate
 		return Controller{
-			Sender:   &gfcContinuousSender{rl: rl, clock: env.Clock(), mapping: m},
+			Sender:   &gfcContinuousSender{rl: *NewRateLimiter(p.Capacity), clock: env.Clock(), mapping: m},
 			Receiver: &gfcConceptualReceiver{env: env},
 		}, nil
 	}

@@ -21,18 +21,16 @@ type GFCTimeConfig struct {
 	// maximum.
 	B0 units.Size
 	// Bm is the mapping ceiling; zero defaults to the buffer size minus
-	// four MTUs of headroom, which absorbs the MinRate floor's residual
-	// trickle when a downstream drain stops completely.
+	// four MTUs of headroom, which absorbs the DefaultMinRate floor's
+	// residual trickle when a downstream drain stops completely.
 	Bm units.Size
-	// MinRate floors the mapped rate; zero means 8 Kb/s.
-	MinRate units.Rate
 }
 
 // Resolve returns c with the thresholds NewGFCTime installs on a channel with
 // parameters p filled in — Period (default: the InfiniBand recommendation for
 // the link capacity), Bm (default: the buffer minus the OccupancyCeiling
-// headroom), B0 (default: the Theorem 5.1 safe maximum) and MinRate — and an
-// error unless 0 < B0 < Bm. The values are returned even then; see
+// headroom) and B0 (default: the Theorem 5.1 safe maximum) — and an error
+// unless 0 < B0 < Bm. The values are returned even then; see
 // GFCBufferConfig.Resolve.
 func (c GFCTimeConfig) Resolve(p Params) (GFCTimeConfig, error) {
 	if c.Period <= 0 {
@@ -43,9 +41,6 @@ func (c GFCTimeConfig) Resolve(p Params) (GFCTimeConfig, error) {
 	}
 	if c.B0 == 0 {
 		c.B0 = core.TimeBasedB0Bound(c.Bm, p.Capacity, p.Tau, c.Period)
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = DefaultMinRate
 	}
 	if c.B0 <= 0 || c.B0 >= c.Bm {
 		return c, fmt.Errorf("flowcontrol: time-based GFC needs 0 < B0 (%v) < Bm (%v); buffer too small for τ=%v, T=%v",
@@ -71,10 +66,8 @@ func NewGFCTime(cfg GFCTimeConfig) Factory {
 			return Controller{}, err
 		}
 		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
-		rl := *NewRateLimiter(p.Capacity)
-		rl.MinRate = cfg.MinRate
 		return Controller{
-			Sender:   &gfcTimeSender{rl: rl, clock: env.Clock(), mapping: m, bm: cfg.Bm},
+			Sender:   &gfcTimeSender{rl: *NewRateLimiter(p.Capacity), clock: env.Clock(), mapping: m, bm: cfg.Bm},
 			Receiver: &cbfcReceiver{p: p, cfg: CBFCConfig{Period: cfg.Period}, env: env},
 		}, nil
 	}

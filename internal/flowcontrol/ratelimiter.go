@@ -18,56 +18,49 @@ import (
 // when the assigned rate changes — without it, a rate step from C/2^16 back
 // up to C would still serve out a countdown tens of milliseconds long.
 //
-// MinRate reflects the hardware granularity floor discussed in §7 (8 Kb/s on
-// commodity switches): assigned rates below it are clamped up, which keeps
-// the limiter from ever parking a queue forever.
+// DefaultMinRate reflects the hardware granularity floor discussed in §7:
+// assigned rates below it are clamped up, which keeps the limiter from ever
+// parking a queue forever.
 type RateLimiter struct {
 	Capacity units.Rate
-	MinRate  units.Rate
-	// Slack is the limiter's conservatism: the countdown is stretched by
-	// (1+Slack), so the achieved rate sits slightly below the assigned
-	// R_r (except at line rate, which is unpaced). Hardware limiters
-	// have exactly this property — the R_c register counts in whole
-	// clock ticks and configurations round toward "not more than R_r".
-	//
-	// The slack matters behaviourally: inside one stage of the GFC step
-	// mapping, arrival at R_r against a drain of R_r is neutrally
-	// stable, and packet-level beats only ever pump bytes in, slowly
-	// ratcheting coupled CBD queues toward the buffer ceiling. A
-	// slightly conservative limiter makes drain exceed arrival so
-	// queues restore to the stage boundary instead. Default 1%.
-	Slack float64
 
 	rate    units.Rate
 	lastEnd units.Time // when the previous packet finished serialising
 	lastDur units.Time // R_l: how long it occupied the wire
 }
 
-// DefaultSlack is the default limiter conservatism.
-const DefaultSlack = 0.01
+// DefaultSlack is the limiter's conservatism: the countdown is stretched by
+// (1+DefaultSlack), so the achieved rate sits slightly below the assigned R_r
+// (except at line rate, which is unpaced). Hardware limiters have exactly
+// this property — the R_c register counts in whole clock ticks and
+// configurations round toward "not more than R_r".
+//
+// The slack matters behaviourally: inside one stage of the GFC step mapping,
+// arrival at R_r against a drain of R_r is neutrally stable, and packet-level
+// beats only ever pump bytes in, slowly ratcheting coupled CBD queues toward
+// the buffer ceiling. A slightly conservative limiter makes drain exceed
+// arrival so queues restore to the stage boundary instead.
+const DefaultSlack float64 = 0.01
 
-// DefaultMinRate is the 8 Kb/s minimum rate unit of commodity rate limiters.
+// DefaultMinRate is the 8 Kb/s minimum rate unit of commodity rate limiters:
+// the floor of every GFC rate mapping, in the packet engine, the fluid solver
+// and the analytic model alike.
 const DefaultMinRate = 8 * units.Kbps
 
 // NewRateLimiter returns a limiter initially assigned full line rate.
 func NewRateLimiter(capacity units.Rate) *RateLimiter {
-	return &RateLimiter{
-		Capacity: capacity,
-		MinRate:  DefaultMinRate,
-		Slack:    DefaultSlack,
-		rate:     capacity,
-	}
+	return &RateLimiter{Capacity: capacity, rate: capacity}
 }
 
-// SetRate assigns R_r. Rates above capacity clamp to capacity; rates at or
-// below zero clamp to MinRate (the granularity floor — GFC never assigns
-// zero, but defensive clamping keeps the invariant obvious).
+// SetRate assigns R_r. Rates above capacity clamp to capacity; rates below
+// DefaultMinRate clamp to it (the granularity floor — GFC never assigns zero,
+// but defensive clamping keeps the invariant obvious).
 func (rl *RateLimiter) SetRate(r units.Rate) {
 	switch {
 	case r > rl.Capacity:
 		r = rl.Capacity
-	case r < rl.MinRate:
-		r = rl.MinRate
+	case r < DefaultMinRate:
+		r = DefaultMinRate
 	}
 	rl.rate = r
 }
@@ -84,7 +77,7 @@ func (rl *RateLimiter) NextAllowed() units.Time {
 	if rl.rate >= rl.Capacity {
 		return rl.lastEnd
 	}
-	extra := float64(rl.lastDur) * float64(rl.Capacity-rl.rate) / float64(rl.rate) * (1 + rl.Slack)
+	extra := float64(rl.lastDur) * float64(rl.Capacity-rl.rate) / float64(rl.rate) * (1 + DefaultSlack)
 	if extra >= float64(math.MaxInt64)-float64(rl.lastEnd) {
 		return units.Never
 	}

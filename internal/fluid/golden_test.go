@@ -117,7 +117,7 @@ func (f netFixture) run(t *testing.T, run func(NetConfig) (*NetResult, error)) (
 // PFC's hysteresis.
 func continuousLaw() Mapping {
 	m := core.ContinuousMapping{C: 10 * units.Gbps, B0: 153 * units.KB, Bm: 294 * units.KB}
-	return Floored{M: Continuous{m}, Min: 8 * units.Kbps}
+	return Floored{M: Continuous{m}}
 }
 
 func pfcLaw(buffer units.Size, tau units.Time) func() Mapping {

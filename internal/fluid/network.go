@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"github.com/gfcsim/gfc/internal/core"
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -50,19 +51,16 @@ func (o *OnOff) RateAt(q units.Size) units.Rate {
 // LineRate implements Mapping.
 func (o *OnOff) LineRate() units.Rate { return o.C }
 
-// Floored clamps a mapping's output to a minimum rate — the 8 Kbps floor the
-// practical GFC schemes keep so progress never fully stops (Theorem 5.1's
-// deadlock-freedom argument).
-type Floored struct {
-	M   Mapping
-	Min units.Rate
-}
+// Floored clamps a mapping's output to flowcontrol.DefaultMinRate — the
+// 8 Kb/s floor the practical GFC schemes keep so progress never fully stops
+// (Theorem 5.1's deadlock-freedom argument).
+type Floored struct{ M Mapping }
 
 // RateAt implements Mapping.
 func (f Floored) RateAt(q units.Size) units.Rate {
 	r := f.M.RateAt(q)
-	if r < f.Min {
-		return f.Min
+	if r < flowcontrol.DefaultMinRate {
+		return flowcontrol.DefaultMinRate
 	}
 	return r
 }
@@ -132,9 +130,6 @@ type NetConfig struct {
 	// slower and lossier. The registry must already be bound with a layout
 	// whose ChannelIndex resolves every (Node, Port) listed in Channels.
 	Metrics *metrics.Registry
-	// StallWindow is how long the network must hold positive backlog with
-	// zero byte movement before RunNet declares deadlock; default 1 ms.
-	StallWindow units.Time
 	// Ctx, when non-nil, is polled every few thousand steps so bounded
 	// runs honour cancellation.
 	Ctx context.Context
@@ -158,6 +153,10 @@ type NetResult struct {
 	// watch or the context ended the run early.
 	Steps int
 }
+
+// stallWindow is how long the network must hold positive backlog with zero
+// byte movement before RunNet declares deadlock.
+const stallWindow = units.Millisecond
 
 // extrapolate is the quasi-steady fast-forward's switch. It is on; the
 // package's tests turn it off to integrate the same network in full and
@@ -275,9 +274,6 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 	}
 	if cfg.MTU == 0 {
 		cfg.MTU = 1500 * units.Byte
-	}
-	if cfg.StallWindow == 0 {
-		cfg.StallWindow = units.Millisecond
 	}
 	if cfg.Step < 0 || cfg.Horizon < 0 {
 		return nil, fmt.Errorf("fluid: negative Step or Horizon")
@@ -640,7 +636,7 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 			if stallStart < 0 {
 				stallStart = now
 			}
-			if now-stallStart >= cfg.StallWindow {
+			if now-stallStart >= stallWindow {
 				res.Deadlocked = true
 				res.DeadlockAt = stallStart
 				break

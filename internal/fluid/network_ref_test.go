@@ -154,9 +154,6 @@ func runNetReference(cfg NetConfig) (*NetResult, error) {
 	if cfg.MTU == 0 {
 		cfg.MTU = 1500 * units.Byte
 	}
-	if cfg.StallWindow == 0 {
-		cfg.StallWindow = units.Millisecond
-	}
 	if cfg.Step < 0 || cfg.Horizon < 0 {
 		return nil, fmt.Errorf("fluid: negative Step or Horizon")
 	}
@@ -465,7 +462,7 @@ func runNetReference(cfg NetConfig) (*NetResult, error) {
 			if stallStart < 0 {
 				stallStart = now
 			}
-			if now-stallStart >= cfg.StallWindow {
+			if now-stallStart >= stallWindow {
 				res.Deadlocked = true
 				res.DeadlockAt = stallStart
 				break

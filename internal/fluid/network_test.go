@@ -162,7 +162,7 @@ func TestRunNetTwoToOnePFC(t *testing.T) {
 func TestRunNetTimeBased(t *testing.T) {
 	topo, _, flows := twoToOne(t)
 	m := core.ContinuousMapping{C: 10 * units.Gbps, B0: 153 * units.KB, Bm: 294 * units.KB}
-	mk := func() Mapping { return Floored{M: Continuous{m}, Min: 8 * units.Kbps} }
+	mk := func() Mapping { return Floored{M: Continuous{m}} }
 	res, err := RunNet(NetConfig{
 		Channels: chansFor(t, topo, 300*units.KB, 10*units.Microsecond, 52400*units.Nanosecond, mk),
 		Flows:    flows,
@@ -348,7 +348,7 @@ func fatTreeFlows(t testing.TB, seed int64, perHost int) (*topology.Topology, []
 // moved, 60 of them up by at most 45.8 KB = 4.7 bands, one down by 1.15 KB.
 func TestFastForwardFiresAndBoundsHighWater(t *testing.T) {
 	m := core.ContinuousMapping{C: 10 * units.Gbps, B0: 153 * units.KB, Bm: 294 * units.KB}
-	mk := func() Mapping { return Floored{M: Continuous{m}, Min: 8 * units.Kbps} }
+	mk := func() Mapping { return Floored{M: Continuous{m}} }
 	bound := 5 * Band(10*units.Gbps, 1500*units.Byte)
 	fired, moved := 0, 0
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 55, 89}

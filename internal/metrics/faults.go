@@ -55,14 +55,14 @@ type FaultEvent struct {
 }
 
 // OnFault records one injected fault. The full event list is bounded by
-// Options.MaxFaults; the count is not. Recording faults is what lets a
+// maxFaults; the count is not. Recording faults is what lets a
 // violation be attributed to its trigger: every Violation carries the
 // number of faults injected before it (FaultsSoFar), so "which fault
 // tripped this" is a lookup into Faults(), and a violation with
 // FaultsSoFar == 0 happened on a clean network.
 func (r *Registry) OnFault(ev FaultEvent) {
 	r.faultCount++
-	if len(r.faults) < r.opt.MaxFaults {
+	if len(r.faults) < maxFaults {
 		r.faults = append(r.faults, ev)
 	} else {
 		r.faultsTruncated++
@@ -70,7 +70,7 @@ func (r *Registry) OnFault(ev FaultEvent) {
 }
 
 // FaultsInjected reports how many faults have been recorded (including
-// ones beyond the MaxFaults event cap).
+// ones beyond the maxFaults event cap).
 func (r *Registry) FaultsInjected() int64 { return r.faultCount }
 
 // FaultReport is the exported form of a FaultEvent.

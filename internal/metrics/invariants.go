@@ -121,8 +121,8 @@ func (v Violation) String() string {
 // least one invariant.
 type InvariantError struct {
 	Violations []Violation
-	// Truncated counts violations beyond Options.MaxViolations that were
-	// tallied but not recorded in full.
+	// Truncated counts violations beyond maxViolations that were tallied
+	// but not recorded in full.
 	Truncated int64
 }
 
@@ -145,7 +145,7 @@ func (r *Registry) violate(v Violation, idx int) {
 	ch := r.chans[idx]
 	v.Node, v.NodeName, v.Port, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.FromName
 	v.FaultsSoFar = r.faultCount
-	if len(r.violations) < r.opt.MaxViolations {
+	if len(r.violations) < maxViolations {
 		r.violations = append(r.violations, v)
 	} else {
 		r.truncated++
@@ -226,11 +226,6 @@ type NetworkBounds struct {
 	DeadlockFree bool
 }
 
-// netViolationCap bounds how many per-channel envelope violations one
-// CheckNetwork call reports in full; the rest are only counted. It mirrors
-// the registry's own MaxViolations default.
-const netViolationCap = 64
-
 // CheckNetwork validates the end-of-run aggregates against b, returning nil
 // when every bound held or an *InvariantError in the same structured shape
 // the runtime checks produce. at is the run's end time, delivered its total
@@ -250,7 +245,7 @@ func (r *Registry) CheckNetwork(b NetworkBounds, at units.Time, delivered units.
 		if ch.Host || b.MaxOccupancy <= 0 || c.HighWater <= b.MaxOccupancy {
 			continue
 		}
-		if len(e.Violations) >= netViolationCap {
+		if len(e.Violations) >= maxViolations {
 			e.Truncated++
 			continue
 		}

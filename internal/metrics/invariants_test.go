@@ -75,13 +75,13 @@ func TestCheckNetworkOccupancyEnvelope(t *testing.T) {
 
 func TestCheckNetworkOccupancyTruncation(t *testing.T) {
 	r := New(Options{})
-	idx := netLayout(r, netViolationCap+10)
+	idx := netLayout(r, maxViolations+10)
 	for _, i := range idx {
 		r.OnAdmit(i, 10, 90*units.KB, 90*units.KB)
 	}
 	e := r.CheckNetwork(NetworkBounds{MaxOccupancy: units.KB}, 100, 0, false)
-	if e == nil || len(e.Violations) != netViolationCap {
-		t.Fatalf("reported %d violations, want the %d cap", len(e.Violations), netViolationCap)
+	if e == nil || len(e.Violations) != maxViolations {
+		t.Fatalf("reported %d violations, want the %d cap", len(e.Violations), maxViolations)
 	}
 	if e.Truncated != 10 {
 		t.Fatalf("Truncated = %d, want 10", e.Truncated)

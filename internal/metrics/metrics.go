@@ -40,16 +40,19 @@ type Options struct {
 	// samples. Zero disables occupancy series (counters only) — the
 	// right default for large sweeps.
 	SeriesCap int
-	// SeriesGap is the minimum spacing between occupancy samples; zero
-	// means 100 µs, the paper's §6.2.3 measurement bin.
-	SeriesGap units.Time
-	// MaxViolations caps how many violations are recorded in full; later
-	// ones only increment a truncation counter. Zero means 64.
-	MaxViolations int
-	// MaxFaults caps how many injected fault events are recorded in full
-	// (the count is always exact). Zero means 256.
-	MaxFaults int
 }
+
+const (
+	// seriesGap is the minimum spacing between occupancy samples: 100 µs,
+	// the paper's §6.2.3 measurement bin.
+	seriesGap = 100 * units.Microsecond
+	// maxViolations caps how many violations a registry, and one
+	// CheckNetwork call, record in full; later ones are only counted.
+	maxViolations = 64
+	// maxFaults caps how many injected fault events are recorded in full
+	// (the count is always exact).
+	maxFaults = 256
+)
 
 // PortInfo describes one ingress attachment for Bind.
 type PortInfo struct {
@@ -132,18 +135,7 @@ type Registry struct {
 }
 
 // New returns an unbound registry.
-func New(opt Options) *Registry {
-	if opt.SeriesCap > 0 && opt.SeriesGap <= 0 {
-		opt.SeriesGap = 100 * units.Microsecond
-	}
-	if opt.MaxViolations == 0 {
-		opt.MaxViolations = 64
-	}
-	if opt.MaxFaults == 0 {
-		opt.MaxFaults = 256
-	}
-	return &Registry{opt: opt}
-}
+func New(opt Options) *Registry { return &Registry{opt: opt} }
 
 // Bind allocates the counter storage for the given node/port layout, one
 // channel per port. netsim calls it once from New; binding twice panics (a
@@ -330,12 +322,12 @@ func (r *Registry) SetCeiling(idx int, ceil units.Size) {
 func (r *Registry) Ceiling(idx int) units.Size { return r.ceilings[idx] }
 
 // sample pushes an occupancy point into the channel's ring series, rate
-// limited to one sample per SeriesGap.
+// limited to one sample per seriesGap.
 func (r *Registry) sample(idx int, t units.Time, occ units.Size) {
 	if r.rings == nil {
 		return
 	}
-	if last := r.lastSamp[idx]; last >= 0 && t-last < r.opt.SeriesGap {
+	if last := r.lastSamp[idx]; last >= 0 && t-last < seriesGap {
 		return
 	}
 	r.lastSamp[idx] = t

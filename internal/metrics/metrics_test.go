@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -157,20 +158,20 @@ func TestViolationsOverflowCeilingDrop(t *testing.T) {
 }
 
 func TestViolationTruncation(t *testing.T) {
-	r := New(Options{MaxViolations: 2})
+	r := New(Options{})
 	twoNodeLayout(r)
 	idx := r.ChannelIndex(1, 0)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxViolations+3; i++ {
 		r.OnDrop(idx, units.Time(i), 100, 100)
 	}
-	if got := len(r.violations); got != 2 {
-		t.Errorf("recorded = %d, want 2", got)
+	if got := len(r.violations); got != maxViolations {
+		t.Errorf("recorded = %d, want %d", got, maxViolations)
 	}
 	var ie *InvariantError
 	if !errors.As(r.Err(), &ie) || ie.Truncated != 3 {
 		t.Fatalf("Err = %v", r.Err())
 	}
-	if !strings.Contains(ie.Error(), "5 invariant violation(s)") {
+	if want := fmt.Sprintf("%d invariant violation(s)", maxViolations+3); !strings.Contains(ie.Error(), want) {
 		t.Errorf("Error() = %q", ie.Error())
 	}
 }
@@ -216,50 +217,51 @@ func TestValidateStageTable(t *testing.T) {
 }
 
 func TestRingSeries(t *testing.T) {
-	r := New(Options{SeriesCap: 4, SeriesGap: 1})
+	r := New(Options{SeriesCap: 4})
 	twoNodeLayout(r)
 	idx := r.ChannelIndex(1, 0)
 	if r.Series(idx) != nil {
 		t.Fatal("empty channel has a series")
 	}
 	for i := 1; i <= 6; i++ {
-		r.OnAdmit(idx, units.Time(i*10), 100, units.Size(i*100))
+		r.OnAdmit(idx, units.Time(i)*seriesGap, 100, units.Size(i*100))
 	}
 	s := r.Series(idx)
 	if s == nil || s.Len() != 4 {
 		t.Fatalf("series = %+v, want 4 samples", s)
 	}
 	// Ring keeps the most recent window, oldest first.
-	if s.T[0] != 30 || s.T[3] != 60 || s.V[3] != 600 {
+	if s.T[0] != 3*seriesGap || s.T[3] != 6*seriesGap || s.V[3] != 600 {
 		t.Errorf("series window = %+v", s)
 	}
 }
 
 func TestSeriesGapRateLimit(t *testing.T) {
-	r := New(Options{SeriesCap: 16, SeriesGap: 100})
+	r := New(Options{SeriesCap: 16})
 	twoNodeLayout(r)
 	idx := r.ChannelIndex(1, 0)
+	const g = seriesGap
 	r.OnAdmit(idx, 0, 100, 100)   // sampled (first)
-	r.OnAdmit(idx, 50, 100, 200)  // suppressed: within gap
-	r.OnAdmit(idx, 100, 100, 300) // sampled
-	r.OnRelease(idx, 150, 100, 200)
-	r.OnRelease(idx, 250, 100, 100) // sampled
+	r.OnAdmit(idx, g/2, 100, 200) // suppressed: within gap
+	r.OnAdmit(idx, g, 100, 300)   // sampled
+	r.OnRelease(idx, 3*g/2, 100, 200)
+	r.OnRelease(idx, 5*g/2, 100, 100) // sampled
 	s := r.Series(idx)
 	if s.Len() != 3 {
 		t.Fatalf("series len = %d, want 3 (%+v)", s.Len(), s)
 	}
-	if s.T[0] != 0 || s.T[1] != 100 || s.T[2] != 250 {
+	if s.T[0] != 0 || s.T[1] != g || s.T[2] != 5*g/2 {
 		t.Errorf("sample times = %v", s.T)
 	}
 }
 
 func TestReportAndJSONRoundTrip(t *testing.T) {
-	r := New(Options{SeriesCap: 8, SeriesGap: 1})
+	r := New(Options{SeriesCap: 8})
 	twoNodeLayout(r)
 	idx := r.ChannelIndex(1, 0)
 	r.OnTx(idx, 1500)
 	r.OnAdmit(idx, 10, 1500, 1500)
-	r.OnRelease(idx, 20, 1500, 0)
+	r.OnRelease(idx, 10+seriesGap, 1500, 0)
 	r.OnFeedback(idx, 30, FeedbackStage, 1, 64)
 
 	rep := r.Report(1000)

@@ -56,7 +56,7 @@ func (r *ring) series() *stats.Series {
 }
 
 // Series returns the recorded occupancy series of channel idx (the most
-// recent SeriesCap samples, at most one per SeriesGap), or nil when series
+// recent SeriesCap samples, at most one per seriesGap), or nil when series
 // recording is disabled or the channel never sampled.
 func (r *Registry) Series(idx int) *stats.Series {
 	if r.rings == nil {

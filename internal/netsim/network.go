@@ -337,37 +337,19 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 		// The link is administratively down: the frame is emitted into a
 		// dead channel and lost. (The wire/trace accounting above stands —
 		// the receiver did spend the emission.)
-		if reg := n.metrics; reg != nil {
-			reg.OnFault(metrics.FaultEvent{
-				Kind: metrics.FaultFeedbackDrop, At: now,
-				Channel: e.down.cb, Link: e.down.link.ID,
-				Node: e.down.owner.id,
-			})
-		}
+		e.fault(metrics.FaultFeedbackDrop, now)
 		return
 	}
 	if inj := n.faults; inj != nil {
 		drop, extra := inj.FeedbackVerdict(
 			e.down.link.ID, e.down.owner.id, m.Kind, now)
 		if drop {
-			if reg := n.metrics; reg != nil {
-				reg.OnFault(metrics.FaultEvent{
-					Kind: metrics.FaultFeedbackDrop, At: now,
-					Channel: e.down.cb, Link: e.down.link.ID,
-					Node: e.down.owner.id,
-				})
-			}
+			e.fault(metrics.FaultFeedbackDrop, now)
 			return
 		}
 		if extra > 0 {
 			delay += extra
-			if reg := n.metrics; reg != nil {
-				reg.OnFault(metrics.FaultEvent{
-					Kind: metrics.FaultFeedbackDelay, At: now,
-					Channel: e.down.cb, Link: e.down.link.ID,
-					Node: e.down.owner.id,
-				})
-			}
+			e.fault(metrics.FaultFeedbackDelay, now)
 		}
 	}
 	s := e.free
@@ -381,6 +363,13 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	}
 	s.m = m
 	n.eng.After(delay, s.fire)
+}
+
+// fault records a fault of the given kind on this feedback channel.
+func (e *fcEnv) fault(kind metrics.FaultKind, at units.Time) {
+	e.n.recordFault(metrics.FaultEvent{
+		Kind: kind, At: at, Channel: e.down.cb, Link: e.down.link.ID, Node: e.down.owner.id,
+	})
 }
 
 // deliver hands slot s's message to the paired sender and frees the slot.

@@ -210,7 +210,7 @@ func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, err
 	d := s.Spec.Run.DurationNs
 	eng := s.Net.Engine()
 	if p := s.probe(); s.Spec.Run.StopOnDeadlock && p != nil {
-		// Poll at the detector's own cadence; once it has a report,
+		// Poll at the detectors' cadence; once one has a report,
 		// stop the engine after the in-flight event.
 		var watch func()
 		watch = func() {
@@ -218,9 +218,9 @@ func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, err
 				eng.Stop()
 				return
 			}
-			eng.After(p.PollInterval(), watch)
+			eng.After(deadlock.PollInterval, watch)
 		}
-		eng.After(p.PollInterval(), watch)
+		eng.After(deadlock.PollInterval, watch)
 	}
 	if !s.Spec.Run.Quiesce {
 		// A heartbeat pins the horizon so the clock reaches d even if

@@ -250,9 +250,6 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 			if bm := ctl.Sender.(flowcontrol.Bounded).Ceiling(); bm != law.Bm {
 				t.Errorf("packet Bm %v, fluid Bm %v", bm, law.Bm)
 			}
-			if pred.FloorRate != 0 && pred.FloorRate != m.Min {
-				t.Errorf("analytic floor rate %v, fluid floor %v", pred.FloorRate, m.Min)
-			}
 			timeBased := psim.Spec.Scheme.FC == GFCTime
 			if timeBased {
 				ctl.Receiver.Start()

@@ -205,9 +205,9 @@ func (c *compiled) fluidChannels() ([]fluid.NetChannel, [][]fluidLaw, error) {
 // invalid threshold is refused with the factory's message — and renders them
 // as the channel's law.
 func (c *compiled) fluidLaw(p flowcontrol.Params) (fluidLaw, error) {
-	continuous := func(b0, bm units.Size, floor units.Rate) fluid.Mapping {
+	continuous := func(b0, bm units.Size) fluid.Mapping {
 		m := core.ContinuousMapping{C: p.Capacity, B0: b0, Bm: bm}
-		return fluid.Floored{M: fluid.Continuous{M: m}, Min: floor}
+		return fluid.Floored{M: fluid.Continuous{M: m}}
 	}
 	switch fc := c.spec.Scheme.FC; fc {
 	case PFC:
@@ -222,10 +222,10 @@ func (c *compiled) fluidLaw(p flowcontrol.Params) (fluidLaw, error) {
 		return fluidLaw{mapping: fluid.Staged{T: st}, bm: th.Bm, table: st}, err
 	case GFCTime:
 		th, err := c.fp.gfcTime().Resolve(p)
-		return fluidLaw{mapping: continuous(th.B0, th.Bm, th.MinRate), period: th.Period, bm: th.Bm}, err
+		return fluidLaw{mapping: continuous(th.B0, th.Bm), period: th.Period, bm: th.Bm}, err
 	case GFCConceptual:
 		th, err := c.fp.gfcConceptual().Resolve(p)
-		return fluidLaw{mapping: continuous(th.B0, th.Bm, th.MinRate), bm: th.Bm}, err
+		return fluidLaw{mapping: continuous(th.B0, th.Bm), bm: th.Bm}, err
 	default:
 		return fluidLaw{}, fmt.Errorf("fluid: no mapping for scheme %q", fc)
 	}

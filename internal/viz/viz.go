@@ -12,29 +12,20 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// Chart renders series as an ASCII line chart of the given width and height
-// (in character cells). The series is resampled to the width; the y-axis is
-// scaled to [0, max]. yLabel names the quantity; the value formatter turns
-// a y value into an axis label (nil: %.3g).
-type Chart struct {
-	Width, Height int
-	YLabel        string
-	FormatY       func(float64) string
-}
+// The chart's size in character cells.
+const width, height = 72, 12
 
-// DefaultChart is 72×12 cells.
-func DefaultChart(yLabel string) Chart {
-	return Chart{Width: 72, Height: 12, YLabel: yLabel}
+// Chart renders series as a 72×12-cell ASCII line chart. The series is
+// resampled to the width; the y-axis is scaled to [0, max]. YLabel names the
+// quantity; the value formatter turns a y value into an axis label (nil:
+// %.3g).
+type Chart struct {
+	YLabel  string
+	FormatY func(float64) string
 }
 
 // Render draws the series.
 func (c Chart) Render(s *stats.Series) string {
-	if c.Width <= 0 {
-		c.Width = 72
-	}
-	if c.Height <= 0 {
-		c.Height = 12
-	}
 	fy := c.FormatY
 	if fy == nil {
 		fy = func(v float64) string { return fmt.Sprintf("%.3g", v) }
@@ -42,25 +33,25 @@ func (c Chart) Render(s *stats.Series) string {
 	if s == nil || s.Len() == 0 {
 		return "(no data)\n"
 	}
-	d := s.Downsample(c.Width)
+	d := s.Downsample(width)
 	ymax := d.Max()
 	if ymax <= 0 {
 		ymax = 1
 	}
 
-	grid := make([][]byte, c.Height)
+	grid := make([][]byte, height)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", len(d.V)))
 	}
 	for col, v := range d.V {
-		level := int(math.Round(v / ymax * float64(c.Height-1)))
+		level := int(math.Round(v / ymax * float64(height-1)))
 		if level < 0 {
 			level = 0
 		}
-		if level >= c.Height {
-			level = c.Height - 1
+		if level >= height {
+			level = height - 1
 		}
-		row := c.Height - 1 - level
+		row := height - 1 - level
 		grid[row][col] = '*'
 	}
 

@@ -13,7 +13,7 @@ func TestChartRender(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.Append(units.Time(i)*units.Microsecond, float64(i%100))
 	}
-	out := DefaultChart("queue").Render(s)
+	out := Chart{YLabel: "queue"}.Render(s)
 	if !strings.Contains(out, "queue (max") {
 		t.Fatalf("missing header:\n%s", out)
 	}
@@ -34,11 +34,11 @@ func TestChartRender(t *testing.T) {
 }
 
 func TestChartEmpty(t *testing.T) {
-	out := DefaultChart("x").Render(&stats.Series{})
+	out := Chart{YLabel: "x"}.Render(&stats.Series{})
 	if !strings.Contains(out, "no data") {
 		t.Fatalf("empty series: %q", out)
 	}
-	if out := DefaultChart("x").Render(nil); !strings.Contains(out, "no data") {
+	if out := (Chart{YLabel: "x"}).Render(nil); !strings.Contains(out, "no data") {
 		t.Fatalf("nil series: %q", out)
 	}
 }
@@ -48,7 +48,7 @@ func TestChartFlatAndZero(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Append(units.Time(i), 0)
 	}
-	out := Chart{Width: 10, Height: 4, YLabel: "zeros"}.Render(s)
+	out := Chart{YLabel: "zeros"}.Render(s)
 	if !strings.Contains(out, "*") {
 		t.Fatal("zero series should still plot on the baseline")
 	}
@@ -58,9 +58,7 @@ func TestChartCustomFormat(t *testing.T) {
 	s := &stats.Series{}
 	s.Append(0, 5e9)
 	s.Append(1, 10e9)
-	c := DefaultChart("rate")
-	c.FormatY = FormatRate
-	out := c.Render(s)
+	out := Chart{YLabel: "rate", FormatY: FormatRate}.Render(s)
 	if !strings.Contains(out, "10Gbps") {
 		t.Fatalf("rate formatting missing:\n%s", out)
 	}

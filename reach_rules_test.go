@@ -7,7 +7,7 @@ import (
 	"testing/fstest"
 )
 
-// TestReachRules feeds reachCheck three tiny in-memory modules, one per rule,
+// TestReachRules feeds reachCheck four tiny in-memory modules, one per rule,
 // and requires exactly the findings listed: each rule fires on what it is for,
 // and everything else in the module — the exemptions — passes.
 func TestReachRules(t *testing.T) {
@@ -96,7 +96,10 @@ func TestB(t *testing.T) {
 			name: "rule 2: written is also read",
 			lib: `package lib
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"strconv"
+)
 
 type counters struct {
 	hits  int
@@ -132,7 +135,7 @@ func Run(n int) (*Result, []byte) {
 	}
 	res := &Result{Count: c.hits, Spare: n, hidden: n, seen: map[key]int{}}
 	res.seen[key{a: n, b: n}]++
-	out, _ := json.Marshal(Report{Name: "run", Size: len(res.seen), Skip: n})
+	out, _ := json.Marshal(Report{Name: "run " + strconv.Itoa(n), Size: len(res.seen), Skip: n})
 	return res, out
 }
 `,
@@ -199,6 +202,75 @@ func TestVerbose(t *testing.T) {
 			mainBody: `cfg, _ := lib.Parse([]byte("{}"))
 	println(lib.Run(cfg))`,
 			want: []string{"rule 3: lib.Config.Verbose", "rule 3: lib.Config.Limit"},
+		},
+		{
+			name: "rule 4: an option is not a constant in disguise",
+			lib: `package lib
+
+import "encoding/json"
+
+type Poller struct {
+	Interval int // only the constructor sets it
+}
+
+func NewPoller() *Poller { return &Poller{Interval: 5} }
+
+type Limits struct {
+	Window int // left out everywhere, filled in under a compound condition
+	Burst  int // two callers, two constants
+	Cap    int // left out once with no default fill: 64 or 0
+}
+
+func (l Limits) resolve() Limits {
+	if l.Window <= 0 && l.Burst > 0 {
+		l.Window = 10
+	}
+	return l
+}
+
+func Small() Limits { return Limits{Burst: 1, Cap: 64}.resolve() }
+func Large() Limits { return Limits{Burst: 8}.resolve() }
+
+type Budget struct {
+	Max int // only the program sets it
+}
+
+type Spec struct {
+	Seed int ` + "`json:\"seed\"`" + ` // the decoder fills it, or the default does
+}
+
+func Load(data []byte) (Spec, error) {
+	var s Spec
+	err := json.Unmarshal(data, &s)
+	if s.Seed == 0 {
+		s.Seed = 1
+	}
+	return s, err
+}
+
+type ticker struct {
+	Period int // a constant, but of an unexported type
+}
+
+func Run(p *Poller, l Limits, b Budget) int {
+	t := ticker{Period: 3}
+	return p.Interval + l.Window + l.Burst + l.Cap + b.Max + t.Period
+}
+`,
+			test: `package lib
+
+import "testing"
+
+func TestRun(t *testing.T) {
+	if Run(&Poller{Interval: 7}, Limits{Window: 1}, Budget{}) != 11 {
+		t.Fatal()
+	}
+}
+`,
+			mainBody: `s, _ := lib.Load(nil)
+	b := lib.Budget{Max: 100}
+	println(lib.Run(lib.NewPoller(), lib.Small(), b), lib.Run(lib.NewPoller(), lib.Large(), b), s.Seed)`,
+			want: []string{"rule 4: lib.Poller.Interval", "rule 4: lib.Limits.Window"},
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {

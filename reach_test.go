@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -28,7 +29,11 @@ var testSupport = map[string]string{
 	"core.OverheadModel":                 "the paper's §4.2 closed forms m/τ and m/8τ: BenchmarkOverheadModel (package gfc_test) regenerates EXPERIMENTS.md's row from them and core's TestOverheadModelPaperValues pins them, in two packages",
 	"eventsim.Engine.RunAll":             "drains an engine in one call: the driver of every eventsim and flowcontrol unit test, in two packages",
 	"eventsim.Engine.LaneStats":          "the lane-share guards (scenario's TestLaneShareAcrossCatalogue, experiments' TestLaneShareOfSweepCell) read the engine's private counters from outside its package",
+	"experiments.OverheadConfig.K":       "Figure 19's fat-tree arity: every program runs the driver's k=8, while the fig19-overhead golden (TestGoldenTraces) and TestRunOverheadFig19 run the same driver at k=4 to fit a CI budget",
 	"experiments.SweepConfig.failInject": "the deterministic stand-in for host trouble in the self-healing tests (selfheal_test.go): RunSweep has to consult it inside the job closure, which no test can reach into",
+	"flowcontrol.GFCBufferConfig.Ratio":  "the per-stage rate ratio: every run uses the paper's 1/2 (equation 4), and BenchmarkAblationStageRatio (package gfc_test) compares it with the other ratios equation (3) allows",
+	"fluid.Config.Step":                  "the single-queue solver's step: its one program (benchmark/'s fluid.run_single_us rung) takes the 100 ns default, and TestRunHistBoundary sweeps it against τ",
+	"fluid.Config.Horizon":               "the single-queue solver's horizon: its one program takes the 5 ms default, while TestRunHistBoundary sweeps it against τ and RequiredBuffer (TestRequiredBufferMatchesTheorem) scales it to 100τ",
 	"metrics.Registry.Ceiling":           "scenario's TestBackendsInstallSameCeilings and compareResolution read back what each backend installed on every channel, idle ones included, which no report carries; they live outside package metrics",
 	"netsim.Packet.Seq":                  "netsim's traceHash (TestTraceDeterminism, TestTraceDeterminismUnderParallelRunner) folds every packet's sequence number into the determinism hash, so a reordering inside one flow moves it; only the host NIC can stamp it",
 	"netsim.Trace.OnTransmit":            "the same hash folds every serialisation instant (and TestPacketHelpers watches packets leave); only completeTx knows the instant, and it can only tell a test through the Trace the network already carries",
@@ -51,8 +56,9 @@ func supportEntry(id string) (string, bool) {
 // TestNoTestOnlyDeclarations is the function-level twin of CI's orphan-package
 // gate, typed: one go/types pass over the module (standard library only; the
 // "source" importer reads GOROOT/src, so it needs what `go test` needs) that
-// holds every non-test file to three rules — no declaration only tests
-// reference, no field only tests read, no option only tests set.
+// holds every non-test file to four rules — no declaration only tests
+// reference, no field only tests read, no option only tests set, no option
+// every run sets alike.
 //
 //  1. Every declaration — function, method, interface method, type, variable,
 //     constant — is referenced from a program: cmd/, benchmark/ or the facade
@@ -67,10 +73,19 @@ func supportEntry(id string) (string, bool) {
 //  3. Every field that is read is written by non-test code or by a decoder. A
 //     field only a _test.go sets is a constant zero in every run, the branch
 //     that reads it is dead, and the "option" is one nothing can choose.
+//  4. No exported field of an exported type outside cmd/ and benchmark/ is a
+//     constant in disguise: one every non-test write stores the same
+//     compile-time constant to — a composite-literal element, or a default
+//     fill (`x.f = c` under an if that tests x.f for its zero value, alone
+//     or inside && and ||); a keyed literal that omits the field stores its
+//     zero, unless a default fill puts the constant back. A write from a
+//     program, a decoder or any non-constant store makes it a real knob.
+//     Otherwise every run holds it at one value, and the options, fills and
+//     copies around it are code a reader must trace to learn a constant.
 //
 // What it reports is deleted — with every write to it and every branch that
-// read it — or, for a reference implementation, moved into the _test.go that
-// compares against it.
+// read it — or, for rule 4, made a package constant every reader names; a
+// reference implementation moves into the _test.go that compares against it.
 func TestNoTestOnlyDeclarations(t *testing.T) {
 	module, err := os.ReadFile("go.mod")
 	if err != nil {
@@ -141,6 +156,13 @@ type fieldUse struct {
 	written             bool
 	encoded, decoded    bool // handed to an encoder / filled by a decoder
 	mapKey, resultField bool
+
+	// Rule 4: the constants non-test code stores to the field, whether a
+	// keyed literal leaves it out and a default fill puts one back, and
+	// whether anything else — a program, a non-constant store — writes it.
+	consts          []constant.Value
+	omitted, filled bool
+	varies          bool
 }
 
 var (
@@ -167,7 +189,7 @@ type reach struct {
 }
 
 // reachCheck loads every package of module under fsys and returns what the
-// three rules report, sorted by position.
+// four rules report, sorted by position.
 func reachCheck(fsys fs.FS, module string) ([]finding, error) {
 	r := &reach{
 		fsys: fsys, module: module,
@@ -210,6 +232,10 @@ func reachCheck(fsys fs.FS, module string) ([]finding, error) {
 			report(2, f.id, f.v.Pos(), "is never used")
 		case !f.written && !f.decoded:
 			report(3, f.id, f.v.Pos(), "is read, and set by no non-test code and no decoder")
+		case f.v.Exported() && f.owner.Exported() && !r.program(f.owner.Pkg()):
+			if c := f.constant(); c != nil {
+				report(4, f.id, f.v.Pos(), "is a constant in disguise: every non-test write stores "+c.String())
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -320,7 +346,7 @@ func origin(o types.Object) types.Object {
 }
 
 // declare collects rule 1's nodes and edges — every declaration of a non-test
-// file with the objects its source mentions — and rules 2–3's subjects, the
+// file with the objects its source mentions — and rules 2–4's subjects, the
 // fields of every struct type such a file declares.
 func (r *reach) declare() {
 	for _, files := range r.dirs {
@@ -567,6 +593,10 @@ func (r *reach) fileFieldUses(f *reachFile) {
 			if v, ok := r.info.Uses[n.Sel].(*types.Var); ok && v.IsField() {
 				read, write := r.access(n, stack)
 				use(v, read, write)
+				if write && !f.test {
+					c := r.fill(n, v, stack)
+					r.store(f, v, c, c != nil)
+				}
 				// x.f with f promoted from embedded fields reads each of them.
 				if sel := r.info.Selections[n]; sel != nil && len(sel.Index()) > 1 {
 					t := sel.Recv()
@@ -582,11 +612,24 @@ func (r *reach) fileFieldUses(f *reachFile) {
 			if st == nil {
 				break
 			}
+			keyed, named := len(n.Elts) == 0, map[types.Object]bool{}
 			for i, e := range n.Elts {
+				var field types.Object
 				if kv, ok := e.(*ast.KeyValueExpr); !ok {
-					use(st.Field(i), false, true)
+					field = st.Field(i)
 				} else if key, ok := kv.Key.(*ast.Ident); ok {
-					use(r.info.Uses[key], false, true)
+					field, e, keyed = r.info.Uses[key], kv.Value, true
+				}
+				use(field, false, true)
+				named[field] = true
+				if !f.test {
+					r.store(f, field, r.info.Types[e].Value, false)
+				}
+			}
+			// A keyed literal stores the zero value to every field it omits.
+			for i := 0; keyed && !f.test && i < st.NumFields(); i++ {
+				if fu := r.fields[st.Field(i).Origin()]; fu != nil && !named[st.Field(i)] {
+					fu.omitted = true
 				}
 			}
 		case *ast.CallExpr:
@@ -698,6 +741,109 @@ func (r *reach) access(sel ast.Expr, stack []ast.Node) (read, write bool) {
 		return true, false
 	}
 	return true, false
+}
+
+// store records for rule 4 one write to field o by non-test file f: of the
+// constant c, by a default fill when fill is set, or, when c is nil, of a
+// value that can vary.
+func (r *reach) store(f *reachFile, o types.Object, c constant.Value, fill bool) {
+	v, _ := o.(*types.Var)
+	if v == nil || r.fields[v.Origin()] == nil {
+		return
+	}
+	fu := r.fields[v.Origin()]
+	if f.program || c == nil {
+		fu.varies = true
+		return
+	}
+	fu.consts = append(fu.consts, c)
+	fu.filled = fu.filled || fill
+}
+
+// fill is the constant a default fill stores to field v at sel — `sel = c`
+// inside an if whose condition compares v with its zero value — or nil.
+func (r *reach) fill(sel *ast.SelectorExpr, v *types.Var, stack []ast.Node) constant.Value {
+	as, ok := stack[len(stack)-1].(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+		return nil
+	}
+	var c constant.Value
+	for i, lhs := range as.Lhs {
+		if lhs == sel {
+			c = r.info.Types[as.Rhs[i]].Value
+		}
+	}
+	for i := len(stack) - 2; c != nil && i >= 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			return nil
+		case *ast.IfStmt:
+			if stack[i+1] == p.Body && r.zeroTest(p.Cond, v) {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// zeroTest reports whether cond tests field v for its zero value (v == 0,
+// v <= 0, v < 0), alone or as an operand of && and ||.
+func (r *reach) zeroTest(cond ast.Expr, v *types.Var) bool {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	switch {
+	case !ok:
+		return false
+	case b.Op == token.LAND || b.Op == token.LOR:
+		return r.zeroTest(b.X, v) || r.zeroTest(b.Y, v)
+	case b.Op != token.EQL && b.Op != token.LEQ && b.Op != token.LSS:
+		return false
+	}
+	sel, ok := ast.Unparen(b.X).(*ast.SelectorExpr)
+	c, zero := r.info.Types[b.Y].Value, zeroOf(v.Type())
+	return ok && origin(r.info.Uses[sel.Sel]) == v.Origin() && c != nil && zero != nil && constant.Compare(c, token.EQL, zero)
+}
+
+// constant is the one value every non-test write stores to the field, or nil
+// when there are two, or one that can vary, or a decoder fills it.
+func (f *fieldUse) constant() constant.Value {
+	if f.varies || f.decoded {
+		return nil
+	}
+	values := f.consts
+	if f.omitted && !f.filled {
+		values = append(values, zeroOf(f.v.Type()))
+	}
+	if len(values) == 0 || values[0] == nil {
+		return nil
+	}
+	for _, c := range values[1:] {
+		if c == nil || !constant.Compare(c, token.EQL, values[0]) {
+			return nil
+		}
+	}
+	return values[0]
+}
+
+// zeroOf is the zero value of t as a constant, or nil if t has no constants.
+func zeroOf(t types.Type) constant.Value {
+	b, _ := t.Underlying().(*types.Basic)
+	switch {
+	case b == nil:
+		return nil
+	case b.Info()&types.IsBoolean != 0:
+		return constant.MakeBool(false)
+	case b.Info()&types.IsString != 0:
+		return constant.MakeString("")
+	case b.Info()&types.IsNumeric != 0:
+		return constant.MakeInt64(0)
+	}
+	return nil
+}
+
+// program reports whether p lives under cmd/ or benchmark/.
+func (r *reach) program(p *types.Package) bool {
+	top := strings.Split(strings.TrimPrefix(strings.TrimPrefix(p.Path(), r.module), "/"), "/")[0]
+	return top == "cmd" || top == "benchmark"
 }
 
 // callee is the function or method a call statically names.
