@@ -173,7 +173,9 @@ func TestFluidAnalyticAttached(t *testing.T) {
 // the verdict and its time must agree — a conviction past the registered
 // horizon (casestudy-gfcbuf's floor-rate trickle, convicted at 3.18 ms by every
 // run longer than 60 ms while the stall watch took "under a byte per step" for
-// a standstill) or one a longer run retracts both fail here.
+// a standstill) or one a longer run retracts both fail here. The totals must
+// not shrink either: a longer run integrates the shorter one as its prefix,
+// so it cannot deliver fewer bytes or peak lower.
 func TestFluidVerdictHorizonStable(t *testing.T) {
 	for _, name := range Names() {
 		spec, _ := Get(name)
@@ -183,7 +185,7 @@ func TestFluidVerdictHorizonStable(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			var base *Result
+			var base, prev *Result
 			for _, mult := range []units.Time{1, 2, 5} {
 				s := spec
 				s.Run.DurationNs = mult * spec.Run.DurationNs
@@ -195,14 +197,20 @@ func TestFluidVerdictHorizonStable(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fluid run at %d×: %v", mult, err)
 				}
+				t.Logf("%d×: delivered %v, high water %v", mult, res.Delivered, res.HighWater)
 				if base == nil {
-					base = res
+					base, prev = res, res
 					continue
 				}
 				if res.Deadlocked != base.Deadlocked || res.DeadlockAt != base.DeadlockAt {
 					t.Errorf("at %d× the horizon: deadlocked=%v at %v; at 1×: deadlocked=%v at %v",
 						mult, res.Deadlocked, res.DeadlockAt, base.Deadlocked, base.DeadlockAt)
 				}
+				if res.Delivered < prev.Delivered || res.HighWater < prev.HighWater {
+					t.Errorf("at %d× the horizon: delivered %v, high water %v; the shorter run had %v and %v",
+						mult, res.Delivered, res.HighWater, prev.Delivered, prev.HighWater)
+				}
+				prev = res
 			}
 		})
 	}

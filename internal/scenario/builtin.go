@@ -209,7 +209,7 @@ func clos1024(fc FC) Spec {
 // clos3456 returns the ROADMAP's scale-frontier scenario: a k=24 fat-tree
 // (3456 hosts, 720 switches) under the enterprise workload. A full run at
 // this scale is an hours-class job, so the declared Limits matter more than
-// at k=16: the event cap is ~4× a healthy 1 ms run extrapolated from the
+// at k=16: the event cap is ~4× a healthy 1 ms run scaled up from the
 // measured clos1024 event rate (~3.5M events/ms at k=16, ~3.4× the fabric
 // here), the wall cap bounds a wedged cell at five minutes per governed
 // run, and the heap guard stops a leaking run well before the OOM killer
