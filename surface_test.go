@@ -26,14 +26,14 @@ var specUserOnly = map[string]string{
 	"limits.check_every":               "governor polling interval for a spec that bounds itself; the CLI's -budget-* flags set the other limits",
 	"routing.toward":                   "destinations of policy spf-toward, for a hand-written incast that wants a partial table",
 	"run.quiesce":                      "ends a finite, detector-free user workload when its queue drains (TestQuiesceStopsAtHorizon pins it)",
-	"scheme.params.b1_bytes":           "GFC first-stage threshold; ROADMAP 1(b)'s one-knob-at-a-time experiments move it",
+	"scheme.params.b1_bytes":           "GFC first-stage threshold; ROADMAP 1(c)'s one-knob-at-a-time experiments move it",
 	"scheme.params.period_ns":          "CBFC / time-based GFC feedback period T, the knob of Theorem 5.1",
 	"scheme.params.queues":             "BFC physical queues per channel (default 8)",
 	"sim.feedback_jitter_ns":           "software-switch latency variance (§6.1); the fluid backend refuses it by name",
 	"sim.jitter_seed":                  "seed of sim.feedback_jitter_ns",
 	"sim.host_queue_depth":             "host NIC queue depth; 1 keeps pacers exact, deeper models a real NIC ring",
 	"sim.mtu_bytes":                    "jumbo-frame runs: τ and every headroom term scale with it",
-	"sim.scheduling":                   "the switching discipline: ROADMAP 1(b)/(e)'s instrument and the grid that motivates item 1",
+	"sim.scheduling":                   "the switching discipline: ROADMAP 1(c)/(d)'s instrument and the grid that motivates item 1",
 	"sim.tx_ring":                      "TX ring depth of scheduling \"blocking\"",
 	"topology.capacity_bps":            "link rate other than 10 Gb/s (the paper's 40/100 G discussion)",
 	"topology.delay_ns":                "link delay other than 1 µs, the other half of τ",
