@@ -2,13 +2,17 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/gfcsim/gfc/internal/experiments"
+	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/scenario"
 )
 
@@ -16,12 +20,18 @@ import (
 // through governed — and returns the exit code.
 func run(t *testing.T, ctx context.Context, d *experiments.Driver) (int, error) {
 	t.Helper()
+	return runTo(t, ctx, d, io.Discard)
+}
+
+// runTo is run with d's stdout written to w.
+func runTo(t *testing.T, ctx context.Context, d *experiments.Driver, w io.Writer) (int, error) {
+	t.Helper()
 	o, err := options(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Stderr = io.Discard
-	err = governed(d.Run(io.Discard, o))
+	err = governed(d.Run(w, o))
 	return exitCode(err), err
 }
 
@@ -197,25 +207,86 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
-// TestFaultPresetVettedOnlyForTheMatrix pins the scope of the -faults preset
-// check: the matrix compiles its columns from presets by name and refuses
-// anything else as a usage error before it prints; fig9/fig10 also take a
-// spec file there, and -workers 0 keeps meaning GOMAXPROCS.
-func TestFaultPresetVettedOnlyForTheMatrix(t *testing.T) {
+// TestFaultsVettedBeforeAnythingPrints pins the -faults checks: the matrix
+// compiles its columns from presets by name and refuses anything else; fig9
+// and fig10 also take a spec file, which they check against both rings they
+// run. An unknown preset is a usage error (exit 2), a file that fails to load
+// or to compile on the ring exits 1, and either way nothing reaches stdout.
+// -workers 0 keeps meaning GOMAXPROCS.
+func TestFaultsVettedBeforeAnythingPrints(t *testing.T) {
 	oldWorkers, oldExp, oldFaults := *workers, *expName, *faultSpec
 	defer func() { *workers, *expName, *faultSpec = oldWorkers, oldExp, oldFaults }()
 	*workers, *expName, *faultSpec = 0, "fig9", "my-faults.json"
 	if _, err := validateFlags([]string{"exp", "faults", "workers"}); err != nil {
 		t.Errorf("-exp fig9 -faults my-faults.json -workers 0 rejected: %v", err)
 	}
-	*expName, *faultSpec = "faults", "resume-loss"
-	matrix, err := validateFlags([]string{"exp", "faults"})
-	if err != nil {
-		t.Fatalf("-exp faults -faults resume-loss rejected: %v", err)
+	dir := t.TempDir()
+	noSuchLink := filepath.Join(dir, "no-such-link.json")
+	if err := os.WriteFile(noSuchLink, []byte(`{"links":[{"link":"S1-S9","flaps":[{"down_at_ns":1000}]}]}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	*faultSpec = "nope"
-	if code, err := run(t, context.Background(), matrix); code != 2 || !strings.Contains(err.Error(), `unknown preset "nope"`) {
-		t.Errorf("-exp faults -faults nope: err = %v (exit %d), want a usage error naming the preset", err, code)
+	for _, tc := range []struct {
+		exp, faults string
+		code        int
+		want        string
+	}{
+		{"faults", "nope", 2, `unknown preset "nope"`},
+		{"fig9", "nope", 2, `unknown preset "nope"`},
+		{"fig10", "nope", 2, `unknown preset "nope"`},
+		{"fig9", noSuchLink, 1, "S1-S9"},
+		{"fig10", filepath.Join(dir, "missing.json"), 1, "missing.json"},
+	} {
+		*expName, *faultSpec = tc.exp, tc.faults
+		d, err := validateFlags([]string{"exp", "faults"})
+		if err != nil {
+			t.Fatalf("-exp %s -faults %s rejected: %v", tc.exp, tc.faults, err)
+		}
+		var stdout strings.Builder
+		code, err := runTo(t, context.Background(), d, &stdout)
+		if code != tc.code || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-exp %s -faults %s: err = %v (exit %d), want exit %d naming %q", tc.exp, tc.faults, err, code, tc.code, tc.want)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("-exp %s -faults %s printed before failing:\n%s", tc.exp, tc.faults, stdout.String())
+		}
+	}
+}
+
+// TestFaultsFileRunsLikeItsPreset holds the two ways -faults names a scenario
+// to one run: each preset, written out as a spec file, prints exactly what
+// the preset's name does.
+func TestFaultsFileRunsLikeItsPreset(t *testing.T) {
+	oldFaults, oldDuration := *faultSpec, *duration
+	defer func() { *faultSpec, *duration = oldFaults, oldDuration }()
+	*duration = 30 * time.Millisecond
+	d, err := experiments.Lookup("fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := func(value string) string {
+		*faultSpec = value
+		var w strings.Builder
+		if _, err := runTo(t, context.Background(), d, &w); err != nil {
+			t.Fatalf("-exp fig9 -faults %s: %v", value, err)
+		}
+		return w.String()
+	}
+	for _, name := range faults.PresetNames() {
+		preset, err := faults.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if byName, byFile := stdout(name), stdout(file); byName != byFile {
+			t.Errorf("-faults %s prints\n%s\nits spec file prints\n%s", name, byName, byFile)
+		}
 	}
 }
 

@@ -171,17 +171,37 @@ func fig5Section(w io.Writer, o *Options) error {
 	return nil
 }
 
-// loadFaultSpec resolves the -faults value: empty means none, a value with
-// path-ish characters is a JSON spec file, anything else a preset name.
-func loadFaultSpec(value string) (*faults.Spec, error) {
-	switch {
-	case value == "":
-		return nil, nil
-	case strings.ContainsAny(value, "./\\"):
-		return faults.Load(value)
-	default:
-		return faults.Preset(value)
+// ringFaults resolves -faults into the faults section of every faulted ring
+// row, seeded with seed, and names the scenario: nil for none, a value with
+// path-ish characters a JSON spec file (inline), anything else a preset. The
+// scenario is compiled on both rings the section runs, so a bad value fails
+// before anything prints; an unknown preset is a usage error.
+func ringFaults(value string, seed int64) (*scenario.FaultsSpec, string, error) {
+	if value == "" {
+		return nil, "", nil
 	}
+	section := &scenario.FaultsSpec{Seed: seed}
+	var (
+		spec *faults.Spec
+		err  error
+	)
+	if strings.ContainsAny(value, "./\\") {
+		if spec, err = faults.Load(value); err != nil {
+			return nil, "", err
+		}
+		section.Inline = spec
+	} else {
+		if spec, err = faults.Preset(value); err != nil {
+			return nil, "", fmt.Errorf("%w: -faults: %v", ErrUsage, err)
+		}
+		section.Preset = value
+	}
+	for _, hostsPerSwitch := range []int{2, 1} {
+		if _, err := spec.Compile(RingTopology(hostsPerSwitch)); err != nil {
+			return nil, "", err
+		}
+	}
+	return section, spec.Name, nil
 }
 
 // verdict renders a run's deadlock verdict; the ring panels also name the
@@ -199,23 +219,19 @@ func verdict(res *scenario.Result, kind bool) string {
 
 func ringSection(pause, gentle FC) func(io.Writer, *Options) error {
 	return func(w io.Writer, o *Options) error {
-		spec, err := loadFaultSpec(o.Faults)
+		section, faultName, err := ringFaults(o.Faults, o.Seed)
 		if err != nil {
 			return err
 		}
-		// run simulates one panel row: the -faults scenario, if any, is
-		// compiled against the exact ring the row simulates.
+		// run simulates one panel row: the faulted ring when -faults is set.
 		run := func(fc FC, hostsPerSwitch int, name string) (*RingResult, string, error) {
-			cfg := RingConfig{FC: fc, HostsPerSwitch: hostsPerSwitch, FaultSeed: o.Seed}
-			if spec != nil {
-				plan, err := spec.Compile(RingTopology(hostsPerSwitch))
-				if err != nil {
-					return nil, "", err
-				}
-				cfg.Faults = plan
+			spec := scenario.Ring(fc, hostsPerSwitch)
+			if section != nil {
+				spec = scenario.RingFaulted(fc, hostsPerSwitch)
+				spec.Faults = section
 			}
 			ro := o.sub()
-			res, err := RunRing(cfg, ro)
+			res, err := RunRing(spec, ro)
 			if err != nil {
 				return nil, "", err
 			}
@@ -227,8 +243,8 @@ func ringSection(pause, gentle FC) func(io.Writer, *Options) error {
 			return res, note, nil
 		}
 		fmt.Fprintf(w, "Figures 9/10: 3-switch ring, testbed parameters (1MB buffers, τ=90µs)\n")
-		if spec != nil {
-			fmt.Fprintf(w, "with injected faults: %s (seed %d)\n", spec.Name, o.Seed)
+		if section != nil {
+			fmt.Fprintf(w, "with injected faults: %s (seed %d)\n", faultName, o.Seed)
 		}
 		fmt.Fprintln(w, "\n(a) deadlock formation regime (2 hosts/switch):")
 		for _, fc := range []FC{pause, gentle} {
@@ -282,13 +298,13 @@ func faultMatrixSection(w io.Writer, o *Options) error {
 }
 
 // caseStudy runs one named case-study sub-run.
-func (o *Options) caseStudy(name string, cfg CaseStudyConfig) (*CaseStudyResult, error) {
+func (o *Options) caseStudy(name string, spec scenario.Spec) (*CaseStudyResult, error) {
 	ro := o.sub()
-	res, err := RunCaseStudy(cfg, ro)
+	res, err := RunCaseStudy(spec, ro)
 	if err != nil {
 		return nil, err
 	}
-	o.Sink.Record(name+string(cfg.FC), ro.Metrics, res.End)
+	o.Sink.Record(name+string(spec.Scheme.FC), ro.Metrics, res.End)
 	return res, nil
 }
 
@@ -297,7 +313,7 @@ func caseStudySection(pause, gentle FC) func(io.Writer, *Options) error {
 		fmt.Fprintln(w, "Figures 12/13: k=4 fat-tree with failed links, CBD C1→A3→C2→A7→C1")
 		fmt.Fprintln(w, "\n(a) deadlock formation (with cross-flow squeeze):")
 		for _, fc := range []FC{pause, gentle} {
-			res, err := o.caseStudy("casestudy-formation-", CaseStudyConfig{FC: fc, WithCross: true})
+			res, err := o.caseStudy("casestudy-formation-", scenario.CaseStudy(fc, true, false))
 			if err != nil {
 				return err
 			}
@@ -305,7 +321,7 @@ func caseStudySection(pause, gentle FC) func(io.Writer, *Options) error {
 		}
 		fmt.Fprintln(w, "\n(b) steady state (the paper's four flows):")
 		for _, fc := range []FC{pause, gentle} {
-			res, err := o.caseStudy("casestudy-steady-", CaseStudyConfig{FC: fc})
+			res, err := o.caseStudy("casestudy-steady-", scenario.CaseStudy(fc, false, false))
 			if err != nil {
 				return err
 			}
@@ -322,7 +338,7 @@ func caseStudySection(pause, gentle FC) func(io.Writer, *Options) error {
 func victimSection(w io.Writer, o *Options) error {
 	fmt.Fprintln(w, "Figure 14: victim flow H12→H4 (shares switches with the CBD, avoids its channels)")
 	for _, fc := range AllFCs() {
-		res, err := o.caseStudy("victim-", CaseStudyConfig{FC: fc, WithCross: true, WithVictim: true})
+		res, err := o.caseStudy("victim-", scenario.CaseStudy(fc, true, true))
 		if err != nil {
 			return err
 		}
@@ -362,7 +378,7 @@ func evolutionSection(w io.Writer, o *Options) error {
 
 func overheadSection(w io.Writer, o *Options) error {
 	ro := o.sub()
-	res, err := RunOverhead(OverheadConfig{Seed: o.Seed}, ro)
+	res, err := RunOverhead(scenario.Overhead(GFCBuf, 8, o.Seed), ro)
 	if err != nil {
 		return err
 	}

@@ -20,6 +20,13 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
+// bothDetectors is the detector overlay of the registry's DCFIT and BFC
+// formation rings, the one the fault matrix lays on its cells.
+func bothDetectors(s scenario.Spec) scenario.Spec {
+	s.Run.Detector = "both"
+	return s
+}
+
 // TestRegistryEntriesAreDriverSpecs pins "one declaration per setup": each
 // figure entry of the scenario registry deep-equals the spec its -exp driver
 // builds at the same scheme, scale and horizon, once the driver's own
@@ -36,14 +43,14 @@ func TestRegistryEntriesAreDriverSpecs(t *testing.T) {
 	for name, driver := range map[string]scenario.Spec{
 		"fig5-pfc":                 scenario.Fig5(PFC),
 		"fig5-gfcconceptual":       scenario.Fig5(GFCConceptual),
-		"ring-steady-gfcbuf":       ringSpec(RingConfig{FC: GFCBuf}),
-		"ring-formation-pfc":       ringSpec(RingConfig{FC: PFC, HostsPerSwitch: 2}),
-		"ring-formation-pfc-dcfit": ringSpec(RingConfig{FC: PFC, HostsPerSwitch: 2, Detector: "both"}),
-		"ring-formation-bfc":       ringSpec(RingConfig{FC: BFC, HostsPerSwitch: 2, Detector: "both"}),
+		"ring-steady-gfcbuf":       scenario.Ring(GFCBuf, 1),
+		"ring-formation-pfc":       scenario.Ring(PFC, 2),
+		"ring-formation-pfc-dcfit": bothDetectors(scenario.Ring(PFC, 2)),
+		"ring-formation-bfc":       bothDetectors(scenario.Ring(BFC, 2)),
 		"casestudy-pfc":            scenario.CaseStudy(PFC, true, false),
 		"casestudy-gfcbuf":         scenario.CaseStudy(GFCBuf, true, false),
 		"evolution-pfc":            scenario.Evolution(PFC),
-		"overhead-gfcbuf":          scenario.Overhead(GFCBuf, 8, 1), // RunOverhead's K, the CLI's -seed
+		"overhead-gfcbuf":          scenario.Overhead(GFCBuf, 8, 1), // overheadSection's k, the CLI's -seed
 		"incast-gfcbuf":            scenario.Incast(GFCBuf),
 		"sweep-cell-pfc":           cell,
 	} {

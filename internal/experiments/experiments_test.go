@@ -95,7 +95,7 @@ func TestFatTreeScenarioPathsAreShortest(t *testing.T) {
 func TestCaseStudySteadyState(t *testing.T) {
 	// Figure 12(b)/13(b): under GFC the four flows share 5 Gb/s each.
 	for _, fc := range []FC{GFCBuf, GFCTime} {
-		res, err := RunCaseStudy(CaseStudyConfig{FC: fc}, RunOptions{Duration: 40 * units.Millisecond})
+		res, err := RunCaseStudy(scenario.CaseStudy(fc, false, false), RunOptions{Duration: 40 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestCaseStudyDeadlockFormation(t *testing.T) {
 	}{
 		{PFC, true}, {CBFC, true}, {GFCBuf, false}, {GFCTime, false},
 	} {
-		res, err := RunCaseStudy(CaseStudyConfig{FC: tc.fc, WithCross: true},
+		res, err := RunCaseStudy(scenario.CaseStudy(tc.fc, true, false),
 			RunOptions{Duration: 40 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestCaseStudyVictim(t *testing.T) {
 	// CBD channels) starves; under GFC it keeps its full share in the
 	// critical configuration.
 	o := RunOptions{Duration: 40 * units.Millisecond}
-	res, err := RunCaseStudy(CaseStudyConfig{FC: PFC, WithCross: true, WithVictim: true}, o)
+	res, err := RunCaseStudy(scenario.CaseStudy(PFC, true, true), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCaseStudyVictim(t *testing.T) {
 	if res.VictimRate != 0 {
 		t.Errorf("PFC victim rate %v, want 0 (starved)", res.VictimRate)
 	}
-	res, err = RunCaseStudy(CaseStudyConfig{FC: GFCBuf, WithVictim: true}, o)
+	res, err = RunCaseStudy(scenario.CaseStudy(GFCBuf, false, true), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestRunFig5(t *testing.T) {
 func TestRunRingMatchesPaper(t *testing.T) {
 	// Figure 9(b): buffer-based GFC settles with the host queue in the
 	// first stage band and the input rate at 5G.
-	res, err := RunRing(RingConfig{FC: GFCBuf}, RunOptions{Duration: 40 * units.Millisecond})
+	res, err := RunRing(scenario.Ring(GFCBuf, 1), RunOptions{Duration: 40 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRunRingMatchesPaper(t *testing.T) {
 	}
 
 	// Figure 9(a): PFC deadlocks in the 2-host formation regime.
-	pfc, err := RunRing(RingConfig{FC: PFC, HostsPerSwitch: 2}, RunOptions{Duration: 60 * units.Millisecond})
+	pfc, err := RunRing(scenario.Ring(PFC, 2), RunOptions{Duration: 60 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRunRingMatchesPaper(t *testing.T) {
 
 func TestRunFig10Shapes(t *testing.T) {
 	// Figure 10(b): time-based GFC settles near 745 KB at 5G.
-	res, err := RunRing(RingConfig{FC: GFCTime}, RunOptions{Duration: 40 * units.Millisecond})
+	res, err := RunRing(scenario.Ring(GFCTime, 1), RunOptions{Duration: 40 * units.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestRunFig10Shapes(t *testing.T) {
 		t.Errorf("steady queue %v, paper ≈745KB", q)
 	}
 	// Figure 10(a): CBFC deadlocks in the formation regime.
-	cb, err := RunRing(RingConfig{FC: CBFC, HostsPerSwitch: 2}, RunOptions{})
+	cb, err := RunRing(scenario.Ring(CBFC, 2), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRunFig20Interaction(t *testing.T) {
 }
 
 func TestRunOverheadFig19(t *testing.T) {
-	res, err := RunOverhead(OverheadConfig{K: 4, Seed: 3}, RunOptions{})
+	res, err := RunOverhead(scenario.Overhead(GFCBuf, 4, 3), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/runner"
+	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -116,21 +117,13 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	topo := RingTopology(1)
-
-	// One compiled plan per scenario, shared read-only by that column's
-	// cells; nil for the clean column.
-	plans := make([]*faults.Plan, len(cfg.Scenarios))
-	for i, scenario := range cfg.Scenarios {
-		if scenario == CleanScenario {
+	// A column that names no preset fails the matrix before any cell runs.
+	for _, column := range cfg.Scenarios {
+		if column == CleanScenario {
 			continue
 		}
-		spec, err := faults.Preset(scenario)
-		if err != nil {
+		if _, err := faults.Preset(column); err != nil {
 			return nil, err
-		}
-		if plans[i], err = spec.Compile(topo); err != nil {
-			return nil, fmt.Errorf("experiments: compiling %q: %w", scenario, err)
 		}
 	}
 
@@ -139,27 +132,27 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	nfc := len(cfg.Schemes)
 	jobs := make([]runner.Job[FaultCell], len(cfg.Scenarios)*nfc)
 	for j := range jobs {
-		scenario, plan, fc := cfg.Scenarios[j/nfc], plans[j/nfc], cfg.Schemes[j%nfc]
+		column, fc := cfg.Scenarios[j/nfc], cfg.Schemes[j%nfc]
+		spec := scenario.Ring(fc, 1)
+		if column != CleanScenario {
+			spec = scenario.RingFaulted(fc, 1)
+			spec.Faults = &scenario.FaultsSpec{Preset: column, Seed: cfg.Seed}
+		}
+		// Both detectors report in every cell; the global verdict is the
+		// row's, DCFIT's fills its own columns.
+		spec.Run.Detector = "both"
 		// Each attempt rebuilds its registry and simulation from scratch,
 		// so a retried cell is bit-identical to a clean first run.
 		jobs[j] = func(ctx context.Context) (FaultCell, error) {
 			reg := metrics.New(metrics.Options{})
-			ring := RingConfig{
-				FC:        fc,
-				Faults:    plan,
-				FaultSeed: cfg.Seed,
-				// Both detectors report in every cell; the global
-				// verdict is the row's, DCFIT's fills its own columns.
-				Detector: "both",
-			}
-			res, err := runRing(ring, RunOptions{
+			res, err := runRing(spec, RunOptions{
 				Ctx: ctx, Budget: cfg.Budget, Duration: cfg.Duration, Metrics: reg,
 			}, nil)
 			if err != nil {
 				return FaultCell{}, err
 			}
 			return FaultCell{
-				FC: fc, Scenario: scenario,
+				FC: fc, Scenario: column,
 				Deadlocked: res.Deadlocked, DeadlockAt: res.DeadlockAt,
 				DeadlockKind:    res.DeadlockKind,
 				DCFITDeadlocked: res.DCFITDeadlocked,

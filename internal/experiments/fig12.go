@@ -20,7 +20,7 @@ type CaseStudyResult struct {
 	// Throughput is the aggregate goodput, binned at 100 µs (§6.2.3).
 	Throughput *stats.BinCounter
 
-	// Victim statistics (WithVictim only). VictimRate is the window's
+	// Victim statistics (with the victim only). VictimRate is the window's
 	// goodput; VictimTotal the cumulative delivery; VictimProgressed
 	// whether any victim byte arrived during the window — the
 	// deadlock-starvation discriminator (under a squeezed but alive GFC
@@ -31,19 +31,9 @@ type CaseStudyResult struct {
 	VictimProgressed bool
 }
 
-// CaseStudyConfig selects the Figures 12–14 variant (scenario.CaseStudy).
-type CaseStudyConfig struct {
-	FC FC
-	// WithCross adds the cross-flow squeeze trigger; with it, the CBD
-	// fills and PFC/CBFC deadlock even under fair input-queued switching.
-	WithCross bool
-	// WithVictim adds the Figure 14 victim flow.
-	WithVictim bool
-}
-
-// RunCaseStudy executes the fat-tree deadlock case study (Figures 12, 13
-// and, with WithVictim, 14) under one flow-control scheme.
-func RunCaseStudy(cfg CaseStudyConfig, o RunOptions) (*CaseStudyResult, error) {
+// RunCaseStudy executes the fat-tree deadlock case study spec declares
+// (scenario.CaseStudy: Figures 12, 13 and, with the victim, 14).
+func RunCaseStudy(spec scenario.Spec, o RunOptions) (*CaseStudyResult, error) {
 	res := &CaseStudyResult{Throughput: stats.NewBinCounter(100 * units.Microsecond)}
 	// opened is each flow's delivered bytes when the measurement window
 	// opened, taken at the first delivery past the opening instant (less that
@@ -55,7 +45,7 @@ func RunCaseStudy(cfg CaseStudyConfig, o RunOptions) (*CaseStudyResult, error) {
 		windowStart units.Time
 		opened      []units.Size
 	)
-	sim, err := o.build(scenario.CaseStudy(cfg.FC, cfg.WithCross, cfg.WithVictim), scenario.Overrides{
+	sim, err := o.build(spec, scenario.Overrides{
 		Trace: func(*topology.Topology) *netsim.Trace {
 			return &netsim.Trace{
 				OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
@@ -87,11 +77,11 @@ func RunCaseStudy(cfg CaseStudyConfig, o RunOptions) (*CaseStudyResult, error) {
 			inWindow = f.Delivered - opened[i]
 		}
 		rate := units.RateOf(inWindow, d-windowStart)
-		if cfg.WithVictim && i == len(sim.Flows)-1 { // scenario.CaseStudy declares it last
+		if f.ID == 99 { // the Figure 14 victim scenario.CaseStudy declares
 			res.VictimRate = rate
 			res.VictimTotal = f.Delivered
 			res.VictimProgressed = inWindow > 0
-			break
+			continue
 		}
 		res.FlowRates = append(res.FlowRates, rate)
 	}

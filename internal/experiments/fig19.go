@@ -20,18 +20,9 @@ type OverheadResult struct {
 	Mean, P99, Max float64
 }
 
-// OverheadConfig parameterises RunOverhead (scenario.Overhead).
-type OverheadConfig struct {
-	K    int // fat-tree arity (paper: 16; default 8 for CI budgets)
-	Seed int64
-}
-
-// RunOverhead measures feedback bandwidth on a healthy fat-tree under the
-// random enterprise workload.
-func RunOverhead(cfg OverheadConfig, o RunOptions) (*OverheadResult, error) {
-	if cfg.K == 0 {
-		cfg.K = 8
-	}
+// RunOverhead measures feedback bandwidth on the healthy fat-tree spec
+// declares (scenario.Overhead) under the random enterprise workload.
+func RunOverhead(spec scenario.Spec, o RunOptions) (*OverheadResult, error) {
 	// Feedback wire bytes per channel in 500 µs bins, keyed by the channel's
 	// (receiver, sender) node pair and kept in (node, port) order — the order
 	// the samples enter the CDF in. A message emitted at a bin's closing
@@ -39,7 +30,7 @@ func RunOverhead(cfg OverheadConfig, o RunOptions) (*OverheadResult, error) {
 	const bin = 500 * units.Microsecond
 	var wire []*stats.BinCounter
 	channel := map[[2]topology.NodeID]int{}
-	sim, err := o.build(scenario.Overhead(GFCBuf, cfg.K, cfg.Seed), scenario.Overrides{
+	sim, err := o.build(spec, scenario.Overrides{
 		Trace: func(topo *topology.Topology) *netsim.Trace {
 			for n := 0; n < topo.NumNodes(); n++ {
 				for _, at := range topo.Ports(topology.NodeID(n)) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -27,64 +26,26 @@ type RingResult struct {
 	MinFlow units.Size
 }
 
-// RingConfig parameterises the Figures 9/10 testbed reproduction
-// (scenario.Ring).
-type RingConfig struct {
-	FC FC
-	// HostsPerSwitch: 1 (or 0) gives the paper's critically loaded testbed
-	// topology, where GFC settles at its steady state; 2 the
-	// deadlock-formation regime for PFC/CBFC.
-	HostsPerSwitch int
-	// Faults, when non-nil, injects the compiled fault plan: its timeline
-	// is scheduled on the run's engine and feedback emissions consult a
-	// fresh injector seeded with FaultSeed. The plan must be compiled on
-	// the same ring topology RunRing builds (RingTopology). A faulted run
-	// simulates scenario.RingFaulted, a clean one scenario.Ring.
-	Faults    *faults.Plan
-	FaultSeed int64
-	// Detector selects the deadlock detector(s), as in
-	// scenario.RunSpec.Detector: "" or "global", "dcfit", or "both".
-	Detector string
-}
-
-// RingTopology builds the topology RunRing simulates, so fault plans can be
-// compiled against the exact link set.
+// RingTopology builds the topology RunRing simulates for a scenario.Ring
+// spec, so fault specs can be checked against the exact link set.
 func RingTopology(hostsPerSwitch int) *topology.Topology {
-	if hostsPerSwitch == 0 {
-		hostsPerSwitch = 1
-	}
 	return topology.RingHosts(3, hostsPerSwitch, topology.DefaultLinkParams())
 }
 
-// ringSpec is the figure's declaration for cfg: the clean ring, or the faulted
-// one when a fault plan is injected.
-func ringSpec(cfg RingConfig) scenario.Spec {
-	ring := scenario.Ring
-	if cfg.Faults != nil {
-		ring = scenario.RingFaulted
-	}
-	spec := ring(cfg.FC, cfg.HostsPerSwitch)
-	spec.Run.Detector = cfg.Detector
-	return spec
-}
-
-// RunRing executes the §6.1 ring experiment under one scheme with the
-// testbed parameters (1 MB buffers, τ = 90 µs); only the figure's own trace
-// collection lives here.
-func RunRing(cfg RingConfig, o RunOptions) (*RingResult, error) {
-	return runRing(cfg, o, &stats.Series{})
+// RunRing executes the §6.1 ring experiment spec declares — scenario.Ring, or
+// scenario.RingFaulted with its Faults section — with the testbed parameters
+// (1 MB buffers, τ = 90 µs); only the figure's own trace collection lives
+// here.
+func RunRing(spec scenario.Spec, o RunOptions) (*RingResult, error) {
+	return runRing(spec, o, &stats.Series{})
 }
 
 // runRing is RunRing with the S1←H1 queue trace optional: a nil queue records
 // none and leaves Queue and SteadyQueue unset (the fault matrix reads neither).
-func runRing(cfg RingConfig, o RunOptions, queue *stats.Series) (*RingResult, error) {
+func runRing(spec scenario.Spec, o RunOptions, queue *stats.Series) (*RingResult, error) {
 	res := &RingResult{Queue: queue}
 	arrivals := stats.NewBinCounter(100 * units.Microsecond)
-	sim, err := o.build(ringSpec(cfg), scenario.Overrides{
-		FaultPlan: cfg.Faults,
-		FaultSeed: cfg.FaultSeed,
-		Trace:     h1Probe(queue, arrivals),
-	})
+	sim, err := o.build(spec, scenario.Overrides{Trace: h1Probe(queue, arrivals)})
 	if err != nil {
 		return nil, err
 	}

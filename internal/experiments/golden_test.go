@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/deadlock"
-	"github.com/gfcsim/gfc/internal/faults"
+	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -90,7 +90,7 @@ func (g *hasher) cell(c FaultCell) {
 // the exact event sequence.
 var goldenRuns = map[string]func(t *testing.T) uint64{
 	"fig9-ring-gfcbuf": func(t *testing.T) uint64 {
-		res, err := RunRing(RingConfig{FC: GFCBuf}, RunOptions{Duration: 30 * units.Millisecond})
+		res, err := RunRing(scenario.Ring(GFCBuf, 1), RunOptions{Duration: 30 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,17 +102,11 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		// The canonical faulted scenario: resume-loss on the fig9 ring,
 		// PFC (wedges) and buffer-based GFC, which a faulted ring runs with
 		// refresh (rides it out).
-		spec, err := faults.Preset("resume-loss")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := spec.Compile(RingTopology(1))
-		if err != nil {
-			t.Fatal(err)
-		}
 		g := newHasher()
 		for _, fc := range []FC{PFC, GFCBuf} {
-			res, err := RunRing(RingConfig{FC: fc, Faults: plan, FaultSeed: 1}, RunOptions{Duration: 30 * units.Millisecond})
+			spec := scenario.RingFaulted(fc, 1)
+			spec.Faults = &scenario.FaultsSpec{Preset: "resume-loss", Seed: 1}
+			res, err := RunRing(spec, RunOptions{Duration: 30 * units.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +115,7 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		return g.sum()
 	},
 	"fig12-casestudy-pfc": func(t *testing.T) uint64 {
-		res, err := RunCaseStudy(CaseStudyConfig{FC: PFC, WithCross: true},
+		res, err := RunCaseStudy(scenario.CaseStudy(PFC, true, false),
 			RunOptions{Duration: 30 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +134,7 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		return g.sum()
 	},
 	"fig19-overhead": func(t *testing.T) uint64 {
-		res, err := RunOverhead(OverheadConfig{K: 4, Seed: 1}, RunOptions{Duration: 5 * units.Millisecond})
+		res, err := RunOverhead(scenario.Overhead(GFCBuf, 4, 1), RunOptions{Duration: 5 * units.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,10 +33,6 @@ type Overrides struct {
 	// Table supplies a prebuilt routing table, skipping the spec's
 	// routing policy.
 	Table *routing.Table
-	// FaultPlan supplies a compiled fault plan, skipping the spec's
-	// faults section; FaultSeed seeds its injector.
-	FaultPlan *faults.Plan
-	FaultSeed int64
 	// OnFlow runs for each declared flow after construction and before
 	// AddFlow — the hook congestion-control attachments (DCQCN) need.
 	OnFlow func(*netsim.Flow, *netsim.Network) error

@@ -33,8 +33,8 @@ type compiled struct {
 	reg *metrics.Registry
 	// flows are the declared flows (pattern or Flows section) in add order.
 	flows []resolvedFlow
-	// plan is the compiled fault plan (override or the spec's faults
-	// section), seeded with faultSeed; nil for an unfaulted run.
+	// plan is the spec's faults section compiled on topo, seeded with
+	// faultSeed; nil for an unfaulted run.
 	plan      *faults.Plan
 	faultSeed int64
 	// rendered are routes a backend adds to the declared flows' (the fluid
@@ -85,8 +85,7 @@ func compile(spec Spec, ov *Overrides) (*compiled, error) {
 	}
 	c.cfg.Metrics = c.reg
 
-	c.plan, c.faultSeed = ov.FaultPlan, ov.FaultSeed
-	if c.plan == nil && spec.Faults != nil {
+	if spec.Faults != nil {
 		if err := spec.Faults.validate(); err != nil {
 			return nil, err
 		}

@@ -76,8 +76,8 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if ov == nil {
 		ov = &Overrides{}
 	}
-	if ov.Trace != nil || ov.OnFlow != nil || ov.FaultPlan != nil {
-		return nil, fmt.Errorf("scenario: fluid backend: Trace/OnFlow/FaultPlan overrides are packet-only")
+	if ov.Trace != nil || ov.OnFlow != nil {
+		return nil, fmt.Errorf("scenario: fluid backend: Trace/OnFlow overrides are packet-only")
 	}
 	c, err := compile(spec, ov)
 	if err != nil {

@@ -22,33 +22,32 @@ import (
 var specUserOnly = map[string]string{
 	"faults.inline.links[].feedback[].from_ns":  "starts a feedback fault after the run does: loss or delay confined to an epoch, where every preset's lasts the whole run",
 	"faults.inline.links[].feedback[].until_ns": "ends a feedback fault before the run does, so the run shows how each scheme recovers from it",
-	"faults.seed":                      "replays a fault scenario under another draw without moving the workload seed",
-	"limits.check_every":               "governor polling interval for a spec that bounds itself; the CLI's -budget-* flags set the other limits",
-	"routing.toward":                   "destinations of policy spf-toward, for a hand-written incast that wants a partial table",
-	"run.quiesce":                      "ends a finite, detector-free user workload when its queue drains (TestQuiesceStopsAtHorizon pins it)",
-	"scheme.params.b1_bytes":           "GFC first-stage threshold; ROADMAP 1(c)'s one-knob-at-a-time experiments move it",
-	"scheme.params.period_ns":          "CBFC / time-based GFC feedback period T, the knob of Theorem 5.1",
-	"scheme.params.queues":             "BFC physical queues per channel (default 8)",
-	"sim.feedback_jitter_ns":           "software-switch latency variance (§6.1); the fluid backend refuses it by name",
-	"sim.jitter_seed":                  "seed of sim.feedback_jitter_ns",
-	"sim.host_queue_depth":             "host NIC queue depth; 1 keeps pacers exact, deeper models a real NIC ring",
-	"sim.mtu_bytes":                    "jumbo-frame runs: τ and every headroom term scale with it",
-	"sim.scheduling":                   "the switching discipline: ROADMAP 1(c)/(d)'s instrument and the grid that motivates item 1",
-	"sim.tx_ring":                      "TX ring depth of scheduling \"blocking\"",
-	"topology.capacity_bps":            "link rate other than 10 Gb/s (the paper's 40/100 G discussion)",
-	"topology.delay_ns":                "link delay other than 1 µs, the other half of τ",
-	"workload.flows[].size_bytes":      "finite pinned flows, the only way a hand-written spec measures completion times",
-	"workload.flows[].start_ns":        "staggered onsets for hand-written flows",
-	"workload.generator.seed":          "re-draws the workload on a fixed failure scenario (Spec.Seed moves both)",
-	"workload.generator.think_ns":      "flow churn instead of the paper's back-to-back saturating workload",
-	"workload.generator.uniform_bytes": "size of dist \"uniform\"; Parse requires it with that dist",
+	"limits.check_every":                        "governor polling interval for a spec that bounds itself; the CLI's -budget-* flags set the other limits",
+	"routing.toward":                            "destinations of policy spf-toward, for a hand-written incast that wants a partial table",
+	"run.quiesce":                               "ends a finite, detector-free user workload when its queue drains (TestQuiesceStopsAtHorizon pins it)",
+	"scheme.params.b1_bytes":                    "GFC first-stage threshold; ROADMAP 1(c)'s one-knob-at-a-time experiments move it",
+	"scheme.params.period_ns":                   "CBFC / time-based GFC feedback period T, the knob of Theorem 5.1",
+	"scheme.params.queues":                      "BFC physical queues per channel (default 8)",
+	"sim.feedback_jitter_ns":                    "software-switch latency variance (§6.1); the fluid backend refuses it by name",
+	"sim.jitter_seed":                           "seed of sim.feedback_jitter_ns",
+	"sim.host_queue_depth":                      "host NIC queue depth; 1 keeps pacers exact, deeper models a real NIC ring",
+	"sim.mtu_bytes":                             "jumbo-frame runs: τ and every headroom term scale with it",
+	"sim.scheduling":                            "the switching discipline: ROADMAP 1(c)/(d)'s instrument and the grid that motivates item 1",
+	"sim.tx_ring":                               "TX ring depth of scheduling \"blocking\"",
+	"topology.capacity_bps":                     "link rate other than 10 Gb/s (the paper's 40/100 G discussion)",
+	"topology.delay_ns":                         "link delay other than 1 µs, the other half of τ",
+	"workload.flows[].size_bytes":               "finite pinned flows, the only way a hand-written spec measures completion times",
+	"workload.flows[].start_ns":                 "staggered onsets for hand-written flows",
+	"workload.generator.seed":                   "re-draws the workload on a fixed failure scenario (Spec.Seed moves both)",
+	"workload.generator.think_ns":               "flow churn instead of the paper's back-to-back saturating workload",
+	"workload.generator.uniform_bytes":          "size of dist \"uniform\"; Parse requires it with that dist",
 }
 
 // declaredSpecs is every Spec the repository itself builds: the registered
 // catalogue; each constructor of scenario/builtin.go over the arguments the
 // -exp drivers and sweeps pass it (they spell no setup of their own); the
 // fields the drivers and the CLI overlay on a declaration before Build; and
-// each fault preset, which the matrix and -faults compile, as an inline spec.
+// the faults section a faulted ring row or matrix cell declares.
 func declaredSpecs() []scenario.Spec {
 	var specs []scenario.Spec
 	for _, name := range scenario.Names() {
@@ -79,14 +78,19 @@ func declaredSpecs() []scenario.Spec {
 	overlay.Sim.Backend = "fluid"
 	overlay.Sim.FluidStepNs = 2 * units.Microsecond
 	specs = append(specs, overlay)
+	// A faulted ring row (-exp fig9/fig10 -faults) or matrix cell declares
+	// its faults on RingFaulted: a preset by name, or a spec file inline,
+	// seeded with -seed. Each fault preset stands in for such a file.
 	for _, name := range faults.PresetNames() {
 		preset, err := faults.Preset(name)
 		if err != nil {
 			panic(err)
 		}
-		s := scenario.Ring(scenario.GFCBuf, 1)
-		s.Faults = &scenario.FaultsSpec{Inline: preset}
-		specs = append(specs, s)
+		for _, section := range []scenario.FaultsSpec{{Preset: name, Seed: 1}, {Inline: preset, Seed: 1}} {
+			s := scenario.RingFaulted(scenario.GFCBuf, 1)
+			s.Faults = &section
+			specs = append(specs, s)
+		}
 	}
 	return specs
 }
