@@ -70,16 +70,14 @@ var (
 		"abort any single run once the process heap exceeds this many bytes\n(OOM guard, sampled every 64 governor checks; 0 = unlimited)")
 	stallEvents = flag.Uint64("stall-events", 0,
 		"declare livelock if this many events pass with no sim-time, delivery or\ndrop progress (0 = watchdog off)")
-	jobTimeout = flag.Duration("job-timeout", 0,
-		"sweeps: per-cell wall-clock deadline; a cell that blows it is quarantined\nand the sweep continues (0 = none)")
 	analytic = flag.Bool("analytic", false,
 		"sweeps: enforce the network-wide analytic checker on every repeat\n(internal/analytic; violated repeats quarantine their cell; changes the\ncheckpoint key)")
 	table1Scale = flag.String("table1-scale", "",
 		"table1: preset overriding the count flags — \"ci\" (k=4, 200 networks × 1\nrepeat, checker on: the CI gate) or \"full\" (paper scale: 10000 networks ×\n100 repeats, 1 flow/host, checker on; run with -checkpoint, see\nEXPERIMENTS.md)")
 	retries = flag.Int("retries", 2,
-		"sweeps: re-run a cell this many times after a transient failure (wall or\nheap budget trip) with seed-derived backoff; deterministic failures —\npanics, invariant violations, event budgets — never retry (0 = off)")
+		"faults: re-run a cell this many times after a transient failure (wall or\nheap budget trip) with seed-derived backoff; deterministic failures —\npanics, invariant violations, event budgets — never retry (0 = off)")
 	retryBackoff = flag.Duration("retry-backoff", time.Second,
-		"sweeps: base backoff before the first retry; doubles per attempt with\nseed-derived jitter")
+		"faults: base backoff before the first retry; doubles per attempt with\nseed-derived jitter")
 	backendName = flag.String("backend", "",
 		"simulation backend for -scenario, table1 and fig16: \"packet\" (default;\nreplays every packet) or \"fluid\" (network-of-queues rate integration: a\n25 ms k=4 sweep cell in a quarter to a sixth of the packet time; rejects\nspecs it cannot represent faithfully, and sweeps leave out the schemes\nwhose deadlocks it cannot decide — PFC, CBFC)")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -121,7 +119,6 @@ func options(ctx context.Context) (*experiments.Options, error) {
 		Repeats:     *repeats,
 		Scales:      ks,
 		Table1Scale: *table1Scale,
-		JobTimeout:  *jobTimeout,
 		Checkpoint:  *checkpoint,
 		Analytic:    *analytic,
 		Backend:     *backendName,

@@ -107,7 +107,9 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // the retired adaptive mode, is an unknown value naming the two engines; and
 // -exp fig17 -backend fluid is refused before a sweep starts — Figure 17 is
 // flow completion times, which a fluid cell does not have, so fig17 lists no
-// -backend (it used to run six sweeps and print an empty table, exit 0).
+// -backend (it used to run six sweeps and print an empty table, exit 0). A
+// sweep does not retry, so -exp table1 -retries is refused too: only the fault
+// matrix reads -retries.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
@@ -133,6 +135,8 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 			"-checkpoint is not read by fig9 (honoured by: table1, fig16, fig17)"},
 		{func() []string { *expName = "faults"; return []string{"retries", "networks"} },
 			"-networks is not read by faults"},
+		{func() []string { *expName = "table1"; return []string{"exp", "retries"} },
+			"-retries is not read by table1 (honoured by: faults)"},
 		{func() []string { *scenarioName = "incast-gfcbuf"; return []string{"backend", "faults"} },
 			"-faults is not read by -scenario"},
 	} {

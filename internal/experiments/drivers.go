@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/runner"
@@ -48,15 +47,17 @@ type Options struct {
 	// Stderr receives sweep progress and self-healing reports.
 	Stderr io.Writer
 
-	// The sweep settings (table1, fig16, fig17; Retry also the fault matrix).
+	// The sweep settings (table1, fig16, fig17).
 	Networks, Repeats int
 	Scales            []int
 	Table1Scale       string
-	JobTimeout        time.Duration
 	Checkpoint        string
 	Analytic          bool
 	Backend           string
-	Retry             runner.Retry
+	// Retry is the fault matrix's transient-failure retry policy. A sweep
+	// does not retry: its checkpoint leaves a transient quarantine out, so
+	// a resume recomputes the cell.
+	Retry runner.Retry
 }
 
 // sub returns the run options of one sub-run: the section's, with a fresh
@@ -83,11 +84,8 @@ var (
 	// packetSweepFlags are the flags of a sweep that has one engine: Figure 17
 	// reports flow completion times, which a fluid cell (unbounded stand-in
 	// flows) does not have, so fig17 reads no -backend.
-	packetSweepFlags = []string{
-		"networks", "repeats", "scales", "table1-scale", "analytic",
-		"checkpoint", "job-timeout", "retries", "retry-backoff",
-	}
-	sweepFlags = append([]string{"backend"}, packetSweepFlags...)
+	packetSweepFlags = []string{"networks", "repeats", "scales", "table1-scale", "analytic", "checkpoint"}
+	sweepFlags       = append([]string{"backend"}, packetSweepFlags...)
 )
 
 // Drivers is the dispatch table, in the paper's order.
@@ -426,11 +424,9 @@ func (o *Options) sweepConfigs() ([]SweepConfig, error) {
 		}
 		cfg.Workers = o.Workers
 		cfg.Budget = o.Budget
-		cfg.JobTimeout = o.JobTimeout
 		cfg.Checkpoint = o.Checkpoint
 		cfg.Analytic = o.Analytic
 		cfg.Backend = o.Backend
-		cfg.Retry = o.Retry
 		switch o.Table1Scale {
 		case "ci":
 			// The CI gate: a k=4 slice with the checker enforced, small

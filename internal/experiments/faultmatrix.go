@@ -78,7 +78,7 @@ type FaultMatrixConfig struct {
 	Ctx    context.Context
 	Budget netsim.Budget
 	// Retry is the transient-failure retry policy applied per cell under
-	// the sweep classification (wall/heap trips retry with seed-derived
+	// ClassifyCellFailure (wall/heap trips retry with seed-derived
 	// backoff; deterministic failures and deadlock verdicts do not). The
 	// zero value disables retrying.
 	Retry runner.Retry

@@ -169,10 +169,7 @@ func TestSweepQuarantinesBudgetBlownCells(t *testing.T) {
 // sweepRuntimeKnobs are the SweepConfig fields that change how cells run,
 // not what they compute, and therefore stay out of SweepKey. Every other
 // field is result-determining and must be rendered in the key.
-var sweepRuntimeKnobs = map[string]bool{
-	"Workers": true, "Budget": true, "JobTimeout": true,
-	"Checkpoint": true, "Retry": true, "failInject": true,
-}
+var sweepRuntimeKnobs = map[string]bool{"Workers": true, "Budget": true, "Checkpoint": true}
 
 // perturb changes v to a different valid value of its type.
 func perturb(t *testing.T, v reflect.Value) {
@@ -198,8 +195,8 @@ func perturb(t *testing.T, v reflect.Value) {
 // result-determining field must change the checkpoint key (a sweep must never
 // replay cells computed under a different configuration — the analytic
 // checker on vs off, another backend), and
-// changing a runtime knob must not (retrying or re-budgeting recomputes the
-// same deterministic values, so it must not split the checkpoint namespace).
+// changing a runtime knob must not (re-budgeting recomputes the same
+// deterministic values, so it must not split the checkpoint namespace).
 // A new field lands on one side or the other, or this test fails.
 func TestSweepKeyCoversEveryField(t *testing.T) {
 	base := resumeSweepConfig()
@@ -208,11 +205,7 @@ func TestSweepKeyCoversEveryField(t *testing.T) {
 		name := typ.Field(i).Name
 		t.Run(name, func(t *testing.T) {
 			cfg := base
-			if name == "failInject" { // unexported: reflection may not set it
-				cfg.failInject = func(int, int) error { return nil }
-			} else {
-				perturb(t, reflect.ValueOf(&cfg).Elem().Field(i))
-			}
+			perturb(t, reflect.ValueOf(&cfg).Elem().Field(i))
 			changed := SweepKey(PFC, cfg) != SweepKey(PFC, base)
 			if knob := sweepRuntimeKnobs[name]; changed == knob {
 				t.Errorf("runtime knob = %v but changing the field changes the key = %v:\n%s\n%s",

@@ -3,26 +3,25 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/runner"
 )
 
 // This file is the self-healing side of the sweep: the failure taxonomy
-// that decides which quarantines earn retries, and the report of what the
-// supervisor absorbed. Retrying is reserved for host-condition verdicts
-// (DCFIT's persistence-window insight: distinguish transient pause storms
-// from real deadlock before acting); anything the simulation itself
-// decided — a panic, an invariant violation, an event-budget trip that
-// would recur event-for-event — quarantines immediately.
+// that decides which quarantined cells are checkpointed, and the report of
+// what a resume salvaged. What the simulation itself decided — a panic, an
+// invariant violation, an event-budget trip that would recur event-for-event
+// — is a verdict on the cell and is recorded; a host-condition trip is a
+// verdict on the host, so it is left out and a resume recomputes the cell.
 
-// ClassifyCellFailure buckets a sweep-cell failure for the retry policy.
-// It layers the netsim governor taxonomy on runner.DefaultClassify:
-// wall-clock and heap trips depend on host conditions (load, co-tenants,
-// allocator state) and are transient; event-budget and stall trips are
-// functions of the deterministic event stream and would reproduce exactly,
-// so they are deterministic like panics and invariant violations.
+// ClassifyCellFailure buckets a sweep-cell failure for the checkpoint. It
+// layers the netsim governor taxonomy on runner.DefaultClassify: wall-clock
+// and heap trips depend on host conditions (load, co-tenants, allocator
+// state) and are transient, so the cell is not recorded and a resume with a
+// larger -budget-wall or -budget-heap recomputes it; event-budget and stall
+// trips are functions of the deterministic event stream and would reproduce
+// exactly, so they are deterministic like panics and invariant violations.
 func ClassifyCellFailure(err error) runner.FailureClass {
 	var re *netsim.RunError
 	if errors.As(err, &re) {
@@ -39,35 +38,14 @@ func ClassifyCellFailure(err error) runner.FailureClass {
 	return runner.DefaultClassify(err)
 }
 
-// CellRetries is one cell's absorbed-retry record, folded from the runner's
-// provenance in job order.
-type CellRetries struct {
-	Job int `json:"job"`
-	// Attempts counts primary-path attempts (1 + retries taken).
-	Attempts int `json:"attempts"`
-	// Retries lists the transient failures absorbed, with their
-	// seed-derived backoffs.
-	Retries []runner.RetryRecord `json:"retries"`
-}
-
-// ResilienceSummary renders what the self-healing supervisor did for this
-// sweep — salvaged checkpoint lines, absorbed retries — as a deterministic,
-// job-ordered report. Empty when the sweep ran clean.
+// ResilienceSummary renders what the self-healing side did for this sweep —
+// the checkpoint lines a resume had to discard — as a deterministic report.
+// Empty when the checkpoint was clean.
 func (s *SweepResult) ResilienceSummary() string {
-	if s.Salvage == nil && len(s.Retried) == 0 {
+	sv := s.Salvage
+	if sv == nil {
 		return ""
 	}
-	var b strings.Builder
-	if sv := s.Salvage; sv != nil {
-		fmt.Fprintf(&b, "checkpoint salvage: dropped %d corrupt line(s) (%s); the cells were recomputed\n",
-			sv.Dropped, sv.Reason)
-	}
-	for _, r := range s.Retried {
-		fmt.Fprintf(&b, "cell %d: %d attempt(s), %d transient failure(s) absorbed:\n",
-			r.Job, r.Attempts, len(r.Retries))
-		for _, rec := range r.Retries {
-			fmt.Fprintf(&b, "  attempt %d (+%v backoff): %s\n", rec.Attempt, rec.Backoff, rec.Err)
-		}
-	}
-	return b.String()
+	return fmt.Sprintf("checkpoint salvage: dropped %d corrupt line(s) (%s); the cells were recomputed\n",
+		sv.Dropped, sv.Reason)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/metrics"
@@ -44,9 +43,6 @@ type SweepConfig struct {
 	// no bounds; a budget-blown repeat quarantines its scenario cell
 	// instead of wedging the sweep.
 	Budget netsim.Budget
-	// JobTimeout is a per-scenario wall-clock deadline; 0 means none. A
-	// deadline-blown cell is quarantined and the sweep continues.
-	JobTimeout time.Duration
 	// Checkpoint, when non-empty, is the path of a JSONL checkpoint file:
 	// cells are recorded as they complete and a resumed sweep (same
 	// SweepKey) replays them instead of recomputing.
@@ -64,19 +60,6 @@ type SweepConfig struct {
 	// keyed as packet): sweeps on different engines never share a
 	// checkpoint.
 	Backend string
-	// Retry is the transient-failure retry policy: cells that trip a
-	// host-condition guard (wall budget, heap guard, per-job deadline) are
-	// re-run up to Retry.Max times with seed-derived backoff before
-	// quarantining. Deterministic failures (panics, invariant
-	// violations, event-budget trips) never retry. A runtime knob: not
-	// part of the SweepKey, since retrying cannot change what a cell
-	// computes — only whether it completes.
-	Retry runner.Retry
-	// failInject, when non-nil, is consulted before generating job's
-	// scenario on each attempt (1-based) and its non-nil return fails the
-	// attempt — the deterministic stand-in for host-condition trouble in
-	// retry tests.
-	failInject func(job, attempt int) error
 }
 
 // supported fat-tree census: the arities the topology builder and its pinned
@@ -188,15 +171,11 @@ type SweepResult struct {
 	// network-wide analytic check — Networks × Repeats of the CBD-prone
 	// cells when SweepConfig.Analytic is on and nothing was quarantined.
 	AnalyticChecked int
-	// Failures lists the quarantined cells (budget-blown, deadline-blown
-	// or panicked scenarios), in job order. The sweep's aggregates cover
+	// Failures lists the quarantined cells (budget-blown or panicked
+	// scenarios), in job order. The sweep's aggregates cover
 	// the surviving cells; a non-empty list means the sweep is incomplete
 	// and callers should exit non-zero after reporting it.
 	Failures []CellFailure
-	// Retried lists the cells whose transient failures were absorbed by
-	// the retry policy, in job order. It folds the runner's provenance, so
-	// resumes report the same history as the original run.
-	Retried []CellRetries
 	// Salvage, when non-nil, reports checkpoint lines the resume had to
 	// discard (corrupt or torn); the dropped cells were recomputed.
 	Salvage *runner.Salvage
@@ -362,8 +341,8 @@ type scenarioOutcome struct {
 // spec hash written into every checkpoint entry. Two sweeps share a key iff
 // their job lists compute the same results, which is what makes a recorded
 // cell safe to replay. Every result-determining field is rendered
-// unconditionally; runtime knobs (workers, budgets, retry policy, checkpoint
-// path) deliberately stay out: they change how cells run, not what they
+// unconditionally; runtime knobs (workers, budgets, checkpoint path)
+// deliberately stay out: they change how cells run, not what they
 // compute. TestSweepKeyCoversEveryField holds every SweepConfig field to one
 // side or the other.
 func SweepKey(fc FC, cfg SweepConfig) string {
@@ -397,8 +376,8 @@ type repeatFunc func(ctx context.Context, topo *topology.Topology, tab *routing.
 
 // runCell computes sweep cell job: generate the topology, skip it (nil
 // outcome) unless CBD-prone, then run every repeat through repeat. Repeat
-// seeds are a function of (sweep seed, job, repeat) alone, so a retry sees
-// the same workloads.
+// seeds are a function of (sweep seed, job, repeat) alone, so a resume that
+// recomputes the cell sees the same workloads.
 func runCell(ctx context.Context, fc FC, cfg SweepConfig, job int, repeat repeatFunc) (*scenarioOutcome, error) {
 	topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(job))
 	if !prone {
@@ -424,10 +403,12 @@ func runCell(ctx context.Context, fc FC, cfg SweepConfig, job int, repeat repeat
 // are folded in scenario order, so the result is bit-identical for every
 // worker count (including the serial Workers == 1 case).
 //
-// Resilience semantics: a failed cell (budget-blown, deadline-blown,
-// panicked) is quarantined into SweepResult.Failures and the sweep
-// continues; with cfg.Checkpoint set, completed cells are recorded as they
-// finish and a resumed sweep replays them. Cancelling ctx stops the sweep
+// Resilience semantics: a failed cell (budget-blown, panicked) is
+// quarantined into SweepResult.Failures and the sweep continues; with
+// cfg.Checkpoint set, completed cells are recorded as they finish and a
+// resumed sweep replays them. A cell quarantined on a transient failure
+// (ClassifyCellFailure: a wall or heap budget trip) is not recorded, so a
+// resume with a larger budget recomputes it. Cancelling ctx stops the sweep
 // early and returns the partial aggregate alongside the context error —
 // cancelled cells are neither aggregated, quarantined nor checkpointed, so
 // a resume re-runs exactly those.
@@ -447,23 +428,14 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 	jobs := make([]runner.Job[*scenarioOutcome], cfg.Networks)
 	for i := 0; i < cfg.Networks; i++ {
 		i := i
-		attempt := 0 // owned by one worker at a time; retries re-enter serially
 		jobs[i] = func(ctx context.Context) (*scenarioOutcome, error) {
-			attempt++
-			if inj := cfg.failInject; inj != nil {
-				if err := inj(i, attempt); err != nil {
-					return nil, err
-				}
-			}
 			return runCell(ctx, fc, cfg, i, repeat)
 		}
 	}
 	opts := runner.Options[*scenarioOutcome]{
-		Workers:    cfg.Workers,
-		JobTimeout: cfg.JobTimeout,
-		Seed:       cfg.seedOf,
-		Retry:      cfg.Retry,
-		Classify:   ClassifyCellFailure,
+		Workers:  cfg.Workers,
+		Seed:     cfg.seedOf,
+		Classify: ClassifyCellFailure,
 	}
 	out := &SweepResult{FC: fc, K: cfg.K}
 	if cfg.Checkpoint != "" {
@@ -480,11 +452,6 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 	results := runner.RunWith(ctx, jobs, opts)
 
 	for job, jr := range results {
-		if prov := jr.Prov; prov != nil {
-			out.Retried = append(out.Retried, CellRetries{
-				Job: job, Attempts: prov.Attempts, Retries: prov.Retries,
-			})
-		}
 		if err := jr.Err; err != nil {
 			if errors.Is(err, context.Canceled) {
 				continue // cut short, not a verdict: a resume re-runs it

@@ -20,7 +20,9 @@ type GFCBufferConfig struct {
 	// four MTUs. The paper sets B_m = B outright, but its final stage
 	// keeps a positive rate (§4.2), so under a fully stopped drain the
 	// queue can exceed B_m by a few packets before feedback bites — the
-	// small default headroom preserves strict losslessness there.
+	// small default headroom absorbs that one feedback latency of
+	// bottom-rate trickle. It does not bound a floor-locked CBD: a fan-in
+	// point whose upstreams all send at the bottom rate still overflows.
 	Bm units.Size
 	// Ratio is the per-stage rate ratio R_k/R_{k−1}; zero means the
 	// paper's 1/2 (equation 4). Equation (3) requires ≤ 3/4.

@@ -9,13 +9,13 @@ import (
 
 // This file is the classified-retry half of the self-healing supervisor:
 // job failures are bucketed into a FailureClass, and only transient ones
-// (host-condition trips: wall budgets, per-job deadlines, OOM guards) earn
+// (host-condition trips: wall budgets, context deadlines, OOM guards) earn
 // retries. The backoff sequence is a pure function of the cell's seed and
-// the attempt index, so the provenance a sweep records — how many retries,
+// the attempt index, so the provenance a pool records — how many retries,
 // which simulated backoffs — is bit-identical at any worker count and
 // across kill-and-resume, exactly like the results themselves.
 
-// FailureClass buckets a job failure for the retry policy.
+// FailureClass buckets a job failure for the retry policy and the checkpoint.
 type FailureClass uint8
 
 const (
@@ -25,10 +25,9 @@ const (
 	// immediately.
 	ClassDeterministic FailureClass = iota
 	// ClassTransient failures are host-condition verdicts — wall-clock
-	// budget trips, per-job deadlines, OOM-guard trips — that a retry
-	// under lighter load may clear. A cell quarantined on one is not
-	// checkpointed, so a resume (perhaps with a larger budget) recomputes
-	// it.
+	// budget trips, OOM-guard trips, an expired context deadline — that a
+	// rerun under lighter load or a larger budget may clear. A cell
+	// quarantined on one is not checkpointed, so a resume recomputes it.
 	ClassTransient
 	// ClassSkip marks outcomes that are not verdicts on the cell at all
 	// (context cancellation): no retry, no checkpoint record, so a

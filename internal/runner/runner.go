@@ -15,11 +15,10 @@
 //   - a panicking job is captured as that job's error instead of tearing
 //     down the process (one pathological scenario must not kill a sweep).
 //
-// RunWith layers sweep resilience on the same pool: per-job deadlines,
-// a checkpoint Store that records each completed cell as it finishes
-// so an interrupted sweep resumes by replaying recorded results instead of
-// recomputing them, and classified retries with seed-derived backoff for
-// transient failures (retry.go).
+// RunWith layers sweep resilience on the same pool: a checkpoint Store that
+// records each completed cell as it finishes so an interrupted sweep resumes
+// by replaying recorded results instead of recomputing them, and classified
+// retries with seed-derived backoff for transient failures (retry.go).
 package runner
 
 import (
@@ -29,7 +28,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Job computes one experiment. Implementations must be self-contained:
@@ -73,13 +71,6 @@ func (e *ReplayedError) Error() string { return e.Msg }
 type Options[T any] struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// JobTimeout, when non-zero, derives a per-job deadline context for
-	// each attempt of each job (retries get a fresh deadline). A job that
-	// honours its context (e.g. via netsim.RunBounded) then fails with
-	// context.DeadlineExceeded — a transient failure under the default
-	// classification, so it is retried within Retry's budget and
-	// quarantined only when that is exhausted.
-	JobTimeout time.Duration
 	// Checkpoint, when non-nil, is consulted before each job (a recorded
 	// cell is replayed, not recomputed) and appended to as cells complete.
 	// Jobs skipped by cancellation or quarantined on a transient failure
@@ -92,8 +83,8 @@ type Options[T any] struct {
 	// Retry is the transient-failure retry policy; the zero value
 	// disables retrying.
 	Retry Retry
-	// Classify buckets a job error for the retry policy; nil means
-	// DefaultClassify. Callers whose jobs surface richer error types
+	// Classify buckets a job error for the retry policy and the
+	// checkpoint; nil means DefaultClassify. Callers whose jobs surface richer error types
 	// (governor trips, invariant violations) install their own taxonomy.
 	Classify func(error) FailureClass
 }
@@ -102,8 +93,7 @@ type Options[T any] struct {
 // order. opts.Workers <= 0 means runtime.GOMAXPROCS(0); 1 runs the jobs
 // inline in order. Because jobs are share-nothing and results are collected
 // by index, the returned slice is identical for every worker count — with the
-// sweep-resilience options too (per-job deadlines, checkpoint/resume,
-// classified retries): for a given (jobs, checkpoint state, failure pattern)
+// sweep-resilience options too (checkpoint/resume, classified retries): for a given (jobs, checkpoint state, failure pattern)
 // the results do not depend on the pool.
 // When ctx is cancelled, jobs not yet started report ctx's error;
 // already-running jobs finish normally.
@@ -142,8 +132,8 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], opts Options[T]) []Resul
 }
 
 // runIndexed runs job i through the resilience pipeline: checkpoint replay,
-// cancellation skip, classified retries with per-attempt deadlines and
-// panic capture, job-index error wrapping, and checkpoint recording.
+// cancellation skip, classified retries with panic capture, job-index error
+// wrapping, and checkpoint recording.
 func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T]) Result[T] {
 	if cp := opts.Checkpoint; cp != nil {
 		if e, ok := cp.Lookup(i); ok {
@@ -161,9 +151,7 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 	if classify == nil {
 		classify = DefaultClassify
 	}
-	val, prov, err := Supervise(ctx, seed, opts.Retry, classify, func(actx context.Context) (T, error) {
-		return runAttempt(actx, job, opts.JobTimeout)
-	})
+	val, prov, err := Supervise(ctx, seed, opts.Retry, classify, job)
 	res := Result[T]{Value: val, Err: err, Prov: prov}
 	if res.Err != nil {
 		res.Err = fmt.Errorf("job %d: %w", i, res.Err)
@@ -180,18 +168,6 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 		_ = cp.Record(i, seed, res.Value, res.Err, res.Prov)
 	}
 	return res
-}
-
-// runAttempt is one attempt: a fresh JobTimeout deadline (so
-// retries are not charged for earlier attempts' time) around the job.
-// Panic capture happens in runOne, inside Supervise.
-func runAttempt[T any](ctx context.Context, job Job[T], timeout time.Duration) (T, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return job(ctx)
 }
 
 // replay converts a checkpoint entry back into a Result. The recorded error

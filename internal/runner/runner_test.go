@@ -163,28 +163,6 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestJobTimeoutQuarantines(t *testing.T) {
-	jobs := []Job[int]{
-		func(context.Context) (int, error) { return 1, nil },
-		func(ctx context.Context) (int, error) {
-			// A job that honours its context, like a governed simulation.
-			<-ctx.Done()
-			return 0, ctx.Err()
-		},
-		func(context.Context) (int, error) { return 3, nil },
-	}
-	res := RunWith(context.Background(), jobs, Options[int]{Workers: 1, JobTimeout: 10 * time.Millisecond})
-	if res[0].Value != 1 || res[2].Value != 3 {
-		t.Fatal("deadline-blown cell disturbed its siblings")
-	}
-	if !errors.Is(res[1].Err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", res[1].Err)
-	}
-	if !strings.HasPrefix(res[1].Err.Error(), "job 1: ") {
-		t.Fatalf("err %q does not name its cell", res[1].Err)
-	}
-}
-
 // The cancellation-ordering contract under -race: cancellation during a
 // sweep yields, for every job, either a clean result (started before the
 // cancel won the race) or that job's own index-wrapped context error —

@@ -156,8 +156,11 @@ func TestbedParams() (netsim.Config, FCParams) {
 // practical step mapping keeps a positive floor rate at its deepest stage
 // (§4.2), a fully stopped drain can push the queue a few packets past B_m;
 // we keep four MTUs of headroom (B_m = 294 KB) and shift B1/B0 down by the
-// same margin so the paper's own safety bounds still hold and losslessness
-// stays strict.
+// same margin so the paper's own safety bounds still hold. The headroom
+// absorbs one feedback latency of bottom-rate trickle past B_m. It does not
+// make GFC strictly lossless: once a CBD floor-locks, a fan-in point admits
+// more at the bottom rate than it drains, and the buffer overflows in time
+// (ROADMAP item 2).
 func SimParams() (netsim.Config, FCParams) {
 	cfg := netsim.Config{
 		BufferSize: 300 * units.KB,

@@ -29,7 +29,6 @@ var testSupport = map[string]string{
 	"core.OverheadModel":                 "the paper's §4.2 closed forms m/τ and m/8τ: BenchmarkOverheadModel (package gfc_test) regenerates EXPERIMENTS.md's row from them and core's TestOverheadModelPaperValues pins them, in two packages",
 	"eventsim.Engine.RunAll":             "drains an engine in one call: the driver of every eventsim and flowcontrol unit test, in two packages",
 	"eventsim.Engine.LaneStats":          "the lane-share guards (scenario's TestLaneShareAcrossCatalogue, experiments' TestLaneShareOfSweepCell) read the engine's private counters from outside its package",
-	"experiments.SweepConfig.failInject": "the deterministic stand-in for host trouble in the self-healing tests (selfheal_test.go): RunSweep has to consult it inside the job closure, which no test can reach into",
 	"flowcontrol.GFCBufferConfig.Ratio":  "the per-stage rate ratio: every run uses the paper's 1/2 (equation 4), and BenchmarkAblationStageRatio (package gfc_test) compares it with the other ratios equation (3) allows",
 	"fluid.Config.Step":                  "the single-queue solver's step: its one program (benchmark/'s fluid.run_single_us rung) takes the 100 ns default, and TestRunHistBoundary sweeps it against τ",
 	"fluid.Config.Horizon":               "the single-queue solver's horizon: its one program takes the 5 ms default, while TestRunHistBoundary sweeps it against τ and RequiredBuffer (TestRequiredBufferMatchesTheorem) scales it to 100τ",
