@@ -408,6 +408,9 @@ func parseScales(list string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: -scales %q: entry %q is not an integer", errUsage, list, tok)
 		}
+		if slices.Contains(ks, k) {
+			return nil, fmt.Errorf("%w: -scales %q names arity %d twice", errUsage, list, k)
+		}
 		ks = append(ks, k)
 	}
 	if len(ks) == 0 {

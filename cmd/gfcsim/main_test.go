@@ -84,6 +84,7 @@ func TestScalesRejectsGarbage(t *testing.T) {
 		"abc":  `"abc"`,
 		"4,,8": `""`,
 		"4.5":  `"4.5"`,
+		"4,4":  "arity 4 twice",
 		"":     "no fat-tree arity",
 	} {
 		old := *scales

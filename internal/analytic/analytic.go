@@ -14,8 +14,8 @@
 //     acyclic and the feedback path is unfaulted.
 //   - Spang-style buffer-sizing envelopes: each scheme's worst-case ingress
 //     occupancy is its stop/slow threshold plus the C·τ of data in flight
-//     during one worst-case feedback latency (equation 6 per link, plus any
-//     configured feedback jitter), clamped to the physical buffer.
+//     during one worst-case feedback latency (equation 6 per link), clamped
+//     to the physical buffer.
 //   - Conservation bounds: total delivered bytes cannot exceed the aggregate
 //     host link capacity × duration, and a deadlock-free unfaulted run must
 //     deliver something once the horizon comfortably exceeds a warmup.
@@ -71,8 +71,8 @@ type Input struct {
 	// Scheme is the flow-control scheme under test. Required.
 	Scheme Scheme
 	// Cfg is the resolved simulator configuration (buffer size, MTU,
-	// τ override, processing delay, feedback jitter). BufferSize is
-	// required; netsim's own filler defaults the rest.
+	// τ override, processing delay). BufferSize is required; netsim's own
+	// filler defaults the rest.
 	Cfg netsim.Config
 	// Params are the resolved scheme thresholds.
 	Params Params
@@ -107,7 +107,7 @@ type Prediction struct {
 	// witness (0 when the scheme can stop a channel completely).
 	FloorRate units.Rate
 	// Tau is the worst-case feedback latency the envelope budgets for:
-	// max(configured τ override, per-link equation-6 bound) plus jitter.
+	// max(configured τ override, per-link equation-6 bound).
 	Tau units.Time
 }
 
@@ -145,8 +145,8 @@ func Predict(in Input) (*Prediction, error) {
 
 	// Worst-case line rate and feedback latencies over the live links.
 	// tauActual bounds what the simulated feedback path can actually take
-	// (equation 6 plus jitter); tauBudget is what the factories sized the
-	// thresholds for (the configured override, or the same derivation).
+	// (equation 6); tauBudget is what the factories sized the thresholds
+	// for (the configured override, or the same derivation).
 	// The envelope must absorb tauActual; the losslessness claims require
 	// the budget to cover it.
 	var tauActual, tauBudget units.Time
@@ -157,7 +157,7 @@ func Predict(in Input) (*Prediction, error) {
 			continue
 		}
 		maxCap = max(maxCap, l.Capacity)
-		tauActual = max(tauActual, core.Tau(l.Capacity, cfg.MTU, l.Delay, cfg.ProcDelay)+cfg.FeedbackJitter)
+		tauActual = max(tauActual, core.Tau(l.Capacity, cfg.MTU, l.Delay, cfg.ProcDelay))
 		tauBudget = max(tauBudget, cfg.ChannelTau(l))
 	}
 	if maxCap <= 0 {

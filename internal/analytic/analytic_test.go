@@ -77,7 +77,7 @@ func TestPredictPFC(t *testing.T) {
 		t.Errorf("derived envelope = %v, want buffer %v", p.MaxOccupancy, B)
 	}
 	if !p.Lossless {
-		t.Error("derived thresholds not lossless without jitter")
+		t.Error("derived thresholds not lossless")
 	}
 	if p.DeadlockFree {
 		t.Error("deadlock-free on a cyclic CBD")
@@ -105,16 +105,17 @@ func TestPredictPFC(t *testing.T) {
 		t.Errorf("XOFF=B: lossless=%v envelope=%v, want false/%v", p.Lossless, p.MaxOccupancy, B)
 	}
 
-	// Feedback jitter pushes the actual latency past the derived budget.
+	// A τ budget below equation (6)'s 7.4 µs leaves the actual feedback
+	// latency unbudgeted.
 	in = ringInput(PFC)
-	in.Cfg.FeedbackJitter = 50 * units.Microsecond
+	in.Cfg.Tau = 1 * units.Microsecond
 	if p = mustPredict(t, in); p.Lossless {
-		t.Error("lossless despite unbudgeted feedback jitter")
+		t.Error("lossless despite a τ budget below the actual latency")
 	}
-	// An explicit τ budget that absorbs the jitter restores the claim.
+	// A budget that covers the actual latency restores the claim.
 	in.Cfg.Tau = 1 * units.Millisecond
 	if p = mustPredict(t, in); !p.Lossless {
-		t.Error("not lossless despite τ override covering jitter")
+		t.Error("not lossless despite τ override covering the actual latency")
 	}
 
 	// CBD verdicts: only an acyclic graph makes PFC deadlock-free.
@@ -263,11 +264,12 @@ func TestPredictCBFCAndBFC(t *testing.T) {
 			t.Errorf("%v not deadlock-free on acyclic CBD", s)
 		}
 	}
-	// BFC, like PFC, additionally needs the τ budget to cover jitter.
+	// BFC, like PFC, additionally needs the τ budget to cover the actual
+	// feedback latency.
 	in := ringInput(BFC)
-	in.Cfg.FeedbackJitter = 50 * units.Microsecond
+	in.Cfg.Tau = 1 * units.Microsecond
 	if p := mustPredict(t, in); p.Lossless {
-		t.Error("BFC lossless despite unbudgeted jitter")
+		t.Error("BFC lossless despite a τ budget below the actual latency")
 	}
 }
 

@@ -24,7 +24,7 @@ func FuzzAnalyticBounds(f *testing.F) {
 		f.Add(uint8(i), uint8(2), uint16(120), uint8(2), uint8(10))
 	}
 	f.Add(uint8(1), uint8(3), uint16(64), uint8(1), uint8(0)) // two-to-one CBFC
-	f.Fuzz(func(t *testing.T, schemeSel, topoSel uint8, bufKB uint16, stride, jitterUs uint8) {
+	f.Fuzz(func(t *testing.T, schemeSel, topoSel uint8, bufKB uint16, stride, tauUs uint8) {
 		fc := schemes[int(schemeSel)%len(schemes)]
 		// Buffers below ~48 KB cannot fit the derived GFC stage ladders on
 		// 10 Gb/s links; clamp into the analysable regime, cap for speed.
@@ -46,9 +46,8 @@ func FuzzAnalyticBounds(f *testing.F) {
 			Routing: scenario.RoutingSpec{Policy: "spf"},
 			Scheme:  scenario.SchemeSpec{FC: fc, Params: params},
 			Sim: scenario.SimSpec{
-				BufferBytes:      buf,
-				FeedbackJitterNs: units.Time(jitterUs%50) * units.Microsecond,
-				JitterSeed:       int64(stride) + 1,
+				BufferBytes: buf,
+				TauNs:       units.Time(tauUs%50) * units.Microsecond,
 			},
 			Run: scenario.RunSpec{
 				DurationNs:     2 * units.Millisecond,

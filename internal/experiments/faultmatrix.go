@@ -71,7 +71,7 @@ type FaultMatrixConfig struct {
 	Scenarios []string   // default FaultScenarios()
 	Duration  units.Time // default: the steady ring's 60 ms
 	// Seed seeds each cell's injector (per-cell injectors keep cells
-	// independent and individually replayable). Default 1.
+	// independent and individually replayable).
 	Seed int64
 	// Ctx and Budget govern each cell's run (see RunOptions): a nil Ctx
 	// means context.Background(), the zero Budget imposes no bounds.
@@ -110,9 +110,6 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	}
 	if cfg.Scenarios == nil {
 		cfg.Scenarios = FaultScenarios()
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()

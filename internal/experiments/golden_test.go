@@ -157,6 +157,7 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 			Schemes:   []FC{PFC, BFC},
 			Scenarios: []string{"resume-loss", "feedback-loss"},
 			Duration:  30 * units.Millisecond,
+			Seed:      1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -38,9 +38,6 @@ type Config struct {
 	// egress queue holding at least this many bytes are ECN-marked.
 	// Zero disables marking.
 	ECNThreshold units.Size
-	// HostQueueDepth is how many packets a host NIC keeps queued;
-	// default 1 (release-gated, so flow pacers are precise).
-	HostQueueDepth int
 	// Scheduling is the switching discipline; the zero value is
 	// SchedInputQueued (input-queued with head-of-line blocking), the
 	// model of the paper's testbed switch every figure runs under.
@@ -59,19 +56,6 @@ type Config struct {
 	// SchedBlocking; default 128 (DPDK rings are a few hundred
 	// descriptors).
 	TxRing int
-	// FeedbackJitter adds a uniform random [0, FeedbackJitter) component
-	// to every feedback message's processing delay, seeded by
-	// JitterSeed. Software switches (the paper's testbed runs DPDK
-	// forwarding on general-purpose cores) have exactly this kind of
-	// latency variance, and it is what lets pause cascades break the
-	// perfect symmetry a deterministic simulation would otherwise
-	// preserve. Zero disables jitter. When enabled, Tau must budget for
-	// the added worst-case latency or PFC headroom sizing will be too
-	// small to stay lossless.
-	FeedbackJitter units.Time
-	// JitterSeed seeds the jitter source; runs are reproducible per
-	// seed.
-	JitterSeed int64
 	// Trace receives observation callbacks; may be nil.
 	Trace *Trace
 	// Metrics, when non-nil, is bound to this network at construction and
@@ -102,9 +86,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.ProcDelay == 0 {
 		c.ProcDelay = 3 * units.Microsecond
-	}
-	if c.HostQueueDepth == 0 {
-		c.HostQueueDepth = 1
 	}
 	if c.TxRing == 0 {
 		c.TxRing = 128

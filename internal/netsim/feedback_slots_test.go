@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -23,34 +22,28 @@ type delivery struct {
 
 // emitTap wraps a channel's Env and predicts, at emission, when and with what
 // payload the message must reach the tap: emission time plus the wire, link and
-// processing delay, plus this message's own jitter sample and injected extra —
-// drawn from twins of the network's two random sources, which the network
-// consults in this same emission order.
+// processing delay, plus this message's own injected extra — drawn from a twin
+// of the network's fault injector, which the network consults in this same
+// emission order.
 type emitTap struct {
 	*fcEnv
-	jitter *rand.Rand
-	twin   *faults.Injector
-	want   *[]delivery
+	twin *faults.Injector
+	want *[]delivery
 }
 
 func (e emitTap) Emit(m flowcontrol.Message) {
 	n, now := e.n, e.n.eng.Now()
 	at := now + units.TransmissionTime(m.Wire(), e.down.capacity) + e.down.link.Delay + n.cfg.ProcDelay
-	if e.jitter != nil {
-		at += units.Time(e.jitter.Int63n(int64(n.cfg.FeedbackJitter)))
-	}
-	if e.twin != nil {
-		_, extra := e.twin.FeedbackVerdict(e.down.link.ID, e.down.owner.id, m.Kind, now)
-		at += extra
-	}
+	_, extra := e.twin.FeedbackVerdict(e.down.link.ID, e.down.owner.id, m.Kind, now)
+	at += extra
 	*e.want = append(*e.want, delivery{at, e.down.owner.id, e.up.owner.id, m})
 	e.fcEnv.Emit(m)
 }
 
-// TestFeedbackSlotsUnderReordering: when feedback jitter or an injected delay
-// lets a later message overtake an earlier one on the same channel, every
-// emitted message must still reach the tap exactly once, with its own payload,
-// at emission time plus its own sampled delay. Delivery slots are per message,
+// TestFeedbackSlotsUnderReordering: when an injected feedback delay lets a
+// later message overtake an earlier one on the same channel, every emitted
+// message must still reach the tap exactly once, with its own payload, at
+// emission time plus its own sampled delay. Delivery slots are per message,
 // so this holds by construction; a FIFO of payloads behind pre-bound callbacks
 // (the packet path's trick) would hand the overtaking delivery the overtaken
 // payload and fail here.
@@ -65,22 +58,16 @@ func TestFeedbackSlotsUnderReordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(t *testing.T, jitter units.Time, plan *faults.Plan) uint64 {
+	run := func(t *testing.T) uint64 {
 		var want, got []delivery
 		tap := emitTap{want: &want}
-		// A 2 µs credit period is well inside both delay spreads, so
+		// A 2 µs credit period is well inside the preset's delay spread, so
 		// consecutive adverts of one channel do overtake each other.
 		cfg := baseConfig(func(p flowcontrol.Params, env flowcontrol.Env) (flowcontrol.Controller, error) {
 			tap.fcEnv = env.(*fcEnv)
 			return flowcontrol.NewCBFC(flowcontrol.CBFCConfig{Period: 2 * units.Microsecond})(p, tap)
 		})
-		if jitter > 0 {
-			cfg.FeedbackJitter, cfg.JitterSeed = jitter, 7
-			tap.jitter = rand.New(rand.NewSource(7))
-		}
-		if plan != nil {
-			cfg.Faults, tap.twin = plan.NewInjector(7), plan.NewInjector(7)
-		}
+		cfg.Faults, tap.twin = plan.NewInjector(7), plan.NewInjector(7)
 		n, err := New(topo, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -128,18 +115,9 @@ func TestFeedbackSlotsUnderReordering(t *testing.T) {
 		t.Logf("%d deliveries, %d overtaking", len(got), overtakes)
 		return h.Sum64()
 	}
-	for _, tc := range []struct {
-		name   string
-		jitter units.Time
-		plan   *faults.Plan
-	}{
-		{"jitter", 20 * units.Microsecond, nil},
-		{"feedback-delay", 0, plan},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if a, b := run(t, tc.jitter, tc.plan), run(t, tc.jitter, tc.plan); a != b {
-				t.Errorf("two same-seed runs hash %x and %x", a, b)
-			}
-		})
-	}
+	t.Run("feedback-delay", func(t *testing.T) {
+		if a, b := run(t), run(t); a != b {
+			t.Errorf("two same-seed runs hash %x and %x", a, b)
+		}
+	})
 }

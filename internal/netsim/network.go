@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/eventsim"
@@ -18,13 +17,12 @@ import (
 // instances may run concurrently on different goroutines (the
 // internal/runner worker pool relies on exactly this).
 type Network struct {
-	cfg    Config
-	topo   *topology.Topology
-	eng    *eventsim.Engine
-	nodes  []*node
-	flows  []*Flow
-	drops  int64
-	jitter *rand.Rand // nil when FeedbackJitter is zero
+	cfg   Config
+	topo  *topology.Topology
+	eng   *eventsim.Engine
+	nodes []*node
+	flows []*Flow
+	drops int64
 	// metrics is cfg.Metrics, cached so the hot path pays one nil check
 	// when observability is disabled.
 	metrics *metrics.Registry
@@ -101,9 +99,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, topo: topo, eng: eventsim.New()}
-	if cfg.FeedbackJitter > 0 {
-		n.jitter = rand.New(rand.NewSource(cfg.JitterSeed))
-	}
 	nn := topo.NumNodes()
 
 	// Pass 1: size the dense arrays. The channel index layout must match
@@ -329,9 +324,6 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	}
 	delay := units.TransmissionTime(wire, e.down.capacity) +
 		e.down.link.Delay + n.cfg.ProcDelay
-	if n.jitter != nil {
-		delay += units.Time(n.jitter.Int63n(int64(n.cfg.FeedbackJitter)))
-	}
 	now := n.eng.Now()
 	if e.down.adminDown {
 		// The link is administratively down: the frame is emitted into a

@@ -19,15 +19,19 @@ import (
 // superseded timer never loses a wake-up, because every blocked kick or
 // refill re-derives and re-schedules its own next wake.
 
-// refill keeps the host NIC queue at the configured depth, drawing packets
-// from active flows round-robin and honouring per-flow pacers.
+// hostQueueDepth is how many packets a host NIC keeps queued: one, so release
+// is gated on transmission and flow pacers are exact.
+const hostQueueDepth = 1
+
+// refill keeps the host NIC queue at hostQueueDepth, drawing packets from
+// active flows round-robin and honouring per-flow pacers.
 func (n *Network) refill(h *node) {
 	if h.kind != topology.Host || len(h.ports) == 0 {
 		return
 	}
 	p := &h.ports[0]
 	now := n.eng.Now()
-	for p.totalQueued() < n.cfg.HostQueueDepth {
+	for p.totalQueued() < hostQueueDepth {
 		f, wake := n.nextFlow(h, now)
 		if f == nil {
 			if wake != units.Never && wake > now {

@@ -143,39 +143,6 @@ func TestInputQueuedHOL(t *testing.T) {
 	}
 }
 
-func TestFeedbackJitterDeterministicPerSeed(t *testing.T) {
-	run := func(seed int64) units.Size {
-		topo := topology.TwoToOne(topology.DefaultLinkParams())
-		cfg := baseConfig(pfcFactory())
-		cfg.FeedbackJitter = 20 * units.Microsecond
-		cfg.JitterSeed = seed
-		// τ must budget for the jitter or PFC headroom is too small.
-		cfg.Tau = 30 * units.Microsecond
-		n, err := New(topo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, src := range []string{"H1", "H2"} {
-			if err := n.AddFlow(spfFlow(t, topo, i+1, src, "H3", 0), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		n.Run(5 * units.Millisecond)
-		if n.Drops() != 0 {
-			t.Fatalf("drops = %d with jittered feedback", n.Drops())
-		}
-		return n.TotalDelivered()
-	}
-	a1, a2 := run(7), run(7)
-	if a1 != a2 {
-		t.Fatal("same jitter seed produced different results")
-	}
-	b := run(8)
-	if a1 == b {
-		t.Log("different seeds coincided (possible but unlikely)")
-	}
-}
-
 func TestBlockingForwardingStallsSwitch(t *testing.T) {
 	// Under SchedBlocking with a paused egress, the whole switch's
 	// forwarding for that priority freezes once the TX ring fills —

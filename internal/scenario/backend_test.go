@@ -78,7 +78,6 @@ func TestFluidSupportsReasons(t *testing.T) {
 		}, "generator"},
 		{"cbfc", func(s *Spec) { s.Scheme.FC = CBFC }, "credit"},
 		{"bfc", func(s *Spec) { s.Scheme.FC = BFC }, "per-flow queues"},
-		{"jitter", func(s *Spec) { s.Sim.FeedbackJitterNs = units.Microsecond }, "jitter"},
 		{"scheduling", func(s *Spec) { s.Sim.Scheduling = "blocking" }, "packet-granular"},
 		{"dcfit", func(s *Spec) { s.Run.Detector = "dcfit" }, "DCFIT"},
 		{"both-detectors", func(s *Spec) { s.Run.Detector = "both" }, "DCFIT"},

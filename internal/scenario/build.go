@@ -122,7 +122,6 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 		}
 		gen := workload.NewGenerator(sim.Net, c.table, dist, workload.EdgeRacks(c.topo), c.generatorSeed())
 		gen.FlowsPerHost = g.FlowsPerHost
-		gen.Think = g.ThinkNs
 		if err := gen.Start(); err != nil {
 			return nil, err
 		}
@@ -200,8 +199,7 @@ func (s *Sim) Run() *Result {
 // with the caller's extra budget (non-zero caller fields win). A tripped
 // governor returns the partial Result — with Result.Stopped set — alongside
 // the *netsim.RunError. With StopOnDeadlock the run ends at the detector's
-// first report; Quiesce specs run without the horizon heartbeat, so draining
-// the queue ends the run early. No event past the horizon fires either way.
+// first report. No event past the horizon fires.
 func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error) {
 	d := s.Spec.Run.DurationNs
 	eng := s.Net.Engine()
@@ -218,11 +216,9 @@ func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, err
 		}
 		eng.After(deadlock.PollInterval, watch)
 	}
-	if !s.Spec.Run.Quiesce {
-		// A heartbeat pins the horizon so the clock reaches d even if
-		// the event queue drains early (deadlock, finished workload).
-		eng.Schedule(d, func() {})
-	}
+	// A heartbeat pins the horizon so the clock reaches d even if the
+	// event queue drains early (deadlock, finished workload).
+	eng.Schedule(d, func() {})
 	err := s.Net.RunBounded(ctx, d, s.Spec.Limits.Budget().Overlay(extra))
 	res := s.summarise()
 	var re *netsim.RunError
@@ -333,16 +329,6 @@ func buildRouting(spec Spec, topo *topology.Topology) (*routing.Table, error) {
 	switch spec.Routing.Policy {
 	case "spf":
 		return routing.NewSPF(topo), nil
-	case "spf-toward":
-		dsts := make([]topology.NodeID, 0, len(spec.Routing.Toward))
-		for _, name := range spec.Routing.Toward {
-			id, ok := topo.Lookup(name)
-			if !ok {
-				return nil, fmt.Errorf("scenario: routing: no node named %q", name)
-			}
-			dsts = append(dsts, id)
-		}
-		return routing.NewSPFToward(topo, dsts), nil
 	case "none":
 		return nil, nil
 	default: // "auto", "": build SPF only if something needs a table.
@@ -403,15 +389,8 @@ func (s *Spec) simConfig() (netsim.Config, FCParams, error) {
 	if m.ECNBytes != 0 {
 		cfg.ECNThreshold = m.ECNBytes
 	}
-	if m.HostQueueDepth != 0 {
-		cfg.HostQueueDepth = m.HostQueueDepth
-	}
 	if m.TxRing != 0 {
 		cfg.TxRing = m.TxRing
-	}
-	if m.FeedbackJitterNs != 0 {
-		cfg.FeedbackJitter = m.FeedbackJitterNs
-		cfg.JitterSeed = m.JitterSeed
 	}
 	sched, err := parseScheduling(m.Scheduling)
 	if err != nil {
@@ -510,8 +489,6 @@ func buildDist(g *GeneratorSpec) (*workload.SizeDist, error) {
 	switch g.Dist {
 	case "", "enterprise":
 		return workload.Enterprise(), nil
-	case "datamining":
-		return workload.DataMining(), nil
 	case "uniform":
 		return workload.Uniform(g.UniformBytes), nil
 	default:

@@ -25,7 +25,7 @@ type FluidBackend struct {
 	// RenderGenerator substitutes a deterministic saturating stand-in for
 	// generator workloads: FlowsPerHost unbounded flows per host toward
 	// seeded inter-rack destinations. The stand-in upper-bounds the
-	// generator's congestion (persistent sources never pause to think), so
+	// generator's congestion (persistent sources never finish), so
 	// occupancy is checked against the worst case — but it is not the
 	// generator's byte sequence, so only fluid sweeps (experiments.RunSweep)
 	// turn it on.
@@ -50,9 +50,6 @@ func (b FluidBackend) Supports(spec *Spec) error {
 		return fmt.Errorf("scenario: fluid backend: BFC per-flow queues are packet-granular")
 	default:
 		return fmt.Errorf("scenario: fluid backend: no fluid mapping for scheme %q", spec.Scheme.FC)
-	}
-	if spec.Sim.FeedbackJitterNs > 0 {
-		return fmt.Errorf("scenario: fluid backend: feedback jitter is event-granular")
 	}
 	switch spec.Sim.Scheduling {
 	case "", "input-queued":

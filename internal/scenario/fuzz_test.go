@@ -35,7 +35,7 @@ func userSpecExample(t testing.TB) []byte {
 // harness, not what a user may declare.
 func affordable(s *Spec) bool {
 	t := s.Topology
-	for _, n := range []int{t.K, t.N, t.HostsPerSwitch, s.Sim.TxRing, s.Sim.HostQueueDepth, s.Scheme.Params.Queues} {
+	for _, n := range []int{t.K, t.N, t.HostsPerSwitch, s.Sim.TxRing, s.Scheme.Params.Queues} {
 		if n > 64 {
 			return false
 		}

@@ -114,38 +114,6 @@ func TestRunBoundedHonoursSpecLimits(t *testing.T) {
 	}
 }
 
-// TestQuiesceStopsAtHorizon pins that a Quiesce run whose queue has not
-// drained by the horizon ends there, through both entry points: no event
-// past DurationNs fires.
-func TestQuiesceStopsAtHorizon(t *testing.T) {
-	for _, governed := range []bool{false, true} {
-		spec := governedSpec()
-		spec.Run.Quiesce = true
-		// Off the packet-time grid, so no event lands exactly on the horizon.
-		spec.Run.DurationNs = units.Millisecond + 1
-		sim, err := Build(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sim.Run
-		if governed {
-			res = func() *Result {
-				r, err := sim.RunBounded(context.Background(), netsim.Budget{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return r
-			}
-		}
-		if end := res().End; end > spec.Run.DurationNs {
-			t.Errorf("governed=%v: run ended at %v, past the %v horizon", governed, end, spec.Run.DurationNs)
-		}
-		if sim.Net.Engine().Pending() == 0 {
-			t.Fatalf("governed=%v: queue drained before the horizon; the test proves nothing", governed)
-		}
-	}
-}
-
 func TestRunBoundedOverlayPrecedence(t *testing.T) {
 	// The caller's budget must override the spec's generous Limits.
 	spec := governedSpec()

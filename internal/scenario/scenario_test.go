@@ -80,6 +80,15 @@ func TestParseValidates(t *testing.T) {
 		{"sim priorities", `{"name":"x","topology":{"builder":"ring"},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"sim":{"priorities":2},"run":{"duration_ns":1}}`, `unknown field "priorities"`},
 		{"flow priority", `{"name":"x","topology":{"builder":"ring"},"workload":{"flows":[{"src":"H1","dst":"H2","priority":1}]},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown field "priority"`},
 		{"generator priority", `{"name":"x","topology":{"builder":"fat-tree","k":4},"workload":{"generator":{"priority":1}},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown field "priority"`},
+		// A key or value the Spec does not carry is named, not ignored.
+		{"feedback jitter", `{"name":"x","topology":{"builder":"ring"},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"sim":{"feedback_jitter_ns":1000},"run":{"duration_ns":1}}`, `unknown field "feedback_jitter_ns"`},
+		{"jitter seed", `{"name":"x","topology":{"builder":"ring"},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"sim":{"jitter_seed":7},"run":{"duration_ns":1}}`, `unknown field "jitter_seed"`},
+		{"host queue depth", `{"name":"x","topology":{"builder":"ring"},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"sim":{"host_queue_depth":4},"run":{"duration_ns":1}}`, `unknown field "host_queue_depth"`},
+		{"routing toward", `{"name":"x","topology":{"builder":"ring"},"routing":{"toward":["H1"]},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown field "toward"`},
+		{"spf-toward", `{"name":"x","topology":{"builder":"ring"},"routing":{"policy":"spf-toward"},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown policy "spf-toward"`},
+		{"quiesce", `{"name":"x","topology":{"builder":"ring"},"workload":{"pattern":"ring-clockwise"},"scheme":{"fc":"PFC"},"run":{"duration_ns":1,"quiesce":true}}`, `unknown field "quiesce"`},
+		{"think time", `{"name":"x","topology":{"builder":"fat-tree","k":4},"workload":{"generator":{"think_ns":1000}},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown field "think_ns"`},
+		{"datamining", `{"name":"x","topology":{"builder":"fat-tree","k":4},"workload":{"generator":{"dist":"datamining"}},"scheme":{"fc":"PFC"},"run":{"duration_ns":1}}`, `unknown generator dist "datamining"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

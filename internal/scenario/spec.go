@@ -86,11 +86,8 @@ type FailRandomSpec struct {
 // RoutingSpec selects the routing policy.
 type RoutingSpec struct {
 	// Policy is "auto" (default: build an SPF table only when the
-	// workload needs one), "spf" (all hosts), "spf-toward" (only the
-	// named destinations) or "none".
+	// workload needs one), "spf" (all hosts) or "none".
 	Policy string `json:"policy,omitempty"`
-	// Toward lists destination host names for "spf-toward".
-	Toward []string `json:"toward,omitempty"`
 }
 
 // WorkloadSpec declares the traffic. Exactly one source must be present:
@@ -124,16 +121,12 @@ type FlowSpec struct {
 
 // GeneratorSpec parameterises the random inter-rack workload generator.
 type GeneratorSpec struct {
-	// Dist is "enterprise" (default), "datamining" or "uniform".
+	// Dist is "enterprise" (default) or "uniform".
 	Dist string `json:"dist,omitempty"`
 	// UniformBytes is the fixed size for Dist "uniform".
 	UniformBytes units.Size `json:"uniform_bytes,omitempty"`
 	// FlowsPerHost is the per-host concurrency; <= 0 means 1.
 	FlowsPerHost int `json:"flows_per_host,omitempty"`
-	// ThinkNs is the idle gap between a host's flow finishing and its
-	// successor launching; 0 chains back-to-back (the paper's workload).
-	// A positive value turns the saturating workload into flow churn.
-	ThinkNs units.Time `json:"think_ns,omitempty"`
 	// Seed seeds the generator's private source; 0 uses Spec.Seed.
 	Seed int64 `json:"seed,omitempty"`
 }
@@ -150,18 +143,15 @@ type SchemeSpec struct {
 // SimSpec overrides netsim.Config knobs; zero fields keep the preset's (or
 // netsim's) defaults.
 type SimSpec struct {
-	BufferBytes    units.Size `json:"buffer_bytes,omitempty"`
-	MTUBytes       units.Size `json:"mtu_bytes,omitempty"`
-	ProcDelayNs    units.Time `json:"proc_delay_ns,omitempty"`
-	TauNs          units.Time `json:"tau_ns,omitempty"`
-	ECNBytes       units.Size `json:"ecn_bytes,omitempty"`
-	HostQueueDepth int        `json:"host_queue_depth,omitempty"`
+	BufferBytes units.Size `json:"buffer_bytes,omitempty"`
+	MTUBytes    units.Size `json:"mtu_bytes,omitempty"`
+	ProcDelayNs units.Time `json:"proc_delay_ns,omitempty"`
+	TauNs       units.Time `json:"tau_ns,omitempty"`
+	ECNBytes    units.Size `json:"ecn_bytes,omitempty"`
 	// Scheduling is "" or one of "input-queued", "fifo", "voq",
 	// "blocking".
-	Scheduling       string     `json:"scheduling,omitempty"`
-	TxRing           int        `json:"tx_ring,omitempty"`
-	FeedbackJitterNs units.Time `json:"feedback_jitter_ns,omitempty"`
-	JitterSeed       int64      `json:"jitter_seed,omitempty"`
+	Scheduling string `json:"scheduling,omitempty"`
+	TxRing     int    `json:"tx_ring,omitempty"`
 	// Backend selects the simulation backend: "" or "packet" replays every
 	// packet through netsim; "fluid" integrates the network-of-queues rate
 	// model (a few times faster, subject to FluidBackend.Supports).
@@ -240,11 +230,6 @@ type RunSpec struct {
 	// StopOnDeadlock ends the run at first detection (implies
 	// DetectDeadlock).
 	StopOnDeadlock bool `json:"stop_on_deadlock,omitempty"`
-	// Quiesce ends the run when the event queue drains, if that happens
-	// before DurationNs. Recurring events (the deadlock detector's poll,
-	// unbounded flows) keep the queue non-empty, so Quiesce only
-	// terminates early for finite, detector-free workloads.
-	Quiesce bool `json:"quiesce,omitempty"`
 	// Analytic attaches the network-wide analytic checker: Build ensures
 	// a metrics registry is bound (attaching one if no override supplies
 	// it) and Run/RunBounded fill Result.Analytic with the prediction and
@@ -386,10 +371,6 @@ func (t *TopologySpec) HostCount() int {
 func (r *RoutingSpec) validate() error {
 	switch r.Policy {
 	case "", "auto", "spf", "none":
-	case "spf-toward":
-		if len(r.Toward) == 0 {
-			return fmt.Errorf("scenario: routing: spf-toward needs a toward list")
-		}
 	default:
 		return fmt.Errorf("scenario: routing: unknown policy %q", r.Policy)
 	}
@@ -437,16 +418,13 @@ func (w *WorkloadSpec) validate() error {
 	}
 	if g := w.Generator; g != nil {
 		switch g.Dist {
-		case "", "enterprise", "datamining":
+		case "", "enterprise":
 		case "uniform":
 			if g.UniformBytes <= 0 {
 				return fmt.Errorf("scenario: workload: generator dist uniform needs uniform_bytes > 0, got %d", g.UniformBytes)
 			}
 		default:
 			return fmt.Errorf("scenario: workload: unknown generator dist %q", g.Dist)
-		}
-		if g.ThinkNs < 0 {
-			return fmt.Errorf("scenario: workload: negative generator think_ns %d", g.ThinkNs)
 		}
 	}
 	return nil
@@ -472,7 +450,7 @@ func (m *SimSpec) validate() error {
 		return err
 	}
 	if m.BufferBytes < 0 || m.MTUBytes < 0 || m.ECNBytes < 0 ||
-		m.ProcDelayNs < 0 || m.TauNs < 0 || m.FeedbackJitterNs < 0 ||
+		m.ProcDelayNs < 0 || m.TauNs < 0 ||
 		m.FluidStepNs < 0 {
 		return fmt.Errorf("scenario: sim: negative size or time field")
 	}

@@ -44,13 +44,6 @@ type Generator struct {
 	// intensify transient convergence — useful to raise the deadlock
 	// occurrence rate in budget-limited Table 1 sweeps.
 	FlowsPerHost int
-	// Think is the idle gap between a flow finishing and the same host
-	// launching its successor. The paper's workload chains back-to-back
-	// (Think 0); a positive value models application think time and turns
-	// the fixed flow population into churn — connections close and reopen
-	// instead of saturating, which shifts load from standing queues to
-	// flow-arrival transients.
-	Think units.Time
 
 	hosts  []topology.NodeID // the destination candidates, resolved by Start
 	nextID int
@@ -136,12 +129,11 @@ func (g *Generator) launch(src topology.NodeID, at units.Time) error {
 	}
 	f.OnDone = func(done *netsim.Flow) {
 		g.Completed = append(g.Completed, done)
-		// Chain the next flow from the same host after the think gap
+		// Chain the next flow from the same host back-to-back
 		// (§6.2.3: "Once this flow is finished, the host repeats the
-		// above process" — back-to-back when Think is 0). Routing
-		// failures cannot occur here: the host just proved it can
-		// route somewhere.
-		_ = g.launch(done.Src, g.Net.Now()+g.Think)
+		// above process"). Routing failures cannot occur here: the
+		// host just proved it can route somewhere.
+		_ = g.launch(done.Src, g.Net.Now())
 	}
 	return g.Net.AddFlow(f, at)
 }

@@ -66,9 +66,6 @@ func TestSizeDistValidateBoundaries(t *testing.T) {
 	if err := Enterprise().Validate(); err != nil {
 		t.Fatalf("Enterprise(): %v", err)
 	}
-	if err := DataMining().Validate(); err != nil {
-		t.Fatalf("DataMining(): %v", err)
-	}
 	if err := Uniform(0).Validate(); err == nil {
 		t.Fatal("Uniform(0) validated; want non-positive size error")
 	}

@@ -60,23 +60,6 @@ func Enterprise() *SizeDist {
 	})
 }
 
-// DataMining returns the heavier-tailed data-mining workload shape often
-// paired with the enterprise one, provided for workload-sensitivity
-// ablations.
-func DataMining() *SizeDist {
-	return newSizeDist([]point{
-		{100 * units.Byte, 0},
-		{300 * units.Byte, 0.45},
-		{1 * units.KB, 0.60},
-		{10 * units.KB, 0.75},
-		{100 * units.KB, 0.82},
-		{1 * units.MB, 0.88},
-		{10 * units.MB, 0.94},
-		{100 * units.MB, 0.99},
-		{1000 * units.MB, 1.0},
-	})
-}
-
 // Uniform returns a degenerate distribution that always samples size s; for
 // controlled experiments.
 func Uniform(s units.Size) *SizeDist {

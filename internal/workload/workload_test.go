@@ -79,21 +79,6 @@ func TestSampleMatchesCDF(t *testing.T) {
 	}
 }
 
-func TestDataMiningHeavierTail(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	mean := func(d *SizeDist) units.Size {
-		var total units.Size
-		for i := 0; i < 20000; i++ {
-			total += d.Sample(rng)
-		}
-		return total / 20000
-	}
-	e, m := mean(Enterprise()), mean(DataMining())
-	if m <= e {
-		t.Errorf("data-mining mean %v not heavier than enterprise %v", m, e)
-	}
-}
-
 func TestUniformDist(t *testing.T) {
 	d := Uniform(1234)
 	rng := rand.New(rand.NewSource(1))
@@ -157,46 +142,6 @@ func TestGeneratorDrivesTraffic(t *testing.T) {
 	if len(net.Flows()) <= len(topo.Hosts()) {
 		t.Errorf("flows = %d, hosts = %d; no chaining observed",
 			len(net.Flows()), len(topo.Hosts()))
-	}
-}
-
-func TestGeneratorThinkTime(t *testing.T) {
-	// The churn knob: with a think gap longer than the run, a successor
-	// is scheduled but never starts, so only the initial per-host flows
-	// can complete; with Think 0 the same seed chains completions well
-	// past the host count.
-	run := func(think units.Time) (flows int, completed int) {
-		topo := topology.FatTree(4, topology.DefaultLinkParams())
-		net, err := netsim.New(topo, netsim.Config{
-			BufferSize:  300 * units.KB,
-			FlowControl: flowcontrol.NewPFC(flowcontrol.PFCConfig{}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab := routing.NewSPF(topo)
-		g := NewGenerator(net, tab, Enterprise(), EdgeRacks(topo), 42)
-		g.Think = think
-		if err := g.Start(); err != nil {
-			t.Fatal(err)
-		}
-		net.Run(2 * units.Millisecond)
-		return len(net.Flows()), len(g.Completed)
-	}
-	hosts := len(topology.FatTree(4, topology.DefaultLinkParams()).Hosts())
-	chained, completedChained := run(0)
-	churned, completedChurned := run(units.Second)
-	if completedChained == 0 || completedChurned == 0 {
-		t.Fatalf("no completions (chained %d, churned %d)", completedChained, completedChurned)
-	}
-	if completedChurned > hosts {
-		t.Errorf("with a run-length think gap, %d completions exceed the %d initial flows", completedChurned, hosts)
-	}
-	if completedChained <= completedChurned {
-		t.Errorf("think 0 completed %d flows, not more than the churned run's %d", completedChained, completedChurned)
-	}
-	if chained <= churned {
-		t.Errorf("think 0 launched %d flows, not more than the churned run's %d", chained, churned)
 	}
 }
 

@@ -23,14 +23,9 @@ var specUserOnly = map[string]string{
 	"faults.inline.links[].feedback[].from_ns":  "starts a feedback fault after the run does: loss or delay confined to an epoch, where every preset's lasts the whole run",
 	"faults.inline.links[].feedback[].until_ns": "ends a feedback fault before the run does, so the run shows how each scheme recovers from it",
 	"limits.check_every":                        "governor polling interval for a spec that bounds itself; the CLI's -budget-* flags set the other limits",
-	"routing.toward":                            "destinations of policy spf-toward, for a hand-written incast that wants a partial table",
-	"run.quiesce":                               "ends a finite, detector-free user workload when its queue drains (TestQuiesceStopsAtHorizon pins it)",
 	"scheme.params.b1_bytes":                    "GFC first-stage threshold; ROADMAP 1(c)'s one-knob-at-a-time experiments move it",
 	"scheme.params.period_ns":                   "CBFC / time-based GFC feedback period T, the knob of Theorem 5.1",
 	"scheme.params.queues":                      "BFC physical queues per channel (default 8)",
-	"sim.feedback_jitter_ns":                    "software-switch latency variance (§6.1); the fluid backend refuses it by name",
-	"sim.jitter_seed":                           "seed of sim.feedback_jitter_ns",
-	"sim.host_queue_depth":                      "host NIC queue depth; 1 keeps pacers exact, deeper models a real NIC ring",
 	"sim.mtu_bytes":                             "jumbo-frame runs: τ and every headroom term scale with it",
 	"sim.scheduling":                            "the switching discipline: ROADMAP 1(c)/(d)'s instrument and the grid that motivates item 1",
 	"sim.tx_ring":                               "TX ring depth of scheduling \"blocking\"",
@@ -39,7 +34,6 @@ var specUserOnly = map[string]string{
 	"workload.flows[].size_bytes":               "finite pinned flows, the only way a hand-written spec measures completion times",
 	"workload.flows[].start_ns":                 "staggered onsets for hand-written flows",
 	"workload.generator.seed":                   "re-draws the workload on a fixed failure scenario (Spec.Seed moves both)",
-	"workload.generator.think_ns":               "flow churn instead of the paper's back-to-back saturating workload",
 	"workload.generator.uniform_bytes":          "size of dist \"uniform\"; Parse requires it with that dist",
 }
 
