@@ -54,7 +54,7 @@ var (
 	series     = flag.Bool("series", false, "print raw time-series data points")
 	chart      = flag.Bool("chart", false, "render time series as ASCII charts")
 	metricsOut = flag.String("metrics-out", "",
-		"write per-channel metrics reports, one per simulated run (JSON, or CSV when\nthe path ends in .csv), and fail on invariant violations")
+		"write per-channel metrics reports, one per simulated run, as a JSON array\n(whatever the path's suffix), and fail on invariant violations; read by the\nsingle-run figures and -scenario")
 	faultSpec = flag.String("faults", "",
 		"fault scenario: a preset name (resume-loss, feedback-loss, feedback-delay,\nflap, degrade) or a path to a JSON spec file; applies to fig9/fig10 and the\nfaults matrix (deterministic per -seed)")
 	scenarioName = flag.String("scenario", "",
@@ -234,8 +234,8 @@ func stopProfiles() error {
 var sink *experiments.MetricsSink
 
 // scenarioDriver is -scenario in the dispatch table's terms; of the optional
-// flags it reads -backend.
-var scenarioDriver = experiments.Driver{Name: "-scenario", Flags: []string{"backend"}, Run: runScenario}
+// flags it reads -backend and -metrics-out.
+var scenarioDriver = experiments.Driver{Name: "-scenario", Flags: []string{"backend", "metrics-out"}, Run: runScenario}
 
 // validateFlags resolves what to run and rejects what it could not honour,
 // before anything runs or prints: enum and range flags outside their domain,

@@ -110,7 +110,11 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // flow completion times, which a fluid cell does not have, so fig17 lists no
 // -backend (it used to run six sweeps and print an empty table, exit 0). A
 // sweep does not retry, so -exp table1 -retries is refused too: only the fault
-// matrix reads -retries.
+// matrix reads -retries. Only the drivers that record runs into the metrics
+// sink read -metrics-out: -exp faults, table1 and fig15 (and fig16, fig17)
+// used to accept it, write nothing and exit 0, skipping the invariant gate
+// the flag promises; refused here, main exits before the sink exists, so no
+// file is created.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
@@ -140,6 +144,12 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 			"-retries is not read by table1 (honoured by: faults)"},
 		{func() []string { *scenarioName = "incast-gfcbuf"; return []string{"backend", "faults"} },
 			"-faults is not read by -scenario"},
+		{func() []string { *expName = "faults"; return []string{"exp", "metrics-out"} },
+			"-metrics-out is not read by faults (honoured by: fig5, fig9, fig10, fig12, fig13, fig14, fig18, fig19, fig20, -scenario)"},
+		{func() []string { *expName = "table1"; return []string{"exp", "metrics-out"} },
+			"-metrics-out is not read by table1"},
+		{func() []string { *expName = "fig15"; return []string{"exp", "metrics-out"} },
+			"-metrics-out is not read by fig15"},
 	} {
 		oldBackend, oldScale, oldDuration := *backendName, *table1Scale, *duration
 		oldWorkers, oldExp, oldScenario := *workers, *expName, *scenarioName
@@ -195,7 +205,8 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	}
 
 	// Every flag a driver lists exists, and the flags every packet driver
-	// honours are accepted everywhere.
+	// honours are accepted everywhere. (-metrics-out used to be one of them,
+	// which pinned the drivers that dropped it.)
 	for _, d := range append(experiments.Drivers, scenarioDriver) {
 		for _, name := range d.Flags {
 			if flag.Lookup(name) == nil {
@@ -204,7 +215,7 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		}
 		old := *expName
 		*expName = strings.TrimPrefix(d.Name, "-scenario")
-		set := append([]string{"exp", "duration", "metrics-out", "budget-events", "stall-events", "seed", "workers"}, d.Flags...)
+		set := append([]string{"exp", "duration", "budget-events", "stall-events", "seed", "workers"}, d.Flags...)
 		if got, err := validateFlags(set); err != nil || got.Name != d.Name {
 			t.Errorf("%s with its own flags: driver %v, err %v", d.Name, got, err)
 		}

@@ -71,16 +71,20 @@ func (o *Options) sub() RunOptions {
 // Driver is one -exp experiment.
 type Driver struct {
 	Name string
-	// Flags names the optional CLI flags the driver reads. -duration,
-	// -metrics-out, the -budget-* family, -stall-events and ^C reach every
-	// packet driver through RunOptions and need no entry; a flag listed by
-	// some driver and set for one that does not list it is a usage error.
+	// Flags names the optional CLI flags the driver reads. -duration, the
+	// -budget-* family, -stall-events and ^C reach every packet driver
+	// through RunOptions and need no entry; -metrics-out is an entry of each
+	// driver that records its runs into Options.Sink. A flag listed by some
+	// driver and set for one that does not list it is a usage error.
 	Flags []string
 	Run   func(w io.Writer, o *Options) error
 }
 
 var (
-	faultFlags = []string{"faults"}
+	// metricsFlags are the flags of a single-run section: each run it makes
+	// records one report into the sink.
+	metricsFlags = []string{"metrics-out"}
+	faultFlags   = []string{"faults", "metrics-out"}
 	// packetSweepFlags are the flags of a sweep that has one engine: Figure 17
 	// reports flow completion times, which a fluid cell (unbounded stand-in
 	// flows) does not have, so fig17 reads no -backend.
@@ -90,12 +94,12 @@ var (
 
 // Drivers is the dispatch table, in the paper's order.
 var Drivers = []Driver{
-	{"fig5", nil, fig5Section},
+	{"fig5", metricsFlags, fig5Section},
 	{"fig9", faultFlags, ringSection(PFC, GFCBuf)},
 	{"fig10", faultFlags, ringSection(CBFC, GFCTime)},
-	{"fig12", nil, caseStudySection(PFC, GFCBuf)},
-	{"fig13", nil, caseStudySection(CBFC, GFCTime)},
-	{"fig14", nil, victimSection},
+	{"fig12", metricsFlags, caseStudySection(PFC, GFCBuf)},
+	{"fig13", metricsFlags, caseStudySection(CBFC, GFCTime)},
+	{"fig14", metricsFlags, victimSection},
 	{"fig15", nil, func(w io.Writer, _ *Options) error {
 		_, err := fmt.Fprint(w, Fig15Rows().String())
 		return err
@@ -106,9 +110,9 @@ var Drivers = []Driver{
 		"Figure 16: average available bandwidth over deadlock-free runs", Fig16Rows)},
 	{"fig17", packetSweepFlags, sweepSection(
 		"Figure 17: average slowdown (normalised to the per-scale minimum)", Fig17Rows)},
-	{"fig18", nil, evolutionSection},
-	{"fig19", nil, overheadSection},
-	{"fig20", nil, fig20Section},
+	{"fig18", metricsFlags, evolutionSection},
+	{"fig19", metricsFlags, overheadSection},
+	{"fig20", metricsFlags, fig20Section},
 	{"faults", []string{"faults", "retries", "retry-backoff"}, faultMatrixSection},
 }
 

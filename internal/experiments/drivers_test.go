@@ -213,16 +213,23 @@ func TestEveryDriverIsGoverned(t *testing.T) {
 }
 
 // TestMetricsSinkRecordsEveryPacketDriver pins that -metrics-out reaches
-// every figure: each single-run section records one report per run it makes
-// (fig5 used to accept the flag, write nothing and exit 0).
+// every figure that lists it, and that exactly the single-run sections list
+// it: each records one report per run it makes (fig5 used to accept the
+// flag, write nothing and exit 0).
 func TestMetricsSinkRecordsEveryPacketDriver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every packet driver once")
 	}
-	for name, runs := range map[string]int{
+	want := map[string]int{
 		"fig5": 2, "fig9": 4, "fig10": 4, "fig12": 4, "fig13": 4, "fig14": 4,
 		"fig18": 2, "fig19": 1, "fig20": 1,
-	} {
+	}
+	for _, d := range Drivers {
+		if _, ok := want[d.Name]; ok != slices.Contains(d.Flags, "metrics-out") {
+			t.Errorf("-exp %s lists -metrics-out: %v, want %v", d.Name, !ok, ok)
+		}
+	}
+	for name, runs := range want {
 		d, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/deadlock"
@@ -168,6 +170,36 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		}
 		return g.sum()
 	},
+	"fig9-metrics-report": func(t *testing.T) uint64 {
+		// The -metrics-out bytes of the fig9 section under feedback-loss:
+		// four runs with occupancy series, drop violations, feedback-drop
+		// and rate-scale faults, and totals. PFC drops, so Flush writes the
+		// report and then fails the invariant gate.
+		d, err := Lookup("fig9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "m.json")
+		o := &Options{
+			RunOptions: RunOptions{Duration: 10 * units.Millisecond},
+			Seed:       1,
+			Faults:     "feedback-loss",
+			Sink:       NewMetricsSink(path),
+		}
+		if err := d.Run(io.Discard, o); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Sink.Flush(); err == nil || !strings.Contains(err.Error(), "violated invariants") {
+			t.Fatalf("Flush = %v, want the invariant violation", err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newHasher()
+		g.h.Write(data)
+		return g.sum()
+	},
 }
 
 // sweepHash runs a small PFC failure sweep with the given worker count and
@@ -236,9 +268,10 @@ func checkGolden(t *testing.T, name string, got uint64) {
 
 // TestGoldenTraces regression-pins the end-to-end event streams of the
 // paper's key experiments (fig9, fig12, fig19, table1) plus the canonical
-// faulted scenario against recorded FNV-1a hashes. A mismatch means the
-// simulation produced different results than the commit that recorded the
-// goldens — intended changes re-record with -update.
+// faulted scenario, and the bytes of a faulted fig9 -metrics-out report,
+// against recorded FNV-1a hashes. A mismatch means the simulation (or the
+// report's encoding) changed since the commit that recorded the goldens —
+// intended changes re-record with -update.
 func TestGoldenTraces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five experiments (~10 s)")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/units"
@@ -16,23 +15,23 @@ import (
 // simulator's observability hooks disabled.
 type MetricsSink struct {
 	path string
-	csv  bool
 	runs []metricsRun
 }
 
+// metricsRun is one run's record; its tags are the report file's entries.
 type metricsRun struct {
-	name string
-	rep  *metrics.Report
-	err  error
+	Name   string          `json:"run"`
+	Report *metrics.Report `json:"report"`
+	err    error
 }
 
-// NewMetricsSink returns the sink writing to path (JSON, or CSV when the path
-// ends in .csv); nil for an empty path.
+// NewMetricsSink returns the sink writing a JSON array of run reports to
+// path, whatever its suffix; nil for an empty path.
 func NewMetricsSink(path string) *MetricsSink {
 	if path == "" {
 		return nil
 	}
-	return &MetricsSink{path: path, csv: strings.HasSuffix(path, ".csv")}
+	return &MetricsSink{path: path}
 }
 
 // Registry returns a fresh registry for one simulation run, or nil when the
@@ -50,7 +49,7 @@ func (s *MetricsSink) Record(name string, reg *metrics.Registry, at units.Time) 
 	if s == nil || reg == nil {
 		return
 	}
-	s.runs = append(s.runs, metricsRun{name: name, rep: reg.Report(at), err: reg.Err()})
+	s.runs = append(s.runs, metricsRun{Name: name, Report: reg.Report(at), err: reg.Err()})
 }
 
 // Flush writes the collected reports and then returns the first invariant
@@ -65,50 +64,15 @@ func (s *MetricsSink) Flush() error {
 		return err
 	}
 	defer f.Close()
-	if s.csv {
-		err = s.writeCSV(f)
-	} else {
-		err = s.writeJSON(f)
-	}
-	if err != nil {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s.runs); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "metrics: wrote %d run report(s) to %s\n", len(s.runs), s.path)
 	for _, r := range s.runs {
 		if r.err != nil {
-			return fmt.Errorf("run %s violated invariants: %w", r.name, r.err)
-		}
-	}
-	return nil
-}
-
-func (s *MetricsSink) writeJSON(f *os.File) error {
-	type namedReport struct {
-		Run    string          `json:"run"`
-		Report *metrics.Report `json:"report"`
-	}
-	out := make([]namedReport, len(s.runs))
-	for i, r := range s.runs {
-		out[i] = namedReport{Run: r.name, Report: r.rep}
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-func (s *MetricsSink) writeCSV(f *os.File) error {
-	row := func(cells []string) error {
-		_, err := fmt.Fprintln(f, strings.Join(cells, ","))
-		return err
-	}
-	if err := row(append([]string{"run"}, metrics.CSVHeader()...)); err != nil {
-		return err
-	}
-	for _, r := range s.runs {
-		for _, rec := range r.rep.CSVRecords() {
-			if err := row(append([]string{r.name}, rec...)); err != nil {
-				return err
-			}
+			return fmt.Errorf("run %s violated invariants: %w", r.Name, r.err)
 		}
 	}
 	return nil

@@ -37,7 +37,7 @@ var AllFCs = scenario.AllFCs
 // RunOptions is what the caller of any single-run driver decides about the
 // run itself, as opposed to what the figure declares: every driver overlays
 // it on its scenario and ends in Sim.RunBounded, so budgets, cancellation and
-// -metrics-out reach every figure the same way.
+// -metrics-out reach every single-run figure the same way.
 type RunOptions struct {
 	// Ctx is polled and Budget enforced by the run governor; a trip
 	// surfaces as a *netsim.RunError. A nil Ctx means context.Background(),

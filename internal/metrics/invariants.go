@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/gfcsim/gfc/internal/core"
-	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -80,24 +79,27 @@ func (k ViolationKind) String() string {
 	}
 }
 
-// Violation is one recorded invariant failure, located on its channel.
+// MarshalText encodes the kind by name in reports.
+func (k ViolationKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Violation is one recorded invariant failure, located on its channel; its
+// tags are the report's violation records.
 type Violation struct {
-	Kind     ViolationKind
-	At       units.Time
-	Node     topology.NodeID
-	NodeName string
-	Port     int
-	FromName string
+	Kind     ViolationKind `json:"kind"`
+	At       units.Time    `json:"at_ns"`
+	NodeName string        `json:"node"`
+	Port     int           `json:"port"`
+	FromName string        `json:"from"`
 	// Occupancy and Limit carry the violated quantity and its bound
 	// (for stage violations: the stage ID and table maximum).
-	Occupancy units.Size
-	Limit     units.Size
-	Detail    string
+	Occupancy units.Size `json:"occupancy"`
+	Limit     units.Size `json:"limit"`
+	Detail    string     `json:"detail,omitempty"`
 	// FaultsSoFar is how many faults had been injected when the violation
 	// fired — zero means it happened on a clean network; otherwise the
 	// first FaultsSoFar faults of the report are the candidate triggers (the
 	// last of them the most likely one).
-	FaultsSoFar int64
+	FaultsSoFar int64 `json:"faults_so_far,omitempty"`
 }
 
 func (v Violation) String() string {
@@ -143,7 +145,7 @@ func (e *InvariantError) Error() string {
 // violate records v against channel idx, filling in the channel identity.
 func (r *Registry) violate(v Violation, idx int) {
 	ch := r.chans[idx]
-	v.Node, v.NodeName, v.Port, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.FromName
+	v.NodeName, v.Port, v.FromName = ch.NodeName, ch.Port, ch.FromName
 	v.FaultsSoFar = r.faultCount
 	if len(r.violations) < maxViolations {
 		r.violations = append(r.violations, v)
@@ -254,7 +256,7 @@ func (r *Registry) CheckNetwork(b NetworkBounds, at units.Time, delivered units.
 			Occupancy: c.HighWater, Limit: b.MaxOccupancy,
 			Detail: "high-water above analytic envelope",
 		}
-		v.Node, v.NodeName, v.Port, v.FromName = ch.Node, ch.NodeName, ch.Port, ch.FromName
+		v.NodeName, v.Port, v.FromName = ch.NodeName, ch.Port, ch.FromName
 		e.Violations = append(e.Violations, v)
 	}
 	if b.MaxDelivered > 0 && delivered > b.MaxDelivered {

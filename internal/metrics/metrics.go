@@ -78,36 +78,37 @@ type Channel struct {
 	Host     bool // Node is a host (its ingress consumes immediately)
 }
 
-// Counters is the per-channel counter block. All byte quantities are
-// cumulative over the run.
+// Counters is the per-channel counter block; its tags are the counter
+// columns of a report's channels. All byte quantities are cumulative over
+// the run.
 type Counters struct {
 	// BytesIn is data admitted into the ingress buffer; BytesOut is data
 	// serialised by the upstream transmitter onto this channel (BytesOut −
 	// BytesIn is in flight or dropped).
-	BytesIn  units.Size
-	BytesOut units.Size
+	BytesIn  units.Size `json:"bytes_in"`
+	BytesOut units.Size `json:"bytes_out"`
 	// Departed is data released from the ingress buffer downstream.
-	Departed units.Size
+	Departed units.Size `json:"departed_bytes"`
 	// HighWater is the maximum ingress occupancy observed.
-	HighWater units.Size
-	// LastDepartAt is the time of the most recent release — the progress
-	// signal the deadlock detector consumes.
-	LastDepartAt units.Time
-	Admits       int64
-	Drops        int64
+	HighWater units.Size `json:"occupancy_high_water"`
+	// LastDepartAt is the time of the most recent release. The deadlock
+	// detectors do not read it: they window on netsim.IngressState.
+	LastDepartAt units.Time `json:"last_depart_ns,omitempty"`
+	Admits       int64      `json:"admits"`
+	Drops        int64      `json:"drops,omitempty"`
 	// FeedbackMsgs / FeedbackWire count flow-control messages emitted by
 	// this channel's receiver and their wire bytes (the Figure 19 /
 	// Table 1 overhead numerators).
-	FeedbackMsgs int64
-	FeedbackWire units.Size
-	PauseMsgs    int64
-	ResumeMsgs   int64
-	StageMsgs    int64
-	CreditMsgs   int64
-	QueueMsgs    int64
+	FeedbackMsgs int64      `json:"feedback_msgs"`
+	FeedbackWire units.Size `json:"feedback_wire_bytes"`
+	PauseMsgs    int64      `json:"pause_msgs,omitempty"`
+	ResumeMsgs   int64      `json:"resume_msgs,omitempty"`
+	StageMsgs    int64      `json:"stage_msgs,omitempty"`
+	CreditMsgs   int64      `json:"credit_msgs,omitempty"`
+	QueueMsgs    int64      `json:"queue_msgs,omitempty"`
 	// LastStage / MaxStage track GFC stage feedback on this channel.
-	LastStage int32
-	MaxStage  int32
+	LastStage int32 `json:"last_stage,omitempty"`
+	MaxStage  int32 `json:"max_stage,omitempty"`
 }
 
 // Registry accumulates per-channel counters and invariant verdicts for one

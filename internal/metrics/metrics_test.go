@@ -295,21 +295,3 @@ func TestReportAndJSONRoundTrip(t *testing.T) {
 		t.Errorf("round-tripped channels = %+v", back.Channels)
 	}
 }
-
-func TestReportCSV(t *testing.T) {
-	r := New(Options{})
-	twoNodeLayout(r)
-	idx := r.ChannelIndex(1, 1)
-	r.OnAdmit(idx, 10, 1500, 1500)
-	rows := r.Report(0).CSVRecords()
-	if len(rows) != 1 {
-		t.Fatalf("csv rows = %d: %v", len(rows), rows)
-	}
-	header, row := CSVHeader(), rows[0]
-	if len(row) != len(header) {
-		t.Fatalf("column mismatch: %d header, %d row", len(header), len(row))
-	}
-	if row[0] != "s1" || row[1] != "1" {
-		t.Errorf("row = %v", row)
-	}
-}

@@ -130,7 +130,7 @@ func TestMetricsSeededViolation(t *testing.T) {
 	}
 	found := false
 	for _, v := range ie.Violations {
-		if v.Kind == metrics.ViolationCeiling && v.Node == sw && v.Limit == 2*units.KB {
+		if v.Kind == metrics.ViolationCeiling && v.NodeName == "S1" && v.Limit == 2*units.KB {
 			found = true
 			if v.Occupancy <= v.Limit {
 				t.Fatalf("violation occupancy %v not above limit %v", v.Occupancy, v.Limit)

@@ -72,8 +72,8 @@ func (b *BinCounter) Rates() []units.Rate {
 
 // Series is a time-stamped scalar series (queue lengths, rates).
 type Series struct {
-	T []units.Time
-	V []float64
+	T []units.Time `json:"t_ns"`
+	V []float64    `json:"v"`
 }
 
 // Append adds a point.
