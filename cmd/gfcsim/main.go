@@ -377,7 +377,7 @@ func runScenario(w io.Writer, o *experiments.Options) error {
 	verdict := "no deadlock"
 	if res.Deadlocked {
 		verdict = fmt.Sprintf("DEADLOCK (%v) at %v", res.DeadlockKind, res.DeadlockAt)
-	} else if ps, ok := sim.(*scenario.Sim); ok && ps.Detector == nil {
+	} else if ps, ok := sim.(*scenario.Sim); ok && ps.Detector == nil && ps.DCFIT == nil {
 		verdict = "deadlock detection off"
 	}
 	fmt.Fprintf(w, "  ran to %v: %s\n", res.End, verdict)

@@ -366,3 +366,25 @@ func TestScenarioWallBudgetExits3(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioDCFITOnlyVerdict pins that a run whose only detector is DCFIT
+// reports DCFIT's verdict: the steady ring prints "no deadlock", never
+// "deadlock detection off".
+func TestScenarioDCFITOnlyVerdict(t *testing.T) {
+	old := *scenarioName
+	defer func() { *scenarioName = old }()
+	*scenarioName = filepath.Join(t.TempDir(), "dcfit-ring.json")
+	spec := `{"name": "dcfit-ring", "topology": {"builder": "ring", "n": 3},
+		"workload": {"pattern": "ring-clockwise"}, "scheme": {"fc": "PFC", "preset": "testbed"},
+		"run": {"duration_ns": 20000000, "detect_deadlock": true, "detector": "dcfit"}}`
+	if err := os.WriteFile(*scenarioName, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var w strings.Builder
+	if _, err := runTo(t, context.Background(), &scenarioDriver, &w); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(w.String(), "ran to 20ms: no deadlock\n") {
+		t.Errorf("DCFIT-only run on the steady ring printed\n%s", w.String())
+	}
+}

@@ -86,22 +86,15 @@ type Input struct {
 	Duration units.Time
 }
 
-// Prediction is the per-topology analytic verdict. Bounds() converts the
-// quantitative fields into the metrics-layer checker's input.
+// Prediction is the per-topology analytic verdict: the bounds the
+// metrics-layer network checker asserts, plus the witnesses they rest on.
 type Prediction struct {
-	// DeadlockFree: the analysis guarantees the run cannot deadlock
-	// (positive service rate on every dependency cycle, or no cycle to
-	// wait on).
-	DeadlockFree bool
-	// Lossless: the scheme's thresholds leave enough reaction headroom
-	// that the analysis guarantees zero drops.
-	Lossless bool
-	// MaxOccupancy is the per-channel occupancy envelope in bytes.
-	MaxOccupancy units.Size
-	// MaxDelivered bounds aggregate delivered bytes over Duration.
-	MaxDelivered units.Size
-	// MinDelivered is the progress floor (0 when nothing is guaranteed).
-	MinDelivered units.Size
+	// NetworkBounds are the guarantees: DeadlockFree when every dependency
+	// cycle keeps a positive service rate (or there is none), Lossless when
+	// the thresholds leave the reaction headroom, the occupancy envelope,
+	// and delivered bytes over Duration bounded above and (the progress
+	// floor, 0 when nothing is guaranteed) below.
+	metrics.NetworkBounds
 	// FloorRate is the worst-case positive service rate the scheme
 	// sustains on a congested channel — the Bouillard cycle-service
 	// witness (0 when the scheme can stop a channel completely).
@@ -109,17 +102,6 @@ type Prediction struct {
 	// Tau is the worst-case feedback latency the envelope budgets for:
 	// max(configured τ override, per-link equation-6 bound).
 	Tau units.Time
-}
-
-// Bounds converts the prediction to the metrics-layer network checker input.
-func (p *Prediction) Bounds() metrics.NetworkBounds {
-	return metrics.NetworkBounds{
-		MaxOccupancy: p.MaxOccupancy,
-		MaxDelivered: p.MaxDelivered,
-		MinDelivered: p.MinDelivered,
-		Lossless:     p.Lossless,
-		DeadlockFree: p.DeadlockFree,
-	}
 }
 
 // warmup is the horizon below which no progress floor is asserted: first

@@ -300,18 +300,6 @@ func TestPredictWarmupFloor(t *testing.T) {
 	}
 }
 
-func TestBoundsMapping(t *testing.T) {
-	p := &Prediction{
-		MaxOccupancy: 1, MaxDelivered: 2, MinDelivered: 3,
-		Lossless: true, DeadlockFree: true,
-	}
-	b := p.Bounds()
-	if b.MaxOccupancy != 1 || b.MaxDelivered != 2 || b.MinDelivered != 3 ||
-		!b.Lossless || !b.DeadlockFree {
-		t.Errorf("Bounds() = %+v", b)
-	}
-}
-
 // TestPredictDeterministic: Predict is pure — identical inputs produce
 // structurally identical predictions, across schemes and repeated calls.
 func TestPredictDeterministic(t *testing.T) {

@@ -9,6 +9,7 @@ package cbd
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -111,21 +112,31 @@ func (g *Graph) HasCycle() bool { return len(g.FindCycle()) > 0 }
 // FindCycle returns the channels of one dependency cycle, or nil when the
 // graph is acyclic. The cycle is returned in traversal order.
 func (g *Graph) FindCycle() []Channel {
+	var out []Channel
+	for _, u := range Cycle(g.succ) {
+		out = append(out, g.names[u])
+	}
+	return out
+}
+
+// Cycle returns the vertices of one cycle of the directed graph whose vertex
+// u has successors succ[u], in traversal order (each vertex's successor is
+// the next), or nil when the graph is acyclic. The depth-first search starts
+// from each vertex in index order and follows each successor list in order,
+// so the cycle it returns is the first one that search closes.
+func Cycle(succ [][]int) []int {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := make([]int, len(g.names))
-	parent := make([]int, len(g.names))
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycleFrom, cycleTo = -1, -1
+	color := make([]uint8, len(succ))
+	parent := make([]int, len(succ))
+	from, to := -1, -1
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		color[u] = grey
-		for _, v := range g.succ[u] {
+		for _, v := range succ[u] {
 			switch color[v] {
 			case white:
 				parent[v] = u
@@ -133,34 +144,31 @@ func (g *Graph) FindCycle() []Channel {
 					return true
 				}
 			case grey:
-				cycleFrom, cycleTo = u, v
+				from, to = u, v
 				return true
 			}
 		}
 		color[u] = black
 		return false
 	}
-	for u := range g.names {
+	for u := range succ {
 		if color[u] == white && dfs(u) {
 			break
 		}
 	}
-	if cycleFrom < 0 {
+	if from < 0 {
 		return nil
 	}
-	// Walk parents from cycleFrom back to cycleTo.
-	var rev []Channel
-	for u := cycleFrom; ; u = parent[u] {
-		rev = append(rev, g.names[u])
-		if u == cycleTo {
+	// Walk parents from the closing vertex back to where the cycle entered.
+	var cycle []int
+	for u := from; ; u = parent[u] {
+		cycle = append(cycle, u)
+		if u == to {
 			break
 		}
 	}
-	out := make([]Channel, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
+	slices.Reverse(cycle)
+	return cycle
 }
 
 // FromAllPairs builds the dependency graph of every shortest path between

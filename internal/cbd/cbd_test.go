@@ -2,6 +2,7 @@ package cbd
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,27 @@ func TestDuplicateEdgesIgnored(t *testing.T) {
 	}
 	if got := g.NumChannels(); got != 3 {
 		t.Fatalf("channels = %d, want 3 (deduplicated)", got)
+	}
+}
+
+// TestCycle pins Cycle's search order: the cycle returned is the first the
+// depth-first search closes, starting from each vertex in index order.
+func TestCycle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		succ [][]int
+		want []int
+	}{
+		{"acyclic", [][]int{{1, 2}, {2}, {}}, nil},
+		{"self-loop", [][]int{{1}, {1}}, []int{1}},
+		{"two disjoint cycles", [][]int{{1}, {2}, {0}, {4}, {3}}, []int{0, 1, 2}},
+		// Vertex 0 leads into the cycle 3→4, which closes before 1→2 is
+		// searched, though 1 and 2 have lower indices.
+		{"tail into the later cycle", [][]int{{3}, {2}, {1}, {4}, {3}}, []int{3, 4}},
+	} {
+		if got := Cycle(tc.succ); !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("%s: Cycle = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -4,26 +4,17 @@ import (
 	"cmp"
 	"slices"
 
-	"github.com/gfcsim/gfc/internal/eventsim"
+	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
-
-// Probe is what the scenario layer asks of an installed detector, which
-// reports at most one permanent standstill. Both the global snapshot Detector
-// and the in-data-plane DCFIT implement it.
-type Probe interface {
-	// Deadlocked reports the detection result so far; nil when none.
-	Deadlocked() *Report
-}
 
 // FeedbackNetwork is the observational slice of netsim.Network DCFIT needs:
 // unlike the global Detector it never snapshots buffer state — it taps the
 // feedback plane itself.
 type FeedbackNetwork interface {
 	Now() units.Time
-	Engine() *eventsim.Engine
 	SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message))
 }
 
@@ -78,31 +69,15 @@ type DCFIT struct {
 	candAt  units.Time
 	hasCand bool
 
-	report    *Report
-	installed bool
+	report *Report
 }
 
-// NewDCFIT returns a DCFIT detector over n. Call Install to start observing.
+// NewDCFIT returns a DCFIT detector tapping n's feedback plane. Call Check
+// periodically to confirm cycles.
 func NewDCFIT(n FeedbackNetwork) *DCFIT {
-	return &DCFIT{net: n, edges: make(map[EdgeKey]dcfitEdge)}
-}
-
-// Install taps the network's feedback plane and schedules periodic cycle
-// confirmation until a deadlock is found.
-func (d *DCFIT) Install() {
-	if d.installed {
-		return
-	}
-	d.installed = true
-	d.net.SetFeedbackObserver(d.onDeliver)
-	var tick func()
-	tick = func() {
-		if d.Check() != nil {
-			return // stop polling once detected
-		}
-		d.net.Engine().After(PollInterval, tick)
-	}
-	d.net.Engine().After(PollInterval, tick)
+	d := &DCFIT{net: n, edges: make(map[EdgeKey]dcfitEdge)}
+	n.SetFeedbackObserver(d.onDeliver)
+	return d
 }
 
 // Deadlocked reports the detection result so far; nil when none.
@@ -188,14 +163,14 @@ func (d *DCFIT) Check() *Report {
 	if now-d.candAt < window {
 		return nil
 	}
-	keys := make([]ChannelKey, len(cycle))
+	chans := make([]cbd.Channel, len(cycle))
 	for i, k := range cycle {
-		keys[i] = ChannelKey{From: k.Up, Node: k.Down}
+		chans[i] = cbd.Channel{From: k.Up, To: k.Down}
 	}
 	d.report = &Report{
 		At:       now,
 		Kind:     CircularWait,
-		Cycle:    keys,
+		Cycle:    chans,
 		StallFor: now - d.candAt,
 	}
 	return d.report

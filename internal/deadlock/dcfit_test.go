@@ -3,7 +3,6 @@ package deadlock
 import (
 	"testing"
 
-	"github.com/gfcsim/gfc/internal/eventsim"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -16,17 +15,14 @@ type fakeFeedbackNet struct {
 	obs func(from, to topology.NodeID, m flowcontrol.Message)
 }
 
-func (f *fakeFeedbackNet) Now() units.Time          { return f.now }
-func (f *fakeFeedbackNet) Engine() *eventsim.Engine { panic("Check-only fake") }
+func (f *fakeFeedbackNet) Now() units.Time { return f.now }
 func (f *fakeFeedbackNet) SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message)) {
 	f.obs = fn
 }
 
 func newFakeDCFIT() (*DCFIT, *fakeFeedbackNet) {
 	f := &fakeFeedbackNet{now: units.Millisecond}
-	d := NewDCFIT(f)
-	d.net.SetFeedbackObserver(d.onDeliver)
-	return d, f
+	return NewDCFIT(f), f
 }
 
 // pause delivers a PAUSE emitted by down to its upstream up, creating the
@@ -62,7 +58,7 @@ func TestDCFITReportsCycleAfterWindow(t *testing.T) {
 	}
 	for i, c := range rep.Cycle {
 		next := rep.Cycle[(i+1)%len(rep.Cycle)]
-		if c.Node != next.From {
+		if c.To != next.From {
 			t.Fatalf("cycle does not chain: %v", rep.Cycle)
 		}
 	}
@@ -204,10 +200,8 @@ func TestDCFITTriggerInheritance(t *testing.T) {
 // observing the same standstill.
 func TestDCFITRingAgreesWithGlobal(t *testing.T) {
 	n, _ := buildRing(t, 2, pfcTestbed())
-	g := NewDetector(n)
-	g.Install()
-	d := NewDCFIT(n)
-	d.Install()
+	g, d := NewDetector(n), NewDCFIT(n)
+	poll(n, g.Check, d.Check)
 	n.Run(100 * units.Millisecond)
 
 	grep, drep := g.Deadlocked(), d.Deadlocked()

@@ -4,13 +4,16 @@
 // wait-for graph — each stalled buffer's traffic must enter the next stalled
 // buffer. This is the *hold and wait* + *circular wait* combination of §2.1
 // observed dynamically, on exactly the channel graph the static CBD analysis
-// (package cbd) reasons about.
+// (package cbd) reasons about: channels are cbd.Channel, and the cycle search
+// over the stalled ones is cbd.Cycle. The detectors are passive; whoever
+// runs the network checks them every PollInterval.
 package deadlock
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"github.com/gfcsim/gfc/internal/eventsim"
+	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -22,8 +25,7 @@ const (
 	// window is how long a buffer (Detector) or a closed pause cycle (DCFIT)
 	// must stay stalled before it is reported.
 	window = 5 * units.Millisecond
-	// PollInterval is the detectors' polling period — the cadence
-	// StopOnDeadlock watchers check Deadlocked at.
+	// PollInterval is the detectors' polling period.
 	PollInterval = units.Millisecond
 )
 
@@ -34,13 +36,6 @@ const (
 type Network interface {
 	Now() units.Time
 	AppendIngressStates(dst []netsim.IngressState) []netsim.IngressState
-	Engine() *eventsim.Engine
-}
-
-// ChannelKey identifies one ingress buffer: the directed channel From→Node.
-type ChannelKey struct {
-	From topology.NodeID
-	Node topology.NodeID
 }
 
 // Kind distinguishes the two permanent-standstill shapes the detector
@@ -69,9 +64,9 @@ func (k Kind) String() string {
 
 // Wedge identifies a wedged channel: the stalled ingress buffer and the
 // next-hop node its zero-rate egress points at (the channel
-// Ingress.Node→Via is the one flow control holds shut).
+// Ingress.To→Via is the one flow control holds shut).
 type Wedge struct {
-	Ingress ChannelKey
+	Ingress cbd.Channel
 	Via     topology.NodeID
 }
 
@@ -84,7 +79,7 @@ type Report struct {
 	Kind Kind
 	// Cycle is one cycle of mutually waiting ingress buffers, in order:
 	// each element's traffic waits on the next (CircularWait only).
-	Cycle []ChannelKey
+	Cycle []cbd.Channel
 	// Wedged describes the held-shut channel (WedgedChannel only).
 	Wedged *Wedge
 	// StallFor is how long the reported buffers had been stalled at
@@ -92,9 +87,8 @@ type Report struct {
 	StallFor units.Time
 }
 
-// Detector polls a Network for sustained circular standstill. Create one
-// with NewDetector and call Install to schedule periodic checks, or drive
-// Check manually.
+// Detector polls a Network for sustained circular standstill: create one
+// with NewDetector and call Check periodically.
 //
 // The detector is stateless between polls: each buffer's no-progress
 // interval is read off the network's own progress counters (the
@@ -109,19 +103,6 @@ type Detector struct {
 
 // NewDetector returns a detector over n.
 func NewDetector(n Network) *Detector { return &Detector{net: n} }
-
-// Install schedules periodic checks on the network's engine until a
-// deadlock is found.
-func (d *Detector) Install() {
-	var tick func()
-	tick = func() {
-		if d.Check() != nil {
-			return // stop polling once detected
-		}
-		d.net.Engine().After(PollInterval, tick)
-	}
-	d.net.Engine().After(PollInterval, tick)
-}
 
 // Deadlocked reports the detection result so far; nil when none.
 func (d *Detector) Deadlocked() *Report { return d.report }
@@ -146,10 +127,8 @@ func (d *Detector) Check() *Report {
 	// administratively-down egress is likewise excluded: a link outage is
 	// a transient condition that resolves when the link returns, not a
 	// flow-control hold — counting it would report every flap on a ring
-	// as a deadlock. The maps are made at the first such buffer: a healthy
-	// poll touches none.
-	var stalled map[ChannelKey]netsim.IngressState
-	var stallStart map[ChannelKey]units.Time
+	// as a deadlock. A healthy poll allocates nothing.
+	var stalled []stall
 	for _, is := range states {
 		if is.Occupancy == 0 {
 			continue
@@ -164,93 +143,41 @@ func (d *Detector) Check() *Report {
 		if !blockedForever {
 			continue
 		}
-		start := is.LastDepartAt
-		if is.OccupiedSince > start {
-			start = is.OccupiedSince
-		}
+		start := max(is.LastDepartAt, is.OccupiedSince)
 		if now-start < window {
 			continue
 		}
-		if stalled == nil {
-			stalled = make(map[ChannelKey]netsim.IngressState)
-			stallStart = make(map[ChannelKey]units.Time)
-		}
-		key := ChannelKey{From: is.From, Node: is.Node}
-		stalled[key] = is
-		stallStart[key] = start
+		stalled = append(stalled, stall{cbd.Channel{From: is.From, To: is.Node}, is, start})
 	}
 	if len(stalled) == 0 {
 		return nil
 	}
 
-	// Wait-for edges among stalled buffers: (u→v) waits on (v→w) when
-	// traffic held in (u→v) must next enter w's buffer fed by v.
-	adj := make(map[ChannelKey][]ChannelKey, len(stalled))
-	for key, is := range stalled {
-		for _, w := range is.Waits {
-			next := ChannelKey{From: key.Node, Node: w.On}
-			if _, ok := stalled[next]; ok {
-				adj[key] = append(adj[key], next)
+	// Wait-for edges among stalled buffers, numbered in channel order:
+	// (u→v) waits on (v→w) when traffic held in (u→v) must next enter w's
+	// buffer fed by v.
+	slices.SortFunc(stalled, func(a, b stall) int { return compare(a.ch, b.ch) })
+	succ := make([][]int, len(stalled))
+	for i, s := range stalled {
+		for _, w := range s.is.Waits {
+			next := cbd.Channel{From: s.ch.To, To: w.On}
+			if j, ok := slices.BinarySearchFunc(stalled, next, func(s stall, c cbd.Channel) int { return compare(s.ch, c) }); ok {
+				succ[i] = append(succ[i], j)
 			}
 		}
-		sort.Slice(adj[key], func(i, j int) bool { return less(adj[key][i], adj[key][j]) })
+		slices.Sort(succ[i])
 	}
-
-	// Find a cycle with DFS over the stalled subgraph.
-	keys := make([]ChannelKey, 0, len(stalled))
-	for k := range stalled {
-		keys = append(keys, k)
+	cycle := cbd.Cycle(succ)
+	if cycle == nil {
+		return d.checkWedge(now, states, stalled)
 	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-
-	color := make(map[ChannelKey]int, len(stalled)) // 0 white 1 grey 2 black
-	parent := make(map[ChannelKey]ChannelKey, len(stalled))
-	var cycFrom, cycTo *ChannelKey
-	var dfs func(u ChannelKey) bool
-	dfs = func(u ChannelKey) bool {
-		color[u] = 1
-		for _, v := range adj[u] {
-			switch color[v] {
-			case 0:
-				parent[v] = u
-				if dfs(v) {
-					return true
-				}
-			case 1:
-				uu, vv := u, v
-				cycFrom, cycTo = &uu, &vv
-				return true
-			}
-		}
-		color[u] = 2
-		return false
-	}
-	for _, k := range keys {
-		if color[k] == 0 && dfs(k) {
-			break
-		}
-	}
-	if cycFrom == nil {
-		return d.checkWedge(now, states, keys, stalled, stallStart)
-	}
-	var rev []ChannelKey
-	for u := *cycFrom; ; u = parent[u] {
-		rev = append(rev, u)
-		if u == *cycTo {
-			break
-		}
-	}
-	cycle := make([]ChannelKey, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		cycle = append(cycle, rev[i])
-	}
+	chans := make([]cbd.Channel, len(cycle))
 	stallFor := units.Never
-	for _, k := range cycle {
-		if s := now - stallStart[k]; s < stallFor {
-			stallFor = s
-		}
+	for i, u := range cycle {
+		chans[i] = stalled[u].ch
+		stallFor = min(stallFor, now-stalled[u].start)
 	}
-	d.report = &Report{At: now, Kind: CircularWait, Cycle: cycle, StallFor: stallFor}
+	d.report = &Report{At: now, Kind: CircularWait, Cycle: chans, StallFor: stallFor}
 	return d.report
 }
 
@@ -266,36 +193,28 @@ func (d *Detector) Check() *Report {
 // holds never look like this — an in-flight release clears within a
 // feedback latency, far inside the window — and GFC cannot produce the
 // shape at all, since its rates never reach zero.
-func (d *Detector) checkWedge(
-	now units.Time, states []netsim.IngressState, keys []ChannelKey,
-	stalled map[ChannelKey]netsim.IngressState, stallStart map[ChannelKey]units.Time,
-) *Report {
-	byKey := make(map[ChannelKey]netsim.IngressState, len(states))
+func (d *Detector) checkWedge(now units.Time, states []netsim.IngressState, stalled []stall) *Report {
+	byChannel := make(map[cbd.Channel]netsim.IngressState, len(states))
 	for _, is := range states {
-		byKey[ChannelKey{From: is.From, Node: is.Node}] = is
+		byChannel[cbd.Channel{From: is.From, To: is.Node}] = is
 	}
-	for _, key := range keys {
-		is := stalled[key]
-		for _, w := range is.Waits {
+	for _, s := range stalled {
+		for _, w := range s.is.Waits {
 			if w.Rate > 0 || w.Down {
 				continue
 			}
-			holder, ok := byKey[ChannelKey{From: key.Node, Node: w.On}]
+			holder, ok := byChannel[cbd.Channel{From: s.ch.To, To: w.On}]
 			if !ok || holder.Occupancy > 0 {
 				continue // host-facing or still legitimately held
 			}
-			idle := holder.LastDepartAt
-			if holder.OccupiedSince > idle {
-				idle = holder.OccupiedSince
-			}
-			if now-idle < window {
+			if now-max(holder.LastDepartAt, holder.OccupiedSince) < window {
 				continue
 			}
 			d.report = &Report{
 				At:       now,
 				Kind:     WedgedChannel,
-				Wedged:   &Wedge{Ingress: key, Via: w.On},
-				StallFor: now - stallStart[key],
+				Wedged:   &Wedge{Ingress: s.ch, Via: w.On},
+				StallFor: now - s.start,
 			}
 			return d.report
 		}
@@ -303,9 +222,15 @@ func (d *Detector) checkWedge(
 	return nil
 }
 
-func less(a, b ChannelKey) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.Node < b.Node
+// stall is one deadlock-eligible buffer: its channel, its snapshot and when
+// it last made progress.
+type stall struct {
+	ch    cbd.Channel
+	is    netsim.IngressState
+	start units.Time
+}
+
+// compare orders channels by (From, To).
+func compare(a, b cbd.Channel) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }

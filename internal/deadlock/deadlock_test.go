@@ -78,9 +78,27 @@ func hostIngress(n *netsim.Network, sw, host string) units.Size {
 
 func runWithDetector(n *netsim.Network, until units.Time) *Detector {
 	d := NewDetector(n)
-	d.Install()
+	poll(n, d.Check)
 	n.Run(until)
 	return d
+}
+
+// poll runs checks every PollInterval until each has reported, as a built
+// scenario polls its detectors.
+func poll(n *netsim.Network, checks ...func() *Report) {
+	var tick func()
+	tick = func() {
+		pending := false
+		for _, check := range checks {
+			if check() == nil {
+				pending = true
+			}
+		}
+		if pending {
+			n.Engine().After(PollInterval, tick)
+		}
+	}
+	n.Engine().After(PollInterval, tick)
 }
 
 func TestPFCRingDeadlocks(t *testing.T) {
@@ -96,7 +114,7 @@ func TestPFCRingDeadlocks(t *testing.T) {
 	// The cycle must chain channel-to-channel.
 	for i, c := range rep.Cycle {
 		next := rep.Cycle[(i+1)%len(rep.Cycle)]
-		if c.Node != next.From {
+		if c.To != next.From {
 			t.Fatalf("cycle does not chain: %v", rep.Cycle)
 		}
 	}

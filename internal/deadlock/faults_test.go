@@ -3,7 +3,6 @@ package deadlock
 import (
 	"testing"
 
-	"github.com/gfcsim/gfc/internal/eventsim"
 	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/routing"
@@ -19,8 +18,7 @@ type fakeNet struct {
 	states []netsim.IngressState
 }
 
-func (f *fakeNet) Now() units.Time          { return f.now }
-func (f *fakeNet) Engine() *eventsim.Engine { panic("Check-only fake") }
+func (f *fakeNet) Now() units.Time { return f.now }
 func (f *fakeNet) AppendIngressStates(dst []netsim.IngressState) []netsim.IngressState {
 	return append(dst, f.states...)
 }
@@ -115,7 +113,7 @@ func TestFlapRecoversWithoutDeadlock(t *testing.T) {
 		flows = append(flows, f)
 	}
 	d := NewDetector(n)
-	d.Install()
+	poll(n, d.Check)
 
 	n.Run(20 * units.Millisecond) // through the outage
 	if rep := d.Deadlocked(); rep != nil {

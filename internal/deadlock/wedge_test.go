@@ -3,6 +3,7 @@ package deadlock
 import (
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -47,7 +48,7 @@ func TestCheckReportsWedgedChannel(t *testing.T) {
 	if rep.Wedged == nil {
 		t.Fatal("Wedged detail missing")
 	}
-	want := ChannelKey{From: 1, Node: 2}
+	want := cbd.Channel{From: 1, To: 2}
 	if rep.Wedged.Ingress != want || rep.Wedged.Via != 3 {
 		t.Fatalf("Wedged = %+v, want ingress %v via 3", rep.Wedged, want)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // FaultKind buckets injected faults for attribution. It mirrors the fault
-// taxonomy of internal/faults without importing it, keeping metrics a leaf
-// package (same reason FeedbackClass mirrors flowcontrol.Kind).
+// taxonomy of internal/faults without importing it: the registry depends on
+// the model packages (core, flowcontrol) and value types, never on a
+// simulator subsystem such as the injector.
 type FaultKind uint8
 
 // Fault kinds.

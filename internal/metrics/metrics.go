@@ -16,22 +16,9 @@
 package metrics
 
 import (
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
-)
-
-// FeedbackClass buckets flow-control feedback messages for accounting. It
-// mirrors flowcontrol.Kind without importing it, so the dependency points
-// from the simulator into metrics only.
-type FeedbackClass uint8
-
-// Feedback classes.
-const (
-	FeedbackPause FeedbackClass = iota
-	FeedbackResume
-	FeedbackStage
-	FeedbackCredit
-	FeedbackQueue
 )
 
 // Options configures a Registry.
@@ -239,20 +226,20 @@ func (r *Registry) OnDrop(idx int, t units.Time, s, occ units.Size) {
 }
 
 // OnFeedback records one flow-control message emitted by channel idx's
-// receiver: class buckets the message kind, stage carries the GFC stage for
-// FeedbackStage, and wire is the frame's wire size. Stage feedback is checked
-// against the channel's stage table when one was registered
-// (CheckStageTable).
-func (r *Registry) OnFeedback(idx int, t units.Time, class FeedbackClass, stage int, wire units.Size) {
+// receiver: kind buckets the message (BFC's per-queue pause and resume count
+// as pause and resume), stage carries the GFC stage for KindStage, and wire
+// is the frame's wire size. Stage feedback is checked against the channel's
+// stage table when one was registered (CheckStageTable).
+func (r *Registry) OnFeedback(idx int, t units.Time, kind flowcontrol.Kind, stage int, wire units.Size) {
 	c := &r.counters[idx]
 	c.FeedbackMsgs++
 	c.FeedbackWire += wire
-	switch class {
-	case FeedbackPause:
+	switch kind {
+	case flowcontrol.KindPause, flowcontrol.KindQueuePause:
 		c.PauseMsgs++
-	case FeedbackResume:
+	case flowcontrol.KindResume, flowcontrol.KindQueueResume:
 		c.ResumeMsgs++
-	case FeedbackStage:
+	case flowcontrol.KindStage:
 		c.StageMsgs++
 		c.LastStage = int32(stage)
 		if int32(stage) > c.MaxStage {
@@ -264,9 +251,9 @@ func (r *Registry) OnFeedback(idx int, t units.Time, class FeedbackClass, stage 
 				Occupancy: units.Size(stage), Limit: units.Size(max),
 			}, idx)
 		}
-	case FeedbackCredit:
+	case flowcontrol.KindCredit:
 		c.CreditMsgs++
-	case FeedbackQueue:
+	case flowcontrol.KindQueue:
 		c.QueueMsgs++
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/core"
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -95,17 +96,20 @@ func TestFeedbackClasses(t *testing.T) {
 	r := New(Options{})
 	twoNodeLayout(r)
 	idx := r.ChannelIndex(1, 0)
-	r.OnFeedback(idx, 1, FeedbackPause, 0, 64)
-	r.OnFeedback(idx, 2, FeedbackResume, 0, 64)
-	r.OnFeedback(idx, 3, FeedbackStage, 2, 64)
-	r.OnFeedback(idx, 4, FeedbackStage, 1, 64)
-	r.OnFeedback(idx, 5, FeedbackCredit, 0, 12)
-	r.OnFeedback(idx, 6, FeedbackQueue, 0, 64)
+	r.OnFeedback(idx, 1, flowcontrol.KindPause, 0, 64)
+	r.OnFeedback(idx, 2, flowcontrol.KindResume, 0, 64)
+	r.OnFeedback(idx, 3, flowcontrol.KindStage, 2, 64)
+	r.OnFeedback(idx, 4, flowcontrol.KindStage, 1, 64)
+	r.OnFeedback(idx, 5, flowcontrol.KindCredit, 0, 12)
+	r.OnFeedback(idx, 6, flowcontrol.KindQueue, 0, 64)
+	// BFC's per-queue pause and resume count as pause and resume.
+	r.OnFeedback(idx, 7, flowcontrol.KindQueuePause, 0, 64)
+	r.OnFeedback(idx, 8, flowcontrol.KindQueueResume, 0, 64)
 	c := r.Counter(idx)
-	if c.FeedbackMsgs != 6 || c.FeedbackWire != 64*5+12 {
+	if c.FeedbackMsgs != 8 || c.FeedbackWire != 64*7+12 {
 		t.Errorf("FeedbackMsgs/Wire = %d/%v", c.FeedbackMsgs, c.FeedbackWire)
 	}
-	if c.PauseMsgs != 1 || c.ResumeMsgs != 1 || c.StageMsgs != 2 || c.CreditMsgs != 1 || c.QueueMsgs != 1 {
+	if c.PauseMsgs != 2 || c.ResumeMsgs != 2 || c.StageMsgs != 2 || c.CreditMsgs != 1 || c.QueueMsgs != 1 {
 		t.Errorf("per-class counts = %+v", c)
 	}
 	if c.LastStage != 1 || c.MaxStage != 2 {
@@ -188,19 +192,19 @@ func TestStageRangeViolation(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatalf("valid table recorded violation: %v", r.Err())
 	}
-	r.OnFeedback(idx, 1, FeedbackStage, tbl.Stages(), 64) // in range
+	r.OnFeedback(idx, 1, flowcontrol.KindStage, tbl.Stages(), 64) // in range
 	if r.Err() != nil {
 		t.Fatalf("in-range stage violated: %v", r.Err())
 	}
-	r.OnFeedback(idx, 2, FeedbackStage, tbl.Stages()+1, 64)
-	r.OnFeedback(idx, 3, FeedbackStage, -1, 64)
+	r.OnFeedback(idx, 2, flowcontrol.KindStage, tbl.Stages()+1, 64)
+	r.OnFeedback(idx, 3, flowcontrol.KindStage, -1, 64)
 	vs := r.violations
 	if len(vs) != 2 || vs[0].Kind != ViolationStageRange || vs[1].Kind != ViolationStageRange {
 		t.Fatalf("violations = %v", vs)
 	}
 	// Without an armed table, out-of-range stages are not checkable.
 	idx2 := r.ChannelIndex(1, 1)
-	r.OnFeedback(idx2, 4, FeedbackStage, 99, 64)
+	r.OnFeedback(idx2, 4, flowcontrol.KindStage, 99, 64)
 	if got := len(r.violations); got != 2 {
 		t.Errorf("unarmed channel recorded stage violation (total %d)", got)
 	}
@@ -262,7 +266,7 @@ func TestReportAndJSONRoundTrip(t *testing.T) {
 	r.OnTx(idx, 1500)
 	r.OnAdmit(idx, 10, 1500, 1500)
 	r.OnRelease(idx, 10+seriesGap, 1500, 0)
-	r.OnFeedback(idx, 30, FeedbackStage, 1, 64)
+	r.OnFeedback(idx, 30, flowcontrol.KindStage, 1, 64)
 
 	rep := r.Report(1000)
 	if rep.At != 1000 {

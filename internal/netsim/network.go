@@ -320,7 +320,7 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	wire := m.Wire()
 	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id, wire)
 	if reg := n.metrics; reg != nil {
-		reg.OnFeedback(e.down.cb, n.eng.Now(), feedbackClass(m.Kind), m.Stage, wire)
+		reg.OnFeedback(e.down.cb, n.eng.Now(), m.Kind, m.Stage, wire)
 	}
 	delay := units.TransmissionTime(wire, e.down.capacity) +
 		e.down.link.Delay + n.cfg.ProcDelay
@@ -385,22 +385,6 @@ func (e *fcEnv) deliver(s *fbSlot) {
 // one observer, nil uninstalls.
 func (n *Network) SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message)) {
 	n.fbObs = fn
-}
-
-// feedbackClass buckets a flow-control message kind for metrics accounting.
-func feedbackClass(k flowcontrol.Kind) metrics.FeedbackClass {
-	switch k {
-	case flowcontrol.KindPause, flowcontrol.KindQueuePause:
-		return metrics.FeedbackPause
-	case flowcontrol.KindResume, flowcontrol.KindQueueResume:
-		return metrics.FeedbackResume
-	case flowcontrol.KindStage:
-		return metrics.FeedbackStage
-	case flowcontrol.KindCredit:
-		return metrics.FeedbackCredit
-	default:
-		return metrics.FeedbackQueue
-	}
 }
 
 // Engine exposes the event engine (for custom experiment events).

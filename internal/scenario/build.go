@@ -66,16 +66,37 @@ type Sim struct {
 	*compiled
 }
 
-// probe returns the detector driving the run's stop condition and summary
-// verdict: the global detector when installed, else DCFIT, else nil.
-func (s *Sim) probe() deadlock.Probe {
-	if s.Detector != nil {
-		return s.Detector
-	}
-	if s.DCFIT != nil {
-		return s.DCFIT
+// verdict returns the report driving the run's stop condition and summary:
+// the global detector's when it is installed, else DCFIT's; nil when none.
+func (s *Sim) verdict() *deadlock.Report {
+	switch {
+	case s.Detector != nil:
+		return s.Detector.Deadlocked()
+	case s.DCFIT != nil:
+		return s.DCFIT.Deadlocked()
 	}
 	return nil
+}
+
+// poll checks the installed detectors every PollInterval until each has a
+// report. Under StopOnDeadlock it stops the engine once verdict has one.
+func (s *Sim) poll() {
+	eng := s.Net.Engine()
+	var tick func()
+	tick = func() {
+		pending := s.Detector != nil && s.Detector.Check() == nil
+		if s.DCFIT != nil && s.DCFIT.Check() == nil {
+			pending = true
+		}
+		if s.Spec.Run.StopOnDeadlock && s.verdict() != nil {
+			eng.Stop()
+			return
+		}
+		if pending {
+			eng.After(deadlock.PollInterval, tick)
+		}
+	}
+	eng.After(deadlock.PollInterval, tick)
 }
 
 // Build compiles a Spec (plus optional Overrides) into a runnable Sim. The
@@ -137,12 +158,11 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 		}
 		if global {
 			sim.Detector = deadlock.NewDetector(sim.Net)
-			sim.Detector.Install()
 		}
 		if dcfit {
 			sim.DCFIT = deadlock.NewDCFIT(sim.Net)
-			sim.DCFIT.Install()
 		}
+		sim.poll()
 	}
 	return sim, nil
 }
@@ -202,23 +222,9 @@ func (s *Sim) Run() *Result {
 // first report. No event past the horizon fires.
 func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error) {
 	d := s.Spec.Run.DurationNs
-	eng := s.Net.Engine()
-	if p := s.probe(); s.Spec.Run.StopOnDeadlock && p != nil {
-		// Poll at the detectors' cadence; once one has a report,
-		// stop the engine after the in-flight event.
-		var watch func()
-		watch = func() {
-			if p.Deadlocked() != nil {
-				eng.Stop()
-				return
-			}
-			eng.After(deadlock.PollInterval, watch)
-		}
-		eng.After(deadlock.PollInterval, watch)
-	}
 	// A heartbeat pins the horizon so the clock reaches d even if the
 	// event queue drains early (deadlock, finished workload).
-	eng.Schedule(d, func() {})
+	s.Net.Engine().Schedule(d, func() {})
 	err := s.Net.RunBounded(ctx, d, s.Spec.Limits.Budget().Overlay(extra))
 	res := s.summarise()
 	var re *netsim.RunError
@@ -236,12 +242,10 @@ func (s *Sim) summarise() *Result {
 		Drops:     s.Net.Drops(),
 		Delivered: s.Net.TotalDelivered(),
 	}
-	if p := s.probe(); p != nil {
-		if rep := p.Deadlocked(); rep != nil {
-			res.Deadlocked = true
-			res.DeadlockAt = rep.At
-			res.DeadlockKind = rep.Kind
-		}
+	if rep := s.verdict(); rep != nil {
+		res.Deadlocked = true
+		res.DeadlockAt = rep.At
+		res.DeadlockKind = rep.Kind
 	}
 	if s.DCFIT != nil {
 		if rep := s.DCFIT.Deadlocked(); rep != nil {

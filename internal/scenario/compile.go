@@ -190,7 +190,7 @@ func (c *compiled) verify(res *Result) (*analytic.Prediction, error) {
 	if c.reg == nil {
 		return pred, fmt.Errorf("scenario: analytic check needs a metrics registry (set run.analytic or attach one via Overrides)")
 	}
-	b := pred.Bounds()
+	b := pred.NetworkBounds
 	if res.Stopped != nil {
 		b.MinDelivered = 0
 	}

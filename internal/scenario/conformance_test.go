@@ -138,7 +138,7 @@ func TestBackendConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analytic prediction: %v", err)
 			}
-			if b := pred.Bounds(); b.MaxOccupancy > 0 {
+			if b := pred.NetworkBounds; b.MaxOccupancy > 0 {
 				if pres.HighWater > b.MaxOccupancy {
 					t.Errorf("packet high-water %v above analytic envelope %v", pres.HighWater, b.MaxOccupancy)
 				}

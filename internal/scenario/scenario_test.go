@@ -117,7 +117,7 @@ func TestRegisteredScenariosBuild(t *testing.T) {
 			if sim.Net == nil {
 				t.Fatal("Build returned nil network")
 			}
-			if (spec.Run.DetectDeadlock || spec.Run.StopOnDeadlock) && sim.probe() == nil {
+			if (spec.Run.DetectDeadlock || spec.Run.StopOnDeadlock) && sim.Detector == nil && sim.DCFIT == nil {
 				t.Fatal("spec asked for deadlock detection but no detector installed")
 			}
 			if spec.Run.Detector == "both" && (sim.Detector == nil || sim.DCFIT == nil) {

@@ -71,7 +71,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				if got > tc.limit {
 					t.Errorf("%v mallocs in steady state, limit %v", got, tc.limit)
 				}
-				if sim.probe().Deadlocked() != nil || sim.Net.Drops() != 0 {
+				if sim.verdict() != nil || sim.Net.Drops() != 0 {
 					t.Errorf("the steady run deadlocked or dropped: it measured no steady state")
 				}
 			})
