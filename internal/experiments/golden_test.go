@@ -200,6 +200,51 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 		g.h.Write(data)
 		return g.sum()
 	},
+	"fig9-metrics-five-kinds": func(t *testing.T) uint64 {
+		// The -metrics-out bytes of the fig9 section under an inline spec
+		// that injects every fault kind on disjoint windows: a flap and a
+		// degrade on S1-S2 (link-down, link-up, rate-scale, plus the
+		// feedback the down link destroys), then a feedback fault on every
+		// switch link with both a drop probability and a delay.
+		dir := t.TempDir()
+		spec := filepath.Join(dir, "five-kinds.json")
+		if err := os.WriteFile(spec, []byte(`{"name": "five-kinds", "links": [
+			{"link": "S1-S2", "flaps": [{"down_at_ns": 2000000, "up_at_ns": 3000000}],
+			 "degrade": [{"from_ns": 4000000, "until_ns": 6000000, "factor": 0.5}]},
+			{"link": "*", "feedback": [{"drop_prob": 0.2, "delay_ns": 2000,
+			 "from_ns": 6000000, "until_ns": 9000000}]}]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Lookup("fig9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "m.json")
+		o := &Options{
+			RunOptions: RunOptions{Duration: 10 * units.Millisecond},
+			Seed:       1,
+			Faults:     spec,
+			Sink:       NewMetricsSink(path),
+		}
+		if err := d.Run(io.Discard, o); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{"feedback-drop", "feedback-delay", "link-down", "link-up", "rate-scale"} {
+			if !strings.Contains(string(data), `"kind": "`+kind+`"`) {
+				t.Errorf("report records no %s fault", kind)
+			}
+		}
+		g := newHasher()
+		g.h.Write(data)
+		return g.sum()
+	},
 }
 
 // sweepHash runs a small PFC failure sweep with the given worker count and
