@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/gfcsim/gfc/internal/deadlock"
 	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
@@ -30,39 +29,20 @@ func MatrixSchemes() []FC {
 }
 
 // FaultCell is one (scheme, scenario) cell of the fault matrix: the §6.1
-// ring run under an injected fault scenario, with the deadlock verdict,
+// ring run under an injected fault scenario, with the deadlock verdicts,
 // invariant outcome and progress measures the robustness comparison needs.
+// Every cell runs the in-data-plane DCFIT detector alongside the global one.
+// DCFIT only sees pause edges, so it stays silent for CBFC/GFC by design. A
+// wedge is not itself a cycle, but when its backpressure cascades class
+// pauses all the way around the ring (PFC under resume-loss) the edges do
+// close and DCFIT convicts; BFC's queue-scoped wedge never closes one, so
+// that cell stays silent — the disagreements are the comparison.
 type FaultCell struct {
-	FC       FC
 	Scenario string
-
-	Deadlocked   bool
-	DeadlockAt   units.Time
-	DeadlockKind deadlock.Kind
-	// DCFITDeadlocked / DCFITAt report the in-data-plane detector, which
-	// runs alongside the global one in every cell. It only sees pause
-	// edges, so it stays silent for CBFC/GFC by design. A wedge is not
-	// itself a cycle, but when its backpressure cascades class pauses all
-	// the way around the ring (PFC under resume-loss) the edges do close
-	// and DCFIT convicts; BFC's queue-scoped wedge never closes one, so
-	// that cell stays silent — the disagreements are the comparison.
-	DCFITDeadlocked bool
-	DCFITAt         units.Time
-	Drops           int64
-	Violations      int64
-
+	*RingResult
 	// FaultsInjected counts actuated timeline events plus feedback
-	// perturbations; FeedbackDropped/Delayed break out the message-level
-	// share.
-	FaultsInjected  int64
-	FeedbackDropped int64
-	FeedbackDelayed int64
-
-	// Delivered is the total goodput; MinFlow the worst-served flow's
-	// share. A positive MinFlow means every port kept progressing.
-	Delivered  units.Size
-	MinFlow    units.Size
-	SteadyRate units.Rate
+	// perturbations; FaultStats breaks out the message-level share.
+	FaultsInjected int64
 }
 
 // FaultMatrixConfig parameterises RunFaultMatrix.
@@ -148,20 +128,7 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 			if err != nil {
 				return FaultCell{}, err
 			}
-			return FaultCell{
-				FC: fc, Scenario: column,
-				Deadlocked: res.Deadlocked, DeadlockAt: res.DeadlockAt,
-				DeadlockKind:    res.DeadlockKind,
-				DCFITDeadlocked: res.DCFITDeadlocked,
-				DCFITAt:         res.DCFITAt,
-				Drops:           res.Drops,
-				Violations:      reg.Summary().Violations,
-				FaultsInjected:  reg.FaultsInjected(),
-				FeedbackDropped: res.FaultStats.FeedbackDropped,
-				FeedbackDelayed: res.FaultStats.FeedbackDelayed,
-				Delivered:       res.Delivered, MinFlow: res.MinFlow,
-				SteadyRate: res.SteadyRate,
-			}, nil
+			return FaultCell{Scenario: column, RingResult: res, FaultsInjected: reg.FaultsInjected()}, nil
 		}
 	}
 	results := runner.RunWith(cfg.Ctx, jobs, runner.Options[FaultCell]{

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/deadlock"
+	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -62,7 +63,7 @@ func TestFaultMatrixHeadline(t *testing.T) {
 		if c.Deadlocked || c.Drops != 0 || c.Violations != 0 {
 			t.Errorf("clean %s not clean: %+v", fc, c)
 		}
-		if c.FaultsInjected != 0 || c.FeedbackDropped != 0 {
+		if c.FaultsInjected != 0 || c.FaultStats.FeedbackDropped != 0 {
 			t.Errorf("clean %s recorded faults: %+v", fc, c)
 		}
 		if c.MinFlow == 0 {
@@ -81,7 +82,7 @@ func TestFaultMatrixHeadline(t *testing.T) {
 	if rl.SteadyRate != 0 {
 		t.Errorf("PFC resume-loss steady rate = %v, want 0 (ring frozen)", rl.SteadyRate)
 	}
-	if rl.FeedbackDropped == 0 {
+	if rl.FaultStats.FeedbackDropped == 0 {
 		t.Error("PFC resume-loss dropped no feedback — scenario did not bite")
 	}
 
@@ -137,10 +138,10 @@ func TestFaultMatrixHeadline(t *testing.T) {
 
 	// Faulted scenarios actually injected: the loss/delay presets must have
 	// perturbed messages for the schemes that emit feedback continuously.
-	if c := cell(CBFC, "feedback-loss"); c.FeedbackDropped == 0 {
+	if c := cell(CBFC, "feedback-loss"); c.FaultStats.FeedbackDropped == 0 {
 		t.Error("CBFC under feedback-loss lost no credits")
 	}
-	if c := cell(GFCTime, "feedback-delay"); c.FeedbackDelayed == 0 {
+	if c := cell(GFCTime, "feedback-delay"); c.FaultStats.FeedbackDelayed == 0 {
 		t.Error("GFC-time under feedback-delay delayed nothing")
 	}
 
@@ -184,8 +185,9 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("cell %d differs across identical runs:\n  %+v\n  %+v", i, a[i], b[i])
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Errorf("cell %d (%s under %s) differs across identical runs:\n  %+v\n  %+v",
+				i, a[i].FC, a[i].Scenario, *a[i].Result, *b[i].Result)
 		}
 	}
 }
@@ -237,7 +239,7 @@ func TestFaultMatrixWorkerIndependence(t *testing.T) {
 				i, c.FC, c.Scenario, wantFC, wantSc)
 		}
 	}
-	if c := serial[len(schemes)]; c.FeedbackDropped == 0 {
+	if c := serial[len(schemes)]; c.FaultStats.FeedbackDropped == 0 {
 		t.Errorf("PFC resume-loss cell dropped no feedback in %v — cells too short to prove anything", cfg.Duration)
 	}
 	table := FaultMatrixRows(serial).String()
@@ -303,9 +305,11 @@ func TestFaultMatrixCancelled(t *testing.T) {
 // TestFaultMatrixRows sanity-checks the rendered table.
 func TestFaultMatrixRows(t *testing.T) {
 	cells := []FaultCell{{
-		FC: PFC, Scenario: "resume-loss",
-		Deadlocked: true, DeadlockAt: 10 * units.Millisecond,
-		DeadlockKind: deadlock.WedgedChannel,
+		Scenario: "resume-loss",
+		RingResult: &RingResult{Result: &scenario.Result{
+			FC: PFC, Deadlocked: true, DeadlockAt: 10 * units.Millisecond,
+			DeadlockKind: deadlock.WedgedChannel,
+		}},
 	}}
 	tab := FaultMatrixRows(cells)
 	if len(tab.Rows) != 1 {

@@ -82,7 +82,7 @@ func (g *hasher) cell(c FaultCell) {
 		g.mix(2)
 	}
 	g.mix(uint64(c.Drops), uint64(c.Violations), uint64(c.FaultsInjected),
-		uint64(c.FeedbackDropped), uint64(c.FeedbackDelayed))
+		uint64(c.FaultStats.FeedbackDropped), uint64(c.FaultStats.FeedbackDelayed))
 	g.mix(uint64(c.Delivered), uint64(c.MinFlow), uint64(c.SteadyRate))
 }
 

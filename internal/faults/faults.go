@@ -201,10 +201,12 @@ func kindMask(names []string) (uint32, error) {
 	return mask, nil
 }
 
-// EventKind enumerates scheduled (non-probabilistic) fault actuations.
+// EventKind names a fault: the scheduled link actuations a Plan compiles
+// into its timeline, and the per-message feedback perturbations an
+// Injector decides. The metrics registry records injected faults by it.
 type EventKind uint8
 
-// Timeline event kinds.
+// Fault kinds.
 const (
 	// LinkDown / LinkUp flip the link's administrative state.
 	LinkDown EventKind = iota
@@ -212,6 +214,10 @@ const (
 	// RateScale runs the link at Factor × nominal capacity
 	// (Factor 1 restores it).
 	RateScale
+	// FeedbackDrop: a flow-control message was destroyed in flight.
+	FeedbackDrop
+	// FeedbackDelay: a flow-control message was delivered late.
+	FeedbackDelay
 )
 
 func (k EventKind) String() string {
@@ -222,10 +228,17 @@ func (k EventKind) String() string {
 		return "link-up"
 	case RateScale:
 		return "rate-scale"
+	case FeedbackDrop:
+		return "feedback-drop"
+	case FeedbackDelay:
+		return "feedback-delay"
 	default:
-		return fmt.Sprintf("event(%d)", uint8(k))
+		return fmt.Sprintf("fault(%d)", uint8(k))
 	}
 }
+
+// MarshalText encodes the kind by name in reports.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // Event is one scheduled fault actuation; the simulator schedules every
 // compiled event on its engine at construction.
@@ -265,12 +278,14 @@ type Plan struct {
 }
 
 // Compile resolves the spec against topo. Patterns that match nothing are
-// an error (a silently inert fault plan is a debugging trap).
+// an error (a silently inert fault plan is a debugging trap), and so are two
+// flaps, or two degrades, that overlap or touch on one link.
 func (s *Spec) Compile(topo *topology.Topology) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{feedback: make(map[topology.LinkID][]compiledFeedback)}
+	held := make(map[topology.LinkID][]window)
 	for i, lf := range s.Links {
 		links, err := resolveLinks(topo, lf.Link)
 		if err != nil {
@@ -285,13 +300,19 @@ func (s *Spec) Compile(topo *topology.Topology) (*Plan, error) {
 					from: fb.From, until: fb.Until,
 				})
 			}
-			for _, fl := range lf.Flaps {
+			for j, fl := range lf.Flaps {
+				if err := claim(held, topo, l, window{"flaps", i, j, fl.DownAt, fl.UpAt}); err != nil {
+					return nil, err
+				}
 				p.events = append(p.events, Event{At: fl.DownAt, Kind: LinkDown, Link: l.ID})
 				if fl.UpAt > 0 {
 					p.events = append(p.events, Event{At: fl.UpAt, Kind: LinkUp, Link: l.ID})
 				}
 			}
-			for _, dg := range lf.Degrade {
+			for j, dg := range lf.Degrade {
+				if err := claim(held, topo, l, window{"degrade", i, j, dg.From, dg.Until}); err != nil {
+					return nil, err
+				}
 				p.events = append(p.events, Event{
 					At: dg.From, Kind: RateScale, Link: l.ID, Factor: dg.Factor,
 				})
@@ -307,6 +328,28 @@ func (s *Spec) Compile(topo *topology.Topology) (*Plan, error) {
 	// deterministic and so is the engine's same-timestamp FIFO.
 	sort.SliceStable(p.events, func(i, j int) bool { return p.events[i].At < p.events[j].At })
 	return p, nil
+}
+
+// window is the span of links[i].<kind>[j] on one link; a zero until runs
+// to the end of the run.
+type window struct {
+	kind        string
+	i, j        int
+	from, until units.Time
+}
+
+// claim adds w to the windows held on link l. A flap or degrade compiles to
+// a start and a restore, so one that overlaps or touches another of its kind
+// on the same link would cut that window short or cancel its start.
+func claim(held map[topology.LinkID][]window, topo *topology.Topology, l *topology.Link, w window) error {
+	for _, o := range held[l.ID] {
+		if o.kind == w.kind && (o.until == 0 || w.from <= o.until) && (w.until == 0 || o.from <= w.until) {
+			return fmt.Errorf("faults: links[%d].%s[%d] and links[%d].%s[%d] overlap or touch on link %s-%s",
+				o.i, o.kind, o.j, w.i, w.kind, w.j, topo.Node(l.A).Name, topo.Node(l.B).Name)
+		}
+	}
+	held[l.ID] = append(held[l.ID], w)
+	return nil
 }
 
 // resolveLinks expands a link pattern. "*" matches live switch-to-switch

@@ -118,6 +118,63 @@ func TestCompileRejectsUnmatched(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsSameKindOverlap pins that two flaps, or two degrades,
+// resolving to one link may neither overlap nor touch: the earlier window's
+// restore would cut the later one short, or at a shared instant cancel its
+// start. An open-ended window runs to the end of the run, and windows of
+// different kinds on one link stay legal.
+func TestCompileRejectsSameKindOverlap(t *testing.T) {
+	ms := units.Millisecond
+	degrade := func(link string, from, until units.Time, f float64) LinkFault {
+		return LinkFault{Link: link, Degrade: []Degrade{{From: from * ms, Until: until * ms, Factor: f}}}
+	}
+	flap := func(link string, down, up units.Time) LinkFault {
+		return LinkFault{Link: link, Flaps: []Flap{{DownAt: down * ms, UpAt: up * ms}}}
+	}
+	for _, tc := range []struct {
+		name  string
+		links []LinkFault
+		want  string // error substring; "" means legal
+	}{
+		{"degrade cross-pattern", []LinkFault{degrade("S1-S2", 2, 22, 0.4), degrade("*", 5, 10, 0.5)},
+			"links[0].degrade[0] and links[1].degrade[0] overlap or touch on link S1-S2"},
+		{"degrade touching out of order", []LinkFault{{Link: "S1-S2", Degrade: []Degrade{
+			{From: 10 * ms, Until: 20 * ms, Factor: 0.5}, {From: 2 * ms, Until: 10 * ms, Factor: 0.4}}}},
+			"links[0].degrade[0] and links[0].degrade[1] overlap or touch on link S1-S2"},
+		{"degrade open-ended", []LinkFault{degrade("S1-S2", 2, 0, 0.4), degrade("S2-S1", 30, 40, 0.5)},
+			"links[0].degrade[0] and links[1].degrade[0]"},
+		{"flap cross-pattern", []LinkFault{flap("S1-S2", 5, 13), flap("*", 7, 9)},
+			"links[0].flaps[0] and links[1].flaps[0] overlap or touch on link S1-S2"},
+		{"flap touching", []LinkFault{flap("S1-S2", 5, 13), flap("S1-*", 13, 20)},
+			"links[0].flaps[0] and links[1].flaps[0]"},
+		{"disjoint degrades", []LinkFault{degrade("S1-S2", 2, 10, 0.4), degrade("*", 11, 20, 0.5)}, ""},
+		{"disjoint flaps", []LinkFault{flap("*", 2, 4), flap("S1-S2", 5, 0)}, ""},
+		{"flap inside a degrade", []LinkFault{degrade("S1-S2", 2, 22, 0.4), flap("S1-S2", 5, 13)}, ""},
+	} {
+		_, err := (&Spec{Links: tc.links}).Compile(ringTopo(t))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Compile = %v, want it accepted", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Compile = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestEventKindNames pins the fault names reports carry: String and
+// MarshalText agree for every kind and an unknown value.
+func TestEventKindNames(t *testing.T) {
+	for k, want := range map[EventKind]string{
+		LinkDown: "link-down", LinkUp: "link-up", RateScale: "rate-scale",
+		FeedbackDrop: "feedback-drop", FeedbackDelay: "feedback-delay", 9: "fault(9)",
+	} {
+		text, err := k.MarshalText()
+		if got := k.String(); got != want || string(text) != want || err != nil {
+			t.Errorf("kind %d: String %q, MarshalText %q (%v), want %q", uint8(k), got, text, err, want)
+		}
+	}
+}
+
 // mustCompile compiles a spec the test wrote itself.
 func mustCompile(t *testing.T, s *Spec, topo *topology.Topology) *Plan {
 	t.Helper()

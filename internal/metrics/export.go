@@ -89,7 +89,7 @@ type Report struct {
 	Channels            []ChannelReport `json:"channels"`
 	Violations          []Violation     `json:"violations,omitempty"`
 	ViolationsTruncated int64           `json:"violations_truncated,omitempty"`
-	Faults              []FaultReport   `json:"faults,omitempty"`
+	Faults              []FaultEvent    `json:"faults,omitempty"`
 	FaultsTruncated     int64           `json:"faults_truncated,omitempty"`
 }
 
@@ -101,6 +101,7 @@ func (r *Registry) Report(at units.Time) *Report {
 		Totals:              r.Summary(),
 		Violations:          slices.Clone(r.violations),
 		ViolationsTruncated: r.truncated,
+		Faults:              slices.Clone(r.faults),
 		FaultsTruncated:     r.faultsTruncated,
 	}
 	for idx := range r.chans {
@@ -115,9 +116,6 @@ func (r *Registry) Report(at units.Time) *Report {
 			Buffer: r.buffers[idx], Ceiling: r.ceilings[idx],
 			Counters: *c, Occupancy: r.Series(idx),
 		})
-	}
-	for _, ev := range r.faults {
-		rep.Faults = append(rep.Faults, r.faultReport(ev))
 	}
 	return rep
 }

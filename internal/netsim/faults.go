@@ -15,34 +15,24 @@ import (
 // everything downstream (flow control, metrics, the deadlock detector)
 // observes faults exactly as it would observe the real events.
 
-// applyFault actuates one compiled timeline event.
+// applyFault actuates one compiled timeline event and records it.
 func (n *Network) applyFault(ev faults.Event) {
-	now := n.eng.Now()
 	switch ev.Kind {
-	case faults.LinkDown:
-		n.SetLinkAdminState(ev.Link, true)
-		n.recordFault(metrics.FaultEvent{
-			Kind: metrics.FaultLinkDown, At: now, Channel: -1,
-			Link: ev.Link, Node: n.topo.Link(ev.Link).A,
-		})
-	case faults.LinkUp:
-		n.SetLinkAdminState(ev.Link, false)
-		n.recordFault(metrics.FaultEvent{
-			Kind: metrics.FaultLinkUp, At: now, Channel: -1,
-			Link: ev.Link, Node: n.topo.Link(ev.Link).A,
-		})
+	case faults.LinkDown, faults.LinkUp:
+		n.SetLinkAdminState(ev.Link, ev.Kind == faults.LinkDown)
 	case faults.RateScale:
 		n.scaleLinkRate(ev.Link, ev.Factor)
-		n.recordFault(metrics.FaultEvent{
-			Kind: metrics.FaultRateScale, At: now, Channel: -1,
-			Link: ev.Link, Node: n.topo.Link(ev.Link).A, Factor: ev.Factor,
-		})
 	}
+	n.recordFault(metrics.FaultEvent{
+		Kind: ev.Kind, At: n.eng.Now(), Link: ev.Link, Factor: ev.Factor,
+	}, -1, n.topo.Link(ev.Link).A)
 }
 
-func (n *Network) recordFault(ev metrics.FaultEvent) {
+// recordFault hands one injected fault to the registry: on channel ch, or
+// (ch < 0) a link-level fault seen from node.
+func (n *Network) recordFault(ev metrics.FaultEvent, ch int, node topology.NodeID) {
 	if reg := n.metrics; reg != nil {
-		reg.OnFault(ev)
+		reg.OnFault(ev, ch, node)
 	}
 }
 

@@ -329,19 +329,19 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 		// The link is administratively down: the frame is emitted into a
 		// dead channel and lost. (The wire/trace accounting above stands —
 		// the receiver did spend the emission.)
-		e.fault(metrics.FaultFeedbackDrop, now)
+		e.fault(faults.FeedbackDrop, now)
 		return
 	}
 	if inj := n.faults; inj != nil {
 		drop, extra := inj.FeedbackVerdict(
 			e.down.link.ID, e.down.owner.id, m.Kind, now)
 		if drop {
-			e.fault(metrics.FaultFeedbackDrop, now)
+			e.fault(faults.FeedbackDrop, now)
 			return
 		}
 		if extra > 0 {
 			delay += extra
-			e.fault(metrics.FaultFeedbackDelay, now)
+			e.fault(faults.FeedbackDelay, now)
 		}
 	}
 	s := e.free
@@ -358,10 +358,8 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 }
 
 // fault records a fault of the given kind on this feedback channel.
-func (e *fcEnv) fault(kind metrics.FaultKind, at units.Time) {
-	e.n.recordFault(metrics.FaultEvent{
-		Kind: kind, At: at, Channel: e.down.cb, Link: e.down.link.ID, Node: e.down.owner.id,
-	})
+func (e *fcEnv) fault(kind faults.EventKind, at units.Time) {
+	e.n.recordFault(metrics.FaultEvent{Kind: kind, At: at, Link: e.down.link.ID}, e.down.cb, e.down.owner.id)
 }
 
 // deliver hands slot s's message to the paired sender and frees the slot.
