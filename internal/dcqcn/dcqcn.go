@@ -93,7 +93,7 @@ func Attach(net *netsim.Network, f *netsim.Flow, lineRate units.Rate) *RP {
 			return // NP rate-limits CNPs to one per interval
 		}
 		lastEcho = now
-		net.Engine().After(cnpDelay, rp.onCNP)
+		net.Engine().After(cnpDelay, rp.onCNP, 0)
 	}
 	rp.startTimers()
 	return rp
@@ -119,7 +119,7 @@ func (rp *RP) OnRelease(now units.Time, size units.Size) {
 }
 
 // onCNP applies the multiplicative decrease.
-func (rp *RP) onCNP() {
+func (rp *RP) onCNP(int32) {
 	now := rp.net.Now()
 	rp.rt = rp.rc
 	rp.rc = units.Rate(float64(rp.rc) * (1 - rp.alpha/2))
@@ -137,24 +137,24 @@ func (rp *RP) onCNP() {
 
 // startTimers installs the α-decay and rate-increase timers.
 func (rp *RP) startTimers() {
-	var alphaTick func()
-	alphaTick = func() {
+	var alphaTick func(int32)
+	alphaTick = func(int32) {
 		if rp.everCNP && rp.net.Now()-rp.lastCNP >= alphaTimer {
 			rp.alpha *= 1 - g
 		}
-		rp.net.Engine().After(alphaTimer, alphaTick)
+		rp.net.Engine().After(alphaTimer, alphaTick, 0)
 	}
-	rp.net.Engine().After(alphaTimer, alphaTick)
+	rp.net.Engine().After(alphaTimer, alphaTick, 0)
 
-	var incTick func()
-	incTick = func() {
+	var incTick func(int32)
+	incTick = func(int32) {
 		if rp.everCNP {
 			rp.tStage++
 			rp.increase()
 		}
-		rp.net.Engine().After(increaseTimer, incTick)
+		rp.net.Engine().After(increaseTimer, incTick, 0)
 	}
-	rp.net.Engine().After(increaseTimer, incTick)
+	rp.net.Engine().After(increaseTimer, incTick, 0)
 }
 
 // increase runs one recovery/increase step, per the DCQCN RP state machine:

@@ -141,7 +141,7 @@ func TestDCQCNRecoversAfterCongestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject one synthetic CNP at 1ms.
-	net.Engine().Schedule(units.Millisecond, rp.onCNP)
+	net.Engine().At(units.Millisecond, rp.onCNP, 0)
 	net.Run(2 * units.Millisecond)
 	cut := rp.rc
 	if cut >= 10*units.Gbps {
@@ -179,7 +179,7 @@ func TestDCQCNMinRateFloor(t *testing.T) {
 	rp := Attach(net, f, 10*units.Gbps)
 	// Hammer CNPs directly: rate must never fall below minRate.
 	for i := 0; i < 200; i++ {
-		rp.onCNP()
+		rp.onCNP(0)
 	}
 	if rp.rc < minRate {
 		t.Fatalf("rate %v below floor %v", rp.rc, minRate)
@@ -196,8 +196,8 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 	s1 := topo.MustLookup("S1")
 	var maxQ units.Size
 	done := false
-	probe := func() {}
-	probe = func() {
+	var probe func(int32)
+	probe = func(int32) {
 		if done {
 			return
 		}
@@ -207,12 +207,12 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 			}
 		}
 		if net.Now() < 2*units.Millisecond {
-			net.Engine().After(10*units.Microsecond, probe)
+			net.Engine().After(10*units.Microsecond, probe, 0)
 		} else {
 			done = true
 		}
 	}
-	net.Engine().After(10*units.Microsecond, probe)
+	net.Engine().After(10*units.Microsecond, probe, 0)
 	net.Run(2 * units.Millisecond)
 	if maxQ >= 1000*units.KB {
 		t.Fatalf("ingress queue reached %v; GFC failed to cap the onset", maxQ)

@@ -86,8 +86,8 @@ func runWithDetector(n *netsim.Network, until units.Time) *Detector {
 // poll runs checks every PollInterval until each has reported, as a built
 // scenario polls its detectors.
 func poll(n *netsim.Network, checks ...func() *Report) {
-	var tick func()
-	tick = func() {
+	var tick func(int32)
+	tick = func(int32) {
 		pending := false
 		for _, check := range checks {
 			if check() == nil {
@@ -95,10 +95,10 @@ func poll(n *netsim.Network, checks ...func() *Report) {
 			}
 		}
 		if pending {
-			n.Engine().After(PollInterval, tick)
+			n.Engine().After(PollInterval, tick, 0)
 		}
 	}
-	n.Engine().After(PollInterval, tick)
+	n.Engine().After(PollInterval, tick, 0)
 }
 
 func TestPFCRingDeadlocks(t *testing.T) {
@@ -268,7 +268,7 @@ func TestDetectorManualCheck(t *testing.T) {
 		// Keep the clock advancing even after the network goes
 		// silent: Check needs elapsing time to age stalls.
 		at := n.Now() + units.Millisecond
-		n.Engine().Schedule(at, func() {})
+		n.Engine().At(at, func(int32) {}, 0)
 		n.Run(at)
 		rep = d.Check()
 	}

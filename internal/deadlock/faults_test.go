@@ -156,9 +156,9 @@ func TestDownLinkHoldsTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := topo.LinkBetween(topo.MustLookup("S1"), topo.MustLookup("S2"))
-	n.Engine().Schedule(2*units.Millisecond, func() {
+	n.Engine().At(2*units.Millisecond, func(int32) {
 		n.SetLinkAdminState(link.ID, true)
-	})
+	}, 0)
 	n.Run(3 * units.Millisecond)
 	mid := f.Delivered
 	n.Run(8 * units.Millisecond)

@@ -1,18 +1,22 @@
 // Package eventsim provides the discrete-event simulation engine the whole
 // network simulator runs on: a virtual clock and a time-ordered queue of
-// callbacks. Events that share a timestamp fire in the order they were
-// scheduled, which makes every run deterministic.
+// events. An event is a handler and an int32 argument — the index of the
+// channel, node or slot it concerns — so a simulator binds one handler per
+// kind of event and allocates nothing per event. Events that share a
+// timestamp fire in the order they were scheduled, which makes every run
+// deterministic.
 //
 // The queue is a 4-ary heap with a few constant-delay FIFO lanes beside it.
-// Every queued entry carries its own (time, sequence) key next to the id of a
-// pooled event record; the sequence comes from one counter at schedule time,
-// and the engine always fires the (time, sequence)-minimum of everything
-// queued. Because that comparator is a total order, the pop sequence — and
-// therefore every simulation result — does not depend on where an entry
-// waits.
+// Every queued entry carries its own (time, sequence) key; the sequence comes
+// from one counter at schedule time, and the engine always fires the (time,
+// sequence)-minimum of everything queued. Because that comparator is a total
+// order, the pop sequence — and therefore every simulation result — does not
+// depend on where an entry waits.
 //
-// The heap takes Schedule's absolute times. Its wide node fans the tree out
-// to a quarter of the binary depth, and because the keys are inline a sift
+// The heap takes At's absolute times. Its entries hold the key and the id of
+// a pooled record with the handler, its argument and the entry's heap
+// position, which is what Cancel needs. Its wide node fans the tree out to a
+// quarter of the binary depth, and because the keys are inline a sift
 // compares the four contiguous children (96 bytes) without touching a record.
 //
 // The lanes take After's relative delays. A packet simulation schedules
@@ -21,20 +25,20 @@
 // After the same delay are already in (time, sequence) order when they are
 // scheduled. A lane is a ring buffer holding one delay at a time — it takes
 // another only while empty — and is therefore sorted by construction: After
-// appends, Step reads the head. The minimum over the heap root and the heads
-// of the busy lanes is the minimum of the whole queue, so nothing is sifted
-// that arrived sorted. After falls back to the heap when every lane is busy
-// with another delay; which side an event waits on is decided from its delay
-// alone and is not observable.
+// appends, Step reads the head. A laned entry carries its handler and
+// argument inline: After returns no handle, so nothing can cancel it and it
+// needs no record. The minimum over the heap root and the heads of the busy
+// lanes is the minimum of the whole queue, so nothing is sifted that arrived
+// sorted. After falls back to the heap when every lane is busy with another
+// delay; which side an event waits on is decided from its delay alone and is
+// not observable.
 //
 // Records are recycled through a free list and addressed by stable ids, so
 // the steady state of a simulation — schedule, fire, schedule again —
-// allocates nothing. Handles returned by Schedule carry a generation
-// counter: recycling a record bumps its generation, which makes Cancel of a
-// stale handle (already fired or already cancelled) a safe no-op without any
-// queue scan. Cancel removes a heap entry in place; a laned entry cannot
-// leave the middle of its ring, so Cancel leaves it as a tombstone that is
-// skipped, and its record recycled, when it reaches the lane head.
+// allocates nothing. Handles returned by At carry a generation counter:
+// recycling a record bumps its generation, which makes Cancel of a stale
+// handle (already fired or already cancelled) a safe no-op without any queue
+// scan.
 package eventsim
 
 import (
@@ -44,43 +48,51 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// Event is a handle to a scheduled callback, returned by Schedule and After
-// and accepted by Cancel. It is a small value, free to copy and to discard.
-// The zero Event is valid and refers to no scheduled callback.
+// Event is a handle to an event scheduled with At, accepted by Cancel. It is
+// a small value, free to copy and to discard. The zero Event is valid and
+// refers to no scheduled event.
 type Event struct {
 	id  int32
 	gen uint32
 }
 
-// Values of record.pos below zero.
-const (
-	posFree  = -1 // on the free list
-	posLaned = -2 // queued in a lane, live or tombstoned
-)
+// posFree is record.pos while the record sits on the free list.
+const posFree = -1
 
-// record is one pooled event: what Cancel and Step need once the queue has
-// picked it. pos is its index in Engine.heap, posLaned while it waits in a
-// lane, posFree while the record sits on the free list. gen starts at 1 so
-// the zero Event handle (gen 0) never matches a live record.
+// record is one pooled heap event: the handler and argument Step calls once
+// the queue has picked it, and what Cancel needs. pos is its index in
+// Engine.heap, posFree while the record is on the free list. gen starts at 1
+// so the zero Event handle (gen 0) never matches a live record.
 type record struct {
-	fn  func()
+	fn  func(int32)
+	arg int32
 	gen uint32
 	pos int32
 }
 
-// entry is one queue slot, in the heap or in a lane. The ordering key lives
-// here and nowhere else, so siftUp, siftDown and the head comparison never
-// load a record to compare.
-type entry struct {
+// key orders the queue: earlier time, then earlier schedule order.
+type key struct {
 	at  units.Time
 	seq uint64
-	id  int32
 }
 
-// before reports whether a fires before b: earlier time, then earlier
-// schedule order.
-func (a *entry) before(b *entry) bool {
+// before reports whether a fires before b.
+func (a *key) before(b *key) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// entry is one heap slot. The ordering key lives here and nowhere else, so
+// siftUp, siftDown and the head comparison never load a record to compare.
+type entry struct {
+	key
+	id int32
+}
+
+// slot is one lane entry: the key and the event itself, inline.
+type slot struct {
+	key
+	fn  func(int32)
+	arg int32
 }
 
 // numLanes is how many distinct After delays can be in flight off the heap
@@ -90,12 +102,12 @@ func (a *entry) before(b *entry) bool {
 // scenario.TestLaneShareAcrossCatalogue is what says whether it is enough.
 const numLanes = 4
 
-// lane is a FIFO of entries scheduled After the same delay d: a ring buffer
-// whose capacity is a power of two, oldest entry at buf[head]. Appended under
+// lane is a FIFO of events scheduled After the same delay d: a ring buffer
+// whose capacity is a power of two, oldest slot at buf[head]. Appended under
 // a monotone clock with a rising seq, it is strictly (at, seq)-sorted. d may
 // change only while the lane is empty.
 type lane struct {
-	buf  []entry
+	buf  []slot
 	head uint32
 	n    uint32
 	d    units.Time
@@ -116,9 +128,6 @@ type Engine struct {
 	// laned costs Step one zero test.
 	busy  uint8
 	lanes [numLanes]lane
-	// tombs counts cancelled entries still waiting in a lane; Pending
-	// subtracts them.
-	tombs int
 	// After calls that went to a lane, and all After calls (LaneStats).
 	laned, afters uint64
 
@@ -137,7 +146,7 @@ type Engine struct {
 	// sweep workers are allocated side by side, and two that share a pair
 	// contend on every event: 13 % of a 2-worker Table 1 sweep's wall time
 	// on a 2-core Xeon VM.
-	_ [72]byte
+	_ [80]byte
 }
 
 // New returns a fresh engine with its clock at zero.
@@ -151,7 +160,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled.
 func (e *Engine) Pending() int {
-	n := len(e.heap) - e.tombs
+	n := len(e.heap)
 	for i := range e.lanes {
 		n += int(e.lanes[i].n)
 	}
@@ -184,9 +193,10 @@ func (e *Engine) release(id int32) {
 	e.free = append(e.free, id)
 }
 
-// Schedule runs fn at absolute time at. Scheduling in the past panics: it is
-// always a logic error in a discrete-event model.
-func (e *Engine) Schedule(at units.Time, fn func()) Event {
+// At runs fn(arg) at absolute time at and returns a handle Cancel accepts.
+// Scheduling in the past panics: it is always a logic error in a
+// discrete-event model.
+func (e *Engine) At(at units.Time, fn func(int32), arg int32) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", at, e.now))
 	}
@@ -195,43 +205,51 @@ func (e *Engine) Schedule(at units.Time, fn func()) Event {
 	}
 	id := e.alloc()
 	r := &e.records[id]
-	r.fn = fn
-	e.heap = append(e.heap, entry{at: at, seq: e.seq, id: id})
+	r.fn, r.arg = fn, arg
+	e.heap = append(e.heap, entry{key: key{at: at, seq: e.seq}, id: id})
 	e.seq++
 	e.siftUp(int32(len(e.heap) - 1))
 	return Event{id: id, gen: r.gen}
 }
 
-// After runs fn after delay d from the current time. It is Schedule(Now()+d,
-// fn) in every observable respect; the event waits in the lane holding delay
-// d when there is one or an empty lane to start one, in the heap otherwise.
-func (e *Engine) After(d units.Time, fn func()) Event {
+// Schedule runs fn at absolute time at: At with a handler that takes no
+// argument, which costs a closure per call. The simulator's own events use
+// At and After.
+func (e *Engine) Schedule(at units.Time, fn func()) Event {
+	if fn == nil {
+		return e.At(at, nil, 0) // which panics
+	}
+	return e.At(at, func(int32) { fn() }, 0)
+}
+
+// After runs fn(arg) after delay d from the current time. It is At(Now()+d,
+// fn, arg) in every observable respect but one: it returns no handle, so the
+// event cannot be cancelled. The event waits in the lane holding delay d when
+// there is one or an empty lane to start one, in the heap otherwise.
+func (e *Engine) After(d units.Time, fn func(int32), arg int32) {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))
 	}
 	at := e.now + d
 	if at < e.now || fn == nil {
-		return e.Schedule(at, fn) // which panics
+		e.At(at, fn, arg) // which panics
+		return
 	}
 	e.afters++
 	i := e.laneFor(d)
 	if i < 0 {
-		return e.Schedule(at, fn)
+		e.At(at, fn, arg)
+		return
 	}
 	e.laned++
-	id := e.alloc()
-	r := &e.records[id]
-	r.fn = fn
-	r.pos = posLaned
 	l := &e.lanes[i]
 	if int(l.n) == len(l.buf) {
 		l.grow()
 	}
-	l.buf[(l.head+l.n)&uint32(len(l.buf)-1)] = entry{at: at, seq: e.seq, id: id}
+	l.buf[(l.head+l.n)&uint32(len(l.buf)-1)] = slot{key: key{at: at, seq: e.seq}, fn: fn, arg: arg}
 	l.n++
 	e.busy |= 1 << i
 	e.seq++
-	return Event{id: id, gen: r.gen}
 }
 
 // laneFor returns the index of the lane an event After delay d belongs in:
@@ -251,9 +269,9 @@ func (e *Engine) laneFor(d units.Time) int {
 	return -1
 }
 
-// grow doubles a full ring, unwrapping it so the oldest entry is at index 0.
+// grow doubles a full ring, unwrapping it so the oldest slot is at index 0.
 func (l *lane) grow() {
-	buf := make([]entry, max(16, 2*len(l.buf)))
+	buf := make([]slot, max(16, 2*len(l.buf)))
 	k := copy(buf, l.buf[l.head:])
 	copy(buf[k:], l.buf[:l.head])
 	l.buf, l.head = buf, 0
@@ -266,21 +284,10 @@ func (e *Engine) Cancel(ev Event) {
 	if ev.gen == 0 || int(ev.id) >= len(e.records) {
 		return
 	}
-	r := &e.records[ev.id]
-	if r.gen != ev.gen {
-		return
-	}
-	if r.pos >= 0 {
+	if r := &e.records[ev.id]; r.gen == ev.gen {
 		e.removeAt(r.pos)
 		e.release(ev.id)
-		return
 	}
-	// Laned: the entry stays where it is as a tombstone. The handle dies
-	// and the callback is dropped now; the record stays off the free list
-	// until fire meets the entry at its lane's head.
-	r.gen++
-	r.fn = nil
-	e.tombs++
 }
 
 // Stop makes Run return after the currently executing event completes. When
@@ -311,51 +318,46 @@ func (e *Engine) ClearHook() { e.hookFn = nil }
 func (e *Engine) Step() bool { return e.fire(units.Never) }
 
 // fire executes the (at, seq)-minimum of the heap root and the busy lanes'
-// heads when it is due by until, and reports whether it did. Tombstones met
-// on the way are discarded without touching the clock.
+// heads when it is due by until, and reports whether it did.
 func (e *Engine) fire(until units.Time) bool {
-	for {
-		var top *entry
-		if len(e.heap) > 0 {
-			top = &e.heap[0]
+	var top *key
+	if len(e.heap) > 0 {
+		top = &e.heap[0].key
+	}
+	from := -1
+	for m := e.busy; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		l := &e.lanes[i]
+		if h := &l.buf[l.head].key; top == nil || h.before(top) {
+			top, from = h, i
 		}
-		from := -1
-		for m := e.busy; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros8(m)
-			l := &e.lanes[i]
-			if h := &l.buf[l.head]; top == nil || h.before(top) {
-				top, from = h, i
-			}
+	}
+	if top == nil || top.at > until {
+		return false
+	}
+	e.now = top.at
+	e.fired++
+	if from >= 0 {
+		l := &e.lanes[from]
+		s := &l.buf[l.head]
+		fn, arg := s.fn, s.arg
+		s.fn = nil
+		l.head = (l.head + 1) & uint32(len(l.buf)-1)
+		if l.n--; l.n == 0 {
+			e.busy &^= 1 << from
 		}
-		if top == nil || top.at > until {
-			return false
-		}
-		id, at := top.id, top.at
-		if from < 0 {
-			e.removeAt(0)
-		} else {
-			l := &e.lanes[from]
-			l.head = (l.head + 1) & uint32(len(l.buf)-1)
-			if l.n--; l.n == 0 {
-				e.busy &^= 1 << from
-			}
-		}
-		r := &e.records[id]
-		fn := r.fn
-		if fn == nil {
-			// A tombstone surfaced: only now is its record free to reuse.
-			e.release(id)
-			e.tombs--
-			continue
-		}
-		e.now = at
-		e.fired++
-		// Release before running so a Cancel of this event from inside its
-		// own callback is already a stale-generation no-op.
-		e.release(id)
-		fn()
+		fn(arg)
 		return true
 	}
+	id := e.heap[0].id
+	e.removeAt(0)
+	r := &e.records[id]
+	fn, arg := r.fn, r.arg
+	// Release before running so a Cancel of this event from inside its
+	// own callback is already a stale-generation no-op.
+	e.release(id)
+	fn(arg)
+	return true
 }
 
 // Run executes events until the queue drains, the clock passes until, or
@@ -388,7 +390,7 @@ func (e *Engine) siftUp(i int32) {
 	x := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !x.before(&h[parent]) {
+		if !x.before(&h[parent].key) {
 			break
 		}
 		h[i] = h[parent]
@@ -417,11 +419,11 @@ func (e *Engine) siftDown(i int32) bool {
 			end = n
 		}
 		for k := c + 1; k < end; k++ {
-			if h[k].before(&h[c]) {
+			if h[k].before(&h[c].key) {
 				c = k
 			}
 		}
-		if x.before(&h[c]) {
+		if x.before(&h[c].key) {
 			break
 		}
 		h[i] = h[c]
@@ -437,7 +439,7 @@ func (e *Engine) siftDown(i int32) bool {
 func (e *Engine) removeAt(i int32) {
 	h := e.heap
 	n := int32(len(h)) - 1
-	e.records[h[i].id].pos = -1
+	e.records[h[i].id].pos = posFree
 	if i == n {
 		e.heap = h[:n]
 		return

@@ -19,12 +19,16 @@ func TestEngineFillsWholeLinePairs(t *testing.T) {
 	}
 }
 
+// nop is a handler that does nothing.
+func nop(int32) {}
+
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
 	var order []int
-	e.Schedule(5, func() { order = append(order, 2) })
-	e.After(7, func() { order = append(order, 3) }) // a lane's first entry
-	e.After(0, func() { order = append(order, 1) })
+	log := func(i int32) { order = append(order, int(i)) }
+	e.At(5, log, 2)
+	e.After(7, log, 3) // a lane's first entry
+	e.After(0, log, 1)
 	if e.Pending() != 3 {
 		t.Fatalf("Pending() = %d, want 3", e.Pending())
 	}
@@ -40,9 +44,10 @@ func TestZeroValueReady(t *testing.T) {
 func TestOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	log := func(i int32) { order = append(order, int(i)) }
+	e.At(30, log, 3)
+	e.At(10, log, 1)
+	e.Schedule(20, func() { order = append(order, 2) }) // the no-argument wrapper
 	e.RunAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -52,9 +57,8 @@ func TestOrdering(t *testing.T) {
 func TestFIFOTieBreak(t *testing.T) {
 	e := New()
 	var order []int
-	for i := 0; i < 100; i++ {
-		i := i
-		e.Schedule(42, func() { order = append(order, i) })
+	for i := int32(0); i < 100; i++ {
+		e.At(42, func(i int32) { order = append(order, int(i)) }, i)
 	}
 	e.RunAll()
 	if !sort.IntsAreSorted(order) {
@@ -65,9 +69,9 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestAfter(t *testing.T) {
 	e := New()
 	var at units.Time
-	e.Schedule(100, func() {
-		e.After(50, func() { at = e.Now() })
-	})
+	e.At(100, func(int32) {
+		e.After(50, func(int32) { at = e.Now() }, 0)
+	}, 0)
 	e.RunAll()
 	if at != 150 {
 		t.Fatalf("nested After fired at %v, want 150", at)
@@ -76,14 +80,14 @@ func TestAfter(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.Schedule(100, func() {
+	e.At(100, func(int32) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(50, func() {})
-	})
+		e.At(50, nop, 0)
+	}, 0)
 	e.RunAll()
 }
 
@@ -93,7 +97,7 @@ func TestNilFuncPanics(t *testing.T) {
 			t.Error("nil fn did not panic")
 		}
 	}()
-	New().Schedule(1, nil)
+	New().At(1, nil, 0)
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
@@ -102,13 +106,13 @@ func TestNegativeAfterPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	New().After(-1, func() {})
+	New().After(-1, nop, 0)
 }
 
 func TestCancel(t *testing.T) {
 	e := New()
 	ran := false
-	ev := e.Schedule(10, func() { ran = true })
+	ev := e.At(10, func(int32) { ran = true }, 0)
 	e.Cancel(ev)
 	e.RunAll()
 	if ran {
@@ -123,9 +127,8 @@ func TestCancelOneOfMany(t *testing.T) {
 	e := New()
 	var got []int
 	evs := make([]Event, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		evs[i] = e.Schedule(units.Time(i), func() { got = append(got, i) })
+	for i := range evs {
+		evs[i] = e.At(units.Time(i), func(i int32) { got = append(got, int(i)) }, int32(i))
 	}
 	e.Cancel(evs[3])
 	e.Cancel(evs[7])
@@ -145,8 +148,7 @@ func TestRunHorizon(t *testing.T) {
 	e := New()
 	var fired []units.Time
 	for _, at := range []units.Time{10, 20, 30, 40} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		e.At(at, func(int32) { fired = append(fired, e.Now()) }, 0)
 	}
 	e.Run(25)
 	if len(fired) != 2 {
@@ -167,12 +169,12 @@ func TestStop(t *testing.T) {
 	e := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(units.Time(i), func() {
+		e.At(units.Time(i), func(int32) {
 			count++
 			if count == 4 {
 				e.Stop()
 			}
-		})
+		}, 0)
 	}
 	e.RunAll()
 	if count != 4 {
@@ -187,8 +189,8 @@ func TestStop(t *testing.T) {
 
 func TestFiredAndPending(t *testing.T) {
 	e := New()
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
+	e.At(1, nop, 0)
+	e.After(2, nop, 0)
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d", e.Pending())
 	}
@@ -215,7 +217,7 @@ func TestRandomScheduleOrdered(t *testing.T) {
 		k := int(n%64) + 1
 		for i := 0; i < k; i++ {
 			at := units.Time(rng.Int63n(1000))
-			e.Schedule(at, func() { fired = append(fired, e.Now()) })
+			e.At(at, func(int32) { fired = append(fired, e.Now()) }, 0)
 		}
 		e.RunAll()
 		if len(fired) != k {
@@ -241,9 +243,8 @@ func TestRandomCancel(t *testing.T) {
 		const n = 40
 		ran := make([]bool, n)
 		evs := make([]Event, n)
-		for i := 0; i < n; i++ {
-			i := i
-			evs[i] = e.Schedule(units.Time(rng.Int63n(100)), func() { ran[i] = true })
+		for i := range evs {
+			evs[i] = e.At(units.Time(rng.Int63n(100)), func(i int32) { ran[i] = true }, int32(i))
 		}
 		cancelled := make([]bool, n)
 		for i := 0; i < n; i++ {
@@ -271,12 +272,12 @@ func TestStopInsideEvent(t *testing.T) {
 	e := New()
 	count := 0
 	for i := 1; i <= 6; i++ {
-		e.Schedule(units.Time(i), func() {
+		e.At(units.Time(i), func(int32) {
 			count++
 			if count == 2 {
 				e.Stop()
 			}
-		})
+		}, 0)
 	}
 	e.Run(100)
 	if count != 2 {
@@ -296,7 +297,7 @@ func TestStopInsideEvent(t *testing.T) {
 func TestStopBeforeRun(t *testing.T) {
 	e := New()
 	ran := 0
-	e.Schedule(1, func() { ran++ })
+	e.At(1, func(int32) { ran++ }, 0)
 	e.Stop()
 	if !e.stopped {
 		t.Fatal("stop flag clear right after Stop")
@@ -320,14 +321,14 @@ func TestStopBeforeRun(t *testing.T) {
 func TestCancelFiredEvent(t *testing.T) {
 	e := New()
 	firstRan := false
-	first := e.Schedule(1, func() { firstRan = true })
+	first := e.At(1, func(int32) { firstRan = true }, 0)
 	e.RunAll()
 	if !firstRan {
 		t.Fatal("first event did not run")
 	}
 	secondRan := false
-	e.Schedule(2, func() { secondRan = true }) // recycles first's record
-	e.Cancel(first)                            // stale handle: must not touch the recycled record
+	e.At(2, func(int32) { secondRan = true }, 0) // recycles first's record
+	e.Cancel(first)                              // stale handle: must not touch the recycled record
 	e.Cancel(first)
 	e.RunAll()
 	if !secondRan {
@@ -340,10 +341,10 @@ func TestCancelSelfInsideCallback(t *testing.T) {
 	e := New()
 	var self Event
 	after := false
-	self = e.Schedule(1, func() {
+	self = e.At(1, func(int32) {
 		e.Cancel(self)
-		e.Schedule(2, func() { after = true })
-	})
+		e.At(2, func(int32) { after = true }, 0)
+	}, 0)
 	e.RunAll()
 	if !after {
 		t.Fatal("self-cancel corrupted the queue")
@@ -352,10 +353,9 @@ func TestCancelSelfInsideCallback(t *testing.T) {
 
 func BenchmarkScheduleRun(b *testing.B) {
 	e := New()
-	fn := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+units.Time(i%100), fn)
+		e.At(e.Now()+units.Time(i%100), nop, 0)
 		e.Step()
 	}
 	// Exactly one event fires per op; the explicit metric lets benchjson
@@ -369,16 +369,15 @@ func BenchmarkScheduleRun(b *testing.B) {
 // ring-buffer step and the heap stays empty.
 func BenchmarkAfterHold(b *testing.B) {
 	e := New()
-	fn := func() {}
 	delays := [2]units.Time{1000, 1200}
 	for i := 0; i < 64; i++ {
-		e.After(delays[i&1], fn)
+		e.After(delays[i&1], nop, int32(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
-		e.After(delays[i&1], fn)
+		e.After(delays[i&1], nop, int32(i))
 	}
 	b.StopTimer()
 	if laned, after := e.LaneStats(); laned != after {
@@ -388,25 +387,24 @@ func BenchmarkAfterHold(b *testing.B) {
 }
 
 // BenchmarkEngineScheduleCancel measures the schedule+cancel round trip —
-// the rate-limiter and kick-timer pattern of netsim. The pooled records must
+// the kick and refill timer pattern of netsim. The pooled records must
 // make this allocation-free in steady state.
 func BenchmarkEngineScheduleCancel(b *testing.B) {
 	e := New()
-	fn := func() {}
 	// Keep a standing population so cancellation exercises interior heap
 	// removals, not just the root.
 	var standing [64]Event
 	for i := range standing {
-		standing[i] = e.Schedule(units.Time(i+1000000), fn)
+		standing[i] = e.At(units.Time(i+1000000), nop, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := e.Schedule(units.Time(i%1000), fn)
+		ev := e.At(units.Time(i%1000), nop, 0)
 		e.Cancel(ev)
 		j := i % len(standing)
 		e.Cancel(standing[j])
-		standing[j] = e.Schedule(units.Time(i+2000000), fn)
+		standing[j] = e.At(units.Time(i+2000000), nop, 0)
 	}
 }
 
@@ -416,15 +414,14 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 // queues of BenchmarkScheduleRun.
 func BenchmarkScheduleRunDeep(b *testing.B) {
 	e := New()
-	fn := func() {}
 	const standing = 4096
 	for i := 0; i < standing; i++ {
-		e.Schedule(units.Time(i), fn)
+		e.At(units.Time(i), nop, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+units.Time(standing+i%1024), fn)
+		e.At(e.Now()+units.Time(standing+i%1024), nop, 0)
 		e.Step()
 	}
 	b.ReportMetric(1, "events/op")
@@ -432,15 +429,15 @@ func BenchmarkScheduleRunDeep(b *testing.B) {
 
 func TestHookInterval(t *testing.T) {
 	e := New()
-	var chain func()
+	var chain func(int32)
 	n := 0
-	chain = func() {
+	chain = func(int32) {
 		n++
 		if n < 100 {
-			e.After(1, chain)
+			e.After(1, chain, 0)
 		}
 	}
-	e.Schedule(0, chain)
+	e.At(0, chain, 0)
 	calls := 0
 	e.SetHook(10, func() bool { calls++; return true })
 	e.RunAll()
@@ -454,13 +451,13 @@ func TestHookInterval(t *testing.T) {
 
 func TestHookStopsRun(t *testing.T) {
 	e := New()
-	var chain func()
+	var chain func(int32)
 	n := 0
-	chain = func() {
+	chain = func(int32) {
 		n++
-		e.After(1, chain) // unbounded: only the hook can end this run
+		e.After(1, chain, 0) // unbounded: only the hook can end this run
 	}
-	e.Schedule(0, chain)
+	e.At(0, chain, 0)
 	e.SetHook(1, func() bool { return n < 25 })
 	e.RunAll()
 	if n != 25 {
@@ -472,7 +469,7 @@ func TestHookStopsRun(t *testing.T) {
 	// The hook decision is per-Run: with the hook cleared, the chain
 	// resumes from where it stopped.
 	e.ClearHook()
-	e.Schedule(e.Now()+1000, func() {}) // horizon pin
+	e.At(e.Now()+1000, nop, 0) // horizon pin
 	e.Run(e.Now() + 10)
 	if n <= 25 {
 		t.Fatal("cleared hook still stopping the run")

@@ -14,8 +14,8 @@ import (
 // insertion-sequence) pairs whose expected fire order is a stable sort by
 // time. Any queue bug — wrong parent/child arithmetic, broken removeAt
 // hole-filling, pos corruption, a lane out of order, a ring that wraps or
-// grows wrongly, a tombstone that fires or is recycled twice — shows up as a
-// divergence between the engine's fire order and the model's, or in checkHeap.
+// grows wrongly, a record recycled twice — shows up as a divergence between
+// the engine's fire order and the model's, or in checkHeap.
 
 // refEvent is one scheduled event in the reference model.
 type refEvent struct {
@@ -29,28 +29,24 @@ func (a refEvent) before(b refEvent) bool {
 
 // checkHeap asserts the engine's internal consistency. Heap: the inline keys
 // obey the 4-ary heap order and every entry's record points back at its slot.
-// Lanes: each is strictly (at, seq)-sorted from its head, every record it
-// holds carries the lane marker, the busy mask says exactly which are
-// non-empty, and the tombstone count is the number of laned records without a
-// callback. Records: free ones are detached and listed once, and every record
-// is in exactly one place — heap, lane or free list — so a recycled tombstone
-// cannot have been freed twice or lost. Given the live handles in schedule
-// order: Pending() is their count, each one's entry carries exactly the time
-// it was scheduled for, and sequence numbers rise in schedule order. The key
-// lives only in the entry, so this is the check that a sift never separates a
-// key from its id.
-func checkHeap(t *testing.T, e *Engine, live []Event) {
+// Lanes: each is strictly (at, seq)-sorted from its head, every slot it holds
+// carries a handler, and the busy mask says exactly which are non-empty.
+// Records: free ones are detached and listed once, and every record is either
+// in the heap or on the free list. Given the live At handles in schedule
+// order and the number of events After queued and not yet fired: Pending() is
+// their sum, each handle's entry is the heap slot its record points at, and
+// sequence numbers rise in schedule order. The key lives only in the entry,
+// so this is the check that a sift never separates a key from its id.
+func checkHeap(t *testing.T, e *Engine, live []Event, afters int) {
 	t.Helper()
 	for i := range e.heap {
-		if i > 0 && e.heap[i].before(&e.heap[(i-1)>>2]) {
+		if i > 0 && e.heap[i].before(&e.heap[(i-1)>>2].key) {
 			t.Fatalf("heap order broken at %d: %+v before its parent %+v", i, e.heap[i], e.heap[(i-1)>>2])
 		}
 		if pos := e.records[e.heap[i].id].pos; pos != int32(i) {
 			t.Fatalf("heap[%d] holds record %d, whose pos says %d", i, e.heap[i].id, pos)
 		}
 	}
-	laned := map[int32]entry{}
-	tombs := 0
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		if busy := e.busy&(1<<i) != 0; busy != (l.n > 0) {
@@ -60,27 +56,16 @@ func checkHeap(t *testing.T, e *Engine, live []Event) {
 			t.Fatalf("lane %d: %d entries in a ring of %d", i, l.n, len(l.buf))
 		}
 		for k := uint32(0); k < l.n; k++ {
-			ent := l.buf[(l.head+k)&uint32(len(l.buf)-1)]
+			s := &l.buf[(l.head+k)&uint32(len(l.buf)-1)]
 			if k > 0 {
-				if prev := l.buf[(l.head+k-1)&uint32(len(l.buf)-1)]; !prev.before(&ent) {
-					t.Fatalf("lane %d not sorted at %d: %+v then %+v", i, k, prev, ent)
+				if prev := &l.buf[(l.head+k-1)&uint32(len(l.buf)-1)]; !prev.before(&s.key) {
+					t.Fatalf("lane %d not sorted at %d: %+v then %+v", i, k, prev.key, s.key)
 				}
 			}
-			if _, dup := laned[ent.id]; dup {
-				t.Fatalf("record %d is laned twice", ent.id)
-			}
-			laned[ent.id] = ent
-			r := e.records[ent.id]
-			if r.pos != posLaned {
-				t.Fatalf("lane %d holds record %d, whose pos says %d", i, ent.id, r.pos)
-			}
-			if r.fn == nil {
-				tombs++
+			if s.fn == nil {
+				t.Fatalf("lane %d slot %d has no handler", i, k)
 			}
 		}
-	}
-	if tombs != e.tombs {
-		t.Fatalf("%d tombstones in the lanes, engine counts %d", tombs, e.tombs)
 	}
 	free := map[int32]bool{}
 	for _, id := range e.free {
@@ -92,30 +77,22 @@ func checkHeap(t *testing.T, e *Engine, live []Event) {
 		}
 		free[id] = true
 	}
-	if len(e.heap)+len(laned)+len(free) != len(e.records) {
-		t.Fatalf("%d records, but %d in the heap + %d laned + %d free",
-			len(e.records), len(e.heap), len(laned), len(free))
+	if len(e.heap)+len(free) != len(e.records) {
+		t.Fatalf("%d records, but %d in the heap + %d free", len(e.records), len(e.heap), len(free))
 	}
 	if live == nil {
 		return
 	}
-	if e.Pending() != len(live) {
-		t.Fatalf("Pending() = %d for %d live handles", e.Pending(), len(live))
+	if e.Pending() != len(live)+afters {
+		t.Fatalf("Pending() = %d for %d live handles and %d After events", e.Pending(), len(live), afters)
 	}
 	lastSeq := uint64(0)
 	for i, ev := range live {
 		r := e.records[ev.id]
-		var ent entry
-		switch {
-		case r.gen != ev.gen || r.fn == nil:
-			t.Fatalf("live handle %+v: record gen %d, callback set: %v", ev, r.gen, r.fn != nil)
-		case r.pos >= 0:
-			ent = e.heap[r.pos]
-		case r.pos == posLaned:
-			ent = laned[ev.id]
-		default:
-			t.Fatalf("live handle %+v: record is on the free list", ev)
+		if r.gen != ev.gen || r.fn == nil || r.pos < 0 {
+			t.Fatalf("live handle %+v: record gen %d, pos %d, callback set: %v", ev, r.gen, r.pos, r.fn != nil)
 		}
+		ent := e.heap[r.pos]
 		if ent.id != ev.id {
 			t.Fatalf("live handle %+v is queued as %+v", ev, ent)
 		}
@@ -126,17 +103,16 @@ func checkHeap(t *testing.T, e *Engine, live []Event) {
 	}
 }
 
-// modelCoverage counts the lane situations runModelComparison reached, so the
-// test can insist the random program really went there.
+// modelCoverage counts the queue situations runModelComparison reached, so
+// the test can insist the random program really went there.
 type modelCoverage struct {
-	laned, fallback      int // After calls that took a lane / fell back to the heap
-	cancelHead, cancelIn int // Cancel of a lane's head / of an entry behind it
-	grewWrapped          int // a ring grew while its head was not at index 0
-	skipped              int // tombstones stepped past
+	laned, fallback int // After calls that took a lane / fell back to the heap
+	grewWrapped     int // a ring grew while its head was not at index 0
+	cancelled       int // Cancel of a live At handle
 }
 
 // runModelComparison drives an engine and a reference model through a random
-// interleaving of Schedule, After (single and in bursts, from a set of delays
+// interleaving of At, After (single and in bursts, from a set of delays
 // larger than the lane count), Cancel (live and stale handles), Step and
 // Run(until), checking the queue's consistency after every operation, then
 // drains both and compares the complete fire order.
@@ -145,6 +121,7 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 	rng := rand.New(rand.NewSource(seed))
 	e := New()
 
+	// live is one pending event of the model; ev is zero for an After.
 	type live struct {
 		ev  Event
 		ref refEvent
@@ -154,26 +131,30 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 		stale   []Event    // handles whose events fired or were cancelled
 		fired   []refEvent // engine fire order
 		model   []refEvent // expected fire order
-		seq     int
+		refs    []refEvent // refs[seq] is the event scheduled seq-th
 	)
+	record := func(seq int32) { fired = append(fired, refs[seq]) }
+	next := func(at units.Time) refEvent {
+		re := refEvent{at: at, seq: len(refs)}
+		refs = append(refs, re)
+		return re
+	}
 	schedule := func(at units.Time) {
-		re := refEvent{at: at, seq: seq}
-		seq++
-		ev := e.Schedule(at, func() { fired = append(fired, re) })
+		re := next(at)
+		ev := e.At(at, record, int32(re.seq))
 		pending = append(pending, live{ev: ev, ref: re})
 	}
 	// More delays than lanes, so some After calls find every lane taken.
 	delays := [...]units.Time{0, 2, 2, 5, 5, 5, 9, 14, 30}
 	after := func(d units.Time) {
-		re := refEvent{at: e.Now() + d, seq: seq}
-		seq++
+		re := next(e.Now() + d)
 		before, _ := e.LaneStats()
 		var wrapped [numLanes]bool
 		for i := range e.lanes {
 			l := &e.lanes[i]
 			wrapped[i] = l.head != 0 && int(l.n) == len(l.buf)
 		}
-		ev := e.After(d, func() { fired = append(fired, re) })
+		e.After(d, record, int32(re.seq))
 		if now, _ := e.LaneStats(); now > before {
 			cov.laned++
 		} else {
@@ -184,7 +165,7 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 				cov.grewWrapped++
 			}
 		}
-		pending = append(pending, live{ev: ev, ref: re})
+		pending = append(pending, live{ref: re})
 	}
 	// modelPop moves the model's minimum, which is what the engine must fire
 	// next, to the expected fire order.
@@ -197,14 +178,16 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 		}
 		l := pending[min]
 		model = append(model, l.ref)
-		stale = append(stale, l.ev)
+		if l.ev != (Event{}) {
+			stale = append(stale, l.ev)
+		}
 		pending = append(pending[:min], pending[min+1:]...)
 	}
 
 	const ops = 500
 	for op := 0; op < ops; op++ {
 		switch k := rng.Intn(20); {
-		case k < 5: // Schedule at an absolute time, ties likely
+		case k < 5: // At an absolute time, ties likely
 			schedule(e.Now() + units.Time(rng.Intn(16)))
 		case k < 9: // After, including zero delay
 			after(delays[rng.Intn(len(delays))])
@@ -215,24 +198,18 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 			}
 		case k < 14: // Cancel a random live handle: removeAt at a random
 			// heap position — over many ops this hits leaf, root and
-			// interior nodes — or a tombstone at a lane's head or inside.
-			if len(pending) > 0 {
-				i := rng.Intn(len(pending))
-				ev := pending[i].ev
-				if e.records[ev.id].pos == posLaned {
-					head := false
-					for j := range e.lanes {
-						if l := &e.lanes[j]; l.n > 0 && l.buf[l.head].id == ev.id {
-							head = true
-						}
-					}
-					if head {
-						cov.cancelHead++
-					} else {
-						cov.cancelIn++
-					}
+			// interior nodes.
+			var handles []int
+			for i, l := range pending {
+				if l.ev != (Event{}) {
+					handles = append(handles, i)
 				}
+			}
+			if len(handles) > 0 {
+				i := handles[rng.Intn(len(handles))]
+				ev := pending[i].ev
 				e.Cancel(ev)
+				cov.cancelled++
 				stale = append(stale, ev)
 				pending = append(pending[:i], pending[i+1:]...)
 			}
@@ -242,7 +219,6 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 			}
 		case k < 16: // Run to a horizon: everything due by then, in order
 			until := e.Now() + units.Time(rng.Intn(6))
-			tombs := e.tombs
 			for {
 				min, any := refEvent{}, false
 				for _, l := range pending {
@@ -256,29 +232,29 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 				modelPop()
 			}
 			e.Run(until)
-			cov.skipped += tombs - e.tombs
 		default: // Step fires the earliest pending event
-			tombs := e.tombs
 			if stepped := e.Step(); stepped != (len(pending) > 0) {
 				t.Fatalf("seed %d: Step = %v with %d events pending", seed, stepped, len(pending))
 			} else if stepped {
 				modelPop()
 			}
-			cov.skipped += tombs - e.tombs
 		}
 		if len(fired) != len(model) {
 			t.Fatalf("seed %d op %d: engine fired %d events, model %d", seed, op, len(fired), len(model))
 		}
-		// The clock is the last fired event's time: a tombstone stepped
-		// past must not have moved it.
 		if len(model) > 0 && e.Now() != model[len(model)-1].at {
 			t.Fatalf("seed %d op %d: clock at %v, last event fired at %v", seed, op, e.Now(), model[len(model)-1].at)
 		}
-		handles := make([]Event, len(pending))
-		for i, l := range pending {
-			handles[i] = l.ev
+		var handles []Event
+		afters := 0
+		for _, l := range pending {
+			if l.ev == (Event{}) {
+				afters++
+			} else {
+				handles = append(handles, l.ev)
+			}
 		}
-		checkHeap(t, e, handles)
+		checkHeap(t, e, append([]Event{}, handles...), afters)
 	}
 
 	// Drain: everything still pending fires in (at, seq) order.
@@ -286,7 +262,7 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 		modelPop()
 	}
 	e.RunAll()
-	checkHeap(t, e, []Event{})
+	checkHeap(t, e, []Event{}, 0)
 
 	if len(fired) != len(model) {
 		t.Fatalf("seed %d: engine fired %d events, model expects %d", seed, len(fired), len(model))
@@ -309,50 +285,57 @@ func TestHeapAgainstReferenceModel(t *testing.T) {
 		runModelComparison(t, seed, &cov)
 	}
 	t.Logf("coverage: %+v", cov)
-	if cov.laned == 0 || cov.fallback == 0 || cov.cancelHead == 0 || cov.cancelIn == 0 ||
-		cov.grewWrapped == 0 || cov.skipped == 0 {
-		t.Fatalf("the random program missed a lane situation: %+v", cov)
+	if cov.laned == 0 || cov.fallback == 0 || cov.grewWrapped == 0 || cov.cancelled == 0 {
+		t.Fatalf("the random program missed a queue situation: %+v", cov)
 	}
 }
 
 // TestAfterEqualsSchedule runs one seeded program twice — once scheduling its
-// events with After(d), once with Schedule(Now()+d), which never leaves the
-// heap — and requires the identical transcript: every fired id with its
-// instant and the Pending() it saw, every governor-hook call, and the clock
-// and Pending() each Run returned with. The program has same-instant ties,
-// After(0), cancels, a Stop from inside a callback, and Run horizons placed
-// exactly on a pending event's time.
+// events with After(d), once with At(Now()+d), which never leaves the heap —
+// and requires the identical transcript: every fired id with its instant and
+// the Pending() it saw, every governor-hook call, and the clock and Pending()
+// each Run returned with. The program has same-instant ties, After(0), Stop
+// from inside a callback, Run horizons placed exactly on a pending event's
+// time, and cancellable timers (At on both runs) that its events cancel.
 func TestAfterEqualsSchedule(t *testing.T) {
-	type scheduler func(e *Engine, d units.Time, fn func()) Event
+	type scheduler func(e *Engine, d units.Time, fn func(int32), arg int32)
 	program := func(seed int64, sched scheduler) (log []string, e *Engine) {
 		rng := rand.New(rand.NewSource(seed))
 		e = New()
 		delays := [...]units.Time{0, 1, 1, 4, 4, 4, 11, 37, 90}
-		var handles []Event
-		var times []units.Time // times[i] is when handles[i] is due
+		var timers []Event
+		var times []units.Time // times[i] is when the i-th event is due
 		const total = 1500
 		next := 0
 		var spawn func()
+		var fire func(id int32)
+		fire = func(id int32) {
+			log = append(log, fmt.Sprintf("fire %d at %v pending %d", id, e.Now(), e.Pending()))
+			for n := rng.Intn(4); n > 0; n-- {
+				spawn()
+			}
+			switch rng.Intn(12) {
+			case 0:
+				if len(timers) > 0 {
+					e.Cancel(timers[rng.Intn(len(timers))])
+				}
+			case 1:
+				e.Stop()
+			}
+		}
 		spawn = func() {
 			if next == total {
 				return
 			}
-			id := next
+			id := int32(next)
 			next++
 			d := delays[rng.Intn(len(delays))]
 			times = append(times, e.Now()+d)
-			handles = append(handles, sched(e, d, func() {
-				log = append(log, fmt.Sprintf("fire %d at %v pending %d", id, e.Now(), e.Pending()))
-				for n := rng.Intn(4); n > 0; n-- {
-					spawn()
-				}
-				switch rng.Intn(12) {
-				case 0:
-					e.Cancel(handles[rng.Intn(len(handles))])
-				case 1:
-					e.Stop()
-				}
-			}))
+			if rng.Intn(8) == 0 {
+				timers = append(timers, e.At(e.Now()+d, fire, id))
+				return
+			}
+			sched(e, d, fire, id)
 		}
 		e.SetHook(7, func() bool {
 			log = append(log, fmt.Sprintf("hook at fired %d", e.Fired()))
@@ -363,7 +346,7 @@ func TestAfterEqualsSchedule(t *testing.T) {
 			for e.Pending() < 8 && next < total {
 				spawn()
 			}
-			// Stop exactly on a recent handle's time when that is ahead of
+			// Stop exactly on a recent event's time when that is ahead of
 			// the last horizon, a few ticks past it otherwise.
 			if at := times[len(times)-1-rng.Intn(min(len(times), 16))]; at > until {
 				until = at
@@ -376,19 +359,19 @@ func TestAfterEqualsSchedule(t *testing.T) {
 		return log, e
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		viaAfter, ea := program(seed, func(e *Engine, d units.Time, fn func()) Event { return e.After(d, fn) })
-		viaSchedule, es := program(seed, func(e *Engine, d units.Time, fn func()) Event { return e.Schedule(e.Now()+d, fn) })
+		viaAfter, ea := program(seed, func(e *Engine, d units.Time, fn func(int32), arg int32) { e.After(d, fn, arg) })
+		viaAt, es := program(seed, func(e *Engine, d units.Time, fn func(int32), arg int32) { e.At(e.Now()+d, fn, arg) })
 		for i := range viaAfter {
-			if i >= len(viaSchedule) || viaAfter[i] != viaSchedule[i] {
-				t.Fatalf("seed %d: transcripts part at line %d:\n  After:    %s\n  Schedule: %s",
-					seed, i, viaAfter[i], append(viaSchedule, "<end>")[min(i, len(viaSchedule))])
+			if i >= len(viaAt) || viaAfter[i] != viaAt[i] {
+				t.Fatalf("seed %d: transcripts part at line %d:\n  After: %s\n  At:    %s",
+					seed, i, viaAfter[i], append(viaAt, "<end>")[min(i, len(viaAt))])
 			}
 		}
-		if len(viaAfter) != len(viaSchedule) {
-			t.Fatalf("seed %d: After transcript has %d lines, Schedule %d", seed, len(viaAfter), len(viaSchedule))
+		if len(viaAfter) != len(viaAt) {
+			t.Fatalf("seed %d: After transcript has %d lines, At %d", seed, len(viaAfter), len(viaAt))
 		}
 		if ea.Fired() != es.Fired() || ea.Now() != es.Now() {
-			t.Fatalf("seed %d: After fired %d to %v, Schedule %d to %v", seed, ea.Fired(), ea.Now(), es.Fired(), es.Now())
+			t.Fatalf("seed %d: After fired %d to %v, At %d to %v", seed, ea.Fired(), ea.Now(), es.Fired(), es.Now())
 		}
 		// Both sides of the queue must have been in play on the After run,
 		// and only the heap on the other.
@@ -396,7 +379,7 @@ func TestAfterEqualsSchedule(t *testing.T) {
 			t.Fatalf("seed %d: %d of %d After calls laned; want some, not all", seed, laned, after)
 		}
 		if laned, after := es.LaneStats(); laned != 0 || after != 0 {
-			t.Fatalf("seed %d: Schedule-only run reports LaneStats %d, %d", seed, laned, after)
+			t.Fatalf("seed %d: At-only run reports LaneStats %d, %d", seed, laned, after)
 		}
 	}
 }
@@ -415,14 +398,13 @@ func TestCancelAtEveryHeapPosition(t *testing.T) {
 		// Shuffled times so heap positions differ from schedule order.
 		rng := rand.New(rand.NewSource(int64(victim)))
 		times := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			i := i
-			evs[i] = e.Schedule(units.Time(times[i]), func() { fired = append(fired, times[i]) })
+		for i := range evs {
+			evs[i] = e.At(units.Time(times[i]), func(i int32) { fired = append(fired, times[i]) }, int32(i))
 		}
 		e.Cancel(evs[victim])
-		checkHeap(t, e, append(append([]Event{}, evs[:victim]...), evs[victim+1:]...))
+		checkHeap(t, e, append(append([]Event{}, evs[:victim]...), evs[victim+1:]...), 0)
 		for e.Step() {
-			checkHeap(t, e, nil)
+			checkHeap(t, e, nil, 0)
 		}
 		if len(fired) != n-1 {
 			t.Fatalf("victim %d: fired %d events, want %d", victim, len(fired), n-1)
@@ -444,9 +426,8 @@ func TestFIFOTiesSurviveCancels(t *testing.T) {
 	const n = 64
 	var fired []int
 	evs := make([]Event, n)
-	for i := 0; i < n; i++ {
-		i := i
-		evs[i] = e.Schedule(7, func() { fired = append(fired, i) })
+	for i := range evs {
+		evs[i] = e.At(7, func(i int32) { fired = append(fired, int(i)) }, int32(i))
 	}
 	for i := 0; i < n; i += 3 {
 		e.Cancel(evs[i])

@@ -63,14 +63,14 @@ func RunFig20(o RunOptions) (*Fig20Result, error) {
 	d := sim.Spec.Run.DurationNs
 	// Sample H1's GFC port rate periodically.
 	h1 := sim.Topo.MustLookup("H1")
-	var sample func()
-	sample = func() {
+	var sample func(int32)
+	sample = func(int32) {
 		res.GFCRate.Append(net.Now(), float64(net.SenderRate(h1, 0)))
 		if net.Now() < d {
-			net.Engine().After(50*units.Microsecond, sample)
+			net.Engine().After(50*units.Microsecond, sample, 0)
 		}
 	}
-	net.Engine().After(50*units.Microsecond, sample)
+	net.Engine().After(50*units.Microsecond, sample, 0)
 	if res.Result, err = o.run(sim); err != nil {
 		return nil, err
 	}

@@ -121,17 +121,17 @@ type cbfcReceiver struct {
 	p    Params
 	cfg  CBFCConfig
 	env  Env
-	abr  int64  // blocks released from the ingress buffer since link init
-	tick func() // the periodic advertisement, bound once in Start
+	abr  int64       // blocks released from the ingress buffer since link init
+	tick func(int32) // the periodic advertisement, bound once in Start
 }
 
 func (r *cbfcReceiver) Start() {
 	r.advertise()
-	r.tick = func() {
+	r.tick = func(int32) {
 		r.advertise()
-		r.env.After(r.cfg.Period, r.tick)
+		r.env.After(r.cfg.Period, r.tick, 0)
 	}
-	r.env.After(r.cfg.Period, r.tick)
+	r.env.After(r.cfg.Period, r.tick, 0)
 }
 
 func (r *cbfcReceiver) advertise() {

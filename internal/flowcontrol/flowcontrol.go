@@ -94,9 +94,10 @@ type Clock interface {
 // Clock returns one clock shared by every controller of the network, and a
 // Sender keeps that rather than its Env: TrySend and OnSent run per packet,
 // and reading the time must not cost a load of per-channel state first.
+// After is the simulation engine's: fn(arg) runs after delay d.
 type Env interface {
 	Clock() Clock
-	After(d units.Time, fn func())
+	After(d units.Time, fn func(int32), arg int32)
 	Emit(m Message)
 }
 
@@ -177,6 +178,21 @@ type QueueReceiver interface {
 	Receiver
 	OnQueueArrival(qid int, s, q units.Size)
 	OnQueueDeparture(qid int, s, q units.Size)
+}
+
+// RateGated is implemented by the Senders whose gate is a RateLimiter and
+// nothing else — buffer-based, time-based and conceptual GFC: TrySend is ok
+// exactly when the limiter's NextAllowed is not after now, and reports that
+// time as the wake otherwise; OnSent is the limiter's OnPacket at now. A
+// simulator that keeps per-channel state in its own arrays moves the limiter
+// into one with BindLimiter, then reads and records it in place instead of
+// calling TrySend and OnSent; the sender keeps using the slot for OnFeedback
+// and Rate.
+type RateGated interface {
+	Sender
+	// BindLimiter copies the sender's limiter into *slot, which the sender
+	// uses from then on.
+	BindLimiter(slot *RateLimiter)
 }
 
 // Bounded is implemented by Senders whose rate mapping has a finite queue

@@ -20,15 +20,17 @@ type fakeEnv struct {
 
 func newFakeEnv() *fakeEnv { return &fakeEnv{eng: eventsim.New()} }
 
-func (e *fakeEnv) Now() units.Time               { return e.eng.Now() }
-func (e *fakeEnv) Clock() Clock                  { return e.eng }
-func (e *fakeEnv) After(d units.Time, fn func()) { e.eng.After(d, fn) }
-func (e *fakeEnv) Emit(m Message)                { e.sent = append(e.sent, m); e.deliver(m) }
+func (e *fakeEnv) Now() units.Time { return e.eng.Now() }
+func (e *fakeEnv) Clock() Clock    { return e.eng }
+func (e *fakeEnv) After(d units.Time, fn func(int32), arg int32) {
+	e.eng.After(d, fn, arg)
+}
+func (e *fakeEnv) Emit(m Message) { e.sent = append(e.sent, m); e.deliver(m) }
 func (e *fakeEnv) deliver(m Message) {
 	if e.forward == nil {
 		return
 	}
-	e.eng.After(e.delay, func() { e.forward.OnFeedback(m) })
+	e.eng.After(e.delay, func(int32) { e.forward.OnFeedback(m) }, 0)
 }
 
 func testParams() Params {
@@ -607,6 +609,61 @@ func TestGFCTimeRateNeverZero(t *testing.T) {
 	}
 	if ok, wake := c.Sender.TrySend(1500); !ok && wake == units.Never {
 		t.Fatal("time-based GFC blocked without a finite wake")
+	}
+}
+
+// TestRateGatedBindLimiter: each rate-gated sender's TrySend is its
+// limiter's gate, GFC-time's link-init hold included, and BindLimiter moves
+// the limiter — state and all — into a slot the sender then reads and writes:
+// a packet recorded in the slot gates the sender, and feedback sets the
+// slot's rate.
+func TestRateGatedBindLimiter(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    Factory
+		fb   Message
+	}{
+		{"gfc-buffer", NewGFCBuffer(GFCBufferConfig{}), Message{Kind: KindStage, Stage: 3}},
+		{"gfc-time", NewGFCTime(GFCTimeConfig{}), Message{Kind: KindCredit, FCCL: 10}},
+		{"gfc-conceptual", NewGFCConceptual(GFCConceptualConfig{}), Message{Kind: KindQueue, Queue: 990 * units.KB}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newFakeEnv()
+			c, err := tc.f(testParams(), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ok := c.Sender.(RateGated)
+			if !ok {
+				t.Fatalf("%T is not RateGated", c.Sender)
+			}
+			var slot RateLimiter
+			s.BindLimiter(&slot)
+			same := func(when string) {
+				t.Helper()
+				ok, wake := s.TrySend(1500)
+				if gotOK, gotWake := slot.Gate(env.eng.Now()); ok != gotOK || wake != gotWake {
+					t.Fatalf("%s: TrySend (%v, %v), slot (%v, %v)", when, ok, wake, gotOK, gotWake)
+				}
+			}
+			same("before feedback")
+			if held := tc.name == "gfc-time"; held != (slot.NextAllowed() == units.Never) {
+				t.Fatalf("limiter held = %v before the first feedback", !held)
+			}
+			s.OnFeedback(tc.fb)
+			if slot.Rate() != s.Rate() || slot.Rate() >= testParams().Capacity {
+				t.Fatalf("feedback set the sender's rate %v, the slot's %v", s.Rate(), slot.Rate())
+			}
+			slot.OnPacket(env.eng.Now(), 1200, 1500)
+			same("after a packet recorded in the slot")
+			if ok, _ := s.TrySend(1500); ok {
+				t.Fatal("a slowed limiter allowed a packet right after the last one")
+			}
+			s.OnSent(1500, 1200)
+			if slot.blocks != 2*Blocks(1500) {
+				t.Fatalf("slot counted %d blocks for two packets", slot.blocks)
+			}
+		})
 	}
 }
 

@@ -128,31 +128,38 @@ func NewGFCBuffer(cfg GFCBufferConfig) Factory {
 			mu.Unlock()
 		}
 		return Controller{
-			Sender:   &gfcBufferSender{rl: *NewRateLimiter(p.Capacity), clock: env.Clock(), table: table},
+			Sender:   &gfcBufferSender{limited: newLimited(p.Capacity, env.Clock()), table: table},
 			Receiver: &gfcBufferReceiver{p: p, table: table, env: env, refresh: cfg.Refresh},
 		}, nil
 	}
 }
 
-// The rate limiter is held by value and leads the struct, next to the clock:
-// the per-packet path (TrySend, OnSent) then stays inside the sender's first
-// cache line.
-type gfcBufferSender struct {
-	rl    RateLimiter
+// limited is the gate of the rate-gated senders (RateGated): a RateLimiter
+// read at the clock's time. rl is the sender's own limiter until a simulator
+// binds it into its per-channel storage.
+type limited struct {
+	rl    *RateLimiter
 	clock Clock
+}
+
+func newLimited(capacity units.Rate, clock Clock) limited {
+	return limited{rl: NewRateLimiter(capacity), clock: clock}
+}
+
+func (l *limited) TrySend(units.Size) (bool, units.Time) { return l.rl.Gate(l.clock.Now()) }
+
+func (l *limited) OnSent(s units.Size, dur units.Time) { l.rl.OnPacket(l.clock.Now(), dur, s) }
+
+func (l *limited) Rate() units.Rate { return l.rl.Rate() }
+
+func (l *limited) BindLimiter(slot *RateLimiter) {
+	*slot = *l.rl
+	l.rl = slot
+}
+
+type gfcBufferSender struct {
+	limited
 	table *core.StageTable
-}
-
-func (s *gfcBufferSender) TrySend(units.Size) (bool, units.Time) {
-	next := s.rl.NextAllowed()
-	if now := s.clock.Now(); next > now {
-		return false, next
-	}
-	return true, 0
-}
-
-func (s *gfcBufferSender) OnSent(_ units.Size, dur units.Time) {
-	s.rl.OnSent(s.clock.Now(), dur)
 }
 
 func (s *gfcBufferSender) OnFeedback(m Message) {
@@ -161,8 +168,6 @@ func (s *gfcBufferSender) OnFeedback(m Message) {
 	}
 	s.rl.SetRate(s.table.StageRate(m.Stage))
 }
-
-func (s *gfcBufferSender) Rate() units.Rate { return s.rl.Rate() }
 
 // Ceiling returns the stage table's mapping ceiling B_m (Bounded).
 func (s *gfcBufferSender) Ceiling() units.Size { return s.table.Bm }
@@ -190,13 +195,13 @@ type gfcBufferReceiver struct {
 	pending  bool
 	// tick and flush as func values, bound once each, on first use: a method
 	// value made at each After call would allocate per period and deferral.
-	tickFn, flushFn func()
+	tickFn, flushFn func(int32)
 }
 
 func (r *gfcBufferReceiver) Start() {
 	if r.refresh > 0 {
 		r.tickFn = r.tick
-		r.env.After(r.refresh, r.tickFn)
+		r.env.After(r.refresh, r.tickFn, 0)
 	}
 }
 
@@ -205,11 +210,11 @@ func (r *gfcBufferReceiver) Start() {
 // channels stay quiet — until the first crossing there is nothing upstream
 // could have lost, and re-advertising stage 0 forever would change the
 // clean-run feedback overhead.
-func (r *gfcBufferReceiver) tick() {
+func (r *gfcBufferReceiver) tick(int32) {
 	if r.started && !r.pending {
 		r.emit(r.table.StageFor(r.lastQ))
 	}
-	r.env.After(r.refresh, r.tickFn)
+	r.env.After(r.refresh, r.tickFn, 0)
 }
 
 func (r *gfcBufferReceiver) gap() units.Time {
@@ -234,13 +239,13 @@ func (r *gfcBufferReceiver) observe(q units.Size) {
 		if r.flushFn == nil {
 			r.flushFn = r.flush
 		}
-		r.env.After(r.lastEmit+r.gap()-now, r.flushFn)
+		r.env.After(r.lastEmit+r.gap()-now, r.flushFn, 0)
 		return
 	}
 	r.emit(st)
 }
 
-func (r *gfcBufferReceiver) flush() {
+func (r *gfcBufferReceiver) flush(int32) {
 	r.pending = false
 	if st := r.table.StageFor(r.lastQ); st != r.sent {
 		r.emit(st)
@@ -298,7 +303,7 @@ func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
 		}
 		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
 		return Controller{
-			Sender:   &gfcContinuousSender{rl: *NewRateLimiter(p.Capacity), clock: env.Clock(), mapping: m},
+			Sender:   &gfcContinuousSender{limited: newLimited(p.Capacity, env.Clock()), mapping: m},
 			Receiver: &gfcConceptualReceiver{env: env},
 		}, nil
 	}
@@ -308,21 +313,8 @@ func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
 // mapping function; shared by conceptual GFC (signal = reported queue) and
 // time-based GFC (signal = Bm − remaining credit).
 type gfcContinuousSender struct {
-	rl      RateLimiter
-	clock   Clock
+	limited
 	mapping core.ContinuousMapping
-}
-
-func (s *gfcContinuousSender) TrySend(units.Size) (bool, units.Time) {
-	next := s.rl.NextAllowed()
-	if now := s.clock.Now(); next > now {
-		return false, next
-	}
-	return true, 0
-}
-
-func (s *gfcContinuousSender) OnSent(_ units.Size, dur units.Time) {
-	s.rl.OnSent(s.clock.Now(), dur)
 }
 
 func (s *gfcContinuousSender) OnFeedback(m Message) {
@@ -331,8 +323,6 @@ func (s *gfcContinuousSender) OnFeedback(m Message) {
 	}
 	s.rl.SetRate(s.mapping.Rate(m.Queue))
 }
-
-func (s *gfcContinuousSender) Rate() units.Rate { return s.rl.Rate() }
 
 // Ceiling returns the continuous mapping's ceiling B_m (Bounded).
 func (s *gfcContinuousSender) Ceiling() units.Size { return s.mapping.Bm }

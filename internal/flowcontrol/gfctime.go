@@ -66,20 +66,23 @@ func NewGFCTime(cfg GFCTimeConfig) Factory {
 			return Controller{}, err
 		}
 		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
+		s := &gfcTimeSender{limited: newLimited(p.Capacity, env.Clock()), mapping: m, bm: cfg.Bm}
+		s.rl.lastEnd = units.Never // held until the first credit advertisement
 		return Controller{
-			Sender:   &gfcTimeSender{rl: *NewRateLimiter(p.Capacity), clock: env.Clock(), mapping: m, bm: cfg.Bm},
+			Sender:   s,
 			Receiver: &cbfcReceiver{p: p, cfg: CBFCConfig{Period: cfg.Period}, env: env},
 		}, nil
 	}
 }
 
+// gfcTimeSender holds the link until the first credit advertisement (init):
+// TrySend refuses with no wake, and so does its limiter, held shut until
+// OnFeedback opens it. The limiter's block count is the sender's FCTBS.
 type gfcTimeSender struct {
-	rl    RateLimiter // by value and leading, as in gfcBufferSender
-	clock Clock
+	limited
 
-	fctbs int64
-	fccl  int64
-	init  bool
+	fccl int64
+	init bool
 
 	mapping core.ContinuousMapping
 	bm      units.Size
@@ -89,28 +92,22 @@ func (s *gfcTimeSender) TrySend(sz units.Size) (bool, units.Time) {
 	if !s.init {
 		return false, units.Never
 	}
-	next := s.rl.NextAllowed()
-	if now := s.clock.Now(); next > now {
-		return false, next
-	}
-	return true, 0
-}
-
-func (s *gfcTimeSender) OnSent(sz units.Size, dur units.Time) {
-	s.fctbs += Blocks(sz)
-	s.rl.OnSent(s.clock.Now(), dur)
+	return s.limited.TrySend(sz)
 }
 
 func (s *gfcTimeSender) OnFeedback(m Message) {
 	if m.Kind != KindCredit {
 		return
 	}
-	s.init = true
+	if !s.init {
+		s.init = true
+		s.rl.lastEnd = 0 // open the hold: nothing has been sent
+	}
 	if m.FCCL > s.fccl {
 		s.fccl = m.FCCL
 	}
 	// Remaining downstream buffer in bytes; occupancy proxy q = Bm − rem.
-	rem := units.Size(s.fccl-s.fctbs) * CreditBlock
+	rem := units.Size(s.fccl-s.rl.blocks) * CreditBlock
 	if rem < 0 {
 		rem = 0
 	}

@@ -21,12 +21,19 @@ import (
 // DefaultMinRate reflects the hardware granularity floor discussed in §7:
 // assigned rates below it are clamped up, which keeps the limiter from ever
 // parking a queue forever.
+//
+// A limiter may be held shut: NextAllowed is then Never until the holder
+// opens it (time-based GFC before its first credit advertisement).
 type RateLimiter struct {
 	Capacity units.Rate
 
 	rate    units.Rate
-	lastEnd units.Time // when the previous packet finished serialising
+	lastEnd units.Time // when the previous packet finished serialising; Never while held
 	lastDur units.Time // R_l: how long it occupied the wire
+	// blocks counts the 64-byte blocks of every packet OnPacket recorded:
+	// the FCTBS register time-based GFC derives the remaining downstream
+	// buffer from. The other schemes never read it.
+	blocks int64
 }
 
 // DefaultSlack is the limiter's conservatism: the countdown is stretched by
@@ -69,12 +76,10 @@ func (rl *RateLimiter) SetRate(r units.Rate) {
 func (rl *RateLimiter) Rate() units.Rate { return rl.rate }
 
 // NextAllowed reports the earliest time the next packet may start, given the
-// current assigned rate. Before any transmission it is time zero.
+// current assigned rate. Before any transmission it is time zero (Never while
+// held).
 func (rl *RateLimiter) NextAllowed() units.Time {
-	if rl.lastDur == 0 {
-		return 0
-	}
-	if rl.rate >= rl.Capacity {
+	if rl.lastDur == 0 || rl.rate >= rl.Capacity {
 		return rl.lastEnd
 	}
 	extra := float64(rl.lastDur) * float64(rl.Capacity-rl.rate) / float64(rl.rate) * (1 + DefaultSlack)
@@ -89,4 +94,19 @@ func (rl *RateLimiter) NextAllowed() units.Time {
 func (rl *RateLimiter) OnSent(end units.Time, dur units.Time) {
 	rl.lastEnd = end
 	rl.lastDur = dur
+}
+
+// OnPacket is OnSent for a packet of size s, which it also counts in blocks.
+func (rl *RateLimiter) OnPacket(end, dur units.Time, s units.Size) {
+	rl.OnSent(end, dur)
+	rl.blocks += Blocks(s)
+}
+
+// Gate is Sender.TrySend of a sender gated by rl alone, at time now: ok when
+// the next packet may start, else the time it may.
+func (rl *RateLimiter) Gate(now units.Time) (ok bool, wake units.Time) {
+	if next := rl.NextAllowed(); next > now {
+		return false, next
+	}
+	return true, 0
 }

@@ -12,7 +12,7 @@ import (
 // BenchmarkLinearForwarding drives a saturated 3-hop path for a fixed
 // simulated interval per iteration: the hot loop of refill → kick →
 // completeTx → arrive that every experiment spends its time in. ReportAllocs
-// pins the effect of the packet free-list and the pre-bound port callbacks.
+// pins the effect of the packet free-list and the per-kind event handlers.
 func BenchmarkLinearForwarding(b *testing.B) {
 	topo := topology.Linear(3, topology.DefaultLinkParams())
 	tab := routing.NewSPF(topo)
@@ -118,7 +118,8 @@ func BenchmarkLinearForwardingMetrics(b *testing.B) {
 // TestAllocBudget is the whole-run allocation gate — set-up plus pool growth;
 // scenario.TestSteadyStateAllocs holds the warmed-up loop to zero. With metrics
 // disabled, the two hot-path benchmarks must not allocate more per iteration
-// than the budgets set from their measured baselines (143 and 132 allocs/op
+// than the budgets set from their measured baselines (110 and 110 allocs/op
+// with one handler per event kind, the per-port callbacks gone; 143 and 132
 // with per-channel feedback delivery slots, the first of them inline in the
 // channel's env and every callback bound on first use; 144 and 133 after the
 // struct-of-arrays flattening, the per-network packet free-list, stage-table
@@ -139,8 +140,8 @@ func TestAllocBudget(t *testing.T) {
 		bench  func(*testing.B)
 		budget int64
 	}{
-		{"LinearForwarding", BenchmarkLinearForwarding, 150},
-		{"CongestedFabric", BenchmarkCongestedFabric, 139},
+		{"LinearForwarding", BenchmarkLinearForwarding, 116},
+		{"CongestedFabric", BenchmarkCongestedFabric, 116},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := testing.Benchmark(tc.bench)

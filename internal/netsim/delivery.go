@@ -7,14 +7,14 @@ import (
 )
 
 // This file is the wire half of the simulator: transmission completion at
-// the sending port and admission at the receiving node. Both run on
-// pre-bound callbacks — the in-flight transmission lives in the port's
-// txPkt/txDur slots (a port serialises transmissions via busy), and
-// packets propagating on a channel sit in the receiving port's FIFO, popped
-// in order because a link's arrivals cannot overtake one another. Every
-// arrival is its own event: scheduled After the link's constant delay it
-// waits in one of the engine's FIFO lanes, where a pop is a ring-buffer step
-// and there is nothing left for batching to save.
+// the sending port and admission at the receiving node. Both are events of
+// the Network's handlers for their kind, naming the channel — the in-flight
+// transmission lives in the port's txPkt/txDur slots (a port serialises
+// transmissions via busy), and packets propagating on a channel sit in the
+// receiving port's FIFO, popped in order because a link's arrivals cannot
+// overtake one another. Every arrival is its own event: scheduled After the
+// link's constant delay it waits in one of the engine's FIFO lanes, where a
+// pop is a ring-buffer step and there is nothing left for batching to save.
 
 // completeTx finishes the port's in-flight transmission: notifies flow
 // control, releases ingress accounting at the transmitting switch,
@@ -24,7 +24,11 @@ func (n *Network) completeTx(p *port) {
 	p.txPkt = nil
 	now := n.eng.Now()
 	p.busy = false
-	n.senders[p.cb].OnSent(pkt.Size, dur)
+	if n.limiters != nil {
+		n.limiters[p.cb].OnPacket(now, dur, pkt.Size)
+	} else {
+		n.senders[p.cb].OnSent(pkt.Size, dur)
+	}
 	nd := p.owner
 	n.cfg.Trace.transmit(now, nd.id, p.local, pkt)
 
@@ -56,7 +60,7 @@ func (n *Network) completeTx(p *port) {
 		reg.OnTx(rp.cb, pkt.Size)
 	}
 	rp.pushInFlight(pkt)
-	n.eng.After(p.delay, rp.arriveFn)
+	n.eng.After(p.delay, n.arriveFn, int32(rp.cb))
 	n.kick(p)
 }
 

@@ -67,8 +67,8 @@ func traceHash(t testing.TB, flowSize units.Size) uint64 {
 }
 
 // TestTraceDeterminism is the regression guard for the event-core refactor:
-// the pooled-event engine, the packet free-list and the pre-bound callbacks
-// must not perturb event ordering. The full trace of a run is hashed and
+// the pooled-event engine, the packet free-list and the per-kind event
+// handlers must not perturb event ordering. The full trace of a run is hashed and
 // compared against a fresh run of the identical configuration.
 func TestTraceDeterminism(t *testing.T) {
 	a := traceHash(t, 200*units.KB)

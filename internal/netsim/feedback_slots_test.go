@@ -44,9 +44,9 @@ func (e emitTap) Emit(m flowcontrol.Message) {
 // later message overtake an earlier one on the same channel, every emitted
 // message must still reach the tap exactly once, with its own payload, at
 // emission time plus its own sampled delay. Delivery slots are per message,
-// so this holds by construction; a FIFO of payloads behind pre-bound callbacks
-// (the packet path's trick) would hand the overtaking delivery the overtaken
-// payload and fail here.
+// so this holds by construction; a FIFO of payloads per channel (the packet
+// path's trick) would hand the overtaking delivery the overtaken payload and
+// fail here.
 func TestFeedbackSlotsUnderReordering(t *testing.T) {
 	const horizon = 2 * units.Millisecond
 	topo := topology.RingHosts(3, 1, topology.DefaultLinkParams())

@@ -44,7 +44,6 @@ type Flow struct {
 	Started   units.Time
 	Finished  units.Time // delivery time of the last byte; 0 while active
 	seq       int64
-	active    bool
 }
 
 // Done reports whether a finite flow has been fully delivered.

@@ -33,8 +33,9 @@ type Budget struct {
 	// it. 0 disables the watchdog.
 	StallEvents uint64
 	// CheckEvery is the governor's polling interval in events; 0 means
-	// 4096. Checks are O(flows), so the default keeps overhead well under
-	// a percent while bounding detection latency.
+	// 4096. A check reads running counters (TotalDelivered is a sum kept
+	// on delivery), so it is O(1) whatever the flow count, and the default
+	// keeps overhead well under a percent while bounding detection latency.
 	CheckEvery uint64
 	// MaxHeap is the OOM guard: if the Go heap (runtime.MemStats.HeapAlloc)
 	// exceeds this many bytes at a governor check, the run stops with

@@ -69,10 +69,10 @@ func TestWatchdogTripsOnLivelock(t *testing.T) {
 	n := governedNet(t, baseConfig(gfcFactory()))
 	// A zero-delay self-rescheduling event: sim time freezes while events
 	// fire — the exact signature of an event-loop livelock.
-	var spin func()
+	var spin func(int32)
 	eng := n.Engine()
-	spin = func() { eng.After(0, spin) }
-	eng.Schedule(units.Millisecond, spin)
+	spin = func(int32) { eng.After(0, spin, 0) }
+	eng.At(units.Millisecond, spin, 0)
 	err := n.RunBounded(context.Background(), 10*units.Millisecond, Budget{
 		StallEvents: 50_000, CheckEvery: 256,
 	})
@@ -101,13 +101,13 @@ func TestWatchdogIgnoresSlowProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := n.Engine()
-	var crawl func()
-	crawl = func() {
+	var crawl func(int32)
+	crawl = func(int32) {
 		if eng.Now() < 200*units.Microsecond {
-			eng.After(1, crawl)
+			eng.After(1, crawl, 0)
 		}
 	}
-	eng.Schedule(0, crawl)
+	eng.At(0, crawl, 0)
 	if err := n.RunBounded(context.Background(), units.Millisecond, Budget{
 		StallEvents: 1000, CheckEvery: 16,
 	}); err != nil {
@@ -120,9 +120,9 @@ func TestWallBudgetTrips(t *testing.T) {
 	// An unbounded livelock chain guarantees the run cannot end on its
 	// own; only the wall clock stops it.
 	eng := n.Engine()
-	var spin func()
-	spin = func() { eng.After(0, spin) }
-	eng.Schedule(0, spin)
+	var spin func(int32)
+	spin = func(int32) { eng.After(0, spin, 0) }
+	eng.At(0, spin, 0)
 	err := n.RunBounded(context.Background(), units.Never, Budget{MaxWall: 20e6}) // 20ms
 	var re *RunError
 	if !errors.As(err, &re) {
@@ -218,9 +218,9 @@ func TestHeapBudgetTrips(t *testing.T) {
 	// A livelock chain keeps events firing forever; a 1-byte heap budget
 	// trips on the first sampled check (tick 0 is always sampled).
 	eng := n.Engine()
-	var spin func()
-	spin = func() { eng.After(0, spin) }
-	eng.Schedule(0, spin)
+	var spin func(int32)
+	spin = func(int32) { eng.After(0, spin, 0) }
+	eng.At(0, spin, 0)
 	err := n.RunBounded(context.Background(), units.Never, Budget{
 		MaxHeap: 1, CheckEvery: 64,
 	})

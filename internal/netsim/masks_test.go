@@ -232,68 +232,131 @@ func forEachRadix(t *testing.T, fn func(t *testing.T, radix int, rng *rand.Rand)
 	}
 }
 
+// countingSender counts the TrySend probes made through a wired Sender.
+type countingSender struct {
+	flowcontrol.Sender
+	calls int
+}
+
+func (s *countingSender) TrySend(sz units.Size) (bool, units.Time) {
+	s.calls++
+	return s.Sender.TrySend(sz)
+}
+
 // TestInputPicksMatchReferenceScan: radix 1…64 × random ingress occupancy ×
 // every egress × every cursor, nextFromInputs (flow control granting, and
-// refusing the first eligible input) and nextIngress equal their scans. The
-// FIFOs are then drained through popInq and the masks must return to zero.
+// refusing the first eligible input) and nextIngress equal their scans, on
+// both gates. On the Sender path a stub dictates the verdict and
+// nextFromInputs may probe it at most once, as the scan does. On the direct
+// path the GFC-buffer network reads each egress's rate limiter in place: the
+// test parks the limiter to refuse, the scan probes the GFC sender bound to
+// the same slot (at most once), and nextFromInputs probes no Sender at all.
+// The FIFOs are then drained through popInq and the masks must return to
+// zero.
 func TestInputPicksMatchReferenceScan(t *testing.T) {
-	forEachRadix(t, func(t *testing.T, radix int, rng *rand.Rand) {
-		n, nd := star(t, radix, baseConfig(gfcFactory()))
-		stub := &stubSender{}
-		for e := range nd.ports {
-			n.senders[nd.ports[e].cb] = stub
+	for _, direct := range []bool{false, true} {
+		t.Run(fmt.Sprintf("direct=%v", direct), func(t *testing.T) {
+			forEachRadix(t, func(t *testing.T, radix int, rng *rand.Rand) {
+				inputPicks(t, radix, rng, direct)
+			})
+		})
+	}
+}
+
+func inputPicks(t *testing.T, radix int, rng *rand.Rand, direct bool) {
+	n, nd := star(t, radix, baseConfig(gfcFactory()))
+	if n.limiters == nil {
+		t.Fatal("GFC-buffer network wired without its limiters in place")
+	}
+	stub := &stubSender{}
+	counts := make([]*countingSender, len(nd.ports))
+	for e := range nd.ports {
+		ch := nd.ports[e].cb
+		if direct {
+			counts[e] = &countingSender{Sender: n.senders[ch]}
+			n.senders[ch] = counts[e]
+		} else {
+			n.senders[ch] = stub
 		}
-		var seq int64
-		for pattern := 0; pattern < 4; pattern++ {
-			fill := rng.Float64()
-			for in := 0; in < radix; in++ {
-				if rng.Float64() >= fill {
-					continue
-				}
-				for depth := 1 + rng.Intn(3); depth > 0; depth-- {
-					seq++
-					n.pushInq(nd, in, boundFor(n, nd, in, rng.Intn(radix), seq))
-				}
+	}
+	if !direct {
+		n.limiters = nil
+	}
+	// gate sets egress e's verdict and zeroes the probe counts.
+	gate := func(e int, refuse bool, wake units.Time) {
+		stub.reset(refuse, wake)
+		if !direct {
+			return
+		}
+		counts[e].calls = 0
+		// At line rate the limiter allows the next packet when the last
+		// one ended: now (0) to grant, wake to refuse.
+		end := units.Time(0)
+		if refuse {
+			end = wake
+		}
+		n.limiters[nd.ports[e].cb].OnSent(end, 1)
+	}
+	probes := func(e int) int {
+		if direct {
+			return counts[e].calls
+		}
+		return stub.calls
+	}
+	var seq int64
+	for pattern := 0; pattern < 4; pattern++ {
+		fill := rng.Float64()
+		for in := 0; in < radix; in++ {
+			if rng.Float64() >= fill {
+				continue
 			}
-			checkMasks(t, n, fmt.Sprintf("radix %d pattern %d filled", radix, pattern))
-			for cursor := 0; cursor < radix; cursor++ {
-				n.fwdCursor[nd.id] = int32(cursor)
-				if got, want := n.nextIngress(nd), refNextIngress(n, nd); got != want {
-					t.Fatalf("radix %d cursor %d: nextIngress = %d, scan says %d", radix, cursor, got, want)
-				}
-				for e := range nd.ports {
-					p := &nd.ports[e]
-					n.rrVoq[p.cb] = int32(cursor)
-					for _, refuse := range []bool{false, true} {
-						wake := units.Time(1000 + cursor)
-						stub.reset(refuse, wake)
-						wantPkt, wantIn, wantWake := refNextFromInputs(n, p)
-						refCalls := stub.calls
-						stub.reset(refuse, wake)
-						gotPkt, gotIn, gotWake := n.nextFromInputs(p)
-						if gotPkt != wantPkt || gotIn != wantIn || gotWake != wantWake {
-							t.Fatalf("radix %d egress %d cursor %d refuse %v: nextFromInputs = (%v, %d, %v), scan says (%v, %d, %v)",
-								radix, e, cursor, refuse, gotPkt, gotIn, gotWake, wantPkt, wantIn, wantWake)
-						}
-						if stub.calls != refCalls || stub.calls > 1 {
-							t.Fatalf("radix %d egress %d cursor %d refuse %v: %d TrySend probes, scan made %d (at most one input may be tried)",
-								radix, e, cursor, refuse, stub.calls, refCalls)
-						}
+			for depth := 1 + rng.Intn(3); depth > 0; depth-- {
+				seq++
+				n.pushInq(nd, in, boundFor(n, nd, in, rng.Intn(radix), seq))
+			}
+		}
+		checkMasks(t, n, fmt.Sprintf("radix %d pattern %d filled", radix, pattern))
+		for cursor := 0; cursor < radix; cursor++ {
+			n.fwdCursor[nd.id] = int32(cursor)
+			if got, want := n.nextIngress(nd), refNextIngress(n, nd); got != want {
+				t.Fatalf("radix %d cursor %d: nextIngress = %d, scan says %d", radix, cursor, got, want)
+			}
+			for e := range nd.ports {
+				p := &nd.ports[e]
+				n.rrVoq[p.cb] = int32(cursor)
+				for _, refuse := range []bool{false, true} {
+					wake := units.Time(1000 + cursor)
+					gate(e, refuse, wake)
+					wantPkt, wantIn, wantWake := refNextFromInputs(n, p)
+					refCalls := probes(e)
+					gate(e, refuse, wake)
+					gotPkt, gotIn, gotWake := n.nextFromInputs(p)
+					if gotPkt != wantPkt || gotIn != wantIn || gotWake != wantWake {
+						t.Fatalf("radix %d egress %d cursor %d refuse %v: nextFromInputs = (%v, %d, %v), scan says (%v, %d, %v)",
+							radix, e, cursor, refuse, gotPkt, gotIn, gotWake, wantPkt, wantIn, wantWake)
+					}
+					want := refCalls
+					if direct {
+						want = 0
+					}
+					if calls := probes(e); calls != want || refCalls > 1 {
+						t.Fatalf("radix %d egress %d cursor %d refuse %v: %d TrySend probes, want %d; scan made %d (at most one input may be tried)",
+							radix, e, cursor, refuse, calls, want, refCalls)
 					}
 				}
 			}
-			// Drain in random input order through the helper.
-			for {
-				n.fwdCursor[nd.id] = int32(rng.Intn(radix))
-				in := n.nextIngress(nd)
-				if in < 0 {
-					break
-				}
-				n.recyclePacket(n.popInq(nd, in))
-			}
-			checkMasks(t, n, fmt.Sprintf("radix %d pattern %d drained", radix, pattern))
 		}
-	})
+		// Drain in random input order through the helper.
+		for {
+			n.fwdCursor[nd.id] = int32(rng.Intn(radix))
+			in := n.nextIngress(nd)
+			if in < 0 {
+				break
+			}
+			n.recyclePacket(n.popInq(nd, in))
+		}
+		checkMasks(t, n, fmt.Sprintf("radix %d pattern %d drained", radix, pattern))
+	}
 }
 
 // TestSlotPicksMatchReferenceScan: the same for the egress queue picks —

@@ -23,6 +23,13 @@ type Network struct {
 	nodes []*node
 	flows []*Flow
 	drops int64
+
+	// One handler per kind of event, bound once in New; each event's
+	// argument names what it concerns: the channel for a transmission
+	// completion, an arrival (the receiving port's) or a kick, the host for
+	// a refill, the slot for a feedback delivery, the flow for a start.
+	txDoneFn, arriveFn, kickFn, refillFn, deliverFn, startFn func(int32)
+
 	// metrics is cfg.Metrics, cached so the hot path pays one nil check
 	// when observability is disabled.
 	metrics *metrics.Registry
@@ -47,6 +54,11 @@ type Network struct {
 	rrVoq       []int32    // round-robin cursor over VOQs / input ports
 	inq         []pktQueue // ingress FIFOs (SchedInputQueued/SchedBlocking)
 	inqOut      []int16    // egress port of each ingress FIFO's head, -1 when empty (pushInq/popInq)
+	// limiters holds every channel's rate limiter by value when the wired
+	// scheme is rate-gated (flowcontrol.RateGated: GFC-buffer, GFC-time,
+	// conceptual GFC), nil otherwise. The senders point at their slots;
+	// trySend and completeTx read and write them in place.
+	limiters []flowcontrol.RateLimiter
 	// Ready masks, one word per egress channel; see scheduler.go. inReady bit
 	// i: the owner's input i has its FIFO head bound for this egress
 	// (pushInq/popInq). slotReady bit s: queue slot s of this egress is
@@ -76,6 +88,12 @@ type Network struct {
 	// the emitting (downstream) node, to the paused/credited (upstream)
 	// node.
 	fbObs func(from, to topology.NodeID, m flowcontrol.Message)
+	// fbSlots carries the feedback messages in flight, one slot each, from
+	// Emit to the delivery event naming the slot; fbFree lists the idle
+	// slots (-1: none), so messages wait out their own delays in any order
+	// and the steady state allocates nothing.
+	fbSlots []fbSlot
+	fbFree  int32
 	// Per-node state, indexed by node id: inBusy bit i says the node's
 	// ingress FIFO i is non-empty (pushInq/popInq); the rest is the
 	// SchedBlocking forwarding core's.
@@ -98,7 +116,24 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, topo: topo, eng: eventsim.New()}
+	n := &Network{cfg: cfg, topo: topo, eng: eventsim.New(), fbFree: -1}
+	n.txDoneFn = func(ch int32) { n.completeTx(&n.ports[ch]) }
+	n.arriveFn = func(ch int32) {
+		p := &n.ports[ch]
+		n.arrive(p, p.popInFlight())
+	}
+	n.kickFn = func(ch int32) {
+		p := &n.ports[ch]
+		p.kickAt = units.Never
+		n.kick(p)
+	}
+	n.refillFn = func(id int32) {
+		h := n.nodes[id]
+		h.refillAt = units.Never
+		n.refill(h)
+	}
+	n.deliverFn = n.deliver
+	n.startFn = n.start
 	nn := topo.NumNodes()
 
 	// Pass 1: size the dense arrays. The channel index layout must match
@@ -185,26 +220,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		far := p.link.Other(p.owner.id)
 		p.peer = &n.nodes[far].ports[p.link.PortOn(far)]
 	}
-	// Bind the per-node and per-port event callbacks once: the hot path
-	// (kick retries, transmission completions, link arrivals, host
-	// refills) then schedules these stored funcs instead of allocating a
-	// closure per event.
-	for _, nd := range n.nodes {
-		nd := nd
-		nd.refillFn = func() {
-			nd.refillAt = units.Never
-			n.refill(nd)
-		}
-		for i := range nd.ports {
-			p := &nd.ports[i]
-			p.kickFn = func() {
-				p.kickAt = units.Never
-				n.kick(p)
-			}
-			p.txDoneFn = func() { n.completeTx(p) }
-			p.arriveFn = func() { n.arrive(p, p.popInFlight()) }
-		}
-	}
 	// Wire controllers: for channel u→v, the Sender lives on u's port
 	// and the Receiver on v's port.
 	for _, nd := range n.nodes {
@@ -217,7 +232,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			upName := topo.Node(up.owner.id).Name
 			params := cfg.ChannelParams(p.link, nd.kind)
 			env := &fcEnv{n: n, down: p, up: up}
-			env.free = &env.first
 			ctl, err := cfg.FlowControl(params, env)
 			if err != nil {
 				return nil, fmt.Errorf("netsim: channel %s->%s: %w",
@@ -245,6 +259,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			}
 		}
 	}
+	n.bindLimiters()
 	// Bind the metrics registry before receivers start: initial credit
 	// adverts already flow through Emit and must be counted. Ceilings and
 	// stage tables come from the wired senders via the optional
@@ -276,9 +291,10 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	if inj := cfg.Faults; inj != nil {
 		inj.Bind()
 		n.faults = inj
-		for _, ev := range inj.Timeline() {
-			ev := ev
-			n.eng.Schedule(ev.At, func() { n.applyFault(ev) })
+		tl := inj.Timeline()
+		apply := func(i int32) { n.applyFault(tl[i]) }
+		for i, ev := range tl {
+			n.eng.At(ev.At, apply, int32(i))
 		}
 	}
 	// Start receivers (periodic feedback, initial credit adverts).
@@ -290,29 +306,44 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	return n, nil
 }
 
+// bindLimiters moves every wired sender's rate limiter into n.limiters when
+// the scheme is rate-gated on every channel; otherwise n.limiters stays nil
+// and kick and completeTx call the Senders.
+func (n *Network) bindLimiters() {
+	for _, s := range n.senders {
+		if _, ok := s.(flowcontrol.RateGated); s != nil && !ok {
+			return
+		}
+	}
+	n.limiters = make([]flowcontrol.RateLimiter, len(n.senders))
+	for ch, s := range n.senders {
+		if s != nil {
+			s.(flowcontrol.RateGated).BindLimiter(&n.limiters[ch])
+		}
+	}
+}
+
 // fcEnv is the flowcontrol.Env for the receiver at downstream port `down`;
 // Emit carries messages back to the paired sender at upstream port `up`.
 type fcEnv struct {
 	n    *Network
 	down *port // receiver side (ingress)
 	up   *port // sender side (upstream egress)
-	// free lists the channel's idle delivery slots, at first only the inline
-	// one: a channel with one message in flight never allocates a slot.
-	free  *fbSlot
-	first fbSlot
 }
 
 // fbSlot carries one in-flight feedback message from Emit, which takes it off
-// the channel's free list or makes one when all are in flight, to deliver,
-// which puts it back: each message waits out its own delay, in any order.
+// the Network's free list or appends one when all are in flight, to deliver,
+// which puts it back.
 type fbSlot struct {
 	m    flowcontrol.Message
-	fire func() // delivers this slot; bound on first use
-	next *fbSlot
+	env  *fcEnv
+	next int32 // the next idle slot while this one is idle
 }
 
-func (e *fcEnv) Clock() flowcontrol.Clock      { return e.n.eng }
-func (e *fcEnv) After(d units.Time, fn func()) { e.n.eng.After(d, fn) }
+func (e *fcEnv) Clock() flowcontrol.Clock { return e.n.eng }
+func (e *fcEnv) After(d units.Time, fn func(int32), arg int32) {
+	e.n.eng.After(d, fn, arg)
+}
 
 // Emit schedules delivery of one feedback message.
 func (e *fcEnv) Emit(m flowcontrol.Message) {
@@ -344,17 +375,15 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 			e.fault(faults.FeedbackDelay, now)
 		}
 	}
-	s := e.free
-	if s == nil {
-		s = &fbSlot{}
+	i := n.fbFree
+	if i < 0 {
+		i = int32(len(n.fbSlots))
+		n.fbSlots = append(n.fbSlots, fbSlot{})
 	} else {
-		e.free = s.next
+		n.fbFree = n.fbSlots[i].next
 	}
-	if s.fire == nil {
-		s.fire = func() { e.deliver(s) }
-	}
-	s.m = m
-	n.eng.After(delay, s.fire)
+	n.fbSlots[i] = fbSlot{m: m, env: e}
+	n.eng.After(delay, n.deliverFn, i)
 }
 
 // fault records a fault of the given kind on this feedback channel.
@@ -362,18 +391,20 @@ func (e *fcEnv) fault(kind faults.EventKind, at units.Time) {
 	e.n.recordFault(metrics.FaultEvent{Kind: kind, At: at, Link: e.down.link.ID}, e.down.cb, e.down.owner.id)
 }
 
-// deliver hands slot s's message to the paired sender and frees the slot.
-func (e *fcEnv) deliver(s *fbSlot) {
-	m := s.m
-	s.next, e.free = e.free, s
-	e.n.senders[e.up.cb].OnFeedback(m)
-	if obs := e.n.fbObs; obs != nil {
+// deliver hands feedback slot i's message to the paired sender and frees the
+// slot.
+func (n *Network) deliver(i int32) {
+	s := &n.fbSlots[i]
+	m, e := s.m, s.env
+	s.env, s.next, n.fbFree = nil, n.fbFree, i
+	n.senders[e.up.cb].OnFeedback(m)
+	if obs := n.fbObs; obs != nil {
 		obs(e.down.owner.id, e.up.owner.id, m)
 	}
 	// A rate or credit change may also unblock the host refill path
 	// indirectly; kick handles the egress side, and refill is woken by its
 	// own timer.
-	e.n.kick(e.up)
+	n.kick(e.up)
 }
 
 // SetFeedbackObserver installs fn to observe every feedback message at the
@@ -423,14 +454,17 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 		return fmt.Errorf("netsim: flow %d endpoints must be hosts", f.ID)
 	}
 	n.flows = append(n.flows, f)
-	src := n.nodes[f.Src]
-	n.eng.Schedule(at, func() {
-		f.Started = n.eng.Now()
-		f.active = true
-		src.flows = append(src.flows, f)
-		n.refill(src)
-	})
+	n.eng.At(at, n.startFn, int32(len(n.flows)-1))
 	return nil
+}
+
+// start begins flow n.flows[i] at its source.
+func (n *Network) start(i int32) {
+	f := n.flows[i]
+	f.Started = n.eng.Now()
+	src := n.nodes[f.Src]
+	src.addFlow(f)
+	n.refill(src)
 }
 
 // SenderRate reports the currently permitted rate of the egress flow

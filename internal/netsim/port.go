@@ -10,9 +10,10 @@ import (
 // struct-of-arrays on the Network, indexed by the dense channel index port.cb
 // (see Network's state block). The port keeps only identity, the precomputed
 // index bases, and the per-port scalars (busy flag, in-flight transmission,
-// timers). This mirrors the metrics registry's channel indexing, so one
-// index addresses a channel's occupancy, backlog, controllers and counters
-// across every array.
+// retry timer). This mirrors the metrics registry's channel indexing, so one
+// index addresses a channel's occupancy, backlog, controllers, rate limiter
+// and counters across every array — and names the channel in the events
+// that concern it.
 
 // port is one attachment point of a node: egress transmitter plus ingress
 // buffer accounting for the attached channel. Ports live by value in one
@@ -26,17 +27,19 @@ type port struct {
 	owner *node
 	local int // port index on owner
 	// cb is the channel index: this port's index in every per-channel
-	// array (occupancy, queuedBytes, progress, senders, receivers, rrVoq,
-	// inq, the ready masks) and in the Network.ports arena itself — and,
-	// by construction, the metrics registry's ChannelIndex for the same
-	// channel. A node's ports are consecutive, so the channel of sibling
-	// port i is owner.cb + i without loading that port.
-	cb       int
-	buffer   units.Size // ingress allocation
-	prop     pktQueue   // packets in flight *toward* this port, FIFO
-	arriveFn func()     // link-delay arrival at the *receiving* end (this port)
+	// array (occupancy, queuedBytes, progress, senders, limiters,
+	// receivers, rrVoq, inq, the ready masks) and in the Network.ports
+	// arena itself — and, by construction, the metrics registry's
+	// ChannelIndex for the same channel. A node's ports are consecutive, so
+	// the channel of sibling port i is owner.cb + i without loading that
+	// port.
+	cb         int
+	buffer     units.Size // ingress allocation
+	prop       pktQueue   // packets in flight *toward* this port, FIFO
+	queuedPkts int        // packets in the egress queues; refill's depth check
 
-	// Line 1 — the transmitter: what kick and completeTx read and write.
+	// Line 1 — the transmitter: what kick and completeTx read and write,
+	// the retry timer included.
 	busy bool
 	// adminDown marks the attached link administratively down (fault
 	// injection): the transmitter stops, feedback is lost, but unlike
@@ -49,19 +52,15 @@ type port struct {
 	sched    Scheduling
 	txPkt    *Packet // with txDur: the single in-flight transmission (guarded by busy)
 	txDur    units.Time
-	txDoneFn func()     // transmission completion for the in-flight packet
 	peer     *port      // the port at the other end of link
 	delay    units.Time // link.Delay
 	capacity units.Rate
-
-	// Cold: construction-time bases, retry timer.
-	link *topology.Link
-	// Pre-bound wake-up timer (retry a flow-control-blocked egress): created
-	// once at construction, like txDoneFn and arriveFn, so the hot path
-	// schedules stored funcs instead of allocating a closure per event.
-	kickFn func()
+	// The wake-up timer retrying a flow-control-blocked egress.
 	kickAt units.Time // when the pending kick timer fires; Never if none
 	kickEv eventsim.Event
+
+	// Cold: construction-time bases.
+	link *topology.Link
 	// voqBase and slots address Network.voqs: the egress queue for slot is
 	// voqs[voqBase + slot]. slots is the owner's port count under SchedVOQ —
 	// one virtual output queue per input port — and 1 otherwise, holding the
@@ -71,10 +70,9 @@ type port struct {
 	slots   int
 	// fedBase addresses Network.fedBytes: the per-input backlog of an
 	// arrival key is fedBytes[fedBase + key].
-	fedBase    int
-	queuedPkts int
+	fedBase int
 
-	_ [8]byte // pad to three whole cache lines, so arena ports never straddle one
+	_ [32]byte // pad to three whole cache lines, so arena ports never straddle one
 }
 
 // ingressProgress is one ingress buffer's forwarding-progress record: the
@@ -219,10 +217,12 @@ type node struct {
 	// (Network.fwdCursor/fwdBlocked/forwarding/inBusy) are indexed by id.
 	cb int
 
-	// Host state.
+	// Host state. flows lists the started flows with bytes left to release,
+	// in start order; a flow leaves it with its last byte (see nextFlow for
+	// the round-robin cursor rrFlow and newest, the last flow started).
 	flows    []*Flow
 	rrFlow   int
+	newest   *Flow
 	refillAt units.Time
 	refillEv eventsim.Event
-	refillFn func() // pre-bound refill timer callback
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/bits"
+	"slices"
 
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -12,12 +13,12 @@ import (
 // SchedBlocking forwarding core (forward), and the host NIC refill path
 // (refill, nextFlow).
 //
-// Both retry timers — kick and refill — use the pre-bound callbacks wired
-// at construction. Scheduling an earlier wake cancels the pending later
-// event instead of piling up guarded no-op events: with generation-counted
-// cancellation in eventsim this is O(log n) and allocation-free. Dropping a
-// superseded timer never loses a wake-up, because every blocked kick or
-// refill re-derives and re-schedules its own next wake.
+// Both retry timers — kick and refill — are events of the Network's kick and
+// refill handlers, naming the channel or the host. Scheduling an earlier wake
+// cancels the pending later event instead of piling up guarded no-op events:
+// with generation-counted cancellation in eventsim this is O(log n) and
+// allocation-free. Dropping a superseded timer never loses a wake-up, because
+// every blocked kick or refill re-derives and re-schedules its own next wake.
 
 // hostQueueDepth is how many packets a host NIC keeps queued: one, so release
 // is gated on transmission and flow pacers are exact.
@@ -32,13 +33,14 @@ func (n *Network) refill(h *node) {
 	p := &h.ports[0]
 	now := n.eng.Now()
 	for p.totalQueued() < hostQueueDepth {
-		f, wake := n.nextFlow(h, now)
-		if f == nil {
+		j, wake := n.nextFlow(h, now)
+		if j < 0 {
 			if wake != units.Never && wake > now {
 				n.scheduleRefill(h, wake)
 			}
 			return
 		}
+		f := h.flows[j]
 		size := f.remaining(n.cfg.MTU)
 		if size > n.cfg.MTU {
 			size = n.cfg.MTU
@@ -53,23 +55,31 @@ func (n *Network) refill(h *node) {
 		pkt.arrivalPort = -1
 		f.seq++
 		if f.Size > 0 && f.released >= f.Size {
-			f.active = false
+			h.dropFlow(j)
 		}
 		n.enqueue(p, pkt)
 	}
 	n.kick(p)
 }
 
-// nextFlow picks the next eligible flow on h (round-robin); when none is
-// eligible it returns the earliest pacer wake time.
-func (n *Network) nextFlow(h *node, now units.Time) (*Flow, units.Time) {
+// nextFlow picks the next flow on h whose pacer lets it release now,
+// round-robin from the cursor, and returns its index in h.flows; when there
+// is none it returns -1 and the earliest pacer wake time.
+//
+// The order is that of a cursor over every flow the host ever started,
+// skipping the finished ones, which h.flows no longer holds: rrFlow counts the
+// live flows before that cursor, so it may equal len(h.flows). The full list's
+// cursor wrapped to its start when the pick was its last entry — the newest
+// flow — and otherwise stepped past the pick, toward flows started later.
+func (n *Network) nextFlow(h *node, now units.Time) (int, units.Time) {
 	wake := units.Never
 	nf := len(h.flows)
-	for i, j := 0, h.rrFlow; i < nf; i, j = i+1, succ(j, nf) {
+	j := h.rrFlow
+	if j >= nf {
+		j = 0
+	}
+	for i := 0; i < nf; i, j = i+1, succ(j, nf) {
 		f := h.flows[j]
-		if !f.active || f.remaining(n.cfg.MTU) == 0 {
-			continue
-		}
 		if f.Pacer != nil {
 			size := f.remaining(n.cfg.MTU)
 			if size > n.cfg.MTU {
@@ -82,10 +92,28 @@ func (n *Network) nextFlow(h *node, now units.Time) (*Flow, units.Time) {
 				continue
 			}
 		}
-		h.rrFlow = succ(j, nf)
-		return f, 0
+		h.rrFlow = j + 1
+		if f == h.newest {
+			h.rrFlow = 0
+		}
+		return j, 0
 	}
-	return nil, wake
+	return -1, wake
+}
+
+// addFlow appends a started flow to h's round-robin.
+func (h *node) addFlow(f *Flow) {
+	h.flows = append(h.flows, f)
+	h.newest = f
+}
+
+// dropFlow removes h.flows[j], whose last byte was released, keeping the
+// cursor on the same live flow.
+func (h *node) dropFlow(j int) {
+	h.flows = slices.Delete(h.flows, j, j+1)
+	if j < h.rrFlow {
+		h.rrFlow--
+	}
 }
 
 // scheduleRefill arms the host's refill timer for time at, replacing a
@@ -98,7 +126,7 @@ func (n *Network) scheduleRefill(h *node, at units.Time) {
 		n.eng.Cancel(h.refillEv)
 	}
 	h.refillAt = at
-	h.refillEv = n.eng.Schedule(at, h.refillFn)
+	h.refillEv = n.eng.At(at, n.refillFn, int32(h.id))
 }
 
 // kick tries to start a transmission on p. When flow control blocks the
@@ -126,7 +154,7 @@ func (n *Network) kick(p *port) {
 		}
 	} else if head, slot := n.nextPacket(p); head != nil {
 		var ok bool
-		if ok, wake = n.senders[p.cb].TrySend(head.Size); ok {
+		if ok, wake = n.trySend(p.cb, head.Size); ok {
 			pkt = n.dequeue(p, slot)
 			fromTxRing = p.sched == SchedBlocking && onSwitch
 		}
@@ -140,7 +168,7 @@ func (n *Network) kick(p *port) {
 	p.busy = true
 	dur := units.TransmissionTime(pkt.Size, p.capacity)
 	p.txPkt, p.txDur = pkt, dur
-	n.eng.After(dur, p.txDoneFn)
+	n.eng.After(dur, n.txDoneFn, int32(p.cb))
 	if freed >= 0 {
 		// The freed input's new head may target an idle egress.
 		if out := n.inqOut[nd.cb+freed]; out >= 0 {
@@ -164,7 +192,17 @@ func (n *Network) scheduleKick(p *port, at units.Time) {
 		n.eng.Cancel(p.kickEv)
 	}
 	p.kickAt = at
-	p.kickEv = n.eng.Schedule(at, p.kickFn)
+	p.kickEv = n.eng.At(at, n.kickFn, int32(p.cb))
+}
+
+// trySend asks channel ch's flow control whether a packet of size s may
+// start now, with Sender.TrySend's contract: the wired scheme's rate limiter read in
+// place when it is rate-gated (Network.limiters), its Sender otherwise.
+func (n *Network) trySend(ch int, s units.Size) (bool, units.Time) {
+	if n.limiters == nil {
+		return n.senders[ch].TrySend(s)
+	}
+	return n.limiters[ch].Gate(n.eng.Now())
 }
 
 // forward runs the switch's forwarding core under SchedBlocking: serve
@@ -329,7 +367,7 @@ func (n *Network) nextFromInputs(p *port) (*Packet, int, units.Time) {
 	}
 	in := nextBit(m, int(n.rrVoq[ch]))
 	head := n.inq[p.owner.cb+in].front()
-	ok, wake := n.senders[ch].TrySend(head.Size)
+	ok, wake := n.trySend(ch, head.Size)
 	if !ok {
 		return nil, -1, wake
 	}

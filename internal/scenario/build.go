@@ -82,8 +82,8 @@ func (s *Sim) verdict() *deadlock.Report {
 // report. Under StopOnDeadlock it stops the engine once verdict has one.
 func (s *Sim) poll() {
 	eng := s.Net.Engine()
-	var tick func()
-	tick = func() {
+	var tick func(int32)
+	tick = func(int32) {
 		pending := s.Detector != nil && s.Detector.Check() == nil
 		if s.DCFIT != nil && s.DCFIT.Check() == nil {
 			pending = true
@@ -93,10 +93,10 @@ func (s *Sim) poll() {
 			return
 		}
 		if pending {
-			eng.After(deadlock.PollInterval, tick)
+			eng.After(deadlock.PollInterval, tick, 0)
 		}
 	}
-	eng.After(deadlock.PollInterval, tick)
+	eng.After(deadlock.PollInterval, tick, 0)
 }
 
 // Build compiles a Spec (plus optional Overrides) into a runnable Sim. The
@@ -224,7 +224,7 @@ func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, err
 	d := s.Spec.Run.DurationNs
 	// A heartbeat pins the horizon so the clock reaches d even if the
 	// event queue drains early (deadlock, finished workload).
-	s.Net.Engine().Schedule(d, func() {})
+	s.Net.Engine().At(d, func(int32) {}, 0)
 	err := s.Net.RunBounded(ctx, d, s.Spec.Limits.Budget().Overlay(extra))
 	res := s.summarise()
 	var re *netsim.RunError

@@ -24,10 +24,10 @@ type probeEnv struct {
 	delays []units.Time
 }
 
-func (e *probeEnv) Now() units.Time              { return 0 }
-func (e *probeEnv) Clock() flowcontrol.Clock     { return e }
-func (e *probeEnv) After(d units.Time, _ func()) { e.delays = append(e.delays, d) }
-func (e *probeEnv) Emit(m flowcontrol.Message)   { e.msgs = append(e.msgs, m) }
+func (e *probeEnv) Now() units.Time                            { return 0 }
+func (e *probeEnv) Clock() flowcontrol.Clock                   { return e }
+func (e *probeEnv) After(d units.Time, _ func(int32), _ int32) { e.delays = append(e.delays, d) }
+func (e *probeEnv) Emit(m flowcontrol.Message)                 { e.msgs = append(e.msgs, m) }
 
 // rootCause unwraps err to its innermost error — the flowcontrol factory's,
 // under whatever channel prefix the backend wrapped it in.
