@@ -105,19 +105,25 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // surfacing after the first sweep has started printing, or (the flags) being
 // dropped in silence: -exp fig12 -faults nosuch, -exp fig18 -faults flap and
 // -exp fig18 -backend fluid -checkpoint x.ck all used to exit 0. -backend auto,
-// the retired adaptive mode, is an unknown value naming the two engines; and
-// -exp fig17 -backend fluid is refused before a sweep starts — Figure 17 is
-// flow completion times, which a fluid cell does not have, so fig17 lists no
-// -backend (it used to run six sweeps and print an empty table, exit 0). A
+// the retired adaptive mode, is an unknown value naming the two engines. A
 // sweep does not retry, so -exp table1 -retries is refused too: only the fault
 // matrix reads -retries. Only the drivers that record runs into the metrics
-// sink read -metrics-out: -exp faults, table1 and fig15 (and fig16, fig17)
-// used to accept it, write nothing and exit 0, skipping the invariant gate
-// the flag promises; refused here, main exits before the sink exists, so no
-// file is created.
+// sink read -metrics-out: -exp faults, table1 and fig15 used to accept it,
+// write nothing and exit 0, skipping the invariant gate the flag promises;
+// refused here, main exits before the sink exists, so no file is created. A
+// -table1-scale preset sets -networks, -repeats and -analytic (ci also
+// -scales), so setting one of them beside it is refused naming both: -exp
+// table1 -table1-scale ci -networks 20 -scales 8 used to run k=4 × 200
+// networks and exit 0.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
+	}
+	*expName, *table1Scale = "table1", "full"
+	_, err := validateFlags([]string{"exp", "table1-scale", "scales"})
+	*expName, *table1Scale = "", ""
+	if err != nil {
+		t.Errorf("-exp table1 -table1-scale full -scales 4,6,8 rejected: %v", err)
 	}
 	for _, tc := range []struct {
 		set  func() []string
@@ -125,8 +131,6 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	}{
 		{func() []string { *backendName = "bogus"; return nil }, `-backend "bogus"`},
 		{func() []string { *backendName = "auto"; return nil }, `unknown -backend "auto" (want packet or fluid)`},
-		{func() []string { *expName, *backendName = "fig17", "fluid"; return []string{"exp", "backend"} },
-			"-backend is not read by fig17 (honoured by: table1, fig16, -scenario)"},
 		{func() []string { *table1Scale = "huge"; return nil }, `-table1-scale "huge"`},
 		{func() []string { *duration = -5 * time.Millisecond; return nil }, "-duration -5ms"},
 		{func() []string { *workers = -3; return nil }, "-workers -3"},
@@ -135,9 +139,9 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		{func() []string { *expName = "fig12"; return []string{"exp", "faults"} },
 			"-faults is not read by fig12 (honoured by: fig9, fig10, faults)"},
 		{func() []string { *expName = "fig18"; return []string{"backend", "checkpoint"} },
-			"-backend is not read by fig18 (honoured by: table1, fig16, -scenario)"},
+			"-backend is not read by fig18 (honoured by: table1, -scenario)"},
 		{func() []string { *expName = "fig9"; return []string{"faults", "checkpoint"} },
-			"-checkpoint is not read by fig9 (honoured by: table1, fig16, fig17)"},
+			"-checkpoint is not read by fig9 (honoured by: table1)"},
 		{func() []string { *expName = "faults"; return []string{"retries", "networks"} },
 			"-networks is not read by faults"},
 		{func() []string { *expName = "table1"; return []string{"exp", "retries"} },
@@ -150,6 +154,14 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 			"-metrics-out is not read by table1"},
 		{func() []string { *expName = "fig15"; return []string{"exp", "metrics-out"} },
 			"-metrics-out is not read by fig15"},
+		{func() []string { *expName, *table1Scale = "table1", "ci"; return []string{"networks", "scales"} },
+			"-table1-scale ci sets -networks itself"},
+		{func() []string { *expName, *table1Scale = "table1", "ci"; return []string{"table1-scale", "scales"} },
+			"-table1-scale ci sets -scales itself"},
+		{func() []string { *expName, *table1Scale = "table1", "full"; return []string{"table1-scale", "repeats"} },
+			"-table1-scale full sets -repeats itself"},
+		{func() []string { *expName, *table1Scale = "table1", "full"; return []string{"scales", "analytic"} },
+			"-table1-scale full sets -analytic itself"},
 	} {
 		oldBackend, oldScale, oldDuration := *backendName, *table1Scale, *duration
 		oldWorkers, oldExp, oldScenario := *workers, *expName, *scenarioName

@@ -47,7 +47,7 @@ type Options struct {
 	// Stderr receives sweep progress and self-healing reports.
 	Stderr io.Writer
 
-	// The sweep settings (table1, fig16, fig17).
+	// The sweep settings (table1).
 	Networks, Repeats int
 	Scales            []int
 	Table1Scale       string
@@ -85,11 +85,7 @@ var (
 	// records one report into the sink.
 	metricsFlags = []string{"metrics-out"}
 	faultFlags   = []string{"faults", "metrics-out"}
-	// packetSweepFlags are the flags of a sweep that has one engine: Figure 17
-	// reports flow completion times, which a fluid cell (unbounded stand-in
-	// flows) does not have, so fig17 reads no -backend.
-	packetSweepFlags = []string{"networks", "repeats", "scales", "table1-scale", "analytic", "checkpoint"}
-	sweepFlags       = append([]string{"backend"}, packetSweepFlags...)
+	sweepFlags   = []string{"backend", "networks", "repeats", "scales", "table1-scale", "analytic", "checkpoint"}
 )
 
 // Drivers is the dispatch table, in the paper's order.
@@ -104,12 +100,7 @@ var Drivers = []Driver{
 		_, err := fmt.Fprint(w, Fig15Rows().String())
 		return err
 	}},
-	{"table1", sweepFlags, sweepSection(
-		"Table 1: deadlock cases (paper: PFC=CBFC>0 and falling with scale; GFC=0)", Table1Rows)},
-	{"fig16", sweepFlags, sweepSection(
-		"Figure 16: average available bandwidth over deadlock-free runs", Fig16Rows)},
-	{"fig17", packetSweepFlags, sweepSection(
-		"Figure 17: average slowdown (normalised to the per-scale minimum)", Fig17Rows)},
+	{"table1", sweepFlags, sweepSection},
 	{"fig18", metricsFlags, evolutionSection},
 	{"fig19", metricsFlags, overheadSection},
 	{"fig20", metricsFlags, fig20Section},
@@ -450,61 +441,67 @@ func (o *Options) sweepConfigs() ([]SweepConfig, error) {
 	return cfgs, nil
 }
 
-// sweepSection runs the §6.2.3 sweep — every scheme at every scale — and
-// prints one of the three tables it feeds, under title.
-func sweepSection(title string, rows func(map[int]map[FC]*SweepResult, []int) *stats.Table) func(io.Writer, *Options) error {
-	return func(w io.Writer, o *Options) error {
-		cfgs, err := o.sweepConfigs()
-		if err != nil {
-			return err
-		}
-		// A scheme a fluid sweep cannot decide is left out before anything is
-		// swept — its column prints "-" — instead of failing the run after
-		// the schemes ahead of it have been computed.
-		schemes := AllFCs()
-		if o.Backend == "fluid" {
-			schemes = nil
-			for _, fc := range AllFCs() {
-				if err := fluidSweepSupports(fc); err != nil {
-					fmt.Fprintf(o.Stderr, "skipping %s: %v\n", fc, err)
-					continue
-				}
-				schemes = append(schemes, fc)
-			}
-		}
-		results := make(map[int]map[FC]*SweepResult)
-		var ks []int
-		quarantined := 0
-		for _, cfg := range cfgs {
-			k := cfg.K
-			ks = append(ks, k)
-			results[k] = make(map[FC]*SweepResult)
-			for _, fc := range schemes {
-				fmt.Fprintf(o.Stderr, "sweep k=%d %s...\n", k, fc)
-				res, err := RunSweep(o.ctx(), fc, cfg)
-				if err != nil {
-					// Interrupted: the checkpoint has every finished cell, so
-					// skip the (partial) tables and report the resume path.
-					if o.Checkpoint != "" && errors.Is(err, context.Canceled) {
-						fmt.Fprintf(o.Stderr, "interrupted; rerun with -checkpoint %s to resume\n", o.Checkpoint)
-					}
-					return err
-				}
-				if sum := res.ResilienceSummary(); sum != "" {
-					fmt.Fprintf(o.Stderr, "self-healing report (k=%d %s):\n%s", k, fc, sum)
-				}
-				if len(res.Failures) > 0 {
-					fmt.Fprintln(o.Stderr, res.FailureSummary())
-					quarantined += len(res.Failures)
-				}
-				results[k][fc] = res
-			}
-		}
-		fmt.Fprintln(w, title)
-		fmt.Fprint(w, rows(results, ks).String())
-		if quarantined > 0 {
-			return fmt.Errorf("%w: %d sweep cells quarantined", ErrGovernor, quarantined)
-		}
-		return nil
+// sweepSection runs the §6.2.3 sweep — every scheme at every scale — once and
+// prints the three results it feeds: Table 1, Figure 16 and Figure 17.
+func sweepSection(w io.Writer, o *Options) error {
+	cfgs, err := o.sweepConfigs()
+	if err != nil {
+		return err
 	}
+	// A scheme a fluid sweep cannot decide is left out before anything is
+	// swept — its column prints "-" — instead of failing the run after the
+	// schemes ahead of it have been computed.
+	schemes := AllFCs()
+	if o.Backend == "fluid" {
+		schemes = nil
+		for _, fc := range AllFCs() {
+			if err := fluidSweepSupports(fc); err != nil {
+				fmt.Fprintf(o.Stderr, "skipping %s: %v\n", fc, err)
+				continue
+			}
+			schemes = append(schemes, fc)
+		}
+	}
+	results := make(map[int]map[FC]*SweepResult)
+	var ks []int
+	quarantined := 0
+	for _, cfg := range cfgs {
+		k := cfg.K
+		ks = append(ks, k)
+		results[k] = make(map[FC]*SweepResult)
+		for _, fc := range schemes {
+			fmt.Fprintf(o.Stderr, "sweep k=%d %s...\n", k, fc)
+			res, err := RunSweep(o.ctx(), fc, cfg)
+			if err != nil {
+				// Interrupted: the checkpoint has every finished cell, so
+				// skip the (partial) tables and report the resume path.
+				if o.Checkpoint != "" && errors.Is(err, context.Canceled) {
+					fmt.Fprintf(o.Stderr, "interrupted; rerun with -checkpoint %s to resume\n", o.Checkpoint)
+				}
+				return err
+			}
+			if sum := res.ResilienceSummary(); sum != "" {
+				fmt.Fprintf(o.Stderr, "self-healing report (k=%d %s):\n%s", k, fc, sum)
+			}
+			if len(res.Failures) > 0 {
+				fmt.Fprintln(o.Stderr, res.FailureSummary())
+				quarantined += len(res.Failures)
+			}
+			results[k][fc] = res
+		}
+	}
+	fmt.Fprintln(w, "Table 1: deadlock cases (paper: PFC=CBFC>0 and falling with scale; GFC=0)")
+	fmt.Fprint(w, Table1Rows(results, ks).String())
+	fmt.Fprintln(w, "Figure 16: average available bandwidth over deadlock-free runs")
+	fmt.Fprint(w, Fig16Rows(results, ks).String())
+	if o.Backend == "fluid" {
+		fmt.Fprintln(w, "Figure 17: not shown; slowdown needs flow completion times, which a fluid cell does not have")
+	} else {
+		fmt.Fprintln(w, "Figure 17: average slowdown (normalised to the per-scale minimum)")
+		fmt.Fprint(w, Fig17Rows(results, ks).String())
+	}
+	if quarantined > 0 {
+		return fmt.Errorf("%w: %d sweep cells quarantined", ErrGovernor, quarantined)
+	}
+	return nil
 }

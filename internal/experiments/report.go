@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/units"
@@ -84,25 +85,16 @@ func Fig16Rows(results map[int]map[FC]*SweepResult, scales []int) *stats.Table {
 func Fig17Rows(results map[int]map[FC]*SweepResult, scales []int) *stats.Table {
 	t := &stats.Table{Header: []string{"Scale", "Scheme", "Mean slowdown", "Normalised"}}
 	for _, k := range scales {
-		min := 0.0
+		var fcs []FC
+		var means []float64
 		for _, fc := range AllFCs() {
-			r := results[k][fc]
-			if r == nil || r.Slowdown.Len() == 0 {
-				continue
-			}
-			m := r.Slowdown.Mean()
-			if min == 0 || m < min {
-				min = m
+			if r := results[k][fc]; r != nil && r.Slowdown.Len() > 0 {
+				fcs, means = append(fcs, fc), append(means, r.Slowdown.Mean())
 			}
 		}
-		for _, fc := range AllFCs() {
-			r := results[k][fc]
-			if r == nil || r.Slowdown.Len() == 0 {
-				continue
-			}
-			m := r.Slowdown.Mean()
+		for i, fc := range fcs {
 			t.AddRow(fmt.Sprintf("k=%d", k), string(fc),
-				fmt.Sprintf("%.2f", m), fmt.Sprintf("%.3f", m/min))
+				fmt.Sprintf("%.2f", means[i]), fmt.Sprintf("%.3f", means[i]/slices.Min(means)))
 		}
 	}
 	return t
