@@ -114,7 +114,9 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // -table1-scale preset sets -networks, -repeats and -analytic (ci also
 // -scales), so setting one of them beside it is refused naming both: -exp
 // table1 -table1-scale ci -networks 20 -scales 8 used to run k=4 × 200
-// networks and exit 0.
+// networks and exit 0. -seed and -workers are read only by the drivers that
+// seed or pool something: -exp fig5 -seed 9, -exp fig14 -workers 3 and
+// -scenario X -seed 9 used to run the default and exit 0.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
@@ -154,6 +156,12 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 			"-metrics-out is not read by table1"},
 		{func() []string { *expName = "fig15"; return []string{"exp", "metrics-out"} },
 			"-metrics-out is not read by fig15"},
+		{func() []string { *expName = "fig5"; return []string{"exp", "seed", "duration"} },
+			"-seed is not read by fig5 (honoured by: fig9, fig10, table1, fig19, faults)"},
+		{func() []string { *expName = "fig14"; return []string{"exp", "workers", "duration"} },
+			"-workers is not read by fig14 (honoured by: table1, faults)"},
+		{func() []string { *scenarioName = "twotoone-pfc"; return []string{"scenario", "seed", "duration"} },
+			"-seed is not read by -scenario"},
 		{func() []string { *expName, *table1Scale = "table1", "ci"; return []string{"networks", "scales"} },
 			"-table1-scale ci sets -networks itself"},
 		{func() []string { *expName, *table1Scale = "table1", "ci"; return []string{"table1-scale", "scales"} },
@@ -217,8 +225,8 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	}
 
 	// Every flag a driver lists exists, and the flags every packet driver
-	// honours are accepted everywhere. (-metrics-out used to be one of them,
-	// which pinned the drivers that dropped it.)
+	// honours are accepted everywhere. (-metrics-out, -seed and -workers used
+	// to be among them, which pinned the drivers that dropped them.)
 	for _, d := range append(experiments.Drivers, scenarioDriver) {
 		for _, name := range d.Flags {
 			if flag.Lookup(name) == nil {
@@ -227,7 +235,7 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		}
 		old := *expName
 		*expName = strings.TrimPrefix(d.Name, "-scenario")
-		set := append([]string{"exp", "duration", "budget-events", "stall-events", "seed", "workers"}, d.Flags...)
+		set := append([]string{"exp", "duration", "budget-events", "stall-events"}, d.Flags...)
 		if got, err := validateFlags(set); err != nil || got.Name != d.Name {
 			t.Errorf("%s with its own flags: driver %v, err %v", d.Name, got, err)
 		}
@@ -244,9 +252,9 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 func TestFaultsVettedBeforeAnythingPrints(t *testing.T) {
 	oldWorkers, oldExp, oldFaults := *workers, *expName, *faultSpec
 	defer func() { *workers, *expName, *faultSpec = oldWorkers, oldExp, oldFaults }()
-	*workers, *expName, *faultSpec = 0, "fig9", "my-faults.json"
+	*workers, *expName, *faultSpec = 0, "faults", "flap"
 	if _, err := validateFlags([]string{"exp", "faults", "workers"}); err != nil {
-		t.Errorf("-exp fig9 -faults my-faults.json -workers 0 rejected: %v", err)
+		t.Errorf("-exp faults -faults flap -workers 0 rejected: %v", err)
 	}
 	dir := t.TempDir()
 	noSuchLink := filepath.Join(dir, "no-such-link.json")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	gfc "github.com/gfcsim/gfc"
+	"github.com/gfcsim/gfc/internal/scenario"
 )
 
 // TestPublicAPIQuickstart exercises the façade end to end the way the README
@@ -54,6 +55,23 @@ func TestPublicAPIScenarios(t *testing.T) {
 		}
 		if _, err := gfc.Build(spec, nil); err != nil {
 			t.Errorf("%s: %v", spec.Name, err)
+		}
+	}
+}
+
+// TestPublicBuildValidates pins that the facade's Build refuses what Parse
+// refuses: it used to panic on a negative duration, run an unknown detector as
+// the global one and a negative wall budget as none.
+func TestPublicBuildValidates(t *testing.T) {
+	for _, mutate := range []func(*gfc.Spec){
+		func(s *gfc.Spec) { s.Run.DurationNs = -1 },
+		func(s *gfc.Spec) { s.Run.DetectDeadlock, s.Run.Detector = true, "bogus" },
+		func(s *gfc.Spec) { s.Limits = &scenario.LimitsSpec{MaxWallMs: -5} },
+	} {
+		spec, _ := gfc.Scenario("ring-steady-gfcbuf")
+		mutate(&spec)
+		if _, err := gfc.Build(spec, nil); err == nil {
+			t.Errorf("gfc.Build accepted %+v", spec.Run)
 		}
 	}
 }

@@ -74,8 +74,10 @@ type Driver struct {
 	// Flags names the optional CLI flags the driver reads. -duration, the
 	// -budget-* family, -stall-events and ^C reach every packet driver
 	// through RunOptions and need no entry; -metrics-out is an entry of each
-	// driver that records its runs into Options.Sink. A flag listed by some
-	// driver and set for one that does not list it is a usage error.
+	// driver that records its runs into Options.Sink, -seed of each that
+	// seeds a workload, a sweep or a fault injector with Options.Seed, and
+	// -workers of each that runs cells on the runner pool. A flag listed by
+	// some driver and set for one that does not list it is a usage error.
 	Flags []string
 	Run   func(w io.Writer, o *Options) error
 }
@@ -84,8 +86,8 @@ var (
 	// metricsFlags are the flags of a single-run section: each run it makes
 	// records one report into the sink.
 	metricsFlags = []string{"metrics-out"}
-	faultFlags   = []string{"faults", "metrics-out"}
-	sweepFlags   = []string{"backend", "networks", "repeats", "scales", "table1-scale", "analytic", "checkpoint"}
+	faultFlags   = []string{"faults", "metrics-out", "seed"}
+	sweepFlags   = []string{"backend", "networks", "repeats", "scales", "table1-scale", "analytic", "checkpoint", "seed", "workers"}
 )
 
 // Drivers is the dispatch table, in the paper's order.
@@ -102,9 +104,9 @@ var Drivers = []Driver{
 	}},
 	{"table1", sweepFlags, sweepSection},
 	{"fig18", metricsFlags, evolutionSection},
-	{"fig19", metricsFlags, overheadSection},
+	{"fig19", []string{"metrics-out", "seed"}, overheadSection},
 	{"fig20", metricsFlags, fig20Section},
-	{"faults", []string{"faults", "retries", "retry-backoff"}, faultMatrixSection},
+	{"faults", []string{"faults", "retries", "retry-backoff", "seed", "workers"}, faultMatrixSection},
 }
 
 // Names lists the table's experiments, in order.

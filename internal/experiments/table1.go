@@ -237,7 +237,7 @@ func sweepSpec(fc FC, cfg SweepConfig, repeatSeed int64) scenario.Spec {
 
 // repeatOverrides are the runtime hooks every sweep repeat builds with: the
 // prebuilt topology and routing table (sweeps reuse them across repeats, so
-// the Spec's topology section is documentation only), a fresh registry, and
+// the Spec's topology section is validated, not built), a fresh registry, and
 // the CBD verdict — every simulated cell passed the pre-filter, so it is
 // cyclic by construction and the analytic predictor need not recompute the
 // all-pairs graph per repeat.

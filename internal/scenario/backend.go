@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/gfcsim/gfc/internal/netsim"
 )
@@ -16,14 +15,11 @@ type Runner interface {
 }
 
 // BuildBackend compiles spec for the engine its Sim.Backend field selects:
-// "" or "packet" is Build itself, "fluid" the network-of-queues solver.
+// "fluid" is the network-of-queues solver, anything else Build itself (whose
+// validation refuses a backend that is not "" or "packet").
 func BuildBackend(spec Spec, ov *Overrides) (Runner, error) {
-	switch spec.Sim.Backend {
-	case "", "packet":
-		return Build(spec, ov)
-	case "fluid":
+	if spec.Sim.Backend == "fluid" {
 		return FluidBackend{}.Build(spec, ov)
-	default:
-		return nil, fmt.Errorf("scenario: unknown backend %q (want packet or fluid)", spec.Sim.Backend)
 	}
+	return Build(spec, ov)
 }

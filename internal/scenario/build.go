@@ -137,11 +137,7 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 		sim.Flows = append(sim.Flows, rf.flow)
 	}
 	if g := spec.Workload.Generator; g != nil {
-		dist, err := buildDist(g)
-		if err != nil {
-			return nil, err
-		}
-		gen := workload.NewGenerator(sim.Net, c.table, dist, workload.EdgeRacks(c.topo), c.generatorSeed())
+		gen := workload.NewGenerator(sim.Net, c.table, buildDist(g), workload.EdgeRacks(c.topo), c.generatorSeed())
 		gen.FlowsPerHost = g.FlowsPerHost
 		if err := gen.Start(); err != nil {
 			return nil, err
@@ -280,11 +276,7 @@ func buildTopology(t TopologySpec) (*topology.Topology, error) {
 	var topo *topology.Topology
 	switch t.Builder {
 	case "ring":
-		h := t.HostsPerSwitch
-		if h == 0 {
-			h = 1
-		}
-		topo = topology.RingHosts(t.n(), h, p)
+		topo = topology.RingHosts(t.n(), t.hosts(), p)
 	case "fat-tree":
 		topo = topology.FatTree(t.K, p)
 	case "dumbbell":
@@ -360,14 +352,8 @@ func (s *Spec) needsRouting() bool {
 // simConfig composes the netsim.Config from the scheme preset and Sim
 // overrides, resolves the flow-control factory, and returns the resolved
 // FCParams alongside (the analytic predictor consumes the same thresholds
-// the factories will install).
-func (s *Spec) simConfig() (netsim.Config, FCParams, error) {
-	if err := s.Scheme.validate(); err != nil {
-		return netsim.Config{}, FCParams{}, err
-	}
-	if err := s.Sim.validate(); err != nil {
-		return netsim.Config{}, FCParams{}, err
-	}
+// the factories will install). s has passed Validate.
+func (s *Spec) simConfig() (netsim.Config, FCParams) {
 	var cfg netsim.Config
 	var fp FCParams
 	switch s.Scheme.Preset {
@@ -396,11 +382,7 @@ func (s *Spec) simConfig() (netsim.Config, FCParams, error) {
 	if m.TxRing != 0 {
 		cfg.TxRing = m.TxRing
 	}
-	sched, err := parseScheduling(m.Scheduling)
-	if err != nil {
-		return netsim.Config{}, FCParams{}, err
-	}
-	cfg.Scheduling = sched
+	cfg.Scheduling = schedulings[m.Scheduling]
 	cfg.FlowControl = fp.Factory(s.Scheme.FC)
 	if s.Scheme.FC == BFC {
 		// BFC's per-queue pause needs the physical queues to exist in the
@@ -411,7 +393,7 @@ func (s *Spec) simConfig() (netsim.Config, FCParams, error) {
 		}
 		cfg.FlowQueues = q
 	}
-	return cfg, fp, nil
+	return cfg, fp
 }
 
 // resolvedFlow is one declared flow with its resolved path and start time —
@@ -428,15 +410,8 @@ func resolveFlows(spec Spec, topo *topology.Topology, tab *routing.Table) ([]res
 	w := spec.Workload
 	if w.Pattern == "ring-clockwise" {
 		t := spec.Topology
-		h := t.HostsPerSwitch
-		if h == 0 {
-			h = 1
-		}
-		if t.Builder != "ring" {
-			return nil, fmt.Errorf("scenario: pattern ring-clockwise needs the ring builder, not %q", t.Builder)
-		}
 		var out []resolvedFlow
-		for i, path := range routing.RingHostsClockwisePaths(topo, t.n(), h) {
+		for i, path := range routing.RingHostsClockwisePaths(topo, t.n(), t.hosts()) {
 			out = append(out, resolvedFlow{flow: &netsim.Flow{
 				ID:   i + 1,
 				Src:  path[0].Node,
@@ -489,13 +464,10 @@ func resolveFlows(spec Spec, topo *topology.Topology, tab *routing.Table) ([]res
 	return out, nil
 }
 
-func buildDist(g *GeneratorSpec) (*workload.SizeDist, error) {
-	switch g.Dist {
-	case "", "enterprise":
-		return workload.Enterprise(), nil
-	case "uniform":
-		return workload.Uniform(g.UniformBytes), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown generator dist %q", g.Dist)
+// buildDist is the validated generator's size distribution.
+func buildDist(g *GeneratorSpec) *workload.SizeDist {
+	if g.Dist == "uniform" {
+		return workload.Uniform(g.UniformBytes)
 	}
+	return workload.Enterprise()
 }

@@ -48,37 +48,32 @@ type compiled struct {
 	pred *analytic.Prediction
 }
 
-// compile resolves spec once. The order — topology, routing, workload,
-// config, registry, faults, flows — is the order every hand-written driver
-// used; nothing here draws from a random source the engines also draw from.
+// compile validates spec — the check Parse runs, so every backend's build
+// refuses what Parse refuses — then resolves it once. A topology or table
+// supplied through Overrides replaces the declared section's build, not its
+// check. The order — topology, routing, config, registry, faults, flows — is
+// the order every hand-written driver used; nothing here draws from a random
+// source the engines also draw from.
 func compile(spec Spec, ov *Overrides) (*compiled, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	c := &compiled{spec: spec, topo: ov.Topo, table: ov.Table, reg: ov.Metrics, cbdCyclic: ov.CBDCyclic}
 	var err error
 	if c.topo == nil {
-		if err := spec.Topology.validate(); err != nil {
-			return nil, err
-		}
 		if c.topo, err = buildTopology(spec.Topology); err != nil {
 			return nil, err
 		}
 	}
 	if c.table == nil {
-		if err := spec.Routing.validate(); err != nil {
-			return nil, err
-		}
 		if c.table, err = buildRouting(spec, c.topo); err != nil {
 			return nil, err
 		}
 	}
-	if err := spec.Workload.validate(); err != nil {
-		return nil, err
-	}
 	if spec.Workload.Generator != nil && c.table == nil {
 		return nil, fmt.Errorf("scenario: workload generator needs a routing table (set routing policy spf)")
 	}
-	if c.cfg, c.fp, err = spec.simConfig(); err != nil {
-		return nil, err
-	}
+	c.cfg, c.fp = spec.simConfig()
 	c.cfg.FillDefaults()
 	if spec.Run.Analytic && c.reg == nil {
 		c.reg = metrics.New(metrics.Options{})
@@ -86,9 +81,6 @@ func compile(spec Spec, ov *Overrides) (*compiled, error) {
 	c.cfg.Metrics = c.reg
 
 	if spec.Faults != nil {
-		if err := spec.Faults.validate(); err != nil {
-			return nil, err
-		}
 		fs := spec.Faults.Inline
 		if fs == nil {
 			if fs, err = faults.Preset(spec.Faults.Preset); err != nil {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/routing"
+	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -130,6 +132,55 @@ func TestRegisteredScenariosBuild(t *testing.T) {
 				t.Fatalf("declared %d flows, built %d", n, len(sim.Flows))
 			}
 		})
+	}
+}
+
+// invalidSpecs are ring-steady-gfcbuf with one field out of range: a
+// negative duration, an unknown detector and a negative wall budget. Parse
+// refused each, while Build used to take them — the first then panicked in
+// Run, the other two ran under the global detector and with no wall budget.
+func invalidSpecs() []Spec {
+	base, _ := Get("ring-steady-gfcbuf")
+	duration, detector, wall := base, base, base
+	duration.Run.DurationNs = -1
+	detector.Run.DetectDeadlock, detector.Run.Detector = true, "bogus"
+	wall.Limits = &LimitsSpec{MaxWallMs: -5}
+	return []Spec{duration, detector, wall}
+}
+
+// TestBuildRejectsWhatParseRejects pins the one validation: each backend's
+// build refuses invalidSpecs with Parse's error, and a topology and table
+// supplied through Overrides replace the declared sections' build, not their
+// check.
+func TestBuildRejectsWhatParseRejects(t *testing.T) {
+	overridden := SweepCell(GFCBuf, 4, 1, 1)
+	overridden.Topology.K = 3
+	topo := topology.FatTree(4, topology.DefaultLinkParams())
+	prebuilt := &Overrides{Topo: topo, Table: routing.NewSPF(topo)}
+	builds := map[string]func(Spec, *Overrides) (any, error){
+		"Build":        func(s Spec, ov *Overrides) (any, error) { return Build(s, ov) },
+		"BuildBackend": func(s Spec, ov *Overrides) (any, error) { return BuildBackend(s, ov) },
+		"FluidBackend": func(s Spec, ov *Overrides) (any, error) { return FluidBackend{RenderGenerator: true}.Build(s, ov) },
+	}
+	specs := append(invalidSpecs(), overridden)
+	for i, spec := range specs {
+		var ov *Overrides
+		if i == len(specs)-1 {
+			ov = prebuilt
+		}
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, perr := Parse(data)
+		if perr == nil {
+			t.Fatalf("spec %d: Parse accepted it", i)
+		}
+		for name, build := range builds {
+			if _, err := build(spec, ov); err == nil || err.Error() != perr.Error() {
+				t.Errorf("spec %d: %s err = %v, want Parse's %q", i, name, err, perr)
+			}
+		}
 	}
 }
 

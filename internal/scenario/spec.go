@@ -240,14 +240,23 @@ type RunSpec struct {
 
 // Parse decodes a Spec from JSON, rejecting unknown fields, and validates it.
 func Parse(data []byte) (*Spec, error) {
+	s, err := decode(data)
+	if err == nil {
+		err = s.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decode is Parse's strict decoder without the validation.
+func decode(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: parsing spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
 	}
 	return &s, nil
 }
@@ -268,9 +277,8 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// Validate checks the whole spec. Build re-checks the sections it actually
-// uses, so override-driven builds (prebuilt topology/table) skip the parts
-// they replace.
+// Validate checks the whole spec: Parse and every backend's build call it,
+// so a spec one rejects the other rejects too.
 func (s *Spec) Validate() error {
 	if err := s.Topology.validate(); err != nil {
 		return err
@@ -280,6 +288,9 @@ func (s *Spec) Validate() error {
 	}
 	if err := s.Workload.validate(); err != nil {
 		return err
+	}
+	if s.Workload.Pattern == "ring-clockwise" && s.Topology.Builder != "ring" {
+		return fmt.Errorf("scenario: workload: pattern ring-clockwise needs the ring builder, not %q", s.Topology.Builder)
 	}
 	if err := s.Scheme.validate(); err != nil {
 		return err
@@ -343,6 +354,11 @@ func (t *TopologySpec) n() int {
 	return t.N
 }
 
+// hosts is the ring's hosts per switch with its default applied.
+func (t *TopologySpec) hosts() int {
+	return max(t.HostsPerSwitch, 1)
+}
+
 // HostCount reports how many hosts the topology will have, without building
 // it — what catalogue listings show so a user can judge a scenario's scale
 // before running it. Unknown builders report 0 (validation rejects them
@@ -350,11 +366,7 @@ func (t *TopologySpec) n() int {
 func (t *TopologySpec) HostCount() int {
 	switch t.Builder {
 	case "ring":
-		h := t.HostsPerSwitch
-		if h == 0 {
-			h = 1
-		}
-		return t.n() * h
+		return t.n() * t.hosts()
 	case "fat-tree":
 		return t.K * t.K * t.K / 4
 	case "dumbbell":
@@ -446,8 +458,8 @@ func (sc *SchemeSpec) validate() error {
 }
 
 func (m *SimSpec) validate() error {
-	if _, err := parseScheduling(m.Scheduling); err != nil {
-		return err
+	if _, ok := schedulings[m.Scheduling]; !ok {
+		return fmt.Errorf("scenario: sim: unknown scheduling %q", m.Scheduling)
 	}
 	if m.BufferBytes < 0 || m.MTUBytes < 0 || m.ECNBytes < 0 ||
 		m.ProcDelayNs < 0 || m.TauNs < 0 ||
@@ -487,17 +499,11 @@ func (r *RunSpec) validate() error {
 	return nil
 }
 
-func parseScheduling(s string) (netsim.Scheduling, error) {
-	switch s {
-	case "", "input-queued":
-		return netsim.SchedInputQueued, nil
-	case "fifo":
-		return netsim.SchedFIFO, nil
-	case "voq":
-		return netsim.SchedVOQ, nil
-	case "blocking":
-		return netsim.SchedBlocking, nil
-	default:
-		return 0, fmt.Errorf("scenario: sim: unknown scheduling %q", s)
-	}
+// schedulings maps SimSpec.Scheduling's names to the switch disciplines.
+var schedulings = map[string]netsim.Scheduling{
+	"":             netsim.SchedInputQueued,
+	"input-queued": netsim.SchedInputQueued,
+	"fifo":         netsim.SchedFIFO,
+	"voq":          netsim.SchedVOQ,
+	"blocking":     netsim.SchedBlocking,
 }

@@ -139,6 +139,16 @@ func setKeys(v any, prefix string, into map[string]bool) {
 	}
 }
 
+// TestDeclaredSpecsValidate holds every Spec the repository builds to the
+// validation Build applies, so that check cannot refuse a declaration.
+func TestDeclaredSpecsValidate(t *testing.T) {
+	for _, s := range declaredSpecs() {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+}
+
 // TestSpecSurface holds the Spec's user-only surface to specUserOnly, both
 // ways: a key nothing in the repository sets must be listed with its reason,
 // and a listed key something now sets (or that is gone) must be dropped.
