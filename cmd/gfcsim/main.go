@@ -240,8 +240,8 @@ var scenarioDriver = experiments.Driver{Name: "-scenario", Flags: []string{"back
 // validateFlags resolves what to run and rejects what it could not honour,
 // before anything runs or prints: enum and range flags outside their domain,
 // an unknown experiment, and — given the names of the flags set explicitly —
-// a flag that some driver reads but the selected one does not, or that the
-// -table1-scale preset sets.
+// a flag that some driver reads but the selected one does not, -seed for a
+// ring figure run without -faults, or a flag the -table1-scale preset sets.
 func validateFlags(set []string) (*experiments.Driver, error) {
 	switch *backendName {
 	case "", "packet", "fluid":
@@ -279,6 +279,10 @@ func validateFlags(set []string) (*experiments.Driver, error) {
 		if len(readers) > 0 && !slices.Contains(d.Flags, name) {
 			return nil, fmt.Errorf("%w: -%s is not read by %s (honoured by: %s)",
 				errUsage, name, d.Name, strings.Join(readers, ", "))
+		}
+		// fig9 and fig10 read -seed only as the seed of the -faults injector.
+		if name == "seed" && *faultSpec == "" && (d.Name == "fig9" || d.Name == "fig10") {
+			return nil, fmt.Errorf("%w: -seed seeds the -faults injector of %s; give -faults too", errUsage, d.Name)
 		}
 		if *table1Scale != "" && (name == "networks" || name == "repeats" || name == "analytic" ||
 			name == "scales" && *table1Scale == "ci") {

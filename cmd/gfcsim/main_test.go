@@ -116,7 +116,9 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // table1 -table1-scale ci -networks 20 -scales 8 used to run k=4 × 200
 // networks and exit 0. -seed and -workers are read only by the drivers that
 // seed or pool something: -exp fig5 -seed 9, -exp fig14 -workers 3 and
-// -scenario X -seed 9 used to run the default and exit 0.
+// -scenario X -seed 9 used to run the default and exit 0. fig9 and fig10 seed
+// only their -faults injector, so -seed without -faults is refused there too:
+// -exp fig9 -seed 9 used to print the seed-1 bytes and exit 0.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
@@ -162,6 +164,10 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 			"-workers is not read by fig14 (honoured by: table1, faults)"},
 		{func() []string { *scenarioName = "twotoone-pfc"; return []string{"scenario", "seed", "duration"} },
 			"-seed is not read by -scenario"},
+		{func() []string { *expName = "fig9"; return []string{"exp", "seed"} },
+			"-seed seeds the -faults injector of fig9; give -faults too"},
+		{func() []string { *expName = "fig10"; return []string{"exp", "seed", "duration"} },
+			"-seed seeds the -faults injector of fig10; give -faults too"},
 		{func() []string { *expName, *table1Scale = "table1", "ci"; return []string{"networks", "scales"} },
 			"-table1-scale ci sets -networks itself"},
 		{func() []string { *expName, *table1Scale = "table1", "ci"; return []string{"table1-scale", "scales"} },
@@ -226,7 +232,11 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 
 	// Every flag a driver lists exists, and the flags every packet driver
 	// honours are accepted everywhere. (-metrics-out, -seed and -workers used
-	// to be among them, which pinned the drivers that dropped them.)
+	// to be among them, which pinned the drivers that dropped them.) -faults
+	// is set to a preset, so fig9 and fig10 take -seed with it.
+	oldFaults := *faultSpec
+	*faultSpec = "flap"
+	defer func() { *faultSpec = oldFaults }()
 	for _, d := range append(experiments.Drivers, scenarioDriver) {
 		for _, name := range d.Flags {
 			if flag.Lookup(name) == nil {

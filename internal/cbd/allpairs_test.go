@@ -3,6 +3,7 @@ package cbd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/flowcontrol"
@@ -106,13 +107,39 @@ func missing(g, sub *Graph) string {
 	return ""
 }
 
-// checkClosure asserts what FromAllPairs owes every fixture: it contains the
-// sampled graph edge for edge, it equals the brute-force graph exactly (when
-// brute is set), and a cycle it reports is one. It reports whether the closure
-// holds a channel or dependency the sample missed.
+// differs returns the first difference between two graphs' vertex numbering
+// (names, vert) or successor lists, as text, or "" when they are identical.
+func differs(g, want *Graph) string {
+	for i := range min(len(g.names), len(want.names)) {
+		if g.names[i] != want.names[i] {
+			return fmt.Sprintf("vertex %d is channel %v, want %v", i, g.names[i], want.names[i])
+		}
+	}
+	if len(g.names) != len(want.names) {
+		return fmt.Sprintf("%d channels, want %d", len(g.names), len(want.names))
+	}
+	if !slices.Equal(g.vert, want.vert) {
+		return "vertex numbering differs"
+	}
+	for u := range g.succ {
+		if !slices.Equal(g.succ[u], want.succ[u]) {
+			return fmt.Sprintf("succ[%v] = %v, want %v", g.names[u], g.succ[u], want.succ[u])
+		}
+	}
+	return ""
+}
+
+// checkClosure asserts what FromAllPairs owes every fixture: it is the graph
+// fromAllPairsReference builds, it contains the sampled graph edge for edge,
+// it equals the brute-force graph exactly (when brute is set), and a cycle it
+// reports is one. It reports whether the closure holds a channel or dependency
+// the sample missed.
 func checkClosure(t *testing.T, name string, topo *topology.Topology, tab *routing.Table, rackOf func(topology.NodeID) int, brute bool) (g *Graph, wider bool) {
 	t.Helper()
 	g = FromAllPairs(topo, tab, rackOf)
+	if d := differs(g, fromAllPairsReference(topo, tab, rackOf)); d != "" {
+		t.Fatalf("%s: not the reference closure: %s", name, d)
+	}
 	sampled := referenceSampled(topo, tab, rackOf)
 	if m := missing(g, sampled); m != "" {
 		t.Fatalf("%s: the sampled graph's %s is not in the closure", name, m)
@@ -151,7 +178,9 @@ func parityRacks(n topology.NodeID) int { return int(n % 2) }
 // seeded random failed fat-trees (216 at k=4, 12 at k=8), each under no racks,
 // edge racks or parity racks: the sampled graph is a subgraph of FromAllPairs,
 // and at k=4 FromAllPairs is exactly the union of every shortest path of every
-// inter-rack pair.
+// inter-rack pair. On those and on 30 more seeds at each of k=8 and 16 it is
+// also fromAllPairsReference's graph: same vertex numbering, same successor
+// lists in the same order.
 func TestFromAllPairsMatchesReference(t *testing.T) {
 	probs := []float64{0.05, 0.15, 0.25}
 	cyclic, wider := 0, 0
@@ -183,6 +212,22 @@ func TestFromAllPairsMatchesReference(t *testing.T) {
 	}
 	if wider == 0 {
 		t.Fatal("no closure is wider than its sampled graph: the fixtures miss the soundness gap")
+	}
+	for _, k := range []int{8, 16} {
+		for seed := int64(0); seed < 30; seed++ {
+			topo := topology.FatTree(k, topology.DefaultLinkParams())
+			topo.FailRandomLinks(rand.New(rand.NewSource(seed)), probs[seed%3])
+			// k=16 under edge racks, as the sweep runs it: under the other
+			// two, each closure walks all 1 024 destinations, not 128.
+			rackOf := workload.EdgeRacks(topo)
+			if k == 8 {
+				rackOf = [](func(topology.NodeID) int){nil, rackOf, parityRacks}[seed%3]
+			}
+			tab := routing.NewSPF(topo)
+			if d := differs(FromAllPairs(topo, tab, rackOf), fromAllPairsReference(topo, tab, rackOf)); d != "" {
+				t.Fatalf("k=%d seed=%d: not the reference closure: %s", k, seed, d)
+			}
+		}
 	}
 }
 

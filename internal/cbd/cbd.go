@@ -190,7 +190,10 @@ func Cycle(succ [][]int) []int {
 // ascending walked destination, then depth-first post-order from the sources.
 func FromAllPairs(t *topology.Topology, tab *routing.Table, rackOf func(topology.NodeID) int) *Graph {
 	n := t.NumNodes()
-	c := &closure{g: NewGraph(t), rows: tab.Rows(), seen: make([]int32, n), live: make([]int32, n)}
+	c := &closure{
+		g: NewGraph(t), rows: tab.Rows(), seen: make([]int32, n), live: make([]int32, n),
+		chans: make([]int, 0, 2*t.NumLinks()), span: make([][2]int32, n),
+	}
 	// walked[s] is 1 + the last single-homed destination on s that was
 	// walked; 0 when none was.
 	walked := make([]topology.NodeID, n)
@@ -208,6 +211,7 @@ func FromAllPairs(t *topology.Topology, tab *routing.Table, rackOf func(topology
 		}
 		c.dst = d
 		c.walk++
+		c.chans = c.chans[:0]
 		for _, src := range hosts {
 			if src != d && (rackOf == nil || rackOf(src) != rackOf(d)) {
 				c.visit(src)
@@ -241,12 +245,18 @@ type closure struct {
 	// source reached n, live[n] == walk when dst is reachable from n too.
 	walk       int32
 	seen, live []int32
+	// chans[span[n][0]:span[n][1]] are the vertices of the channels a live
+	// switch n recorded in the current walk, in row order.
+	chans []int
+	span  [][2]int32
 }
 
 // visit reaches n along next hops toward c.dst and reports whether c.dst is
 // reachable from it. Once n's successors are resolved it records, if n is a
 // live switch, its live channels and their dependencies. Next hops strictly
-// shorten the distance to c.dst, so the recursion is no deeper than a path.
+// shorten the distance to c.dst, so the recursion is no deeper than a path,
+// and every live switch of n's row has recorded its own channels already:
+// n's channel into it depends on exactly those.
 func (c *closure) visit(n topology.NodeID) bool {
 	if c.seen[n] == c.walk {
 		return c.live[n] == c.walk
@@ -266,17 +276,19 @@ func (c *closure) visit(n topology.NodeID) bool {
 	if c.g.topo.Node(n).Kind != topology.Switch {
 		return true
 	}
+	lo := len(c.chans)
 	for _, uv := range row {
 		if !c.liveSwitch(uv.Peer) {
 			continue
 		}
 		u := c.g.vertex(n, uv.Link)
-		for _, vw := range c.rows.Row(uv.Peer) {
-			if c.liveSwitch(vw.Peer) {
-				c.g.addEdge(u, c.g.vertex(uv.Peer, vw.Link))
-			}
+		vw := c.span[uv.Peer]
+		for _, v := range c.chans[vw[0]:vw[1]] {
+			c.g.addEdge(u, v)
 		}
+		c.chans = append(c.chans, u)
 	}
+	c.span[n] = [2]int32{int32(lo), int32(len(c.chans))}
 	return true
 }
 

@@ -77,7 +77,8 @@ type Driver struct {
 	// driver that records its runs into Options.Sink, -seed of each that
 	// seeds a workload, a sweep or a fault injector with Options.Seed, and
 	// -workers of each that runs cells on the runner pool. A flag listed by
-	// some driver and set for one that does not list it is a usage error.
+	// some driver and set for one that does not list it is a usage error, as
+	// is -seed for fig9 or fig10 without the -faults injector it seeds.
 	Flags []string
 	Run   func(w io.Writer, o *Options) error
 }

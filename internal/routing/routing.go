@@ -19,10 +19,16 @@ import (
 // concurrent use.
 type Table struct {
 	topo *topology.Topology
-	// dist[dst][n] is the hop distance from n to dst over live links, or
-	// unreachable; dist[dst] is nil when dst is not a routed destination.
-	// The rows are slices of one flat backing array.
-	dist [][]int32
+	// row[s] is the hop distance from every node to s over live links, or
+	// unreachable, for each BFS source s; nil for every other node. The rows
+	// are slices of one flat backing array.
+	row [][]int32
+	// via[dst] is the BFS source of routed destination dst's distances, None
+	// when dst is not routed: dst itself, or, for a host whose one link is
+	// live and leads to a switch, that switch, dst's anchor. Hosts do not
+	// forward, so such a host is one hop further from every other node than
+	// its anchor is, and all hosts of one anchor share its row.
+	via []topology.NodeID
 }
 
 const unreachable int32 = 1 << 30
@@ -31,19 +37,44 @@ const unreachable int32 = 1 << 30
 func NewSPF(t *topology.Topology) *Table { return NewSPFToward(t, t.Hosts()) }
 
 // NewSPFToward computes routing toward only the given destinations; cheaper
-// than NewSPF when few hosts receive traffic.
+// than NewSPF when few hosts receive traffic. It runs one BFS per anchor (a
+// k=16 fat-tree's 1 024 hosts share 128 rows), and one per other destination.
 func NewSPFToward(t *topology.Topology, dsts []topology.NodeID) *Table {
 	n := t.NumNodes()
-	tab := &Table{topo: t, dist: make([][]int32, n)}
-	flat := make([]int32, len(dsts)*n)
-	queue := make([]topology.NodeID, 0, n)
+	tab := &Table{topo: t, row: make([][]int32, n), via: make([]topology.NodeID, n)}
+	for i := range tab.via {
+		tab.via[i] = topology.None
+	}
+	srcs := make([]topology.NodeID, 0, len(dsts))
+	isSrc := make([]bool, n)
 	for _, d := range dsts {
-		if tab.dist[d] == nil {
-			tab.dist[d], flat = flat[:n:n], flat[n:]
-			bfsFrom(t, d, tab.dist[d], queue)
+		s := anchorOf(t, d)
+		tab.via[d] = s
+		if !isSrc[s] {
+			isSrc[s] = true
+			srcs = append(srcs, s)
 		}
 	}
+	flat := make([]int32, len(srcs)*n)
+	queue := make([]topology.NodeID, 0, n)
+	for _, s := range srcs {
+		tab.row[s], flat = flat[:n:n], flat[n:]
+		bfsFrom(t, s, tab.row[s], queue)
+	}
 	return tab
+}
+
+// anchorOf returns the BFS source of d's distances: the switch at the far end
+// of d's only link when d is a host and that link is live, else d itself (a
+// switch, a multi-homed host, a host on a failed link or one attached to
+// another host).
+func anchorOf(t *topology.Topology, d topology.NodeID) topology.NodeID {
+	ports := t.Ports(d)
+	if t.Node(d).Kind != topology.Host || len(ports) != 1 || ports[0].Link.Failed ||
+		t.Node(ports[0].Peer).Kind != topology.Switch {
+		return d
+	}
+	return ports[0].Peer
 }
 
 // bfsFrom fills dist with the hop distance of every node to src. queue is
@@ -56,8 +87,8 @@ func bfsFrom(t *topology.Topology, src topology.NodeID, dist []int32, queue []to
 	queue = append(queue[:0], src)
 	for head := 0; head < len(queue); head++ {
 		n := queue[head]
-		// Hosts do not forward transit traffic: only the BFS source (the
-		// destination host) may expand through a host node.
+		// Hosts do not forward transit traffic: only the BFS source (a
+		// destination host with a row of its own) may expand through a host.
 		if t.Node(n).Kind == topology.Host && n != src {
 			continue
 		}
@@ -70,23 +101,45 @@ func bfsFrom(t *topology.Topology, src topology.NodeID, dist []int32, queue []to
 	}
 }
 
-// toward returns dst's distance row, nil when dst is not a routed
-// destination.
-func (tab *Table) toward(dst topology.NodeID) []int32 {
-	if uint(dst) >= uint(len(tab.dist)) {
-		return nil
+// distances reads the hop distance toward one destination out of the row of
+// its BFS source.
+type distances struct {
+	row  []int32 // nil when dst is not a routed destination
+	lift int32   // 1 when row is dst's anchor's, 0 when it is dst's own
+	dst  topology.NodeID
+}
+
+// to returns the hop distance from n to dst; unreachable or more when dst
+// cannot be reached from n.
+func (d distances) to(n topology.NodeID) int32 {
+	if n == d.dst {
+		return 0
 	}
-	return tab.dist[dst]
+	return d.row[n] + d.lift
+}
+
+// toward returns dst's distances; their row is nil when dst is not a routed
+// destination.
+func (tab *Table) toward(dst topology.NodeID) distances {
+	if uint(dst) >= uint(len(tab.via)) || tab.via[dst] == topology.None {
+		return distances{}
+	}
+	s := tab.via[dst]
+	d := distances{row: tab.row[s], dst: dst}
+	if s != dst {
+		d.lift = 1
+	}
+	return d
 }
 
 // Distance reports the hop count from n to dst, with ok=false when dst is
 // unreachable (or not a routed destination).
 func (tab *Table) Distance(n, dst topology.NodeID) (int, bool) {
 	d := tab.toward(dst)
-	if d == nil || d[n] >= unreachable {
+	if d.row == nil || d.to(n) >= unreachable {
 		return 0, false
 	}
-	return int(d[n]), true
+	return int(d.to(n)), true
 }
 
 // Reachable reports whether dst can be reached from n.
@@ -106,15 +159,24 @@ func (tab *Table) Reachable(n, dst topology.NodeID) bool {
 // peers in nearly ascending order, so the insertion sort is close to linear.
 func (tab *Table) appendNextHops(out []topology.Attachment, n, dst topology.NodeID) []topology.Attachment {
 	d := tab.toward(dst)
-	if d == nil || d[n] >= unreachable || n == dst {
+	return tab.appendHops(out, &d, n)
+}
+
+// appendHops is appendNextHops toward the destination of d, for a caller
+// that reads every node's next hops toward one destination.
+func (tab *Table) appendHops(out []topology.Attachment, d *distances, n topology.NodeID) []topology.Attachment {
+	if d.row == nil || n == d.dst || d.row[n] >= unreachable {
 		return out
 	}
-	base, closer := len(out), d[n]-1
+	// Away from the destination, distances differ as the row's do; the
+	// destination is a next hop of the nodes one hop from it.
+	base, closer, last := len(out), d.row[n]-1, d.to(n) == 1
 	for _, at := range tab.topo.Ports(n) {
-		if d[at.Peer] != closer || at.Link.Failed {
-			continue
-		}
-		if at.Peer != dst && tab.topo.Node(at.Peer).Kind == topology.Host {
+		if at.Peer == d.dst {
+			if !last || at.Link.Failed {
+				continue
+			}
+		} else if d.row[at.Peer] != closer || at.Link.Failed || tab.topo.Node(at.Peer).Kind == topology.Host {
 			continue
 		}
 		i := len(out)
@@ -162,19 +224,20 @@ type Rows struct {
 
 // Rows returns empty scratch over tab; call Toward before reading a row.
 func (tab *Table) Rows() *Rows {
-	return &Rows{tab: tab, off: make([]int32, len(tab.dist)+1)}
+	return &Rows{tab: tab, off: make([]int32, len(tab.via)+1)}
 }
 
 // Toward rebuilds the rows for dst and reports whether dst is a routed
 // destination.
 func (r *Rows) Toward(dst topology.NodeID) bool {
 	r.hops = r.hops[:0]
-	for n := range r.tab.dist {
+	d := r.tab.toward(dst)
+	for n := range r.tab.via {
 		r.off[n] = int32(len(r.hops))
-		r.hops = r.tab.appendNextHops(r.hops, topology.NodeID(n), dst)
+		r.hops = r.tab.appendHops(r.hops, &d, topology.NodeID(n))
 	}
-	r.off[len(r.tab.dist)] = int32(len(r.hops))
-	return r.tab.toward(dst) != nil
+	r.off[len(r.tab.via)] = int32(len(r.hops))
+	return d.row != nil
 }
 
 // Row returns n's next hops toward the current destination — what
