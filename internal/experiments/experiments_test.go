@@ -3,13 +3,16 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/scenario"
+	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
+	"github.com/gfcsim/gfc/internal/workload"
 )
 
 func TestFCFactoryAndNames(t *testing.T) {
@@ -321,6 +324,56 @@ func TestGenerateScenarioDeterminism(t *testing.T) {
 	}
 	if !p1 {
 		t.Fatal("seed 35 should be CBD-prone (regression guard)")
+	}
+}
+
+// generateFullScan is GenerateScenario without the census: every network
+// pays for its routing table and the all-pairs graph.
+func generateFullScan(k int, p float64, seed int64) bool {
+	topo := topology.FatTree(k, topology.DefaultLinkParams())
+	topo.FailRandomLinks(rand.New(rand.NewSource(seed)), p)
+	return cbd.FromAllPairs(topo, routing.NewSPF(topo), workload.EdgeRacks(topo)).HasCycle()
+}
+
+// TestGenerateScenarioMatchesFullScan: the census changes what a generated
+// network costs, not its verdict, and a network's table comes back exactly
+// when it is CBD-prone.
+func TestGenerateScenarioMatchesFullScan(t *testing.T) {
+	seeds := map[int]int64{4: 400, 8: 400, 16: 30}
+	if testing.Short() {
+		seeds[16] = 5
+	}
+	for _, k := range []int{4, 8, 16} {
+		prone := 0
+		for seed := int64(1); seed <= seeds[k]; seed++ {
+			_, tab, got := GenerateScenario(k, 0.05, seed)
+			if want := generateFullScan(k, 0.05, seed); got != want {
+				t.Fatalf("k=%d seed=%d: prone %v, full scan %v", k, seed, got, want)
+			}
+			if (tab != nil) != got {
+				t.Fatalf("k=%d seed=%d: prone %v with a table: %v", k, seed, got, tab != nil)
+			}
+			if got {
+				prone++
+			}
+		}
+		if k == 4 && prone == 0 {
+			t.Fatal("k=4: no seed is CBD-prone: the check holds only the census' side")
+		}
+	}
+}
+
+// BenchmarkGenerateScenario is the cost of one generated sweep network at the
+// sweep's p = 0.05, averaged over seeds 1 on: the census, and for a network
+// with a valley pair the routing table and all-pairs scan.
+func BenchmarkGenerateScenario(b *testing.B) {
+	for _, k := range []int{4, 8, 16} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GenerateScenario(k, 0.05, int64(i%400+1))
+			}
+		})
 	}
 }
 

@@ -212,17 +212,25 @@ func (s *SweepResult) FailureSummary() string {
 
 // GenerateScenario builds the i-th random failure scenario of a sweep:
 // a k-ary fat-tree with each fabric link failed with probability p. Returns
-// the topology, its routing table and whether the union of every shortest
-// path between inter-rack hosts (cbd.FromAllPairs) holds a CBD — the paths
-// generated flows may take under any ECMP key, so a scenario filtered out as
-// CBD-free cannot form one in the run.
+// the topology, and whether the union of every shortest path between
+// inter-rack hosts (cbd.FromAllPairs) holds a CBD — the paths generated flows
+// may take under any ECMP key, so a scenario filtered out as CBD-free cannot
+// form one in the run — with its routing table when it does; the table is nil
+// when it does not. The failed-link census (cbd.ValleyFree) answers first:
+// a fat-tree without a valley pair is CBD-free, and only the rest pay for the
+// table and the all-pairs graph.
 func GenerateScenario(k int, p float64, seed int64) (*topology.Topology, *routing.Table, bool) {
 	topo := topology.FatTree(k, topology.DefaultLinkParams())
 	rng := rand.New(rand.NewSource(seed))
 	topo.FailRandomLinks(rng, p)
+	if cbd.ValleyFree(topo) {
+		return topo, nil, false
+	}
 	tab := routing.NewSPF(topo)
-	g := cbd.FromAllPairs(topo, tab, workload.EdgeRacks(topo))
-	return topo, tab, g.HasCycle()
+	if !cbd.FromAllPairs(topo, tab, workload.EdgeRacks(topo)).HasCycle() {
+		return topo, nil, false
+	}
+	return topo, tab, true
 }
 
 // sweepSpec is the per-repeat Spec both backends compile: the registered

@@ -147,7 +147,9 @@ func (c *compiled) predict() (*analytic.Prediction, error) {
 // precompute it per topology); otherwise it is derived once from the
 // workload's paths and cached. A generator can start a flow between any
 // inter-rack host pair, so its presence folds in the union of all such
-// routes — the conservative superset of what the run may route.
+// routes — the conservative superset of what the run may route — unless the
+// failed-link census finds a fat-tree without a valley pair, on which that
+// union is acyclic (cbd.ValleyFree; the table is SPF's over c.topo).
 func (c *compiled) cbdVerdict() bool {
 	if c.cbdCyclic == nil {
 		g := cbd.NewGraph(c.topo)
@@ -158,8 +160,8 @@ func (c *compiled) cbdVerdict() bool {
 			g.AddPath(p)
 		}
 		cyclic := g.HasCycle()
-		if c.spec.Workload.Generator != nil {
-			cyclic = cyclic || cbd.FromAllPairs(c.topo, c.table, workload.EdgeRacks(c.topo)).HasCycle()
+		if c.spec.Workload.Generator != nil && !cyclic && !cbd.ValleyFree(c.topo) {
+			cyclic = cbd.FromAllPairs(c.topo, c.table, workload.EdgeRacks(c.topo)).HasCycle()
 		}
 		c.cbdCyclic = &cyclic
 	}

@@ -9,12 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/fluid"
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
+	"github.com/gfcsim/gfc/internal/workload"
 )
 
 // probeEnv is a flowcontrol.Env that records instead of simulating: emitted
@@ -303,5 +305,56 @@ func TestPredictionsAgreeAcrossBackends(t *testing.T) {
 		if perr != nil || ferr != nil || !reflect.DeepEqual(pp, fp) {
 			t.Errorf("%s: packet prediction %+v (%v), fluid prediction %+v (%v)", name, pp, perr, fp, ferr)
 		}
+	}
+}
+
+// TestCBDVerdictMatchesFullScan: where the failed-link census stands in for
+// the all-pairs scan, the verdict is the scan's. It runs on every registered
+// fat-tree scenario (the case study, evolution, the sweep cell, clos128,
+// clos1024 and clos3456), on clos128 with a host link failed, and on
+// the sweep cell handed a five-switch ring through Overrides, where the
+// census must decline: the ring's shortest paths close a cycle.
+func TestCBDVerdictMatchesFullScan(t *testing.T) {
+	type fixture struct {
+		spec Spec
+		ov   Overrides
+	}
+	var cases []fixture
+	for _, name := range Names() {
+		spec, _ := Get(name)
+		if spec.Topology.Builder == "fat-tree" && !(testing.Short() && spec.Topology.K > 16) {
+			cases = append(cases, fixture{spec: spec})
+		}
+	}
+	hostCut, _ := Get("clos128-pfc")
+	hostCut.Name += "-host-link-failed"
+	hostCut.Topology.FailLinks = []string{"H0-E1"}
+	cell, _ := Get("sweep-cell-pfc")
+	cases = append(cases, fixture{spec: hostCut},
+		fixture{spec: cell, ov: Overrides{Topo: topology.Ring(5, topology.DefaultLinkParams())}})
+	generated, cyclic := 0, 0
+	for _, tc := range cases {
+		c, err := compile(tc.spec, &tc.ov)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec.Name, err)
+		}
+		g := cbd.NewGraph(c.topo)
+		for _, rf := range c.flows {
+			g.AddPath(rf.flow.Path)
+		}
+		want := g.HasCycle()
+		if c.spec.Workload.Generator != nil {
+			generated++
+			want = want || cbd.FromAllPairs(c.topo, c.table, workload.EdgeRacks(c.topo)).HasCycle()
+		}
+		if got := c.cbdVerdict(); got != want {
+			t.Errorf("%s (%d nodes): verdict %v, full scan %v", tc.spec.Name, c.topo.NumNodes(), got, want)
+		}
+		if want {
+			cyclic++
+		}
+	}
+	if generated == 0 || cyclic == 0 || cyclic == len(cases) {
+		t.Fatalf("%d cases, %d generated, %d cyclic: the fixtures miss a verdict", len(cases), generated, cyclic)
 	}
 }
