@@ -132,8 +132,8 @@ var (
 )
 
 // The §6.2.3 sweep (Table 1): random fat-tree failure scenarios under the
-// enterprise workload, one RunSweep per scheme. `gfcsim -exp table1` runs it
-// with checkpoints, budgets and either backend.
+// enterprise workload, one RunSweep per scheme. `gfcsim -exp table1` runs
+// every scheme on each network, with checkpoints, budgets and either backend.
 var (
 	// DefaultSweep is a CI-sized sweep configuration for arity k.
 	DefaultSweep = experiments.DefaultSweep

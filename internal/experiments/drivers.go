@@ -444,8 +444,9 @@ func (o *Options) sweepConfigs() ([]SweepConfig, error) {
 	return cfgs, nil
 }
 
-// sweepSection runs the §6.2.3 sweep — every scheme at every scale — once and
-// prints the three results it feeds: Table 1, Figure 16 and Figure 17.
+// sweepSection runs the §6.2.3 sweep once per scale — each generated network
+// under every scheme — and prints the three results it feeds: Table 1,
+// Figure 16 and Figure 17.
 func sweepSection(w io.Writer, o *Options) error {
 	cfgs, err := o.sweepConfigs()
 	if err != nil {
@@ -471,26 +472,28 @@ func sweepSection(w io.Writer, o *Options) error {
 	for _, cfg := range cfgs {
 		k := cfg.K
 		ks = append(ks, k)
+		fmt.Fprintf(o.Stderr, "sweep k=%d %s...\n", k, schemeList(schemes))
+		res, err := runSweeps(o.ctx(), schemes, cfg)
+		if err != nil {
+			// Interrupted: the checkpoint has every finished cell, so
+			// skip the (partial) tables and report the resume path.
+			if o.Checkpoint != "" && errors.Is(err, context.Canceled) {
+				fmt.Fprintf(o.Stderr, "interrupted; rerun with -checkpoint %s to resume\n", o.Checkpoint)
+			}
+			return err
+		}
+		// The cell is the unit of salvage and quarantine: every scheme's
+		// result reports the same, so the first speaks for the scale.
+		if sum := res[0].ResilienceSummary(); sum != "" {
+			fmt.Fprintf(o.Stderr, "self-healing report (k=%d):\n%s", k, sum)
+		}
+		if len(res[0].Failures) > 0 {
+			fmt.Fprintln(o.Stderr, res[0].FailureSummary())
+			quarantined += len(res[0].Failures)
+		}
 		results[k] = make(map[FC]*SweepResult)
-		for _, fc := range schemes {
-			fmt.Fprintf(o.Stderr, "sweep k=%d %s...\n", k, fc)
-			res, err := RunSweep(o.ctx(), fc, cfg)
-			if err != nil {
-				// Interrupted: the checkpoint has every finished cell, so
-				// skip the (partial) tables and report the resume path.
-				if o.Checkpoint != "" && errors.Is(err, context.Canceled) {
-					fmt.Fprintf(o.Stderr, "interrupted; rerun with -checkpoint %s to resume\n", o.Checkpoint)
-				}
-				return err
-			}
-			if sum := res.ResilienceSummary(); sum != "" {
-				fmt.Fprintf(o.Stderr, "self-healing report (k=%d %s):\n%s", k, fc, sum)
-			}
-			if len(res.Failures) > 0 {
-				fmt.Fprintln(o.Stderr, res.FailureSummary())
-				quarantined += len(res.Failures)
-			}
-			results[k][fc] = res
+		for _, r := range res {
+			results[k][r.FC] = r
 		}
 	}
 	fmt.Fprintln(w, "Table 1: deadlock cases (paper: PFC=CBFC>0 and falling with scale; GFC=0)")

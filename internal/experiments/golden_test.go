@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -260,13 +261,7 @@ func sweepHash(t *testing.T, workers int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newHasher()
-	g.mix(uint64(res.K), uint64(res.CBDProne), uint64(res.DeadlockCases), uint64(res.Drops))
-	g.mix(uint64(res.Bandwidth.Len()), uint64(res.Slowdown.Len()))
-	g.float(res.Bandwidth.Mean())
-	g.float(res.Bandwidth.Max())
-	g.float(res.Slowdown.Mean())
-	return g.sum()
+	return aggHash(res)
 }
 
 // checkGolden compares got with the hash recorded under name in goldenPath,
@@ -361,13 +356,42 @@ func TestFluidSweepGolden(t *testing.T) {
 
 // TestSweepWorkerIndependence pins the share-nothing parallelism contract on
 // the table1 sweep: the aggregate must be bit-identical for every worker
-// count (each scenario is seeded from its index and folded in order).
+// count (each scenario is seeded from its index and folded in order). The
+// all-scheme sweep, each network run under every scheme, must give every
+// scheme the result of that scheme's own sweep, at either worker count.
 func TestSweepWorkerIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep twice")
 	}
 	if a, b := sweepHash(t, 1), sweepHash(t, 4); a != b {
 		t.Fatalf("sweep hash differs across worker counts: %016x (1 worker) vs %016x (4)", a, b)
+	}
+	// resumeSweepConfig's networks are mostly CBD-prone, so the schemes'
+	// results differ and the comparison has cells to fold.
+	cfg := resumeSweepConfig()
+	cfg.Workers = 1
+	want := make([]*SweepResult, len(AllFCs()))
+	for s, fc := range AllFCs() {
+		res, err := RunSweep(context.Background(), fc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CBDProne == 0 {
+			t.Fatalf("%s: no CBD-prone cell to compare", fc)
+		}
+		want[s] = res
+	}
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		got, err := runSweeps(context.Background(), AllFCs(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, fc := range AllFCs() {
+			if !reflect.DeepEqual(got[s], want[s]) {
+				t.Errorf("workers=%d: %s in the all-scheme sweep %+v, its own sweep %+v", workers, fc, got[s], want[s])
+			}
+		}
 	}
 }
 

@@ -39,59 +39,71 @@ func aggHash(res *SweepResult) uint64 {
 	return g.sum()
 }
 
+// sweepSchemes are the scheme lists the resume and quarantine tests run: one
+// scheme, RunSweep's case, and every scheme on each network, the table1
+// driver's.
+var sweepSchemes = map[string][]FC{"PFC": {PFC}, "all": AllFCs()}
+
 // TestKillMidSweepResume is the end-to-end resilience contract: a sweep
 // cancelled mid-flight (the SIGINT path) with a checkpoint attached, then
-// resumed, must produce a bit-identical aggregate to an uninterrupted run.
+// resumed, must produce a bit-identical aggregate to an uninterrupted run,
+// for every scheme of the sweep.
 func TestKillMidSweepResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep twice plus an interrupted pass")
 	}
-	cfg := resumeSweepConfig()
-	ref, err := RunSweep(context.Background(), PFC, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	cfg.Checkpoint = ckpt
-
-	// Kill the sweep once the checkpoint shows durable progress, like an
-	// operator ^C-ing a running sweep.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for {
-			if fi, err := os.Stat(ckpt); err == nil && fi.Size() > 0 {
-				cancel()
-				return
+	for name, schemes := range sweepSchemes {
+		t.Run(name, func(t *testing.T) {
+			cfg := resumeSweepConfig()
+			ref, err := runSweeps(context.Background(), schemes, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-	partial, err := RunSweep(ctx, PFC, cfg)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted sweep failed: %v", err)
-	}
-	if err == nil {
-		t.Log("sweep outran the kill; resume degenerates to pure replay")
-	}
-	if partial == nil {
-		t.Fatal("interrupted sweep returned no partial aggregate")
-	}
 
-	resumed, err := RunSweep(context.Background(), PFC, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed.Failures) != 0 {
-		t.Fatalf("resumed sweep quarantined cells: %s", resumed.FailureSummary())
-	}
-	if a, b := aggHash(resumed), aggHash(ref); a != b {
-		t.Fatalf("resumed aggregate %016x != uninterrupted %016x", a, b)
+			ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+			cfg.Checkpoint = ckpt
+
+			// Kill the sweep once the checkpoint shows durable progress,
+			// like an operator ^C-ing a running sweep.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				for {
+					if fi, err := os.Stat(ckpt); err == nil && fi.Size() > 0 {
+						cancel()
+						return
+					}
+					select {
+					case <-ctx.Done():
+						return
+					case <-time.After(time.Millisecond):
+					}
+				}
+			}()
+			partial, err := runSweeps(ctx, schemes, cfg)
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted sweep failed: %v", err)
+			}
+			if err == nil {
+				t.Log("sweep outran the kill; resume degenerates to pure replay")
+			}
+			if partial == nil {
+				t.Fatal("interrupted sweep returned no partial aggregate")
+			}
+
+			resumed, err := runSweeps(context.Background(), schemes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, fc := range schemes {
+				if len(resumed[s].Failures) != 0 {
+					t.Fatalf("%s: resumed sweep quarantined cells: %s", fc, resumed[s].FailureSummary())
+				}
+				if a, b := aggHash(resumed[s]), aggHash(ref[s]); a != b {
+					t.Fatalf("%s: resumed aggregate %016x != uninterrupted %016x", fc, a, b)
+				}
+			}
+		})
 	}
 }
 
@@ -123,46 +135,60 @@ func TestResumeIsPureReplay(t *testing.T) {
 // TestSweepQuarantinesBudgetBlownCells pins quarantine-and-continue: with a
 // deliberately tiny event budget every CBD-prone cell trips the governor,
 // the sweep still completes, and the failures carry flight-recorder reports
-// in deterministic job order.
+// in deterministic job order. The cell is the unit: a cell blown under one
+// scheme is quarantined under every scheme of the sweep.
 func TestSweepQuarantinesBudgetBlownCells(t *testing.T) {
-	cfg := resumeSweepConfig()
-	cfg.Networks = 8
-	cfg.Budget = netsim.Budget{MaxEvents: 2000, CheckEvery: 64}
-	res, err := RunSweep(context.Background(), PFC, cfg)
-	if err != nil {
-		t.Fatalf("quarantine-and-continue still errored the sweep: %v", err)
-	}
-	if len(res.Failures) == 0 {
-		t.Fatal("no cell tripped a 2000-event budget")
-	}
-	if res.CBDProne != 0 {
-		t.Fatal("budget-blown cells still aggregated")
-	}
-	for i := 1; i < len(res.Failures); i++ {
-		if res.Failures[i].Job <= res.Failures[i-1].Job {
-			t.Fatal("failures not in job order")
-		}
-	}
-	f := res.Failures[0]
-	if !strings.Contains(f.Err, "event budget") {
-		t.Fatalf("failure %q does not name the budget", f.Err)
-	}
-	if !strings.Contains(f.Report, "flight recorder:") {
-		t.Fatalf("failure carries no flight-recorder report:\n%+v", f)
-	}
-	sum := res.FailureSummary()
-	if !strings.Contains(sum, "cell") || !strings.Contains(sum, "flight recorder:") {
-		t.Fatalf("summary missing diagnostics:\n%s", sum)
-	}
+	for name, schemes := range sweepSchemes {
+		t.Run(name, func(t *testing.T) {
+			cfg := resumeSweepConfig()
+			cfg.Networks = 8
+			cfg.Budget = netsim.Budget{MaxEvents: 2000, CheckEvery: 64}
+			out, err := runSweeps(context.Background(), schemes, cfg)
+			if err != nil {
+				t.Fatalf("quarantine-and-continue still errored the sweep: %v", err)
+			}
+			res := out[0]
+			if len(res.Failures) == 0 {
+				t.Fatal("no cell tripped a 2000-event budget")
+			}
+			for s, fc := range schemes {
+				if !reflect.DeepEqual(out[s].Failures, res.Failures) {
+					t.Errorf("%s quarantined %+v, %s %+v", fc, out[s].Failures, schemes[0], res.Failures)
+				}
+				if out[s].CBDProne != res.CBDProne {
+					t.Errorf("%s counts %d CBD-prone cells, %s %d", fc, out[s].CBDProne, schemes[0], res.CBDProne)
+				}
+			}
+			if res.CBDProne != 0 {
+				t.Fatal("budget-blown cells still aggregated")
+			}
+			for i := 1; i < len(res.Failures); i++ {
+				if res.Failures[i].Job <= res.Failures[i-1].Job {
+					t.Fatal("failures not in job order")
+				}
+			}
+			f := res.Failures[0]
+			if !strings.Contains(f.Err, "event budget") || !strings.Contains(f.Err, string(schemes[0])+" repeat 0: ") {
+				t.Fatalf("failure %q does not name the scheme, the repeat and the budget", f.Err)
+			}
+			if !strings.Contains(f.Report, "flight recorder:") {
+				t.Fatalf("failure carries no flight-recorder report:\n%+v", f)
+			}
+			sum := res.FailureSummary()
+			if !strings.Contains(sum, "cell") || !strings.Contains(sum, "flight recorder:") {
+				t.Fatalf("summary missing diagnostics:\n%s", sum)
+			}
 
-	// Determinism of the quarantine verdict: an event budget depends only
-	// on the event stream, so the summary reproduces exactly.
-	res2, err := RunSweep(context.Background(), PFC, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.FailureSummary() != sum {
-		t.Fatal("failure summary not deterministic across runs")
+			// Determinism of the quarantine verdict: an event budget depends
+			// only on the event stream, so the summary reproduces exactly.
+			again, err := runSweeps(context.Background(), schemes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again[0].FailureSummary() != sum {
+				t.Fatal("failure summary not deterministic across runs")
+			}
+		})
 	}
 }
 
@@ -220,6 +246,19 @@ func TestSweepKeyCoversEveryField(t *testing.T) {
 	}
 	if SweepKey(PFC, base) == SweepKey(GFCBuf, base) {
 		t.Error("the scheme is not part of the key")
+	}
+	if got := sweepKey([]FC{PFC}, base); got != SweepKey(PFC, base) {
+		t.Errorf("one-scheme list key %s, SweepKey %s", got, SweepKey(PFC, base))
+	}
+	all := sweepKey(AllFCs(), base)
+	for _, fcs := range [][]FC{
+		{PFC, GFCBuf, CBFC},               // a member fewer
+		{PFC, GFCBuf, CBFC, GFCTime, BFC}, // a member more
+		{PFC, GFCBuf, GFCTime, CBFC},      // reordered
+	} {
+		if sweepKey(fcs, base) == all {
+			t.Errorf("scheme list %v keys as %v", fcs, AllFCs())
+		}
 	}
 	packet := base
 	packet.Backend = "packet"

@@ -172,9 +172,10 @@ type SweepResult struct {
 	// cells when SweepConfig.Analytic is on and nothing was quarantined.
 	AnalyticChecked int
 	// Failures lists the quarantined cells (budget-blown or panicked
-	// scenarios), in job order. The sweep's aggregates cover
-	// the surviving cells; a non-empty list means the sweep is incomplete
-	// and callers should exit non-zero after reporting it.
+	// scenarios, under any scheme the cell ran), in job order. The sweep's
+	// aggregates cover the surviving cells; a non-empty list means the
+	// sweep is incomplete and callers should exit non-zero after reporting
+	// it.
 	Failures []CellFailure
 	// Salvage, when non-nil, reports checkpoint lines the resume had to
 	// discard (corrupt or torn); the dropped cells were recomputed.
@@ -197,8 +198,7 @@ func (s *SweepResult) FailureSummary() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d sweep cells quarantined (fc=%v k=%d):\n",
-		len(s.Failures), s.FC, s.K)
+	fmt.Fprintf(&b, "%d sweep cells quarantined (k=%d):\n", len(s.Failures), s.K)
 	for _, f := range s.Failures {
 		fmt.Fprintf(&b, "  cell %d: %s\n", f.Job, f.Err)
 		if f.Report != "" {
@@ -336,32 +336,47 @@ func RunScenarioFluid(ctx context.Context, topo *topology.Topology, tab *routing
 }
 
 // scenarioOutcome is one scenario's worth of sweep data: the per-repeat
-// results in repeat order, so the aggregation fold reproduces the serial
-// loop exactly. A nil outcome marks a scenario that was not CBD-prone. The
-// fields are exported (and JSON-tagged) because outcomes round-trip through
-// the checkpoint store; the JSON float encoding is exact, so a replayed
-// outcome aggregates bit-identically to a computed one.
+// results of every scheme, scheme-major and in repeat order within a scheme,
+// so the aggregation fold reproduces the serial loop exactly. A nil outcome
+// marks a scenario that was not CBD-prone. The fields are exported (and
+// JSON-tagged) because outcomes round-trip through the checkpoint store; the
+// JSON float encoding is exact, so a replayed outcome aggregates
+// bit-identically to a computed one.
 type scenarioOutcome struct {
 	Repeats []*ScenarioResult `json:"repeats"`
 }
 
-// SweepKey identifies the result-determining configuration of a sweep — the
-// spec hash written into every checkpoint entry. Two sweeps share a key iff
-// their job lists compute the same results, which is what makes a recorded
-// cell safe to replay. Every result-determining field is rendered
-// unconditionally; runtime knobs (workers, budgets, checkpoint path)
+// SweepKey identifies the result-determining configuration of a sweep of one
+// scheme — the spec hash written into every checkpoint entry. Two sweeps
+// share a key iff their job lists compute the same results, which is what
+// makes a recorded cell safe to replay. Every result-determining field is
+// rendered unconditionally; runtime knobs (workers, budgets, checkpoint path)
 // deliberately stay out: they change how cells run, not what they
 // compute. TestSweepKeyCoversEveryField holds every SweepConfig field to one
 // side or the other.
-func SweepKey(fc FC, cfg SweepConfig) string {
+func SweepKey(fc FC, cfg SweepConfig) string { return sweepKey([]FC{fc}, cfg) }
+
+// sweepKey is the key of a sweep of the schemes fcs: fc= names the list in
+// order, so a one-scheme list renders SweepKey's string and replays its
+// checkpoints.
+func sweepKey(fcs []FC, cfg SweepConfig) string {
 	backend := cfg.Backend
 	if backend == "" {
 		backend = "packet"
 	}
-	return fmt.Sprintf("table1/fc=%v/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/fph=%d/analytic=%t/backend=%s",
-		fc, cfg.K, cfg.Networks, cfg.Repeats, cfg.FailureProb,
+	return fmt.Sprintf("table1/fc=%s/k=%d/n=%d/r=%d/p=%g/d=%d/seed=%d/fph=%d/analytic=%t/backend=%s",
+		schemeList(fcs), cfg.K, cfg.Networks, cfg.Repeats, cfg.FailureProb,
 		int64(cfg.Duration), cfg.Seed, cfg.FlowsPerHost,
 		cfg.Analytic, backend)
+}
+
+// schemeList renders schemes comma-joined, in order.
+func schemeList(fcs []FC) string {
+	names := make([]string, len(fcs))
+	for i, fc := range fcs {
+		names[i] = string(fc)
+	}
+	return strings.Join(names, ",")
 }
 
 // fluidSweepSupports reports why a fluid sweep of fc cannot run, nil when it
@@ -378,33 +393,40 @@ func fluidSweepSupports(fc FC) error {
 // seedOf is the base RNG seed of scenario i, recorded in checkpoint entries.
 func (cfg SweepConfig) seedOf(i int) int64 { return cfg.Seed + int64(i) }
 
-// repeatFunc runs one workload repetition of a sweep cell: RunScenario or
-// RunScenarioFluid.
-type repeatFunc func(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error)
-
 // runCell computes sweep cell job: generate the topology, skip it (nil
-// outcome) unless CBD-prone, then run every repeat through repeat. Repeat
-// seeds are a function of (sweep seed, job, repeat) alone, so a resume that
-// recomputes the cell sees the same workloads.
-func runCell(ctx context.Context, fc FC, cfg SweepConfig, job int, repeat repeatFunc) (*scenarioOutcome, error) {
+// outcome) unless CBD-prone, then run every scheme's repeats on it, stored
+// scheme-major (scheme s, repeat r at s*cfg.Repeats + r). Repeat seeds are a
+// function of (sweep seed, job, repeat) alone, so every scheme sees the same
+// workloads and a resume that recomputes the cell sees them again. A failed
+// repeat under any scheme fails the cell.
+func runCell(ctx context.Context, schemes []FC, cfg SweepConfig, job int) (*scenarioOutcome, error) {
 	topo, tab, prone := GenerateScenario(cfg.K, cfg.FailureProb, cfg.seedOf(job))
 	if !prone {
 		return nil, nil
 	}
-	sc := &scenarioOutcome{Repeats: make([]*ScenarioResult, cfg.Repeats)}
-	for r := 0; r < cfg.Repeats; r++ {
-		res, err := repeat(ctx, topo, tab, fc, cfg, cfg.Seed*1000+int64(job*cfg.Repeats+r))
-		if err != nil {
-			return nil, fmt.Errorf("repeat %d: %w", r, err)
+	repeat := RunScenario
+	if cfg.Backend == "fluid" {
+		repeat = RunScenarioFluid
+	}
+	sc := &scenarioOutcome{Repeats: make([]*ScenarioResult, 0, len(schemes)*cfg.Repeats)}
+	for _, fc := range schemes {
+		for r := 0; r < cfg.Repeats; r++ {
+			res, err := repeat(ctx, topo, tab, fc, cfg, cfg.Seed*1000+int64(job*cfg.Repeats+r))
+			if err != nil {
+				return nil, fmt.Errorf("%s repeat %d: %w", fc, r, err)
+			}
+			sc.Repeats = append(sc.Repeats, res)
 		}
-		sc.Repeats[r] = res
 	}
 	return sc, nil
 }
 
-// RunSweep executes the Table 1 experiment for one scheme at one scale.
-// Scenario generation is shared across schemes via the seed, so — like the
-// paper observed — the same topologies deadlock under PFC and CBFC.
+// RunSweep executes the Table 1 experiment for one scheme at one scale: the
+// one-scheme case of the sweep `gfcsim -exp table1` runs, which puts every
+// scheme on each generated network. Scenario generation depends on the seed
+// alone, so every scheme meets the same topologies; whether the topologies
+// PFC deadlocks on contain CBFC's is a measurement of the horizon (at 400 ms
+// they do, at 50 ms the two sets are disjoint; EXPERIMENTS.md).
 //
 // Scenarios run concurrently on cfg.Workers goroutines; each one is an
 // independent Network seeded purely from the scenario index, and outcomes
@@ -421,23 +443,37 @@ func runCell(ctx context.Context, fc FC, cfg SweepConfig, job int, repeat repeat
 // cancelled cells are neither aggregated, quarantined nor checkpointed, so
 // a resume re-runs exactly those.
 func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error) {
+	out, err := runSweeps(ctx, []FC{fc}, cfg)
+	if out == nil {
+		return nil, err
+	}
+	return out[0], err
+}
+
+// runSweeps is RunSweep for every scheme of schemes at once: each cell is
+// one generated network run under every scheme, recorded as one checkpoint
+// entry under sweepKey(schemes, cfg), and folded into one result per scheme,
+// in the order of schemes. The cell is the unit of quarantine: a cell that
+// failed under any scheme is in every result's Failures and in no result's
+// aggregate, so CBDProne is one number across the results.
+func runSweeps(ctx context.Context, schemes []FC, cfg SweepConfig) ([]*SweepResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	repeat := RunScenario
 	if cfg.Backend == "fluid" {
 		// Fail fast rather than quarantining every cell: a pure-fluid
 		// sweep of a scheme the solver cannot decide computes nothing.
-		if err := fluidSweepSupports(fc); err != nil {
-			return nil, err
+		for _, fc := range schemes {
+			if err := fluidSweepSupports(fc); err != nil {
+				return nil, err
+			}
 		}
-		repeat = RunScenarioFluid
 	}
 	jobs := make([]runner.Job[*scenarioOutcome], cfg.Networks)
 	for i := 0; i < cfg.Networks; i++ {
 		i := i
 		jobs[i] = func(ctx context.Context) (*scenarioOutcome, error) {
-			return runCell(ctx, fc, cfg, i, repeat)
+			return runCell(ctx, schemes, cfg, i)
 		}
 	}
 	opts := runner.Options[*scenarioOutcome]{
@@ -445,16 +481,21 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 		Seed:     cfg.seedOf,
 		Classify: ClassifyCellFailure,
 	}
-	out := &SweepResult{FC: fc, K: cfg.K}
+	out := make([]*SweepResult, len(schemes))
+	for s, fc := range schemes {
+		out[s] = &SweepResult{FC: fc, K: cfg.K}
+	}
 	if cfg.Checkpoint != "" {
-		st, err := runner.OpenStore(cfg.Checkpoint, SweepKey(fc, cfg))
+		st, err := runner.OpenStore(cfg.Checkpoint, sweepKey(schemes, cfg))
 		if err != nil {
 			return nil, fmt.Errorf("opening checkpoint: %w", err)
 		}
 		defer st.Close()
 		opts.Checkpoint = st
 		if sv := st.Salvage(); sv.Dropped > 0 {
-			out.Salvage = &sv
+			for _, res := range out {
+				res.Salvage = &sv
+			}
 		}
 	}
 	results := runner.RunWith(ctx, jobs, opts)
@@ -469,35 +510,44 @@ func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error)
 			if errors.As(err, &re) && re.Snapshot != nil {
 				f.Report = re.Snapshot.String()
 			}
-			out.Failures = append(out.Failures, f)
+			for _, res := range out {
+				res.Failures = append(res.Failures, f)
+			}
 			continue
 		}
 		sc := jr.Value
 		if sc == nil {
 			continue // not CBD-prone: never simulated
 		}
-		out.CBDProne++
-		dead := false
-		for _, res := range sc.Repeats {
-			out.Drops += res.Drops
-			if res.Analytic != nil {
-				out.AnalyticChecked++
-			}
-			if res.Deadlocked {
-				dead = true
-			} else {
-				out.Bandwidth.Add(float64(res.HostBandwidth))
-				for _, s := range res.Slowdowns {
-					out.Slowdown.Add(s)
-				}
-			}
-		}
-		if dead {
-			out.DeadlockCases++
+		for s, res := range out {
+			res.add(sc.Repeats[s*cfg.Repeats : (s+1)*cfg.Repeats])
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
 	return out, nil
+}
+
+// add folds one CBD-prone cell's repeats of the result's scheme.
+func (s *SweepResult) add(repeats []*ScenarioResult) {
+	s.CBDProne++
+	dead := false
+	for _, res := range repeats {
+		s.Drops += res.Drops
+		if res.Analytic != nil {
+			s.AnalyticChecked++
+		}
+		if res.Deadlocked {
+			dead = true
+		} else {
+			s.Bandwidth.Add(float64(res.HostBandwidth))
+			for _, sd := range res.Slowdowns {
+				s.Slowdown.Add(sd)
+			}
+		}
+	}
+	if dead {
+		s.DeadlockCases++
+	}
 }
