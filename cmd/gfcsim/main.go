@@ -33,12 +33,10 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/gfcsim/gfc/internal/experiments"
 	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/netsim"
-	"github.com/gfcsim/gfc/internal/runner"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -51,8 +49,8 @@ var (
 	scales     = flag.String("scales", "4,8", "table1: comma-separated fat-tree arities")
 	seed       = flag.Int64("seed", 1, "base random seed")
 	workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "sweeps and the fault matrix: cells simulated concurrently (0 = GOMAXPROCS)")
-	series     = flag.Bool("series", false, "print raw time-series data points")
-	chart      = flag.Bool("chart", false, "render time series as ASCII charts")
+	series     = flag.Bool("series", false, "fig5, fig9, fig10, fig18, fig20: print raw time-series data points")
+	chart      = flag.Bool("chart", false, "fig5, fig9, fig10, fig20: render time series as ASCII charts")
 	metricsOut = flag.String("metrics-out", "",
 		"write per-channel metrics reports, one per simulated run, as a JSON array\n(whatever the path's suffix), and fail on invariant violations; read by the\nsingle-run figures and -scenario")
 	faultSpec = flag.String("faults", "",
@@ -74,10 +72,6 @@ var (
 		"sweeps: enforce the network-wide analytic checker on every repeat\n(internal/analytic; violated repeats quarantine their cell; changes the\ncheckpoint key)")
 	table1Scale = flag.String("table1-scale", "",
 		"table1: preset of the count flags, and refused beside them — \"ci\" (k=4,\n200 networks × 1 repeat, checker on: the CI gate) or \"full\" (paper scale:\n10000 networks × 100 repeats, 1 flow/host, checker on; -scales stays free;\nrun with -checkpoint, see EXPERIMENTS.md)")
-	retries = flag.Int("retries", 2,
-		"faults: re-run a cell this many times after a transient failure (wall or\nheap budget trip) with seed-derived backoff; deterministic failures —\npanics, invariant violations, event budgets — never retry (0 = off)")
-	retryBackoff = flag.Duration("retry-backoff", time.Second,
-		"faults: base backoff before the first retry; doubles per attempt with\nseed-derived jitter")
 	backendName = flag.String("backend", "",
 		"simulation backend for -scenario and table1: \"packet\" (default; replays\nevery packet) or \"fluid\" (network-of-queues rate integration: a 25 ms k=4\nsweep cell in a quarter to a sixth of the packet time; rejects specs it\ncannot represent faithfully, and sweeps leave out the schemes whose\ndeadlocks it cannot decide — PFC, CBFC — and Figure 17, which needs flow\ncompletion times)")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -122,7 +116,6 @@ func options(ctx context.Context) (*experiments.Options, error) {
 		Checkpoint:  *checkpoint,
 		Analytic:    *analytic,
 		Backend:     *backendName,
-		Retry:       runner.Retry{Max: *retries, BackoffBase: *retryBackoff},
 	}, nil
 }
 
@@ -234,8 +227,12 @@ func stopProfiles() error {
 var sink *experiments.MetricsSink
 
 // scenarioDriver is -scenario in the dispatch table's terms; of the optional
-// flags it reads -backend and -metrics-out.
-var scenarioDriver = experiments.Driver{Name: "-scenario", Flags: []string{"backend", "metrics-out"}, Run: runScenario}
+// flags it reads the run flags, -backend and -metrics-out.
+var scenarioDriver = experiments.Driver{
+	Name:  "-scenario",
+	Flags: slices.Concat(experiments.RunFlags, []string{"backend", "metrics-out"}),
+	Run:   runScenario,
+}
 
 // validateFlags resolves what to run and rejects what it could not honour,
 // before anything runs or prints: enum and range flags outside their domain,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,9 +106,9 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // surfacing after the first sweep has started printing, or (the flags) being
 // dropped in silence: -exp fig12 -faults nosuch, -exp fig18 -faults flap and
 // -exp fig18 -backend fluid -checkpoint x.ck all used to exit 0. -backend auto,
-// the retired adaptive mode, is an unknown value naming the two engines. A
-// sweep does not retry, so -exp table1 -retries is refused too: only the fault
-// matrix reads -retries. Only the drivers that record runs into the metrics
+// the retired adaptive mode, is an unknown value naming the two engines. No
+// driver retries a cell, so -retries and -retry-backoff are not flags at all
+// (flag.Parse exits 2 on them). Only the drivers that record runs into the metrics
 // sink read -metrics-out: -exp faults, table1 and fig15 used to accept it,
 // write nothing and exit 0, skipping the invariant gate the flag promises;
 // refused here, main exits before the sink exists, so no file is created. A
@@ -118,10 +119,37 @@ func TestScalesRejectsGarbage(t *testing.T) {
 // seed or pool something: -exp fig5 -seed 9, -exp fig14 -workers 3 and
 // -scenario X -seed 9 used to run the default and exit 0. fig9 and fig10 seed
 // only their -faults injector, so -seed without -faults is refused there too:
-// -exp fig9 -seed 9 used to print the seed-1 bytes and exit 0.
+// -exp fig9 -seed 9 used to print the seed-1 bytes and exit 0. -series and
+// -chart belong to the drivers that print a time series, and the run flags
+// (-duration, -budget-*, -stall-events) to every driver that simulates:
+// -exp fig12 -series printed what it prints without the flag, and -exp fig15
+// -duration 5ms -budget-events 10 exited 0 though fig15 simulates nothing.
 func TestEnumFlagsAreUsageErrors(t *testing.T) {
 	if _, err := validateFlags(nil); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
+	}
+	for _, name := range []string{"retries", "retry-backoff"} {
+		if flag.Lookup(name) != nil {
+			t.Errorf("-%s is a flag; no driver retries a cell", name)
+		}
+	}
+	for _, tc := range []struct {
+		exp, scenario string
+		set           []string
+	}{
+		{"fig5", "", []string{"exp", "series", "chart", "duration", "budget-wall"}},
+		{"fig18", "", []string{"exp", "series", "stall-events"}},
+		{"fig20", "", []string{"exp", "chart", "budget-heap"}},
+		{"faults", "", []string{"exp", "duration", "budget-events", "budget-wall"}},
+		{"", "ring-steady-gfcbuf", []string{"scenario", "duration", "budget-wall", "stall-events"}},
+	} {
+		oldExp, oldScenario := *expName, *scenarioName
+		*expName, *scenarioName = tc.exp, tc.scenario
+		_, err := validateFlags(tc.set)
+		*expName, *scenarioName = oldExp, oldScenario
+		if err != nil {
+			t.Errorf("-exp %q -scenario %q with %v rejected: %v", tc.exp, tc.scenario, tc.set, err)
+		}
 	}
 	*expName, *table1Scale = "table1", "full"
 	_, err := validateFlags([]string{"exp", "table1-scale", "scales"})
@@ -146,10 +174,22 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 			"-backend is not read by fig18 (honoured by: table1, -scenario)"},
 		{func() []string { *expName = "fig9"; return []string{"faults", "checkpoint"} },
 			"-checkpoint is not read by fig9 (honoured by: table1)"},
-		{func() []string { *expName = "faults"; return []string{"retries", "networks"} },
+		{func() []string { *expName = "faults"; return []string{"seed", "networks"} },
 			"-networks is not read by faults"},
-		{func() []string { *expName = "table1"; return []string{"exp", "retries"} },
-			"-retries is not read by table1 (honoured by: faults)"},
+		{func() []string { *expName = "fig12"; return []string{"exp", "series"} },
+			"-series is not read by fig12 (honoured by: fig5, fig9, fig10, fig18, fig20)"},
+		{func() []string { *expName = "fig18"; return []string{"exp", "series", "chart"} },
+			"-chart is not read by fig18 (honoured by: fig5, fig9, fig10, fig20)"},
+		{func() []string { *expName = "faults"; return []string{"exp", "chart"} },
+			"-chart is not read by faults"},
+		{func() []string { *scenarioName = "ring-steady-gfcbuf"; return []string{"scenario", "series"} },
+			"-series is not read by -scenario"},
+		{func() []string { *expName = "fig15"; return []string{"exp", "duration", "budget-events"} },
+			"-duration is not read by fig15 (honoured by: fig5, fig9, fig10, fig12, fig13, fig14, table1, fig18, fig19, fig20, faults, -scenario)"},
+		{func() []string { *expName = "fig15"; return []string{"exp", "budget-events"} },
+			"-budget-events is not read by fig15"},
+		{func() []string { *expName = "fig15"; return []string{"exp", "stall-events"} },
+			"-stall-events is not read by fig15"},
 		{func() []string { *scenarioName = "incast-gfcbuf"; return []string{"backend", "faults"} },
 			"-faults is not read by -scenario"},
 		{func() []string { *expName = "faults"; return []string{"exp", "metrics-out"} },
@@ -230,10 +270,11 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		t.Error("-degrade is still a flag; the degraded-fidelity fallback is gone")
 	}
 
-	// Every flag a driver lists exists, and the flags every packet driver
-	// honours are accepted everywhere. (-metrics-out, -seed and -workers used
-	// to be among them, which pinned the drivers that dropped them.) -faults
-	// is set to a preset, so fig9 and fig10 take -seed with it.
+	// Every flag a driver lists exists and is accepted for it. No flag is
+	// accepted everywhere: -duration, -budget-* and -stall-events (like
+	// -metrics-out, -seed and -workers before them) are listed by the
+	// drivers that read them, so fig15 refuses them. -faults is set to a
+	// preset, so fig9 and fig10 take -seed with it.
 	oldFaults := *faultSpec
 	*faultSpec = "flap"
 	defer func() { *faultSpec = oldFaults }()
@@ -245,7 +286,13 @@ func TestEnumFlagsAreUsageErrors(t *testing.T) {
 		}
 		old := *expName
 		*expName = strings.TrimPrefix(d.Name, "-scenario")
-		set := append([]string{"exp", "duration", "budget-events", "stall-events"}, d.Flags...)
+		// Every driver but fig15 simulates, so each other reads every run flag.
+		for _, name := range experiments.RunFlags {
+			if listed, simulates := slices.Contains(d.Flags, name), d.Name != "fig15"; listed != simulates {
+				t.Errorf("%s: lists -%s = %v, simulates = %v", d.Name, name, listed, simulates)
+			}
+		}
+		set := append([]string{"exp"}, d.Flags...)
 		if got, err := validateFlags(set); err != nil || got.Name != d.Name {
 			t.Errorf("%s with its own flags: driver %v, err %v", d.Name, got, err)
 		}

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/gfcsim/gfc/internal/faults"
-	"github.com/gfcsim/gfc/internal/runner"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/units"
@@ -54,10 +54,6 @@ type Options struct {
 	Checkpoint        string
 	Analytic          bool
 	Backend           string
-	// Retry is the fault matrix's transient-failure retry policy. A sweep
-	// does not retry: its checkpoint leaves a transient quarantine out, so
-	// a resume recomputes the cell.
-	Retry runner.Retry
 }
 
 // sub returns the run options of one sub-run: the section's, with a fresh
@@ -71,29 +67,36 @@ func (o *Options) sub() RunOptions {
 // Driver is one -exp experiment.
 type Driver struct {
 	Name string
-	// Flags names the optional CLI flags the driver reads. -duration, the
-	// -budget-* family, -stall-events and ^C reach every packet driver
-	// through RunOptions and need no entry; -metrics-out is an entry of each
-	// driver that records its runs into Options.Sink, -seed of each that
-	// seeds a workload, a sweep or a fault injector with Options.Seed, and
-	// -workers of each that runs cells on the runner pool. A flag listed by
-	// some driver and set for one that does not list it is a usage error, as
-	// is -seed for fig9 or fig10 without the -faults injector it seeds.
+	// Flags names the optional CLI flags the driver reads: RunFlags for
+	// each driver that simulates, -metrics-out for each that records its
+	// runs into Options.Sink, -series and -chart for each that prints a
+	// time series, -seed for each that seeds a workload, a sweep or a fault
+	// injector with Options.Seed, and -workers for each that runs cells on
+	// the runner pool. A flag listed by some driver and set for one that
+	// does not list it is a usage error, as is -seed for fig9 or fig10
+	// without the -faults injector it seeds.
 	Flags []string
 	Run   func(w io.Writer, o *Options) error
 }
 
+// RunFlags are the flags that reach every run a driver simulates through
+// RunOptions: the -duration override and the governor's bounds.
+var RunFlags = []string{"duration", "budget-events", "budget-wall", "budget-heap", "stall-events"}
+
 var (
 	// metricsFlags are the flags of a single-run section: each run it makes
 	// records one report into the sink.
-	metricsFlags = []string{"metrics-out"}
-	faultFlags   = []string{"faults", "metrics-out", "seed"}
-	sweepFlags   = []string{"backend", "networks", "repeats", "scales", "table1-scale", "analytic", "checkpoint", "seed", "workers"}
+	metricsFlags = slices.Concat(RunFlags, []string{"metrics-out"})
+	// seriesFlags are those of a single-run section that prints its time
+	// series raw (-series) and as ASCII charts (-chart).
+	seriesFlags = slices.Concat(metricsFlags, []string{"series", "chart"})
+	faultFlags  = slices.Concat(seriesFlags, []string{"faults", "seed"})
+	sweepFlags  = slices.Concat(RunFlags, []string{"backend", "networks", "repeats", "scales", "table1-scale", "analytic", "checkpoint", "seed", "workers"})
 )
 
 // Drivers is the dispatch table, in the paper's order.
 var Drivers = []Driver{
-	{"fig5", metricsFlags, fig5Section},
+	{"fig5", seriesFlags, fig5Section},
 	{"fig9", faultFlags, ringSection(PFC, GFCBuf)},
 	{"fig10", faultFlags, ringSection(CBFC, GFCTime)},
 	{"fig12", metricsFlags, caseStudySection(PFC, GFCBuf)},
@@ -104,10 +107,10 @@ var Drivers = []Driver{
 		return err
 	}},
 	{"table1", sweepFlags, sweepSection},
-	{"fig18", metricsFlags, evolutionSection},
-	{"fig19", []string{"metrics-out", "seed"}, overheadSection},
-	{"fig20", metricsFlags, fig20Section},
-	{"faults", []string{"faults", "retries", "retry-backoff", "seed", "workers"}, faultMatrixSection},
+	{"fig18", slices.Concat(metricsFlags, []string{"series"}), evolutionSection},
+	{"fig19", slices.Concat(metricsFlags, []string{"seed"}), overheadSection},
+	{"fig20", seriesFlags, fig20Section},
+	{"faults", slices.Concat(RunFlags, []string{"faults", "seed", "workers"}), faultMatrixSection},
 }
 
 // Names lists the table's experiments, in order.
@@ -270,7 +273,6 @@ func faultMatrixSection(w io.Writer, o *Options) error {
 		Seed:     o.Seed,
 		Ctx:      o.Ctx,
 		Budget:   o.Budget,
-		Retry:    o.Retry,
 		Workers:  o.Workers,
 	}
 	if o.Faults != "" {

@@ -57,11 +57,6 @@ type FaultMatrixConfig struct {
 	// means context.Background(), the zero Budget imposes no bounds.
 	Ctx    context.Context
 	Budget netsim.Budget
-	// Retry is the transient-failure retry policy applied per cell under
-	// ClassifyCellFailure (wall/heap trips retry with seed-derived
-	// backoff; deterministic failures and deadlock verdicts do not). The
-	// zero value disables retrying.
-	Retry runner.Retry
 	// Workers is the number of cells simulated concurrently, as in
 	// SweepConfig.Workers: 0 means runtime.GOMAXPROCS(0), 1 runs the cells
 	// inline in table order. Every cell is share-nothing and seeded from
@@ -81,9 +76,11 @@ type FaultMatrixConfig struct {
 // its columns expose what delivery-time pause tracking can and cannot see.
 //
 // The cells are one job list on the runner pool (cfg.Workers), assembled in
-// job order. A failing cell does not cancel the rest: the matrix returns the
-// lowest-index failing cell's error, so the report is the same at every
-// worker count; a cancelled cfg.Ctx surfaces as context.Canceled.
+// job order. Each cell runs once: its verdict is a function of its seed, so a
+// rerun under the same budget on the same host would only repeat it. A
+// failing cell does not cancel the rest: the matrix returns the lowest-index
+// failing cell's error, so the report is the same at every worker count; a
+// cancelled cfg.Ctx surfaces as context.Canceled.
 func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 	if cfg.Schemes == nil {
 		cfg.Schemes = MatrixSchemes()
@@ -118,8 +115,6 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 		// Both detectors report in every cell; the global verdict is the
 		// row's, DCFIT's fills its own columns.
 		spec.Run.Detector = "both"
-		// Each attempt rebuilds its registry and simulation from scratch,
-		// so a retried cell is bit-identical to a clean first run.
 		jobs[j] = func(ctx context.Context) (FaultCell, error) {
 			reg := metrics.New(metrics.Options{})
 			res, err := runRing(spec, RunOptions{
@@ -131,14 +126,7 @@ func RunFaultMatrix(cfg FaultMatrixConfig) ([]FaultCell, error) {
 			return FaultCell{Scenario: column, RingResult: res, FaultsInjected: reg.FaultsInjected()}, nil
 		}
 	}
-	results := runner.RunWith(cfg.Ctx, jobs, runner.Options[FaultCell]{
-		Workers: cfg.Workers,
-		// The backoff seed is the cell's position, making retry sequencing
-		// reproducible across runs and worker counts.
-		Seed:     func(j int) int64 { return cfg.Seed*1000 + int64(j)*10 + int64(j%nfc) },
-		Retry:    cfg.Retry,
-		Classify: ClassifyCellFailure,
-	})
+	results := runner.RunWith(cfg.Ctx, jobs, runner.Options[FaultCell]{Workers: cfg.Workers})
 
 	// Job order, so the first error is the one a serial run would have hit.
 	cells := make([]FaultCell, len(results))

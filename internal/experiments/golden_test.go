@@ -250,16 +250,21 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 
 // sweepHash runs a small PFC failure sweep with the given worker count and
 // hashes its aggregate. Used both as a golden and as the worker-count
-// independence check.
+// independence check. At seed 1 the first CBD-prone k=4 networks are jobs 34
+// and 35, so 36 networks give the hash simulated cells to fold; a sweep that
+// found none would pin an empty aggregate, and fails instead.
 func sweepHash(t *testing.T, workers int) uint64 {
 	cfg := DefaultSweep(4)
-	cfg.Networks = 30
+	cfg.Networks = 36
 	cfg.Repeats = 1
 	cfg.Duration = 10 * units.Millisecond
 	cfg.Workers = workers
 	res, err := RunSweep(context.Background(), PFC, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.CBDProne == 0 {
+		t.Fatalf("the sweep of %d networks found no CBD-prone one: its hash would pin an empty aggregate", cfg.Networks)
 	}
 	return aggHash(res)
 }

@@ -15,13 +15,15 @@ import (
 // — is a verdict on the cell and is recorded; a host-condition trip is a
 // verdict on the host, so it is left out and a resume recomputes the cell.
 
-// ClassifyCellFailure buckets a sweep-cell failure for the checkpoint. It
-// layers the netsim governor taxonomy on runner.DefaultClassify: wall-clock
-// and heap trips depend on host conditions (load, co-tenants, allocator
-// state) and are transient, so the cell is not recorded and a resume with a
-// larger -budget-wall or -budget-heap recomputes it; event-budget and stall
-// trips are functions of the deterministic event stream and would reproduce
-// exactly, so they are deterministic like panics and invariant violations.
+// ClassifyCellFailure buckets a sweep-cell failure for the checkpoint; the
+// cell itself ran once and is quarantined either way. It layers the netsim
+// governor taxonomy on runner.DefaultClassify: wall-clock and heap trips
+// depend on host conditions (load, co-tenants, allocator state) and are
+// transient, so the cell is not recorded and a resume with a larger
+// -budget-wall or -budget-heap recomputes it; event-budget and stall trips
+// are functions of the deterministic event stream and would reproduce
+// exactly, so they are deterministic like panics and invariant violations
+// and are recorded.
 func ClassifyCellFailure(err error) runner.FailureClass {
 	var re *netsim.RunError
 	if errors.As(err, &re) {

@@ -17,8 +17,10 @@
 //
 // RunWith layers sweep resilience on the same pool: a checkpoint Store that
 // records each completed cell as it finishes so an interrupted sweep resumes
-// by replaying recorded results instead of recomputing them, and classified
-// retries with seed-derived backoff for transient failures (retry.go).
+// by replaying recorded results instead of recomputing them. Every job runs
+// exactly once. A failure's FailureClass (classify.go) decides only whether
+// it is durable: a transient failure is quarantined and left out of the
+// checkpoint, so the one way to recover it is a resume, which recomputes it.
 package runner
 
 import (
@@ -43,10 +45,6 @@ type Result[T any] struct {
 	// case wrapped as "job %d: ..." so a failed sweep names the offending
 	// cell. errors.Is/As see through the wrapping.
 	Err error
-	// Prov records retry provenance; nil for cells that succeeded on their
-	// first attempt. It round-trips through the checkpoint, so replayed
-	// cells carry the same history.
-	Prov *Provenance
 }
 
 // PanicError wraps a recovered job panic so a sweep survives a pathological
@@ -77,14 +75,10 @@ type Options[T any] struct {
 	// are NOT recorded, so a resumed sweep re-runs them.
 	Checkpoint *Store
 	// Seed, when non-nil, supplies the seed recorded in checkpoint
-	// entries for job i; it also derives the cell's backoff jitter, which
-	// is what makes retry sequencing reproducible (replay does not use it).
+	// entries for job i (replay does not use it).
 	Seed func(job int) int64
-	// Retry is the transient-failure retry policy; the zero value
-	// disables retrying.
-	Retry Retry
-	// Classify buckets a job error for the retry policy and the
-	// checkpoint; nil means DefaultClassify. Callers whose jobs surface richer error types
+	// Classify buckets a job error for the checkpoint; nil means
+	// DefaultClassify. Callers whose jobs surface richer error types
 	// (governor trips, invariant violations) install their own taxonomy.
 	Classify func(error) FailureClass
 }
@@ -93,8 +87,8 @@ type Options[T any] struct {
 // order. opts.Workers <= 0 means runtime.GOMAXPROCS(0); 1 runs the jobs
 // inline in order. Because jobs are share-nothing and results are collected
 // by index, the returned slice is identical for every worker count — with the
-// sweep-resilience options too (checkpoint/resume, classified retries): for a given (jobs, checkpoint state, failure pattern)
-// the results do not depend on the pool.
+// checkpoint/resume too: for a given (jobs, checkpoint state, failure
+// pattern) the results do not depend on the pool.
 // When ctx is cancelled, jobs not yet started report ctx's error;
 // already-running jobs finish normally.
 func RunWith[T any](ctx context.Context, jobs []Job[T], opts Options[T]) []Result[T] {
@@ -132,8 +126,8 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], opts Options[T]) []Resul
 }
 
 // runIndexed runs job i through the resilience pipeline: checkpoint replay,
-// cancellation skip, classified retries with panic capture, job-index error
-// wrapping, and checkpoint recording.
+// cancellation skip, one run with panic capture, job-index error wrapping,
+// and checkpoint recording.
 func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T]) Result[T] {
 	if cp := opts.Checkpoint; cp != nil {
 		if e, ok := cp.Lookup(i); ok {
@@ -143,29 +137,31 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 	if err := ctx.Err(); err != nil {
 		return Result[T]{Err: fmt.Errorf("job %d: %w", i, err)}
 	}
-	var seed int64
-	if opts.Seed != nil {
-		seed = opts.Seed(i)
+	res := runOne(ctx, job)
+	if res.Err != nil {
+		res.Err = fmt.Errorf("job %d: %w", i, res.Err)
+	}
+	cp := opts.Checkpoint
+	if cp == nil {
+		return res
 	}
 	classify := opts.Classify
 	if classify == nil {
 		classify = DefaultClassify
 	}
-	val, prov, err := Supervise(ctx, seed, opts.Retry, classify, job)
-	res := Result[T]{Value: val, Err: err, Prov: prov}
-	if res.Err != nil {
-		res.Err = fmt.Errorf("job %d: %w", i, res.Err)
-	}
-	// Only verdicts on the cell are durable: successes (however many
-	// retries they took) and deterministic failures,
-	// which would reproduce. A cancellation is no verdict, and a transient
-	// quarantine is a verdict on the host — budgets are not part of the
-	// sweep key, so recording it would make a resume with a larger budget
-	// replay the failure instead of recomputing the cell.
-	if cp := opts.Checkpoint; cp != nil && (res.Err == nil || classify(res.Err) == ClassDeterministic) {
+	// Only verdicts on the cell are durable: successes and deterministic
+	// failures, which would reproduce. A cancellation is no verdict, and a
+	// transient quarantine is a verdict on the host — budgets are not part
+	// of the sweep key, so recording it would make a resume with a larger
+	// budget replay the failure instead of recomputing the cell.
+	if res.Err == nil || classify(res.Err) == ClassDeterministic {
+		var seed int64
+		if opts.Seed != nil {
+			seed = opts.Seed(i)
+		}
 		// A failed write must not corrupt the in-memory result; the
 		// checkpoint is best-effort durability, not the source of truth.
-		_ = cp.Record(i, seed, res.Value, res.Err, res.Prov)
+		_ = cp.Record(i, seed, res.Value, res.Err, nil)
 	}
 	return res
 }
@@ -173,10 +169,9 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 // replay converts a checkpoint entry back into a Result. The recorded error
 // string (already carrying its "job %d:" prefix) comes back as a
 // *ReplayedError; values round-trip through JSON bit-identically (Go emits
-// the shortest float form that re-parses exactly), and retry provenance
-// rides along so a resumed sweep reports the same history.
+// the shortest float form that re-parses exactly).
 func replay[T any](e Entry) Result[T] {
-	res := Result[T]{Prov: e.Prov}
+	var res Result[T]
 	if e.Err != "" {
 		res.Err = &ReplayedError{Msg: e.Err}
 		return res

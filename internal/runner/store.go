@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the checkpoint store: an append-only JSONL file recording
-// each completed sweep cell as (job index, sweep key, seed, value-or-error,
-// provenance). One line per cell, flushed as cells complete, so a killed
+// each completed sweep cell as (job index, sweep key, seed, value-or-error).
+// One line per cell, flushed as cells complete, so a killed
 // sweep loses at most the in-flight cells.
 //
 // Format v2 opens the file with a versioned header line and wraps every
@@ -60,10 +60,9 @@ type Entry struct {
 	// Value is the cell's JSON-encoded result; empty when the cell failed.
 	Value json.RawMessage `json:"value,omitempty"`
 	// Err is the cell's rendered error; empty when the cell succeeded.
+	// An entry written while the fault matrix still retried may also carry
+	// a "prov" object; decoding ignores it, so such a file still replays.
 	Err string `json:"err,omitempty"`
-	// Prov records the cell's retry history; nil for cells that succeeded
-	// first try.
-	Prov *Provenance `json:"prov,omitempty"`
 }
 
 // Salvage reports what OpenStore had to discard to recover a checkpoint:
@@ -213,10 +212,12 @@ func (s *Store) Done() int {
 }
 
 // Record appends one completed cell. Exactly one of value (jobErr == nil)
-// or jobErr is recorded, along with the cell's retry provenance. The line is written in a single Write call so a kill between
-// cells never tears more than the final line.
-func (s *Store) Record(job int, seed int64, value any, jobErr error, prov *Provenance) error {
-	e := Entry{Job: job, Key: s.key, Seed: seed, Prov: prov}
+// or jobErr is recorded. The line is written in a single Write call so a
+// kill between cells never tears more than the final line. The last
+// parameter is ignored: it is kept only so benchmark/ compiles unchanged,
+// and ROADMAP 6(c) deletes it.
+func (s *Store) Record(job int, seed int64, value any, jobErr error, _ *Provenance) error {
+	e := Entry{Job: job, Key: s.key, Seed: seed}
 	if jobErr != nil {
 		e.Err = jobErr.Error()
 	} else {

@@ -207,9 +207,10 @@ func TestCheckpointSkipsCancelledCells(t *testing.T) {
 }
 
 // TestCheckpointSkipsTransientQuarantines pins which outcomes are durable:
-// successes (first-try or retried) and deterministic failures are recorded;
-// a cell that exhausted its retries on transient failures is a verdict on
-// the host, not on the cell, and must be recomputed by a resume.
+// successes and deterministic failures are recorded; a cell quarantined on a
+// transient failure is a verdict on the host, not on the cell, so it is left
+// out, and a resume recomputes it — the one way a transient failure is
+// recovered.
 func TestCheckpointSkipsTransientQuarantines(t *testing.T) {
 	st, err := OpenStore(filepath.Join(t.TempDir(), "sweep.ckpt"), "k")
 	if err != nil {
@@ -225,7 +226,7 @@ func TestCheckpointSkipsTransientQuarantines(t *testing.T) {
 			switch {
 			case i == 1: // never stops stalling
 				return 0, fmt.Errorf("host stall: %w", context.DeadlineExceeded)
-			case i == 2 && attempts[i] == 1: // one stall, absorbed by the retry
+			case i == 2 && attempts[i] == 1: // one stall, cleared by the resume
 				return 0, fmt.Errorf("host stall: %w", context.DeadlineExceeded)
 			case i == 3:
 				return 0, errors.New("invariant violated")
@@ -233,14 +234,59 @@ func TestCheckpointSkipsTransientQuarantines(t *testing.T) {
 			return i, nil
 		}
 	}
-	res := RunWith(context.Background(), jobs, Options[int]{Workers: 1, Checkpoint: st, Retry: Retry{Max: 1}})
-	if res[1].Err == nil || res[3].Err == nil || res[2].Err != nil {
+	res := RunWith(context.Background(), jobs, Options[int]{Workers: 1, Checkpoint: st})
+	if res[1].Err == nil || res[2].Err == nil || res[3].Err == nil || res[0].Err != nil {
 		t.Fatalf("unexpected outcomes: %+v", res)
 	}
-	for i, want := range []bool{true, false, true, true} {
+	for i, want := range []bool{true, false, false, true} {
 		if _, ok := st.Lookup(i); ok != want {
 			t.Errorf("job %d recorded = %v, want %v", i, ok, want)
 		}
+	}
+	res = RunWith(context.Background(), jobs, Options[int]{Workers: 1, Checkpoint: st})
+	if res[2].Err != nil || res[2].Value != 2 {
+		t.Fatalf("resumed job 2 = %+v, want the recomputed value", res[2])
+	}
+	if want := []int{1, 2, 2, 1}; fmt.Sprint(attempts) != fmt.Sprint(want) {
+		t.Errorf("runs per job %v, want %v: only the transient quarantines recompute", attempts, want)
+	}
+	for i, want := range []bool{true, false, true, true} {
+		if _, ok := st.Lookup(i); ok != want {
+			t.Errorf("after resume: job %d recorded = %v, want %v", i, ok, want)
+		}
+	}
+}
+
+// provCheckpoint is a checkpoint file byte for byte as the store wrote it
+// while the fault matrix still retried in-process: the v2 header, then one
+// CRC-enveloped entry for a cell that succeeded on its second attempt,
+// carrying the "prov" object that recorded its retry.
+func provCheckpoint() []byte {
+	e := `{"job":0,"key":"k","seed":7,"value":{"mean":0.5,"p99":1e-9,"n":42},` +
+		`"prov":{"attempts":2,"retries":[{"attempt":1,"err":"job 0: wall budget","backoff_ns":1000000000,"class":"transient"}]}}`
+	return []byte(fmt.Sprintf("%s{\"crc\":%d,\"e\":%s}\n", storeHeader, crc32.ChecksumIEEE([]byte(e)), e))
+}
+
+// TestCheckpointWithProvenanceReplays pins that an entry carrying a "prov"
+// object still opens clean and replays its value: dropping the field from
+// Entry must not make older checkpoints salvage or recompute.
+func TestCheckpointWithProvenanceReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, provCheckpoint(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if sv := st.Salvage(); sv.Dropped != 0 {
+		t.Fatalf("salvage dropped %d line(s): %s", sv.Dropped, sv.Reason)
+	}
+	res := RunWith(context.Background(), cellJobs(t, 1, func(int) bool { return false }),
+		Options[cell]{Workers: 1, Checkpoint: st})
+	if want := (cell{Mean: 0.5, P99: 1e-9, N: 42}); res[0].Err != nil || res[0].Value != want {
+		t.Fatalf("replayed %+v (err %v), want %+v", res[0].Value, res[0].Err, want)
 	}
 }
 
