@@ -59,7 +59,7 @@ var (
 		"run a declarative scenario: a registered name (see -list) or a path to a\nspec JSON file (format in EXPERIMENTS.md)")
 	listScenarios = flag.Bool("list", false, "list the registered scenarios and exit")
 	checkpoint    = flag.String("checkpoint", "",
-		"sweeps: JSONL checkpoint file; completed cells are flushed as they finish\nand a rerun with the same flags resumes, replaying them instead of recomputing")
+		"sweeps: JSONL checkpoint file; cells that succeed are flushed as they finish\nand a rerun with the same flags resumes, replaying them and recomputing the\nrest, quarantined cells included")
 	budgetEvents = flag.Uint64("budget-events", 0,
 		"abort any single run after this many simulator events (0 = unlimited)")
 	budgetWall = flag.Duration("budget-wall", 0,

@@ -410,6 +410,53 @@ func TestRingDriversHonourTheGovernor(t *testing.T) {
 	}
 }
 
+// TestQuarantinedSweepRecomputesOnResume pins the checkpointed sweep's one
+// recovery path: a -budget-events trip quarantines cells (exit 3) and the
+// stderr report ends with the hint to rerun with -checkpoint; a rerun under
+// the same budget recomputes them and prints the same stderr, flight
+// recorder included; a rerun without the budget exits 0 with a fresh run's
+// stdout. An event-budget quarantine used to be checkpointed and replayed
+// as a failure, with no flight recorder, whatever the budget.
+func TestQuarantinedSweepRecomputesOnResume(t *testing.T) {
+	table1, err := experiments.Lookup("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldScales, oldNetworks, oldRepeats, oldDuration, oldWorkers, oldEvents, oldCheckpoint :=
+		*scales, *networks, *repeats, *duration, *workers, *budgetEvents, *checkpoint
+	defer func() {
+		*scales, *networks, *repeats, *duration, *workers, *budgetEvents, *checkpoint =
+			oldScales, oldNetworks, oldRepeats, oldDuration, oldWorkers, oldEvents, oldCheckpoint
+	}()
+	*scales, *networks, *repeats, *duration, *workers = "4", 40, 1, 5*time.Millisecond, 2
+	sweep := func() (code int, stdout, stderr string) {
+		o, err := options(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut strings.Builder
+		o.Stderr = &errOut
+		err = governed(table1.Run(&out, o))
+		return exitCode(err), out.String(), errOut.String()
+	}
+	_, fresh, _ := sweep()
+
+	*checkpoint = filepath.Join(t.TempDir(), "c.jsonl")
+	*budgetEvents = 2000
+	code, _, first := sweep()
+	hint := "rerun with -checkpoint " + *checkpoint + " to recompute them\n"
+	if code != 3 || !strings.Contains(first, "flight recorder:") || !strings.HasSuffix(first, hint) {
+		t.Fatalf("budgeted sweep: exit %d, stderr\n%s\nwant exit 3, a flight recorder and the hint %q last", code, first, hint)
+	}
+	if code, _, again := sweep(); code != 3 || again != first {
+		t.Errorf("same-budget rerun: exit %d, stderr\n%s\nwant exit 3 and the first run's stderr\n%s", code, again, first)
+	}
+	*budgetEvents = 0
+	if code, resumed, errOut := sweep(); code != 0 || resumed != fresh {
+		t.Errorf("unbudgeted rerun: exit %d, stdout\n%s\nwant exit 0 and a fresh run's\n%s\nstderr:\n%s", code, resumed, fresh, errOut)
+	}
+}
+
 // TestListBackendsColumn walks the registry and holds -list's engine column
 // to what the CLI does: a scenario is listed packet+fluid exactly when
 // `-scenario X -backend fluid` builds it and runs it clean (exit 0). -list

@@ -509,6 +509,11 @@ func sweepSection(w io.Writer, o *Options) error {
 		fmt.Fprint(w, Fig17Rows(results, ks).String())
 	}
 	if quarantined > 0 {
+		// The checkpoint holds successes only, so a resume recomputes the
+		// quarantined cells; one that tripped a budget trips it again.
+		if o.Checkpoint != "" {
+			fmt.Fprintf(o.Stderr, "quarantined cells are not checkpointed (raise any -budget-* bound they tripped); rerun with -checkpoint %s to recompute them\n", o.Checkpoint)
+		}
 		return fmt.Errorf("%w: %d sweep cells quarantined", ErrGovernor, quarantined)
 	}
 	return nil

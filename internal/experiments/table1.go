@@ -210,6 +210,18 @@ func (s *SweepResult) FailureSummary() string {
 	return b.String()
 }
 
+// ResilienceSummary renders what the self-healing side did for this sweep —
+// the checkpoint lines a resume had to discard — as a deterministic report.
+// Empty when the checkpoint was clean.
+func (s *SweepResult) ResilienceSummary() string {
+	sv := s.Salvage
+	if sv == nil {
+		return ""
+	}
+	return fmt.Sprintf("checkpoint salvage: dropped %d corrupt line(s) (%s); the cells were recomputed\n",
+		sv.Dropped, sv.Reason)
+}
+
 // GenerateScenario builds the i-th random failure scenario of a sweep:
 // a k-ary fat-tree with each fabric link failed with probability p. Returns
 // the topology, and whether the union of every shortest path between
@@ -435,13 +447,13 @@ func runCell(ctx context.Context, schemes []FC, cfg SweepConfig, job int) (*scen
 //
 // Resilience semantics: a failed cell (budget-blown, panicked) is
 // quarantined into SweepResult.Failures and the sweep continues; with
-// cfg.Checkpoint set, completed cells are recorded as they finish and a
-// resumed sweep replays them. A cell quarantined on a transient failure
-// (ClassifyCellFailure: a wall or heap budget trip) is not recorded, so a
-// resume with a larger budget recomputes it. Cancelling ctx stops the sweep
-// early and returns the partial aggregate alongside the context error —
-// cancelled cells are neither aggregated, quarantined nor checkpointed, so
-// a resume re-runs exactly those.
+// cfg.Checkpoint set, succeeded cells are recorded as they finish and a
+// resumed sweep replays them. A quarantined cell is never recorded, so a
+// resume recomputes it and reports it again or, under a larger budget,
+// aggregates it. Cancelling ctx stops the sweep early and returns the
+// partial aggregate alongside the context error — cancelled cells are
+// neither aggregated, quarantined nor checkpointed, so a resume re-runs
+// exactly those.
 func RunSweep(ctx context.Context, fc FC, cfg SweepConfig) (*SweepResult, error) {
 	out, err := runSweeps(ctx, []FC{fc}, cfg)
 	if out == nil {
@@ -477,9 +489,8 @@ func runSweeps(ctx context.Context, schemes []FC, cfg SweepConfig) ([]*SweepResu
 		}
 	}
 	opts := runner.Options[*scenarioOutcome]{
-		Workers:  cfg.Workers,
-		Seed:     cfg.seedOf,
-		Classify: ClassifyCellFailure,
+		Workers: cfg.Workers,
+		Seed:    cfg.seedOf,
 	}
 	out := make([]*SweepResult, len(schemes))
 	for s, fc := range schemes {

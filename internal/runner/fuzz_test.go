@@ -17,9 +17,10 @@ import (
 // or is refused with ErrCheckpointFormat and left byte-identical.
 //
 // The seed corpus covers the interesting shapes: a clean v2 file, a torn
-// tail, a mid-file bit flip, a headerless v1 file, plain garbage, and an
-// entry carrying the "prov" object of a cell that once retried. The
-// fuzzer mutates from there (truncations, splices, flips).
+// tail, a mid-file bit flip, a headerless v1 file, plain garbage, an entry
+// carrying the "prov" object of a cell that once retried, and a failed
+// cell's "err" entry. The fuzzer mutates from there (truncations, splices,
+// flips).
 func FuzzCheckpointStore(f *testing.F) {
 	mk := func(build func(st *Store)) []byte {
 		path := filepath.Join(f.TempDir(), "seed.ckpt")
@@ -39,7 +40,6 @@ func FuzzCheckpointStore(f *testing.F) {
 		for i := 0; i < 4; i++ {
 			st.Record(i, int64(i), map[string]int{"n": i}, nil, nil)
 		}
-		st.Record(4, 4, nil, &ReplayedError{Msg: "job 4: budget blown"}, nil)
 	})
 	f.Add(clean)
 	f.Add(clean[:len(clean)-7]) // torn tail
@@ -51,6 +51,7 @@ func FuzzCheckpointStore(f *testing.F) {
 	f.Add([]byte(`{"gfc_checkpoint":2,"crc":"ieee"}` + "\n"))
 	f.Add([]byte{})
 	f.Add(provCheckpoint())
+	f.Add(errCheckpoint())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")

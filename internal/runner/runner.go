@@ -16,11 +16,10 @@
 //     down the process (one pathological scenario must not kill a sweep).
 //
 // RunWith layers sweep resilience on the same pool: a checkpoint Store that
-// records each completed cell as it finishes so an interrupted sweep resumes
+// records each cell that succeeds as it finishes, so an interrupted sweep resumes
 // by replaying recorded results instead of recomputing them. Every job runs
-// exactly once. A failure's FailureClass (classify.go) decides only whether
-// it is durable: a transient failure is quarantined and left out of the
-// checkpoint, so the one way to recover it is a resume, which recomputes it.
+// exactly once, and only successes are recorded: a failed job is reported
+// for this run alone, and the next resume recomputes it.
 package runner
 
 import (
@@ -58,29 +57,18 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("job panicked: %v\n%s", p.Value, p.Stack)
 }
 
-// ReplayedError is a job failure read back from a checkpoint Store. The
-// original error type is gone — only its rendered message was durable — so
-// resumed sweeps report the same text without the same dynamic type.
-type ReplayedError struct{ Msg string }
-
-func (e *ReplayedError) Error() string { return e.Msg }
-
 // Options configures RunWith.
 type Options[T any] struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Checkpoint, when non-nil, is consulted before each job (a recorded
-	// cell is replayed, not recomputed) and appended to as cells complete.
-	// Jobs skipped by cancellation or quarantined on a transient failure
-	// are NOT recorded, so a resumed sweep re-runs them.
+	// cell is replayed, not recomputed) and appended to as cells succeed.
+	// A failed or cancelled job is NOT recorded, so a resumed sweep re-runs
+	// it.
 	Checkpoint *Store
 	// Seed, when non-nil, supplies the seed recorded in checkpoint
 	// entries for job i (replay does not use it).
 	Seed func(job int) int64
-	// Classify buckets a job error for the checkpoint; nil means
-	// DefaultClassify. Callers whose jobs surface richer error types
-	// (governor trips, invariant violations) install their own taxonomy.
-	Classify func(error) FailureClass
 }
 
 // RunWith executes jobs on a pool of workers and returns their results in job
@@ -141,41 +129,26 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 	if res.Err != nil {
 		res.Err = fmt.Errorf("job %d: %w", i, res.Err)
 	}
-	cp := opts.Checkpoint
-	if cp == nil {
-		return res
-	}
-	classify := opts.Classify
-	if classify == nil {
-		classify = DefaultClassify
-	}
-	// Only verdicts on the cell are durable: successes and deterministic
-	// failures, which would reproduce. A cancellation is no verdict, and a
-	// transient quarantine is a verdict on the host — budgets are not part
-	// of the sweep key, so recording it would make a resume with a larger
-	// budget replay the failure instead of recomputing the cell.
-	if res.Err == nil || classify(res.Err) == ClassDeterministic {
+	// Only a success is durable. A failure is reported for this run alone:
+	// budgets are not part of the sweep key, and a resume that recomputes
+	// the cell re-shows the failure with its full report.
+	if cp := opts.Checkpoint; cp != nil && res.Err == nil {
 		var seed int64
 		if opts.Seed != nil {
 			seed = opts.Seed(i)
 		}
 		// A failed write must not corrupt the in-memory result; the
 		// checkpoint is best-effort durability, not the source of truth.
-		_ = cp.Record(i, seed, res.Value, res.Err, nil)
+		_ = cp.Record(i, seed, res.Value, nil, nil)
 	}
 	return res
 }
 
-// replay converts a checkpoint entry back into a Result. The recorded error
-// string (already carrying its "job %d:" prefix) comes back as a
-// *ReplayedError; values round-trip through JSON bit-identically (Go emits
-// the shortest float form that re-parses exactly).
+// replay converts a checkpoint entry back into a Result; values round-trip
+// through JSON bit-identically (Go emits the shortest float form that
+// re-parses exactly).
 func replay[T any](e Entry) Result[T] {
 	var res Result[T]
-	if e.Err != "" {
-		res.Err = &ReplayedError{Msg: e.Err}
-		return res
-	}
 	if err := json.Unmarshal(e.Value, &res.Value); err != nil {
 		res.Err = fmt.Errorf("job %d: corrupt checkpoint value: %w", e.Job, err)
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // This file is the checkpoint store: an append-only JSONL file recording
-// each completed sweep cell as (job index, sweep key, seed, value-or-error).
-// One line per cell, flushed as cells complete, so a killed
-// sweep loses at most the in-flight cells.
+// each sweep cell that succeeded as (job index, sweep key, seed, value). One
+// line per cell, flushed as cells complete, so a killed sweep loses at most
+// the in-flight cells. A failed cell has no line, so a resume recomputes it.
 //
 // Format v2 opens the file with a versioned header line and wraps every
 // entry in an envelope carrying the CRC32-IEEE of the entry's JSON, so a
@@ -57,12 +57,12 @@ type Entry struct {
 	Key string `json:"key"`
 	// Seed is the cell's RNG seed, recorded for provenance.
 	Seed int64 `json:"seed"`
-	// Value is the cell's JSON-encoded result; empty when the cell failed.
+	// Value is the cell's JSON-encoded result. Older builds also recorded
+	// failed cells, as an entry with an "err" string and no value; such an
+	// entry is not loaded, so a resume recomputes the cell. An entry may
+	// also carry the "prov" object of a cell that once retried; decoding
+	// ignores it, so the value still replays.
 	Value json.RawMessage `json:"value,omitempty"`
-	// Err is the cell's rendered error; empty when the cell succeeded.
-	// An entry written while the fault matrix still retried may also carry
-	// a "prov" object; decoding ignores it, so such a file still replays.
-	Err string `json:"err,omitempty"`
 }
 
 // Salvage reports what OpenStore had to discard to recover a checkpoint:
@@ -166,7 +166,7 @@ func (s *Store) scan(data []byte, off int) int {
 		case json.Unmarshal(env.E, &e) != nil || e.Job < 0:
 			s.noteDrop(fmt.Sprintf("line %d: CRC-clean but undecodable entry", line))
 		default:
-			if e.Key == s.key {
+			if e.Key == s.key && len(e.Value) > 0 {
 				s.done[e.Job] = e
 			}
 			off, end = next, next
@@ -211,22 +211,16 @@ func (s *Store) Done() int {
 	return len(s.done)
 }
 
-// Record appends one completed cell. Exactly one of value (jobErr == nil)
-// or jobErr is recorded. The line is written in a single Write call so a
-// kill between cells never tears more than the final line. The last
-// parameter is ignored: it is kept only so benchmark/ compiles unchanged,
-// and ROADMAP 6(c) deletes it.
-func (s *Store) Record(job int, seed int64, value any, jobErr error, _ *Provenance) error {
-	e := Entry{Job: job, Key: s.key, Seed: seed}
-	if jobErr != nil {
-		e.Err = jobErr.Error()
-	} else {
-		raw, err := json.Marshal(value)
-		if err != nil {
-			return fmt.Errorf("runner: encoding checkpoint value for job %d: %w", job, err)
-		}
-		e.Value = raw
+// Record appends one succeeded cell's value. The line is written in a
+// single Write call so a kill between cells never tears more than the final
+// line. The error and provenance parameters are ignored: they are kept only
+// so benchmark/ compiles unchanged, and ROADMAP 6(c) deletes them.
+func (s *Store) Record(job int, seed int64, value any, _ error, _ *Provenance) error {
+	v, err := json.Marshal(value)
+	if err != nil {
+		return fmt.Errorf("runner: encoding checkpoint value for job %d: %w", job, err)
 	}
+	e := Entry{Job: job, Key: s.key, Seed: seed, Value: v}
 	raw, err := json.Marshal(e)
 	if err != nil {
 		return err

@@ -55,37 +55,33 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	seed := func(i int) int64 { return int64(i)*1e9 + 7 }
 	RunWith(context.Background(), cellJobs(t, n/2, nil), Options[cell]{Workers: 2, Checkpoint: st, Seed: seed})
-	if st.Done() != n/2 {
-		t.Fatalf("recorded %d cells, want %d", st.Done(), n/2)
+	if st.Done() != n/2-1 {
+		t.Fatalf("recorded %d cells, want %d (the failed cell 3 left out)", st.Done(), n/2-1)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Resume: recorded cells must be replayed, not recomputed, and the
-	// aggregate must match the uninterrupted run bit for bit.
+	// aggregate must match the uninterrupted run bit for bit. The failed
+	// cell was not recorded, so it is recomputed like the unrun half.
 	st2, err := OpenStore(path, "spec-v1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	res := RunWith(context.Background(), cellJobs(t, n, func(i int) bool { return i >= n/2 }),
+	res := RunWith(context.Background(), cellJobs(t, n, func(i int) bool { return i >= n/2 || i == 3 }),
 		Options[cell]{Workers: 3, Checkpoint: st2, Seed: seed})
 	for i := range res {
 		if res[i].Value != ref[i].Value {
 			t.Fatalf("cell %d: resumed %+v != reference %+v", i, res[i].Value, res[i].Value)
 		}
 	}
-	// The quarantined failure replays with its original rendered message.
 	if res[3].Err == nil || res[3].Err.Error() != ref[3].Err.Error() {
-		t.Fatalf("replayed failure %v != reference %v", res[3].Err, ref[3].Err)
+		t.Fatalf("recomputed failure %v != reference %v", res[3].Err, ref[3].Err)
 	}
-	var re *ReplayedError
-	if !errors.As(res[3].Err, &re) {
-		t.Fatalf("replayed failure has type %T", res[3].Err)
-	}
-	if st2.Done() != n {
-		t.Fatalf("store holds %d cells after resume, want %d", st2.Done(), n)
+	if st2.Done() != n-1 {
+		t.Fatalf("store holds %d cells after resume, want %d", st2.Done(), n-1)
 	}
 	// Recorded seeds survive the round trip.
 	if e, ok := st2.Lookup(4); !ok || e.Seed != seed(4) {
@@ -206,12 +202,11 @@ func TestCheckpointSkipsCancelledCells(t *testing.T) {
 	}
 }
 
-// TestCheckpointSkipsTransientQuarantines pins which outcomes are durable:
-// successes and deterministic failures are recorded; a cell quarantined on a
-// transient failure is a verdict on the host, not on the cell, so it is left
-// out, and a resume recomputes it — the one way a transient failure is
-// recovered.
-func TestCheckpointSkipsTransientQuarantines(t *testing.T) {
+// TestCheckpointRecordsSuccessesOnly pins that only a success is durable: a
+// transient failure, an invariant violation and a panic are each left out of
+// the checkpoint, and a resume runs them again — the one way any failure is
+// recovered, and the way a deterministic one is shown again with its error.
+func TestCheckpointRecordsSuccessesOnly(t *testing.T) {
 	st, err := OpenStore(filepath.Join(t.TempDir(), "sweep.ckpt"), "k")
 	if err != nil {
 		t.Fatal(err)
@@ -224,36 +219,43 @@ func TestCheckpointSkipsTransientQuarantines(t *testing.T) {
 		jobs[i] = func(context.Context) (int, error) {
 			attempts[i]++
 			switch {
-			case i == 1: // never stops stalling
+			case i == 1 && attempts[i] == 1: // one stall, cleared by the resume
 				return 0, fmt.Errorf("host stall: %w", context.DeadlineExceeded)
-			case i == 2 && attempts[i] == 1: // one stall, cleared by the resume
-				return 0, fmt.Errorf("host stall: %w", context.DeadlineExceeded)
-			case i == 3:
+			case i == 2:
 				return 0, errors.New("invariant violated")
+			case i == 3:
+				panic("cbd cycle wedged")
 			}
 			return i, nil
 		}
 	}
+	check := func(res []Result[int], recorded []bool) {
+		t.Helper()
+		if err := res[2].Err; err == nil || !strings.HasPrefix(err.Error(), "job 2: invariant violated") {
+			t.Errorf("job 2 err = %v", err)
+		}
+		var pe *PanicError
+		if !errors.As(res[3].Err, &pe) || pe.Value != "cbd cycle wedged" {
+			t.Errorf("job 3 err = %v, want its panic", res[3].Err)
+		}
+		for i, want := range recorded {
+			if _, ok := st.Lookup(i); ok != want {
+				t.Errorf("job %d recorded = %v, want %v", i, ok, want)
+			}
+		}
+	}
 	res := RunWith(context.Background(), jobs, Options[int]{Workers: 1, Checkpoint: st})
-	if res[1].Err == nil || res[2].Err == nil || res[3].Err == nil || res[0].Err != nil {
+	if res[0].Err != nil || res[1].Err == nil {
 		t.Fatalf("unexpected outcomes: %+v", res)
 	}
-	for i, want := range []bool{true, false, false, true} {
-		if _, ok := st.Lookup(i); ok != want {
-			t.Errorf("job %d recorded = %v, want %v", i, ok, want)
-		}
-	}
+	check(res, []bool{true, false, false, false})
 	res = RunWith(context.Background(), jobs, Options[int]{Workers: 1, Checkpoint: st})
-	if res[2].Err != nil || res[2].Value != 2 {
-		t.Fatalf("resumed job 2 = %+v, want the recomputed value", res[2])
+	if res[1].Err != nil || res[1].Value != 1 {
+		t.Fatalf("resumed job 1 = %+v, want the recomputed value", res[1])
 	}
-	if want := []int{1, 2, 2, 1}; fmt.Sprint(attempts) != fmt.Sprint(want) {
-		t.Errorf("runs per job %v, want %v: only the transient quarantines recompute", attempts, want)
-	}
-	for i, want := range []bool{true, false, true, true} {
-		if _, ok := st.Lookup(i); ok != want {
-			t.Errorf("after resume: job %d recorded = %v, want %v", i, ok, want)
-		}
+	check(res, []bool{true, true, false, false})
+	if want := []int{1, 2, 2, 2}; fmt.Sprint(attempts) != fmt.Sprint(want) {
+		t.Errorf("runs per job %v, want %v: every failure recomputes", attempts, want)
 	}
 }
 
@@ -290,6 +292,44 @@ func TestCheckpointWithProvenanceReplays(t *testing.T) {
 	}
 }
 
+// errCheckpoint is a checkpoint file byte for byte as the store wrote it
+// while it still recorded failed cells: the v2 header, then one
+// CRC-enveloped entry for a cell that failed, with an "err" and no value.
+func errCheckpoint() []byte {
+	e := `{"job":0,"key":"k","seed":7,"err":"job 0: analytic invariant violated"}`
+	return []byte(fmt.Sprintf("%s{\"crc\":%d,\"e\":%s}\n", storeHeader, crc32.ChecksumIEEE([]byte(e)), e))
+}
+
+// TestCheckpointErrEntryRecomputes pins that a failed cell recorded by an
+// older build is not replayed: the file opens clean, the entry is not
+// counted, and a resume recomputes the cell.
+func TestCheckpointErrEntryRecomputes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, errCheckpoint(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if sv := st.Salvage(); sv.Dropped != 0 {
+		t.Fatalf("salvage dropped %d line(s): %s", sv.Dropped, sv.Reason)
+	}
+	if st.Done() != 0 {
+		t.Fatalf("store counts %d cells, want the failed entry left out", st.Done())
+	}
+	ran := false
+	res := RunWith(context.Background(), cellJobs(t, 1, func(int) bool { ran = true; return true }),
+		Options[cell]{Workers: 1, Checkpoint: st})
+	if !ran || res[0].Err != nil || res[0].Value != (cell{}) {
+		t.Fatalf("cell 0 not recomputed: ran %v, %+v", ran, res[0])
+	}
+	if st.Done() != 1 {
+		t.Fatalf("recomputed cell not recorded: %d cells", st.Done())
+	}
+}
+
 func TestCheckpointDeterministicAcrossWorkers(t *testing.T) {
 	// Same checkpoint state + same jobs must give the same result slice at
 	// any worker count, including the replayed-vs-computed partition.
@@ -322,32 +362,6 @@ func TestCheckpointDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d cell %d error mismatch: %v vs %v", workers, i, got[i].Err, ref[i].Err)
 			}
 		}
-	}
-}
-
-func TestReplayedPanicNamesItsCell(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	st, err := OpenStore(path, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []Job[int]{
-		func(context.Context) (int, error) { return 0, nil },
-		func(context.Context) (int, error) { panic("cbd cycle wedged") },
-	}
-	RunWith(context.Background(), jobs, Options[int]{Workers: 1, Checkpoint: st})
-	st.Close()
-	st2, err := OpenStore(path, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	e, ok := st2.Lookup(1)
-	if !ok {
-		t.Fatal("panicked cell not quarantined into the checkpoint")
-	}
-	if !strings.HasPrefix(e.Err, "job 1: ") || !strings.Contains(e.Err, "cbd cycle wedged") {
-		t.Fatalf("recorded panic %q lost its identity", e.Err)
 	}
 }
 

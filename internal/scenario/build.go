@@ -423,12 +423,8 @@ func resolveFlows(spec Spec, topo *topology.Topology, tab *routing.Table) ([]res
 	}
 	var out []resolvedFlow
 	for i, fs := range w.Flows {
-		id := fs.ID
-		if id == 0 {
-			id = i + 1
-		}
 		f := &netsim.Flow{
-			ID:   id,
+			ID:   fs.id(i),
 			Size: fs.SizeBytes,
 		}
 		if len(fs.Path) > 0 {
@@ -451,7 +447,7 @@ func resolveFlows(spec Spec, topo *topology.Topology, tab *routing.Table) ([]res
 			if !ok {
 				return nil, fmt.Errorf("scenario: flows[%d]: no node named %q", i, fs.Dst)
 			}
-			path, err := tab.Path(src, dst, uint64(id))
+			path, err := tab.Path(src, dst, uint64(f.ID))
 			if err != nil {
 				return nil, fmt.Errorf("scenario: flows[%d]: %w", i, err)
 			}

@@ -145,7 +145,13 @@ func invalidSpecs() []Spec {
 	duration.Run.DurationNs = -1
 	detector.Run.DetectDeadlock, detector.Run.Detector = true, "bogus"
 	wall.Limits = &LimitsSpec{MaxWallMs: -5}
-	return []Spec{duration, detector, wall}
+	// Two flows that resolve to one ID would share BFC's per-flow queue
+	// claim: an equal explicit id, and an explicit id equal to a default.
+	sameID, defaultID := twoToOne(GFCBuf), twoToOne(GFCBuf)
+	sameID.Workload.Flows[0].ID = 2
+	defaultID.Workload.Flows[0].ID = 0
+	defaultID.Workload.Flows[1].ID = 1
+	return []Spec{duration, detector, wall, sameID, defaultID}
 }
 
 // TestBuildRejectsWhatParseRejects pins the one validation: each backend's

@@ -119,6 +119,15 @@ type FlowSpec struct {
 	StartNs units.Time `json:"start_ns,omitempty"`
 }
 
+// id is the flow ID of the spec at position i of the Flows list: its ID, or
+// i + 1 when that is unset.
+func (f *FlowSpec) id(i int) int {
+	if f.ID != 0 {
+		return f.ID
+	}
+	return i + 1
+}
+
 // GeneratorSpec parameterises the random inter-rack workload generator.
 type GeneratorSpec struct {
 	// Dist is "enterprise" (default) or "uniform".
@@ -409,6 +418,8 @@ func (w *WorkloadSpec) validate() error {
 	if w.Pattern != "" && w.Pattern != "ring-clockwise" {
 		return fmt.Errorf("scenario: workload: unknown pattern %q", w.Pattern)
 	}
+	// Flow-ID-keyed state (BFC's queue claims) needs the IDs distinct.
+	ids := make(map[int]int, len(w.Flows))
 	for i, f := range w.Flows {
 		hasPath := len(f.Path) > 0
 		hasPair := f.Src != "" || f.Dst != ""
@@ -427,6 +438,11 @@ func (w *WorkloadSpec) validate() error {
 		if f.ID < 0 {
 			return fmt.Errorf("scenario: workload: flows[%d]: negative id", i)
 		}
+		id := f.id(i)
+		if j, dup := ids[id]; dup {
+			return fmt.Errorf("scenario: workload: flows[%d] and flows[%d] share id %d", j, i, id)
+		}
+		ids[id] = i
 	}
 	if g := w.Generator; g != nil {
 		switch g.Dist {
