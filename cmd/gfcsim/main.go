@@ -65,7 +65,7 @@ var (
 	budgetWall = flag.Duration("budget-wall", 0,
 		"abort any single run after this much wall-clock time (0 = unlimited)")
 	budgetHeap = flag.Uint64("budget-heap", 0,
-		"abort any single run once the process heap exceeds this many bytes\n(OOM guard, sampled every 64 governor checks; 0 = unlimited)")
+		"abort any single run once the process heap exceeds this many bytes\n(OOM guard, sampled once every 262144 simulator events; 0 = unlimited)")
 	stallEvents = flag.Uint64("stall-events", 0,
 		"declare livelock if this many events pass with no sim-time, delivery or\ndrop progress (0 = watchdog off)")
 	analytic = flag.Bool("analytic", false,

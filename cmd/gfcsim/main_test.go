@@ -448,6 +448,12 @@ func TestQuarantinedSweepRecomputesOnResume(t *testing.T) {
 	if code != 3 || !strings.Contains(first, "flight recorder:") || !strings.HasSuffix(first, hint) {
 		t.Fatalf("budgeted sweep: exit %d, stderr\n%s\nwant exit 3, a flight recorder and the hint %q last", code, first, hint)
 	}
+	if strings.Contains(first, "\n\n") {
+		t.Errorf("quarantine report holds an empty line:\n%s", first)
+	}
+	if cells, exact := strings.Count(first, "\n  cell "), strings.Count(first, "after 2000 events"); cells == 0 || exact != cells {
+		t.Errorf("%d of %d quarantined cells report the exact 2000-event budget:\n%s", exact, cells, first)
+	}
 	if code, _, again := sweep(); code != 3 || again != first {
 		t.Errorf("same-budget rerun: exit %d, stderr\n%s\nwant exit 3 and the first run's stderr\n%s", code, again, first)
 	}

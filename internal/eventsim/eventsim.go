@@ -43,6 +43,7 @@ package eventsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"github.com/gfcsim/gfc/internal/units"
@@ -98,7 +99,7 @@ type slot struct {
 // numLanes is how many distinct After delays can be in flight off the heap
 // at once. The two delays that make up 91–100 % of a packet run's After calls
 // need two; the rest cover the periodic timers (feedback refresh, credit
-// period, detector and governor polls) that would otherwise take those two.
+// period, detector polls) that would otherwise take those two.
 // scenario.TestLaneShareAcrossCatalogue is what says whether it is enough.
 const numLanes = 4
 
@@ -131,22 +132,12 @@ type Engine struct {
 	// After calls that went to a lane, and all After calls (LaneStats).
 	laned, afters uint64
 
-	// Run-governor hook (SetHook): hookFn is consulted roughly every
-	// hookEvery fired events during Run; nil when no governor is attached,
-	// so the ungoverned hot path pays a single nil check per event. The
-	// check is a fired-counter threshold, armed by SetHook and re-armed
-	// after each call, so the interval is counted from where the hook was
-	// installed, not on multiples of the lifetime counter.
-	hookFn    func() bool
-	hookEvery uint64
-	nextHook  uint64
-
 	// The pad rounds the engine up to 384 bytes, a multiple of the 128-byte
 	// line pair the L2 prefetcher moves as one. The engines of concurrent
 	// sweep workers are allocated side by side, and two that share a pair
 	// contend on every event: 13 % of a 2-worker Table 1 sweep's wall time
 	// on a 2-core Xeon VM.
-	_ [80]byte
+	_ [104]byte
 }
 
 // New returns a fresh engine with its clock at zero.
@@ -295,25 +286,6 @@ func (e *Engine) Cancel(ev Event) {
 // nothing.
 func (e *Engine) Stop() { e.stopped = true }
 
-// SetHook installs a run-governor hook: during Run, fn is invoked after
-// every `every` fired events (measured on the engine's lifetime Fired
-// counter) and may return false to end the run after the current event.
-// Unlike Stop, a hook-ended Run leaves no pending stop flag to consume.
-// The hook is how netsim's RunBounded checks budgets, wall clocks and
-// cancellation without the engine knowing about any of them; a nil fn (or
-// ClearHook) detaches it. every < 1 panics.
-func (e *Engine) SetHook(every uint64, fn func() bool) {
-	if fn != nil && every < 1 {
-		panic("eventsim: hook interval must be >= 1")
-	}
-	e.hookFn = fn
-	e.hookEvery = every
-	e.nextHook = e.fired + every
-}
-
-// ClearHook detaches any installed run-governor hook.
-func (e *Engine) ClearHook() { e.hookFn = nil }
-
 // Step executes the next pending event, if any, and reports whether one ran.
 func (e *Engine) Step() bool { return e.fire(units.Never) }
 
@@ -366,16 +338,22 @@ func (e *Engine) fire(until units.Time) bool {
 // execute. The stop flag is cleared when Run returns, so a stopped engine
 // observably resumes on the next Run.
 func (e *Engine) Run(until units.Time) units.Time {
+	e.RunFor(until, math.MaxUint64)
+	return e.now
+}
+
+// RunFor is Run that also returns once it has fired n events. It reports
+// whether that count alone ended it: false means the queue drained, the
+// clock reached until or Stop was called, so a caller that runs in slices
+// (netsim's run governor) knows the run is over.
+func (e *Engine) RunFor(until units.Time, n uint64) bool {
 	defer func() { e.stopped = false }()
-	for !e.stopped && e.fire(until) {
-		if e.hookFn != nil && e.fired >= e.nextHook {
-			e.nextHook = e.fired + e.hookEvery
-			if !e.hookFn() {
-				break
-			}
+	for ; n > 0 && !e.stopped; n-- {
+		if !e.fire(until) {
+			return false
 		}
 	}
-	return e.now
+	return !e.stopped
 }
 
 // RunAll executes events until the queue is empty or Stop is called.

@@ -427,61 +427,64 @@ func BenchmarkScheduleRunDeep(b *testing.B) {
 	b.ReportMetric(1, "events/op")
 }
 
-func TestHookInterval(t *testing.T) {
+// chain schedules a self-rescheduling event 1 tick apart that calls Stop on
+// its stopAt-th firing (never when stopAt is 0), and returns its firing count.
+func chain(e *Engine, stopAt int) *int {
+	n := new(int)
+	var fn func(int32)
+	fn = func(int32) {
+		if *n++; *n == stopAt {
+			e.Stop()
+		}
+		e.After(1, fn, 0)
+	}
+	e.At(0, fn, 0)
+	return n
+}
+
+func TestRunForFiresExactlyN(t *testing.T) {
 	e := New()
-	var chain func(int32)
-	n := 0
-	chain = func(int32) {
-		n++
-		if n < 100 {
-			e.After(1, chain, 0)
+	n := chain(e, 0)
+	for i, slice := range []uint64{1, 10, 7, 4096, 3} {
+		before := *n
+		if !e.RunFor(units.Never, slice) {
+			t.Fatalf("slice %d: an unbounded chain reported the run over", i)
+		}
+		if got := *n - before; got != int(slice) {
+			t.Fatalf("slice %d fired %d events, want %d", i, got, slice)
 		}
 	}
-	e.At(0, chain, 0)
-	calls := 0
-	e.SetHook(10, func() bool { calls++; return true })
-	e.RunAll()
-	if n != 100 {
-		t.Fatalf("ran %d events, want 100", n)
+	// The horizon ends a slice early, and that is not a count stop.
+	if e.RunFor(e.Now()+5, 100) {
+		t.Fatal("a slice cut by its horizon reported a count stop")
 	}
-	if calls != 10 {
-		t.Fatalf("hook ran %d times for 100 events at interval 10, want 10", calls)
+	if e.Now() != units.Time(*n-1) {
+		t.Fatalf("clock %v after %d events 1 tick apart", e.Now(), *n)
+	}
+	// A drained queue is not a count stop either.
+	d := New()
+	d.At(0, nop, 0)
+	if d.RunFor(units.Never, 2) || d.Fired() != 1 {
+		t.Fatalf("drained slice: fired %d", d.Fired())
 	}
 }
 
-func TestHookStopsRun(t *testing.T) {
-	e := New()
-	var chain func(int32)
-	n := 0
-	chain = func(int32) {
-		n++
-		e.After(1, chain, 0) // unbounded: only the hook can end this run
-	}
-	e.At(0, chain, 0)
-	e.SetHook(1, func() bool { return n < 25 })
-	e.RunAll()
-	if n != 25 {
-		t.Fatalf("hook stopped after %d events, want 25", n)
-	}
-	if e.stopped {
-		t.Fatal("hook-ended run left a pending stop flag")
-	}
-	// The hook decision is per-Run: with the hook cleared, the chain
-	// resumes from where it stopped.
-	e.ClearHook()
-	e.At(e.Now()+1000, nop, 0) // horizon pin
-	e.Run(e.Now() + 10)
-	if n <= 25 {
-		t.Fatal("cleared hook still stopping the run")
-	}
-}
-
-func TestHookIntervalValidation(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetHook(0, fn) did not panic")
+func TestRunForStopIsNotACountStop(t *testing.T) {
+	for _, stopAt := range []int{3, 10} { // inside the slice, on its last event
+		e := New()
+		n := chain(e, stopAt)
+		if e.RunFor(units.Never, 10) {
+			t.Fatalf("Stop on event %d reported as a count stop", stopAt)
 		}
-	}()
-	e.SetHook(0, func() bool { return true })
+		if *n != stopAt {
+			t.Fatalf("Stop on event %d: run went on to %d", stopAt, *n)
+		}
+		if e.stopped {
+			t.Fatalf("Stop on event %d left a pending stop flag", stopAt)
+		}
+		// The next slice resumes the chain.
+		if !e.RunFor(units.Never, 5) || *n != stopAt+5 {
+			t.Fatalf("Stop on event %d: next slice fired %d events", stopAt, *n-stopAt)
+		}
+	}
 }

@@ -293,8 +293,8 @@ func TestHeapAgainstReferenceModel(t *testing.T) {
 // TestAfterEqualsSchedule runs one seeded program twice — once scheduling its
 // events with After(d), once with At(Now()+d), which never leaves the heap —
 // and requires the identical transcript: every fired id with its instant and
-// the Pending() it saw, every governor-hook call, and the clock and Pending()
-// each Run returned with. The program has same-instant ties, After(0), Stop
+// the Pending() it saw, the count after every full RunFor slice, and the
+// clock and Pending() each run ended with. The program has same-instant ties, After(0), Stop
 // from inside a callback, Run horizons placed exactly on a pending event's
 // time, and cancellable timers (At on both runs) that its events cancel.
 func TestAfterEqualsSchedule(t *testing.T) {
@@ -337,10 +337,6 @@ func TestAfterEqualsSchedule(t *testing.T) {
 			}
 			sched(e, d, fire, id)
 		}
-		e.SetHook(7, func() bool {
-			log = append(log, fmt.Sprintf("hook at fired %d", e.Fired()))
-			return rng.Intn(10) > 0
-		})
 		until := units.Time(0)
 		for next < total || e.Pending() > 0 {
 			for e.Pending() < 8 && next < total {
@@ -353,8 +349,15 @@ func TestAfterEqualsSchedule(t *testing.T) {
 			} else {
 				until += units.Time(rng.Intn(6))
 			}
-			end := e.Run(until)
-			log = append(log, fmt.Sprintf("run to %v ended at %v, pending %d", until, end, e.Pending()))
+			// Run in slices of 7 events, as the run governor does, and
+			// abandon the run between two slices now and then.
+			for e.RunFor(until, 7) {
+				log = append(log, fmt.Sprintf("slice at fired %d", e.Fired()))
+				if rng.Intn(10) == 0 {
+					break
+				}
+			}
+			log = append(log, fmt.Sprintf("run to %v ended at %v, pending %d", until, e.Now(), e.Pending()))
 		}
 		return log, e
 	}

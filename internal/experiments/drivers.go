@@ -490,7 +490,7 @@ func sweepSection(w io.Writer, o *Options) error {
 			fmt.Fprintf(o.Stderr, "self-healing report (k=%d):\n%s", k, sum)
 		}
 		if len(res[0].Failures) > 0 {
-			fmt.Fprintln(o.Stderr, res[0].FailureSummary())
+			fmt.Fprint(o.Stderr, res[0].FailureSummary())
 			quarantined += len(res[0].Failures)
 		}
 		results[k] = make(map[FC]*SweepResult)

@@ -142,7 +142,7 @@ func TestSweepQuarantinesBudgetBlownCells(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := resumeSweepConfig()
 			cfg.Networks = 8
-			cfg.Budget = netsim.Budget{MaxEvents: 2000, CheckEvery: 64}
+			cfg.Budget = netsim.Budget{MaxEvents: 2000}
 			out, err := runSweeps(context.Background(), schemes, cfg)
 			if err != nil {
 				t.Fatalf("quarantine-and-continue still errored the sweep: %v", err)
@@ -170,6 +170,9 @@ func TestSweepQuarantinesBudgetBlownCells(t *testing.T) {
 			f := res.Failures[0]
 			if !strings.Contains(f.Err, "event budget") || !strings.Contains(f.Err, string(schemes[0])+" repeat 0: ") {
 				t.Fatalf("failure %q does not name the scheme, the repeat and the budget", f.Err)
+			}
+			if !strings.Contains(f.Err, "after 2000 events") {
+				t.Fatalf("failure %q did not trip at exactly the 2000-event budget", f.Err)
 			}
 			if !strings.Contains(f.Report, "flight recorder:") {
 				t.Fatalf("failure carries no flight-recorder report:\n%+v", f)

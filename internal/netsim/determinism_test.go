@@ -16,6 +16,11 @@ import (
 // FNV-1a hash. Two runs of the same configuration must produce the same
 // event sequence in the same order, so the hashes must match exactly.
 func traceHash(t testing.TB, flowSize units.Size) uint64 {
+	return traceRun(t, flowSize, func(n *Network) { n.Run(2 * units.Millisecond) })
+}
+
+// traceRun is traceHash with the run to 2 ms left to the caller.
+func traceRun(t testing.TB, flowSize units.Size, run func(*Network)) uint64 {
 	h := fnv.New64a()
 	mix := func(vs ...uint64) {
 		var buf [8]byte
@@ -62,7 +67,7 @@ func traceHash(t testing.TB, flowSize units.Size) uint64 {
 			t.Fatal(err)
 		}
 	}
-	n.Run(2 * units.Millisecond)
+	run(n)
 	return h.Sum64()
 }
 

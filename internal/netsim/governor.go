@@ -12,17 +12,17 @@ import (
 
 // This file is the run governor: a bounded-execution path for simulations
 // that must not be trusted to terminate. Plain Run stays the uninstrumented
-// fast path; RunBounded attaches a hook to the event engine (one nil check
-// per event when detached, matching the metrics/faults pattern) that every
-// few thousand events checks cancellation, event and wall-clock budgets,
-// and a sim-time stall watchdog. A tripped governor returns a structured
-// *RunError carrying a flight-recorder Snapshot instead of hanging the
-// caller.
+// fast path; RunBounded runs the event engine in slices of governorSlice
+// events and between two slices checks cancellation, event, wall-clock and
+// heap budgets, and a sim-time stall watchdog. A tripped governor returns a
+// structured *RunError carrying a flight-recorder Snapshot instead of
+// hanging the caller.
 
 // Budget bounds one RunBounded execution. The zero value imposes no bounds
 // (only ctx cancellation applies).
 type Budget struct {
 	// MaxEvents caps how many events this call may fire; 0 is unlimited.
+	// The cap is exact: a tripped run has fired MaxEvents events.
 	MaxEvents uint64
 	// MaxWall caps the host wall-clock time of the call; 0 is unlimited.
 	MaxWall time.Duration
@@ -32,16 +32,12 @@ type Budget struct {
 	// stalled. A run that is slow but keeps moving sim time never trips
 	// it. 0 disables the watchdog.
 	StallEvents uint64
-	// CheckEvery is the governor's polling interval in events; 0 means
-	// 4096. A check reads running counters (TotalDelivered is a sum kept
-	// on delivery), so it is O(1) whatever the flow count, and the default
-	// keeps overhead well under a percent while bounding detection latency.
-	CheckEvery uint64
 	// MaxHeap is the OOM guard: if the Go heap (runtime.MemStats.HeapAlloc)
 	// exceeds this many bytes at a governor check, the run stops with
 	// StopHeapBudget before the kernel's OOM killer takes the whole sweep
-	// process down. The heap is sampled only every heapCheckStride-th check
-	// (ReadMemStats stops the world briefly); 0 disables the guard.
+	// process down. The heap is sampled once every
+	// heapCheckStride×governorSlice = 262 144 events (ReadMemStats stops the
+	// world briefly); 0 disables the guard.
 	MaxHeap uint64
 }
 
@@ -56,9 +52,6 @@ func (b Budget) Overlay(o Budget) Budget {
 	}
 	if o.StallEvents != 0 {
 		b.StallEvents = o.StallEvents
-	}
-	if o.CheckEvery != 0 {
-		b.CheckEvery = o.CheckEvery
 	}
 	if o.MaxHeap != 0 {
 		b.MaxHeap = o.MaxHeap
@@ -165,11 +158,18 @@ type ChannelDump struct {
 // ones, not all of them.
 const maxSnapshotChannels = 64
 
+// governorSlice is how many events RunBounded fires between two checks of
+// its budgets (fewer for the last slice of an event budget). A check reads
+// running counters (TotalDelivered is a sum kept on delivery), so it is O(1)
+// whatever the flow count, and a slice this long keeps the overhead well
+// under a percent while bounding detection latency.
+const governorSlice = 4096
+
 // heapCheckStride spaces out the OOM guard's ReadMemStats calls: the heap
-// is sampled on every heapCheckStride-th governor check (including the
-// first), because ReadMemStats briefly stops the world and a per-check call
-// would dominate governor overhead. At the default CheckEvery of 4096 this
-// samples every ~256k events — far faster than a leaking run grows gigabytes.
+// is sampled on every heapCheckStride-th check (including the first),
+// because ReadMemStats briefly stops the world and a per-check call would
+// dominate governor overhead. That is once every 262 144 events — far
+// faster than a leaking run grows gigabytes.
 const heapCheckStride = 64
 
 // Snapshot is the flight-recorder state attached to a RunError: enough to
@@ -280,18 +280,15 @@ func (n *Network) Snapshot() *Snapshot {
 }
 
 // RunBounded advances the simulation to the given time like Run, but under
-// a governor: the context is polled cooperatively every Budget.CheckEvery
-// events, event and wall-clock budgets are enforced, and the stall watchdog
-// detects livelock (events firing with neither sim time nor delivery
-// advancing). It returns nil when the run reached the horizon (or drained
-// its queue) within budget, and a *RunError with a flight-recorder snapshot
-// otherwise. The governor detaches when the call returns, so subsequent
-// plain Run calls pay nothing.
+// a governor: the engine runs in slices of governorSlice events, each cut
+// short where it would overrun the event budget, and between two slices the
+// context is polled, the event, wall-clock and heap budgets are enforced, and
+// the stall watchdog detects livelock (events firing with neither sim time
+// nor delivery advancing). It returns nil when the run reached the horizon,
+// drained its queue or was stopped within budget, and a *RunError with a
+// flight-recorder snapshot otherwise. Nothing stays attached to the engine,
+// so subsequent plain Run calls pay nothing.
 func (n *Network) RunBounded(ctx context.Context, until units.Time, b Budget) error {
-	check := b.CheckEvery
-	if check == 0 {
-		check = 4096
-	}
 	eng := n.eng
 	start := eng.Fired()
 	var deadline time.Time
@@ -300,54 +297,51 @@ func (n *Network) RunBounded(ctx context.Context, until units.Time, b Budget) er
 	}
 	// Stall watchdog state: progress is sim time, delivered bytes or drops
 	// advancing since the last check.
-	lastNow := eng.Now()
-	lastDelivered := n.TotalDelivered()
-	lastDrops := n.drops
+	lastNow, lastDelivered, lastDrops := eng.Now(), n.TotalDelivered(), n.drops
 	stallSince := start
-	var ticks uint64
-
-	var trip *RunError
-	eng.SetHook(check, func() bool {
-		if err := ctx.Err(); err != nil {
-			trip = &RunError{Reason: StopCancelled, Cause: err}
-			return false
+	for tick := uint64(0); ; tick++ {
+		slice := uint64(governorSlice)
+		if b.MaxEvents > 0 {
+			slice = min(slice, b.MaxEvents-(eng.Fired()-start))
 		}
-		fired := eng.Fired() - start
-		if b.MaxEvents > 0 && fired >= b.MaxEvents {
-			trip = &RunError{Reason: StopEventBudget}
-			return false
+		if !eng.RunFor(until, slice) {
+			return nil
 		}
-		if b.MaxWall > 0 && time.Now().After(deadline) {
-			trip = &RunError{Reason: StopWallBudget}
-			return false
-		}
-		if b.MaxHeap > 0 && ticks%heapCheckStride == 0 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > b.MaxHeap {
-				trip = &RunError{Reason: StopHeapBudget}
-				return false
-			}
-		}
-		ticks++
+		stalled := false
 		if b.StallEvents > 0 {
 			now, delivered, drops := eng.Now(), n.TotalDelivered(), n.drops
 			if now != lastNow || delivered != lastDelivered || drops != lastDrops {
 				lastNow, lastDelivered, lastDrops = now, delivered, drops
 				stallSince = eng.Fired()
-			} else if eng.Fired()-stallSince >= b.StallEvents {
-				trip = &RunError{Reason: StopStalled}
-				return false
+			} else {
+				stalled = eng.Fired()-stallSince >= b.StallEvents
 			}
 		}
-		return true
-	})
-	defer eng.ClearHook()
-	eng.Run(until)
-	if trip != nil {
-		trip.Snapshot = n.Snapshot()
-		trip.Snapshot.Events = eng.Fired() - start
-		return trip
+		var reason StopReason
+		cause := ctx.Err()
+		switch {
+		case cause != nil:
+			reason = StopCancelled
+		case b.MaxEvents > 0 && eng.Fired()-start >= b.MaxEvents:
+			reason = StopEventBudget
+		case b.MaxWall > 0 && time.Now().After(deadline):
+			reason = StopWallBudget
+		case b.MaxHeap > 0 && tick%heapCheckStride == 0 && heapAlloc() > b.MaxHeap:
+			reason = StopHeapBudget
+		case stalled:
+			reason = StopStalled
+		default:
+			continue
+		}
+		s := n.Snapshot()
+		s.Events = eng.Fired() - start
+		return &RunError{Reason: reason, Cause: cause, Snapshot: s}
 	}
-	return nil
+}
+
+// heapAlloc reads the Go heap's live bytes for the OOM guard.
+func heapAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -42,26 +43,50 @@ func TestRunBoundedUnbudgetedMatchesRun(t *testing.T) {
 	}
 }
 
-func TestEventBudgetTrips(t *testing.T) {
-	n := governedNet(t, baseConfig(gfcFactory()))
-	err := n.RunBounded(context.Background(), units.Never, Budget{
-		MaxEvents: 10_000, CheckEvery: 64,
+// TestGovernedRunMatchesRun holds the governor to observing only: a run
+// sliced at every check by budgets that never trip fires the same trace as
+// a plain Run. The flows are unbounded, so the run spans several slices.
+func TestGovernedRunMatchesRun(t *testing.T) {
+	want := traceHash(t, 0)
+	got := traceRun(t, 0, func(n *Network) {
+		err := n.RunBounded(context.Background(), 2*units.Millisecond, Budget{
+			MaxEvents: 1 << 40, MaxWall: time.Hour, StallEvents: 1 << 40, MaxHeap: 64 << 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Engine().Fired() <= 2*governorSlice {
+			t.Fatalf("run fired %d events: too few slices to show anything", n.Engine().Fired())
+		}
 	})
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RunError", err)
+	if got != want {
+		t.Fatalf("governed trace %#x != plain Run's %#x", got, want)
 	}
-	if re.Reason != StopEventBudget {
-		t.Fatalf("reason = %v, want event budget", re.Reason)
-	}
-	if re.Snapshot == nil {
-		t.Fatal("no flight-recorder snapshot attached")
-	}
-	if re.Snapshot.Events < 10_000 || re.Snapshot.Events >= 10_000+64 {
-		t.Fatalf("tripped after %d events, want within one check interval of 10000", re.Snapshot.Events)
-	}
-	if re.Snapshot.Delivered == 0 {
-		t.Fatal("snapshot shows no delivery despite an active line-rate flow")
+}
+
+// TestEventBudgetTrips pins the event budget as exact on both sides of a
+// slice boundary: the trip comes after MaxEvents events, not at the next
+// check.
+func TestEventBudgetTrips(t *testing.T) {
+	for _, max := range []uint64{1, governorSlice - 1, governorSlice, governorSlice + 1, 10_000} {
+		n := governedNet(t, baseConfig(gfcFactory()))
+		err := n.RunBounded(context.Background(), units.Never, Budget{MaxEvents: max})
+		var re *RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("MaxEvents %d: err = %v, want *RunError", max, err)
+		}
+		if re.Reason != StopEventBudget {
+			t.Fatalf("MaxEvents %d: reason = %v, want event budget", max, re.Reason)
+		}
+		if re.Snapshot == nil {
+			t.Fatalf("MaxEvents %d: no flight-recorder snapshot attached", max)
+		}
+		if re.Snapshot.Events != max || n.Engine().Fired() != max {
+			t.Fatalf("MaxEvents %d: tripped after %d events (engine %d)", max, re.Snapshot.Events, n.Engine().Fired())
+		}
+		if max == 10_000 && re.Snapshot.Delivered == 0 {
+			t.Fatal("snapshot shows no delivery despite an active line-rate flow")
+		}
 	}
 }
 
@@ -74,7 +99,7 @@ func TestWatchdogTripsOnLivelock(t *testing.T) {
 	spin = func(int32) { eng.After(0, spin, 0) }
 	eng.At(units.Millisecond, spin, 0)
 	err := n.RunBounded(context.Background(), 10*units.Millisecond, Budget{
-		StallEvents: 50_000, CheckEvery: 256,
+		StallEvents: 50_000,
 	})
 	var re *RunError
 	if !errors.As(err, &re) {
@@ -109,7 +134,7 @@ func TestWatchdogIgnoresSlowProgress(t *testing.T) {
 	}
 	eng.At(0, crawl, 0)
 	if err := n.RunBounded(context.Background(), units.Millisecond, Budget{
-		StallEvents: 1000, CheckEvery: 16,
+		StallEvents: 1000,
 	}); err != nil {
 		t.Fatalf("slow-but-progressing run tripped the watchdog: %v", err)
 	}
@@ -137,7 +162,7 @@ func TestCancellation(t *testing.T) {
 	n := governedNet(t, baseConfig(gfcFactory()))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := n.RunBounded(ctx, 10*units.Millisecond, Budget{CheckEvery: 64})
+	err := n.RunBounded(ctx, 10*units.Millisecond, Budget{})
 	var re *RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RunError", err)
@@ -155,7 +180,7 @@ func TestCancellation(t *testing.T) {
 
 func TestGovernorDetaches(t *testing.T) {
 	n := governedNet(t, baseConfig(gfcFactory()))
-	if err := n.RunBounded(context.Background(), units.Millisecond, Budget{CheckEvery: 64}); err != nil {
+	if err := n.RunBounded(context.Background(), units.Millisecond, Budget{MaxEvents: 1 << 40}); err != nil {
 		t.Fatal(err)
 	}
 	// After RunBounded returns, a plain Run must proceed unhindered even
@@ -222,7 +247,7 @@ func TestHeapBudgetTrips(t *testing.T) {
 	spin = func(int32) { eng.After(0, spin, 0) }
 	eng.At(0, spin, 0)
 	err := n.RunBounded(context.Background(), units.Never, Budget{
-		MaxHeap: 1, CheckEvery: 64,
+		MaxHeap: 1,
 	})
 	var re *RunError
 	if !errors.As(err, &re) {
@@ -242,7 +267,7 @@ func TestHeapBudgetTrips(t *testing.T) {
 func TestHeapBudgetGenerousDoesNotTrip(t *testing.T) {
 	n := governedNet(t, baseConfig(gfcFactory()))
 	if err := n.RunBounded(context.Background(), units.Millisecond, Budget{
-		MaxHeap: 64 << 30, CheckEvery: 64,
+		MaxHeap: 64 << 30,
 	}); err != nil {
 		t.Fatalf("64 GiB heap budget tripped on a 2-host run: %v", err)
 	}

@@ -117,9 +117,15 @@ func RunWith[T any](ctx context.Context, jobs []Job[T], opts Options[T]) []Resul
 // cancellation skip, one run with panic capture, job-index error wrapping,
 // and checkpoint recording.
 func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T]) Result[T] {
+	// A recorded value replays bit-identically (Go emits the shortest float
+	// form that re-parses exactly). One that does not decode into T counts
+	// as missing: the cell is recomputed and recorded again.
 	if cp := opts.Checkpoint; cp != nil {
 		if e, ok := cp.Lookup(i); ok {
-			return replay[T](e)
+			var v T
+			if json.Unmarshal(e.Value, &v) == nil {
+				return Result[T]{Value: v}
+			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -140,17 +146,6 @@ func runIndexed[T any](ctx context.Context, i int, job Job[T], opts *Options[T])
 		// A failed write must not corrupt the in-memory result; the
 		// checkpoint is best-effort durability, not the source of truth.
 		_ = cp.Record(i, seed, res.Value, nil, nil)
-	}
-	return res
-}
-
-// replay converts a checkpoint entry back into a Result; values round-trip
-// through JSON bit-identically (Go emits the shortest float form that
-// re-parses exactly).
-func replay[T any](e Entry) Result[T] {
-	var res Result[T]
-	if err := json.Unmarshal(e.Value, &res.Value); err != nil {
-		res.Err = fmt.Errorf("job %d: corrupt checkpoint value: %w", e.Job, err)
 	}
 	return res
 }

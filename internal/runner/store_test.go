@@ -330,6 +330,37 @@ func TestCheckpointErrEntryRecomputes(t *testing.T) {
 	}
 }
 
+// TestCheckpointUndecodableValueRecomputes pins that a CRC-clean entry whose
+// value does not decode into the cell type counts as missing: the first
+// resume recomputes the cell and records it again, and the next replays it.
+func TestCheckpointUndecodableValueRecomputes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.ckpt")
+	st, err := OpenStore(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Record(0, 0, "not a struct", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	for round := 0; round < 2; round++ {
+		st, err := OpenStore(path, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := false
+		res := RunWith(context.Background(), cellJobs(t, 1, func(int) bool { ran = true; return true }),
+			Options[cell]{Workers: 1, Checkpoint: st})
+		st.Close()
+		if res[0].Err != nil || res[0].Value != (cell{}) {
+			t.Fatalf("resume %d: cell 0 = %+v", round, res[0])
+		}
+		if ran != (round == 0) {
+			t.Fatalf("resume %d: cell 0 computed %v, want only on the first resume", round, ran)
+		}
+	}
+}
+
 func TestCheckpointDeterministicAcrossWorkers(t *testing.T) {
 	// Same checkpoint state + same jobs must give the same result slice at
 	// any worker count, including the replayed-vs-computed partition.

@@ -94,7 +94,7 @@ func FuzzSpec(f *testing.F) {
 			return
 		}
 		res, err := r.RunBounded(context.Background(), netsim.Budget{
-			MaxEvents: 200_000, MaxWall: 2 * time.Second, CheckEvery: 1000,
+			MaxEvents: 200_000, MaxWall: 2 * time.Second,
 		})
 		if res == nil && err == nil {
 			t.Fatal("RunBounded returned neither a result nor an error")

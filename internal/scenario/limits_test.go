@@ -68,22 +68,24 @@ func TestLimitsValidate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "max_wall_ms") {
 		t.Fatalf("negative max_wall_ms accepted: %v", err)
 	}
-	_, err = Parse([]byte(`{
-		"name": "bad",
-		"topology": {"builder": "ring"},
-		"workload": {"pattern": "ring-clockwise"},
-		"scheme": {"fc": "PFC"},
-		"run": {"duration_ns": 1},
-		"limits": {"max_cycles": 7}
-	}`))
-	if err == nil {
-		t.Fatal("unknown limits field accepted")
+	for _, field := range []string{`"max_cycles": 7`, `"check_every": 64`} {
+		_, err = Parse([]byte(`{
+			"name": "bad",
+			"topology": {"builder": "ring"},
+			"workload": {"pattern": "ring-clockwise"},
+			"scheme": {"fc": "PFC"},
+			"run": {"duration_ns": 1},
+			"limits": {` + field + `}
+		}`))
+		if err == nil {
+			t.Fatalf("unknown limits field {%s} accepted", field)
+		}
 	}
 }
 
 func TestRunBoundedHonoursSpecLimits(t *testing.T) {
 	spec := governedSpec()
-	spec.Limits = &LimitsSpec{MaxEvents: 5000, CheckEvery: 64}
+	spec.Limits = &LimitsSpec{MaxEvents: 5000}
 	sim, err := Build(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +103,9 @@ func TestRunBoundedHonoursSpecLimits(t *testing.T) {
 	}
 	if re.Snapshot == nil || re.Snapshot.Packets.Total() == 0 {
 		t.Fatal("flight recorder empty for a loaded ring")
+	}
+	if re.Snapshot.Events != 5000 {
+		t.Fatalf("tripped after %d events, want the declared 5000", re.Snapshot.Events)
 	}
 
 	// Run is the same path minus the error: the declared limits apply and
@@ -122,13 +127,13 @@ func TestRunBoundedOverlayPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.RunBounded(context.Background(), netsim.Budget{MaxEvents: 2000, CheckEvery: 64})
+	_, err = sim.RunBounded(context.Background(), netsim.Budget{MaxEvents: 2000})
 	var re *netsim.RunError
 	if !errors.As(err, &re) || re.Reason != netsim.StopEventBudget {
 		t.Fatalf("err = %v, want event-budget trip from the overlay", err)
 	}
-	if re.Snapshot.Events >= 1<<40 {
-		t.Fatal("spec limit won over the caller's budget")
+	if re.Snapshot.Events != 2000 {
+		t.Fatalf("tripped after %d events, want the caller's 2000", re.Snapshot.Events)
 	}
 }
 

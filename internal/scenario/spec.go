@@ -192,9 +192,6 @@ type LimitsSpec struct {
 	MaxWallMs int64 `json:"max_wall_ms,omitempty"`
 	// StallEvents arms netsim's livelock watchdog; 0 disables it.
 	StallEvents uint64 `json:"stall_events,omitempty"`
-	// CheckEvery is the governor polling interval in events; 0 uses the
-	// netsim default.
-	CheckEvery uint64 `json:"check_every,omitempty"`
 	// MaxHeapBytes arms netsim's OOM guard: the run stops with a
 	// structured verdict if the Go heap exceeds this size, instead of
 	// letting one oversized scenario OOM-kill the whole sweep process.
@@ -211,7 +208,6 @@ func (l *LimitsSpec) Budget() netsim.Budget {
 		MaxEvents:   l.MaxEvents,
 		MaxWall:     time.Duration(l.MaxWallMs) * time.Millisecond,
 		StallEvents: l.StallEvents,
-		CheckEvery:  l.CheckEvery,
 		MaxHeap:     uint64(max(l.MaxHeapBytes, 0)),
 	}
 }

@@ -22,7 +22,6 @@ import (
 var specUserOnly = map[string]string{
 	"faults.inline.links[].feedback[].from_ns":  "starts a feedback fault after the run does: loss or delay confined to an epoch, where every preset's lasts the whole run",
 	"faults.inline.links[].feedback[].until_ns": "ends a feedback fault before the run does, so the run shows how each scheme recovers from it",
-	"limits.check_every":                        "governor polling interval for a spec that bounds itself; the CLI's -budget-* flags set the other limits",
 	"scheme.params.b1_bytes":                    "GFC first-stage threshold; ROADMAP 1(c)'s one-knob-at-a-time experiments move it",
 	"scheme.params.period_ns":                   "CBFC / time-based GFC feedback period T, the knob of Theorem 5.1",
 	"scheme.params.queues":                      "BFC physical queues per channel (default 8)",
