@@ -36,10 +36,11 @@ func (n *Network) completeTx(p *port) {
 	case topology.Switch:
 		// The packet leaves this switch: release the ingress buffer
 		// of the port it arrived on.
-		ch := nd.cb + pkt.arrivalPort
+		in := int(pkt.arrivalPort)
+		ch := nd.cb + in
 		n.occupancy[ch] -= pkt.Size
 		n.progress[ch].lastDepart = now
-		n.cfg.Trace.queue(now, nd.id, pkt.arrivalPort, n.occupancy[ch])
+		n.cfg.Trace.queue(now, nd.id, in, n.occupancy[ch])
 		if reg := n.metrics; reg != nil {
 			reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
 		}
@@ -124,9 +125,9 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 			qr.OnQueueArrival(int(pkt.arrivalQueue), pkt.Size, occ)
 		}
 	}
-	pkt.arrivalPort = idx
+	pkt.arrivalPort = int16(idx)
 	pkt.hop++
-	hop := pkt.Path[pkt.hop]
+	hop := pkt.Flow.Path[pkt.hop]
 	if hop.Node != nd.id {
 		panic(fmt.Sprintf("netsim: packet path desync: at node %d, path says %d (t=%v event=%d)",
 			nd.id, hop.Node, now, n.eng.Fired()))

@@ -26,7 +26,9 @@ type Flow struct {
 	// never completes), the paper's "hosts generate packets at line
 	// rate" workload.
 	Size units.Size
-	// Path is the source route; stamped on every packet.
+	// Path is the source route, shared by every packet of the flow: a
+	// packet at hop i is held by Path[i].Node. It must not change after
+	// AddFlow, because in-flight packets index it.
 	Path []routing.Hop
 	// Pacer optionally rate-limits the flow at the source (DCQCN).
 	Pacer Pacer

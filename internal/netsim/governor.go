@@ -29,15 +29,16 @@ type Budget struct {
 	// StallEvents arms the livelock watchdog: if this many consecutive
 	// events fire while neither the simulation clock nor the
 	// delivered/dropped byte counters advance, the run is declared
-	// stalled. A run that is slow but keeps moving sim time never trips
-	// it. 0 disables the watchdog.
+	// stalled. Progress is observed between slices, so the trip comes
+	// within one governorSlice past this count. A run that is slow but
+	// keeps moving sim time never trips it. 0 disables the watchdog.
 	StallEvents uint64
 	// MaxHeap is the OOM guard: if the Go heap (runtime.MemStats.HeapAlloc)
 	// exceeds this many bytes at a governor check, the run stops with
 	// StopHeapBudget before the kernel's OOM killer takes the whole sweep
-	// process down. The heap is sampled once every
-	// heapCheckStride×governorSlice = 262 144 events (ReadMemStats stops the
-	// world briefly); 0 disables the guard.
+	// process down. The heap is sampled on every heapCheckStride-th check,
+	// so at least once every heapCheckStride×governorSlice = 262 144 events
+	// (ReadMemStats stops the world briefly); 0 disables the guard.
 	MaxHeap uint64
 }
 
@@ -159,17 +160,18 @@ type ChannelDump struct {
 const maxSnapshotChannels = 64
 
 // governorSlice is how many events RunBounded fires between two checks of
-// its budgets (fewer for the last slice of an event budget). A check reads
-// running counters (TotalDelivered is a sum kept on delivery), so it is O(1)
-// whatever the flow count, and a slice this long keeps the overhead well
-// under a percent while bounding detection latency.
+// its budgets (fewer where the event budget or the stall watchdog's deadline
+// falls inside the slice). A check reads running counters (TotalDelivered is
+// a sum kept on delivery), so it is O(1) whatever the flow count, and a slice
+// this long keeps the overhead well under a percent while bounding detection
+// latency.
 const governorSlice = 4096
 
 // heapCheckStride spaces out the OOM guard's ReadMemStats calls: the heap
 // is sampled on every heapCheckStride-th check (including the first),
 // because ReadMemStats briefly stops the world and a per-check call would
-// dominate governor overhead. That is once every 262 144 events — far
-// faster than a leaking run grows gigabytes.
+// dominate governor overhead. That is at least once every 262 144 events —
+// far faster than a leaking run grows gigabytes.
 const heapCheckStride = 64
 
 // Snapshot is the flight-recorder state attached to a RunError: enough to
@@ -281,10 +283,11 @@ func (n *Network) Snapshot() *Snapshot {
 
 // RunBounded advances the simulation to the given time like Run, but under
 // a governor: the engine runs in slices of governorSlice events, each cut
-// short where it would overrun the event budget, and between two slices the
-// context is polled, the event, wall-clock and heap budgets are enforced, and
-// the stall watchdog detects livelock (events firing with neither sim time
-// nor delivery advancing). It returns nil when the run reached the horizon,
+// short where it would overrun the event budget or the stall watchdog's
+// deadline (StallEvents after the last check that saw progress), and between
+// two slices the context is polled, the event, wall-clock and heap budgets
+// are enforced, and the stall watchdog detects livelock (events firing with
+// neither sim time nor delivery advancing). It returns nil when the run reached the horizon,
 // drained its queue or was stopped within budget, and a *RunError with a
 // flight-recorder snapshot otherwise. Nothing stays attached to the engine,
 // so subsequent plain Run calls pay nothing.
@@ -303,6 +306,9 @@ func (n *Network) RunBounded(ctx context.Context, until units.Time, b Budget) er
 		slice := uint64(governorSlice)
 		if b.MaxEvents > 0 {
 			slice = min(slice, b.MaxEvents-(eng.Fired()-start))
+		}
+		if b.StallEvents > 0 {
+			slice = min(slice, stallSince+b.StallEvents-eng.Fired())
 		}
 		if !eng.RunFor(until, slice) {
 			return nil

@@ -116,6 +116,35 @@ func TestWatchdogTripsOnLivelock(t *testing.T) {
 	}
 }
 
+// TestWatchdogTripsOnTime holds the watchdog to its count at every scale,
+// below, at and above one slice: a zero-delay livelock that starts inside a
+// slice trips after at least StallEvents and fewer than StallEvents +
+// governorSlice stalled events, not at the first slice boundary past the
+// count.
+func TestWatchdogTripsOnTime(t *testing.T) {
+	for _, stall := range []uint64{1, 1000, governorSlice, 10_000} {
+		n, err := New(topology.Linear(2, topology.DefaultLinkParams()), baseConfig(gfcFactory()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := n.Engine()
+		// Every spin after the first fires with the clock frozen at 1ms.
+		var spins uint64
+		var spin func(int32)
+		spin = func(int32) { spins++; eng.After(0, spin, 0) }
+		eng.At(units.Millisecond, spin, 0)
+		err = n.RunBounded(context.Background(), 10*units.Millisecond, Budget{StallEvents: stall})
+		var re *RunError
+		if !errors.As(err, &re) || re.Reason != StopStalled {
+			t.Fatalf("StallEvents %d: err = %v, want a stall", stall, err)
+		}
+		if stalled := spins - 1; stalled < stall || stalled >= stall+governorSlice {
+			t.Errorf("StallEvents %d: tripped after %d stalled events, want [%d, %d)",
+				stall, stalled, stall, stall+governorSlice)
+		}
+	}
+}
+
 func TestWatchdogIgnoresSlowProgress(t *testing.T) {
 	// A 1ns-step self-rescheduling chain fires a huge number of events,
 	// delivers nothing, but keeps sim time crawling forward: slow, not

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -45,10 +47,12 @@ type Wait struct {
 }
 
 // AppendIngressStates appends a snapshot of every switch ingress buffer,
-// ordered (node, port), to dst and returns it. A state written into dst's
-// spare capacity reuses the Waits array of the element it replaces, so
-// passing the previous snapshot as dst[:0] polls without allocating.
+// ordered (node, port), to dst and returns it. dst grows at most once, to
+// room for the whole snapshot, and a state written into its spare capacity
+// reuses the Waits array of the element it replaces, so passing the previous
+// snapshot as dst[:0] polls without allocating.
 func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
+	dst = slices.Grow(dst, n.ingresses)
 	for _, nd := range n.nodes {
 		if nd.kind != topology.Switch {
 			continue
@@ -59,11 +63,7 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 				continue
 			}
 			ch := p.cb
-			if len(dst) < cap(dst) {
-				dst = dst[:len(dst)+1]
-			} else {
-				dst = append(dst, IngressState{})
-			}
+			dst = dst[:len(dst)+1]
 			is := &dst[len(dst)-1]
 			*is = IngressState{
 				Node:          nd.id,

@@ -29,7 +29,7 @@ func refNextFromInputs(n *Network, p *port) (*Packet, int, units.Time) {
 			continue
 		}
 		head := q.front()
-		if head.Path[head.hop].Port != p.local {
+		if head.Flow.Path[head.hop].Port != p.local {
 			continue // head-of-line: only the head is eligible
 		}
 		ok, wake := n.senders[p.cb].TrySend(head.Size)
@@ -141,10 +141,9 @@ func star(t *testing.T, radix int, cfg Config) (*Network, *node) {
 // out, as arrive would have left it.
 func boundFor(n *Network, nd *node, in, out int, seq int64) *Packet {
 	pkt := n.newPacket()
-	pkt.Flow = &Flow{ID: int(seq)}
+	pkt.Flow = &Flow{ID: int(seq), Path: []routing.Hop{{Node: nd.id, Port: out}}}
 	pkt.Seq, pkt.Size = seq, 1000
-	pkt.Path = []routing.Hop{{Node: nd.id, Port: out}}
-	pkt.arrivalPort = in
+	pkt.arrivalPort = int16(in)
 	return pkt
 }
 
@@ -172,7 +171,7 @@ func checkMasks(t *testing.T, n *Network, when string) {
 				continue
 			}
 			head := q.front()
-			out := head.Path[head.hop].Port
+			out := head.Flow.Path[head.hop].Port
 			if int(n.inqOut[ch]) != out {
 				t.Fatalf("%s: node %d in %d: head bound for %d but inqOut=%d", when, nd.id, i, out, n.inqOut[ch])
 			}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/flowcontrol"
@@ -265,6 +266,18 @@ func TestConfigValidation(t *testing.T) {
 		if wantErr := sched != SchedFIFO; (err != nil) != wantErr {
 			t.Errorf("%d-port switch under %s scheduling: err = %v, want error: %v", maxRadix+1, sched, err, wantErr)
 		}
+	}
+	// A packet holds its arrival port in an int16, so even FIFO refuses a
+	// node wider than that.
+	widest := topology.New()
+	sw = widest.AddSwitch("S")
+	for i := 0; i <= math.MaxInt16; i++ {
+		widest.AddLink(widest.AddHost(fmt.Sprintf("H%d", i)), sw, lp.Capacity, lp.Delay)
+	}
+	cfg := baseConfig(pfcFactory())
+	cfg.Scheduling = SchedFIFO
+	if _, err := New(widest, cfg); err == nil {
+		t.Errorf("%d-port switch under FIFO scheduling accepted", math.MaxInt16+1)
 	}
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/eventsim"
@@ -37,6 +38,7 @@ type Network struct {
 	faults *faults.Injector
 
 	delivered units.Size // total bytes delivered to hosts, credited beside Flow.Delivered
+	ingresses int        // live switch ingress buffers: one IngressState each
 
 	// Struct-of-arrays hot-path state. Per-channel arrays are indexed by
 	// the dense channel index port.cb — a channel is a port — which by
@@ -103,9 +105,10 @@ type Network struct {
 	forwarding []bool  // re-entrancy guard
 
 	// Packet free list, per network: deterministic (unlike a sync.Pool,
-	// which drains on GC) and allocated in arena chunks so a run costs a
-	// few chunk allocations rather than one per live packet.
-	freePkts []*Packet
+	// which drains on GC), a LIFO linked through Packet.next, and fed by
+	// arena chunks so a run costs a few chunk allocations rather than one
+	// per live packet.
+	freeHead *Packet
 	pktArena []Packet
 }
 
@@ -141,6 +144,10 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	chans, totalVoqs, totalFed := 0, 0, 0
 	for id := 0; id < nn; id++ {
 		ats := topo.Ports(topology.NodeID(id))
+		if len(ats) > math.MaxInt16 {
+			return nil, fmt.Errorf("netsim: node %s has %d ports; a packet's arrival port holds at most %d",
+				topo.Node(topology.NodeID(id)).Name, len(ats), math.MaxInt16)
+		}
 		if len(ats) > maxRadix && cfg.Scheduling != SchedFIFO {
 			return nil, fmt.Errorf("netsim: node %s has %d ports; %s scheduling supports at most %d per node",
 				topo.Node(topology.NodeID(id)).Name, len(ats), cfg.Scheduling, maxRadix)
@@ -227,6 +234,9 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			p := &nd.ports[i]
 			if p.failed {
 				continue
+			}
+			if nd.kind == topology.Switch {
+				n.ingresses++
 			}
 			up := p.peer // upstream egress port
 			upName := topo.Node(up.owner.id).Name
@@ -436,7 +446,8 @@ func (n *Network) Drops() int64 { return n.drops }
 func (n *Network) Flows() []*Flow { return n.flows }
 
 // AddFlow installs f and starts it at time at. The flow's Path must start at
-// its source host and end with the hop delivering to Dst.
+// its source host and end with the hop delivering to Dst, and must not change
+// afterwards: in-flight packets index it.
 func (n *Network) AddFlow(f *Flow, at units.Time) error {
 	if len(f.Path) == 0 {
 		return fmt.Errorf("netsim: flow %d has no path", f.ID)

@@ -11,40 +11,39 @@
 // failure.
 package netsim
 
-import (
-	"github.com/gfcsim/gfc/internal/routing"
-	"github.com/gfcsim/gfc/internal/units"
-)
+import "github.com/gfcsim/gfc/internal/units"
 
-// Packet is one frame traversing the fabric. Packets are source-routed: the
-// full path is stamped at the sending host, mirroring the deterministic
-// per-flow ECMP decision the routing table makes.
+// Packet is one frame traversing the fabric. Packets are source-routed by
+// their flow: Flow.Path[hop].Node holds the packet (next to transmit it), the
+// per-flow ECMP decision the routing table made once. A packet carries only
+// the hop index, not the route, so a live packet is 48 bytes
+// (TestPacketLayout).
 type Packet struct {
 	Flow *Flow
+	// next links the packet into the one pktQueue holding it, or, once
+	// recycled, into the network's free list.
+	next *Packet
 	Seq  int64
 	Size units.Size
-	// Path and hop index: Path[hop] is the node currently holding the
-	// packet (next to transmit it).
-	Path []routing.Hop
-	hop  int
+
+	hop int32 // index into Flow.Path of the node holding the packet
 
 	// Ingress accounting at the current switch: which local port the
-	// packet arrived on. -1 at the source host.
-	arrivalPort int
+	// packet arrived on. -1 at the source host. A node has at most
+	// math.MaxInt16 ports (New).
+	arrivalPort int16
 
-	// Per-flow queue accounting (Config.FlowQueues > 0): queue is the
-	// physical queue the packet is assigned to at its current egress, and
-	// arrivalQueue freezes the assignment it arrived downstream with — the
-	// queue id the ingress BFC receiver is told about on admission and
-	// departure. Both are recycled to zero with the packet.
-	queue        int32
-	arrivalQueue int32
+	// Per-flow queue accounting (Config.FlowQueues > 0, at most 64): queue
+	// is the physical queue the packet is assigned to at its current
+	// egress, and arrivalQueue freezes the assignment it arrived downstream
+	// with — the queue id the ingress BFC receiver is told about on
+	// admission and departure. Both are recycled to zero with the packet.
+	queue        int16
+	arrivalQueue int16
 
 	// ECN is set when the packet passed a switch whose egress queue
 	// exceeded the marking threshold (used by DCQCN).
 	ECN bool
-
-	next *Packet // link of the one pktQueue holding the packet, if any
 }
 
 // pktChunk is how many packets a Network's arena grows by at a time. The
@@ -52,14 +51,15 @@ type Packet struct {
 // chunk allocations total rather than one per packet.
 const pktChunk = 64
 
-// newPacket returns a zeroed packet from the network's free list. The list
-// is per-network — unlike the former shared sync.Pool it never drains on
-// GC, so the steady state is allocation-free regardless of collector
-// timing, and recycling order is deterministic by construction.
+// newPacket returns a zeroed packet from the network's free list, or carves
+// one from the arena when the list is empty. The list is per-network — unlike
+// the former shared sync.Pool it never drains on GC, so the steady state is
+// allocation-free regardless of collector timing, and recycling order (LIFO)
+// is deterministic by construction.
 func (n *Network) newPacket() *Packet {
-	if l := len(n.freePkts); l > 0 {
-		pkt := n.freePkts[l-1]
-		n.freePkts = n.freePkts[:l-1]
+	if pkt := n.freeHead; pkt != nil {
+		n.freeHead = pkt.next
+		pkt.next = nil
 		return pkt
 	}
 	if len(n.pktArena) == 0 {
@@ -71,9 +71,10 @@ func (n *Network) newPacket() *Packet {
 }
 
 // recyclePacket returns a packet whose journey ended (delivered or dropped)
-// to the free list. Callers must not hold references past this point; trace
-// hooks have already fired.
+// to the free list, linked through its next field: a recycled packet sits in
+// no queue. Callers must not hold references past this point; trace hooks
+// have already fired.
 func (n *Network) recyclePacket(pkt *Packet) {
-	*pkt = Packet{}
-	n.freePkts = append(n.freePkts, pkt)
+	*pkt = Packet{next: n.freeHead}
+	n.freeHead = pkt
 }

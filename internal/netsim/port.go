@@ -101,7 +101,7 @@ func arrivalKey(pkt *Packet) int {
 	if pkt.arrivalPort < 0 {
 		return 0 // host injection
 	}
-	return pkt.arrivalPort
+	return int(pkt.arrivalPort)
 }
 
 // flowAssign is one flow's current queue assignment on an egress channel:
@@ -167,7 +167,7 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	}
 	if n.fq > 0 {
 		slot = n.assignSlot(p, pkt)
-		pkt.queue = int32(slot)
+		pkt.queue = int16(slot)
 	}
 	n.voqs[p.voqBase+slot].push(pkt)
 	n.slotReady[p.cb] |= 1 << uint(slot)

@@ -51,7 +51,6 @@ func (n *Network) refill(h *node) {
 		f.released += size
 		pkt := n.newPacket()
 		pkt.Flow, pkt.Seq, pkt.Size = f, f.seq, size
-		pkt.Path = f.Path
 		pkt.arrivalPort = -1
 		f.seq++
 		if f.Size > 0 && f.released >= f.Size {
@@ -345,10 +344,10 @@ func (n *Network) popInq(nd *node, in int) *Packet {
 
 // publishHead records head as the head of the ingress FIFO of nd's port in:
 // its egress port in inqOut, and input in's bit in that egress's inReady word,
-// so the egress finds its candidates without chasing head.Path[head.hop] per
-// input.
+// so the egress finds its candidates without chasing head.Flow.Path[head.hop]
+// per input.
 func (n *Network) publishHead(nd *node, in int, head *Packet) {
-	out := head.Path[head.hop].Port
+	out := head.Flow.Path[head.hop].Port
 	n.inqOut[nd.cb+in] = int16(out)
 	n.inReady[nd.cb+out] |= 1 << uint(in)
 }

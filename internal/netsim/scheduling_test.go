@@ -239,10 +239,10 @@ func TestPacketHelpers(t *testing.T) {
 	cfg := baseConfig(pfcFactory())
 	cfg.Trace = &Trace{
 		OnTransmit: func(_ units.Time, _ topology.NodeID, _ int, pkt *Packet) {
-			if pkt.Path[pkt.hop].Link == nil {
+			if pkt.Flow.Path[pkt.hop].Link == nil {
 				t.Error("current hop has nil link")
 			}
-			if pkt.hop == len(pkt.Path)-1 {
+			if int(pkt.hop) == len(pkt.Flow.Path)-1 {
 				sawLastHop = true
 			}
 		},
@@ -261,5 +261,56 @@ func TestPacketHelpers(t *testing.T) {
 	}
 	if !sawLastHop {
 		t.Error("no transmission was a last hop on a delivered flow")
+	}
+}
+
+// TestFreeListIsLIFO holds the packet free list to the order the trace
+// hashes were recorded under: newPacket hands back the most recently
+// recycled packet first, zeroed and unlinked, and carves from the arena only
+// once the list is empty.
+func TestFreeListIsLIFO(t *testing.T) {
+	topo := topology.Linear(2, topology.DefaultLinkParams())
+	n, err := New(topo, baseConfig(pfcFactory()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := spfFlow(t, topo, 1, "H1", "H2", 0)
+	a, b := n.newPacket(), n.newPacket()
+	for i, pkt := range []*Packet{a, b} {
+		*pkt = Packet{Flow: f, Seq: int64(i + 7), Size: 1000, hop: 1, arrivalPort: 1, queue: 3, arrivalQueue: 2, ECN: true}
+	}
+	n.recyclePacket(a)
+	n.recyclePacket(b)
+	for _, want := range []*Packet{b, a} {
+		got := n.newPacket()
+		if got != want {
+			t.Fatalf("newPacket returned %p, want the most recently recycled %p", got, want)
+		}
+		if *got != (Packet{}) {
+			t.Fatalf("recycled packet not zeroed: %+v", *got)
+		}
+	}
+	if c := n.newPacket(); c == a || c == b || *c != (Packet{}) {
+		t.Fatalf("empty free list: newPacket returned %p (%+v), want a fresh arena packet", c, *c)
+	}
+}
+
+// TestIngressSnapshotGrowsOnce holds a cold detector poll to one allocation:
+// the snapshot array is sized to every live switch ingress at once, not grown
+// by doubling. A k=4 fat-tree has 20 four-port switches; one failed
+// switch-to-switch link takes an ingress off each end.
+func TestIngressSnapshotGrowsOnce(t *testing.T) {
+	topo := topology.FatTree(4, topology.DefaultLinkParams())
+	topo.FailLinkBetween("E1", "A1")
+	n, err := New(topo, baseConfig(pfcFactory()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []IngressState
+	if avg := testing.AllocsPerRun(5, func() { states = n.AppendIngressStates(nil) }); avg != 1 && !raceEnabled {
+		t.Errorf("cold snapshot allocates %v times, want 1", avg)
+	}
+	if len(states) != 78 {
+		t.Errorf("snapshot holds %d ingresses, want 78", len(states))
 	}
 }
