@@ -9,7 +9,8 @@
 //   - RP (reaction point, the sender NIC): multiplicative decrease on CNP,
 //     then fast recovery / additive increase / hyper increase.
 //
-// The RP attaches to a simulated flow as its netsim.Pacer.
+// The RP attaches to a simulated flow as its netsim.Pacer; the NP is the RP's
+// OnDeliver, called from the run's netsim.Trace.
 package dcqcn
 
 import (
@@ -59,14 +60,19 @@ type RP struct {
 
 	next units.Time // pacer release gate
 
+	// NP state: the CNP latency back to the RP and the last CNP emission.
+	cnpDelay units.Time
+	lastEcho units.Time
+
 	// RateLog, when non-nil, receives (time, rc) samples on every rate
 	// change, for the Figure 20 trace.
 	RateLog func(units.Time, units.Rate)
 }
 
 // Attach installs DCQCN on flow f within network net, whose senders run at
-// lineRate: the flow is paced by the RP, and the receiver-side NP hook echoes
-// ECN marks as CNPs. Returns the RP for inspection.
+// lineRate: the flow is paced by the RP, whose timers start now. The
+// receiver-side NP is OnDeliver, which the run's netsim.Trace calls for
+// each of f's delivered packets. Returns the RP for inspection.
 func Attach(net *netsim.Network, f *netsim.Flow, lineRate units.Rate) *RP {
 	rp := &RP{
 		lineRate: lineRate,
@@ -74,29 +80,29 @@ func Attach(net *netsim.Network, f *netsim.Flow, lineRate units.Rate) *RP {
 		rc:       lineRate,
 		rt:       lineRate,
 		alpha:    alphaInit,
+		// The latency from the NP observing a mark to the RP reacting:
+		// about one RTT segment, the reverse path carrying a minimum-size
+		// frame.
+		cnpDelay: routing.PathLatency(f.Path, 64*units.Byte),
+		lastEcho: -units.Never,
 	}
-	// The latency from the NP observing a mark to the RP reacting: about
-	// one RTT segment, the reverse path carrying a minimum-size frame.
-	cnpDelay := routing.PathLatency(f.Path, 64*units.Byte)
-	var lastEcho units.Time = -units.Never // NP state: last CNP emission
 	f.Pacer = rp
-	prev := f.OnPacket
-	f.OnPacket = func(fl *netsim.Flow, pkt *netsim.Packet) {
-		if prev != nil {
-			prev(fl, pkt)
-		}
-		if !pkt.ECN {
-			return
-		}
-		now := net.Now()
-		if lastEcho != -units.Never && now-lastEcho < cnpInterval {
-			return // NP rate-limits CNPs to one per interval
-		}
-		lastEcho = now
-		net.Engine().After(cnpDelay, rp.onCNP, 0)
-	}
 	rp.startTimers()
 	return rp
+}
+
+// OnDeliver is the notification point: it echoes an ECN-marked packet
+// delivered at now as a CNP, which reaches the RP after one reverse-path
+// latency, at most one per cnpInterval.
+func (rp *RP) OnDeliver(now units.Time, pkt *netsim.Packet) {
+	if !pkt.ECN {
+		return
+	}
+	if rp.lastEcho != -units.Never && now-rp.lastEcho < cnpInterval {
+		return // NP rate-limits CNPs to one per interval
+	}
+	rp.lastEcho = now
+	rp.net.Engine().After(rp.cnpDelay, rp.onCNP, 0)
 }
 
 // NextAllowed implements netsim.Pacer.

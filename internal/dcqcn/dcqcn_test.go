@@ -10,15 +10,21 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// buildIncast creates the Figure 20 dumbbell: n senders, one receiver,
-// ECN marking at 40KB, GFC flow control, DCQCN on every flow.
-func buildIncast(t *testing.T, senders int) (*netsim.Network, []*RP, []*netsim.Flow) {
+// buildIncast creates the Figure 20 dumbbell: n senders, one receiver, ECN
+// marking at ecn, GFC flow control, DCQCN on every flow with its NP wired to
+// the trace's deliveries as Figure 20 wires it.
+func buildIncast(t *testing.T, senders int, ecn units.Size) (*netsim.Network, []*RP, []*netsim.Flow) {
 	t.Helper()
 	topo := topology.Dumbbell(senders, topology.DefaultLinkParams())
 	cfg := netsim.Config{
 		BufferSize:   1000 * units.KB,
-		ECNThreshold: 40 * units.KB,
+		ECNThreshold: ecn,
 		FlowControl:  flowcontrol.NewGFCBuffer(flowcontrol.GFCBufferConfig{}),
+		Trace: &netsim.Trace{
+			OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
+				f.Pacer.(*RP).OnDeliver(t, pkt)
+			},
+		},
 	}
 	net, err := netsim.New(topo, cfg)
 	if err != nil {
@@ -62,7 +68,7 @@ func itoa(i int) string {
 }
 
 func TestDCQCNReducesIncastRate(t *testing.T) {
-	net, rps, _ := buildIncast(t, 8)
+	net, rps, _ := buildIncast(t, 8, 40*units.KB)
 	net.Run(5 * units.Millisecond)
 	// 8:1 incast on a 10G bottleneck: DCQCN must cut rates well below
 	// line rate; fair share is 1.25G.
@@ -77,7 +83,7 @@ func TestDCQCNReducesIncastRate(t *testing.T) {
 }
 
 func TestDCQCNConvergesNearFairShare(t *testing.T) {
-	net, _, flows := buildIncast(t, 8)
+	net, _, flows := buildIncast(t, 8, 40*units.KB)
 	net.Run(30 * units.Millisecond)
 	// Measure goodput over a late window.
 	before := make([]units.Size, len(flows))
@@ -100,8 +106,36 @@ func TestDCQCNConvergesNearFairShare(t *testing.T) {
 	}
 }
 
+// TestNPRateLimitsCNPs: with every packet of a flow arriving ECN-marked,
+// the notification point echoes the first mark and then at most one per
+// cnpInterval, so the RP receives CNPs at least cnpInterval apart — and
+// fewer of them than marked deliveries.
+func TestNPRateLimitsCNPs(t *testing.T) {
+	net, rps, flows := buildIncast(t, 1, units.Byte) // every packet marked
+	rp, f := rps[0], flows[0]
+	var cnps []units.Time
+	last := rp.lastCNP
+	for net.Now() <= 2*units.Millisecond && net.Engine().Step() {
+		if rp.lastCNP != last {
+			last = rp.lastCNP
+			cnps = append(cnps, last)
+		}
+	}
+	if len(cnps) < 2 {
+		t.Fatalf("%d CNPs under persistent marking: the NP is not wired to deliveries", len(cnps))
+	}
+	for i := 1; i < len(cnps); i++ {
+		if gap := cnps[i] - cnps[i-1]; gap < cnpInterval {
+			t.Errorf("CNPs at %v and %v: %v apart, under the %v interval", cnps[i-1], cnps[i], gap, cnpInterval)
+		}
+	}
+	if marked := int(f.Delivered / (1500 * units.Byte)); marked <= len(cnps) {
+		t.Errorf("%d CNPs for %d marked deliveries: the NP limited nothing", len(cnps), marked)
+	}
+}
+
 func TestDCQCNAlphaDynamics(t *testing.T) {
-	net, rps, _ := buildIncast(t, 8)
+	net, rps, _ := buildIncast(t, 8, 40*units.KB)
 	rp := rps[0]
 	if got := rp.alpha; got != 0.5 {
 		t.Fatalf("initial alpha = %v", got)
@@ -154,7 +188,7 @@ func TestDCQCNRecoversAfterCongestion(t *testing.T) {
 }
 
 func TestDCQCNRateLog(t *testing.T) {
-	net, rps, _ := buildIncast(t, 4)
+	net, rps, _ := buildIncast(t, 4, 40*units.KB)
 	var samples int
 	rps[0].RateLog = func(units.Time, units.Rate) { samples++ }
 	net.Run(5 * units.Millisecond)
@@ -191,7 +225,7 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 	// immediately (its feedback is hop-local), while DCQCN needs several
 	// RTT-scale rounds. So early in the incast the switch queue must
 	// stay bounded by GFC even though DCQCN rates are still high.
-	net, rps, _ := buildIncast(t, 8)
+	net, rps, _ := buildIncast(t, 8, 40*units.KB)
 	topo := net.Topology()
 	s1 := topo.MustLookup("S1")
 	var maxQ units.Size

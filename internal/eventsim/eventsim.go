@@ -356,9 +356,6 @@ func (e *Engine) RunFor(until units.Time, n uint64) bool {
 	return !e.stopped
 }
 
-// RunAll executes events until the queue is empty or Stop is called.
-func (e *Engine) RunAll() units.Time { return e.Run(units.Never) }
-
 // Heap layout: 4-ary, node i has parent (i-1)/4 and children 4i+1..4i+4.
 
 // siftUp restores heap order from position i toward the root. Only the

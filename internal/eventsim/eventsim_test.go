@@ -32,7 +32,7 @@ func TestZeroValueReady(t *testing.T) {
 	if e.Pending() != 3 {
 		t.Fatalf("Pending() = %d, want 3", e.Pending())
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v, want [1 2 3]", order)
 	}
@@ -48,7 +48,7 @@ func TestOrdering(t *testing.T) {
 	e.At(30, log, 3)
 	e.At(10, log, 1)
 	e.Schedule(20, func() { order = append(order, 2) }) // the no-argument wrapper
-	e.RunAll()
+	e.Run(units.Never)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
@@ -60,7 +60,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	for i := int32(0); i < 100; i++ {
 		e.At(42, func(i int32) { order = append(order, int(i)) }, i)
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	if !sort.IntsAreSorted(order) {
 		t.Fatalf("same-time events not FIFO: %v", order)
 	}
@@ -72,7 +72,7 @@ func TestAfter(t *testing.T) {
 	e.At(100, func(int32) {
 		e.After(50, func(int32) { at = e.Now() }, 0)
 	}, 0)
-	e.RunAll()
+	e.Run(units.Never)
 	if at != 150 {
 		t.Fatalf("nested After fired at %v, want 150", at)
 	}
@@ -88,7 +88,7 @@ func TestSchedulePastPanics(t *testing.T) {
 		}()
 		e.At(50, nop, 0)
 	}, 0)
-	e.RunAll()
+	e.Run(units.Never)
 }
 
 func TestNilFuncPanics(t *testing.T) {
@@ -114,7 +114,7 @@ func TestCancel(t *testing.T) {
 	ran := false
 	ev := e.At(10, func(int32) { ran = true }, 0)
 	e.Cancel(ev)
-	e.RunAll()
+	e.Run(units.Never)
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -132,7 +132,7 @@ func TestCancelOneOfMany(t *testing.T) {
 	}
 	e.Cancel(evs[3])
 	e.Cancel(evs[7])
-	e.RunAll()
+	e.Run(units.Never)
 	want := []int{0, 1, 2, 4, 5, 6, 8, 9}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -159,9 +159,9 @@ func TestRunHorizon(t *testing.T) {
 	if len(fired) != 3 {
 		t.Fatalf("fired %v within horizon 30", fired)
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	if len(fired) != 4 {
-		t.Fatalf("fired %v after RunAll", fired)
+		t.Fatalf("fired %v after the run", fired)
 	}
 }
 
@@ -176,12 +176,12 @@ func TestStop(t *testing.T) {
 			}
 		}, 0)
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	if count != 4 {
 		t.Fatalf("count = %d after Stop, want 4", count)
 	}
 	// Run can resume after Stop.
-	e.RunAll()
+	e.Run(units.Never)
 	if count != 10 {
 		t.Fatalf("count = %d after resume, want 10", count)
 	}
@@ -219,7 +219,7 @@ func TestRandomScheduleOrdered(t *testing.T) {
 			at := units.Time(rng.Int63n(1000))
 			e.At(at, func(int32) { fired = append(fired, e.Now()) }, 0)
 		}
-		e.RunAll()
+		e.Run(units.Never)
 		if len(fired) != k {
 			return false
 		}
@@ -253,7 +253,7 @@ func TestRandomCancel(t *testing.T) {
 				e.Cancel(evs[i])
 			}
 		}
-		e.RunAll()
+		e.Run(units.Never)
 		for i := 0; i < n; i++ {
 			if ran[i] == cancelled[i] {
 				return false
@@ -302,14 +302,14 @@ func TestStopBeforeRun(t *testing.T) {
 	if !e.stopped {
 		t.Fatal("stop flag clear right after Stop")
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	if ran != 0 {
 		t.Fatal("stopped Run executed an event")
 	}
 	if e.stopped {
 		t.Fatal("Run did not consume the stop flag")
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	if ran != 1 {
 		t.Fatal("engine did not resume after consuming Stop")
 	}
@@ -322,7 +322,7 @@ func TestCancelFiredEvent(t *testing.T) {
 	e := New()
 	firstRan := false
 	first := e.At(1, func(int32) { firstRan = true }, 0)
-	e.RunAll()
+	e.Run(units.Never)
 	if !firstRan {
 		t.Fatal("first event did not run")
 	}
@@ -330,7 +330,7 @@ func TestCancelFiredEvent(t *testing.T) {
 	e.At(2, func(int32) { secondRan = true }, 0) // recycles first's record
 	e.Cancel(first)                              // stale handle: must not touch the recycled record
 	e.Cancel(first)
-	e.RunAll()
+	e.Run(units.Never)
 	if !secondRan {
 		t.Fatal("cancelling a fired event's stale handle killed a live event")
 	}
@@ -345,7 +345,7 @@ func TestCancelSelfInsideCallback(t *testing.T) {
 		e.Cancel(self)
 		e.At(2, func(int32) { after = true }, 0)
 	}, 0)
-	e.RunAll()
+	e.Run(units.Never)
 	if !after {
 		t.Fatal("self-cancel corrupted the queue")
 	}

@@ -261,7 +261,7 @@ func runModelComparison(t *testing.T, seed int64, cov *modelCoverage) {
 	for len(pending) > 0 {
 		modelPop()
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	checkHeap(t, e, []Event{}, 0)
 
 	if len(fired) != len(model) {
@@ -435,7 +435,7 @@ func TestFIFOTiesSurviveCancels(t *testing.T) {
 	for i := 0; i < n; i += 3 {
 		e.Cancel(evs[i])
 	}
-	e.RunAll()
+	e.Run(units.Never)
 	if !sort.IntsAreSorted(fired) {
 		t.Fatalf("FIFO tie order broken after cancels: %v", fired)
 	}

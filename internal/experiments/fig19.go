@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
@@ -39,8 +40,8 @@ func RunOverhead(spec scenario.Spec, o RunOptions) (*OverheadResult, error) {
 				}
 			}
 			return &netsim.Trace{
-				OnFeedback: func(t units.Time, from, to topology.NodeID, w units.Size) {
-					wire[channel[[2]topology.NodeID{from, to}]].Add(t-1, w)
+				OnFeedback: func(t units.Time, from, to topology.NodeID) {
+					wire[channel[[2]topology.NodeID{from, to}]].Add(t-1, flowcontrol.MessageSize)
 				},
 			}
 		},

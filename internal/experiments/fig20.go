@@ -44,22 +44,26 @@ func RunFig20(o RunOptions) (*Fig20Result, error) {
 						res.MaxQueue = q
 					}
 				},
+				OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
+					f.Pacer.(*dcqcn.RP).OnDeliver(t, pkt)
+				},
 			}
-		},
-		OnFlow: func(f *netsim.Flow, net *netsim.Network) error {
-			rp := dcqcn.Attach(net, f, 10*units.Gbps)
-			if f.ID == 1 {
-				rp.RateLog = func(t units.Time, r units.Rate) {
-					res.DCQCNRate.Append(t, float64(r))
-				}
-			}
-			return nil
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	net := sim.Net
+	// Every declared flow runs DCQCN; a flow reads its Pacer only once
+	// the engine runs, so attaching after Build is in time.
+	for _, f := range sim.Flows {
+		rp := dcqcn.Attach(net, f, 10*units.Gbps)
+		if f.ID == 1 {
+			rp.RateLog = func(t units.Time, r units.Rate) {
+				res.DCQCNRate.Append(t, float64(r))
+			}
+		}
+	}
 	d := sim.Spec.Run.DurationNs
 	// Sample H1's GFC port rate periodically.
 	h1 := sim.Topo.MustLookup("H1")

@@ -79,9 +79,6 @@ type Message struct {
 	QueueID int        // KindQueuePause / KindQueueResume
 }
 
-// Wire reports the frame's size on the wire.
-func (m Message) Wire() units.Size { return MessageSize }
-
 // Clock is the simulation clock.
 type Clock interface {
 	Now() units.Time

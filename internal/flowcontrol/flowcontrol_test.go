@@ -154,7 +154,7 @@ func TestPFCPauseResume(t *testing.T) {
 
 	// Fill past XOFF.
 	c.Receiver.OnArrival(1500, 800*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 1 || env.sent[0].Kind != KindPause {
 		t.Fatalf("messages = %+v, want one PAUSE", env.sent)
 	}
@@ -168,14 +168,14 @@ func TestPFCPauseResume(t *testing.T) {
 	// Stay above XON: no RESUME, no duplicate PAUSE.
 	c.Receiver.OnArrival(1500, 900*units.KB)
 	c.Receiver.OnDeparture(1500, 799*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 1 {
 		t.Fatalf("spurious messages: %+v", env.sent)
 	}
 
 	// Drop to XON: RESUME.
 	c.Receiver.OnDeparture(1500, 797*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 2 || env.sent[1].Kind != KindResume {
 		t.Fatalf("messages = %+v, want PAUSE,RESUME", env.sent)
 	}
@@ -399,13 +399,13 @@ func TestGFCBufferStageMessages(t *testing.T) {
 
 	// Below B1: no messages.
 	c.Receiver.OnArrival(1500, 100*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 0 {
 		t.Fatalf("message below B1: %+v", env.sent)
 	}
 	// Cross into stage 1.
 	c.Receiver.OnArrival(1500, 750*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 1 || env.sent[0].Stage != 1 {
 		t.Fatalf("messages = %+v", env.sent)
 	}
@@ -414,13 +414,13 @@ func TestGFCBufferStageMessages(t *testing.T) {
 	}
 	// Within stage 1: silent.
 	c.Receiver.OnArrival(1500, 800*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 1 {
 		t.Fatal("duplicate stage message")
 	}
 	// Stage 2 at 875KB.
 	c.Receiver.OnArrival(1500, 875*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 2 || env.sent[1].Stage != 2 {
 		t.Fatalf("messages = %+v", env.sent)
 	}
@@ -429,7 +429,7 @@ func TestGFCBufferStageMessages(t *testing.T) {
 	}
 	// Drain back below B1: stage 0, line rate.
 	c.Receiver.OnDeparture(1500, 100*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if got := env.sent[len(env.sent)-1].Stage; got != 0 {
 		t.Fatalf("final stage = %d", got)
 	}
@@ -443,7 +443,7 @@ func TestGFCBufferRateNeverZero(t *testing.T) {
 	c := newBufferGFC(t, env)
 	// Slam the queue to the ceiling.
 	c.Receiver.OnArrival(1500, 2000*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if got := c.Sender.Rate(); got <= 0 {
 		t.Fatalf("rate %v at full buffer; hold-and-wait not eliminated", got)
 	}
@@ -458,7 +458,7 @@ func TestGFCBufferPacing(t *testing.T) {
 	env := newFakeEnv()
 	c := newBufferGFC(t, env)
 	c.Receiver.OnArrival(1500, 750*units.KB) // stage 1 → C/2
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	// After sending a packet, TrySend must block for one extra duration
 	// (plus the limiter's slack).
 	c.Sender.OnSent(1500, 1200)
@@ -501,12 +501,12 @@ func TestGFCBufferDefaultB1(t *testing.T) {
 	env.forward = c.Sender
 	// Default Bm = Buffer − 4·MTU = 994KB; default B1 = Bm − 2Cτ = 969KB.
 	c.Receiver.OnArrival(1500, 968*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 0 {
 		t.Fatal("stage fired below default B1")
 	}
 	c.Receiver.OnArrival(1500, 969*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 1 {
 		t.Fatal("stage did not fire at default B1")
 	}
@@ -525,14 +525,14 @@ func TestGFCConceptualMapping(t *testing.T) {
 	}
 	env.forward = c.Sender
 	c.Receiver.OnArrival(1500, 75*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if got := c.Sender.Rate(); got != 5*units.Gbps {
 		t.Fatalf("rate at 75KB = %v, want 5Gbps (Fig 5 steady state)", got)
 	}
 	// Every queue change emits a message (continuous assumption).
 	n := len(env.sent)
 	c.Receiver.OnDeparture(1500, 74*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != n+1 {
 		t.Fatal("conceptual GFC did not emit on queue change")
 	}
@@ -725,7 +725,7 @@ func TestBFCPerQueuePauseResume(t *testing.T) {
 
 	// Fill queue 2 past XOFF: only queue 2 pauses.
 	recv.OnQueueArrival(2, 100*units.KB, 100*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 1 || env.sent[0].Kind != KindQueuePause || env.sent[0].QueueID != 2 {
 		t.Fatalf("messages = %+v, want one QPAUSE for queue 2", env.sent)
 	}
@@ -745,14 +745,14 @@ func TestBFCPerQueuePauseResume(t *testing.T) {
 	// Bounce inside (XON, XOFF): silent.
 	recv.OnQueueDeparture(2, 1*units.KB, 99*units.KB)
 	recv.OnQueueArrival(2, 1*units.KB, 100*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 1 {
 		t.Fatalf("spurious messages: %+v", env.sent)
 	}
 
 	// Drain queue 2 to XON: QRESUME for queue 2 only.
 	recv.OnQueueDeparture(2, 2*units.KB, 98*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if len(env.sent) != 2 || env.sent[1].Kind != KindQueueResume || env.sent[1].QueueID != 2 {
 		t.Fatalf("messages = %+v, want QPAUSE,QRESUME", env.sent)
 	}
@@ -773,7 +773,7 @@ func TestBFCAllQueuesPaused(t *testing.T) {
 	recv := c.Receiver.(QueueReceiver)
 	recv.OnQueueArrival(0, 100*units.KB, 100*units.KB)
 	recv.OnQueueArrival(1, 100*units.KB, 200*units.KB)
-	env.eng.RunAll()
+	env.eng.Run(units.Never)
 	if ok, wake := c.Sender.TrySend(1500); ok || wake != units.Never {
 		t.Fatal("sender not fully blocked with every queue paused")
 	}
@@ -826,7 +826,7 @@ func TestGFCBufferStageConsistency(t *testing.T) {
 		for _, v := range qs {
 			q := units.Size(v % 1100000)
 			recv.OnArrival(0, q)
-			env.eng.RunAll()
+			env.eng.Run(units.Never)
 			want := recv.table.StageRate(recv.table.StageFor(q))
 			if c.Sender.Rate() != want {
 				return false
@@ -918,10 +918,5 @@ func TestControlFrameIsEthernetMinimum(t *testing.T) {
 	const ethernetMin = 64 * units.Byte
 	if MessageSize != ethernetMin {
 		t.Fatalf("MessageSize = %v, want the %v Ethernet minimum", MessageSize, ethernetMin)
-	}
-	for k := KindPause; k <= KindQueueResume; k++ {
-		if got := (Message{Kind: k, Stage: 7, FCCL: 1 << 40, Queue: units.MB}).Wire(); got != MessageSize {
-			t.Errorf("%v frame is %v on the wire, want %v", k, got, MessageSize)
-		}
 	}
 }

@@ -227,13 +227,13 @@ func (r *Registry) OnDrop(idx int, t units.Time, s, occ units.Size) {
 
 // OnFeedback records one flow-control message emitted by channel idx's
 // receiver: kind buckets the message (BFC's per-queue pause and resume count
-// as pause and resume), stage carries the GFC stage for KindStage, and wire
-// is the frame's wire size. Stage feedback is checked against the channel's
-// stage table when one was registered (CheckStageTable).
-func (r *Registry) OnFeedback(idx int, t units.Time, kind flowcontrol.Kind, stage int, wire units.Size) {
+// as pause and resume) and stage carries the GFC stage for KindStage; every
+// frame is flowcontrol.MessageSize on the wire. Stage feedback is checked
+// against the channel's stage table when one was registered (CheckStageTable).
+func (r *Registry) OnFeedback(idx int, t units.Time, kind flowcontrol.Kind, stage int) {
 	c := &r.counters[idx]
 	c.FeedbackMsgs++
-	c.FeedbackWire += wire
+	c.FeedbackWire += flowcontrol.MessageSize
 	switch kind {
 	case flowcontrol.KindPause, flowcontrol.KindQueuePause:
 		c.PauseMsgs++

@@ -96,17 +96,17 @@ func TestFeedbackClasses(t *testing.T) {
 	r := New(Options{})
 	twoNodeLayout(r)
 	idx := r.ChannelIndex(1, 0)
-	r.OnFeedback(idx, 1, flowcontrol.KindPause, 0, 64)
-	r.OnFeedback(idx, 2, flowcontrol.KindResume, 0, 64)
-	r.OnFeedback(idx, 3, flowcontrol.KindStage, 2, 64)
-	r.OnFeedback(idx, 4, flowcontrol.KindStage, 1, 64)
-	r.OnFeedback(idx, 5, flowcontrol.KindCredit, 0, 12)
-	r.OnFeedback(idx, 6, flowcontrol.KindQueue, 0, 64)
+	r.OnFeedback(idx, 1, flowcontrol.KindPause, 0)
+	r.OnFeedback(idx, 2, flowcontrol.KindResume, 0)
+	r.OnFeedback(idx, 3, flowcontrol.KindStage, 2)
+	r.OnFeedback(idx, 4, flowcontrol.KindStage, 1)
+	r.OnFeedback(idx, 5, flowcontrol.KindCredit, 0)
+	r.OnFeedback(idx, 6, flowcontrol.KindQueue, 0)
 	// BFC's per-queue pause and resume count as pause and resume.
-	r.OnFeedback(idx, 7, flowcontrol.KindQueuePause, 0, 64)
-	r.OnFeedback(idx, 8, flowcontrol.KindQueueResume, 0, 64)
+	r.OnFeedback(idx, 7, flowcontrol.KindQueuePause, 0)
+	r.OnFeedback(idx, 8, flowcontrol.KindQueueResume, 0)
 	c := r.Counter(idx)
-	if c.FeedbackMsgs != 8 || c.FeedbackWire != 64*7+12 {
+	if c.FeedbackMsgs != 8 || c.FeedbackWire != 8*flowcontrol.MessageSize {
 		t.Errorf("FeedbackMsgs/Wire = %d/%v", c.FeedbackMsgs, c.FeedbackWire)
 	}
 	if c.PauseMsgs != 2 || c.ResumeMsgs != 2 || c.StageMsgs != 2 || c.CreditMsgs != 1 || c.QueueMsgs != 1 {
@@ -192,19 +192,19 @@ func TestStageRangeViolation(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatalf("valid table recorded violation: %v", r.Err())
 	}
-	r.OnFeedback(idx, 1, flowcontrol.KindStage, tbl.Stages(), 64) // in range
+	r.OnFeedback(idx, 1, flowcontrol.KindStage, tbl.Stages()) // in range
 	if r.Err() != nil {
 		t.Fatalf("in-range stage violated: %v", r.Err())
 	}
-	r.OnFeedback(idx, 2, flowcontrol.KindStage, tbl.Stages()+1, 64)
-	r.OnFeedback(idx, 3, flowcontrol.KindStage, -1, 64)
+	r.OnFeedback(idx, 2, flowcontrol.KindStage, tbl.Stages()+1)
+	r.OnFeedback(idx, 3, flowcontrol.KindStage, -1)
 	vs := r.violations
 	if len(vs) != 2 || vs[0].Kind != ViolationStageRange || vs[1].Kind != ViolationStageRange {
 		t.Fatalf("violations = %v", vs)
 	}
 	// Without an armed table, out-of-range stages are not checkable.
 	idx2 := r.ChannelIndex(1, 1)
-	r.OnFeedback(idx2, 4, flowcontrol.KindStage, 99, 64)
+	r.OnFeedback(idx2, 4, flowcontrol.KindStage, 99)
 	if got := len(r.violations); got != 2 {
 		t.Errorf("unarmed channel recorded stage violation (total %d)", got)
 	}
@@ -266,7 +266,7 @@ func TestReportAndJSONRoundTrip(t *testing.T) {
 	r.OnTx(idx, 1500)
 	r.OnAdmit(idx, 10, 1500, 1500)
 	r.OnRelease(idx, 10+seriesGap, 1500, 0)
-	r.OnFeedback(idx, 30, flowcontrol.KindStage, 1, 64)
+	r.OnFeedback(idx, 30, flowcontrol.KindStage, 1)
 
 	rep := r.Report(1000)
 	if rep.At != 1000 {

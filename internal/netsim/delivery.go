@@ -30,7 +30,6 @@ func (n *Network) completeTx(p *port) {
 		n.senders[p.cb].OnSent(pkt.Size, dur)
 	}
 	nd := p.owner
-	n.cfg.Trace.transmit(now, nd.id, p.local, pkt)
 
 	switch nd.kind {
 	case topology.Switch:
@@ -81,9 +80,6 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 			reg.OnAdmit(ing.cb, now, pkt.Size, 0)
 		}
 		n.cfg.Trace.deliver(now, f, pkt)
-		if f.OnPacket != nil {
-			f.OnPacket(f, pkt)
-		}
 		if f.Done() && f.Finished == 0 {
 			f.Finished = now
 			if f.OnDone != nil {

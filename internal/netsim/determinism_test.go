@@ -12,7 +12,7 @@ import (
 )
 
 // traceHash runs a congested 2:1 scenario and folds every trace record —
-// queue changes, arrivals, transmissions, deliveries, feedback — into an
+// queue changes, arrivals, deliveries, feedback emissions — into an
 // FNV-1a hash. Two runs of the same configuration must produce the same
 // event sequence in the same order, so the hashes must match exactly.
 func traceHash(t testing.TB, flowSize units.Size) uint64 {
@@ -39,14 +39,11 @@ func traceRun(t testing.TB, flowSize units.Size, run func(*Network)) uint64 {
 		OnArrival: func(at units.Time, node topology.NodeID, pkt *Packet) {
 			mix(2, uint64(at), uint64(node), uint64(pkt.Flow.ID), uint64(pkt.Seq))
 		},
-		OnTransmit: func(at units.Time, node topology.NodeID, port int, pkt *Packet) {
-			mix(3, uint64(at), uint64(node), uint64(port), uint64(pkt.Flow.ID), uint64(pkt.Seq))
-		},
 		OnDeliver: func(at units.Time, f *Flow, pkt *Packet) {
 			mix(4, uint64(at), uint64(f.ID), uint64(pkt.Seq))
 		},
-		OnFeedback: func(at units.Time, from, to topology.NodeID, wire units.Size) {
-			mix(5, uint64(at), uint64(from), uint64(to), uint64(wire))
+		OnFeedback: func(at units.Time, from, to topology.NodeID) {
+			mix(5, uint64(at), uint64(from), uint64(to))
 		},
 	}
 	topo := topology.TwoToOne(topology.DefaultLinkParams())

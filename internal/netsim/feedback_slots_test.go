@@ -33,7 +33,7 @@ type emitTap struct {
 
 func (e emitTap) Emit(m flowcontrol.Message) {
 	n, now := e.n, e.n.eng.Now()
-	at := now + units.TransmissionTime(m.Wire(), e.down.capacity) + e.down.link.Delay + n.cfg.ProcDelay
+	at := now + units.TransmissionTime(flowcontrol.MessageSize, e.down.capacity) + e.down.link.Delay + n.cfg.ProcDelay
 	_, extra := e.twin.FeedbackVerdict(e.down.link.ID, e.down.owner.id, m.Kind, now)
 	at += extra
 	*e.want = append(*e.want, delivery{at, e.down.owner.id, e.up.owner.id, m})

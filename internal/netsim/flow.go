@@ -35,10 +35,6 @@ type Flow struct {
 	// OnDone, if set, is called once when the flow completes; workload
 	// generators use it to chain successor flows.
 	OnDone func(*Flow)
-	// OnPacket, if set, is called for every packet delivered to Dst;
-	// congestion controls use it as their notification point (e.g.
-	// DCQCN's ECN-echo).
-	OnPacket func(*Flow, *Packet)
 
 	// Runtime state, owned by the Network.
 	released  units.Size // bytes handed to the NIC queue

@@ -49,7 +49,7 @@ func incastCell(t *testing.T, f flowcontrol.Factory, h *traceFold) *Network {
 	return n
 }
 
-// traceFold hashes a run's transmissions, deliveries and feedback.
+// traceFold hashes a run's arrivals, deliveries and feedback emissions.
 type traceFold struct{ h uint64 }
 
 func (f *traceFold) mix(vs ...uint64) {
@@ -61,14 +61,14 @@ func (f *traceFold) mix(vs ...uint64) {
 func (f *traceFold) trace() *Trace {
 	f.h = 14695981039346656037
 	return &Trace{
-		OnTransmit: func(at units.Time, node topology.NodeID, port int, pkt *Packet) {
-			f.mix(1, uint64(at), uint64(node), uint64(port), uint64(pkt.Flow.ID), uint64(pkt.Seq))
+		OnArrival: func(at units.Time, node topology.NodeID, pkt *Packet) {
+			f.mix(1, uint64(at), uint64(node), uint64(pkt.Flow.ID), uint64(pkt.Seq))
 		},
 		OnDeliver: func(at units.Time, fl *Flow, pkt *Packet) {
 			f.mix(2, uint64(at), uint64(fl.ID), uint64(pkt.Seq))
 		},
-		OnFeedback: func(at units.Time, from, to topology.NodeID, wire units.Size) {
-			f.mix(3, uint64(at), uint64(from), uint64(to), uint64(wire))
+		OnFeedback: func(at units.Time, from, to topology.NodeID) {
+			f.mix(3, uint64(at), uint64(from), uint64(to))
 		},
 	}
 }

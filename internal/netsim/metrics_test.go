@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -18,7 +19,7 @@ func runCongested(t *testing.T, reg *metrics.Registry) (*Network, units.Size) {
 	cfg.Metrics = reg
 	var feedback units.Size
 	cfg.Trace = &Trace{
-		OnFeedback: func(_ units.Time, _, _ topology.NodeID, wire units.Size) { feedback += wire },
+		OnFeedback: func(units.Time, topology.NodeID, topology.NodeID) { feedback += flowcontrol.MessageSize },
 	}
 	n, err := New(topo, cfg)
 	if err != nil {

@@ -348,8 +348,8 @@ func TestFeedbackAccounting(t *testing.T) {
 	cfg := baseConfig(gfcFactory())
 	var traced units.Size
 	cfg.Trace = &Trace{
-		OnFeedback: func(_ units.Time, _, _ topology.NodeID, wire units.Size) {
-			traced += wire
+		OnFeedback: func(units.Time, topology.NodeID, topology.NodeID) {
+			traced += flowcontrol.MessageSize
 		},
 	}
 	n, err := New(topo, cfg)

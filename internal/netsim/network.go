@@ -358,12 +358,11 @@ func (e *fcEnv) After(d units.Time, fn func(int32), arg int32) {
 // Emit schedules delivery of one feedback message.
 func (e *fcEnv) Emit(m flowcontrol.Message) {
 	n := e.n
-	wire := m.Wire()
-	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id, wire)
+	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id)
 	if reg := n.metrics; reg != nil {
-		reg.OnFeedback(e.down.cb, n.eng.Now(), m.Kind, m.Stage, wire)
+		reg.OnFeedback(e.down.cb, n.eng.Now(), m.Kind, m.Stage)
 	}
-	delay := units.TransmissionTime(wire, e.down.capacity) +
+	delay := units.TransmissionTime(flowcontrol.MessageSize, e.down.capacity) +
 		e.down.link.Delay + n.cfg.ProcDelay
 	now := n.eng.Now()
 	if e.down.adminDown {

@@ -229,25 +229,24 @@ func TestIntrospectionAccessors(t *testing.T) {
 	}
 }
 
+// TestPacketHelpers: a packet arriving at the next hop still indexes the hop
+// that sent it, whose link is set, and the arrival at the destination is the
+// path's last hop.
 func TestPacketHelpers(t *testing.T) {
 	topo := topology.Linear(2, topology.DefaultLinkParams())
-	n, err := New(topo, baseConfig(pfcFactory()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sawLastHop bool
 	cfg := baseConfig(pfcFactory())
 	cfg.Trace = &Trace{
-		OnTransmit: func(_ units.Time, _ topology.NodeID, _ int, pkt *Packet) {
+		OnArrival: func(_ units.Time, _ topology.NodeID, pkt *Packet) {
 			if pkt.Flow.Path[pkt.hop].Link == nil {
-				t.Error("current hop has nil link")
+				t.Error("arriving packet's sending hop has nil link")
 			}
 			if int(pkt.hop) == len(pkt.Flow.Path)-1 {
 				sawLastHop = true
 			}
 		},
 	}
-	n, err = New(topo, cfg)
+	n, err := New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ func TestPacketHelpers(t *testing.T) {
 		t.Fatal("flow incomplete")
 	}
 	if !sawLastHop {
-		t.Error("no transmission was a last hop on a delivered flow")
+		t.Error("no arrival came over a last hop on a delivered flow")
 	}
 }
 

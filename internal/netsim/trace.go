@@ -17,14 +17,13 @@ type Trace struct {
 	// OnArrival fires when a packet is fully received at a node (switch
 	// admission or host delivery).
 	OnArrival func(t units.Time, node topology.NodeID, pkt *Packet)
-	// OnTransmit fires when a node finishes serialising a packet.
-	OnTransmit func(t units.Time, node topology.NodeID, port int, pkt *Packet)
 	// OnDeliver fires when the destination host receives a packet.
 	OnDeliver func(t units.Time, f *Flow, pkt *Packet)
 	// OnFeedback fires when a flow-control message is sent from the
-	// ingress side at node `from` back to the egress side at node `to`;
-	// wire is the frame size (the Figure 19 overhead accounting).
-	OnFeedback func(t units.Time, from, to topology.NodeID, wire units.Size)
+	// ingress side at node `from` back to the egress side at node `to`.
+	// Every frame is flowcontrol.MessageSize on the wire (the Figure 19
+	// overhead accounting).
+	OnFeedback func(t units.Time, from, to topology.NodeID)
 }
 
 func (tr *Trace) queue(t units.Time, n topology.NodeID, port int, q units.Size) {
@@ -39,20 +38,14 @@ func (tr *Trace) arrival(t units.Time, n topology.NodeID, pkt *Packet) {
 	}
 }
 
-func (tr *Trace) transmit(t units.Time, n topology.NodeID, port int, pkt *Packet) {
-	if tr != nil && tr.OnTransmit != nil {
-		tr.OnTransmit(t, n, port, pkt)
-	}
-}
-
 func (tr *Trace) deliver(t units.Time, f *Flow, pkt *Packet) {
 	if tr != nil && tr.OnDeliver != nil {
 		tr.OnDeliver(t, f, pkt)
 	}
 }
 
-func (tr *Trace) feedback(t units.Time, from, to topology.NodeID, wire units.Size) {
+func (tr *Trace) feedback(t units.Time, from, to topology.NodeID) {
 	if tr != nil && tr.OnFeedback != nil {
-		tr.OnFeedback(t, from, to, wire)
+		tr.OnFeedback(t, from, to)
 	}
 }

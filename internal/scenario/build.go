@@ -33,9 +33,6 @@ type Overrides struct {
 	// Table supplies a prebuilt routing table, skipping the spec's
 	// routing policy.
 	Table *routing.Table
-	// OnFlow runs for each declared flow after construction and before
-	// AddFlow — the hook congestion-control attachments (DCQCN) need.
-	OnFlow func(*netsim.Flow, *netsim.Network) error
 	// CBDCyclic, when non-nil, supplies a precomputed cyclic-buffer-
 	// dependency verdict for the analytic checker (true: the workload's
 	// paths can close a dependency cycle). Sweeps compute the CBD graph
@@ -126,11 +123,6 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 		return nil, err
 	}
 	for _, rf := range c.flows {
-		if ov.OnFlow != nil {
-			if err := ov.OnFlow(rf.flow, sim.Net); err != nil {
-				return nil, err
-			}
-		}
 		if err := sim.Net.AddFlow(rf.flow, rf.start); err != nil {
 			return nil, err
 		}

@@ -73,8 +73,8 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if ov == nil {
 		ov = &Overrides{}
 	}
-	if ov.Trace != nil || ov.OnFlow != nil {
-		return nil, fmt.Errorf("scenario: fluid backend: Trace/OnFlow overrides are packet-only")
+	if ov.Trace != nil {
+		return nil, fmt.Errorf("scenario: fluid backend: the Trace override is packet-only")
 	}
 	c, err := compile(spec, ov)
 	if err != nil {

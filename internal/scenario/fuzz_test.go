@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/units"
@@ -30,12 +29,14 @@ func userSpecExample(t testing.TB) []byte {
 	return []byte(body)
 }
 
-// affordable reports whether one fuzz iteration can build and briefly run s:
-// every size knob within a few times the catalogue's k=8 scale. It bounds the
-// harness, not what a user may declare.
+// affordable reports whether one fuzz iteration can build s: a topology
+// within a few times the catalogue's k=8 scale and feedback lags the fluid
+// solver can hold. No governor budget covers Build, so these stay harness
+// bounds, not limits on what a user may declare; the run itself is bounded by
+// the limits block FuzzSpec gives every spec.
 func affordable(s *Spec) bool {
 	t := s.Topology
-	for _, n := range []int{t.K, t.N, t.HostsPerSwitch, s.Sim.TxRing, s.Scheme.Params.Queues} {
+	for _, n := range []int{t.K, t.N, t.HostsPerSwitch} {
 		if n > 64 {
 			return false
 		}
@@ -53,11 +54,13 @@ func affordable(s *Spec) bool {
 }
 
 // FuzzSpec feeds arbitrary JSON through the public entry — Parse's strict
-// decoder, then Build on the engine the spec names, then a short governed run
-// — which must end in an error or a result, never a panic. A spec Validate
-// rejects must be rejected by BuildBackend too, before it builds anything. The
-// seeds are every registered scenario, the user spec EXPERIMENTS.md documents
-// and invalidSpecs, in that order.
+// decoder, then Build on the engine the spec names, then a short run — which
+// must end in an error or a result, never a panic. The run is bounded the way
+// a user bounds one: its limits block is overwritten with the harness caps
+// and no caller budget is passed. A spec Validate rejects must be rejected by
+// BuildBackend too, before it builds anything. The seeds are every registered
+// scenario, the user spec EXPERIMENTS.md documents and invalidSpecs, in that
+// order.
 func FuzzSpec(f *testing.F) {
 	add := func(s Spec) {
 		data, err := json.Marshal(s)
@@ -89,13 +92,12 @@ func FuzzSpec(f *testing.F) {
 			t.Skip("too large for one fuzz iteration")
 		}
 		spec.Run.DurationNs = min(spec.Run.DurationNs, 200*units.Microsecond)
+		spec.Limits = &LimitsSpec{MaxEvents: 200_000, MaxWallMs: 2000}
 		r, err := BuildBackend(*spec, nil)
 		if err != nil {
 			return
 		}
-		res, err := r.RunBounded(context.Background(), netsim.Budget{
-			MaxEvents: 200_000, MaxWall: 2 * time.Second,
-		})
+		res, err := r.RunBounded(context.Background(), netsim.Budget{})
 		if res == nil && err == nil {
 			t.Fatal("RunBounded returned neither a result nor an error")
 		}

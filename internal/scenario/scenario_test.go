@@ -136,22 +136,27 @@ func TestRegisteredScenariosBuild(t *testing.T) {
 }
 
 // invalidSpecs are ring-steady-gfcbuf with one field out of range: a
-// negative duration, an unknown detector and a negative wall budget. Parse
-// refused each, while Build used to take them — the first then panicked in
-// Run, the other two ran under the global detector and with no wall budget.
+// negative duration, an unknown detector, a negative wall budget and a
+// negative TX ring. Parse refused the first three, while Build used to take
+// them — the first then panicked in Run, the other two ran under the global
+// detector and with no wall budget. Parse and Build both took the last, which
+// under blocking scheduling stalls every forwarding core for good without an
+// error (the case keeps the ring's scheduling, since the fluid backend
+// refuses blocking before it validates).
 func invalidSpecs() []Spec {
 	base, _ := Get("ring-steady-gfcbuf")
-	duration, detector, wall := base, base, base
+	duration, detector, wall, ring := base, base, base, base
 	duration.Run.DurationNs = -1
 	detector.Run.DetectDeadlock, detector.Run.Detector = true, "bogus"
 	wall.Limits = &LimitsSpec{MaxWallMs: -5}
+	ring.Sim.TxRing = -1
 	// Two flows that resolve to one ID would share BFC's per-flow queue
 	// claim: an equal explicit id, and an explicit id equal to a default.
 	sameID, defaultID := twoToOne(GFCBuf), twoToOne(GFCBuf)
 	sameID.Workload.Flows[0].ID = 2
 	defaultID.Workload.Flows[0].ID = 0
 	defaultID.Workload.Flows[1].ID = 1
-	return []Spec{duration, detector, wall, sameID, defaultID}
+	return []Spec{duration, detector, wall, ring, sameID, defaultID}
 }
 
 // TestBuildRejectsWhatParseRejects pins the one validation: each backend's

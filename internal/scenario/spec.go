@@ -475,7 +475,7 @@ func (m *SimSpec) validate() error {
 	}
 	if m.BufferBytes < 0 || m.MTUBytes < 0 || m.ECNBytes < 0 ||
 		m.ProcDelayNs < 0 || m.TauNs < 0 ||
-		m.FluidStepNs < 0 {
+		m.TxRing < 0 || m.FluidStepNs < 0 {
 		return fmt.Errorf("scenario: sim: negative size or time field")
 	}
 	switch m.Backend {

@@ -27,14 +27,12 @@ import (
 var testSupport = map[string]string{
 	"core.ContinuousMapping.SteadyQueue": "the paper's B_s closed form (75 KB in Figure 5): the reference ExampleContinuousMapping and TestPublicAPIMath (the facade), core's fixed-point property and package fluid's steady-state tests compare against — four test files in three packages cannot share a _test.go helper",
 	"core.OverheadModel":                 "the paper's §4.2 closed forms m/τ and m/8τ: BenchmarkOverheadModel (package gfc_test) regenerates EXPERIMENTS.md's row from them and core's TestOverheadModelPaperValues pins them, in two packages",
-	"eventsim.Engine.RunAll":             "drains an engine in one call: the driver of every eventsim and flowcontrol unit test, in two packages",
 	"eventsim.Engine.LaneStats":          "the lane-share guards (scenario's TestLaneShareAcrossCatalogue, experiments' TestLaneShareOfSweepCell) read the engine's private counters from outside its package",
 	"flowcontrol.GFCBufferConfig.Ratio":  "the per-stage rate ratio: every run uses the paper's 1/2 (equation 4), and BenchmarkAblationStageRatio (package gfc_test) compares it with the other ratios equation (3) allows",
 	"fluid.Config.Step":                  "the single-queue solver's step: its one program (benchmark/'s fluid.run_single_us rung) takes the 100 ns default, and TestRunHistBoundary sweeps it against τ",
 	"fluid.Config.Horizon":               "the single-queue solver's horizon: its one program takes the 5 ms default, while TestRunHistBoundary sweeps it against τ and RequiredBuffer (TestRequiredBufferMatchesTheorem) scales it to 100τ",
 	"metrics.Registry.Ceiling":           "scenario's TestBackendsInstallSameCeilings and compareResolution read back what each backend installed on every channel, idle ones included, which no report carries; they live outside package metrics",
 	"netsim.Packet.Seq":                  "netsim's traceHash (TestTraceDeterminism, TestTraceDeterminismUnderParallelRunner) folds every packet's sequence number into the determinism hash, so a reordering inside one flow moves it; only the host NIC can stamp it",
-	"netsim.Trace.OnTransmit":            "the same hash folds every serialisation instant (and TestPacketHelpers watches packets leave); only completeTx knows the instant, and it can only tell a test through the Trace the network already carries",
 	"routing.UpDown":                     "the §8 Up*/Down* baseline is library API (gfc.NewUpDown) that no program prints: ExampleNewUpDown (package gfc_test) checks its path stretch, and routing's updown tests its paths and their acyclic CBD",
 }
 
