@@ -3,6 +3,7 @@ package flowcontrol
 import (
 	"fmt"
 
+	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -70,51 +71,53 @@ func (c BFCConfig) Validate(p Params) error {
 	return nil
 }
 
-// NewBFC returns a Factory for BFC with explicit thresholds.
-func NewBFC(cfg BFCConfig) Factory {
-	return func(p Params, env Env) (Controller, error) {
-		if err := p.Validate(); err != nil {
-			return Controller{}, err
-		}
-		if err := cfg.Validate(p); err != nil {
-			return Controller{}, err
-		}
-		if cfg.Queues == 0 {
-			cfg.Queues = DefaultBFCQueues
-		}
-		return Controller{
-			Sender:   &bfcSender{p: p, cfg: cfg, paused: make([]bool, cfg.Queues)},
-			Receiver: &bfcReceiver{cfg: cfg, env: env, qlen: make([]units.Size, cfg.Queues), paused: make([]bool, cfg.Queues)},
-		}, nil
-	}
-}
-
 // NewBFCQueues returns a BFC Factory with RecommendedBFC thresholds over the
 // given queue count (<= 0 uses DefaultBFCQueues).
 func NewBFCQueues(queues int) Factory {
-	return func(p Params, env Env) (Controller, error) {
+	return newBFC(queues, func(p Params) (BFCConfig, error) {
 		cfg, err := RecommendedBFC(p, queues)
 		if err != nil {
-			return Controller{}, err
+			return cfg, err
 		}
-		return NewBFC(cfg)(p, env)
+		return cfg, cfg.Validate(p)
+	})
+}
+
+func newBFC(queues int, resolve func(Params) (BFCConfig, error)) Factory {
+	if queues <= 0 {
+		queues = DefaultBFCQueues // as RecommendedBFC reads it
+	}
+	return func(env Env, chans int) Bank {
+		return &bfcBank{env: env, cls: newClasses(chans, resolve), q: queues,
+			txPaused: make([]bool, chans*queues), npaused: make([]int32, chans),
+			qlen: make([]units.Size, chans*queues), rxPaused: make([]bool, chans*queues)}
 	}
 }
 
-// bfcSender gates transmission per downstream queue: a queue is blocked
-// while a QPAUSE for it is outstanding, everything else moves at line rate.
-type bfcSender struct {
-	p   Params
-	cfg BFCConfig
-
-	paused  []bool
-	npaused int
+// bfcBank gates transmission per downstream queue: a queue is blocked while a
+// QPAUSE for it is outstanding, everything else moves at line rate. Its
+// receivers track per-queue ingress occupancy and emit QPAUSE/QRESUME around
+// the per-queue thresholds, mirroring PFC's believed-state dedup so a queue
+// bouncing inside (XON, XOFF) stays silent. Per-queue state of channel ch,
+// queue qid is at ch·q + qid.
+type bfcBank struct {
+	env      Env
+	cls      classes[BFCConfig]
+	q        int
+	txPaused []bool
+	npaused  []int32 // per sender: how many of its queues are paused
+	qlen     []units.Size
+	rxPaused []bool // believed upstream state per queue
 }
 
-func (s *bfcSender) Queues() int { return s.cfg.Queues }
+func (b *bfcBank) Wire(rx, tx int, p Params) error { return b.cls.wire(rx, tx, p) }
 
-func (s *bfcSender) TrySendQueue(qid int, _ units.Size) (bool, units.Time) {
-	if s.paused[qid] {
+func (b *bfcBank) Start() {}
+
+func (b *bfcBank) Queues() int { return b.q }
+
+func (b *bfcBank) TrySendQueue(tx, qid int, _ units.Size) (bool, units.Time) {
+	if b.txPaused[tx*b.q+qid] {
 		return false, units.Never // a QRESUME will kick us
 	}
 	return true, 0
@@ -123,75 +126,69 @@ func (s *bfcSender) TrySendQueue(qid int, _ units.Size) (bool, units.Time) {
 // TrySend is the channel-level fallback used when the simulator has no
 // per-queue scheduler wired (hosts, or FlowQueues disabled): send while any
 // queue is unpaused.
-func (s *bfcSender) TrySend(units.Size) (bool, units.Time) {
-	if s.npaused == len(s.paused) {
+func (b *bfcBank) TrySend(tx int, _ units.Size) (bool, units.Time) {
+	if int(b.npaused[tx]) == b.q {
 		return false, units.Never
 	}
 	return true, 0
 }
 
-func (s *bfcSender) OnSent(units.Size, units.Time) {}
+func (b *bfcBank) OnSent(int, units.Size, units.Time) {}
 
-func (s *bfcSender) OnFeedback(m Message) {
-	if m.QueueID < 0 || m.QueueID >= len(s.paused) {
+func (b *bfcBank) OnFeedback(tx int, m Message) {
+	if m.QueueID < 0 || m.QueueID >= b.q {
 		return
 	}
+	paused := &b.txPaused[tx*b.q+m.QueueID]
 	switch m.Kind {
 	case KindQueuePause:
-		if !s.paused[m.QueueID] {
-			s.paused[m.QueueID] = true
-			s.npaused++
+		if !*paused {
+			*paused = true
+			b.npaused[tx]++
 		}
 	case KindQueueResume:
-		if s.paused[m.QueueID] {
-			s.paused[m.QueueID] = false
-			s.npaused--
+		if *paused {
+			*paused = false
+			b.npaused[tx]--
 		}
 	}
 }
 
 // Rate reports line rate while any queue may send, zero when every queue is
 // paused. Diagnostic only: the scheduler uses TrySendQueue per backlog.
-func (s *bfcSender) Rate() units.Rate {
-	if s.npaused == len(s.paused) {
+func (b *bfcBank) Rate(tx int) units.Rate {
+	if int(b.npaused[tx]) == b.q {
 		return 0
 	}
-	return s.p.Capacity
+	return b.cls.params[b.cls.tx[tx]].Capacity
 }
-
-// bfcReceiver tracks per-queue ingress occupancy and emits QPAUSE/QRESUME
-// around the per-queue thresholds, mirroring pfcReceiver's believed-state
-// dedup so a queue bouncing inside (XON, XOFF) stays silent.
-type bfcReceiver struct {
-	cfg BFCConfig
-	env Env
-
-	qlen   []units.Size
-	paused []bool // believed upstream state per queue
-}
-
-func (r *bfcReceiver) Start() {}
 
 // OnArrival / OnDeparture are no-ops: all accounting arrives through the
 // per-queue variants.
-func (r *bfcReceiver) OnArrival(_, _ units.Size)   {}
-func (r *bfcReceiver) OnDeparture(_, _ units.Size) {}
+func (b *bfcBank) OnArrival(int, units.Size, units.Size)   {}
+func (b *bfcBank) OnDeparture(int, units.Size, units.Size) {}
 
-func (r *bfcReceiver) OnQueueArrival(qid int, s, _ units.Size) {
-	r.qlen[qid] += s
-	if !r.paused[qid] && r.qlen[qid] >= r.cfg.XOFF {
-		r.paused[qid] = true
-		r.env.Emit(Message{Kind: KindQueuePause, QueueID: qid})
+func (b *bfcBank) OnQueueArrival(rx, qid int, s, _ units.Size) {
+	i := rx*b.q + qid
+	b.qlen[i] += s
+	if !b.rxPaused[i] && b.qlen[i] >= b.cls.of[b.cls.rx[rx]].XOFF {
+		b.rxPaused[i] = true
+		b.env.Emit(rx, Message{Kind: KindQueuePause, QueueID: qid})
 	}
 }
 
-func (r *bfcReceiver) OnQueueDeparture(qid int, s, _ units.Size) {
-	r.qlen[qid] -= s
-	if r.qlen[qid] < 0 {
-		r.qlen[qid] = 0
+func (b *bfcBank) OnQueueDeparture(rx, qid int, s, _ units.Size) {
+	i := rx*b.q + qid
+	b.qlen[i] -= s
+	if b.qlen[i] < 0 {
+		b.qlen[i] = 0
 	}
-	if r.paused[qid] && r.qlen[qid] <= r.cfg.XON {
-		r.paused[qid] = false
-		r.env.Emit(Message{Kind: KindQueueResume, QueueID: qid})
+	if b.rxPaused[i] && b.qlen[i] <= b.cls.of[b.cls.rx[rx]].XON {
+		b.rxPaused[i] = false
+		b.env.Emit(rx, Message{Kind: KindQueueResume, QueueID: qid})
 	}
 }
+
+func (b *bfcBank) Bound(int) (units.Size, *core.StageTable) { return 0, nil }
+
+func (b *bfcBank) Limiters() []RateLimiter { return nil }

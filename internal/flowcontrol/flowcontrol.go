@@ -1,19 +1,24 @@
 // Package flowcontrol implements the hop-by-hop flow controls the paper
 // studies, behind one interface: PFC (IEEE 802.1Qbb), InfiniBand
-// credit-based flow control (CBFC), and the three Gentle Flow Control
-// variants (conceptual, buffer-based and time-based).
+// credit-based flow control (CBFC), the three Gentle Flow Control variants
+// (conceptual, buffer-based and time-based) and BFC.
 //
 // Flow control operates per directed channel (one direction of a link; the
 // fabric carries one lossless class). The downstream ingress side is a
-// Receiver that observes its queue and emits feedback Messages; the upstream
-// egress side is a Sender that gates packet transmission. The simulator
-// (package netsim) carries Messages from Receiver to Sender with the
-// physical feedback latency and charges their wire size against the reverse
-// channel, which is what the Figure 19 overhead measurement counts.
+// receiver that observes its queue and emits feedback Messages; the upstream
+// egress side is a sender that gates packet transmission. One Bank per
+// network holds both sides of every channel of a scheme in dense slices
+// indexed by channel, and resolves the scheme's thresholds once per distinct
+// channel class. The simulator (package netsim) carries Messages from
+// receiver to sender with the physical feedback latency and charges their
+// wire size against the reverse channel, which is what the Figure 19
+// overhead measurement counts.
 package flowcontrol
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/units"
@@ -70,7 +75,7 @@ func (k Kind) String() string {
 // Ethernet control frame, the m of the §4.2 overhead analysis.
 const MessageSize = 64 * units.Byte
 
-// Message is one feedback frame from a Receiver to its paired Sender.
+// Message is one feedback frame from a receiver to its paired sender.
 type Message struct {
 	Kind    Kind
 	Stage   int        // KindStage
@@ -79,26 +84,18 @@ type Message struct {
 	QueueID int        // KindQueuePause / KindQueueResume
 }
 
-// Clock is the simulation clock.
-type Clock interface {
-	Now() units.Time
-}
-
-// Env is the runtime a controller executes in: the simulation clock, timer
-// service and the feedback path back to the paired Sender. Implementations
-// of Emit must apply the physical feedback latency.
-//
-// Clock returns one clock shared by every controller of the network, and a
-// Sender keeps that rather than its Env: TrySend and OnSent run per packet,
-// and reading the time must not cost a load of per-channel state first.
-// After is the simulation engine's: fn(arg) runs after delay d.
+// Env is the runtime every bank of one network executes in: the simulation
+// clock, the engine's timer service and the feedback path. A channel is named
+// by its dense index — the index its state has in the bank — so After runs
+// fn(ch) after delay d, and Emit carries m from the receiver on channel ch
+// back to its paired sender, applying the physical feedback latency.
 type Env interface {
-	Clock() Clock
-	After(d units.Time, fn func(int32), arg int32)
-	Emit(m Message)
+	Now() units.Time
+	After(d units.Time, fn func(int32), ch int32)
+	Emit(ch int, m Message)
 }
 
-// Params configures one controller instance (one channel direction).
+// Params configures one channel direction.
 type Params struct {
 	Capacity units.Rate // link rate C
 	Buffer   units.Size // ingress buffer allocation B
@@ -123,97 +120,125 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Sender is the egress-side half of a flow controller: it decides when the
-// next packet may start transmitting.
-type Sender interface {
-	// TrySend asks whether a packet of size s may start now. When it
+// Bank is one scheme's flow control for every channel of a network. Channel
+// u→v has its sender at u's egress port and its receiver at v's ingress port;
+// a bank addresses each side by that port's channel index — tx for the
+// sender, rx for the receiver — and keeps its state in slices indexed by it.
+// An unwired channel (a failed link) reads rate 0.
+type Bank interface {
+	// Wire installs the channel whose receiver is rx and whose sender is
+	// tx, with parameters p.
+	Wire(rx, tx int, p Params) error
+	// Start installs every wired receiver's periodic behaviour (e.g.
+	// CBFC's timer) and sends its initial state, in channel order.
+	Start()
+
+	// TrySend asks whether a packet of size s may start on tx now. When it
 	// returns false, wake is the earliest time worth retrying, or
 	// units.Never to wait for the next feedback message.
-	TrySend(s units.Size) (ok bool, wake units.Time)
-	// OnSent records a completed transmission of size s that occupied
-	// the wire for dur.
-	OnSent(s units.Size, dur units.Time)
-	// OnFeedback delivers a feedback message from the paired Receiver.
-	OnFeedback(m Message)
-	// Rate reports the currently permitted sending rate (0 when paused);
-	// diagnostic, used by traces and tests.
-	Rate() units.Rate
+	TrySend(tx int, s units.Size) (ok bool, wake units.Time)
+	// OnSent records a completed transmission of size s on tx that
+	// occupied the wire for dur.
+	OnSent(tx int, s units.Size, dur units.Time)
+	// OnFeedback delivers a feedback message to tx's sender.
+	OnFeedback(tx int, m Message)
+	// Rate reports tx's permitted sending rate (0 when paused); diagnostic,
+	// used by traces, snapshots and the deadlock detector.
+	Rate(tx int) units.Rate
+
+	// OnArrival reports that a packet of size s was admitted to rx's
+	// ingress queue, bringing it to q; OnDeparture that one left, bringing
+	// it to q.
+	OnArrival(rx int, s, q units.Size)
+	OnDeparture(rx int, s, q units.Size)
+
+	// Bound reports the rate mapping ceiling B_m of channel rx — in the
+	// absence of feedback loss its ingress occupancy converges below it
+	// (Theorems 4.1/5.1), modulo the transient headroom the positive floor
+	// rate needs; 0 when the scheme has none — and its stage table (nil
+	// unless buffer-based GFC).
+	Bound(rx int) (bm units.Size, table *core.StageTable)
+	// Limiters returns every sender's rate limiter by tx when the scheme's
+	// gate is a RateLimiter and nothing else — buffer-based, time-based and
+	// conceptual GFC — and nil otherwise. TrySend is then exactly the
+	// limiter's Gate at now, and OnSent its OnPacket at now, so a simulator
+	// may read and record the limiters in place instead of calling them.
+	Limiters() []RateLimiter
 }
 
-// Receiver is the ingress-side half: it watches the queue and generates
-// feedback.
-type Receiver interface {
-	// Start installs any periodic behaviour (e.g. CBFC's timer) and
-	// sends the initial state.
-	Start()
-	// OnArrival reports that a packet of size s was admitted, bringing
-	// the ingress queue to q.
-	OnArrival(s, q units.Size)
-	// OnDeparture reports that a packet of size s left the switch,
-	// bringing the ingress queue to q.
-	OnDeparture(s, q units.Size)
-}
-
-// QueueSender is implemented by Senders that gate transmission per physical
+// QueueBank is implemented by banks that gate transmission per physical
 // downstream queue rather than per channel (BFC). TrySendQueue is
 // side-effect-free: the scheduler probes each backlogged queue with it and
-// commits via the ordinary OnSent once a packet is chosen.
-type QueueSender interface {
-	Sender
-	// TrySendQueue asks whether a packet of size s destined for
-	// downstream queue qid may start now. Same contract as TrySend.
-	TrySendQueue(qid int, s units.Size) (ok bool, wake units.Time)
+// commits via the ordinary OnSent once a packet is chosen. The simulator
+// calls OnQueueArrival/OnQueueDeparture alongside OnArrival/OnDeparture with
+// the queue the packet was assigned to at the upstream egress.
+type QueueBank interface {
+	Bank
 	// Queues reports the number of physical queues the scheme assigns
 	// flows to at the downstream ingress.
 	Queues() int
+	TrySendQueue(tx, qid int, s units.Size) (ok bool, wake units.Time)
+	OnQueueArrival(rx, qid int, s, q units.Size)
+	OnQueueDeparture(rx, qid int, s, q units.Size)
 }
 
-// QueueReceiver is implemented by Receivers that track per-queue occupancy
-// (BFC). The simulator calls these alongside OnArrival/OnDeparture with the
-// queue the packet was assigned to at the upstream egress.
-type QueueReceiver interface {
-	Receiver
-	OnQueueArrival(qid int, s, q units.Size)
-	OnQueueDeparture(qid int, s, q units.Size)
+// Factory builds a scheme's Bank for a network of chans channels running in
+// env.
+type Factory func(env Env, chans int) Bank
+
+// classes files each channel of a bank under its class — its distinct Params —
+// and holds what the scheme resolves from them once per class (thresholds,
+// stage tables), where a fabric has thousands of channels and a handful of
+// classes. Class 0 is every unwired channel's: zero Params, so its capacity,
+// and the rate it reports, is 0.
+type classes[C any] struct {
+	params  []Params
+	of      []C      // per class, resolved from its Params
+	rx, tx  []uint16 // per channel, the class of its receiver and its sender
+	resolve func(Params) (C, error)
 }
 
-// RateGated is implemented by the Senders whose gate is a RateLimiter and
-// nothing else — buffer-based, time-based and conceptual GFC: TrySend is ok
-// exactly when the limiter's NextAllowed is not after now, and reports that
-// time as the wake otherwise; OnSent is the limiter's OnPacket at now. A
-// simulator that keeps per-channel state in its own arrays moves the limiter
-// into one with BindLimiter, then reads and records it in place instead of
-// calling TrySend and OnSent; the sender keeps using the slot for OnFeedback
-// and Rate.
-type RateGated interface {
-	Sender
-	// BindLimiter copies the sender's limiter into *slot, which the sender
-	// uses from then on.
-	BindLimiter(slot *RateLimiter)
+func newClasses[C any](chans int, resolve func(Params) (C, error)) classes[C] {
+	return classes[C]{params: make([]Params, 1), of: make([]C, 1),
+		rx: make([]uint16, chans), tx: make([]uint16, chans), resolve: resolve}
 }
 
-// Bounded is implemented by Senders whose rate mapping has a finite queue
-// ceiling B_m: in the absence of feedback loss the downstream ingress
-// occupancy converges below it (Theorems 4.1/5.1), modulo the transient
-// headroom the positive floor rate needs. Observability layers use it to
-// derive the runtime occupancy ceiling they assert.
-type Bounded interface {
-	// Ceiling returns the mapping ceiling B_m.
-	Ceiling() units.Size
+// wire files channel (rx, tx) under p's class, validating and resolving p
+// the first time it is seen.
+func (c *classes[C]) wire(rx, tx int, p Params) error {
+	k := slices.Index(c.params[1:], p) + 1
+	if k == 0 {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+		cfg, err := c.resolve(p)
+		if err != nil {
+			return err
+		}
+		if k = len(c.params); k > math.MaxUint16 {
+			return fmt.Errorf("flowcontrol: more than %d distinct channel classes", math.MaxUint16)
+		}
+		c.params, c.of = append(c.params, p), append(c.of, cfg)
+	}
+	c.rx[rx], c.tx[tx] = uint16(k), uint16(k)
+	return nil
 }
 
-// Staged is implemented by Senders driven by a multi-stage mapping table
-// (buffer-based GFC), exposing it for static validation.
-type Staged interface {
-	StageTable() *core.StageTable
+// limiters is the sender half of a rate-gated bank (see Bank.Limiters): one
+// RateLimiter per channel, read at the clock's time.
+type limiters struct {
+	env Env
+	rl  []RateLimiter
 }
 
-// Controller pairs the two halves for one channel.
-type Controller struct {
-	Sender   Sender
-	Receiver Receiver
+func (l *limiters) TrySend(tx int, _ units.Size) (bool, units.Time) {
+	return l.rl[tx].Gate(l.env.Now())
 }
 
-// Factory builds a Controller for a channel with the given parameters. The
-// env's Emit must deliver messages to the returned Sender.
-type Factory func(p Params, env Env) (Controller, error)
+func (l *limiters) OnSent(tx int, s units.Size, dur units.Time) {
+	l.rl[tx].OnPacket(l.env.Now(), dur, s)
+}
+
+func (l *limiters) Rate(tx int) units.Rate { return l.rl[tx].Rate() }
+
+func (l *limiters) Limiters() []RateLimiter { return l.rl }

@@ -4,33 +4,61 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/gfcsim/gfc/internal/eventsim"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// fakeEnv runs controllers against a real event engine and records emitted
-// messages, optionally forwarding them to a paired sender after a delay.
+// fakeEnv runs a bank against a real event engine and records emitted
+// messages, optionally forwarding them to a sender after a delay.
 type fakeEnv struct {
 	eng     *eventsim.Engine
 	sent    []Message
-	forward Sender
+	forward interface{ OnFeedback(Message) }
 	delay   units.Time
 }
 
 func newFakeEnv() *fakeEnv { return &fakeEnv{eng: eventsim.New()} }
 
 func (e *fakeEnv) Now() units.Time { return e.eng.Now() }
-func (e *fakeEnv) Clock() Clock    { return e.eng }
-func (e *fakeEnv) After(d units.Time, fn func(int32), arg int32) {
-	e.eng.After(d, fn, arg)
+func (e *fakeEnv) After(d units.Time, fn func(int32), ch int32) {
+	e.eng.After(d, fn, ch)
 }
-func (e *fakeEnv) Emit(m Message) { e.sent = append(e.sent, m); e.deliver(m) }
+func (e *fakeEnv) Emit(_ int, m Message) { e.sent = append(e.sent, m); e.deliver(m) }
 func (e *fakeEnv) deliver(m Message) {
 	if e.forward == nil {
 		return
 	}
 	e.eng.After(e.delay, func(int32) { e.forward.OnFeedback(m) }, 0)
+}
+
+// channel is the one channel of a two-channel test bank, its receiver on
+// channel 0 and its sender on channel 1, driven through one half at a time.
+type channel struct {
+	bank     Bank
+	Sender   sender
+	Receiver receiver
+}
+
+type sender struct{ b Bank }
+
+func (s sender) TrySend(sz units.Size) (bool, units.Time) { return s.b.TrySend(1, sz) }
+func (s sender) OnSent(sz units.Size, dur units.Time)     { s.b.OnSent(1, sz, dur) }
+func (s sender) OnFeedback(m Message)                     { s.b.OnFeedback(1, m) }
+func (s sender) Rate() units.Rate                         { return s.b.Rate(1) }
+
+type receiver struct{ b Bank }
+
+func (r receiver) Start()                      { r.b.Start() }
+func (r receiver) OnArrival(s, q units.Size)   { r.b.OnArrival(0, s, q) }
+func (r receiver) OnDeparture(s, q units.Size) { r.b.OnDeparture(0, s, q) }
+
+// wire builds f's bank for two channels on env and wires the test channel
+// with p.
+func wire(f Factory, p Params, env Env) (channel, error) {
+	b := f(env, 2)
+	return channel{bank: b, Sender: sender{b}, Receiver: receiver{b}}, b.Wire(0, 1, p)
 }
 
 func testParams() Params {
@@ -138,7 +166,7 @@ func TestPFCPauseResume(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
 	cfg := PFCConfig{XOFF: 800 * units.KB, XON: 797 * units.KB}
-	c, err := NewPFC(cfg)(p, env)
+	c, err := wire(NewPFC(cfg), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +214,11 @@ func TestPFCPauseResume(t *testing.T) {
 
 func TestPFCRejectsBadParams(t *testing.T) {
 	env := newFakeEnv()
-	if _, err := NewPFC(PFCConfig{XOFF: 1, XON: 1})(Params{}, env); err == nil {
+	if _, err := wire(NewPFC(PFCConfig{XOFF: 1, XON: 1}), Params{}, env); err == nil {
 		t.Fatal("invalid Params accepted")
 	}
 	p := testParams()
-	if _, err := NewPFC(PFCConfig{XOFF: p.Buffer, XON: 1})(p, env); err == nil {
+	if _, err := wire(NewPFC(PFCConfig{XOFF: p.Buffer, XON: 1}), p, env); err == nil {
 		t.Fatal("headroom-free config accepted")
 	}
 }
@@ -226,7 +254,7 @@ func TestCBFCCreditLifecycle(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
 	p.Buffer = 64 * 10 * units.Byte // 10 blocks
-	c, err := NewCBFC(CBFCConfig{Period: 10 * units.Microsecond})(p, env)
+	c, err := wire(NewCBFC(CBFCConfig{Period: 10 * units.Microsecond}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,17 +294,17 @@ func TestCBFCCreditLifecycle(t *testing.T) {
 func TestCBFCStaleAdvertIgnored(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
-	c, err := NewCBFC(CBFCConfig{Period: 10 * units.Microsecond})(p, env)
+	c, err := wire(NewCBFC(CBFCConfig{Period: 10 * units.Microsecond}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := c.Sender.(*cbfcSender)
-	s.OnFeedback(Message{Kind: KindCredit, FCCL: 100})
-	s.OnFeedback(Message{Kind: KindCredit, FCCL: 50}) // stale
+	s := &c.bank.(*creditBank).tx[1]
+	c.Sender.OnFeedback(Message{Kind: KindCredit, FCCL: 100})
+	c.Sender.OnFeedback(Message{Kind: KindCredit, FCCL: 50}) // stale
 	if s.fccl != 100 {
 		t.Fatalf("fccl = %d, want 100", s.fccl)
 	}
-	s.OnFeedback(Message{Kind: KindPause}) // wrong kind ignored
+	c.Sender.OnFeedback(Message{Kind: KindPause}) // wrong kind ignored
 	if s.fccl != 100 {
 		t.Fatal("non-credit message changed fccl")
 	}
@@ -285,7 +313,7 @@ func TestCBFCStaleAdvertIgnored(t *testing.T) {
 func TestCBFCPeriodicAdverts(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
-	c, err := NewCBFC(CBFCConfig{Period: 10 * units.Microsecond})(p, env)
+	c, err := wire(NewCBFC(CBFCConfig{Period: 10 * units.Microsecond}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +332,7 @@ func TestCBFCPeriodicAdverts(t *testing.T) {
 
 func TestCBFCBadPeriod(t *testing.T) {
 	env := newFakeEnv()
-	if _, err := NewCBFC(CBFCConfig{})(testParams(), env); err == nil {
+	if _, err := wire(NewCBFC(CBFCConfig{}), testParams(), env); err == nil {
 		t.Fatal("zero period accepted")
 	}
 }
@@ -381,10 +409,10 @@ func TestRateLimiterLongRunRate(t *testing.T) {
 
 // --- Buffer-based GFC ---
 
-func newBufferGFC(t *testing.T, env *fakeEnv) Controller {
+func newBufferGFC(t *testing.T, env *fakeEnv) channel {
 	t.Helper()
 	p := testParams()
-	c, err := NewGFCBuffer(GFCBufferConfig{B1: 750 * units.KB})(p, env)
+	c, err := wire(NewGFCBuffer(GFCBufferConfig{B1: 750 * units.KB}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +514,7 @@ func TestRateLimiterSlack(t *testing.T) {
 func TestGFCBufferUnsafeB1Rejected(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams() // 2Cτ = 25KB → bound 975KB
-	if _, err := NewGFCBuffer(GFCBufferConfig{B1: 990 * units.KB})(p, env); err == nil {
+	if _, err := wire(NewGFCBuffer(GFCBufferConfig{B1: 990 * units.KB}), p, env); err == nil {
 		t.Fatal("unsafe B1 accepted")
 	}
 }
@@ -494,7 +522,7 @@ func TestGFCBufferUnsafeB1Rejected(t *testing.T) {
 func TestGFCBufferDefaultB1(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
-	c, err := NewGFCBuffer(GFCBufferConfig{})(p, env)
+	c, err := wire(NewGFCBuffer(GFCBufferConfig{}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +547,7 @@ func TestGFCConceptualMapping(t *testing.T) {
 	p := Params{Capacity: 10 * units.Gbps, Buffer: 100 * units.KB,
 		MTU: 1500, Tau: 25 * units.Microsecond}
 	// Figure 5 parameters: B0=50KB, Bm=100KB.
-	c, err := NewGFCConceptual(GFCConceptualConfig{B0: 50 * units.KB})(p, env)
+	c, err := wire(NewGFCConceptual(GFCConceptualConfig{B0: 50 * units.KB}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +575,7 @@ func TestGFCConceptualTooSmallBuffer(t *testing.T) {
 	env := newFakeEnv()
 	p := Params{Capacity: 10 * units.Gbps, Buffer: 10 * units.KB,
 		MTU: 1500, Tau: 25 * units.Microsecond} // 4Cτ = 125KB > buffer
-	if _, err := NewGFCConceptual(GFCConceptualConfig{})(p, env); err == nil {
+	if _, err := wire(NewGFCConceptual(GFCConceptualConfig{}), p, env); err == nil {
 		t.Fatal("impossible conceptual config accepted")
 	}
 }
@@ -558,7 +586,7 @@ func TestGFCTimeRateFromCredits(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
 	cfg := GFCTimeConfig{Period: 52400 * units.Nanosecond, B0: 492 * units.KB, Bm: 1000 * units.KB}
-	c, err := NewGFCTime(cfg)(p, env)
+	c, err := wire(NewGFCTime(cfg), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,9 +606,9 @@ func TestGFCTimeRateFromCredits(t *testing.T) {
 	// Sender consumes half the credit without the receiver freeing any:
 	// remaining = Bm/2 = 500KB → q = 500KB > B0 → mapped rate
 	// C·(Bm−q)/(Bm−B0) = 10G·500/508 ≈ 9.84G.
-	s := c.Sender.(*gfcTimeSender)
-	s.OnSent(500*units.KB, 400*units.Microsecond)
-	s.OnFeedback(Message{Kind: KindCredit, FCCL: s.fccl}) // re-evaluate
+	s := &c.bank.(*creditBank).tx[1]
+	c.Sender.OnSent(500*units.KB, 400*units.Microsecond)
+	c.Sender.OnFeedback(Message{Kind: KindCredit, FCCL: s.fccl}) // re-evaluate
 	got := c.Sender.Rate()
 	if got <= 9.8*units.Gbps || got >= 9.9*units.Gbps {
 		t.Fatalf("rate = %v, want ≈9.84Gbps", got)
@@ -593,17 +621,17 @@ func TestGFCTimeRateNeverZero(t *testing.T) {
 	// positive (floor) rate — hold-and-wait eliminated.
 	env := newFakeEnv()
 	p := testParams()
-	c, err := NewGFCTime(GFCTimeConfig{B0: 492 * units.KB})(p, env)
+	c, err := wire(NewGFCTime(GFCTimeConfig{B0: 492 * units.KB}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.forward = c.Sender
 	c.Receiver.Start()
 	env.eng.Run(0)
-	s := c.Sender.(*gfcTimeSender)
+	s := &c.bank.(*creditBank).tx[1]
 	// Consume the entire advertised credit without any drain.
-	s.OnSent(p.Buffer, units.Millisecond)
-	s.OnFeedback(Message{Kind: KindCredit, FCCL: s.fccl})
+	c.Sender.OnSent(p.Buffer, units.Millisecond)
+	c.Sender.OnFeedback(Message{Kind: KindCredit, FCCL: s.fccl})
 	if got := c.Sender.Rate(); got <= 0 {
 		t.Fatalf("rate %v at exhausted credit; hold-and-wait reintroduced", got)
 	}
@@ -612,12 +640,12 @@ func TestGFCTimeRateNeverZero(t *testing.T) {
 	}
 }
 
-// TestRateGatedBindLimiter: each rate-gated sender's TrySend is its
-// limiter's gate, GFC-time's link-init hold included, and BindLimiter moves
-// the limiter — state and all — into a slot the sender then reads and writes:
-// a packet recorded in the slot gates the sender, and feedback sets the
-// slot's rate.
-func TestRateGatedBindLimiter(t *testing.T) {
+// TestRateGatedBankLimiters: each rate-gated bank exposes its senders'
+// limiters, and its TrySend is the limiter's gate — GFC-time's link-init hold
+// included — read in the slice a simulator reads in place: a packet recorded
+// in the slot gates the sender, feedback sets the slot's rate, and OnSent
+// records into the slot.
+func TestRateGatedBankLimiters(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		f    Factory
@@ -629,19 +657,18 @@ func TestRateGatedBindLimiter(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newFakeEnv()
-			c, err := tc.f(testParams(), env)
+			c, err := wire(tc.f, testParams(), env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, ok := c.Sender.(RateGated)
-			if !ok {
-				t.Fatalf("%T is not RateGated", c.Sender)
+			rls := c.bank.Limiters()
+			if len(rls) != 2 {
+				t.Fatalf("%T exposes %d limiters for 2 channels", c.bank, len(rls))
 			}
-			var slot RateLimiter
-			s.BindLimiter(&slot)
+			slot := &rls[1]
 			same := func(when string) {
 				t.Helper()
-				ok, wake := s.TrySend(1500)
+				ok, wake := c.Sender.TrySend(1500)
 				if gotOK, gotWake := slot.Gate(env.eng.Now()); ok != gotOK || wake != gotWake {
 					t.Fatalf("%s: TrySend (%v, %v), slot (%v, %v)", when, ok, wake, gotOK, gotWake)
 				}
@@ -650,16 +677,16 @@ func TestRateGatedBindLimiter(t *testing.T) {
 			if held := tc.name == "gfc-time"; held != (slot.NextAllowed() == units.Never) {
 				t.Fatalf("limiter held = %v before the first feedback", !held)
 			}
-			s.OnFeedback(tc.fb)
-			if slot.Rate() != s.Rate() || slot.Rate() >= testParams().Capacity {
-				t.Fatalf("feedback set the sender's rate %v, the slot's %v", s.Rate(), slot.Rate())
+			c.Sender.OnFeedback(tc.fb)
+			if slot.Rate() != c.Sender.Rate() || slot.Rate() >= testParams().Capacity {
+				t.Fatalf("feedback set the sender's rate %v, the slot's %v", c.Sender.Rate(), slot.Rate())
 			}
 			slot.OnPacket(env.eng.Now(), 1200, 1500)
 			same("after a packet recorded in the slot")
-			if ok, _ := s.TrySend(1500); ok {
+			if ok, _ := c.Sender.TrySend(1500); ok {
 				t.Fatal("a slowed limiter allowed a packet right after the last one")
 			}
-			s.OnSent(1500, 1200)
+			c.Sender.OnSent(1500, 1200)
 			if slot.blocks != 2*Blocks(1500) {
 				t.Fatalf("slot counted %d blocks for two packets", slot.blocks)
 			}
@@ -670,19 +697,29 @@ func TestRateGatedBindLimiter(t *testing.T) {
 func TestGFCTimeDefaultsDerived(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
-	c, err := NewGFCTime(GFCTimeConfig{})(p, env)
+	c, err := wire(NewGFCTime(GFCTimeConfig{}), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = c
 	// A buffer smaller than the Theorem 5.1 headroom must be rejected.
 	p.Buffer = 50 * units.KB
-	if _, err := NewGFCTime(GFCTimeConfig{})(p, env); err == nil {
+	if _, err := wire(NewGFCTime(GFCTimeConfig{}), p, env); err == nil {
 		t.Fatal("undersized buffer accepted")
 	}
 }
 
 // --- BFC ---
+
+// explicitBFC is a BFC Factory with cfg's thresholds on every channel class.
+func explicitBFC(cfg BFCConfig) Factory {
+	return newBFC(cfg.Queues, func(p Params) (BFCConfig, error) {
+		if cfg.Queues == 0 {
+			cfg.Queues = DefaultBFCQueues
+		}
+		return cfg, cfg.Validate(p)
+	})
+}
 
 func TestRecommendedBFC(t *testing.T) {
 	p := testParams()
@@ -711,28 +748,27 @@ func TestBFCPerQueuePauseResume(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
 	cfg := BFCConfig{Queues: 4, XOFF: 100 * units.KB, XON: 98 * units.KB}
-	c, err := NewBFC(cfg)(p, env)
+	c, err := wire(explicitBFC(cfg), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.forward = c.Sender
 	c.Receiver.Start()
-	qs := c.Sender.(QueueSender)
-	if qs.Queues() != 4 {
-		t.Fatalf("Queues() = %d", qs.Queues())
+	qb := c.bank.(QueueBank)
+	if qb.Queues() != 4 {
+		t.Fatalf("Queues() = %d", qb.Queues())
 	}
-	recv := c.Receiver.(QueueReceiver)
 
 	// Fill queue 2 past XOFF: only queue 2 pauses.
-	recv.OnQueueArrival(2, 100*units.KB, 100*units.KB)
+	qb.OnQueueArrival(0, 2, 100*units.KB, 100*units.KB)
 	env.eng.Run(units.Never)
 	if len(env.sent) != 1 || env.sent[0].Kind != KindQueuePause || env.sent[0].QueueID != 2 {
 		t.Fatalf("messages = %+v, want one QPAUSE for queue 2", env.sent)
 	}
-	if ok, _ := qs.TrySendQueue(2, 1500); ok {
+	if ok, _ := qb.TrySendQueue(1, 2, 1500); ok {
 		t.Fatal("paused queue still sendable")
 	}
-	if ok, _ := qs.TrySendQueue(0, 1500); !ok {
+	if ok, _ := qb.TrySendQueue(1, 0, 1500); !ok {
 		t.Fatal("unpaused queue blocked — HoL blocking reintroduced")
 	}
 	if ok, _ := c.Sender.TrySend(1500); !ok {
@@ -743,20 +779,20 @@ func TestBFCPerQueuePauseResume(t *testing.T) {
 	}
 
 	// Bounce inside (XON, XOFF): silent.
-	recv.OnQueueDeparture(2, 1*units.KB, 99*units.KB)
-	recv.OnQueueArrival(2, 1*units.KB, 100*units.KB)
+	qb.OnQueueDeparture(0, 2, 1*units.KB, 99*units.KB)
+	qb.OnQueueArrival(0, 2, 1*units.KB, 100*units.KB)
 	env.eng.Run(units.Never)
 	if len(env.sent) != 1 {
 		t.Fatalf("spurious messages: %+v", env.sent)
 	}
 
 	// Drain queue 2 to XON: QRESUME for queue 2 only.
-	recv.OnQueueDeparture(2, 2*units.KB, 98*units.KB)
+	qb.OnQueueDeparture(0, 2, 2*units.KB, 98*units.KB)
 	env.eng.Run(units.Never)
 	if len(env.sent) != 2 || env.sent[1].Kind != KindQueueResume || env.sent[1].QueueID != 2 {
 		t.Fatalf("messages = %+v, want QPAUSE,QRESUME", env.sent)
 	}
-	if ok, _ := qs.TrySendQueue(2, 1500); !ok {
+	if ok, _ := qb.TrySendQueue(1, 2, 1500); !ok {
 		t.Fatal("queue 2 still paused after QRESUME")
 	}
 }
@@ -765,14 +801,14 @@ func TestBFCAllQueuesPaused(t *testing.T) {
 	env := newFakeEnv()
 	p := testParams()
 	cfg := BFCConfig{Queues: 2, XOFF: 100 * units.KB, XON: 98 * units.KB}
-	c, err := NewBFC(cfg)(p, env)
+	c, err := wire(explicitBFC(cfg), p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.forward = c.Sender
-	recv := c.Receiver.(QueueReceiver)
-	recv.OnQueueArrival(0, 100*units.KB, 100*units.KB)
-	recv.OnQueueArrival(1, 100*units.KB, 200*units.KB)
+	qb := c.bank.(QueueBank)
+	qb.OnQueueArrival(0, 0, 100*units.KB, 100*units.KB)
+	qb.OnQueueArrival(0, 1, 100*units.KB, 200*units.KB)
 	env.eng.Run(units.Never)
 	if ok, wake := c.Sender.TrySend(1500); ok || wake != units.Never {
 		t.Fatal("sender not fully blocked with every queue paused")
@@ -788,7 +824,7 @@ func TestBFCAllQueuesPaused(t *testing.T) {
 	}
 	// Out-of-range queue IDs are ignored.
 	c.Sender.OnFeedback(Message{Kind: KindQueuePause, QueueID: 99})
-	if c.Sender.(*bfcSender).npaused != 1 {
+	if c.bank.(*bfcBank).npaused[1] != 1 {
 		t.Fatal("out-of-range QueueID changed pause state")
 	}
 }
@@ -804,7 +840,7 @@ func TestBFCRejectsBadConfig(t *testing.T) {
 		{Queues: 8, XOFF: 150 * units.KB, XON: 148 * units.KB},
 	}
 	for i, cfg := range bad {
-		if _, err := NewBFC(cfg)(p, env); err == nil {
+		if _, err := wire(explicitBFC(cfg), p, env); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
@@ -817,17 +853,17 @@ func TestGFCBufferStageConsistency(t *testing.T) {
 	f := func(qs []uint32) bool {
 		env := newFakeEnv()
 		p := testParams()
-		c, err := NewGFCBuffer(GFCBufferConfig{B1: 750 * units.KB})(p, env)
+		c, err := wire(NewGFCBuffer(GFCBufferConfig{B1: 750 * units.KB}), p, env)
 		if err != nil {
 			return false
 		}
 		env.forward = c.Sender
-		recv := c.Receiver.(*gfcBufferReceiver)
+		_, table := c.bank.Bound(0)
 		for _, v := range qs {
 			q := units.Size(v % 1100000)
-			recv.OnArrival(0, q)
+			c.Receiver.OnArrival(0, q)
 			env.eng.Run(units.Never)
-			want := recv.table.StageRate(recv.table.StageFor(q))
+			want := table.StageRate(table.StageFor(q))
 			if c.Sender.Rate() != want {
 				return false
 			}
@@ -918,5 +954,15 @@ func TestControlFrameIsEthernetMinimum(t *testing.T) {
 	const ethernetMin = 64 * units.Byte
 	if MessageSize != ethernetMin {
 		t.Fatalf("MessageSize = %v, want the %v Ethernet minimum", MessageSize, ethernetMin)
+	}
+}
+
+// TestBankRecordLayout pins buffer-based GFC's per-channel receiver record —
+// the Message Generator's last stage, its two flags, the last queue and the
+// last emission time — at 24 bytes, as TestPacketLayout pins the packet: a
+// fabric keeps one per channel, so a field that grows it fails here.
+func TestBankRecordLayout(t *testing.T) {
+	if size := unsafe.Sizeof(gfcBufferReceiver{}); size > 24 {
+		t.Errorf("gfcBufferReceiver is %d bytes; want at most 24", size)
 	}
 }

@@ -2,7 +2,6 @@ package flowcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/units"
@@ -62,7 +61,7 @@ func OccupancyCeiling(bm, buffer, mtu units.Size) (ceil units.Size, fits bool) {
 // exceeds that maximum. The values are returned even then, so
 // analysis can reason about an unsafe configuration; resolving a resolved
 // config re-validates the same thresholds, e.g. against another τ. This is
-// the only place the defaults are decided: the factory, the fluid compiler
+// the only place the defaults are decided: the bank, the fluid compiler
 // and the analytic predictor all call it.
 func (c GFCBufferConfig) Resolve(p Params) (GFCBufferConfig, error) {
 	if c.Bm == 0 {
@@ -83,125 +82,76 @@ func (c GFCBufferConfig) Resolve(p Params) (GFCBufferConfig, error) {
 	return c, nil
 }
 
-// stageTableKey identifies a stage-table construction; tables are pure
-// functions of it.
-type stageTableKey struct {
-	c      units.Rate
-	bm, b1 units.Size
-	ratio  float64
-}
-
-// NewGFCBuffer returns a Factory for buffer-based GFC. The factory memoizes
-// stage tables per distinct (capacity, Bm, B1, ratio): a table is immutable
-// after construction and identical for every channel with the same link
-// parameters, so a k-ary fat-tree wires thousands of controllers from a
-// handful of tables instead of building one each. The mutex makes the cache
-// safe when one Factory value is shared across sweep workers building
-// networks concurrently.
+// NewGFCBuffer returns a Factory for buffer-based GFC. A stage table is
+// immutable after construction and identical for every channel of one class,
+// so a k-ary fat-tree's bank builds one table per class instead of one per
+// channel.
 func NewGFCBuffer(cfg GFCBufferConfig) Factory {
-	var (
-		mu     sync.Mutex
-		tables map[stageTableKey]*core.StageTable
-	)
-	return func(p Params, env Env) (Controller, error) {
-		if err := p.Validate(); err != nil {
-			return Controller{}, err
-		}
-		cfg, err := cfg.Resolve(p)
-		if err != nil {
-			return Controller{}, err
-		}
-		key := stageTableKey{c: p.Capacity, bm: cfg.Bm, b1: cfg.B1, ratio: cfg.Ratio}
-		mu.Lock()
-		table, ok := tables[key]
-		mu.Unlock()
-		if !ok {
-			table, err = core.NewStageTableRatio(p.Capacity, cfg.Bm, cfg.B1, cfg.Ratio)
-			if err != nil {
-				return Controller{}, err
-			}
-			mu.Lock()
-			if tables == nil {
-				tables = make(map[stageTableKey]*core.StageTable)
-			}
-			tables[key] = table
-			mu.Unlock()
-		}
-		return Controller{
-			Sender:   &gfcBufferSender{limited: newLimited(p.Capacity, env.Clock()), table: table},
-			Receiver: &gfcBufferReceiver{p: p, table: table, env: env, refresh: cfg.Refresh},
-		}, nil
+	return func(env Env, chans int) Bank {
+		b := &gfcBufferBank{limiters: limiters{env: env, rl: make([]RateLimiter, chans)},
+			cls: newClasses(chans, func(p Params) (stageClass, error) {
+				c, err := cfg.Resolve(p)
+				if err != nil {
+					return stageClass{}, err
+				}
+				table, err := core.NewStageTableRatio(p.Capacity, c.Bm, c.B1, c.Ratio)
+				gap := p.Tau
+				if gap <= 0 {
+					gap = units.Microsecond
+				}
+				return stageClass{table: table, gap: gap, refresh: c.Refresh}, err
+			}),
+			rx: make([]gfcBufferReceiver, chans)}
+		b.tickFn, b.flushFn = b.tick, b.flush
+		return b
 	}
 }
 
-// limited is the gate of the rate-gated senders (RateGated): a RateLimiter
-// read at the clock's time. rl is the sender's own limiter until a simulator
-// binds it into its per-channel storage.
-type limited struct {
-	rl    *RateLimiter
-	clock Clock
-}
-
-func newLimited(capacity units.Rate, clock Clock) limited {
-	return limited{rl: NewRateLimiter(capacity), clock: clock}
-}
-
-func (l *limited) TrySend(units.Size) (bool, units.Time) { return l.rl.Gate(l.clock.Now()) }
-
-func (l *limited) OnSent(s units.Size, dur units.Time) { l.rl.OnPacket(l.clock.Now(), dur, s) }
-
-func (l *limited) Rate() units.Rate { return l.rl.Rate() }
-
-func (l *limited) BindLimiter(slot *RateLimiter) {
-	*slot = *l.rl
-	l.rl = slot
-}
-
-type gfcBufferSender struct {
-	limited
-	table *core.StageTable
-}
-
-func (s *gfcBufferSender) OnFeedback(m Message) {
-	if m.Kind != KindStage {
-		return
-	}
-	s.rl.SetRate(s.table.StageRate(m.Stage))
-}
-
-// Ceiling returns the stage table's mapping ceiling B_m (Bounded).
-func (s *gfcBufferSender) Ceiling() units.Size { return s.table.Bm }
-
-// StageTable exposes the mapping table for validation (Staged).
-func (s *gfcBufferSender) StageTable() *core.StageTable { return s.table }
-
-// gfcBufferReceiver is the buffer-based Message Generator. Messages are
-// paced to at most one per τ: §4.2's overhead analysis ("in the worst case,
-// feedback messages are generated every τ") assumes exactly this, and
-// without it a queue flapping across a stage boundary would emit per packet.
-// A crossing during the hold-off is coalesced into one deferred message
-// carrying the then-current stage; the stage inequalities (eq. 1) budget one
-// τ of reaction delay, so the deferral preserves the safety argument.
-type gfcBufferReceiver struct {
-	p       Params
-	table   *core.StageTable
-	env     Env
-	refresh units.Time // 0: pure edge-triggered (no loss repair)
-
-	sent     int // last stage reported upstream
-	lastQ    units.Size
-	lastEmit units.Time
-	started  bool
-	pending  bool
-	// tick and flush as func values, bound once each, on first use: a method
-	// value made at each After call would allocate per period and deferral.
+// gfcBufferBank is buffer-based GFC: a rate-gated sender whose rate is the
+// stage table's for the last stage it heard, and the Message Generator.
+// Messages are paced to at most one per τ: §4.2's overhead analysis ("in the
+// worst case, feedback messages are generated every τ") assumes exactly this,
+// and without it a queue flapping across a stage boundary would emit per
+// packet. A crossing during the hold-off is coalesced into one deferred
+// message carrying the then-current stage; the stage inequalities (eq. 1)
+// budget one τ of reaction delay, so the deferral preserves the safety
+// argument.
+type gfcBufferBank struct {
+	limiters
+	cls classes[stageClass]
+	rx  []gfcBufferReceiver
+	// The refresh tick and the deferred emission, each one handler for
+	// every receiver, bound once.
 	tickFn, flushFn func(int32)
 }
 
-func (r *gfcBufferReceiver) Start() {
-	if r.refresh > 0 {
-		r.tickFn = r.tick
-		r.env.After(r.refresh, r.tickFn, 0)
+// stageClass is what buffer-based GFC resolves once per channel class.
+type stageClass struct {
+	table   *core.StageTable
+	gap     units.Time // the emission pacing: τ, or 1 µs when τ is 0
+	refresh units.Time // 0: pure edge-triggered (no loss repair)
+}
+
+// gfcBufferReceiver is one Message Generator's state, 24 bytes
+// (TestBankRecordLayout).
+type gfcBufferReceiver struct {
+	lastQ    units.Size
+	lastEmit units.Time
+	sent     int32 // last stage reported upstream
+	started  bool
+	pending  bool
+}
+
+func (b *gfcBufferBank) Wire(rx, tx int, p Params) error {
+	b.rl[tx] = RateLimiter{Capacity: p.Capacity, rate: p.Capacity}
+	return b.cls.wire(rx, tx, p)
+}
+
+func (b *gfcBufferBank) Start() {
+	for rx, k := range b.cls.rx {
+		if k != 0 && b.cls.of[k].refresh > 0 {
+			b.env.After(b.cls.of[k].refresh, b.tickFn, int32(rx))
+		}
 	}
 }
 
@@ -210,57 +160,68 @@ func (r *gfcBufferReceiver) Start() {
 // channels stay quiet — until the first crossing there is nothing upstream
 // could have lost, and re-advertising stage 0 forever would change the
 // clean-run feedback overhead.
-func (r *gfcBufferReceiver) tick(int32) {
+func (b *gfcBufferBank) tick(ch int32) {
+	r, c := &b.rx[ch], &b.cls.of[b.cls.rx[ch]]
 	if r.started && !r.pending {
-		r.emit(r.table.StageFor(r.lastQ))
+		b.emit(int(ch), c.table.StageFor(r.lastQ))
 	}
-	r.env.After(r.refresh, r.tickFn, 0)
+	b.env.After(c.refresh, b.tickFn, ch)
 }
 
-func (r *gfcBufferReceiver) gap() units.Time {
-	if r.p.Tau > 0 {
-		return r.p.Tau
-	}
-	return units.Microsecond
-}
-
-func (r *gfcBufferReceiver) observe(q units.Size) {
+func (b *gfcBufferBank) observe(rx int, q units.Size) {
+	r := &b.rx[rx]
 	r.lastQ = q
 	if r.pending {
 		return // a deferred emission will report the latest stage
 	}
-	st := r.table.StageFor(q)
-	if st == r.sent {
+	c := &b.cls.of[b.cls.rx[rx]]
+	st := c.table.StageFor(q)
+	if st == int(r.sent) {
 		return
 	}
-	now := r.env.Clock().Now()
-	if r.started && now-r.lastEmit < r.gap() {
+	now := b.env.Now()
+	if r.started && now-r.lastEmit < c.gap {
 		r.pending = true
-		if r.flushFn == nil {
-			r.flushFn = r.flush
-		}
-		r.env.After(r.lastEmit+r.gap()-now, r.flushFn, 0)
+		b.env.After(r.lastEmit+c.gap-now, b.flushFn, int32(rx))
 		return
 	}
-	r.emit(st)
+	b.emit(rx, st)
 }
 
-func (r *gfcBufferReceiver) flush(int32) {
+func (b *gfcBufferBank) flush(ch int32) {
+	r := &b.rx[ch]
 	r.pending = false
-	if st := r.table.StageFor(r.lastQ); st != r.sent {
-		r.emit(st)
+	if st := b.cls.of[b.cls.rx[ch]].table.StageFor(r.lastQ); st != int(r.sent) {
+		b.emit(int(ch), st)
 	}
 }
 
-func (r *gfcBufferReceiver) emit(st int) {
-	r.sent = st
+func (b *gfcBufferBank) emit(rx, st int) {
+	r := &b.rx[rx]
+	r.sent = int32(st)
 	r.started = true
-	r.lastEmit = r.env.Clock().Now()
-	r.env.Emit(Message{Kind: KindStage, Stage: st})
+	r.lastEmit = b.env.Now()
+	b.env.Emit(rx, Message{Kind: KindStage, Stage: st})
 }
 
-func (r *gfcBufferReceiver) OnArrival(_, q units.Size)   { r.observe(q) }
-func (r *gfcBufferReceiver) OnDeparture(_, q units.Size) { r.observe(q) }
+func (b *gfcBufferBank) OnArrival(rx int, _, q units.Size)   { b.observe(rx, q) }
+func (b *gfcBufferBank) OnDeparture(rx int, _, q units.Size) { b.observe(rx, q) }
+
+func (b *gfcBufferBank) OnFeedback(tx int, m Message) {
+	if m.Kind != KindStage {
+		return
+	}
+	b.rl[tx].SetRate(b.cls.of[b.cls.tx[tx]].table.StageRate(m.Stage))
+}
+
+// Bound reports the stage table and its mapping ceiling B_m.
+func (b *gfcBufferBank) Bound(rx int) (units.Size, *core.StageTable) {
+	t := b.cls.of[b.cls.rx[rx]].table
+	if t == nil {
+		return 0, nil
+	}
+	return t.Bm, t
+}
 
 // GFCConceptualConfig configures the conceptual design of §4.1: feedback is
 // (approximately) continuous — a message on every queue change — and the
@@ -291,58 +252,59 @@ func (c GFCConceptualConfig) Resolve(p Params) (GFCConceptualConfig, error) {
 	return c, nil
 }
 
-// NewGFCConceptual returns a Factory for conceptual GFC.
+// NewGFCConceptual returns a Factory for conceptual GFC: the receiver
+// reports every change of its queue, and the sender maps the reported queue
+// through the continuous mapping function.
 func NewGFCConceptual(cfg GFCConceptualConfig) Factory {
-	return func(p Params, env Env) (Controller, error) {
-		if err := p.Validate(); err != nil {
-			return Controller{}, err
-		}
-		cfg, err := cfg.Resolve(p)
-		if err != nil {
-			return Controller{}, err
-		}
-		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
-		return Controller{
-			Sender:   &gfcContinuousSender{limited: newLimited(p.Capacity, env.Clock()), mapping: m},
-			Receiver: &gfcConceptualReceiver{env: env},
-		}, nil
+	return func(env Env, chans int) Bank {
+		return &conceptualBank{limiters: limiters{env: env, rl: make([]RateLimiter, chans)},
+			cls: newClasses(chans, func(p Params) (core.ContinuousMapping, error) {
+				c, err := cfg.Resolve(p)
+				return core.ContinuousMapping{C: p.Capacity, B0: c.B0, Bm: c.Bm}, err
+			}),
+			rx: make([]conceptualReceiver, chans)}
 	}
 }
 
-// gfcContinuousSender maps a queue-length signal through the continuous
-// mapping function; shared by conceptual GFC (signal = reported queue) and
-// time-based GFC (signal = Bm − remaining credit).
-type gfcContinuousSender struct {
-	limited
-	mapping core.ContinuousMapping
+type conceptualBank struct {
+	limiters
+	cls classes[core.ContinuousMapping]
+	rx  []conceptualReceiver
 }
 
-func (s *gfcContinuousSender) OnFeedback(m Message) {
-	if m.Kind != KindQueue {
-		return
-	}
-	s.rl.SetRate(s.mapping.Rate(m.Queue))
-}
-
-// Ceiling returns the continuous mapping's ceiling B_m (Bounded).
-func (s *gfcContinuousSender) Ceiling() units.Size { return s.mapping.Bm }
-
-type gfcConceptualReceiver struct {
-	env  Env
+type conceptualReceiver struct {
 	last units.Size
 	sent bool
 }
 
-func (r *gfcConceptualReceiver) Start() {}
+func (b *conceptualBank) Wire(rx, tx int, p Params) error {
+	b.rl[tx] = RateLimiter{Capacity: p.Capacity, rate: p.Capacity}
+	return b.cls.wire(rx, tx, p)
+}
 
-func (r *gfcConceptualReceiver) observe(q units.Size) {
+func (b *conceptualBank) Start() {}
+
+func (b *conceptualBank) observe(rx int, q units.Size) {
+	r := &b.rx[rx]
 	if r.sent && q == r.last {
 		return
 	}
 	r.sent = true
 	r.last = q
-	r.env.Emit(Message{Kind: KindQueue, Queue: q})
+	b.env.Emit(rx, Message{Kind: KindQueue, Queue: q})
 }
 
-func (r *gfcConceptualReceiver) OnArrival(_, q units.Size)   { r.observe(q) }
-func (r *gfcConceptualReceiver) OnDeparture(_, q units.Size) { r.observe(q) }
+func (b *conceptualBank) OnArrival(rx int, _, q units.Size)   { b.observe(rx, q) }
+func (b *conceptualBank) OnDeparture(rx int, _, q units.Size) { b.observe(rx, q) }
+
+func (b *conceptualBank) OnFeedback(tx int, m Message) {
+	if m.Kind != KindQueue {
+		return
+	}
+	b.rl[tx].SetRate(b.cls.of[b.cls.tx[tx]].Rate(m.Queue))
+}
+
+// Bound reports the continuous mapping's ceiling B_m.
+func (b *conceptualBank) Bound(rx int) (units.Size, *core.StageTable) {
+	return b.cls.of[b.cls.rx[rx]].Bm, nil
+}

@@ -57,73 +57,11 @@ func (c GFCTimeConfig) Resolve(p Params) (GFCTimeConfig, error) {
 // reaches zero — the hold-and-wait elimination — at the cost of a small
 // headroom requirement above Bm (see GFCTimeConfig.Bm).
 func NewGFCTime(cfg GFCTimeConfig) Factory {
-	return func(p Params, env Env) (Controller, error) {
-		if err := p.Validate(); err != nil {
-			return Controller{}, err
-		}
-		cfg, err := cfg.Resolve(p)
-		if err != nil {
-			return Controller{}, err
-		}
-		m := core.ContinuousMapping{C: p.Capacity, B0: cfg.B0, Bm: cfg.Bm}
-		s := &gfcTimeSender{limited: newLimited(p.Capacity, env.Clock()), mapping: m, bm: cfg.Bm}
-		s.rl.lastEnd = units.Never // held until the first credit advertisement
-		return Controller{
-			Sender:   s,
-			Receiver: &cbfcReceiver{p: p, cfg: CBFCConfig{Period: cfg.Period}, env: env},
-		}, nil
+	return func(env Env, chans int) Bank {
+		return newCreditBank(env, chans, true, func(p Params) (creditClass, error) {
+			c, err := cfg.Resolve(p)
+			return creditClass{period: c.Period, blocks: int64(p.Buffer / CreditBlock),
+				mapping: core.ContinuousMapping{C: p.Capacity, B0: c.B0, Bm: c.Bm}}, err
+		})
 	}
 }
-
-// gfcTimeSender holds the link until the first credit advertisement (init):
-// TrySend refuses with no wake, and so does its limiter, held shut until
-// OnFeedback opens it. The limiter's block count is the sender's FCTBS.
-type gfcTimeSender struct {
-	limited
-
-	fccl int64
-	init bool
-
-	mapping core.ContinuousMapping
-	bm      units.Size
-}
-
-func (s *gfcTimeSender) TrySend(sz units.Size) (bool, units.Time) {
-	if !s.init {
-		return false, units.Never
-	}
-	return s.limited.TrySend(sz)
-}
-
-func (s *gfcTimeSender) OnFeedback(m Message) {
-	if m.Kind != KindCredit {
-		return
-	}
-	if !s.init {
-		s.init = true
-		s.rl.lastEnd = 0 // open the hold: nothing has been sent
-	}
-	if m.FCCL > s.fccl {
-		s.fccl = m.FCCL
-	}
-	// Remaining downstream buffer in bytes; occupancy proxy q = Bm − rem.
-	rem := units.Size(s.fccl-s.rl.blocks) * CreditBlock
-	if rem < 0 {
-		rem = 0
-	}
-	q := s.bm - rem
-	if q < 0 {
-		q = 0
-	}
-	s.rl.SetRate(s.mapping.Rate(q))
-}
-
-func (s *gfcTimeSender) Rate() units.Rate {
-	if !s.init {
-		return 0
-	}
-	return s.rl.Rate()
-}
-
-// Ceiling returns the mapping ceiling B_m (Bounded).
-func (s *gfcTimeSender) Ceiling() units.Size { return s.bm }

@@ -3,6 +3,7 @@ package flowcontrol
 import (
 	"fmt"
 
+	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -57,7 +58,7 @@ func (c PFCConfig) CoversInflight(p Params) bool {
 // Resolve returns the thresholds NewPFC installs on a channel with parameters
 // p — c itself, or RecommendedPFC's derivation when XOFF is unset — and their
 // validity for p. This is the only place
-// that decision is made: the factory, the fluid compiler and the analytic
+// that decision is made: the bank, the fluid compiler and the analytic
 // predictor all call it.
 func (c PFCConfig) Resolve(p Params) (PFCConfig, error) {
 	if c.XOFF == 0 {
@@ -71,71 +72,66 @@ func (c PFCConfig) Resolve(p Params) (PFCConfig, error) {
 }
 
 // NewPFC returns a Factory for PFC with cfg's thresholds; a zero XOFF derives
-// them per channel (see Resolve).
+// them per channel class (see Resolve).
 func NewPFC(cfg PFCConfig) Factory {
-	return func(p Params, env Env) (Controller, error) {
-		if err := p.Validate(); err != nil {
-			return Controller{}, err
-		}
-		cfg, err := cfg.Resolve(p)
-		if err != nil {
-			return Controller{}, err
-		}
-		return Controller{
-			Sender:   &pfcSender{capacity: p.Capacity},
-			Receiver: &pfcReceiver{cfg: cfg, env: env},
-		}, nil
+	return func(env Env, chans int) Bank {
+		return &pfcBank{env: env, cls: newClasses(chans, cfg.Resolve),
+			rxPaused: make([]bool, chans), txPaused: make([]bool, chans)}
 	}
 }
 
-type pfcSender struct {
-	capacity units.Rate
-	paused   bool
+// pfcBank: a sender is paused or not, and a receiver remembers the state it
+// believes its upstream is in.
+type pfcBank struct {
+	env      Env
+	cls      classes[PFCConfig]
+	rxPaused []bool
+	txPaused []bool
 }
 
-func (s *pfcSender) TrySend(units.Size) (bool, units.Time) {
-	if s.paused {
+func (b *pfcBank) Wire(rx, tx int, p Params) error { return b.cls.wire(rx, tx, p) }
+
+func (b *pfcBank) Start() {}
+
+func (b *pfcBank) TrySend(tx int, _ units.Size) (bool, units.Time) {
+	if b.txPaused[tx] {
 		return false, units.Never // a RESUME will kick us
 	}
 	return true, 0
 }
 
-func (s *pfcSender) OnSent(units.Size, units.Time) {}
+func (b *pfcBank) OnSent(int, units.Size, units.Time) {}
 
-func (s *pfcSender) OnFeedback(m Message) {
+func (b *pfcBank) OnFeedback(tx int, m Message) {
 	switch m.Kind {
 	case KindPause:
-		s.paused = true
+		b.txPaused[tx] = true
 	case KindResume:
-		s.paused = false
+		b.txPaused[tx] = false
 	}
 }
 
-func (s *pfcSender) Rate() units.Rate {
-	if s.paused {
+func (b *pfcBank) Rate(tx int) units.Rate {
+	if b.txPaused[tx] {
 		return 0
 	}
-	return s.capacity
+	return b.cls.params[b.cls.tx[tx]].Capacity
 }
 
-type pfcReceiver struct {
-	cfg    PFCConfig
-	env    Env
-	paused bool // believed upstream state
-}
-
-func (r *pfcReceiver) Start() {}
-
-func (r *pfcReceiver) OnArrival(_, q units.Size) {
-	if !r.paused && q >= r.cfg.XOFF {
-		r.paused = true
-		r.env.Emit(Message{Kind: KindPause})
+func (b *pfcBank) OnArrival(rx int, _, q units.Size) {
+	if !b.rxPaused[rx] && q >= b.cls.of[b.cls.rx[rx]].XOFF {
+		b.rxPaused[rx] = true
+		b.env.Emit(rx, Message{Kind: KindPause})
 	}
 }
 
-func (r *pfcReceiver) OnDeparture(_, q units.Size) {
-	if r.paused && q <= r.cfg.XON {
-		r.paused = false
-		r.env.Emit(Message{Kind: KindResume})
+func (b *pfcBank) OnDeparture(rx int, _, q units.Size) {
+	if b.rxPaused[rx] && q <= b.cls.of[b.cls.rx[rx]].XON {
+		b.rxPaused[rx] = false
+		b.env.Emit(rx, Message{Kind: KindResume})
 	}
 }
+
+func (b *pfcBank) Bound(int) (units.Size, *core.StageTable) { return 0, nil }
+
+func (b *pfcBank) Limiters() []RateLimiter { return nil }

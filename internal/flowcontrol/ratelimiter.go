@@ -102,7 +102,7 @@ func (rl *RateLimiter) OnPacket(end, dur units.Time, s units.Size) {
 	rl.blocks += Blocks(s)
 }
 
-// Gate is Sender.TrySend of a sender gated by rl alone, at time now: ok when
+// Gate is Bank.TrySend of a sender gated by rl alone, at time now: ok when
 // the next packet may start, else the time it may.
 func (rl *RateLimiter) Gate(now units.Time) (ok bool, wake units.Time) {
 	if next := rl.NextAllowed(); next > now {

@@ -8,11 +8,11 @@ import (
 
 // newRefreshGFC builds a buffer-based GFC controller with periodic stage
 // refresh, wired through the fake env (delivery controllable via forward).
-func newRefreshGFC(t *testing.T, env *fakeEnv, refresh units.Time) Controller {
+func newRefreshGFC(t *testing.T, env *fakeEnv, refresh units.Time) channel {
 	t.Helper()
-	c, err := NewGFCBuffer(GFCBufferConfig{
+	c, err := wire(NewGFCBuffer(GFCBufferConfig{
 		B1: 750 * units.KB, Refresh: refresh,
-	})(testParams(), env)
+	}), testParams(), env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,7 +300,7 @@ func (r *Registry) RecordContinuous(idx int, end units.Time, bytesIn, bytesOut, 
 
 // SetCeiling installs the theorem-derived occupancy ceiling for channel idx
 // (B_m plus transient headroom, clamped to the buffer). netsim derives it
-// from the channel's flowcontrol.Bounded sender; tests may override it to
+// from the channel's flowcontrol.Bank (Bound); tests may override it to
 // seed deliberate violations. Zero disables the check.
 func (r *Registry) SetCeiling(idx int, ceil units.Size) {
 	r.ceilings[idx] = ceil

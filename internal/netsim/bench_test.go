@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -129,8 +131,10 @@ func BenchmarkLinearForwardingMetrics(b *testing.B) {
 // toolchain noise. An increase here means a closure, interface box, growing
 // queue or map crept back into the refill/kick/arrive loop. The byte budgets
 // hold the packet arena, which scales with live packets, to the 48-byte
-// packet: measured 14 384 and 29 160 B/op (17 336 and 46 880 with the
-// 88-byte packet and its side free list), plus ~5%.
+// packet. Measured with one flow-control bank per network: 75 and 87
+// allocs/op, 12 264 and 27 928 B/op (109 and 107, 14 384 and 29 160 with four
+// controller objects per channel; 17 336 and 46 880 B/op with the 88-byte
+// packet and its side free list), plus ~5%.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget check skipped in -short mode")
@@ -144,8 +148,8 @@ func TestAllocBudget(t *testing.T) {
 		allocs int64 // allocs/op
 		bytes  int64 // B/op
 	}{
-		{"LinearForwarding", BenchmarkLinearForwarding, 116, 15_100},
-		{"CongestedFabric", BenchmarkCongestedFabric, 116, 30_600},
+		{"LinearForwarding", BenchmarkLinearForwarding, 79, 12_900},
+		{"CongestedFabric", BenchmarkCongestedFabric, 92, 29_400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := testing.Benchmark(tc.bench)
@@ -160,6 +164,66 @@ func TestAllocBudget(t *testing.T) {
 					tc.name, got, tc.bytes)
 			} else {
 				t.Logf("%s: %d B/op (budget %d)", tc.name, got, tc.bytes)
+			}
+		})
+	}
+}
+
+// TestNoPerChannelAllocs: building a network allocates per node, never per
+// channel — flow control is one bank per network, its state in dense slices.
+// Under every scheme, New on a k=8 fat-tree (208 nodes, 768 channels) may
+// make at most one allocation per extra node more than on a k=4 one (36
+// nodes, 96 channels), where a heap object per channel would cost 672 more
+// each. The one allowance is logarithmic: CBFC's and GFC-time's Start puts an
+// advertisement and a timer in flight on every channel, so the feedback slots
+// and the engine's two FIFO lanes they land in grow by doubling, once per
+// doubling of the channel count.
+func TestNoPerChannelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocs")
+	}
+	for _, sc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"pfc", func() Config { return baseConfig(pfcFactory()) }},
+		{"cbfc", func() Config { return baseConfig(cbfcFactory()) }},
+		{"gfc-buffer", func() Config { return baseConfig(gfcFactory()) }},
+		{"gfc-time", func() Config { return baseConfig(gfcTimeFactory()) }},
+		{"gfc-conceptual", func() Config {
+			return baseConfig(flowcontrol.NewGFCConceptual(flowcontrol.GFCConceptualConfig{}))
+		}},
+		{"bfc", func() Config {
+			c := baseConfig(flowcontrol.NewBFCQueues(4))
+			c.FlowQueues = 4
+			return c
+		}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			type size struct {
+				allocs       float64
+				nodes, chans int
+			}
+			build := func(k int) size {
+				topo := topology.FatTree(k, topology.DefaultLinkParams())
+				s := size{nodes: topo.NumNodes()}
+				for id := 0; id < s.nodes; id++ {
+					s.chans += len(topo.Ports(topology.NodeID(id)))
+				}
+				s.allocs = testing.AllocsPerRun(20, func() {
+					if _, err := New(topo, sc.cfg()); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return s
+			}
+			small, large := build(4), build(8)
+			budget := float64(large.nodes-small.nodes) + 3*math.Log2(float64(large.chans)/float64(small.chans))
+			if extra := large.allocs - small.allocs; extra > budget {
+				t.Errorf("New allocates %v times on k=8, %v on k=4: %v more, budget %v",
+					large.allocs, small.allocs, extra, budget)
+			} else {
+				t.Logf("New: %v allocs on k=4, %v on k=8 (budget %v more)", small.allocs, large.allocs, budget)
 			}
 		})
 	}

@@ -27,7 +27,7 @@ func (n *Network) completeTx(p *port) {
 	if n.limiters != nil {
 		n.limiters[p.cb].OnPacket(now, dur, pkt.Size)
 	} else {
-		n.senders[p.cb].OnSent(pkt.Size, dur)
+		n.fc.OnSent(p.cb, pkt.Size, dur)
 	}
 	nd := p.owner
 
@@ -43,13 +43,9 @@ func (n *Network) completeTx(p *port) {
 		if reg := n.metrics; reg != nil {
 			reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
 		}
-		if r := n.receivers[ch]; r != nil {
-			r.OnDeparture(pkt.Size, n.occupancy[ch])
-		}
+		n.fc.OnDeparture(ch, pkt.Size, n.occupancy[ch])
 		if n.fq > 0 {
-			if qr := n.queueReceivers[ch]; qr != nil {
-				qr.OnQueueDeparture(int(pkt.arrivalQueue), pkt.Size, n.occupancy[ch])
-			}
+			n.qfc.OnQueueDeparture(ch, int(pkt.arrivalQueue), pkt.Size, n.occupancy[ch])
 		}
 	case topology.Host:
 		n.refill(nd)
@@ -109,17 +105,13 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 	if reg := n.metrics; reg != nil {
 		reg.OnAdmit(ch, now, pkt.Size, occ)
 	}
-	if r := n.receivers[ch]; r != nil {
-		r.OnArrival(pkt.Size, occ)
-	}
+	n.fc.OnArrival(ch, pkt.Size, occ)
 	if n.fq > 0 {
 		// Freeze the upstream queue assignment: this is the physical
 		// queue the packet occupies at this ingress until it departs,
 		// regardless of which queue the next hop assigns it.
 		pkt.arrivalQueue = pkt.queue
-		if qr := n.queueReceivers[ch]; qr != nil {
-			qr.OnQueueArrival(int(pkt.arrivalQueue), pkt.Size, occ)
-		}
+		n.qfc.OnQueueArrival(ch, int(pkt.arrivalQueue), pkt.Size, occ)
 	}
 	pkt.arrivalPort = int16(idx)
 	pkt.hop++

@@ -9,7 +9,7 @@ import (
 
 // This file actuates the fault-injection timeline (internal/faults): the
 // scheduled half of the fault model. The probabilistic half — per-message
-// feedback verdicts — lives inline in fcEnv.Emit. Faults never bypass the
+// feedback verdicts — lives inline in emit. Faults never bypass the
 // normal machinery: a down link is a transmitter that refuses to start
 // (kick's adminDown guard), a degraded link is a smaller capacity — so
 // everything downstream (flow control, metrics, the deadlock detector)

@@ -20,24 +20,25 @@ type delivery struct {
 	m        flowcontrol.Message
 }
 
-// emitTap wraps a channel's Env and predicts, at emission, when and with what
-// payload the message must reach the tap: emission time plus the wire, link and
-// processing delay, plus this message's own injected extra — drawn from a twin
-// of the network's fault injector, which the network consults in this same
-// emission order.
+// emitTap wraps the network's Env and predicts, at emission, when and with
+// what payload the message must reach the tap: emission time plus the wire,
+// link and processing delay, plus this message's own injected extra — drawn
+// from a twin of the network's fault injector, which the network consults in
+// this same emission order.
 type emitTap struct {
-	*fcEnv
+	flowcontrol.Env
 	twin *faults.Injector
 	want *[]delivery
 }
 
-func (e emitTap) Emit(m flowcontrol.Message) {
-	n, now := e.n, e.n.eng.Now()
-	at := now + units.TransmissionTime(flowcontrol.MessageSize, e.down.capacity) + e.down.link.Delay + n.cfg.ProcDelay
-	_, extra := e.twin.FeedbackVerdict(e.down.link.ID, e.down.owner.id, m.Kind, now)
+func (e emitTap) Emit(ch int, m flowcontrol.Message) {
+	n := (*Network)(e.Env.(*bankEnv))
+	down, now := &n.ports[ch], n.eng.Now()
+	at := now + units.TransmissionTime(flowcontrol.MessageSize, down.capacity) + down.link.Delay + n.cfg.ProcDelay
+	_, extra := e.twin.FeedbackVerdict(down.link.ID, down.owner.id, m.Kind, now)
 	at += extra
-	*e.want = append(*e.want, delivery{at, e.down.owner.id, e.up.owner.id, m})
-	e.fcEnv.Emit(m)
+	*e.want = append(*e.want, delivery{at, down.owner.id, down.peer.owner.id, m})
+	e.Env.Emit(ch, m)
 }
 
 // TestFeedbackSlotsUnderReordering: when an injected feedback delay lets a
@@ -63,9 +64,9 @@ func TestFeedbackSlotsUnderReordering(t *testing.T) {
 		tap := emitTap{want: &want}
 		// A 2 µs credit period is well inside the preset's delay spread, so
 		// consecutive adverts of one channel do overtake each other.
-		cfg := baseConfig(func(p flowcontrol.Params, env flowcontrol.Env) (flowcontrol.Controller, error) {
-			tap.fcEnv = env.(*fcEnv)
-			return flowcontrol.NewCBFC(flowcontrol.CBFCConfig{Period: 2 * units.Microsecond})(p, tap)
+		cfg := baseConfig(func(env flowcontrol.Env, chans int) flowcontrol.Bank {
+			tap.Env = env
+			return flowcontrol.NewCBFC(flowcontrol.CBFCConfig{Period: 2 * units.Microsecond})(tap, chans)
 		})
 		cfg.Faults, tap.twin = plan.NewInjector(7), plan.NewInjector(7)
 		n, err := New(topo, cfg)

@@ -88,10 +88,9 @@ var rateGated = []struct {
 // TestDirectGateIsSchemeGate: on a k=4 incast cell of each rate-gated
 // scheme, before every event and on every wired channel — so at every state
 // a kick can read — the limiter read in place (trySend) gives the same (ok,
-// wake) as the scheme's own Sender.TrySend, including GFC-time's link-init
+// wake) as the scheme's own Bank.TrySend, including GFC-time's link-init
 // hold before its first credit advertisement; and the whole run, traced and
-// hashed, is the same when kick and completeTx go through the Senders
-// instead.
+// hashed, is the same when kick and completeTx go through the bank instead.
 func TestDirectGateIsSchemeGate(t *testing.T) {
 	const horizon = 2 * units.Millisecond
 	for _, sc := range rateGated {
@@ -104,14 +103,14 @@ func TestDirectGateIsSchemeGate(t *testing.T) {
 			eng := n.Engine()
 			var checks, held, paced int
 			for {
-				for ch, s := range n.senders {
-					if s == nil {
+				for ch := range n.ports {
+					if n.ports[ch].failed {
 						continue
 					}
 					ok, wake := n.trySend(ch, n.cfg.MTU)
-					wantOK, wantWake := s.TrySend(n.cfg.MTU)
+					wantOK, wantWake := n.fc.TrySend(ch, n.cfg.MTU)
 					if ok != wantOK || wake != wantWake {
-						t.Fatalf("t=%v channel %d: in place (%v, %v), Sender.TrySend (%v, %v)",
+						t.Fatalf("t=%v channel %d: in place (%v, %v), Bank.TrySend (%v, %v)",
 							eng.Now(), ch, ok, wake, wantOK, wantWake)
 					}
 					checks++
@@ -134,21 +133,21 @@ func TestDirectGateIsSchemeGate(t *testing.T) {
 				t.Errorf("%d checks saw a link-init hold; want some exactly for gfc-time", held)
 			}
 
-			var viaSenders traceFold
-			m := incastCell(t, sc.f(), &viaSenders)
-			m.limiters = nil // the senders still point at the slots
+			var viaBank traceFold
+			m := incastCell(t, sc.f(), &viaBank)
+			m.limiters = nil // the bank reads and writes the same slots
 			for m.Now() <= horizon && m.Engine().Step() {
 			}
-			if direct.h != viaSenders.h || n.Engine().Fired() != m.Engine().Fired() {
-				t.Errorf("in place: %d events, trace %x; through the Senders: %d events, trace %x",
-					n.Engine().Fired(), direct.h, m.Engine().Fired(), viaSenders.h)
+			if direct.h != viaBank.h || n.Engine().Fired() != m.Engine().Fired() {
+				t.Errorf("in place: %d events, trace %x; through the bank: %d events, trace %x",
+					n.Engine().Fired(), direct.h, m.Engine().Fired(), viaBank.h)
 			}
 		})
 	}
 }
 
 // TestLimitersOnlyForRateGatedSchemes: the direct gate is chosen from the
-// wired scheme — PFC, CBFC and BFC keep the Sender path.
+// wired scheme — PFC, CBFC and BFC keep the bank path.
 func TestLimitersOnlyForRateGatedSchemes(t *testing.T) {
 	topo := topology.TwoToOne(topology.DefaultLinkParams())
 	for _, tc := range []struct {
@@ -166,7 +165,7 @@ func TestLimitersOnlyForRateGatedSchemes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := n.limiters != nil; got != tc.want {
-			t.Errorf("%s: limiters in place = %v, want %v", fmt.Sprintf("%T", n.senders[0]), got, tc.want)
+			t.Errorf("%s: limiters in place = %v, want %v", fmt.Sprintf("%T", n.fc), got, tc.want)
 		}
 	}
 }

@@ -266,9 +266,7 @@ func (n *Network) Snapshot() *Snapshot {
 				Occupancy: occ, QueuedBytes: queued,
 				LastStage: -1, MaxStage: -1,
 			}
-			if snd := n.senders[ch]; snd != nil {
-				dump.Rate = snd.Rate()
-			}
+			dump.Rate = n.fc.Rate(ch)
 			if reg := n.metrics; reg != nil {
 				c := reg.Counter(ch)
 				dump.HighWater = c.HighWater

@@ -114,35 +114,29 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 }
 
 // egressRate reports the effective flow-control permitted rate of egress
-// channel p. For channel-scoped schemes this is the sender's Rate().
-// For per-flow-queue schemes (FlowQueues > 0) the channel-level Rate() stays
-// at capacity while any queue is unpaused, which would hide a stall whose
-// entire backlog sits in paused queues — so here the backlogged queues are
-// probed: any sendable backlog means line rate, all-paused backlog means 0,
-// and an idle channel falls back to Rate().
+// channel p (0 on a failed link). For channel-scoped schemes this is the
+// bank's Rate. For per-flow-queue schemes (FlowQueues > 0) the channel-level
+// Rate stays at capacity while any queue is unpaused, which would hide a
+// stall whose entire backlog sits in paused queues — so here the backlogged
+// queues are probed: any sendable backlog means line rate, all-paused
+// backlog means 0, and an idle channel falls back to Rate.
 func (n *Network) egressRate(p *port) units.Rate {
-	s := n.senders[p.cb]
-	if s == nil {
-		return 0
-	}
-	if n.fq > 0 {
-		if qs := n.queueSenders[p.cb]; qs != nil {
-			base := p.voqBase
-			backlogged := false
-			for i := 0; i < p.slots; i++ {
-				if q := &n.voqs[base+i]; !q.empty() {
-					backlogged = true
-					if ok, _ := qs.TrySendQueue(i, q.front().Size); ok {
-						return p.capacity
-					}
+	if n.fq > 0 && !p.failed {
+		base := p.voqBase
+		backlogged := false
+		for i := 0; i < p.slots; i++ {
+			if q := &n.voqs[base+i]; !q.empty() {
+				backlogged = true
+				if ok, _ := n.qfc.TrySendQueue(p.cb, i, q.front().Size); ok {
+					return p.capacity
 				}
 			}
-			if backlogged {
-				return 0
-			}
+		}
+		if backlogged {
+			return 0
 		}
 	}
-	return s.Rate()
+	return n.fc.Rate(p.cb)
 }
 
 // TotalDelivered reports the sum of bytes delivered across all flows.

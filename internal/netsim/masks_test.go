@@ -32,7 +32,7 @@ func refNextFromInputs(n *Network, p *port) (*Packet, int, units.Time) {
 		if head.Flow.Path[head.hop].Port != p.local {
 			continue // head-of-line: only the head is eligible
 		}
-		ok, wake := n.senders[p.cb].TrySend(head.Size)
+		ok, wake := n.fc.TrySend(p.cb, head.Size)
 		if !ok {
 			return nil, -1, wake
 		}
@@ -68,7 +68,6 @@ func refNextPacket(n *Network, p *port) (*Packet, int) {
 // refNextQueued is nextQueued's linear scan: paused queues are skipped and
 // the earliest of their wakes is returned when nothing may send.
 func refNextQueued(n *Network, p *port) (*Packet, int, units.Time) {
-	qs := n.queueSenders[p.cb]
 	base := p.voqBase
 	minWake := units.Never
 	for i := 0; i < p.slots; i++ {
@@ -78,7 +77,7 @@ func refNextQueued(n *Network, p *port) (*Packet, int, units.Time) {
 			continue
 		}
 		head := v.front()
-		ok, wake := qs.TrySendQueue(k, head.Size)
+		ok, wake := n.qfc.TrySendQueue(p.cb, k, head.Size)
 		if !ok {
 			if wake < minWake {
 				minWake = wake
@@ -90,10 +89,12 @@ func refNextQueued(n *Network, p *port) (*Packet, int, units.Time) {
 	return nil, -1, minWake
 }
 
-// stubSender is a flow controller whose verdicts the test dictates. refuse
-// gates the whole channel (TrySend); paused[q] gates one queue and wakes[q]
-// is the retry time it reports. calls counts TrySend probes.
-type stubSender struct {
+// stubBank stands in for a network's bank with verdicts the test dictates;
+// the embedded QueueBank, when set, serves every method it does not stub.
+// refuse gates every channel (TrySend); paused[q] gates one queue and
+// wakes[q] is the retry time it reports. calls counts TrySend probes.
+type stubBank struct {
+	flowcontrol.QueueBank
 	refuse bool
 	wake   units.Time
 	paused []bool
@@ -101,24 +102,20 @@ type stubSender struct {
 	calls  int
 }
 
-func (s *stubSender) TrySend(units.Size) (bool, units.Time) {
+func (s *stubBank) TrySend(int, units.Size) (bool, units.Time) {
 	s.calls++
 	if s.refuse {
 		return false, s.wake
 	}
 	return true, 0
 }
-func (s *stubSender) TrySendQueue(q int, _ units.Size) (bool, units.Time) {
+func (s *stubBank) TrySendQueue(_, q int, _ units.Size) (bool, units.Time) {
 	if s.paused[q] {
 		return false, s.wakes[q]
 	}
 	return true, 0
 }
-func (s *stubSender) Queues() int                        { return len(s.paused) }
-func (s *stubSender) OnSent(units.Size, units.Time)      {}
-func (s *stubSender) OnFeedback(flowcontrol.Message)     {}
-func (s *stubSender) Rate() units.Rate                   { return 0 }
-func (s *stubSender) reset(refuse bool, wake units.Time) { s.refuse, s.wake, s.calls = refuse, wake, 0 }
+func (s *stubBank) reset(refuse bool, wake units.Time) { s.refuse, s.wake, s.calls = refuse, wake, 0 }
 
 // star builds one switch with radix hosts under cfg and returns the network
 // and the switch.
@@ -195,6 +192,32 @@ func checkMasks(t *testing.T, n *Network, when string) {
 			if got := n.slotReady[p.cb]; got != slots {
 				t.Fatalf("%s: node %d egress %d: slotReady %#x, queues say %#x", when, nd.id, e, got, slots)
 			}
+			checkFedBy(t, n, p, when)
+		}
+	}
+}
+
+// checkFedBy holds egress p's per-input backlog (fedBytes, the deadlock
+// detector's FedBy edges) to the packets its queues hold from each input.
+// Under input-queued switching nothing reads it, so there is none.
+func checkFedBy(t *testing.T, n *Network, p *port, when string) {
+	t.Helper()
+	if n.cfg.Scheduling == SchedInputQueued {
+		if n.fedBytes != nil {
+			t.Fatalf("%s: input-queued network keeps per-input egress backlogs", when)
+		}
+		return
+	}
+	fed := make([]units.Size, len(p.owner.ports))
+	for s := 0; s < p.slots; s++ {
+		for pkt := n.voqs[p.voqBase+s].front(); pkt != nil; pkt = pkt.next {
+			fed[arrivalKey(pkt)] += pkt.Size
+		}
+	}
+	for key, want := range fed {
+		if got := n.fedBytes[p.fedBase+key]; got != want {
+			t.Fatalf("%s: node %d egress %d input %d: fedBytes %v, queues hold %v",
+				when, p.owner.id, p.local, key, got, want)
 		}
 	}
 }
@@ -231,25 +254,25 @@ func forEachRadix(t *testing.T, fn func(t *testing.T, radix int, rng *rand.Rand)
 	}
 }
 
-// countingSender counts the TrySend probes made through a wired Sender.
-type countingSender struct {
-	flowcontrol.Sender
+// countingBank counts the TrySend probes made through a wired bank.
+type countingBank struct {
+	flowcontrol.Bank
 	calls int
 }
 
-func (s *countingSender) TrySend(sz units.Size) (bool, units.Time) {
-	s.calls++
-	return s.Sender.TrySend(sz)
+func (b *countingBank) TrySend(ch int, sz units.Size) (bool, units.Time) {
+	b.calls++
+	return b.Bank.TrySend(ch, sz)
 }
 
 // TestInputPicksMatchReferenceScan: radix 1…64 × random ingress occupancy ×
 // every egress × every cursor, nextFromInputs (flow control granting, and
 // refusing the first eligible input) and nextIngress equal their scans, on
-// both gates. On the Sender path a stub dictates the verdict and
+// both gates. On the bank path a stub dictates the verdict and
 // nextFromInputs may probe it at most once, as the scan does. On the direct
 // path the GFC-buffer network reads each egress's rate limiter in place: the
-// test parks the limiter to refuse, the scan probes the GFC sender bound to
-// the same slot (at most once), and nextFromInputs probes no Sender at all.
+// test parks the limiter to refuse, the scan probes the GFC bank, which reads
+// the same slot (at most once), and nextFromInputs probes no bank at all.
 // The FIFOs are then drained through popInq and the masks must return to
 // zero.
 func TestInputPicksMatchReferenceScan(t *testing.T) {
@@ -267,19 +290,12 @@ func inputPicks(t *testing.T, radix int, rng *rand.Rand, direct bool) {
 	if n.limiters == nil {
 		t.Fatal("GFC-buffer network wired without its limiters in place")
 	}
-	stub := &stubSender{}
-	counts := make([]*countingSender, len(nd.ports))
-	for e := range nd.ports {
-		ch := nd.ports[e].cb
-		if direct {
-			counts[e] = &countingSender{Sender: n.senders[ch]}
-			n.senders[ch] = counts[e]
-		} else {
-			n.senders[ch] = stub
-		}
-	}
-	if !direct {
-		n.limiters = nil
+	stub := &stubBank{}
+	counting := &countingBank{Bank: n.fc}
+	if direct {
+		n.fc = counting
+	} else {
+		n.fc, n.limiters = stub, nil
 	}
 	// gate sets egress e's verdict and zeroes the probe counts.
 	gate := func(e int, refuse bool, wake units.Time) {
@@ -287,7 +303,7 @@ func inputPicks(t *testing.T, radix int, rng *rand.Rand, direct bool) {
 		if !direct {
 			return
 		}
-		counts[e].calls = 0
+		counting.calls = 0
 		// At line rate the limiter allows the next packet when the last
 		// one ended: now (0) to grant, wake to refuse.
 		end := units.Time(0)
@@ -298,7 +314,7 @@ func inputPicks(t *testing.T, radix int, rng *rand.Rand, direct bool) {
 	}
 	probes := func(e int) int {
 		if direct {
-			return counts[e].calls
+			return counting.calls
 		}
 		return stub.calls
 	}
@@ -403,8 +419,8 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 		cfg.FlowQueues = queues
 		n, nd := star(t, 2, cfg)
 		p := &nd.ports[1]
-		stub := &stubSender{paused: make([]bool, queues), wakes: make([]units.Time, queues)}
-		n.queueSenders[p.cb] = stub
+		stub := &stubBank{QueueBank: n.qfc, paused: make([]bool, queues), wakes: make([]units.Time, queues)}
+		n.qfc = stub
 		for pattern := 0; pattern < 4; pattern++ {
 			// One packet per distinct flow fills queues 0…queues-1 in
 			// order (a new flow takes the lowest empty queue); dequeuing

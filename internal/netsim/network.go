@@ -51,15 +51,15 @@ type Network struct {
 	occupancy   []units.Size      // ingress buffer occupancy
 	progress    []ingressProgress // ingress forwarding-progress records
 	queuedBytes []units.Size      // egress backlog
-	senders     []flowcontrol.Sender
-	receivers   []flowcontrol.Receiver
-	rrVoq       []int32    // round-robin cursor over VOQs / input ports
-	inq         []pktQueue // ingress FIFOs (SchedInputQueued/SchedBlocking)
-	inqOut      []int16    // egress port of each ingress FIFO's head, -1 when empty (pushInq/popInq)
-	// limiters holds every channel's rate limiter by value when the wired
-	// scheme is rate-gated (flowcontrol.RateGated: GFC-buffer, GFC-time,
-	// conceptual GFC), nil otherwise. The senders point at their slots;
-	// trySend and completeTx read and write them in place.
+	rrVoq       []int32           // round-robin cursor over VOQs / input ports
+	inq         []pktQueue        // ingress FIFOs (SchedInputQueued/SchedBlocking)
+	inqOut      []int16           // egress port of each ingress FIFO's head, -1 when empty (pushInq/popInq)
+	// fc is the wired scheme's bank: every channel's sender and receiver
+	// state, indexed by the same channel index. limiters is its
+	// Limiters() — every sender's rate limiter by value when the scheme is
+	// rate-gated (GFC-buffer, GFC-time, conceptual GFC), nil otherwise —
+	// which trySend and completeTx read and write in place.
+	fc       flowcontrol.Bank
 	limiters []flowcontrol.RateLimiter
 	// Ready masks, one word per egress channel; see scheduler.go. inReady bit
 	// i: the owner's input i has its FIFO head bound for this egress
@@ -68,7 +68,8 @@ type Network struct {
 	inReady   []uint64
 	slotReady []uint64
 	// voqs and fedBytes have port-dependent strides; see port.voqBase and
-	// port.fedBase.
+	// port.fedBase. fedBytes is nil under SchedInputQueued, where the
+	// switches queue at ingress and nothing reads it.
 	voqs     []pktQueue
 	fedBytes []units.Size
 
@@ -76,13 +77,12 @@ type Network struct {
 	// otherwise, so the disabled cost is one int compare on the hot path.
 	// fq is cfg.FlowQueues; qAssign maps flow ID → current assignment per
 	// channel; slotFlows counts assigned flows per physical queue with the
-	// same (voqBase + slot) indexing as voqs; queueSenders /
-	// queueReceivers are the wired controllers' per-queue interfaces.
-	fq             int
-	qAssign        []map[int]flowAssign
-	slotFlows      []int32
-	queueSenders   []flowcontrol.QueueSender
-	queueReceivers []flowcontrol.QueueReceiver
+	// same (voqBase + slot) indexing as voqs; qfc is fc's per-queue
+	// interface.
+	fq        int
+	qAssign   []map[int]flowAssign
+	slotFlows []int32
+	qfc       flowcontrol.QueueBank
 
 	// fbObs, when non-nil, observes every feedback message at its delivery
 	// instant (after loss/delay faults have taken effect) — the in-data-
@@ -113,7 +113,7 @@ type Network struct {
 }
 
 // New builds a simulation of topo under cfg. Every live channel direction
-// gets an independent flow controller.
+// is wired into one flow-control bank.
 func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	cfg.FillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -167,8 +167,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	n.occupancy = make([]units.Size, chans)
 	n.progress = make([]ingressProgress, chans)
 	n.queuedBytes = make([]units.Size, chans)
-	n.senders = make([]flowcontrol.Sender, chans)
-	n.receivers = make([]flowcontrol.Receiver, chans)
 	n.rrVoq = make([]int32, chans)
 	n.inq = make([]pktQueue, chans)
 	n.inqOut = make([]int16, chans)
@@ -179,16 +177,25 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	n.slotReady = make([]uint64, chans)
 	n.inBusy = make([]uint64, nn)
 	n.voqs = make([]pktQueue, totalVoqs)
-	n.fedBytes = make([]units.Size, totalFed)
+	if cfg.Scheduling != SchedInputQueued {
+		n.fedBytes = make([]units.Size, totalFed)
+	}
 	n.fwdCursor = make([]int32, nn)
 	n.fwdBlocked = make([]*port, nn)
 	n.forwarding = make([]bool, nn)
+	n.fc = cfg.FlowControl((*bankEnv)(n), chans)
 	if cfg.FlowQueues > 0 {
 		n.fq = cfg.FlowQueues
 		n.qAssign = make([]map[int]flowAssign, chans)
 		n.slotFlows = make([]int32, totalVoqs)
-		n.queueSenders = make([]flowcontrol.QueueSender, chans)
-		n.queueReceivers = make([]flowcontrol.QueueReceiver, chans)
+		qb, ok := n.fc.(flowcontrol.QueueBank)
+		if !ok {
+			return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme is not queue-aware", n.fq)
+		}
+		if qb.Queues() != n.fq {
+			return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme has %d queues", n.fq, qb.Queues())
+		}
+		n.qfc = qb
 	}
 
 	// Pass 2: build nodes and ports, assigning each port its bases.
@@ -227,8 +234,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		far := p.link.Other(p.owner.id)
 		p.peer = &n.nodes[far].ports[p.link.PortOn(far)]
 	}
-	// Wire controllers: for channel u→v, the Sender lives on u's port
-	// and the Receiver on v's port.
+	// Wire the bank: for channel u→v, the sender sits on u's port and the
+	// receiver on v's port.
 	for _, nd := range n.nodes {
 		for i := range nd.ports {
 			p := &nd.ports[i]
@@ -238,53 +245,20 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			if nd.kind == topology.Switch {
 				n.ingresses++
 			}
-			up := p.peer // upstream egress port
-			upName := topo.Node(up.owner.id).Name
-			params := cfg.ChannelParams(p.link, nd.kind)
-			env := &fcEnv{n: n, down: p, up: up}
-			ctl, err := cfg.FlowControl(params, env)
-			if err != nil {
+			if err := n.fc.Wire(p.cb, p.peer.cb, cfg.ChannelParams(p.link, nd.kind)); err != nil {
 				return nil, fmt.Errorf("netsim: channel %s->%s: %w",
-					upName, topo.Node(nd.id).Name, err)
-			}
-			n.receivers[p.cb] = ctl.Receiver
-			n.senders[up.cb] = ctl.Sender
-			if n.fq > 0 {
-				qs, ok := ctl.Sender.(flowcontrol.QueueSender)
-				if !ok {
-					return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s sender is not queue-aware",
-						n.fq, upName, topo.Node(nd.id).Name)
-				}
-				if qs.Queues() != n.fq {
-					return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme has %d queues",
-						n.fq, qs.Queues())
-				}
-				qr, ok := ctl.Receiver.(flowcontrol.QueueReceiver)
-				if !ok {
-					return nil, fmt.Errorf("netsim: FlowQueues=%d but the %s->%s receiver is not queue-aware",
-						n.fq, upName, topo.Node(nd.id).Name)
-				}
-				n.queueSenders[up.cb] = qs
-				n.queueReceivers[p.cb] = qr
+					topo.Node(p.peer.owner.id).Name, topo.Node(nd.id).Name, err)
 			}
 		}
 	}
-	n.bindLimiters()
+	n.limiters = n.fc.Limiters()
 	// Bind the metrics registry before receivers start: initial credit
 	// adverts already flow through Emit and must be counted. Ceilings and
-	// stage tables come from the wired senders via the optional
-	// flowcontrol.Bounded / flowcontrol.Staged interfaces.
+	// stage tables come from the bank.
 	if reg := cfg.Metrics; reg != nil {
 		n.metrics = reg
-		BindRegistry(reg, topo, cfg, func(node topology.NodeID, port int) (bm units.Size, table *core.StageTable) {
-			s := n.senders[n.nodes[node].ports[port].peer.cb]
-			if b, ok := s.(flowcontrol.Bounded); ok {
-				bm = b.Ceiling()
-			}
-			if st, ok := s.(flowcontrol.Staged); ok {
-				table = st.StageTable()
-			}
-			return bm, table
+		BindRegistry(reg, topo, cfg, func(node topology.NodeID, port int) (units.Size, *core.StageTable) {
+			return n.fc.Bound(n.nodes[node].ports[port].cb)
 		})
 		for i := range n.ports {
 			p := &n.ports[i]
@@ -308,80 +282,55 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		}
 	}
 	// Start receivers (periodic feedback, initial credit adverts).
-	for _, r := range n.receivers {
-		if r != nil {
-			r.Start()
-		}
-	}
+	n.fc.Start()
 	return n, nil
 }
 
-// bindLimiters moves every wired sender's rate limiter into n.limiters when
-// the scheme is rate-gated on every channel; otherwise n.limiters stays nil
-// and kick and completeTx call the Senders.
-func (n *Network) bindLimiters() {
-	for _, s := range n.senders {
-		if _, ok := s.(flowcontrol.RateGated); s != nil && !ok {
-			return
-		}
-	}
-	n.limiters = make([]flowcontrol.RateLimiter, len(n.senders))
-	for ch, s := range n.senders {
-		if s != nil {
-			s.(flowcontrol.RateGated).BindLimiter(&n.limiters[ch])
-		}
-	}
-}
+// bankEnv is the Network as its bank's flowcontrol.Env: the engine's clock
+// and timers, and the feedback path.
+type bankEnv Network
 
-// fcEnv is the flowcontrol.Env for the receiver at downstream port `down`;
-// Emit carries messages back to the paired sender at upstream port `up`.
-type fcEnv struct {
-	n    *Network
-	down *port // receiver side (ingress)
-	up   *port // sender side (upstream egress)
-}
+func (e *bankEnv) Now() units.Time { return e.eng.Now() }
 
-// fbSlot carries one in-flight feedback message from Emit, which takes it off
+func (e *bankEnv) After(d units.Time, fn func(int32), ch int32) { e.eng.After(d, fn, ch) }
+
+func (e *bankEnv) Emit(ch int, m flowcontrol.Message) { (*Network)(e).emit(&e.ports[ch], m) }
+
+// fbSlot carries one in-flight feedback message from emit, which takes it off
 // the Network's free list or appends one when all are in flight, to deliver,
 // which puts it back.
 type fbSlot struct {
 	m    flowcontrol.Message
-	env  *fcEnv
+	ch   int32 // the emitting receiver's channel
 	next int32 // the next idle slot while this one is idle
 }
 
-func (e *fcEnv) Clock() flowcontrol.Clock { return e.n.eng }
-func (e *fcEnv) After(d units.Time, fn func(int32), arg int32) {
-	e.n.eng.After(d, fn, arg)
-}
-
-// Emit schedules delivery of one feedback message.
-func (e *fcEnv) Emit(m flowcontrol.Message) {
-	n := e.n
-	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id)
-	if reg := n.metrics; reg != nil {
-		reg.OnFeedback(e.down.cb, n.eng.Now(), m.Kind, m.Stage)
-	}
-	delay := units.TransmissionTime(flowcontrol.MessageSize, e.down.capacity) +
-		e.down.link.Delay + n.cfg.ProcDelay
+// emit schedules delivery of one feedback message from the receiver at
+// ingress port down to its paired sender.
+func (n *Network) emit(down *port, m flowcontrol.Message) {
 	now := n.eng.Now()
-	if e.down.adminDown {
+	n.cfg.Trace.feedback(now, down.owner.id, down.peer.owner.id)
+	if reg := n.metrics; reg != nil {
+		reg.OnFeedback(down.cb, now, m.Kind, m.Stage)
+	}
+	delay := units.TransmissionTime(flowcontrol.MessageSize, down.capacity) +
+		down.link.Delay + n.cfg.ProcDelay
+	if down.adminDown {
 		// The link is administratively down: the frame is emitted into a
 		// dead channel and lost. (The wire/trace accounting above stands —
 		// the receiver did spend the emission.)
-		e.fault(faults.FeedbackDrop, now)
+		n.feedbackFault(down, faults.FeedbackDrop, now)
 		return
 	}
 	if inj := n.faults; inj != nil {
-		drop, extra := inj.FeedbackVerdict(
-			e.down.link.ID, e.down.owner.id, m.Kind, now)
+		drop, extra := inj.FeedbackVerdict(down.link.ID, down.owner.id, m.Kind, now)
 		if drop {
-			e.fault(faults.FeedbackDrop, now)
+			n.feedbackFault(down, faults.FeedbackDrop, now)
 			return
 		}
 		if extra > 0 {
 			delay += extra
-			e.fault(faults.FeedbackDelay, now)
+			n.feedbackFault(down, faults.FeedbackDelay, now)
 		}
 	}
 	i := n.fbFree
@@ -391,29 +340,31 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	} else {
 		n.fbFree = n.fbSlots[i].next
 	}
-	n.fbSlots[i] = fbSlot{m: m, env: e}
+	n.fbSlots[i] = fbSlot{m: m, ch: int32(down.cb)}
 	n.eng.After(delay, n.deliverFn, i)
 }
 
-// fault records a fault of the given kind on this feedback channel.
-func (e *fcEnv) fault(kind faults.EventKind, at units.Time) {
-	e.n.recordFault(metrics.FaultEvent{Kind: kind, At: at, Link: e.down.link.ID}, e.down.cb, e.down.owner.id)
+// feedbackFault records a fault of the given kind on the feedback channel of
+// the receiver at down.
+func (n *Network) feedbackFault(down *port, kind faults.EventKind, at units.Time) {
+	n.recordFault(metrics.FaultEvent{Kind: kind, At: at, Link: down.link.ID}, down.cb, down.owner.id)
 }
 
 // deliver hands feedback slot i's message to the paired sender and frees the
 // slot.
 func (n *Network) deliver(i int32) {
 	s := &n.fbSlots[i]
-	m, e := s.m, s.env
-	s.env, s.next, n.fbFree = nil, n.fbFree, i
-	n.senders[e.up.cb].OnFeedback(m)
+	m, down := s.m, &n.ports[s.ch]
+	s.next, n.fbFree = n.fbFree, i
+	up := down.peer
+	n.fc.OnFeedback(up.cb, m)
 	if obs := n.fbObs; obs != nil {
-		obs(e.down.owner.id, e.up.owner.id, m)
+		obs(down.owner.id, up.owner.id, m)
 	}
 	// A rate or credit change may also unblock the host refill path
 	// indirectly; kick handles the egress side, and refill is woken by its
 	// own timer.
-	n.kick(e.up)
+	n.kick(up)
 }
 
 // SetFeedbackObserver installs fn to observe every feedback message at the
@@ -480,9 +431,5 @@ func (n *Network) start(i int32) {
 // SenderRate reports the currently permitted rate of the egress flow
 // controller at node/port.
 func (n *Network) SenderRate(node topology.NodeID, portIdx int) units.Rate {
-	s := n.senders[n.nodes[node].ports[portIdx].cb]
-	if s == nil {
-		return 0
-	}
-	return s.Rate()
+	return n.fc.Rate(n.nodes[node].ports[portIdx].cb)
 }

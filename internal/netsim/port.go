@@ -27,8 +27,8 @@ type port struct {
 	owner *node
 	local int // port index on owner
 	// cb is the channel index: this port's index in every per-channel
-	// array (occupancy, queuedBytes, progress, senders, limiters,
-	// receivers, rrVoq, inq, the ready masks) and in the Network.ports
+	// array (occupancy, queuedBytes, progress, limiters, rrVoq, inq, the
+	// ready masks, the bank's) and in the Network.ports
 	// arena itself — and, by construction, the metrics registry's
 	// ChannelIndex for the same channel. A node's ports are consecutive, so
 	// the channel of sibling port i is owner.cb + i without loading that
@@ -65,7 +65,8 @@ type port struct {
 	// voqs[voqBase + slot]. slots is the owner's port count under SchedVOQ —
 	// one virtual output queue per input port — and 1 otherwise, holding the
 	// mixed arrival-order queue; per-input byte accounting is kept either
-	// way (Network.fedBytes) for the deadlock detector's FedBy edges.
+	// way (Network.fedBytes, but for SchedInputQueued) for the deadlock
+	// detector's FedBy edges.
 	voqBase int
 	slots   int
 	// fedBase addresses Network.fedBytes: the per-input backlog of an
@@ -171,7 +172,9 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	}
 	n.voqs[p.voqBase+slot].push(pkt)
 	n.slotReady[p.cb] |= 1 << uint(slot)
-	n.fedBytes[p.fedBase+key] += pkt.Size
+	if n.fedBytes != nil {
+		n.fedBytes[p.fedBase+key] += pkt.Size
+	}
 	n.queuedBytes[p.cb] += pkt.Size
 	p.queuedPkts++
 }
@@ -196,7 +199,9 @@ func (n *Network) dequeue(p *port, slot int) *Packet {
 	if q.empty() {
 		n.slotReady[p.cb] &^= 1 << uint(slot)
 	}
-	n.fedBytes[p.fedBase+arrivalKey(pkt)] -= pkt.Size
+	if n.fedBytes != nil {
+		n.fedBytes[p.fedBase+arrivalKey(pkt)] -= pkt.Size
+	}
 	n.queuedBytes[p.cb] -= pkt.Size
 	p.queuedPkts--
 	n.rrVoq[p.cb] = int32(succ(slot, p.slots))

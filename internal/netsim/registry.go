@@ -16,7 +16,7 @@ import (
 // port), the rate mapping's ceiling B_m (0: the scheme has none) and its stage
 // table (nil: not staged).
 //
-// New calls it with its wired senders; a backend that simulates the same
+// New calls it with its bank's Bound; a backend that simulates the same
 // network without netsim (the fluid compiler) calls it with its resolved
 // thresholds, so a registry asserts the same invariants and ChannelIndex,
 // exports and reports mean the same thing whichever engine filled it.

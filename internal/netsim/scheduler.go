@@ -195,11 +195,11 @@ func (n *Network) scheduleKick(p *port, at units.Time) {
 }
 
 // trySend asks channel ch's flow control whether a packet of size s may
-// start now, with Sender.TrySend's contract: the wired scheme's rate limiter read in
-// place when it is rate-gated (Network.limiters), its Sender otherwise.
+// start now, with Bank.TrySend's contract: the wired scheme's rate limiter
+// read in place when it is rate-gated (Network.limiters), its bank otherwise.
 func (n *Network) trySend(ch int, s units.Size) (bool, units.Time) {
 	if n.limiters == nil {
-		return n.senders[ch].TrySend(s)
+		return n.fc.TrySend(ch, s)
 	}
 	return n.limiters[ch].Gate(n.eng.Now())
 }
@@ -257,7 +257,6 @@ func (n *Network) nextIngress(nd *node) int {
 // and its queue, or (nil, -1, wake) with the earliest retry time.
 func (n *Network) nextQueued(p *port) (*Packet, int, units.Time) {
 	ch := p.cb
-	qs := n.queueSenders[ch]
 	base := p.voqBase
 	minWake := units.Never
 	m := n.slotReady[ch]
@@ -267,7 +266,7 @@ func (n *Network) nextQueued(p *port) (*Packet, int, units.Time) {
 		for ; part != 0; part &= part - 1 {
 			slot := bits.TrailingZeros64(part)
 			head := n.voqs[base+slot].front()
-			ok, wake := qs.TrySendQueue(slot, head.Size)
+			ok, wake := n.qfc.TrySendQueue(ch, slot, head.Size)
 			if !ok {
 				if wake < minWake {
 					minWake = wake

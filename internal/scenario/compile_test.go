@@ -27,11 +27,10 @@ type probeEnv struct {
 }
 
 func (e *probeEnv) Now() units.Time                            { return 0 }
-func (e *probeEnv) Clock() flowcontrol.Clock                   { return e }
 func (e *probeEnv) After(d units.Time, _ func(int32), _ int32) { e.delays = append(e.delays, d) }
-func (e *probeEnv) Emit(m flowcontrol.Message)                 { e.msgs = append(e.msgs, m) }
+func (e *probeEnv) Emit(_ int, m flowcontrol.Message)          { e.msgs = append(e.msgs, m) }
 
-// rootCause unwraps err to its innermost error — the flowcontrol factory's,
+// rootCause unwraps err to its innermost error — the flowcontrol bank's,
 // under whatever channel prefix the backend wrapped it in.
 func rootCause(err error) string {
 	for {
@@ -201,15 +200,16 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 			t.Errorf("channel %d: packet ceiling %v, fluid ceiling %v", idx, p, f)
 		}
 	}
-	// controller builds what netsim.New wires on ch, on a recording env.
-	controller := func(ch fluid.NetChannel) (flowcontrol.Controller, *probeEnv) {
+	// bank wires what netsim.New wires on ch into a two-channel bank on a
+	// recording env: the receiver on channel 0, the sender on channel 1.
+	bank := func(ch fluid.NetChannel) (flowcontrol.Bank, *probeEnv) {
 		link := psim.Topo.Ports(ch.Node)[ch.Port].Link
 		env := &probeEnv{}
-		ctl, err := psim.cfg.FlowControl(psim.cfg.ChannelParams(link, topology.Switch), env)
-		if err != nil {
-			t.Fatalf("factory on a built channel: %v", err)
+		b := psim.cfg.FlowControl(env, 2)
+		if err := b.Wire(0, 1, psim.cfg.ChannelParams(link, topology.Switch)); err != nil {
+			t.Fatalf("wiring a built channel: %v", err)
 		}
-		return ctl, env
+		return b, env
 	}
 	for _, ch := range fsim.netcfg.Channels {
 		if ch.Host {
@@ -220,23 +220,23 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 		case *fluid.OnOff:
 			// The receiver must pause exactly at XOFF and resume exactly
 			// at XON.
-			ctl, env := controller(ch)
-			ctl.Receiver.OnArrival(1, m.XOFF-1)
+			b, env := bank(ch)
+			b.OnArrival(0, 1, m.XOFF-1)
 			if len(env.msgs) != 0 {
 				t.Errorf("packet PFC paused below the fluid XOFF %v", m.XOFF)
 			}
-			ctl.Receiver.OnArrival(1, m.XOFF)
-			ctl.Receiver.OnDeparture(1, m.XON+1)
+			b.OnArrival(0, 1, m.XOFF)
+			b.OnDeparture(0, 1, m.XON+1)
 			if len(env.msgs) != 1 || env.msgs[0].Kind != flowcontrol.KindPause {
 				t.Errorf("packet PFC at fluid XOFF %v / above XON %v emitted %v, want one PAUSE", m.XOFF, m.XON, env.msgs)
 			}
-			ctl.Receiver.OnDeparture(1, m.XON)
+			b.OnDeparture(0, 1, m.XON)
 			if len(env.msgs) != 2 || env.msgs[1].Kind != flowcontrol.KindResume {
 				t.Errorf("packet PFC at fluid XON %v emitted %v, want PAUSE then RESUME", m.XON, env.msgs)
 			}
 		case fluid.Staged:
-			ctl, _ := controller(ch)
-			table := ctl.Sender.(flowcontrol.Staged).StageTable()
+			b, _ := bank(ch)
+			_, table := b.Bound(0)
 			if !reflect.DeepEqual(table, m.T) {
 				t.Errorf("stage tables differ: packet %+v, fluid %+v", table, m.T)
 			}
@@ -248,13 +248,13 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 			}
 		case fluid.Floored:
 			law := m.M.(fluid.Continuous).M
-			ctl, env := controller(ch)
-			if bm := ctl.Sender.(flowcontrol.Bounded).Ceiling(); bm != law.Bm {
+			b, env := bank(ch)
+			if bm, _ := b.Bound(0); bm != law.Bm {
 				t.Errorf("packet Bm %v, fluid Bm %v", bm, law.Bm)
 			}
 			timeBased := psim.Spec.Scheme.FC == GFCTime
 			if timeBased {
-				ctl.Receiver.Start()
+				b.Start()
 				if len(env.delays) != 1 || env.delays[0] != ch.Period {
 					t.Errorf("packet feedback timers %v, fluid period %v", env.delays, ch.Period)
 				}
@@ -270,13 +270,13 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 			for _, back := range []units.Size{law.Bm, span + 64, span, span / 2, 64, 0} {
 				back -= back % flowcontrol.CreditBlock
 				q := law.Bm - back
-				ctl, _ := controller(ch)
+				b, _ := bank(ch)
 				msg := flowcontrol.Message{Kind: flowcontrol.KindQueue, Queue: q}
 				if timeBased {
 					msg = flowcontrol.Message{Kind: flowcontrol.KindCredit, FCCL: int64(back / flowcontrol.CreditBlock)}
 				}
-				ctl.Sender.OnFeedback(msg)
-				if got, want := ctl.Sender.Rate(), m.RateAt(q); got != want {
+				b.OnFeedback(1, msg)
+				if got, want := b.Rate(1), m.RateAt(q); got != want {
 					t.Errorf("q=%v: packet sender rate %v, fluid law %v", q, got, want)
 				}
 			}

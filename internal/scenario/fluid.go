@@ -67,6 +67,11 @@ func (b FluidBackend) Supports(spec *Spec) error {
 // comparable networks: same topology, routes, configuration, thresholds and
 // registry binding.
 func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
+	// Validate before Supports, so an invalid spec gets Parse's error
+	// whatever else it asks of the fluid model; compile validates again.
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	if err := b.Supports(&spec); err != nil {
 		return nil, err
 	}
@@ -143,7 +148,7 @@ func (c *compiled) fluidDecides() error {
 
 // fluidLaw is one channel's resolved flow control as the fluid compiler
 // renders it: the queue-to-rate law and feedback period for the solver, and
-// what netsim reads off its wired senders for the registry — the mapping
+// what netsim reads off its bank (Bound) for the registry — the mapping
 // ceiling B_m (0: the scheme has none) and the stage table (nil: not staged).
 type fluidLaw struct {
 	mapping fluid.Mapping

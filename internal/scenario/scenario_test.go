@@ -137,12 +137,13 @@ func TestRegisteredScenariosBuild(t *testing.T) {
 
 // invalidSpecs are ring-steady-gfcbuf with one field out of range: a
 // negative duration, an unknown detector, a negative wall budget and a
-// negative TX ring. Parse refused the first three, while Build used to take
-// them — the first then panicked in Run, the other two ran under the global
-// detector and with no wall budget. Parse and Build both took the last, which
-// under blocking scheduling stalls every forwarding core for good without an
-// error (the case keeps the ring's scheduling, since the fluid backend
-// refuses blocking before it validates).
+// negative TX ring, alone and under blocking scheduling. Parse refused the
+// first three, while Build used to take them — the first then panicked in
+// Run, the other two ran under the global detector and with no wall budget.
+// Parse and Build both took the negative ring, which under blocking
+// scheduling stalls every forwarding core for good without an error; and the
+// fluid backend answered the blocking case with its packet-granular refusal
+// instead of Parse's error, checking Supports before it validated.
 func invalidSpecs() []Spec {
 	base, _ := Get("ring-steady-gfcbuf")
 	duration, detector, wall, ring := base, base, base, base
@@ -150,13 +151,15 @@ func invalidSpecs() []Spec {
 	detector.Run.DetectDeadlock, detector.Run.Detector = true, "bogus"
 	wall.Limits = &LimitsSpec{MaxWallMs: -5}
 	ring.Sim.TxRing = -1
+	blockingRing := ring
+	blockingRing.Sim.Scheduling = "blocking"
 	// Two flows that resolve to one ID would share BFC's per-flow queue
 	// claim: an equal explicit id, and an explicit id equal to a default.
 	sameID, defaultID := twoToOne(GFCBuf), twoToOne(GFCBuf)
 	sameID.Workload.Flows[0].ID = 2
 	defaultID.Workload.Flows[0].ID = 0
 	defaultID.Workload.Flows[1].ID = 1
-	return []Spec{duration, detector, wall, ring, sameID, defaultID}
+	return []Spec{duration, detector, wall, ring, blockingRing, sameID, defaultID}
 }
 
 // TestBuildRejectsWhatParseRejects pins the one validation: each backend's
