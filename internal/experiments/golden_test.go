@@ -74,6 +74,19 @@ func (g *hasher) ring(res *RingResult) {
 	g.mix(uint64(res.FaultStats.FeedbackDropped), uint64(res.FaultStats.FeedbackDelayed))
 }
 
+func (g *hasher) caseStudy(res *CaseStudyResult) {
+	for _, r := range res.FlowRates {
+		g.mix(uint64(r))
+	}
+	g.mix(uint64(res.DeadlockAt), uint64(res.Drops))
+	if res.Deadlocked {
+		g.mix(1)
+	}
+	for _, r := range res.Throughput.Rates() {
+		g.mix(uint64(r))
+	}
+}
+
 func (g *hasher) cell(c FaultCell) {
 	g.mix(uint64(c.DeadlockAt), uint64(c.DeadlockKind), uint64(c.DCFITAt))
 	if c.Deadlocked {
@@ -124,15 +137,25 @@ var goldenRuns = map[string]func(t *testing.T) uint64{
 			t.Fatal(err)
 		}
 		g := newHasher()
-		for _, r := range res.FlowRates {
-			g.mix(uint64(r))
-		}
-		g.mix(uint64(res.DeadlockAt), uint64(res.Drops))
-		if res.Deadlocked {
-			g.mix(1)
-		}
-		for _, r := range res.Throughput.Rates() {
-			g.mix(uint64(r))
+		g.caseStudy(res)
+		return g.sum()
+	},
+	"casestudy-disciplines": func(t *testing.T) uint64 {
+		// The case study under every non-default switch discipline, for a
+		// scheme of each family: PFC's channel gate, GFC-buffer's rate
+		// limiter and BFC's per-queue gate, which runs FIFO whatever the
+		// spec declares. Pins the egress scanner each discipline takes.
+		g := newHasher()
+		for _, fc := range []FC{PFC, GFCBuf, BFC} {
+			for _, sched := range []string{"fifo", "voq", "blocking"} {
+				spec := scenario.CaseStudy(fc, true, true)
+				spec.Sim.Scheduling = sched
+				res, err := RunCaseStudy(spec, RunOptions{Duration: 10 * units.Millisecond})
+				if err != nil {
+					t.Fatalf("%s %s: %v", fc, sched, err)
+				}
+				g.caseStudy(res)
+			}
 		}
 		return g.sum()
 	},
@@ -312,9 +335,10 @@ func checkGolden(t *testing.T, name string, got uint64) {
 }
 
 // TestGoldenTraces regression-pins the end-to-end event streams of the
-// paper's key experiments (fig9, fig12, fig19, table1) plus the canonical
-// faulted scenario, and the bytes of a faulted fig9 -metrics-out report,
-// against recorded FNV-1a hashes. A mismatch means the simulation (or the
+// paper's key experiments (fig9, fig12, fig19, table1), the case study under
+// every non-default switch discipline and the canonical faulted scenario, and
+// the bytes of a faulted fig9 -metrics-out report, against recorded FNV-1a
+// hashes. A mismatch means the simulation (or the
 // report's encoding) changed since the commit that recorded the goldens —
 // intended changes re-record with -update.
 func TestGoldenTraces(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultBFCQueues is the number of physical queues BFC assigns flows to at
-// each ingress when the config does not say otherwise. The BFC paper shows
+// each ingress when NewBFCQueues is not told otherwise. The BFC paper shows
 // most of the benefit with a small multiple of the expected active-flow
 // count per port; 8 keeps the per-channel state compact.
 const DefaultBFCQueues = 8
@@ -21,7 +21,6 @@ const DefaultBFCQueues = 8
 // keep moving through the other queues.
 type BFCConfig struct {
 	// Queues is the number of physical queues per channel.
-	// Zero means DefaultBFCQueues.
 	Queues int
 	// XOFF pauses a queue when its occupancy reaches it; XON resumes at
 	// or below it. Both are per-queue thresholds.
@@ -32,12 +31,9 @@ type BFCConfig struct {
 // RecommendedBFC derives per-queue thresholds from the channel parameters:
 // the buffer minus the Cτ in-flight headroom is split evenly across queues
 // (so even with every queue parked at XOFF the channel stays lossless), and
-// XON sits one MTU below XOFF. Buffers too small to give every queue a
-// positive XON are rejected.
+// XON sits one MTU below XOFF. queues must be positive. Buffers too small to
+// give every queue a positive XON are rejected.
 func RecommendedBFC(p Params, queues int) (BFCConfig, error) {
-	if queues <= 0 {
-		queues = DefaultBFCQueues
-	}
 	headroom := units.BytesIn(p.Capacity, p.Tau)
 	xoff := (p.Buffer - headroom) / units.Size(queues)
 	xon := xoff - p.MTU
@@ -52,11 +48,8 @@ func RecommendedBFC(p Params, queues int) (BFCConfig, error) {
 // Validate reports an error for inconsistent thresholds.
 func (c BFCConfig) Validate(p Params) error {
 	q := c.Queues
-	if q == 0 {
-		q = DefaultBFCQueues
-	}
-	if q < 0 {
-		return fmt.Errorf("flowcontrol: BFC queues %d must be positive", c.Queues)
+	if q <= 0 {
+		return fmt.Errorf("flowcontrol: BFC queues %d must be positive", q)
 	}
 	if c.XOFF <= 0 {
 		return fmt.Errorf("flowcontrol: BFC XOFF %v must be positive", c.XOFF)
@@ -74,6 +67,9 @@ func (c BFCConfig) Validate(p Params) error {
 // NewBFCQueues returns a BFC Factory with RecommendedBFC thresholds over the
 // given queue count (<= 0 uses DefaultBFCQueues).
 func NewBFCQueues(queues int) Factory {
+	if queues <= 0 {
+		queues = DefaultBFCQueues
+	}
 	return newBFC(queues, func(p Params) (BFCConfig, error) {
 		cfg, err := RecommendedBFC(p, queues)
 		if err != nil {
@@ -84,9 +80,6 @@ func NewBFCQueues(queues int) Factory {
 }
 
 func newBFC(queues int, resolve func(Params) (BFCConfig, error)) Factory {
-	if queues <= 0 {
-		queues = DefaultBFCQueues // as RecommendedBFC reads it
-	}
 	return func(env Env, chans int) Bank {
 		return &bfcBank{env: env, cls: newClasses(chans, resolve), q: queues,
 			txPaused: make([]bool, chans*queues), npaused: make([]int32, chans),
@@ -99,7 +92,7 @@ func newBFC(queues int, resolve func(Params) (BFCConfig, error)) Factory {
 // receivers track per-queue ingress occupancy and emit QPAUSE/QRESUME around
 // the per-queue thresholds, mirroring PFC's believed-state dedup so a queue
 // bouncing inside (XON, XOFF) stays silent. Per-queue state of channel ch,
-// queue qid is at ch·q + qid.
+// queue i is at ch·q + i.
 type bfcBank struct {
 	env      Env
 	cls      classes[BFCConfig]
@@ -116,19 +109,9 @@ func (b *bfcBank) Start() {}
 
 func (b *bfcBank) Queues() int { return b.q }
 
-func (b *bfcBank) TrySendQueue(tx, qid int, _ units.Size) (bool, units.Time) {
-	if b.txPaused[tx*b.q+qid] {
+func (b *bfcBank) TrySend(tx, q int, _ units.Size) (bool, units.Time) {
+	if b.txPaused[tx*b.q+q] {
 		return false, units.Never // a QRESUME will kick us
-	}
-	return true, 0
-}
-
-// TrySend is the channel-level fallback used when the simulator has no
-// per-queue scheduler wired (hosts, or FlowQueues disabled): send while any
-// queue is unpaused.
-func (b *bfcBank) TrySend(tx int, _ units.Size) (bool, units.Time) {
-	if int(b.npaused[tx]) == b.q {
-		return false, units.Never
 	}
 	return true, 0
 }
@@ -155,7 +138,7 @@ func (b *bfcBank) OnFeedback(tx int, m Message) {
 }
 
 // Rate reports line rate while any queue may send, zero when every queue is
-// paused. Diagnostic only: the scheduler uses TrySendQueue per backlog.
+// paused. Diagnostic only: the scheduler asks TrySend per backlogged queue.
 func (b *bfcBank) Rate(tx int) units.Rate {
 	if int(b.npaused[tx]) == b.q {
 		return 0
@@ -163,29 +146,24 @@ func (b *bfcBank) Rate(tx int) units.Rate {
 	return b.cls.params[b.cls.tx[tx]].Capacity
 }
 
-// OnArrival / OnDeparture are no-ops: all accounting arrives through the
-// per-queue variants.
-func (b *bfcBank) OnArrival(int, units.Size, units.Size)   {}
-func (b *bfcBank) OnDeparture(int, units.Size, units.Size) {}
-
-func (b *bfcBank) OnQueueArrival(rx, qid int, s, _ units.Size) {
-	i := rx*b.q + qid
+func (b *bfcBank) OnArrival(rx, q int, s, _ units.Size) {
+	i := rx*b.q + q
 	b.qlen[i] += s
 	if !b.rxPaused[i] && b.qlen[i] >= b.cls.of[b.cls.rx[rx]].XOFF {
 		b.rxPaused[i] = true
-		b.env.Emit(rx, Message{Kind: KindQueuePause, QueueID: qid})
+		b.env.Emit(rx, Message{Kind: KindQueuePause, QueueID: q})
 	}
 }
 
-func (b *bfcBank) OnQueueDeparture(rx, qid int, s, _ units.Size) {
-	i := rx*b.q + qid
+func (b *bfcBank) OnDeparture(rx, q int, s, _ units.Size) {
+	i := rx*b.q + q
 	b.qlen[i] -= s
 	if b.qlen[i] < 0 {
 		b.qlen[i] = 0
 	}
 	if b.rxPaused[i] && b.qlen[i] <= b.cls.of[b.cls.rx[rx]].XON {
 		b.rxPaused[i] = false
-		b.env.Emit(rx, Message{Kind: KindQueueResume, QueueID: qid})
+		b.env.Emit(rx, Message{Kind: KindQueueResume, QueueID: q})
 	}
 }
 

@@ -128,7 +128,7 @@ func (b *creditBank) advertise(rx int) {
 	b.env.Emit(rx, Message{Kind: KindCredit, FCCL: b.abr[rx] + b.cls.of[b.cls.rx[rx]].blocks})
 }
 
-func (b *creditBank) TrySend(tx int, sz units.Size) (bool, units.Time) {
+func (b *creditBank) TrySend(tx, q int, sz units.Size) (bool, units.Time) {
 	s := &b.tx[tx]
 	if !s.init {
 		// Link-init grace: the first credit advertisement is in
@@ -137,7 +137,7 @@ func (b *creditBank) TrySend(tx int, sz units.Size) (bool, units.Time) {
 		return false, units.Never
 	}
 	if b.rl != nil {
-		return b.limiters.TrySend(tx, sz)
+		return b.limiters.TrySend(tx, q, sz)
 	}
 	if s.fctbs+Blocks(sz) <= s.fccl {
 		return true, 0
@@ -201,9 +201,9 @@ func (b *creditBank) Rate(tx int) units.Rate {
 	return 0
 }
 
-func (b *creditBank) OnArrival(int, units.Size, units.Size) {}
+func (b *creditBank) OnArrival(int, int, units.Size, units.Size) {}
 
-func (b *creditBank) OnDeparture(rx int, s, _ units.Size) {
+func (b *creditBank) OnDeparture(rx, _ int, s, _ units.Size) {
 	b.abr[rx] += Blocks(s)
 }
 

@@ -6,7 +6,9 @@
 // Flow control operates per directed channel (one direction of a link; the
 // fabric carries one lossless class). The downstream ingress side is a
 // receiver that observes its queue and emits feedback Messages; the upstream
-// egress side is a sender that gates packet transmission. One Bank per
+// egress side is a sender that gates packet transmission. The paper's
+// schemes gate a whole channel; BFC gates each of the channel's physical
+// queues, and its bank says how many there are (Bank.Queues). One Bank per
 // network holds both sides of every channel of a scheme in dense slices
 // indexed by channel, and resolves the scheme's thresholds once per distinct
 // channel class. The simulator (package netsim) carries Messages from
@@ -125,6 +127,12 @@ func (p Params) Validate() error {
 // a bank addresses each side by that port's channel index — tx for the
 // sender, rx for the receiver — and keeps its state in slices indexed by it.
 // An unwired channel (a failed link) reads rate 0.
+//
+// A bank also decides how many physical queues each channel has (Queues). A
+// channel-scoped scheme has none of its own: its gate covers the whole egress
+// port and it ignores the queue argument q of TrySend, OnArrival and
+// OnDeparture. A per-queue scheme (BFC) gates and accounts each queue q in
+// [0, Queues()) apart, and the simulator assigns every packet one.
 type Bank interface {
 	// Wire installs the channel whose receiver is rx and whose sender is
 	// tx, with parameters p.
@@ -132,11 +140,15 @@ type Bank interface {
 	// Start installs every wired receiver's periodic behaviour (e.g.
 	// CBFC's timer) and sends its initial state, in channel order.
 	Start()
+	// Queues reports the number of physical queues the scheme gates per
+	// channel, or 0 when its gate covers the whole channel.
+	Queues() int
 
-	// TrySend asks whether a packet of size s may start on tx now. When it
-	// returns false, wake is the earliest time worth retrying, or
-	// units.Never to wait for the next feedback message.
-	TrySend(tx int, s units.Size) (ok bool, wake units.Time)
+	// TrySend asks whether a packet of size s may start from tx's queue q
+	// now, without side effects. When it returns false, wake is the
+	// earliest time worth retrying, or units.Never to wait for the next
+	// feedback message.
+	TrySend(tx, q int, s units.Size) (ok bool, wake units.Time)
 	// OnSent records a completed transmission of size s on tx that
 	// occupied the wire for dur.
 	OnSent(tx int, s units.Size, dur units.Time)
@@ -146,11 +158,11 @@ type Bank interface {
 	// used by traces, snapshots and the deadlock detector.
 	Rate(tx int) units.Rate
 
-	// OnArrival reports that a packet of size s was admitted to rx's
-	// ingress queue, bringing it to q; OnDeparture that one left, bringing
-	// it to q.
-	OnArrival(rx int, s, q units.Size)
-	OnDeparture(rx int, s, q units.Size)
+	// OnArrival reports that a packet of size s, sent from the upstream
+	// queue q, was admitted to rx's ingress buffer, bringing it to occ;
+	// OnDeparture that one left, bringing it to occ.
+	OnArrival(rx, q int, s, occ units.Size)
+	OnDeparture(rx, q int, s, occ units.Size)
 
 	// Bound reports the rate mapping ceiling B_m of channel rx — in the
 	// absence of feedback loss its ingress occupancy converges below it
@@ -164,22 +176,6 @@ type Bank interface {
 	// limiter's Gate at now, and OnSent its OnPacket at now, so a simulator
 	// may read and record the limiters in place instead of calling them.
 	Limiters() []RateLimiter
-}
-
-// QueueBank is implemented by banks that gate transmission per physical
-// downstream queue rather than per channel (BFC). TrySendQueue is
-// side-effect-free: the scheduler probes each backlogged queue with it and
-// commits via the ordinary OnSent once a packet is chosen. The simulator
-// calls OnQueueArrival/OnQueueDeparture alongside OnArrival/OnDeparture with
-// the queue the packet was assigned to at the upstream egress.
-type QueueBank interface {
-	Bank
-	// Queues reports the number of physical queues the scheme assigns
-	// flows to at the downstream ingress.
-	Queues() int
-	TrySendQueue(tx, qid int, s units.Size) (ok bool, wake units.Time)
-	OnQueueArrival(rx, qid int, s, q units.Size)
-	OnQueueDeparture(rx, qid int, s, q units.Size)
 }
 
 // Factory builds a scheme's Bank for a network of chans channels running in
@@ -231,7 +227,9 @@ type limiters struct {
 	rl  []RateLimiter
 }
 
-func (l *limiters) TrySend(tx int, _ units.Size) (bool, units.Time) {
+func (l *limiters) Queues() int { return 0 }
+
+func (l *limiters) TrySend(tx, _ int, _ units.Size) (bool, units.Time) {
 	return l.rl[tx].Gate(l.env.Now())
 }
 

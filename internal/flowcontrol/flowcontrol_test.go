@@ -34,7 +34,8 @@ func (e *fakeEnv) deliver(m Message) {
 }
 
 // channel is the one channel of a two-channel test bank, its receiver on
-// channel 0 and its sender on channel 1, driven through one half at a time.
+// channel 0 and its sender on channel 1, driven through one half at a time,
+// queue 0 of each.
 type channel struct {
 	bank     Bank
 	Sender   sender
@@ -43,7 +44,7 @@ type channel struct {
 
 type sender struct{ b Bank }
 
-func (s sender) TrySend(sz units.Size) (bool, units.Time) { return s.b.TrySend(1, sz) }
+func (s sender) TrySend(sz units.Size) (bool, units.Time) { return s.b.TrySend(1, 0, sz) }
 func (s sender) OnSent(sz units.Size, dur units.Time)     { s.b.OnSent(1, sz, dur) }
 func (s sender) OnFeedback(m Message)                     { s.b.OnFeedback(1, m) }
 func (s sender) Rate() units.Rate                         { return s.b.Rate(1) }
@@ -51,8 +52,8 @@ func (s sender) Rate() units.Rate                         { return s.b.Rate(1) }
 type receiver struct{ b Bank }
 
 func (r receiver) Start()                      { r.b.Start() }
-func (r receiver) OnArrival(s, q units.Size)   { r.b.OnArrival(0, s, q) }
-func (r receiver) OnDeparture(s, q units.Size) { r.b.OnDeparture(0, s, q) }
+func (r receiver) OnArrival(s, q units.Size)   { r.b.OnArrival(0, 0, s, q) }
+func (r receiver) OnDeparture(s, q units.Size) { r.b.OnDeparture(0, 0, s, q) }
 
 // wire builds f's bank for two channels on env and wires the test channel
 // with p.
@@ -712,11 +713,10 @@ func TestGFCTimeDefaultsDerived(t *testing.T) {
 // --- BFC ---
 
 // explicitBFC is a BFC Factory with cfg's thresholds on every channel class.
+// A bank needs a positive queue count to be built at all; a non-positive one
+// is Validate's to reject when the channel is wired.
 func explicitBFC(cfg BFCConfig) Factory {
-	return newBFC(cfg.Queues, func(p Params) (BFCConfig, error) {
-		if cfg.Queues == 0 {
-			cfg.Queues = DefaultBFCQueues
-		}
+	return newBFC(max(cfg.Queues, 1), func(p Params) (BFCConfig, error) {
 		return cfg, cfg.Validate(p)
 	})
 }
@@ -754,45 +754,42 @@ func TestBFCPerQueuePauseResume(t *testing.T) {
 	}
 	env.forward = c.Sender
 	c.Receiver.Start()
-	qb := c.bank.(QueueBank)
-	if qb.Queues() != 4 {
-		t.Fatalf("Queues() = %d", qb.Queues())
+	b := c.bank
+	if b.Queues() != 4 {
+		t.Fatalf("Queues() = %d", b.Queues())
 	}
 
 	// Fill queue 2 past XOFF: only queue 2 pauses.
-	qb.OnQueueArrival(0, 2, 100*units.KB, 100*units.KB)
+	b.OnArrival(0, 2, 100*units.KB, 100*units.KB)
 	env.eng.Run(units.Never)
 	if len(env.sent) != 1 || env.sent[0].Kind != KindQueuePause || env.sent[0].QueueID != 2 {
 		t.Fatalf("messages = %+v, want one QPAUSE for queue 2", env.sent)
 	}
-	if ok, _ := qb.TrySendQueue(1, 2, 1500); ok {
+	if ok, _ := b.TrySend(1, 2, 1500); ok {
 		t.Fatal("paused queue still sendable")
 	}
-	if ok, _ := qb.TrySendQueue(1, 0, 1500); !ok {
+	if ok, _ := b.TrySend(1, 0, 1500); !ok {
 		t.Fatal("unpaused queue blocked — HoL blocking reintroduced")
-	}
-	if ok, _ := c.Sender.TrySend(1500); !ok {
-		t.Fatal("channel-level TrySend blocked with 3 queues free")
 	}
 	if c.Sender.Rate() != p.Capacity {
 		t.Fatal("rate dropped with unpaused queues remaining")
 	}
 
 	// Bounce inside (XON, XOFF): silent.
-	qb.OnQueueDeparture(0, 2, 1*units.KB, 99*units.KB)
-	qb.OnQueueArrival(0, 2, 1*units.KB, 100*units.KB)
+	b.OnDeparture(0, 2, 1*units.KB, 99*units.KB)
+	b.OnArrival(0, 2, 1*units.KB, 100*units.KB)
 	env.eng.Run(units.Never)
 	if len(env.sent) != 1 {
 		t.Fatalf("spurious messages: %+v", env.sent)
 	}
 
 	// Drain queue 2 to XON: QRESUME for queue 2 only.
-	qb.OnQueueDeparture(0, 2, 2*units.KB, 98*units.KB)
+	b.OnDeparture(0, 2, 2*units.KB, 98*units.KB)
 	env.eng.Run(units.Never)
 	if len(env.sent) != 2 || env.sent[1].Kind != KindQueueResume || env.sent[1].QueueID != 2 {
 		t.Fatalf("messages = %+v, want QPAUSE,QRESUME", env.sent)
 	}
-	if ok, _ := qb.TrySendQueue(1, 2, 1500); !ok {
+	if ok, _ := b.TrySend(1, 2, 1500); !ok {
 		t.Fatal("queue 2 still paused after QRESUME")
 	}
 }
@@ -806,12 +803,14 @@ func TestBFCAllQueuesPaused(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.forward = c.Sender
-	qb := c.bank.(QueueBank)
-	qb.OnQueueArrival(0, 0, 100*units.KB, 100*units.KB)
-	qb.OnQueueArrival(0, 1, 100*units.KB, 200*units.KB)
+	b := c.bank
+	b.OnArrival(0, 0, 100*units.KB, 100*units.KB)
+	b.OnArrival(0, 1, 100*units.KB, 200*units.KB)
 	env.eng.Run(units.Never)
-	if ok, wake := c.Sender.TrySend(1500); ok || wake != units.Never {
-		t.Fatal("sender not fully blocked with every queue paused")
+	for q := range 2 {
+		if ok, wake := b.TrySend(1, q, 1500); ok || wake != units.Never {
+			t.Fatalf("queue %d not blocked with every queue paused", q)
+		}
 	}
 	if c.Sender.Rate() != 0 {
 		t.Fatal("rate not zero with every queue paused")

@@ -204,8 +204,8 @@ func (b *gfcBufferBank) emit(rx, st int) {
 	b.env.Emit(rx, Message{Kind: KindStage, Stage: st})
 }
 
-func (b *gfcBufferBank) OnArrival(rx int, _, q units.Size)   { b.observe(rx, q) }
-func (b *gfcBufferBank) OnDeparture(rx int, _, q units.Size) { b.observe(rx, q) }
+func (b *gfcBufferBank) OnArrival(rx, _ int, _, occ units.Size)   { b.observe(rx, occ) }
+func (b *gfcBufferBank) OnDeparture(rx, _ int, _, occ units.Size) { b.observe(rx, occ) }
 
 func (b *gfcBufferBank) OnFeedback(tx int, m Message) {
 	if m.Kind != KindStage {
@@ -294,8 +294,8 @@ func (b *conceptualBank) observe(rx int, q units.Size) {
 	b.env.Emit(rx, Message{Kind: KindQueue, Queue: q})
 }
 
-func (b *conceptualBank) OnArrival(rx int, _, q units.Size)   { b.observe(rx, q) }
-func (b *conceptualBank) OnDeparture(rx int, _, q units.Size) { b.observe(rx, q) }
+func (b *conceptualBank) OnArrival(rx, _ int, _, occ units.Size)   { b.observe(rx, occ) }
+func (b *conceptualBank) OnDeparture(rx, _ int, _, occ units.Size) { b.observe(rx, occ) }
 
 func (b *conceptualBank) OnFeedback(tx int, m Message) {
 	if m.Kind != KindQueue {

@@ -93,7 +93,9 @@ func (b *pfcBank) Wire(rx, tx int, p Params) error { return b.cls.wire(rx, tx, p
 
 func (b *pfcBank) Start() {}
 
-func (b *pfcBank) TrySend(tx int, _ units.Size) (bool, units.Time) {
+func (b *pfcBank) Queues() int { return 0 }
+
+func (b *pfcBank) TrySend(tx, _ int, _ units.Size) (bool, units.Time) {
 	if b.txPaused[tx] {
 		return false, units.Never // a RESUME will kick us
 	}
@@ -118,15 +120,15 @@ func (b *pfcBank) Rate(tx int) units.Rate {
 	return b.cls.params[b.cls.tx[tx]].Capacity
 }
 
-func (b *pfcBank) OnArrival(rx int, _, q units.Size) {
-	if !b.rxPaused[rx] && q >= b.cls.of[b.cls.rx[rx]].XOFF {
+func (b *pfcBank) OnArrival(rx, _ int, _, occ units.Size) {
+	if !b.rxPaused[rx] && occ >= b.cls.of[b.cls.rx[rx]].XOFF {
 		b.rxPaused[rx] = true
 		b.env.Emit(rx, Message{Kind: KindPause})
 	}
 }
 
-func (b *pfcBank) OnDeparture(rx int, _, q units.Size) {
-	if b.rxPaused[rx] && q <= b.cls.of[b.cls.rx[rx]].XON {
+func (b *pfcBank) OnDeparture(rx, _ int, _, occ units.Size) {
+	if b.rxPaused[rx] && occ <= b.cls.of[b.cls.rx[rx]].XON {
 		b.rxPaused[rx] = false
 		b.env.Emit(rx, Message{Kind: KindResume})
 	}

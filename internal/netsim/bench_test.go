@@ -131,10 +131,11 @@ func BenchmarkLinearForwardingMetrics(b *testing.B) {
 // toolchain noise. An increase here means a closure, interface box, growing
 // queue or map crept back into the refill/kick/arrive loop. The byte budgets
 // hold the packet arena, which scales with live packets, to the 48-byte
-// packet. Measured with one flow-control bank per network: 75 and 87
-// allocs/op, 12 264 and 27 928 B/op (109 and 107, 14 384 and 29 160 with four
-// controller objects per channel; 17 336 and 46 880 B/op with the 88-byte
-// packet and its side free list), plus ~5%.
+// packet. Measured with the nodes in an arena: 65 and 79 allocs/op, 12 120
+// and 27 680 B/op (75 and 87, 12 264 and 27 928 with a heap object per node;
+// 109 and 107, 14 384 and 29 160 with four controller objects per channel;
+// 17 336 and 46 880 B/op with the 88-byte packet and its side free list),
+// plus ~5%.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget check skipped in -short mode")
@@ -148,8 +149,8 @@ func TestAllocBudget(t *testing.T) {
 		allocs int64 // allocs/op
 		bytes  int64 // B/op
 	}{
-		{"LinearForwarding", BenchmarkLinearForwarding, 79, 12_900},
-		{"CongestedFabric", BenchmarkCongestedFabric, 92, 29_400},
+		{"LinearForwarding", BenchmarkLinearForwarding, 69, 12_900},
+		{"CongestedFabric", BenchmarkCongestedFabric, 84, 29_400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := testing.Benchmark(tc.bench)
@@ -169,15 +170,15 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNoPerChannelAllocs: building a network allocates per node, never per
-// channel — flow control is one bank per network, its state in dense slices.
-// Under every scheme, New on a k=8 fat-tree (208 nodes, 768 channels) may
-// make at most one allocation per extra node more than on a k=4 one (36
-// nodes, 96 channels), where a heap object per channel would cost 672 more
-// each. The one allowance is logarithmic: CBFC's and GFC-time's Start puts an
-// advertisement and a timer in flight on every channel, so the feedback slots
-// and the engine's two FIFO lanes they land in grow by doubling, once per
-// doubling of the channel count.
+// TestNoPerChannelAllocs: building a network allocates neither per node nor
+// per channel — the nodes and ports are arenas, and flow control is one bank
+// per network, its state in dense slices. Under every scheme, New on a k=8
+// fat-tree (208 nodes, 768 channels) makes as many allocations as on a k=4
+// one (36 nodes, 96 channels), where a heap object per node would cost 172
+// more and one per channel 672. The one allowance is logarithmic: CBFC's and
+// GFC-time's Start puts an advertisement and a timer in flight on every
+// channel, so the feedback slots and the engine's two FIFO lanes they land in
+// grow by doubling, once per doubling of the channel count.
 func TestNoPerChannelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocs")
@@ -193,23 +194,16 @@ func TestNoPerChannelAllocs(t *testing.T) {
 		{"gfc-conceptual", func() Config {
 			return baseConfig(flowcontrol.NewGFCConceptual(flowcontrol.GFCConceptualConfig{}))
 		}},
-		{"bfc", func() Config {
-			c := baseConfig(flowcontrol.NewBFCQueues(4))
-			c.FlowQueues = 4
-			return c
-		}},
+		{"bfc", func() Config { return baseConfig(flowcontrol.NewBFCQueues(4)) }},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			type size struct {
-				allocs       float64
-				nodes, chans int
+				allocs float64
+				chans  int
 			}
 			build := func(k int) size {
 				topo := topology.FatTree(k, topology.DefaultLinkParams())
-				s := size{nodes: topo.NumNodes()}
-				for id := 0; id < s.nodes; id++ {
-					s.chans += len(topo.Ports(topology.NodeID(id)))
-				}
+				s := size{chans: 2 * topo.NumLinks()}
 				s.allocs = testing.AllocsPerRun(20, func() {
 					if _, err := New(topo, sc.cfg()); err != nil {
 						t.Fatal(err)
@@ -218,7 +212,7 @@ func TestNoPerChannelAllocs(t *testing.T) {
 				return s
 			}
 			small, large := build(4), build(8)
-			budget := float64(large.nodes-small.nodes) + 3*math.Log2(float64(large.chans)/float64(small.chans))
+			budget := 3 * math.Log2(float64(large.chans)/float64(small.chans))
 			if extra := large.allocs - small.allocs; extra > budget {
 				t.Errorf("New allocates %v times on k=8, %v on k=4: %v more, budget %v",
 					large.allocs, small.allocs, extra, budget)

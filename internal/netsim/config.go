@@ -40,18 +40,14 @@ type Config struct {
 	ECNThreshold units.Size
 	// Scheduling is the switching discipline; the zero value is
 	// SchedInputQueued (input-queued with head-of-line blocking), the
-	// model of the paper's testbed switch every figure runs under.
+	// model of the paper's testbed switch every figure runs under. A bank
+	// that gates each physical queue (flowcontrol.Bank.Queues() > 0, BFC)
+	// overrides it with SchedFIFO over that many queues per egress, with
+	// dynamic flow→queue assignment: a flow with queued packets stays in
+	// its queue and a new flow takes the emptiest one — BFC's design point
+	// is that the physical queues themselves replace ingress FIFOs and
+	// VOQs.
 	Scheduling Scheduling
-	// FlowQueues, when positive, gives every egress channel that many
-	// physical queues with dynamic flow→queue assignment (BFC, Goyal et
-	// al.): a flow with queued packets stays in its queue, new flows take
-	// the emptiest one, and the wired flow controller must implement
-	// flowcontrol.QueueSender/QueueReceiver so pause/resume is scoped per
-	// queue. Setting it forces the output-queued SchedFIFO discipline —
-	// BFC's design point is that the physical queues themselves replace
-	// ingress FIFOs and VOQs. Zero (the default) disables per-flow
-	// queueing and costs the hot path nothing.
-	FlowQueues int
 	// TxRing is the per-egress TX ring capacity in packets for
 	// SchedBlocking; default 128 (DPDK rings are a few hundred
 	// descriptors).
@@ -89,9 +85,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.TxRing == 0 {
 		c.TxRing = 128
-	}
-	if c.FlowQueues > 0 {
-		c.Scheduling = SchedFIFO
 	}
 }
 
@@ -133,9 +126,6 @@ func (c *Config) validate() error {
 	}
 	if c.FlowControl == nil {
 		return fmt.Errorf("netsim: FlowControl factory is required")
-	}
-	if c.FlowQueues < 0 || c.FlowQueues > 64 {
-		return fmt.Errorf("netsim: FlowQueues %d outside [0,64]", c.FlowQueues)
 	}
 	return nil
 }

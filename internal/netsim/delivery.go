@@ -43,10 +43,7 @@ func (n *Network) completeTx(p *port) {
 		if reg := n.metrics; reg != nil {
 			reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
 		}
-		n.fc.OnDeparture(ch, pkt.Size, n.occupancy[ch])
-		if n.fq > 0 {
-			n.qfc.OnQueueDeparture(ch, int(pkt.arrivalQueue), pkt.Size, n.occupancy[ch])
-		}
+		n.fc.OnDeparture(ch, int(pkt.arrivalQueue), pkt.Size, n.occupancy[ch])
 	case topology.Host:
 		n.refill(nd)
 	}
@@ -105,14 +102,11 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 	if reg := n.metrics; reg != nil {
 		reg.OnAdmit(ch, now, pkt.Size, occ)
 	}
-	n.fc.OnArrival(ch, pkt.Size, occ)
-	if n.fq > 0 {
-		// Freeze the upstream queue assignment: this is the physical
-		// queue the packet occupies at this ingress until it departs,
-		// regardless of which queue the next hop assigns it.
-		pkt.arrivalQueue = pkt.queue
-		n.qfc.OnQueueArrival(ch, int(pkt.arrivalQueue), pkt.Size, occ)
-	}
+	// Freeze the upstream queue assignment: this is the physical queue the
+	// packet occupies at this ingress until it departs, regardless of which
+	// queue the next hop assigns it (0 under a channel-scoped bank).
+	pkt.arrivalQueue = pkt.queue
+	n.fc.OnArrival(ch, int(pkt.arrivalQueue), pkt.Size, occ)
 	pkt.arrivalPort = int16(idx)
 	pkt.hop++
 	hop := pkt.Flow.Path[pkt.hop]

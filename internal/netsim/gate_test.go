@@ -107,8 +107,8 @@ func TestDirectGateIsSchemeGate(t *testing.T) {
 					if n.ports[ch].failed {
 						continue
 					}
-					ok, wake := n.trySend(ch, n.cfg.MTU)
-					wantOK, wantWake := n.fc.TrySend(ch, n.cfg.MTU)
+					ok, wake := n.trySend(ch, 0, n.cfg.MTU)
+					wantOK, wantWake := n.fc.TrySend(ch, 0, n.cfg.MTU)
 					if ok != wantOK || wake != wantWake {
 						t.Fatalf("t=%v channel %d: in place (%v, %v), Bank.TrySend (%v, %v)",
 							eng.Now(), ch, ok, wake, wantOK, wantWake)
@@ -158,7 +158,7 @@ func TestLimitersOnlyForRateGatedSchemes(t *testing.T) {
 		{baseConfig(gfcTimeFactory()), true},
 		{baseConfig(cbfcFactory()), false},
 		{baseConfig(flowcontrol.NewPFC(flowcontrol.PFCConfig{})), false},
-		{Config{BufferSize: 300 * units.KB, FlowQueues: 4, FlowControl: flowcontrol.NewBFCQueues(4)}, false},
+		{Config{BufferSize: 300 * units.KB, FlowControl: flowcontrol.NewBFCQueues(4)}, false},
 	} {
 		n, err := New(topo, tc.cfg)
 		if err != nil {

@@ -95,7 +95,7 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 					}
 				}
 				if out := n.inqOut[ch]; out >= 0 {
-					if b := n.fwdBlocked[nd.id]; b != nil {
+					if b := nd.fwdBlocked; b != nil {
 						addWait(b)
 					} else {
 						addWait(&nd.ports[out])
@@ -115,26 +115,17 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 
 // egressRate reports the effective flow-control permitted rate of egress
 // channel p (0 on a failed link). For channel-scoped schemes this is the
-// bank's Rate. For per-flow-queue schemes (FlowQueues > 0) the channel-level
-// Rate stays at capacity while any queue is unpaused, which would hide a
-// stall whose entire backlog sits in paused queues — so here the backlogged
-// queues are probed: any sendable backlog means line rate, all-paused
+// bank's Rate. Under a per-queue bank (fq > 0) the channel-level Rate stays
+// at capacity while any queue is unpaused, which would hide a stall whose
+// entire backlog sits in paused queues — so here the backlogged queues are
+// probed, as kick would: any sendable backlog means line rate, all-paused
 // backlog means 0, and an idle channel falls back to Rate.
 func (n *Network) egressRate(p *port) units.Rate {
-	if n.fq > 0 && !p.failed {
-		base := p.voqBase
-		backlogged := false
-		for i := 0; i < p.slots; i++ {
-			if q := &n.voqs[base+i]; !q.empty() {
-				backlogged = true
-				if ok, _ := n.qfc.TrySendQueue(p.cb, i, q.front().Size); ok {
-					return p.capacity
-				}
-			}
+	if n.fq > 0 && !p.failed && n.slotReady[p.cb] != 0 {
+		if slot, _ := n.nextQueued(p); slot >= 0 {
+			return p.capacity
 		}
-		if backlogged {
-			return 0
-		}
+		return 0
 	}
 	return n.fc.Rate(p.cb)
 }

@@ -32,7 +32,7 @@ func refNextFromInputs(n *Network, p *port) (*Packet, int, units.Time) {
 		if head.Flow.Path[head.hop].Port != p.local {
 			continue // head-of-line: only the head is eligible
 		}
-		ok, wake := n.fc.TrySend(p.cb, head.Size)
+		ok, wake := n.fc.TrySend(p.cb, 0, head.Size)
 		if !ok {
 			return nil, -1, wake
 		}
@@ -45,7 +45,7 @@ func refNextFromInputs(n *Network, p *port) (*Packet, int, units.Time) {
 // ingress FIFO from the cursor.
 func refNextIngress(n *Network, nd *node) int {
 	for j := 0; j < len(nd.ports); j++ {
-		c := &nd.ports[(int(n.fwdCursor[nd.id])+j)%len(nd.ports)]
+		c := &nd.ports[(int(nd.fwdCursor)+j)%len(nd.ports)]
 		if !n.inq[c.cb].empty() {
 			return c.local
 		}
@@ -53,21 +53,23 @@ func refNextIngress(n *Network, nd *node) int {
 	return -1
 }
 
-// refNextPacket is nextPacket's linear scan over the egress's queue slots.
-func refNextPacket(n *Network, p *port) (*Packet, int) {
+// refNextPacket is the channel-gated pick's linear scan over the egress's
+// queue slots: the first non-empty one from the cursor, the only candidate
+// its gate is asked about.
+func refNextPacket(n *Network, p *port) int {
 	base := p.voqBase
 	for i := 0; i < p.slots; i++ {
 		k := (int(n.rrVoq[p.cb]) + i) % p.slots
-		if v := &n.voqs[base+k]; !v.empty() {
-			return v.front(), k
+		if !n.voqs[base+k].empty() {
+			return k
 		}
 	}
-	return nil, -1
+	return -1
 }
 
-// refNextQueued is nextQueued's linear scan: paused queues are skipped and
-// the earliest of their wakes is returned when nothing may send.
-func refNextQueued(n *Network, p *port) (*Packet, int, units.Time) {
+// refNextQueued is the per-queue pick's linear scan: paused queues are
+// skipped and the earliest of their wakes is returned when nothing may send.
+func refNextQueued(n *Network, p *port) (int, units.Time) {
 	base := p.voqBase
 	minWake := units.Never
 	for i := 0; i < p.slots; i++ {
@@ -76,25 +78,25 @@ func refNextQueued(n *Network, p *port) (*Packet, int, units.Time) {
 		if v.empty() {
 			continue
 		}
-		head := v.front()
-		ok, wake := n.qfc.TrySendQueue(p.cb, k, head.Size)
+		ok, wake := n.fc.TrySend(p.cb, k, v.front().Size)
 		if !ok {
 			if wake < minWake {
 				minWake = wake
 			}
 			continue
 		}
-		return head, k, 0
+		return k, 0
 	}
-	return nil, -1, minWake
+	return -1, minWake
 }
 
 // stubBank stands in for a network's bank with verdicts the test dictates;
-// the embedded QueueBank, when set, serves every method it does not stub.
-// refuse gates every channel (TrySend); paused[q] gates one queue and
-// wakes[q] is the retry time it reports. calls counts TrySend probes.
+// the embedded Bank, when set, serves every method it does not stub. refuse
+// gates every queue with retry time wake; otherwise paused[q], when paused
+// is set, gates queue q alone and wakes[q] is the retry time it reports.
+// calls counts TrySend probes.
 type stubBank struct {
-	flowcontrol.QueueBank
+	flowcontrol.Bank
 	refuse bool
 	wake   units.Time
 	paused []bool
@@ -102,15 +104,12 @@ type stubBank struct {
 	calls  int
 }
 
-func (s *stubBank) TrySend(int, units.Size) (bool, units.Time) {
+func (s *stubBank) TrySend(_, q int, _ units.Size) (bool, units.Time) {
 	s.calls++
-	if s.refuse {
+	switch {
+	case s.refuse:
 		return false, s.wake
-	}
-	return true, 0
-}
-func (s *stubBank) TrySendQueue(_, q int, _ units.Size) (bool, units.Time) {
-	if s.paused[q] {
+	case s.paused != nil && s.paused[q]:
 		return false, s.wakes[q]
 	}
 	return true, 0
@@ -131,7 +130,7 @@ func star(t *testing.T, radix int, cfg Config) (*Network, *node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, n.nodes[sw]
+	return n, &n.nodes[sw]
 }
 
 // boundFor fabricates a packet sitting at nd whose next hop leaves by port
@@ -149,7 +148,8 @@ func boundFor(n *Network, nd *node, in, out int, seq int64) *Packet {
 // against the egress queue slots, and no bit beyond the candidates.
 func checkMasks(t *testing.T, n *Network, when string) {
 	t.Helper()
-	for _, nd := range n.nodes {
+	for id := range n.nodes {
+		nd := &n.nodes[id]
 		want := make([]uint64, len(nd.ports)) // per egress: inputs whose head is bound for it
 		var busy uint64
 		for i := range nd.ports {
@@ -175,7 +175,7 @@ func checkMasks(t *testing.T, n *Network, when string) {
 			busy |= 1 << uint(i)
 			want[out] |= 1 << uint(i)
 		}
-		if got := n.inBusy[nd.id]; got != busy {
+		if got := nd.inBusy; got != busy {
 			t.Fatalf("%s: node %d: inBusy %#x, FIFOs say %#x", when, nd.id, got, busy)
 		}
 		for e := range nd.ports {
@@ -260,9 +260,9 @@ type countingBank struct {
 	calls int
 }
 
-func (b *countingBank) TrySend(ch int, sz units.Size) (bool, units.Time) {
+func (b *countingBank) TrySend(ch, q int, sz units.Size) (bool, units.Time) {
 	b.calls++
-	return b.Bank.TrySend(ch, sz)
+	return b.Bank.TrySend(ch, q, sz)
 }
 
 // TestInputPicksMatchReferenceScan: radix 1…64 × random ingress occupancy ×
@@ -332,7 +332,7 @@ func inputPicks(t *testing.T, radix int, rng *rand.Rand, direct bool) {
 		}
 		checkMasks(t, n, fmt.Sprintf("radix %d pattern %d filled", radix, pattern))
 		for cursor := 0; cursor < radix; cursor++ {
-			n.fwdCursor[nd.id] = int32(cursor)
+			nd.fwdCursor = int32(cursor)
 			if got, want := n.nextIngress(nd), refNextIngress(n, nd); got != want {
 				t.Fatalf("radix %d cursor %d: nextIngress = %d, scan says %d", radix, cursor, got, want)
 			}
@@ -363,7 +363,7 @@ func inputPicks(t *testing.T, radix int, rng *rand.Rand, direct bool) {
 		}
 		// Drain in random input order through the helper.
 		for {
-			n.fwdCursor[nd.id] = int32(rng.Intn(radix))
+			nd.fwdCursor = int32(rng.Intn(radix))
 			in := n.nextIngress(nd)
 			if in < 0 {
 				break
@@ -374,15 +374,20 @@ func inputPicks(t *testing.T, radix int, rng *rand.Rand, direct bool) {
 	}
 }
 
-// TestSlotPicksMatchReferenceScan: the same for the egress queue picks —
-// nextPacket over VOQ slots (slots = radix) and nextQueued over FlowQueues
-// (1…64), the latter with random queues paused: a paused queue is skipped
-// and, when nothing may send, the earliest wake comes back.
+// TestSlotPicksMatchReferenceScan: the same for the egress queue picks, one
+// scanner (nextQueued) under both kinds of gate. Over VOQ slots (slots =
+// radix) a stub channel gate grants, and the pick is the reference scan's; or
+// it refuses, and the pick is none, with the gate's wake, after exactly one
+// probe — a channel gate refuses every slot alike. Over a per-queue bank's
+// queues (1…64) random queues are paused: a paused queue is skipped and,
+// when nothing may send, the earliest wake comes back.
 func TestSlotPicksMatchReferenceScan(t *testing.T) {
 	forEachRadix(t, func(t *testing.T, radix int, rng *rand.Rand) {
 		cfg := baseConfig(gfcFactory())
 		cfg.Scheduling = SchedVOQ
 		n, nd := star(t, radix, cfg)
+		stub := &stubBank{Bank: n.fc}
+		n.fc, n.limiters = stub, nil
 		p := &nd.ports[rng.Intn(radix)]
 		var seq int64
 		for pattern := 0; pattern < 4; pattern++ {
@@ -396,15 +401,27 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 			checkMasks(t, n, fmt.Sprintf("voq radix %d pattern %d", radix, pattern))
 			for cursor := 0; cursor < radix; cursor++ {
 				n.rrVoq[p.cb] = int32(cursor)
-				gotPkt, gotSlot := n.nextPacket(p)
-				wantPkt, wantSlot := refNextPacket(n, p)
-				if gotPkt != wantPkt || gotSlot != wantSlot {
-					t.Fatalf("voq radix %d cursor %d: nextPacket = (%v, %d), scan says (%v, %d)",
-						radix, cursor, gotPkt, gotSlot, wantPkt, wantSlot)
+				for _, refuse := range []bool{false, true} {
+					wake := units.Time(1000 + cursor)
+					stub.reset(refuse, wake)
+					gotSlot, gotWake := n.nextQueued(p)
+					wantSlot := refNextPacket(n, p)
+					wantWake, wantCalls := units.Never, 0
+					if wantSlot >= 0 {
+						wantWake, wantCalls = 0, 1
+						if refuse {
+							wantSlot, wantWake = -1, wake
+						}
+					}
+					if gotSlot != wantSlot || gotWake != wantWake || stub.calls != wantCalls {
+						t.Fatalf("voq radix %d cursor %d refuse %v: nextQueued = (%d, %v) after %d probes, want (%d, %v) after %d",
+							radix, cursor, refuse, gotSlot, gotWake, stub.calls, wantSlot, wantWake, wantCalls)
+					}
 				}
 			}
+			stub.reset(false, 0)
 			for {
-				_, slot := n.nextPacket(p)
+				slot, _ := n.nextQueued(p)
 				if slot < 0 {
 					break
 				}
@@ -415,12 +432,10 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 	})
 
 	forEachRadix(t, func(t *testing.T, queues int, rng *rand.Rand) {
-		cfg := baseConfig(flowcontrol.NewBFCQueues(queues))
-		cfg.FlowQueues = queues
-		n, nd := star(t, 2, cfg)
+		n, nd := star(t, 2, baseConfig(flowcontrol.NewBFCQueues(queues)))
 		p := &nd.ports[1]
-		stub := &stubBank{QueueBank: n.qfc, paused: make([]bool, queues), wakes: make([]units.Time, queues)}
-		n.qfc = stub
+		stub := &stubBank{Bank: n.fc, paused: make([]bool, queues), wakes: make([]units.Time, queues)}
+		n.fc = stub
 		for pattern := 0; pattern < 4; pattern++ {
 			// One packet per distinct flow fills queues 0…queues-1 in
 			// order (a new flow takes the lowest empty queue); dequeuing
@@ -442,11 +457,11 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 			checkMasks(t, n, fmt.Sprintf("bfc %d queues pattern %d", queues, pattern))
 			for cursor := 0; cursor < queues; cursor++ {
 				n.rrVoq[p.cb] = int32(cursor)
-				gotPkt, gotSlot, gotWake := n.nextQueued(p)
-				wantPkt, wantSlot, wantWake := refNextQueued(n, p)
-				if gotPkt != wantPkt || gotSlot != wantSlot || gotWake != wantWake {
-					t.Fatalf("bfc %d queues cursor %d: nextQueued = (%v, %d, %v), scan says (%v, %d, %v)",
-						queues, cursor, gotPkt, gotSlot, gotWake, wantPkt, wantSlot, wantWake)
+				gotSlot, gotWake := n.nextQueued(p)
+				wantSlot, wantWake := refNextQueued(n, p)
+				if gotSlot != wantSlot || gotWake != wantWake {
+					t.Fatalf("bfc %d queues cursor %d: nextQueued = (%d, %v), scan says (%d, %v)",
+						queues, cursor, gotSlot, gotWake, wantSlot, wantWake)
 				}
 			}
 			for q := 0; q < queues; q++ {
@@ -480,11 +495,7 @@ func TestMasksTrackQueuesUnderTraffic(t *testing.T) {
 			c.Scheduling = SchedVOQ
 			return c
 		}},
-		{"flow-queues", func() Config {
-			c := baseConfig(flowcontrol.NewBFCQueues(4))
-			c.FlowQueues = 4
-			return c
-		}},
+		{"flow-queues", func() Config { return baseConfig(flowcontrol.NewBFCQueues(4)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := topology.FatTree(4, topology.DefaultLinkParams())
@@ -525,8 +536,8 @@ func TestMasksTrackQueuesUnderTraffic(t *testing.T) {
 				}
 				if events%300 == 0 {
 					checkMasks(t, n, fmt.Sprintf("%s after %d events", tc.name, events))
-					for _, b := range n.fwdBlocked {
-						if b != nil {
+					for id := range n.nodes {
+						if n.nodes[id].fwdBlocked != nil {
 							stalls++
 						}
 					}

@@ -21,7 +21,7 @@ type Network struct {
 	cfg   Config
 	topo  *topology.Topology
 	eng   *eventsim.Engine
-	nodes []*node
+	nodes []node // by id; ports point at their owner here
 	flows []*Flow
 	drops int64
 
@@ -73,16 +73,15 @@ type Network struct {
 	voqs     []pktQueue
 	fedBytes []units.Size
 
-	// Per-flow queue state (Config.FlowQueues > 0, BFC). All nil/zero
-	// otherwise, so the disabled cost is one int compare on the hot path.
-	// fq is cfg.FlowQueues; qAssign maps flow ID → current assignment per
-	// channel; slotFlows counts assigned flows per physical queue with the
-	// same (voqBase + slot) indexing as voqs; qfc is fc's per-queue
-	// interface.
+	// Per-flow queue state, kept when the bank gates each of a channel's
+	// physical queues (fc.Queues() > 0, BFC). All nil/zero otherwise, so
+	// the disabled cost is one int compare on the hot path. fq is
+	// fc.Queues(); qAssign maps flow ID → current assignment per channel;
+	// slotFlows counts assigned flows per physical queue with the same
+	// (voqBase + slot) indexing as voqs.
 	fq        int
 	qAssign   []map[int]flowAssign
 	slotFlows []int32
-	qfc       flowcontrol.QueueBank
 
 	// fbObs, when non-nil, observes every feedback message at its delivery
 	// instant (after loss/delay faults have taken effect) — the in-data-
@@ -96,13 +95,6 @@ type Network struct {
 	// and the steady state allocates nothing.
 	fbSlots []fbSlot
 	fbFree  int32
-	// Per-node state, indexed by node id: inBusy bit i says the node's
-	// ingress FIFO i is non-empty (pushInq/popInq); the rest is the
-	// SchedBlocking forwarding core's.
-	inBusy     []uint64
-	fwdCursor  []int32
-	fwdBlocked []*port // egress whose full TX ring stalls forwarding
-	forwarding []bool  // re-entrancy guard
 
 	// Packet free list, per network: deterministic (unlike a sync.Pool,
 	// which drains on GC), a LIFO linked through Packet.next, and fed by
@@ -113,13 +105,14 @@ type Network struct {
 }
 
 // New builds a simulation of topo under cfg. Every live channel direction
-// is wired into one flow-control bank.
+// is wired into one flow-control bank; a bank that gates each of a channel's
+// physical queues runs the switches FIFO over that many queues per egress.
 func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	cfg.FillDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, topo: topo, eng: eventsim.New(), fbFree: -1}
+	n := &Network{topo: topo, eng: eventsim.New(), fbFree: -1}
 	n.txDoneFn = func(ch int32) { n.completeTx(&n.ports[ch]) }
 	n.arriveFn = func(ch int32) {
 		p := &n.ports[ch]
@@ -131,17 +124,27 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		n.kick(p)
 	}
 	n.refillFn = func(id int32) {
-		h := n.nodes[id]
+		h := &n.nodes[id]
 		h.refillAt = units.Never
 		n.refill(h)
 	}
 	n.deliverFn = n.deliver
 	n.startFn = n.start
 	nn := topo.NumNodes()
+	chans := 2 * topo.NumLinks() // a port per link end
+	n.fc = cfg.FlowControl((*bankEnv)(n), chans)
+	n.fq = n.fc.Queues()
+	if n.fq > maxRadix {
+		return nil, fmt.Errorf("netsim: the wired scheme has %d queues per channel; at most %d", n.fq, maxRadix)
+	}
+	if n.fq > 0 {
+		cfg.Scheduling = SchedFIFO // the physical queues replace ingress FIFOs and VOQs
+	}
+	n.cfg = cfg
 
 	// Pass 1: size the dense arrays. The channel index layout must match
 	// metrics.Registry.Bind exactly: channels in (node, port) order.
-	chans, totalVoqs, totalFed := 0, 0, 0
+	totalVoqs, totalFed := 0, 0
 	for id := 0; id < nn; id++ {
 		ats := topo.Ports(topology.NodeID(id))
 		if len(ats) > math.MaxInt16 {
@@ -152,15 +155,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("netsim: node %s has %d ports; %s scheduling supports at most %d per node",
 				topo.Node(topology.NodeID(id)).Name, len(ats), cfg.Scheduling, maxRadix)
 		}
-		chans += len(ats)
-		slots := 1
-		if cfg.Scheduling == SchedVOQ {
-			slots = len(ats)
-		}
-		if cfg.FlowQueues > 0 {
-			slots = cfg.FlowQueues
-		}
-		totalVoqs += len(ats) * slots
+		totalVoqs += len(ats) * n.egressSlots(len(ats))
 		totalFed += len(ats) * len(ats)
 	}
 	n.ports = make([]port, chans)
@@ -175,44 +170,25 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	}
 	n.inReady = make([]uint64, chans)
 	n.slotReady = make([]uint64, chans)
-	n.inBusy = make([]uint64, nn)
 	n.voqs = make([]pktQueue, totalVoqs)
 	if cfg.Scheduling != SchedInputQueued {
 		n.fedBytes = make([]units.Size, totalFed)
 	}
-	n.fwdCursor = make([]int32, nn)
-	n.fwdBlocked = make([]*port, nn)
-	n.forwarding = make([]bool, nn)
-	n.fc = cfg.FlowControl((*bankEnv)(n), chans)
-	if cfg.FlowQueues > 0 {
-		n.fq = cfg.FlowQueues
+	if n.fq > 0 {
 		n.qAssign = make([]map[int]flowAssign, chans)
 		n.slotFlows = make([]int32, totalVoqs)
-		qb, ok := n.fc.(flowcontrol.QueueBank)
-		if !ok {
-			return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme is not queue-aware", n.fq)
-		}
-		if qb.Queues() != n.fq {
-			return nil, fmt.Errorf("netsim: FlowQueues=%d but the wired scheme has %d queues", n.fq, qb.Queues())
-		}
-		n.qfc = qb
 	}
 
 	// Pass 2: build nodes and ports, assigning each port its bases.
-	n.nodes = make([]*node, nn)
+	n.nodes = make([]node, nn)
 	cb, vb, fb := 0, 0, 0
 	for id := range n.nodes {
 		tn := topo.Node(topology.NodeID(id))
-		nd := &node{id: tn.ID, kind: tn.Kind, cb: cb, refillAt: units.Never}
+		nd := &n.nodes[id]
+		*nd = node{id: tn.ID, kind: tn.Kind, cb: cb, refillAt: units.Never}
 		ats := topo.Ports(tn.ID)
 		nd.ports = n.ports[cb : cb+len(ats) : cb+len(ats)]
-		slots := 1
-		if cfg.Scheduling == SchedVOQ {
-			slots = len(ats)
-		}
-		if cfg.FlowQueues > 0 {
-			slots = cfg.FlowQueues
-		}
+		slots := n.egressSlots(len(ats))
 		for i, at := range ats {
 			n.ports[cb] = port{
 				owner: nd, local: i, link: at.Link, failed: at.Link.Failed,
@@ -226,7 +202,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 			vb += slots
 			fb += len(ats)
 		}
-		n.nodes[id] = nd
 	}
 	// Resolve each port's peer now that every node has its ports.
 	for i := range n.ports {
@@ -236,7 +211,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	}
 	// Wire the bank: for channel u→v, the sender sits on u's port and the
 	// receiver on v's port.
-	for _, nd := range n.nodes {
+	for id := range n.nodes {
+		nd := &n.nodes[id]
 		for i := range nd.ports {
 			p := &nd.ports[i]
 			if p.failed {
@@ -284,6 +260,19 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	// Start receivers (periodic feedback, initial credit adverts).
 	n.fc.Start()
 	return n, nil
+}
+
+// egressSlots is the number of queue slots of each egress port on a node of
+// the given radix: the bank's physical queues when it gates them, a VOQ per
+// input port under SchedVOQ, and one mixed arrival-order queue otherwise.
+func (n *Network) egressSlots(radix int) int {
+	switch {
+	case n.fq > 0:
+		return n.fq
+	case n.cfg.Scheduling == SchedVOQ:
+		return radix
+	}
+	return 1
 }
 
 // bankEnv is the Network as its bank's flowcontrol.Env: the engine's clock
@@ -423,7 +412,7 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 func (n *Network) start(i int32) {
 	f := n.flows[i]
 	f.Started = n.eng.Now()
-	src := n.nodes[f.Src]
+	src := &n.nodes[f.Src]
 	src.addFlow(f)
 	n.refill(src)
 }

@@ -33,11 +33,12 @@ type Packet struct {
 	// math.MaxInt16 ports (New).
 	arrivalPort int16
 
-	// Per-flow queue accounting (Config.FlowQueues > 0, at most 64): queue
-	// is the physical queue the packet is assigned to at its current
+	// Per-flow queue accounting (a per-queue bank, at most 64 queues):
+	// queue is the physical queue the packet is assigned to at its current
 	// egress, and arrivalQueue freezes the assignment it arrived downstream
-	// with — the queue id the ingress BFC receiver is told about on
-	// admission and departure. Both are recycled to zero with the packet.
+	// with — the queue the ingress receiver is told about on admission and
+	// departure. Both stay 0 under a channel-scoped bank, and are recycled
+	// to zero with the packet.
 	queue        int16
 	arrivalQueue int16
 

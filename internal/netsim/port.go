@@ -62,11 +62,12 @@ type port struct {
 	// Cold: construction-time bases.
 	link *topology.Link
 	// voqBase and slots address Network.voqs: the egress queue for slot is
-	// voqs[voqBase + slot]. slots is the owner's port count under SchedVOQ —
-	// one virtual output queue per input port — and 1 otherwise, holding the
-	// mixed arrival-order queue; per-input byte accounting is kept either
-	// way (Network.fedBytes, but for SchedInputQueued) for the deadlock
-	// detector's FedBy edges.
+	// voqs[voqBase + slot]. slots is Network.egressSlots: the bank's
+	// physical queues under a per-queue bank, the owner's port count under
+	// SchedVOQ — one virtual output queue per input port — and 1 otherwise,
+	// holding the mixed arrival-order queue; per-input byte accounting is
+	// kept either way (Network.fedBytes, but for SchedInputQueued) for the
+	// deadlock detector's FedBy edges.
 	voqBase int
 	slots   int
 	// fedBase addresses Network.fedBytes: the per-input backlog of an
@@ -115,8 +116,8 @@ type flowAssign struct {
 	pkts int32
 }
 
-// assignSlot picks the physical queue for pkt on egress channel p
-// (Config.FlowQueues > 0): the flow's existing queue while it has packets
+// assignSlot picks the physical queue for pkt on egress channel p (under a
+// per-queue bank, fq > 0): the flow's existing queue while it has packets
 // there, otherwise the lowest-indexed empty queue, otherwise the queue with
 // the fewest assigned flows (lowest index breaking ties). Deterministic by
 // construction — no map iteration, only keyed lookups and index-order scans.
@@ -179,18 +180,6 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	p.queuedPkts++
 }
 
-// nextPacket returns (without removing) the next packet on p and its queue
-// slot, or nil: the global head in FIFO mode, the round-robin VOQ head in VOQ
-// mode.
-func (n *Network) nextPacket(p *port) (*Packet, int) {
-	m := n.slotReady[p.cb]
-	if m == 0 {
-		return nil, -1
-	}
-	slot := nextBit(m, int(n.rrVoq[p.cb]))
-	return n.voqs[p.voqBase+slot].front(), slot
-}
-
 // dequeue removes the head of p's queue slot and advances the round-robin
 // cursor.
 func (n *Network) dequeue(p *port, slot int) *Packet {
@@ -218,9 +207,15 @@ type node struct {
 	// ports is the node's run of the Network.ports arena, by value: port i
 	// is &ports[i], one address computation and no pointer table.
 	ports []port
-	// cb is ports[0].cb, the node's channel base. The per-node arrays
-	// (Network.fwdCursor/fwdBlocked/forwarding/inBusy) are indexed by id.
+	// cb is ports[0].cb, the node's channel base.
 	cb int
+
+	// Switch state. inBusy bit i says ingress FIFO i is non-empty
+	// (pushInq/popInq); the rest is the SchedBlocking forwarding core's.
+	inBusy     uint64
+	fwdCursor  int32
+	forwarding bool  // re-entrancy guard
+	fwdBlocked *port // egress whose full TX ring stalls forwarding
 
 	// Host state. flows lists the started flows with bytes left to release,
 	// in start order; a flow leaves it with its last byte (see nextFlow for

@@ -9,9 +9,10 @@ import (
 )
 
 // This file is the egress scheduling and host injection machinery: which
-// packet a transmitter picks next (kick, nextFromInputs, nextQueued), the
-// SchedBlocking forwarding core (forward), and the host NIC refill path
-// (refill, nextFlow).
+// packet a transmitter picks next (kick: nextFromInputs over the ingress FIFO
+// heads under SchedInputQueued, nextQueued over the egress's own queue slots
+// under every other discipline), the SchedBlocking forwarding core (forward),
+// and the host NIC refill path (refill, nextFlow).
 //
 // Both retry timers — kick and refill — are events of the Network's kick and
 // refill handlers, naming the channel or the host. Scheduling an earlier wake
@@ -146,14 +147,9 @@ func (n *Network) kick(p *port) {
 			n.popInq(nd, freed)
 			n.rrVoq[p.cb] = int32(succ(freed, len(nd.ports)))
 		}
-	} else if n.fq > 0 {
+	} else {
 		var slot int
-		if pkt, slot, wake = n.nextQueued(p); pkt != nil {
-			pkt = n.dequeue(p, slot)
-		}
-	} else if head, slot := n.nextPacket(p); head != nil {
-		var ok bool
-		if ok, wake = n.trySend(p.cb, head.Size); ok {
+		if slot, wake = n.nextQueued(p); slot >= 0 {
 			pkt = n.dequeue(p, slot)
 			fromTxRing = p.sched == SchedBlocking && onSwitch
 		}
@@ -195,11 +191,12 @@ func (n *Network) scheduleKick(p *port, at units.Time) {
 }
 
 // trySend asks channel ch's flow control whether a packet of size s may
-// start now, with Bank.TrySend's contract: the wired scheme's rate limiter
-// read in place when it is rate-gated (Network.limiters), its bank otherwise.
-func (n *Network) trySend(ch int, s units.Size) (bool, units.Time) {
+// start from queue slot q now, with Bank.TrySend's contract: the wired
+// scheme's rate limiter read in place when it is rate-gated
+// (Network.limiters), its bank otherwise.
+func (n *Network) trySend(ch, q int, s units.Size) (bool, units.Time) {
 	if n.limiters == nil {
-		return n.fc.TrySend(ch, s)
+		return n.fc.TrySend(ch, q, s)
 	}
 	return n.limiters[ch].Gate(n.eng.Now())
 }
@@ -210,19 +207,18 @@ func (n *Network) trySend(ch int, s units.Size) (bool, units.Time) {
 // that ring drains — the behaviour of a software switch retrying a full TX
 // ring, and the coupling that lets one paused port freeze a switch.
 func (n *Network) forward(nd *node) {
-	fi := int(nd.id)
-	if n.forwarding[fi] {
+	if nd.forwarding {
 		return
 	}
-	n.forwarding[fi] = true
-	defer func() { n.forwarding[fi] = false }()
+	nd.forwarding = true
+	defer func() { nd.forwarding = false }()
 	for {
-		if b := n.fwdBlocked[fi]; b != nil {
+		if b := nd.fwdBlocked; b != nil {
 			// Still stalled: re-check the blocking ring.
 			if n.voqs[b.voqBase].len() >= n.cfg.TxRing {
 				return
 			}
-			n.fwdBlocked[fi] = nil
+			nd.fwdBlocked = nil
 		}
 		in := n.nextIngress(nd)
 		if in < 0 {
@@ -230,11 +226,11 @@ func (n *Network) forward(nd *node) {
 		}
 		out := &nd.ports[n.inqOut[nd.cb+in]]
 		if n.voqs[out.voqBase].len() >= n.cfg.TxRing {
-			n.fwdBlocked[fi] = out // stall switch-wide
+			nd.fwdBlocked = out // stall switch-wide
 			return
 		}
 		head := n.popInq(nd, in)
-		n.fwdCursor[fi] = int32(succ(in, len(nd.ports)))
+		nd.fwdCursor = int32(succ(in, len(nd.ports)))
 		n.enqueue(out, head)
 		n.kick(out)
 	}
@@ -243,45 +239,44 @@ func (n *Network) forward(nd *node) {
 // nextIngress picks, round-robin from the forwarding cursor, the next of
 // nd's non-empty ingress FIFOs; -1 when all are empty.
 func (n *Network) nextIngress(nd *node) int {
-	m := n.inBusy[nd.id]
-	if m == 0 {
+	if nd.inBusy == 0 {
 		return -1
 	}
-	return nextBit(m, int(n.fwdCursor[nd.id]))
+	return nextBit(nd.inBusy, int(nd.fwdCursor))
 }
 
-// nextQueued scans p's backlogged physical queues round-robin (FlowQueues >
-// 0) for a head packet the per-queue flow controller permits. A paused queue
-// blocks only its own flows; the scan moves on to the next backlogged queue —
-// the HoL-blocking elimination that is BFC's whole point. Returns the packet
-// and its queue, or (nil, -1, wake) with the earliest retry time.
-func (n *Network) nextQueued(p *port) (*Packet, int, units.Time) {
+// nextQueued scans p's backlogged queue slots round-robin from the cursor for
+// a head packet flow control lets start now, and returns its slot, or -1 and
+// the earliest retry time. Under a per-queue bank (fq > 0, BFC) a paused queue
+// blocks only its own flows and the scan moves on to the next backlogged one —
+// the HoL-blocking elimination that is BFC's whole point. A channel gate
+// refuses every slot alike, so there the first refusal ends the scan: one
+// probe per pick.
+func (n *Network) nextQueued(p *port) (int, units.Time) {
 	ch := p.cb
-	base := p.voqBase
 	minWake := units.Never
 	m := n.slotReady[ch]
-	// Queues at or after the cursor first, then the ones before it.
+	// Slots at or after the cursor first, then the ones before it.
 	before := uint64(1)<<uint(n.rrVoq[ch]) - 1
 	for _, part := range [2]uint64{m &^ before, m & before} {
 		for ; part != 0; part &= part - 1 {
 			slot := bits.TrailingZeros64(part)
-			head := n.voqs[base+slot].front()
-			ok, wake := n.qfc.TrySendQueue(ch, slot, head.Size)
-			if !ok {
-				if wake < minWake {
-					minWake = wake
-				}
-				continue
+			ok, wake := n.trySend(ch, slot, n.voqs[p.voqBase+slot].front().Size)
+			if ok {
+				return slot, 0
 			}
-			return head, slot, 0
+			if n.fq == 0 {
+				return -1, wake
+			}
+			minWake = min(minWake, wake)
 		}
 	}
-	return nil, -1, minWake
+	return -1, minWake
 }
 
 // Ready masks. Every round-robin pick in this file — an input for an egress
 // (nextFromInputs), the next ingress FIFO for the forwarding core (forward),
-// the next backlogged queue of an egress (nextPacket, nextQueued) — reads one
+// the next backlogged queue slot of an egress (nextQueued) — reads one
 // uint64 whose bit i says "candidate i has a packet", and takes the first set
 // bit at or after the cursor, wrapping: the order of the (cursor+j)%n walk it
 // replaces, without visiting the empty candidates. Two pairs of helpers are
@@ -289,8 +284,9 @@ func (n *Network) nextQueued(p *port) (*Packet, int, units.Time) {
 // enqueue/dequeue own slotReady.
 
 // maxRadix is the widest node a mask word covers: candidates are a node's
-// ports (or an egress's FlowQueues), one bit each. netsim.New refuses wider
-// nodes under any discipline that picks by mask; it also keeps a port index
+// ports, or the physical queues of an egress under a per-queue bank, one bit
+// each. netsim.New refuses wider nodes under any discipline that picks by
+// mask, and a bank with more queues per channel; it also keeps a port index
 // inside inqOut's int16.
 const maxRadix = 64
 
@@ -320,7 +316,7 @@ func (n *Network) pushInq(nd *node, in int, pkt *Packet) bool {
 	if q.len() > 1 {
 		return false
 	}
-	n.inBusy[nd.id] |= 1 << uint(in)
+	nd.inBusy |= 1 << uint(in)
 	n.publishHead(nd, in, pkt)
 	return true
 }
@@ -334,7 +330,7 @@ func (n *Network) popInq(nd *node, in int) *Packet {
 	n.inReady[nd.cb+int(n.inqOut[ch])] &^= 1 << uint(in)
 	if q.empty() {
 		n.inqOut[ch] = -1
-		n.inBusy[nd.id] &^= 1 << uint(in)
+		nd.inBusy &^= 1 << uint(in)
 	} else {
 		n.publishHead(nd, in, q.front())
 	}
@@ -365,7 +361,7 @@ func (n *Network) nextFromInputs(p *port) (*Packet, int, units.Time) {
 	}
 	in := nextBit(m, int(n.rrVoq[ch]))
 	head := n.inq[p.owner.cb+in].front()
-	ok, wake := n.trySend(ch, head.Size)
+	ok, wake := n.trySend(ch, 0, head.Size)
 	if !ok {
 		return nil, -1, wake
 	}

@@ -9,7 +9,6 @@ import (
 	"github.com/gfcsim/gfc/internal/analytic"
 	"github.com/gfcsim/gfc/internal/deadlock"
 	"github.com/gfcsim/gfc/internal/faults"
-	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/routing"
@@ -376,15 +375,6 @@ func (s *Spec) simConfig() (netsim.Config, FCParams) {
 	}
 	cfg.Scheduling = schedulings[m.Scheduling]
 	cfg.FlowControl = fp.Factory(s.Scheme.FC)
-	if s.Scheme.FC == BFC {
-		// BFC's per-queue pause needs the physical queues to exist in the
-		// switch model; FlowQueues > 0 also forces FIFO scheduling.
-		q := fp.Queues
-		if q <= 0 {
-			q = flowcontrol.DefaultBFCQueues
-		}
-		cfg.FlowQueues = q
-	}
 	return cfg, fp
 }
 

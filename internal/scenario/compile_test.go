@@ -221,16 +221,16 @@ func compareResolution(t *testing.T, psim *Sim, fsim *fluidSim, preg, freg *metr
 			// The receiver must pause exactly at XOFF and resume exactly
 			// at XON.
 			b, env := bank(ch)
-			b.OnArrival(0, 1, m.XOFF-1)
+			b.OnArrival(0, 0, 1, m.XOFF-1)
 			if len(env.msgs) != 0 {
 				t.Errorf("packet PFC paused below the fluid XOFF %v", m.XOFF)
 			}
-			b.OnArrival(0, 1, m.XOFF)
-			b.OnDeparture(0, 1, m.XON+1)
+			b.OnArrival(0, 0, 1, m.XOFF)
+			b.OnDeparture(0, 0, 1, m.XON+1)
 			if len(env.msgs) != 1 || env.msgs[0].Kind != flowcontrol.KindPause {
 				t.Errorf("packet PFC at fluid XOFF %v / above XON %v emitted %v, want one PAUSE", m.XOFF, m.XON, env.msgs)
 			}
-			b.OnDeparture(0, 1, m.XON)
+			b.OnDeparture(0, 0, 1, m.XON)
 			if len(env.msgs) != 2 || env.msgs[1].Kind != flowcontrol.KindResume {
 				t.Errorf("packet PFC at fluid XON %v emitted %v, want PAUSE then RESUME", m.XON, env.msgs)
 			}

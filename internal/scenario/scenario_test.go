@@ -136,8 +136,9 @@ func TestRegisteredScenariosBuild(t *testing.T) {
 }
 
 // invalidSpecs are ring-steady-gfcbuf with one field out of range: a
-// negative duration, an unknown detector, a negative wall budget and a
-// negative TX ring, alone and under blocking scheduling. Parse refused the
+// negative duration, an unknown detector, a negative wall budget, a negative
+// TX ring, alone and under blocking scheduling, and a negative BFC queue
+// count, which every stage used to read as the default 8. Parse refused the
 // first three, while Build used to take them — the first then panicked in
 // Run, the other two ran under the global detector and with no wall budget.
 // Parse and Build both took the negative ring, which under blocking
@@ -153,13 +154,15 @@ func invalidSpecs() []Spec {
 	ring.Sim.TxRing = -1
 	blockingRing := ring
 	blockingRing.Sim.Scheduling = "blocking"
+	queues := base
+	queues.Scheme.FC, queues.Scheme.Params.Queues = BFC, -3
 	// Two flows that resolve to one ID would share BFC's per-flow queue
 	// claim: an equal explicit id, and an explicit id equal to a default.
 	sameID, defaultID := twoToOne(GFCBuf), twoToOne(GFCBuf)
 	sameID.Workload.Flows[0].ID = 2
 	defaultID.Workload.Flows[0].ID = 0
 	defaultID.Workload.Flows[1].ID = 1
-	return []Spec{duration, detector, wall, ring, blockingRing, sameID, defaultID}
+	return []Spec{duration, detector, wall, ring, blockingRing, queues, sameID, defaultID}
 }
 
 // TestBuildRejectsWhatParseRejects pins the one validation: each backend's

@@ -466,6 +466,9 @@ func (sc *SchemeSpec) validate() error {
 	default:
 		return fmt.Errorf("scenario: scheme: unknown preset %q (want testbed or sim)", sc.Preset)
 	}
+	if q := sc.Params.Queues; q < 0 {
+		return fmt.Errorf("scenario: scheme: negative queues %d", q)
+	}
 	return nil
 }
 
