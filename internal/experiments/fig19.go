@@ -24,24 +24,22 @@ type OverheadResult struct {
 // RunOverhead measures feedback bandwidth on the healthy fat-tree spec
 // declares (scenario.Overhead) under the random enterprise workload.
 func RunOverhead(spec scenario.Spec, o RunOptions) (*OverheadResult, error) {
-	// Feedback wire bytes per channel in 500 µs bins, keyed by the channel's
-	// (receiver, sender) node pair and kept in (node, port) order — the order
-	// the samples enter the CDF in. A message emitted at a bin's closing
-	// instant counts in that bin, hence t-1.
+	// Feedback wire bytes per channel in 500 µs bins, indexed as the
+	// topology numbers channels — (node, port) order, the order the samples
+	// enter the CDF in. A message emitted at a bin's closing instant counts
+	// in that bin, hence t-1.
 	const bin = 500 * units.Microsecond
 	var wire []*stats.BinCounter
-	channel := map[[2]topology.NodeID]int{}
 	sim, err := o.build(spec, scenario.Overrides{
 		Trace: func(topo *topology.Topology) *netsim.Trace {
-			for n := 0; n < topo.NumNodes(); n++ {
-				for _, at := range topo.Ports(topology.NodeID(n)) {
-					channel[[2]topology.NodeID{topology.NodeID(n), at.Peer}] = len(wire)
-					wire = append(wire, stats.NewBinCounter(bin))
-				}
+			bases := topo.ChannelBases()
+			wire = make([]*stats.BinCounter, bases[topo.NumNodes()])
+			for ch := range wire {
+				wire[ch] = stats.NewBinCounter(bin)
 			}
 			return &netsim.Trace{
-				OnFeedback: func(t units.Time, from, to topology.NodeID) {
-					wire[channel[[2]topology.NodeID{from, to}]].Add(t-1, flowcontrol.MessageSize)
+				OnFeedback: func(t units.Time, node topology.NodeID, port int) {
+					wire[bases[node]+port].Add(t-1, flowcontrol.MessageSize)
 				},
 			}
 		},

@@ -70,16 +70,7 @@ func netHash(res *NetResult, reg *metrics.Registry, chans []NetChannel) uint64 {
 // occupancy sample per channel (RecordContinuous's final occupancy).
 func bindRegistry(topo *topology.Topology, buffer units.Size) *metrics.Registry {
 	reg := metrics.New(metrics.Options{SeriesCap: 1})
-	var nodes []metrics.NodeInfo
-	for n := 0; n < topo.NumNodes(); n++ {
-		id := topology.NodeID(n)
-		ni := metrics.NodeInfo{ID: id, Name: topo.Node(id).Name, Host: topo.Node(id).Kind == topology.Host}
-		for _, at := range topo.Ports(id) {
-			ni.Ports = append(ni.Ports, metrics.PortInfo{PeerName: topo.Node(at.Peer).Name, Buffer: buffer})
-		}
-		nodes = append(nodes, ni)
-	}
-	reg.Bind(nodes)
+	reg.Bind(topo, buffer, buffer)
 	return reg
 }
 

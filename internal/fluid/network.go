@@ -79,8 +79,10 @@ func Band(c units.Rate, mtu units.Size) units.Size {
 }
 
 // NetChannel is one directed ingress queue of the network model: traffic
-// arriving at Node through Port. The channel index space is whatever order the
-// caller lists them in; metrics mapping goes through Registry.ChannelIndex.
+// arriving at Node through Port. The solver indexes channels in the order the
+// caller lists them; the registry indexes them as the topology numbers them
+// (topology.ChannelBases), and RunNet maps one to the other through
+// Registry.ChannelIndex.
 type NetChannel struct {
 	Node topology.NodeID
 	Port int
@@ -127,8 +129,8 @@ type NetConfig struct {
 	// every channel's exact totals (bytes in/out, peak occupancy, drops)
 	// via RecordContinuous — the solver tracks occupancy exactly, so
 	// streaming per-step events through the per-packet hooks would only be
-	// slower and lossier. The registry must already be bound with a layout
-	// whose ChannelIndex resolves every (Node, Port) listed in Channels.
+	// slower and lossier. The registry must already be bound to the
+	// topology the Channels' (Node, Port) pairs name.
 	Metrics *metrics.Registry
 	// Ctx, when non-nil, is polled every few thousand steps so bounded
 	// runs honour cancellation.

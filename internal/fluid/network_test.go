@@ -185,18 +185,7 @@ func TestRunNetTimeBased(t *testing.T) {
 func TestRunNetFillsRegistry(t *testing.T) {
 	topo, _, flows := twoToOne(t)
 	reg := metrics.New(metrics.Options{})
-	var nodes []metrics.NodeInfo
-	for n := 0; n < topo.NumNodes(); n++ {
-		id := topology.NodeID(n)
-		ni := metrics.NodeInfo{ID: id, Name: topo.Node(id).Name, Host: topo.Node(id).Kind == topology.Host}
-		for _, at := range topo.Ports(id) {
-			ni.Ports = append(ni.Ports, metrics.PortInfo{
-				PeerName: topo.Node(at.Peer).Name, Buffer: 300 * units.KB,
-			})
-		}
-		nodes = append(nodes, ni)
-	}
-	reg.Bind(nodes)
+	reg.Bind(topo, 300*units.KB, 300*units.KB)
 	res, err := RunNet(NetConfig{
 		Channels: chansFor(t, topo, 300*units.KB, 10*units.Microsecond, 0, stagedSim(t)),
 		Flows:    flows,

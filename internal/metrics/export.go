@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"github.com/gfcsim/gfc/internal/stats"
+	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -29,7 +30,7 @@ type Summary struct {
 // Summary rolls up the registry's counters.
 func (r *Registry) Summary() Summary {
 	s := Summary{
-		Channels:       len(r.chans),
+		Channels:       len(r.counters),
 		Violations:     int64(len(r.violations)) + r.truncated,
 		FaultsInjected: r.faultCount,
 	}
@@ -57,12 +58,12 @@ func (r *Registry) Summary() Summary {
 // network-wide analytic envelope bounds (NetworkBounds.MaxOccupancy).
 func (r *Registry) SwitchHighWater() units.Size {
 	var hw units.Size
-	for i := range r.counters {
-		if r.chans[i].Host {
+	for n := range len(r.base) - 1 {
+		if r.host(topology.NodeID(n)) {
 			continue
 		}
-		if c := r.counters[i].HighWater; c > hw {
-			hw = c
+		for _, c := range r.counters[r.base[n]:r.base[n+1]] {
+			hw = max(hw, c.HighWater)
 		}
 	}
 	return hw
@@ -104,18 +105,22 @@ func (r *Registry) Report(at units.Time) *Report {
 		Faults:              slices.Clone(r.faults),
 		FaultsTruncated:     r.faultsTruncated,
 	}
-	for idx := range r.chans {
-		c := &r.counters[idx]
-		if c.BytesIn == 0 && c.BytesOut == 0 && c.FeedbackMsgs == 0 && c.Drops == 0 {
-			continue
+	for n := range len(r.base) - 1 {
+		id := topology.NodeID(n)
+		node := r.topo.Node(id)
+		for p, at := range r.topo.Ports(id) {
+			idx := r.base[n] + p
+			c := &r.counters[idx]
+			if c.BytesIn == 0 && c.BytesOut == 0 && c.FeedbackMsgs == 0 && c.Drops == 0 {
+				continue
+			}
+			rep.Channels = append(rep.Channels, ChannelReport{
+				Node: node.Name, Port: p,
+				From: r.topo.Node(at.Peer).Name, Host: node.Kind == topology.Host,
+				Buffer: r.buffers[idx], Ceiling: r.ceilings[idx],
+				Counters: *c, Occupancy: r.Series(idx),
+			})
 		}
-		ch := r.chans[idx]
-		rep.Channels = append(rep.Channels, ChannelReport{
-			Node: ch.NodeName, Port: ch.Port,
-			From: ch.FromName, Host: ch.Host,
-			Buffer: r.buffers[idx], Ceiling: r.ceilings[idx],
-			Counters: *c, Occupancy: r.Series(idx),
-		})
 	}
 	return rep
 }

@@ -33,11 +33,9 @@ func (r *Registry) OnFault(ev FaultEvent, ch int, node topology.NodeID) {
 		return
 	}
 	if ch >= 0 {
-		c := r.chans[ch]
-		ev.Node, ev.Port, ev.From = c.NodeName, c.Port, c.FromName
-	} else if ci := r.base[node]; ci < len(r.chans) && r.chans[ci].Node == node {
-		// Name the node via its first bound channel.
-		ev.Node = r.chans[ci].NodeName
+		ev.Node, ev.Port, ev.From = r.names(ch)
+	} else {
+		ev.Node = r.topo.Node(node).Name
 	}
 	r.faults = append(r.faults, ev)
 }

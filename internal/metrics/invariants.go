@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/gfcsim/gfc/internal/core"
+	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -144,8 +145,7 @@ func (e *InvariantError) Error() string {
 
 // violate records v against channel idx, filling in the channel identity.
 func (r *Registry) violate(v Violation, idx int) {
-	ch := r.chans[idx]
-	v.NodeName, v.Port, v.FromName = ch.NodeName, ch.Port, ch.FromName
+	v.NodeName, v.Port, v.FromName = r.names(idx)
 	v.FaultsSoFar = r.faultCount
 	if len(r.violations) < maxViolations {
 		r.violations = append(r.violations, v)
@@ -240,24 +240,26 @@ type NetworkBounds struct {
 func (r *Registry) CheckNetwork(b NetworkBounds, at units.Time, delivered units.Size, deadlocked bool) *InvariantError {
 	var e InvariantError
 	var drops int64
-	for idx := range r.chans {
-		ch := &r.chans[idx]
-		c := &r.counters[idx]
-		drops += c.Drops
-		if ch.Host || b.MaxOccupancy <= 0 || c.HighWater <= b.MaxOccupancy {
-			continue
+	for n := range len(r.base) - 1 {
+		host := r.host(topology.NodeID(n))
+		for idx := r.base[n]; idx < r.base[n+1]; idx++ {
+			c := &r.counters[idx]
+			drops += c.Drops
+			if host || b.MaxOccupancy <= 0 || c.HighWater <= b.MaxOccupancy {
+				continue
+			}
+			if len(e.Violations) >= maxViolations {
+				e.Truncated++
+				continue
+			}
+			v := Violation{
+				Kind: ViolationNetOccupancy, At: at,
+				Occupancy: c.HighWater, Limit: b.MaxOccupancy,
+				Detail: "high-water above analytic envelope",
+			}
+			v.NodeName, v.Port, v.FromName = r.names(idx)
+			e.Violations = append(e.Violations, v)
 		}
-		if len(e.Violations) >= maxViolations {
-			e.Truncated++
-			continue
-		}
-		v := Violation{
-			Kind: ViolationNetOccupancy, At: at,
-			Occupancy: c.HighWater, Limit: b.MaxOccupancy,
-			Detail: "high-water above analytic envelope",
-		}
-		v.NodeName, v.Port, v.FromName = ch.NodeName, ch.Port, ch.FromName
-		e.Violations = append(e.Violations, v)
 	}
 	if b.MaxDelivered > 0 && delivered > b.MaxDelivered {
 		e.Violations = append(e.Violations, Violation{

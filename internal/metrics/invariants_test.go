@@ -1,25 +1,25 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// netLayout binds r to one host port and n switch ports, returning the
-// switch channel indices.
+// netLayout binds r to a switch s1 (node 1) with n ports, each to its own
+// host — h0 (node 0) on port 0 — every ingress holding 100 KB, and returns
+// the switch channel indices.
 func netLayout(r *Registry, n int) []int {
-	ports := make([]PortInfo, n)
-	for i := range ports {
-		ports[i] = PortInfo{PeerName: "h0", Buffer: 100 * units.KB}
+	topo := topology.New()
+	h0, s1 := topo.AddHost("h0"), topo.AddSwitch("s1")
+	topo.AddLink(s1, h0, units.Gbps, 0)
+	for i := 1; i < n; i++ {
+		topo.AddLink(s1, topo.AddHost(fmt.Sprintf("h%d", i)), units.Gbps, 0)
 	}
-	r.Bind([]NodeInfo{
-		{ID: 0, Name: "h0", Host: true, Ports: []PortInfo{
-			{PeerName: "s1", Buffer: 100 * units.KB},
-		}},
-		{ID: 1, Name: "s1", Ports: ports},
-	})
+	r.Bind(topo, 100*units.KB, 100*units.KB)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = r.ChannelIndex(1, i)

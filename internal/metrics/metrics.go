@@ -16,6 +16,8 @@
 package metrics
 
 import (
+	"sort"
+
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -40,30 +42,6 @@ const (
 	// (the count is always exact).
 	maxFaults = 256
 )
-
-// PortInfo describes one ingress attachment for Bind.
-type PortInfo struct {
-	PeerName string     // upstream end of the channel into this port
-	Buffer   units.Size // ingress allocation
-}
-
-// NodeInfo describes one node for Bind.
-type NodeInfo struct {
-	ID    topology.NodeID
-	Name  string
-	Host  bool
-	Ports []PortInfo
-}
-
-// Channel is the static identity of one metrics channel: the directed
-// link FromName→Node, observed at Node's ingress port Port.
-type Channel struct {
-	Node     topology.NodeID
-	NodeName string
-	Port     int
-	FromName string
-	Host     bool // Node is a host (its ingress consumes immediately)
-}
 
 // Counters is the per-channel counter block; its tags are the counter
 // columns of a report's channels. All byte quantities are cumulative over
@@ -102,11 +80,12 @@ type Counters struct {
 // simulation. The zero value is unusable; construct with New and attach via
 // netsim.Config.Metrics (netsim calls Bind).
 type Registry struct {
-	opt   Options
-	bound bool
-	base  []int // per node, first channel index (one channel per port follows)
+	opt  Options
+	topo *topology.Topology // names the channels and tells hosts from switches
+	// base is topo.ChannelBases(): port p of node n is channel base[n]+p.
+	// It is nil until Bind.
+	base []int
 
-	chans    []Channel
 	counters []Counters
 	buffers  []units.Size
 	ceilings []units.Size // 0: no theorem ceiling known for the channel
@@ -125,21 +104,16 @@ type Registry struct {
 // New returns an unbound registry.
 func New(opt Options) *Registry { return &Registry{opt: opt} }
 
-// Bind allocates the counter storage for the given node/port layout, one
-// channel per port. netsim calls it once from New; binding twice panics (a
-// Registry serves exactly one Network).
-func (r *Registry) Bind(nodes []NodeInfo) {
-	if r.bound {
+// Bind allocates the counter storage for topo's channels, numbered as
+// topo.ChannelBases numbers them: every switch port's ingress holds
+// switchBuffer, every host port's hostBuffer. netsim calls it once from New;
+// binding twice panics (a Registry serves exactly one Network).
+func (r *Registry) Bind(topo *topology.Topology, switchBuffer, hostBuffer units.Size) {
+	if r.base != nil {
 		panic("metrics: registry already bound to a network")
 	}
-	r.bound = true
-	r.base = make([]int, len(nodes))
-	total := 0
-	for i, n := range nodes {
-		r.base[i] = total
-		total += len(n.Ports)
-	}
-	r.chans = make([]Channel, total)
+	r.topo, r.base = topo, topo.ChannelBases()
+	total := r.base[topo.NumNodes()]
 	r.counters = make([]Counters, total)
 	r.buffers = make([]units.Size, total)
 	r.ceilings = make([]units.Size, total)
@@ -151,14 +125,13 @@ func (r *Registry) Bind(nodes []NodeInfo) {
 	for i := range r.lastSamp {
 		r.lastSamp[i] = -1
 	}
-	for _, n := range nodes {
-		for pi, p := range n.Ports {
-			idx := r.base[n.ID] + pi
-			r.chans[idx] = Channel{
-				Node: n.ID, NodeName: n.Name, Port: pi,
-				FromName: p.PeerName, Host: n.Host,
-			}
-			r.buffers[idx] = p.Buffer
+	for n := range topo.NumNodes() {
+		b := switchBuffer
+		if r.host(topology.NodeID(n)) {
+			b = hostBuffer
+		}
+		for idx := r.base[n]; idx < r.base[n+1]; idx++ {
+			r.buffers[idx] = b
 		}
 	}
 	if r.opt.SeriesCap > 0 {
@@ -173,6 +146,20 @@ func (r *Registry) Bind(nodes []NodeInfo) {
 // the same index on each port, so its hot path never calls this.
 func (r *Registry) ChannelIndex(node topology.NodeID, port int) int {
 	return r.base[node] + port
+}
+
+// host reports whether node n is a host (its ingress consumes immediately).
+func (r *Registry) host(n topology.NodeID) bool {
+	return r.topo.Node(n).Kind == topology.Host
+}
+
+// names names channel idx as reports do: the node it enters, its port there,
+// and the upstream node.
+func (r *Registry) names(idx int) (node string, port int, from string) {
+	n := sort.Search(len(r.base)-1, func(n int) bool { return r.base[n+1] > idx })
+	port = idx - r.base[n]
+	id := topology.NodeID(n)
+	return r.topo.Node(id).Name, port, r.topo.Node(r.topo.Ports(id)[port].Peer).Name
 }
 
 // Counter returns a copy of the counter block of channel idx.

@@ -13,48 +13,43 @@ import (
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// twoNodeLayout binds r to a minimal two-node topology: node 0 (a host with
-// one port fed by node 1) and node 1 (a switch with two ports fed by nodes 0
-// and 0 again).
+// twoNodeLayout binds r to a minimal topology, h0 — s1 — h2: node 0 (a host
+// whose ingress holds 10 000 B), node 1 (a switch whose two ingresses, fed by
+// h0 and h2, hold 20 000 B) and node 2 (a host).
 func twoNodeLayout(r *Registry) {
-	r.Bind([]NodeInfo{
-		{ID: 0, Name: "h0", Host: true, Ports: []PortInfo{
-			{PeerName: "s1", Buffer: 10000},
-		}},
-		{ID: 1, Name: "s1", Ports: []PortInfo{
-			{PeerName: "h0", Buffer: 20000},
-			{PeerName: "h0", Buffer: 30000},
-		}},
-	})
+	topo := topology.New()
+	h0, s1, h2 := topo.AddHost("h0"), topo.AddSwitch("s1"), topo.AddHost("h2")
+	topo.AddLink(h0, s1, units.Gbps, 0)
+	topo.AddLink(s1, h2, units.Gbps, 0)
+	r.Bind(topo, 20000, 10000)
 }
 
 func TestBindIndexing(t *testing.T) {
 	r := New(Options{})
 	twoNodeLayout(r)
-	if got := len(r.chans); got != 3 {
-		t.Fatalf("NumChannels = %d, want 3", got)
+	if got := r.Summary().Channels; got != 4 {
+		t.Fatalf("Channels = %d, want 4", got)
 	}
 	// Dense layout: every (node, port) maps to a distinct in-range index
-	// with the matching identity.
+	// with the matching identity and allocation.
 	seen := make(map[int]bool)
 	for _, tc := range []struct {
 		node, port int
-	}{{0, 0}, {1, 0}, {1, 1}} {
+		name, from string
+		buffer     units.Size
+	}{{0, 0, "h0", "s1", 10000}, {1, 0, "s1", "h0", 20000}, {1, 1, "s1", "h2", 20000}, {2, 0, "h2", "s1", 10000}} {
 		idx := r.ChannelIndex(topology.NodeID(tc.node), tc.port)
-		if idx < 0 || idx >= 3 || seen[idx] {
+		if idx < 0 || idx >= 4 || seen[idx] {
 			t.Fatalf("ChannelIndex(%d,%d) = %d (dup or out of range)", tc.node, tc.port, idx)
 		}
 		seen[idx] = true
-		ch := r.chans[idx]
-		if int(ch.Node) != tc.node || ch.Port != tc.port {
-			t.Fatalf("channel %d = %+v, want node %d port %d", idx, ch, tc.node, tc.port)
+		if name, port, from := r.names(idx); name != tc.name || port != tc.port || from != tc.from {
+			t.Errorf("channel %d = %s port %d from %s, want %s port %d from %s",
+				idx, name, port, from, tc.name, tc.port, tc.from)
 		}
-	}
-	if ch := r.chans[r.ChannelIndex(1, 1)]; ch.FromName != "h0" || ch.NodeName != "s1" || ch.Host {
-		t.Errorf("channel identity = %+v", ch)
-	}
-	if got := r.buffers[r.ChannelIndex(1, 1)]; got != 30000 {
-		t.Errorf("Buffer = %v, want 30000", got)
+		if got := r.buffers[idx]; got != tc.buffer {
+			t.Errorf("channel %d buffer = %v, want %v", idx, got, tc.buffer)
+		}
 	}
 	defer func() {
 		if recover() == nil {

@@ -178,7 +178,9 @@ func TestAllocBudget(t *testing.T) {
 // more and one per channel 672. The one allowance is logarithmic: CBFC's and
 // GFC-time's Start puts an advertisement and a timer in flight on every
 // channel, so the feedback slots and the engine's two FIFO lanes they land in
-// grow by doubling, once per doubling of the channel count.
+// grow by doubling, once per doubling of the channel count. A bound metrics
+// registry allocates nothing per node either: it takes its layout from the
+// topology's channel numbering, not from a description built per node.
 func TestNoPerChannelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocs")
@@ -195,6 +197,11 @@ func TestNoPerChannelAllocs(t *testing.T) {
 			return baseConfig(flowcontrol.NewGFCConceptual(flowcontrol.GFCConceptualConfig{}))
 		}},
 		{"bfc", func() Config { return baseConfig(flowcontrol.NewBFCQueues(4)) }},
+		{"gfc-buffer+registry", func() Config {
+			cfg := baseConfig(gfcFactory())
+			cfg.Metrics = metrics.New(metrics.Options{})
+			return cfg
+		}},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			type size struct {

@@ -42,8 +42,8 @@ func traceRun(t testing.TB, flowSize units.Size, run func(*Network)) uint64 {
 		OnDeliver: func(at units.Time, f *Flow, pkt *Packet) {
 			mix(4, uint64(at), uint64(f.ID), uint64(pkt.Seq))
 		},
-		OnFeedback: func(at units.Time, from, to topology.NodeID) {
-			mix(5, uint64(at), uint64(from), uint64(to))
+		OnFeedback: func(at units.Time, node topology.NodeID, port int) {
+			mix(5, uint64(at), uint64(node), uint64(port))
 		},
 	}
 	topo := topology.TwoToOne(topology.DefaultLinkParams())

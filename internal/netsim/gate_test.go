@@ -67,8 +67,8 @@ func (f *traceFold) trace() *Trace {
 		OnDeliver: func(at units.Time, fl *Flow, pkt *Packet) {
 			f.mix(2, uint64(at), uint64(fl.ID), uint64(pkt.Seq))
 		},
-		OnFeedback: func(at units.Time, from, to topology.NodeID) {
-			f.mix(3, uint64(at), uint64(from), uint64(to))
+		OnFeedback: func(at units.Time, node topology.NodeID, port int) {
+			f.mix(3, uint64(at), uint64(node), uint64(port))
 		},
 	}
 }

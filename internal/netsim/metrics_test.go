@@ -19,7 +19,7 @@ func runCongested(t *testing.T, reg *metrics.Registry) (*Network, units.Size) {
 	cfg.Metrics = reg
 	var feedback units.Size
 	cfg.Trace = &Trace{
-		OnFeedback: func(units.Time, topology.NodeID, topology.NodeID) { feedback += flowcontrol.MessageSize },
+		OnFeedback: func(units.Time, topology.NodeID, int) { feedback += flowcontrol.MessageSize },
 	}
 	n, err := New(topo, cfg)
 	if err != nil {

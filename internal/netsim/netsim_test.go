@@ -3,9 +3,11 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/flowcontrol"
+	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -343,15 +345,22 @@ func TestPacerLimitsFlow(t *testing.T) {
 	}
 }
 
+// TestFeedbackAccounting: the trace names each feedback emission by its
+// receiver's (node, port), and the count per channel equals the registry's
+// FeedbackMsgs at that channel's index; in total GFC's feedback stays a tiny
+// fraction of capacity.
 func TestFeedbackAccounting(t *testing.T) {
 	topo := topology.TwoToOne(topology.DefaultLinkParams())
 	cfg := baseConfig(gfcFactory())
-	var traced units.Size
+	bases := topo.ChannelBases()
+	traced := make([]int64, bases[topo.NumNodes()])
 	cfg.Trace = &Trace{
-		OnFeedback: func(units.Time, topology.NodeID, topology.NodeID) {
-			traced += flowcontrol.MessageSize
+		OnFeedback: func(_ units.Time, node topology.NodeID, port int) {
+			traced[bases[node]+port]++
 		},
 	}
+	reg := metrics.New(metrics.Options{})
+	cfg.Metrics = reg
 	n, err := New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -362,14 +371,67 @@ func TestFeedbackAccounting(t *testing.T) {
 		}
 	}
 	n.Run(5 * units.Millisecond)
-	if traced == 0 {
+	var msgs int64
+	for id := range topology.NodeID(topo.NumNodes()) {
+		for p := range topo.Ports(id) {
+			got, want := traced[bases[id]+p], reg.Counter(reg.ChannelIndex(id, p)).FeedbackMsgs
+			if got != want {
+				t.Errorf("%s port %d: traced %d feedback messages, registry %d",
+					topo.Node(id).Name, p, got, want)
+			}
+			msgs += got
+		}
+	}
+	if msgs == 0 {
 		t.Fatal("no feedback recorded under congestion")
 	}
 	// GFC's overhead must be a tiny fraction of capacity (§4.2: <0.7%).
-	frac := float64(traced.Bits()) / (10e9 * (5 * units.Millisecond).Seconds())
+	wire := units.Size(msgs) * flowcontrol.MessageSize
+	frac := float64(wire.Bits()) / (10e9 * (5 * units.Millisecond).Seconds())
 	// Several channels share the accounting; even summed it stays small.
 	if frac > 0.05 {
 		t.Fatalf("feedback consumed %.2f%% of one link-interval", frac*100)
+	}
+}
+
+// TestChannelNumbering: the topology numbers channels, and everything
+// indexed per channel agrees with it. On a fat-tree with failed links and on
+// a multi-host ring, every port's cb is ChannelBases()[node] + port, the
+// arena holds exactly the channels the bases count, and the bound registry's
+// ChannelIndex returns the same index.
+func TestChannelNumbering(t *testing.T) {
+	failed := topology.FatTree(4, topology.DefaultLinkParams())
+	if len(failed.FailRandomLinks(rand.New(rand.NewSource(1)), 0.3)) == 0 {
+		t.Fatal("no link failed; the fixture must exercise failed ports")
+	}
+	for name, topo := range map[string]*topology.Topology{
+		"failed-fat-tree": failed,
+		"ring":            topology.RingHosts(5, 2, topology.DefaultLinkParams()),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := baseConfig(gfcFactory())
+			reg := metrics.New(metrics.Options{})
+			cfg.Metrics = reg
+			n, err := New(topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bases := topo.ChannelBases()
+			if got, want := len(n.ports), bases[topo.NumNodes()]; got != want || want != 2*topo.NumLinks() {
+				t.Fatalf("%d ports, bases count %d channels, topology has %d links", got, want, topo.NumLinks())
+			}
+			for id := range n.nodes {
+				for i := range n.nodes[id].ports {
+					p := &n.nodes[id].ports[i]
+					if want := bases[id] + i; p.cb != want {
+						t.Errorf("node %d port %d: cb %d, ChannelBases says %d", id, i, p.cb, want)
+					}
+					if got := reg.ChannelIndex(topology.NodeID(id), i); got != p.cb {
+						t.Errorf("node %d port %d: cb %d, registry ChannelIndex %d", id, i, p.cb, got)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -41,9 +41,9 @@ type Network struct {
 	ingresses int        // live switch ingress buffers: one IngressState each
 
 	// Struct-of-arrays hot-path state. Per-channel arrays are indexed by
-	// the dense channel index port.cb — a channel is a port — which by
-	// construction equals the metrics registry's ChannelIndex for the same
-	// (node, port): one index addresses a channel everywhere. Dense
+	// the dense channel index port.cb — a channel is a port — which is the
+	// topology's numbering (ChannelBases), as the metrics registry's
+	// ChannelIndex is: one index addresses a channel everywhere. Dense
 	// arrays keep each iteration's working set contiguous and make the
 	// per-port construction cost a handful of bulk allocations instead of
 	// ~10 small slices per port.
@@ -131,7 +131,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	n.deliverFn = n.deliver
 	n.startFn = n.start
 	nn := topo.NumNodes()
-	chans := 2 * topo.NumLinks() // a port per link end
+	bases := topo.ChannelBases()
+	chans := bases[nn]
 	n.fc = cfg.FlowControl((*bankEnv)(n), chans)
 	n.fq = n.fc.Queues()
 	if n.fq > maxRadix {
@@ -142,8 +143,7 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	}
 	n.cfg = cfg
 
-	// Pass 1: size the dense arrays. The channel index layout must match
-	// metrics.Registry.Bind exactly: channels in (node, port) order.
+	// Pass 1: size the dense arrays.
 	totalVoqs, totalFed := 0, 0
 	for id := 0; id < nn; id++ {
 		ats := topo.Ports(topology.NodeID(id))
@@ -179,26 +179,27 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		n.slotFlows = make([]int32, totalVoqs)
 	}
 
-	// Pass 2: build nodes and ports, assigning each port its bases.
+	// Pass 2: build nodes and ports, assigning each port its bases. The
+	// topology numbers the channels: port i of node id is bases[id]+i.
 	n.nodes = make([]node, nn)
-	cb, vb, fb := 0, 0, 0
+	vb, fb := 0, 0
 	for id := range n.nodes {
 		tn := topo.Node(topology.NodeID(id))
 		nd := &n.nodes[id]
+		cb := bases[id]
 		*nd = node{id: tn.ID, kind: tn.Kind, cb: cb, refillAt: units.Never}
 		ats := topo.Ports(tn.ID)
-		nd.ports = n.ports[cb : cb+len(ats) : cb+len(ats)]
+		nd.ports = n.ports[cb:bases[id+1]:bases[id+1]]
 		slots := n.egressSlots(len(ats))
 		for i, at := range ats {
-			n.ports[cb] = port{
+			n.ports[cb+i] = port{
 				owner: nd, local: i, link: at.Link, failed: at.Link.Failed,
 				delay: at.Link.Delay, capacity: at.Link.Capacity,
 				kickAt: units.Never,
 				sched:  cfg.Scheduling,
-				cb:     cb, voqBase: vb, slots: slots, fedBase: fb,
+				cb:     cb + i, voqBase: vb, slots: slots, fedBase: fb,
 				buffer: cfg.ingressBuffer(tn.Kind),
 			}
-			cb++
 			vb += slots
 			fb += len(ats)
 		}
@@ -234,15 +235,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	if reg := cfg.Metrics; reg != nil {
 		n.metrics = reg
 		BindRegistry(reg, topo, cfg, func(node topology.NodeID, port int) (units.Size, *core.StageTable) {
-			return n.fc.Bound(n.nodes[node].ports[port].cb)
+			return n.fc.Bound(bases[node] + port)
 		})
-		for i := range n.ports {
-			p := &n.ports[i]
-			if got := reg.ChannelIndex(p.owner.id, p.local); got != p.cb {
-				panic(fmt.Sprintf("netsim: channel index desync: node %d port %d: netsim %d, metrics %d",
-					p.owner.id, p.local, p.cb, got))
-			}
-		}
 	}
 	// Bind the fault injector and schedule its timeline. Binding claims
 	// the injector for this network (a second bind panics), and the
@@ -298,7 +292,7 @@ type fbSlot struct {
 // ingress port down to its paired sender.
 func (n *Network) emit(down *port, m flowcontrol.Message) {
 	now := n.eng.Now()
-	n.cfg.Trace.feedback(now, down.owner.id, down.peer.owner.id)
+	n.cfg.Trace.feedback(now, down.owner.id, down.local)
 	if reg := n.metrics; reg != nil {
 		reg.OnFeedback(down.cb, now, m.Kind, m.Stage)
 	}

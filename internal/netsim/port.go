@@ -10,10 +10,11 @@ import (
 // struct-of-arrays on the Network, indexed by the dense channel index port.cb
 // (see Network's state block). The port keeps only identity, the precomputed
 // index bases, and the per-port scalars (busy flag, in-flight transmission,
-// retry timer). This mirrors the metrics registry's channel indexing, so one
-// index addresses a channel's occupancy, backlog, controllers, rate limiter
-// and counters across every array — and names the channel in the events
-// that concern it.
+// retry timer). The index is the topology's channel numbering
+// (topology.ChannelBases), which the metrics registry shares, so one index
+// addresses a channel's occupancy, backlog, controllers, rate limiter and
+// counters across every array — and names the channel in the events that
+// concern it.
 
 // port is one attachment point of a node: egress transmitter plus ingress
 // buffer accounting for the attached channel. Ports live by value in one
@@ -28,11 +29,10 @@ type port struct {
 	local int // port index on owner
 	// cb is the channel index: this port's index in every per-channel
 	// array (occupancy, queuedBytes, progress, limiters, rrVoq, inq, the
-	// ready masks, the bank's) and in the Network.ports
-	// arena itself — and, by construction, the metrics registry's
-	// ChannelIndex for the same channel. A node's ports are consecutive, so
-	// the channel of sibling port i is owner.cb + i without loading that
-	// port.
+	// ready masks, the bank's) and in the Network.ports arena itself:
+	// topology.ChannelBases()[owner] + local, which the metrics registry's
+	// ChannelIndex also returns. A node's ports are consecutive, so the
+	// channel of sibling port i is owner.cb + i without loading that port.
 	cb         int
 	buffer     units.Size // ingress allocation
 	prop       pktQueue   // packets in flight *toward* this port, FIFO

@@ -19,11 +19,11 @@ type Trace struct {
 	OnArrival func(t units.Time, node topology.NodeID, pkt *Packet)
 	// OnDeliver fires when the destination host receives a packet.
 	OnDeliver func(t units.Time, f *Flow, pkt *Packet)
-	// OnFeedback fires when a flow-control message is sent from the
-	// ingress side at node `from` back to the egress side at node `to`.
-	// Every frame is flowcontrol.MessageSize on the wire (the Figure 19
-	// overhead accounting).
-	OnFeedback func(t units.Time, from, to topology.NodeID)
+	// OnFeedback fires when the receiver of an ingress channel — node,
+	// local port, as OnQueue names it — sends a flow-control message back
+	// to its sender. Every frame is flowcontrol.MessageSize on the wire
+	// (the Figure 19 overhead accounting).
+	OnFeedback func(t units.Time, node topology.NodeID, port int)
 }
 
 func (tr *Trace) queue(t units.Time, n topology.NodeID, port int, q units.Size) {
@@ -44,8 +44,8 @@ func (tr *Trace) deliver(t units.Time, f *Flow, pkt *Packet) {
 	}
 }
 
-func (tr *Trace) feedback(t units.Time, from, to topology.NodeID) {
+func (tr *Trace) feedback(t units.Time, n topology.NodeID, port int) {
 	if tr != nil && tr.OnFeedback != nil {
-		tr.OnFeedback(t, from, to)
+		tr.OnFeedback(t, n, port)
 	}
 }

@@ -88,13 +88,15 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if c.cfg.BufferSize <= 0 {
 		return nil, fmt.Errorf("scenario: fluid backend: BufferSize must be positive")
 	}
-	channels, laws, err := c.fluidChannels()
+	bases := c.topo.ChannelBases()
+	channels, laws, err := c.fluidChannels(bases)
 	if err != nil {
 		return nil, err
 	}
 	if c.reg != nil {
 		netsim.BindRegistry(c.reg, c.topo, c.cfg, func(node topology.NodeID, port int) (units.Size, *core.StageTable) {
-			return laws[node][port].bm, laws[node][port].table
+			law := &laws[bases[node]+port]
+			return law.bm, law.table
 		})
 	}
 
@@ -162,15 +164,14 @@ type fluidLaw struct {
 // same channel (same ChannelParams, same FCParams, same Resolve), so the fluid
 // dynamics obey the parameters the packet network runs with. Host ingress
 // consumes on arrival and stays uncontrolled; laws carries every live
-// channel's resolution, indexed [node][port], for the registry binding.
-func (c *compiled) fluidChannels() ([]fluid.NetChannel, [][]fluidLaw, error) {
+// channel's resolution for the registry binding, indexed by the channel
+// numbering bases (c.topo.ChannelBases()).
+func (c *compiled) fluidChannels(bases []int) ([]fluid.NetChannel, []fluidLaw, error) {
 	var out []fluid.NetChannel
-	laws := make([][]fluidLaw, c.topo.NumNodes())
-	for n := range laws {
-		node := c.topo.Node(topology.NodeID(n))
-		ports := c.topo.Ports(node.ID)
-		laws[n] = make([]fluidLaw, len(ports))
-		for _, at := range ports {
+	laws := make([]fluidLaw, bases[len(bases)-1])
+	for n := range topology.NodeID(c.topo.NumNodes()) {
+		node := c.topo.Node(n)
+		for _, at := range c.topo.Ports(n) {
 			if at.Link.Failed {
 				continue
 			}
@@ -180,9 +181,9 @@ func (c *compiled) fluidChannels() ([]fluid.NetChannel, [][]fluidLaw, error) {
 				return nil, nil, fmt.Errorf("scenario: fluid backend: %s ingress from %s: %w",
 					node.Name, c.topo.Node(at.Peer).Name, err)
 			}
-			laws[n][at.Port] = law
+			laws[bases[n]+at.Port] = law
 			ch := fluid.NetChannel{
-				Node: node.ID, Port: at.Port,
+				Node: n, Port: at.Port,
 				Capacity: p.Capacity,
 				Buffer:   p.Buffer,
 				Host:     node.Kind == topology.Host,

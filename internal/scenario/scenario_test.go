@@ -137,14 +137,17 @@ func TestRegisteredScenariosBuild(t *testing.T) {
 
 // invalidSpecs are ring-steady-gfcbuf with one field out of range: a
 // negative duration, an unknown detector, a negative wall budget, a negative
-// TX ring, alone and under blocking scheduling, and a negative BFC queue
-// count, which every stage used to read as the default 8. Parse refused the
-// first three, while Build used to take them — the first then panicked in
-// Run, the other two ran under the global detector and with no wall budget.
-// Parse and Build both took the negative ring, which under blocking
-// scheduling stalls every forwarding core for good without an error; and the
-// fluid backend answered the blocking case with its packet-granular refusal
-// instead of Parse's error, checking Supports before it validated.
+// TX ring, alone and under blocking scheduling, a negative BFC queue count,
+// which every stage used to read as the default 8, and two settings the run
+// would ignore: BFC under VOQ scheduling (its physical queues run FIFO) and a
+// TX ring without blocking scheduling. Parse refused the first three, while
+// Build used to take them — the first then panicked in Run, the other two ran
+// under the global detector and with no wall budget. Parse and Build both
+// took the negative ring, which under blocking scheduling stalls every
+// forwarding core for good without an error, and the last two, which ran as
+// if unset; and the fluid backend answered the blocking case with its
+// packet-granular refusal instead of Parse's error, checking Supports before
+// it validated.
 func invalidSpecs() []Spec {
 	base, _ := Get("ring-steady-gfcbuf")
 	duration, detector, wall, ring := base, base, base, base
@@ -156,13 +159,17 @@ func invalidSpecs() []Spec {
 	blockingRing.Sim.Scheduling = "blocking"
 	queues := base
 	queues.Scheme.FC, queues.Scheme.Params.Queues = BFC, -3
+	bfcVOQ := base
+	bfcVOQ.Scheme.FC, bfcVOQ.Sim.Scheduling = BFC, "voq"
+	unusedRing := base
+	unusedRing.Sim.TxRing = 7
 	// Two flows that resolve to one ID would share BFC's per-flow queue
 	// claim: an equal explicit id, and an explicit id equal to a default.
 	sameID, defaultID := twoToOne(GFCBuf), twoToOne(GFCBuf)
 	sameID.Workload.Flows[0].ID = 2
 	defaultID.Workload.Flows[0].ID = 0
 	defaultID.Workload.Flows[1].ID = 1
-	return []Spec{duration, detector, wall, ring, blockingRing, queues, sameID, defaultID}
+	return []Spec{duration, detector, wall, ring, blockingRing, queues, bfcVOQ, unusedRing, sameID, defaultID}
 }
 
 // TestBuildRejectsWhatParseRejects pins the one validation: each backend's

@@ -303,6 +303,9 @@ func (s *Spec) Validate() error {
 	if err := s.Sim.validate(); err != nil {
 		return err
 	}
+	if s.Scheme.FC == BFC && s.Sim.Scheduling != "" && s.Sim.Scheduling != "fifo" {
+		return fmt.Errorf("scenario: sim: BFC runs its physical queues FIFO; scheduling %q would be ignored", s.Sim.Scheduling)
+	}
 	if s.Faults != nil {
 		if err := s.Faults.validate(); err != nil {
 			return err
@@ -480,6 +483,9 @@ func (m *SimSpec) validate() error {
 		m.ProcDelayNs < 0 || m.TauNs < 0 ||
 		m.TxRing < 0 || m.FluidStepNs < 0 {
 		return fmt.Errorf("scenario: sim: negative size or time field")
+	}
+	if m.TxRing != 0 && m.Scheduling != "blocking" {
+		return fmt.Errorf("scenario: sim: tx_ring sizes the TX rings of scheduling \"blocking\", not %q", m.Scheduling)
 	}
 	switch m.Backend {
 	case "", "packet", "fluid":

@@ -182,6 +182,19 @@ func (t *Topology) MustLookup(name string) NodeID {
 // links are included; callers that care must check Link.Failed.
 func (t *Topology) Ports(n NodeID) []Attachment { return t.adj[n] }
 
+// ChannelBases numbers the network's channels — one per port, the direction
+// of its link into that port's ingress buffer, failed links included — in
+// (node, port) order: port p of node n is channel bases[n] + p, and
+// bases[NumNodes()] is the channel count. Every per-channel array in the
+// simulator and the metrics registry is indexed this way.
+func (t *Topology) ChannelBases() []int {
+	bases := make([]int, len(t.adj)+1)
+	for n, ats := range t.adj {
+		bases[n+1] = bases[n] + len(ats)
+	}
+	return bases
+}
+
 // Neighbors returns the peers of n over non-failed links.
 func (t *Topology) Neighbors(n NodeID) []NodeID {
 	var out []NodeID
