@@ -1,16 +1,18 @@
 package cbd
 
 import (
+	"fmt"
 	"math/bits"
 
 	"github.com/gfcsim/gfc/internal/topology"
 )
 
-// ValleyFree is the census of a fat-tree's failed links: it reports whether t
-// is wired exactly as topology.FatTree builds it and has no valley pair, two
-// edge switches joined by live switch links but by no live up-then-down path
-// (in one pod, no agg both reach; across pods, no edge–agg–core–agg–edge).
-// It reads only the Layer and Pod tags and which links failed, no routing. It
+// ValleyFree runs the census of a fat-tree's failed links on t: it reports
+// whether t is wired exactly as topology.FatTree builds it and has no valley
+// pair, two edge switches joined by live switch links but by no live
+// up-then-down path (in one pod, no agg both reach; across pods, no
+// edge–agg–core–agg–edge). It reads t's Layer and Pod tags and which links
+// failed into a FatTreeMask, no routing, and asks its HasValley. It
 // reports false, so the caller runs the full scan, for a valley pair and for
 // anything else: a ring, an extra or missing link, a wrong layer count.
 //
@@ -29,25 +31,59 @@ import (
 // valley pair decides nothing (3 of 43 valley networks at k=4, p = 0.05, are
 // acyclic); its graph holds a down→up turn.
 func ValleyFree(t *topology.Topology) bool {
-	f := readFatTree(t)
-	return f != nil && !f.hasValley()
+	m := readFatTree(t)
+	return m != nil && !m.HasValley()
 }
 
-// fatTree is the census' view of a fat-tree: its live uplinks as bitmasks
-// and which switches its live switch links connect.
-type fatTree struct {
+// FatTreeMask is the census' view of a k-ary fat-tree: which of its switch
+// links are live, as bitmasks. ValleyFree reads one from a built topology; a
+// sweep fills one from topology.DrawFatTreeFailures and builds the tree only
+// when HasValley says the network may be CBD-prone.
+type FatTreeMask struct {
 	half int
-	// up[e] has bit j set when edge e (pod*half + index in pod) has a live
-	// link to its pod's agg j; core[a] has bit c when agg a has one to core
-	// c of its group.
+	// up[e] has bit j set when edge e (pod·half + index in pod) has a live
+	// link to its pod's agg j; core[a] has bit c when agg a (numbered
+	// likewise) has one to core c of its group.
 	up, core []uint64
-	edges    []topology.NodeID // by edge number
-	root     []int32           // union-find over live switch links
 }
 
-// readFatTree reads t's shape from its Layer and Pod tags, or returns nil when
-// t is not wired exactly as topology.FatTree builds it.
-func readFatTree(t *topology.Topology) *fatTree {
+// NewFatTreeMask returns the mask of a healthy FatTree(k), every link live.
+// k must be even, 2 ≤ k ≤ 128.
+func NewFatTreeMask(k int) *FatTreeMask {
+	half := k / 2
+	if k%2 != 0 || half < 1 || half > 64 {
+		panic(fmt.Sprintf("cbd: no fat-tree mask for arity k = %d", k))
+	}
+	all := uint64(1)<<half - 1
+	masks := make([]uint64, 4*half*half)
+	for i := range masks {
+		masks[i] = all
+	}
+	return &FatTreeMask{half: half, up: masks[:2*half*half], core: masks[2*half*half:]}
+}
+
+// Fail marks l failed.
+func (m *FatTreeMask) Fail(l topology.FatTreeLink) {
+	i := l.Pod*m.half + l.Lower
+	if l.Core {
+		m.core[i] &^= 1 << l.Upper
+	} else {
+		m.up[i] &^= 1 << l.Upper
+	}
+}
+
+// Live reports whether l is live.
+func (m *FatTreeMask) Live(l topology.FatTreeLink) bool {
+	i := l.Pod*m.half + l.Lower
+	if l.Core {
+		return m.core[i]&(1<<l.Upper) != 0
+	}
+	return m.up[i]&(1<<l.Upper) != 0
+}
+
+// readFatTree reads t's live switch links from its Layer and Pod tags, or
+// returns nil when t is not wired exactly as topology.FatTree builds it.
+func readFatTree(t *topology.Topology) *FatTreeMask {
 	n := t.NumNodes()
 	const edge, agg, core = 0, 1, 2
 	layer := make([]int8, n)
@@ -88,20 +124,11 @@ func readFatTree(t *topology.Topology) *fatTree {
 			return nil
 		}
 	}
-	f := &fatTree{
-		half: half, up: make([]uint64, 2*half*half), core: make([]uint64, 2*half*half),
-		edges: make([]topology.NodeID, 2*half*half), root: make([]int32, n),
-	}
+	m := &FatTreeMask{half: half, up: make([]uint64, 2*half*half), core: make([]uint64, 2*half*half)}
 	id := func(v topology.NodeID) int { return t.Node(v).Pod*half + ord[v] }
-	for v := range n {
-		f.root[v] = int32(v)
-		if layer[v] == edge {
-			f.edges[id(topology.NodeID(v))] = topology.NodeID(v)
-		}
-	}
 	// wired mirrors up and core over every link, failed or not: a bit set
 	// twice is a doubled link, a bit never set a missing one.
-	wiredUp, wiredCore := make([]uint64, len(f.up)), make([]uint64, len(f.core))
+	wiredUp, wiredCore := make([]uint64, len(m.up)), make([]uint64, len(m.core))
 	for i := range t.NumLinks() {
 		l := t.Link(topology.LinkID(i))
 		a, b := l.A, l.B
@@ -114,9 +141,9 @@ func readFatTree(t *topology.Topology) *fatTree {
 		case layer[a] == -1 && layer[b] == edge:
 			continue
 		case layer[a] == edge && layer[b] == agg && t.Node(a).Pod == t.Node(b).Pod:
-			wired, live, bit = &wiredUp[id(a)], &f.up[id(a)], 1<<ord[b]
+			wired, live, bit = &wiredUp[id(a)], &m.up[id(a)], 1<<ord[b]
 		case layer[a] == agg && layer[b] == core && ord[b]/half == ord[a]:
-			wired, live, bit = &wiredCore[id(a)], &f.core[id(a)], 1<<(ord[b]%half)
+			wired, live, bit = &wiredCore[id(a)], &m.core[id(a)], 1<<(ord[b]%half)
 		default:
 			return nil
 		}
@@ -126,7 +153,6 @@ func readFatTree(t *topology.Topology) *fatTree {
 		*wired |= bit
 		if !l.Failed {
 			*live |= bit
-			f.root[f.find(a)] = int32(f.find(b))
 		}
 	}
 	all := uint64(1)<<half - 1
@@ -135,22 +161,25 @@ func readFatTree(t *topology.Topology) *fatTree {
 			return nil
 		}
 	}
-	return f
+	return m
 }
 
-func (f *fatTree) find(v topology.NodeID) topology.NodeID {
-	for f.root[v] != int32(v) {
-		f.root[v] = f.root[f.root[v]]
-		v = topology.NodeID(f.root[v])
-	}
-	return v
-}
-
-// hasValley reports whether two connected edges lack a valley-free path.
-func (f *fatTree) hasValley() bool {
-	for e := range f.edges {
-		for g := e + 1; g < len(f.edges); g++ {
-			if f.find(f.edges[e]) == f.find(f.edges[g]) && !f.valleyFree(e, g) {
+// HasValley reports whether two edges joined by live switch links lack a
+// live up-then-down path between them: a valley pair. Without one, the
+// fat-tree is CBD-free under shortest-path routing (ValleyFree).
+func (m *FatTreeMask) HasValley() bool {
+	reach, w := m.coreReach()
+	var root []int32 // the live switch links' components, read only for a pair that fails
+	for e := range m.up {
+		podEnd := (e/m.half + 1) * m.half
+		for g := e + 1; g < len(m.up); g++ {
+			if m.valleyFree(reach, w, e, g, g < podEnd) {
+				continue
+			}
+			if root == nil {
+				root = m.components()
+			}
+			if find(root, int32(e)) == find(root, int32(g)) {
 				return true
 			}
 		}
@@ -158,20 +187,72 @@ func (f *fatTree) hasValley() bool {
 	return false
 }
 
-// valleyFree reports whether edges e and g have a live up-then-down path: in
-// one pod, a shared live agg; across pods, an agg index j live for both whose
-// two aggs share a live core.
-func (f *fatTree) valleyFree(e, g int) bool {
-	pe, pg := e/f.half, g/f.half
-	shared := f.up[e] & f.up[g]
-	if pe == pg {
-		return shared != 0
+// coreReach returns, w words per edge, the cores each edge reaches up its
+// live links: bit j·half + c for core c of agg j's group. Core c of group j
+// is wired only to agg j of every pod, so two edges of different pods share
+// a reached core exactly when they have an up-then-down path through it.
+func (m *FatTreeMask) coreReach() (reach []uint64, w int) {
+	h := m.half
+	w = (h*h + 63) / 64
+	reach = make([]uint64, len(m.up)*w)
+	for e, up := range m.up {
+		row, aggs := reach[e*w:e*w+w], m.core[e/h*h:e/h*h+h]
+		for ; up != 0; up &= up - 1 {
+			j := bits.TrailingZeros64(up)
+			at := uint(j * h)
+			row[at/64] |= aggs[j] << (at % 64)
+			if spill := at%64 + uint(h); spill > 64 {
+				row[at/64+1] |= aggs[j] >> (64 - at%64)
+			}
+		}
 	}
-	for ; shared != 0; shared &= shared - 1 {
-		j := bits.TrailingZeros64(shared)
-		if f.core[pe*f.half+j]&f.core[pg*f.half+j] != 0 {
+	return reach, w
+}
+
+// valleyFree reports whether edges e and g (of one pod when samePod) have a
+// live up-then-down path: in one pod, a shared live agg; across pods, a core
+// both reach.
+func (m *FatTreeMask) valleyFree(reach []uint64, w, e, g int, samePod bool) bool {
+	if samePod {
+		return m.up[e]&m.up[g] != 0
+	}
+	re, rg := reach[e*w:e*w+w], reach[g*w:g*w+w]
+	for i := range re {
+		if re[i]&rg[i] != 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// components returns a union-find forest over the switches joined by live
+// links: edges e at e, aggs a at 2·half² + a, cores j·half + c at 4·half² +
+// j·half + c.
+func (m *FatTreeMask) components() []int32 {
+	h := m.half
+	aggs, cores := int32(2*h*h), int32(4*h*h)
+	root := make([]int32, 5*h*h)
+	for v := range root {
+		root[v] = int32(v)
+	}
+	union := func(a, b int32) { root[find(root, a)] = find(root, b) }
+	for e, up := range m.up {
+		for ; up != 0; up &= up - 1 {
+			union(int32(e), aggs+int32(e/h*h+bits.TrailingZeros64(up)))
+		}
+	}
+	for a, cs := range m.core {
+		for ; cs != 0; cs &= cs - 1 {
+			union(aggs+int32(a), cores+int32(a%h*h+bits.TrailingZeros64(cs)))
+		}
+	}
+	return root
+}
+
+func find(root []int32, v int32) int32 {
+	for root[v] != v {
+		root[v] = root[root[v]]
+		v = root[v]
+	}
+	return v
 }

@@ -2,7 +2,9 @@ package cbd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/routing"
@@ -35,7 +37,7 @@ func censusAgrees(t *testing.T, name string, topo *topology.Topology) (bool, *Gr
 	if f == nil {
 		t.Fatalf("%s: the census declined a fat-tree", name)
 	}
-	valley := f.hasValley()
+	valley := f.HasValley()
 	if ValleyFree(topo) == valley {
 		t.Fatalf("%s: ValleyFree = %v beside a valley verdict of %v", name, !valley, valley)
 	}
@@ -165,4 +167,70 @@ func TestValleysDeclineOffFatTree(t *testing.T) {
 			t.Errorf("%s: the census did not decline", name)
 		}
 	}
+}
+
+// TestValleyFreeMatchesDefinition holds the census' per-edge core reach to
+// the definition it stands for, at every sweep arity (k ≥ 18 packs a group's
+// cores across word boundaries): edges of different pods have a live
+// up-then-down path exactly when some agg index j is live for both and
+// their two aggs j share a live core.
+func TestValleyFreeMatchesDefinition(t *testing.T) {
+	for k := 4; k <= 32; k += 2 {
+		m := NewFatTreeMask(k)
+		topology.DrawFatTreeFailures(k, rand.New(rand.NewSource(int64(k))), 0.3, m.Fail)
+		reach, w := m.coreReach()
+		h := m.half
+		for e := range m.up {
+			for g := (e/h + 1) * h; g < len(m.up); g++ {
+				want := false
+				for j := 0; j < h; j++ {
+					want = want || m.up[e]&m.up[g]&(1<<j) != 0 && m.core[e/h*h+j]&m.core[g/h*h+j] != 0
+				}
+				if got := m.valleyFree(reach, w, e, g, false); got != want {
+					t.Fatalf("k=%d edges %d, %d: valleyFree %v, definition %v", k, e, g, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzFatTreeDraw holds the failure-mask draw a sweep takes in place of a
+// built tree to the tree: at any even k from 4 to 16, any p in [0, 1] and any
+// seed, topology.DrawFatTreeFailures fails the link IDs FatTree(k) followed
+// by FailRandomLinks fails, leaves the RNG where that call leaves it, and
+// the census of the drawn mask is ValleyFree's verdict on the built tree.
+func FuzzFatTreeDraw(f *testing.F) {
+	f.Add(uint8(0), 0.05, int64(35))
+	f.Add(uint8(2), 0.05, int64(1))
+	f.Add(uint8(6), 0.05, int64(7))
+	f.Add(uint8(0), 0.0, int64(1))
+	f.Add(uint8(0), 1.0, int64(1))
+	f.Add(uint8(1), 0.5, int64(-3))
+	f.Fuzz(func(t *testing.T, ksel uint8, p float64, seed int64) {
+		if math.IsNaN(p) || p < 0 || p > 1 {
+			t.Skip("p outside [0, 1]")
+		}
+		k := 4 + 2*int(ksel%7)
+		topo := topology.FatTree(k, topology.DefaultLinkParams())
+		built := rand.New(rand.NewSource(seed))
+		want := topo.FailRandomLinks(built, p)
+
+		drawn := rand.New(rand.NewSource(seed))
+		mask := NewFatTreeMask(k)
+		var got []topology.LinkID
+		topology.DrawFatTreeFailures(k, drawn, p, func(l topology.FatTreeLink) {
+			got = append(got, l.ID)
+			mask.Fail(l)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d p=%v seed=%d: drew failures %v, FailRandomLinks %v", k, p, seed, got, want)
+		}
+		if a, b := drawn.Int63(), built.Int63(); a != b {
+			t.Fatalf("k=%d p=%v seed=%d: the draw left the RNG elsewhere than FailRandomLinks", k, p, seed)
+		}
+		if mask.HasValley() == ValleyFree(topo) {
+			t.Fatalf("k=%d p=%v seed=%d: the drawn mask has a valley %v, ValleyFree on the tree %v",
+				k, p, seed, mask.HasValley(), ValleyFree(topo))
+		}
+	})
 }

@@ -363,6 +363,59 @@ func TestGenerateScenarioMatchesFullScan(t *testing.T) {
 	}
 }
 
+// drawHasValley is the census' verdict on GenerateScenario's draw at p = 0.05.
+func drawHasValley(k int, seed int64) bool {
+	live := cbd.NewFatTreeMask(k)
+	topology.DrawFatTreeFailures(k, rand.New(rand.NewSource(seed)), 0.05, live.Fail)
+	return live.HasValley()
+}
+
+// TestGenerateScenarioCensusTable pins which networks the draw hands the
+// sweep at p = 0.05, seeds 1–400: how many have a valley pair (the census
+// builds the tree for those) and how many of them are CBD-prone. A change in
+// draw order or in the census moves these counts, and with them which
+// networks Table 1 simulates.
+func TestGenerateScenarioCensusTable(t *testing.T) {
+	for _, want := range []struct{ k, valleys, prone int }{{4, 43, 40}, {8, 10, 10}} {
+		valleys, prone := 0, 0
+		for seed := int64(1); seed <= 400; seed++ {
+			if drawHasValley(want.k, seed) {
+				valleys++
+			}
+			if _, _, p := GenerateScenario(want.k, 0.05, seed); p {
+				prone++
+			}
+		}
+		if valleys != want.valleys || prone != want.prone {
+			t.Errorf("k=%d: %d valley networks, %d CBD-prone; want %d and %d",
+				want.k, valleys, prone, want.valleys, want.prone)
+		}
+	}
+}
+
+// TestGenerateScenarioAllocs: a valley-free draw builds nothing. It returns
+// no topology and allocates a constant few objects at any k — the RNG, its
+// source, the mask and the census' reach sets — where building the tree cost
+// hundreds to thousands.
+func TestGenerateScenarioAllocs(t *testing.T) {
+	for _, k := range []int{4, 8, 16, 32} {
+		seed := int64(1)
+		for drawHasValley(k, seed) {
+			seed++
+		}
+		topo, tab, prone := GenerateScenario(k, 0.05, seed)
+		if topo != nil || tab != nil || prone {
+			t.Fatalf("k=%d seed=%d: a valley-free draw returned topology %v, table %v, prone %v",
+				k, seed, topo != nil, tab != nil, prone)
+		}
+		allocs := testing.AllocsPerRun(5, func() { GenerateScenario(k, 0.05, seed) })
+		t.Logf("k=%d seed=%d: %.0f allocs", k, seed, allocs)
+		if allocs > 6 {
+			t.Errorf("k=%d: a valley-free draw allocates %.0f objects, want at most 6", k, allocs)
+		}
+	}
+}
+
 // BenchmarkGenerateScenario is the cost of one generated sweep network at the
 // sweep's p = 0.05, averaged over seeds 1 on: the census, and for a network
 // with a valley pair the routing table and all-pairs scan.

@@ -222,25 +222,29 @@ func (s *SweepResult) ResilienceSummary() string {
 		sv.Dropped, sv.Reason)
 }
 
-// GenerateScenario builds the i-th random failure scenario of a sweep:
-// a k-ary fat-tree with each fabric link failed with probability p. Returns
-// the topology, and whether the union of every shortest path between
-// inter-rack hosts (cbd.FromAllPairs) holds a CBD — the paths generated flows
-// may take under any ECMP key, so a scenario filtered out as CBD-free cannot
-// form one in the run — with its routing table when it does; the table is nil
-// when it does not. The failed-link census (cbd.ValleyFree) answers first:
-// a fat-tree without a valley pair is CBD-free, and only the rest pay for the
-// table and the all-pairs graph.
+// GenerateScenario draws the i-th random failure scenario of a sweep: a
+// k-ary fat-tree with each fabric link failed with probability p. It reports
+// whether the union of every shortest path between inter-rack hosts
+// (cbd.FromAllPairs) holds a CBD — the paths generated flows may take under
+// any ECMP key, so a scenario filtered out as CBD-free cannot form one in the
+// run — and returns the failed topology and its routing table when it does;
+// both are nil when it does not. The draw is a failure mask
+// (topology.DrawFatTreeFailures) and the failed-link census
+// (cbd.FatTreeMask.HasValley) answers first: a fat-tree without a valley pair
+// is CBD-free, and only the rest pay for building the tree, its table and
+// the all-pairs graph.
 func GenerateScenario(k int, p float64, seed int64) (*topology.Topology, *routing.Table, bool) {
-	topo := topology.FatTree(k, topology.DefaultLinkParams())
 	rng := rand.New(rand.NewSource(seed))
-	topo.FailRandomLinks(rng, p)
-	if cbd.ValleyFree(topo) {
-		return topo, nil, false
+	live := cbd.NewFatTreeMask(k)
+	topology.DrawFatTreeFailures(k, rng, p, live.Fail)
+	if !live.HasValley() {
+		return nil, nil, false
 	}
+	topo := topology.FatTree(k, topology.DefaultLinkParams())
+	topology.FatTreeLinks(k, func(l topology.FatTreeLink) { topo.Link(l.ID).Failed = !live.Live(l) })
 	tab := routing.NewSPF(topo)
 	if !cbd.FromAllPairs(topo, tab, workload.EdgeRacks(topo)).HasCycle() {
-		return topo, nil, false
+		return nil, nil, false
 	}
 	return topo, tab, true
 }

@@ -29,23 +29,33 @@ type BFCConfig struct {
 }
 
 // RecommendedBFC derives per-queue thresholds from the channel parameters:
-// the buffer minus the Cτ in-flight headroom is split evenly across queues
-// (so even with every queue parked at XOFF the channel stays lossless), and
-// XON sits one MTU below XOFF. queues must be positive. Buffers too small to
-// give every queue a positive XON are rejected.
+// each queue gets an even share B/q of the buffer, of which XOFF leaves Cτ
+// as the queue's own in-flight headroom, and XON sits one MTU below XOFF.
+// queues must be positive. Buffers too small to give every queue a positive
+// XON are rejected.
+//
+// The headroom is per queue because the overshoot is. A queue keeps
+// receiving for one feedback latency τ after it reaches XOFF, so it can end
+// up Cτ past it; while it waits for its QPAUSE the link keeps running, and
+// once the pause lands the sender moves on to its next queue. q queues that
+// pause one after another can each overshoot by Cτ, q·(XOFF + Cτ) in all, so
+// one shared Cτ of headroom (XOFF = (B − Cτ)/q) overruns the buffer.
 func RecommendedBFC(p Params, queues int) (BFCConfig, error) {
 	headroom := units.BytesIn(p.Capacity, p.Tau)
-	xoff := (p.Buffer - headroom) / units.Size(queues)
+	xoff := p.Buffer/units.Size(queues) - headroom
 	xon := xoff - p.MTU
 	if xon <= 0 {
 		return BFCConfig{}, fmt.Errorf(
-			"flowcontrol: buffer %v too small for BFC with %d queues: need more than Cτ + queues·MTU = %v",
-			p.Buffer, queues, headroom+units.Size(queues)*p.MTU)
+			"flowcontrol: buffer %v too small for BFC with %d queues: need more than queues·(Cτ + MTU) = %v",
+			p.Buffer, queues, units.Size(queues)*(headroom+p.MTU))
 	}
 	return BFCConfig{Queues: queues, XOFF: xoff, XON: xon}, nil
 }
 
-// Validate reports an error for inconsistent thresholds.
+// Validate reports an error for inconsistent thresholds. Its loss bound is
+// q·(XOFF + Cτ) ≤ B: queues that pause one after another each take up to Cτ
+// past XOFF before their QPAUSE lands (see RecommendedBFC), and the buffer
+// must hold all of them at once.
 func (c BFCConfig) Validate(p Params) error {
 	q := c.Queues
 	if q <= 0 {
@@ -57,8 +67,8 @@ func (c BFCConfig) Validate(p Params) error {
 	if c.XON <= 0 || c.XON > c.XOFF {
 		return fmt.Errorf("flowcontrol: BFC XON %v outside (0, XOFF=%v]", c.XON, c.XOFF)
 	}
-	if total := units.Size(q)*c.XOFF + units.BytesIn(p.Capacity, p.Tau); total > p.Buffer {
-		return fmt.Errorf("flowcontrol: %d queues at XOFF %v plus Cτ headroom exceed buffer %v",
+	if total := units.Size(q) * (c.XOFF + units.BytesIn(p.Capacity, p.Tau)); total > p.Buffer {
+		return fmt.Errorf("flowcontrol: %d queues at XOFF %v, each with Cτ headroom, exceed buffer %v",
 			q, c.XOFF, p.Buffer)
 	}
 	return nil

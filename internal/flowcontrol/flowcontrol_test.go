@@ -727,8 +727,8 @@ func TestRecommendedBFC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// (1000KB − 12.5KB) / 8 = 123437B per queue; XON one MTU below.
-	if cfg.XOFF != (p.Buffer-12500)/8 {
+	// 1000KB / 8 − 12.5KB = 112.5KB per queue; XON one MTU below.
+	if cfg.XOFF != p.Buffer/8-12500 {
 		t.Errorf("XOFF = %v", cfg.XOFF)
 	}
 	if cfg.XON != cfg.XOFF-p.MTU {
@@ -738,9 +738,58 @@ func TestRecommendedBFC(t *testing.T) {
 		t.Error(err)
 	}
 	// A buffer that cannot give each queue a positive XON is rejected.
-	p.Buffer = 12500 + 8*p.MTU
+	p.Buffer = 8 * (12500 + p.MTU)
 	if _, err := RecommendedBFC(p, 8); err == nil {
 		t.Error("undersized buffer accepted")
+	}
+}
+
+// TestBFCSequentialPausesStayInBuffer drives the worst case of BFC's
+// overshoot: a stalled ingress whose sender, at line rate, moves to the next
+// queue it may send on each time a QPAUSE lands, one feedback latency τ after
+// the queue reached XOFF. Every queue takes up to Cτ past its XOFF,
+// q·(XOFF + Cτ) in all, which RecommendedBFC's thresholds must fit in B;
+// thresholds that leave one shared Cτ (q·XOFF + Cτ = B) overrun it.
+func TestBFCSequentialPausesStayInBuffer(t *testing.T) {
+	p := testParams()
+	const queues = 8
+	// Small packets keep the arrival granularity from eating into the Cτ
+	// headroom: what lands inside one τ is then at most Cτ.
+	const size = 100 * units.Byte
+	env := newFakeEnv()
+	env.delay = p.Tau
+	c, err := wire(NewBFCQueues(queues), p, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.forward = c.Sender
+	b := c.bank
+	var occ, high units.Size
+	sent := make([]units.Size, queues)
+	var send func(int32)
+	send = func(int32) {
+		for q := range queues {
+			if ok, _ := b.TrySend(1, q, size); ok {
+				occ += size
+				sent[q] += size
+				high = max(high, occ)
+				b.OnArrival(0, q, size, occ)
+				env.eng.After(units.TransmissionTime(size, p.Capacity), send, 0)
+				return
+			}
+		}
+	}
+	env.eng.After(0, send, 0)
+	env.eng.Run(units.Never)
+	if b.Rate(1) != 0 {
+		t.Fatalf("sender still at rate %v with the ingress stalled", b.Rate(1))
+	}
+	cfg, _ := RecommendedBFC(p, queues)
+	if sent[0] < cfg.XOFF+units.BytesIn(p.Capacity, p.Tau)-size {
+		t.Fatalf("queue 0 took %v, short of XOFF + Cτ: the pauses did not run one after another", sent[0])
+	}
+	if high > p.Buffer {
+		t.Fatalf("high water %v above the buffer %v (queues took %v)", high, p.Buffer, sent)
 	}
 }
 
@@ -837,6 +886,8 @@ func TestBFCRejectsBadConfig(t *testing.T) {
 		{Queues: -1, XOFF: 100 * units.KB, XON: 98 * units.KB},
 		// 8 queues × 150KB + 12.5KB headroom > 1000KB buffer.
 		{Queues: 8, XOFF: 150 * units.KB, XON: 148 * units.KB},
+		// 8 × 120KB + 12.5KB fits, but 8 × (120KB + 12.5KB) does not.
+		{Queues: 8, XOFF: 120 * units.KB, XON: 118 * units.KB},
 	}
 	for i, cfg := range bad {
 		if _, err := wire(explicitBFC(cfg), p, env); err == nil {

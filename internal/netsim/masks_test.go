@@ -432,7 +432,11 @@ func TestSlotPicksMatchReferenceScan(t *testing.T) {
 	})
 
 	forEachRadix(t, func(t *testing.T, queues int, rng *rand.Rand) {
-		n, nd := star(t, 2, baseConfig(flowcontrol.NewBFCQueues(queues)))
+		// BFC gives each queue its own Cτ of headroom: 64 queues need more
+		// than the 300 KB the other cases run with.
+		cfg := baseConfig(flowcontrol.NewBFCQueues(queues))
+		cfg.BufferSize = 1000 * units.KB
+		n, nd := star(t, 2, cfg)
 		p := &nd.ports[1]
 		stub := &stubBank{Bank: n.fc, paused: make([]bool, queues), wakes: make([]units.Time, queues)}
 		n.fc = stub

@@ -44,6 +44,34 @@ func TestBFCFormationRingSurvives(t *testing.T) {
 	}
 }
 
+// TestBFCSweepCellLossless: on the CBD-prone k=4 sweep network (seed 35),
+// 4 flows per host fill BFC's queues one after another at the fan-in points.
+// With one Cτ of headroom shared by all of a channel's queues this dropped
+// 2 592 packets by 400 ms; with Cτ per queue the run stays lossless under
+// the analytic checker.
+func TestBFCSweepCellLossless(t *testing.T) {
+	if testing.Short() {
+		t.Skip("400 ms k=4 fat-tree run")
+	}
+	spec, ok := Get("sweep-cell-bfc")
+	if !ok {
+		t.Fatal("sweep-cell-bfc not registered")
+	}
+	spec.Run.DurationNs = 400 * units.Millisecond
+	spec.Run.Analytic = true
+	sim, err := Build(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sim.Run()
+	if res.Drops != 0 || res.Analytic.Err != nil {
+		t.Fatalf("drops = %d, checker: %v", res.Drops, res.Analytic.Err)
+	}
+	if res.Deadlocked || res.Delivered == 0 {
+		t.Fatalf("deadlocked %v, delivered %v", res.Deadlocked, res.Delivered)
+	}
+}
+
 // TestBFCResumeLossWedges is the satellite wedged-channel check: the
 // resume-loss fault preset eats a QRESUME, the queue stays paused forever,
 // and the global detector must call it a wedged channel — the verdict Kind

@@ -350,6 +350,11 @@ func init() {
 	cell.Run.StopOnDeadlock = true
 	register(cell,
 		"one table1 sweep cell: CBD-prone random k=4 failure scenario (seed 35) under PFC")
+	bfcCell := SweepCell(BFC, 4, 4, 35)
+	bfcCell.Topology.FailRandom = cell.Topology.FailRandom
+	bfcCell.Run.StopOnDeadlock = true
+	register(bfcCell,
+		"the same sweep cell under BFC: per-queue pauses on a CBD-prone fabric stay lossless")
 	// All five schemes of the fig5 microbenchmark: the four fluid-capable
 	// ones anchor the backend-conformance suite, CBFC pins its skip reason.
 	for _, fc := range AllFCs() {

@@ -29,6 +29,7 @@ var conformanceSkips = map[string]string{
 	"evolution-pfc":                "generator",
 	"overhead-gfcbuf":              "generator",
 	"sweep-cell-pfc":               "generator",
+	"sweep-cell-bfc":               "generator",
 	"twotoone-cbfc":                "credit",
 	"clos128-pfc":                  "generator",
 	"clos128-gfcbuf":               "generator",

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -66,11 +67,8 @@ func RingHosts(n, h int, p LinkParams) *Topology {
 // C1..C((k/2)²). Aggregation switch j (0-based within its pod) connects to
 // core group j, i.e. cores j·k/2 .. j·k/2+k/2−1.
 func FatTree(k int, p LinkParams) *Topology {
-	if k < 2 || k%2 != 0 {
-		panic(fmt.Sprintf("topology: fat-tree arity must be even and >= 2, got k = %d", k))
-	}
+	half := fatTreeHalf(k)
 	t := New()
-	half := k / 2
 
 	cores := make([]NodeID, half*half)
 	for i := range cores {
@@ -90,18 +88,13 @@ func FatTree(k int, p LinkParams) *Topology {
 			edges[j] = t.AddSwitch(fmt.Sprintf("E%d", pod*half+j+1))
 			t.SetLayer(edges[j], "edge", pod)
 		}
-		// Edge <-> agg full bipartite within the pod.
-		for _, e := range edges {
-			for _, a := range aggs {
-				t.AddLink(e, a, p.Capacity, p.Delay)
+		fatTreePodLinks(half, pod, func(l FatTreeLink) {
+			if l.Core {
+				t.AddLink(aggs[l.Lower], cores[l.Lower*half+l.Upper], p.Capacity, p.Delay)
+			} else {
+				t.AddLink(edges[l.Lower], aggs[l.Upper], p.Capacity, p.Delay)
 			}
-		}
-		// Agg j <-> its core group.
-		for j, a := range aggs {
-			for c := 0; c < half; c++ {
-				t.AddLink(a, cores[j*half+c], p.Capacity, p.Delay)
-			}
-		}
+		})
 		// Hosts.
 		for _, e := range edges {
 			for h := 0; h < half; h++ {
@@ -113,6 +106,62 @@ func FatTree(k int, p LinkParams) *Topology {
 		}
 	}
 	return t
+}
+
+// FatTreeLink is one switch-to-switch link of FatTree(k), by its place in
+// pod Pod: edge Lower (0-based within the pod) to the pod's agg Upper, or,
+// with Core set, agg Lower to core Upper of its group (core Lower·k/2 +
+// Upper). ID is the link's ID in the built topology.
+type FatTreeLink struct {
+	ID           LinkID
+	Pod          int
+	Lower, Upper int
+	Core         bool
+}
+
+// fatTreeHalf returns k/2, or panics unless k is a valid fat-tree arity.
+func fatTreeHalf(k int) int {
+	if k < 2 || k%2 != 0 {
+		panic(fmt.Sprintf("topology: fat-tree arity must be even and >= 2, got k = %d", k))
+	}
+	return k / 2
+}
+
+// fatTreePodLinks calls fn for each switch-to-switch link of pod in a
+// FatTree with k/2 = half, in link-ID order: the edge–agg bipartite graph
+// (edge-major), then each agg's links to its core group. The pod's host
+// links follow them, so a pod spans 3·half² link IDs.
+func fatTreePodLinks(half, pod int, fn func(FatTreeLink)) {
+	id := LinkID(3 * half * half * pod)
+	for _, core := range [2]bool{false, true} {
+		for lo := 0; lo < half; lo++ {
+			for hi := 0; hi < half; hi++ {
+				fn(FatTreeLink{ID: id, Pod: pod, Lower: lo, Upper: hi, Core: core})
+				id++
+			}
+		}
+	}
+}
+
+// FatTreeLinks calls fn for each switch-to-switch link of FatTree(k), in
+// link-ID order.
+func FatTreeLinks(k int, fn func(FatTreeLink)) {
+	half := fatTreeHalf(k)
+	for pod := 0; pod < k; pod++ {
+		fatTreePodLinks(half, pod, fn)
+	}
+}
+
+// DrawFatTreeFailures draws the failures FailRandomLinks(rng, prob) makes on
+// a fresh FatTree(k) without building the tree: it consumes rng exactly as
+// that call does, one Float64 per switch-to-switch link in link-ID order, and
+// calls fail for each link that fails.
+func DrawFatTreeFailures(k int, rng *rand.Rand, prob float64, fail func(FatTreeLink)) {
+	FatTreeLinks(k, func(l FatTreeLink) {
+		if rng.Float64() < prob {
+			fail(l)
+		}
+	})
 }
 
 // Dumbbell builds the congestion-control topology of the Figure 20 study:
