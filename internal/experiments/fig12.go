@@ -49,14 +49,14 @@ func RunCaseStudy(spec scenario.Spec, o RunOptions) (*CaseStudyResult, error) {
 		Trace: func(*topology.Topology) *netsim.Trace {
 			return &netsim.Trace{
 				OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
-					res.Throughput.Add(t, pkt.Size)
+					res.Throughput.Add(t, pkt.Size())
 					if opened != nil || t <= windowStart {
 						return
 					}
 					for _, fl := range sim.Flows {
 						opened = append(opened, fl.Delivered)
 						if fl == f {
-							opened[len(opened)-1] -= pkt.Size
+							opened[len(opened)-1] -= pkt.Size()
 						}
 					}
 				},

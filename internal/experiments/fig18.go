@@ -27,7 +27,7 @@ func RunEvolution(fc FC, o RunOptions) (*EvolutionResult, error) {
 		Trace: func(*topology.Topology) *netsim.Trace {
 			return &netsim.Trace{
 				OnDeliver: func(t units.Time, _ *netsim.Flow, pkt *netsim.Packet) {
-					res.Throughput.Add(t, pkt.Size)
+					res.Throughput.Add(t, pkt.Size())
 				},
 			}
 		},

@@ -31,7 +31,7 @@ func h1Probe(queue *stats.Series, arrivals *stats.BinCounter) func(*topology.Top
 		tr := &netsim.Trace{
 			OnArrival: func(t units.Time, node topology.NodeID, pkt *netsim.Packet) {
 				if node == s1 && pkt.Flow.Src == h1 {
-					arrivals.Add(t, pkt.Size)
+					arrivals.Add(t, pkt.Size())
 				}
 			},
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/metrics"
@@ -222,6 +223,11 @@ func (s *SweepResult) ResilienceSummary() string {
 		sv.Dropped, sv.Reason)
 }
 
+// drawRNGs holds the generators GenerateScenario reseeds. A fresh source is a
+// 5 KB state per draw; Seed resets a used one to the stream a fresh source of
+// that seed yields, so a draw depends on its seed alone.
+var drawRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // GenerateScenario draws the i-th random failure scenario of a sweep: a
 // k-ary fat-tree with each fabric link failed with probability p. It reports
 // whether the union of every shortest path between inter-rack hosts
@@ -234,9 +240,11 @@ func (s *SweepResult) ResilienceSummary() string {
 // is CBD-free, and only the rest pay for building the tree, its table and
 // the all-pairs graph.
 func GenerateScenario(k int, p float64, seed int64) (*topology.Topology, *routing.Table, bool) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := drawRNGs.Get().(*rand.Rand)
+	rng.Seed(seed)
 	live := cbd.NewFatTreeMask(k)
 	topology.DrawFatTreeFailures(k, rng, p, live.Fail)
+	drawRNGs.Put(rng)
 	if !live.HasValley() {
 		return nil, nil, false
 	}
@@ -316,6 +324,9 @@ func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Tabl
 	res, err := runRepeat(ctx, sim, topo, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if n := len(sim.Gen.Completed); n > 0 {
+		res.Slowdowns = make([]float64, 0, n) // nil when none: the checkpoint records null
 	}
 	for _, f := range sim.Gen.Completed {
 		ideal := routing.PathLatency(f.Path, 1500*units.Byte) +
@@ -515,6 +526,7 @@ func runSweeps(ctx context.Context, schemes []FC, cfg SweepConfig) ([]*SweepResu
 	}
 	results := runner.RunWith(ctx, jobs, opts)
 
+	var prone []*scenarioOutcome
 	for job, jr := range results {
 		if err := jr.Err; err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -530,12 +542,27 @@ func runSweeps(ctx context.Context, schemes []FC, cfg SweepConfig) ([]*SweepResu
 			}
 			continue
 		}
-		sc := jr.Value
-		if sc == nil {
-			continue // not CBD-prone: never simulated
+		if jr.Value != nil { // nil: not CBD-prone, never simulated
+			prone = append(prone, jr.Value)
 		}
-		for s, res := range out {
-			res.add(sc.Repeats[s*cfg.Repeats : (s+1)*cfg.Repeats])
+	}
+	for s, res := range out {
+		repeats := func(sc *scenarioOutcome) []*ScenarioResult {
+			return sc.Repeats[s*cfg.Repeats : (s+1)*cfg.Repeats]
+		}
+		// Size the slowdown CDF once: it holds every completed flow of
+		// every deadlock-free repeat, hundreds per cell.
+		n := 0
+		for _, sc := range prone {
+			for _, r := range repeats(sc) {
+				if !r.Deadlocked {
+					n += len(r.Slowdowns)
+				}
+			}
+		}
+		res.Slowdown.Grow(n)
+		for _, sc := range prone {
+			res.add(repeats(sc))
 		}
 	}
 	if err := ctx.Err(); err != nil {

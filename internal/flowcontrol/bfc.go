@@ -13,6 +13,11 @@ import (
 // count per port; 8 keeps the per-channel state compact.
 const DefaultBFCQueues = 8
 
+// MaxBFCQueues bounds BFC's physical queues per port: BFC (Goyal et al.)
+// uses at most 64. netsim's egress ready mask has one bit per queue, and a
+// packet holds its queue id in a byte.
+const MaxBFCQueues = 64
+
 // BFCConfig configures Backpressure Flow Control (Goyal et al., NSDI 2022):
 // each ingress maintains a set of physical queues, flows are dynamically
 // assigned to queues at enqueue time, and pause/resume feedback is scoped to

@@ -130,12 +130,12 @@ func BenchmarkLinearForwardingMetrics(b *testing.B) {
 // array FIFOs, 3697 and 1855 before any of it), with ~5% headroom for
 // toolchain noise. An increase here means a closure, interface box, growing
 // queue or map crept back into the refill/kick/arrive loop. The byte budgets
-// hold the packet arena, which scales with live packets, to the 48-byte
-// packet. Measured with the nodes in an arena: 65 and 79 allocs/op, 12 120
-// and 27 680 B/op (75 and 87, 12 264 and 27 928 with a heap object per node;
-// 109 and 107, 14 384 and 29 160 with four controller objects per channel;
-// 17 336 and 46 880 B/op with the 88-byte packet and its side free list),
-// plus ~5%.
+// hold the packet arena, which scales with live packets, to the 32-byte
+// packet. Measured with the nodes in an arena: 66 and 80 allocs/op, 11 288
+// and 22 352 B/op (12 184 and 27 728 with the 48-byte packet; 12 264 and
+// 27 928 with a heap object per node; 109 and 107 allocs/op, 14 384 and
+// 29 160 B/op with four controller objects per channel; 17 336 and 46 880
+// B/op with the 88-byte packet and its side free list), plus ~5%.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget check skipped in -short mode")
@@ -149,8 +149,8 @@ func TestAllocBudget(t *testing.T) {
 		allocs int64 // allocs/op
 		bytes  int64 // B/op
 	}{
-		{"LinearForwarding", BenchmarkLinearForwarding, 69, 12_900},
-		{"CongestedFabric", BenchmarkCongestedFabric, 84, 29_400},
+		{"LinearForwarding", BenchmarkLinearForwarding, 69, 11_900},
+		{"CongestedFabric", BenchmarkCongestedFabric, 84, 23_500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := testing.Benchmark(tc.bench)

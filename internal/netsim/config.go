@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/gfcsim/gfc/internal/core"
 	"github.com/gfcsim/gfc/internal/faults"
@@ -121,6 +122,9 @@ func (c *Config) ChannelParams(l *topology.Link, kind topology.Kind) flowcontrol
 }
 
 func (c *Config) validate() error {
+	if c.MTU > math.MaxInt32 {
+		return fmt.Errorf("netsim: MTU %v exceeds a packet's size field (at most %d bytes)", c.MTU, math.MaxInt32)
+	}
 	if c.BufferSize <= 0 {
 		return fmt.Errorf("netsim: BufferSize must be positive")
 	}

@@ -25,9 +25,9 @@ func (n *Network) completeTx(p *port) {
 	now := n.eng.Now()
 	p.busy = false
 	if n.limiters != nil {
-		n.limiters[p.cb].OnPacket(now, dur, pkt.Size)
+		n.limiters[p.cb].OnPacket(now, dur, pkt.Size())
 	} else {
-		n.fc.OnSent(p.cb, pkt.Size, dur)
+		n.fc.OnSent(p.cb, pkt.Size(), dur)
 	}
 	nd := p.owner
 
@@ -37,20 +37,20 @@ func (n *Network) completeTx(p *port) {
 		// of the port it arrived on.
 		in := int(pkt.arrivalPort)
 		ch := nd.cb + in
-		n.occupancy[ch] -= pkt.Size
+		n.occupancy[ch] -= pkt.Size()
 		n.progress[ch].lastDepart = now
 		n.cfg.Trace.queue(now, nd.id, in, n.occupancy[ch])
 		if reg := n.metrics; reg != nil {
-			reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
+			reg.OnRelease(ch, now, pkt.Size(), n.occupancy[ch])
 		}
-		n.fc.OnDeparture(ch, int(pkt.arrivalQueue), pkt.Size, n.occupancy[ch])
+		n.fc.OnDeparture(ch, int(pkt.arrivalQueue), pkt.Size(), n.occupancy[ch])
 	case topology.Host:
 		n.refill(nd)
 	}
 
 	rp := p.peer
 	if reg := n.metrics; reg != nil {
-		reg.OnTx(rp.cb, pkt.Size)
+		reg.OnTx(rp.cb, pkt.Size())
 	}
 	rp.pushInFlight(pkt)
 	n.eng.After(p.delay, n.arriveFn, int32(rp.cb))
@@ -65,12 +65,12 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 
 	if nd.kind == topology.Host {
 		f := pkt.Flow
-		f.Delivered += pkt.Size
-		n.delivered += pkt.Size
+		f.Delivered += pkt.Size()
+		n.delivered += pkt.Size()
 		if reg := n.metrics; reg != nil {
 			// Hosts consume on arrival; account the delivery with a
 			// permanently empty ingress.
-			reg.OnAdmit(ing.cb, now, pkt.Size, 0)
+			reg.OnAdmit(ing.cb, now, pkt.Size(), 0)
 		}
 		n.cfg.Trace.deliver(now, f, pkt)
 		if f.Done() && f.Finished == 0 {
@@ -84,12 +84,12 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 	}
 
 	ch := ing.cb
-	occ := n.occupancy[ch] + pkt.Size
+	occ := n.occupancy[ch] + pkt.Size()
 	if occ > ing.buffer {
 		// A lossless fabric must never get here; record and drop.
 		n.drops++
 		if reg := n.metrics; reg != nil {
-			reg.OnDrop(ch, now, pkt.Size, occ)
+			reg.OnDrop(ch, now, pkt.Size(), occ)
 		}
 		n.recyclePacket(pkt)
 		return
@@ -100,13 +100,13 @@ func (n *Network) arrive(ing *port, pkt *Packet) {
 	n.occupancy[ch] = occ
 	n.cfg.Trace.queue(now, nd.id, idx, occ)
 	if reg := n.metrics; reg != nil {
-		reg.OnAdmit(ch, now, pkt.Size, occ)
+		reg.OnAdmit(ch, now, pkt.Size(), occ)
 	}
 	// Freeze the upstream queue assignment: this is the physical queue the
 	// packet occupies at this ingress until it departs, regardless of which
 	// queue the next hop assigns it (0 under a channel-scoped bank).
 	pkt.arrivalQueue = pkt.queue
-	n.fc.OnArrival(ch, int(pkt.arrivalQueue), pkt.Size, occ)
+	n.fc.OnArrival(ch, int(pkt.arrivalQueue), pkt.Size(), occ)
 	pkt.arrivalPort = int16(idx)
 	pkt.hop++
 	hop := pkt.Flow.Path[pkt.hop]

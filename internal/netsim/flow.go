@@ -41,7 +41,7 @@ type Flow struct {
 	Delivered units.Size // bytes received at Dst
 	Started   units.Time
 	Finished  units.Time // delivery time of the last byte; 0 while active
-	seq       int64
+	seq       uint32
 }
 
 // Done reports whether a finite flow has been fully delivered.

@@ -51,13 +51,13 @@ func TestPortLayout(t *testing.T) {
 	}
 }
 
-// TestPacketLayout pins the packet at 48 bytes: the route stays on the flow
-// (Flow.Path, indexed by the hop), the index fields are as narrow as their
-// bounds allow, and the free list reuses the queue link. Live packets make
-// up most of a large fabric's heap, so a field that grows the packet fails
-// here.
+// TestPacketLayout pins the packet at 32 bytes: the route stays on the flow
+// (Flow.Path, indexed by the hop), the size, sequence and index fields are as
+// narrow as their bounds allow, and the free list reuses the queue link. Live
+// packets make up most of a large fabric's heap, so a field that grows the
+// packet fails here.
 func TestPacketLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Packet{}); size != 48 {
-		t.Errorf("Packet is %d bytes; want 48", size)
+	if size := unsafe.Sizeof(Packet{}); size != 32 {
+		t.Errorf("Packet is %d bytes; want 32", size)
 	}
 }

@@ -32,7 +32,7 @@ func refNextFromInputs(n *Network, p *port) (*Packet, int, units.Time) {
 		if head.Flow.Path[head.hop].Port != p.local {
 			continue // head-of-line: only the head is eligible
 		}
-		ok, wake := n.fc.TrySend(p.cb, 0, head.Size)
+		ok, wake := n.fc.TrySend(p.cb, 0, head.Size())
 		if !ok {
 			return nil, -1, wake
 		}
@@ -78,7 +78,7 @@ func refNextQueued(n *Network, p *port) (int, units.Time) {
 		if v.empty() {
 			continue
 		}
-		ok, wake := n.fc.TrySend(p.cb, k, v.front().Size)
+		ok, wake := n.fc.TrySend(p.cb, k, v.front().Size())
 		if !ok {
 			if wake < minWake {
 				minWake = wake
@@ -138,7 +138,7 @@ func star(t *testing.T, radix int, cfg Config) (*Network, *node) {
 func boundFor(n *Network, nd *node, in, out int, seq int64) *Packet {
 	pkt := n.newPacket()
 	pkt.Flow = &Flow{ID: int(seq), Path: []routing.Hop{{Node: nd.id, Port: out}}}
-	pkt.Seq, pkt.Size = seq, 1000
+	pkt.Seq, pkt.size = uint32(seq), 1000
 	pkt.arrivalPort = int16(in)
 	return pkt
 }
@@ -211,7 +211,7 @@ func checkFedBy(t *testing.T, n *Network, p *port, when string) {
 	fed := make([]units.Size, len(p.owner.ports))
 	for s := 0; s < p.slots; s++ {
 		for pkt := n.voqs[p.voqBase+s].front(); pkt != nil; pkt = pkt.next {
-			fed[arrivalKey(pkt)] += pkt.Size
+			fed[arrivalKey(pkt)] += pkt.Size()
 		}
 	}
 	for key, want := range fed {

@@ -242,6 +242,22 @@ func TestAddFlowValidation(t *testing.T) {
 	if err := n.AddFlow(&bad2, 0); err == nil {
 		t.Error("non-host dst accepted")
 	}
+	// A packet holds its hop index in an int16: the longest path it can
+	// walk has math.MaxInt16+1 hops, and a longer one is refused rather
+	// than wrapping the index. Only the path's ends are checked, so the
+	// filler hops need not be a route.
+	for _, hops := range []int{math.MaxInt16 + 1, math.MaxInt16 + 2} {
+		long := *good
+		long.Path = make([]routing.Hop, hops)
+		for i := range long.Path {
+			long.Path[i] = good.Path[len(good.Path)-1]
+		}
+		long.Path[0] = good.Path[0]
+		err := n.AddFlow(&long, 0)
+		if wantErr := hops > math.MaxInt16+1; (err != nil) != wantErr {
+			t.Errorf("%d-hop path: err = %v, want error: %v", hops, err, wantErr)
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -251,6 +267,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(topo, Config{BufferSize: units.KB}); err == nil {
 		t.Error("nil factory accepted")
+	}
+	// A packet holds its size in an int32: an MTU past that is refused
+	// rather than wrapping every full-size packet. The buffer is large
+	// enough for PFC's thresholds at either MTU.
+	for _, mtu := range []units.Size{math.MaxInt32, math.MaxInt32 + 1} {
+		cfg := baseConfig(pfcFactory())
+		cfg.MTU, cfg.BufferSize = mtu, 1<<44
+		_, err := New(topo, cfg)
+		if wantErr := mtu > math.MaxInt32; (err != nil) != wantErr {
+			t.Errorf("MTU %d: err = %v, want error: %v", mtu, err, wantErr)
+		}
 	}
 	// A ready-mask word covers maxRadix ports (the masks tests build that
 	// width): a wider node is an ordinary error under every discipline that

@@ -397,6 +397,10 @@ func (n *Network) AddFlow(f *Flow, at units.Time) error {
 	if n.nodes[f.Src].kind != topology.Host || n.nodes[f.Dst].kind != topology.Host {
 		return fmt.Errorf("netsim: flow %d endpoints must be hosts", f.ID)
 	}
+	if len(f.Path)-1 > math.MaxInt16 {
+		return fmt.Errorf("netsim: flow %d path has %d hops; a packet's hop index holds at most %d",
+			f.ID, len(f.Path), math.MaxInt16+1)
+	}
 	n.flows = append(n.flows, f)
 	n.eng.At(at, n.startFn, int32(len(n.flows)-1))
 	return nil

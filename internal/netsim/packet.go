@@ -16,36 +16,42 @@ import "github.com/gfcsim/gfc/internal/units"
 // Packet is one frame traversing the fabric. Packets are source-routed by
 // their flow: Flow.Path[hop].Node holds the packet (next to transmit it), the
 // per-flow ECMP decision the routing table made once. A packet carries only
-// the hop index, not the route, so a live packet is 48 bytes
-// (TestPacketLayout).
+// the hop index, not the route, and each field is as narrow as its bound, so a
+// live packet is 32 bytes (TestPacketLayout).
 type Packet struct {
 	Flow *Flow
 	// next links the packet into the one pktQueue holding it, or, once
 	// recycled, into the network's free list.
 	next *Packet
-	Seq  int64
-	Size units.Size
+	// Seq numbers the flow's packets from 0 as its host NIC releases them;
+	// only determinism hashes read it. It wraps after 2^32 packets of one
+	// flow.
+	Seq  uint32
+	size int32 // bytes; Config.validate bounds the MTU to what it holds
 
-	hop int32 // index into Flow.Path of the node holding the packet
+	hop int16 // index into Flow.Path of the node holding the packet (AddFlow bounds the path)
 
 	// Ingress accounting at the current switch: which local port the
 	// packet arrived on. -1 at the source host. A node has at most
 	// math.MaxInt16 ports (New).
 	arrivalPort int16
 
-	// Per-flow queue accounting (a per-queue bank, at most 64 queues):
-	// queue is the physical queue the packet is assigned to at its current
-	// egress, and arrivalQueue freezes the assignment it arrived downstream
-	// with — the queue the ingress receiver is told about on admission and
-	// departure. Both stay 0 under a channel-scoped bank, and are recycled
-	// to zero with the packet.
-	queue        int16
-	arrivalQueue int16
+	// Per-flow queue accounting (a per-queue bank, at most 64 queues, which
+	// New enforces): queue is the physical queue the packet is assigned to
+	// at its current egress, and arrivalQueue freezes the assignment it
+	// arrived downstream with — the queue the ingress receiver is told
+	// about on admission and departure. Both stay 0 under a channel-scoped
+	// bank, and are recycled to zero with the packet.
+	queue        int8
+	arrivalQueue int8
 
 	// ECN is set when the packet passed a switch whose egress queue
 	// exceeded the marking threshold (used by DCQCN).
 	ECN bool
 }
+
+// Size is the packet's length on the wire.
+func (p *Packet) Size() units.Size { return units.Size(p.size) }
 
 // pktChunk is how many packets a Network's arena grows by at a time. The
 // live-packet population is bounded by queue depths, so a run costs a few

@@ -169,14 +169,14 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	}
 	if n.fq > 0 {
 		slot = n.assignSlot(p, pkt)
-		pkt.queue = int16(slot)
+		pkt.queue = int8(slot)
 	}
 	n.voqs[p.voqBase+slot].push(pkt)
 	n.slotReady[p.cb] |= 1 << uint(slot)
 	if n.fedBytes != nil {
-		n.fedBytes[p.fedBase+key] += pkt.Size
+		n.fedBytes[p.fedBase+key] += pkt.Size()
 	}
-	n.queuedBytes[p.cb] += pkt.Size
+	n.queuedBytes[p.cb] += pkt.Size()
 	p.queuedPkts++
 }
 
@@ -189,9 +189,9 @@ func (n *Network) dequeue(p *port, slot int) *Packet {
 		n.slotReady[p.cb] &^= 1 << uint(slot)
 	}
 	if n.fedBytes != nil {
-		n.fedBytes[p.fedBase+arrivalKey(pkt)] -= pkt.Size
+		n.fedBytes[p.fedBase+arrivalKey(pkt)] -= pkt.Size()
 	}
-	n.queuedBytes[p.cb] -= pkt.Size
+	n.queuedBytes[p.cb] -= pkt.Size()
 	p.queuedPkts--
 	n.rrVoq[p.cb] = int32(succ(slot, p.slots))
 	if n.fq > 0 {

@@ -51,7 +51,7 @@ func (n *Network) refill(h *node) {
 		}
 		f.released += size
 		pkt := n.newPacket()
-		pkt.Flow, pkt.Seq, pkt.Size = f, f.seq, size
+		pkt.Flow, pkt.Seq, pkt.size = f, f.seq, int32(size)
 		pkt.arrivalPort = -1
 		f.seq++
 		if f.Size > 0 && f.released >= f.Size {
@@ -161,7 +161,7 @@ func (n *Network) kick(p *port) {
 		return
 	}
 	p.busy = true
-	dur := units.TransmissionTime(pkt.Size, p.capacity)
+	dur := units.TransmissionTime(pkt.Size(), p.capacity)
 	p.txPkt, p.txDur = pkt, dur
 	n.eng.After(dur, n.txDoneFn, int32(p.cb))
 	if freed >= 0 {
@@ -261,7 +261,7 @@ func (n *Network) nextQueued(p *port) (int, units.Time) {
 	for _, part := range [2]uint64{m &^ before, m & before} {
 		for ; part != 0; part &= part - 1 {
 			slot := bits.TrailingZeros64(part)
-			ok, wake := n.trySend(ch, slot, n.voqs[p.voqBase+slot].front().Size)
+			ok, wake := n.trySend(ch, slot, n.voqs[p.voqBase+slot].front().Size())
 			if ok {
 				return slot, 0
 			}
@@ -361,7 +361,7 @@ func (n *Network) nextFromInputs(p *port) (*Packet, int, units.Time) {
 	}
 	in := nextBit(m, int(n.rrVoq[ch]))
 	head := n.inq[p.owner.cb+in].front()
-	ok, wake := n.trySend(ch, 0, head.Size)
+	ok, wake := n.trySend(ch, 0, head.Size())
 	if !ok {
 		return nil, -1, wake
 	}

@@ -276,7 +276,7 @@ func TestFreeListIsLIFO(t *testing.T) {
 	f := spfFlow(t, topo, 1, "H1", "H2", 0)
 	a, b := n.newPacket(), n.newPacket()
 	for i, pkt := range []*Packet{a, b} {
-		*pkt = Packet{Flow: f, Seq: int64(i + 7), Size: 1000, hop: 1, arrivalPort: 1, queue: 3, arrivalQueue: 2, ECN: true}
+		*pkt = Packet{Flow: f, Seq: uint32(i + 7), size: 1000, hop: 1, arrivalPort: 1, queue: 3, arrivalQueue: 2, ECN: true}
 	}
 	n.recyclePacket(a)
 	n.recyclePacket(b)

@@ -98,7 +98,7 @@ func OpenStore(path, key string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(f)
+	data, err := readWhole(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("runner: reading checkpoint %s: %w", path, err)
@@ -135,6 +135,20 @@ func OpenStore(path, key string) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// readWhole reads f, from its start, into one buffer of the size Stat
+// reports, where io.ReadAll would regrow its buffer by doubling: a resumed
+// sweep reads its whole checkpoint, a few hundred bytes per cell. The store
+// is the file's one writer, so the size holds until the read.
+func readWhole(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	_, err = io.ReadFull(f, data)
+	return data, err
 }
 
 // scan parses the entry lines of the whole-line region of the file (data,

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -624,5 +625,58 @@ func TestCheckpointSalvageEverythingStartsFresh(t *testing.T) {
 	defer st2.Close()
 	if st2.Done() != 1 || st2.Salvage().Dropped != 0 {
 		t.Fatalf("recovered store = %d cells, salvage %+v", st2.Done(), st2.Salvage())
+	}
+}
+
+// TestOpenStoreReadsOnce: opening an n-entry checkpoint allocates its bytes
+// once, in a buffer sized from the file, beside what parsing the entries
+// costs (measured alone on the same bytes); io.ReadAll's doubling allocated
+// two to three times the file.
+func TestOpenStoreReadsOnce(t *testing.T) {
+	const n = 2000
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	st, err := OpenStore(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := st.Record(i, int64(i), cell{Mean: math.Sqrt(float64(i)), N: i}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	open := allocated(func() {
+		st, err := OpenStore(path, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Done() != n {
+			t.Fatalf("reopened store holds %d entries, want %d", st.Done(), n)
+		}
+		st.Close()
+	})
+	parse := allocated(func() {
+		s := &Store{key: "k", done: make(map[int]Entry)}
+		if end := s.scan(data, len(storeHeader)); end != len(data) {
+			t.Fatalf("scan kept %d of %d bytes", end, len(data))
+		}
+	})
+	size := int64(len(data))
+	if read := open - parse; read < size || read > size+size/16+8192 {
+		t.Errorf("OpenStore allocated %d B beside parsing, want the %d-byte file once", read, size)
+	} else {
+		t.Logf("%d-byte checkpoint: OpenStore allocated %d B beside parsing", size, read)
 	}
 }

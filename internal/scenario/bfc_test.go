@@ -72,6 +72,29 @@ func TestBFCSweepCellLossless(t *testing.T) {
 	}
 }
 
+// TestBFCQueuesOutgrowBuffer: how many BFC queues a buffer holds depends on
+// the resolved Cτ, so Validate cannot check it and Build must. At the sim
+// preset's 300 KB, 27 queues leave each a positive XON and 28 do not: Build
+// refuses 28 with RecommendedBFC's message rather than panicking in Run.
+func TestBFCQueuesOutgrowBuffer(t *testing.T) {
+	build := func(queues int) error {
+		spec, _ := Get("sweep-cell-bfc")
+		spec.Scheme.Params.Queues = queues
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%d queues: Validate: %v", queues, err)
+		}
+		_, err := Build(spec, nil)
+		return err
+	}
+	if err := build(27); err != nil {
+		t.Errorf("27 queues: Build: %v", err)
+	}
+	want := "too small for BFC with 28 queues"
+	if err := build(28); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("28 queues: Build err = %v, want one containing %q", err, want)
+	}
+}
+
 // TestBFCResumeLossWedges is the satellite wedged-channel check: the
 // resume-loss fault preset eats a QRESUME, the queue stays paused forever,
 // and the global detector must call it a wedged channel — the verdict Kind

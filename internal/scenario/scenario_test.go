@@ -138,9 +138,10 @@ func TestRegisteredScenariosBuild(t *testing.T) {
 // invalidSpecs are ring-steady-gfcbuf with one field out of range: a
 // negative duration, an unknown detector, a negative wall budget, a negative
 // TX ring, alone and under blocking scheduling, a negative BFC queue count,
-// which every stage used to read as the default 8, and two settings the run
-// would ignore: BFC under VOQ scheduling (its physical queues run FIFO) and a
-// TX ring without blocking scheduling. Parse refused the first three, while
+// which every stage used to read as the default 8, 65 BFC queues, past the
+// 64 an egress ready mask holds, which only netsim.New used to refuse, and
+// two settings the run would ignore: BFC under VOQ scheduling (its physical
+// queues run FIFO) and a TX ring without blocking scheduling. Parse refused the first three, while
 // Build used to take them — the first then panicked in Run, the other two ran
 // under the global detector and with no wall budget. Parse and Build both
 // took the negative ring, which under blocking scheduling stalls every
@@ -157,8 +158,9 @@ func invalidSpecs() []Spec {
 	ring.Sim.TxRing = -1
 	blockingRing := ring
 	blockingRing.Sim.Scheduling = "blocking"
-	queues := base
+	queues, manyQueues := base, base
 	queues.Scheme.FC, queues.Scheme.Params.Queues = BFC, -3
+	manyQueues.Scheme.FC, manyQueues.Scheme.Params.Queues = BFC, 65
 	bfcVOQ := base
 	bfcVOQ.Scheme.FC, bfcVOQ.Sim.Scheduling = BFC, "voq"
 	unusedRing := base
@@ -169,7 +171,7 @@ func invalidSpecs() []Spec {
 	sameID.Workload.Flows[0].ID = 2
 	defaultID.Workload.Flows[0].ID = 0
 	defaultID.Workload.Flows[1].ID = 1
-	return []Spec{duration, detector, wall, ring, blockingRing, queues, bfcVOQ, unusedRing, sameID, defaultID}
+	return []Spec{duration, detector, wall, ring, blockingRing, queues, manyQueues, bfcVOQ, unusedRing, sameID, defaultID}
 }
 
 // TestBuildRejectsWhatParseRejects pins the one validation: each backend's

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/gfcsim/gfc/internal/faults"
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -469,8 +470,8 @@ func (sc *SchemeSpec) validate() error {
 	default:
 		return fmt.Errorf("scenario: scheme: unknown preset %q (want testbed or sim)", sc.Preset)
 	}
-	if q := sc.Params.Queues; q < 0 {
-		return fmt.Errorf("scenario: scheme: negative queues %d", q)
+	if q := sc.Params.Queues; q < 0 || q > flowcontrol.MaxBFCQueues {
+		return fmt.Errorf("scenario: scheme: queues %d outside [0, %d]", q, flowcontrol.MaxBFCQueues)
 	}
 	return nil
 }

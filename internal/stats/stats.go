@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -148,6 +149,9 @@ func (c *CDF) Add(x float64) {
 	c.xs = append(c.xs, x)
 	c.sorted = false
 }
+
+// Grow makes room for n more samples, so that many Adds allocate nothing.
+func (c *CDF) Grow(n int) { c.xs = slices.Grow(c.xs, n) }
 
 // Len reports the number of samples.
 func (c *CDF) Len() int { return len(c.xs) }
