@@ -113,25 +113,31 @@ func (g *Graph) HasCycle() bool { return len(g.FindCycle()) > 0 }
 // graph is acyclic. The cycle is returned in traversal order.
 func (g *Graph) FindCycle() []Channel {
 	var out []Channel
-	for _, u := range Cycle(g.succ) {
+	for _, u := range new(Searcher).Cycle(g.succ) {
 		out = append(out, g.names[u])
 	}
 	return out
 }
 
-// Cycle returns the vertices of one cycle of the directed graph whose vertex
-// u has successors succ[u], in traversal order (each vertex's successor is
-// the next), or nil when the graph is acyclic. The depth-first search starts
+// Searcher finds cycles in directed graphs, keeping its scratch: once grown
+// to the graph, a search that finds no cycle allocates nothing. Its Cycle
+// returns the vertices of one cycle of the graph whose vertex u has
+// successors succ[u], in traversal order (each vertex's successor is the
+// next), or nil when the graph is acyclic. The depth-first search starts
 // from each vertex in index order and follows each successor list in order,
 // so the cycle it returns is the first one that search closes.
-func Cycle(succ [][]int) []int {
+type Searcher struct{ color, parent []int }
+
+// Cycle returns the first cycle of succ the search closes, or nil.
+func (s *Searcher) Cycle(succ [][]int) []int {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := make([]uint8, len(succ))
-	parent := make([]int, len(succ))
+	s.color = append(s.color[:0], make([]int, len(succ))...) // all white
+	s.parent = slices.Grow(s.parent[:0], len(succ))[:len(succ)]
+	color, parent := s.color, s.parent
 	from, to := -1, -1
 	var dfs func(u int) bool
 	dfs = func(u int) bool {

@@ -207,9 +207,12 @@ func TestDuplicateEdgesIgnored(t *testing.T) {
 	}
 }
 
-// TestCycle pins Cycle's search order: the cycle returned is the first the
-// depth-first search closes, starting from each vertex in index order.
+// TestCycle pins Searcher.Cycle's search order: the cycle returned is the
+// first the depth-first search closes, starting from each vertex in index
+// order. One searcher reused across the graphs, its scratch left from the
+// last, answers as a fresh one does.
 func TestCycle(t *testing.T) {
+	var reused Searcher
 	for _, tc := range []struct {
 		name string
 		succ [][]int
@@ -222,8 +225,10 @@ func TestCycle(t *testing.T) {
 		// searched, though 1 and 2 have lower indices.
 		{"tail into the later cycle", [][]int{{3}, {2}, {1}, {4}, {3}}, []int{3, 4}},
 	} {
-		if got := Cycle(tc.succ); !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
-			t.Errorf("%s: Cycle = %v, want %v", tc.name, got, tc.want)
+		for _, s := range []*Searcher{new(Searcher), &reused} {
+			if got := s.Cycle(tc.succ); !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
+				t.Errorf("%s: Cycle = %v, want %v", tc.name, got, tc.want)
+			}
 		}
 	}
 }

@@ -228,6 +228,7 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 	net, rps, _ := buildIncast(t, 8, 40*units.KB)
 	topo := net.Topology()
 	s1 := topo.MustLookup("S1")
+	bases := topo.ChannelBases()
 	var maxQ units.Size
 	done := false
 	var probe func(int32)
@@ -236,7 +237,7 @@ func TestGFCSafeguardCapsBeforeDCQCN(t *testing.T) {
 			return
 		}
 		for _, is := range net.AppendIngressStates(nil) {
-			if is.Node == s1 && is.Occupancy > maxQ {
+			if node, _ := topology.ChannelPort(bases, is.Ch); node == s1 && is.Occupancy > maxQ {
 				maxQ = is.Occupancy
 			}
 		}

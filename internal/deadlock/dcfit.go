@@ -1,7 +1,6 @@
 package deadlock
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/gfcsim/gfc/internal/cbd"
@@ -15,24 +14,22 @@ import (
 // feedback plane itself.
 type FeedbackNetwork interface {
 	Now() units.Time
-	SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message))
+	Topology() *topology.Topology
+	SetFeedbackObserver(fn func(ch int, m flowcontrol.Message))
 }
 
-// EdgeKey identifies one pause-dependency edge in the data plane: the
-// channel Up→Down is held shut because Down delivered a PAUSE to Up. Queue
-// scopes the edge to one physical queue for per-flow-queue schemes (BFC
-// QPAUSE); -1 for channel-scoped PFC PAUSE.
-type EdgeKey struct {
-	Up, Down topology.NodeID
-	Queue    int
-}
+// edge identifies one pause-dependency edge in the data plane: Up, the node
+// holding port, is held shut toward its peer Down by a PAUSE Down delivered.
+// queue scopes it to one physical queue (BFC QPAUSE); -1 for PFC PAUSE.
+type edge struct{ port, queue int }
 
-// dcfitEdge is the live state of one pause edge. tag is its initial-trigger
-// tag: the global mint sequence number (older = smaller) of the pause chain
-// the edge belongs to, which identifies the chain across inheritance.
+// dcfitEdge is the state of one pause edge. tag is its initial-trigger tag:
+// the global mint sequence number (older = smaller) of the pause chain the
+// edge belongs to, which identifies the chain across inheritance.
 type dcfitEdge struct {
 	tag   int64
 	since units.Time
+	live  bool
 }
 
 // DCFIT is an in-data-plane deadlock detector in the style of DCFIT: instead
@@ -55,16 +52,19 @@ type dcfitEdge struct {
 //     sender's view, since the observer taps delivery, not emission.
 type DCFIT struct {
 	net   FeedbackNetwork
-	edges map[EdgeKey]dcfitEdge
-	seq   int64
-	// keys and path are findCycle's scratch, kept so a poll over live pause
-	// edges allocates nothing.
-	keys, path []EdgeKey
+	topo  *topology.Topology
+	bases []int // topo.ChannelBases(): port p of node n is channel bases[n]+p
+	// edges[c][q+1] is port c's edge on queue q, [0] its channel-scoped one;
+	// with up to 65 slots a port outgrows a mask word, so each slot has a
+	// live flag. Grown on first use.
+	edges [][]dcfitEdge
+	seq   int64  // the next trigger tag
+	path  []edge // findCycle's scratch
 
-	// Candidate cycle awaiting persistence: the lowest-keyed edge on the
-	// cycle plus the cycle's initial-trigger mint sequence. A resumed edge
-	// or a different cycle resets the clock.
-	candKey EdgeKey
+	// Candidate cycle awaiting persistence: the first edge on the cycle
+	// plus the cycle's initial-trigger mint sequence. A resumed edge or a
+	// different cycle resets the clock.
+	cand    edge
 	candSeq int64
 	candAt  units.Time
 	hasCand bool
@@ -75,7 +75,9 @@ type DCFIT struct {
 // NewDCFIT returns a DCFIT detector tapping n's feedback plane. Call Check
 // periodically to confirm cycles.
 func NewDCFIT(n FeedbackNetwork) *DCFIT {
-	d := &DCFIT{net: n, edges: make(map[EdgeKey]dcfitEdge)}
+	topo := n.Topology()
+	d := &DCFIT{net: n, topo: topo, bases: topo.ChannelBases()}
+	d.edges = make([][]dcfitEdge, d.bases[len(d.bases)-1])
 	n.SetFeedbackObserver(d.onDeliver)
 	return d
 }
@@ -84,8 +86,8 @@ func NewDCFIT(n FeedbackNetwork) *DCFIT {
 func (d *DCFIT) Deadlocked() *Report { return d.report }
 
 // onDeliver is the feedback observer: it runs at the instant a message
-// reaches its sender, after fault loss/delay.
-func (d *DCFIT) onDeliver(from, to topology.NodeID, m flowcontrol.Message) {
+// reaches the sender's port ch, after fault loss/delay.
+func (d *DCFIT) onDeliver(ch int, m flowcontrol.Message) {
 	queue := -1
 	switch m.Kind {
 	case flowcontrol.KindQueuePause, flowcontrol.KindQueueResume:
@@ -94,43 +96,52 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, m flowcontrol.Message) {
 	default:
 		return // credit/stage/queue-length feedback creates no pause edges
 	}
-	key := EdgeKey{Up: to, Down: from, Queue: queue}
+	k := edge{ch, queue}
+	e := d.at(k)
 	switch m.Kind {
 	case flowcontrol.KindPause, flowcontrol.KindQueuePause:
-		if _, ok := d.edges[key]; ok {
+		if e.live {
 			return // refresh of a held pause: dependency age unchanged
 		}
 		tag := d.seq
-		if _, p, ok := d.parentOf(from); ok {
+		if p, _, ok := d.parentOf(ingress(d.topo, d.bases, ch).From); ok {
 			// The pausing node is itself paused: this pause continues
 			// that chain, carrying its initial trigger downstream.
-			tag = p.tag
+			tag = d.at(p).tag
 		} else {
 			d.seq++
 		}
-		d.edges[key] = dcfitEdge{tag: tag, since: d.net.Now()}
+		*e = dcfitEdge{tag: tag, since: d.net.Now(), live: true}
 	case flowcontrol.KindResume, flowcontrol.KindQueueResume:
-		delete(d.edges, key)
-		if d.hasCand && d.candKey == key {
+		e.live = false
+		if d.hasCand && d.cand == k {
 			d.hasCand = false
 		}
 	}
 }
 
-// parentOf returns the pause edge currently blocking node and its key — the
-// oldest edge whose Up side is node (ties broken by key order, so the
-// choice is deterministic regardless of map iteration) — or ok false.
-func (d *DCFIT) parentOf(node topology.NodeID) (bestKey EdgeKey, best dcfitEdge, ok bool) {
-	for k, e := range d.edges {
-		if k.Up != node {
-			continue
-		}
-		if !ok || e.since < best.since ||
-			(e.since == best.since && edgeCmp(k, bestKey) < 0) {
-			bestKey, best, ok = k, e, true
+// at returns k's slot, growing its port's slots to hold it.
+func (d *DCFIT) at(k edge) *dcfitEdge {
+	if es := d.edges[k.port]; len(es) <= k.queue+1 {
+		d.edges[k.port] = slices.Grow(es, k.queue+2-len(es))[:k.queue+2]
+	}
+	return &d.edges[k.port][k.queue+1]
+}
+
+// parentOf returns the pause edge currently blocking node and its Down
+// node — the oldest live edge on node's ports, ties broken by (Down, queue)
+// order — or ok false.
+func (d *DCFIT) parentOf(node topology.NodeID) (best edge, down topology.NodeID, ok bool) {
+	var since units.Time
+	for p, a := range d.topo.Ports(node) {
+		c := d.bases[node] + p
+		for s, e := range d.edges[c] {
+			if e.live && (!ok || e.since < since || e.since == since && a.Peer < down) {
+				best, down, since, ok = edge{c, s - 1}, a.Peer, e.since, true
+			}
 		}
 	}
-	return bestKey, best, ok
+	return best, down, ok
 }
 
 // Check confirms whether a closed pause cycle has persisted for the window,
@@ -149,15 +160,13 @@ func (d *DCFIT) Check() *Report {
 	// The cycle's initial trigger: the earliest-minted tag among its
 	// edges. Together with the anchor edge it is the cycle's identity
 	// across polls — a re-formed cycle restarts the persistence clock.
-	minSeq := d.edges[cycle[0]].tag
+	minSeq := d.at(cycle[0]).tag
 	for _, k := range cycle[1:] {
-		if s := d.edges[k].tag; s < minSeq {
-			minSeq = s
-		}
+		minSeq = min(minSeq, d.at(k).tag)
 	}
-	if !d.hasCand || d.candKey != cycle[0] || d.candSeq != minSeq {
+	if !d.hasCand || d.cand != cycle[0] || d.candSeq != minSeq {
 		d.hasCand = true
-		d.candKey, d.candSeq, d.candAt = cycle[0], minSeq, now
+		d.cand, d.candSeq, d.candAt = cycle[0], minSeq, now
 		return nil
 	}
 	if now-d.candAt < window {
@@ -165,51 +174,29 @@ func (d *DCFIT) Check() *Report {
 	}
 	chans := make([]cbd.Channel, len(cycle))
 	for i, k := range cycle {
-		chans[i] = cbd.Channel{From: k.Up, To: k.Down}
+		in := ingress(d.topo, d.bases, k.port)
+		chans[i] = cbd.Channel{From: in.To, To: in.From} // the held egress
 	}
-	d.report = &Report{
-		At:       now,
-		Kind:     CircularWait,
-		Cycle:    chans,
-		StallFor: now - d.candAt,
-	}
+	d.report = &Report{At: now, Kind: CircularWait, Cycle: chans, StallFor: now - d.candAt}
 	return d.report
 }
 
 // findCycle walks the pause-dependency parent function — each edge U→D
-// depends on the edge currently blocking D — from every edge in key order
-// and returns the first closed cycle found, anchored at its lowest-keyed
-// member, or nil.
-func (d *DCFIT) findCycle() []EdgeKey {
-	if len(d.edges) == 0 {
-		return nil
-	}
-	d.keys = d.keys[:0]
-	for k := range d.edges {
-		d.keys = append(d.keys, k)
-	}
-	slices.SortFunc(d.keys, edgeCmp)
-	for _, start := range d.keys {
+// depends on the edge currently blocking D — from the edge blocking each node
+// in turn, and returns the first closed cycle found, anchored at its lowest
+// (Up, Down, queue) member, or nil. Only an edge blocking its Up node lies on
+// a cycle, and a closed walk meets each node at most once.
+func (d *DCFIT) findCycle() []edge {
+	for n := range d.topo.NumNodes() {
+		start, down, ok := d.parentOf(topology.NodeID(n))
 		d.path = append(d.path[:0], start)
-		cur := start
-		for range d.keys {
-			next, _, ok := d.parentOf(cur.Down)
-			if !ok {
-				break
-			}
-			if next == start {
+		for ok && len(d.path) <= d.topo.NumNodes() {
+			var next edge
+			if next, down, ok = d.parentOf(down); ok && next == start {
 				return d.path // closed: the walk returned to its origin
 			}
 			d.path = append(d.path, next)
-			cur = next
 		}
-		// The walk either dead-ended or entered a cycle not containing
-		// start; that cycle is found when iteration reaches its members.
 	}
 	return nil
-}
-
-func edgeCmp(a, b EdgeKey) int {
-	return cmp.Or(cmp.Compare(a.Up, b.Up), cmp.Compare(a.Down, b.Down),
-		cmp.Compare(a.Queue, b.Queue))
 }

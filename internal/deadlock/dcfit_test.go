@@ -11,28 +11,54 @@ import (
 // fakeFeedbackNet drives DCFIT's observer and clock directly, so the edge
 // bookkeeping and cycle walk can be pinned without staging real traffic.
 type fakeFeedbackNet struct {
-	now units.Time
-	obs func(from, to topology.NodeID, m flowcontrol.Message)
+	now  units.Time
+	topo *topology.Topology
+	obs  func(ch int, m flowcontrol.Message)
 }
 
-func (f *fakeFeedbackNet) Now() units.Time { return f.now }
-func (f *fakeFeedbackNet) SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message)) {
+func (f *fakeFeedbackNet) Now() units.Time              { return f.now }
+func (f *fakeFeedbackNet) Topology() *topology.Topology { return f.topo }
+func (f *fakeFeedbackNet) SetFeedbackObserver(fn func(ch int, m flowcontrol.Message)) {
 	f.obs = fn
 }
 
-func newFakeDCFIT() (*DCFIT, *fakeFeedbackNet) {
-	f := &fakeFeedbackNet{now: units.Millisecond}
+// newFakeDCFIT returns DCFIT over fakeTopo(links...).
+func newFakeDCFIT(links ...[2]topology.NodeID) (*DCFIT, *fakeFeedbackNet) {
+	f := &fakeFeedbackNet{now: units.Millisecond, topo: fakeTopo(links...)}
 	return NewDCFIT(f), f
+}
+
+// send delivers m, emitted by down, to its upstream up.
+func (f *fakeFeedbackNet) send(up, down topology.NodeID, m flowcontrol.Message) {
+	f.obs(port(f.topo, up, down), m)
 }
 
 // pause delivers a PAUSE emitted by down to its upstream up, creating the
 // dependency edge up→down.
 func (f *fakeFeedbackNet) pause(up, down topology.NodeID) {
-	f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindPause})
+	f.send(up, down, flowcontrol.Message{Kind: flowcontrol.KindPause})
 }
 
 func (f *fakeFeedbackNet) resume(up, down topology.NodeID) {
-	f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindResume})
+	f.send(up, down, flowcontrol.Message{Kind: flowcontrol.KindResume})
+}
+
+// liveEdges counts d's live pause edges.
+func liveEdges(d *DCFIT) (n int) {
+	for _, es := range d.edges {
+		for _, e := range es {
+			if e.live {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// edgeOf reads the pause edge up→down on queue, and whether it is live.
+func edgeOf(d *DCFIT, up, down topology.NodeID, queue int) (dcfitEdge, bool) {
+	e := *d.at(edge{port(d.topo, up, down), queue})
+	return e, e.live
 }
 
 // TestDCFITReportsCycleAfterWindow is the positive control: a closed
@@ -137,17 +163,17 @@ func TestDCFITResumeResetsPersistence(t *testing.T) {
 func TestDCFITQueueScopedEdges(t *testing.T) {
 	d, f := newFakeDCFIT()
 	qpause := func(up, down topology.NodeID, q int) {
-		f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindQueuePause, QueueID: q})
+		f.send(up, down, flowcontrol.Message{Kind: flowcontrol.KindQueuePause, QueueID: q})
 	}
 	qresume := func(up, down topology.NodeID, q int) {
-		f.obs(down, up, flowcontrol.Message{Kind: flowcontrol.KindQueueResume, QueueID: q})
+		f.send(up, down, flowcontrol.Message{Kind: flowcontrol.KindQueueResume, QueueID: q})
 	}
 	qpause(1, 2, 3)
 	qpause(2, 3, 1)
 	qpause(3, 1, 5)
 	qresume(1, 2, 4) // different queue: edge (1,2,q3) must survive
-	if len(d.edges) != 3 {
-		t.Fatalf("edges = %d after unrelated-queue resume, want 3", len(d.edges))
+	if n := liveEdges(d); n != 3 {
+		t.Fatalf("edges = %d after unrelated-queue resume, want 3", n)
 	}
 	d.Check()
 	f.now += window
@@ -163,10 +189,10 @@ func TestDCFITIgnoresNonPauseFeedback(t *testing.T) {
 	for _, k := range []flowcontrol.Kind{
 		flowcontrol.KindCredit, flowcontrol.KindStage, flowcontrol.KindQueue,
 	} {
-		f.obs(2, 1, flowcontrol.Message{Kind: k})
+		f.send(1, 2, flowcontrol.Message{Kind: k})
 	}
-	if len(d.edges) != 0 {
-		t.Fatalf("edges = %d from non-pause feedback, want 0", len(d.edges))
+	if n := liveEdges(d); n != 0 {
+		t.Fatalf("edges = %d from non-pause feedback, want 0", n)
 	}
 }
 
@@ -177,8 +203,8 @@ func TestDCFITTriggerInheritance(t *testing.T) {
 	d, f := newFakeDCFIT()
 	f.pause(2, 3) // node 3 pauses its upstream 2: trigger minted by 3
 	f.pause(1, 2) // node 2 (itself paused) pauses 1: inherits 3's trigger
-	e12, ok12 := d.edges[EdgeKey{Up: 1, Down: 2, Queue: -1}]
-	e23, ok23 := d.edges[EdgeKey{Up: 2, Down: 3, Queue: -1}]
+	e12, ok12 := edgeOf(d, 1, 2, -1)
+	e23, ok23 := edgeOf(d, 2, 3, -1)
 	if !ok12 || !ok23 {
 		t.Fatal("edges missing")
 	}
@@ -187,7 +213,7 @@ func TestDCFITTriggerInheritance(t *testing.T) {
 	}
 	// An unpaused node pausing someone mints fresh.
 	f.pause(5, 6)
-	e56 := d.edges[EdgeKey{Up: 5, Down: 6, Queue: -1}]
+	e56, _ := edgeOf(d, 5, 6, -1)
 	if e56.tag == e23.tag {
 		t.Fatal("independent pause inherited an unrelated trigger")
 	}
@@ -224,5 +250,47 @@ func TestDCFITRingAgreesWithGlobal(t *testing.T) {
 	if tol := 2 * window; diff > tol {
 		t.Errorf("onset disagreement: global %v vs dcfit %v (|Δ| = %v > %v)",
 			grep.At, drep.At, diff, tol)
+	}
+}
+
+// TestDCFITParentTieBreak pins which edge blocks a node when two became
+// live at the same instant: the first in (Down, queue) order, whatever the
+// delivery order or the node's port order. A pause delivered to that node
+// next inherits that edge's trigger.
+func TestDCFITParentTieBreak(t *testing.T) {
+	// Node 2's port toward 4 comes before its port toward 3.
+	d, f := newFakeDCFIT([2]topology.NodeID{1, 2}, [2]topology.NodeID{2, 4}, [2]topology.NodeID{2, 3})
+	f.pause(2, 4) // mints tag 0
+	f.pause(2, 3) // mints tag 1, same instant
+	f.pause(1, 2)
+	e12, _ := edgeOf(d, 1, 2, -1)
+	if e23, _ := edgeOf(d, 2, 3, -1); e12.tag != e23.tag {
+		t.Errorf("1→2 inherited tag %d, want 2→3's %d (lowest Down)", e12.tag, e23.tag)
+	}
+
+	d, f = newFakeDCFIT([2]topology.NodeID{1, 2}, [2]topology.NodeID{2, 3})
+	qpause := func(up, down topology.NodeID, q int) {
+		f.send(up, down, flowcontrol.Message{Kind: flowcontrol.KindQueuePause, QueueID: q})
+	}
+	qpause(2, 3, 5) // mints tag 0
+	qpause(2, 3, 2) // mints tag 1, same instant
+	qpause(1, 2, 0)
+	e12, _ = edgeOf(d, 1, 2, 0)
+	if e232, _ := edgeOf(d, 2, 3, 2); e12.tag != e232.tag {
+		t.Errorf("1→2 inherited tag %d, want queue 2's %d (lowest queue)", e12.tag, e232.tag)
+	}
+}
+
+// TestDCFITParallelLinks: two links join the same pair of switches (a
+// library-built topology; the spec builders make none). A PAUSE on one and
+// a RESUME on the other are two channels, so one edge stays live.
+func TestDCFITParallelLinks(t *testing.T) {
+	d, f := newFakeDCFIT([2]topology.NodeID{1, 2}, [2]topology.NodeID{1, 2})
+	first, second := d.bases[1], d.bases[1]+1
+	f.obs(first, flowcontrol.Message{Kind: flowcontrol.KindPause})
+	f.obs(second, flowcontrol.Message{Kind: flowcontrol.KindResume})
+	if n := liveEdges(d); n != 1 || !d.at(edge{first, -1}).live {
+		t.Fatalf("live edges = %d (first link's live: %v), want the first link's alone",
+			n, d.at(edge{first, -1}).live)
 	}
 }

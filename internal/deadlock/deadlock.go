@@ -4,13 +4,14 @@
 // wait-for graph — each stalled buffer's traffic must enter the next stalled
 // buffer. This is the *hold and wait* + *circular wait* combination of §2.1
 // observed dynamically, on exactly the channel graph the static CBD analysis
-// (package cbd) reasons about: channels are cbd.Channel, and the cycle search
-// over the stalled ones is cbd.Cycle. The detectors are passive; whoever
-// runs the network checks them every PollInterval.
+// (package cbd) reasons about: a cbd.Searcher finds the cycle among the
+// stalled channels, and a report names them as cbd.Channel. Both detectors
+// read channels by the topology's one numbering (topology.ChannelBases) and
+// turn indices into node pairs only to convict. The detectors are passive;
+// whoever runs the network checks them every PollInterval.
 package deadlock
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/gfcsim/gfc/internal/cbd"
@@ -35,6 +36,7 @@ const (
 // timing-dependent and near-impossible to stage reliably end-to-end).
 type Network interface {
 	Now() units.Time
+	Topology() *topology.Topology
 	AppendIngressStates(dst []netsim.IngressState) []netsim.IngressState
 }
 
@@ -96,13 +98,41 @@ type Report struct {
 // counters the metrics registry exports), so a single snapshot decides
 // stall, in the spirit of counter-based in-network detection (DCFIT).
 type Detector struct {
-	net    Network
+	net   Network
+	topo  *topology.Topology
+	bases []int
+	// rank is by channel its vertex in the wait-for graph, whose vertices
+	// are the ingress buffers in (From, To) order.
+	rank   []int32
 	report *Report
-	states []netsim.IngressState // the last snapshot; its arrays serve the next
+
+	// A poll's scratch, by vertex, kept so that a poll convicting nothing
+	// allocates nothing: the snapshot, 1 + the vertex's index there (0:
+	// absent), and a stalled buffer's wait-for successors (empty: not
+	// stalled).
+	states []netsim.IngressState
+	slot   []int32
+	succ   [][]int
+	search cbd.Searcher
 }
 
 // NewDetector returns a detector over n.
-func NewDetector(n Network) *Detector { return &Detector{net: n} }
+func NewDetector(n Network) *Detector {
+	topo := n.Topology()
+	d := &Detector{net: n, topo: topo, bases: topo.ChannelBases()}
+	total := d.bases[len(d.bases)-1]
+	d.rank, d.slot, d.succ = make([]int32, total), make([]int32, total), make([][]int, total)
+	// A counting sort: visiting receivers in order fills each sender's block
+	// of vertices in (To, link) order.
+	next := slices.Clone(d.bases)
+	for to := range topo.NumNodes() {
+		for p, at := range topo.Ports(topology.NodeID(to)) {
+			d.rank[d.bases[to]+p] = int32(next[at.Peer])
+			next[at.Peer]++
+		}
+	}
+	return d
+}
 
 // Deadlocked reports the detection result so far; nil when none.
 func (d *Detector) Deadlocked() *Report { return d.report }
@@ -116,7 +146,10 @@ func (d *Detector) Check() *Report {
 	}
 	now := d.net.Now()
 	d.states = d.net.AppendIngressStates(d.states[:0])
-	states := d.states
+	clear(d.slot)
+	for i := range d.states {
+		d.slot[d.rank[d.states[i].Ch]] = int32(i + 1)
+	}
 
 	// A buffer is deadlock-eligible only when it holds bytes, its own
 	// progress counters show no release for a full window (measured from
@@ -127,55 +160,40 @@ func (d *Detector) Check() *Report {
 	// administratively-down egress is likewise excluded: a link outage is
 	// a transient condition that resolves when the link returns, not a
 	// flow-control hold — counting it would report every flap on a ring
-	// as a deadlock. A healthy poll allocates nothing.
-	var stalled []stall
-	for _, is := range states {
-		if is.Occupancy == 0 {
+	// as a deadlock. A stalled buffer's traffic waits on each buffer w.Ch it
+	// must enter next; one that is not stalled has no successors, so it
+	// closes no cycle.
+	stalled := false
+	for v, i := range d.slot {
+		d.succ[v] = d.succ[v][:0]
+		if i == 0 {
 			continue
 		}
-		blockedForever := len(is.Waits) > 0
+		is := &d.states[i-1]
+		blockedForever := is.Occupancy > 0 && len(is.Waits) > 0
 		for _, w := range is.Waits {
-			if w.Rate > 0 || w.Down {
-				blockedForever = false
-				break
+			blockedForever = blockedForever && !(w.Rate > 0 || w.Down)
+		}
+		if blockedForever && now-stallStart(is) >= window {
+			for _, w := range is.Waits {
+				d.succ[v] = append(d.succ[v], int(d.rank[w.Ch]))
 			}
+			slices.Sort(d.succ[v])
+			stalled = true
 		}
-		if !blockedForever {
-			continue
-		}
-		start := max(is.LastDepartAt, is.OccupiedSince)
-		if now-start < window {
-			continue
-		}
-		stalled = append(stalled, stall{cbd.Channel{From: is.From, To: is.Node}, is, start})
 	}
-	if len(stalled) == 0 {
+	if !stalled {
 		return nil
 	}
-
-	// Wait-for edges among stalled buffers, numbered in channel order:
-	// (u→v) waits on (v→w) when traffic held in (u→v) must next enter w's
-	// buffer fed by v.
-	slices.SortFunc(stalled, func(a, b stall) int { return compare(a.ch, b.ch) })
-	succ := make([][]int, len(stalled))
-	for i, s := range stalled {
-		for _, w := range s.is.Waits {
-			next := cbd.Channel{From: s.ch.To, To: w.On}
-			if j, ok := slices.BinarySearchFunc(stalled, next, func(s stall, c cbd.Channel) int { return compare(s.ch, c) }); ok {
-				succ[i] = append(succ[i], j)
-			}
-		}
-		slices.Sort(succ[i])
-	}
-	cycle := cbd.Cycle(succ)
+	cycle := d.search.Cycle(d.succ)
 	if cycle == nil {
-		return d.checkWedge(now, states, stalled)
+		return d.checkWedge(now)
 	}
 	chans := make([]cbd.Channel, len(cycle))
 	stallFor := units.Never
-	for i, u := range cycle {
-		chans[i] = stalled[u].ch
-		stallFor = min(stallFor, now-stalled[u].start)
+	for i, v := range cycle {
+		chans[i] = ingress(d.topo, d.bases, d.state(v).Ch)
+		stallFor = min(stallFor, now-stallStart(d.state(v)))
 	}
 	d.report = &Report{At: now, Kind: CircularWait, Cycle: chans, StallFor: stallFor}
 	return d.report
@@ -186,51 +204,41 @@ func (d *Detector) Check() *Report {
 // zero while the downstream ingress buffer it protects is (near-)full —
 // that buffer is the holder of the backpressure, and draining it is what
 // releases the hold. A stalled buffer waiting on a zero-rate,
-// administratively-up egress whose holder has been empty and idle for a
-// full window is therefore wedged: the release signal (RESUME, credit) was
-// lost in flight and will never be re-sent, because re-emission is
-// edge-triggered on a queue the loss left permanently quiet. Transient
-// holds never look like this — an in-flight release clears within a
-// feedback latency, far inside the window — and GFC cannot produce the
+// administratively-up egress (as all its waits are) whose holder has been
+// empty and idle for a full window is therefore wedged: the release signal
+// (RESUME, credit) was lost in flight and will never be re-sent, because
+// re-emission is edge-triggered on a queue the loss left permanently quiet.
+// Transient holds never look like this — an in-flight release clears within
+// a feedback latency, far inside the window — and GFC cannot produce the
 // shape at all, since its rates never reach zero.
-func (d *Detector) checkWedge(now units.Time, states []netsim.IngressState, stalled []stall) *Report {
-	byChannel := make(map[cbd.Channel]netsim.IngressState, len(states))
-	for _, is := range states {
-		byChannel[cbd.Channel{From: is.From, To: is.Node}] = is
-	}
-	for _, s := range stalled {
-		for _, w := range s.is.Waits {
-			if w.Rate > 0 || w.Down {
+func (d *Detector) checkWedge(now units.Time) *Report {
+	for v, succ := range d.succ {
+		if len(succ) == 0 {
+			continue // not stalled
+		}
+		for _, w := range d.state(v).Waits {
+			u := int(d.rank[w.Ch]) // the holder; a host's is not in the snapshot
+			if d.slot[u] == 0 || d.state(u).Occupancy > 0 || now-stallStart(d.state(u)) < window {
 				continue
 			}
-			holder, ok := byChannel[cbd.Channel{From: s.ch.To, To: w.On}]
-			if !ok || holder.Occupancy > 0 {
-				continue // host-facing or still legitimately held
-			}
-			if now-max(holder.LastDepartAt, holder.OccupiedSince) < window {
-				continue
-			}
-			d.report = &Report{
-				At:       now,
-				Kind:     WedgedChannel,
-				Wedged:   &Wedge{Ingress: s.ch, Via: w.On},
-				StallFor: now - s.start,
-			}
+			d.report = &Report{At: now, Kind: WedgedChannel, StallFor: now - stallStart(d.state(v)),
+				Wedged: &Wedge{Ingress: ingress(d.topo, d.bases, d.state(v).Ch),
+					Via: ingress(d.topo, d.bases, w.Ch).To}}
 			return d.report
 		}
 	}
 	return nil
 }
 
-// stall is one deadlock-eligible buffer: its channel, its snapshot and when
-// it last made progress.
-type stall struct {
-	ch    cbd.Channel
-	is    netsim.IngressState
-	start units.Time
-}
+// state returns vertex v's snapshot; v must be in it.
+func (d *Detector) state(v int) *netsim.IngressState { return &d.states[d.slot[v]-1] }
 
-// compare orders channels by (From, To).
-func compare(a, b cbd.Channel) int {
-	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+// stallStart is the start of is's current no-progress interval.
+func stallStart(is *netsim.IngressState) units.Time { return max(is.LastDepartAt, is.OccupiedSince) }
+
+// ingress names channel c (topology.ChannelBases numbering) by its node
+// pair: from the peer across port c's link into the node holding it.
+func ingress(topo *topology.Topology, bases []int, c int) cbd.Channel {
+	node, p := topology.ChannelPort(bases, c)
+	return cbd.Channel{From: topo.Ports(node)[p].Peer, To: node}
 }

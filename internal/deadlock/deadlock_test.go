@@ -67,9 +67,10 @@ func buildRing(t *testing.T, h int, factory flowcontrol.Factory) (*netsim.Networ
 
 // hostIngress reads the occupancy of switch sw's ingress buffer fed by host.
 func hostIngress(n *netsim.Network, sw, host string) units.Size {
-	node, from := n.Topology().MustLookup(sw), n.Topology().MustLookup(host)
+	topo := n.Topology()
+	ch := port(topo, topo.MustLookup(sw), topo.MustLookup(host))
 	for _, is := range n.AppendIngressStates(nil) {
-		if is.Node == node && is.From == from {
+		if is.Ch == ch {
 			return is.Occupancy
 		}
 	}
@@ -281,5 +282,33 @@ func TestDetectorManualCheck(t *testing.T) {
 	}
 	if rep.StallFor < window {
 		t.Fatalf("StallFor %v below window %v", rep.StallFor, window)
+	}
+}
+
+// TestQuietPollsAllocateNothing: a poll that convicts nothing allocates
+// nothing, even when it finds stalled buffers — a chain whose holder drained
+// too recently to be wedged, or a ring broken by a down link — or live pause
+// edges that close no cycle. Each detector keeps its poll's scratch.
+func TestQuietPollsAllocateNothing(t *testing.T) {
+	chain := chainStall()
+	chain.states[1].LastDepartAt = chain.now - units.Millisecond
+	dc, f := newFakeDCFIT()
+	f.pause(1, 2)
+	f.pause(2, 3)
+	f.pause(3, 4)
+	for _, tc := range []struct {
+		name  string
+		check func() *Report
+	}{
+		{"chainStall", NewDetector(chain).Check},
+		{"ringStall one down", NewDetector(ringStall([3]bool{true})).Check},
+		{"dcfit pause chain", dc.Check},
+	} {
+		if rep := tc.check(); rep != nil {
+			t.Fatalf("%s: convicted: %+v", tc.name, rep)
+		}
+		if avg := testing.AllocsPerRun(100, func() { tc.check() }); avg != 0 {
+			t.Errorf("%s: a quiet poll allocates %v times", tc.name, avg)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package deadlock
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/faults"
@@ -15,12 +16,36 @@ import (
 // be pinned without staging a timing-sensitive outage end-to-end.
 type fakeNet struct {
 	now    units.Time
+	topo   *topology.Topology
 	states []netsim.IngressState
 }
 
-func (f *fakeNet) Now() units.Time { return f.now }
+func (f *fakeNet) Now() units.Time              { return f.now }
+func (f *fakeNet) Topology() *topology.Topology { return f.topo }
 func (f *fakeNet) AppendIngressStates(dst []netsim.IngressState) []netsim.IngressState {
 	return append(dst, f.states...)
+}
+
+// fakeTopo returns switches 0..6 joined by the given links, in order. The
+// fakes' default wires the ring 1-2-3 with a spur 3-4 and a separate 5-6.
+func fakeTopo(links ...[2]topology.NodeID) *topology.Topology {
+	if links == nil {
+		links = [][2]topology.NodeID{{1, 2}, {2, 3}, {3, 1}, {3, 4}, {5, 6}}
+	}
+	t := topology.New()
+	for i := range 7 {
+		t.AddSwitch(fmt.Sprintf("S%d", i))
+	}
+	for _, l := range links {
+		t.AddLink(l[0], l[1], units.Gbps, 0)
+	}
+	return t
+}
+
+// port returns the channel of node's port toward peer: the ingress channel
+// peer→node, and node's egress toward peer.
+func port(t *topology.Topology, node, peer topology.NodeID) int {
+	return t.ChannelBases()[node] + t.LinkBetween(node, peer).PortOn(node)
 }
 
 // ringStall builds the canonical 3-cycle of mutually waiting ring buffers
@@ -29,17 +54,18 @@ func (f *fakeNet) AppendIngressStates(dst []netsim.IngressState) []netsim.Ingres
 // at rate zero. down[i] marks buffer i's egress administratively down.
 func ringStall(down [3]bool) *fakeNet {
 	nodes := [3]topology.NodeID{1, 2, 3}
+	topo := fakeTopo()
 	var states []netsim.IngressState
 	for i := 0; i < 3; i++ {
 		prev, next := nodes[(i+2)%3], nodes[(i+1)%3]
 		states = append(states, netsim.IngressState{
-			Node: nodes[i], From: prev,
+			Ch:            port(topo, nodes[i], prev),
 			Occupancy:     800 * units.KB,
 			OccupiedSince: units.Millisecond,
-			Waits:         []netsim.Wait{{On: next, Down: down[i]}},
+			Waits:         []netsim.Wait{{Ch: port(topo, next, nodes[i]), Down: down[i]}},
 		})
 	}
-	return &fakeNet{now: 100 * units.Millisecond, states: states}
+	return &fakeNet{now: 100 * units.Millisecond, topo: topo, states: states}
 }
 
 // TestCheckReportsCleanCycle is the positive control: the synthetic cycle

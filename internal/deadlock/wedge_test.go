@@ -14,17 +14,19 @@ import (
 // No cycle exists, so only the wedge rule can fire. The returned fake is at
 // now = 100 ms with all timestamps at 1 ms, far beyond any window.
 func chainStall() *fakeNet {
+	topo := fakeTopo()
 	return &fakeNet{
-		now: 100 * units.Millisecond,
+		now:  100 * units.Millisecond,
+		topo: topo,
 		states: []netsim.IngressState{
 			{
-				Node: 2, From: 1,
+				Ch:            port(topo, 2, 1),
 				Occupancy:     800 * units.KB,
 				OccupiedSince: units.Millisecond,
-				Waits:         []netsim.Wait{{On: 3}},
+				Waits:         []netsim.Wait{{Ch: port(topo, 3, 2)}},
 			},
 			{
-				Node: 3, From: 2,
+				Ch:           port(topo, 3, 2),
 				Occupancy:    0,
 				LastDepartAt: units.Millisecond,
 			},
@@ -69,7 +71,7 @@ func TestWedgeRequiresEmptyHolder(t *testing.T) {
 	f.states[1].Occupancy = 900 * units.KB
 	// Keep the holder itself out of the stalled set (it is draining),
 	// otherwise the scenario is just a stalled chain awaiting progress.
-	f.states[1].Waits = []netsim.Wait{{On: 4, Rate: 5 * units.Gbps}}
+	f.states[1].Waits = []netsim.Wait{{Ch: port(f.topo, 4, 3), Rate: 5 * units.Gbps}}
 	if rep := NewDetector(f).Check(); rep != nil {
 		t.Fatalf("occupied holder reported as wedge: %+v", rep)
 	}

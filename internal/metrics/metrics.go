@@ -16,8 +16,6 @@
 package metrics
 
 import (
-	"sort"
-
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -156,9 +154,7 @@ func (r *Registry) host(n topology.NodeID) bool {
 // names names channel idx as reports do: the node it enters, its port there,
 // and the upstream node.
 func (r *Registry) names(idx int) (node string, port int, from string) {
-	n := sort.Search(len(r.base)-1, func(n int) bool { return r.base[n+1] > idx })
-	port = idx - r.base[n]
-	id := topology.NodeID(n)
+	id, port := topology.ChannelPort(r.base, idx)
 	return r.topo.Node(id).Name, port, r.topo.Node(r.topo.Ports(id)[port].Peer).Name
 }
 

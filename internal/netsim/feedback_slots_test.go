@@ -73,8 +73,9 @@ func TestFeedbackSlotsUnderReordering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.SetFeedbackObserver(func(from, to topology.NodeID, m flowcontrol.Message) {
-			got = append(got, delivery{n.Now(), from, to, m})
+		n.SetFeedbackObserver(func(ch int, m flowcontrol.Message) {
+			up := &n.ports[ch]
+			got = append(got, delivery{n.Now(), up.peer.owner.id, up.owner.id, m})
 		})
 		for i, pair := range [][2]string{{"H1", "H2"}, {"H2", "H3"}, {"H3", "H1"}} {
 			if err := n.AddFlow(spfFlow(t, topo, i+1, pair[0], pair[1], 0), 0); err != nil {

@@ -9,11 +9,10 @@ import (
 
 // IngressState is a snapshot of one ingress buffer — the vertex the
 // deadlock detector's wait-for graph is built on, matching the CBD
-// formalism: an ingress buffer (channel From→Node) waits on the downstream
-// buffers its queued packets must enter next.
+// formalism: an ingress buffer waits on the downstream buffers its queued
+// packets must enter next.
 type IngressState struct {
-	Node topology.NodeID // switch holding the buffer
-	From topology.NodeID // upstream end of the channel
+	Ch int // the buffer's channel (topology.ChannelBases numbering)
 
 	// Occupancy is the current buffer occupancy.
 	Occupancy units.Size
@@ -33,7 +32,7 @@ type IngressState struct {
 
 // Wait is one egress channel an ingress buffer waits on.
 type Wait struct {
-	On topology.NodeID // the next-hop node
+	Ch int // the downstream ingress channel the egress feeds
 	// Rate is the channel's flow-control permitted rate. A stalled buffer
 	// whose every wait rate is zero is blocked indefinitely (PFC pause,
 	// CBFC credit starvation); a positive rate means the buffer still
@@ -66,8 +65,7 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 			dst = dst[:len(dst)+1]
 			is := &dst[len(dst)-1]
 			*is = IngressState{
-				Node:          nd.id,
-				From:          p.peer.owner.id,
+				Ch:            ch,
 				Occupancy:     n.occupancy[ch],
 				LastDepartAt:  n.progress[ch].lastDepart,
 				OccupiedSince: n.progress[ch].occupiedSince,
@@ -77,7 +75,7 @@ func (n *Network) AppendIngressStates(dst []IngressState) []IngressState {
 				continue
 			}
 			addWait := func(eg *port) {
-				is.Waits = append(is.Waits, Wait{eg.peer.owner.id, n.egressRate(eg), eg.adminDown})
+				is.Waits = append(is.Waits, Wait{eg.peer.cb, n.egressRate(eg), eg.adminDown})
 			}
 			switch n.cfg.Scheduling {
 			case SchedInputQueued:

@@ -83,12 +83,8 @@ type Network struct {
 	qAssign   []map[int]flowAssign
 	slotFlows []int32
 
-	// fbObs, when non-nil, observes every feedback message at its delivery
-	// instant (after loss/delay faults have taken effect) — the in-data-
-	// plane vantage point DCFIT-style deadlock detection needs. from is
-	// the emitting (downstream) node, to the paused/credited (upstream)
-	// node.
-	fbObs func(from, to topology.NodeID, m flowcontrol.Message)
+	// fbObs, when non-nil, is the feedback observer (SetFeedbackObserver).
+	fbObs func(ch int, m flowcontrol.Message)
 	// fbSlots carries the feedback messages in flight, one slot each, from
 	// Emit to the delivery event naming the slot; fbFree lists the idle
 	// slots (-1: none), so messages wait out their own delays in any order
@@ -342,7 +338,7 @@ func (n *Network) deliver(i int32) {
 	up := down.peer
 	n.fc.OnFeedback(up.cb, m)
 	if obs := n.fbObs; obs != nil {
-		obs(down.owner.id, up.owner.id, m)
+		obs(up.cb, m)
 	}
 	// A rate or credit change may also unblock the host refill path
 	// indirectly; kick handles the egress side, and refill is woken by its
@@ -353,9 +349,10 @@ func (n *Network) deliver(i int32) {
 // SetFeedbackObserver installs fn to observe every feedback message at the
 // instant it is delivered to its sender — after fault-injected loss (dropped
 // messages are never observed, matching the sender's view of the world) and
-// after any delay. Used by in-data-plane deadlock detection (DCFIT); at most
-// one observer, nil uninstalls.
-func (n *Network) SetFeedbackObserver(fn func(from, to topology.NodeID, m flowcontrol.Message)) {
+// after any delay. fn receives the sender's channel (topology.ChannelBases
+// numbering: its port toward the receiver). Used by in-data-plane deadlock
+// detection (DCFIT); at most one observer, nil uninstalls.
+func (n *Network) SetFeedbackObserver(fn func(ch int, m flowcontrol.Message)) {
 	n.fbObs = fn
 }
 

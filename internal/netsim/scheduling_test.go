@@ -210,8 +210,9 @@ func TestIntrospectionAccessors(t *testing.T) {
 	if len(states) == 0 {
 		t.Fatal("no ingress states for a switch")
 	}
+	bases := topo.ChannelBases()
 	for _, is := range states {
-		if topo.Node(is.Node).Kind != topology.Switch {
+		if node, _ := topology.ChannelPort(bases, is.Ch); topo.Node(node).Kind != topology.Switch {
 			t.Error("ingress state on a host")
 		}
 		if is.Occupancy == 0 && len(is.Waits) != 0 {

@@ -9,6 +9,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -193,6 +194,12 @@ func (t *Topology) ChannelBases() []int {
 		bases[n+1] = bases[n] + len(ats)
 	}
 	return bases
+}
+
+// ChannelPort inverts ChannelBases, returning the node and port of channel ch.
+func ChannelPort(bases []int, ch int) (NodeID, int) {
+	n := sort.Search(len(bases)-1, func(n int) bool { return bases[n+1] > ch })
+	return NodeID(n), ch - bases[n]
 }
 
 // Neighbors returns the peers of n over non-failed links.
