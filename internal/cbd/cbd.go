@@ -113,7 +113,7 @@ func (g *Graph) HasCycle() bool { return len(g.FindCycle()) > 0 }
 // graph is acyclic. The cycle is returned in traversal order.
 func (g *Graph) FindCycle() []Channel {
 	var out []Channel
-	for _, u := range new(Searcher).Cycle(g.succ) {
+	for _, u := range new(Searcher).Cycle(len(g.succ), func(u int) []int { return g.succ[u] }) {
 		out = append(out, g.names[u])
 	}
 	return out
@@ -121,28 +121,29 @@ func (g *Graph) FindCycle() []Channel {
 
 // Searcher finds cycles in directed graphs, keeping its scratch: once grown
 // to the graph, a search that finds no cycle allocates nothing. Its Cycle
-// returns the vertices of one cycle of the graph whose vertex u has
-// successors succ[u], in traversal order (each vertex's successor is the
+// returns the vertices of one cycle of the graph of n vertices whose vertex u
+// has successors succ(u), in traversal order (each vertex's successor is the
 // next), or nil when the graph is acyclic. The depth-first search starts
 // from each vertex in index order and follows each successor list in order,
 // so the cycle it returns is the first one that search closes.
 type Searcher struct{ color, parent []int }
 
-// Cycle returns the first cycle of succ the search closes, or nil.
-func (s *Searcher) Cycle(succ [][]int) []int {
+// Cycle returns the first cycle the search closes, or nil.
+func (s *Searcher) Cycle(n int, succ func(u int) []int) []int {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	s.color = append(s.color[:0], make([]int, len(succ))...) // all white
-	s.parent = slices.Grow(s.parent[:0], len(succ))[:len(succ)]
+	s.color = slices.Grow(s.color[:0], n)[:n]
+	clear(s.color) // all white
+	s.parent = slices.Grow(s.parent[:0], n)[:n]
 	color, parent := s.color, s.parent
 	from, to := -1, -1
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		color[u] = grey
-		for _, v := range succ[u] {
+		for _, v := range succ(u) {
 			switch color[v] {
 			case white:
 				parent[v] = u
@@ -157,7 +158,7 @@ func (s *Searcher) Cycle(succ [][]int) []int {
 		color[u] = black
 		return false
 	}
-	for u := range succ {
+	for u := range n {
 		if color[u] == white && dfs(u) {
 			break
 		}

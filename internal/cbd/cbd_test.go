@@ -226,7 +226,8 @@ func TestCycle(t *testing.T) {
 		{"tail into the later cycle", [][]int{{3}, {2}, {1}, {4}, {3}}, []int{3, 4}},
 	} {
 		for _, s := range []*Searcher{new(Searcher), &reused} {
-			if got := s.Cycle(tc.succ); !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
+			succ := func(u int) []int { return tc.succ[u] }
+			if got := s.Cycle(len(tc.succ), succ); !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
 				t.Errorf("%s: Cycle = %v, want %v", tc.name, got, tc.want)
 			}
 		}

@@ -58,6 +58,7 @@ type DCFIT struct {
 	// with up to 65 slots a port outgrows a mask word, so each slot has a
 	// live flag. Grown on first use.
 	edges [][]dcfitEdge
+	live  int    // how many edges are live: with none, no cycle can close
 	seq   int64  // the next trigger tag
 	path  []edge // findCycle's scratch
 
@@ -112,8 +113,12 @@ func (d *DCFIT) onDeliver(ch int, m flowcontrol.Message) {
 			d.seq++
 		}
 		*e = dcfitEdge{tag: tag, since: d.net.Now(), live: true}
+		d.live++
 	case flowcontrol.KindResume, flowcontrol.KindQueueResume:
-		e.live = false
+		if e.live {
+			e.live = false
+			d.live--
+		}
 		if d.hasCand && d.cand == k {
 			d.hasCand = false
 		}
@@ -185,8 +190,12 @@ func (d *DCFIT) Check() *Report {
 // depends on the edge currently blocking D — from the edge blocking each node
 // in turn, and returns the first closed cycle found, anchored at its lowest
 // (Up, Down, queue) member, or nil. Only an edge blocking its Up node lies on
-// a cycle, and a closed walk meets each node at most once.
+// a cycle, and a closed walk meets each node at most once. With no live edge
+// there is no trigger to follow, and the walk is skipped.
 func (d *DCFIT) findCycle() []edge {
+	if d.live == 0 {
+		return nil
+	}
 	for n := range d.topo.NumNodes() {
 		start, down, ok := d.parentOf(topology.NodeID(n))
 		d.path = append(d.path[:0], start)

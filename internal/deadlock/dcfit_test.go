@@ -3,6 +3,7 @@ package deadlock
 import (
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/faults"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -292,5 +293,59 @@ func TestDCFITParallelLinks(t *testing.T) {
 	if n := liveEdges(d); n != 1 || !d.at(edge{first, -1}).live {
 		t.Fatalf("live edges = %d (first link's live: %v), want the first link's alone",
 			n, d.at(edge{first, -1}).live)
+	}
+}
+
+// TestDCFITLiveCount: the live-edge count that lets a poll skip the walk
+// equals the number of live flags at every poll and at the end of the fault
+// matrix's ring run — one host per switch, critically loaded, under PFC and
+// BFC — under every fault preset.
+func TestDCFITLiveCount(t *testing.T) {
+	for _, sc := range []struct {
+		name    string
+		factory flowcontrol.Factory
+	}{{"PFC", pfcTestbed()}, {"BFC", flowcontrol.NewBFCQueues(0)}} {
+		everLive := false
+		for _, preset := range faults.PresetNames() {
+			spec, err := faults.Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo := topology.RingHosts(3, 1, topology.DefaultLinkParams())
+			plan, err := spec.Compile(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testbedConfig(sc.factory)
+			cfg.Faults = plan.NewInjector(1)
+			n, _ := buildRingOn(t, topo, 1, cfg)
+			d := NewDCFIT(n)
+			poll(n, func() *Report {
+				if got, want := d.live, liveEdges(d); got != want {
+					t.Fatalf("%s/%s at %v: live count %d, %d live flags", sc.name, preset, n.Now(), got, want)
+				}
+				everLive = everLive || d.live > 0
+				return d.Check()
+			})
+			n.Run(60 * units.Millisecond)
+			if got, want := d.live, liveEdges(d); got != want {
+				t.Errorf("%s/%s: live count %d, %d live flags", sc.name, preset, got, want)
+			}
+		}
+		if !everLive {
+			t.Errorf("%s: no poll saw a live pause edge; the count went untested", sc.name)
+		}
+	}
+}
+
+// BenchmarkDCFITQuietCheck is a poll of DCFIT on a k=8 fat-tree with no live
+// pause edge: the steady state of every pause-free run.
+func BenchmarkDCFITQuietCheck(b *testing.B) {
+	d := NewDCFIT(&fakeFeedbackNet{now: units.Millisecond, topo: topology.FatTree(8, topology.DefaultLinkParams())})
+	b.ReportAllocs()
+	for b.Loop() {
+		if d.Check() != nil {
+			b.Fatal("convicted")
+		}
 	}
 }

@@ -106,13 +106,16 @@ type Detector struct {
 	rank   []int32
 	report *Report
 
-	// A poll's scratch, by vertex, kept so that a poll convicting nothing
-	// allocates nothing: the snapshot, 1 + the vertex's index there (0:
-	// absent), and a stalled buffer's wait-for successors (empty: not
-	// stalled).
+	// A poll's scratch, kept so that a poll convicting nothing allocates
+	// nothing: the snapshot, by vertex 1 + its index there (0: absent),
+	// and the wait-for graph in compressed sparse row form — vertex v's
+	// successors are adj[off[v]:off[v+1]], none unless v is stalled. off
+	// is grown by the first poll that finds a stalled buffer; a run that
+	// never stalls never pays for it.
 	states []netsim.IngressState
 	slot   []int32
-	succ   [][]int
+	off    []int32
+	adj    []int
 	search cbd.Searcher
 }
 
@@ -121,7 +124,7 @@ func NewDetector(n Network) *Detector {
 	topo := n.Topology()
 	d := &Detector{net: n, topo: topo, bases: topo.ChannelBases()}
 	total := d.bases[len(d.bases)-1]
-	d.rank, d.slot, d.succ = make([]int32, total), make([]int32, total), make([][]int, total)
+	d.rank, d.slot = make([]int32, total), make([]int32, total)
 	// A counting sort: visiting receivers in order fills each sender's block
 	// of vertices in (To, link) order.
 	next := slices.Clone(d.bases)
@@ -163,9 +166,12 @@ func (d *Detector) Check() *Report {
 	// as a deadlock. A stalled buffer's traffic waits on each buffer w.Ch it
 	// must enter next; one that is not stalled has no successors, so it
 	// closes no cycle.
+	d.adj = d.adj[:0]
 	stalled := false
 	for v, i := range d.slot {
-		d.succ[v] = d.succ[v][:0]
+		if d.off != nil {
+			d.off[v] = int32(len(d.adj))
+		}
 		if i == 0 {
 			continue
 		}
@@ -175,17 +181,23 @@ func (d *Detector) Check() *Report {
 			blockedForever = blockedForever && !(w.Rate > 0 || w.Down)
 		}
 		if blockedForever && now-stallStart(is) >= window {
-			for _, w := range is.Waits {
-				d.succ[v] = append(d.succ[v], int(d.rank[w.Ch]))
+			if d.off == nil {
+				// The first stall: every vertex before v has no
+				// successors, which the zeroed offsets say.
+				d.off = make([]int32, len(d.slot)+1)
 			}
-			slices.Sort(d.succ[v])
+			for _, w := range is.Waits {
+				d.adj = append(d.adj, int(d.rank[w.Ch]))
+			}
+			slices.Sort(d.adj[d.off[v]:])
 			stalled = true
 		}
 	}
 	if !stalled {
 		return nil
 	}
-	cycle := d.search.Cycle(d.succ)
+	d.off[len(d.slot)] = int32(len(d.adj))
+	cycle := d.search.Cycle(len(d.slot), d.successors)
 	if cycle == nil {
 		return d.checkWedge(now)
 	}
@@ -212,8 +224,8 @@ func (d *Detector) Check() *Report {
 // a feedback latency, far inside the window — and GFC cannot produce the
 // shape at all, since its rates never reach zero.
 func (d *Detector) checkWedge(now units.Time) *Report {
-	for v, succ := range d.succ {
-		if len(succ) == 0 {
+	for v := range d.slot {
+		if len(d.successors(v)) == 0 {
 			continue // not stalled
 		}
 		for _, w := range d.state(v).Waits {
@@ -229,6 +241,10 @@ func (d *Detector) checkWedge(now units.Time) *Report {
 	}
 	return nil
 }
+
+// successors are the buffers stalled vertex v waits on, by vertex; none when
+// v is not stalled. They are valid after a poll that found a stall.
+func (d *Detector) successors(v int) []int { return d.adj[d.off[v]:d.off[v+1]] }
 
 // state returns vertex v's snapshot; v must be in it.
 func (d *Detector) state(v int) *netsim.IngressState { return &d.states[d.slot[v]-1] }

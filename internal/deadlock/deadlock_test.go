@@ -44,7 +44,13 @@ func gfcTimeTestbed() flowcontrol.Factory {
 func buildRing(t *testing.T, h int, factory flowcontrol.Factory) (*netsim.Network, []*netsim.Flow) {
 	t.Helper()
 	topo := topology.RingHosts(3, h, topology.DefaultLinkParams())
-	n, err := netsim.New(topo, testbedConfig(factory))
+	return buildRingOn(t, topo, h, testbedConfig(factory))
+}
+
+// buildRingOn is buildRing on a prebuilt ring topology under cfg.
+func buildRingOn(t *testing.T, topo *topology.Topology, h int, cfg netsim.Config) (*netsim.Network, []*netsim.Flow) {
+	t.Helper()
+	n, err := netsim.New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

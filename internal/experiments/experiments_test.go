@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/cbd"
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -513,6 +516,64 @@ func TestRunScenarioSmoke(t *testing.T) {
 	}
 	if res.HostBandwidth <= 0 {
 		t.Error("no goodput recorded")
+	}
+}
+
+// TestRunScenarioAfterClose runs one k=4 sweep cell twice in one process. The
+// first run's network is closed, so the second carves its packets from the
+// chunks the first handed on, and must give the same ScenarioResult, slowdowns
+// included, and the same hash over every packet arrival. The collector is
+// off so that no collection empties the chunk pool between the runs.
+func TestRunScenarioAfterClose(t *testing.T) {
+	topo, tab, prone := GenerateScenario(4, 0.05, 35)
+	if !prone {
+		t.Skip("seed no longer prone")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := DefaultSweep(4)
+	cfg.Duration = 5 * units.Millisecond
+	for _, fc := range []FC{PFC, GFCBuf} {
+		// traced is RunScenario's build and run with every packet arrival
+		// hashed, closed as RunScenario closes.
+		traced := func() (*ScenarioResult, uint64) {
+			h := newHasher()
+			ov := repeatOverrides(topo, tab)
+			ov.Trace = func(*topology.Topology) *netsim.Trace {
+				return &netsim.Trace{OnArrival: func(at units.Time, node topology.NodeID, pkt *netsim.Packet) {
+					h.mix(uint64(at), uint64(node), uint64(pkt.Flow.ID), uint64(pkt.Seq), uint64(pkt.Size()))
+				}}
+			}
+			sim, err := scenario.Build(sweepSpec(fc, cfg, 7), ov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			res, err := runRepeat(context.Background(), sim, topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, h.sum()
+		}
+		firstRes, firstHash := traced()
+		againRes, againHash := traced()
+		if !reflect.DeepEqual(againRes, firstRes) || againHash != firstHash {
+			t.Errorf("%s: traced rerun differs: %+v hash %x, first %+v hash %x",
+				fc, againRes, againHash, firstRes, firstHash)
+		}
+		first, err := RunScenario(context.Background(), topo, tab, fc, cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := RunScenario(context.Background(), topo, tab, fc, cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Errorf("%s: rerun differs:\n%+v\nfirst:\n%+v", fc, again, first)
+		}
+		if first.Drops != firstRes.Drops || first.HostBandwidth != firstRes.HostBandwidth {
+			t.Errorf("%s: the traced run and RunScenario disagree", fc)
+		}
 	}
 }
 

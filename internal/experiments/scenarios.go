@@ -71,10 +71,13 @@ func (o RunOptions) build(spec scenario.Spec, ov scenario.Overrides) (*scenario.
 	return scenario.Build(spec, &ov)
 }
 
-// run executes a built figure under the governor. A tripped governor surfaces
-// as the *netsim.RunError, a violated network-wide analytic bound as the
-// *metrics.InvariantError, each in place of the result.
+// run executes a built figure under the governor and closes it: what the
+// drivers read afterwards (the result, the flows, their trace series) holds
+// no packet. A tripped governor surfaces as the *netsim.RunError, a violated
+// network-wide analytic bound as the *metrics.InvariantError, each in place
+// of the result.
 func (o RunOptions) run(sim *scenario.Sim) (*scenario.Result, error) {
+	defer sim.Close()
 	res, err := sim.RunBounded(o.ctx(), o.Budget)
 	if err != nil {
 		return nil, err

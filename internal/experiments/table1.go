@@ -321,6 +321,7 @@ func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Tabl
 	if err != nil {
 		return nil, err
 	}
+	defer sim.Close() // the next repeat carves its packets from this one's storage
 	res, err := runRepeat(ctx, sim, topo, cfg)
 	if err != nil {
 		return nil, err

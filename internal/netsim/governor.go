@@ -290,6 +290,7 @@ func (n *Network) Snapshot() *Snapshot {
 // flight-recorder snapshot otherwise. Nothing stays attached to the engine,
 // so subsequent plain Run calls pay nothing.
 func (n *Network) RunBounded(ctx context.Context, until units.Time, b Budget) error {
+	n.mustBeOpen()
 	eng := n.eng
 	start := eng.Fired()
 	var deadline time.Time

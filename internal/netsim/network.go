@@ -92,12 +92,16 @@ type Network struct {
 	fbSlots []fbSlot
 	fbFree  int32
 
-	// Packet free list, per network: deterministic (unlike a sync.Pool,
-	// which drains on GC), a LIFO linked through Packet.next, and fed by
-	// arena chunks so a run costs a few chunk allocations rather than one
-	// per live packet.
+	// Packet free list, per network: deterministic (the collector never
+	// drains it), a LIFO linked through Packet.next, and fed by arena
+	// chunks so a run costs a few chunk allocations rather than one per
+	// live packet. blocks is the newest chunk, carved up to carved and
+	// linked to those before it, which Close hands on to the next network;
+	// closed refuses further use.
 	freeHead *Packet
-	pktArena []Packet
+	blocks   *pktBlock
+	carved   int
+	closed   bool
 }
 
 // New builds a simulation of topo under cfg. Every live channel direction
@@ -366,7 +370,10 @@ func (n *Network) Topology() *topology.Topology { return n.topo }
 func (n *Network) Now() units.Time { return n.eng.Now() }
 
 // Run advances the simulation to the given time.
-func (n *Network) Run(until units.Time) { n.eng.Run(until) }
+func (n *Network) Run(until units.Time) {
+	n.mustBeOpen()
+	n.eng.Run(until)
+}
 
 // Drops reports the number of packets dropped; in a correctly configured
 // lossless fabric this must be zero.
@@ -379,6 +386,7 @@ func (n *Network) Flows() []*Flow { return n.flows }
 // its source host and end with the hop delivering to Dst, and must not change
 // afterwards: in-flight packets index it.
 func (n *Network) AddFlow(f *Flow, at units.Time) error {
+	n.mustBeOpen()
 	if len(f.Path) == 0 {
 		return fmt.Errorf("netsim: flow %d has no path", f.ID)
 	}

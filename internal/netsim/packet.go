@@ -11,7 +11,11 @@
 // failure.
 package netsim
 
-import "github.com/gfcsim/gfc/internal/units"
+import (
+	"sync"
+
+	"github.com/gfcsim/gfc/internal/units"
+)
 
 // Packet is one frame traversing the fabric. Packets are source-routed by
 // their flow: Flow.Path[hop].Node holds the packet (next to transmit it), the
@@ -56,24 +60,43 @@ func (p *Packet) Size() units.Size { return units.Size(p.size) }
 // pktChunk is how many packets a Network's arena grows by at a time. The
 // live-packet population is bounded by queue depths, so a run costs a few
 // chunk allocations total rather than one per packet.
-const pktChunk = 64
+const pktChunk = 63
+
+// pktBlock is one arena chunk and the link to the chunk carved before it:
+// 63 packets and a pointer fill a 2 KiB size class, and the network records
+// its chunks without a slice to grow.
+type pktBlock struct {
+	pkts [pktChunk]Packet
+	prev *pktBlock
+}
+
+// pktBlocks holds the zeroed chunks of closed networks (Network.Close) for
+// the next network to carve from, so a sweep that closes each run reuses one
+// run's packet storage in the next. Only zeroed storage crosses between
+// networks: no packet state, flow pointer or recycling order does.
+var pktBlocks sync.Pool
 
 // newPacket returns a zeroed packet from the network's free list, or carves
-// one from the arena when the list is empty. The list is per-network — unlike
-// the former shared sync.Pool it never drains on GC, so the steady state is
-// allocation-free regardless of collector timing, and recycling order (LIFO)
-// is deterministic by construction.
+// one from the arena when the list is empty, taking the next chunk from a
+// closed network before allocating one. The free list is per-network and
+// lives as long as the network — the collector never drains it — so a run's
+// steady state is allocation-free regardless of collector timing, and
+// recycling order (LIFO) is deterministic by construction.
 func (n *Network) newPacket() *Packet {
 	if pkt := n.freeHead; pkt != nil {
 		n.freeHead = pkt.next
 		pkt.next = nil
 		return pkt
 	}
-	if len(n.pktArena) == 0 {
-		n.pktArena = make([]Packet, pktChunk)
+	if n.blocks == nil || n.carved == pktChunk {
+		b, _ := pktBlocks.Get().(*pktBlock)
+		if b == nil {
+			b = new(pktBlock)
+		}
+		b.prev, n.blocks, n.carved = n.blocks, b, 0
 	}
-	pkt := &n.pktArena[0]
-	n.pktArena = n.pktArena[1:]
+	pkt := &n.blocks.pkts[n.carved]
+	n.carved++
 	return pkt
 }
 
@@ -84,4 +107,33 @@ func (n *Network) newPacket() *Packet {
 func (n *Network) recyclePacket(pkt *Packet) {
 	*pkt = Packet{next: n.freeHead}
 	n.freeHead = pkt
+}
+
+// Close ends the network's life: it zeroes every arena chunk the network
+// carved its packets from and hands them to the next network built in this
+// process. Call it once a run's results have been read. The packets the
+// network still held are gone, so a closed network refuses to run or to take
+// a flow: Run, RunBounded and AddFlow panic with "netsim: network closed".
+// Its readers (Now, Drops, TotalDelivered, Flows, AppendIngressStates,
+// Snapshot) keep answering, since none reads a packet; its engine must not
+// run again. A second Close is a no-op.
+func (n *Network) Close() {
+	if n.closed {
+		return
+	}
+	n.closed = true
+	for b := n.blocks; b != nil; {
+		prev := b.prev
+		*b = pktBlock{}
+		pktBlocks.Put(b)
+		b = prev
+	}
+	n.blocks, n.carved, n.freeHead = nil, 0, nil
+}
+
+// mustBeOpen panics when the network has been closed.
+func (n *Network) mustBeOpen() {
+	if n.closed {
+		panic("netsim: network closed")
+	}
 }

@@ -221,6 +221,12 @@ func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, err
 	return s.finish(res), err
 }
 
+// Close hands the network's packet storage to the next Sim built in this
+// process (netsim.Network.Close). Call it once the Result and whatever else
+// the caller reads — flows, the generator's completions, the registry — have
+// been read; the Sim cannot run again.
+func (s *Sim) Close() { s.Net.Close() }
+
 // summarise collects the run's verdict from the network and subsystems.
 func (s *Sim) summarise() *Result {
 	res := &Result{

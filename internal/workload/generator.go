@@ -47,6 +47,7 @@ type Generator struct {
 
 	hosts  []topology.NodeID // the destination candidates, resolved by Start
 	nextID int
+	onDone func(*netsim.Flow) // g.flowDone, bound once by Start: every flow's OnDone
 	// Completed accumulates finished flows for analysis.
 	Completed []*netsim.Flow
 }
@@ -98,6 +99,7 @@ func (g *Generator) Start() error {
 		k = 1
 	}
 	g.hosts = g.Net.Topology().Hosts()
+	g.onDone = g.flowDone
 	for _, h := range g.hosts {
 		for i := 0; i < k; i++ {
 			if err := g.launch(h, 0); err != nil {
@@ -121,21 +123,23 @@ func (g *Generator) launch(src topology.NodeID, at units.Time) error {
 		return fmt.Errorf("workload: routing flow %d: %w", id, err)
 	}
 	f := &netsim.Flow{
-		ID:   id,
-		Src:  src,
-		Dst:  dst,
-		Size: g.Dist.Sample(g.Rng),
-		Path: path,
-	}
-	f.OnDone = func(done *netsim.Flow) {
-		g.Completed = append(g.Completed, done)
-		// Chain the next flow from the same host back-to-back
-		// (§6.2.3: "Once this flow is finished, the host repeats the
-		// above process"). Routing failures cannot occur here: the
-		// host just proved it can route somewhere.
-		_ = g.launch(done.Src, g.Net.Now())
+		ID:     id,
+		Src:    src,
+		Dst:    dst,
+		Size:   g.Dist.Sample(g.Rng),
+		Path:   path,
+		OnDone: g.onDone,
 	}
 	return g.Net.AddFlow(f, at)
+}
+
+// flowDone records a finished flow and chains the next flow from the same
+// host back-to-back (§6.2.3: "Once this flow is finished, the host repeats
+// the above process"). Routing failures cannot occur here: the host just
+// proved it can route somewhere.
+func (g *Generator) flowDone(done *netsim.Flow) {
+	g.Completed = append(g.Completed, done)
+	_ = g.launch(done.Src, g.Net.Now())
 }
 
 // PickDst chooses a uniformly random host in a different rack that src can
