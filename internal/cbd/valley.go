@@ -7,36 +7,8 @@ import (
 	"github.com/gfcsim/gfc/internal/topology"
 )
 
-// ValleyFree runs the census of a fat-tree's failed links on t: it reports
-// whether t is wired exactly as topology.FatTree builds it and has no valley
-// pair, two edge switches joined by live switch links but by no live
-// up-then-down path (in one pod, no agg both reach; across pods, no
-// edge–agg–core–agg–edge). It reads t's Layer and Pod tags and which links
-// failed into a FatTreeMask, no routing, and asks its HasValley. It
-// reports false, so the caller runs the full scan, for a valley pair and for
-// anything else: a ring, an extra or missing link, a wrong layer count.
-//
-// A valley-free fat-tree cannot close a cyclic buffer dependency under
-// shortest-path routing, so FromAllPairs' graph over it is acyclic. Two edges
-// with a shared live agg are two hops apart, and a two-hop path between edges
-// is e–a–e′. Two edges of different pods with a live e–a–c–a′–e′ path are
-// four hops apart, and every four-hop path between them has that shape: an
-// edge's neighbours are its own pod's aggs, and only a core joins two pods'.
-// Hosts do not forward, so every shortest host-to-host path crosses a
-// shortest path between its hosts' edges. Rank the channels edge→agg 0,
-// agg→core 1, core→agg 2, agg→edge 3: every dependency along such a path
-// raises the rank, so their union is acyclic. This holds too for a table
-// built before some of t's links failed: a route that still resolves joins
-// edges that are connected now, so valley-free now and when it was built. A
-// valley pair decides nothing (3 of 43 valley networks at k=4, p = 0.05, are
-// acyclic); its graph holds a down→up turn.
-func ValleyFree(t *topology.Topology) bool {
-	m := readFatTree(t)
-	return m != nil && !m.HasValley()
-}
-
 // FatTreeMask is the census' view of a k-ary fat-tree: which of its switch
-// links are live, as bitmasks. ValleyFree reads one from a built topology; a
+// links are live, as bitmasks. FatTreeMaskOf reads one from a built tree; a
 // sweep fills one from topology.DrawFatTreeFailures and builds the tree only
 // when HasValley says the network may be CBD-prone.
 type FatTreeMask struct {
@@ -81,92 +53,38 @@ func (m *FatTreeMask) Live(l topology.FatTreeLink) bool {
 	return m.up[i]&(1<<l.Upper) != 0
 }
 
-// readFatTree reads t's live switch links from its Layer and Pod tags, or
-// returns nil when t is not wired exactly as topology.FatTree builds it.
-func readFatTree(t *topology.Topology) *FatTreeMask {
-	n := t.NumNodes()
-	const edge, agg, core = 0, 1, 2
-	layer := make([]int8, n)
-	ord := make([]int, n) // index among the pod's (or all cores') layer
-	var pods [][2]int
-	cores := 0
-	for v := range n {
-		node := t.Node(topology.NodeID(v))
-		switch {
-		case node.Kind == topology.Host:
-			if len(t.Ports(node.ID)) != 1 {
-				return nil
-			}
-			layer[v] = -1
-		case node.Layer == "core":
-			layer[v], ord[v] = core, cores
-			cores++
-		case (node.Layer == "edge" || node.Layer == "agg") && node.Pod >= 0:
-			for len(pods) <= node.Pod {
-				pods = append(pods, [2]int{})
-			}
-			layer[v] = edge
-			if node.Layer == "agg" {
-				layer[v] = agg
-			}
-			ord[v] = pods[node.Pod][layer[v]]
-			pods[node.Pod][layer[v]]++
-		default:
-			return nil
+// FatTreeMaskOf reads the live switch links of t, a FatTree(k) with some of
+// its links failed, into a mask: the census of a built tree, the inverse of
+// the loop that builds a drawn mask's tree.
+func FatTreeMaskOf(t *topology.Topology, k int) *FatTreeMask {
+	m := NewFatTreeMask(k)
+	topology.FatTreeLinks(k, func(l topology.FatTreeLink) {
+		if t.Link(l.ID).Failed {
+			m.Fail(l)
 		}
-	}
-	half := len(pods) / 2
-	if half == 0 || half > 64 || len(pods) != 2*half || cores != half*half {
-		return nil
-	}
-	for _, p := range pods {
-		if p != [2]int{half, half} {
-			return nil
-		}
-	}
-	m := &FatTreeMask{half: half, up: make([]uint64, 2*half*half), core: make([]uint64, 2*half*half)}
-	id := func(v topology.NodeID) int { return t.Node(v).Pod*half + ord[v] }
-	// wired mirrors up and core over every link, failed or not: a bit set
-	// twice is a doubled link, a bit never set a missing one.
-	wiredUp, wiredCore := make([]uint64, len(m.up)), make([]uint64, len(m.core))
-	for i := range t.NumLinks() {
-		l := t.Link(topology.LinkID(i))
-		a, b := l.A, l.B
-		if layer[a] > layer[b] {
-			a, b = b, a
-		}
-		var wired, live *uint64
-		var bit uint64
-		switch {
-		case layer[a] == -1 && layer[b] == edge:
-			continue
-		case layer[a] == edge && layer[b] == agg && t.Node(a).Pod == t.Node(b).Pod:
-			wired, live, bit = &wiredUp[id(a)], &m.up[id(a)], 1<<ord[b]
-		case layer[a] == agg && layer[b] == core && ord[b]/half == ord[a]:
-			wired, live, bit = &wiredCore[id(a)], &m.core[id(a)], 1<<(ord[b]%half)
-		default:
-			return nil
-		}
-		if *wired&bit != 0 {
-			return nil
-		}
-		*wired |= bit
-		if !l.Failed {
-			*live |= bit
-		}
-	}
-	all := uint64(1)<<half - 1
-	for i := range wiredUp {
-		if wiredUp[i] != all || wiredCore[i] != all {
-			return nil
-		}
-	}
+	})
 	return m
 }
 
-// HasValley reports whether two edges joined by live switch links lack a
-// live up-then-down path between them: a valley pair. Without one, the
-// fat-tree is CBD-free under shortest-path routing (ValleyFree).
+// HasValley is the census of a fat-tree's failed links: it reports whether
+// two edges joined by live switch links lack a live up-then-down path
+// between them, a valley pair (in one pod, no agg both reach; across pods, no
+// edge–agg–core–agg–edge). It needs no routing.
+//
+// A valley-free fat-tree cannot close a cyclic buffer dependency under
+// shortest-path routing, so FromAllPairs' graph over it is acyclic. Two edges
+// with a shared live agg are two hops apart, and a two-hop path between edges
+// is e–a–e′. Two edges of different pods with a live e–a–c–a′–e′ path are
+// four hops apart, and every four-hop path between them has that shape: an
+// edge's neighbours are its own pod's aggs, and only a core joins two pods'.
+// Hosts do not forward, so every shortest host-to-host path crosses a
+// shortest path between its hosts' edges. Rank the channels edge→agg 0,
+// agg→core 1, core→agg 2, agg→edge 3: every dependency along such a path
+// raises the rank, so their union is acyclic. This holds too for a table
+// built before some of the tree's links failed: a route that still resolves
+// joins edges that are connected now, so valley-free now and when it was
+// built. A valley pair decides nothing (3 of 43 valley networks at k=4, p =
+// 0.05, are acyclic); its graph holds a down→up turn.
 func (m *FatTreeMask) HasValley() bool {
 	reach, w := m.coreReach()
 	var root []int32 // the live switch links' components, read only for a pair that fails

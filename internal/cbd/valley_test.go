@@ -27,20 +27,13 @@ func downUp(topo *topology.Topology, g *Graph) bool {
 	return false
 }
 
-// censusAgrees holds the census to the graph it stands in for on fat-tree
-// topo: topo has a valley pair exactly when FromAllPairs' graph (edge racks,
-// as the sweep builds it) turns down→up, and a cyclic graph has one. It
-// returns the valley verdict and the graph.
-func censusAgrees(t *testing.T, name string, topo *topology.Topology) (bool, *Graph) {
+// censusAgrees holds the census to the graph it stands in for on topo, a
+// FatTree(k) with failed links: topo has a valley pair exactly when
+// FromAllPairs' graph (edge racks, as the sweep builds it) turns down→up, and
+// a cyclic graph has one. It returns the valley verdict and the graph.
+func censusAgrees(t *testing.T, name string, k int, topo *topology.Topology) (bool, *Graph) {
 	t.Helper()
-	f := readFatTree(topo)
-	if f == nil {
-		t.Fatalf("%s: the census declined a fat-tree", name)
-	}
-	valley := f.HasValley()
-	if ValleyFree(topo) == valley {
-		t.Fatalf("%s: ValleyFree = %v beside a valley verdict of %v", name, !valley, valley)
-	}
+	valley := FatTreeMaskOf(topo, k).HasValley()
 	g := FromAllPairs(topo, routing.NewSPF(topo), workload.EdgeRacks(topo))
 	if turn := downUp(topo, g); turn != valley {
 		t.Fatalf("%s: valley pair %v, but the all-pairs graph turns down→up: %v", name, valley, turn)
@@ -66,7 +59,7 @@ func TestValleysMatchDownUpTurn(t *testing.T) {
 		for seed := int64(1); seed <= int64(seeds[k]); seed++ {
 			topo := topology.FatTree(k, topology.DefaultLinkParams())
 			topo.FailRandomLinks(rand.New(rand.NewSource(seed)), 0.05)
-			valley, g := censusAgrees(t, fmt.Sprintf("k=%d seed=%d", k, seed), topo)
+			valley, g := censusAgrees(t, fmt.Sprintf("k=%d seed=%d", k, seed), k, topo)
 			if valley {
 				valleys++
 			}
@@ -93,7 +86,7 @@ func TestValleysMatchDownUpTurn(t *testing.T) {
 	// reaches only C1; E5 climbs only to A5, which reaches only C2. Their
 	// shortest path turns core→agg→core, and the graph closes a cycle.
 	study := fixture("C1", "A5", "A1", "C2", "E1", "A2", "E5", "A6")
-	valley, g := censusAgrees(t, "case study", study)
+	valley, g := censusAgrees(t, "case study", 4, study)
 	if !valley || !g.HasCycle() {
 		t.Fatalf("case study: valley %v, cyclic %v: want a valley pair and a CBD", valley, g.HasCycle())
 	}
@@ -109,63 +102,20 @@ func TestValleysMatchDownUpTurn(t *testing.T) {
 
 	// E1 loses every uplink: it reaches no other edge, so it is in no
 	// valley pair, and nothing else failed.
-	if valley, _ := censusAgrees(t, "isolated edge", fixture("E1", "A1", "E1", "A2")); valley {
+	if valley, _ := censusAgrees(t, "isolated edge", 4, fixture("E1", "A1", "E1", "A2")); valley {
 		t.Fatal("isolated edge: an unreachable edge counted as a valley pair")
 	}
 
 	// Pod 0 cut in two: E1 keeps only A1, E2 only A2, so they meet only
 	// through another pod, down and up again.
-	if valley, _ := censusAgrees(t, "pod cut", fixture("E1", "A2", "E2", "A1")); !valley {
+	if valley, _ := censusAgrees(t, "pod cut", 4, fixture("E1", "A2", "E2", "A1")); !valley {
 		t.Fatal("pod cut: two edges of one pod without a shared agg are no valley pair")
 	}
 
 	// A failed host link (what a spec's fail_links does to "H0-E1") removes a
 	// host, not a switch path: no valley pair.
-	if valley, _ := censusAgrees(t, "host link", fixture("H0", "E1")); valley {
+	if valley, _ := censusAgrees(t, "host link", 4, fixture("H0", "E1")); valley {
 		t.Fatal("host link: a failed host link made a valley pair")
-	}
-}
-
-// TestValleysDeclineOffFatTree: the census speaks only for a topology wired
-// exactly as topology.FatTree builds it. On anything else it declines, and
-// ValleyFree reports false so the caller runs the full scan — including
-// fat-trees whose unaltered twin is valley-free.
-func TestValleysDeclineOffFatTree(t *testing.T) {
-	lp := topology.DefaultLinkParams()
-	if !ValleyFree(topology.FatTree(4, lp)) {
-		t.Fatal("a healthy fat-tree is not valley-free")
-	}
-	altered := func(change func(*topology.Topology)) *topology.Topology {
-		topo := topology.FatTree(4, lp)
-		change(topo)
-		return topo
-	}
-	link := func(a, b string) func(*topology.Topology) {
-		return func(topo *topology.Topology) {
-			topo.AddLink(topo.MustLookup(a), topo.MustLookup(b), lp.Capacity, lp.Delay)
-		}
-	}
-	for name, topo := range map[string]*topology.Topology{
-		"ring":                           topology.Ring(3, lp),
-		"dumbbell":                       topology.Dumbbell(4, lp),
-		"edge-edge link":                 altered(link("E1", "E2")),
-		"doubled uplink":                 altered(link("E1", "A1")),
-		"cross-pod link":                 altered(link("E1", "A3")),
-		"agg to a core of another group": altered(link("A1", "C3")),
-		"multi-homed host": altered(func(topo *topology.Topology) {
-			topo.AddLink(topo.MustLookup("H0"), topo.MustLookup("E2"), lp.Capacity, lp.Delay)
-		}),
-		"core tagged agg": altered(func(topo *topology.Topology) {
-			topo.SetLayer(topo.MustLookup("C1"), "agg", 0)
-		}),
-		"untagged switch": altered(func(topo *topology.Topology) { topo.AddSwitch("X") }),
-		"extra pod edge": altered(func(topo *topology.Topology) {
-			topo.SetLayer(topo.AddSwitch("X"), "edge", 3)
-		}),
-	} {
-		if readFatTree(topo) != nil || ValleyFree(topo) {
-			t.Errorf("%s: the census did not decline", name)
-		}
 	}
 }
 
@@ -198,7 +148,8 @@ func TestValleyFreeMatchesDefinition(t *testing.T) {
 // built tree to the tree: at any even k from 4 to 16, any p in [0, 1] and any
 // seed, topology.DrawFatTreeFailures fails the link IDs FatTree(k) followed
 // by FailRandomLinks fails, leaves the RNG where that call leaves it, and
-// the census of the drawn mask is ValleyFree's verdict on the built tree.
+// the drawn mask is the one FatTreeMaskOf reads from the built tree, bit for
+// bit, so the two agree on the census.
 func FuzzFatTreeDraw(f *testing.F) {
 	f.Add(uint8(0), 0.05, int64(35))
 	f.Add(uint8(2), 0.05, int64(1))
@@ -228,9 +179,9 @@ func FuzzFatTreeDraw(f *testing.F) {
 		if a, b := drawn.Int63(), built.Int63(); a != b {
 			t.Fatalf("k=%d p=%v seed=%d: the draw left the RNG elsewhere than FailRandomLinks", k, p, seed)
 		}
-		if mask.HasValley() == ValleyFree(topo) {
-			t.Fatalf("k=%d p=%v seed=%d: the drawn mask has a valley %v, ValleyFree on the tree %v",
-				k, p, seed, mask.HasValley(), ValleyFree(topo))
+		read := FatTreeMaskOf(topo, k)
+		if !slices.Equal(mask.up, read.up) || !slices.Equal(mask.core, read.core) {
+			t.Fatalf("k=%d p=%v seed=%d: the drawn mask differs from the one read off the built tree", k, p, seed)
 		}
 	})
 }

@@ -37,7 +37,7 @@ func TestRegistryEntriesAreDriverSpecs(t *testing.T) {
 	// The registered sweep cell differs from a sweep repeat in the two
 	// fields builtin.go documents: it declares its failure scenario and
 	// stops at the first detection.
-	cell := sweepSpec(PFC, DefaultSweep(4), 35)
+	cell := sweepSpec(PFC, DefaultSweep(4), nil, 35)
 	cell.Topology.FailRandom = &scenario.FailRandomSpec{Prob: DefaultSweep(4).FailureProb, Seed: 35}
 	cell.Run.StopOnDeadlock = true
 	for name, driver := range map[string]scenario.Spec{

@@ -463,7 +463,8 @@ func TestGenerateScenarioCensusTable(t *testing.T) {
 // no topology and allocates a constant few objects at any k — the mask and
 // the census' reach sets; the RNG is reseeded, not rebuilt — where building
 // the tree cost hundreds to thousands. Measured: 3 at every k (4 with a
-// fresh 5 KB source per draw).
+// fresh 5 KB source per draw). Under the race detector, which drops pooled
+// RNGs at random, the count is logged but not held.
 func TestGenerateScenarioAllocs(t *testing.T) {
 	for _, k := range []int{4, 8, 16, 32} {
 		seed := int64(1)
@@ -477,7 +478,7 @@ func TestGenerateScenarioAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(5, func() { GenerateScenario(k, 0.05, seed) })
 		t.Logf("k=%d seed=%d: %.0f allocs", k, seed, allocs)
-		if allocs > 3 {
+		if allocs > 3 && !raceEnabled {
 			t.Errorf("k=%d: a valley-free draw allocates %.0f objects, want at most 3", k, allocs)
 		}
 	}
@@ -543,7 +544,7 @@ func TestRunScenarioAfterClose(t *testing.T) {
 					h.mix(uint64(at), uint64(node), uint64(pkt.Flow.ID), uint64(pkt.Seq), uint64(pkt.Size()))
 				}}
 			}
-			sim, err := scenario.Build(sweepSpec(fc, cfg, 7), ov)
+			sim, err := scenario.Build(sweepSpec(fc, cfg, topo, 7), ov)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -590,7 +591,7 @@ func TestLaneShareOfSweepCell(t *testing.T) {
 	cfg.Duration = 5 * units.Millisecond
 	cfg.Analytic = true
 	for _, fc := range []FC{PFC, GFCBuf, GFCTime} {
-		sim, err := scenario.Build(sweepSpec(fc, cfg, 7), repeatOverrides(topo, tab))
+		sim, err := scenario.Build(sweepSpec(fc, cfg, topo, 7), repeatOverrides(topo, tab))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -259,20 +259,31 @@ func GenerateScenario(k int, p float64, seed int64) (*topology.Topology, *routin
 
 // sweepSpec is the per-repeat Spec both backends compile: the registered
 // sweep cell (scenario.SweepCell) at the sweep's scale, intensity and horizon,
-// seeded by the repeat.
-func sweepSpec(fc FC, cfg SweepConfig, repeatSeed int64) scenario.Spec {
+// seeded by the repeat, with topo's failed links named in link-ID order in
+// fail_links. Built with no Overrides, it builds the network, routes and
+// workload the repeat runs; topo is nil only for a probe on the healthy tree.
+func sweepSpec(fc FC, cfg SweepConfig, topo *topology.Topology, repeatSeed int64) scenario.Spec {
 	spec := scenario.SweepCell(fc, cfg.K, cfg.FlowsPerHost, repeatSeed)
 	spec.Run.DurationNs = cfg.Duration
 	spec.Run.Analytic = cfg.Analytic
+	if topo == nil {
+		return spec
+	}
+	for i := range topo.NumLinks() {
+		if l := topo.Link(topology.LinkID(i)); l.Failed {
+			spec.Topology.FailLinks = append(spec.Topology.FailLinks, topo.Node(l.A).Name+"-"+topo.Node(l.B).Name)
+		}
+	}
 	return spec
 }
 
-// repeatOverrides are the runtime hooks every sweep repeat builds with: the
-// prebuilt topology and routing table (sweeps reuse them across repeats, so
-// the Spec's topology section is validated, not built), a fresh registry, and
-// the CBD verdict — every simulated cell passed the pre-filter, so it is
-// cyclic by construction and the analytic predictor need not recompute the
-// all-pairs graph per repeat.
+// repeatOverrides are the runtime hooks every sweep repeat builds with: a
+// fresh registry, and caches of what the repeat's Spec declares. The prebuilt
+// topology and routing table are the ones its fail_links build (sweeps reuse
+// them across repeats, so the Spec's topology section is validated, not
+// built), and the CBD verdict is cyclic: every simulated cell passed the
+// pre-filter, so the analytic predictor need not recompute the all-pairs
+// graph per repeat.
 func repeatOverrides(topo *topology.Topology, tab *routing.Table) *scenario.Overrides {
 	cyclic := true
 	return &scenario.Overrides{
@@ -317,7 +328,7 @@ func runRepeat(ctx context.Context, r scenario.Runner, topo *topology.Topology, 
 // packet fidelity, adding what only the packet engine observes: per-flow
 // slowdowns.
 func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
-	sim, err := scenario.Build(sweepSpec(fc, cfg, repeatSeed), repeatOverrides(topo, tab))
+	sim, err := scenario.Build(sweepSpec(fc, cfg, topo, repeatSeed), repeatOverrides(topo, tab))
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +357,7 @@ var fluidSweepBackend = scenario.FluidBackend{RenderGenerator: true}
 // buildFluidRepeat compiles one repeat for the fluid solver. It integrates
 // at 2 µs: the sweep dynamics (τ ≥ 12 µs) are far slower.
 func buildFluidRepeat(topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (scenario.Runner, error) {
-	spec := sweepSpec(fc, cfg, repeatSeed)
+	spec := sweepSpec(fc, cfg, topo, repeatSeed)
 	spec.Sim.FluidStepNs = 2 * units.Microsecond
 	return fluidSweepBackend.Build(spec, repeatOverrides(topo, tab))
 }
@@ -421,6 +432,9 @@ func fluidSweepSupports(fc FC) error {
 // seedOf is the base RNG seed of scenario i, recorded in checkpoint entries.
 func (cfg SweepConfig) seedOf(i int) int64 { return cfg.Seed + int64(i) }
 
+// repeatSeed is the workload seed of repeat r of scenario job.
+func (cfg SweepConfig) repeatSeed(job, r int) int64 { return cfg.Seed*1000 + int64(job*cfg.Repeats+r) }
+
 // runCell computes sweep cell job: generate the topology, skip it (nil
 // outcome) unless CBD-prone, then run every scheme's repeats on it, stored
 // scheme-major (scheme s, repeat r at s*cfg.Repeats + r). Repeat seeds are a
@@ -439,7 +453,7 @@ func runCell(ctx context.Context, schemes []FC, cfg SweepConfig, job int) (*scen
 	sc := &scenarioOutcome{Repeats: make([]*ScenarioResult, 0, len(schemes)*cfg.Repeats)}
 	for _, fc := range schemes {
 		for r := 0; r < cfg.Repeats; r++ {
-			res, err := repeat(ctx, topo, tab, fc, cfg, cfg.Seed*1000+int64(job*cfg.Repeats+r))
+			res, err := repeat(ctx, topo, tab, fc, cfg, cfg.repeatSeed(job, r))
 			if err != nil {
 				return nil, fmt.Errorf("%s repeat %d: %w", fc, r, err)
 			}

@@ -18,7 +18,10 @@ import (
 )
 
 // Overrides carry the runtime-only hooks a Spec cannot serialise. All fields
-// are optional; the zero value builds the spec exactly as written.
+// are optional; the zero value builds the spec exactly as written. Topo,
+// Table and CBDCyclic are caches of what the Spec declares, not additions to
+// it: Build trusts them to be what the spec's own sections would build and
+// derive.
 type Overrides struct {
 	// Trace builds the run's observation hooks once the topology exists
 	// (closures usually capture node IDs). Installed before the network
@@ -26,17 +29,16 @@ type Overrides struct {
 	Trace func(*topology.Topology) *netsim.Trace
 	// Metrics attaches a fresh registry to the simulation.
 	Metrics *metrics.Registry
-	// Topo supplies a prebuilt topology, skipping the spec's builder
-	// (sweeps reuse one topology across repeats).
+	// Topo supplies the topology the spec's section builds, prebuilt
+	// (sweeps reuse one topology across repeats). The failed-link census
+	// reads only a tree Build built itself.
 	Topo *topology.Topology
-	// Table supplies a prebuilt routing table, skipping the spec's
-	// routing policy.
+	// Table supplies the routing table the spec's policy builds, prebuilt.
 	Table *routing.Table
-	// CBDCyclic, when non-nil, supplies a precomputed cyclic-buffer-
-	// dependency verdict for the analytic checker (true: the workload's
+	// CBDCyclic, when non-nil, supplies the cyclic-buffer-dependency
+	// verdict Sim.Predict would derive from the built workload (true: its
 	// paths can close a dependency cycle). Sweeps compute the CBD graph
-	// once per generated topology and pass the verdict here; nil lets
-	// Sim.Predict derive it from the built workload.
+	// once per generated topology and pass the verdict here.
 	CBDCyclic *bool
 }
 

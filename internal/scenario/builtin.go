@@ -149,8 +149,9 @@ func Incast(fc FC) Spec {
 // SweepCell returns one Table 1 repeat (§6.2.3): the enterprise generator at
 // flowsPerHost concurrent flows per host, seeded by seed, on a k-ary fat-tree
 // under the sim preset. The failure scenario is the caller's to add: a sweep
-// hands Build the failed topology it generated (and reuses across repeats),
-// the registry entry declares the same failures as fail_random.
+// repeat names the failed links of the network it generated in fail_links
+// (and hands Build that network as a cache, reused across repeats); the
+// registry entry declares its failures as fail_random.
 func SweepCell(fc FC, k, flowsPerHost int, seed int64) Spec {
 	return Spec{
 		Name:     "sweep-cell-" + schemeSlug(fc),
@@ -341,10 +342,10 @@ func init() {
 		"fig19 feedback overhead: healthy k=8 fat-tree, enterprise workload, buffer-based GFC")
 	register(Incast(GFCBuf),
 		"fig20 incast fabric: 8 senders into one receiver over a dumbbell, ECN 40KB, buffer-based GFC")
-	// The registered sweep cell declares its failure scenario (a sweep hands
-	// Build a prebuilt topology instead) and stops at the first detection —
-	// a -scenario run wants the verdict, a sweep repeat the full-horizon
-	// aggregates.
+	// The registered sweep cell declares its failure scenario as fail_random
+	// (a sweep repeat names the links it failed) and stops at the first
+	// detection — a -scenario run wants the verdict, a sweep repeat the
+	// full-horizon aggregates.
 	cell := SweepCell(PFC, 4, 4, 35)
 	cell.Topology.FailRandom = &FailRandomSpec{Prob: 0.05, Seed: 35}
 	cell.Run.StopOnDeadlock = true

@@ -42,6 +42,10 @@ type compiled struct {
 	// the verdict, or carries the override.
 	rendered  [][]routing.Hop
 	cbdCyclic *bool
+	// builtTopo is set when compile built topo from the spec's section
+	// rather than taking Overrides.Topo: only then is a fat-tree spec's
+	// topo known to be FatTree(k), the tree the census reads.
+	builtTopo bool
 	// pred is the prediction the fluid backend's refusal check made (nil on
 	// the packet engine); the end-of-run verdict reuses it, so a fluid sweep
 	// repeat predicts once.
@@ -61,6 +65,7 @@ func compile(spec Spec, ov *Overrides) (*compiled, error) {
 	c := &compiled{spec: spec, topo: ov.Topo, table: ov.Table, reg: ov.Metrics, cbdCyclic: ov.CBDCyclic}
 	var err error
 	if c.topo == nil {
+		c.builtTopo = true
 		if c.topo, err = buildTopology(spec.Topology); err != nil {
 			return nil, err
 		}
@@ -149,7 +154,8 @@ func (c *compiled) predict() (*analytic.Prediction, error) {
 // inter-rack host pair, so its presence folds in the union of all such
 // routes — the conservative superset of what the run may route — unless the
 // failed-link census finds a fat-tree without a valley pair, on which that
-// union is acyclic (cbd.ValleyFree; the table is SPF's over c.topo).
+// union is acyclic (cbd.FatTreeMask.HasValley; the table is SPF's over
+// c.topo).
 func (c *compiled) cbdVerdict() bool {
 	if c.cbdCyclic == nil {
 		g := cbd.NewGraph(c.topo)
@@ -160,12 +166,21 @@ func (c *compiled) cbdVerdict() bool {
 			g.AddPath(p)
 		}
 		cyclic := g.HasCycle()
-		if c.spec.Workload.Generator != nil && !cyclic && !cbd.ValleyFree(c.topo) {
+		if c.spec.Workload.Generator != nil && !cyclic && !c.valleyFree() {
 			cyclic = cbd.FromAllPairs(c.topo, c.table, workload.EdgeRacks(c.topo)).HasCycle()
 		}
 		c.cbdCyclic = &cyclic
 	}
 	return *c.cbdCyclic
+}
+
+// valleyFree runs the failed-link census on a fat-tree compile built itself
+// (up to k = 128, the mask's width). It reports false, so the caller runs the
+// full scan, for a valley pair and for any other topology, a prebuilt one
+// included.
+func (c *compiled) valleyFree() bool {
+	t := c.spec.Topology
+	return c.builtTopo && t.Builder == "fat-tree" && t.K <= 128 && !cbd.FatTreeMaskOf(c.topo, t.K).HasValley()
 }
 
 // verify checks res against the analytic prediction, returning the prediction
